@@ -30,9 +30,8 @@ use std::time::Instant;
 
 use deepcontext_core::{CallPath, CallingContextTree, Frame, FrameKind, Interner, MetricKind};
 use deepcontext_profiler::{
-    default_directory_map, AsyncSink, BackpressurePolicy, EventSink, Failpoints, JournalConfig,
-    PipelineConfig, ShardedSink, Supervisor, SupervisorConfig, SupervisorSink, SupervisorState,
-    TelemetryConfig, TimelineConfig,
+    AsyncSink, BackpressurePolicy, EventSink, Failpoints, JournalConfig, PipelineConfig,
+    ShardedSink, SinkOptions, Supervisor, SupervisorConfig, SupervisorSink, SupervisorState,
 };
 use dlmonitor::EventOrigin;
 use sim_gpu::{ApiKind, CorrelationId};
@@ -144,23 +143,16 @@ fn max_relative_error(estimates: &[f64], truth: &[u64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Producer-side cost of pushing the whole stream through `sink`, best
-/// of [`OVERHEAD_REPEATS`] passes, in ns/event.
-fn producer_ns_per_event(
-    stream: &[Launch],
-    mut make_sink: impl FnMut() -> Arc<dyn EventSink>,
-) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..OVERHEAD_REPEATS {
-        let sink = make_sink();
-        let start = Instant::now();
-        for launch in stream {
-            sink.gpu_launch(&launch.origin, &launch.path, ApiKind::LaunchKernel);
-        }
-        let ns = start.elapsed().as_nanos() as f64 / stream.len() as f64;
-        best = best.min(ns);
+/// Producer-side cost of one pass of the whole stream through `sink`,
+/// in ns/event.
+fn producer_ns_per_event(stream: &[Launch], sink: Arc<dyn EventSink>) -> f64 {
+    // Cloned outside the timed region: the measurement is the sink's.
+    let paths: Vec<CallPath> = stream.iter().map(|l| l.path.clone()).collect();
+    let start = Instant::now();
+    for (launch, path) in stream.iter().zip(paths) {
+        sink.gpu_launch(&launch.origin, path, ApiKind::LaunchKernel);
     }
-    best
+    start.elapsed().as_nanos() as f64 / stream.len() as f64
 }
 
 fn main() {
@@ -187,7 +179,7 @@ fn main() {
     );
     blind.pause();
     for launch in &stream {
-        blind.gpu_launch(&launch.origin, &launch.path, ApiKind::LaunchKernel);
+        blind.gpu_launch(&launch.origin, launch.path.clone(), ApiKind::LaunchKernel);
     }
     blind.resume();
     let blind_cct = blind.finish_snapshot();
@@ -216,7 +208,7 @@ fn main() {
     supervisor.force_state(SupervisorState::Degraded);
     let sampled = SupervisorSink::new(sampled_inner, Arc::clone(&supervisor));
     for launch in &stream {
-        sampled.gpu_launch(&launch.origin, &launch.path, ApiKind::LaunchKernel);
+        sampled.gpu_launch(&launch.origin, launch.path.clone(), ApiKind::LaunchKernel);
     }
     let sampled_cct = sampled.finish_snapshot();
     let sampled_kept = kept_counts(&sampled_cct, &interner);
@@ -233,15 +225,14 @@ fn main() {
     // tracks how many lifecycle events an overload run journals (drop
     // storms, pause/resume, drain barriers) and how many the bounded
     // ring evicts.
-    let journal_inner = ShardedSink::with_journal(
+    let journal_inner = ShardedSink::with(
         Arc::clone(&interner),
-        4,
-        true,
-        &TimelineConfig::default(),
-        default_directory_map(),
-        &TelemetryConfig::default(),
-        Failpoints::disabled(),
-        &JournalConfig::enabled(),
+        SinkOptions {
+            shards: 4,
+            journal: JournalConfig::enabled(),
+            failpoints: Failpoints::disabled(),
+            ..SinkOptions::default()
+        },
     );
     let journal = Arc::clone(journal_inner.journal().expect("journal enabled"));
     let journal_sink = AsyncSink::new(
@@ -256,7 +247,7 @@ fn main() {
     );
     journal_sink.pause();
     for launch in &stream {
-        journal_sink.gpu_launch(&launch.origin, &launch.path, ApiKind::LaunchKernel);
+        journal_sink.gpu_launch(&launch.origin, launch.path.clone(), ApiKind::LaunchKernel);
     }
     journal_sink.resume();
     let _ = journal_sink.finish_snapshot();
@@ -265,14 +256,17 @@ fn main() {
 
     // --- Healthy-path admission cost: the same stream through the bare
     // synchronous sink vs a Healthy SupervisorSink wrapping one.
-    let bare_ns = producer_ns_per_event(&stream, || {
-        ShardedSink::new(Interner::new(), 4) as Arc<dyn EventSink>
-    });
-    let wrapped_ns = producer_ns_per_event(&stream, || {
+    // Best of OVERHEAD_REPEATS, the two sinks alternating: each pass
+    // frees the paths it consumed, so back-to-back passes of one sink
+    // would hand the other a differently fragmented heap.
+    let (mut bare_ns, mut wrapped_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..OVERHEAD_REPEATS {
+        let bare: Arc<dyn EventSink> = ShardedSink::new(Interner::new(), 4);
+        bare_ns = bare_ns.min(producer_ns_per_event(&stream, bare));
         let inner: Arc<dyn EventSink> = ShardedSink::new(Interner::new(), 4);
-        SupervisorSink::new(inner, Supervisor::new(SupervisorConfig::default()))
-            as Arc<dyn EventSink>
-    });
+        let wrapped = SupervisorSink::new(inner, Supervisor::new(SupervisorConfig::default()));
+        wrapped_ns = wrapped_ns.min(producer_ns_per_event(&stream, wrapped));
+    }
     let overhead = wrapped_ns / bare_ns;
 
     let mut json = String::new();

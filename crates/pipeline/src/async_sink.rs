@@ -72,7 +72,7 @@ use deepcontext_telemetry::{
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind};
 
-use crate::batch::{BatchCounters, BatchDelivery, Batcher, ProducerEvent};
+use crate::batch::{BatchCounters, Batcher, ProducerEvent};
 use crate::self_telemetry::PipelineTelemetry;
 use crate::sharded::ShardedSink;
 use crate::sink::{EventSink, SinkCounters};
@@ -108,18 +108,14 @@ pub struct PipelineConfig {
     /// shard — when this many events are pending, at every barrier
     /// (flush / snapshot / finish / epoch / counters), before any
     /// activity delivery, and on thread exit. `1` disables batching
-    /// (every event is enqueued as it happens). The default honours the
-    /// `DEEPCONTEXT_LAUNCH_BATCH` environment override
-    /// ([`default_launch_batch`](crate::default_launch_batch)).
-    ///
-    /// Applies to the synchronous pipeline too: the profiler wraps its
-    /// [`ShardedSink`] in a [`BatchingSink`](crate::BatchingSink) when
-    /// this is above 1.
+    /// (every event is enqueued as it happens). Like every other field
+    /// here it applies to asynchronous mode only: the synchronous
+    /// pipeline attributes inline and never buffers.
     pub launch_batch: usize,
-    /// Which correlation-directory layout the sink uses (see
-    /// [`crate::directory`]). The default honours the
-    /// `DEEPCONTEXT_DIRECTORY_MAP` environment override
-    /// ([`default_directory_map`](crate::default_directory_map)).
+    /// Vestigial: the directory has one layout. The field exists only
+    /// for the frozen repo benchmark's `resolved:` header line (see
+    /// [`DirectoryMapKind`](crate::DirectoryMapKind)) and goes with the
+    /// next benchmark PR.
     pub directory_map: crate::DirectoryMapKind,
     /// Deterministic fault-injection registry for the pipeline's sites
     /// (see [`crate::failpoint`]). The default honours the
@@ -134,8 +130,8 @@ impl Default for PipelineConfig {
             workers: 0,
             queue_capacity: 256,
             backpressure: BackpressurePolicy::Block,
-            launch_batch: crate::default_launch_batch(),
-            directory_map: crate::default_directory_map(),
+            launch_batch: crate::DEFAULT_LAUNCH_BATCH,
+            directory_map: crate::DirectoryMapKind::Striped,
             failpoints: Failpoints::from_env(),
         }
     }
@@ -334,7 +330,8 @@ impl WorkerTelemetry {
     }
 }
 
-struct Shared {
+/// State shared by producers, the [`Batcher`] and the worker pool.
+pub(crate) struct Shared {
     inner: Arc<ShardedSink>,
     queues: Vec<ShardQueue>,
     parkers: Vec<Parker>,
@@ -1035,12 +1032,17 @@ impl Shared {
     }
 }
 
-impl BatchDelivery for Shared {
-    fn sharded(&self) -> &ShardedSink {
+/// The [`Batcher`]'s side of the pipeline: where flushed thread-local
+/// batches bind their routes and enter the queues.
+impl Shared {
+    /// The sharded sink owning the routing directory flushes bind into.
+    pub(crate) fn sharded(&self) -> &ShardedSink {
         &self.inner
     }
 
-    fn deliver(&self, shard: usize, mut events: Vec<ProducerEvent>) {
+    /// Enqueues one shard's flushed events in buffer order. The flush
+    /// has already directory-bound every launch correlation in the batch.
+    pub(crate) fn deliver(&self, shard: usize, mut events: Vec<ProducerEvent>) {
         self.producer_batches.record(events.len() as u64);
         // One `Batch` message per `MESSAGE_GRAIN` events: the whole run
         // goes through the channel's single-notify batch push, while
@@ -1070,7 +1072,7 @@ impl BatchDelivery for Shared {
 /// attribution worker pool, wrapping the [`ShardedSink`] that holds the
 /// actual profile state.
 pub struct AsyncSink {
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     /// Thread-local producer batching (`None` when
     /// [`PipelineConfig::launch_batch`] is 1: events enqueue as they
     /// happen, the pre-batching behaviour).
@@ -1149,12 +1151,8 @@ impl AsyncSink {
             storm_dropped: AtomicU64::new(0),
             inner,
         });
-        let batcher = (config.launch_batch > 1).then(|| {
-            Batcher::new(
-                Arc::clone(&shared) as Arc<dyn BatchDelivery>,
-                config.launch_batch,
-            )
-        });
+        let batcher = (config.launch_batch > 1)
+            .then(|| Batcher::new(Arc::clone(&shared), config.launch_batch));
         let handles = (0..workers)
             .map(|w| {
                 let shared = Arc::clone(&shared);
@@ -1275,11 +1273,7 @@ impl AsyncSink {
 }
 
 impl EventSink for AsyncSink {
-    fn gpu_launch(&self, origin: &EventOrigin, path: &CallPath, api: ApiKind) {
-        self.gpu_launch_owned(origin, path.clone(), api);
-    }
-
-    fn gpu_launch_owned(&self, origin: &EventOrigin, path: CallPath, api: ApiKind) {
+    fn gpu_launch(&self, origin: &EventOrigin, path: CallPath, api: ApiKind) {
         let idx = self.shared.inner.route(origin);
         if let Some(batcher) = &self.batcher {
             // Batched fast path: append to this thread's buffer; the
@@ -1311,11 +1305,7 @@ impl EventSink for AsyncSink {
         );
     }
 
-    fn activity_batch(&self, batch: &[Activity]) {
-        self.activity_batch_owned(batch.to_vec());
-    }
-
-    fn activity_batch_owned(&self, batch: Vec<Activity>) {
+    fn activity_batch(&self, batch: Vec<Activity>) {
         if batch.is_empty() {
             return;
         }
@@ -1332,17 +1322,7 @@ impl EventSink for AsyncSink {
         }
     }
 
-    fn cpu_sample(&self, origin: &EventOrigin, path: &CallPath, metric: MetricKind, value: f64) {
-        self.cpu_sample_owned(origin, path.clone(), metric, value);
-    }
-
-    fn cpu_sample_owned(
-        &self,
-        origin: &EventOrigin,
-        path: CallPath,
-        metric: MetricKind,
-        value: f64,
-    ) {
+    fn cpu_sample(&self, origin: &EventOrigin, path: CallPath, metric: MetricKind, value: f64) {
         let idx = self.shared.inner.route(origin);
         if let Some(batcher) = &self.batcher {
             batcher.push(
@@ -1552,8 +1532,8 @@ mod tests {
         };
         let mut path = CallPath::new();
         path.push(Frame::gpu_kernel("k", "m.so", 0x1, &interner));
-        sink.gpu_launch(&origin, &path, ApiKind::LaunchKernel);
-        sink.activity_batch(&[Activity {
+        sink.gpu_launch(&origin, path.clone(), ApiKind::LaunchKernel);
+        sink.activity_batch(vec![Activity {
             correlation_id: CorrelationId(7),
             device: DeviceId(0),
             kind: ActivityKind::Malloc {
@@ -1573,7 +1553,7 @@ mod tests {
             ..EventOrigin::default()
         };
         for _ in 0..6 {
-            sink.cpu_sample(&sample_origin, &path, MetricKind::CpuTime, 1.0);
+            sink.cpu_sample(&sample_origin, path.clone(), MetricKind::CpuTime, 1.0);
         }
         sink.resume();
         sink.drain();
@@ -1616,7 +1596,7 @@ mod tests {
         let mut path = CallPath::new();
         path.push(Frame::gpu_kernel("k", "m.so", 0x1, &interner));
         // Fill the 1-slot queue (activity buckets enqueue directly)...
-        sink.activity_batch(&[Activity {
+        sink.activity_batch(vec![Activity {
             correlation_id: CorrelationId(1),
             device: DeviceId(0),
             kind: ActivityKind::Malloc {
@@ -1629,7 +1609,7 @@ mod tests {
             tid: Some(1),
             ..EventOrigin::default()
         };
-        sink.cpu_sample(&origin, &path, MetricKind::CpuTime, 1.0);
+        sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 1.0);
 
         let dropper = std::thread::spawn(move || drop(sink));
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -1679,7 +1659,7 @@ mod tests {
                 stream: Some(StreamId(0)),
                 correlation: Some(CorrelationId(corr)),
             };
-            sink.gpu_launch(&origin, &path, ApiKind::LaunchKernel);
+            sink.gpu_launch(&origin, path.clone(), ApiKind::LaunchKernel);
         }
         sink.resume();
         sink.drain();
@@ -1694,7 +1674,7 @@ mod tests {
         // retires whatever was attributed normally.
         sink.pause();
         for corr in 1..=100u64 {
-            sink.activity_batch(&[Activity {
+            sink.activity_batch(vec![Activity {
                 correlation_id: CorrelationId(corr),
                 device: DeviceId(0),
                 kind: ActivityKind::Malloc {
@@ -1757,7 +1737,7 @@ mod tests {
                     tid: Some(tid),
                     ..EventOrigin::default()
                 };
-                sink.cpu_sample(&origin, &path, MetricKind::CpuTime, 1.0);
+                sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 1.0);
             }
         }
         // Every barrier completes despite the quarantined shard.
@@ -1809,7 +1789,7 @@ mod tests {
         };
         sink.pause();
         for _ in 0..200 {
-            sink.cpu_sample(&origin, &path, MetricKind::CpuTime, 1.0);
+            sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 1.0);
         }
         sink.resume();
         sink.drain();

@@ -1,24 +1,27 @@
-//! Thread-local producer-side event batching.
+//! Thread-local producer-side event batching (asynchronous mode only).
 //!
-//! PR 3's asynchronous pipeline made *attribution* cheap for producers,
-//! but left a fixed per-launch cost on the monitored workload's critical
-//! path: one correlation-directory bind, one bounded-channel push, one
-//! waiter check per event. On coarse kernel-only streams — where
-//! attribution itself is cheap — those fixed costs dominate. This module
-//! amortizes them: producers append events to a per-thread, per-shard
-//! [`LaunchBatch`] buffer, and a whole buffer is flushed at once —
-//! binding every batched correlation in **one** striped-directory pass
-//! ([`ShardedSink::bind_batch`]) and handing each shard's run to the
-//! sink in **one** delivery (one bounded-channel batch push in
-//! asynchronous mode, one shard-lock acquisition in synchronous mode).
+//! The asynchronous pipeline makes *attribution* cheap for producers,
+//! but an unbatched enqueue still leaves a fixed per-launch cost on the
+//! monitored workload's critical path: one correlation-directory bind,
+//! one bounded-channel push, one waiter check per event. On coarse
+//! kernel-only streams — where attribution itself is cheap — those
+//! fixed costs dominate. This module amortizes them: producers append
+//! events to a per-thread, per-shard [`LaunchBatch`] buffer, and a whole
+//! buffer is flushed at once — binding every batched correlation in
+//! **one** striped-directory pass ([`ShardedSink::bind_batch`]) and
+//! handing each shard's run to the [`AsyncSink`](crate::AsyncSink) in
+//! **one** bounded-channel batch push.
+//!
+//! Synchronous mode does not batch: a bare [`ShardedSink`] attributes
+//! inline, which measured faster than buffering in front of it on every
+//! single-producer stream (273 vs 315 ns/event coarse).
 //!
 //! # Flush points
 //!
 //! A thread's buffer is flushed when:
 //!
 //! * it reaches [`PipelineConfig::launch_batch`] events (the capacity
-//!   trigger, tuned by `bench_pipeline` and overridable via the
-//!   `DEEPCONTEXT_LAUNCH_BATCH` environment variable);
+//!   trigger, tuned by `bench_pipeline`);
 //! * **any** activity batch is delivered — activity records resolve
 //!   through launches' correlations, so every buffered launch anywhere
 //!   must be bound and delivered before a record routes
@@ -51,20 +54,20 @@
 //! window, so peak profile memory is unchanged).
 //!
 //! [`PipelineConfig::launch_batch`]: crate::PipelineConfig::launch_batch
+//! [`ShardedSink`]: crate::ShardedSink
+//! [`ShardedSink::bind_batch`]: crate::ShardedSink::bind_batch
 
 use std::cell::RefCell;
-
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-use deepcontext_core::{CallPath, CallingContextTree, MetricKind, TrackKey};
+use deepcontext_core::{CallPath, MetricKind, TrackKey};
 use dlmonitor::EventOrigin;
-use sim_gpu::{Activity, ApiKind};
+use sim_gpu::ApiKind;
 
-use crate::sharded::ShardedSink;
-use crate::sink::{EventSink, SinkCounters};
+use crate::async_sink::Shared;
 
 /// One producer-side event held in a [`LaunchBatch`] buffer, already
 /// routed to its home shard. Only the *per-event* collection paths —
@@ -92,18 +95,6 @@ pub(crate) enum ProducerEvent {
         /// Sampled value.
         value: f64,
     },
-}
-
-/// Where a flushed batch goes: the asynchronous sink enqueues it as one
-/// bounded-channel message run, the synchronous wrapper applies it under
-/// one shard-lock acquisition.
-pub(crate) trait BatchDelivery: Send + Sync {
-    /// The sharded sink owning the routing directory flushes bind into.
-    fn sharded(&self) -> &ShardedSink;
-
-    /// Delivers one shard's flushed events in buffer order. The flush has
-    /// already directory-bound every launch correlation in the batch.
-    fn deliver(&self, shard: usize, events: Vec<ProducerEvent>);
 }
 
 /// One thread's pending events, bucketed per shard.
@@ -139,10 +130,10 @@ impl LaunchBatch {
         self.pending += 1;
     }
 
-    /// Flushes every occupied shard bucket into `delivery`, binding each
-    /// bucket's launch correlations in one striped-directory pass first.
-    /// Returns the flushed event count.
-    fn flush(&mut self, delivery: &dyn BatchDelivery) -> u64 {
+    /// Flushes every occupied shard bucket into `delivery`'s queues,
+    /// binding each bucket's launch correlations in one striped-directory
+    /// pass first. Returns the flushed event count.
+    fn flush(&mut self, delivery: &Shared) -> u64 {
         if self.pending == 0 {
             return 0;
         }
@@ -165,16 +156,16 @@ impl LaunchBatch {
             // visible, so activity records arriving while the batch is in
             // flight route to the same shard (the batched analogue of the
             // unbatched pipeline's enqueue-time `bind_route`).
-            delivery.sharded().bind_batch(&corrs, idx as usize);
+            sharded.bind_batch(&corrs, idx as usize);
             delivery.deliver(idx as usize, events);
         }
         self.occupied.clear();
         self.pending = 0;
         if let (Some(t), Some(start)) = (sharded.telemetry(), flush_start) {
-            // In async mode `deliver` enqueues (and may block on
-            // backpressure), so flush latency is the producer-visible
-            // cost of handing the batch off — exactly the number the
-            // overhead bars care about.
+            // `deliver` enqueues (and may block on backpressure), so
+            // flush latency is the producer-visible cost of handing the
+            // batch off — exactly the number the overhead bars care
+            // about.
             let end = t.now_ns();
             t.flush_size.record(flushed);
             t.flush_latency.record(end.saturating_sub(start));
@@ -201,7 +192,7 @@ struct Slot {
     buf: Mutex<LaunchBatch>,
     /// Back-reference for the thread-quiesce flush; weak so a dead sink
     /// cannot be kept alive (or resurrected) by idle thread-locals.
-    delivery: Weak<dyn BatchDelivery>,
+    delivery: Weak<Shared>,
     /// The owning [`Batcher`]'s buffered-event total, decremented by
     /// whoever flushes this slot.
     pending_total: Arc<AtomicU64>,
@@ -214,7 +205,7 @@ struct LocalSlot(Arc<Slot>);
 impl Drop for LocalSlot {
     fn drop(&mut self) {
         if let Some(delivery) = self.0.delivery.upgrade() {
-            let flushed = self.0.buf.lock().flush(delivery.as_ref());
+            let flushed = self.0.buf.lock().flush(&delivery);
             self.0.pending_total.fetch_sub(flushed, Ordering::AcqRel);
         }
     }
@@ -231,15 +222,15 @@ thread_local! {
 /// Unique id per [`Batcher`] instance, keying the thread-local registry.
 static NEXT_BATCHER_ID: AtomicU64 = AtomicU64::new(1);
 
-/// The producer-side batching engine shared by both ingestion modes: a
-/// registry of per-thread [`LaunchBatch`] buffers plus the flush policy.
+/// The asynchronous pipeline's producer-side batching engine: a registry
+/// of per-thread [`LaunchBatch`] buffers plus the flush policy.
 pub(crate) struct Batcher {
     id: u64,
     /// Flush threshold in events; `push` flushes the whole thread buffer
     /// once this many events are pending.
     capacity: u64,
     shard_count: usize,
-    delivery: Arc<dyn BatchDelivery>,
+    delivery: Arc<Shared>,
     /// Every live slot, so barriers can flush threads they do not own.
     slots: Mutex<Vec<Arc<Slot>>>,
     /// Events buffered across **all** slots right now, so the empty case
@@ -249,7 +240,7 @@ pub(crate) struct Batcher {
 }
 
 impl Batcher {
-    pub(crate) fn new(delivery: Arc<dyn BatchDelivery>, launch_batch: usize) -> Self {
+    pub(crate) fn new(delivery: Arc<Shared>, launch_batch: usize) -> Self {
         let shard_count = delivery.sharded().shard_count();
         Batcher {
             id: NEXT_BATCHER_ID.fetch_add(1, Ordering::Relaxed),
@@ -302,7 +293,7 @@ impl Batcher {
             self.pending_total.fetch_add(1, Ordering::AcqRel);
             buf.push(shard, event);
             if buf.pending >= self.capacity {
-                let flushed = buf.flush(self.delivery.as_ref());
+                let flushed = buf.flush(&self.delivery);
                 self.pending_total.fetch_sub(flushed, Ordering::AcqRel);
             }
         });
@@ -324,7 +315,7 @@ impl Batcher {
             registry.clone()
         };
         for slot in slots {
-            let flushed = slot.buf.lock().flush(self.delivery.as_ref());
+            let flushed = slot.buf.lock().flush(&self.delivery);
             self.pending_total.fetch_sub(flushed, Ordering::AcqRel);
         }
     }
@@ -355,7 +346,7 @@ impl Batcher {
     }
 }
 
-/// Counters a delivery target maintains so batching effectiveness is
+/// Counters the delivery target maintains so batching effectiveness is
 /// observable ([`SinkCounters::producer_flushes`] /
 /// [`SinkCounters::batched_events`]).
 #[derive(Default)]
@@ -373,216 +364,20 @@ impl BatchCounters {
     }
 }
 
-/// Synchronous-mode delivery: apply the whole batch under one shard-lock
-/// acquisition.
-struct SyncDelivery {
-    inner: Arc<ShardedSink>,
-    counters: BatchCounters,
-}
-
-impl BatchDelivery for SyncDelivery {
-    fn sharded(&self) -> &ShardedSink {
-        &self.inner
-    }
-
-    fn deliver(&self, shard: usize, events: Vec<ProducerEvent>) {
-        self.counters.record(events.len() as u64);
-        self.inner.apply_producer_batch(shard, &events);
-    }
-}
-
-/// The synchronous pipeline with thread-local producer batching: wraps a
-/// [`ShardedSink`] so producers append launches and CPU samples to
-/// per-thread buffers and pay the routing/locking cost once per
-/// [`PipelineConfig::launch_batch`] events instead of per event. Every
-/// barrier (flush, snapshot, finish, counters) and every activity
-/// delivery flushes all buffers first, so observed profiles are
-/// indistinguishable from the unbatched sink's.
-///
-/// [`PipelineConfig::launch_batch`]: crate::PipelineConfig::launch_batch
-pub struct BatchingSink {
-    delivery: Arc<SyncDelivery>,
-    batcher: Batcher,
-}
-
-impl BatchingSink {
-    /// Wraps `inner`, flushing each thread's buffer every `launch_batch`
-    /// events (1 = deliver per event; prefer the bare [`ShardedSink`]
-    /// then).
-    pub fn new(inner: Arc<ShardedSink>, launch_batch: usize) -> Arc<Self> {
-        let delivery = Arc::new(SyncDelivery {
-            inner,
-            counters: BatchCounters::default(),
-        });
-        let batcher = Batcher::new(
-            Arc::clone(&delivery) as Arc<dyn BatchDelivery>,
-            launch_batch,
-        );
-        Arc::new(BatchingSink { delivery, batcher })
-    }
-
-    /// The wrapped sharded sink holding the profile state.
-    pub fn inner(&self) -> &Arc<ShardedSink> {
-        &self.delivery.inner
-    }
-
-    /// Flushes every thread's pending batch without taking a snapshot —
-    /// an explicit quiesce point for tests and embedders.
-    pub fn flush_batches(&self) {
-        self.batcher.flush_all();
-    }
-}
-
-impl EventSink for BatchingSink {
-    fn gpu_launch(&self, origin: &EventOrigin, path: &CallPath, api: ApiKind) {
-        self.gpu_launch_owned(origin, path.clone(), api);
-    }
-
-    fn gpu_launch_owned(&self, origin: &EventOrigin, path: CallPath, api: ApiKind) {
-        let idx = self.delivery.inner.route(origin);
-        self.batcher.push(
-            idx,
-            ProducerEvent::Launch {
-                origin: *origin,
-                path,
-                api,
-            },
-        );
-    }
-
-    fn activity_batch(&self, batch: &[Activity]) {
-        if batch.is_empty() {
-            return;
-        }
-        // Every buffered launch anywhere must be bound and applied before
-        // these records route through the directory (module docs); the
-        // records themselves — already batched by the GPU runtime — are
-        // applied eagerly so correlation pruning keeps the unbatched
-        // cadence. Applied from the borrow either way: no record is ever
-        // cloned on this path.
-        self.batcher.flush_all();
-        self.delivery.inner.activity_batch(batch);
-    }
-
-    fn activity_batch_owned(&self, batch: Vec<Activity>) {
-        self.activity_batch(&batch);
-    }
-
-    fn cpu_sample(&self, origin: &EventOrigin, path: &CallPath, metric: MetricKind, value: f64) {
-        self.cpu_sample_owned(origin, path.clone(), metric, value);
-    }
-
-    fn cpu_sample_owned(
-        &self,
-        origin: &EventOrigin,
-        path: CallPath,
-        metric: MetricKind,
-        value: f64,
-    ) {
-        let idx = self.delivery.inner.route(origin);
-        self.batcher.push(
-            idx,
-            ProducerEvent::Sample {
-                path,
-                metric,
-                value,
-            },
-        );
-    }
-
-    fn epoch_complete(&self) {
-        self.batcher.flush_all();
-        self.batcher.trim();
-        self.delivery.inner.epoch_complete();
-    }
-
-    fn snapshot(&self) -> CallingContextTree {
-        self.batcher.flush_all();
-        self.delivery.inner.snapshot()
-    }
-
-    fn with_snapshot(&self, f: &mut dyn FnMut(&CallingContextTree)) {
-        self.batcher.flush_all();
-        self.delivery.inner.with_snapshot(f);
-    }
-
-    fn finish_snapshot(&self) -> CallingContextTree {
-        self.batcher.flush_all();
-        self.delivery.inner.finish_snapshot()
-    }
-
-    fn timeline_snapshot(&self) -> Option<deepcontext_timeline::TimelineSnapshot> {
-        // Flush buffered launches first so every context an interval
-        // could reference is inserted — the same barrier every snapshot
-        // path runs (activity records themselves are never buffered
-        // here, so the rings are already current).
-        self.batcher.flush_all();
-        self.delivery.inner.timeline_snapshot()
-    }
-
-    fn counters(&self) -> SinkCounters {
-        // Flush first so counter reads observe every produced event,
-        // exactly as the unbatched sink would.
-        self.batcher.flush_all();
-        SinkCounters {
-            producer_flushes: self.delivery.counters.flushes.load(Ordering::Relaxed),
-            batched_events: self.delivery.counters.events.load(Ordering::Relaxed),
-            ..self.delivery.inner.counters()
-        }
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.delivery.inner.approx_bytes() + self.batcher.approx_bytes()
-    }
-}
-
-impl Drop for BatchingSink {
-    fn drop(&mut self) {
-        // Deliver whatever producer threads still buffer into the wrapped
-        // sink — embedders holding `inner()` keep observing a complete
-        // profile, the same drop contract the asynchronous sink honours.
-        // (Thread-local destructors could not: the `SyncDelivery` weak
-        // reference dies with this wrapper.)
-        self.batcher.flush_all();
-    }
-}
-
-impl std::fmt::Debug for BatchingSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchingSink")
-            .field("shards", &self.delivery.inner.shard_count())
-            .field("launch_batch", &self.batcher.capacity)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepcontext_core::Frame;
+    use crate::{AsyncSink, EventSink, PipelineConfig, ShardedSink};
+    use deepcontext_core::{Frame, Interner};
 
     #[test]
     fn flush_walks_only_occupied_buckets() {
         // A 64-shard layout with two occupied buckets must deliver
-        // exactly two batches, in first-touch order, and reset occupancy
-        // for the next window.
-        struct Capture {
-            inner: Arc<ShardedSink>,
-            delivered: Mutex<Vec<(usize, usize)>>,
-        }
-        impl BatchDelivery for Capture {
-            fn sharded(&self) -> &ShardedSink {
-                &self.inner
-            }
-            fn deliver(&self, shard: usize, events: Vec<ProducerEvent>) {
-                self.delivered.lock().push((shard, events.len()));
-            }
-        }
-        let interner = deepcontext_core::Interner::new();
-        let capture = Capture {
-            inner: ShardedSink::new(Arc::clone(&interner), 64),
-            delivered: Mutex::new(Vec::new()),
-        };
+        // exactly two batches, to exactly those shards, and reset
+        // occupancy for the next window.
+        let interner = Interner::new();
+        let inner = ShardedSink::new(Arc::clone(&interner), 64);
+        let sink = AsyncSink::new(Arc::clone(&inner), PipelineConfig::default());
         let mut path = CallPath::new();
         path.push(Frame::operator("aten::relu", &interner));
         let sample = || ProducerEvent::Sample {
@@ -594,45 +389,20 @@ mod tests {
         batch.push(7, sample());
         batch.push(7, sample());
         batch.push(42, sample());
-        assert_eq!(batch.occupied, vec![7, 42]);
-        assert_eq!(batch.flush(&capture), 3);
-        assert_eq!(*capture.delivered.lock(), vec![(7, 2), (42, 1)]);
+        assert_eq!(batch.occupied, vec![7, 42], "first-touch order");
+        assert_eq!(batch.flush(&sink.shared), 3);
         assert!(batch.occupied.is_empty());
         assert_eq!(batch.pending, 0);
+        let counters = sink.counters();
+        assert_eq!(counters.producer_flushes, 2, "one delivery per bucket");
+        assert_eq!(counters.batched_events, 3);
+        assert_eq!(inner.shards_occupied(), 2);
         // An empty flush delivers nothing; the next window starts clean.
-        assert_eq!(batch.flush(&capture), 0);
+        assert_eq!(batch.flush(&sink.shared), 0);
+        assert_eq!(sink.counters().producer_flushes, 2);
         batch.push(3, sample());
-        assert_eq!(batch.flush(&capture), 1);
-        assert_eq!(capture.delivered.lock().last(), Some(&(3, 1)));
-    }
-
-    #[test]
-    fn dropping_the_wrapper_delivers_buffered_events_to_inner() {
-        // Embedders may keep `inner()` past the wrapper's lifetime; a
-        // partial batch buffered at drop time must still reach the
-        // wrapped sink (the sync analogue of AsyncSink's drop contract —
-        // thread-local destructors cannot do it, their weak delivery
-        // reference dies with the wrapper).
-        let interner = deepcontext_core::Interner::new();
-        let inner = ShardedSink::new(Arc::clone(&interner), 4);
-        let sink = BatchingSink::new(Arc::clone(&inner), 64);
-        let origin = EventOrigin {
-            tid: Some(1),
-            ..EventOrigin::default()
-        };
-        let mut path = CallPath::new();
-        path.push(Frame::operator("aten::relu", &interner));
-        sink.cpu_sample(&origin, &path, MetricKind::CpuTime, 2.0);
-        assert_eq!(
-            inner.snapshot().total(MetricKind::CpuTime),
-            0.0,
-            "still buffered"
-        );
-        drop(sink);
-        assert_eq!(
-            inner.snapshot().total(MetricKind::CpuTime),
-            2.0,
-            "drop delivered the partial batch"
-        );
+        assert_eq!(batch.flush(&sink.shared), 1);
+        assert_eq!(sink.counters().producer_flushes, 3);
+        assert_eq!(inner.shards_occupied(), 3);
     }
 }

@@ -13,15 +13,15 @@
 //!   [backpressure](BackpressurePolicy) and deterministic drain barriers
 //!   (see [`async_sink`]).
 //!
-//! Both modes share **thread-local producer batching** ([`batch`]):
-//! producers append launches and CPU samples to a per-thread, per-shard
-//! `LaunchBatch` buffer; a flush — every
+//! The asynchronous mode adds **thread-local producer batching**
+//! ([`batch`]): producers append launches and CPU samples to a
+//! per-thread, per-shard `LaunchBatch` buffer; a flush — every
 //! [`PipelineConfig::launch_batch`] events, at every barrier, before any
 //! activity delivery, and on thread exit — binds the whole batch's
-//! correlations in one striped-directory pass and hands each shard's run
-//! over in one delivery, amortizing the per-launch fixed costs that
-//! dominate coarse kernel-only streams. The asynchronous mode drives the
-//! *same* per-shard entry points as the synchronous mode
+//! correlations in one striped-directory pass and pushes each shard's
+//! run through its channel in one delivery, amortizing the per-launch
+//! fixed costs that dominate coarse kernel-only streams. Workers drive
+//! the *same* per-shard entry points as the synchronous mode
 //! ([`ShardedSink::apply_launch`] et al.), so the modes produce
 //! semantically identical profiles — an equivalence this crate's
 //! proptests assert tree-by-tree via
@@ -29,18 +29,19 @@
 //!
 //! ```text
 //!  producers (launch cb / activity flush / CPU sampler)
-//!      │  route → per-thread LaunchBatch        (no locks shared)
-//!      ▼  flush: batch ≥ launch_batch │ barrier │ activity │ thread exit
-//!  bind_batch corr→shard (one striped directory pass)
+//!      │  route (thread+stream / correlation directory)
 //!      │
-//!      ├── sync: apply batch under one shard-lock acquisition
-//!      ▼
-//!  per-shard bounded channels  ──ᴮˡᵒᶜᵏ/ᴰʳᵒᵖᴼˡᵈᵉˢᵗ──  backpressure
-//!      │  FIFO per shard, send_batch single-notify push
-//!      ▼
-//!  worker pool (shard i → worker i mod W)
-//!      │  apply_producer_batch / apply_activities / epoch
-//!      ▼
+//!      ├── sync:  apply inline under the home shard's lock
+//!      │
+//!      └── async: per-thread LaunchBatch          (no locks shared)
+//!            │  flush: batch ≥ launch_batch │ barrier │ activity │ thread exit
+//!            ▼  bind_batch corr→shard (one striped directory pass)
+//!          per-shard bounded channels  ──ᴮˡᵒᶜᵏ/ᴰʳᵒᵖᴼˡᵈᵉˢᵗ──  backpressure
+//!            │  FIFO per shard, send_batch single-notify push
+//!            ▼
+//!          worker pool (shard i → worker i mod W)
+//!            │  apply_producer_batch / apply_activities / epoch
+//!            ▼
 //!  CctShards ──merge_incremental──▶ cached master CCT (Arc-shared)
 //!      ├── kernel/memcpy records ──▶ timeline rings (per-shard, bounded)
 //!      └── per-shard DropOldest drops ──▶ synthetic `<dropped>` context
@@ -70,19 +71,15 @@ pub mod sink;
 pub mod supervisor;
 
 pub use async_sink::{AsyncSink, BackpressurePolicy, PipelineConfig};
-pub use batch::BatchingSink;
-pub use directory::{
-    default_directory_map, DirectoryMap, DirectoryMapKind, StripedFlatDirectory,
-    StripedHashDirectory,
-};
+pub use directory::{DirectoryMapKind, StripedHashDirectory};
 pub use failpoint::Failpoints;
 pub use self_telemetry::PipelineTelemetry;
-pub use sharded::ShardedSink;
+pub use sharded::{ShardedSink, SinkOptions};
 pub use sink::{attribute_activity_metrics, EventSink, SinkCounters};
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorSink, SupervisorState};
 
 // The self-telemetry types the profiler speaks (see
-// `ShardedSink::with_telemetry`), re-exported for the same reason.
+// `SinkOptions::telemetry`), re-exported for the same reason.
 pub use deepcontext_telemetry::{
     default_journal_config, default_journal_enabled, default_telemetry_config,
     default_telemetry_enabled, journal_sites, HealthReport, HealthThresholds, Journal,
@@ -90,34 +87,19 @@ pub use deepcontext_telemetry::{
 };
 
 // The timeline types every sink speaks (see `EventSink::timeline_snapshot`
-// and `ShardedSink::with_timeline`), re-exported so embedders need no
+// and `SinkOptions::timeline`), re-exported so embedders need no
 // direct `deepcontext-timeline` dependency.
 pub use deepcontext_timeline::{
     default_timeline_config, default_timeline_enabled, TimelineConfig, TimelineSnapshot,
     TimelineStats,
 };
 
-/// The built-in producer-batching threshold
-/// ([`PipelineConfig::launch_batch`]) when no environment override is
-/// set — chosen by `bench_pipeline`'s batch-size sweep (see
-/// `BENCH_pipeline.json`): large enough to amortize the directory bind
-/// and channel push, small enough that a barrier flushing a partial
-/// batch wastes little work.
+/// The default producer-batching threshold
+/// ([`PipelineConfig::launch_batch`]) — chosen by `bench_pipeline`'s
+/// batch-size sweep (see `BENCH_pipeline.json`): large enough to
+/// amortize the directory bind and channel push, small enough that a
+/// barrier flushing a partial batch wastes little work.
 pub const DEFAULT_LAUNCH_BATCH: usize = 64;
-
-/// The default producer-batching threshold, honouring the
-/// `DEEPCONTEXT_LAUNCH_BATCH` environment override CI uses to run the
-/// whole suite both unbatched (`=1`) and batched (`=64`). `0` is
-/// treated as `1` — both mean "off" — so the natural disable value
-/// never silently falls back to full batching; unset or unparsable
-/// values fall back to [`DEFAULT_LAUNCH_BATCH`].
-pub fn default_launch_batch() -> usize {
-    std::env::var("DEEPCONTEXT_LAUNCH_BATCH")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or(DEFAULT_LAUNCH_BATCH)
-}
 
 /// Whether attribution runs inline on producers or on the worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -26,9 +26,9 @@
 //!   exists for folds that must carry it along), and
 //!   [`ShardedSink::snapshot_uncached`] keeps the historical full fold
 //!   as baseline and test oracle. Memory-tight deployments can disable
-//!   the cache entirely ([`ShardedSink::with_options`]): snapshots then
-//!   re-fold every shard per request and the sink holds no second copy
-//!   of the profile.
+//!   the cache entirely ([`SinkOptions::snapshot_cache`]): snapshots
+//!   then re-fold every shard per request and the sink holds no second
+//!   copy of the profile.
 //!
 //! The per-shard mutation entry points ([`apply_launch`],
 //! [`apply_activities`], [`apply_cpu_sample`], [`epoch_complete_shard`])
@@ -67,7 +67,7 @@ use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind};
 
 use crate::batch::ProducerEvent;
-use crate::directory::{mix, DirectoryMap, DirectoryMapKind, DIR_ENTRY_BYTES};
+use crate::directory::{mix, StripedHashDirectory, DIR_ENTRY_BYTES};
 use crate::self_telemetry::PipelineTelemetry;
 use crate::sink::{attribute_activity_metrics, EventSink, SinkCounters};
 
@@ -105,6 +105,59 @@ impl SnapshotCache {
     }
 }
 
+/// Everything [`ShardedSink::with`] can be told. The [`Default`] is what
+/// [`ShardedSink::new`] builds (at 16 shards, the profiler's default
+/// layout).
+#[derive(Debug, Clone)]
+pub struct SinkOptions {
+    /// Shard count (clamped to at least one).
+    pub shards: usize,
+    /// Whether snapshots go through the incremental cache. `false`
+    /// trades warm-snapshot latency for not holding a merged second copy
+    /// of the profile.
+    pub snapshot_cache: bool,
+    /// Timeline recording: when enabled, every kernel/memcpy record
+    /// attributed by the sink also appends a context-tagged interval to
+    /// a bounded per-shard ring (see [`EventSink::timeline_snapshot`]).
+    pub timeline: TimelineConfig,
+    /// Self-telemetry: when enabled, the sink registers its instruments
+    /// once and records shard-lock hold times, producer flush
+    /// sizes/latencies, snapshot fold latencies, and interner/ring
+    /// occupancy as it runs; when additionally `self_timeline` and the
+    /// timeline are on, flushes and folds are recorded as intervals on
+    /// the reserved [`TrackKey::SELF_DEVICE`] tracks so the exported
+    /// trace shows the profiler's own execution.
+    pub telemetry: TelemetryConfig,
+    /// The incident journal: when enabled, the sink builds the ring —
+    /// attached to the same telemetry session as its own instruments, so
+    /// journal timestamps, self-timeline intervals and the
+    /// `deepcontext_journal_*` counters share one clock/registry — and
+    /// records the barrier-anchored flush-boundary event at every
+    /// [`EventSink::epoch_complete`]. The async pipeline / supervisor /
+    /// profiler layers pick the handle up from
+    /// [`ShardedSink::journal`] for quarantines, drop storms,
+    /// transitions and retries — one causally ordered record per run.
+    pub journal: JournalConfig,
+    /// Fault-injection registry for the directory-bind and snapshot-fold
+    /// stall sites. The default honours the `DEEPCONTEXT_FAILPOINTS`
+    /// environment spec; tests pass an explicit registry so injected
+    /// faults never leak across tests through the process environment.
+    pub failpoints: Failpoints,
+}
+
+impl Default for SinkOptions {
+    fn default() -> Self {
+        SinkOptions {
+            shards: 16,
+            snapshot_cache: true,
+            timeline: TimelineConfig::default(),
+            telemetry: TelemetryConfig::default(),
+            journal: JournalConfig::default(),
+            failpoints: Failpoints::from_env(),
+        }
+    }
+}
+
 /// The sharded [`EventSink`] (see the [module docs](self)).
 pub struct ShardedSink {
     interner: Arc<Interner>,
@@ -121,10 +174,10 @@ pub struct ShardedSink {
     /// ingestion modes). `None` when timeline recording is off — the
     /// aggregate-only pipeline then pays nothing for it.
     timeline: Option<TimelineSink>,
-    /// Correlation id -> index of the shard it was bound in. Pluggable
-    /// ([`DirectoryMap`]): lock-striped by correlation hash in both
-    /// implementations, so binding and resolving rarely contend.
-    directory: Box<dyn DirectoryMap>,
+    /// Correlation id -> index of the shard it was bound in:
+    /// lock-striped by correlation hash, so binding and resolving rarely
+    /// contend.
+    directory: StripedHashDirectory,
     /// The interned `"memcpy"` display name, so memcpy records skip even
     /// the thread-local intern cache on the timeline tap.
     memcpy_sym: Sym,
@@ -154,162 +207,40 @@ pub struct ShardedSink {
 
 impl ShardedSink {
     /// Creates a sink with `shard_count` shards (clamped to at least one)
-    /// sharing `interner`, with the incremental snapshot cache enabled.
+    /// sharing `interner` and every other [`SinkOptions`] default.
     pub fn new(interner: Arc<Interner>, shard_count: usize) -> Arc<Self> {
-        ShardedSink::with_options(interner, shard_count, true)
-    }
-
-    /// Creates a sink with `shard_count` shards and an explicit snapshot
-    /// cache setting (`snapshot_cache: false` trades warm-snapshot
-    /// latency for not holding a merged second copy of the profile).
-    pub fn with_options(
-        interner: Arc<Interner>,
-        shard_count: usize,
-        snapshot_cache: bool,
-    ) -> Arc<Self> {
-        ShardedSink::with_timeline(
+        ShardedSink::with(
             interner,
-            shard_count,
-            snapshot_cache,
-            &TimelineConfig::default(),
+            SinkOptions {
+                shards: shard_count,
+                ..SinkOptions::default()
+            },
         )
     }
 
-    /// [`with_options`](Self::with_options) plus timeline recording:
-    /// when `timeline.enabled`, every kernel/memcpy record attributed by
-    /// this sink also appends a context-tagged interval to a bounded
-    /// per-shard ring (see [`EventSink::timeline_snapshot`]). The
-    /// correlation directory defaults to
-    /// [`default_directory_map`](crate::default_directory_map) — use
-    /// [`with_directory_map`](Self::with_directory_map) to pin a layout.
-    pub fn with_timeline(
-        interner: Arc<Interner>,
-        shard_count: usize,
-        snapshot_cache: bool,
-        timeline: &TimelineConfig,
-    ) -> Arc<Self> {
-        ShardedSink::with_directory_map(
-            interner,
-            shard_count,
-            snapshot_cache,
-            timeline,
-            crate::default_directory_map(),
-        )
-    }
-
-    /// [`with_timeline`](Self::with_timeline) plus an explicit
-    /// correlation-directory layout
-    /// ([`PipelineConfig::directory_map`](crate::PipelineConfig::directory_map)).
-    /// Self-telemetry stays off on this path — use
-    /// [`with_telemetry`](Self::with_telemetry) to opt in.
-    pub fn with_directory_map(
-        interner: Arc<Interner>,
-        shard_count: usize,
-        snapshot_cache: bool,
-        timeline: &TimelineConfig,
-        directory_map: DirectoryMapKind,
-    ) -> Arc<Self> {
-        ShardedSink::with_telemetry(
-            interner,
-            shard_count,
-            snapshot_cache,
-            timeline,
-            directory_map,
-            &TelemetryConfig::default(),
-        )
-    }
-
-    /// The full constructor: [`with_directory_map`](Self::with_directory_map)
-    /// plus self-telemetry. When `telemetry.enabled`, the sink registers
-    /// its instruments once and records shard-lock hold times, producer
-    /// flush sizes/latencies, snapshot fold latencies, and interner/ring
-    /// occupancy as it runs; when additionally `telemetry.self_timeline`
-    /// and the timeline are on, flushes and folds are recorded as
-    /// intervals on the reserved [`TrackKey::SELF_DEVICE`] tracks so the
-    /// exported trace shows the profiler's own execution.
-    pub fn with_telemetry(
-        interner: Arc<Interner>,
-        shard_count: usize,
-        snapshot_cache: bool,
-        timeline: &TimelineConfig,
-        directory_map: DirectoryMapKind,
-        telemetry: &TelemetryConfig,
-    ) -> Arc<Self> {
-        ShardedSink::with_failpoints(
-            interner,
-            shard_count,
-            snapshot_cache,
-            timeline,
-            directory_map,
-            telemetry,
-            Failpoints::from_env(),
-        )
-    }
-
-    /// [`with_telemetry`](Self::with_telemetry) with an explicit
-    /// fault-injection registry instead of the `DEEPCONTEXT_FAILPOINTS`
-    /// environment spec — how tests inject directory-bind / fold stalls
-    /// without leaking state across tests through the process
-    /// environment. Incident journaling stays off on this path — use
-    /// [`with_journal`](Self::with_journal) to opt in.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_failpoints(
-        interner: Arc<Interner>,
-        shard_count: usize,
-        snapshot_cache: bool,
-        timeline: &TimelineConfig,
-        directory_map: DirectoryMapKind,
-        telemetry: &TelemetryConfig,
-        failpoints: Failpoints,
-    ) -> Arc<Self> {
-        ShardedSink::with_journal(
-            interner,
-            shard_count,
-            snapshot_cache,
-            timeline,
-            directory_map,
-            telemetry,
-            failpoints,
-            &JournalConfig::default(),
-        )
-    }
-
-    /// The full constructor: [`with_failpoints`](Self::with_failpoints)
-    /// plus the incident journal. When `journal.enabled`, the sink
-    /// builds the ring here — attached to the same telemetry session as
-    /// its own instruments, so journal timestamps, self-timeline
-    /// intervals and the `deepcontext_journal_*` counters share one
-    /// clock/registry — and records the barrier-anchored flush-boundary
-    /// event at every [`EventSink::epoch_complete`]. The async pipeline
-    /// / supervisor / profiler layers pick the handle up from
-    /// [`journal`](Self::journal) for quarantines, drop storms,
-    /// transitions and retries — one causally ordered record per run.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_journal(
-        interner: Arc<Interner>,
-        shard_count: usize,
-        snapshot_cache: bool,
-        timeline: &TimelineConfig,
-        directory_map: DirectoryMapKind,
-        telemetry: &TelemetryConfig,
-        failpoints: Failpoints,
-        journal: &JournalConfig,
-    ) -> Arc<Self> {
-        let n = shard_count.max(1);
-        let telemetry = PipelineTelemetry::from_config(telemetry, &interner);
-        let journal =
-            Journal::from_config(journal, &interner, telemetry.as_deref().map(|t| t.handle()));
+    /// Creates a sink from explicit [`SinkOptions`].
+    pub fn with(interner: Arc<Interner>, options: SinkOptions) -> Arc<Self> {
+        let n = options.shards.max(1);
+        let telemetry = PipelineTelemetry::from_config(&options.telemetry, &interner);
+        let journal = Journal::from_config(
+            &options.journal,
+            &interner,
+            telemetry.as_deref().map(|t| t.handle()),
+        );
         Arc::new(ShardedSink {
             telemetry,
-            failpoints,
+            failpoints: options.failpoints,
             journal,
-            timeline: timeline.enabled.then(|| TimelineSink::new(n, timeline)),
+            timeline: options
+                .timeline
+                .enabled
+                .then(|| TimelineSink::new(n, &options.timeline)),
             shards: (0..n)
                 .map(|_| Mutex::new(CctShard::new(Arc::clone(&interner))))
                 .collect(),
-            directory: directory_map.build(n),
+            directory: StripedHashDirectory::new(n),
             shard_bytes: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            cache_enabled: snapshot_cache,
+            cache_enabled: options.snapshot_cache,
             cache: Mutex::new(None),
             memcpy_sym: interner.intern("memcpy"),
             interner,
@@ -576,8 +507,8 @@ impl ShardedSink {
     /// Attributes one activity record inside its home shard (`idx`),
     /// recording the record's device interval into the shard's timeline
     /// ring when recording is on — the single tap both ingestion modes
-    /// flow through, since the asynchronous workers and the batching
-    /// wrapper all drive this same entry point.
+    /// flow through, since the asynchronous workers drive this same
+    /// entry point.
     fn attribute_activity(&self, idx: usize, shard: &mut CctShard, activity: &Activity) {
         let corr = activity.correlation_id.0;
         self.activities.fetch_add(1, Ordering::Relaxed);
@@ -669,8 +600,8 @@ impl ShardedSink {
     /// shard-lock acquisition, preserving buffer order: launches insert
     /// and bind (their directory entries were published by the flush's
     /// [`bind_batch`](Self::bind_batch) pass), samples attribute — so a
-    /// batched producer folds exactly the state an unbatched one would,
-    /// at a fraction of the locking cost.
+    /// batched producer folds exactly the state an unbatched one would.
+    /// Driven by the asynchronous pipeline's workers.
     pub(crate) fn apply_producer_batch(&self, idx: usize, events: &[ProducerEvent]) {
         if events.is_empty() {
             return;
@@ -904,18 +835,19 @@ impl ShardedSink {
 }
 
 impl EventSink for ShardedSink {
-    fn gpu_launch(&self, origin: &EventOrigin, path: &CallPath, api: ApiKind) {
-        self.apply_launch(self.route(origin), origin, path, api);
+    fn gpu_launch(&self, origin: &EventOrigin, path: CallPath, api: ApiKind) {
+        self.apply_launch(self.route(origin), origin, &path, api);
     }
 
-    fn activity_batch(&self, batch: &[Activity]) {
+    fn activity_batch(&self, batch: Vec<Activity>) {
         if batch.is_empty() {
             return;
         }
         // Route every record to its home shard first, then take each
-        // shard lock once per batch.
+        // shard lock once per batch. Records are applied from the
+        // borrow: nothing is cloned or moved on this path.
         let mut buckets: Vec<Vec<&Activity>> = vec![Vec::new(); self.shards.len()];
-        for activity in batch {
+        for activity in &batch {
             let idx = self.route_activity(activity.correlation_id.0);
             buckets[idx].push(activity);
         }
@@ -925,8 +857,8 @@ impl EventSink for ShardedSink {
         self.note_peak();
     }
 
-    fn cpu_sample(&self, origin: &EventOrigin, path: &CallPath, metric: MetricKind, value: f64) {
-        self.apply_cpu_sample(self.route(origin), path, metric, value);
+    fn cpu_sample(&self, origin: &EventOrigin, path: CallPath, metric: MetricKind, value: f64) {
+        self.apply_cpu_sample(self.route(origin), &path, metric, value);
     }
 
     fn epoch_complete(&self) {

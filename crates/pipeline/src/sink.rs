@@ -83,7 +83,7 @@ pub fn attribute_activity_metrics(
 /// Monotonic counters a sink maintains while ingesting.
 ///
 /// The first block is maintained by every sink; the `enqueued_events`
-/// through `worker_events` block is meaningful only for asynchronous
+/// through `batched_events` block is meaningful only for asynchronous
 /// pipelines ([`AsyncSink`](crate::AsyncSink)) and stays zero on
 /// synchronous sinks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -123,7 +123,7 @@ pub struct SinkCounters {
     /// Events applied by pipeline workers.
     pub worker_events: u64,
     /// Per-shard thread-local batch deliveries performed by producers
-    /// (zero when `launch_batch` is 1). With
+    /// (asynchronous pipelines only; zero when `launch_batch` is 1). With
     /// [`batched_events`](Self::batched_events), measures producer-side
     /// amortization: `batched_events / producer_flushes` is the mean
     /// events per flushed batch.
@@ -154,32 +154,18 @@ pub struct SinkCounters {
 pub trait EventSink: Send + Sync {
     /// A GPU API call was intercepted at its launch site: bind
     /// `origin.correlation` to the context `path` and (for kernel
-    /// launches) count the launch.
-    fn gpu_launch(&self, origin: &EventOrigin, path: &CallPath, api: ApiKind);
+    /// launches) count the launch. The path is taken by value: the
+    /// profiler's launch callback constructs one per event, and the
+    /// asynchronous pipeline enqueues it without a clone on the
+    /// producer's critical path.
+    fn gpu_launch(&self, origin: &EventOrigin, path: CallPath, api: ApiKind);
 
-    /// [`gpu_launch`](Self::gpu_launch) taking the path by value. Call
-    /// sites that construct the `CallPath` per event (the profiler's
-    /// launch callback does) should prefer this: sinks that need an
-    /// owned copy — the asynchronous pipeline enqueues one — take
-    /// ownership for free instead of cloning on the producer's critical
-    /// path. Default: borrow-and-delegate.
-    fn gpu_launch_owned(&self, origin: &EventOrigin, path: CallPath, api: ApiKind) {
-        self.gpu_launch(origin, &path, api);
-    }
-
-    /// A buffer of completed asynchronous activity records.
-    fn activity_batch(&self, batch: &[Activity]);
-
-    /// [`activity_batch`](Self::activity_batch) taking the buffer by
-    /// value. The GPU runtime's flush paths own the records they
-    /// deliver, so sinks that keep an owned copy — the asynchronous
-    /// pipeline routes records into per-shard queue messages — can
-    /// move-partition instead of cloning every record (including
-    /// PC-sampling payloads) on the producer's critical path. Default:
-    /// borrow-and-delegate.
-    fn activity_batch_owned(&self, batch: Vec<Activity>) {
-        self.activity_batch(&batch);
-    }
+    /// A buffer of completed asynchronous activity records, by value:
+    /// the GPU runtime's flush paths own the records they deliver, so
+    /// the asynchronous pipeline move-partitions them into per-shard
+    /// queue messages instead of cloning every record (including
+    /// PC-sampling payloads).
+    fn activity_batch(&self, batch: Vec<Activity>);
 
     /// A flush boundary completed: the runtime's entire completed-record
     /// backlog has been delivered, so no record referencing an
@@ -194,20 +180,9 @@ pub trait EventSink: Send + Sync {
     fn epoch_complete(&self) {}
 
     /// A CPU sample (interval timer or hardware-counter overflow) on the
-    /// thread identified by `origin`.
-    fn cpu_sample(&self, origin: &EventOrigin, path: &CallPath, metric: MetricKind, value: f64);
-
-    /// [`cpu_sample`](Self::cpu_sample) taking the path by value (see
-    /// [`gpu_launch_owned`](Self::gpu_launch_owned) for the rationale).
-    fn cpu_sample_owned(
-        &self,
-        origin: &EventOrigin,
-        path: CallPath,
-        metric: MetricKind,
-        value: f64,
-    ) {
-        self.cpu_sample(origin, &path, metric, value);
-    }
+    /// thread identified by `origin`, its path by value (see
+    /// [`gpu_launch`](Self::gpu_launch)).
+    fn cpu_sample(&self, origin: &EventOrigin, path: CallPath, metric: MetricKind, value: f64);
 
     /// Folds the sink's state into one calling context tree.
     fn snapshot(&self) -> CallingContextTree;

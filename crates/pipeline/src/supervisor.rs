@@ -500,58 +500,39 @@ impl SupervisorSink {
 
     /// Filters an activity batch by the same correlation predicate the
     /// launch path used, so sampled batches resolve against sampled
-    /// bindings with zero sampling-induced orphans. Returns `None` when
-    /// the whole batch is admitted unchanged (the Healthy fast path —
-    /// no copy).
-    fn filter_batch(&self, batch: &[Activity]) -> Option<Vec<Activity>> {
+    /// bindings with zero sampling-induced orphans. `Healthy` hands the
+    /// batch back untouched.
+    fn filter_batch(&self, mut batch: Vec<Activity>) -> Vec<Activity> {
         match self.supervisor.state() {
-            SupervisorState::Healthy => None,
+            SupervisorState::Healthy => {}
             SupervisorState::Degraded => {
                 let stride = self.supervisor.config.sample_stride;
-                let kept: Vec<Activity> = batch
-                    .iter()
-                    .filter(|a| a.correlation_id.0 % stride == 0)
-                    .cloned()
-                    .collect();
-                self.supervisor.note_sampled(true, kept.len() as u64);
+                let offered = batch.len();
+                batch.retain(|a| a.correlation_id.0 % stride == 0);
+                self.supervisor.note_sampled(true, batch.len() as u64);
                 self.supervisor
-                    .note_sampled(false, (batch.len() - kept.len()) as u64);
-                Some(kept)
+                    .note_sampled(false, (offered - batch.len()) as u64);
             }
             SupervisorState::Bypass => {
                 self.supervisor.note_bypassed(batch.len() as u64);
-                Some(Vec::new())
+                batch.clear();
             }
         }
+        batch
     }
 }
 
 impl EventSink for SupervisorSink {
-    fn gpu_launch(&self, origin: &EventOrigin, path: &CallPath, api: ApiKind) {
+    fn gpu_launch(&self, origin: &EventOrigin, path: CallPath, api: ApiKind) {
         if self.admit_origin(origin) {
             self.inner.gpu_launch(origin, path, api);
         }
     }
 
-    fn gpu_launch_owned(&self, origin: &EventOrigin, path: CallPath, api: ApiKind) {
-        if self.admit_origin(origin) {
-            self.inner.gpu_launch_owned(origin, path, api);
-        }
-    }
-
-    fn activity_batch(&self, batch: &[Activity]) {
-        match self.filter_batch(batch) {
-            None => self.inner.activity_batch(batch),
-            Some(kept) if kept.is_empty() => {}
-            Some(kept) => self.inner.activity_batch_owned(kept),
-        }
-    }
-
-    fn activity_batch_owned(&self, batch: Vec<Activity>) {
-        match self.filter_batch(&batch) {
-            None => self.inner.activity_batch_owned(batch),
-            Some(kept) if kept.is_empty() => {}
-            Some(kept) => self.inner.activity_batch_owned(kept),
+    fn activity_batch(&self, batch: Vec<Activity>) {
+        let kept = self.filter_batch(batch);
+        if !kept.is_empty() {
+            self.inner.activity_batch(kept);
         }
     }
 
@@ -559,21 +540,9 @@ impl EventSink for SupervisorSink {
         self.inner.epoch_complete();
     }
 
-    fn cpu_sample(&self, origin: &EventOrigin, path: &CallPath, metric: MetricKind, value: f64) {
+    fn cpu_sample(&self, origin: &EventOrigin, path: CallPath, metric: MetricKind, value: f64) {
         if self.supervisor.admit_uncorrelated() {
             self.inner.cpu_sample(origin, path, metric, value);
-        }
-    }
-
-    fn cpu_sample_owned(
-        &self,
-        origin: &EventOrigin,
-        path: CallPath,
-        metric: MetricKind,
-        value: f64,
-    ) {
-        if self.supervisor.admit_uncorrelated() {
-            self.inner.cpu_sample_owned(origin, path, metric, value);
         }
     }
 
@@ -695,7 +664,7 @@ mod tests {
         };
         let mut path = CallPath::new();
         path.push(Frame::gpu_kernel(name, "m.so", 0x1, interner));
-        sink.gpu_launch(&origin, &path, ApiKind::LaunchKernel);
+        sink.gpu_launch(&origin, path, ApiKind::LaunchKernel);
     }
 
     fn kernel_activity(corr: u64) -> Activity {
@@ -733,7 +702,7 @@ mod tests {
             kernel_launch(sink.as_ref(), &interner, corr, "k");
         }
         let batch: Vec<Activity> = (0..40u64).map(kernel_activity).collect();
-        sink.activity_batch(&batch);
+        sink.activity_batch(batch);
         sink.epoch_complete();
 
         let counters = sink.counters();
@@ -757,10 +726,10 @@ mod tests {
         let sink = SupervisorSink::new(inner, sup.clone());
 
         kernel_launch(sink.as_ref(), &interner, 0, "before");
-        sink.activity_batch(&[kernel_activity(0)]);
+        sink.activity_batch(vec![kernel_activity(0)]);
         sup.force_state(SupervisorState::Bypass);
         kernel_launch(sink.as_ref(), &interner, 4, "during");
-        sink.activity_batch(&[kernel_activity(4)]);
+        sink.activity_batch(vec![kernel_activity(4)]);
         sink.epoch_complete();
 
         let counters = sink.counters();
@@ -784,14 +753,14 @@ mod tests {
         for corr in 0..10u64 {
             kernel_launch(sink.as_ref(), &interner, corr, "k");
         }
-        sink.activity_batch_owned((0..10u64).map(kernel_activity).collect());
+        sink.activity_batch((0..10u64).map(kernel_activity).collect());
         let origin = EventOrigin {
             tid: Some(1),
             ..EventOrigin::default()
         };
         let mut path = CallPath::new();
         path.push(Frame::operator("cpu", &interner));
-        sink.cpu_sample(&origin, &path, MetricKind::CpuTime, 1.0);
+        sink.cpu_sample(&origin, path, MetricKind::CpuTime, 1.0);
         let counters = sink.counters();
         assert_eq!(counters.activities, 10);
         let status = sup.status();

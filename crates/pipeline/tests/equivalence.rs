@@ -1,10 +1,10 @@
-//! Pipeline correctness: batched and asynchronous modes against the
-//! unbatched synchronous oracle.
+//! Pipeline correctness: the asynchronous pipeline, batched and
+//! unbatched, against the synchronous oracle.
 //!
 //! * **`batched == unbatched` / `async == sync` equivalence**: for
 //!   arbitrary interleavings of launches, activity flushes, CPU samples,
-//!   epoch boundaries and snapshot requests, the [`AsyncSink`]'s and the
-//!   [`BatchingSink`]'s profiles must be semantically identical (via
+//!   epoch boundaries and snapshot requests, the [`AsyncSink`]'s
+//!   profiles must be semantically identical (via
 //!   `CallingContextTree::semantic_diff`) to a bare [`ShardedSink`] fed
 //!   the same events inline — at `launch_batch` 1, 7 and 64, under both
 //!   the single-shard and the 16-shard layout. Interleavings include
@@ -22,8 +22,8 @@ use std::sync::Arc;
 
 use deepcontext_core::{CallPath, Frame, FrameKind, Interner, MetricKind, StoredJournal, TimeNs};
 use deepcontext_pipeline::{
-    default_directory_map, journal_sites, AsyncSink, BackpressurePolicy, BatchingSink, EventSink,
-    Failpoints, JournalConfig, PipelineConfig, ShardedSink, TelemetryConfig, TimelineConfig,
+    journal_sites, AsyncSink, BackpressurePolicy, EventSink, Failpoints, JournalConfig,
+    PipelineConfig, ShardedSink, SinkOptions, TimelineConfig,
 };
 use dlmonitor::EventOrigin;
 use proptest::prelude::*;
@@ -120,40 +120,34 @@ fn arb_step() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// Drives one interleaving into the unbatched synchronous oracle and a
-/// candidate sink — the asynchronous pipeline or the synchronous
-/// batching wrapper at a given `launch_batch` — over the same shard
+/// Drives one interleaving into the synchronous oracle and the
+/// asynchronous pipeline at a given `launch_batch` over the same shard
 /// layout, checking `candidate == oracle` at every snapshot point and
 /// once more at the end.
-fn check_interleaving(steps: &[Step], shards: usize, async_mode: bool, launch_batch: usize) {
+fn check_interleaving(steps: &[Step], shards: usize, launch_batch: usize) {
     // Timeline recording on: every snapshot point also asserts that the
     // candidate's interval tracks — including remapped context ids —
     // are identical to the synchronous oracle's.
-    let timeline = TimelineConfig::enabled();
     let interner = Interner::new();
-    let oracle = ShardedSink::with_timeline(Arc::clone(&interner), shards, true, &timeline);
-    let candidate: Arc<dyn EventSink> = if async_mode {
-        AsyncSink::new(
-            ShardedSink::with_timeline(Arc::clone(&interner), shards, true, &timeline),
-            PipelineConfig {
-                launch_batch,
-                ..PipelineConfig::default()
+    let with_timeline = || {
+        ShardedSink::with(
+            Arc::clone(&interner),
+            SinkOptions {
+                shards,
+                timeline: TimelineConfig::enabled(),
+                ..SinkOptions::default()
             },
         )
-    } else {
-        BatchingSink::new(
-            ShardedSink::with_timeline(Arc::clone(&interner), shards, true, &timeline),
+    };
+    let oracle = with_timeline();
+    let candidate = AsyncSink::new(
+        with_timeline(),
+        PipelineConfig {
             launch_batch,
-        )
-    };
-    let label = || {
-        format!(
-            "{} shards, {}, launch_batch {}",
-            shards,
-            if async_mode { "async" } else { "sync batched" },
-            launch_batch
-        )
-    };
+            ..PipelineConfig::default()
+        },
+    );
+    let label = || format!("{shards} shards, launch_batch {launch_batch}");
 
     let mut next_corr = 1u64;
     let mut outstanding: Vec<(u64, u8)> = Vec::new();
@@ -172,8 +166,8 @@ fn check_interleaving(steps: &[Step], shards: usize, async_mode: bool, launch_ba
                 next_corr += 1;
                 let origin = launch_origin(*tid, *ctx, corr);
                 let path = context_path(&interner, *tid, *ctx);
-                oracle.gpu_launch(&origin, &path, ApiKind::LaunchKernel);
-                candidate.gpu_launch(&origin, &path, ApiKind::LaunchKernel);
+                oracle.gpu_launch(&origin, path.clone(), ApiKind::LaunchKernel);
+                candidate.gpu_launch(&origin, path, ApiKind::LaunchKernel);
                 outstanding.push((corr, *ctx));
             }
             Step::Flush => {
@@ -190,8 +184,8 @@ fn check_interleaving(steps: &[Step], shards: usize, async_mode: bool, launch_ba
                         )
                     })
                     .count() as u64;
-                oracle.activity_batch(&batch);
-                candidate.activity_batch(&batch);
+                oracle.activity_batch(batch.clone());
+                candidate.activity_batch(batch);
             }
             Step::Sample { tid, ctx, value } => {
                 let origin = EventOrigin {
@@ -199,8 +193,9 @@ fn check_interleaving(steps: &[Step], shards: usize, async_mode: bool, launch_ba
                     ..EventOrigin::default()
                 };
                 let path = context_path(&interner, *tid, *ctx);
-                oracle.cpu_sample(&origin, &path, MetricKind::CpuTime, f64::from(*value));
-                candidate.cpu_sample(&origin, &path, MetricKind::CpuTime, f64::from(*value));
+                let value = f64::from(*value);
+                oracle.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, value);
+                candidate.cpu_sample(&origin, path, MetricKind::CpuTime, value);
             }
             Step::Epoch => {
                 oracle.epoch_complete();
@@ -277,9 +272,7 @@ fn check_interleaving(steps: &[Step], shards: usize, async_mode: bool, launch_ba
     prop_assert_eq!(s.semantic_diff(&c), None, "{}, finish", label());
     let counters = candidate.counters();
     prop_assert_eq!(counters.dropped_events, 0);
-    if async_mode {
-        prop_assert_eq!(counters.worker_events, counters.enqueued_events);
-    }
+    prop_assert_eq!(counters.worker_events, counters.enqueued_events);
     prop_assert_eq!(counters.activities, oracle.counters().activities);
 }
 
@@ -306,19 +299,16 @@ fn epoch_record(journal: &StoredJournal) -> Vec<(u8, Vec<(String, String)>)> {
 /// the barrier-anchored `pipeline.epoch` record must be identical
 /// between the two modes.
 fn check_journal_interleaving(steps: &[Step], shards: usize, launch_batch: usize) {
-    let timeline = TimelineConfig::default();
-    let journal_config = JournalConfig::enabled();
     let interner = Interner::new();
     let with_journal = |interner: &Arc<Interner>| {
-        ShardedSink::with_journal(
+        ShardedSink::with(
             Arc::clone(interner),
-            shards,
-            true,
-            &timeline,
-            default_directory_map(),
-            &TelemetryConfig::default(),
-            Failpoints::disabled(),
-            &journal_config,
+            SinkOptions {
+                shards,
+                journal: JournalConfig::enabled(),
+                failpoints: Failpoints::disabled(),
+                ..SinkOptions::default()
+            },
         )
     };
     let oracle = with_journal(&interner);
@@ -344,8 +334,8 @@ fn check_journal_interleaving(steps: &[Step], shards: usize, launch_batch: usize
                 next_corr += 1;
                 let origin = launch_origin(*tid, *ctx, corr);
                 let path = context_path(&interner, *tid, *ctx);
-                oracle.gpu_launch(&origin, &path, ApiKind::LaunchKernel);
-                candidate.gpu_launch(&origin, &path, ApiKind::LaunchKernel);
+                oracle.gpu_launch(&origin, path.clone(), ApiKind::LaunchKernel);
+                candidate.gpu_launch(&origin, path, ApiKind::LaunchKernel);
                 outstanding.push((corr, *ctx));
             }
             Step::Flush => {
@@ -353,8 +343,8 @@ fn check_journal_interleaving(steps: &[Step], shards: usize, launch_batch: usize
                     .drain(..)
                     .map(|(corr, ctx)| kernel_activity(corr, ctx))
                     .collect();
-                oracle.activity_batch(&batch);
-                candidate.activity_batch(&batch);
+                oracle.activity_batch(batch.clone());
+                candidate.activity_batch(batch);
             }
             Step::Sample { tid, ctx, value } => {
                 let origin = EventOrigin {
@@ -362,8 +352,9 @@ fn check_journal_interleaving(steps: &[Step], shards: usize, launch_batch: usize
                     ..EventOrigin::default()
                 };
                 let path = context_path(&interner, *tid, *ctx);
-                oracle.cpu_sample(&origin, &path, MetricKind::CpuTime, f64::from(*value));
-                candidate.cpu_sample(&origin, &path, MetricKind::CpuTime, f64::from(*value));
+                let value = f64::from(*value);
+                oracle.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, value);
+                candidate.cpu_sample(&origin, path, MetricKind::CpuTime, value);
             }
             Step::Epoch => {
                 oracle.epoch_complete();
@@ -480,9 +471,9 @@ fn check_panic_interleaving(steps: &[Step], shards: usize, quarantined: usize) {
                 let origin = launch_origin(*tid, *ctx, corr);
                 let path = context_path(&interner, *tid, *ctx);
                 let healthy = inner.route(&origin) != quarantined;
-                candidate.gpu_launch(&origin, &path, ApiKind::LaunchKernel);
+                candidate.gpu_launch(&origin, path.clone(), ApiKind::LaunchKernel);
                 if healthy {
-                    oracle.gpu_launch(&origin, &path, ApiKind::LaunchKernel);
+                    oracle.gpu_launch(&origin, path, ApiKind::LaunchKernel);
                 } else {
                     expected_poisoned += 1;
                 }
@@ -511,8 +502,8 @@ fn check_panic_interleaving(steps: &[Step], shards: usize, quarantined: usize) {
                     }
                     batch.push(activity);
                 }
-                candidate.activity_batch(&batch);
-                oracle.activity_batch(&kept);
+                candidate.activity_batch(batch);
+                oracle.activity_batch(kept);
             }
             Step::Sample { tid, ctx, value } => {
                 let origin = EventOrigin {
@@ -520,11 +511,12 @@ fn check_panic_interleaving(steps: &[Step], shards: usize, quarantined: usize) {
                     ..EventOrigin::default()
                 };
                 let path = context_path(&interner, *tid, *ctx);
-                candidate.cpu_sample(&origin, &path, MetricKind::CpuTime, f64::from(*value));
+                let value = f64::from(*value);
+                candidate.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, value);
                 if inner.route(&origin) == quarantined {
                     expected_poisoned += 1;
                 } else {
-                    oracle.cpu_sample(&origin, &path, MetricKind::CpuTime, f64::from(*value));
+                    oracle.cpu_sample(&origin, path, MetricKind::CpuTime, value);
                 }
             }
             Step::Epoch => {
@@ -598,18 +590,15 @@ proptest! {
     fn batched_and_async_pipelines_equal_the_unbatched_sync_oracle(
         steps in prop::collection::vec(arb_step(), 1..80),
     ) {
-        // launch_batch 1 is the unbatched degenerate case (async: the
-        // historical per-event enqueue path); 7 forces frequent
-        // partial-batch flushes at barriers; 64 exceeds most interleaving
-        // lengths so barriers and activity deliveries do all the
-        // flushing.
-        for async_mode in [false, true] {
-            for launch_batch in [1usize, 7, 64] {
-                // 16 shards (the default layout) and 1 shard (everything
-                // serializes through one shard queue/lock).
-                check_interleaving(&steps, 16, async_mode, launch_batch);
-                check_interleaving(&steps, 1, async_mode, launch_batch);
-            }
+        // launch_batch 1 is the unbatched per-event enqueue path; 7
+        // forces frequent partial-batch flushes at barriers; 64 exceeds
+        // most interleaving lengths so barriers and activity deliveries
+        // do all the flushing.
+        for launch_batch in [1usize, 7, 64] {
+            // 16 shards (the default layout) and 1 shard (everything
+            // serializes through one shard queue/lock).
+            check_interleaving(&steps, 16, launch_batch);
+            check_interleaving(&steps, 1, launch_batch);
         }
     }
 
@@ -656,7 +645,7 @@ fn snapshots_are_drain_barriers_without_explicit_flush() {
                 };
                 let path = context_path(&interner, tid, 0);
                 for _ in 0..SAMPLES {
-                    sink.cpu_sample(&origin, &path, MetricKind::CpuTime, 1.0);
+                    sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 1.0);
                 }
             });
         }
@@ -685,12 +674,12 @@ fn epoch_complete_retires_correlation_state_without_changing_the_profile() {
         let tid = corr % 7 + 1;
         sink.gpu_launch(
             &launch_origin(tid, ctx, corr),
-            &context_path(&interner, tid, ctx),
+            context_path(&interner, tid, ctx),
             ApiKind::LaunchKernel,
         );
         batch.push(kernel_activity(corr, ctx));
     }
-    sink.activity_batch(&batch);
+    sink.activity_batch(batch);
 
     let before = sink.snapshot();
     let before_bytes = sink.approx_bytes();
@@ -745,7 +734,7 @@ fn drop_oldest_counts_drops_and_attributes_the_rest() {
                 };
                 let path = context_path(&interner, tid, 0);
                 for _ in 0..SAMPLES {
-                    sink.cpu_sample(&origin, &path, MetricKind::CpuTime, 1.0);
+                    sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 1.0);
                 }
             });
         }
@@ -830,7 +819,7 @@ fn drop_oldest_evicts_partially_flushed_batches_without_leaks() {
             for corr in 1..=PARTIAL {
                 sink.gpu_launch(
                     &launch_origin(1, 0, corr),
-                    &context_path(&interner, 1, 0),
+                    context_path(&interner, 1, 0),
                     ApiKind::LaunchKernel,
                 );
             }
@@ -851,7 +840,7 @@ fn drop_oldest_evicts_partially_flushed_batches_without_leaks() {
     };
     let path = context_path(&interner, 1, 0);
     for _ in 0..128 {
-        sink.cpu_sample(&origin, &path, MetricKind::CpuTime, 1.0);
+        sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 1.0);
     }
     sink.resume();
 
@@ -898,7 +887,7 @@ fn snapshot_readers_share_the_cached_master_without_queueing() {
         ..EventOrigin::default()
     };
     let path = context_path(&interner, 1, 0);
-    sink.cpu_sample(&origin, &path, MetricKind::CpuTime, 5.0);
+    sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 5.0);
 
     let barrier = Arc::new(Barrier::new(2));
     let readers: Vec<_> = (0..2)
@@ -932,7 +921,7 @@ fn snapshot_readers_share_the_cached_master_without_queueing() {
     // (copy-on-write), and re-entering the snapshot APIs from inside a
     // callback is safe now that no lock is held around `f`.
     sink.with_snapshot(&mut |before| {
-        sink.cpu_sample(&origin, &path, MetricKind::CpuTime, 7.0);
+        sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 7.0);
         let refreshed = sink.snapshot();
         assert_eq!(before.total(MetricKind::CpuTime), 5.0, "reader view frozen");
         assert_eq!(refreshed.total(MetricKind::CpuTime), 12.0);
@@ -952,12 +941,12 @@ fn single_thread_multi_stream_launches_spread_across_shards() {
         let stream = (corr % 6) as u8;
         sink.gpu_launch(
             &launch_origin(1, stream, corr),
-            &context_path(&interner, 1, stream),
+            context_path(&interner, 1, stream),
             ApiKind::LaunchKernel,
         );
         batch.push(kernel_activity(corr, stream));
     }
-    sink.activity_batch(&batch);
+    sink.activity_batch(batch);
     assert!(
         sink.shards_occupied() > 1,
         "six streams on one thread must not serialize on one shard"
@@ -978,12 +967,12 @@ fn async_sink_spreads_multi_stream_launches_too() {
         let stream = (corr % 6) as u8;
         sink.gpu_launch(
             &launch_origin(1, stream, corr),
-            &context_path(&interner, 1, stream),
+            context_path(&interner, 1, stream),
             ApiKind::LaunchKernel,
         );
         batch.push(kernel_activity(corr, stream));
     }
-    sink.activity_batch(&batch);
+    sink.activity_batch(batch);
     let cct = sink.snapshot();
     assert!(inner.shards_occupied() > 1);
     assert_eq!(sink.counters().orphans, 0);

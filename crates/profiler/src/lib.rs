@@ -26,8 +26,9 @@
 //! master tree on [`Profiler::with_cct`] / [`Profiler::finish`]. The
 //! fold is cached and tracked by per-shard dirty generations, so a warm
 //! snapshot re-folds only the shards that changed — and concurrent
-//! producers never serialize on a global profile lock. See the [`sink`]
-//! module docs for the routing rules and the cache mechanics.
+//! producers never serialize on a global profile lock. See the
+//! `deepcontext_pipeline::sharded` module docs for the routing rules and
+//! the cache mechanics.
 //!
 //! [`CctShard`]: deepcontext_core::CctShard
 //! [`Frame::Instruction`]: deepcontext_core::Frame
@@ -44,18 +45,17 @@ use dlmonitor::{CallPathSources, DlEvent, DlMonitor, Domain, EventOrigin, Regist
 use sim_gpu::{ApiKind, CallbackSite, GpuRuntime, SamplingConfig};
 use sim_runtime::{RuntimeEnv, SampleKind, SamplerId};
 
-pub mod sink;
-
-pub use sink::{
-    attribute_activity_metrics, default_directory_map, default_ingestion_mode,
-    default_journal_config, default_journal_enabled, default_launch_batch,
-    default_telemetry_config, default_telemetry_enabled, default_timeline_config,
-    default_timeline_enabled, journal_sites, AsyncSink, BackpressurePolicy, BatchingSink,
-    DirectoryMap, DirectoryMapKind, EventSink, Failpoints, HealthReport, HealthThresholds,
+// The ingestion pipeline lives in its own crate so the profiler, the
+// benchmarks and external embedders share one implementation.
+pub use deepcontext_pipeline::{
+    attribute_activity_metrics, default_ingestion_mode, default_journal_config,
+    default_journal_enabled, default_telemetry_config, default_telemetry_enabled,
+    default_timeline_config, default_timeline_enabled, journal_sites, AsyncSink,
+    BackpressurePolicy, DirectoryMapKind, EventSink, Failpoints, HealthReport, HealthThresholds,
     IngestionMode, Journal, JournalConfig, JournalSeverity, PipelineConfig, PipelineTelemetry,
-    ShardedSink, SinkCounters, Supervisor, SupervisorConfig, SupervisorSink, SupervisorState,
-    Telemetry, TelemetryConfig, TelemetrySnapshot, TimelineConfig, TimelineSnapshot, TimelineStats,
-    DEFAULT_LAUNCH_BATCH,
+    ShardedSink, SinkCounters, SinkOptions, Supervisor, SupervisorConfig, SupervisorSink,
+    SupervisorState, Telemetry, TelemetryConfig, TelemetrySnapshot, TimelineConfig,
+    TimelineSnapshot, TimelineStats, DEFAULT_LAUNCH_BATCH,
 };
 
 /// The default ingestion shard count, honouring the
@@ -100,12 +100,11 @@ pub struct ProfilerConfig {
     /// resolution, CCT mutation and metric folds off the monitored
     /// workload's critical path.
     pub ingestion_mode: IngestionMode,
-    /// Ingestion-pipeline tuning. `launch_batch` (thread-local producer
-    /// batching, `DEEPCONTEXT_LAUNCH_BATCH` env override) applies to
-    /// **both** ingestion modes — in synchronous mode the sharded sink is
-    /// wrapped in a [`BatchingSink`] when it is above 1; the worker
-    /// count, queue capacity and backpressure policy apply to
-    /// asynchronous mode only.
+    /// Asynchronous-pipeline tuning: worker count, queue capacity,
+    /// backpressure policy and thread-local producer batching
+    /// (`launch_batch`) all apply to [`IngestionMode::Async`] only —
+    /// synchronous mode attributes inline and reads none of them except
+    /// `failpoints`, the one fault-injection registry both layers share.
     pub pipeline: PipelineConfig,
     /// Whether snapshots are served from the incremental generation-
     /// tracked cache. Disabling trades warm `with_cct` latency for not
@@ -134,10 +133,9 @@ pub struct ProfilerConfig {
     /// deterministic 1-in-N sampling (the stride is stamped into
     /// `ProfileMeta::extra` as `supervisor.sample_rate` for rescaling);
     /// `Bypass` turns the tap off while the workload runs untouched.
-    /// `None` (the default) admits everything unconditionally. Observing
-    /// health requires [`telemetry`](Self::telemetry) to be enabled —
-    /// with telemetry off a supervised profiler simply never leaves
-    /// `Healthy` on its own.
+    /// `None` (the default) admits everything unconditionally. The
+    /// health windows come from self-telemetry, so configuring a
+    /// supervisor turns [`telemetry`](Self::telemetry) on at attach.
     pub supervisor: Option<SupervisorConfig>,
     /// Incident journal: a bounded ring of structured lifecycle events
     /// (supervisor transitions with their evidence, shard quarantines,
@@ -232,9 +230,10 @@ pub struct ProfilerStats {
     pub worker_batches: u64,
     /// Events applied by asynchronous pipeline workers.
     pub worker_events: u64,
-    /// Thread-local producer-batch flushes delivered (zero when
-    /// `launch_batch` is 1); `batched_events / producer_flushes` is the
-    /// mean amortization per flush.
+    /// Thread-local producer-batch flushes delivered (zero in
+    /// synchronous mode and when `launch_batch` is 1);
+    /// `batched_events / producer_flushes` is the mean amortization per
+    /// flush.
     pub producer_flushes: u64,
     /// Events that travelled through thread-local producer batches.
     pub batched_events: u64,
@@ -302,15 +301,24 @@ impl Profiler {
         monitor: &Arc<DlMonitor>,
         gpu: &Arc<GpuRuntime>,
     ) -> Profiler {
-        let sharded = ShardedSink::with_journal(
+        // A supervisor is fed health windows, and those come from
+        // self-telemetry: configuring one implies the other.
+        let telemetry_config = TelemetryConfig {
+            enabled: config.telemetry.enabled || config.supervisor.is_some(),
+            ..config.telemetry
+        };
+        // One fault-injection registry per profiler: the sharded sites,
+        // the async sites and the journal's fire observer all share it.
+        let sharded = ShardedSink::with(
             monitor.interner(),
-            config.ingestion_shards,
-            config.snapshot_cache,
-            &config.timeline,
-            config.pipeline.directory_map,
-            &config.telemetry,
-            Failpoints::from_env(),
-            &config.journal,
+            SinkOptions {
+                shards: config.ingestion_shards,
+                snapshot_cache: config.snapshot_cache,
+                timeline: config.timeline,
+                telemetry: telemetry_config,
+                journal: config.journal,
+                failpoints: config.pipeline.failpoints.clone(),
+            },
         );
         let telemetry = sharded.telemetry().cloned();
         let journal = sharded.journal().cloned();
@@ -336,17 +344,11 @@ impl Profiler {
                 }));
         }
         let mut sink: Arc<dyn EventSink> = match config.ingestion_mode {
-            // Producer batching amortizes routing/locking in synchronous
-            // mode too; the bare sharded sink remains the launch_batch=1
-            // degenerate case.
-            IngestionMode::Sync if config.pipeline.launch_batch > 1 => {
-                BatchingSink::new(sharded, config.pipeline.launch_batch)
-            }
             IngestionMode::Sync => sharded,
             IngestionMode::Async => AsyncSink::new(sharded, config.pipeline.clone()),
         };
         // Admission control goes outermost so degraded-mode sampling is
-        // decided before any batching or queueing effort is spent.
+        // decided before any queueing effort is spent.
         let supervisor = config.supervisor.map(|sup_config| {
             let supervisor = Supervisor::with_journal(
                 sup_config,
@@ -400,10 +402,8 @@ impl Profiler {
                         _ => return,
                     }
                     let path = me.monitor.callpath_for_gpu(gpu_event);
-                    // Hand the freshly built path over by value: the
-                    // async sink enqueues it without a clone.
                     me.sink
-                        .gpu_launch_owned(&gpu_event.origin(), path, gpu_event.data.api);
+                        .gpu_launch(&gpu_event.origin(), path, gpu_event.data.api);
                     if gpu_event.data.api == ApiKind::LaunchKernel {
                         me.launches.fetch_add(1, Ordering::Relaxed);
                     }
@@ -411,12 +411,9 @@ impl Profiler {
             }));
 
             // Asynchronous activity delivery (buffer-completed handler).
-            // The runtime owns the buffer it hands over, so the sink
-            // takes it by value (asynchronous sinks route it into queue
-            // messages without cloning a single record).
             let me = Arc::clone(&inner);
             gpu.set_activity_handler(move |batch| {
-                me.sink.activity_batch_owned(batch);
+                me.sink.activity_batch(batch);
             });
         }
 
@@ -431,7 +428,7 @@ impl Profiler {
                         tid: Some(thread.tid()),
                         ..EventOrigin::default()
                     };
-                    me.sink.cpu_sample_owned(
+                    me.sink.cpu_sample(
                         &origin,
                         path,
                         metric,
@@ -492,16 +489,15 @@ impl Profiler {
     pub fn flush(&self) {
         let batch = self.gpu.flush_completed();
         if !batch.is_empty() {
-            self.inner.sink.activity_batch_owned(batch);
+            self.inner.sink.activity_batch(batch);
         }
         self.inner.sink.epoch_complete();
         self.observe_health();
     }
 
-    /// Feeds the current health window into the supervisor (no-op when
-    /// either the supervisor or telemetry is off). Runs at every flush
-    /// boundary; long-running embedders can also call it directly on
-    /// their own cadence.
+    /// Feeds the current health window into the supervisor (no-op
+    /// without one). Runs at every flush boundary; long-running
+    /// embedders can also call it directly on their own cadence.
     pub fn observe_health(&self) {
         if let (Some(supervisor), Some(report)) = (&self.supervisor, self.health_report()) {
             supervisor.observe(&report);
@@ -650,7 +646,7 @@ impl Profiler {
         // Drain anything still buffered.
         let batch = self.gpu.flush_all();
         if !batch.is_empty() {
-            self.inner.sink.activity_batch_owned(batch);
+            self.inner.sink.activity_batch(batch);
         }
         self.inner.sink.epoch_complete();
         self.observe_health();
@@ -1045,13 +1041,16 @@ mod tests {
 
     #[test]
     fn producer_batching_amortizes_and_matches_unbatched() {
-        // Thread-local launch batching is a cost optimization, not a
-        // semantic one: profiles and event counts match the unbatched
-        // pipeline exactly, while the batching counters prove events
-        // actually travelled through per-thread batches.
-        let run = |launch_batch: usize| {
+        // Thread-local launch batching (asynchronous mode only) is a
+        // cost optimization, not a semantic one: profiles and event
+        // counts match the unbatched pipeline exactly, while the batching
+        // counters prove events actually travelled through per-thread
+        // batches. Synchronous mode attributes inline at any
+        // `launch_batch`.
+        let run = |ingestion_mode: IngestionMode, launch_batch: usize| {
             let rig = rig();
             let config = ProfilerConfig {
+                ingestion_mode,
                 pipeline: PipelineConfig {
                     launch_batch,
                     ..PipelineConfig::default()
@@ -1071,8 +1070,8 @@ mod tests {
             });
             (stats, totals)
         };
-        let (unbatched, unbatched_totals) = run(1);
-        let (batched, batched_totals) = run(64);
+        let (unbatched, unbatched_totals) = run(IngestionMode::Async, 1);
+        let (batched, batched_totals) = run(IngestionMode::Async, 64);
         assert_eq!(unbatched_totals, batched_totals);
         assert_eq!(batched.activities, unbatched.activities);
         assert_eq!(batched.launches, unbatched.launches);
@@ -1086,6 +1085,10 @@ mod tests {
             batched.batched_events >= batched.producer_flushes,
             "flushes amortize at least one event each"
         );
+        let (sync, sync_totals) = run(IngestionMode::Sync, 64);
+        assert_eq!(sync_totals, batched_totals);
+        assert_eq!(sync.batched_events, 0, "sync mode never buffers");
+        assert_eq!(sync.producer_flushes, 0);
     }
 
     #[test]
@@ -1393,10 +1396,7 @@ mod tests {
                 at: TimeNs(1),
             },
         };
-        profiler
-            .inner
-            .sink
-            .activity_batch(std::slice::from_ref(&orphan));
+        profiler.inner.sink.activity_batch(vec![orphan]);
         let stats = profiler.stats();
         assert_eq!(stats.orphans, 1);
         // The data is attributed under the catch-all, not dropped.

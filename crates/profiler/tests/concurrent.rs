@@ -82,11 +82,10 @@ fn producer_events(interner: &Arc<Interner>, producer: usize) -> Vec<LaunchEvent
 /// buffer-sized batches, like the GPU runtime delivers them.
 fn ingest(sink: &ShardedSink, events: &[LaunchEvent]) {
     for e in events {
-        sink.gpu_launch(&e.origin, &e.path, ApiKind::LaunchKernel);
+        sink.gpu_launch(&e.origin, e.path.clone(), ApiKind::LaunchKernel);
     }
     for chunk in events.chunks(64) {
-        let batch: Vec<Activity> = chunk.iter().map(|e| e.activity.clone()).collect();
-        sink.activity_batch(&batch);
+        sink.activity_batch(chunk.iter().map(|e| e.activity.clone()).collect());
     }
 }
 

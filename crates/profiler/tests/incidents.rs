@@ -103,6 +103,10 @@ fn fault_injected_run_round_trips_with_journal_and_analyzer_cites_it() {
     // The live journal already holds the causal record.
     let live = journal.snapshot();
     assert!(live.has_site(journal_sites::SHARD_QUARANTINE));
+    assert!(
+        live.has_site(journal_sites::FAILPOINT_FIRE),
+        "a fault injected through the config is journaled next to its symptom"
+    );
     assert!(live.has_site(journal_sites::SUPERVISOR_TRANSITION));
     assert_eq!(
         live.recorded,
@@ -152,6 +156,9 @@ fn fault_injected_run_round_trips_with_journal_and_analyzer_cites_it() {
     let id = store.save(&db).unwrap();
     let back = store.load(&id).unwrap();
     assert_eq!(back.journal(), db.journal(), "journal survives the disk");
+    assert!(back
+        .journal()
+        .is_some_and(|j| j.has_site(journal_sites::FAILPOINT_FIRE)));
     assert_eq!(back.meta(), db.meta());
     let post = journal.snapshot();
     assert_eq!(
@@ -222,4 +229,29 @@ fn journal_disabled_run_has_no_journal_and_analyzer_stays_silent() {
         .any(|(k, _)| k.starts_with("journal.")));
     let report = Analyzer::with_default_rules().analyze(&db);
     assert!(!report.issues().iter().any(|i| i.rule == "incident"));
+}
+
+#[test]
+fn supervisor_only_config_observes_health() {
+    // A supervisor is fed health windows, which come from telemetry: a
+    // config that names only the supervisor must still observe them
+    // instead of sitting inert in `Healthy`.
+    let rig = rig();
+    let config = ProfilerConfig {
+        telemetry: TelemetryConfig::default(),
+        supervisor: Some(SupervisorConfig::default()),
+        ..ProfilerConfig::default()
+    };
+    let profiler = Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);
+    assert!(profiler.health_report().is_some());
+    let supervisor = Arc::clone(profiler.supervisor().expect("supervisor configured"));
+    // Windows are counted while not Healthy, so observe from Degraded.
+    supervisor.force_state(SupervisorState::Degraded);
+    run_relu(&rig, 2);
+    profiler.flush();
+    assert_eq!(
+        supervisor.status().degraded_windows,
+        1,
+        "flush fed the supervisor one health window"
+    );
 }

@@ -100,7 +100,7 @@ fn check_interleaving(steps: &[Step], shards: usize) {
                 };
                 sink.gpu_launch(
                     &origin,
-                    &context_path(&interner, *tid, *ctx),
+                    context_path(&interner, *tid, *ctx),
                     ApiKind::LaunchKernel,
                 );
                 outstanding.push((corr, *ctx));
@@ -110,7 +110,7 @@ fn check_interleaving(steps: &[Step], shards: usize) {
                     .drain(..)
                     .map(|(corr, ctx)| kernel_activity(corr, ctx))
                     .collect();
-                sink.activity_batch(&batch);
+                sink.activity_batch(batch);
             }
             Step::Sample { tid, ctx, value } => {
                 let origin = EventOrigin {
@@ -119,7 +119,7 @@ fn check_interleaving(steps: &[Step], shards: usize) {
                 };
                 sink.cpu_sample(
                     &origin,
-                    &context_path(&interner, *tid, *ctx),
+                    context_path(&interner, *tid, *ctx),
                     MetricKind::CpuTime,
                     f64::from(*value),
                 );
@@ -166,12 +166,12 @@ fn epoch_complete_retires_correlation_state_without_changing_the_profile() {
         };
         sink.gpu_launch(
             &origin,
-            &context_path(&interner, corr % 7 + 1, ctx),
+            context_path(&interner, corr % 7 + 1, ctx),
             ApiKind::LaunchKernel,
         );
         batch.push(kernel_activity(corr, ctx));
     }
-    sink.activity_batch(&batch);
+    sink.activity_batch(batch);
 
     let before_bytes = sink.approx_bytes();
     let before = sink.snapshot();

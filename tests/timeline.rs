@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 
 use deepcontext::gpu::Activity;
 use deepcontext::gpu::ActivityKind;
-use deepcontext::pipeline::{EventSink, IngestionMode, ShardedSink};
+use deepcontext::pipeline::{EventSink, IngestionMode, ShardedSink, SinkOptions};
 use deepcontext::prelude::*;
 use deepcontext::profiler::{TelemetryConfig, TimelineConfig};
 
@@ -262,17 +262,34 @@ struct CapturingSink {
     captured: Mutex<Vec<Activity>>,
 }
 
+impl CapturingSink {
+    /// A capturing sink over a timeline-recording sharded sink.
+    fn recording(interner: Arc<deepcontext::core::Interner>) -> Arc<Self> {
+        Arc::new(CapturingSink {
+            inner: ShardedSink::with(
+                interner,
+                SinkOptions {
+                    shards: deepcontext::profiler::default_ingestion_shards(),
+                    timeline: TimelineConfig::enabled(),
+                    ..SinkOptions::default()
+                },
+            ),
+            captured: Mutex::new(Vec::new()),
+        })
+    }
+}
+
 impl EventSink for CapturingSink {
     fn gpu_launch(
         &self,
         origin: &deepcontext::monitor::EventOrigin,
-        path: &CallPath,
+        path: CallPath,
         api: deepcontext::gpu::ApiKind,
     ) {
         self.inner.gpu_launch(origin, path, api);
     }
 
-    fn activity_batch(&self, batch: &[Activity]) {
+    fn activity_batch(&self, batch: Vec<Activity>) {
         self.captured.lock().unwrap().extend(batch.iter().cloned());
         self.inner.activity_batch(batch);
     }
@@ -280,7 +297,7 @@ impl EventSink for CapturingSink {
     fn cpu_sample(
         &self,
         origin: &deepcontext::monitor::EventOrigin,
-        path: &CallPath,
+        path: CallPath,
         metric: MetricKind,
         value: f64,
     ) {
@@ -311,15 +328,7 @@ impl EventSink for CapturingSink {
 #[test]
 fn timeline_metrics_match_brute_force_recomputation_over_all_activities() {
     let rig = rig();
-    let sink = Arc::new(CapturingSink {
-        inner: ShardedSink::with_timeline(
-            rig.monitor.interner(),
-            deepcontext::profiler::default_ingestion_shards(),
-            true,
-            &TimelineConfig::enabled(),
-        ),
-        captured: Mutex::new(Vec::new()),
-    });
+    let sink = CapturingSink::recording(rig.monitor.interner());
     let profiler = Profiler::attach_with_sink(
         ProfilerConfig::deepcontext(),
         rig.bed.env(),
@@ -422,15 +431,7 @@ fn interval_names_round_trip_through_snapshot_remap_and_chrome_export() {
     // producer launched with, both on the snapshot and in the exported
     // trace.
     let rig = rig();
-    let sink = Arc::new(CapturingSink {
-        inner: ShardedSink::with_timeline(
-            rig.monitor.interner(),
-            deepcontext::profiler::default_ingestion_shards(),
-            true,
-            &TimelineConfig::enabled(),
-        ),
-        captured: Mutex::new(Vec::new()),
-    });
+    let sink = CapturingSink::recording(rig.monitor.interner());
     let profiler = Profiler::attach_with_sink(
         ProfilerConfig::deepcontext(),
         rig.bed.env(),
