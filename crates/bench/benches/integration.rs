@@ -5,36 +5,38 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 use std::time::Duration;
 
-use deepcontext_core::{Interner, OpPhase};
-use dlmonitor::{integrate_call_path, IntegrationInput, ShadowOp};
-use sim_runtime::{NativeFrameInfo, PyFrameInfo};
+use deepcontext_core::{Frame, Interner};
+use dlmonitor::{integrate_call_path, ShadowOp};
+use sim_runtime::NativeFrameInfo;
 
-fn input(py_depth: usize, native_depth: usize) -> IntegrationInput {
-    let python: Vec<PyFrameInfo> = (0..py_depth)
-        .map(|i| PyFrameInfo::new("model.py", i as u32, "layer"))
+const INTERP_PC: u64 = 0x1;
+
+struct Input {
+    python: Vec<Frame>,
+    operators: Vec<ShadowOp>,
+    native: Vec<NativeFrameInfo>,
+}
+
+fn input(py_depth: usize, native_depth: usize, interner: &Interner) -> Input {
+    let python = (0..py_depth)
+        .map(|i| Frame::python("model.py", i as u32, "layer", interner))
         .collect();
     let mut native = vec![NativeFrameInfo::new(
         "libpython3.11.so",
-        0x1,
+        INTERP_PC,
         "_PyEval_EvalFrameDefault",
     )];
     native.extend(
         (0..native_depth).map(|i| NativeFrameInfo::new("libtorch.so", 0x100 + i as u64, "impl")),
     );
-    let native_is_python: Vec<bool> = std::iter::once(true)
-        .chain(std::iter::repeat_n(false, native_depth))
-        .collect();
-    IntegrationInput {
+    Input {
         python,
         operators: vec![ShadowOp {
-            name: Arc::from("aten::conv2d"),
-            phase: OpPhase::Forward,
-            seq_id: Some(1),
+            frame: Frame::operator("aten::conv2d", interner),
             native_depth: 1,
-            cached_python: Vec::new(),
+            python: Arc::from([]),
         }],
         native,
-        native_is_python,
     }
 }
 
@@ -47,9 +49,21 @@ fn bench_integration(c: &mut Criterion) {
 
     let interner = Interner::new();
     for depth in [4usize, 16, 64] {
-        let inp = input(depth, depth);
+        let inp = input(depth, depth, &interner);
         group.bench_with_input(BenchmarkId::new("merge_depth", depth), &inp, |b, inp| {
-            b.iter(|| integrate_call_path(inp, &interner));
+            b.iter(|| {
+                let mut path = Vec::with_capacity(2 * depth + 1);
+                integrate_call_path(
+                    &mut path,
+                    &inp.python,
+                    &inp.operators,
+                    &inp.native,
+                    0,
+                    |pc| pc == INTERP_PC,
+                    &interner,
+                );
+                path
+            });
         });
     }
     group.finish();

@@ -9,81 +9,67 @@
 //! frame's address falls within the libpython.so address space, all
 //! frames above it are replaced with the Python call path."
 //!
-//! This module implements that merge as a pure function over snapshots,
-//! so it can be tested exhaustively without a live runtime.
+//! This module implements that merge as a pure function over interned
+//! snapshots (Python and operator frames arrive as [`Frame`]s; only the
+//! freshly unwound native frames are still strings), so it can be tested
+//! exhaustively without a live runtime.
 
 use std::sync::Arc;
 
-use deepcontext_core::{CallPath, Frame, Interner, OpPhase};
-use sim_runtime::{NativeFrameInfo, PyFrameInfo};
+use deepcontext_core::{Frame, Interner};
+use sim_runtime::NativeFrameInfo;
 
 /// One shadow-stack operator, as captured at operator entry.
 #[derive(Debug, Clone)]
 pub struct ShadowOp {
-    /// Canonical operator name.
-    pub name: Arc<str>,
-    /// Forward or backward.
-    pub phase: OpPhase,
-    /// Autograd sequence id, if taped.
-    pub seq_id: Option<u64>,
+    /// The operator's pre-interned [`Frame::Operator`].
+    pub frame: Frame,
     /// Native stack depth when the operator was entered — the "memory
     /// location" marker used to place the operator among native frames.
     pub native_depth: usize,
-    /// Python call path cached at entry (the caching optimisation).
-    pub cached_python: Vec<PyFrameInfo>,
+    /// The thread's interned Python call path at entry (the caching
+    /// optimisation), shared with every operator entered at the same
+    /// `PythonStack::version`.
+    pub python: Arc<[Frame]>,
 }
 
-/// Snapshots consumed by the integrator.
-#[derive(Debug, Clone, Default)]
-pub struct IntegrationInput {
-    /// Python frames, root-first (empty when the source is disabled or
-    /// the thread has no interpreter stack).
-    pub python: Vec<PyFrameInfo>,
-    /// Shadow operators, outermost first.
-    pub operators: Vec<ShadowOp>,
-    /// Native frames, root-first (empty when native collection is off).
-    pub native: Vec<NativeFrameInfo>,
-    /// Whether each native frame's PC lies in libpython (parallel to
-    /// `native`; computed by the caller via the library map).
-    pub native_is_python: Vec<bool>,
-}
-
-/// Merges the three per-thread call-path sources into one unified path.
+/// Merges the per-thread call-path sources into one unified path,
+/// appended to `out`.
+///
+/// `python` is the already-interned root-side prefix (empty when the
+/// source is disabled or the thread has no interpreter stack);
+/// `operators` is the shadow stack, outermost first; `native` holds the
+/// freshly unwound frames from absolute stack depth `native_base` down
+/// to the leaf, root-first (empty when native collection is off), and
+/// `is_python_pc` tells whether a native PC lies in libpython.
 ///
 /// The output is root-first: Python frames, then operators interleaved
 /// with the native frames below them, by the recorded native depths.
-pub fn integrate_call_path(input: &IntegrationInput, interner: &Interner) -> CallPath {
-    let mut path = CallPath::new();
+pub fn integrate_call_path(
+    out: &mut Vec<Frame>,
+    python: &[Frame],
+    operators: &[ShadowOp],
+    native: &[NativeFrameInfo],
+    native_base: usize,
+    is_python_pc: impl Fn(u64) -> bool,
+    interner: &Interner,
+) {
+    out.extend_from_slice(python);
 
     // Python replaces everything at and above (toward the root) the
-    // deepest libpython frame.
-    let cutover = input
-        .native_is_python
+    // deepest libpython frame. Without one (e.g. a backward thread) the
+    // whole native path is kept.
+    let tail_start = native
         .iter()
-        .rposition(|is_py| *is_py)
-        .map(|idx| idx + 1);
+        .rposition(|f| is_python_pc(f.pc))
+        .map_or(0, |idx| idx + 1);
 
-    for f in &input.python {
-        path.push(Frame::python(&f.file, f.line, &f.function, interner));
-    }
-
-    let tail_start = match cutover {
-        Some(idx) => idx,
-        None if input.native.is_empty() => 0,
-        // No libpython frame on this stack (e.g. a backward thread):
-        // keep the whole native path.
-        None => 0,
-    };
-
-    let mut ops = input.operators.iter().peekable();
-    for (idx, frame) in input.native.iter().enumerate().skip(tail_start) {
-        while ops.peek().map(|op| op.native_depth <= idx).unwrap_or(false) {
-            let op = ops.next().expect("peeked");
-            path.push(Frame::operator_with(
-                &op.name, op.phase, op.seq_id, interner,
-            ));
+    let mut ops = operators.iter().peekable();
+    for (idx, frame) in native.iter().enumerate().skip(tail_start) {
+        while let Some(op) = ops.next_if(|op| op.native_depth <= native_base + idx) {
+            out.push(op.frame.clone());
         }
-        path.push(Frame::native(
+        out.push(Frame::native(
             &frame.library,
             frame.pc,
             &frame.symbol,
@@ -92,64 +78,77 @@ pub fn integrate_call_path(input: &IntegrationInput, interner: &Interner) -> Cal
     }
     // Operators with no native frames below them (native collection off,
     // or the operator entered and no deeper native frame captured yet).
-    for op in ops {
-        path.push(Frame::operator_with(
-            &op.name, op.phase, op.seq_id, interner,
-        ));
-    }
-    path
+    out.extend(ops.map(|op| op.frame.clone()));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepcontext_core::FrameKind;
+    use deepcontext_core::{FrameKind, OpPhase};
 
-    fn py(file: &str, line: u32, f: &str) -> PyFrameInfo {
-        PyFrameInfo::new(file, line, f)
+    const LIBPYTHON: &str = "libpython3.11.so";
+
+    fn py(file: &str, line: u32, f: &str, interner: &Interner) -> Frame {
+        Frame::python(file, line, f, interner)
     }
 
     fn native(lib: &str, pc: u64, sym: &str) -> NativeFrameInfo {
         NativeFrameInfo::new(lib, pc, sym)
     }
 
-    fn op(name: &str, depth: usize) -> ShadowOp {
+    fn op(name: &str, depth: usize, interner: &Interner) -> ShadowOp {
         ShadowOp {
-            name: Arc::from(name),
-            phase: OpPhase::Forward,
-            seq_id: None,
+            frame: Frame::operator(name, interner),
             native_depth: depth,
-            cached_python: Vec::new(),
+            python: Arc::from([]),
         }
     }
 
-    fn kinds(path: &CallPath) -> Vec<FrameKind> {
-        path.frames().iter().map(|f| f.kind()).collect()
+    /// Integrates with libpython membership decided by library name.
+    fn integrate(
+        python: &[Frame],
+        operators: &[ShadowOp],
+        native: &[NativeFrameInfo],
+        interner: &Interner,
+    ) -> Vec<Frame> {
+        let mut out = Vec::new();
+        let is_python = |pc| {
+            native
+                .iter()
+                .any(|f| f.pc == pc && f.library.as_ref() == LIBPYTHON)
+        };
+        integrate_call_path(&mut out, python, operators, native, 0, is_python, interner);
+        out
+    }
+
+    fn labels(path: &[Frame], interner: &Interner) -> Vec<String> {
+        path.iter().map(|f| f.short_label(interner)).collect()
+    }
+
+    fn kinds(path: &[Frame]) -> Vec<FrameKind> {
+        path.iter().map(|f| f.kind()).collect()
     }
 
     #[test]
     fn python_replaces_frames_at_and_above_libpython() {
         let interner = Interner::new();
-        let input = IntegrationInput {
-            python: vec![py("train.py", 3, "main"), py("model.py", 9, "forward")],
-            operators: vec![op("aten::conv2d", 3)],
-            native: vec![
+        let path = integrate(
+            &[
+                py("train.py", 3, "main", &interner),
+                py("model.py", 9, "forward", &interner),
+            ],
+            &[op("aten::conv2d", 3, &interner)],
+            &[
                 native("libc.so", 0x1, "__libc_start_main"),
-                native("libpython3.11.so", 0x2, "_PyEval_EvalFrameDefault"),
-                native("libpython3.11.so", 0x3, "_PyEval_EvalFrameDefault"),
+                native(LIBPYTHON, 0x2, "_PyEval_EvalFrameDefault"),
+                native(LIBPYTHON, 0x3, "_PyEval_EvalFrameDefault"),
                 native("libtorch_cpu.so", 0x4, "c10::Dispatcher::call"),
                 native("libtorch_cpu.so", 0x5, "at::native::conv2d"),
             ],
-            native_is_python: vec![false, true, true, false, false],
-        };
-        let path = integrate_call_path(&input, &interner);
-        let labels: Vec<_> = path
-            .frames()
-            .iter()
-            .map(|f| f.short_label(&interner))
-            .collect();
+            &interner,
+        );
         assert_eq!(
-            labels,
+            labels(&path, &interner),
             vec![
                 "train.py:3",
                 "model.py:9",
@@ -174,16 +173,14 @@ mod tests {
     fn without_libpython_native_path_is_kept_whole() {
         // A backward thread: no Python frames anywhere.
         let interner = Interner::new();
-        let input = IntegrationInput {
-            python: vec![],
-            operators: vec![ShadowOp {
-                name: Arc::from("aten::index"),
-                phase: OpPhase::Backward,
-                seq_id: Some(7),
+        let path = integrate(
+            &[],
+            &[ShadowOp {
+                frame: Frame::operator_with("aten::index", OpPhase::Backward, Some(7), &interner),
                 native_depth: 1,
-                cached_python: vec![],
+                python: Arc::from([]),
             }],
-            native: vec![
+            &[
                 native(
                     "libtorch_cpu.so",
                     0x10,
@@ -191,16 +188,10 @@ mod tests {
                 ),
                 native("libtorch_cpu.so", 0x11, "c10::Dispatcher::call"),
             ],
-            native_is_python: vec![false, false],
-        };
-        let path = integrate_call_path(&input, &interner);
-        let labels: Vec<_> = path
-            .frames()
-            .iter()
-            .map(|f| f.short_label(&interner))
-            .collect();
+            &interner,
+        );
         assert_eq!(
-            labels,
+            labels(&path, &interner),
             vec![
                 "torch::autograd::Engine::thread_main",
                 "aten::index~bwd",
@@ -212,24 +203,54 @@ mod tests {
     #[test]
     fn nested_operators_interleave_by_depth() {
         let interner = Interner::new();
-        let input = IntegrationInput {
-            python: vec![py("m.py", 1, "f")],
-            operators: vec![op("aten::linear", 1), op("aten::matmul", 2)],
-            native: vec![
-                native("libpython3.11.so", 0x1, "_PyEval_EvalFrameDefault"),
+        let path = integrate(
+            &[py("m.py", 1, "f", &interner)],
+            &[
+                op("aten::linear", 1, &interner),
+                op("aten::matmul", 2, &interner),
+            ],
+            &[
+                native(LIBPYTHON, 0x1, "_PyEval_EvalFrameDefault"),
                 native("libtorch_cpu.so", 0x2, "at::native::linear"),
                 native("libtorch_cpu.so", 0x3, "at::native::matmul"),
             ],
-            native_is_python: vec![true, false, false],
-        };
-        let path = integrate_call_path(&input, &interner);
-        let labels: Vec<_> = path
-            .frames()
-            .iter()
-            .map(|f| f.short_label(&interner))
-            .collect();
+            &interner,
+        );
         assert_eq!(
-            labels,
+            labels(&path, &interner),
+            vec![
+                "m.py:1",
+                "aten::linear",
+                "at::native::linear",
+                "aten::matmul",
+                "at::native::matmul"
+            ]
+        );
+    }
+
+    #[test]
+    fn partial_unwind_places_operators_by_absolute_depth() {
+        // Only the frames from depth 2 down were unwound (the cached
+        // mode's partial unwind): depths are still absolute.
+        let interner = Interner::new();
+        let mut out = Vec::new();
+        integrate_call_path(
+            &mut out,
+            &[py("m.py", 1, "f", &interner)],
+            &[
+                op("aten::linear", 1, &interner),
+                op("aten::matmul", 3, &interner),
+            ],
+            &[
+                native("libtorch_cpu.so", 0x3, "at::native::linear"),
+                native("libtorch_cpu.so", 0x4, "at::native::matmul"),
+            ],
+            2,
+            |_| false,
+            &interner,
+        );
+        assert_eq!(
+            labels(&out, &interner),
             vec![
                 "m.py:1",
                 "aten::linear",
@@ -243,20 +264,18 @@ mod tests {
     #[test]
     fn native_source_disabled_appends_operators_after_python() {
         let interner = Interner::new();
-        let input = IntegrationInput {
-            python: vec![py("m.py", 1, "f")],
-            operators: vec![op("aten::relu", 5)],
-            native: vec![],
-            native_is_python: vec![],
-        };
-        let path = integrate_call_path(&input, &interner);
+        let path = integrate(
+            &[py("m.py", 1, "f", &interner)],
+            &[op("aten::relu", 5, &interner)],
+            &[],
+            &interner,
+        );
         assert_eq!(kinds(&path), vec![FrameKind::Python, FrameKind::Operator]);
     }
 
     #[test]
     fn empty_input_yields_empty_path() {
         let interner = Interner::new();
-        let path = integrate_call_path(&IntegrationInput::default(), &interner);
-        assert!(path.is_empty());
+        assert!(integrate(&[], &[], &[], &interner).is_empty());
     }
 }

@@ -23,10 +23,17 @@
 //!   their Python/framework context under their autograd sequence id;
 //!   backward operators executing on the dedicated backward thread (which
 //!   has *no* Python stack) recover it by sequence-id lookup;
-//! * **Call path caching** — the Python call path is cached in the shadow
-//!   stack at operator entry; with caching on, kernel-launch call paths
-//!   need only a partial native unwind (or none, if native collection is
-//!   off). The unwinder's global step counter quantifies the savings.
+//! * **Call path caching** — every operator Enter stores, in its shadow
+//!   entry, the operator's pre-interned frame and an `Arc<[Frame]>`
+//!   snapshot of the thread's Python call path. The snapshot is keyed by
+//!   `PythonStack::version()` and nothing else: it is re-walked and
+//!   re-interned only when the version has moved since the thread's last
+//!   snapshot. A kernel-launch call path is then that prefix copied into
+//!   one pre-sized vector, the shadow operators, a partial native unwind
+//!   (or none, if native collection is off) and the GPU API and kernel
+//!   frames from per-monitor tables. With caching off the Python frames
+//!   are taken at the launch and the native stack is unwound in full; the
+//!   unwinder's global step counter quantifies the savings.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +43,7 @@ mod integrate;
 mod monitor;
 
 pub use custom::{CustomHook, CustomInterceptor};
-pub use integrate::{integrate_call_path, IntegrationInput, ShadowOp};
+pub use integrate::{integrate_call_path, ShadowOp};
 pub use monitor::{
     CallPathSources, DlEvent, DlMonitor, Domain, EventOrigin, GpuCallbackEvent, MonitorStats,
     RegistrationId,

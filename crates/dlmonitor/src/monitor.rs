@@ -1,17 +1,16 @@
 //! The DLMonitor runtime.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
-use deepcontext_core::{CallPath, Frame, Interner, OpPhase};
+use deepcontext_core::{CallPath, Frame, FxHashMap, Interner, OpPhase};
 use dl_framework::{CallbackRegistry, FrameworkCallbackId, GraphEvent, MemEvent, OpEvent, Site};
-use sim_gpu::{ApiKind, CallbackData, GpuRuntime, SubscriberId, Vendor};
-use sim_runtime::{NativeFrameInfo, PyFrameInfo, RuntimeEnv, ThreadCtx, ThreadRegistry};
+use sim_gpu::{ApiKind, CallbackData, GpuRuntime, KernelDesc, SubscriberId, Vendor};
+use sim_runtime::{NativeFrameInfo, PythonStack, RuntimeEnv, ThreadCtx, ThreadRegistry};
 
-use crate::integrate::{integrate_call_path, IntegrationInput, ShadowOp};
+use crate::integrate::{integrate_call_path, ShadowOp};
 
 /// Interception domains, mirroring `DLMONITOR_FRAMEWORK` /
 /// `DLMONITOR_GPU`.
@@ -21,6 +20,15 @@ pub enum Domain {
     Framework,
     /// GPU runtime APIs (launches, memcpys, mallocs, syncs).
     Gpu,
+}
+
+impl Domain {
+    fn bit(self) -> u8 {
+        match self {
+            Domain::Framework => 1,
+            Domain::Gpu => 2,
+        }
+    }
 }
 
 /// A GPU API interception, annotated with the intercepting vendor and the
@@ -173,15 +181,87 @@ pub struct MonitorStats {
     pub cache_hits: u64,
     /// Backward call paths recovered through sequence-id association.
     pub assoc_hits: u64,
-}
-
-#[derive(Debug, Clone)]
-struct AssocRecord {
-    python: Vec<PyFrameInfo>,
-    operators: Vec<(Arc<str>, Option<u64>)>,
+    /// Forward association records currently held (one per taped forward
+    /// operator seen since the last [`DlMonitor::clear_associations`]).
+    pub assoc_live: u64,
 }
 
 type EventCb = Arc<dyn Fn(&DlEvent) + Send + Sync>;
+type Registration = (RegistrationId, Domain, EventCb);
+
+/// The interned Python call path of one thread, valid for exactly the
+/// [`PythonStack::version`] it was taken at.
+#[derive(Default)]
+struct PythonSnapshot(Option<(u64, Arc<[Frame]>)>);
+
+impl PythonSnapshot {
+    /// The thread's current Python frames, re-walked and re-interned only
+    /// when the stack's version has moved since the last call.
+    fn current(&mut self, python: &PythonStack, interner: &Interner) -> Arc<[Frame]> {
+        // Read the version before walking: a racing mutation can then only
+        // make the snapshot look stale, never fresh.
+        let version = python.version();
+        match &self.0 {
+            Some((taken_at, frames)) if *taken_at == version => Arc::clone(frames),
+            _ => {
+                let frames: Arc<[Frame]> = python.with_frames(|frames| {
+                    frames
+                        .iter()
+                        .map(|f| Frame::python(&f.file, f.line, &f.function, interner))
+                        .collect()
+                });
+                self.0 = Some((version, Arc::clone(&frames)));
+                frames
+            }
+        }
+    }
+}
+
+/// Everything the monitor keeps for one simulated thread.
+#[derive(Default)]
+struct ThreadState {
+    /// The shadow operator stack, outermost first.
+    shadow: Vec<ShadowOp>,
+    python: PythonSnapshot,
+}
+
+/// Every thread's [`ThreadState`], indexed by tid. Tids are dense from 1,
+/// so slot `tid` lives in chunk `⌊log2(tid + 1)⌋` (chunk `k` holds `2^k`
+/// slots, allocated on first touch and never moved): reaching a record is
+/// one acquire load plus that thread's own mutex — no hashing and no lock
+/// shared between threads.
+struct ThreadSlab([OnceLock<Box<[Mutex<ThreadState>]>>; 64]);
+
+impl Default for ThreadSlab {
+    fn default() -> Self {
+        ThreadSlab(std::array::from_fn(|_| OnceLock::new()))
+    }
+}
+
+impl ThreadSlab {
+    fn slot(&self, tid: u64) -> &Mutex<ThreadState> {
+        let n = tid.saturating_add(1);
+        let k = n.ilog2();
+        let chunk =
+            self.0[k as usize].get_or_init(|| (0..1u64 << k).map(|_| Mutex::default()).collect());
+        &chunk[(n - (1 << k)) as usize]
+    }
+
+    /// Resets every record (chunks stay allocated).
+    fn clear(&self) {
+        for slot in self
+            .0
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|c| c.iter())
+        {
+            *slot.lock() = ThreadState::default();
+        }
+    }
+}
+
+/// Slots of the per-vendor GPU API frame table.
+const API_KINDS: usize = 5;
 
 /// The DLMonitor shim.
 ///
@@ -189,9 +269,18 @@ type EventCb = Arc<dyn Fn(&DlEvent) + Send + Sync>;
 pub struct DlMonitor {
     env: RuntimeEnv,
     interner: Arc<Interner>,
-    shadows: Mutex<HashMap<u64, Vec<ShadowOp>>>,
-    assoc: Mutex<HashMap<u64, AssocRecord>>,
-    callbacks: RwLock<Vec<(RegistrationId, Domain, EventCb)>>,
+    threads: ThreadSlab,
+    /// Forward context by autograd sequence id: the Python frames plus
+    /// the forward operator frames, ready to prefix a backward path.
+    assoc: Mutex<FxHashMap<u64, Arc<[Frame]>>>,
+    /// Copy-on-write: `fire` snapshots the list with one `Arc` clone, so
+    /// callbacks may register/unregister re-entrantly.
+    callbacks: RwLock<Arc<[Registration]>>,
+    /// [`Domain::bit`]s of the domains `callbacks` has a subscriber for.
+    subscribed: AtomicU8,
+    /// `[vendor][api]`; see [`DlMonitor::api_frame`].
+    api_frames: [[OnceLock<Frame>; API_KINDS]; 2],
+    kernel_frames: RwLock<FxHashMap<u64, (Arc<KernelDesc>, Frame)>>,
     next_id: AtomicU64,
     sources: RwLock<CallPathSources>,
     cache_enabled: AtomicBool,
@@ -211,9 +300,12 @@ impl DlMonitor {
         Arc::new(DlMonitor {
             env: env.clone(),
             interner,
-            shadows: Mutex::new(HashMap::new()),
-            assoc: Mutex::new(HashMap::new()),
-            callbacks: RwLock::new(Vec::new()),
+            threads: ThreadSlab::default(),
+            assoc: Mutex::new(FxHashMap::default()),
+            callbacks: RwLock::new(Arc::from([])),
+            subscribed: AtomicU8::new(0),
+            api_frames: Default::default(),
+            kernel_frames: RwLock::new(FxHashMap::default()),
             next_id: AtomicU64::new(0),
             sources: RwLock::new(CallPathSources::default()),
             cache_enabled: AtomicBool::new(true),
@@ -257,6 +349,7 @@ impl DlMonitor {
             callpaths_built: self.stat_built.load(Ordering::Relaxed),
             cache_hits: self.stat_cache_hits.load(Ordering::Relaxed),
             assoc_hits: self.stat_assoc_hits.load(Ordering::Relaxed),
+            assoc_live: self.assoc.lock().len() as u64,
         }
     }
 
@@ -268,28 +361,38 @@ impl DlMonitor {
         cb: impl Fn(&DlEvent) + Send + Sync + 'static,
     ) -> RegistrationId {
         let id = RegistrationId(self.next_id.fetch_add(1, Ordering::SeqCst));
-        self.callbacks.write().push((id, domain, Arc::new(cb)));
+        let cb: EventCb = Arc::new(cb);
+        self.update_callbacks(|old| old.iter().cloned().chain([(id, domain, cb)]).collect());
         id
     }
 
     /// Removes a registered callback.
     pub fn callback_unregister(&self, id: RegistrationId) {
-        self.callbacks.write().retain(|(i, _, _)| *i != id);
+        self.update_callbacks(|old| old.iter().filter(|(i, _, _)| *i != id).cloned().collect());
     }
 
-    fn fire(&self, domain: Domain, event: &DlEvent) {
-        if self.finalized.load(Ordering::SeqCst) {
+    /// Replaces the callback list and republishes which domains have a
+    /// subscriber.
+    fn update_callbacks(&self, f: impl FnOnce(&[Registration]) -> Arc<[Registration]>) {
+        let mut callbacks = self.callbacks.write();
+        *callbacks = f(&callbacks);
+        let subscribed = callbacks.iter().fold(0, |mask, (_, d, _)| mask | d.bit());
+        self.subscribed.store(subscribed, Ordering::SeqCst);
+    }
+
+    /// Delivers `event()` to `domain`'s subscribers. The event is only
+    /// built when there is one: a domain nobody listens to costs one
+    /// load, not a deep clone of the framework's payload.
+    fn fire(&self, domain: Domain, event: impl FnOnce() -> DlEvent) {
+        if self.subscribed.load(Ordering::SeqCst) & domain.bit() == 0 {
             return;
         }
-        let cbs: Vec<EventCb> = self
-            .callbacks
-            .read()
-            .iter()
-            .filter(|(_, d, _)| *d == domain)
-            .map(|(_, _, c)| Arc::clone(c))
-            .collect();
-        for cb in cbs {
-            cb(event);
+        let callbacks = Arc::clone(&self.callbacks.read());
+        let event = event();
+        for (_, d, cb) in callbacks.iter() {
+            if *d == domain {
+                cb(&event);
+            }
         }
     }
 
@@ -305,17 +408,17 @@ impl DlMonitor {
         let me = Arc::clone(self);
         ids.push(callbacks.on_op(move |event| {
             me.on_op_event(event);
-            me.fire(Domain::Framework, &DlEvent::Op(event.clone()));
+            me.fire(Domain::Framework, || DlEvent::Op(event.clone()));
         }));
 
         let me = Arc::clone(self);
         ids.push(callbacks.on_graph(move |event| {
-            me.fire(Domain::Framework, &DlEvent::Graph(event.clone()));
+            me.fire(Domain::Framework, || DlEvent::Graph(event.clone()));
         }));
 
         let me = Arc::clone(self);
         ids.push(callbacks.on_mem(move |event| {
-            me.fire(Domain::Framework, &DlEvent::Mem(event.clone()));
+            me.fire(Domain::Framework, || DlEvent::Mem(event.clone()));
         }));
 
         self.attached_framework
@@ -332,57 +435,47 @@ impl DlMonitor {
             .unwrap_or(Vendor::Nvidia);
         let me = Arc::clone(self);
         let sub = gpu.subscribe(move |data| {
-            let event = GpuCallbackEvent {
-                data: data.clone(),
-                vendor,
-                thread: ThreadRegistry::current(),
-            };
-            me.fire(Domain::Gpu, &DlEvent::Gpu(event));
+            me.fire(Domain::Gpu, || {
+                DlEvent::Gpu(GpuCallbackEvent {
+                    data: data.clone(),
+                    vendor,
+                    thread: ThreadRegistry::current(),
+                })
+            });
         });
         self.attached_gpu.lock().push((Arc::clone(gpu), sub));
     }
 
     fn on_op_event(&self, event: &OpEvent) {
-        let tid = event.thread.tid();
+        if self.finalized.load(Ordering::SeqCst) {
+            return;
+        }
+        let thread = &event.thread;
+        let mut state = self.threads.slot(thread.tid()).lock();
         match event.site {
             Site::Enter => {
-                let cached_python = if self.cache_enabled() {
-                    event.thread.python().walk()
-                } else {
-                    Vec::new()
-                };
-                let entry = ShadowOp {
-                    name: Arc::clone(&event.name),
-                    phase: event.phase,
-                    seq_id: event.seq_id,
-                    native_depth: event.thread.native().depth(),
-                    cached_python,
-                };
-                let mut shadows = self.shadows.lock();
-                let stack = shadows.entry(tid).or_default();
-                if event.phase == OpPhase::Forward {
-                    if let Some(seq) = event.seq_id {
-                        let mut operators: Vec<(Arc<str>, Option<u64>)> = stack
-                            .iter()
-                            .map(|e| (Arc::clone(&e.name), e.seq_id))
-                            .collect();
-                        operators.push((Arc::clone(&event.name), event.seq_id));
-                        self.assoc.lock().insert(
-                            seq,
-                            AssocRecord {
-                                python: event.thread.python().walk(),
-                                operators,
-                            },
-                        );
-                    }
+                // Snapshot at every Enter, whatever the cache flag says
+                // now: it may be switched on before the launch.
+                let python = state.python.current(thread.python(), &self.interner);
+                let frame =
+                    Frame::operator_with(&event.name, event.phase, event.seq_id, &self.interner);
+                if let (OpPhase::Forward, Some(seq)) = (event.phase, event.seq_id) {
+                    let record = python
+                        .iter()
+                        .chain(state.shadow.iter().map(|op| &op.frame))
+                        .chain([&frame])
+                        .cloned()
+                        .collect();
+                    self.assoc.lock().insert(seq, record);
                 }
-                stack.push(entry);
+                state.shadow.push(ShadowOp {
+                    frame,
+                    native_depth: thread.native().depth(),
+                    python,
+                });
             }
             Site::Exit => {
-                let mut shadows = self.shadows.lock();
-                if let Some(stack) = shadows.get_mut(&tid) {
-                    stack.pop();
-                }
+                state.shadow.pop();
             }
         }
     }
@@ -396,104 +489,79 @@ impl DlMonitor {
     /// `dlmonitor_callpath_get`: builds the unified multi-layer call path
     /// for `thread` under the configured sources and cache mode.
     pub fn callpath_get(&self, thread: &Arc<ThreadCtx>) -> CallPath {
+        CallPath::from_frames(self.unified_path(thread, 0))
+    }
+
+    /// The unified path of `thread`, in a vector with room for
+    /// `leaf_room` more frames.
+    fn unified_path(&self, thread: &ThreadCtx, leaf_room: usize) -> Vec<Frame> {
         self.stat_built.fetch_add(1, Ordering::Relaxed);
         let sources = self.sources();
         let cache_on = self.cache_enabled();
 
-        let shadow: Vec<ShadowOp> = if sources.framework {
-            self.shadows
-                .lock()
-                .get(&thread.tid())
-                .cloned()
-                .unwrap_or_default()
-        } else {
-            Vec::new()
+        let mut state = self.threads.slot(thread.tid()).lock();
+        let ThreadState { shadow, python } = &mut *state;
+        let shadow: &[ShadowOp] = if sources.framework { shadow } else { &[] };
+
+        // Forward/backward association: a backward operator on this
+        // thread recovers the forward context recorded under its
+        // sequence id.
+        let assoc: Option<Arc<[Frame]>> = match shadow.first().map(|op| &op.frame) {
+            Some(Frame::Operator {
+                phase: OpPhase::Backward,
+                seq_id: Some(seq),
+                ..
+            }) => self.assoc.lock().get(seq).cloned(),
+            _ => None,
         };
 
-        // Forward/backward association: a backward operator on this thread
-        // recovers the forward context recorded under its sequence id.
-        let assoc: Option<AssocRecord> = shadow
-            .first()
-            .filter(|e| e.phase == OpPhase::Backward)
-            .and_then(|e| e.seq_id)
-            .and_then(|seq| self.assoc.lock().get(&seq).cloned());
-
-        let mut prefix = CallPath::new();
-        let python: Vec<PyFrameInfo> = if !sources.python {
-            Vec::new()
-        } else if let Some(a) = &assoc {
+        let live;
+        let prefix: &[Frame] = if !sources.python {
+            &[]
+        } else if let Some(forward) = &assoc {
             self.stat_assoc_hits.fetch_add(1, Ordering::Relaxed);
-            for f in &a.python {
-                prefix.push(Frame::python(&f.file, f.line, &f.function, &self.interner));
-            }
-            for (name, seq) in &a.operators {
-                prefix.push(Frame::operator_with(
-                    name,
-                    OpPhase::Forward,
-                    *seq,
-                    &self.interner,
-                ));
-            }
-            Vec::new()
-        } else if cache_on {
-            if let Some(innermost) = shadow.last() {
-                self.stat_cache_hits.fetch_add(1, Ordering::Relaxed);
-                innermost.cached_python.clone()
-            } else {
-                thread.python().walk()
-            }
+            forward
+        } else if let (true, Some(innermost)) = (cache_on, shadow.last()) {
+            self.stat_cache_hits.fetch_add(1, Ordering::Relaxed);
+            &innermost.python
         } else {
-            thread.python().walk()
+            live = python.current(thread.python(), &self.interner);
+            &live
         };
 
-        // Native frames. Cached mode (or association) only needs the tail
-        // below the relevant operator: a partial unwind.
-        let (native, operators, depth_offset): (Vec<NativeFrameInfo>, Vec<ShadowOp>, usize) =
-            if !sources.native {
-                (Vec::new(), shadow, 0)
-            } else if (cache_on || assoc.is_some()) && !shadow.is_empty() {
-                let anchor = if assoc.is_some() {
-                    shadow.first().expect("non-empty").native_depth
-                } else {
-                    shadow.last().expect("non-empty").native_depth
-                };
-                let depth_now = thread.native().depth();
-                let needed = depth_now.saturating_sub(anchor);
-                let mut cursor = self.env.unwinder().cursor(thread.native());
-                let mut frames = Vec::with_capacity(needed);
-                for _ in 0..needed {
-                    match cursor.step() {
-                        Some(f) => frames.push(f),
-                        None => break,
-                    }
-                }
-                frames.reverse();
-                (frames, shadow, anchor)
-            } else {
-                (self.env.unwinder().backtrace(thread.native()), shadow, 0)
-            };
-
-        let operators: Vec<ShadowOp> = operators
-            .into_iter()
-            .map(|mut op| {
-                op.native_depth = op.native_depth.saturating_sub(depth_offset);
-                op
-            })
-            .collect();
-
-        let native_is_python = native
-            .iter()
-            .map(|f| self.env.libraries().is_python_pc(f.pc))
-            .collect();
-
-        let input = IntegrationInput {
-            python,
-            operators,
-            native,
-            native_is_python,
+        // Native frames. Cached mode (or association) only needs the
+        // tail below the relevant operator: a partial unwind.
+        let anchor = if assoc.is_some() {
+            shadow.first()
+        } else if cache_on {
+            shadow.last()
+        } else {
+            None
+        }
+        .map(|op| op.native_depth);
+        let (native, native_base): (Vec<NativeFrameInfo>, usize) = if !sources.native {
+            (Vec::new(), 0)
+        } else if let Some(anchor) = anchor {
+            let needed = thread.native().depth().saturating_sub(anchor);
+            let mut cursor = self.env.unwinder().cursor(thread.native());
+            let mut frames = Vec::with_capacity(needed);
+            frames.extend(std::iter::from_fn(|| cursor.step()).take(needed));
+            frames.reverse();
+            (frames, anchor)
+        } else {
+            (self.env.unwinder().backtrace(thread.native()), 0)
         };
-        let mut path = prefix;
-        path.extend_from(&integrate_call_path(&input, &self.interner));
+
+        let mut path = Vec::with_capacity(prefix.len() + shadow.len() + native.len() + leaf_room);
+        integrate_call_path(
+            &mut path,
+            prefix,
+            shadow,
+            &native,
+            native_base,
+            |pc| self.env.libraries().is_python_pc(pc),
+            &self.interner,
+        );
         path
     }
 
@@ -501,27 +569,51 @@ impl DlMonitor {
     /// path plus the GPU API frame and (for launches) the kernel frame —
     /// the full Figure 3(b) shape.
     pub fn callpath_for_gpu(&self, event: &GpuCallbackEvent) -> CallPath {
-        let mut path = event
-            .thread
-            .as_ref()
-            .map(|t| self.callpath_get(t))
-            .unwrap_or_default();
-        let api = event.data.api;
-        path.push(Frame::gpu_api(
-            api.api_name(event.vendor),
-            api.api_library(event.vendor),
-            api_pseudo_pc(api),
-            &self.interner,
-        ));
+        let mut path = match &event.thread {
+            Some(thread) => self.unified_path(thread, 2),
+            None => Vec::with_capacity(2),
+        };
+        path.push(self.api_frame(event.vendor, event.data.api));
         if let Some(kernel) = &event.data.kernel {
-            path.push(Frame::gpu_kernel(
-                &kernel.name,
-                &kernel.module,
-                kernel.entry_pc,
-                &self.interner,
-            ));
+            path.push(self.kernel_frame(kernel));
         }
-        path
+        CallPath::from_frames(path)
+    }
+
+    /// The GPU API frame, interned on first use.
+    fn api_frame(&self, vendor: Vendor, api: ApiKind) -> Frame {
+        self.api_frames[vendor_index(vendor)][api_index(api)]
+            .get_or_init(|| {
+                Frame::gpu_api(
+                    api.api_name(vendor),
+                    api.api_library(vendor),
+                    (api_index(api) as u64 + 1) * 0x10,
+                    &self.interner,
+                )
+            })
+            .clone()
+    }
+
+    /// The kernel's frame, by entry PC. PCs are unique within one module
+    /// only, so a hit is checked against the descriptor it was made from.
+    fn kernel_frame(&self, kernel: &Arc<KernelDesc>) -> Frame {
+        if let Some((known, frame)) = self.kernel_frames.read().get(&kernel.entry_pc) {
+            if Arc::ptr_eq(known, kernel)
+                || (known.name == kernel.name && known.module == kernel.module)
+            {
+                return frame.clone();
+            }
+        }
+        let frame = Frame::gpu_kernel(
+            &kernel.name,
+            &kernel.module,
+            kernel.entry_pc,
+            &self.interner,
+        );
+        self.kernel_frames
+            .write()
+            .insert(kernel.entry_pc, (Arc::clone(kernel), frame.clone()));
+        frame
     }
 
     /// `dlmonitor_finalize`: detaches every interception and clears
@@ -536,14 +628,15 @@ impl DlMonitor {
         for (gpu, sub) in self.attached_gpu.lock().drain(..) {
             gpu.unsubscribe(sub);
         }
-        self.callbacks.write().clear();
-        self.shadows.lock().clear();
+        self.update_callbacks(|_| Arc::from([]));
+        self.threads.clear();
         self.assoc.lock().clear();
+        self.kernel_frames.write().clear();
     }
 
     /// Depth of the shadow stack for a thread (test/diagnostic hook).
     pub fn shadow_depth(&self, tid: u64) -> usize {
-        self.shadows.lock().get(&tid).map(Vec::len).unwrap_or(0)
+        self.threads.slot(tid).lock().shadow.len()
     }
 }
 
@@ -557,14 +650,22 @@ impl std::fmt::Debug for DlMonitor {
     }
 }
 
-/// Stable pseudo-PC for GPU API frames (distinct per API kind).
-fn api_pseudo_pc(api: ApiKind) -> u64 {
+/// Slot of an API kind in the frame table; its stable pseudo-PC
+/// (distinct per API kind) is `(slot + 1) * 0x10`.
+fn api_index(api: ApiKind) -> usize {
     match api {
-        ApiKind::LaunchKernel => 0x10,
-        ApiKind::MemcpyAsync => 0x20,
-        ApiKind::MemAlloc => 0x30,
-        ApiKind::MemFree => 0x40,
-        ApiKind::Synchronize => 0x50,
+        ApiKind::LaunchKernel => 0,
+        ApiKind::MemcpyAsync => 1,
+        ApiKind::MemAlloc => 2,
+        ApiKind::MemFree => 3,
+        ApiKind::Synchronize => 4,
+    }
+}
+
+fn vendor_index(vendor: Vendor) -> usize {
+    match vendor {
+        Vendor::Nvidia => 0,
+        Vendor::Amd => 1,
     }
 }
 

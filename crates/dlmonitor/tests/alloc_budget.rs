@@ -1,0 +1,220 @@
+//! The allocation budget of DLMonitor's steady-state hot path, held by a
+//! counting global allocator so the interned-snapshot design cannot
+//! quietly erode: with the thread's Python version unchanged, an operator
+//! Enter/Exit allocates nothing, a call path allocates once (the returned
+//! frame vector), and a taped forward Enter allocates once (its
+//! association record).
+//!
+//! The framework's own `fire_op` allocates (its callback snapshot), so
+//! operator events are measured against the same events delivered to a
+//! registry holding one no-op callback: the monitor's share is the
+//! difference.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+use std::sync::Arc;
+
+use deepcontext_core::{Interner, OpPhase, ThreadRole, TimeNs};
+use dl_framework::{CallbackRegistry, OpEvent, Site};
+use dlmonitor::{CallPathSources, DlMonitor, GpuCallbackEvent};
+use sim_gpu::{
+    ApiKind, CallbackData, CallbackSite, CorrelationId, DeviceId, KernelDesc, LaunchConfig,
+    StreamId, Vendor,
+};
+use sim_runtime::{PyFrameGuard, PyFrameInfo, RuntimeEnv, ThreadCtx};
+
+thread_local! {
+    /// Allocations made by this thread (tests run on threads of their own).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a thread-local `Cell`
+// with a const initializer and no destructor, so touching it never
+// allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from `System` through this allocator; the
+        // caller's obligations are passed through as they are.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Allocations this thread makes while running `f`.
+fn allocations<R>(f: impl FnOnce() -> R) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    black_box(f());
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+struct Rig {
+    registry: Arc<CallbackRegistry>,
+    monitor: Arc<DlMonitor>,
+    main: Arc<ThreadCtx>,
+    _scopes: Vec<PyFrameGuard>,
+}
+
+/// A monitor attached to a bare callback registry, the default profiler's
+/// sources, and a three-deep Python stack on the main thread.
+fn rig() -> Rig {
+    let env = RuntimeEnv::new();
+    let registry = CallbackRegistry::new();
+    let monitor = DlMonitor::init(&env, Interner::new());
+    monitor.attach_framework(&registry);
+    monitor.set_sources(CallPathSources::without_native());
+    let main = env.threads().spawn(ThreadRole::Main);
+    let scopes = [
+        ("train.py", "train_step"),
+        ("model.py", "forward"),
+        ("layer.py", "attention"),
+    ]
+    .into_iter()
+    .zip(10..)
+    .map(|((file, function), line)| {
+        PyFrameGuard::enter(main.python(), PyFrameInfo::new(file, line, function))
+    })
+    .collect();
+    Rig {
+        registry,
+        monitor,
+        main,
+        _scopes: scopes,
+    }
+}
+
+fn op_event(rig: &Rig, seq_id: Option<u64>, site: Site) -> OpEvent {
+    OpEvent {
+        name: Arc::from("aten::matmul"),
+        phase: OpPhase::Forward,
+        seq_id,
+        site,
+        thread: Arc::clone(&rig.main),
+        inputs: Vec::new(),
+    }
+}
+
+/// What delivering `events` costs a registry with one callback that does
+/// nothing: the framework's own share.
+fn framework_share(events: &[&OpEvent]) -> u64 {
+    let registry = CallbackRegistry::new();
+    registry.on_op(|event| {
+        black_box(event);
+    });
+    allocations(|| events.iter().for_each(|e| registry.fire_op(e)))
+}
+
+#[test]
+fn steady_state_operator_events_allocate_nothing() {
+    let rig = rig();
+    let (enter, exit) = (
+        op_event(&rig, None, Site::Enter),
+        op_event(&rig, None, Site::Exit),
+    );
+    // Warm-up: the first operator takes the Python snapshot, interns the
+    // operator name and sizes the shadow stack.
+    rig.registry.fire_op(&enter);
+    rig.registry.fire_op(&exit);
+
+    let monitored = allocations(|| {
+        for _ in 0..100 {
+            rig.registry.fire_op(&enter);
+            rig.registry.fire_op(&exit);
+        }
+    });
+    assert_eq!(monitored, 100 * framework_share(&[&enter, &exit]));
+}
+
+#[test]
+fn a_call_path_allocates_only_its_frame_vector() {
+    let rig = rig();
+    let launch = GpuCallbackEvent {
+        data: CallbackData {
+            site: CallbackSite::Enter,
+            api: ApiKind::LaunchKernel,
+            correlation_id: CorrelationId(1),
+            device: DeviceId(0),
+            stream: Some(StreamId(0)),
+            kernel: Some(Arc::new(KernelDesc::new(
+                "sgemm_128x64",
+                "libtorch_cuda.so",
+                0x1000,
+                LaunchConfig::new(64, 256),
+            ))),
+            bytes: None,
+            timestamp: TimeNs(0),
+        },
+        vendor: Vendor::Nvidia,
+        thread: Some(Arc::clone(&rig.main)),
+    };
+    rig.registry.fire_op(&op_event(&rig, None, Site::Enter));
+    // Warm-up: interns the GPU API and kernel frames.
+    let warm = rig.monitor.callpath_for_gpu(&launch);
+    assert_eq!(warm.len(), 6, "3 Python + operator + API + kernel");
+
+    assert_eq!(allocations(|| rig.monitor.callpath_for_gpu(&launch)), 1);
+    assert_eq!(allocations(|| rig.monitor.callpath_get(&rig.main)), 1);
+    assert_eq!(rig.monitor.stats().cache_hits, 3);
+}
+
+#[test]
+fn a_taped_forward_enter_allocates_only_its_association_record() {
+    const TAPED: u64 = 64;
+    let rig = rig();
+    let events: Vec<(OpEvent, OpEvent)> = (0..TAPED)
+        .map(|seq| {
+            (
+                op_event(&rig, Some(seq), Site::Enter),
+                op_event(&rig, Some(seq), Site::Exit),
+            )
+        })
+        .collect();
+    let deliver = || {
+        for (enter, exit) in &events {
+            rig.registry.fire_op(enter);
+            rig.registry.fire_op(exit);
+        }
+    };
+    // Warm-up: also grows the association table to its working size,
+    // which clearing keeps.
+    deliver();
+    rig.monitor.clear_associations();
+
+    let (enter, exit) = &events[0];
+    let monitored = allocations(deliver);
+    assert_eq!(
+        monitored,
+        TAPED * (framework_share(&[enter, exit]) + 1),
+        "one association record per taped forward operator"
+    );
+    assert_eq!(rig.monitor.stats().assoc_live, TAPED);
+}

@@ -5,17 +5,72 @@
 
 use std::sync::Arc;
 
-use deepcontext_core::{FrameKind, Interner, OpPhase};
-use dlmonitor::{integrate_call_path, IntegrationInput, ShadowOp};
+use deepcontext_core::{CallPath, Frame, FrameKind, Interner, OpPhase};
+use dlmonitor::{integrate_call_path, ShadowOp};
 use proptest::prelude::*;
-use sim_runtime::{NativeFrameInfo, PyFrameInfo};
+use sim_runtime::NativeFrameInfo;
 
+const INTERP_PC: u64 = 0x1;
+
+/// Source shapes; frames are interned per run against a fresh interner.
 #[derive(Debug, Clone)]
 struct Scenario {
-    input: IntegrationInput,
     n_python: usize,
     n_operators: usize,
     n_native_tail: usize,
+    has_interp: bool,
+}
+
+impl Scenario {
+    fn integrate(&self, interner: &Interner) -> CallPath {
+        let python: Vec<Frame> = (0..self.n_python)
+            .map(|i| Frame::python("model.py", i as u32, "fn", interner))
+            .collect();
+        let mut native = Vec::new();
+        if self.has_interp {
+            native.push(NativeFrameInfo::new(
+                "libpython3.11.so",
+                INTERP_PC,
+                "_PyEval_EvalFrameDefault",
+            ));
+        }
+        let base = native.len();
+        native.extend(
+            (0..self.n_native_tail)
+                .map(|i| NativeFrameInfo::new("libtorch.so", 0x100 + i as u64, "impl")),
+        );
+        // Operators anchored at increasing depths within the tail.
+        let operators: Vec<ShadowOp> = (0..self.n_operators)
+            .map(|i| {
+                let phase = if i % 2 == 0 {
+                    OpPhase::Forward
+                } else {
+                    OpPhase::Backward
+                };
+                ShadowOp {
+                    frame: Frame::operator_with(
+                        &format!("aten::op{i}"),
+                        phase,
+                        Some(i as u64),
+                        interner,
+                    ),
+                    native_depth: base + (i * self.n_native_tail.max(1) / self.n_operators.max(1)),
+                    python: Arc::from([]),
+                }
+            })
+            .collect();
+        let mut path = Vec::new();
+        integrate_call_path(
+            &mut path,
+            &python,
+            &operators,
+            &native,
+            0,
+            |pc| pc == INTERP_PC,
+            interner,
+        );
+        CallPath::from_frames(path)
+    }
 }
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
@@ -25,55 +80,14 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         0usize..8,       // native frames below the interpreter
         prop::bool::ANY, // whether an interpreter frame exists at all
     )
-        .prop_map(|(n_py, n_ops, n_native, has_interp)| {
-            let python: Vec<PyFrameInfo> = (0..n_py)
-                .map(|i| PyFrameInfo::new("model.py", i as u32, "fn"))
-                .collect();
-            let mut native = Vec::new();
-            let mut native_is_python = Vec::new();
-            if has_interp {
-                native.push(NativeFrameInfo::new(
-                    "libpython3.11.so",
-                    0x1,
-                    "_PyEval_EvalFrameDefault",
-                ));
-                native_is_python.push(true);
-            }
-            let base = native.len();
-            for i in 0..n_native {
-                native.push(NativeFrameInfo::new(
-                    "libtorch.so",
-                    0x100 + i as u64,
-                    "impl",
-                ));
-                native_is_python.push(false);
-            }
-            // Operators anchored at increasing depths within the tail.
-            let operators: Vec<ShadowOp> = (0..n_ops)
-                .map(|i| ShadowOp {
-                    name: Arc::from(format!("aten::op{i}")),
-                    phase: if i % 2 == 0 {
-                        OpPhase::Forward
-                    } else {
-                        OpPhase::Backward
-                    },
-                    seq_id: Some(i as u64),
-                    native_depth: base + (i * n_native.max(1) / n_ops.max(1)),
-                    cached_python: Vec::new(),
-                })
-                .collect();
-            Scenario {
-                input: IntegrationInput {
-                    python,
-                    operators,
-                    native,
-                    native_is_python,
-                },
-                n_python: n_py,
-                n_operators: n_ops,
-                n_native_tail: n_native,
-            }
-        })
+        .prop_map(
+            |(n_python, n_operators, n_native_tail, has_interp)| Scenario {
+                n_python,
+                n_operators,
+                n_native_tail,
+                has_interp,
+            },
+        )
 }
 
 proptest! {
@@ -82,7 +96,7 @@ proptest! {
     #[test]
     fn integration_preserves_counts_and_order(scenario in arb_scenario()) {
         let interner = Interner::new();
-        let path = integrate_call_path(&scenario.input, &interner);
+        let path = scenario.integrate(&interner);
         let kinds: Vec<FrameKind> = path.frames().iter().map(|f| f.kind()).collect();
 
         // Counts: every python frame, every operator, and every native
@@ -120,7 +134,7 @@ proptest! {
     #[test]
     fn interpreter_frames_never_survive_integration(scenario in arb_scenario()) {
         let interner = Interner::new();
-        let path = integrate_call_path(&scenario.input, &interner);
+        let path = scenario.integrate(&interner);
         // The libpython frame must be replaced by the Python source path.
         prop_assert!(path
             .frames()
@@ -131,8 +145,8 @@ proptest! {
     #[test]
     fn integration_is_deterministic(scenario in arb_scenario()) {
         let interner = Interner::new();
-        let a = integrate_call_path(&scenario.input, &interner);
-        let b = integrate_call_path(&scenario.input, &interner);
+        let a = scenario.integrate(&interner);
+        let b = scenario.integrate(&interner);
         prop_assert_eq!(a, b);
     }
 }

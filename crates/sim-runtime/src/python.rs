@@ -79,6 +79,13 @@ impl PythonStack {
         self.frames.lock().clone()
     }
 
+    /// Runs `f` over the stack, root-first, without copying it (the
+    /// non-allocating form of [`walk`](Self::walk)). The stack is locked
+    /// for the duration of `f`.
+    pub fn with_frames<R>(&self, f: impl FnOnce(&[PyFrameInfo]) -> R) -> R {
+        f(&self.frames.lock())
+    }
+
     /// Current stack depth.
     pub fn depth(&self) -> usize {
         self.frames.lock().len()
