@@ -201,10 +201,14 @@ fn main() {
     // admits a deterministic 1-in-stride of every stream and records
     // the stride, so estimates rescale exactly.
     let sampled_inner: Arc<dyn EventSink> = ShardedSink::new(Arc::clone(&interner), 4);
-    let supervisor = Supervisor::new(SupervisorConfig {
-        sample_stride: SAMPLE_STRIDE,
-        ..SupervisorConfig::default()
-    });
+    let supervisor = Supervisor::new(
+        SupervisorConfig {
+            sample_stride: SAMPLE_STRIDE,
+            ..SupervisorConfig::default()
+        },
+        None,
+        None,
+    );
     supervisor.force_state(SupervisorState::Degraded);
     let sampled = SupervisorSink::new(sampled_inner, Arc::clone(&supervisor));
     for launch in &stream {
@@ -264,7 +268,10 @@ fn main() {
         let bare: Arc<dyn EventSink> = ShardedSink::new(Interner::new(), 4);
         bare_ns = bare_ns.min(producer_ns_per_event(&stream, bare));
         let inner: Arc<dyn EventSink> = ShardedSink::new(Interner::new(), 4);
-        let wrapped = SupervisorSink::new(inner, Supervisor::new(SupervisorConfig::default()));
+        let wrapped = SupervisorSink::new(
+            inner,
+            Supervisor::new(SupervisorConfig::default(), None, None),
+        );
         wrapped_ns = wrapped_ns.min(producer_ns_per_event(&stream, wrapped));
     }
     let overhead = wrapped_ns / bare_ns;

@@ -3,7 +3,7 @@
 //! inline synchronous attribution, over a coarse (kernel-records-only)
 //! and a fine-grained (PC-sampling, paper §6.7) event stream — with the
 //! asynchronous producer swept across thread-local `launch_batch` sizes
-//! (1 = unbatched).
+//! (1 = flush every event).
 //!
 //! Two headline numbers, both measured at the default batch size:
 //! `producer_speedup` (fine-grained, target ≥ 5x — attribution itself is

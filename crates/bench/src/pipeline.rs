@@ -212,7 +212,7 @@ pub fn measure_sync(
 /// the enqueue path itself (no backpressure, and on few-core hosts no
 /// worker stealing the producer's core mid-measurement) — then resumes
 /// the pool and drains for the end-to-end number. `launch_batch` sets
-/// the thread-local producer-batching threshold (1 = unbatched).
+/// the thread-local producer-batching threshold (1 = flush every event).
 pub fn measure_async(
     label: &str,
     events: &[PipelineEvent],
@@ -262,7 +262,7 @@ pub fn measure_async(
     }
 }
 
-/// The batch sizes the sweep measures (1 = unbatched baseline).
+/// The batch sizes the sweep measures (1 = flush every event).
 pub const BATCH_SWEEP: [usize; 4] = [1, 8, 64, 256];
 
 /// The full comparison: sync inline vs async enqueue over the coarse and
@@ -388,7 +388,8 @@ mod tests {
         // Fine-grained streams attribute instruction samples too.
         assert!(by("fine_sync_inline").counters.instruction_samples > 0);
         assert!(by("fine_async").counters.enqueued_events > 0);
-        // Batched scenarios actually batched; the unbatched ones did not.
+        // Every async scenario travels through the batcher (at batch 1,
+        // one event per flush); sync never does.
         let async_at = |batch: usize| {
             let suffix = format!("_b{batch}");
             points
@@ -399,7 +400,9 @@ mod tests {
         let batched = async_at(DEFAULT_LAUNCH_BATCH);
         assert!(batched.counters.producer_flushes > 0);
         assert!(batched.counters.batched_events > 0);
-        assert_eq!(async_at(1).counters.batched_events, 0);
+        let flush_each = async_at(1).counters;
+        assert!(flush_each.batched_events > 0);
+        assert_eq!(flush_each.producer_flushes, flush_each.batched_events);
         assert_eq!(by("coarse_sync_inline").counters.batched_events, 0);
     }
 

@@ -13,6 +13,8 @@
 
 use std::sync::Arc;
 
+use crate::json::escape_into;
+
 /// One journaled lifecycle event in its persistent form: the sequence
 /// number and monotonic timestamp it was recorded with, its severity,
 /// the site name (an index into [`StoredJournal::names`]) and the
@@ -114,23 +116,24 @@ impl StoredJournal {
         let mut out = String::new();
         for event in &self.events {
             out.push_str(&format!(
-                "{{\"seq\":{},\"ts_ns\":{},\"severity\":\"{}\",\"site\":\"{}\"",
+                "{{\"seq\":{},\"ts_ns\":{},\"severity\":\"{}\",\"site\":\"",
                 event.seq,
                 event.ts_ns,
                 severity_label(event.severity),
-                escape_json(self.site_name(event).unwrap_or("<unknown>")),
             ));
+            escape_into(&mut out, self.site_name(event).unwrap_or("<unknown>"));
+            out.push('"');
             if !event.fields.is_empty() {
                 out.push_str(",\"fields\":{");
                 for (idx, (key, value)) in event.fields.iter().enumerate() {
                     if idx > 0 {
                         out.push(',');
                     }
-                    out.push_str(&format!(
-                        "\"{}\":\"{}\"",
-                        escape_json(key),
-                        escape_json(value)
-                    ));
+                    out.push('"');
+                    escape_into(&mut out, key);
+                    out.push_str("\":\"");
+                    escape_into(&mut out, value);
+                    out.push('"');
                 }
                 out.push('}');
             }
@@ -138,23 +141,6 @@ impl StoredJournal {
         }
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

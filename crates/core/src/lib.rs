@@ -39,6 +39,7 @@ mod frame;
 mod fx;
 mod interner;
 mod journal;
+pub mod json;
 mod metrics;
 mod shard;
 mod timeline;

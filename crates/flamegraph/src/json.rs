@@ -1,23 +1,9 @@
 //! JSON export shaped for WebView consumers (d3-flame-graph compatible):
 //! `{"name": ..., "value": ..., "kind": ..., "children": [...]}`.
 
-use crate::graph::{FlameGraph, FlameNode};
+use deepcontext_core::json::escape_into;
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::graph::{FlameGraph, FlameNode};
 
 impl FlameGraph {
     /// Serialises the graph to a JSON document.
@@ -30,12 +16,11 @@ impl FlameGraph {
 }
 
 fn write_node(node: &FlameNode, out: &mut String) {
+    out.push_str("{\"name\":\"");
+    escape_into(out, &node.label);
     out.push_str(&format!(
-        "{{\"name\":\"{}\",\"kind\":\"{}\",\"value\":{},\"hot\":{}",
-        escape_json(&node.label),
-        node.kind,
-        node.value,
-        node.hot
+        "\",\"kind\":\"{}\",\"value\":{},\"hot\":{}",
+        node.kind, node.value, node.hot
     ));
     if !node.issues.is_empty() {
         out.push_str(",\"issues\":[");
@@ -43,10 +28,9 @@ fn write_node(node: &FlameNode, out: &mut String) {
             if idx > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"severity\":\"{severity}\",\"message\":\"{}\"}}",
-                escape_json(message)
-            ));
+            out.push_str(&format!("{{\"severity\":\"{severity}\",\"message\":\""));
+            escape_into(out, message);
+            out.push_str("\"}");
         }
         out.push(']');
     }

@@ -7,9 +7,8 @@
 //! channel — no shard lock, no tree mutation, no metric fold on the
 //! producer's critical path. A configurable worker pool drains the
 //! channels and drives the events through the same
-//! [`ShardedSink`] per-shard entry points the synchronous mode uses
-//! ([`ShardedSink::apply_launch`] et al.), so the two modes cannot drift
-//! apart semantically.
+//! [`ShardedSink`] per-shard attribution code the synchronous mode uses,
+//! so the two modes cannot drift apart semantically.
 //!
 //! # Ordering
 //!
@@ -20,11 +19,20 @@
 //!   worker *i* mod `workers`), so a launch is always applied before the
 //!   activity records that resolve through its correlation — the
 //!   activity can only be enqueued after the launch callback returned.
-//! * **Enqueue-time route binding.** The producer registers
-//!   `correlation → shard` in the directory *before* the launch event is
-//!   applied ([`ShardedSink::bind_route`]), so activity records that
-//!   arrive while the launch is still queued route to the same shard and
-//!   find the binding once the worker reaches it.
+//! * **Flush-time route binding.** A producer flush registers
+//!   `correlation → shard` in the directory for every launch it carries
+//!   *before* any of them is enqueued ([`ShardedSink::bind_batch`]), so
+//!   activity records that arrive while a launch is still queued route
+//!   to the same shard and find the binding once the worker reaches it.
+//!
+//! # One message path
+//!
+//! Launches and CPU samples always travel through the thread-local
+//! [`Batcher`] and reach a shard queue as [`Event::Batch`] messages;
+//! [`PipelineConfig::launch_batch`] only sets how many events a thread
+//! buffers before it flushes (`1` = flush after every event, one
+//! single-event message each). Activity buckets arrive pre-batched from
+//! the GPU runtime and enqueue directly, after a global producer flush.
 //!
 //! # Backpressure
 //!
@@ -67,12 +75,12 @@ use crossbeam::channel::{self, TrySendError};
 use deepcontext_core::failpoint::sites as fp_sites;
 use deepcontext_core::{CallPath, CallingContextTree, Failpoints, MetricKind, TrackKey};
 use deepcontext_telemetry::{
-    journal_sites, names, Counter, Gauge, Histogram, Journal, JournalSeverity,
+    journal_sites, names, Counter, Gauge, Histogram, Journal, JournalSeverity, Telemetry,
 };
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind};
 
-use crate::batch::{BatchCounters, Batcher, ProducerEvent};
+use crate::batch::{Batcher, ProducerEvent};
 use crate::self_telemetry::PipelineTelemetry;
 use crate::sharded::ShardedSink;
 use crate::sink::{EventSink, SinkCounters};
@@ -96,9 +104,8 @@ pub struct PipelineConfig {
     /// Attribution worker threads. `0` = auto: one per shard, capped at
     /// the host's available parallelism.
     pub workers: usize,
-    /// Bounded capacity of each shard's queue, in messages (one launch,
-    /// one CPU sample, one routed activity bucket, or one flushed
-    /// thread-local batch per message).
+    /// Bounded capacity of each shard's queue, in messages (one routed
+    /// activity bucket or one flushed thread-local batch per message).
     pub queue_capacity: usize,
     /// What producers do when a shard queue is full.
     pub backpressure: BackpressurePolicy,
@@ -107,8 +114,8 @@ pub struct PipelineConfig {
     /// one striped-directory bind pass plus one channel batch-push per
     /// shard — when this many events are pending, at every barrier
     /// (flush / snapshot / finish / epoch / counters), before any
-    /// activity delivery, and on thread exit. `1` disables batching
-    /// (every event is enqueued as it happens). Like every other field
+    /// activity delivery, and on thread exit. `1` flushes after every
+    /// event (one single-event message each). Like every other field
     /// here it applies to asynchronous mode only: the synchronous
     /// pipeline attributes inline and never buffers.
     pub launch_batch: usize,
@@ -154,17 +161,7 @@ impl PipelineConfig {
 /// One message through a shard queue. Activity buckets are pre-routed by
 /// the producer, so a message never needs re-routing on the worker.
 enum Event {
-    Launch {
-        origin: EventOrigin,
-        path: CallPath,
-        api: ApiKind,
-    },
     Activities(Vec<Activity>),
-    Sample {
-        path: CallPath,
-        metric: MetricKind,
-        value: f64,
-    },
     /// One flushed thread-local producer batch (launches and samples in
     /// buffer order), applied under a single shard-lock acquisition.
     Batch(Vec<ProducerEvent>),
@@ -179,20 +176,17 @@ impl Event {
         match self {
             Event::Activities(batch) => batch.len() as u64,
             Event::Batch(events) => events.len() as u64,
-            Event::Launch { .. } | Event::Sample { .. } => 1,
             Event::Epoch => 0,
         }
     }
 }
 
 /// The context a dropped message would have attributed to, when it
-/// carries one: launches and samples carry their call path, flushed
-/// producer batches yield their first event's path. Activity buckets
-/// carry only correlations (their context lives in the shard) and epochs
-/// carry nothing — neither contributes a victim sample.
+/// carries one: flushed producer batches yield their first event's path.
+/// Activity buckets carry only correlations (their context lives in the
+/// shard) and epochs carry nothing — neither contributes a victim sample.
 fn victim_path(event: &Event) -> Option<&CallPath> {
     match event {
-        Event::Launch { path, .. } | Event::Sample { path, .. } => Some(path),
         Event::Batch(events) => events.first().map(|e| match e {
             ProducerEvent::Launch { path, .. } | ProducerEvent::Sample { path, .. } => path,
         }),
@@ -294,17 +288,12 @@ const DROP_SAMPLE_STRIDE: u64 = 16;
 /// sustained overload; the ring keeps the *most recent* victims.
 const DROP_SAMPLE_RING: usize = 32;
 
-/// The asynchronous layer's pre-registered telemetry handles: per-shard
-/// queue-depth histograms plus the global enqueue/drop counters and
-/// queue gauges. Built once at [`AsyncSink::new`] from the wrapped
+/// The asynchronous layer's telemetry-only instruments: the per-shard
+/// queue-depth histograms (the always-maintained counters live in
+/// [`Shared`] itself). Built once at [`AsyncSink::new`] from the wrapped
 /// sink's [`PipelineTelemetry`]; absent when telemetry is off.
 struct SharedTelemetry {
     pipeline: Arc<PipelineTelemetry>,
-    enqueued: Arc<Counter>,
-    dropped: Arc<Counter>,
-    poisoned: Arc<Counter>,
-    worker_panics: Arc<Counter>,
-    max_depth: Arc<Gauge>,
     queue_depth: Vec<Arc<Histogram>>,
 }
 
@@ -332,7 +321,9 @@ impl WorkerTelemetry {
 
 /// State shared by producers, the [`Batcher`] and the worker pool.
 pub(crate) struct Shared {
-    inner: Arc<ShardedSink>,
+    /// The sharded sink holding the profile state (and the routing
+    /// directory producer flushes bind into).
+    pub(crate) inner: Arc<ShardedSink>,
     queues: Vec<ShardQueue>,
     parkers: Vec<Parker>,
     policy: BackpressurePolicy,
@@ -354,17 +345,23 @@ pub(crate) struct Shared {
     /// Serializes `<dropped>`-telemetry publication (see
     /// [`publish_drops`](Shared::publish_drops)).
     drop_publish: Mutex<()>,
-    // Pipeline counters.
-    enqueued_events: AtomicU64,
-    dropped_events: AtomicU64,
-    poisoned_events: AtomicU64,
-    worker_panics: AtomicU64,
-    max_queue_depth: AtomicU64,
+    // Pipeline counters. The first five are the telemetry registry's own
+    // series when telemetry is on (free-standing otherwise), so
+    // `SinkCounters`, `HealthReport` and a scrape read the same atomics.
+    events_enqueued: Arc<Counter>,
+    events_dropped: Arc<Counter>,
+    events_poisoned: Arc<Counter>,
+    worker_panics: Arc<Counter>,
+    max_queue_depth: Arc<Gauge>,
     drain_waits: AtomicU64,
     worker_batches: AtomicU64,
     worker_events: AtomicU64,
-    producer_batches: BatchCounters,
-    /// Self-telemetry handles (`None` = telemetry off).
+    /// Per-shard thread-local batch deliveries, and the events they
+    /// carried ([`SinkCounters::producer_flushes`] /
+    /// [`SinkCounters::batched_events`]).
+    producer_flushes: AtomicU64,
+    batched_events: AtomicU64,
+    /// Telemetry-only instruments (`None` = telemetry off).
     telemetry: Option<SharedTelemetry>,
     /// Incident journal (`None` = journaling off), shared with the inner
     /// sink so every pipeline layer appends to one causal record.
@@ -393,25 +390,13 @@ impl Shared {
             .saturating_sub(q.applied.load(Ordering::Acquire))
     }
 
-    /// Counts `weight` events as accepted, mirroring into telemetry when
-    /// it is on.
-    fn note_enqueued(&self, weight: u64) {
-        self.enqueued_events.fetch_add(weight, Ordering::Relaxed);
-        if let Some(t) = &self.telemetry {
-            t.enqueued.add(weight);
-        }
-    }
-
-    /// Counts `weight` events as dropped, mirroring into telemetry when
-    /// it is on. With journaling on, the first drop after a clean window
-    /// opens a *drop storm*: one onset event now, one end event at the
-    /// first drain barrier that completes afterwards — the journal shows
-    /// the storm's extent, not one entry per evicted message.
+    /// Counts `weight` events as dropped. With journaling on, the first
+    /// drop after a clean window opens a *drop storm*: one onset event
+    /// now, one end event at the first drain barrier that completes
+    /// afterwards — the journal shows the storm's extent, not one entry
+    /// per evicted message.
     fn note_dropped(&self, weight: u64) {
-        self.dropped_events.fetch_add(weight, Ordering::Relaxed);
-        if let Some(t) = &self.telemetry {
-            t.dropped.add(weight);
-        }
+        self.events_dropped.add(weight);
         if let Some(journal) = &self.journal {
             self.storm_dropped.fetch_add(weight, Ordering::Relaxed);
             if !self.in_drop_storm.swap(true, Ordering::AcqRel) {
@@ -425,20 +410,13 @@ impl Shared {
     }
 
     /// Counts `weight` events of shard `shard` as poisoned (lost to a
-    /// caught worker panic), mirroring into telemetry when it is on.
-    /// Snapshot paths publish the per-shard tally into the shard's
-    /// synthetic `<poisoned>` context.
+    /// caught worker panic). Snapshot paths publish the per-shard tally
+    /// into the shard's synthetic `<poisoned>` context.
     fn note_poisoned(&self, shard: usize, weight: u64) {
-        if weight == 0 {
-            return;
-        }
-        self.poisoned_events.fetch_add(weight, Ordering::Relaxed);
+        self.events_poisoned.add(weight);
         self.queues[shard]
             .poisoned
             .fetch_add(weight, Ordering::Relaxed);
-        if let Some(t) = &self.telemetry {
-            t.poisoned.add(weight);
-        }
     }
 
     fn is_quarantined(&self, shard: usize) -> bool {
@@ -448,11 +426,8 @@ impl Shared {
     /// Records one caught worker panic and quarantines the shard whose
     /// apply unwound.
     fn record_worker_panic(&self, shard: usize) {
-        self.worker_panics.fetch_add(1, Ordering::Relaxed);
+        self.worker_panics.inc();
         let already = self.quarantined[shard].swap(true, Ordering::Release);
-        if let Some(t) = &self.telemetry {
-            t.worker_panics.add(1);
-        }
         if let Some(journal) = &self.journal {
             if !already {
                 journal.record(
@@ -504,26 +479,6 @@ impl Shared {
         }
     }
 
-    /// The quarantined-shard drain loop: messages keep retiring (so
-    /// drain barriers and shutdown never hang on a poisoned shard) but
-    /// nothing touches the shard's tree except flush boundaries.
-    fn drain_quarantined_shard(&self, idx: usize) -> u64 {
-        let q = &self.queues[idx];
-        let mut messages = 0u64;
-        let mut events = 0u64;
-        while messages < COALESCE as u64 {
-            let Ok(event) = q.rx.try_recv() else { break };
-            messages += 1;
-            events += event.weight();
-            self.poison_message(idx, &event);
-            self.retire(idx, 1);
-        }
-        if q.pending_epochs.swap(0, Ordering::Acquire) > 0 {
-            let _ = catch_unwind(AssertUnwindSafe(|| self.inner.epoch_complete_shard(idx)));
-        }
-        events
-    }
-
     /// 1-in-K victim sampling at `DropOldest` eviction time: when the
     /// shard's evicted-event count crosses a [`DROP_SAMPLE_STRIDE`]
     /// boundary, the evicted message's already-bound context joins the
@@ -552,10 +507,9 @@ impl Shared {
 
     /// Records the queue depth observed by an enqueue at `shard`.
     fn note_depth(&self, shard: usize, depth: u64) {
-        self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
+        self.max_queue_depth.record_max(depth);
         if let Some(t) = &self.telemetry {
             t.queue_depth[shard].record(depth);
-            t.max_depth.record_max(depth);
         }
     }
 
@@ -571,77 +525,63 @@ impl Shared {
 
     /// Enqueues one message to `shard`, honouring the backpressure
     /// policy, and nudges the owning worker.
-    fn enqueue(&self, shard: usize, event: Event) {
+    fn enqueue(&self, shard: usize, mut event: Event) {
+        if self.policy == BackpressurePolicy::Block {
+            return self.enqueue_run(shard, vec![event]);
+        }
         self.failpoints
             .stall_at(fp_sites::QUEUE_STALL, shard as u64);
         let weight = event.weight();
         let q = &self.queues[shard];
-        match self.policy {
-            BackpressurePolicy::Block => {
-                if q.tx.send(event).is_err() {
+        loop {
+            match q.tx.try_send(event) {
+                Ok(()) => break,
+                Err(TrySendError::Full(back)) => {
+                    match q.rx.try_recv() {
+                        Ok(Event::Epoch) => {
+                            // Flush boundaries are control flow, never
+                            // data: a displaced marker is deferred, not
+                            // dropped — the owning worker applies it at
+                            // the end of its next pass. Applying an epoch
+                            // late only delays retirement (the
+                            // conservative direction), and never blocks
+                            // this producer.
+                            self.retire(shard, 1);
+                            q.pending_epochs.fetch_add(1, Ordering::Release);
+                        }
+                        Ok(old) => {
+                            // Evict the oldest data message; its events
+                            // are gone and counted (both globally and per
+                            // shard, so the synthetic `<dropped>` context
+                            // can localize the overload), and any
+                            // correlation state that only the evicted
+                            // message would have retired is discarded
+                            // with it — otherwise every dropped launch or
+                            // terminal record would leak its
+                            // directory/shard binding forever.
+                            let weight = old.weight();
+                            self.note_dropped(weight);
+                            q.dropped.fetch_add(weight, Ordering::Relaxed);
+                            self.sample_victim(shard, &old, weight);
+                            self.discard_bindings_of(&old);
+                            self.retire(shard, 1);
+                        }
+                        Err(_) => {}
+                    }
+                    event = back;
+                }
+                Err(TrySendError::Disconnected(_)) => {
                     // Workers are gone (sink shutting down); account the
                     // message as retired so barriers never hang.
                     self.note_dropped(weight);
-                    self.note_enqueued(weight);
+                    self.events_enqueued.add(weight);
                     q.enqueued.fetch_add(1, Ordering::AcqRel);
                     self.retire(shard, 1);
                     return;
                 }
             }
-            BackpressurePolicy::DropOldest => {
-                let mut event = event;
-                loop {
-                    match q.tx.try_send(event) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(back)) => {
-                            match q.rx.try_recv() {
-                                Ok(Event::Epoch) => {
-                                    // Flush boundaries are control flow,
-                                    // never data: a displaced marker is
-                                    // deferred, not dropped — the owning
-                                    // worker applies it at the end of
-                                    // its next pass. Applying an epoch
-                                    // late only delays retirement (the
-                                    // conservative direction), and never
-                                    // blocks this producer.
-                                    self.retire(shard, 1);
-                                    q.pending_epochs.fetch_add(1, Ordering::Release);
-                                }
-                                Ok(old) => {
-                                    // Evict the oldest data message; its
-                                    // events are gone and counted (both
-                                    // globally and per shard, so the
-                                    // synthetic `<dropped>` context can
-                                    // localize the overload), and any
-                                    // correlation state that only the
-                                    // evicted message would have retired
-                                    // is discarded with it — otherwise
-                                    // every dropped launch or terminal
-                                    // record would leak its
-                                    // directory/shard binding forever.
-                                    let weight = old.weight();
-                                    self.note_dropped(weight);
-                                    q.dropped.fetch_add(weight, Ordering::Relaxed);
-                                    self.sample_victim(shard, &old, weight);
-                                    self.discard_bindings_of(&old);
-                                    self.retire(shard, 1);
-                                }
-                                Err(_) => {}
-                            }
-                            event = back;
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            self.note_dropped(weight);
-                            self.note_enqueued(weight);
-                            q.enqueued.fetch_add(1, Ordering::AcqRel);
-                            self.retire(shard, 1);
-                            return;
-                        }
-                    }
-                }
-            }
         }
-        self.note_enqueued(weight);
+        self.events_enqueued.add(weight);
         let enq = q.enqueued.fetch_add(1, Ordering::AcqRel) + 1;
         let depth = enq.saturating_sub(q.applied.load(Ordering::Acquire));
         self.note_depth(shard, depth);
@@ -671,6 +611,8 @@ impl Shared {
         }
         match self.policy {
             BackpressurePolicy::Block => {
+                self.failpoints
+                    .stall_at(fp_sites::QUEUE_STALL, shard as u64);
                 let weight: u64 = run.iter().map(Event::weight).sum();
                 let messages = run.len() as u64;
                 let q = &self.queues[shard];
@@ -678,11 +620,11 @@ impl Shared {
                 if let Err(channel::SendError(rest)) = q.tx.send_batch(run) {
                     // Workers are gone (sink shutting down); account the
                     // unsent remainder as dropped-and-retired so barriers
-                    // never hang (mirrors `enqueue`'s disconnect path).
+                    // never hang.
                     lost = rest.len() as u64;
                     self.note_dropped(rest.iter().map(Event::weight).sum());
                 }
-                self.note_enqueued(weight);
+                self.events_enqueued.add(weight);
                 let enq = q.enqueued.fetch_add(messages, Ordering::AcqRel) + messages;
                 if lost > 0 {
                     self.retire(shard, lost);
@@ -733,21 +675,17 @@ impl Shared {
         }
     }
 
-    /// Discards the correlation state an evicted message leaves behind:
-    /// a dropped launch unbinds its enqueue-time route (and any shard
-    /// binding, had a duplicate already been applied), a dropped bucket
-    /// unbinds the correlations of its *terminal* records (nothing else
-    /// will ever retire them; later records for those correlations — if
-    /// any survive — fall to the orphan context, the documented drop
-    /// semantics). Sampling records are non-terminal and keep their
-    /// correlation live for the kernel record behind them.
+    /// Discards the correlation state an evicted or poisoned message
+    /// leaves behind: a producer batch unbinds its launches' flush-time
+    /// routes (and any shard binding, had a duplicate already been
+    /// applied), an activity bucket unbinds the correlations of its
+    /// *terminal* records (nothing else will ever retire them; later
+    /// records for those correlations — if any survive — fall to the
+    /// orphan context, the documented drop semantics). Sampling records
+    /// are non-terminal and keep their correlation live for the kernel
+    /// record behind them.
     fn discard_bindings_of(&self, event: &Event) {
         match event {
-            Event::Launch { origin, .. } => {
-                if let Some(corr) = origin.correlation {
-                    self.inner.discard_correlation(corr.0);
-                }
-            }
             Event::Activities(batch) => {
                 for activity in batch {
                     if !matches!(activity.kind, ActivityKind::PcSampling { .. }) {
@@ -767,7 +705,7 @@ impl Shared {
                     }
                 }
             }
-            Event::Sample { .. } | Event::Epoch => {}
+            Event::Epoch => {}
         }
     }
 
@@ -893,11 +831,11 @@ impl Shared {
     /// ([`ShardedSink::apply_activity_buckets`]), which amortizes the
     /// fold cost of a busy shard across flush boundaries while keeping
     /// one two-phase-prune batch per original bucket (so resident
-    /// correlation state never grows with the worker's backlog).
+    /// correlation state never grows with the worker's backlog). A
+    /// quarantined shard's messages keep retiring through the same loop
+    /// (so drain barriers and shutdown never hang on it), but nothing
+    /// touches its tree except flush boundaries.
     fn drain_shard(&self, idx: usize) -> u64 {
-        if self.is_quarantined(idx) {
-            return self.drain_quarantined_shard(idx);
-        }
         let q = &self.queues[idx];
         let mut messages = 0u64;
         let mut events = 0u64;
@@ -911,25 +849,20 @@ impl Shared {
         // keeps retiring — so barriers never hang on a poisoned shard.
         let flush_run = |run: &mut Vec<Vec<Activity>>, run_records: &mut usize| {
             if !run.is_empty() {
+                let retired = run.len() as u64;
                 if self.apply_isolated(idx, || self.inner.apply_activity_buckets(idx, run)) {
                     self.inner.note_peak();
                     self.worker_events
                         .fetch_add(*run_records as u64, Ordering::Relaxed);
+                    run.clear();
                 } else {
-                    // The whole coalesced run is poisoned; its terminal
-                    // records' correlation state dies with it (nothing
-                    // will ever retire it).
-                    self.note_poisoned(idx, *run_records as u64);
-                    for bucket in run.iter() {
-                        for activity in bucket {
-                            if !matches!(activity.kind, ActivityKind::PcSampling { .. }) {
-                                self.inner.discard_correlation(activity.correlation_id.0);
-                            }
-                        }
+                    // The whole coalesced run is poisoned, bucket by
+                    // bucket.
+                    for bucket in run.drain(..) {
+                        self.poison_message(idx, &Event::Activities(bucket));
                     }
                 }
-                self.retire(idx, run.len() as u64);
-                run.clear();
+                self.retire(idx, retired);
                 *run_records = 0;
             }
         };
@@ -943,26 +876,14 @@ impl Shared {
                 flush_run(&mut run, &mut run_records);
             }
             if self.is_quarantined(idx) {
-                // The flush above (or an earlier message) quarantined the
-                // shard mid-pass: everything still in hand is poisoned.
+                // Quarantined before this pass, or mid-pass by the flush
+                // above or an earlier message: everything still in hand
+                // is poisoned.
                 self.poison_message(idx, &event);
                 self.retire(idx, 1);
                 continue;
             }
             match event {
-                Event::Launch { origin, path, api } => {
-                    if self
-                        .apply_isolated(idx, || self.inner.apply_launch(idx, &origin, &path, api))
-                    {
-                        self.worker_events.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.note_poisoned(idx, 1);
-                        if let Some(corr) = origin.correlation {
-                            self.inner.discard_correlation(corr.0);
-                        }
-                    }
-                    self.retire(idx, 1);
-                }
                 Event::Activities(batch) => {
                     run_records += batch.len();
                     run.push(batch);
@@ -970,33 +891,12 @@ impl Shared {
                         flush_run(&mut run, &mut run_records);
                     }
                 }
-                Event::Sample {
-                    path,
-                    metric,
-                    value,
-                } => {
-                    if self.apply_isolated(idx, || {
-                        self.inner.apply_cpu_sample(idx, &path, metric, value)
-                    }) {
-                        self.worker_events.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.note_poisoned(idx, 1);
-                    }
-                    self.retire(idx, 1);
-                }
-                Event::Batch(batch) => {
-                    if self.apply_isolated(idx, || self.inner.apply_producer_batch(idx, &batch)) {
+                Event::Batch(ref batch) => {
+                    if self.apply_isolated(idx, || self.inner.apply_producer_batch(idx, batch)) {
                         self.worker_events
                             .fetch_add(batch.len() as u64, Ordering::Relaxed);
                     } else {
-                        self.note_poisoned(idx, batch.len() as u64);
-                        for event in &batch {
-                            if let ProducerEvent::Launch { origin, .. } = event {
-                                if let Some(corr) = origin.correlation {
-                                    self.inner.discard_correlation(corr.0);
-                                }
-                            }
-                        }
+                        self.poison_message(idx, &event);
                     }
                     self.retire(idx, 1);
                 }
@@ -1011,7 +911,11 @@ impl Shared {
         // eviction (see `enqueue`): one application covers any number of
         // them, since back-to-back epochs are a no-op after the first.
         if q.pending_epochs.swap(0, Ordering::Acquire) > 0 {
-            let _ = self.apply_isolated(idx, || self.inner.epoch_complete_shard(idx));
+            if self.is_quarantined(idx) {
+                self.poison_message(idx, &Event::Epoch);
+            } else {
+                let _ = self.apply_isolated(idx, || self.inner.epoch_complete_shard(idx));
+            }
         }
         events
     }
@@ -1035,15 +939,12 @@ impl Shared {
 /// The [`Batcher`]'s side of the pipeline: where flushed thread-local
 /// batches bind their routes and enter the queues.
 impl Shared {
-    /// The sharded sink owning the routing directory flushes bind into.
-    pub(crate) fn sharded(&self) -> &ShardedSink {
-        &self.inner
-    }
-
     /// Enqueues one shard's flushed events in buffer order. The flush
     /// has already directory-bound every launch correlation in the batch.
     pub(crate) fn deliver(&self, shard: usize, mut events: Vec<ProducerEvent>) {
-        self.producer_batches.record(events.len() as u64);
+        self.producer_flushes.fetch_add(1, Ordering::Relaxed);
+        self.batched_events
+            .fetch_add(events.len() as u64, Ordering::Relaxed);
         // One `Batch` message per `MESSAGE_GRAIN` events: the whole run
         // goes through the channel's single-notify batch push, while
         // keeping queue-message granularity bounded — `queue_capacity`
@@ -1073,10 +974,9 @@ impl Shared {
 /// actual profile state.
 pub struct AsyncSink {
     pub(crate) shared: Arc<Shared>,
-    /// Thread-local producer batching (`None` when
-    /// [`PipelineConfig::launch_batch`] is 1: events enqueue as they
-    /// happen, the pre-batching behaviour).
-    batcher: Option<Batcher>,
+    /// Thread-local producer batching: the one route launches and CPU
+    /// samples take into the queues.
+    batcher: Batcher,
     workers: usize,
     handles: Vec<JoinHandle<()>>,
 }
@@ -1092,11 +992,6 @@ impl AsyncSink {
                 .gauge(names::QUEUE_CAPACITY, &[])
                 .set(config.queue_capacity as u64);
             SharedTelemetry {
-                enqueued: handle.counter(names::EVENTS_ENQUEUED, &[]),
-                dropped: handle.counter(names::EVENTS_DROPPED, &[]),
-                poisoned: handle.counter(names::EVENTS_POISONED, &[]),
-                worker_panics: handle.counter(names::WORKER_PANICS, &[]),
-                max_depth: handle.gauge(names::MAX_QUEUE_DEPTH, &[]),
                 queue_depth: (0..shards)
                     .map(|idx| {
                         let label = idx.to_string();
@@ -1106,6 +1001,8 @@ impl AsyncSink {
                 pipeline: Arc::clone(pipeline),
             }
         });
+        let registry = inner.telemetry().map(|pipeline| pipeline.handle());
+        let counter = |name| Telemetry::counter_or_detached(registry, name);
         let shared = Arc::new(Shared {
             telemetry,
             queues: (0..shards)
@@ -1137,22 +1034,22 @@ impl AsyncSink {
             drain_cv: Condvar::new(),
             drain_waiters: AtomicUsize::new(0),
             drop_publish: Mutex::new(()),
-            enqueued_events: AtomicU64::new(0),
-            dropped_events: AtomicU64::new(0),
-            poisoned_events: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            max_queue_depth: AtomicU64::new(0),
+            events_enqueued: counter(names::EVENTS_ENQUEUED),
+            events_dropped: counter(names::EVENTS_DROPPED),
+            events_poisoned: counter(names::EVENTS_POISONED),
+            worker_panics: counter(names::WORKER_PANICS),
+            max_queue_depth: Telemetry::gauge_or_detached(registry, names::MAX_QUEUE_DEPTH),
             drain_waits: AtomicU64::new(0),
             worker_batches: AtomicU64::new(0),
             worker_events: AtomicU64::new(0),
-            producer_batches: BatchCounters::default(),
+            producer_flushes: AtomicU64::new(0),
+            batched_events: AtomicU64::new(0),
             journal: inner.journal().cloned(),
             in_drop_storm: AtomicBool::new(false),
             storm_dropped: AtomicU64::new(0),
             inner,
         });
-        let batcher = (config.launch_batch > 1)
-            .then(|| Batcher::new(Arc::clone(&shared), config.launch_batch));
+        let batcher = Batcher::new(Arc::clone(&shared), config.launch_batch);
         let handles = (0..workers)
             .map(|w| {
                 let shared = Arc::clone(&shared);
@@ -1169,10 +1066,7 @@ impl AsyncSink {
                             match catch_unwind(AssertUnwindSafe(|| shared.worker_loop(w))) {
                                 Ok(()) => break,
                                 Err(_) => {
-                                    shared.worker_panics.fetch_add(1, Ordering::Relaxed);
-                                    if let Some(t) = &shared.telemetry {
-                                        t.worker_panics.add(1);
-                                    }
+                                    shared.worker_panics.inc();
                                     if let Some(journal) = &shared.journal {
                                         journal.record(
                                             JournalSeverity::Error,
@@ -1198,14 +1092,6 @@ impl AsyncSink {
         })
     }
 
-    /// Flushes every thread's pending producer batch into the queues
-    /// (without waiting for attribution). No-op when batching is off.
-    fn flush_producers(&self) {
-        if let Some(batcher) = &self.batcher {
-            batcher.flush_all();
-        }
-    }
-
     /// The wrapped synchronous sink holding the profile state.
     pub fn inner(&self) -> &Arc<ShardedSink> {
         &self.shared.inner
@@ -1221,8 +1107,15 @@ impl AsyncSink {
     /// first. All snapshot paths call this implicitly; it is public for
     /// tests and for explicit quiesce points.
     pub fn drain(&self) {
-        self.flush_producers();
+        self.batcher.flush_all();
         self.shared.drain();
+    }
+
+    /// The barrier every snapshot path runs first: [`drain`](Self::drain),
+    /// then fold the `<dropped>` / `<poisoned>` tallies into the shards.
+    fn settle(&self) {
+        self.drain();
+        self.shared.publish_drops();
     }
 
     /// Parks the worker pool (and blocks until every worker is parked):
@@ -1274,30 +1167,14 @@ impl AsyncSink {
 
 impl EventSink for AsyncSink {
     fn gpu_launch(&self, origin: &EventOrigin, path: CallPath, api: ApiKind) {
-        let idx = self.shared.inner.route(origin);
-        if let Some(batcher) = &self.batcher {
-            // Batched fast path: append to this thread's buffer; the
-            // flush binds the whole batch's correlations in one striped
-            // pass and pushes one message run per shard.
-            batcher.push(
-                idx,
-                ProducerEvent::Launch {
-                    origin: *origin,
-                    path,
-                    api,
-                },
-            );
-            return;
-        }
-        if let Some(corr) = origin.correlation {
-            // Bind the route before the event is visible anywhere, so
-            // activity records arriving while this launch is queued
-            // route to the same shard (module docs: ordering).
-            self.shared.inner.bind_route(corr.0, idx);
-        }
-        self.shared.enqueue(
-            idx,
-            Event::Launch {
+        // Append to this thread's buffer; the flush binds the whole
+        // batch's correlations in one striped pass — before any of it is
+        // visible, so activity records arriving while a launch is queued
+        // route to the same shard (module docs: ordering) — and pushes
+        // one message run per shard.
+        self.batcher.push(
+            self.shared.inner.route(origin),
+            ProducerEvent::Launch {
                 origin: *origin,
                 path,
                 api,
@@ -1309,12 +1186,10 @@ impl EventSink for AsyncSink {
         if batch.is_empty() {
             return;
         }
-        if let Some(batcher) = &self.batcher {
-            // Activity records resolve through launches' correlations, so
-            // every buffered launch anywhere must be bound (and ahead in
-            // its shard's FIFO) before these records route.
-            batcher.flush_all();
-        }
+        // Activity records resolve through launches' correlations, so
+        // every buffered launch anywhere must be bound (and ahead in its
+        // shard's FIFO) before these records route.
+        self.batcher.flush_all();
         // Route every record once, then move records into buckets — no
         // activity (or PC-sample payload) is ever cloned on this path.
         for (idx, bucket) in self.shared.inner.partition_activities(batch) {
@@ -1323,21 +1198,9 @@ impl EventSink for AsyncSink {
     }
 
     fn cpu_sample(&self, origin: &EventOrigin, path: CallPath, metric: MetricKind, value: f64) {
-        let idx = self.shared.inner.route(origin);
-        if let Some(batcher) = &self.batcher {
-            batcher.push(
-                idx,
-                ProducerEvent::Sample {
-                    path,
-                    metric,
-                    value,
-                },
-            );
-            return;
-        }
-        self.shared.enqueue(
-            idx,
-            Event::Sample {
+        self.batcher.push(
+            self.shared.inner.route(origin),
+            ProducerEvent::Sample {
                 path,
                 metric,
                 value,
@@ -1352,13 +1215,11 @@ impl EventSink for AsyncSink {
         // the boundary itself, exactly as in synchronous mode (where
         // `activity_batch` returns before `epoch_complete` starts
         // trimming).
-        self.flush_producers();
-        if let Some(batcher) = &self.batcher {
-            // Epochs are quiescent points: shed the flush-window capacity
-            // thread-local buffers retain, like the shard/directory trims
-            // below.
-            batcher.trim();
-        }
+        self.batcher.flush_all();
+        // Epochs are quiescent points: shed the flush-window capacity
+        // thread-local buffers retain, like the shard/directory trims
+        // below.
+        self.batcher.trim();
         self.shared.drain();
         // Then propagate the boundary through every shard queue in event
         // order and wait for the trims to land.
@@ -1378,23 +1239,17 @@ impl EventSink for AsyncSink {
     }
 
     fn snapshot(&self) -> CallingContextTree {
-        self.flush_producers();
-        self.shared.drain();
-        self.shared.publish_drops();
+        self.settle();
         self.shared.inner.snapshot()
     }
 
     fn with_snapshot(&self, f: &mut dyn FnMut(&CallingContextTree)) {
-        self.flush_producers();
-        self.shared.drain();
-        self.shared.publish_drops();
+        self.settle();
         self.shared.inner.with_snapshot(f);
     }
 
     fn finish_snapshot(&self) -> CallingContextTree {
-        self.flush_producers();
-        self.shared.drain();
-        self.shared.publish_drops();
+        self.settle();
         self.shared.inner.finish_snapshot()
     }
 
@@ -1403,9 +1258,7 @@ impl EventSink for AsyncSink {
         // produced before this call is attributed — and its intervals
         // recorded — before the rings are read, so asynchronous-mode
         // timelines are deterministic at every flush.
-        self.flush_producers();
-        self.shared.drain();
-        self.shared.publish_drops();
+        self.settle();
         self.shared.inner.timeline_snapshot()
     }
 
@@ -1413,19 +1266,18 @@ impl EventSink for AsyncSink {
         // Flush producer batches and drain first so counter reads are as
         // deterministic as in synchronous mode (high-water marks are
         // unaffected).
-        self.flush_producers();
-        self.shared.drain();
+        self.drain();
         SinkCounters {
-            enqueued_events: self.shared.enqueued_events.load(Ordering::Relaxed),
-            dropped_events: self.shared.dropped_events.load(Ordering::Relaxed),
-            poisoned_events: self.shared.poisoned_events.load(Ordering::Relaxed),
-            worker_panics: self.shared.worker_panics.load(Ordering::Relaxed),
-            max_queue_depth: self.shared.max_queue_depth.load(Ordering::Relaxed),
+            enqueued_events: self.shared.events_enqueued.get(),
+            dropped_events: self.shared.events_dropped.get(),
+            poisoned_events: self.shared.events_poisoned.get(),
+            worker_panics: self.shared.worker_panics.get(),
+            max_queue_depth: self.shared.max_queue_depth.get(),
             drain_waits: self.shared.drain_waits.load(Ordering::Relaxed),
             worker_batches: self.shared.worker_batches.load(Ordering::Relaxed),
             worker_events: self.shared.worker_events.load(Ordering::Relaxed),
-            producer_flushes: self.shared.producer_batches.flushes.load(Ordering::Relaxed),
-            batched_events: self.shared.producer_batches.events.load(Ordering::Relaxed),
+            producer_flushes: self.shared.producer_flushes.load(Ordering::Relaxed),
+            batched_events: self.shared.batched_events.load(Ordering::Relaxed),
             ..self.shared.inner.counters()
         }
     }
@@ -1436,9 +1288,9 @@ impl EventSink for AsyncSink {
         // `MESSAGE_GRAIN`/bucket-size owned events, so counting messages
         // would under-report a batched backlog by that factor. Weight
         // accounting: accepted − applied − dropped = still queued.
-        let enqueued = self.shared.enqueued_events.load(Ordering::Relaxed);
+        let enqueued = self.shared.events_enqueued.get();
         let applied = self.shared.worker_events.load(Ordering::Relaxed);
-        let dropped = self.shared.dropped_events.load(Ordering::Relaxed);
+        let dropped = self.shared.events_dropped.get();
         let queued = enqueued.saturating_sub(applied).saturating_sub(dropped);
         // Each queued event is an owned copy awaiting attribution;
         // estimate one cache line each plus the channel shells.
@@ -1446,7 +1298,7 @@ impl EventSink for AsyncSink {
         self.shared.inner.approx_bytes()
             + queued as usize * (std::mem::size_of::<Event>() + 64)
             + self.shared.queues.len() * std::mem::size_of::<ShardQueue>()
-            + self.batcher.as_ref().map_or(0, Batcher::approx_bytes)
+            + self.batcher.approx_bytes()
     }
 }
 
@@ -1462,7 +1314,7 @@ impl Drop for AsyncSink {
         }
         // Hand any still-buffered producer events to the workers before
         // asking them to wind down (they drain their queues on exit).
-        self.flush_producers();
+        self.batcher.flush_all();
         self.shared.shutdown.store(true, Ordering::Release);
         for parker in &self.shared.parkers {
             // Unconditional wake: a worker may be between the parked-flag

@@ -1,16 +1,18 @@
 //! Thread-local producer-side event batching (asynchronous mode only).
 //!
 //! The asynchronous pipeline makes *attribution* cheap for producers,
-//! but an unbatched enqueue still leaves a fixed per-launch cost on the
-//! monitored workload's critical path: one correlation-directory bind,
-//! one bounded-channel push, one waiter check per event. On coarse
-//! kernel-only streams — where attribution itself is cheap — those
-//! fixed costs dominate. This module amortizes them: producers append
-//! events to a per-thread, per-shard [`LaunchBatch`] buffer, and a whole
-//! buffer is flushed at once — binding every batched correlation in
-//! **one** striped-directory pass ([`ShardedSink::bind_batch`]) and
-//! handing each shard's run to the [`AsyncSink`](crate::AsyncSink) in
-//! **one** bounded-channel batch push.
+//! but enqueueing event by event would still leave a fixed per-launch
+//! cost on the monitored workload's critical path: one
+//! correlation-directory bind, one bounded-channel push, one waiter
+//! check per event. On coarse kernel-only streams — where attribution
+//! itself is cheap — those fixed costs dominate. This module amortizes
+//! them, and is the only route launches and CPU samples take into the
+//! queues: producers append events to a per-thread, per-shard
+//! [`LaunchBatch`] buffer, and a whole buffer is flushed at once —
+//! binding every batched correlation in **one** striped-directory pass
+//! ([`ShardedSink::bind_batch`]) and handing each shard's run to the
+//! [`AsyncSink`](crate::AsyncSink) in **one** bounded-channel batch
+//! push. A `launch_batch` of 1 flushes after every event.
 //!
 //! Synchronous mode does not batch: a bare [`ShardedSink`] attributes
 //! inline, which measured faster than buffering in front of it on every
@@ -28,8 +30,8 @@
 //!   ([`Batcher::flush_all`] walks every thread's buffer, not just the
 //!   caller's);
 //! * an explicit barrier runs (flush / snapshot / finish / epoch /
-//!   counters) — so batched and unbatched profiles are indistinguishable
-//!   at every observation point;
+//!   counters) — so profiles are indistinguishable across batch sizes
+//!   (and from synchronous mode) at every observation point;
 //! * the owning thread exits (thread quiesce: the thread-local
 //!   registration's destructor flushes the remainder).
 //!
@@ -47,11 +49,11 @@
 //! and are delivered eagerly, right after the global flush that
 //! guarantees every launch they resolve through is already bound and
 //! ahead of them. Within one buffer, events keep arrival order per
-//! shard, so flushing preserves the per-shard event order the unbatched
-//! pipeline would have applied inline — the batched == unbatched
-//! equivalence the proptests assert — and the correlation two-phase
-//! prune runs at exactly the unbatched cadence (no extra live-state
-//! window, so peak profile memory is unchanged).
+//! shard, so flushing preserves the per-shard event order synchronous
+//! mode applies inline — the sync == async equivalence the proptests
+//! assert at every batch size — and the correlation two-phase prune runs
+//! at exactly the synchronous cadence (no extra live-state window, so
+//! peak profile memory is unchanged).
 //!
 //! [`PipelineConfig::launch_batch`]: crate::PipelineConfig::launch_batch
 //! [`ShardedSink`]: crate::ShardedSink
@@ -74,7 +76,7 @@ use crate::async_sink::Shared;
 /// launches and CPU samples, where fixed costs dominate — are buffered;
 /// activity buckets arrive pre-batched from the GPU runtime and are
 /// delivered eagerly (after a global flush), so the correlation
-/// lifecycle keeps exactly the unbatched prune cadence.
+/// lifecycle keeps exactly the synchronous prune cadence.
 pub(crate) enum ProducerEvent {
     /// A GPU API interception at its launch site.
     Launch {
@@ -138,7 +140,7 @@ impl LaunchBatch {
             return 0;
         }
         let flushed = self.pending;
-        let sharded = delivery.sharded();
+        let sharded = &delivery.inner;
         let flush_start = sharded.telemetry().map(|t| t.now_ns());
         let mut corrs: Vec<u64> = Vec::new();
         for &idx in &self.occupied {
@@ -154,8 +156,7 @@ impl LaunchBatch {
             }));
             // Publish the whole batch's routes before any of it becomes
             // visible, so activity records arriving while the batch is in
-            // flight route to the same shard (the batched analogue of the
-            // unbatched pipeline's enqueue-time `bind_route`).
+            // flight route to the same shard.
             sharded.bind_batch(&corrs, idx as usize);
             delivery.deliver(idx as usize, events);
         }
@@ -241,7 +242,7 @@ pub(crate) struct Batcher {
 
 impl Batcher {
     pub(crate) fn new(delivery: Arc<Shared>, launch_batch: usize) -> Self {
-        let shard_count = delivery.sharded().shard_count();
+        let shard_count = delivery.inner.shard_count();
         Batcher {
             id: NEXT_BATCHER_ID.fetch_add(1, Ordering::Relaxed),
             capacity: launch_batch.max(1) as u64,
@@ -343,24 +344,6 @@ impl Batcher {
             .iter()
             .map(|slot| slot.buf.lock().approx_bytes())
             .sum()
-    }
-}
-
-/// Counters the delivery target maintains so batching effectiveness is
-/// observable ([`SinkCounters::producer_flushes`] /
-/// [`SinkCounters::batched_events`]).
-#[derive(Default)]
-pub(crate) struct BatchCounters {
-    /// Per-shard batch deliveries performed.
-    pub(crate) flushes: AtomicU64,
-    /// Events that travelled through thread-local batches.
-    pub(crate) events: AtomicU64,
-}
-
-impl BatchCounters {
-    pub(crate) fn record(&self, events: u64) {
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-        self.events.fetch_add(events, Ordering::Relaxed);
     }
 }
 

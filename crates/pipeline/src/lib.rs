@@ -13,17 +13,17 @@
 //!   [backpressure](BackpressurePolicy) and deterministic drain barriers
 //!   (see [`async_sink`]).
 //!
-//! The asynchronous mode adds **thread-local producer batching**
-//! ([`batch`]): producers append launches and CPU samples to a
-//! per-thread, per-shard `LaunchBatch` buffer; a flush — every
-//! [`PipelineConfig::launch_batch`] events, at every barrier, before any
-//! activity delivery, and on thread exit — binds the whole batch's
-//! correlations in one striped-directory pass and pushes each shard's
-//! run through its channel in one delivery, amortizing the per-launch
-//! fixed costs that dominate coarse kernel-only streams. Workers drive
-//! the *same* per-shard entry points as the synchronous mode
-//! ([`ShardedSink::apply_launch`] et al.), so the modes produce
-//! semantically identical profiles — an equivalence this crate's
+//! Asynchronous producers reach the queues one way, through
+//! **thread-local producer batching** ([`batch`]): launches and CPU
+//! samples are appended to a per-thread, per-shard `LaunchBatch` buffer;
+//! a flush — every [`PipelineConfig::launch_batch`] events (`1` = after
+//! every event), at every barrier, before any activity delivery, and on
+//! thread exit — binds the whole batch's correlations in one
+//! striped-directory pass and pushes each shard's run through its
+//! channel in one delivery, amortizing the per-launch fixed costs that
+//! dominate coarse kernel-only streams. Workers drive the *same*
+//! per-shard attribution code as the synchronous mode, so the modes
+//! produce semantically identical profiles — an equivalence this crate's
 //! proptests assert tree-by-tree via
 //! `CallingContextTree::semantic_diff` at `launch_batch` 1, 7 and 64.
 //!
@@ -40,7 +40,7 @@
 //!            │  FIFO per shard, send_batch single-notify push
 //!            ▼
 //!          worker pool (shard i → worker i mod W)
-//!            │  apply_producer_batch / apply_activities / epoch
+//!            │  apply_producer_batch / apply_activity_buckets / epoch
 //!            ▼
 //!  CctShards ──merge_incremental──▶ cached master CCT (Arc-shared)
 //!      ├── kernel/memcpy records ──▶ timeline rings (per-shard, bounded)

@@ -30,25 +30,22 @@
 //!   then re-fold every shard per request and the sink holds no second
 //!   copy of the profile.
 //!
-//! The per-shard mutation entry points ([`apply_launch`],
-//! [`apply_activities`], [`apply_cpu_sample`], [`epoch_complete_shard`])
-//! are public so the asynchronous pipeline's workers
-//! ([`AsyncSink`](crate::AsyncSink)) can drive pre-routed events into
-//! individual shards; the synchronous [`EventSink`] implementation is a
-//! thin route-then-apply composition of the same entry points, so the two
-//! ingestion modes cannot drift apart semantically.
+//! The asynchronous pipeline's workers ([`AsyncSink`](crate::AsyncSink))
+//! drive pre-routed events into individual shards through the same
+//! per-shard attribution code (`insert_launch`, `apply_activity_buckets`,
+//! [`epoch_complete_shard`]) the synchronous [`EventSink`] implementation
+//! composes after routing, so the two ingestion modes cannot drift apart
+//! semantically.
 //!
 //! A `ShardedSink` with one shard routes everything through one lock like
 //! the old design (set `ingestion_shards: 1`); the ingestion benchmark in
 //! `crates/bench` additionally keeps a faithful reproduction of the full
 //! pre-refactor pipeline as its baseline.
 //!
-//! [`apply_launch`]: ShardedSink::apply_launch
-//! [`apply_activities`]: ShardedSink::apply_activities
-//! [`apply_cpu_sample`]: ShardedSink::apply_cpu_sample
 //! [`epoch_complete_shard`]: ShardedSink::epoch_complete_shard
 //! [`EventOrigin::route_key`]: dlmonitor::EventOrigin::route_key
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -395,20 +392,17 @@ impl ShardedSink {
             .unwrap_or_else(|| self.index_for(correlation))
     }
 
-    /// Registers `correlation`'s home shard in the directory without
-    /// touching the shard itself. The asynchronous pipeline calls this at
-    /// *enqueue* time so activity records that arrive while the launch is
-    /// still queued route to the same shard and resolve once the worker
-    /// applies the launch ahead of them in FIFO order.
-    pub fn bind_route(&self, correlation: u64, shard: usize) {
-        self.directory_bind(correlation, shard);
-    }
-
-    /// [`bind_route`](Self::bind_route) for a whole launch batch in one
-    /// striped pass: each directory stripe holding any of `corrs` is
-    /// locked exactly once, so a flushed thread-local batch pays one lock
-    /// round-trip per *stripe touched* instead of one per launch.
+    /// Registers `shard` as the home of every correlation in `corrs`
+    /// without touching the shard itself. The asynchronous pipeline calls
+    /// this when a producer batch is *flushed*, so activity records that
+    /// arrive while the launches are still queued route to the same shard
+    /// and resolve once the worker applies the launches ahead of them in
+    /// FIFO order. One striped pass: each directory stripe holding any of
+    /// `corrs` is locked exactly once, so a flush pays one lock round-trip
+    /// per *stripe touched* instead of one per launch.
     pub fn bind_batch(&self, corrs: &[u64], shard: usize) {
+        self.failpoints
+            .stall_at(fp_sites::DIR_BIND_STALL, shard as u64);
         self.directory.bind_batch(corrs, shard as u32);
     }
 
@@ -427,12 +421,6 @@ impl ShardedSink {
             self.shards[idx].lock().unbind(correlation);
         }
         self.directory_remove(correlation);
-    }
-
-    fn directory_bind(&self, corr: u64, shard: usize) {
-        self.failpoints
-            .stall_at(fp_sites::DIR_BIND_STALL, shard as u64);
-        self.directory.bind(corr, shard as u32);
     }
 
     fn directory_lookup(&self, corr: u64) -> Option<usize> {
@@ -533,12 +521,10 @@ impl ShardedSink {
         }
     }
 
-    /// Applies one launch event at shard `idx`: inserts the call path,
-    /// counts kernel launches, and binds the correlation in both the
-    /// shard and the directory. `idx` is normally [`route`](Self::route)
-    /// of the origin; workers pass the shard their queue is bound to.
-    pub fn apply_launch(&self, idx: usize, origin: &EventOrigin, path: &CallPath, api: ApiKind) {
-        let mut shard = self.shards[idx].lock();
+    /// The shard half of a launch, shared by both ingestion modes:
+    /// inserts the call path, counts kernel launches, and binds the
+    /// correlation to the resulting node.
+    fn insert_launch(shard: &mut CctShard, origin: &EventOrigin, path: &CallPath, api: ApiKind) {
         let node = shard.insert_call_path(path);
         if api == ApiKind::LaunchKernel {
             shard
@@ -547,30 +533,42 @@ impl ShardedSink {
         }
         if let Some(corr) = origin.correlation {
             shard.bind(corr.0, node);
+        }
+    }
+
+    /// Applies one launch event inline at shard `idx` (the synchronous
+    /// mode's [`route`](Self::route) of the origin), binding the
+    /// correlation in both the shard and the directory.
+    fn apply_launch(&self, idx: usize, origin: &EventOrigin, path: &CallPath, api: ApiKind) {
+        let mut shard = self.shards[idx].lock();
+        Self::insert_launch(&mut shard, origin, path, api);
+        if let Some(corr) = origin.correlation {
             // Directory stripes are leaf locks: binding here (while the
             // shard is held) guarantees the activity path — which never
             // holds a stripe and a shard at once — sees the binding as
             // soon as it can see the shard's node.
-            self.directory_bind(corr.0, idx);
+            self.failpoints
+                .stall_at(fp_sites::DIR_BIND_STALL, idx as u64);
+            self.directory.bind(corr.0, idx as u32);
         }
     }
 
-    /// Applies a pre-routed bucket of activity records at shard `idx`,
-    /// ending one two-phase-prune batch afterwards. Callers route records
-    /// via [`route_activity`](Self::route_activity) first; records whose
+    /// Applies pre-routed buckets of activity records (owned by a queue
+    /// message, or borrowed from the caller's buffer) at shard `idx`
+    /// under **one** shard-lock acquisition — the synchronous mode passes
+    /// its one bucket per batch, pipeline workers a run coalesced across
+    /// flush boundaries — ending one two-phase-prune batch per bucket, so
+    /// correlation retirement keeps exactly the cadence of applying each
+    /// bucket synchronously (resident correlation state stays
+    /// proportional to the in-flight window, not to the worker's
+    /// backlog). Callers route records via
+    /// [`route_activity`](Self::route_activity) first; records whose
     /// correlation lives in another shard fall to the catch-all context.
-    pub fn apply_activities(&self, idx: usize, bucket: &[Activity]) {
-        self.apply_activity_refs(idx, bucket.iter());
-    }
-
-    /// Applies several pre-routed buckets at shard `idx` under **one**
-    /// shard-lock acquisition — how pipeline workers batch folds across
-    /// flush boundaries — while still ending one two-phase-prune batch
-    /// per bucket, so correlation retirement keeps exactly the cadence
-    /// of applying each bucket synchronously (resident correlation state
-    /// stays proportional to the in-flight window, not to the worker's
-    /// backlog).
-    pub fn apply_activity_buckets(&self, idx: usize, buckets: &[Vec<Activity>]) {
+    pub(crate) fn apply_activity_buckets<A: Borrow<Activity>>(
+        &self,
+        idx: usize,
+        buckets: &[Vec<A>],
+    ) {
         if buckets.iter().all(|bucket| bucket.is_empty()) {
             return;
         }
@@ -583,8 +581,11 @@ impl ShardedSink {
                     continue;
                 }
                 for activity in bucket {
-                    self.attribute_activity(idx, &mut shard, activity);
+                    self.attribute_activity(idx, &mut shard, activity.borrow());
                 }
+                // Two-phase pruning per shard: correlations attributed in
+                // the shard's *previous* batch are dropped now, so
+                // sampling records straddling a buffer boundary resolve.
                 pruned.extend(shard.end_batch());
             }
             self.shard_bytes[idx].store(shard.approx_bytes(), Ordering::Relaxed);
@@ -600,7 +601,7 @@ impl ShardedSink {
     /// shard-lock acquisition, preserving buffer order: launches insert
     /// and bind (their directory entries were published by the flush's
     /// [`bind_batch`](Self::bind_batch) pass), samples attribute — so a
-    /// batched producer folds exactly the state an unbatched one would.
+    /// batched producer folds exactly the state inline attribution would.
     /// Driven by the asynchronous pipeline's workers.
     pub(crate) fn apply_producer_batch(&self, idx: usize, events: &[ProducerEvent]) {
         if events.is_empty() {
@@ -611,15 +612,7 @@ impl ShardedSink {
         for event in events {
             match event {
                 ProducerEvent::Launch { origin, path, api } => {
-                    let node = shard.insert_call_path(path);
-                    if *api == ApiKind::LaunchKernel {
-                        shard
-                            .tree_mut()
-                            .attribute(node, MetricKind::KernelLaunches, 1.0);
-                    }
-                    if let Some(corr) = origin.correlation {
-                        shard.bind(corr.0, node);
-                    }
+                    Self::insert_launch(&mut shard, origin, path, *api);
                 }
                 ProducerEvent::Sample {
                     path,
@@ -704,30 +697,6 @@ impl ShardedSink {
         self.shard_bytes[idx].store(shard.approx_bytes(), Ordering::Relaxed);
     }
 
-    fn apply_activity_refs<'a>(&self, idx: usize, bucket: impl Iterator<Item = &'a Activity>) {
-        let mut bucket = bucket.peekable();
-        if bucket.peek().is_none() {
-            return;
-        }
-        let pruned = {
-            let mut shard = self.shards[idx].lock();
-            let hold = self.lock_hold_start();
-            for activity in bucket {
-                self.attribute_activity(idx, &mut shard, activity);
-            }
-            // Two-phase pruning per shard: correlations attributed in
-            // the shard's *previous* batch are dropped now, so
-            // sampling records straddling a buffer boundary resolve.
-            let pruned = shard.end_batch();
-            self.shard_bytes[idx].store(shard.approx_bytes(), Ordering::Relaxed);
-            self.note_lock_hold(hold);
-            pruned
-        };
-        for corr in pruned {
-            self.directory_remove(corr);
-        }
-    }
-
     /// Applies one CPU sample at shard `idx` (normally
     /// [`route`](Self::route) of the sampled thread's origin). The
     /// shard's byte estimate is deliberately *not* refreshed here — like
@@ -735,7 +704,7 @@ impl ShardedSink {
     /// accounting at flush boundaries (their `epoch_complete_shard`),
     /// keeping the per-sample hot path O(path) and the set of states a
     /// peak sample can observe identical across ingestion modes.
-    pub fn apply_cpu_sample(&self, idx: usize, path: &CallPath, metric: MetricKind, value: f64) {
+    fn apply_cpu_sample(&self, idx: usize, path: &CallPath, metric: MetricKind, value: f64) {
         let mut shard = self.shards[idx].lock();
         let node = shard.insert_call_path(path);
         shard.tree_mut().attribute(node, metric, value);
@@ -852,7 +821,7 @@ impl EventSink for ShardedSink {
             buckets[idx].push(activity);
         }
         for (idx, bucket) in buckets.iter().enumerate() {
-            self.apply_activity_refs(idx, bucket.iter().copied());
+            self.apply_activity_buckets(idx, std::slice::from_ref(bucket));
         }
         self.note_peak();
     }

@@ -80,21 +80,31 @@ pub fn attribute_activity_metrics(
     }
 }
 
-/// Monotonic counters a sink maintains while ingesting.
+/// Monotonic counters a sink maintains while ingesting — and, with
+/// [`launches`](Self::launches) / [`cpu_samples`](Self::cpu_samples)
+/// filled in by the profiler's collection callbacks, the whole of
+/// `Profiler::stats()` (`ProfilerStats` is this struct).
 ///
-/// The first block is maintained by every sink; the `enqueued_events`
-/// through `batched_events` block is meaningful only for asynchronous
-/// pipelines ([`AsyncSink`](crate::AsyncSink)) and stays zero on
-/// synchronous sinks.
+/// The `activities` through `shards_skipped` block is maintained by
+/// every sink; the `enqueued_events` through `batched_events` block is
+/// meaningful only for asynchronous pipelines
+/// ([`AsyncSink`](crate::AsyncSink)) and stays zero on synchronous sinks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SinkCounters {
+    /// Kernel launches observed by the profiler's launch callback (zero
+    /// when read straight from a sink).
+    pub launches: u64,
+    /// CPU samples observed by the profiler's samplers (zero when read
+    /// straight from a sink).
+    pub cpu_samples: u64,
     /// Activity records attributed.
     pub activities: u64,
     /// Instruction samples attributed.
     pub instruction_samples: u64,
     /// Records that fell back to the `<unattributed>` catch-all context.
     pub orphans: u64,
-    /// Peak approximate profile bytes observed at batch boundaries.
+    /// Peak approximate profile bytes observed at batch boundaries (and,
+    /// through `Profiler::stats()`, at the read itself).
     pub peak_bytes: usize,
     /// Shard folds performed while refreshing snapshots (a cold snapshot
     /// folds every shard; warm ones fold only dirty shards).
@@ -123,7 +133,7 @@ pub struct SinkCounters {
     /// Events applied by pipeline workers.
     pub worker_events: u64,
     /// Per-shard thread-local batch deliveries performed by producers
-    /// (asynchronous pipelines only; zero when `launch_batch` is 1). With
+    /// (asynchronous pipelines only). With
     /// [`batched_events`](Self::batched_events), measures producer-side
     /// amortization: `batched_events / producer_flushes` is the mean
     /// events per flushed batch.

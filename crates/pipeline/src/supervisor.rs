@@ -139,16 +139,6 @@ impl SupervisorConfig {
     }
 }
 
-/// Telemetry handles the supervisor publishes through when the profiler
-/// runs with self-telemetry on.
-struct SupervisorTelemetry {
-    transitions: Arc<Counter>,
-    state: Arc<Gauge>,
-    sampled: Arc<Counter>,
-    rejected: Arc<Counter>,
-    bypassed: Arc<Counter>,
-}
-
 /// A point-in-time copy of the supervisor's counters, for stats
 /// surfaces and the profiler's `ProfileMeta::extra` stamps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -177,19 +167,23 @@ pub struct SupervisorStatus {
 /// the [`SupervisorSink`] (admitting) as an `Arc`.
 pub struct Supervisor {
     config: SupervisorConfig,
+    /// Control state, read on the admission fast path; `state_gauge`
+    /// publishes it and is written on transitions only.
     state: AtomicU8,
+    state_gauge: Arc<Gauge>,
     /// Consecutive breached windows toward the next escalation.
     trip_run: AtomicU32,
     /// Consecutive calm windows toward the next recovery.
     recover_run: AtomicU32,
-    transitions: AtomicU64,
+    // The `deepcontext_supervisor_*` series themselves when a telemetry
+    // session is attached, free-standing otherwise.
+    transitions: Arc<Counter>,
+    sampled: Arc<Counter>,
+    rejected: Arc<Counter>,
+    bypassed: Arc<Counter>,
     degraded_windows: AtomicU64,
-    sampled: AtomicU64,
-    rejected: AtomicU64,
-    bypassed: AtomicU64,
     /// Round-robin counter sampling correlation-less events.
     uncorrelated: AtomicU64,
-    telemetry: Option<SupervisorTelemetry>,
     /// Incident journal (`None` = journaling off). Transitions are
     /// recorded with the `HealthReport` evidence that tripped them.
     journal: Option<Arc<Journal>>,
@@ -210,27 +204,14 @@ impl std::fmt::Debug for Supervisor {
 }
 
 impl Supervisor {
-    /// A supervisor with no telemetry sink.
-    pub fn new(config: SupervisorConfig) -> Arc<Supervisor> {
-        Supervisor::with_telemetry(config, None)
-    }
-
-    /// A supervisor that mirrors its transitions and admission counters
-    /// into `telemetry` when provided.
-    pub fn with_telemetry(
-        config: SupervisorConfig,
-        telemetry: Option<&Telemetry>,
-    ) -> Arc<Supervisor> {
-        Supervisor::with_journal(config, telemetry, None)
-    }
-
-    /// [`with_telemetry`](Self::with_telemetry) plus the incident
-    /// journal: every state transition is then recorded as a
-    /// `supervisor.transition` event carrying the `HealthReport`
-    /// evidence that tripped it (or `forced`, for operator overrides),
-    /// and the first departure from `Healthy` stamps
-    /// [`first_degraded_ns`](Self::first_degraded_ns).
-    pub fn with_journal(
+    /// Builds the state machine. With a `telemetry` session its
+    /// transition and admission counters and its state gauge are that
+    /// session's `deepcontext_supervisor_*` series. With a `journal`
+    /// every state transition is recorded as a `supervisor.transition`
+    /// event carrying the `HealthReport` evidence that tripped it (or
+    /// `forced`, for operator overrides), and the first departure from
+    /// `Healthy` stamps [`first_degraded_ns`](Self::first_degraded_ns).
+    pub fn new(
         config: SupervisorConfig,
         telemetry: Option<&Telemetry>,
         journal: Option<Arc<Journal>>,
@@ -241,29 +222,19 @@ impl Supervisor {
             recover_streak: config.recover_streak.max(1),
             ..config
         };
-        let telemetry = telemetry.map(|t| {
-            let state = t.gauge(names::SUPERVISOR_STATE, &[]);
-            state.set(SupervisorState::Healthy as u8 as u64);
-            SupervisorTelemetry {
-                transitions: t.counter(names::SUPERVISOR_TRANSITIONS, &[]),
-                state,
-                sampled: t.counter(names::SUPERVISOR_SAMPLED_EVENTS, &[]),
-                rejected: t.counter(names::SUPERVISOR_REJECTED_EVENTS, &[]),
-                bypassed: t.counter(names::SUPERVISOR_BYPASSED_EVENTS, &[]),
-            }
-        });
+        let counter = |name| Telemetry::counter_or_detached(telemetry, name);
         Arc::new(Supervisor {
             config,
             state: AtomicU8::new(SupervisorState::Healthy as u8),
+            state_gauge: Telemetry::gauge_or_detached(telemetry, names::SUPERVISOR_STATE),
             trip_run: AtomicU32::new(0),
             recover_run: AtomicU32::new(0),
-            transitions: AtomicU64::new(0),
+            transitions: counter(names::SUPERVISOR_TRANSITIONS),
+            sampled: counter(names::SUPERVISOR_SAMPLED_EVENTS),
+            rejected: counter(names::SUPERVISOR_REJECTED_EVENTS),
+            bypassed: counter(names::SUPERVISOR_BYPASSED_EVENTS),
             degraded_windows: AtomicU64::new(0),
-            sampled: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            bypassed: AtomicU64::new(0),
             uncorrelated: AtomicU64::new(0),
-            telemetry,
             journal,
             first_degraded_ns: AtomicU64::new(0),
         })
@@ -295,12 +266,12 @@ impl Supervisor {
     pub fn status(&self) -> SupervisorStatus {
         SupervisorStatus {
             state: self.state.load(Ordering::Relaxed),
-            transitions: self.transitions.load(Ordering::Relaxed),
+            transitions: self.transitions.get(),
             degraded_windows: self.degraded_windows.load(Ordering::Relaxed),
             sample_stride: self.config.sample_stride,
-            sampled_events: self.sampled.load(Ordering::Relaxed),
-            rejected_events: self.rejected.load(Ordering::Relaxed),
-            bypassed_events: self.bypassed.load(Ordering::Relaxed),
+            sampled_events: self.sampled.get(),
+            rejected_events: self.rejected.get(),
+            bypassed_events: self.bypassed.get(),
         }
     }
 
@@ -365,13 +336,10 @@ impl Supervisor {
         evidence: Option<&HealthReport>,
     ) {
         self.state.store(state as u8, Ordering::Relaxed);
+        self.state_gauge.set(state as u8 as u64);
         self.trip_run.store(0, Ordering::Relaxed);
         self.recover_run.store(0, Ordering::Relaxed);
-        self.transitions.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = &self.telemetry {
-            t.transitions.add(1);
-            t.state.set(state as u8 as u64);
-        }
+        self.transitions.inc();
         if let Some(journal) = &self.journal {
             if state != SupervisorState::Healthy {
                 // First departure from Healthy, in the journal's clock
@@ -444,24 +412,15 @@ impl Supervisor {
 
     fn note_sampled(&self, admitted: bool, weight: u64) -> bool {
         if admitted {
-            self.sampled.fetch_add(weight, Ordering::Relaxed);
-            if let Some(t) = &self.telemetry {
-                t.sampled.add(weight);
-            }
+            self.sampled.add(weight);
         } else {
-            self.rejected.fetch_add(weight, Ordering::Relaxed);
-            if let Some(t) = &self.telemetry {
-                t.rejected.add(weight);
-            }
+            self.rejected.add(weight);
         }
         admitted
     }
 
     fn note_bypassed(&self, weight: u64) -> bool {
-        self.bypassed.fetch_add(weight, Ordering::Relaxed);
-        if let Some(t) = &self.telemetry {
-            t.bypassed.add(weight);
-        }
+        self.bypassed.add(weight);
         false
     }
 }
@@ -592,11 +551,15 @@ mod tests {
 
     #[test]
     fn escalation_and_recovery_both_require_streaks() {
-        let sup = Supervisor::new(SupervisorConfig {
-            trip_streak: 2,
-            recover_streak: 2,
-            ..SupervisorConfig::default()
-        });
+        let sup = Supervisor::new(
+            SupervisorConfig {
+                trip_streak: 2,
+                recover_streak: 2,
+                ..SupervisorConfig::default()
+            },
+            None,
+            None,
+        );
         assert_eq!(sup.state(), SupervisorState::Healthy);
         // One breached window is not enough...
         sup.observe(&breached_report());
@@ -619,11 +582,15 @@ mod tests {
 
     #[test]
     fn bypass_trips_on_the_stricter_edge_and_recovers_one_state() {
-        let sup = Supervisor::new(SupervisorConfig {
-            trip_streak: 1,
-            recover_streak: 1,
-            ..SupervisorConfig::default()
-        });
+        let sup = Supervisor::new(
+            SupervisorConfig {
+                trip_streak: 1,
+                recover_streak: 1,
+                ..SupervisorConfig::default()
+            },
+            None,
+            None,
+        );
         // Heavy drops escalate twice: Healthy → Degraded → Bypass.
         sup.observe(&breached_report());
         assert_eq!(sup.state(), SupervisorState::Degraded);
@@ -638,11 +605,15 @@ mod tests {
 
     #[test]
     fn hovering_below_the_trip_edge_but_above_recovery_flaps_neither_way() {
-        let sup = Supervisor::new(SupervisorConfig {
-            trip_streak: 1,
-            recover_streak: 1,
-            ..SupervisorConfig::default()
-        });
+        let sup = Supervisor::new(
+            SupervisorConfig {
+                trip_streak: 1,
+                recover_streak: 1,
+                ..SupervisorConfig::default()
+            },
+            None,
+            None,
+        );
         sup.force_state(SupervisorState::Degraded);
         // drop_rate 0.008 is below the 0.01 degrade edge but above the
         // 0.005 recovery edge (fraction 0.5): the state must hold.
@@ -691,10 +662,14 @@ mod tests {
     fn degraded_admission_is_correlation_coherent_with_zero_orphans() {
         let interner = Interner::new();
         let inner = ShardedSink::new(interner.clone(), 2);
-        let sup = Supervisor::new(SupervisorConfig {
-            sample_stride: 4,
-            ..SupervisorConfig::default()
-        });
+        let sup = Supervisor::new(
+            SupervisorConfig {
+                sample_stride: 4,
+                ..SupervisorConfig::default()
+            },
+            None,
+            None,
+        );
         let sink = SupervisorSink::new(inner.clone(), sup.clone());
         sup.force_state(SupervisorState::Degraded);
 
@@ -722,7 +697,7 @@ mod tests {
     fn bypass_discards_data_but_barriers_and_snapshots_still_flow() {
         let interner = Interner::new();
         let inner = ShardedSink::new(interner.clone(), 2);
-        let sup = Supervisor::new(SupervisorConfig::default());
+        let sup = Supervisor::new(SupervisorConfig::default(), None, None);
         let sink = SupervisorSink::new(inner, sup.clone());
 
         kernel_launch(sink.as_ref(), &interner, 0, "before");
@@ -748,7 +723,7 @@ mod tests {
     fn healthy_passes_everything_through() {
         let interner = Interner::new();
         let inner = ShardedSink::new(interner.clone(), 2);
-        let sup = Supervisor::new(SupervisorConfig::default());
+        let sup = Supervisor::new(SupervisorConfig::default(), None, None);
         let sink = SupervisorSink::new(inner, sup.clone());
         for corr in 0..10u64 {
             kernel_launch(sink.as_ref(), &interner, corr, "k");

@@ -1,7 +1,7 @@
-//! Pipeline correctness: the asynchronous pipeline, batched and
-//! unbatched, against the synchronous oracle.
+//! Pipeline correctness: the asynchronous pipeline, at every producer
+//! batch size, against the synchronous oracle.
 //!
-//! * **`batched == unbatched` / `async == sync` equivalence**: for
+//! * **`async == sync` equivalence**: for
 //!   arbitrary interleavings of launches, activity flushes, CPU samples,
 //!   epoch boundaries and snapshot requests, the [`AsyncSink`]'s
 //!   profiles must be semantically identical (via
@@ -590,7 +590,7 @@ proptest! {
     fn batched_and_async_pipelines_equal_the_unbatched_sync_oracle(
         steps in prop::collection::vec(arb_step(), 1..80),
     ) {
-        // launch_batch 1 is the unbatched per-event enqueue path; 7
+        // launch_batch 1 flushes the batcher after every event; 7
         // forces frequent partial-batch flushes at barriers; 64 exceeds
         // most interleaving lengths so barriers and activity deliveries
         // do all the flushing.
@@ -606,7 +606,7 @@ proptest! {
     fn journal_barrier_events_are_deterministic_and_mode_independent(
         steps in prop::collection::vec(arb_step(), 1..80),
     ) {
-        // launch_batch 1 exercises the per-event enqueue path; 7 forces
+        // launch_batch 1 flushes the batcher after every event; 7 forces
         // partial-batch flushes right at the journal's drain barriers.
         for launch_batch in [1usize, 7] {
             check_journal_interleaving(&steps, 16, launch_batch);

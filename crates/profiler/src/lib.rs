@@ -190,67 +190,9 @@ impl ProfilerConfig {
     }
 }
 
-/// Profiler activity counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProfilerStats {
-    /// Kernel launches observed.
-    pub launches: u64,
-    /// Activity records attributed.
-    pub activities: u64,
-    /// CPU samples attributed.
-    pub cpu_samples: u64,
-    /// Instruction samples attributed.
-    pub instruction_samples: u64,
-    /// Activity records that fell back to the `<unattributed>` catch-all
-    /// context because their correlation was pruned or never seen.
-    pub orphans: u64,
-    /// Peak profile memory (bytes) observed at flush points.
-    pub peak_bytes: usize,
-    /// Shard folds performed while refreshing CCT snapshots (cold
-    /// snapshots fold every shard, warm ones only dirty shards).
-    pub snapshot_merges: u64,
-    /// Shards skipped by snapshot refreshes because they had not changed
-    /// since the cached fold — proof the incremental snapshot cache is
-    /// doing its job.
-    pub shards_skipped: u64,
-    /// Events accepted into the asynchronous pipeline's shard queues
-    /// (zero in synchronous mode).
-    pub enqueued_events: u64,
-    /// Events discarded by the `DropOldest` backpressure policy (always
-    /// zero under the default `Block` policy and in synchronous mode).
-    pub dropped_events: u64,
-    /// High-water mark of any one shard queue's depth, in messages.
-    pub max_queue_depth: u64,
-    /// Drain barriers (flush / snapshot / stats points) that found
-    /// attribution still in flight and had to wait for workers.
-    pub drain_waits: u64,
-    /// Worker passes that applied at least one event; with
-    /// [`worker_events`](Self::worker_events) this measures utilization
-    /// (`worker_events / worker_batches` = mean events per wake-up).
-    pub worker_batches: u64,
-    /// Events applied by asynchronous pipeline workers.
-    pub worker_events: u64,
-    /// Thread-local producer-batch flushes delivered (zero in
-    /// synchronous mode and when `launch_batch` is 1);
-    /// `batched_events / producer_flushes` is the mean amortization per
-    /// flush.
-    pub producer_flushes: u64,
-    /// Events that travelled through thread-local producer batches.
-    pub batched_events: u64,
-    /// Kernel/memcpy intervals recorded into timeline rings (zero when
-    /// [`ProfilerConfig::timeline`] is off).
-    pub timeline_intervals: u64,
-    /// Timeline intervals evicted by ring overflow — when non-zero the
-    /// timeline is a trailing window of the run, not the whole run.
-    pub timeline_dropped: u64,
-    /// Worker panics caught by the asynchronous pipeline's fault
-    /// isolation (each one quarantined a shard). Zero on healthy runs
-    /// and in synchronous mode.
-    pub worker_panics: u64,
-    /// Events accounted to the synthetic `<poisoned>` context after
-    /// arriving at a quarantined shard.
-    pub poisoned_events: u64,
-}
+/// Profiler activity counters: the sink's [`SinkCounters`] with
+/// `launches` and `cpu_samples` filled in by [`Profiler::stats`].
+pub type ProfilerStats = SinkCounters;
 
 struct Inner {
     monitor: Arc<DlMonitor>,
@@ -325,22 +267,25 @@ impl Profiler {
         // Injected faults belong in the causal record next to the
         // symptoms they provoke: route every failpoint fire into the
         // journal. Latest-wins on the shared env registry, so the
-        // observer always follows the current run.
+        // observer always follows the current run — and holds the
+        // journal weakly, so that process-global registry neither keeps
+        // a finished run's ring alive nor feeds it the next run's fires.
         if let Some(journal) = &journal {
-            let journal = Arc::clone(journal);
+            let journal = Arc::downgrade(journal);
             sharded
                 .failpoints()
-                .observe_fires(Box::new(move |name, site| match site {
-                    Some(at) => journal.record(
+                .observe_fires(Box::new(move |name, site| {
+                    let Some(journal) = journal.upgrade() else {
+                        return;
+                    };
+                    let at = site.map(|at| at.to_string());
+                    let mut fields = vec![("name", name)];
+                    fields.extend(at.as_deref().map(|at| ("at", at)));
+                    journal.record(
                         JournalSeverity::Error,
                         journal_sites::FAILPOINT_FIRE,
-                        &[("name", name), ("at", &at.to_string())],
-                    ),
-                    None => journal.record(
-                        JournalSeverity::Error,
-                        journal_sites::FAILPOINT_FIRE,
-                        &[("name", name)],
-                    ),
+                        &fields,
+                    );
                 }));
         }
         let mut sink: Arc<dyn EventSink> = match config.ingestion_mode {
@@ -350,7 +295,7 @@ impl Profiler {
         // Admission control goes outermost so degraded-mode sampling is
         // decided before any queueing effort is spent.
         let supervisor = config.supervisor.map(|sup_config| {
-            let supervisor = Supervisor::with_journal(
+            let supervisor = Supervisor::new(
                 sup_config,
                 telemetry.as_deref().map(|t| t.handle()),
                 journal.clone(),
@@ -564,25 +509,9 @@ impl Profiler {
         let counters = self.inner.sink.counters();
         ProfilerStats {
             launches: self.inner.launches.load(Ordering::Relaxed),
-            activities: counters.activities,
             cpu_samples: self.inner.cpu_samples.load(Ordering::Relaxed),
-            instruction_samples: counters.instruction_samples,
-            orphans: counters.orphans,
             peak_bytes: counters.peak_bytes.max(self.inner.sink.approx_bytes()),
-            snapshot_merges: counters.snapshot_merges,
-            shards_skipped: counters.shards_skipped,
-            enqueued_events: counters.enqueued_events,
-            dropped_events: counters.dropped_events,
-            max_queue_depth: counters.max_queue_depth,
-            drain_waits: counters.drain_waits,
-            worker_batches: counters.worker_batches,
-            worker_events: counters.worker_events,
-            producer_flushes: counters.producer_flushes,
-            batched_events: counters.batched_events,
-            timeline_intervals: counters.timeline_intervals,
-            timeline_dropped: counters.timeline_dropped,
-            worker_panics: counters.worker_panics,
-            poisoned_events: counters.poisoned_events,
+            ..counters
         }
     }
 
@@ -1043,9 +972,10 @@ mod tests {
     fn producer_batching_amortizes_and_matches_unbatched() {
         // Thread-local launch batching (asynchronous mode only) is a
         // cost optimization, not a semantic one: profiles and event
-        // counts match the unbatched pipeline exactly, while the batching
+        // counts are identical at every batch size, while the batching
         // counters prove events actually travelled through per-thread
-        // batches. Synchronous mode attributes inline at any
+        // batches — at `launch_batch` 1 too, where every flush carries
+        // one event. Synchronous mode attributes inline at any
         // `launch_batch`.
         let run = |ingestion_mode: IngestionMode, launch_batch: usize| {
             let rig = rig();
@@ -1076,8 +1006,13 @@ mod tests {
         assert_eq!(batched.activities, unbatched.activities);
         assert_eq!(batched.launches, unbatched.launches);
         assert_eq!(
-            unbatched.batched_events, 0,
-            "launch_batch=1 bypasses the batcher"
+            unbatched.batched_events + unbatched.activities,
+            unbatched.enqueued_events,
+            "the batcher is the only route launches and samples take"
+        );
+        assert_eq!(
+            unbatched.producer_flushes, unbatched.batched_events,
+            "launch_batch=1 flushes after every event"
         );
         assert!(batched.batched_events > 0, "events flowed through batches");
         assert!(batched.producer_flushes > 0);

@@ -1,12 +1,14 @@
 //! Tier-1 guard for the API surface the frozen repo benchmark reads.
 //!
-//! `benchmark/src/workloads.rs::resolved` formats these four
-//! `ProfilerConfig` fields into every run's `resolved:` header line; the
-//! benchmark is built from its own manifest, outside `cargo test`. This
-//! test formats them the same way, so removing or retyping one fails
-//! here rather than in the benchmark build later.
+//! `benchmark/src/workloads.rs::resolved` formats four `ProfilerConfig`
+//! fields into every run's `resolved:` header line, and
+//! `benchmark/src/{session,untraced}.rs` read six `ProfilerStats` fields
+//! by name out of a copied `Option<ProfilerStats>`; the benchmark is
+//! built from its own manifest, outside `cargo test`. These tests use
+//! both the same way, so removing, renaming or retyping one fails here
+//! rather than in the benchmark build later.
 
-use deepcontext_profiler::{IngestionMode, ProfilerConfig, DEFAULT_LAUNCH_BATCH};
+use deepcontext_profiler::{IngestionMode, ProfilerConfig, ProfilerStats, DEFAULT_LAUNCH_BATCH};
 
 #[test]
 fn resolved_header_fields_keep_their_names_and_formats() {
@@ -31,4 +33,23 @@ fn resolved_header_fields_keep_their_names_and_formats() {
              directory_map Striped"
         )
     );
+}
+
+#[test]
+fn stats_fields_keep_their_names_and_copy_out_of_a_shared_option() {
+    let held: &Option<ProfilerStats> = &Some(ProfilerStats {
+        activities: 7,
+        orphans: 1,
+        dropped_events: 2,
+        poisoned_events: 3,
+        launches: 5,
+        peak_bytes: 2048,
+        ..ProfilerStats::default()
+    });
+    // `Option::expect` through a `&` needs `ProfilerStats: Copy`
+    // (benchmark/src/untraced.rs:118).
+    let pstats = held.expect("profiled session has stats");
+    let lost = pstats.orphans + pstats.dropped_events + pstats.poisoned_events;
+    assert_eq!((pstats.activities, lost, pstats.launches), (7, 6, 5));
+    assert_eq!(pstats.peak_bytes as f64 / 1024.0, 2.0);
 }

@@ -255,3 +255,23 @@ fn supervisor_only_config_observes_health() {
         "flush fed the supervisor one health window"
     );
 }
+
+#[test]
+fn finished_profilers_journal_is_not_pinned_by_the_failpoint_registry() {
+    // The default config's failpoint registry is the process-global
+    // `from_env()` one, and attach installs a fire observer into it: the
+    // observer must not own the journal, or the ring (and its interner)
+    // outlives the run and keeps collecting the next run's fires.
+    let rig = rig();
+    let config = ProfilerConfig {
+        journal: JournalConfig::enabled(),
+        ..ProfilerConfig::default()
+    };
+    let profiler = Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);
+    let journal = Arc::downgrade(profiler.journal().expect("journal enabled"));
+    drop(profiler.finish(ProfileMeta::default()));
+    assert!(
+        journal.upgrade().is_none(),
+        "a finished profiler's journal is still referenced"
+    );
+}

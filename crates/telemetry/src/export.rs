@@ -7,6 +7,8 @@
 
 use std::fmt::Write as _;
 
+use deepcontext_core::json::escape_into;
+
 use crate::metrics::{bucket_upper_bound, HistogramSnapshot};
 use crate::registry::{MetricValue, TelemetrySnapshot};
 
@@ -143,22 +145,6 @@ pub fn to_prometheus(snapshot: &TelemetrySnapshot) -> String {
     out
 }
 
-fn escape_json(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders the snapshot as a self-contained JSON object:
 /// `{"samples":[{"name":...,"labels":{...},"kind":...,...}]}`, with
 /// histograms carrying `count`/`sum`/`p50`/`p99` plus sparse
@@ -170,16 +156,16 @@ pub fn to_json(snapshot: &TelemetrySnapshot) -> String {
             out.push(',');
         }
         out.push_str("\n  {\"name\":\"");
-        escape_json(&mut out, &sample.name);
+        escape_into(&mut out, &sample.name);
         out.push_str("\",\"labels\":{");
         for (j, (k, v)) in sample.labels.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
             out.push('"');
-            escape_json(&mut out, k);
+            escape_into(&mut out, k);
             out.push_str("\":\"");
-            escape_json(&mut out, v);
+            escape_into(&mut out, v);
             out.push('"');
         }
         out.push_str("},\"kind\":\"");

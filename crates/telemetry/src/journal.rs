@@ -173,16 +173,6 @@ struct Event {
     fields: Vec<(String, String)>,
 }
 
-/// Mirror counters + the shared clock, attached when telemetry is on so
-/// `deepcontext_journal_*` series appear in scrapes and journal
-/// timestamps share the self-timeline's epoch.
-#[derive(Debug)]
-struct JournalTelemetry {
-    telemetry: Telemetry,
-    recorded: Arc<Counter>,
-    evicted: Arc<Counter>,
-}
-
 /// The bounded, lock-striped incident ring (see the [module
 /// docs](self)). Shared via `Arc` between the supervisor, both sink
 /// layers, the profile store and the profiler; disabled journaling is
@@ -193,11 +183,16 @@ pub struct Journal {
     stripes: Vec<Mutex<VecDeque<Event>>>,
     per_stripe: usize,
     seq: AtomicU64,
-    recorded: AtomicU64,
-    evicted: AtomicU64,
+    /// The conservation counters — the `deepcontext_journal_*` series
+    /// themselves when a telemetry session is attached, free-standing
+    /// otherwise.
+    recorded: Arc<Counter>,
+    evicted: Arc<Counter>,
     /// Clock fallback when no telemetry session is attached.
     epoch: Instant,
-    telemetry: Option<JournalTelemetry>,
+    /// The attached session, whose epoch journal timestamps then share
+    /// with the self-timeline.
+    telemetry: Option<Telemetry>,
 }
 
 impl Journal {
@@ -218,23 +213,22 @@ impl Journal {
                 .collect(),
             per_stripe,
             seq: AtomicU64::new(0),
-            recorded: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
+            recorded: Arc::default(),
+            evicted: Arc::default(),
             epoch: Instant::now(),
             telemetry: None,
         }
     }
 
-    /// Attaches a telemetry session: the journal mirrors its
-    /// conservation counters into `deepcontext_journal_*` series and
-    /// adopts the session's epoch, so journal timestamps and
-    /// self-timeline intervals share one time domain.
+    /// Attaches a telemetry session to a fresh journal: its
+    /// conservation counters become the session's
+    /// `deepcontext_journal_*` series and it adopts the session's epoch,
+    /// so journal timestamps and self-timeline intervals share one time
+    /// domain.
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Journal {
-        self.telemetry = Some(JournalTelemetry {
-            recorded: telemetry.counter(names::JOURNAL_RECORDED, &[]),
-            evicted: telemetry.counter(names::JOURNAL_EVICTED, &[]),
-            telemetry: telemetry.clone(),
-        });
+        self.recorded = telemetry.counter(names::JOURNAL_RECORDED, &[]);
+        self.evicted = telemetry.counter(names::JOURNAL_EVICTED, &[]);
+        self.telemetry = Some(telemetry.clone());
         self
     }
 
@@ -259,7 +253,7 @@ impl Journal {
     /// self-timeline intervals), the journal's own otherwise.
     pub fn now_ns(&self) -> u64 {
         match &self.telemetry {
-            Some(t) => t.telemetry.now_ns(),
+            Some(t) => t.now_ns(),
             None => u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
         }
     }
@@ -285,27 +279,21 @@ impl Journal {
         let mut stripe = self.stripes[(seq as usize) % STRIPES].lock();
         if stripe.len() >= self.per_stripe {
             stripe.pop_front();
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = &self.telemetry {
-                t.evicted.add(1);
-            }
+            self.evicted.inc();
         }
         stripe.push_back(event);
         drop(stripe);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = &self.telemetry {
-            t.recorded.add(1);
-        }
+        self.recorded.inc();
     }
 
     /// Events recorded over the journal's lifetime (kept + evicted).
     pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        self.recorded.get()
     }
 
     /// Events evicted by ring overflow.
     pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        self.evicted.get()
     }
 
     /// Events currently held in the ring.

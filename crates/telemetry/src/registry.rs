@@ -288,6 +288,20 @@ impl Telemetry {
         self.inner.registry.counter(name, labels)
     }
 
+    /// The one home of an always-maintained count: the unlabelled
+    /// counter `name` of `telemetry`'s registry when a session is
+    /// attached, a free-standing counter otherwise. Either way the owner
+    /// bumps it unconditionally and its stats surface reads it back, so
+    /// a scrape and the stats struct are reads of the same atomic.
+    pub fn counter_or_detached(telemetry: Option<&Telemetry>, name: &str) -> Arc<Counter> {
+        telemetry.map_or_else(Arc::default, |t| t.counter(name, &[]))
+    }
+
+    /// [`counter_or_detached`](Self::counter_or_detached) for gauges.
+    pub fn gauge_or_detached(telemetry: Option<&Telemetry>, name: &str) -> Arc<Gauge> {
+        telemetry.map_or_else(Arc::default, |t| t.gauge(name, &[]))
+    }
+
     /// Gets or registers a gauge (see [`Registry::gauge`]).
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
         self.inner.registry.gauge(name, labels)

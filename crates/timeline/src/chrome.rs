@@ -19,6 +19,7 @@
 
 use std::fmt::Write as _;
 
+use deepcontext_core::json::escape_into;
 use deepcontext_core::{
     severity_label, CallingContextTree, FxHashMap, StoredJournal, Sym, TrackKey,
 };
@@ -38,23 +39,6 @@ fn self_stream_name(stream: u32) -> String {
         TrackKey::SELF_STREAM_FLUSH => "producer flush".to_string(),
         TrackKey::SELF_STREAM_FOLD => "snapshot fold".to_string(),
         worker => format!("worker {worker}"),
-    }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -88,6 +88,24 @@ fn async_run_produces_a_populated_health_report() {
     // Workers accounted their time as busy or parked.
     assert!(report.worker_busy_ns > 0, "workers drained batches");
     assert!(report.worker_utilization > 0.0 && report.worker_utilization <= 1.0);
+
+    // The stats struct and the scrape agree exactly, because each counter
+    // has one home: they are reads of the same atomic. (`stats()` first:
+    // it runs the drain barrier, after which the run is quiescent.)
+    let stats = profiler.stats();
+    let snapshot = profiler.telemetry_snapshot().expect("telemetry enabled");
+    for (name, stat) in [
+        (names::EVENTS_ENQUEUED, stats.enqueued_events),
+        (names::EVENTS_DROPPED, stats.dropped_events),
+        (names::EVENTS_POISONED, stats.poisoned_events),
+        (names::WORKER_PANICS, stats.worker_panics),
+    ] {
+        assert_eq!(snapshot.counter_total(name), stat, "{name}");
+    }
+    assert_eq!(
+        snapshot.gauge_max(names::MAX_QUEUE_DEPTH),
+        stats.max_queue_depth
+    );
 }
 
 #[test]
