@@ -6,7 +6,10 @@
 //! direction of "misses" is keyed off the metric name:
 //!
 //! * names containing `overhead` or `ratio` are *lower-is-better* —
-//!   the recorded value must be `<=` the target;
+//!   the recorded value must be `<=` the target (a ratio over a
+//!   baseline measured in the same run, or — `*_overhead_ns` — an
+//!   absolute ns/event cost, for bars whose baseline is itself a thing
+//!   the tree keeps making cheaper);
 //! * names containing `speedup` or `events_per_sec` are
 //!   *higher-is-better* — the recorded value must be `>=` the target;
 //! * anything else is an error: name the metric so the direction is
@@ -198,6 +201,10 @@ mod tests {
     fn direction_is_keyed_off_the_metric_name() {
         assert_eq!(satisfies("max_overhead", 1.1, 1.25), Some(true));
         assert_eq!(satisfies("max_overhead", 1.3, 1.25), Some(false));
+        assert_eq!(
+            satisfies("coarse_enqueue_overhead_ns", 160.0, 200.0),
+            Some(true)
+        );
         assert_eq!(satisfies("producer_speedup", 7.0, 5.0), Some(true));
         assert_eq!(satisfies("producer_speedup", 3.0, 5.0), Some(false));
         assert_eq!(satisfies("mystery_metric", 1.0, 1.0), None);

@@ -148,7 +148,7 @@ impl SingleLockSink {
         self.activities.fetch_add(1, Ordering::Relaxed);
         // Same metric mapping as the sharded sink — only the locking and
         // prune structure differ between the two pipelines.
-        let samples = attribute_activity_metrics(&mut cct, node, activity);
+        let samples = attribute_activity_metrics(&mut *cct, node, activity);
         drop(cct);
         if matches!(activity.kind, ActivityKind::PcSampling { .. }) {
             self.instruction_samples

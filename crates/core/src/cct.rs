@@ -4,7 +4,20 @@
 //! that refer to the same location collapse into one node (see
 //! [`Frame::key`]). Each node carries online metric aggregates; attributing
 //! a sample at the bottom of a call path propagates it along the entire
-//! path to the root, so every node always holds *inclusive* metrics.
+//! path to the root, so every node holds *inclusive* metrics.
+//!
+//! That holds **always** for a tree driven through
+//! [`CallingContextTree::attribute`] and for every folded tree
+//! ([`merge`](CallingContextTree::merge) /
+//! [`merge_incremental`](CallingContextTree::merge_incremental) outputs,
+//! loaded profiles). The private tree inside a
+//! [`CctShard`](crate::CctShard) is the one exception: the shard collects
+//! samples at the attributed node and pays the root-ward walk once per
+//! touched `(node, kind)` at its next
+//! [`settle`](crate::CctShard::settle) — through
+//! [`merge_stat`](CallingContextTree::merge_stat) — so a shard's tree is
+//! inclusive *at settle points*, which is the only time anything outside
+//! the shard reads it.
 
 use std::sync::Arc;
 
@@ -162,12 +175,28 @@ impl CallingContextTree {
     /// including the root — receives the sample, so each node holds
     /// inclusive metrics.
     pub fn attribute(&mut self, node: NodeId, kind: MetricKind, value: f64) {
+        self.each_to_root(node, |metrics| metrics.add(kind, value));
+    }
+
+    /// Applies `f` to the metric store of `node` and of every ancestor.
+    fn each_to_root(&mut self, node: NodeId, mut f: impl FnMut(&mut MetricStore)) {
         let mut cur = Some(node);
         while let Some(id) = cur {
             let n = &mut self.nodes[id.index()];
-            n.metrics.add(kind, value);
+            f(&mut n.metrics);
             cur = n.parent;
         }
+    }
+
+    /// Merges a whole aggregate of `kind` into `node` and every ancestor:
+    /// what [`attribute`](Self::attribute) does for one sample, done once
+    /// for any number of samples aggregated elsewhere first (a
+    /// [`CctShard`](crate::CctShard) settling its deferred samples).
+    /// Counts, sums and extrema come out exactly as sample-by-sample
+    /// propagation leaves them; mean and variance agree up to f64
+    /// rounding (parallel Welford merge).
+    pub fn merge_stat(&mut self, node: NodeId, kind: MetricKind, stat: &MetricStat) {
+        self.each_to_root(node, |metrics| metrics.merge_stat(kind, stat));
     }
 
     /// Adds a metric sample at `node` only, without propagation (used for
@@ -638,6 +667,24 @@ mod tests {
             assert_eq!(stat.min, 50.0);
             assert_eq!(stat.max, 100.0);
         }
+    }
+
+    #[test]
+    fn merge_stat_is_attribute_for_a_whole_aggregate() {
+        let mut eager = CallingContextTree::new();
+        let path = sample_path(&eager, "aten::matmul", "sgemm");
+        let leaf = eager.insert_path(&path);
+        let mut batched = eager.clone();
+        let mut stat = MetricStat::new();
+        for v in [100.0, 50.0, 75.0] {
+            eager.attribute(leaf, MetricKind::GpuTime, v);
+            stat.add(v);
+        }
+        batched.merge_stat(leaf, MetricKind::GpuTime, &stat);
+        for id in batched.path_to_root(leaf) {
+            assert_eq!(batched.metric(id, MetricKind::GpuTime), Some(&stat));
+        }
+        assert_eq!(batched.semantic_diff(&eager), None);
     }
 
     #[test]

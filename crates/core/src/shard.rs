@@ -10,6 +10,17 @@
 //! frames collapse identically everywhere and folding shards together is
 //! pure [`CallingContextTree::merge`].
 //!
+//! **Samples enter a shard through [`CctShard::attribute`] and nowhere
+//! else.** It accumulates at the attributed node only — one aggregate per
+//! touched `(node, kind)` — and [`CctShard::settle`] walks each aggregate
+//! root-ward once, so a sample costs O(1) on the ingestion path instead
+//! of one Welford update per ancestor. The shard's tree therefore holds
+//! inclusive metrics *at settle points*, not always: whoever owns the
+//! shard settles it before the tree is folded, read or measured
+//! (`ShardedSink` does so under the shard lock at every batch boundary
+//! and before every fold). Exclusive metrics (launch shapes, sampled drop
+//! victims) never propagate and are written to the tree directly.
+//!
 //! The shard also owns the correlation lifecycle:
 //!
 //! * [`bind`](CctShard::bind) associates a correlation id with the context
@@ -24,13 +35,14 @@
 //!   catch-all context, created once per shard instead of re-interned per
 //!   orphaned record.
 
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use crate::cct::{CallingContextTree, NodeId};
-use crate::frame::{CallPath, Frame};
-use crate::fx::{FxHashMap, FxHashSet};
+use crate::frame::{CallPath, Frame, FrameKey};
+use crate::fx::FxHashMap;
 use crate::interner::Interner;
-use crate::metrics::MetricKind;
+use crate::metrics::{MetricKind, MetricStat};
 
 /// One shard of a sharded calling-context-tree ingestion pipeline: a
 /// private tree plus its correlation map and prune queue.
@@ -45,9 +57,21 @@ pub struct CctShard {
     orphan: Option<NodeId>,
     dropped: Option<NodeId>,
     poisoned: Option<NodeId>,
+    // `prev_batch` is sorted (its own batch ended with the sort), so
+    // `end_batch` sorts `curr_batch` and merge-walks the two.
     prev_batch: Vec<u64>,
     curr_batch: Vec<u64>,
     generation: u64,
+    /// Inclusive samples not yet walked root-ward: one aggregate per
+    /// touched `(node, kind)`, merged into the node and its ancestors by
+    /// [`settle`](Self::settle), which also releases the map — it is
+    /// scratch that lives between two boundaries, not profile state.
+    pending: FxHashMap<(NodeId, MetricKind), MetricStat>,
+    /// The last inserted call path as `(collapse key, node)` pairs, root
+    /// side first. Node ids are append-only and a `(parent, key)` pair
+    /// names one child forever, so the entries stay valid whatever else
+    /// is inserted into the tree in between.
+    cursor: Vec<(FrameKey, NodeId)>,
 }
 
 impl CctShard {
@@ -62,6 +86,8 @@ impl CctShard {
             prev_batch: Vec::new(),
             curr_batch: Vec::new(),
             generation: 0,
+            pending: FxHashMap::default(),
+            cursor: Vec::new(),
         }
     }
 
@@ -76,12 +102,14 @@ impl CctShard {
         self.generation
     }
 
-    /// Read access to the shard's tree.
+    /// Read access to the shard's tree. Its contexts are always
+    /// current; its metrics are inclusive only once the shard has been
+    /// [settled](Self::settle).
     pub fn tree(&self) -> &CallingContextTree {
         &self.tree
     }
 
-    /// Mutable access to the shard's tree (inserting paths, attributing
+    /// Mutable access to the shard's tree (inserting contexts, exclusive
     /// metrics). Conservatively bumps the dirty generation: callers take
     /// this to mutate, and a spurious bump only costs one no-op re-fold.
     pub fn tree_mut(&mut self) -> &mut CallingContextTree {
@@ -89,10 +117,51 @@ impl CctShard {
         &mut self.tree
     }
 
-    /// Inserts a call path and returns its leaf (convenience passthrough).
+    /// Inserts a call path and returns its leaf. Consecutive paths share
+    /// most of their root side (the Python and operator frames of one
+    /// training step), so only the suffix that differs from the previous
+    /// path is probed in the tree's child index.
     pub fn insert_call_path(&mut self, path: &CallPath) -> NodeId {
         self.generation += 1;
-        self.tree.insert_call_path(path)
+        let frames = path.frames();
+        let shared = self
+            .cursor
+            .iter()
+            .zip(frames)
+            .take_while(|((key, _), frame)| *key == frame.key())
+            .count();
+        self.cursor.truncate(shared);
+        let mut node = self.cursor.last().map_or(NodeId::ROOT, |&(_, node)| node);
+        for frame in &frames[shared..] {
+            node = self.tree.insert_child(node, frame);
+            self.cursor.push((frame.key(), node));
+        }
+        node
+    }
+
+    /// Records one inclusive sample of `kind` at `node`. The sample is
+    /// aggregated at the node only; its ancestors receive it at the next
+    /// [`settle`](Self::settle).
+    pub fn attribute(&mut self, node: NodeId, kind: MetricKind, value: f64) {
+        self.generation += 1;
+        // Not `or_default`: an empty aggregate starts at min = +inf,
+        // max = -inf, which `MetricStat::default()` does not.
+        match self.pending.entry((node, kind)) {
+            Entry::Occupied(mut held) => held.get_mut().add(value),
+            Entry::Vacant(slot) => slot.insert(MetricStat::new()).add(value),
+        }
+    }
+
+    /// Walks every unsettled aggregate root-ward, once per touched
+    /// `(node, kind)`, and releases the scratch the samples (and the
+    /// path cursor) were held in. Afterwards the tree is exactly what
+    /// sample-by-sample propagation would have built. Does not bump the
+    /// dirty generation: [`attribute`](Self::attribute) already did.
+    pub fn settle(&mut self) {
+        for ((node, kind), stat) in std::mem::take(&mut self.pending) {
+            self.tree.merge_stat(node, kind, &stat);
+        }
+        self.cursor = Vec::new();
     }
 
     /// Associates a correlation id with a context node at launch time.
@@ -160,9 +229,7 @@ impl CctShard {
     /// visible inside the profile rather than only in side counters.
     pub fn attribute_dropped(&mut self, count: u64) {
         let node = self.dropped_node();
-        self.generation += 1;
-        self.tree
-            .attribute(node, MetricKind::DroppedEvents, count as f64);
+        self.attribute(node, MetricKind::DroppedEvents, count as f64);
     }
 
     /// The hoisted synthetic `<poisoned>` context: fault-isolation
@@ -191,9 +258,7 @@ impl CctShard {
     /// the profile alone.
     pub fn attribute_poisoned(&mut self, count: u64) {
         let node = self.poisoned_node();
-        self.generation += 1;
-        self.tree
-            .attribute(node, MetricKind::PoisonedEvents, count as f64);
+        self.attribute(node, MetricKind::PoisonedEvents, count as f64);
     }
 
     /// Records a *sampled* drop victim: `count` estimated events evicted
@@ -234,10 +299,14 @@ impl CctShard {
     /// and not re-attributed in this one are dropped from the correlation
     /// map. Returns the pruned ids so callers can clean up routing state.
     pub fn end_batch(&mut self) -> Vec<u64> {
-        let keep: FxHashSet<u64> = self.curr_batch.iter().copied().collect();
-        let mut pruned = Vec::new();
+        // Correlation ids arrive nearly in order, so the sort is close
+        // to a scan; `prev_batch` was sorted when its own batch ended.
+        self.curr_batch.sort_unstable();
+        let mut pruned = Vec::with_capacity(self.prev_batch.len());
+        let mut renewed = self.curr_batch.iter().copied().peekable();
         for id in self.prev_batch.drain(..) {
-            if !keep.contains(&id) && self.corr.remove(&id).is_some() {
+            while renewed.next_if(|&r| r < id).is_some() {}
+            if renewed.peek() != Some(&id) && self.corr.remove(&id).is_some() {
                 pruned.push(id);
             }
         }
@@ -268,16 +337,27 @@ impl CctShard {
     }
 
     /// Folds `other` into this shard: trees merge by collapse keys, and
-    /// `other`'s correlation state (live bindings, prune queues, orphan
-    /// node) is remapped through the merge's node mapping so asynchronous
-    /// records bound in `other` still resolve here.
+    /// `other`'s side state (live bindings, prune queues, hoisted nodes,
+    /// unsettled samples) is remapped through the merge's node mapping,
+    /// so asynchronous records bound in `other` still resolve here and
+    /// samples `other` had not settled are settled here.
     pub fn merge_from(&mut self, other: &CctShard) {
         self.generation += 1;
         let mapping = self.tree.merge(&other.tree);
         for (corr, node) in &other.corr {
             self.corr.insert(*corr, mapping[node.index()]);
         }
+        for ((node, kind), stat) in &other.pending {
+            match self.pending.entry((mapping[node.index()], *kind)) {
+                Entry::Occupied(mut held) => held.get_mut().merge(stat),
+                Entry::Vacant(slot) => {
+                    slot.insert(*stat);
+                }
+            }
+        }
+        // `end_batch` walks both queues in order.
         self.prev_batch.extend_from_slice(&other.prev_batch);
+        self.prev_batch.sort_unstable();
         self.curr_batch.extend_from_slice(&other.curr_batch);
         if self.orphan.is_none() {
             self.orphan = other.orphan.map(|node| mapping[node.index()]);
@@ -290,41 +370,21 @@ impl CctShard {
         }
     }
 
-    /// Consumes the shard, yielding its tree.
-    pub fn into_tree(self) -> CallingContextTree {
-        self.tree
-    }
-
-    /// Approximate resident bytes of tree (interner excluded) plus
-    /// correlation state.
+    /// Approximate resident bytes of tree (interner excluded),
+    /// correlation state and whatever settle scratch is currently held.
     pub fn approx_bytes(&self) -> usize {
         let entry = std::mem::size_of::<u64>() + std::mem::size_of::<NodeId>() + 16;
+        let pending = std::mem::size_of::<((NodeId, MetricKind), MetricStat)>() + 1;
         self.tree.approx_tree_bytes()
             + self.corr.capacity() * entry
             + (self.prev_batch.capacity() + self.curr_batch.capacity()) * std::mem::size_of::<u64>()
+            + self.pending.capacity() * pending
+            + self.cursor.capacity() * std::mem::size_of::<(FrameKey, NodeId)>()
     }
 
     /// Whether the shard recorded nothing (empty tree, no correlations).
     pub fn is_empty(&self) -> bool {
         self.tree.node_count() == 1 && self.corr.is_empty()
-    }
-
-    /// Attributes `value` of `kind` at the context bound to `correlation`,
-    /// falling back to the orphan context. Returns the node attributed to
-    /// and whether it was an orphan.
-    pub fn attribute_correlated(
-        &mut self,
-        correlation: u64,
-        kind: MetricKind,
-        value: f64,
-    ) -> (NodeId, bool) {
-        let (node, orphaned) = match self.resolve(correlation) {
-            Some(node) => (node, false),
-            None => (self.orphan_node(), true),
-        };
-        self.generation += 1;
-        self.tree.attribute(node, kind, value);
-        (node, orphaned)
     }
 }
 
@@ -367,17 +427,82 @@ mod tests {
     }
 
     #[test]
-    fn attribute_correlated_counts_orphans() {
+    fn attribute_lands_at_the_node_until_settle_walks_it_up() {
         let i = interner();
         let mut shard = CctShard::new(Arc::clone(&i));
-        let node = shard.tree_mut().insert_path(&path(&i, "aten::gelu"));
-        shard.bind(1, node);
-        let (n, orphaned) = shard.attribute_correlated(1, MetricKind::GpuTime, 5.0);
-        assert_eq!((n, orphaned), (node, false));
-        let (n, orphaned) = shard.attribute_correlated(99, MetricKind::GpuTime, 3.0);
-        assert_eq!(n, shard.orphan_node());
-        assert!(orphaned);
-        assert_eq!(shard.tree().total(MetricKind::GpuTime), 8.0);
+        let leaf = shard.insert_call_path(&path(&i, "aten::gelu").into_iter().collect());
+        let mut eager = CallingContextTree::with_interner(Arc::clone(&i));
+        let eager_leaf = eager.insert_path(&path(&i, "aten::gelu"));
+        for v in [5.0, 3.0, 9.0] {
+            shard.attribute(leaf, MetricKind::GpuTime, v);
+            eager.attribute(eager_leaf, MetricKind::GpuTime, v);
+        }
+        assert_eq!(
+            shard.tree().total(MetricKind::GpuTime),
+            0.0,
+            "nothing walks root-ward before settle"
+        );
+        shard.settle();
+        for id in shard.tree().path_to_root(leaf) {
+            let stat = shard.tree().metric(id, MetricKind::GpuTime).unwrap();
+            assert_eq!(
+                (stat.count, stat.sum, stat.min, stat.max),
+                (3, 17.0, 3.0, 9.0)
+            );
+        }
+        assert_eq!(shard.tree().semantic_diff(&eager), None);
+        // Settling twice adds nothing.
+        shard.settle();
+        assert_eq!(shard.tree().total(MetricKind::GpuTime), 17.0);
+    }
+
+    #[test]
+    fn settle_releases_its_scratch() {
+        let i = interner();
+        let mut shard = CctShard::new(Arc::clone(&i));
+        let frames: CallPath = path(&i, "aten::gelu").into_iter().collect();
+        let leaf = shard.insert_call_path(&frames);
+        shard.attribute(leaf, MetricKind::KernelLaunches, 1.0);
+        shard.settle();
+        let settled = shard.approx_bytes();
+        // A second sample of a kind every node on the path already
+        // carries grows nothing but the scratch it waits in.
+        assert_eq!(shard.insert_call_path(&frames), leaf);
+        shard.attribute(leaf, MetricKind::KernelLaunches, 1.0);
+        assert!(
+            shard.approx_bytes() > settled,
+            "held scratch is counted as tool memory"
+        );
+        shard.settle();
+        assert_eq!(shard.approx_bytes(), settled);
+    }
+
+    #[test]
+    fn cursor_probes_only_the_differing_suffix() {
+        let i = interner();
+        let mut shard = CctShard::new(Arc::clone(&i));
+        let mut oracle = CallingContextTree::with_interner(Arc::clone(&i));
+        let relu = path(&i, "aten::relu");
+        let gelu = path(&i, "aten::gelu");
+        let other = [Frame::python("u.py", 9, "g", &i)];
+        for frames in [
+            &relu[..],
+            &relu[..],  // identical
+            &gelu[..],  // shares the Python frame
+            &gelu[..1], // strict prefix of the previous path
+            &gelu[..],  // extends the previous path
+            &other[..], // shares nothing
+            &[][..],    // empty path: the root
+            &relu[..],
+        ] {
+            let got = shard.insert_call_path(&frames.iter().cloned().collect());
+            assert_eq!(got, oracle.insert_path(frames));
+            // Insertions behind the cursor's back cannot invalidate it.
+            let extra = Frame::instruction(got.index() as u64);
+            shard.tree_mut().insert_child(got, &extra);
+            oracle.insert_child(got, &extra);
+        }
+        assert_eq!(shard.tree().semantic_diff(&oracle), None);
     }
 
     #[test]
@@ -423,7 +548,8 @@ mod tests {
         // because `a` inserts another path first.
         a.tree_mut().insert_path(&path(&i, "aten::conv2d"));
         let nb = b.tree_mut().insert_path(&path(&i, "aten::relu"));
-        b.tree_mut().attribute(nb, MetricKind::GpuTime, 4.0);
+        // Left unsettled: the fold carries the sample over.
+        b.attribute(nb, MetricKind::GpuTime, 4.0);
         b.bind(42, nb);
         b.defer_prune(42);
 
@@ -431,7 +557,9 @@ mod tests {
         let resolved = a.resolve(42).expect("binding survives the fold");
         assert_ne!(resolved, nb, "id was remapped into a's id space");
         // Attributing through the remapped binding lands on the relu leaf.
-        a.tree_mut().attribute(resolved, MetricKind::GpuTime, 6.0);
+        a.attribute(resolved, MetricKind::GpuTime, 6.0);
+        a.settle();
+        assert_eq!(a.tree().total(MetricKind::GpuTime), 10.0);
         let relu_leaf = a.tree_mut().insert_path(&path(&i, "aten::relu"));
         assert_eq!(
             a.tree().metric(relu_leaf, MetricKind::GpuTime).unwrap().sum,
@@ -467,6 +595,7 @@ mod tests {
         let mut shard = CctShard::new(i);
         shard.attribute_dropped(3);
         shard.attribute_dropped(4);
+        shard.settle();
         let node = shard.dropped_node();
         assert_eq!(shard.dropped_node(), node);
         assert_eq!(shard.tree().node_count(), 2, "root + one <dropped>");
@@ -484,6 +613,7 @@ mod tests {
         let mut shard = CctShard::new(i);
         shard.attribute_poisoned(5);
         shard.attribute_poisoned(2);
+        shard.settle();
         let node = shard.poisoned_node();
         assert_eq!(shard.poisoned_node(), node);
         assert_eq!(shard.tree().node_count(), 2, "root + one <poisoned>");
@@ -503,6 +633,7 @@ mod tests {
         let mut b = CctShard::new(Arc::clone(&i));
         b.attribute_poisoned(3);
         a.merge_from(&b);
+        a.settle();
         let before = a.tree().node_count();
         let node = a.poisoned_node();
         assert_eq!(a.tree().node_count(), before, "no duplicate <poisoned>");
@@ -526,6 +657,7 @@ mod tests {
         victim.push(Frame::operator("aten::relu", &i));
         shard.attribute_dropped_sample(&victim, 16.0);
         shard.attribute_dropped_sample(&victim, 16.0);
+        shard.settle();
         let dropped = shard.dropped_node();
         // The exact total at <dropped> (and the tree total) is untouched
         // by the exclusive sample estimates...
@@ -569,10 +701,14 @@ mod tests {
         shard.end_batch();
         let _ = shard.resolve(1);
         assert_eq!(shard.generation(), after_insert);
-        // Attribution dirties the tree again.
-        shard.attribute_correlated(1, MetricKind::GpuTime, 1.0);
+        // Attribution dirties the shard at once — a snapshot cache must
+        // not skip a shard whose only change is an unsettled sample —
+        // and settling it is not a second change.
+        shard.attribute(node, MetricKind::GpuTime, 1.0);
         assert!(shard.generation() > after_insert);
         let g = shard.generation();
+        shard.settle();
+        assert_eq!(shard.generation(), g);
         let other = CctShard::new(Arc::clone(&i));
         shard.merge_from(&other);
         assert!(shard.generation() > g);

@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use deepcontext_core::{
-    CallingContextTree, CctShard, Frame, Interner, MetricKind, MetricStat, OpPhase, ProfileDb,
-    ProfileMeta,
+    CallPath, CallingContextTree, CctShard, Frame, Interner, MetricKind, MetricStat, NodeId,
+    OpPhase, ProfileDb, ProfileMeta, StallReason,
 };
 use proptest::prelude::*;
 
@@ -54,6 +54,56 @@ fn arb_paths() -> impl Strategy<Value = (Arc<Interner>, Vec<Vec<Frame>>)> {
     let frames = arb_frame(Arc::clone(&interner));
     prop::collection::vec(prop::collection::vec(frames, 1..8), 1..40)
         .prop_map(move |paths| (Arc::clone(&interner), paths))
+}
+
+/// One step of a shard's life, for the deferred-vs-eager differential
+/// test. `node` picks among the nodes earlier steps returned.
+#[derive(Debug, Clone)]
+enum ShardOp {
+    Insert(Vec<Frame>),
+    /// Re-inserts a strict prefix of the previously inserted path (the
+    /// cursor must shrink, not reuse its tail).
+    InsertPrefix(usize),
+    Attribute {
+        node: usize,
+        kind: MetricKind,
+        value: u16,
+    },
+    /// A context inserted behind the cursor's back through `tree_mut`.
+    InsertChild {
+        node: usize,
+        frame: Frame,
+    },
+    Dropped(u16),
+    DroppedSample(Vec<Frame>, u16),
+    Settle,
+}
+
+fn arb_shard_ops() -> impl Strategy<Value = (Arc<Interner>, Vec<ShardOp>)> {
+    let interner = Interner::new();
+    let path = || prop::collection::vec(arb_frame(Arc::clone(&interner)), 0..8);
+    let kind = prop::sample::select(vec![
+        MetricKind::GpuTime,
+        MetricKind::KernelLaunches,
+        MetricKind::CpuTime,
+        MetricKind::Stall(StallReason::MemoryDependency),
+    ]);
+    let op = prop_oneof![
+        path().prop_map(ShardOp::Insert),
+        path().prop_map(ShardOp::Insert),
+        (0usize..8).prop_map(ShardOp::InsertPrefix),
+        (0usize..64, kind, 1u16..1000).prop_map(|(node, kind, value)| ShardOp::Attribute {
+            node,
+            kind,
+            value
+        }),
+        (0usize..64, arb_frame(Arc::clone(&interner)))
+            .prop_map(|(node, frame)| ShardOp::InsertChild { node, frame }),
+        (1u16..100).prop_map(ShardOp::Dropped),
+        (path(), 1u16..100).prop_map(|(p, n)| ShardOp::DroppedSample(p, n)),
+        Just(ShardOp::Settle),
+    ];
+    prop::collection::vec(op, 1..80).prop_map(move |ops| (Arc::clone(&interner), ops))
 }
 
 proptest! {
@@ -336,14 +386,20 @@ proptest! {
             let leaf = whole.insert_path(p);
             whole.attribute(leaf, MetricKind::GpuTime, *v);
             let shard = &mut shards[idx % shard_count];
-            let leaf = shard.tree_mut().insert_path(p);
-            shard.tree_mut().attribute(leaf, MetricKind::GpuTime, *v);
+            let leaf = shard.insert_call_path(&p.iter().cloned().collect());
+            shard.attribute(leaf, MetricKind::GpuTime, *v);
+        }
+        // Every other shard is folded with its samples still unsettled:
+        // the fold carries them over.
+        for shard in shards.iter_mut().step_by(2) {
+            shard.settle();
         }
         let mut master = CctShard::new(interner);
         for shard in &shards {
             master.merge_from(shard);
         }
-        let folded = master.into_tree();
+        master.settle();
+        let folded = master.tree();
         prop_assert_eq!(folded.node_count(), whole.node_count());
         let fs = folded.total(MetricKind::GpuTime);
         let ws = whole.total(MetricKind::GpuTime);
@@ -352,6 +408,79 @@ proptest! {
             folded.root_metric(MetricKind::GpuTime).unwrap().count,
             whole.root_metric(MetricKind::GpuTime).unwrap().count
         );
+    }
+
+    #[test]
+    fn deferred_attribution_equals_eager_propagation((interner, ops) in arb_shard_ops()) {
+        // The shard under test against an oracle tree driven through
+        // plain `insert_path` + eager `attribute`. Both perform the same
+        // insertions in the same order, so node ids must agree at every
+        // step (which is what holds the path cursor to account), and
+        // after the final settle the trees must be the same tree.
+        let mut shard = CctShard::new(Arc::clone(&interner));
+        let mut oracle = CallingContextTree::with_interner(Arc::clone(&interner));
+        let mut nodes = vec![NodeId::ROOT];
+        let mut last: Vec<Frame> = Vec::new();
+        let dropped = [Frame::operator("<dropped>", &interner)];
+        for op in ops {
+            match op {
+                ShardOp::Insert(frames) => {
+                    let got = shard.insert_call_path(&frames.iter().cloned().collect());
+                    prop_assert_eq!(got, oracle.insert_path(&frames));
+                    nodes.push(got);
+                    last = frames;
+                }
+                ShardOp::InsertPrefix(len) => {
+                    last.truncate(len.min(last.len().saturating_sub(1)));
+                    let got = shard.insert_call_path(&last.iter().cloned().collect());
+                    prop_assert_eq!(got, oracle.insert_path(&last));
+                }
+                ShardOp::Attribute { node, kind, value } => {
+                    let node = nodes[node % nodes.len()];
+                    let generation = shard.generation();
+                    shard.attribute(node, kind, f64::from(value));
+                    prop_assert!(shard.generation() > generation);
+                    oracle.attribute(node, kind, f64::from(value));
+                }
+                ShardOp::InsertChild { node, frame } => {
+                    let node = nodes[node % nodes.len()];
+                    let got = shard.tree_mut().insert_child(node, &frame);
+                    prop_assert_eq!(got, oracle.insert_child(node, &frame));
+                    nodes.push(got);
+                }
+                ShardOp::Dropped(count) => {
+                    shard.attribute_dropped(u64::from(count));
+                    let node = oracle.insert_path(&dropped);
+                    oracle.attribute(node, MetricKind::DroppedEvents, f64::from(count));
+                }
+                ShardOp::DroppedSample(frames, count) => {
+                    let path: CallPath = frames.iter().cloned().collect();
+                    shard.attribute_dropped_sample(&path, f64::from(count));
+                    let mut node = oracle.insert_path(&dropped);
+                    for frame in &frames {
+                        node = oracle.insert_child(node, frame);
+                    }
+                    oracle.attribute_exclusive(node, MetricKind::DroppedEvents, f64::from(count));
+                }
+                ShardOp::Settle => {
+                    shard.settle();
+                    prop_assert_eq!(shard.tree().semantic_diff(&oracle), None);
+                }
+            }
+        }
+        shard.settle();
+        prop_assert_eq!(shard.tree().semantic_diff(&oracle), None);
+        // Beyond `semantic_diff`'s tolerance: integer-valued samples make
+        // counts, sums and extrema exact.
+        for id in oracle.dfs() {
+            for (kind, want) in oracle.node(id).metrics().iter() {
+                let got = shard.tree().metric(id, kind).expect("kind present");
+                prop_assert_eq!(
+                    (got.count, got.sum, got.min, got.max),
+                    (want.count, want.sum, want.min, want.max)
+                );
+            }
+        }
     }
 
     #[test]

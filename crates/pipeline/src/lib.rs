@@ -42,7 +42,7 @@
 //!          worker pool (shard i → worker i mod W)
 //!            │  apply_producer_batch / apply_activity_buckets / epoch
 //!            ▼
-//!  CctShards ──merge_incremental──▶ cached master CCT (Arc-shared)
+//!  CctShards ──settle, merge_incremental──▶ cached master CCT (Arc-shared)
 //!      ├── kernel/memcpy records ──▶ timeline rings (per-shard, bounded)
 //!      └── per-shard DropOldest drops ──▶ synthetic `<dropped>` context
 //! ```
@@ -75,7 +75,7 @@ pub use directory::{DirectoryMapKind, StripedHashDirectory};
 pub use failpoint::Failpoints;
 pub use self_telemetry::PipelineTelemetry;
 pub use sharded::{ShardedSink, SinkOptions};
-pub use sink::{attribute_activity_metrics, EventSink, SinkCounters};
+pub use sink::{attribute_activity_metrics, EventSink, SampleTarget, SinkCounters};
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorSink, SupervisorState};
 
 // The self-telemetry types the profiler speaks (see

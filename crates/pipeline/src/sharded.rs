@@ -22,13 +22,23 @@
 //!   per-shard node mapping and folds per-node metric deltas. Clean
 //!   shards are skipped outright, so a warm snapshot costs O(dirty
 //!   shards) instead of O(shards × tree). Correlation state stays behind
-//!   in the shards for records still in flight ([`CctShard::merge_from`]
-//!   exists for folds that must carry it along), and
+//!   in the shards for records still in flight, and
 //!   [`ShardedSink::snapshot_uncached`] keeps the historical full fold
 //!   as baseline and test oracle. Memory-tight deployments can disable
 //!   the cache entirely ([`SinkOptions::snapshot_cache`]): snapshots
 //!   then re-fold every shard per request and the sink holds no second
 //!   copy of the profile.
+//!
+//! Inclusive samples are **attributed at the node and settled at the
+//! boundary**: every ingestion path hands its samples to
+//! [`CctShard::attribute`], which aggregates them at the attributed node
+//! in O(1), and the shard is [settled](CctShard::settle) — each touched
+//! `(node, kind)` walked root-ward once — under the shard lock wherever
+//! its tree is about to be observed or its bytes measured: the end of
+//! every activity batch, every flush boundary, every fold (cached,
+//! uncached, timeline) and [`EventSink::approx_bytes`]. Nothing outside
+//! a shard lock ever sees a tree that is not fully inclusive, so the
+//! folds, the cache and the fold states are unaware of the deferral.
 //!
 //! The asynchronous pipeline's workers ([`AsyncSink`](crate::AsyncSink))
 //! drive pre-routed events into individual shards through the same
@@ -49,7 +59,7 @@ use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use deepcontext_core::failpoint::sites as fp_sites;
 use deepcontext_core::{
@@ -368,6 +378,23 @@ impl ShardedSink {
         self.directory.len()
     }
 
+    /// Locks shard `idx` and settles it: the only way a shard's tree is
+    /// read for a fold or sized for the memory report.
+    fn settled(&self, idx: usize) -> MutexGuard<'_, CctShard> {
+        let mut shard = self.shards[idx].lock();
+        shard.settle();
+        shard
+    }
+
+    /// Closes a boundary on shard `idx` (held locked by the caller):
+    /// everything attributed since the last one — records, and the
+    /// launches and CPU samples before them — reaches its ancestors,
+    /// and only then is the shard sized for peak accounting.
+    fn close_boundary(&self, idx: usize, shard: &mut CctShard) {
+        shard.settle();
+        self.shard_bytes[idx].store(shard.approx_bytes(), Ordering::Relaxed);
+    }
+
     fn index_for(&self, key: u64) -> usize {
         (mix(key) % self.shards.len() as u64) as usize
     }
@@ -509,7 +536,7 @@ impl ShardedSink {
                 timeline.record(idx, interval);
             }
         }
-        let samples = attribute_activity_metrics(shard.tree_mut(), node, activity);
+        let samples = attribute_activity_metrics(shard, node, activity);
         if matches!(activity.kind, ActivityKind::PcSampling { .. }) {
             // Sampling records keep their correlation live for the kernel
             // record that follows them.
@@ -527,9 +554,7 @@ impl ShardedSink {
     fn insert_launch(shard: &mut CctShard, origin: &EventOrigin, path: &CallPath, api: ApiKind) {
         let node = shard.insert_call_path(path);
         if api == ApiKind::LaunchKernel {
-            shard
-                .tree_mut()
-                .attribute(node, MetricKind::KernelLaunches, 1.0);
+            shard.attribute(node, MetricKind::KernelLaunches, 1.0);
         }
         if let Some(corr) = origin.correlation {
             shard.bind(corr.0, node);
@@ -564,12 +589,12 @@ impl ShardedSink {
     /// backlog). Callers route records via
     /// [`route_activity`](Self::route_activity) first; records whose
     /// correlation lives in another shard fall to the catch-all context.
-    pub(crate) fn apply_activity_buckets<A: Borrow<Activity>>(
+    pub(crate) fn apply_activity_buckets<B: AsRef<[A]>, A: Borrow<Activity>>(
         &self,
         idx: usize,
-        buckets: &[Vec<A>],
+        buckets: &[B],
     ) {
-        if buckets.iter().all(|bucket| bucket.is_empty()) {
+        if buckets.iter().all(|bucket| bucket.as_ref().is_empty()) {
             return;
         }
         let pruned = {
@@ -577,6 +602,7 @@ impl ShardedSink {
             let hold = self.lock_hold_start();
             let mut pruned = Vec::new();
             for bucket in buckets {
+                let bucket = bucket.as_ref();
                 if bucket.is_empty() {
                     continue;
                 }
@@ -588,7 +614,7 @@ impl ShardedSink {
                 // sampling records straddling a buffer boundary resolve.
                 pruned.extend(shard.end_batch());
             }
-            self.shard_bytes[idx].store(shard.approx_bytes(), Ordering::Relaxed);
+            self.close_boundary(idx, &mut shard);
             self.note_lock_hold(hold);
             pruned
         };
@@ -620,7 +646,7 @@ impl ShardedSink {
                     value,
                 } => {
                     let node = shard.insert_call_path(path);
-                    shard.tree_mut().attribute(node, *metric, *value);
+                    shard.attribute(node, *metric, *value);
                 }
             }
         }
@@ -631,28 +657,47 @@ impl ShardedSink {
         self.note_lock_hold(hold);
     }
 
+    /// The home shard of every record in `batch` (non-empty): `Ok` when
+    /// they all share one — the common case for single-stream producers,
+    /// found without allocating — `Err` with one route per record
+    /// otherwise.
+    fn route_activities(&self, batch: &[Activity]) -> Result<usize, Vec<u32>> {
+        let route = |activity: &Activity| self.route_activity(activity.correlation_id.0);
+        let first = route(&batch[0]);
+        let uniform = 1 + batch[1..]
+            .iter()
+            .take_while(|activity| route(activity) == first)
+            .count();
+        if uniform == batch.len() {
+            return Ok(first);
+        }
+        let mut routes = Vec::with_capacity(batch.len());
+        routes.resize(uniform, first as u32);
+        routes.extend(
+            batch[uniform..]
+                .iter()
+                .map(|activity| route(activity) as u32),
+        );
+        Err(routes)
+    }
+
     /// Routes an owned activity buffer into per-shard buckets without
     /// cloning a record (or PC-sampling payload): the whole buffer is
-    /// returned as-is when every record shares one home shard — the
-    /// common case for single-stream producers.
+    /// returned as-is when every record shares one home shard.
     pub(crate) fn partition_activities(&self, batch: Vec<Activity>) -> Vec<(usize, Vec<Activity>)> {
-        let routes: Vec<u32> = batch
-            .iter()
-            .map(|a| self.route_activity(a.correlation_id.0) as u32)
-            .collect();
-        let first = routes[0];
-        if routes.iter().all(|&r| r == first) {
-            return vec![(first as usize, batch)];
-        }
-        let mut buckets: Vec<Vec<Activity>> = vec![Vec::new(); self.shards.len()];
-        for (activity, idx) in batch.into_iter().zip(&routes) {
-            buckets[*idx as usize].push(activity);
+        let routes = match self.route_activities(&batch) {
+            Ok(idx) => return vec![(idx, batch)],
+            Err(routes) => routes,
+        };
+        let mut buckets: Vec<(usize, Vec<Activity>)> = Vec::new();
+        for (activity, idx) in batch.into_iter().zip(routes) {
+            let idx = idx as usize;
+            match buckets.binary_search_by_key(&idx, |(shard, _)| *shard) {
+                Ok(at) => buckets[at].1.push(activity),
+                Err(at) => buckets.insert(at, (idx, vec![activity])),
+            }
         }
         buckets
-            .into_iter()
-            .enumerate()
-            .filter(|(_, bucket)| !bucket.is_empty())
-            .collect()
     }
 
     /// Attributes `count` pipeline-dropped events to shard `idx`'s
@@ -664,7 +709,7 @@ impl ShardedSink {
         }
         let mut shard = self.shards[idx].lock();
         shard.attribute_dropped(count);
-        self.shard_bytes[idx].store(shard.approx_bytes(), Ordering::Relaxed);
+        self.close_boundary(idx, &mut shard);
     }
 
     /// Attributes sampled eviction-victim contexts as children of shard
@@ -681,7 +726,7 @@ impl ShardedSink {
         for path in paths {
             shard.attribute_dropped_sample(path, stride as f64);
         }
-        self.shard_bytes[idx].store(shard.approx_bytes(), Ordering::Relaxed);
+        self.close_boundary(idx, &mut shard);
     }
 
     /// Attributes `count` events lost to a quarantined worker to shard
@@ -694,7 +739,7 @@ impl ShardedSink {
         }
         let mut shard = self.shards[idx].lock();
         shard.attribute_poisoned(count);
-        self.shard_bytes[idx].store(shard.approx_bytes(), Ordering::Relaxed);
+        self.close_boundary(idx, &mut shard);
     }
 
     /// Applies one CPU sample at shard `idx` (normally
@@ -707,7 +752,7 @@ impl ShardedSink {
     fn apply_cpu_sample(&self, idx: usize, path: &CallPath, metric: MetricKind, value: f64) {
         let mut shard = self.shards[idx].lock();
         let node = shard.insert_call_path(path);
-        shard.tree_mut().attribute(node, metric, value);
+        shard.attribute(node, metric, value);
     }
 
     /// The per-shard portion of [`EventSink::epoch_complete`]: retires the
@@ -720,7 +765,9 @@ impl ShardedSink {
             // delivered by now, so one extra epoch retires them all.
             let pruned = shard.end_batch();
             shard.trim();
-            self.shard_bytes[idx].store(shard.approx_bytes(), Ordering::Relaxed);
+            // Launch- and sample-only shards see no activity batch: the
+            // flush boundary is where their samples walk root-ward.
+            self.close_boundary(idx, &mut shard);
             pruned
         };
         for corr in pruned {
@@ -749,8 +796,8 @@ impl ShardedSink {
             cache.get_or_insert_with(|| SnapshotCache::empty(&self.interner, self.shards.len()));
         let fold_start = self.telemetry.as_ref().map(|t| t.now_ns());
         let mut folded = 0u32;
-        for (idx, slot) in self.shards.iter().enumerate() {
-            let shard = slot.lock();
+        for idx in 0..self.shards.len() {
+            let shard = self.settled(idx);
             let generation = shard.generation();
             if cache.generations[idx] == generation {
                 self.shards_skipped.fetch_add(1, Ordering::Relaxed);
@@ -782,8 +829,8 @@ impl ShardedSink {
     /// when the cache is disabled.
     pub fn snapshot_uncached(&self) -> CallingContextTree {
         let mut master = CallingContextTree::with_interner(Arc::clone(&self.interner));
-        for shard in &self.shards {
-            master.merge(shard.lock().tree());
+        for idx in 0..self.shards.len() {
+            master.merge(self.settled(idx).tree());
         }
         master
     }
@@ -815,13 +862,19 @@ impl EventSink for ShardedSink {
         // Route every record to its home shard first, then take each
         // shard lock once per batch. Records are applied from the
         // borrow: nothing is cloned or moved on this path.
-        let mut buckets: Vec<Vec<&Activity>> = vec![Vec::new(); self.shards.len()];
-        for activity in &batch {
-            let idx = self.route_activity(activity.correlation_id.0);
-            buckets[idx].push(activity);
-        }
-        for (idx, bucket) in buckets.iter().enumerate() {
-            self.apply_activity_buckets(idx, std::slice::from_ref(bucket));
+        match self.route_activities(&batch) {
+            Ok(idx) => self.apply_activity_buckets(idx, std::slice::from_ref(&batch)),
+            Err(routes) => {
+                let mut order: Vec<u32> = (0..batch.len() as u32).collect();
+                order.sort_by_key(|&k| routes[k as usize]);
+                for run in order.chunk_by(|a, b| routes[*a as usize] == routes[*b as usize]) {
+                    let bucket: Vec<&Activity> = run.iter().map(|&k| &batch[k as usize]).collect();
+                    self.apply_activity_buckets(
+                        routes[run[0] as usize] as usize,
+                        std::slice::from_ref(&bucket),
+                    );
+                }
+            }
         }
         self.note_peak();
     }
@@ -921,10 +974,8 @@ impl EventSink for ShardedSink {
             // match an uncached snapshot taken at the same quiesce
             // point) purely to learn the shard → master node mappings.
             let mut master = CallingContextTree::with_interner(Arc::clone(&self.interner));
-            let mappings: Vec<Vec<NodeId>> = self
-                .shards
-                .iter()
-                .map(|shard| master.merge(shard.lock().tree()))
+            let mappings: Vec<Vec<NodeId>> = (0..self.shards.len())
+                .map(|idx| master.merge(self.settled(idx).tree()))
                 .collect();
             Some(
                 timeline
@@ -966,7 +1017,9 @@ impl EventSink for ShardedSink {
                     + c.folds.iter().map(FoldState::approx_bytes).sum::<usize>()
             })
             .unwrap_or(0);
-        let shard_bytes: usize = self.shards.iter().map(|s| s.lock().approx_bytes()).sum();
+        let shard_bytes: usize = (0..self.shards.len())
+            .map(|idx| self.settled(idx).approx_bytes())
+            .sum();
         let dir_bytes = self.directory.approx_bytes();
         // Timeline rings are ingestion state too (bounded by
         // ring_capacity × shards, allocated lazily).

@@ -7,19 +7,56 @@
 //! per-shard locks) and the asynchronous [`AsyncSink`](crate::AsyncSink)
 //! (producers enqueue into bounded channels and a worker pool attributes).
 
-use deepcontext_core::{CallPath, CallingContextTree, Frame, MetricKind, NodeId};
+use deepcontext_core::{CallPath, CallingContextTree, CctShard, Frame, MetricKind, NodeId};
 use deepcontext_timeline::TimelineSnapshot;
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind};
 
+/// Where [`attribute_activity_metrics`] lands a record's samples: a
+/// plain [`CallingContextTree`] propagates each inclusive sample to the
+/// root as it arrives; a [`CctShard`] keeps it at the node until the
+/// shard is next settled.
+pub trait SampleTarget {
+    /// An inclusive sample (reaches every ancestor, now or at settle).
+    fn attribute(&mut self, node: NodeId, kind: MetricKind, value: f64);
+    /// An exclusive sample (stays on `node`).
+    fn attribute_exclusive(&mut self, node: NodeId, kind: MetricKind, value: f64);
+    /// The child of `parent` for `frame`, created if new.
+    fn insert_child(&mut self, parent: NodeId, frame: &Frame) -> NodeId;
+}
+
+impl SampleTarget for CallingContextTree {
+    fn attribute(&mut self, node: NodeId, kind: MetricKind, value: f64) {
+        CallingContextTree::attribute(self, node, kind, value);
+    }
+    fn attribute_exclusive(&mut self, node: NodeId, kind: MetricKind, value: f64) {
+        CallingContextTree::attribute_exclusive(self, node, kind, value);
+    }
+    fn insert_child(&mut self, parent: NodeId, frame: &Frame) -> NodeId {
+        CallingContextTree::insert_child(self, parent, frame)
+    }
+}
+
+impl SampleTarget for CctShard {
+    fn attribute(&mut self, node: NodeId, kind: MetricKind, value: f64) {
+        CctShard::attribute(self, node, kind, value);
+    }
+    fn attribute_exclusive(&mut self, node: NodeId, kind: MetricKind, value: f64) {
+        self.tree_mut().attribute_exclusive(node, kind, value);
+    }
+    fn insert_child(&mut self, parent: NodeId, frame: &Frame) -> NodeId {
+        self.tree_mut().insert_child(parent, frame)
+    }
+}
+
 /// Writes one activity record's metrics at its resolved context `node` —
 /// the single source of truth for the activity-kind → metric mapping,
-/// shared by [`ShardedSink`](crate::ShardedSink) and the benchmark's
-/// single-lock baseline so throughput comparisons never drift apart
-/// semantically. Returns the number of instruction samples attributed
-/// (0 for non-sampling records).
-pub fn attribute_activity_metrics(
-    tree: &mut CallingContextTree,
+/// shared by [`ShardedSink`](crate::ShardedSink) (landing in a shard) and
+/// the benchmark's single-lock baseline (landing in its one tree) so
+/// throughput comparisons never drift apart semantically. Returns the
+/// number of instruction samples attributed (0 for non-sampling records).
+pub fn attribute_activity_metrics<T: SampleTarget>(
+    tree: &mut T,
     node: NodeId,
     activity: &Activity,
 ) -> u64 {

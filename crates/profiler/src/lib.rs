@@ -894,6 +894,43 @@ mod tests {
     }
 
     #[test]
+    fn reads_between_a_launch_and_its_activity_batch_see_the_launch() {
+        // A launch's `KernelLaunches` sample waits at its node until the
+        // shard is settled, normally by the activity batch that follows.
+        // Every read surface must settle first, in every layout.
+        let launches = |cct: &CallingContextTree| cct.total(MetricKind::KernelLaunches);
+        for ingestion_mode in [IngestionMode::Sync, IngestionMode::Async] {
+            for (ingestion_shards, snapshot_cache) in
+                [(1, true), (1, false), (16, true), (16, false)]
+            {
+                let rig = rig();
+                let config = ProfilerConfig {
+                    ingestion_mode,
+                    ingestion_shards,
+                    snapshot_cache,
+                    timeline: TimelineConfig {
+                        enabled: true,
+                        ring_capacity: 1024,
+                    },
+                    ..ProfilerConfig::default()
+                };
+                let profiler = Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);
+                // No flush: the records stay in the runtime's buffer.
+                run_relu(&rig, 3);
+                assert_eq!(profiler.with_cct(launches), 3.0);
+                assert_eq!(launches(&profiler.inner.sink.snapshot()), 3.0);
+                run_relu(&rig, 2);
+                profiler.timeline().expect("timeline enabled");
+                assert_eq!(profiler.with_cct(launches), 5.0);
+                assert_eq!(profiler.stats().activities, 0, "nothing was flushed");
+                run_relu(&rig, 1);
+                let db = profiler.finish(ProfileMeta::default());
+                assert_eq!(launches(db.cct()), 6.0);
+            }
+        }
+    }
+
+    #[test]
     fn peak_bytes_is_tracked_and_bounded() {
         let rig = rig();
         let profiler =
