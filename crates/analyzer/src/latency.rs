@@ -7,11 +7,14 @@
 //! studies, which XSP-style across-stack timelines make first-class).
 //! Both rules are silent on views without an attached timeline
 //! ([`ProfileView::with_timeline`]), so they can sit in the default
-//! rule set without affecting aggregate-only analyses.
+//! rule set without affecting aggregate-only analyses. A timeline whose
+//! rings overflowed is a trailing window of the run, and both rules say
+//! so in what they report ([`window_note`]).
 
 use std::collections::HashMap;
 
 use deepcontext_core::NodeId;
+use deepcontext_timeline::TimelineSnapshot;
 
 use crate::issue::{Issue, Severity};
 use crate::view::ProfileView;
@@ -31,6 +34,20 @@ fn anchor(view: &ProfileView<'_>, context: Option<NodeId>) -> NodeId {
     context
         .filter(|n| n.index() < view.cct().node_count())
         .unwrap_or_else(|| view.cct().root())
+}
+
+/// What a finding has to add when ring overflow evicted part of the
+/// run: the figures describe the intervals still held, not the run.
+/// Empty when nothing was dropped.
+fn window_note(timeline: &TimelineSnapshot) -> String {
+    if timeline.dropped() == 0 {
+        return String::new();
+    }
+    format!(
+        " (timeline holds the last {} of {} intervals)",
+        timeline.interval_count(),
+        timeline.recorded()
+    )
 }
 
 /// ⑥ GPU Idle Analysis: flags devices that sit idle for a large share
@@ -122,12 +139,13 @@ impl Rule for GpuIdleRule {
                 call_path: view.path_string(node),
                 message: format!(
                     "device {} idle {:.1}% of its active span ({:.2}ms over {} gaps); \
-                     late launches charged to {}",
+                     late launches charged to {}{}",
                     device.device,
                     (1.0 - device.utilization()) * 100.0,
                     idle / 1e6,
                     device.gaps.len(),
-                    breakdown.join(", ")
+                    breakdown.join(", "),
+                    window_note(timeline)
                 ),
                 suggestion: "overlap the CPU work ahead of the charged launches with device \
                              execution (pipeline launches, prefetch inputs, or move host-side \
@@ -214,11 +232,12 @@ impl Rule for StreamSerializationRule {
                 call_path: view.path_string(node),
                 message: format!(
                     "device {} runs {} streams but they serialize: overlap factor {:.2} \
-                     (1.0 = no concurrency, {} = perfect overlap)",
+                     (1.0 = no concurrency, {} = perfect overlap){}",
                     device.device,
                     device.streams,
                     device.overlap_factor(),
-                    device.streams
+                    device.streams,
+                    window_note(timeline)
                 ),
                 suggestion: "look for implicit synchronization between the streams: \
                              default-stream work, synchronous memcpys or allocations, or \
@@ -243,7 +262,7 @@ mod tests {
         CallingContextTree, Frame, Interner, Interval, IntervalKind, MetricKind, ProfileDb,
         ProfileMeta, TimeNs, TrackKey,
     };
-    use deepcontext_timeline::{ring::TimelineCounters, TimelineSnapshot};
+    use deepcontext_timeline::{TimelineConfig, TimelineCounters, TimelineSink};
     use std::sync::{Arc, OnceLock};
 
     fn interval(
@@ -358,6 +377,55 @@ mod tests {
         let single = snapshot(vec![interval(1, 0, 0, 10_000, 1, Some(node))]);
         let view = ProfileView::new(&db).with_timeline(&single);
         assert!(StreamSerializationRule::default().analyze(&view).is_empty());
+    }
+
+    #[test]
+    fn findings_on_an_overflowed_timeline_say_it_is_a_window() {
+        let (db, node) = db_with_kernel();
+        // Two serialized streams with a long gap, through rings too small
+        // to keep them: ten intervals recorded, four held.
+        let record = |ring_capacity: usize| {
+            let config = TimelineConfig {
+                enabled: true,
+                ring_capacity,
+            };
+            let sink = TimelineSink::new(1, &config);
+            for n in 0..10u64 {
+                let start = n * 100_000;
+                sink.record(
+                    0,
+                    interval(0, (n % 2) as u32, start, start + 10_000, n, Some(node)),
+                );
+            }
+            sink.snapshot_with(|_, node| Some(node))
+        };
+        let analyze = |timeline: &TimelineSnapshot| {
+            let view = ProfileView::new(&db).with_timeline(timeline);
+            let mut issues = GpuIdleRule::default().analyze(&view);
+            issues.extend(StreamSerializationRule::default().analyze(&view));
+            issues
+        };
+        let (whole, window) = (record(16), record(4));
+        assert_eq!((whole.dropped(), window.dropped()), (0, 6));
+        let (on_whole, on_window) = (analyze(&whole), analyze(&window));
+        assert_eq!(on_whole.len(), 2);
+        assert_eq!(on_window.len(), 2, "the note adds no issue");
+        for issue in &on_window {
+            assert!(
+                issue
+                    .message
+                    .ends_with("(timeline holds the last 4 of 10 intervals)"),
+                "{}",
+                issue.message
+            );
+        }
+        for issue in &on_whole {
+            assert!(
+                !issue.message.contains("timeline holds"),
+                "{}",
+                issue.message
+            );
+        }
     }
 
     #[test]

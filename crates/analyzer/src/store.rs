@@ -24,7 +24,6 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -306,10 +305,8 @@ impl ProfileStore {
     /// One write-and-rename attempt. A fresh attempt re-creates the tmp
     /// sibling from scratch (truncating any partial previous attempt).
     fn try_save(&self, db: &ProfileDb, tmp: &Path, id: &str) -> Result<(), CoreError> {
-        let mut w = BufWriter::new(File::create(tmp)?);
-        db.save(&mut w)?;
-        w.flush()?;
-        drop(w);
+        // `save` renders the container and hands it over in one write.
+        db.save(File::create(tmp)?)?;
         // Injected between write and publish: the failure mode where the
         // bytes are on disk but the run never became visible — exactly
         // what the preserved tmp sibling exists for.
@@ -352,12 +349,12 @@ impl ProfileStore {
         if let Some(e) = self.failpoints.io_error(fp_sites::STORE_READ_ERR) {
             return Err(CoreError::Io(e));
         }
-        ProfileDb::load(BufReader::new(File::open(self.path_of(id))?))
+        ProfileDb::load(File::open(self.path_of(id))?)
     }
 
     /// Loads only the metadata header of a stored run.
     pub fn load_meta(&self, id: &str) -> Result<ProfileMeta, CoreError> {
-        ProfileDb::load_meta(BufReader::new(File::open(self.path_of(id))?))
+        ProfileDb::load_meta(File::open(self.path_of(id))?)
     }
 
     /// Lists every run, sorted by (start stamp, id).
@@ -376,7 +373,7 @@ impl ProfileStore {
             let Some(id) = path.file_stem().and_then(|s| s.to_str()) else {
                 continue;
             };
-            let Ok(meta) = ProfileDb::load_meta(BufReader::new(File::open(&path)?)) else {
+            let Ok(meta) = ProfileDb::load_meta(File::open(&path)?) else {
                 continue;
             };
             runs.push(RunRecord {
@@ -1316,7 +1313,7 @@ mod tests {
             .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("tmp"))
             .collect();
         assert_eq!(tmp.len(), 1, "the tmp sibling must survive the failure");
-        let back = ProfileDb::load(BufReader::new(File::open(&tmp[0]).unwrap())).unwrap();
+        let back = ProfileDb::load(File::open(&tmp[0]).unwrap()).unwrap();
         assert_eq!(back.meta().workload, "unet");
         fs::remove_dir_all(dir).unwrap();
     }

@@ -21,7 +21,7 @@ const OPS_PER_SCOPE: usize = 16;
 const INTERVALS: usize = 20_000;
 const CHANGED_SCOPES: usize = 2;
 const REPEATS: usize = 7;
-const TARGET_SAVE_LOAD_EVENTS_PER_SEC: f64 = 200_000.0;
+const TARGET_SAVE_LOAD_EVENTS_PER_SEC: f64 = 2_000_000.0;
 const TARGET_WARM_DIFF_SPEEDUP: f64 = 1.5;
 
 fn main() {

@@ -15,7 +15,19 @@
 //! fires) with their own site-name table and conservation counters — so
 //! a stored run carries its own causal incident history. Version 1 and
 //! 2 files still load.
+//!
+//! Both directions work on one buffer. [`ProfileDb::save`] renders into
+//! one reused `String` — the interval lines' integers through
+//! [`push_u64`](crate::json::push_u64), text escaped in place — and
+//! hands it to the writer a 64 KiB chunk at a time.
+//! [`ProfileDb::load`] reads the input once, checks it is UTF-8, and
+//! walks it with borrowed line and field iterators: no per-line
+//! `String`, no per-line `Vec` of fields, an owned string only where the
+//! profile keeps one (interned strings, names, journal fields). Neither
+//! allocates per interval.
 
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::Arc;
 
@@ -25,6 +37,7 @@ use crate::error::CoreError;
 use crate::frame::Frame;
 use crate::interner::{Interner, Sym};
 use crate::journal::{StoredJournal, StoredJournalEvent};
+use crate::json::push_u64;
 use crate::metrics::{MetricKind, MetricStat, MetricStore};
 use crate::timeline::{Interval, IntervalKind, StoredTimeline, TrackKey};
 
@@ -157,107 +170,96 @@ impl ProfileDb {
         (self.meta, self.cct)
     }
 
-    /// Writes the profile to `w`.
+    /// Writes the profile to `w`, a [`CHUNK`] of rendered text at a time.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Io`] if writing fails.
-    pub fn save<W: Write>(&self, mut w: W) -> Result<(), CoreError> {
-        writeln!(w, "{MAGIC_V3}")?;
-        writeln!(w, "meta\tworkload\t{}", escape(&self.meta.workload))?;
-        writeln!(w, "meta\tframework\t{}", escape(&self.meta.framework))?;
-        writeln!(w, "meta\tplatform\t{}", escape(&self.meta.platform))?;
-        writeln!(w, "meta\titerations\t{}", self.meta.iterations)?;
-        writeln!(w, "meta\thost\t{}", escape(&self.meta.host))?;
-        writeln!(w, "meta\tmodel\t{}", escape(&self.meta.model))?;
-        writeln!(w, "meta\tconfig\t{}", escape(&self.meta.config))?;
-        writeln!(w, "meta\tstarted\t{}", self.meta.started.0)?;
-        writeln!(w, "meta\tended\t{}", self.meta.ended.0)?;
-        for (k, v) in &self.meta.extra {
-            writeln!(w, "meta\textra.{}\t{}", escape(k), escape(v))?;
+    pub fn save<W: Write>(&self, w: W) -> Result<(), CoreError> {
+        let mut out = Out {
+            text: String::with_capacity(CHUNK + 4096),
+            w,
+        };
+        let o = &mut out;
+        o.line(format_args!("{MAGIC_V3}"))?;
+        let meta = &self.meta;
+        o.line(format_args!("meta\tworkload\t{}", Escaped(&meta.workload)))?;
+        o.line(format_args!(
+            "meta\tframework\t{}",
+            Escaped(&meta.framework)
+        ))?;
+        o.line(format_args!("meta\tplatform\t{}", Escaped(&meta.platform)))?;
+        o.line(format_args!("meta\titerations\t{}", meta.iterations))?;
+        o.line(format_args!("meta\thost\t{}", Escaped(&meta.host)))?;
+        o.line(format_args!("meta\tmodel\t{}", Escaped(&meta.model)))?;
+        o.line(format_args!("meta\tconfig\t{}", Escaped(&meta.config)))?;
+        o.line(format_args!("meta\tstarted\t{}", meta.started.0))?;
+        o.line(format_args!("meta\tended\t{}", meta.ended.0))?;
+        for (k, v) in &meta.extra {
+            o.line(format_args!("meta\textra.{}\t{}", Escaped(k), Escaped(v)))?;
         }
-        let strings = self.cct.interner().snapshot();
-        writeln!(w, "strings\t{}", strings.len())?;
-        for s in &strings {
-            writeln!(w, "{}", escape(s))?;
-        }
+        o.table("strings", &self.cct.interner().snapshot())?;
         let nodes = self.cct.nodes_raw();
-        writeln!(w, "nodes\t{}", nodes.len())?;
+        o.line(format_args!("nodes\t{}", nodes.len()))?;
         for node in nodes {
-            let parent = match node.parent() {
-                Some(p) => p.index().to_string(),
-                None => "-".to_owned(),
-            };
-            write!(w, "{parent}\t{}", node.frame().to_record())?;
-            write!(w, "\t{}", node.metrics().len())?;
+            index_or_dash(&mut o.text, node.parent().map(|p| p.index() as u64));
+            o.text.push('\t');
+            node.frame().write_record(&mut o.text);
+            write!(o.text, "\t{}", node.metrics().len())?;
             for (kind, stat) in node.metrics().iter() {
-                write!(w, "\t{}\t{}", kind.to_record(), stat.to_record())?;
+                o.text.push('\t');
+                kind.write_record(&mut o.text);
+                o.text.push('\t');
+                stat.write_record(&mut o.text);
             }
-            writeln!(w)?;
+            o.end_line()?;
         }
         if let Some(tl) = &self.timeline {
-            let (wstart, wend) = match tl.window {
-                Some((s, e)) => (s.0.to_string(), e.0.to_string()),
-                None => ("-".to_owned(), "-".to_owned()),
-            };
-            writeln!(
-                w,
-                "timeline\t{}\t{}\t{}\t{wstart}\t{wend}",
-                tl.intervals.len(),
-                tl.recorded,
-                tl.dropped
-            )?;
-            writeln!(w, "tnames\t{}", tl.names.len())?;
-            for name in &tl.names {
-                writeln!(w, "{}", escape(name))?;
-            }
+            let (intervals, recorded, dropped) = (tl.intervals.len(), tl.recorded, tl.dropped);
+            write!(o.text, "timeline\t{intervals}\t{recorded}\t{dropped}\t")?;
+            index_or_dash(&mut o.text, tl.window.map(|(start, _)| start.0));
+            o.text.push('\t');
+            index_or_dash(&mut o.text, tl.window.map(|(_, end)| end.0));
+            o.end_line()?;
+            o.table("tnames", &tl.names)?;
+            // Hundreds of thousands of lines: no `fmt` here.
             for iv in &tl.intervals {
-                let context = match iv.context {
-                    Some(n) => n.index().to_string(),
-                    None => "-".to_owned(),
-                };
-                writeln!(
-                    w,
-                    "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{context}",
-                    iv.track.device,
-                    iv.track.stream,
+                let t = &mut o.text;
+                for field in [
+                    iv.track.device.into(),
+                    iv.track.stream.into(),
                     iv.start.0,
                     iv.end.0,
-                    interval_kind_tag(iv.kind),
-                    iv.name.index(),
-                    iv.correlation
-                )?;
+                ] {
+                    push_u64(t, field);
+                    t.push('\t');
+                }
+                t.push_str(interval_kind_tag(iv.kind));
+                t.push('\t');
+                push_u64(t, iv.name.index().into());
+                t.push('\t');
+                push_u64(t, iv.correlation);
+                t.push('\t');
+                index_or_dash(t, iv.context.map(|n| n.index() as u64));
+                o.end_line()?;
             }
         }
         if let Some(j) = &self.journal {
-            writeln!(
-                w,
-                "journal\t{}\t{}\t{}",
-                j.events.len(),
-                j.recorded,
-                j.evicted
-            )?;
-            writeln!(w, "jnames\t{}", j.names.len())?;
-            for name in &j.names {
-                writeln!(w, "{}", escape(name))?;
-            }
+            let (events, recorded, evicted) = (j.events.len(), j.recorded, j.evicted);
+            o.line(format_args!("journal\t{events}\t{recorded}\t{evicted}"))?;
+            o.table("jnames", &j.names)?;
             for ev in &j.events {
-                write!(
-                    w,
-                    "{}\t{}\t{}\t{}\t{}",
-                    ev.seq,
-                    ev.ts_ns,
-                    ev.severity,
-                    ev.site,
-                    ev.fields.len()
-                )?;
+                let (seq, ts, severity, site) = (ev.seq, ev.ts_ns, ev.severity, ev.site);
+                let fields = ev.fields.len();
+                write!(o.text, "{seq}\t{ts}\t{severity}\t{site}\t{fields}")?;
                 for (k, v) in &ev.fields {
-                    write!(w, "\t{}\t{}", escape(k), escape(v))?;
+                    write!(o.text, "\t{}\t{}", Escaped(k), Escaped(v))?;
                 }
-                writeln!(w)?;
+                o.end_line()?;
             }
         }
-        writeln!(w, "end")?;
+        o.line(format_args!("end"))?;
+        out.w.write_all(out.text.as_bytes())?;
         Ok(())
     }
 
@@ -265,69 +267,36 @@ impl ProfileDb {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Parse`] for malformed input and
-    /// [`CoreError::Io`] for read failures.
-    pub fn load<R: Read>(r: R) -> Result<Self, CoreError> {
-        let mut lines = BufReader::new(r).lines();
-        let mut next_line = move || -> Result<String, CoreError> {
-            lines
-                .next()
-                .ok_or_else(|| CoreError::parse("unexpected end of profile".into()))?
-                .map_err(CoreError::from)
-        };
+    /// Returns [`CoreError::Parse`] for malformed input (including input
+    /// that is not UTF-8) and [`CoreError::Io`] for read failures.
+    pub fn load<R: Read>(mut r: R) -> Result<Self, CoreError> {
+        let mut bytes = Vec::new();
+        r.read_to_end(&mut bytes)?;
+        let mut lines = Lines::new(&bytes)?;
+        let (meta, line) = parse_header(&mut lines)?;
 
-        match next_line()?.as_str() {
-            MAGIC_V1 | MAGIC_V2 | MAGIC_V3 => {}
-            _ => return Err(CoreError::parse("bad magic header".into())),
-        }
-
-        let mut meta = ProfileMeta::default();
-        let line = loop {
-            let line = next_line()?;
-            if let Some(rest) = line.strip_prefix("meta\t") {
-                parse_meta_line(rest, &mut meta)?;
-            } else {
-                break line;
-            }
-        };
-
-        let count: usize = line
-            .strip_prefix("strings\t")
-            .ok_or_else(|| CoreError::parse("expected strings section".into()))?
-            .parse()
-            .map_err(|e| CoreError::parse(format!("bad string count: {e}")))?;
         let interner = Interner::new();
-        for _ in 0..count {
-            let s = unescape(&next_line()?)?;
-            interner.intern(&s);
+        for _ in 0..count_of(line, "strings\t", "string")? {
+            interner.intern(&unescape(lines.next()?)?);
         }
 
-        let line = next_line()?;
-        let node_count: usize = line
-            .strip_prefix("nodes\t")
-            .ok_or_else(|| CoreError::parse("expected nodes section".into()))?
-            .parse()
-            .map_err(|e| CoreError::parse(format!("bad node count: {e}")))?;
-
-        let mut raw = Vec::with_capacity(node_count);
+        let node_count = count_of(lines.next()?, "nodes\t", "node")?;
+        let mut raw = Vec::with_capacity(lines.at_most(node_count));
         for _ in 0..node_count {
-            let line = next_line()?;
-            raw.push(parse_node_line(&line)?);
+            raw.push(parse_node_line(lines.next()?)?);
         }
 
-        let line = next_line()?;
-        let (timeline, line) = if let Some(rest) = line.strip_prefix("timeline\t") {
-            let tl = parse_timeline_section(rest, &mut next_line)?;
-            (Some(tl), next_line()?)
-        } else {
-            (None, line)
-        };
-        let (journal, line) = if let Some(rest) = line.strip_prefix("journal\t") {
-            let j = parse_journal_section(rest, &mut next_line)?;
-            (Some(j), next_line()?)
-        } else {
-            (None, line)
-        };
+        let mut line = lines.next()?;
+        let mut timeline = None;
+        if let Some(rest) = line.strip_prefix("timeline\t") {
+            timeline = Some(parse_timeline_section(rest, &mut lines)?);
+            line = lines.next()?;
+        }
+        let mut journal = None;
+        if let Some(rest) = line.strip_prefix("journal\t") {
+            journal = Some(parse_journal_section(rest, &mut lines)?);
+            line = lines.next()?;
+        }
         if line != "end" {
             return Err(CoreError::parse("missing end marker".into()));
         }
@@ -342,71 +311,254 @@ impl ProfileDb {
     }
 
     /// Reads only the header of a stored profile: magic plus the meta
-    /// lines, stopping before the string table. Used by store listings
-    /// to scan run metadata without paying for full deserialization.
+    /// lines, stopping at the string table — nothing past its first line
+    /// is read beyond the reader's buffer. Used by store listings to
+    /// scan run metadata without paying for full deserialization.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Parse`] for malformed input and
     /// [`CoreError::Io`] for read failures.
     pub fn load_meta<R: Read>(r: R) -> Result<ProfileMeta, CoreError> {
-        let mut lines = BufReader::new(r).lines();
-        let mut next_line = move || -> Result<String, CoreError> {
-            lines
-                .next()
-                .ok_or_else(|| CoreError::parse("unexpected end of profile".into()))?
-                .map_err(CoreError::from)
-        };
-        match next_line()?.as_str() {
-            MAGIC_V1 | MAGIC_V2 | MAGIC_V3 => {}
-            _ => return Err(CoreError::parse("bad magic header".into())),
-        }
-        let mut meta = ProfileMeta::default();
+        let mut r = BufReader::new(r);
+        let mut header = Vec::new();
         loop {
-            let line = next_line()?;
-            if let Some(rest) = line.strip_prefix("meta\t") {
-                parse_meta_line(rest, &mut meta)?;
-            } else {
+            let line_at = header.len();
+            let read = r.read_until(b'\n', &mut header)?;
+            // Stop at end of input or after the first line past the
+            // magic that is not a meta line.
+            if read == 0 || (line_at > 0 && !header[line_at..].starts_with(b"meta\t")) {
                 break;
             }
         }
-        Ok(meta)
+        Ok(parse_header(&mut Lines::new(&header)?)?.0)
     }
+}
+
+/// Rendered text is handed to the writer once this much has gathered:
+/// saving holds a chunk, not the container, and the chunk stays warm.
+const CHUNK: usize = 64 << 10;
+
+/// The container being written.
+struct Out<W: Write> {
+    /// Rendered, not yet written.
+    text: String,
+    w: W,
+}
+
+impl<W: Write> Out<W> {
+    /// Ends the line being rendered.
+    fn end_line(&mut self) -> std::io::Result<()> {
+        self.text.push('\n');
+        if self.text.len() >= CHUNK {
+            self.w.write_all(self.text.as_bytes())?;
+            self.text.clear();
+        }
+        Ok(())
+    }
+
+    /// One whole line, through `fmt` (headers, strings, names: not the
+    /// per-interval lines).
+    fn line(&mut self, text: fmt::Arguments<'_>) -> Result<(), CoreError> {
+        self.text.write_fmt(text)?;
+        Ok(self.end_line()?)
+    }
+
+    /// A counted table of escaped strings, one per line.
+    fn table(&mut self, tag: &str, entries: &[Arc<str>]) -> Result<(), CoreError> {
+        self.line(format_args!("{tag}\t{}", entries.len()))?;
+        entries
+            .iter()
+            .try_for_each(|entry| self.line(format_args!("{}", Escaped(entry))))
+    }
+}
+
+/// The input as borrowed lines (`\n` or `\r\n` terminated, the last
+/// terminator optional).
+struct Lines<'a> {
+    lines: std::str::Lines<'a>,
+    /// Bytes of input: no section can hold more entries than this, so a
+    /// corrupt count cannot size an allocation.
+    input_len: usize,
+}
+
+impl<'a> Lines<'a> {
+    fn new(bytes: &'a [u8]) -> Result<Self, CoreError> {
+        let text = std::str::from_utf8(bytes)
+            .map_err(|e| CoreError::parse(format!("profile is not UTF-8: {e}")))?;
+        Ok(Lines {
+            lines: text.lines(),
+            input_len: text.len(),
+        })
+    }
+
+    fn next(&mut self) -> Result<&'a str, CoreError> {
+        self.lines
+            .next()
+            .ok_or_else(|| CoreError::parse("unexpected end of profile".into()))
+    }
+
+    /// `count` capped at what the input could possibly hold.
+    fn at_most(&self, count: usize) -> usize {
+        count.min(self.input_len)
+    }
+
+    /// The `count` escaped lines of a name table.
+    fn names(&mut self, count: usize) -> Result<Vec<Arc<str>>, CoreError> {
+        let mut names = Vec::with_capacity(self.at_most(count));
+        for _ in 0..count {
+            names.push(Arc::from(&*unescape(self.next()?)?));
+        }
+        Ok(names)
+    }
+}
+
+/// The tab-separated fields of one line, consumed front to back.
+struct Fields<'a> {
+    /// What is left of the line; `None` once the last field is taken.
+    rest: Option<&'a str>,
+    /// What the line is, for error messages.
+    line: &'static str,
+}
+
+/// Splits at tabs like `str::split('\t')`, with a plain byte scan: the
+/// fields are a few digits long, too short for a searcher to pay off.
+impl<'a> Iterator for Fields<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.rest?;
+        match rest.bytes().position(|b| b == b'\t') {
+            Some(tab) => {
+                self.rest = Some(&rest[tab + 1..]);
+                Some(&rest[..tab])
+            }
+            None => self.rest.take(),
+        }
+    }
+}
+
+impl<'a> Fields<'a> {
+    fn new(text: &'a str, line: &'static str) -> Self {
+        Fields {
+            rest: Some(text),
+            line,
+        }
+    }
+
+    fn missing(&self, what: &str) -> CoreError {
+        CoreError::parse(format!("{} is missing its {what}", self.line))
+    }
+
+    fn text(&mut self, what: &str) -> Result<&'a str, CoreError> {
+        self.next().ok_or_else(|| self.missing(what))
+    }
+
+    /// The next field as an unsigned decimal number (digits only), read
+    /// in the same scan that finds where the field ends: an interval
+    /// line is seven of these.
+    fn number<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, CoreError> {
+        let bad = |line: &str| CoreError::parse(format!("bad {line} {what}"));
+        let rest = self.rest.ok_or_else(|| self.missing(what))?;
+        let mut value = 0u64;
+        let mut digits = 0;
+        for byte in rest.bytes() {
+            match byte {
+                b'0'..=b'9' => value = value.wrapping_mul(10).wrapping_add((byte - b'0').into()),
+                b'\t' => break,
+                _ => return Err(bad(self.line)),
+            }
+            digits += 1;
+        }
+        // Up to nineteen digits cannot have wrapped; more may still fit.
+        if digits > 19 {
+            value = rest[..digits].parse().map_err(|_| bad(self.line))?;
+        }
+        if digits == 0 {
+            return Err(bad(self.line));
+        }
+        self.rest = rest.get(digits + 1..);
+        T::try_from(value).map_err(|_| bad(self.line))
+    }
+
+    /// A number, or `None` for the `-` placeholder.
+    fn index_or_dash<T: TryFrom<u64>>(&mut self, what: &str) -> Result<Option<T>, CoreError> {
+        match self.rest {
+            Some(rest) if rest == "-" || rest.starts_with("-\t") => {
+                self.next();
+                Ok(None)
+            }
+            _ => self.number(what).map(Some),
+        }
+    }
+
+    /// Fails if the line has fields left over.
+    fn end(mut self) -> Result<(), CoreError> {
+        match self.next() {
+            None => Ok(()),
+            Some(_) => Err(CoreError::parse(format!(
+                "{} has trailing fields",
+                self.line
+            ))),
+        }
+    }
+}
+
+fn index_or_dash(out: &mut String, index: Option<u64>) {
+    match index {
+        Some(index) => push_u64(out, index),
+        None => out.push('-'),
+    }
+}
+
+/// The magic line and the meta lines; also returns the first line after
+/// them.
+fn parse_header<'a>(lines: &mut Lines<'a>) -> Result<(ProfileMeta, &'a str), CoreError> {
+    match lines.next()? {
+        MAGIC_V1 | MAGIC_V2 | MAGIC_V3 => {}
+        _ => return Err(CoreError::parse("bad magic header".into())),
+    }
+    let mut meta = ProfileMeta::default();
+    loop {
+        let line = lines.next()?;
+        match line.strip_prefix("meta\t") {
+            Some(rest) => parse_meta_line(rest, &mut meta)?,
+            None => return Ok((meta, line)),
+        }
+    }
+}
+
+/// The entry count of a `tag`-prefixed section header line.
+fn count_of(line: &str, tag: &str, what: &str) -> Result<usize, CoreError> {
+    line.strip_prefix(tag)
+        .ok_or_else(|| CoreError::parse(format!("expected {} section", tag.trim_end())))?
+        .parse()
+        .map_err(|e| CoreError::parse(format!("bad {what} count: {e}")))
 }
 
 fn parse_meta_line(rest: &str, meta: &mut ProfileMeta) -> Result<(), CoreError> {
     let (key, value) = rest
         .split_once('\t')
         .ok_or_else(|| CoreError::parse("malformed meta line".into()))?;
+    let number = || -> Result<u64, CoreError> {
+        value
+            .parse()
+            .map_err(|e| CoreError::parse(format!("bad {key}: {e}")))
+    };
     match key {
-        "workload" => meta.workload = unescape(value)?,
-        "framework" => meta.framework = unescape(value)?,
-        "platform" => meta.platform = unescape(value)?,
-        "iterations" => {
-            meta.iterations = value
-                .parse()
-                .map_err(|e| CoreError::parse(format!("bad iterations: {e}")))?
-        }
-        "host" => meta.host = unescape(value)?,
-        "model" => meta.model = unescape(value)?,
-        "config" => meta.config = unescape(value)?,
-        "started" => {
-            meta.started = TimeNs(
-                value
-                    .parse()
-                    .map_err(|e| CoreError::parse(format!("bad started: {e}")))?,
-            )
-        }
-        "ended" => {
-            meta.ended = TimeNs(
-                value
-                    .parse()
-                    .map_err(|e| CoreError::parse(format!("bad ended: {e}")))?,
-            )
-        }
+        "workload" => meta.workload = unescape(value)?.into_owned(),
+        "framework" => meta.framework = unescape(value)?.into_owned(),
+        "platform" => meta.platform = unescape(value)?.into_owned(),
+        "iterations" => meta.iterations = number()?,
+        "host" => meta.host = unescape(value)?.into_owned(),
+        "model" => meta.model = unescape(value)?.into_owned(),
+        "config" => meta.config = unescape(value)?.into_owned(),
+        "started" => meta.started = TimeNs(number()?),
+        "ended" => meta.ended = TimeNs(number()?),
         other => {
             let k = other.strip_prefix("extra.").unwrap_or(other);
-            meta.extra.push((unescape(k)?, unescape(value)?));
+            meta.extra
+                .push((unescape(k)?.into_owned(), unescape(value)?.into_owned()));
         }
     }
     Ok(())
@@ -421,50 +573,27 @@ fn interval_kind_tag(kind: IntervalKind) -> &'static str {
 
 fn parse_timeline_section(
     header_rest: &str,
-    next_line: &mut impl FnMut() -> Result<String, CoreError>,
+    lines: &mut Lines<'_>,
 ) -> Result<StoredTimeline, CoreError> {
-    let fields: Vec<&str> = header_rest.split('\t').collect();
-    if fields.len() != 5 {
-        return Err(CoreError::parse("malformed timeline header".into()));
-    }
-    let interval_count: usize = fields[0]
-        .parse()
-        .map_err(|e| CoreError::parse(format!("bad interval count: {e}")))?;
-    let recorded: u64 = fields[1]
-        .parse()
-        .map_err(|e| CoreError::parse(format!("bad recorded count: {e}")))?;
-    let dropped: u64 = fields[2]
-        .parse()
-        .map_err(|e| CoreError::parse(format!("bad dropped count: {e}")))?;
-    let window = match (fields[3], fields[4]) {
-        ("-", "-") => None,
-        (s, e) => Some((
-            TimeNs(
-                s.parse()
-                    .map_err(|e| CoreError::parse(format!("bad window start: {e}")))?,
-            ),
-            TimeNs(
-                e.parse()
-                    .map_err(|e| CoreError::parse(format!("bad window end: {e}")))?,
-            ),
-        )),
+    let mut header = Fields::new(header_rest, "timeline header");
+    let interval_count: usize = header.number("interval count")?;
+    let recorded = header.number("recorded count")?;
+    let dropped = header.number("dropped count")?;
+    let window = match (
+        header.index_or_dash("window start")?,
+        header.index_or_dash("window end")?,
+    ) {
+        (Some(start), Some(end)) => Some((TimeNs(start), TimeNs(end))),
+        (None, None) => None,
+        _ => return Err(CoreError::parse("half a timeline window".into())),
     };
+    header.end()?;
 
-    let line = next_line()?;
-    let name_count: usize = line
-        .strip_prefix("tnames\t")
-        .ok_or_else(|| CoreError::parse("expected tnames section".into()))?
-        .parse()
-        .map_err(|e| CoreError::parse(format!("bad timeline name count: {e}")))?;
-    let mut names: Vec<Arc<str>> = Vec::with_capacity(name_count);
-    for _ in 0..name_count {
-        names.push(Arc::from(unescape(&next_line()?)?.as_str()));
-    }
-
-    let mut intervals = Vec::with_capacity(interval_count);
+    let name_count = count_of(lines.next()?, "tnames\t", "timeline name")?;
+    let names = lines.names(name_count)?;
+    let mut intervals = Vec::with_capacity(lines.at_most(interval_count));
     for _ in 0..interval_count {
-        let line = next_line()?;
-        intervals.push(parse_interval_line(&line, name_count)?);
+        intervals.push(parse_interval_line(lines.next()?, name_count)?);
     }
     Ok(StoredTimeline {
         intervals,
@@ -476,78 +605,53 @@ fn parse_timeline_section(
 }
 
 fn parse_interval_line(line: &str, name_count: usize) -> Result<Interval, CoreError> {
-    let fields: Vec<&str> = line.split('\t').collect();
-    if fields.len() != 8 {
-        return Err(CoreError::parse("malformed interval line".into()));
-    }
-    let num = |s: &str, what: &str| -> Result<u64, CoreError> {
-        s.parse()
-            .map_err(|e| CoreError::parse(format!("bad interval {what}: {e}")))
+    let mut fields = Fields::new(line, "interval");
+    let track = TrackKey {
+        device: fields.number("device")?,
+        stream: fields.number("stream")?,
     };
-    let kind = match fields[4] {
+    let start = TimeNs(fields.number("start")?);
+    let end = TimeNs(fields.number("end")?);
+    let kind = match fields.text("kind")? {
         "K" => IntervalKind::Kernel,
         "M" => IntervalKind::Memcpy,
         other => return Err(CoreError::parse(format!("unknown interval kind {other:?}"))),
     };
-    let name_idx = num(fields[5], "name")? as u32;
-    if name_idx as usize >= name_count {
+    let name: u32 = fields.number("name")?;
+    if name as usize >= name_count {
         return Err(CoreError::parse(format!(
-            "interval name index {name_idx} out of range"
+            "interval name index {name} out of range"
         )));
     }
-    let context = match fields[7] {
-        "-" => None,
-        idx => Some(NodeId(idx.parse::<u32>().map_err(|e| {
-            CoreError::parse(format!("bad interval context: {e}"))
-        })?)),
-    };
+    let correlation = fields.number("correlation")?;
+    let context = fields.index_or_dash("context")?.map(NodeId);
+    fields.end()?;
     Ok(Interval {
-        track: TrackKey {
-            device: num(fields[0], "device")? as u32,
-            stream: num(fields[1], "stream")? as u32,
-        },
-        start: TimeNs(num(fields[2], "start")?),
-        end: TimeNs(num(fields[3], "end")?),
+        track,
+        start,
+        end,
         kind,
-        name: Sym(name_idx),
-        correlation: num(fields[6], "correlation")?,
+        name: Sym(name),
+        correlation,
         context,
     })
 }
 
 fn parse_journal_section(
     header_rest: &str,
-    next_line: &mut impl FnMut() -> Result<String, CoreError>,
+    lines: &mut Lines<'_>,
 ) -> Result<StoredJournal, CoreError> {
-    let fields: Vec<&str> = header_rest.split('\t').collect();
-    if fields.len() != 3 {
-        return Err(CoreError::parse("malformed journal header".into()));
-    }
-    let event_count: usize = fields[0]
-        .parse()
-        .map_err(|e| CoreError::parse(format!("bad journal event count: {e}")))?;
-    let recorded: u64 = fields[1]
-        .parse()
-        .map_err(|e| CoreError::parse(format!("bad journal recorded count: {e}")))?;
-    let evicted: u64 = fields[2]
-        .parse()
-        .map_err(|e| CoreError::parse(format!("bad journal evicted count: {e}")))?;
+    let mut header = Fields::new(header_rest, "journal header");
+    let event_count: usize = header.number("event count")?;
+    let recorded = header.number("recorded count")?;
+    let evicted = header.number("evicted count")?;
+    header.end()?;
 
-    let line = next_line()?;
-    let name_count: usize = line
-        .strip_prefix("jnames\t")
-        .ok_or_else(|| CoreError::parse("expected jnames section".into()))?
-        .parse()
-        .map_err(|e| CoreError::parse(format!("bad journal name count: {e}")))?;
-    let mut names: Vec<Arc<str>> = Vec::with_capacity(name_count);
-    for _ in 0..name_count {
-        names.push(Arc::from(unescape(&next_line()?)?.as_str()));
-    }
-
-    let mut events = Vec::with_capacity(event_count);
+    let name_count = count_of(lines.next()?, "jnames\t", "journal name")?;
+    let names = lines.names(name_count)?;
+    let mut events = Vec::with_capacity(lines.at_most(event_count));
     for _ in 0..event_count {
-        let line = next_line()?;
-        events.push(parse_journal_event_line(&line, name_count)?);
+        events.push(parse_journal_event_line(lines.next()?, name_count)?);
     }
     Ok(StoredJournal {
         events,
@@ -561,107 +665,74 @@ fn parse_journal_event_line(
     line: &str,
     name_count: usize,
 ) -> Result<StoredJournalEvent, CoreError> {
-    let fields: Vec<&str> = line.split('\t').collect();
-    if fields.len() < 5 {
-        return Err(CoreError::parse("truncated journal event line".into()));
-    }
-    let num = |s: &str, what: &str| -> Result<u64, CoreError> {
-        s.parse()
-            .map_err(|e| CoreError::parse(format!("bad journal event {what}: {e}")))
-    };
-    let site = num(fields[3], "site")? as u32;
+    let mut fields = Fields::new(line, "journal event");
+    let seq = fields.number("seq")?;
+    let ts_ns = fields.number("timestamp")?;
+    let severity = fields.number("severity")?;
+    let site: u32 = fields.number("site")?;
     if site as usize >= name_count {
         return Err(CoreError::parse(format!(
             "journal site index {site} out of range"
         )));
     }
-    let severity = num(fields[2], "severity")?;
-    let severity = u8::try_from(severity)
-        .map_err(|_| CoreError::parse(format!("journal severity {severity} out of range")))?;
-    let field_count = num(fields[4], "field count")? as usize;
-    if fields.len() != 5 + 2 * field_count {
-        return Err(CoreError::parse(
-            "journal event line field count mismatch".into(),
-        ));
-    }
-    let mut kv = Vec::with_capacity(field_count);
-    for i in 0..field_count {
+    let field_count: usize = fields.number("field count")?;
+    let mut kv = Vec::with_capacity(field_count.min(line.len()));
+    for _ in 0..field_count {
         kv.push((
-            unescape(fields[5 + 2 * i])?,
-            unescape(fields[5 + 2 * i + 1])?,
+            unescape(fields.text("field key")?)?.into_owned(),
+            unescape(fields.text("field value")?)?.into_owned(),
         ));
     }
+    fields.end()?;
     Ok(StoredJournalEvent {
-        seq: num(fields[0], "seq")?,
-        ts_ns: num(fields[1], "timestamp")?,
+        seq,
+        ts_ns,
         severity,
         site,
         fields: kv,
     })
 }
 
-fn frame_field_count(tag: &str) -> Result<usize, CoreError> {
-    Ok(match tag {
-        "R" => 1,
-        "I" => 2,
-        "T" => 3,
-        "P" | "O" | "N" | "A" | "K" => 4,
-        other => return Err(CoreError::parse(format!("unknown frame tag {other:?}"))),
-    })
-}
-
 type RawNode = (Option<NodeId>, Frame, MetricStore);
 
 fn parse_node_line(line: &str) -> Result<RawNode, CoreError> {
-    let fields: Vec<&str> = line.split('\t').collect();
-    if fields.len() < 2 {
-        return Err(CoreError::parse("truncated node line".into()));
-    }
-    let parent = match fields[0] {
-        "-" => None,
-        idx => Some(NodeId(
-            idx.parse::<u32>()
-                .map_err(|e| CoreError::parse(format!("bad parent: {e}")))?,
-        )),
-    };
-    let tag = fields[1];
-    let nf = frame_field_count(tag)?;
-    if fields.len() < 1 + nf + 1 {
-        return Err(CoreError::parse("node line too short for frame".into()));
-    }
-    let frame = Frame::from_record(&fields[1..1 + nf].join("\t"))?;
-    let metric_count: usize = fields[1 + nf]
-        .parse()
-        .map_err(|e| CoreError::parse(format!("bad metric count: {e}")))?;
+    let mut fields = Fields::new(line, "node");
+    let parent = fields.index_or_dash("parent")?.map(NodeId);
+    let frame = Frame::from_record(&mut fields)?;
+    let metric_count: usize = fields.number("metric count")?;
     let mut metrics = MetricStore::new();
-    let mut pos = 1 + nf + 1;
     for _ in 0..metric_count {
-        if fields.len() < pos + 7 {
-            return Err(CoreError::parse("node line too short for metrics".into()));
-        }
-        let kind = MetricKind::from_record(fields[pos])?;
-        let stat = MetricStat::from_record_fields(fields[pos + 1..pos + 7].iter().copied())?;
+        let kind = MetricKind::from_record(fields.text("metric kind")?)?;
+        let stat = MetricStat::from_record_fields(&mut fields)?;
         metrics.merge_stat(kind, &stat);
-        pos += 7;
     }
     Ok((parent, frame, metrics))
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
+/// Displays text with backslash, tab, newline and carriage return
+/// escaped — the container's escape, field and line separators.
+struct Escaped<'a>(&'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '\\' => f.write_str("\\\\")?,
+                '\t' => f.write_str("\\t")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                other => f.write_char(other)?,
+            }
         }
+        Ok(())
     }
-    out
 }
 
-fn unescape(s: &str) -> Result<String, CoreError> {
+/// Undoes [`Escaped`]; text without a backslash is returned as is.
+fn unescape(s: &str) -> Result<Cow<'_, str>, CoreError> {
+    if !s.contains('\\') {
+        return Ok(Cow::Borrowed(s));
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -677,7 +748,7 @@ fn unescape(s: &str) -> Result<String, CoreError> {
             other => return Err(CoreError::parse(format!("bad escape \\{other:?}"))),
         }
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]
@@ -969,7 +1040,7 @@ mod tests {
     #[test]
     fn escape_round_trips() {
         for s in ["plain", "with\ttab", "with\nnewline", "back\\slash", ""] {
-            assert_eq!(unescape(&escape(s)).unwrap(), s);
+            assert_eq!(unescape(&Escaped(s).to_string()).unwrap(), s);
         }
     }
 

@@ -601,20 +601,23 @@ impl Extend<Frame> for CallPath {
 
 /// Serialization helpers shared by the profile database.
 impl Frame {
-    pub(crate) fn to_record(&self) -> String {
-        match *self {
-            Frame::Root => "R".to_owned(),
-            Frame::Thread { tid, role } => format!("T\t{tid}\t{}", role_code(role)),
+    /// Appends the frame's tab-separated record to `out`.
+    pub(crate) fn write_record(&self, out: &mut String) {
+        use fmt::Write as _;
+        let _ = match *self {
+            Frame::Root => write!(out, "R"),
+            Frame::Thread { tid, role } => write!(out, "T\t{tid}\t{}", role_code(role)),
             Frame::Python {
                 file,
                 line,
                 function,
-            } => format!("P\t{}\t{line}\t{}", file.0, function.0),
+            } => write!(out, "P\t{}\t{line}\t{}", file.0, function.0),
             Frame::Operator {
                 name,
                 phase,
                 seq_id,
-            } => format!(
+            } => write!(
+                out,
                 "O\t{}\t{}\t{}",
                 name.0,
                 phase_code(phase),
@@ -624,15 +627,23 @@ impl Frame {
                 library,
                 pc,
                 symbol,
-            } => format!("N\t{}\t{pc}\t{}", library.0, symbol.0),
-            Frame::GpuApi { name, library, pc } => format!("A\t{}\t{}\t{pc}", name.0, library.0),
-            Frame::GpuKernel { name, module, pc } => format!("K\t{}\t{}\t{pc}", name.0, module.0),
-            Frame::Instruction { pc } => format!("I\t{pc}"),
-        }
+            } => write!(out, "N\t{}\t{pc}\t{}", library.0, symbol.0),
+            Frame::GpuApi { name, library, pc } => {
+                write!(out, "A\t{}\t{}\t{pc}", name.0, library.0)
+            }
+            Frame::GpuKernel { name, module, pc } => {
+                write!(out, "K\t{}\t{}\t{pc}", name.0, module.0)
+            }
+            Frame::Instruction { pc } => write!(out, "I\t{pc}"),
+        };
     }
 
-    pub(crate) fn from_record(record: &str) -> Result<Frame, crate::CoreError> {
-        let mut parts = record.split('\t');
+    /// Reads one frame record off the front of `parts` — the tag and
+    /// exactly the fields that tag carries — leaving the rest of the
+    /// line to the caller.
+    pub(crate) fn from_record<'a>(
+        parts: &mut impl Iterator<Item = &'a str>,
+    ) -> Result<Frame, crate::CoreError> {
         let tag = parts.next().unwrap_or("");
         let mut num = |what: &str| -> Result<u64, crate::CoreError> {
             parts
@@ -820,9 +831,13 @@ mod tests {
             Frame::instruction(0x40),
         ];
         for f in frames {
-            let rec = f.to_record();
-            let back = Frame::from_record(&rec).unwrap();
+            let mut rec = String::new();
+            f.write_record(&mut rec);
+            rec.push_str("\trest");
+            let mut parts = rec.split('\t');
+            let back = Frame::from_record(&mut parts).unwrap();
             assert_eq!(f, back, "record {rec:?}");
+            assert_eq!(parts.next(), Some("rest"), "record {rec:?}");
         }
     }
 

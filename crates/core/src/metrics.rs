@@ -186,12 +186,14 @@ impl MetricKind {
         }
     }
 
-    pub(crate) fn to_record(self) -> String {
-        match self {
-            MetricKind::Stall(r) => format!("S{}", r.code()),
-            MetricKind::Custom(sym) => format!("C{}", sym.index()),
-            other => format!("B{}", other.base_code()),
-        }
+    /// Appends the kind's record (a tag letter and a code) to `out`.
+    pub(crate) fn write_record(self, out: &mut String) {
+        use fmt::Write as _;
+        let _ = match self {
+            MetricKind::Stall(r) => write!(out, "S{}", r.code()),
+            MetricKind::Custom(sym) => write!(out, "C{}", sym.index()),
+            other => write!(out, "B{}", other.base_code()),
+        };
     }
 
     pub(crate) fn from_record(s: &str) -> Result<Self, crate::CoreError> {
@@ -411,11 +413,14 @@ impl MetricStat {
         self.count == 0
     }
 
-    pub(crate) fn to_record(self) -> String {
-        format!(
+    /// Appends the six tab-separated fields of the aggregate to `out`.
+    pub(crate) fn write_record(self, out: &mut String) {
+        use fmt::Write as _;
+        let _ = write!(
+            out,
             "{}\t{}\t{}\t{}\t{}\t{}",
             self.count, self.sum, self.min, self.max, self.mean, self.m2
-        )
+        );
     }
 
     pub(crate) fn from_record_fields<'a>(
@@ -764,7 +769,8 @@ mod tests {
             custom,
         ];
         for k in kinds {
-            let rec = k.to_record();
+            let mut rec = String::new();
+            k.write_record(&mut rec);
             assert_eq!(MetricKind::from_record(&rec).unwrap(), k, "record {rec:?}");
         }
     }

@@ -16,12 +16,22 @@
 //! (`"i"`) events on a dedicated `incidents` lane — supervisor
 //! transitions, quarantines and drop storms render as markers right
 //! above the flush/fold/worker swim-lanes they explain.
+//!
+//! The writer streams: every event is appended straight into one output
+//! buffer sized before the first byte is written, and whatever repeats
+//! is rendered once per distinct thing — the event prefix once per
+//! track, the escaped name once per [`Sym`], the escaped
+//! `,"context":"…"` argument once per CCT node. A run has tens of
+//! contexts and hundreds of thousands of intervals, so per interval the
+//! writer copies bytes and prints three integers through
+//! [`push_u64`]; it neither walks the tree nor allocates.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
-use deepcontext_core::json::escape_into;
+use deepcontext_core::json::{escape_into, push_u64};
 use deepcontext_core::{
-    severity_label, CallingContextTree, FxHashMap, StoredJournal, Sym, TrackKey,
+    severity_label, CallingContextTree, FxHashMap, Interner, NodeId, StoredJournal, Sym, TrackKey,
 };
 
 use crate::snapshot::TimelineSnapshot;
@@ -32,25 +42,126 @@ use crate::snapshot::TimelineSnapshot;
 /// track.
 const INCIDENT_TID: u32 = 1_002;
 
-/// Human-readable lane name of a self-timeline stream (the profiler's
-/// reserved [`TrackKey::SELF_DEVICE`] tracks).
-fn self_stream_name(stream: u32) -> String {
-    match stream {
-        TrackKey::SELF_STREAM_FLUSH => "producer flush".to_string(),
-        TrackKey::SELF_STREAM_FOLD => "snapshot fold".to_string(),
-        worker => format!("worker {worker}"),
+/// Upper bound on the bytes of one interval event outside its track
+/// prefix, name and context: separator, category, two microsecond
+/// timestamps, the correlation id and the punctuation between them.
+const EVENT_TAIL_MAX: usize = 128;
+
+/// Upper bound on the bytes of one metadata event.
+const META_MAX: usize = 128;
+
+/// Appends nanoseconds as a microsecond JSON number with full
+/// nanosecond precision and no float rounding (`1234` → `1.234`).
+fn push_us(out: &mut String, ns: u64) {
+    push_u64(out, ns / 1_000);
+    let frac = (ns % 1_000) as u32;
+    if frac != 0 {
+        out.push('.');
+        for digit in [frac / 100, frac / 10 % 10, frac % 10] {
+            out.push(char::from(b'0' + digit as u8));
+        }
     }
 }
 
-/// Nanoseconds rendered as a microsecond JSON number with full
-/// nanosecond precision and no float rounding (`1234` → `1.234`).
-fn us(ns: u64) -> String {
-    let whole = ns / 1_000;
-    let frac = ns % 1_000;
-    if frac == 0 {
-        whole.to_string()
-    } else {
-        format!("{whole}.{frac:03}")
+/// The `traceEvents` array under construction.
+struct Events {
+    out: String,
+    any: bool,
+}
+
+impl Events {
+    /// Starts the next event — the comma after the previous one, the
+    /// line break and the indent — and hands out the buffer to write it.
+    fn begin(&mut self) -> &mut String {
+        self.out.push_str(if self.any { ",\n  " } else { "\n  " });
+        self.any = true;
+        &mut self.out
+    }
+
+    /// One metadata (`"M"`) event; `args` is the inside of its `args`
+    /// object. There are a few per track, so these go through `fmt`.
+    fn meta(&mut self, pid: u32, tid: u32, what: &str, args: fmt::Arguments<'_>) {
+        let _ = write!(
+            self.begin(),
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{what}\",\"args\":{{{args}}}}}"
+        );
+    }
+
+    /// Names one lane and pins its sort position to its `tid`.
+    fn lane(&mut self, pid: u32, tid: u32, name: &str) {
+        self.meta(pid, tid, "thread_name", format_args!("\"name\":\"{name}\""));
+        self.meta(
+            pid,
+            tid,
+            "thread_sort_index",
+            format_args!("\"sort_index\":{tid}"),
+        );
+    }
+}
+
+/// The per-`Sym` and per-node strings of one export, each rendered on
+/// first use.
+struct Labels<'a> {
+    snapshot: &'a TimelineSnapshot,
+    cct: Option<(&'a CallingContextTree, Arc<Interner>)>,
+    /// Escaped interval names.
+    names: FxHashMap<Sym, String>,
+    /// Escaped `,"context":"…"` arguments, indexed by node; sized to the
+    /// tree, so an id outside it has no slot and renders nothing.
+    contexts: Vec<Option<String>>,
+}
+
+impl<'a> Labels<'a> {
+    fn new(snapshot: &'a TimelineSnapshot, cct: Option<&'a CallingContextTree>) -> Self {
+        Labels {
+            snapshot,
+            cct: cct.map(|cct| (cct, cct.interner())),
+            names: FxHashMap::default(),
+            contexts: vec![None; cct.map_or(0, CallingContextTree::node_count)],
+        }
+    }
+
+    /// The escaped display name of `sym`: resolved against the
+    /// snapshot's captured symbol table first, the CCT's interner as
+    /// fallback, `sym#N` as the last resort.
+    fn name(&mut self, sym: Sym) -> &str {
+        let (snapshot, cct) = (self.snapshot, &self.cct);
+        self.names.entry(sym).or_insert_with(|| {
+            let mut escaped = String::new();
+            match (snapshot.name_of(sym), cct) {
+                (Some(name), _) => escape_into(&mut escaped, name),
+                (None, Some((_, interner))) if (sym.index() as usize) < interner.len() => {
+                    escape_into(&mut escaped, &interner.resolve(sym));
+                }
+                _ => {
+                    let _ = write!(escaped, "{sym}");
+                }
+            }
+            escaped
+        })
+    }
+
+    /// The `,"context":"root > … > kernel"` argument of an interval
+    /// attributed to `node`; empty without a tree, without a context, or
+    /// for an id the tree does not hold.
+    fn context(&mut self, node: Option<NodeId>) -> &str {
+        let (Some((cct, interner)), Some(node)) = (&self.cct, node) else {
+            return "";
+        };
+        let Some(slot) = self.contexts.get_mut(node.index()) else {
+            return "";
+        };
+        slot.get_or_insert_with(|| {
+            let mut argument = String::from(",\"context\":\"");
+            for (depth, frame) in cct.frames_to_root(node).frames().iter().enumerate() {
+                if depth > 0 {
+                    argument.push_str(" > ");
+                }
+                escape_into(&mut argument, &frame.label(interner));
+            }
+            argument.push('"');
+            argument
+        })
     }
 }
 
@@ -74,172 +185,122 @@ pub fn to_chrome_trace_with_journal(
     journal: Option<&StoredJournal>,
 ) -> String {
     let journal = journal.filter(|j| !j.is_empty());
-    let mut out = String::new();
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |event: String, out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        out.push_str("\n  ");
-        out.push_str(&event);
-    };
-
-    // Metadata: name one process per device, one thread per stream, and
-    // keep lanes in stream order. The reserved self-telemetry device
-    // renders as the profiler's own process (it sorts last — after every
-    // real GPU — because it is `u32::MAX`); a journal forces it into
-    // existence even without self intervals.
+    // The reserved self-telemetry device renders as the profiler's own
+    // process (it sorts last — after every real GPU — because it is
+    // `u32::MAX`); a journal forces it into existence even without self
+    // intervals.
     let mut devices = snapshot.devices();
     if journal.is_some() && !devices.contains(&TrackKey::SELF_DEVICE) {
         devices.push(TrackKey::SELF_DEVICE);
     }
+
+    // Size the buffer before writing: the first pass renders every
+    // distinct name and context (the second finds them rendered) and
+    // adds up an upper bound, so the output — tens of megabytes for a
+    // full ring set — is allocated once and never moved.
+    let mut labels = Labels::new(snapshot, cct);
+    let mut prefixes = Vec::with_capacity(snapshot.tracks().len());
+    let mut size = (devices.len() + 2 * snapshot.tracks().len() + 4) * META_MAX;
+    for track in snapshot.tracks() {
+        let key = track.key();
+        let mut prefix = String::from("{\"ph\":\"X\",\"pid\":");
+        push_u64(&mut prefix, key.device.into());
+        prefix.push_str(",\"tid\":");
+        push_u64(&mut prefix, key.stream.into());
+        prefix.push_str(",\"name\":\"");
+        size += track.intervals().len() * (prefix.len() + EVENT_TAIL_MAX);
+        for interval in track.intervals() {
+            size += labels.name(interval.name).len() + labels.context(interval.context).len();
+        }
+        prefixes.push(prefix);
+    }
+    for record in journal.iter().flat_map(|j| &j.events) {
+        // Worst case every byte escapes to `\u00XX`.
+        let fields = record.fields.iter().map(|(k, v)| k.len() + v.len() + 6);
+        let site = journal
+            .and_then(|j| j.site_name(record))
+            .map_or(0, str::len);
+        size += 2 * META_MAX + 6 * (site + fields.sum::<usize>());
+    }
+    let mut events = Events {
+        out: String::with_capacity(size),
+        any: false,
+    };
+    events
+        .out
+        .push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+
+    // Metadata: name one process per device, one thread per stream, and
+    // keep lanes in stream order.
     for device in devices {
-        let name = if device == TrackKey::SELF_DEVICE {
-            "profiler (self)".to_string()
-        } else {
-            format!("GPU {device}")
+        let name = match device {
+            TrackKey::SELF_DEVICE => format_args!("\"name\":\"profiler (self)\""),
+            _ => format_args!("\"name\":\"GPU {device}\""),
         };
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{device},\"tid\":0,\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            ),
-            &mut out,
-        );
+        events.meta(device, 0, "process_name", name);
     }
     for track in snapshot.tracks() {
         let key = track.key();
-        let lane = if key.is_self() {
-            self_stream_name(key.stream)
-        } else {
-            format!("stream {}", key.stream)
+        let lane = match key.stream {
+            stream if !key.is_self() => format!("stream {stream}"),
+            TrackKey::SELF_STREAM_FLUSH => "producer flush".to_string(),
+            TrackKey::SELF_STREAM_FOLD => "snapshot fold".to_string(),
+            worker => format!("worker {worker}"),
         };
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{},\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{lane}\"}}}}",
-                key.device, key.stream
-            ),
-            &mut out,
-        );
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{},\"tid\":{},\"name\":\"thread_sort_index\",\
-                 \"args\":{{\"sort_index\":{}}}}}",
-                key.device, key.stream, key.stream
-            ),
-            &mut out,
-        );
+        events.lane(key.device, key.stream, &lane);
     }
 
     // One complete event per interval, in track order (already
-    // start-sorted within each track). Interval names are interned
-    // `Sym`s: each distinct symbol is resolved and escaped once —
-    // against the snapshot's captured symbol table first, the CCT's
-    // interner as fallback, `sym#N` as the last resort — and every
-    // further interval carrying it reuses the memoized escape.
-    let interner = cct.map(|c| c.interner());
-    let mut escaped_names: FxHashMap<Sym, String> = FxHashMap::default();
-    for track in snapshot.tracks() {
-        let key = track.key();
+    // start-sorted within each track).
+    for (track, prefix) in snapshot.tracks().iter().zip(&prefixes) {
         for interval in track.intervals() {
-            let name = escaped_names.entry(interval.name).or_insert_with(|| {
-                let mut escaped = String::new();
-                match (snapshot.name_of(interval.name), &interner) {
-                    (Some(name), _) => escape_into(&mut escaped, name),
-                    (None, Some(interner)) if (interval.name.index() as usize) < interner.len() => {
-                        escape_into(&mut escaped, &interner.resolve(interval.name));
-                    }
-                    _ => {
-                        let _ = write!(escaped, "{}", interval.name);
-                    }
-                }
-                escaped
-            });
-            let mut event = String::new();
-            event.push_str("{\"ph\":\"X\",\"pid\":");
-            let _ = write!(event, "{}", key.device);
-            event.push_str(",\"tid\":");
-            let _ = write!(event, "{}", key.stream);
-            event.push_str(",\"name\":\"");
-            event.push_str(name);
-            event.push_str("\",\"cat\":\"");
-            event.push_str(interval.kind.name());
-            event.push_str("\",\"ts\":");
-            event.push_str(&us(interval.start.as_nanos()));
-            event.push_str(",\"dur\":");
-            event.push_str(&us(interval.duration().as_nanos()));
-            event.push_str(",\"args\":{\"correlation\":");
-            let _ = write!(event, "{}", interval.correlation);
-            if let (Some(cct), Some(interner), Some(node)) =
-                (cct, interner.as_ref(), interval.context)
-            {
-                if node.index() < cct.node_count() {
-                    let path = cct
-                        .frames_to_root(node)
-                        .frames()
-                        .iter()
-                        .map(|f| f.label(interner))
-                        .collect::<Vec<_>>()
-                        .join(" > ");
-                    event.push_str(",\"context\":\"");
-                    escape_into(&mut event, &path);
-                    event.push('"');
-                }
-            }
-            event.push_str("}}");
-            push(event, &mut out);
+            let out = events.begin();
+            out.push_str(prefix);
+            out.push_str(labels.name(interval.name));
+            out.push_str("\",\"cat\":\"");
+            out.push_str(interval.kind.name());
+            out.push_str("\",\"ts\":");
+            push_us(out, interval.start.as_nanos());
+            out.push_str(",\"dur\":");
+            push_us(out, interval.duration().as_nanos());
+            out.push_str(",\"args\":{\"correlation\":");
+            push_u64(out, interval.correlation);
+            out.push_str(labels.context(interval.context));
+            out.push_str("}}");
         }
     }
 
     // Incident markers: one instant per journaled event, in seq order,
     // on their own named lane of the self process.
     if let Some(journal) = journal {
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{},\"tid\":{INCIDENT_TID},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"incidents\"}}}}",
-                TrackKey::SELF_DEVICE
-            ),
-            &mut out,
-        );
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{},\"tid\":{INCIDENT_TID},\"name\":\"thread_sort_index\",\
-                 \"args\":{{\"sort_index\":{INCIDENT_TID}}}}}",
-                TrackKey::SELF_DEVICE
-            ),
-            &mut out,
-        );
+        events.lane(TrackKey::SELF_DEVICE, INCIDENT_TID, "incidents");
         for record in &journal.events {
-            let mut event = String::new();
-            event.push_str("{\"ph\":\"i\",\"pid\":");
-            let _ = write!(event, "{}", TrackKey::SELF_DEVICE);
-            event.push_str(",\"tid\":");
-            let _ = write!(event, "{INCIDENT_TID}");
-            event.push_str(",\"name\":\"");
-            escape_into(&mut event, journal.site_name(record).unwrap_or("<unknown>"));
-            event.push_str("\",\"cat\":\"incident\",\"s\":\"p\",\"ts\":");
-            event.push_str(&us(record.ts_ns));
-            event.push_str(",\"args\":{\"seq\":");
-            let _ = write!(event, "{}", record.seq);
-            event.push_str(",\"severity\":\"");
-            event.push_str(severity_label(record.severity));
-            event.push('"');
+            let out = events.begin();
+            out.push_str("{\"ph\":\"i\",\"pid\":");
+            push_u64(out, TrackKey::SELF_DEVICE.into());
+            out.push_str(",\"tid\":");
+            push_u64(out, INCIDENT_TID.into());
+            out.push_str(",\"name\":\"");
+            escape_into(out, journal.site_name(record).unwrap_or("<unknown>"));
+            out.push_str("\",\"cat\":\"incident\",\"s\":\"p\",\"ts\":");
+            push_us(out, record.ts_ns);
+            out.push_str(",\"args\":{\"seq\":");
+            push_u64(out, record.seq);
+            out.push_str(",\"severity\":\"");
+            out.push_str(severity_label(record.severity));
+            out.push('"');
             for (key, value) in &record.fields {
-                event.push_str(",\"");
-                escape_into(&mut event, key);
-                event.push_str("\":\"");
-                escape_into(&mut event, value);
-                event.push('"');
+                out.push_str(",\"");
+                escape_into(out, key);
+                out.push_str("\":\"");
+                escape_into(out, value);
+                out.push('"');
             }
-            event.push_str("}}");
-            push(event, &mut out);
+            out.push_str("}}");
         }
     }
-    out.push_str("\n]}\n");
-    out
+    events.out.push_str("\n]}\n");
+    events.out
 }
 
 #[cfg(test)]
@@ -253,10 +314,16 @@ mod tests {
         let mut s = String::new();
         escape_into(&mut s, "a\"b\\c\nd\u{1}");
         assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
+        let us = |ns| {
+            let mut s = String::new();
+            push_us(&mut s, ns);
+            s
+        };
         assert_eq!(us(0), "0");
         assert_eq!(us(1_500), "1.500");
         assert_eq!(us(42), "0.042");
         assert_eq!(us(2_000), "2");
+        assert_eq!(us(u64::MAX), "18446744073709551.615");
     }
 
     fn memcpy_snapshot() -> (std::sync::Arc<Interner>, TimelineSnapshot) {

@@ -10,6 +10,15 @@
 //! the largest retained share, so one hot stream degrades to a bounded
 //! trailing window of itself without erasing a quiet stream's history
 //! (the CCT keeps the lossless aggregate view either way).
+//!
+//! Each ring keeps one run per track in track order — activity records
+//! arrive in completion order per stream, so [`IntervalRing::push`]
+//! pays one compare against the newest entry for it — which is what lets
+//! [`TimelineSink::snapshot_with`] assemble a track by merging the at
+//! most one run per shard into a vector sized for it, with no sort and
+//! no second copy. The merge is stateless on purpose: a cached assembled
+//! timeline would be a second copy of the rings that
+//! `ProfilerStats::peak_bytes` has to count.
 
 use std::collections::VecDeque;
 
@@ -17,15 +26,16 @@ use parking_lot::Mutex;
 
 use deepcontext_core::{Interval, NodeId, TrackKey};
 
-use crate::snapshot::TimelineSnapshot;
+use crate::snapshot::{merge_runs, sort_key, TimelineSnapshot, Track};
 use crate::TimelineConfig;
 
 /// A fixed-capacity interval buffer with per-track eviction fairness:
-/// intervals are retained per `(device, stream)` track under one global
-/// capacity, and overflow evicts the oldest entry of the *largest*
-/// track. A single hot stream therefore cannibalizes only its own
-/// history; a quiet stream's intervals survive as long as its share
-/// stays below the hot track's.
+/// intervals are retained per `(device, stream)` track, each track in
+/// `(start, end, correlation)` order, under one global capacity, and
+/// overflow evicts the earliest entry of the *largest* track. A single
+/// hot stream therefore cannibalizes only its own history; a quiet
+/// stream's intervals survive as long as its share stays below the hot
+/// track's.
 ///
 /// The counters live here — plain integers updated under the ring's
 /// lock, which the recording path already holds — instead of as shared
@@ -64,8 +74,9 @@ impl IntervalRing {
         }
     }
 
-    /// Appends `interval`, evicting (and counting) the oldest entry of
-    /// the largest track when the ring is at its global capacity.
+    /// Adds `interval` to its track, evicting (and counting) the
+    /// earliest entry of the largest track when the ring is at its
+    /// global capacity.
     pub fn push(&mut self, interval: Interval) {
         self.recorded += 1;
         if self.len == self.capacity {
@@ -102,14 +113,32 @@ impl IntervalRing {
                 idx
             }
         };
-        self.tracks[idx].buf.push_back(interval);
+        // Keep the run in track order. In-order arrival — the only kind
+        // a stream's completion-ordered records produce — is one compare
+        // and an append; a late arrival goes after every entry it does
+        // not precede, where the stable sort this replaces left it.
+        let buf = &mut self.tracks[idx].buf;
+        let key = sort_key(&interval);
+        if buf.back().is_none_or(|newest| sort_key(newest) <= key) {
+            buf.push_back(interval);
+        } else {
+            let at = buf.partition_point(|iv| sort_key(iv) <= key);
+            buf.insert(at, interval);
+        }
         self.len += 1;
     }
 
-    /// Live intervals: tracks in `(device, stream)` order, each track
-    /// oldest first.
+    /// Live intervals: tracks in `(device, stream)` order, each track in
+    /// `(start, end, correlation)` order.
     pub fn iter(&self) -> impl Iterator<Item = &Interval> {
         self.tracks.iter().flat_map(|t| t.buf.iter())
+    }
+
+    /// The live run of one track; `None` when it holds nothing (never
+    /// seen, or evicted empty).
+    fn run(&self, key: TrackKey) -> Option<&VecDeque<Interval>> {
+        let idx = self.tracks.binary_search_by_key(&key, |t| t.key).ok()?;
+        Some(&self.tracks[idx].buf).filter(|buf| !buf.is_empty())
     }
 
     /// Number of live intervals.
@@ -226,7 +255,11 @@ impl TimelineSink {
     /// Assembles the current ring contents into per-track sorted
     /// intervals, remapping each interval's shard-local context id
     /// through `remap(shard, node)` into the caller's master-tree id
-    /// space (return `None` to leave the context unresolved).
+    /// space (return `None` to leave the context unresolved). Each track
+    /// is the merge of its per-shard runs, equal keys in shard order —
+    /// [`TimelineSnapshot::from_intervals`] over the same intervals
+    /// builds the same snapshot by sorting. All rings are locked for the
+    /// duration; no other lock is taken under them.
     ///
     /// Callers are responsible for quiescing ingestion first (the
     /// pipeline's snapshot paths run this behind their drain barriers),
@@ -236,18 +269,40 @@ impl TimelineSink {
         &self,
         mut remap: impl FnMut(usize, NodeId) -> Option<NodeId>,
     ) -> TimelineSnapshot {
-        let mut intervals = Vec::new();
+        let rings: Vec<_> = self.rings.iter().map(|ring| ring.lock()).collect();
         let mut counters = TimelineCounters::default();
-        for (idx, ring) in self.rings.iter().enumerate() {
-            let ring = ring.lock();
+        for ring in &rings {
             counters.recorded += ring.recorded();
             counters.dropped += ring.dropped();
-            intervals.extend(ring.iter().cloned().map(|mut interval| {
-                interval.context = interval.context.and_then(|node| remap(idx, node));
-                interval
-            }));
         }
-        TimelineSnapshot::from_intervals(intervals, counters)
+        let mut keys: Vec<TrackKey> = rings
+            .iter()
+            .flat_map(|ring| ring.tracks.iter())
+            .filter(|track| !track.buf.is_empty())
+            .map(|track| track.key)
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let tracks = keys
+            .into_iter()
+            .map(|key| {
+                let runs: Vec<(usize, &VecDeque<Interval>)> = rings
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(shard, ring)| Some((shard, ring.run(key)?)))
+                    .collect();
+                let mut intervals = Vec::with_capacity(runs.iter().map(|(_, run)| run.len()).sum());
+                merge_runs(runs.iter().map(|(_, run)| run.iter()), |run, interval| {
+                    let shard = runs[run].0;
+                    intervals.push(Interval {
+                        context: interval.context.and_then(|node| remap(shard, node)),
+                        ..*interval
+                    });
+                });
+                Track::new(key, intervals)
+            })
+            .collect();
+        TimelineSnapshot::from_tracks(tracks, counters)
     }
 
     /// Approximate resident bytes of all rings.

@@ -9,15 +9,62 @@
 //! between device work — each gap attributed to the CCT contexts of its
 //! bounding launches, so an analyzer rule can point at the call path
 //! that left the device idle.
+//!
+//! Assembly copies every interval once and sorts nothing it can avoid:
+//! the rings keep one run per `(shard, track)` in track order, so a
+//! track is the [`merge_runs`] of its runs into an exactly-sized vector
+//! ([`TimelineSink::snapshot_with`]); a stored timeline that is still in
+//! the order [`to_stored`](TimelineSnapshot::to_stored) wrote is cut at
+//! its track boundaries ([`from_stored`](TimelineSnapshot::from_stored));
+//! only [`from_intervals`](TimelineSnapshot::from_intervals), the
+//! constructor for intervals in no particular order, groups and sorts.
+//! Statistics are computed on the first [`stats`](TimelineSnapshot::stats)
+//! call — a live preview that only wants the tracks never pays the sweep.
+//!
+//! [`TimelineSink::snapshot_with`]: crate::TimelineSink::snapshot_with
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::iter::Peekable;
+use std::sync::{Arc, OnceLock};
 
 use deepcontext_core::{
     CallingContextTree, Interval, NodeId, StoredTimeline, Sym, TimeNs, TrackKey,
 };
 
 use crate::ring::TimelineCounters;
+
+/// The order of intervals within a track.
+pub(crate) fn sort_key(interval: &Interval) -> (TimeNs, TimeNs, u64) {
+    (interval.start, interval.end, interval.correlation)
+}
+
+/// Visits every interval of `runs` in [`sort_key`] order, passing the
+/// index of the run it came from; equal keys go to the earlier run. Each
+/// run must itself be in that order, which makes this the stable sort of
+/// the runs' concatenation without the sort. The next interval is found
+/// by scanning the run heads: a track has at most one run per shard and
+/// a device one per stream, a handful either way.
+pub(crate) fn merge_runs<'a, I>(
+    runs: impl IntoIterator<Item = I>,
+    mut visit: impl FnMut(usize, &'a Interval),
+) where
+    I: Iterator<Item = &'a Interval>,
+{
+    let mut runs: Vec<Peekable<I>> = runs.into_iter().map(Iterator::peekable).collect();
+    loop {
+        let mut next = None;
+        for (idx, run) in runs.iter_mut().enumerate() {
+            if let Some(head) = run.peek() {
+                let key = sort_key(head);
+                if next.is_none_or(|(_, least)| key < least) {
+                    next = Some((idx, key));
+                }
+            }
+        }
+        let Some((idx, _)) = next else { return };
+        visit(idx, runs[idx].next().expect("peeked"));
+    }
+}
 
 /// One `(device, stream)` swim-lane: its intervals sorted by
 /// `(start, end, correlation)`.
@@ -28,6 +75,12 @@ pub struct Track {
 }
 
 impl Track {
+    /// A track of `intervals` already in [`sort_key`] order.
+    pub(crate) fn new(key: TrackKey, intervals: Vec<Interval>) -> Self {
+        debug_assert!(intervals.is_sorted_by_key(sort_key));
+        Track { key, intervals }
+    }
+
     /// The `(device, stream)` placement.
     pub fn key(&self) -> TrackKey {
         self.key
@@ -47,16 +100,15 @@ impl Track {
 
 /// An assembled timeline: every track recorded, plus the recording
 /// counters at snapshot time.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TimelineSnapshot {
     tracks: Vec<Track>,
     counters: TimelineCounters,
-    /// Precomputed at assembly time: snapshots are immutable, and every
-    /// consumer of more than the raw tracks (both latency rules, the
-    /// reports) wants these — computing once here keeps repeated
-    /// [`stats`](Self::stats) calls free instead of re-sweeping the
-    /// whole interval set per rule.
-    stats: TimelineStats,
+    /// Computed by the first [`stats`](Self::stats) call and kept:
+    /// snapshots are immutable, so both latency rules and the reports
+    /// share one sweep, and readers that only want the tracks (a live
+    /// preview, the Chrome export) pay for none.
+    stats: OnceLock<TimelineStats>,
     /// The captured symbol table ([`Interner::snapshot`] of the interner
     /// the intervals were recorded through): interval names are interned
     /// [`Sym`] handles, and a snapshot with its names attached resolves
@@ -74,11 +126,31 @@ pub struct TimelineSnapshot {
     window: Option<(TimeNs, TimeNs)>,
 }
 
+/// Two snapshots are equal when they hold the same timeline; whether
+/// either has computed its statistics yet does not enter into it.
+impl PartialEq for TimelineSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.tracks, self.counters, &self.names, self.window)
+            == (&other.tracks, other.counters, &other.names, other.window)
+    }
+}
+
 impl TimelineSnapshot {
-    /// Groups `intervals` into start-sorted tracks. Rings deliver
-    /// per-shard insertion order; tracks sort by `(start, end,
-    /// correlation)` so snapshots are deterministic regardless of which
-    /// shard an interval travelled through.
+    /// A snapshot of `tracks` in `(device, stream)` order, none empty.
+    pub(crate) fn from_tracks(tracks: Vec<Track>, counters: TimelineCounters) -> Self {
+        debug_assert!(tracks.is_sorted_by_key(Track::key));
+        TimelineSnapshot {
+            tracks,
+            counters,
+            ..TimelineSnapshot::default()
+        }
+    }
+
+    /// Groups `intervals`, in any order, into start-sorted tracks:
+    /// tracks sort by `(start, end, correlation)`, intervals equal under
+    /// that key keep their input order. The sorting constructor — the
+    /// ring and store paths, whose input is already in order, produce
+    /// the same snapshot without it.
     pub fn from_intervals(intervals: Vec<Interval>, counters: TimelineCounters) -> Self {
         let mut by_track: BTreeMap<TrackKey, Vec<Interval>> = BTreeMap::new();
         for interval in intervals {
@@ -87,29 +159,21 @@ impl TimelineSnapshot {
         let tracks = by_track
             .into_iter()
             .map(|(key, mut intervals)| {
-                intervals.sort_by_key(|iv| (iv.start, iv.end, iv.correlation));
-                Track { key, intervals }
+                intervals.sort_by_key(sort_key);
+                Track::new(key, intervals)
             })
             .collect();
-        let mut snapshot = TimelineSnapshot {
-            tracks,
-            counters,
-            stats: TimelineStats::default(),
-            names: Vec::new(),
-            window: None,
-        };
-        snapshot.stats = TimelineStats::compute(&snapshot);
-        snapshot
+        TimelineSnapshot::from_tracks(tracks, counters)
     }
 
-    /// Attaches the run's wall-clock window `[start, end)` and
-    /// recomputes statistics under it: leading device idle
+    /// Attaches the run's wall-clock window `[start, end)`, under which
+    /// statistics are computed: leading device idle
     /// (`[start, first launch)`) and trailing idle
     /// (`[last completion, end)`) become explicit [`Gap`]s, and
     /// [`DeviceStats::span`] extends to cover the window.
     pub fn with_window(mut self, start: TimeNs, end: TimeNs) -> Self {
         self.window = Some((start, end));
-        self.stats = TimelineStats::compute(&self);
+        self.stats = OnceLock::new();
         self
     }
 
@@ -122,12 +186,12 @@ impl TimelineSnapshot {
     /// the captured symbol table, the counters and the window — the
     /// shape `ProfileDb` stores on disk.
     pub fn to_stored(&self) -> StoredTimeline {
+        let mut intervals = Vec::with_capacity(self.interval_count());
+        for track in &self.tracks {
+            intervals.extend_from_slice(&track.intervals);
+        }
         StoredTimeline {
-            intervals: self
-                .tracks
-                .iter()
-                .flat_map(|t| t.intervals.iter().copied())
-                .collect(),
+            intervals,
             names: self.names.clone(),
             recorded: self.counters.recorded,
             dropped: self.counters.dropped,
@@ -135,22 +199,33 @@ impl TimelineSnapshot {
         }
     }
 
-    /// Reassembles a snapshot from its persistent form: regroups the
-    /// intervals into sorted tracks, reattaches the symbol table, and
-    /// recomputes statistics (under the stored window, when present).
+    /// Reassembles a snapshot from its persistent form: the intervals
+    /// as sorted tracks, the symbol table and the window. A timeline
+    /// still in the order [`to_stored`](Self::to_stored) wrote — tracks
+    /// in key order, each in track order — is cut at its track
+    /// boundaries; any other order goes through
+    /// [`from_intervals`](Self::from_intervals).
     pub fn from_stored(stored: &StoredTimeline) -> Self {
-        let snapshot = TimelineSnapshot::from_intervals(
-            stored.intervals.clone(),
-            TimelineCounters {
-                recorded: stored.recorded,
-                dropped: stored.dropped,
-            },
-        )
-        .with_names(stored.names.clone());
-        match stored.window {
-            Some((start, end)) => snapshot.with_window(start, end),
-            None => snapshot,
-        }
+        let counters = TimelineCounters {
+            recorded: stored.recorded,
+            dropped: stored.dropped,
+        };
+        let in_order = stored
+            .intervals
+            .is_sorted_by_key(|iv| (iv.track, sort_key(iv)));
+        let mut snapshot = if in_order {
+            let tracks = stored
+                .intervals
+                .chunk_by(|a, b| a.track == b.track)
+                .map(|run| Track::new(run[0].track, run.to_vec()))
+                .collect();
+            TimelineSnapshot::from_tracks(tracks, counters)
+        } else {
+            TimelineSnapshot::from_intervals(stored.intervals.clone(), counters)
+        };
+        snapshot.names = stored.names.clone();
+        snapshot.window = stored.window;
+        snapshot
     }
 
     /// Attaches the symbol table interval names resolve against —
@@ -216,10 +291,10 @@ impl TimelineSnapshot {
         self.tracks.is_empty()
     }
 
-    /// Per-device utilization / overlap / idle-gap statistics
-    /// (precomputed at assembly time; repeated calls are free).
+    /// Per-device utilization / overlap / idle-gap statistics (computed
+    /// by the first call; repeated calls are free).
     pub fn stats(&self) -> &TimelineStats {
-        &self.stats
+        self.stats.get_or_init(|| TimelineStats::compute(self))
     }
 
     /// Renders the snapshot as Chrome Trace Format JSON (see
@@ -337,11 +412,11 @@ pub struct TimelineStats {
 }
 
 impl TimelineStats {
-    /// Computes statistics with a line sweep per device: intervals from
-    /// every stream of the device are merged start-sorted; maximal
-    /// covered segments accumulate `busy`, and the spaces between them
-    /// become [`Gap`]s bounded by the interval that finished last and
-    /// the one that started next.
+    /// Computes statistics with a line sweep per device over the
+    /// [`merge_runs`] of its streams' tracks: maximal covered segments
+    /// accumulate `busy`, and the spaces between them become [`Gap`]s
+    /// bounded by the interval that finished last and the one that
+    /// started next.
     ///
     /// The reserved self-telemetry device ([`TrackKey::SELF_DEVICE`]) is
     /// excluded: its intervals are timestamped on the telemetry clock,
@@ -351,45 +426,38 @@ impl TimelineStats {
     /// Chrome export still renders the self tracks.
     pub fn compute(snapshot: &TimelineSnapshot) -> TimelineStats {
         let mut devices = Vec::new();
-        for device in snapshot.devices() {
+        for tracks in snapshot
+            .tracks()
+            .chunk_by(|a, b| a.key.device == b.key.device)
+        {
+            let device = tracks[0].key.device;
             if device == TrackKey::SELF_DEVICE {
                 continue;
             }
-            let mut intervals: Vec<&Interval> = snapshot
-                .tracks()
-                .iter()
-                .filter(|t| t.key().device == device)
-                .flat_map(|t| t.intervals().iter())
-                .collect();
-            intervals.sort_by_key(|iv| (iv.start, iv.end, iv.correlation));
-            let streams = snapshot
-                .tracks()
-                .iter()
-                .filter(|t| t.key().device == device && !t.intervals().is_empty())
-                .count();
-            let first_start = intervals.first().map(|iv| iv.start).unwrap_or_default();
+            let mut first_start = None;
             let mut summed = 0u64;
             let mut busy = 0u64;
             let mut gaps = Vec::new();
-            // Leading idle: the device sat unused from the run's start
-            // until its first launch. `before: None` marks the run edge.
-            if let Some((ws, _)) = snapshot.window {
-                if let Some(first) = intervals.first() {
-                    if first.start > ws {
+            // The running covered segment and the interval whose end
+            // currently bounds it (the "last to finish" before any gap).
+            let mut cover_end = TimeNs::default();
+            let mut closer: Option<&Interval> = None;
+            merge_runs(tracks.iter().map(|t| t.intervals.iter()), |_, iv| {
+                if first_start.is_none() {
+                    first_start = Some(iv.start);
+                    cover_end = iv.start;
+                    // Leading idle: the device sat unused from the run's
+                    // start until its first launch. `before: None` marks
+                    // the run edge.
+                    if let Some((ws, _)) = snapshot.window.filter(|(ws, _)| iv.start > *ws) {
                         gaps.push(Gap {
                             start: ws,
-                            end: first.start,
+                            end: iv.start,
                             before: None,
-                            after: first.context,
+                            after: iv.context,
                         });
                     }
                 }
-            }
-            // The running covered segment and the interval whose end
-            // currently bounds it (the "last to finish" before any gap).
-            let mut cover_end = first_start;
-            let mut closer: Option<&Interval> = None;
-            for iv in &intervals {
                 summed += iv.duration().0;
                 if iv.start > cover_end {
                     gaps.push(Gap {
@@ -406,11 +474,11 @@ impl TimelineStats {
                     cover_end = iv.end;
                     closer = Some(iv);
                 }
-            }
+            });
             // Trailing idle: from the device's last completion to the
             // run's end. `after: None` marks the run edge.
             if let Some((_, we)) = snapshot.window {
-                if we > cover_end && !intervals.is_empty() {
+                if we > cover_end && first_start.is_some() {
                     gaps.push(Gap {
                         start: cover_end,
                         end: we,
@@ -421,8 +489,8 @@ impl TimelineStats {
             }
             devices.push(DeviceStats {
                 device,
-                streams,
-                first_start,
+                streams: tracks.iter().filter(|t| !t.intervals.is_empty()).count(),
+                first_start: first_start.unwrap_or_default(),
                 last_end: cover_end,
                 busy: TimeNs(busy),
                 summed: TimeNs(summed),

@@ -1,8 +1,10 @@
 //! End-to-end profile store tests: a finished profiler run persists to a
 //! store directory with its timeline intact, corrupt files surface as
-//! `CoreError`s instead of panics, cross-run trend queries follow the
-//! metric across stored runs, and the `store-regression` rule flags an
-//! injected regression against the stored baseline.
+//! `CoreError`s instead of panics (named cases, then arbitrary bytes,
+//! every line-boundary truncation and random single-byte corruptions of
+//! the golden v3 container), cross-run trend queries follow the metric
+//! across stored runs, and the `store-regression` rule flags an injected
+//! regression against the stored baseline.
 
 use std::fs;
 use std::path::PathBuf;
@@ -256,6 +258,93 @@ fn arb_profile() -> impl Strategy<Value = ProfileDb> {
             cct,
         )
     })
+}
+
+/// The committed v3 container (timeline and journal sections; see
+/// `tests/read_path_golden.rs`).
+fn golden_container() -> Vec<u8> {
+    fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/run.dcprof"
+    ))
+    .expect("golden")
+}
+
+/// Runs all three readers over `bytes`. None may panic; the store reads
+/// through `ProfileDb::load`, so the two must agree on the verdict.
+fn read_every_way(store: &ProfileStore, bytes: &[u8]) -> (bool, bool) {
+    let loaded = ProfileDb::load(bytes).is_ok();
+    let meta = ProfileDb::load_meta(bytes).is_ok();
+    fs::write(store.dir().join("case.dcprof"), bytes).unwrap();
+    assert_eq!(store.load("case").is_ok(), loaded);
+    assert_eq!(store.load_meta("case").is_ok(), meta);
+    (loaded, meta)
+}
+
+#[test]
+fn truncation_at_every_line_boundary_errors_not_panics() {
+    let golden = golden_container();
+    let (dir, store) = temp_store();
+    assert_eq!(read_every_way(&store, &golden), (true, true));
+    let header_lines = golden
+        .split(|&b| b == b'\n')
+        .take_while(|line| !line.starts_with(b"strings\t"))
+        .count();
+    let boundaries = golden.iter().enumerate().filter(|(_, &b)| b == b'\n');
+    for (line, (at, _)) in boundaries.enumerate() {
+        // Cut after line `line`, with and without its newline; the
+        // second cut of the last line is the whole container minus one
+        // byte, which `lines()` reads the same.
+        let whole = at + 1 == golden.len();
+        for cut in [at, at + 1] {
+            let (loaded, meta) = read_every_way(&store, &golden[..cut]);
+            assert_eq!(loaded, whole, "cut at byte {cut}");
+            assert_eq!(meta, line >= header_lines, "header read, cut at byte {cut}");
+        }
+    }
+    fs::remove_dir_all(dir).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn single_byte_corruptions_error_or_load_never_panic(
+        at in 0usize..usize::MAX,
+        byte in 0u32..256,
+    ) {
+        let mut bytes = golden_container();
+        let at = at % bytes.len();
+        bytes[at] = byte as u8;
+        let (dir, store) = temp_store();
+        read_every_way(&store, &bytes);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn arbitrary_bytes_error_or_load_never_panic(
+        body in prop::collection::vec(
+            prop_oneof![
+                0u32..256,
+                // Bias toward the bytes the format is made of.
+                prop::sample::select(b"\t\n\r\\-0123456789KMRTPONAIBSC".map(u32::from).to_vec()),
+            ],
+            0..200,
+        ),
+        prefix in prop::sample::select(vec![
+            "",
+            "deepcontext-profile v3\n",
+            "deepcontext-profile v1\nmeta\tworkload\tw\nstrings\t0\nnodes\t1\n-\tR\t0\n",
+            "deepcontext-profile v3\nstrings\t0\nnodes\t1\n-\tR\t0\ntimeline\t1\t1\t0\t-\t-\ntnames\t1\nk\n",
+            "deepcontext-profile v3\nstrings\t0\nnodes\t1\n-\tR\t0\njournal\t1\t1\t0\njnames\t1\ns\n",
+        ]),
+    ) {
+        let mut bytes = prefix.as_bytes().to_vec();
+        bytes.extend(body.iter().map(|&b| b as u8));
+        let (dir, store) = temp_store();
+        read_every_way(&store, &bytes);
+        fs::remove_dir_all(dir).unwrap();
+    }
 }
 
 proptest! {
