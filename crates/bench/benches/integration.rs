@@ -2,25 +2,29 @@
 //! Integration") at varying stack depths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::sync::Arc;
+use std::cell::RefCell;
 use std::time::Duration;
 
-use deepcontext_core::{Frame, Interner};
+use deepcontext_core::{Frame, Interner, PathHandle, PathMemo};
 use dlmonitor::{integrate_call_path, ShadowOp};
 use sim_runtime::NativeFrameInfo;
 
 const INTERP_PC: u64 = 0x1;
 
 struct Input {
-    python: Vec<Frame>,
+    python: PathHandle,
     operators: Vec<ShadowOp>,
     native: Vec<NativeFrameInfo>,
+    /// The measuring thread's memo, warm after the first merge.
+    memo: RefCell<PathMemo>,
 }
 
 fn input(py_depth: usize, native_depth: usize, interner: &Interner) -> Input {
-    let python = (0..py_depth)
+    let python: Vec<Frame> = (0..py_depth)
         .map(|i| Frame::python("model.py", i as u32, "layer", interner))
         .collect();
+    let python = interner.paths().intern(&python);
+    let mut memo = PathMemo::default();
     let mut native = vec![NativeFrameInfo::new(
         "libpython3.11.so",
         INTERP_PC,
@@ -31,12 +35,16 @@ fn input(py_depth: usize, native_depth: usize, interner: &Interner) -> Input {
     );
     Input {
         python,
-        operators: vec![ShadowOp {
-            frame: Frame::operator("aten::conv2d", interner),
-            native_depth: 1,
-            python: Arc::from([]),
-        }],
+        operators: vec![ShadowOp::enter(
+            Frame::operator("aten::conv2d", interner),
+            1,
+            python,
+            &[],
+            &mut memo,
+            interner,
+        )],
         native,
+        memo: RefCell::new(memo),
     }
 }
 
@@ -52,17 +60,15 @@ fn bench_integration(c: &mut Criterion) {
         let inp = input(depth, depth, &interner);
         group.bench_with_input(BenchmarkId::new("merge_depth", depth), &inp, |b, inp| {
             b.iter(|| {
-                let mut path = Vec::with_capacity(2 * depth + 1);
                 integrate_call_path(
-                    &mut path,
-                    &inp.python,
+                    inp.python,
                     &inp.operators,
                     &inp.native,
                     0,
                     |pc| pc == INTERP_PC,
+                    &mut inp.memo.borrow_mut(),
                     &interner,
-                );
-                path
+                )
             });
         });
     }

@@ -28,7 +28,7 @@ use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
-use deepcontext_core::{CallPath, CallingContextTree, Frame, FrameKind, Interner, MetricKind};
+use deepcontext_core::{CallingContextTree, Frame, FrameKind, Interner, MetricKind, PathHandle};
 use deepcontext_profiler::{
     AsyncSink, BackpressurePolicy, EventSink, Failpoints, JournalConfig, PipelineConfig,
     ShardedSink, SinkOptions, Supervisor, SupervisorConfig, SupervisorSink, SupervisorState,
@@ -54,7 +54,7 @@ const TARGET_SUPERVISOR_OVERHEAD: f64 = 1.20;
 /// One launch of the phased workload.
 struct Launch {
     origin: EventOrigin,
-    path: CallPath,
+    path: PathHandle,
 }
 
 fn context_name(ctx: usize) -> String {
@@ -65,17 +65,17 @@ fn context_name(ctx: usize) -> String {
     }
 }
 
-fn context_path(interner: &Arc<Interner>, ctx: usize) -> CallPath {
-    let mut path = CallPath::new();
-    path.push(Frame::python("train.py", 42, "step", interner));
-    path.push(Frame::operator(&format!("aten::op{ctx}"), interner));
-    path.push(Frame::gpu_kernel(
-        &context_name(ctx),
-        "module.so",
-        0x1000 + ctx as u64,
-        interner,
-    ));
-    path
+fn context_path(interner: &Arc<Interner>, ctx: usize) -> PathHandle {
+    interner.paths().intern(&[
+        Frame::python("train.py", 42, "step", interner),
+        Frame::operator(&format!("aten::op{ctx}"), interner),
+        Frame::gpu_kernel(
+            &context_name(ctx),
+            "module.so",
+            0x1000 + ctx as u64,
+            interner,
+        ),
+    ])
 }
 
 /// The phased skewed stream: every cold context's launches first, then
@@ -85,7 +85,7 @@ fn context_path(interner: &Arc<Interner>, ctx: usize) -> CallPath {
 /// round-robin assignment would alias with the stride and starve some
 /// contexts of admitted samples entirely).
 fn build_stream(interner: &Arc<Interner>) -> (Vec<Launch>, Vec<u64>) {
-    let paths: Vec<CallPath> = (0..=COLD_CONTEXTS)
+    let paths: Vec<PathHandle> = (0..=COLD_CONTEXTS)
         .map(|ctx| context_path(interner, ctx))
         .collect();
     let mut stream = Vec::with_capacity(TOTAL);
@@ -100,7 +100,7 @@ fn build_stream(interner: &Arc<Interner>) -> (Vec<Launch>, Vec<u64>) {
                 stream: None,
                 correlation: Some(CorrelationId(corr)),
             },
-            path: paths[ctx].clone(),
+            path: paths[ctx],
         });
     };
     for i in 0..COLD_CONTEXTS * COLD_EVENTS_PER_CONTEXT {
@@ -146,11 +146,9 @@ fn max_relative_error(estimates: &[f64], truth: &[u64]) -> f64 {
 /// Producer-side cost of one pass of the whole stream through `sink`,
 /// in ns/event.
 fn producer_ns_per_event(stream: &[Launch], sink: Arc<dyn EventSink>) -> f64 {
-    // Cloned outside the timed region: the measurement is the sink's.
-    let paths: Vec<CallPath> = stream.iter().map(|l| l.path.clone()).collect();
     let start = Instant::now();
-    for (launch, path) in stream.iter().zip(paths) {
-        sink.gpu_launch(&launch.origin, path, ApiKind::LaunchKernel);
+    for launch in stream {
+        sink.gpu_launch(&launch.origin, launch.path, ApiKind::LaunchKernel);
     }
     start.elapsed().as_nanos() as f64 / stream.len() as f64
 }
@@ -179,7 +177,7 @@ fn main() {
     );
     blind.pause();
     for launch in &stream {
-        blind.gpu_launch(&launch.origin, launch.path.clone(), ApiKind::LaunchKernel);
+        blind.gpu_launch(&launch.origin, launch.path, ApiKind::LaunchKernel);
     }
     blind.resume();
     let blind_cct = blind.finish_snapshot();
@@ -212,7 +210,7 @@ fn main() {
     supervisor.force_state(SupervisorState::Degraded);
     let sampled = SupervisorSink::new(sampled_inner, Arc::clone(&supervisor));
     for launch in &stream {
-        sampled.gpu_launch(&launch.origin, launch.path.clone(), ApiKind::LaunchKernel);
+        sampled.gpu_launch(&launch.origin, launch.path, ApiKind::LaunchKernel);
     }
     let sampled_cct = sampled.finish_snapshot();
     let sampled_kept = kept_counts(&sampled_cct, &interner);
@@ -251,7 +249,7 @@ fn main() {
     );
     journal_sink.pause();
     for launch in &stream {
-        journal_sink.gpu_launch(&launch.origin, launch.path.clone(), ApiKind::LaunchKernel);
+        journal_sink.gpu_launch(&launch.origin, launch.path, ApiKind::LaunchKernel);
     }
     journal_sink.resume();
     let _ = journal_sink.finish_snapshot();
@@ -260,14 +258,13 @@ fn main() {
 
     // --- Healthy-path admission cost: the same stream through the bare
     // synchronous sink vs a Healthy SupervisorSink wrapping one.
-    // Best of OVERHEAD_REPEATS, the two sinks alternating: each pass
-    // frees the paths it consumed, so back-to-back passes of one sink
-    // would hand the other a differently fragmented heap.
+    // Best of OVERHEAD_REPEATS, the two sinks alternating so neither
+    // always inherits the other's heap.
     let (mut bare_ns, mut wrapped_ns) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..OVERHEAD_REPEATS {
-        let bare: Arc<dyn EventSink> = ShardedSink::new(Interner::new(), 4);
+        let bare: Arc<dyn EventSink> = ShardedSink::new(Arc::clone(&interner), 4);
         bare_ns = bare_ns.min(producer_ns_per_event(&stream, bare));
-        let inner: Arc<dyn EventSink> = ShardedSink::new(Interner::new(), 4);
+        let inner: Arc<dyn EventSink> = ShardedSink::new(Arc::clone(&interner), 4);
         let wrapped = SupervisorSink::new(
             inner,
             Supervisor::new(SupervisorConfig::default(), None, None),

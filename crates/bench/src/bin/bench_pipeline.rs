@@ -9,7 +9,7 @@
 //! `producer_speedup` (fine-grained, target ≥ 5x — attribution itself is
 //! expensive there) and `coarse_enqueue_overhead_ns` (kernel-only: what
 //! an event costs the producer once attribution has moved to the
-//! workers, target ≤ 200 ns/event — per-launch fixed costs dominate,
+//! workers, target ≤ 160 ns/event — per-launch fixed costs dominate,
 //! which is exactly what producer batching amortizes). The coarse bar
 //! is an absolute cost, not a ratio over the inline sink like the
 //! fine-grained one: a ratio whose numerator is the synchronous sink
@@ -33,11 +33,12 @@ const OPS: usize = 30_000;
 const SAMPLES_PER_KERNEL: usize = 24;
 const REPEATS: usize = 5;
 // Acceptance bars `bench-check` enforces against the committed JSON.
-// The coarse bar is absolute (half the 399 ns/event inline sink the old
-// `>= 2x` ratio was set against); the fine-grained ratio is the
-// headline gate.
+// The coarse bar is absolute: 200 while a queued event carried its
+// frames, 160 since it is a few words (≈ 118 measured — a bar the
+// smaller event left more than 1.5x above the measurement gates
+// nothing); the fine-grained ratio is the headline gate.
 const TARGET_PRODUCER_SPEEDUP: f64 = 5.0;
-const TARGET_COARSE_ENQUEUE_OVERHEAD_NS: f64 = 200.0;
+const TARGET_COARSE_ENQUEUE_OVERHEAD_NS: f64 = 160.0;
 
 fn point<'a>(points: &'a [PipelinePoint], prefix: &str, suffix: &str) -> &'a PipelinePoint {
     points

@@ -6,12 +6,12 @@
 //!    event? Inline (synchronous) ingestion pays routing + shard lock +
 //!    tree mutation + metric folds on the producer thread; asynchronous
 //!    ingestion pays routing + a directory bind + a bounded-channel
-//!    push of the owned event. The async sink is given queue headroom
+//!    push of the event's few words. The async sink is given queue headroom
 //!    for the whole measured window so the number isolates the enqueue
 //!    path (backpressure never engages — the regime the pipeline is
-//!    designed to run in). Launch paths and activity buffers are
-//!    pre-cloned outside the timed loop and handed over by value, as the
-//!    profiler's callbacks do.
+//!    designed to run in). Launches carry their context's handle and
+//!    activity buffers are pre-cloned outside the timed loop and handed
+//!    over by value, as the profiler's callbacks do.
 //! 2. **End-to-end throughput** — events/sec from first enqueue to full
 //!    drain, where the asynchronous pipeline must also pay its workers.
 //!    On a single-core host this bounds the overhead of the decoupling;
@@ -27,7 +27,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use deepcontext_core::{CallPath, Interner, StallReason};
+use deepcontext_core::{Interner, PathHandle, StallReason};
 use deepcontext_profiler::{
     AsyncSink, BackpressurePolicy, EventSink, HealthReport, PipelineConfig, ShardedSink,
     SinkCounters, SinkOptions, TelemetryConfig, DEFAULT_LAUNCH_BATCH,
@@ -44,8 +44,8 @@ pub const SHARDS: usize = 16;
 pub struct PipelineEvent {
     /// Routing identity (thread, stream, correlation).
     pub origin: EventOrigin,
-    /// The unified call path bound at the launch site.
-    pub path: CallPath,
+    /// The handle of the unified call path bound at the launch site.
+    pub path: PathHandle,
     /// The activity records that later resolve through the correlation
     /// (sampling records first, terminal kernel record last).
     pub activities: Vec<Activity>,
@@ -117,19 +117,17 @@ pub struct PipelinePoint {
     pub counters: SinkCounters,
 }
 
-/// The per-repeat owned inputs a producer hands the sink: one path per
-/// launch and one runtime-owned activity buffer per chunk — prepared
-/// outside the timed region, exactly as the real collection paths
-/// receive them (the monitor builds each `CallPath` fresh, the GPU
-/// runtime owns the buffers it flushes).
+/// The per-repeat owned inputs a producer hands the sink: one
+/// runtime-owned activity buffer per chunk — prepared outside the timed
+/// region, exactly as the real collection path receives them (the GPU
+/// runtime owns the buffers it flushes; contexts are handles and need
+/// no preparing).
 pub(crate) struct ProducerInputs {
-    paths: Vec<CallPath>,
     batches: Vec<Vec<Activity>>,
 }
 
 pub(crate) fn prepare(events: &[PipelineEvent]) -> ProducerInputs {
     ProducerInputs {
-        paths: events.iter().map(|e| e.path.clone()).collect(),
         batches: events
             .chunks(BATCH)
             .map(|chunk| {
@@ -142,22 +140,17 @@ pub(crate) fn prepare(events: &[PipelineEvent]) -> ProducerInputs {
     }
 }
 
-/// Drives one stream: launch bursts handing paths over by value, then
-/// the chunk's activity buffer by value — the shape the GPU runtime
-/// delivers them in.
+/// Drives one stream: launch bursts, then the chunk's activity buffer
+/// by value — the shape the GPU runtime delivers them in.
 pub(crate) fn drive_producer(
     sink: &dyn EventSink,
     events: &[PipelineEvent],
     inputs: ProducerInputs,
 ) {
-    let mut paths = inputs.paths.into_iter();
-    let mut batches = inputs.batches.into_iter();
-    for chunk in events.chunks(BATCH) {
+    for (chunk, batch) in events.chunks(BATCH).zip(inputs.batches) {
         for e in chunk {
-            let path = paths.next().expect("one pre-built path per event");
-            sink.gpu_launch(&e.origin, path, ApiKind::LaunchKernel);
+            sink.gpu_launch(&e.origin, e.path, ApiKind::LaunchKernel);
         }
-        let batch = batches.next().expect("one pre-built batch per chunk");
         sink.activity_batch(batch);
     }
 }

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use deepcontext_core::{CallPath, Frame, Interner, TimeNs};
+use deepcontext_core::{Frame, Interner, TimeNs};
 use deepcontext_profiler::{EventSink, ShardedSink, SinkCounters, SinkOptions, TimelineConfig};
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, CorrelationId, DeviceId, StreamId};
@@ -62,15 +62,11 @@ pub fn multi_stream_events(
             let stream = (branch as u32) / devices.max(1);
             let kernel = format!("kernel_{}", k % 8);
             let corr = k as u64 + 1;
-            let mut path = CallPath::new();
-            path.push(Frame::python("multi_stream.py", 7, "forward", interner));
-            path.push(Frame::operator(&format!("aten::op{}", k % 5), interner));
-            path.push(Frame::gpu_kernel(
-                &kernel,
-                "module.so",
-                0x1000 + (k % 8) as u64,
-                interner,
-            ));
+            let path = interner.paths().intern(&[
+                Frame::python("multi_stream.py", 7, "forward", interner),
+                Frame::operator(&format!("aten::op{}", k % 5), interner),
+                Frame::gpu_kernel(&kernel, "module.so", 0x1000 + (k % 8) as u64, interner),
+            ]);
             // Streams advance independently, so same-device streams
             // overlap in device time like real concurrent inference.
             let start = TimeNs((k / branches) as u64 * 300 + u64::from(stream) * 40);

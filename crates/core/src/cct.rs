@@ -165,11 +165,6 @@ impl CallingContextTree {
         cur
     }
 
-    /// Inserts a [`CallPath`], returning the leaf node.
-    pub fn insert_call_path(&mut self, path: &CallPath) -> NodeId {
-        self.insert_path(path.frames())
-    }
-
     /// Adds a metric sample at `node` and propagates it to the root
     /// ("Propagate Metrics" in Figure 5). Every ancestor's aggregate —
     /// including the root — receives the sample, so each node holds
@@ -285,9 +280,9 @@ impl CallingContextTree {
     ///
     /// Returns the node mapping: entry `i` is the id in `self` that
     /// `other`'s node `i` collapsed into. Callers holding per-tree side
-    /// state keyed by [`NodeId`] — correlation maps in
-    /// [`CctShard`](crate::CctShard), cached hot nodes — remap it through
-    /// this table. Used to fold per-thread/per-stream shards into a master
+    /// state keyed by [`NodeId`] — unsettled samples in
+    /// [`CctShard`](crate::CctShard), timeline interval contexts — remap
+    /// it through this table. Used to fold per-thread/per-stream shards into a master
     /// tree.
     ///
     /// `other` may use a different interner (e.g. a tree loaded from a

@@ -489,9 +489,12 @@ pub enum FrameKey {
 /// A root-to-leaf sequence of frames.
 ///
 /// The first element is closest to the root (outermost caller); the last is
-/// the innermost frame (e.g. a GPU kernel). This is the unit produced by
-/// DLMonitor's `dlmonitor_callpath_get` and consumed by
-/// [`CallingContextTree::insert_path`](crate::CallingContextTree::insert_path).
+/// the innermost frame (e.g. a GPU kernel). On the write path a context
+/// travels as a [`PathHandle`](crate::PathHandle); this is what one
+/// renders to ([`PathHandle::to_call_path`](crate::PathHandle::to_call_path))
+/// and what
+/// [`CallingContextTree::insert_path`](crate::CallingContextTree::insert_path)
+/// consumes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CallPath {
     frames: Vec<Frame>,
@@ -516,11 +519,6 @@ impl CallPath {
     /// Removes and returns the leaf frame.
     pub fn pop(&mut self) -> Option<Frame> {
         self.frames.pop()
-    }
-
-    /// Appends all frames of `other` below the current leaf.
-    pub fn extend_from(&mut self, other: &CallPath) {
-        self.frames.extend_from_slice(&other.frames);
     }
 
     /// The frames, root first.
@@ -590,12 +588,6 @@ impl<'a> IntoIterator for &'a CallPath {
 
     fn into_iter(self) -> Self::IntoIter {
         self.frames.iter()
-    }
-}
-
-impl Extend<Frame> for CallPath {
-    fn extend<I: IntoIterator<Item = Frame>>(&mut self, iter: I) {
-        self.frames.extend(iter);
     }
 }
 

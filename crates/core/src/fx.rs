@@ -2,8 +2,8 @@
 //! SipHash.
 //!
 //! The profiler's hottest maps — the CCT `child_index` probed per frame
-//! of every inserted call path, the per-shard correlation maps hit per
-//! activity record, the interner stripes hit per intern — all key on
+//! of every inserted call path, the path table and its per-thread memos,
+//! the interner stripes hit per intern — all key on
 //! small, attacker-free data (interned symbols, node ids, correlation
 //! counters). SipHash's per-lookup setup cost is pure overhead there.
 //! [`FxHasher`] is the Firefox/rustc "fx" function — fold each 8-byte

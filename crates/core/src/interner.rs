@@ -14,6 +14,10 @@
 //! append-only symbol table assigns ids in insertion order, and a string
 //! is only ever inserted once (the stripe's write lock makes the
 //! check-then-append atomic per string).
+//!
+//! The interner also owns the session's [`PathTable`]: calling contexts
+//! are built from its symbols, and it is the one object every producer
+//! and every ingestion shard already shares.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -24,6 +28,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::fx::FxHashMap;
+use crate::path::PathTable;
 
 /// Intern-map stripes. A power of two so the stripe pick is a mask; 16
 /// matches the default ingestion shard count.
@@ -108,6 +113,10 @@ pub struct Interner {
     count: AtomicUsize,
     /// Total interned string payload bytes.
     bytes: AtomicUsize,
+    /// Every calling context built from this interner's symbols. It
+    /// lives here because the interner is the one object DLMonitor and
+    /// the ingestion shards already share.
+    paths: PathTable,
 }
 
 impl Default for Interner {
@@ -120,6 +129,7 @@ impl Default for Interner {
             strings: RwLock::new(Vec::new()),
             count: AtomicUsize::new(0),
             bytes: AtomicUsize::new(0),
+            paths: PathTable::default(),
         }
     }
 }
@@ -232,11 +242,18 @@ impl Interner {
         self.len() == 0
     }
 
-    /// Approximate heap bytes held by interned strings (for the
-    /// memory-overhead accounting of Figure 6c/6d).
+    /// The session's [path table](crate::PathTable).
+    pub fn paths(&self) -> &PathTable {
+        &self.paths
+    }
+
+    /// Approximate heap bytes held by interned strings and the path
+    /// table (for the memory-overhead accounting of Figure 6c/6d).
     pub fn approx_bytes(&self) -> usize {
         // String payload + one Arc pointer per map and vec slot + map entry.
-        self.bytes.load(Ordering::Relaxed) + self.len() * (2 * std::mem::size_of::<Arc<str>>() + 16)
+        self.bytes.load(Ordering::Relaxed)
+            + self.len() * (2 * std::mem::size_of::<Arc<str>>() + 16)
+            + self.paths.approx_bytes()
     }
 
     /// All interned strings in symbol order (used by the profile database

@@ -41,6 +41,7 @@ mod interner;
 mod journal;
 pub mod json;
 mod metrics;
+mod path;
 mod shard;
 mod timeline;
 
@@ -54,6 +55,7 @@ pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use interner::{Interner, Sym};
 pub use journal::{severity_label, StoredJournal, StoredJournalEvent};
 pub use metrics::{MetricKind, MetricStat, MetricStore, StallReason};
+pub use path::{LivePath, PathEntries, PathHandle, PathId, PathMemo, PathTable};
 pub use shard::CctShard;
 pub use timeline::{Interval, IntervalKind, StoredTimeline, TrackKey};
 
@@ -61,6 +63,6 @@ pub use timeline::{Interval, IntervalKind, StoredTimeline, TrackKey};
 pub mod prelude {
     pub use crate::{
         CallPath, CallingContextTree, CctShard, Frame, FrameKind, Interner, MetricKind, MetricStat,
-        NodeId, OpPhase, ProfileDb, StallReason, Sym, TimeNs, VirtualClock,
+        NodeId, OpPhase, PathHandle, PathId, ProfileDb, StallReason, Sym, TimeNs, VirtualClock,
     };
 }

@@ -4,11 +4,18 @@
 //! attribution path the ingestion bottleneck: one global tree behind one
 //! lock serializes every kernel launch, activity record and CPU sample. A
 //! [`CctShard`] is the unit of the sharded alternative — a private
-//! [`CallingContextTree`] plus the correlation state needed to resolve
-//! asynchronous GPU activity records, owned by one ingestion shard and
-//! locked independently of its siblings. Shards share one [`Interner`], so
+//! [`CallingContextTree`] owned by one ingestion shard and locked
+//! independently of its siblings. Shards share one [`Interner`], so
 //! frames collapse identically everywhere and folding shards together is
 //! pure [`CallingContextTree::merge`].
+//!
+//! **Contexts enter a shard by handle.** Events carry the [`PathId`] the
+//! session's [path table](crate::PathTable) gave their calling context;
+//! [`CctShard::node_for`] turns it into this shard's node with one read
+//! of a dense vector indexed by `PathId`. The first time a shard meets a
+//! path it walks the table's parent links up to the nearest ancestor it
+//! already knows and inserts the missing frames below it — once per path
+//! per shard, after which that context costs no hashing at all.
 //!
 //! **Samples enter a shard through [`CctShard::attribute`] and nowhere
 //! else.** It accumulates at the attributed node only — one aggregate per
@@ -21,16 +28,15 @@
 //! and before every fold). Exclusive metrics (launch shapes, sampled drop
 //! victims) never propagate and are written to the tree directly.
 //!
-//! The shard also owns the correlation lifecycle:
+//! Which context a correlation id belongs to is not the shard's business
+//! (the pipeline's correlation directory holds the one `corr → (shard,
+//! PathId)` table); the shard only keeps the *retirement* cadence:
 //!
-//! * [`bind`](CctShard::bind) associates a correlation id with the context
-//!   node at launch time;
-//! * [`resolve`](CctShard::resolve) finds it again when the asynchronous
-//!   activity record arrives;
 //! * [`defer_prune`](CctShard::defer_prune) / [`end_batch`](CctShard::end_batch)
 //!   implement two-phase pruning: ids attributed in the *previous* batch
-//!   are dropped at the end of the current one, so records that straddle a
-//!   buffer boundary (e.g. PC-sampling batches) still resolve;
+//!   are handed back for retirement at the end of the current one, so
+//!   records that straddle a buffer boundary (e.g. PC-sampling batches)
+//!   still resolve;
 //! * [`orphan_node`](CctShard::orphan_node) is the hoisted `<unattributed>`
 //!   catch-all context, created once per shard instead of re-interned per
 //!   orphaned record.
@@ -39,21 +45,27 @@ use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use crate::cct::{CallingContextTree, NodeId};
-use crate::frame::{CallPath, Frame, FrameKey};
+use crate::frame::Frame;
 use crate::fx::FxHashMap;
 use crate::interner::Interner;
 use crate::metrics::{MetricKind, MetricStat};
+use crate::path::PathId;
+
+/// A `by_path` slot this shard has not resolved yet.
+const UNRESOLVED: NodeId = NodeId(u32::MAX);
 
 /// One shard of a sharded calling-context-tree ingestion pipeline: a
-/// private tree plus its correlation map and prune queue.
+/// private tree, its `PathId → node` vector and its prune queue.
 ///
 /// Correlation keys are raw `u64`s so the core stays independent of any
 /// particular GPU runtime's id type.
 #[derive(Debug, Clone)]
 pub struct CctShard {
     tree: CallingContextTree,
-    // Fx-hashed: hit once per activity record on plain counter keys.
-    corr: FxHashMap<u64, NodeId>,
+    /// This shard's node for each [`PathId`], dense by index, filled the
+    /// first time the path is seen here. Node ids are append-only, so an
+    /// entry stays valid whatever else is inserted into the tree.
+    by_path: Vec<NodeId>,
     orphan: Option<NodeId>,
     dropped: Option<NodeId>,
     poisoned: Option<NodeId>,
@@ -67,11 +79,6 @@ pub struct CctShard {
     /// [`settle`](Self::settle), which also releases the map — it is
     /// scratch that lives between two boundaries, not profile state.
     pending: FxHashMap<(NodeId, MetricKind), MetricStat>,
-    /// The last inserted call path as `(collapse key, node)` pairs, root
-    /// side first. Node ids are append-only and a `(parent, key)` pair
-    /// names one child forever, so the entries stay valid whatever else
-    /// is inserted into the tree in between.
-    cursor: Vec<(FrameKey, NodeId)>,
 }
 
 impl CctShard {
@@ -79,7 +86,7 @@ impl CctShard {
     pub fn new(interner: Arc<Interner>) -> Self {
         CctShard {
             tree: CallingContextTree::with_interner(interner),
-            corr: FxHashMap::default(),
+            by_path: Vec::new(),
             orphan: None,
             dropped: None,
             poisoned: None,
@@ -87,7 +94,6 @@ impl CctShard {
             curr_batch: Vec::new(),
             generation: 0,
             pending: FxHashMap::default(),
-            cursor: Vec::new(),
         }
     }
 
@@ -95,9 +101,9 @@ impl CctShard {
     /// operation that may have changed the shard's *tree* (inserting
     /// contexts, attributing metrics, folding another shard in).
     /// Snapshot caches remember the generation they folded and skip the
-    /// shard entirely while it has not advanced. Correlation-only
-    /// bookkeeping (`bind`, `defer_prune`, `end_batch`) does not bump it,
-    /// because snapshots fold trees only.
+    /// shard entirely while it has not advanced. Prune bookkeeping
+    /// (`defer_prune`, `end_batch`) and resolving a path the shard
+    /// already knows do not bump it, because snapshots fold trees only.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -117,24 +123,39 @@ impl CctShard {
         &mut self.tree
     }
 
-    /// Inserts a call path and returns its leaf. Consecutive paths share
-    /// most of their root side (the Python and operator frames of one
-    /// training step), so only the suffix that differs from the previous
-    /// path is probed in the tree's child index.
-    pub fn insert_call_path(&mut self, path: &CallPath) -> NodeId {
-        self.generation += 1;
-        let frames = path.frames();
-        let shared = self
-            .cursor
-            .iter()
-            .zip(frames)
-            .take_while(|((key, _), frame)| *key == frame.key())
-            .count();
-        self.cursor.truncate(shared);
-        let mut node = self.cursor.last().map_or(NodeId::ROOT, |&(_, node)| node);
-        for frame in &frames[shared..] {
-            node = self.tree.insert_child(node, frame);
-            self.cursor.push((frame.key(), node));
+    /// This shard's node for `path`: one vector read for a path seen
+    /// here before, the parent-link walk described in the
+    /// [module docs](self) otherwise.
+    pub fn node_for(&mut self, path: PathId) -> NodeId {
+        match self.by_path.get(path.index()) {
+            Some(&node) if node != UNRESOLVED => node,
+            _ => self.resolve(path),
+        }
+    }
+
+    #[cold]
+    fn resolve(&mut self, path: PathId) -> NodeId {
+        if path.index() >= self.by_path.len() {
+            // Parents precede children in the table, so every ancestor's
+            // slot is in range too.
+            self.by_path.resize(path.index() + 1, UNRESOLVED);
+            self.by_path[0] = NodeId::ROOT;
+        }
+        let interner = self.tree.interner();
+        let entries = interner.paths().entries();
+        // Slot 0 is the root, so the walk stops there at the latest.
+        let missing: Vec<PathId> = entries
+            .leaf_to_root(path)
+            .take_while(|id| self.by_path[id.index()] == UNRESOLVED)
+            .collect();
+        let known = missing.last().map_or(path, |&id| entries.parent(id));
+        let mut node = self.by_path[known.index()];
+        if !missing.is_empty() {
+            self.generation += 1;
+        }
+        for id in missing.into_iter().rev() {
+            node = self.tree.insert_child(node, entries.frame(id));
+            self.by_path[id.index()] = node;
         }
         node
     }
@@ -153,45 +174,19 @@ impl CctShard {
     }
 
     /// Walks every unsettled aggregate root-ward, once per touched
-    /// `(node, kind)`, and releases the scratch the samples (and the
-    /// path cursor) were held in. Afterwards the tree is exactly what
-    /// sample-by-sample propagation would have built. Does not bump the
-    /// dirty generation: [`attribute`](Self::attribute) already did.
+    /// `(node, kind)`, and releases the scratch the samples were held
+    /// in. Afterwards the tree is exactly what sample-by-sample
+    /// propagation would have built. Does not bump the dirty generation:
+    /// [`attribute`](Self::attribute) already did.
     pub fn settle(&mut self) {
         for ((node, kind), stat) in std::mem::take(&mut self.pending) {
             self.tree.merge_stat(node, kind, &stat);
         }
-        self.cursor = Vec::new();
-    }
-
-    /// Associates a correlation id with a context node at launch time.
-    pub fn bind(&mut self, correlation: u64, node: NodeId) {
-        self.corr.insert(correlation, node);
-    }
-
-    /// Looks up the context bound to `correlation`, if still live.
-    pub fn resolve(&self, correlation: u64) -> Option<NodeId> {
-        self.corr.get(&correlation).copied()
-    }
-
-    /// Drops a correlation binding immediately, bypassing the two-phase
-    /// prune — for ingestion pipelines discarding a correlation whose
-    /// remaining records will never arrive (e.g. evicted by a drop
-    /// policy). Returns whether the binding existed. Does not touch the
-    /// tree (and so does not dirty the snapshot generation).
-    pub fn unbind(&mut self, correlation: u64) -> bool {
-        self.corr.remove(&correlation).is_some()
-    }
-
-    /// Number of live correlation entries.
-    pub fn correlation_len(&self) -> usize {
-        self.corr.len()
     }
 
     /// The hoisted catch-all context for records whose correlation was
     /// pruned or never seen. Created on first use and reused thereafter,
-    /// so orphaned records cost one hash lookup instead of an intern plus
-    /// a path insertion.
+    /// so orphaned records cost nothing beyond the attribution itself.
     pub fn orphan_node(&mut self) -> NodeId {
         match self.orphan {
             Some(node) => node,
@@ -263,28 +258,31 @@ impl CctShard {
 
     /// Records a *sampled* drop victim: `count` estimated events evicted
     /// from the context `path`, attributed **exclusively** (no root-ward
-    /// propagation) at a child of the synthetic `<dropped>` node. The
-    /// `<dropped>` node itself keeps carrying the exact total via
-    /// [`attribute_dropped`](Self::attribute_dropped); the sampled
+    /// propagation) at a copy of the path below the synthetic `<dropped>`
+    /// node. The `<dropped>` node itself keeps carrying the exact total
+    /// via [`attribute_dropped`](Self::attribute_dropped); the sampled
     /// children are scaled estimates (sample stride × samples) of *which*
     /// contexts the overload hit, so the two must not double-count.
-    pub fn attribute_dropped_sample(&mut self, path: &CallPath, count: f64) {
+    pub fn attribute_dropped_sample(&mut self, path: PathId, count: f64) {
         let mut node = self.dropped_node();
         self.generation += 1;
-        for frame in path.frames() {
-            node = self.tree.insert_child(node, frame);
+        let interner = self.tree.interner();
+        let entries = interner.paths().entries();
+        let chain: Vec<PathId> = entries.leaf_to_root(path).collect();
+        for id in chain.into_iter().rev() {
+            node = self.tree.insert_child(node, entries.frame(id));
         }
         self.tree
             .attribute_exclusive(node, MetricKind::DroppedEvents, count);
     }
 
-    /// Resolves `correlation` to its bound context, falling back to the
-    /// hoisted catch-all. Returns the node and whether it was the orphan
-    /// fallback — the resolution step ingestion workers run per activity
-    /// record before folding its metrics.
-    pub fn resolve_or_orphan(&mut self, correlation: u64) -> (NodeId, bool) {
-        match self.resolve(correlation) {
-            Some(node) => (node, false),
+    /// The node a record resolved to `path` by the correlation directory
+    /// attributes at, falling back to the hoisted catch-all when the
+    /// correlation was unknown. Returns the node and whether it was the
+    /// orphan fallback.
+    pub fn node_or_orphan(&mut self, path: Option<PathId>) -> (NodeId, bool) {
+        match path {
+            Some(path) => (self.node_for(path), false),
             None => (self.orphan_node(), true),
         }
     }
@@ -295,9 +293,9 @@ impl CctShard {
         self.curr_batch.push(correlation);
     }
 
-    /// Ends an activity batch: correlations deferred in the previous batch
-    /// and not re-attributed in this one are dropped from the correlation
-    /// map. Returns the pruned ids so callers can clean up routing state.
+    /// Ends an activity batch: returns the correlations deferred in the
+    /// previous batch and not re-attributed in this one, for the caller
+    /// to retire from the correlation directory.
     pub fn end_batch(&mut self) -> Vec<u64> {
         // Correlation ids arrive nearly in order, so the sort is close
         // to a scan; `prev_batch` was sorted when its own batch ended.
@@ -306,7 +304,7 @@ impl CctShard {
         let mut renewed = self.curr_batch.iter().copied().peekable();
         for id in self.prev_batch.drain(..) {
             while renewed.next_if(|&r| r < id).is_some() {}
-            if renewed.peek() != Some(&id) && self.corr.remove(&id).is_some() {
+            if renewed.peek() != Some(&id) {
                 pruned.push(id);
             }
         }
@@ -314,19 +312,15 @@ impl CctShard {
         pruned
     }
 
-    /// Releases correlation scratch capacity that a large batch left
-    /// behind (the map and prune queues retain their high-water capacity
-    /// after draining). Called at quiescent points — e.g. after a flush
-    /// boundary has retired all deferred correlations — so resident
-    /// profile memory tracks *live* state, not the largest batch ever
-    /// seen. Does not touch the tree (and so does not dirty the shard's
-    /// snapshot generation).
+    /// Releases prune-queue capacity that a large batch left behind (the
+    /// queues retain their high-water capacity after draining). Called
+    /// at quiescent points — e.g. after a flush boundary has retired all
+    /// deferred correlations — so resident profile memory tracks *live*
+    /// state, not the largest batch ever seen. Does not touch the tree
+    /// (and so does not dirty the shard's snapshot generation).
     pub fn trim(&mut self) {
         fn oversized(capacity: usize, len: usize) -> bool {
             capacity > 64 && capacity / 4 > len
-        }
-        if oversized(self.corr.capacity(), self.corr.len()) {
-            self.corr.shrink_to_fit();
         }
         if oversized(self.prev_batch.capacity(), self.prev_batch.len()) {
             self.prev_batch.shrink_to_fit();
@@ -337,16 +331,14 @@ impl CctShard {
     }
 
     /// Folds `other` into this shard: trees merge by collapse keys, and
-    /// `other`'s side state (live bindings, prune queues, hoisted nodes,
-    /// unsettled samples) is remapped through the merge's node mapping,
-    /// so asynchronous records bound in `other` still resolve here and
-    /// samples `other` had not settled are settled here.
+    /// `other`'s side state (prune queues, hoisted nodes, unsettled
+    /// samples) follows — node ids remapped through the merge's mapping
+    /// — so samples `other` had not settled are settled here. Paths
+    /// `other` had resolved resolve again here on first use, onto the
+    /// nodes the merge just created.
     pub fn merge_from(&mut self, other: &CctShard) {
         self.generation += 1;
         let mapping = self.tree.merge(&other.tree);
-        for (corr, node) in &other.corr {
-            self.corr.insert(*corr, mapping[node.index()]);
-        }
         for ((node, kind), stat) in &other.pending {
             match self.pending.entry((mapping[node.index()], *kind)) {
                 Entry::Occupied(mut held) => held.get_mut().merge(stat),
@@ -370,21 +362,20 @@ impl CctShard {
         }
     }
 
-    /// Approximate resident bytes of tree (interner excluded),
-    /// correlation state and whatever settle scratch is currently held.
+    /// Approximate resident bytes of tree (interner and its path table
+    /// excluded), path vector, prune queues and whatever settle scratch
+    /// is currently held.
     pub fn approx_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<u64>() + std::mem::size_of::<NodeId>() + 16;
         let pending = std::mem::size_of::<((NodeId, MetricKind), MetricStat)>() + 1;
         self.tree.approx_tree_bytes()
-            + self.corr.capacity() * entry
+            + self.by_path.capacity() * std::mem::size_of::<NodeId>()
             + (self.prev_batch.capacity() + self.curr_batch.capacity()) * std::mem::size_of::<u64>()
             + self.pending.capacity() * pending
-            + self.cursor.capacity() * std::mem::size_of::<(FrameKey, NodeId)>()
     }
 
-    /// Whether the shard recorded nothing (empty tree, no correlations).
+    /// Whether the shard recorded nothing.
     pub fn is_empty(&self) -> bool {
-        self.tree.node_count() == 1 && self.corr.is_empty()
+        self.tree.node_count() == 1
     }
 }
 
@@ -392,6 +383,7 @@ impl CctShard {
 mod tests {
     use super::*;
     use crate::metrics::MetricKind;
+    use crate::path::PathHandle;
 
     fn interner() -> Arc<Interner> {
         Interner::new()
@@ -405,15 +397,8 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn bind_resolve_roundtrip() {
-        let i = interner();
-        let mut shard = CctShard::new(Arc::clone(&i));
-        let node = shard.tree_mut().insert_path(&path(&i, "aten::relu"));
-        shard.bind(7, node);
-        assert_eq!(shard.resolve(7), Some(node));
-        assert_eq!(shard.resolve(8), None);
-        assert_eq!(shard.correlation_len(), 1);
+    fn handle(i: &Arc<Interner>, op: &str) -> PathHandle {
+        i.paths().intern(&path(i, op))
     }
 
     #[test]
@@ -424,13 +409,14 @@ mod tests {
         let b = shard.orphan_node();
         assert_eq!(a, b);
         assert_eq!(shard.tree().node_count(), 2, "root + one catch-all");
+        assert_eq!(shard.node_or_orphan(None), (a, true));
     }
 
     #[test]
     fn attribute_lands_at_the_node_until_settle_walks_it_up() {
         let i = interner();
         let mut shard = CctShard::new(Arc::clone(&i));
-        let leaf = shard.insert_call_path(&path(&i, "aten::gelu").into_iter().collect());
+        let leaf = shard.node_for(handle(&i, "aten::gelu").id());
         let mut eager = CallingContextTree::with_interner(Arc::clone(&i));
         let eager_leaf = eager.insert_path(&path(&i, "aten::gelu"));
         for v in [5.0, 3.0, 9.0] {
@@ -460,14 +446,14 @@ mod tests {
     fn settle_releases_its_scratch() {
         let i = interner();
         let mut shard = CctShard::new(Arc::clone(&i));
-        let frames: CallPath = path(&i, "aten::gelu").into_iter().collect();
-        let leaf = shard.insert_call_path(&frames);
+        let gelu = handle(&i, "aten::gelu").id();
+        let leaf = shard.node_for(gelu);
         shard.attribute(leaf, MetricKind::KernelLaunches, 1.0);
         shard.settle();
         let settled = shard.approx_bytes();
         // A second sample of a kind every node on the path already
         // carries grows nothing but the scratch it waits in.
-        assert_eq!(shard.insert_call_path(&frames), leaf);
+        assert_eq!(shard.node_for(gelu), leaf);
         shard.attribute(leaf, MetricKind::KernelLaunches, 1.0);
         assert!(
             shard.approx_bytes() > settled,
@@ -478,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn cursor_probes_only_the_differing_suffix() {
+    fn a_path_resolves_by_inserting_only_its_unknown_suffix() {
         let i = interner();
         let mut shard = CctShard::new(Arc::clone(&i));
         let mut oracle = CallingContextTree::with_interner(Arc::clone(&i));
@@ -495,9 +481,16 @@ mod tests {
             &[][..],    // empty path: the root
             &relu[..],
         ] {
-            let got = shard.insert_call_path(&frames.iter().cloned().collect());
+            let known = shard.tree().node_count();
+            let generation = shard.generation();
+            let got = shard.node_for(i.paths().intern(frames).id());
             assert_eq!(got, oracle.insert_path(frames));
-            // Insertions behind the cursor's back cannot invalidate it.
+            assert_eq!(
+                shard.generation() > generation,
+                shard.tree().node_count() > known,
+                "a known path leaves the shard clean"
+            );
+            // Insertions behind the vector's back cannot invalidate it.
             let extra = Frame::instruction(got.index() as u64);
             shard.tree_mut().insert_child(got, &extra);
             oracle.insert_child(got, &extra);
@@ -506,13 +499,63 @@ mod tests {
     }
 
     #[test]
+    fn a_path_newer_than_the_vector_resolves_and_grows_it_once() {
+        let i = interner();
+        let mut shard = CctShard::new(Arc::clone(&i));
+        let first = handle(&i, "aten::relu").id();
+        let relu = shard.node_for(first);
+        // Another shard's contexts grow the table past this shard's vector.
+        for n in 0..100 {
+            handle(&i, &format!("aten::op{n}"));
+        }
+        let late = handle(&i, "aten::late").id();
+        assert!(late.index() > 200);
+        let before = shard.approx_bytes();
+        let node = shard.node_for(late);
+        assert_eq!(shard.tree().depth(node), 3);
+        assert_eq!(shard.tree().node_count(), 1 + 3 + 2, "only its own frames");
+        let grown = shard.approx_bytes();
+        assert!(grown > before, "the vector is tool memory");
+        // Warm: neither path grows anything again.
+        assert_eq!(shard.node_for(late), node);
+        assert_eq!(shard.node_for(first), relu);
+        assert_eq!(shard.approx_bytes(), grown);
+    }
+
+    #[test]
+    fn display_only_fields_are_first_seen_in_the_session_not_in_the_shard() {
+        // The rule a fold used to decide by shard order: a context's
+        // `seq_id` (likewise `function`, `symbol`) is the one of its
+        // first sighting anywhere, even in a shard that only ever saw a
+        // later one and even when that shard is folded first.
+        use crate::frame::OpPhase;
+        let i = interner();
+        let seq = |n| {
+            [Frame::operator_with(
+                "aten::index",
+                OpPhase::Forward,
+                Some(n),
+                &i,
+            )]
+        };
+        let first = i.paths().intern(&seq(5));
+        let later = i.paths().intern(&seq(9));
+        assert_eq!(first, later);
+        let mut late_shard = CctShard::new(Arc::clone(&i));
+        let mut early_shard = CctShard::new(Arc::clone(&i));
+        late_shard.node_for(later.id());
+        early_shard.node_for(first.id());
+        let mut master = CallingContextTree::with_interner(Arc::clone(&i));
+        master.merge(late_shard.tree());
+        master.merge(early_shard.tree());
+        let node = master.node(NodeId::ROOT).children()[0];
+        assert_eq!(master.node(node).frame(), &seq(5)[0]);
+    }
+
+    #[test]
     fn two_phase_prune_drops_only_previous_batch() {
         let i = interner();
         let mut shard = CctShard::new(Arc::clone(&i));
-        let node = shard.tree_mut().insert_path(&path(&i, "aten::relu"));
-        for c in [1u64, 2, 3] {
-            shard.bind(c, node);
-        }
         // Batch 1 attributes correlations 1 and 2.
         shard.defer_prune(1);
         shard.defer_prune(2);
@@ -520,23 +563,14 @@ mod tests {
             shard.end_batch().is_empty(),
             "nothing deferred before batch 1"
         );
-        assert_eq!(
-            shard.resolve(1),
-            Some(node),
-            "still live across the boundary"
-        );
         // Batch 2 re-attributes 2 (straddling record) and touches 3.
         shard.defer_prune(2);
         shard.defer_prune(3);
         let pruned = shard.end_batch();
         assert_eq!(pruned, vec![1], "1 was deferred last batch and not renewed");
-        assert_eq!(shard.resolve(1), None);
-        assert_eq!(shard.resolve(2), Some(node));
         // Batch 3: nothing new; 2 and 3 now age out.
-        let mut pruned = shard.end_batch();
-        pruned.sort_unstable();
-        assert_eq!(pruned, vec![2, 3]);
-        assert_eq!(shard.correlation_len(), 0);
+        assert_eq!(shard.end_batch(), vec![2, 3]);
+        assert!(shard.end_batch().is_empty());
     }
 
     #[test]
@@ -546,29 +580,27 @@ mod tests {
         let mut b = CctShard::new(Arc::clone(&i));
         // Same logical context in both shards gets different local ids
         // because `a` inserts another path first.
-        a.tree_mut().insert_path(&path(&i, "aten::conv2d"));
-        let nb = b.tree_mut().insert_path(&path(&i, "aten::relu"));
+        a.node_for(handle(&i, "aten::conv2d").id());
+        let relu = handle(&i, "aten::relu").id();
+        let nb = b.node_for(relu);
         // Left unsettled: the fold carries the sample over.
         b.attribute(nb, MetricKind::GpuTime, 4.0);
-        b.bind(42, nb);
         b.defer_prune(42);
 
         a.merge_from(&b);
-        let resolved = a.resolve(42).expect("binding survives the fold");
-        assert_ne!(resolved, nb, "id was remapped into a's id space");
-        // Attributing through the remapped binding lands on the relu leaf.
+        let resolved = a.node_for(relu);
+        assert_ne!(resolved, nb, "the path resolves in a's id space");
         a.attribute(resolved, MetricKind::GpuTime, 6.0);
         a.settle();
         assert_eq!(a.tree().total(MetricKind::GpuTime), 10.0);
-        let relu_leaf = a.tree_mut().insert_path(&path(&i, "aten::relu"));
         assert_eq!(
-            a.tree().metric(relu_leaf, MetricKind::GpuTime).unwrap().sum,
-            10.0
+            a.tree().metric(resolved, MetricKind::GpuTime).unwrap().sum,
+            10.0,
+            "b's unsettled sample landed on the same leaf"
         );
         // Prune queue followed the merge.
-        a.end_batch();
-        let pruned = a.end_batch();
-        assert_eq!(pruned, vec![42]);
+        assert!(a.end_batch().is_empty());
+        assert_eq!(a.end_batch(), vec![42]);
     }
 
     #[test]
@@ -653,10 +685,10 @@ mod tests {
         // Exact total: 32 events dropped.
         shard.attribute_dropped(32);
         // Two sampled victims at stride 16 → estimates of 16 each.
-        let mut victim = CallPath::new();
-        victim.push(Frame::operator("aten::relu", &i));
-        shard.attribute_dropped_sample(&victim, 16.0);
-        shard.attribute_dropped_sample(&victim, 16.0);
+        let relu = Frame::operator("aten::relu", &i);
+        let victim = i.paths().intern(std::slice::from_ref(&relu)).id();
+        shard.attribute_dropped_sample(victim, 16.0);
+        shard.attribute_dropped_sample(victim, 16.0);
         shard.settle();
         let dropped = shard.dropped_node();
         // The exact total at <dropped> (and the tree total) is untouched
@@ -671,11 +703,7 @@ mod tests {
         );
         assert_eq!(shard.tree().total(MetricKind::DroppedEvents), 32.0);
         // ...while the victim child carries the scaled estimate.
-        let child = {
-            let node = shard.dropped_node();
-            let frame = Frame::operator("aten::relu", &i);
-            shard.tree_mut().insert_child(node, &frame)
-        };
+        let child = shard.tree_mut().insert_child(dropped, &relu);
         assert_eq!(
             shard
                 .tree()
@@ -692,14 +720,14 @@ mod tests {
         let i = interner();
         let mut shard = CctShard::new(Arc::clone(&i));
         assert_eq!(shard.generation(), 0);
-        let node = shard.tree_mut().insert_path(&path(&i, "aten::relu"));
+        let relu = handle(&i, "aten::relu").id();
+        let node = shard.node_for(relu);
         let after_insert = shard.generation();
         assert!(after_insert > 0);
-        // Correlation-only bookkeeping leaves the tree untouched.
-        shard.bind(1, node);
+        // Prune bookkeeping and a known path leave the tree untouched.
         shard.defer_prune(1);
         shard.end_batch();
-        let _ = shard.resolve(1);
+        assert_eq!(shard.node_for(relu), node);
         assert_eq!(shard.generation(), after_insert);
         // Attribution dirties the shard at once — a snapshot cache must
         // not skip a shard whose only change is an unsettled sample —
@@ -718,12 +746,15 @@ mod tests {
     fn approx_bytes_grows_with_state() {
         let i = interner();
         let mut shard = CctShard::new(Arc::clone(&i));
+        assert!(shard.is_empty());
         let empty = shard.approx_bytes();
-        let node = shard.tree_mut().insert_path(&path(&i, "aten::matmul"));
+        shard.node_for(handle(&i, "aten::matmul").id());
+        let with_context = shard.approx_bytes();
+        assert!(with_context > empty);
         for c in 0..64 {
-            shard.bind(c, node);
+            shard.defer_prune(c);
         }
-        assert!(shard.approx_bytes() > empty);
+        assert!(shard.approx_bytes() > with_context);
         assert!(!shard.is_empty());
     }
 }

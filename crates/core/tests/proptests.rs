@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use deepcontext_core::{
-    CallPath, CallingContextTree, CctShard, Frame, Interner, MetricKind, MetricStat, NodeId,
-    OpPhase, ProfileDb, ProfileMeta, StallReason,
+    CallingContextTree, CctShard, Frame, Interner, MetricKind, MetricStat, NodeId, OpPhase,
+    ProfileDb, ProfileMeta, StallReason,
 };
 use proptest::prelude::*;
 
@@ -61,15 +61,15 @@ fn arb_paths() -> impl Strategy<Value = (Arc<Interner>, Vec<Vec<Frame>>)> {
 #[derive(Debug, Clone)]
 enum ShardOp {
     Insert(Vec<Frame>),
-    /// Re-inserts a strict prefix of the previously inserted path (the
-    /// cursor must shrink, not reuse its tail).
+    /// Re-inserts a strict prefix of the previously inserted path (it
+    /// must resolve to the inner node, not the old leaf).
     InsertPrefix(usize),
     Attribute {
         node: usize,
         kind: MetricKind,
         value: u16,
     },
-    /// A context inserted behind the cursor's back through `tree_mut`.
+    /// A context inserted behind the path vector's back through `tree_mut`.
     InsertChild {
         node: usize,
         frame: Frame,
@@ -386,7 +386,7 @@ proptest! {
             let leaf = whole.insert_path(p);
             whole.attribute(leaf, MetricKind::GpuTime, *v);
             let shard = &mut shards[idx % shard_count];
-            let leaf = shard.insert_call_path(&p.iter().cloned().collect());
+            let leaf = shard.node_for(interner.paths().intern(p).id());
             shard.attribute(leaf, MetricKind::GpuTime, *v);
         }
         // Every other shard is folded with its samples still unsettled:
@@ -412,11 +412,12 @@ proptest! {
 
     #[test]
     fn deferred_attribution_equals_eager_propagation((interner, ops) in arb_shard_ops()) {
-        // The shard under test against an oracle tree driven through
-        // plain `insert_path` + eager `attribute`. Both perform the same
-        // insertions in the same order, so node ids must agree at every
-        // step (which is what holds the path cursor to account), and
-        // after the final settle the trees must be the same tree.
+        // The shard under test, fed path handles, against an oracle tree
+        // driven through plain `insert_path` + eager `attribute`. Both
+        // perform the same insertions in the same order, so node ids
+        // must agree at every step (which is what holds the shard's
+        // `PathId → node` vector to account), and after the final settle
+        // the trees must be the same tree.
         let mut shard = CctShard::new(Arc::clone(&interner));
         let mut oracle = CallingContextTree::with_interner(Arc::clone(&interner));
         let mut nodes = vec![NodeId::ROOT];
@@ -425,14 +426,14 @@ proptest! {
         for op in ops {
             match op {
                 ShardOp::Insert(frames) => {
-                    let got = shard.insert_call_path(&frames.iter().cloned().collect());
+                    let got = shard.node_for(interner.paths().intern(&frames).id());
                     prop_assert_eq!(got, oracle.insert_path(&frames));
                     nodes.push(got);
                     last = frames;
                 }
                 ShardOp::InsertPrefix(len) => {
                     last.truncate(len.min(last.len().saturating_sub(1)));
-                    let got = shard.insert_call_path(&last.iter().cloned().collect());
+                    let got = shard.node_for(interner.paths().intern(&last).id());
                     prop_assert_eq!(got, oracle.insert_path(&last));
                 }
                 ShardOp::Attribute { node, kind, value } => {
@@ -454,8 +455,8 @@ proptest! {
                     oracle.attribute(node, MetricKind::DroppedEvents, f64::from(count));
                 }
                 ShardOp::DroppedSample(frames, count) => {
-                    let path: CallPath = frames.iter().cloned().collect();
-                    shard.attribute_dropped_sample(&path, f64::from(count));
+                    let path = interner.paths().intern(&frames).id();
+                    shard.attribute_dropped_sample(path, f64::from(count));
                     let mut node = oracle.insert_path(&dropped);
                     for frame in &frames {
                         node = oracle.insert_child(node, frame);

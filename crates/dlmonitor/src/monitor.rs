@@ -1,13 +1,29 @@
 //! The DLMonitor runtime.
+//!
+//! A calling context is a **handle** here: every piece of state the
+//! monitor keeps per thread — the version-keyed Python snapshot, each
+//! shadow-stack operator, each forward/backward association record —
+//! holds the [`PathHandle`] of the context it stands for, and
+//! [`DlMonitor::callpath_for_gpu`] / [`DlMonitor::callpath_get`] extend
+//! one of them by whatever lies below it (native frames, the GPU API,
+//! the kernel) through the thread's own [`PathMemo`]. A launch from a
+//! context the thread has produced before is a handful of probes of that
+//! memo: no allocation, no frame built, no lock shared between threads.
+//! Both return a [`LivePath`] — the handle plus the autograd sequence id
+//! the launch ran under, the one display field a context does not fix —
+//! and frames are only materialised to show it
+//! ([`LivePath::to_call_path`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
-use deepcontext_core::{CallPath, Frame, FxHashMap, Interner, OpPhase};
+use deepcontext_core::{
+    Frame, FrameKey, FxHashMap, Interner, LivePath, OpPhase, PathHandle, PathId, PathMemo,
+};
 use dl_framework::{CallbackRegistry, FrameworkCallbackId, GraphEvent, MemEvent, OpEvent, Site};
-use sim_gpu::{ApiKind, CallbackData, GpuRuntime, KernelDesc, SubscriberId, Vendor};
+use sim_gpu::{ApiKind, CallbackData, GpuRuntime, SubscriberId, Vendor};
 use sim_runtime::{NativeFrameInfo, PythonStack, RuntimeEnv, ThreadCtx, ThreadRegistry};
 
 use crate::integrate::{integrate_call_path, ShadowOp};
@@ -168,6 +184,29 @@ impl Default for CallPathSources {
     }
 }
 
+/// Bits of [`DlMonitor::flags`]: the three [`CallPathSources`] and the
+/// call-path cache switch, so a launch reads all four with one load.
+const FLAG_PYTHON: u8 = 1;
+const FLAG_FRAMEWORK: u8 = 2;
+const FLAG_NATIVE: u8 = 4;
+const FLAG_CACHE: u8 = 8;
+
+impl CallPathSources {
+    fn bits(self) -> u8 {
+        (if self.python { FLAG_PYTHON } else { 0 })
+            | (if self.framework { FLAG_FRAMEWORK } else { 0 })
+            | (if self.native { FLAG_NATIVE } else { 0 })
+    }
+
+    fn from_bits(bits: u8) -> Self {
+        CallPathSources {
+            python: bits & FLAG_PYTHON != 0,
+            framework: bits & FLAG_FRAMEWORK != 0,
+            native: bits & FLAG_NATIVE != 0,
+        }
+    }
+}
+
 /// Identifier of a registered profiler callback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RegistrationId(u64);
@@ -189,33 +228,49 @@ pub struct MonitorStats {
 type EventCb = Arc<dyn Fn(&DlEvent) + Send + Sync>;
 type Registration = (RegistrationId, Domain, EventCb);
 
-/// The interned Python call path of one thread, valid for exactly the
+/// The Python call path of one thread, valid for exactly the
 /// [`PythonStack::version`] it was taken at.
 #[derive(Default)]
-struct PythonSnapshot(Option<(u64, Arc<[Frame]>)>);
+struct PythonSnapshot(Option<(u64, PathHandle)>);
 
 impl PythonSnapshot {
-    /// The thread's current Python frames, re-walked and re-interned only
-    /// when the stack's version has moved since the last call.
-    fn current(&mut self, python: &PythonStack, interner: &Interner) -> Arc<[Frame]> {
+    /// The thread's current Python path, re-walked only when the stack's
+    /// version has moved since the last call.
+    fn current(
+        &mut self,
+        python: &PythonStack,
+        memo: &mut PathMemo,
+        interner: &Interner,
+    ) -> PathHandle {
         // Read the version before walking: a racing mutation can then only
         // make the snapshot look stale, never fresh.
         let version = python.version();
-        match &self.0 {
-            Some((taken_at, frames)) if *taken_at == version => Arc::clone(frames),
+        match self.0 {
+            Some((taken_at, path)) if taken_at == version => path,
             _ => {
-                let frames: Arc<[Frame]> = python.with_frames(|frames| {
-                    frames
-                        .iter()
-                        .map(|f| Frame::python(&f.file, f.line, &f.function, interner))
-                        .collect()
+                let path = python.with_frames(|frames| {
+                    frames.iter().fold(PathHandle::ROOT, |path, f| {
+                        let key = FrameKey::Python {
+                            file: interner.intern_cached(&f.file),
+                            line: f.line,
+                        };
+                        memo.extend(interner.paths(), path, key, || {
+                            Frame::python(&f.file, f.line, &f.function, interner)
+                        })
+                    })
                 });
-                self.0 = Some((version, Arc::clone(&frames)));
-                frames
+                self.0 = Some((version, path));
+                path
             }
         }
     }
 }
+
+/// Kernel launches by `(calling context, API frame slot, entry PC)`: the
+/// launch's whole leaf — API frame and kernel frame — in one probe, with
+/// the module the slot was made for (PCs are unique within one module
+/// only).
+type KernelLeaves = FxHashMap<(PathId, u8, u64), (Arc<str>, PathHandle)>;
 
 /// Everything the monitor keeps for one simulated thread.
 #[derive(Default)]
@@ -223,6 +278,27 @@ struct ThreadState {
     /// The shadow operator stack, outermost first.
     shadow: Vec<ShadowOp>,
     python: PythonSnapshot,
+    /// This thread's sightings of the session's path table.
+    memo: PathMemo,
+    /// In front of `memo` for kernel launches: a hit interns nothing.
+    kernels: KernelLeaves,
+    /// This thread's share of [`MonitorStats`]: counted under the lock
+    /// the path is built under anyway, summed by [`DlMonitor::stats`].
+    built: u64,
+    cache_hits: u64,
+    assoc_hits: u64,
+}
+
+impl ThreadState {
+    /// Forgets the thread's contexts; its counters are history and stay.
+    fn reset(&mut self) {
+        *self = ThreadState {
+            built: self.built,
+            cache_hits: self.cache_hits,
+            assoc_hits: self.assoc_hits,
+            ..ThreadState::default()
+        };
+    }
 }
 
 /// Every thread's [`ThreadState`], indexed by tid. Tids are dense from 1,
@@ -247,16 +323,12 @@ impl ThreadSlab {
         &chunk[(n - (1 << k)) as usize]
     }
 
-    /// Resets every record (chunks stay allocated).
-    fn clear(&self) {
-        for slot in self
-            .0
+    /// Every record allocated so far.
+    fn slots(&self) -> impl Iterator<Item = &Mutex<ThreadState>> {
+        self.0
             .iter()
             .filter_map(OnceLock::get)
             .flat_map(|c| c.iter())
-        {
-            *slot.lock() = ThreadState::default();
-        }
     }
 }
 
@@ -272,24 +344,20 @@ pub struct DlMonitor {
     threads: ThreadSlab,
     /// Forward context by autograd sequence id: the Python frames plus
     /// the forward operator frames, ready to prefix a backward path.
-    assoc: Mutex<FxHashMap<u64, Arc<[Frame]>>>,
+    assoc: Mutex<FxHashMap<u64, PathHandle>>,
     /// Copy-on-write: `fire` snapshots the list with one `Arc` clone, so
     /// callbacks may register/unregister re-entrantly.
     callbacks: RwLock<Arc<[Registration]>>,
     /// [`Domain::bit`]s of the domains `callbacks` has a subscriber for.
     subscribed: AtomicU8,
-    /// `[vendor][api]`; see [`DlMonitor::api_frame`].
+    /// The GPU API frames, `[vendor][api]`, interned on first use.
     api_frames: [[OnceLock<Frame>; API_KINDS]; 2],
-    kernel_frames: RwLock<FxHashMap<u64, (Arc<KernelDesc>, Frame)>>,
     next_id: AtomicU64,
-    sources: RwLock<CallPathSources>,
-    cache_enabled: AtomicBool,
+    /// `FLAG_*` bits.
+    flags: AtomicU8,
     finalized: AtomicBool,
     attached_framework: Mutex<Vec<(Arc<CallbackRegistry>, Vec<FrameworkCallbackId>)>>,
     attached_gpu: Mutex<Vec<(Arc<GpuRuntime>, SubscriberId)>>,
-    stat_built: AtomicU64,
-    stat_cache_hits: AtomicU64,
-    stat_assoc_hits: AtomicU64,
 }
 
 impl DlMonitor {
@@ -305,16 +373,11 @@ impl DlMonitor {
             callbacks: RwLock::new(Arc::from([])),
             subscribed: AtomicU8::new(0),
             api_frames: Default::default(),
-            kernel_frames: RwLock::new(FxHashMap::default()),
             next_id: AtomicU64::new(0),
-            sources: RwLock::new(CallPathSources::default()),
-            cache_enabled: AtomicBool::new(true),
+            flags: AtomicU8::new(CallPathSources::default().bits() | FLAG_CACHE),
             finalized: AtomicBool::new(false),
             attached_framework: Mutex::new(Vec::new()),
             attached_gpu: Mutex::new(Vec::new()),
-            stat_built: AtomicU64::new(0),
-            stat_cache_hits: AtomicU64::new(0),
-            stat_assoc_hits: AtomicU64::new(0),
         })
     }
 
@@ -325,32 +388,45 @@ impl DlMonitor {
 
     /// Selects which call-path sources to integrate.
     pub fn set_sources(&self, sources: CallPathSources) {
-        *self.sources.write() = sources;
+        let _ = self
+            .flags
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |flags| {
+                Some(flags & FLAG_CACHE | sources.bits())
+            });
     }
 
     /// The current source selection.
     pub fn sources(&self) -> CallPathSources {
-        *self.sources.read()
+        CallPathSources::from_bits(self.flags.load(Ordering::SeqCst))
     }
 
     /// Enables/disables the call-path cache.
     pub fn set_cache_enabled(&self, enabled: bool) {
-        self.cache_enabled.store(enabled, Ordering::SeqCst);
+        if enabled {
+            self.flags.fetch_or(FLAG_CACHE, Ordering::SeqCst);
+        } else {
+            self.flags.fetch_and(!FLAG_CACHE, Ordering::SeqCst);
+        }
     }
 
     /// Whether the call-path cache is on.
     pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled.load(Ordering::SeqCst)
+        self.flags.load(Ordering::SeqCst) & FLAG_CACHE != 0
     }
 
     /// Activity counters.
     pub fn stats(&self) -> MonitorStats {
-        MonitorStats {
-            callpaths_built: self.stat_built.load(Ordering::Relaxed),
-            cache_hits: self.stat_cache_hits.load(Ordering::Relaxed),
-            assoc_hits: self.stat_assoc_hits.load(Ordering::Relaxed),
+        let mut stats = MonitorStats {
             assoc_live: self.assoc.lock().len() as u64,
+            ..MonitorStats::default()
+        };
+        for slot in self.threads.slots() {
+            let state = slot.lock();
+            stats.callpaths_built += state.built;
+            stats.cache_hits += state.cache_hits;
+            stats.assoc_hits += state.assoc_hits;
         }
+        stats
     }
 
     /// `dlmonitor_callback_register`: registers a profiler callback for a
@@ -452,30 +528,34 @@ impl DlMonitor {
         }
         let thread = &event.thread;
         let mut state = self.threads.slot(thread.tid()).lock();
+        let ThreadState {
+            shadow,
+            python,
+            memo,
+            ..
+        } = &mut *state;
         match event.site {
             Site::Enter => {
                 // Snapshot at every Enter, whatever the cache flag says
                 // now: it may be switched on before the launch.
-                let python = state.python.current(thread.python(), &self.interner);
+                let python = python.current(thread.python(), memo, &self.interner);
                 let frame =
                     Frame::operator_with(&event.name, event.phase, event.seq_id, &self.interner);
-                if let (OpPhase::Forward, Some(seq)) = (event.phase, event.seq_id) {
-                    let record = python
-                        .iter()
-                        .chain(state.shadow.iter().map(|op| &op.frame))
-                        .chain([&frame])
-                        .cloned()
-                        .collect();
-                    self.assoc.lock().insert(seq, record);
-                }
-                state.shadow.push(ShadowOp {
+                let op = ShadowOp::enter(
                     frame,
-                    native_depth: thread.native().depth(),
+                    thread.native().depth(),
                     python,
-                });
+                    shadow,
+                    memo,
+                    &self.interner,
+                );
+                if let (OpPhase::Forward, Some(seq)) = (event.phase, event.seq_id) {
+                    self.assoc.lock().insert(seq, op.path);
+                }
+                shadow.push(op);
             }
             Site::Exit => {
-                state.shadow.pop();
+                shadow.pop();
             }
         }
     }
@@ -486,47 +566,54 @@ impl DlMonitor {
         self.assoc.lock().clear();
     }
 
-    /// `dlmonitor_callpath_get`: builds the unified multi-layer call path
-    /// for `thread` under the configured sources and cache mode.
-    pub fn callpath_get(&self, thread: &Arc<ThreadCtx>) -> CallPath {
-        CallPath::from_frames(self.unified_path(thread, 0))
+    /// `dlmonitor_callpath_get`: the unified multi-layer call path of
+    /// `thread` under the configured sources and cache mode.
+    pub fn callpath_get(&self, thread: &Arc<ThreadCtx>) -> LivePath {
+        self.unified_path(&mut self.threads.slot(thread.tid()).lock(), thread)
     }
 
-    /// The unified path of `thread`, in a vector with room for
-    /// `leaf_room` more frames.
-    fn unified_path(&self, thread: &ThreadCtx, leaf_room: usize) -> Vec<Frame> {
-        self.stat_built.fetch_add(1, Ordering::Relaxed);
-        let sources = self.sources();
-        let cache_on = self.cache_enabled();
+    /// The unified path of `thread`, whose record `state` is.
+    fn unified_path(&self, state: &mut ThreadState, thread: &ThreadCtx) -> LivePath {
+        state.built += 1;
+        let flags = self.flags.load(Ordering::SeqCst);
+        let cache_on = flags & FLAG_CACHE != 0;
 
-        let mut state = self.threads.slot(thread.tid()).lock();
-        let ThreadState { shadow, python } = &mut *state;
-        let shadow: &[ShadowOp] = if sources.framework { shadow } else { &[] };
+        let ThreadState {
+            shadow,
+            python,
+            memo,
+            cache_hits,
+            assoc_hits,
+            ..
+        } = state;
+        let shadow: &[ShadowOp] = if flags & FLAG_FRAMEWORK != 0 {
+            shadow
+        } else {
+            &[]
+        };
 
         // Forward/backward association: a backward operator on this
         // thread recovers the forward context recorded under its
         // sequence id.
-        let assoc: Option<Arc<[Frame]>> = match shadow.first().map(|op| &op.frame) {
+        let assoc: Option<PathHandle> = match shadow.first().map(|op| &op.frame) {
             Some(Frame::Operator {
                 phase: OpPhase::Backward,
                 seq_id: Some(seq),
                 ..
-            }) => self.assoc.lock().get(seq).cloned(),
+            }) => self.assoc.lock().get(seq).copied(),
             _ => None,
         };
 
-        let live;
-        let prefix: &[Frame] = if !sources.python {
-            &[]
-        } else if let Some(forward) = &assoc {
-            self.stat_assoc_hits.fetch_add(1, Ordering::Relaxed);
+        let prefix = if flags & FLAG_PYTHON == 0 {
+            PathHandle::ROOT
+        } else if let Some(forward) = assoc {
+            *assoc_hits += 1;
             forward
         } else if let (true, Some(innermost)) = (cache_on, shadow.last()) {
-            self.stat_cache_hits.fetch_add(1, Ordering::Relaxed);
-            &innermost.python
+            *cache_hits += 1;
+            innermost.python
         } else {
-            live = python.current(thread.python(), &self.interner);
-            &live
+            python.current(thread.python(), memo, &self.interner)
         };
 
         // Native frames. Cached mode (or association) only needs the
@@ -539,7 +626,7 @@ impl DlMonitor {
             None
         }
         .map(|op| op.native_depth);
-        let (native, native_base): (Vec<NativeFrameInfo>, usize) = if !sources.native {
+        let (native, native_base): (Vec<NativeFrameInfo>, usize) = if flags & FLAG_NATIVE == 0 {
             (Vec::new(), 0)
         } else if let Some(anchor) = anchor {
             let needed = thread.native().depth().saturating_sub(anchor);
@@ -552,68 +639,98 @@ impl DlMonitor {
             (self.env.unwinder().backtrace(thread.native()), 0)
         };
 
-        let mut path = Vec::with_capacity(prefix.len() + shadow.len() + native.len() + leaf_room);
-        integrate_call_path(
-            &mut path,
+        let path = integrate_call_path(
             prefix,
             shadow,
             &native,
             native_base,
             |pc| self.env.libraries().is_python_pc(pc),
+            memo,
             &self.interner,
         );
-        path
+        // The sequence id a rendering of this sighting shows: the
+        // innermost operator's that has one.
+        let seq = shadow.iter().rev().find_map(|op| match op.frame {
+            Frame::Operator { seq_id, .. } => seq_id,
+            _ => None,
+        });
+        LivePath::new(path, seq)
     }
 
-    /// Builds the call path for a GPU API callback: the thread's unified
-    /// path plus the GPU API frame and (for launches) the kernel frame —
-    /// the full Figure 3(b) shape.
-    pub fn callpath_for_gpu(&self, event: &GpuCallbackEvent) -> CallPath {
-        let mut path = match &event.thread {
-            Some(thread) => self.unified_path(thread, 2),
-            None => Vec::with_capacity(2),
-        };
-        path.push(self.api_frame(event.vendor, event.data.api));
-        if let Some(kernel) = &event.data.kernel {
-            path.push(self.kernel_frame(kernel));
-        }
-        CallPath::from_frames(path)
-    }
-
-    /// The GPU API frame, interned on first use.
-    fn api_frame(&self, vendor: Vendor, api: ApiKind) -> Frame {
-        self.api_frames[vendor_index(vendor)][api_index(api)]
-            .get_or_init(|| {
-                Frame::gpu_api(
-                    api.api_name(vendor),
-                    api.api_library(vendor),
-                    (api_index(api) as u64 + 1) * 0x10,
-                    &self.interner,
+    /// The call path of a GPU API callback: the thread's unified path
+    /// plus the GPU API frame and (for launches) the kernel frame — the
+    /// full Figure 3(b) shape.
+    pub fn callpath_for_gpu(&self, event: &GpuCallbackEvent) -> LivePath {
+        match &event.thread {
+            Some(thread) => {
+                let mut state = self.threads.slot(thread.tid()).lock();
+                let live = self.unified_path(&mut state, thread);
+                let ThreadState { memo, kernels, .. } = &mut *state;
+                LivePath::new(
+                    self.gpu_leaf(live.handle(), event, memo, kernels),
+                    live.seq(),
                 )
-            })
-            .clone()
+            }
+            // A runtime-internal callback: no thread, so nothing to keep.
+            None => LivePath::new(
+                self.gpu_leaf(
+                    PathHandle::ROOT,
+                    event,
+                    &mut PathMemo::default(),
+                    &mut KernelLeaves::default(),
+                ),
+                None,
+            ),
+        }
     }
 
-    /// The kernel's frame, by entry PC. PCs are unique within one module
-    /// only, so a hit is checked against the descriptor it was made from.
-    fn kernel_frame(&self, kernel: &Arc<KernelDesc>) -> Frame {
-        if let Some((known, frame)) = self.kernel_frames.read().get(&kernel.entry_pc) {
-            if Arc::ptr_eq(known, kernel)
-                || (known.name == kernel.name && known.module == kernel.module)
-            {
-                return frame.clone();
+    /// `path` extended by the event's GPU API frame and kernel frame.
+    fn gpu_leaf(
+        &self,
+        path: PathHandle,
+        event: &GpuCallbackEvent,
+        memo: &mut PathMemo,
+        kernels: &mut KernelLeaves,
+    ) -> PathHandle {
+        let (vendor, api) = (vendor_index(event.vendor), api_index(event.data.api));
+        let launch = event.data.kernel.as_ref().map(|kernel| {
+            let slot = (path.id(), (vendor * API_KINDS + api) as u8, kernel.entry_pc);
+            (kernel, slot)
+        });
+        if let Some((kernel, slot)) = &launch {
+            if let Some((module, leaf)) = kernels.get(slot) {
+                if *module == kernel.module {
+                    return *leaf;
+                }
             }
         }
+        let paths = self.interner.paths();
+        let frame = self.api_frames[vendor][api].get_or_init(|| {
+            Frame::gpu_api(
+                event.data.api.api_name(event.vendor),
+                event.data.api.api_library(event.vendor),
+                (api as u64 + 1) * 0x10,
+                &self.interner,
+            )
+        });
+        let path = memo.extend_frame(paths, path, frame);
+        let Some((kernel, slot)) = launch else {
+            return path;
+        };
+        // First sighting, or a kernel of another module at the same PC:
+        // the slot keeps whoever came first and the other lives in `memo`
+        // — neither evicts the other.
         let frame = Frame::gpu_kernel(
             &kernel.name,
             &kernel.module,
             kernel.entry_pc,
             &self.interner,
         );
-        self.kernel_frames
-            .write()
-            .insert(kernel.entry_pc, (Arc::clone(kernel), frame.clone()));
-        frame
+        let leaf = memo.extend_frame(paths, path, &frame);
+        kernels
+            .entry(slot)
+            .or_insert_with(|| (Arc::clone(&kernel.module), leaf));
+        leaf
     }
 
     /// `dlmonitor_finalize`: detaches every interception and clears
@@ -629,9 +746,10 @@ impl DlMonitor {
             gpu.unsubscribe(sub);
         }
         self.update_callbacks(|_| Arc::from([]));
-        self.threads.clear();
+        for slot in self.threads.slots() {
+            slot.lock().reset();
+        }
         self.assoc.lock().clear();
-        self.kernel_frames.write().clear();
     }
 
     /// Depth of the shadow stack for a thread (test/diagnostic hook).
@@ -672,7 +790,7 @@ fn vendor_index(vendor: Vendor) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepcontext_core::{FrameKind, ThreadRole, TimeNs};
+    use deepcontext_core::{CallPath, FrameKind, ThreadRole, TimeNs};
     use dl_framework::{EagerEngine, FrameworkCore, Op, OpKind, TensorMeta};
     use sim_gpu::{CallbackSite, DeviceId, DeviceSpec, GpuRuntime};
 
@@ -713,7 +831,8 @@ mod tests {
                 if gpu_event.data.api == ApiKind::LaunchKernel
                     && gpu_event.data.site == CallbackSite::Enter
                 {
-                    p.lock().push(monitor.callpath_for_gpu(gpu_event));
+                    let path = monitor.callpath_for_gpu(gpu_event);
+                    p.lock().push(path.to_call_path(&monitor.interner));
                 }
             }
         });
@@ -795,22 +914,36 @@ mod tests {
         rig.engine.set_grad_enabled(true);
         let paths = launch_paths(&rig);
 
-        {
+        for _iteration in 0..2 {
             let core = Arc::clone(rig.engine.core());
-            let _s1 = core.python().frame(&main, "train.py", 12, "train_step");
+            let scope = core.python().frame(&main, "train.py", 12, "train_step");
             rig.engine
                 .op(
                     Op::new(OpKind::Index).with_duplicates(16.0),
                     &[TensorMeta::new([10_000, 64]), TensorMeta::new([512])],
                 )
                 .unwrap();
+            drop(scope);
+            rig.engine.backward().unwrap();
         }
-        rig.engine.backward().unwrap();
 
         let paths = paths.lock();
         // One forward launch; backward lowers two kernels (zero + scatter).
-        assert_eq!(paths.len(), 3, "forward launch + two backward launches");
+        assert_eq!(paths.len(), 6, "per iteration: forward + two backward");
         let interner = rig.monitor.interner();
+        // Each iteration's paths show its own sequence id, on the forward
+        // operator recovered through the association as well.
+        let ids = |path: &CallPath| -> Vec<Option<u64>> {
+            let ops = path.frames().iter().filter_map(|f| match f {
+                Frame::Operator { seq_id, .. } => Some(*seq_id),
+                _ => None,
+            });
+            ops.collect()
+        };
+        assert_eq!(ids(&paths[0]), [Some(1)]);
+        assert_eq!(ids(&paths[2]), [Some(1), Some(1)]);
+        assert_eq!(ids(&paths[3]), [Some(2)]);
+        assert_eq!(ids(&paths[5]), [Some(2), Some(2)]);
         let bwd_labels: Vec<String> = paths[2]
             .frames()
             .iter()

@@ -53,7 +53,8 @@ fn launch_paths(rig: &Rig) -> Arc<Mutex<Vec<CallPath>>> {
     rig.monitor.callback_register(Domain::Gpu, move |event| {
         let DlEvent::Gpu(gpu) = event else { return };
         if gpu.data.api == ApiKind::LaunchKernel && gpu.data.site == CallbackSite::Enter {
-            p.lock().push(monitor.callpath_for_gpu(gpu));
+            let path = monitor.callpath_for_gpu(gpu);
+            p.lock().push(path.to_call_path(&monitor.interner()));
         }
     });
     paths
@@ -202,7 +203,8 @@ fn concurrent_forward_and_backward_threads_keep_their_own_shadow_stacks() {
             registry.fire_op(&op_event(name, phase, seq, Site::Enter, thread));
             barrier.wait();
             let depth = rig.monitor.shadow_depth(thread.tid());
-            paths.push((depth, labels(&rig.monitor.callpath_get(thread), &interner)));
+            let path = rig.monitor.callpath_get(thread).to_call_path(&interner);
+            paths.push((depth, labels(&path, &interner)));
             barrier.wait();
             registry.fire_op(&op_event(name, phase, seq, Site::Exit, thread));
         }
@@ -351,6 +353,7 @@ fn kernels_sharing_an_entry_pc_across_modules_keep_their_own_frames() {
         };
         rig.monitor
             .callpath_for_gpu(&event)
+            .to_call_path(&interner)
             .leaf()
             .expect("API and kernel frames")
             .label(&interner)

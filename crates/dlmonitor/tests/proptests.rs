@@ -3,9 +3,7 @@
 //! the unified path preserves ordering, loses no operators, and respects
 //! the libpython cutover.
 
-use std::sync::Arc;
-
-use deepcontext_core::{CallPath, Frame, FrameKind, Interner, OpPhase};
+use deepcontext_core::{CallPath, Frame, FrameKind, Interner, OpPhase, PathMemo};
 use dlmonitor::{integrate_call_path, ShadowOp};
 use proptest::prelude::*;
 use sim_runtime::NativeFrameInfo;
@@ -39,37 +37,37 @@ impl Scenario {
             (0..self.n_native_tail)
                 .map(|i| NativeFrameInfo::new("libtorch.so", 0x100 + i as u64, "impl")),
         );
-        // Operators anchored at increasing depths within the tail.
-        let operators: Vec<ShadowOp> = (0..self.n_operators)
-            .map(|i| {
-                let phase = if i % 2 == 0 {
-                    OpPhase::Forward
-                } else {
-                    OpPhase::Backward
-                };
-                ShadowOp {
-                    frame: Frame::operator_with(
-                        &format!("aten::op{i}"),
-                        phase,
-                        Some(i as u64),
-                        interner,
-                    ),
-                    native_depth: base + (i * self.n_native_tail.max(1) / self.n_operators.max(1)),
-                    python: Arc::from([]),
-                }
-            })
-            .collect();
-        let mut path = Vec::new();
+        // Operators anchored at increasing depths within the tail, all
+        // entered under the scenario's Python path.
+        let python = interner.paths().intern(&python);
+        let mut memo = PathMemo::default();
+        let mut operators: Vec<ShadowOp> = Vec::new();
+        for i in 0..self.n_operators {
+            let phase = if i % 2 == 0 {
+                OpPhase::Forward
+            } else {
+                OpPhase::Backward
+            };
+            let op = ShadowOp::enter(
+                Frame::operator_with(&format!("aten::op{i}"), phase, Some(i as u64), interner),
+                base + (i * self.n_native_tail.max(1) / self.n_operators.max(1)),
+                python,
+                &operators,
+                &mut memo,
+                interner,
+            );
+            operators.push(op);
+        }
         integrate_call_path(
-            &mut path,
-            &python,
+            python,
             &operators,
             &native,
             0,
             |pc| pc == INTERP_PC,
+            &mut memo,
             interner,
-        );
-        CallPath::from_frames(path)
+        )
+        .to_call_path(interner)
     }
 }
 

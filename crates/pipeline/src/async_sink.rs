@@ -2,10 +2,10 @@
 //!
 //! [`AsyncSink`] decouples event *production* from event *attribution*:
 //! producers (launch callbacks, activity-buffer flushes, CPU samplers)
-//! only route the event, record its correlation's home shard in the
-//! directory, and enqueue an owned copy into that shard's bounded
-//! channel — no shard lock, no tree mutation, no metric fold on the
-//! producer's critical path. A configurable worker pool drains the
+//! only route the event, bind its correlation to its home shard and
+//! context in the directory, and enqueue a few words (contexts travel by
+//! `PathId`) into that shard's bounded channel — no shard lock, no tree
+//! mutation, no metric fold on the producer's critical path. A configurable worker pool drains the
 //! channels and drives the events through the same
 //! [`ShardedSink`] per-shard attribution code the synchronous mode uses,
 //! so the two modes cannot drift apart semantically.
@@ -19,11 +19,11 @@
 //!   worker *i* mod `workers`), so a launch is always applied before the
 //!   activity records that resolve through its correlation — the
 //!   activity can only be enqueued after the launch callback returned.
-//! * **Flush-time route binding.** A producer flush registers
-//!   `correlation → shard` in the directory for every launch it carries
-//!   *before* any of them is enqueued ([`ShardedSink::bind_batch`]), so
-//!   activity records that arrive while a launch is still queued route
-//!   to the same shard and find the binding once the worker reaches it.
+//! * **Flush-time binding.** A producer flush registers
+//!   `correlation → (shard, PathId)` in the directory for every launch
+//!   it carries *before* any of them is enqueued
+//!   ([`ShardedSink::bind_batch`]), so activity records that arrive
+//!   while a launch is still queued route to the same shard, behind it.
 //!
 //! # One message path
 //!
@@ -73,7 +73,7 @@ use std::time::Duration;
 use crossbeam::channel::{self, TrySendError};
 
 use deepcontext_core::failpoint::sites as fp_sites;
-use deepcontext_core::{CallPath, CallingContextTree, Failpoints, MetricKind, TrackKey};
+use deepcontext_core::{CallingContextTree, Failpoints, MetricKind, PathHandle, PathId, TrackKey};
 use deepcontext_telemetry::{
     journal_sites, names, Counter, Gauge, Histogram, Journal, JournalSeverity, Telemetry,
 };
@@ -184,10 +184,11 @@ impl Event {
 /// The context a dropped message would have attributed to, when it
 /// carries one: flushed producer batches yield their first event's path.
 /// Activity buckets carry only correlations (their context lives in the
-/// shard) and epochs carry nothing — neither contributes a victim sample.
-fn victim_path(event: &Event) -> Option<&CallPath> {
+/// directory) and epochs carry nothing — neither contributes a victim
+/// sample.
+fn victim_path(event: &Event) -> Option<PathId> {
     match event {
-        Event::Batch(events) => events.first().map(|e| match e {
+        Event::Batch(events) => events.first().map(|e| match *e {
             ProducerEvent::Launch { path, .. } | ProducerEvent::Sample { path, .. } => path,
         }),
         Event::Activities(_) | Event::Epoch => None,
@@ -231,7 +232,7 @@ struct ShardQueue {
     /// Sampled victim contexts awaiting publication — a bounded ring
     /// (oldest overwritten at [`DROP_SAMPLE_RING`]) drained by snapshot
     /// paths into `<dropped>`-child estimates.
-    victims: Mutex<Vec<CallPath>>,
+    victims: Mutex<Vec<PathId>>,
 }
 
 /// Parking slot for one worker: producers nudge it only when it is (or
@@ -263,16 +264,8 @@ impl Parker {
 
 const PARK_TIMEOUT: Duration = Duration::from_micros(500);
 /// Messages a worker retires from one shard before visiting the next —
-/// bounds per-shard latency while still coalescing adjacent activity
-/// buckets under one shard lock.
-const COALESCE: usize = 128;
-/// Activity records a worker accumulates into one coalesced bucket
-/// before applying it. Coalescing across flush boundaries amortizes the
-/// shard lock and the fold, but each coalesced apply runs `end_batch`
-/// only once — so an unbounded run would defer two-phase pruning and let
-/// live correlation state balloon with the queue backlog. This cap keeps
-/// the prune cadence within a small factor of synchronous mode.
-const COALESCE_RECORDS: usize = 512;
+/// bounds per-shard latency.
+const PASS_MESSAGES: usize = 128;
 /// Events per `Event::Batch` queue message: flushed producer batches
 /// larger than this are chunked (and pushed as one single-notify channel
 /// run), so a message never represents an unbounded slice of the queue's
@@ -502,7 +495,7 @@ impl Shared {
         if ring.len() >= DROP_SAMPLE_RING {
             ring.remove(0);
         }
-        ring.push(path.clone());
+        ring.push(path);
     }
 
     /// Records the queue depth observed by an enqueue at `shard`.
@@ -557,8 +550,8 @@ impl Shared {
                             // correlation state that only the evicted
                             // message would have retired is discarded
                             // with it — otherwise every dropped launch or
-                            // terminal record would leak its
-                            // directory/shard binding forever.
+                            // terminal record would leak its directory
+                            // entry forever.
                             let weight = old.weight();
                             self.note_dropped(weight);
                             q.dropped.fetch_add(weight, Ordering::Relaxed);
@@ -658,7 +651,7 @@ impl Shared {
                 self.inner.apply_dropped(idx, dropped - published);
                 q.dropped_published.store(dropped, Ordering::Relaxed);
             }
-            let victims: Vec<CallPath> = {
+            let victims: Vec<PathId> = {
                 let mut ring = q.victims.lock().unwrap_or_else(|e| e.into_inner());
                 std::mem::take(&mut *ring)
             };
@@ -677,8 +670,7 @@ impl Shared {
 
     /// Discards the correlation state an evicted or poisoned message
     /// leaves behind: a producer batch unbinds its launches' flush-time
-    /// routes (and any shard binding, had a duplicate already been
-    /// applied), an activity bucket unbinds the correlations of its
+    /// bindings, an activity bucket unbinds the correlations of its
     /// *terminal* records (nothing else will ever retire them; later
     /// records for those correlations — if any survive — fall to the
     /// orphan context, the documented drop semantics). Sampling records
@@ -694,14 +686,16 @@ impl Shared {
                 }
             }
             Event::Batch(events) => {
-                // A flushed producer batch carries launches whose routes
-                // were directory-bound at flush time — those bindings die
-                // with the eviction.
+                // A flushed producer batch carries launches that were
+                // directory-bound at flush time — those bindings die with
+                // the eviction.
                 for event in events {
-                    if let ProducerEvent::Launch { origin, .. } = event {
-                        if let Some(corr) = origin.correlation {
-                            self.inner.discard_correlation(corr.0);
-                        }
+                    if let ProducerEvent::Launch {
+                        correlation: Some(corr),
+                        ..
+                    } = event
+                    {
+                        self.inner.discard_correlation(*corr);
                     }
                 }
             }
@@ -758,8 +752,7 @@ impl Shared {
         }
     }
 
-    /// The attribution loop: drain owned shards, coalescing adjacent
-    /// activity buckets under one shard-lock acquisition; park when idle.
+    /// The attribution loop: drain owned shards in turn; park when idle.
     fn worker_loop(&self, worker: usize) {
         let owned: Vec<usize> = (0..self.queues.len())
             .filter(|idx| self.worker_for(*idx) == worker)
@@ -825,88 +818,46 @@ impl Shared {
         }
     }
 
-    /// Retires up to [`COALESCE`] messages from shard `idx`. Runs of
-    /// consecutive activity buckets — including buckets from *different*
-    /// flushes — are applied under one shard-lock acquisition
-    /// ([`ShardedSink::apply_activity_buckets`]), which amortizes the
-    /// fold cost of a busy shard across flush boundaries while keeping
-    /// one two-phase-prune batch per original bucket (so resident
-    /// correlation state never grows with the worker's backlog). A
-    /// quarantined shard's messages keep retiring through the same loop
-    /// (so drain barriers and shutdown never hang on it), but nothing
-    /// touches its tree except flush boundaries.
+    /// Retires up to [`PASS_MESSAGES`] messages from shard `idx`, in queue
+    /// order. Every apply runs behind `apply_isolated`'s fault boundary:
+    /// a panicking apply quarantines the shard, its message's events join
+    /// the `<poisoned>` tally, and the pass keeps retiring — so drain
+    /// barriers and shutdown never hang on a poisoned shard, whose tree
+    /// nothing but flush boundaries touches from then on.
     fn drain_shard(&self, idx: usize) -> u64 {
         let q = &self.queues[idx];
-        let mut messages = 0u64;
         let mut events = 0u64;
-        let mut run: Vec<Vec<Activity>> = Vec::new();
-        let mut run_records = 0usize;
-        // Event counts are published *before* each retirement so counter
-        // reads behind a drain barrier are exact, not lagging the pass.
-        // Every apply below runs behind `apply_isolated`'s fault
-        // boundary: a panicking apply quarantines the shard, its
-        // message's events join the `<poisoned>` tally, and the pass
-        // keeps retiring — so barriers never hang on a poisoned shard.
-        let flush_run = |run: &mut Vec<Vec<Activity>>, run_records: &mut usize| {
-            if !run.is_empty() {
-                let retired = run.len() as u64;
-                if self.apply_isolated(idx, || self.inner.apply_activity_buckets(idx, run)) {
-                    self.inner.note_peak();
-                    self.worker_events
-                        .fetch_add(*run_records as u64, Ordering::Relaxed);
-                    run.clear();
-                } else {
-                    // The whole coalesced run is poisoned, bucket by
-                    // bucket.
-                    for bucket in run.drain(..) {
-                        self.poison_message(idx, &Event::Activities(bucket));
-                    }
-                }
-                self.retire(idx, retired);
-                *run_records = 0;
-            }
-        };
-        while messages < COALESCE as u64 {
+        for _ in 0..PASS_MESSAGES {
             let Ok(event) = q.rx.try_recv() else { break };
-            messages += 1;
             events += event.weight();
-            // A coalesced activity run is flushed before any non-activity
-            // message, preserving per-shard event order.
-            if !matches!(event, Event::Activities(_)) {
-                flush_run(&mut run, &mut run_records);
-            }
-            if self.is_quarantined(idx) {
-                // Quarantined before this pass, or mid-pass by the flush
-                // above or an earlier message: everything still in hand
-                // is poisoned.
+            // Event counts are published *before* each retirement so
+            // counter reads behind a drain barrier are exact.
+            let applied = !self.is_quarantined(idx)
+                && match &event {
+                    Event::Activities(bucket) => {
+                        let ok = self
+                            .apply_isolated(idx, || self.inner.apply_activity_bucket(idx, bucket));
+                        if ok {
+                            self.inner.note_peak();
+                        }
+                        ok
+                    }
+                    Event::Batch(batch) => {
+                        self.apply_isolated(idx, || self.inner.apply_producer_batch(idx, batch))
+                    }
+                    Event::Epoch => {
+                        self.apply_isolated(idx, || self.inner.epoch_complete_shard(idx));
+                        true
+                    }
+                };
+            if applied {
+                self.worker_events
+                    .fetch_add(event.weight(), Ordering::Relaxed);
+            } else {
                 self.poison_message(idx, &event);
-                self.retire(idx, 1);
-                continue;
             }
-            match event {
-                Event::Activities(batch) => {
-                    run_records += batch.len();
-                    run.push(batch);
-                    if run_records >= COALESCE_RECORDS {
-                        flush_run(&mut run, &mut run_records);
-                    }
-                }
-                Event::Batch(ref batch) => {
-                    if self.apply_isolated(idx, || self.inner.apply_producer_batch(idx, batch)) {
-                        self.worker_events
-                            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    } else {
-                        self.poison_message(idx, &event);
-                    }
-                    self.retire(idx, 1);
-                }
-                Event::Epoch => {
-                    let _ = self.apply_isolated(idx, || self.inner.epoch_complete_shard(idx));
-                    self.retire(idx, 1);
-                }
-            }
+            self.retire(idx, 1);
         }
-        flush_run(&mut run, &mut run_records);
         // Settle epoch markers displaced from this queue by DropOldest
         // eviction (see `enqueue`): one application covers any number of
         // them, since back-to-back epochs are a no-op after the first.
@@ -1166,7 +1117,7 @@ impl AsyncSink {
 }
 
 impl EventSink for AsyncSink {
-    fn gpu_launch(&self, origin: &EventOrigin, path: CallPath, api: ApiKind) {
+    fn gpu_launch(&self, origin: &EventOrigin, path: PathHandle, api: ApiKind) {
         // Append to this thread's buffer; the flush binds the whole
         // batch's correlations in one striped pass — before any of it is
         // visible, so activity records arriving while a launch is queued
@@ -1175,8 +1126,8 @@ impl EventSink for AsyncSink {
         self.batcher.push(
             self.shared.inner.route(origin),
             ProducerEvent::Launch {
-                origin: *origin,
-                path,
+                correlation: origin.correlation.map(|corr| corr.0),
+                path: path.id(),
                 api,
             },
         );
@@ -1197,11 +1148,11 @@ impl EventSink for AsyncSink {
         }
     }
 
-    fn cpu_sample(&self, origin: &EventOrigin, path: CallPath, metric: MetricKind, value: f64) {
+    fn cpu_sample(&self, origin: &EventOrigin, path: PathHandle, metric: MetricKind, value: f64) {
         self.batcher.push(
             self.shared.inner.route(origin),
             ProducerEvent::Sample {
-                path,
+                path: path.id(),
                 metric,
                 value,
             },
@@ -1357,6 +1308,11 @@ mod tests {
         })
     }
 
+    fn kernel_path(interner: &Interner, name: &str) -> PathHandle {
+        let frames = [Frame::gpu_kernel(name, "m.so", 0x1, interner)];
+        interner.paths().intern(&frames)
+    }
+
     #[test]
     fn drop_oldest_defers_displaced_epoch_markers() {
         // A flush-boundary marker evicted by DropOldest must still take
@@ -1382,9 +1338,8 @@ mod tests {
             stream: Some(StreamId(0)),
             correlation: Some(CorrelationId(7)),
         };
-        let mut path = CallPath::new();
-        path.push(Frame::gpu_kernel("k", "m.so", 0x1, &interner));
-        sink.gpu_launch(&origin, path.clone(), ApiKind::LaunchKernel);
+        let path = kernel_path(&interner, "k");
+        sink.gpu_launch(&origin, path, ApiKind::LaunchKernel);
         sink.activity_batch(vec![Activity {
             correlation_id: CorrelationId(7),
             device: DeviceId(0),
@@ -1405,7 +1360,7 @@ mod tests {
             ..EventOrigin::default()
         };
         for _ in 0..6 {
-            sink.cpu_sample(&sample_origin, path.clone(), MetricKind::CpuTime, 1.0);
+            sink.cpu_sample(&sample_origin, path, MetricKind::CpuTime, 1.0);
         }
         sink.resume();
         sink.drain();
@@ -1445,8 +1400,7 @@ mod tests {
             },
         );
         sink.pause();
-        let mut path = CallPath::new();
-        path.push(Frame::gpu_kernel("k", "m.so", 0x1, &interner));
+        let path = kernel_path(&interner, "k");
         // Fill the 1-slot queue (activity buckets enqueue directly)...
         sink.activity_batch(vec![Activity {
             correlation_id: CorrelationId(1),
@@ -1461,7 +1415,7 @@ mod tests {
             tid: Some(1),
             ..EventOrigin::default()
         };
-        sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 1.0);
+        sink.cpu_sample(&origin, path, MetricKind::CpuTime, 1.0);
 
         let dropper = std::thread::spawn(move || drop(sink));
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -1482,11 +1436,11 @@ mod tests {
 
     #[test]
     fn drop_oldest_does_not_leak_correlation_state() {
-        // Evicted launches must unbind their enqueue-time directory
-        // entry, and evicted terminal activity records must discard
-        // their correlation's shard binding — otherwise sustained
-        // overload grows the directory and correlation maps without
-        // bound in exactly the mode meant to bound memory.
+        // Evicted launches must unbind their flush-time directory entry,
+        // and evicted terminal activity records must discard their
+        // correlation's — otherwise sustained overload grows the
+        // directory without bound in exactly the mode meant to bound
+        // memory.
         let interner = Interner::new();
         let inner = ShardedSink::new(Arc::clone(&interner), 1);
         let sink = AsyncSink::new(
@@ -1499,8 +1453,7 @@ mod tests {
                 ..PipelineConfig::default()
             },
         );
-        let mut path = CallPath::new();
-        path.push(Frame::gpu_kernel("k", "m.so", 0x1, &interner));
+        let path = kernel_path(&interner, "k");
 
         // Phase 1: flood launches into a parked pipeline — most are
         // evicted and must take their directory bindings with them.
@@ -1511,19 +1464,19 @@ mod tests {
                 stream: Some(StreamId(0)),
                 correlation: Some(CorrelationId(corr)),
             };
-            sink.gpu_launch(&origin, path.clone(), ApiKind::LaunchKernel);
+            sink.gpu_launch(&origin, path, ApiKind::LaunchKernel);
         }
         sink.resume();
         sink.drain();
         assert!(
-            inner.directory_entries() <= 2 + 1,
+            inner.correlation_entries() <= 2 + 1,
             "evicted launches leaked directory entries: {}",
-            inner.directory_entries()
+            inner.correlation_entries()
         );
 
         // Phase 2: the surviving launches' terminal records are evicted
-        // too; their shard bindings must be discarded, and an epoch
-        // retires whatever was attributed normally.
+        // too; their bindings must be discarded, and an epoch retires
+        // whatever was attributed normally.
         sink.pause();
         for corr in 1..=100u64 {
             sink.activity_batch(vec![Activity {
@@ -1539,13 +1492,10 @@ mod tests {
         sink.drain();
         sink.epoch_complete();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while (inner.correlation_entries() != 0 || inner.directory_entries() != 0)
-            && std::time::Instant::now() < deadline
-        {
+        while inner.correlation_entries() != 0 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
         }
-        assert_eq!(inner.correlation_entries(), 0, "shard bindings leaked");
-        assert_eq!(inner.directory_entries(), 0, "directory entries leaked");
+        assert_eq!(inner.correlation_entries(), 0, "directory entries leaked");
         assert!(sink.counters().dropped_events > 0);
     }
 
@@ -1579,8 +1529,7 @@ mod tests {
                 ..PipelineConfig::default()
             },
         );
-        let mut path = CallPath::new();
-        path.push(Frame::gpu_kernel("k", "m.so", 0x1, &interner));
+        let path = kernel_path(&interner, "k");
         let poisoned_tid = tid_routing_to(&inner, 0);
         let healthy_tid = tid_routing_to(&inner, 1);
         for _ in 0..10 {
@@ -1589,7 +1538,7 @@ mod tests {
                     tid: Some(tid),
                     ..EventOrigin::default()
                 };
-                sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 1.0);
+                sink.cpu_sample(&origin, path, MetricKind::CpuTime, 1.0);
             }
         }
         // Every barrier completes despite the quarantined shard.
@@ -1633,15 +1582,14 @@ mod tests {
                 ..PipelineConfig::default()
             },
         );
-        let mut path = CallPath::new();
-        path.push(Frame::gpu_kernel("hot", "m.so", 0x1, &interner));
+        let path = kernel_path(&interner, "hot");
         let origin = EventOrigin {
             tid: Some(1),
             ..EventOrigin::default()
         };
         sink.pause();
         for _ in 0..200 {
-            sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 1.0);
+            sink.cpu_sample(&origin, path, MetricKind::CpuTime, 1.0);
         }
         sink.resume();
         sink.drain();

@@ -65,33 +65,34 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-use deepcontext_core::{CallPath, MetricKind, TrackKey};
-use dlmonitor::EventOrigin;
+use deepcontext_core::{MetricKind, PathId, TrackKey};
 use sim_gpu::ApiKind;
 
 use crate::async_sink::Shared;
 
 /// One producer-side event held in a [`LaunchBatch`] buffer, already
-/// routed to its home shard. Only the *per-event* collection paths —
-/// launches and CPU samples, where fixed costs dominate — are buffered;
-/// activity buckets arrive pre-batched from the GPU runtime and are
-/// delivered eagerly (after a global flush), so the correlation
-/// lifecycle keeps exactly the synchronous prune cadence.
+/// routed to its home shard — a few words: contexts travel by id. Only
+/// the *per-event* collection paths — launches and CPU samples, where
+/// fixed costs dominate — are buffered; activity buckets arrive
+/// pre-batched from the GPU runtime and are delivered eagerly (after a
+/// global flush), so the correlation lifecycle keeps exactly the
+/// synchronous prune cadence.
+#[derive(Clone, Copy)]
 pub(crate) enum ProducerEvent {
     /// A GPU API interception at its launch site.
     Launch {
-        /// Routing identity; its correlation is directory-bound by the
-        /// flush's `bind_batch` pass, not per event.
-        origin: EventOrigin,
-        /// The unified call path bound at the launch site.
-        path: CallPath,
+        /// Directory-bound to `path` by the flush's `bind_batch` pass,
+        /// not per event.
+        correlation: Option<u64>,
+        /// The calling context of the launch site.
+        path: PathId,
         /// Which API was intercepted.
         api: ApiKind,
     },
     /// A CPU sample on the buffering thread.
     Sample {
-        /// The sampled thread's unified call path.
-        path: CallPath,
+        /// The sampled thread's calling context.
+        path: PathId,
         /// Metric attributed by the sample.
         metric: MetricKind,
         /// Sampled value.
@@ -142,22 +143,24 @@ impl LaunchBatch {
         let flushed = self.pending;
         let sharded = &delivery.inner;
         let flush_start = sharded.telemetry().map(|t| t.now_ns());
-        let mut corrs: Vec<u64> = Vec::new();
+        let mut launches: Vec<(u64, PathId)> = Vec::new();
         for &idx in &self.occupied {
             let bucket = &mut self.shards[idx as usize];
             // Hand the filled bucket over but leave equivalent capacity
             // behind: one allocation per flush window instead of a
             // geometric regrowth (and its memcpys) on every refill.
             let events = std::mem::replace(bucket, Vec::with_capacity(bucket.len()));
-            corrs.clear();
-            corrs.extend(events.iter().filter_map(|e| match e {
-                ProducerEvent::Launch { origin, .. } => origin.correlation.map(|c| c.0),
+            launches.clear();
+            launches.extend(events.iter().filter_map(|e| match *e {
+                ProducerEvent::Launch {
+                    correlation, path, ..
+                } => correlation.map(|corr| (corr, path)),
                 ProducerEvent::Sample { .. } => None,
             }));
-            // Publish the whole batch's routes before any of it becomes
+            // Publish the whole batch's bindings before any of it becomes
             // visible, so activity records arriving while the batch is in
-            // flight route to the same shard.
-            sharded.bind_batch(&corrs, idx as usize);
+            // flight route to the same shard and resolve.
+            sharded.bind_batch(&launches, idx as usize);
             delivery.deliver(idx as usize, events);
         }
         self.occupied.clear();
@@ -361,10 +364,12 @@ mod tests {
         let interner = Interner::new();
         let inner = ShardedSink::new(Arc::clone(&interner), 64);
         let sink = AsyncSink::new(Arc::clone(&inner), PipelineConfig::default());
-        let mut path = CallPath::new();
-        path.push(Frame::operator("aten::relu", &interner));
+        let path = interner
+            .paths()
+            .intern(&[Frame::operator("aten::relu", &interner)])
+            .id();
         let sample = || ProducerEvent::Sample {
-            path: path.clone(),
+            path,
             metric: MetricKind::CpuTime,
             value: 1.0,
         };

@@ -1,15 +1,19 @@
-//! The correlation directory.
+//! The correlation directory: the pipeline's one correlation table.
 //!
-//! The directory maps `correlation id → home shard` so asynchronous
-//! activity records — which carry no thread identity — find the shard
-//! their launch was routed to. It sits on the hot path (bind on every
-//! launch, lookup on every activity record), so it is one concrete type:
-//! [`StripedHashDirectory`], lock stripes of `std::collections::HashMap`
-//! keyed by one splitmix64 round.
+//! It maps `correlation id → (home shard, PathId)`, so an asynchronous
+//! activity record — which carries neither thread identity nor context —
+//! finds both in one lookup. Nothing else remembers a correlation: a
+//! launch is one `bind`, a record one `lookup`, retirement (two-phase
+//! prune, or a drop policy's discard) one `remove`. It sits on the hot
+//! path, so it is one concrete type: [`StripedHashDirectory`], lock
+//! stripes of `std::collections::HashMap` keyed by one splitmix64 round.
+//! Stripe locks are leaves: nobody holds one while taking another lock.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
+
+use deepcontext_core::PathId;
 
 /// Mixes a routing key so sequential tids/correlation ids spread across
 /// shards and stripes (splitmix64 finalizer). Shared with the sink's
@@ -22,10 +26,18 @@ pub(crate) fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-entry byte estimate shared by peak accounting (key + value + map
-/// overhead).
-pub(crate) const DIR_ENTRY_BYTES: usize =
-    std::mem::size_of::<u64>() + std::mem::size_of::<u32>() + 16;
+/// What the directory holds for one in-flight correlation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Binding {
+    /// The shard the launch was routed to.
+    pub shard: u32,
+    /// The calling context the launch was made from.
+    pub path: PathId,
+}
+
+/// Bytes per map slot — key, value and the table's control byte — shared
+/// by peak accounting.
+pub(crate) const DIR_ENTRY_BYTES: usize = std::mem::size_of::<(u64, Binding)>() + 1;
 
 /// Events per stack-allocated chunk in
 /// [`StripedHashDirectory::bind_batch`].
@@ -65,12 +77,12 @@ impl std::hash::BuildHasher for CorrHashBuilder {
     }
 }
 
-type HashStripe = std::collections::HashMap<u64, u32, CorrHashBuilder>;
+type HashStripe = std::collections::HashMap<u64, Binding, CorrHashBuilder>;
 
-/// A concurrent `correlation id → home shard` directory: lock stripes of
-/// `HashMap` keyed by one splitmix64 round. Internally synchronized, and
-/// tracks its own live-entry count so [`len`](Self::len) never contends
-/// with binding.
+/// A concurrent `correlation id → (home shard, path)` directory: lock
+/// stripes of `HashMap` keyed by one splitmix64 round. Internally
+/// synchronized, and tracks its own live-entry count so
+/// [`len`](Self::len) never contends with binding.
 pub struct StripedHashDirectory {
     stripes: Vec<Mutex<HashStripe>>,
     entries: AtomicUsize,
@@ -92,31 +104,33 @@ impl StripedHashDirectory {
         (mix(corr) % self.stripes.len() as u64) as usize
     }
 
-    /// Registers `corr`'s home shard (idempotent; later binds win).
-    pub fn bind(&self, corr: u64, shard: u32) {
+    /// Registers `corr`'s home shard and context (idempotent; later
+    /// binds win).
+    pub fn bind(&self, corr: u64, binding: Binding) {
         if self.stripes[self.stripe_of(corr)]
             .lock()
-            .insert(corr, shard)
+            .insert(corr, binding)
             .is_none()
         {
             self.entries.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// [`bind`](Self::bind) for a whole launch batch in one striped
-    /// pass: each stripe holding any of `corrs` is locked exactly once,
-    /// so a flushed thread-local batch pays one lock round-trip per
-    /// *stripe touched* instead of one per launch.
-    pub fn bind_batch(&self, corrs: &[u64], shard: u32) {
-        match corrs.len() {
-            0 => {}
-            1 => self.bind(corrs[0], shard),
+    /// [`bind`](Self::bind) for a whole launch batch bound to one shard
+    /// in one striped pass: each stripe holding any of `launches` is
+    /// locked exactly once, so a flushed thread-local batch pays one lock
+    /// round-trip per *stripe touched* instead of one per launch.
+    pub fn bind_batch(&self, launches: &[(u64, PathId)], shard: u32) {
+        let at = |path| Binding { shard, path };
+        match launches {
+            [] => {}
+            [(corr, path)] => self.bind(*corr, at(*path)),
             _ => {
                 // Allocation-free: each chunk's stripe indices live on
                 // the stack.
-                for chunk in corrs.chunks(BIND_CHUNK) {
+                for chunk in launches.chunks(BIND_CHUNK) {
                     let mut slots = [0u16; BIND_CHUNK];
-                    for (slot, corr) in slots.iter_mut().zip(chunk) {
+                    for (slot, (corr, _)) in slots.iter_mut().zip(chunk) {
                         *slot = self.stripe_of(*corr) as u16;
                     }
                     let mut remaining = chunk.len();
@@ -126,12 +140,12 @@ impl StripedHashDirectory {
                         }
                         let mut map = None;
                         let mut added = 0usize;
-                        for (corr, slot) in chunk.iter().zip(&slots) {
+                        for ((corr, path), slot) in chunk.iter().zip(&slots) {
                             if *slot as usize != stripe {
                                 continue;
                             }
                             let map = map.get_or_insert_with(|| self.stripes[stripe].lock());
-                            if map.insert(*corr, shard).is_none() {
+                            if map.insert(*corr, at(*path)).is_none() {
                                 added += 1;
                             }
                             remaining -= 1;
@@ -145,16 +159,16 @@ impl StripedHashDirectory {
         }
     }
 
-    /// The home shard `corr` was bound to, if any.
-    pub fn lookup(&self, corr: u64) -> Option<u32> {
+    /// What `corr` was bound to, if still in flight.
+    pub fn lookup(&self, corr: u64) -> Option<Binding> {
         self.stripes[self.stripe_of(corr)]
             .lock()
             .get(&corr)
             .copied()
     }
 
-    /// Removes `corr`'s binding, returning the shard it pointed at.
-    pub fn remove(&self, corr: u64) -> Option<u32> {
+    /// Removes `corr`'s binding, returning it.
+    pub fn remove(&self, corr: u64) -> Option<Binding> {
         let removed = self.stripes[self.stripe_of(corr)].lock().remove(&corr);
         if removed.is_some() {
             self.entries.fetch_sub(1, Ordering::Relaxed);
@@ -208,23 +222,38 @@ pub enum DirectoryMapKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deepcontext_core::{Frame, Interner};
+
+    /// `n` distinct path ids (they only come out of a path table), cycled
+    /// through by `k`.
+    fn paths(n: u64) -> impl Fn(u64) -> PathId {
+        let interner = Interner::new();
+        let id = |pc| interner.paths().intern(&[Frame::instruction(pc)]).id();
+        let ids: Vec<PathId> = (0..n).map(id).collect();
+        move |k| ids[(k % n) as usize]
+    }
+
+    fn at(shard: u32, path: PathId) -> Binding {
+        Binding { shard, path }
+    }
 
     #[test]
     fn bind_lookup_remove_round_trip() {
+        let path = paths(4);
         let dir = StripedHashDirectory::new(4);
         assert!(dir.is_empty());
-        dir.bind(7, 3);
-        dir.bind(u64::MAX, 1);
-        dir.bind(0, 2);
-        assert_eq!(dir.lookup(7), Some(3));
-        assert_eq!(dir.lookup(u64::MAX), Some(1));
-        assert_eq!(dir.lookup(0), Some(2));
+        dir.bind(7, at(3, path(0)));
+        dir.bind(u64::MAX, at(1, path(1)));
+        dir.bind(0, at(2, path(2)));
+        assert_eq!(dir.lookup(7), Some(at(3, path(0))));
+        assert_eq!(dir.lookup(u64::MAX), Some(at(1, path(1))));
+        assert_eq!(dir.lookup(0), Some(at(2, path(2))));
         assert_eq!(dir.lookup(8), None);
         assert_eq!(dir.len(), 3);
-        dir.bind(7, 5);
-        assert_eq!(dir.lookup(7), Some(5), "later binds win");
+        dir.bind(7, at(5, path(3)));
+        assert_eq!(dir.lookup(7), Some(at(5, path(3))), "later binds win");
         assert_eq!(dir.len(), 3, "rebind is not a new entry");
-        assert_eq!(dir.remove(7), Some(5));
+        assert_eq!(dir.remove(7), Some(at(5, path(3))));
         assert_eq!(dir.remove(7), None);
         assert_eq!(dir.lookup(7), None);
         assert_eq!(dir.len(), 2);
@@ -233,16 +262,17 @@ mod tests {
     #[test]
     fn bind_batch_matches_singles() {
         // Spans several BIND_CHUNK chunks and all stripes.
-        let corrs: Vec<u64> = (0..1000).map(|n| n * 11).collect();
+        let path = paths(7);
+        let batch: Vec<(u64, PathId)> = (0..1000).map(|n| (n * 11, path(n))).collect();
         let dir = StripedHashDirectory::new(4);
-        dir.bind_batch(&corrs, 6);
-        assert_eq!(dir.len(), corrs.len());
-        for corr in &corrs {
-            assert_eq!(dir.lookup(*corr), Some(6), "corr {corr}");
+        dir.bind_batch(&batch, 6);
+        assert_eq!(dir.len(), batch.len());
+        for (corr, path) in &batch {
+            assert_eq!(dir.lookup(*corr), Some(at(6, *path)), "corr {corr}");
         }
         // Re-binding the same batch adds nothing.
-        dir.bind_batch(&corrs, 6);
-        assert_eq!(dir.len(), corrs.len());
+        dir.bind_batch(&batch, 6);
+        assert_eq!(dir.len(), batch.len());
     }
 
     #[test]
@@ -250,6 +280,7 @@ mod tests {
         // Deterministic mixed workload: insert / lookup / remove over a
         // small key space (collisions and reuse are common), checked
         // op-for-op against std::collections::HashMap.
+        let path = paths(5);
         let dir = StripedHashDirectory::new(4);
         let mut oracle = std::collections::HashMap::new();
         let mut state = 0x243f_6a88_85a3_08d3u64; // deterministic LCG
@@ -260,9 +291,9 @@ mod tests {
             let key = state >> 56;
             match step % 3 {
                 0 | 1 => {
-                    let shard = (step % 13) as u32;
-                    dir.bind(key, shard);
-                    oracle.insert(key, shard);
+                    let binding = at((step % 13) as u32, path(step));
+                    dir.bind(key, binding);
+                    oracle.insert(key, binding);
                 }
                 _ => {
                     assert_eq!(dir.remove(key), oracle.remove(&key), "step {step}");
@@ -271,30 +302,31 @@ mod tests {
             assert_eq!(dir.lookup(key), oracle.get(&key).copied(), "step {step}");
         }
         assert_eq!(dir.len(), oracle.len());
-        for (key, shard) in &oracle {
-            assert_eq!(dir.lookup(*key), Some(*shard), "final key {key}");
+        for (key, binding) in &oracle {
+            assert_eq!(dir.lookup(*key), Some(*binding), "final key {key}");
         }
     }
 
     #[test]
     fn trim_sheds_capacity_and_preserves_entries() {
+        let only = at(1, paths(1)(0));
         let dir = StripedHashDirectory::new(4);
-        let corrs: Vec<u64> = (0..4096).collect();
-        dir.bind_batch(&corrs, 1);
+        let batch: Vec<(u64, PathId)> = (0..4096).map(|corr| (corr, only.path)).collect();
+        dir.bind_batch(&batch, 1);
         let full = dir.approx_bytes();
-        for corr in corrs.iter().skip(16) {
-            dir.remove(*corr);
+        for corr in 16..4096 {
+            dir.remove(corr);
         }
         dir.trim();
         assert!(dir.approx_bytes() < full, "trim sheds high-water capacity");
-        for corr in corrs.iter().take(16) {
-            assert_eq!(dir.lookup(*corr), Some(1), "survivors intact");
+        for corr in 0..16 {
+            assert_eq!(dir.lookup(corr), Some(only), "survivors intact");
         }
         assert_eq!(dir.len(), 16);
         // Empty stripes shed down to (at most) the sub-trim-threshold
         // residue.
-        for corr in corrs.iter().take(16) {
-            dir.remove(*corr);
+        for corr in 0..16 {
+            dir.remove(corr);
         }
         dir.trim();
         assert!(dir.is_empty());
@@ -306,18 +338,20 @@ mod tests {
 
     #[test]
     fn concurrent_binds_and_lookups_agree() {
+        let path = &paths(3);
         let dir = &StripedHashDirectory::new(4);
         std::thread::scope(|scope| {
             for t in 0..8u64 {
                 scope.spawn(move || {
                     let base = t * 10_000;
-                    let corrs: Vec<u64> = (base..base + 500).collect();
-                    dir.bind_batch(&corrs, t as u32);
-                    for corr in &corrs {
-                        assert_eq!(dir.lookup(*corr), Some(t as u32));
+                    let batch: Vec<(u64, PathId)> =
+                        (base..base + 500).map(|corr| (corr, path(corr))).collect();
+                    dir.bind_batch(&batch, t as u32);
+                    for (corr, path) in &batch {
+                        assert_eq!(dir.lookup(*corr), Some(at(t as u32, *path)));
                     }
-                    for corr in corrs.iter().step_by(2) {
-                        assert_eq!(dir.remove(*corr), Some(t as u32));
+                    for (corr, path) in batch.iter().step_by(2) {
+                        assert_eq!(dir.remove(*corr), Some(at(t as u32, *path)));
                     }
                 });
             }

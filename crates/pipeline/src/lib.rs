@@ -6,7 +6,7 @@
 //! * [`ShardedSink`] — the synchronous pipeline: producers route each
 //!   event to one of N [`CctShard`]s and attribute it inline under that
 //!   shard's lock (see [`sharded`]);
-//! * [`AsyncSink`] — the asynchronous pipeline: producers enqueue owned
+//! * [`AsyncSink`] — the asynchronous pipeline: producers enqueue
 //!   events into per-shard **bounded channels** and a worker pool
 //!   performs correlation resolution, CCT mutation and metric folds off
 //!   the producer's critical path, with explicit
@@ -27,6 +27,11 @@
 //! proptests assert tree-by-tree via
 //! `CallingContextTree::semantic_diff` at `launch_batch` 1, 7 and 64.
 //!
+//! Contexts travel **by handle**: a launch or sample carries the
+//! `PathHandle` DLMonitor assembled, shards resolve its `PathId` through
+//! a dense vector, and the correlation [`directory`] — the one
+//! correlation table — maps `corr → (shard, PathId)`.
+//!
 //! ```text
 //!  producers (launch cb / activity flush / CPU sampler)
 //!      │  route (thread+stream / correlation directory)
@@ -35,12 +40,12 @@
 //!      │
 //!      └── async: per-thread LaunchBatch          (no locks shared)
 //!            │  flush: batch ≥ launch_batch │ barrier │ activity │ thread exit
-//!            ▼  bind_batch corr→shard (one striped directory pass)
+//!            ▼  bind_batch corr→(shard, path) (one striped directory pass)
 //!          per-shard bounded channels  ──ᴮˡᵒᶜᵏ/ᴰʳᵒᵖᴼˡᵈᵉˢᵗ──  backpressure
 //!            │  FIFO per shard, send_batch single-notify push
 //!            ▼
 //!          worker pool (shard i → worker i mod W)
-//!            │  apply_producer_batch / apply_activity_buckets / epoch
+//!            │  apply_producer_batch / apply_activity_bucket / epoch
 //!            ▼
 //!  CctShards ──settle, merge_incremental──▶ cached master CCT (Arc-shared)
 //!      ├── kernel/memcpy records ──▶ timeline rings (per-shard, bounded)
@@ -71,11 +76,11 @@ pub mod sink;
 pub mod supervisor;
 
 pub use async_sink::{AsyncSink, BackpressurePolicy, PipelineConfig};
-pub use directory::{DirectoryMapKind, StripedHashDirectory};
+pub use directory::{Binding, DirectoryMapKind, StripedHashDirectory};
 pub use failpoint::Failpoints;
 pub use self_telemetry::PipelineTelemetry;
 pub use sharded::{ShardedSink, SinkOptions};
-pub use sink::{attribute_activity_metrics, EventSink, SampleTarget, SinkCounters};
+pub use sink::{attribute_activity_metrics, EventSink, SinkCounters};
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorSink, SupervisorState};
 
 // The self-telemetry types the profiler speaks (see

@@ -1,19 +1,20 @@
 //! The sharded synchronous event-ingestion sink.
 //!
-//! The previous design funneled every collection path through one
-//! `Mutex<CallingContextTree>` plus a correlation-map mutex, so ingestion
-//! throughput was capped at one core no matter how many workload threads
-//! were producing events. [`ShardedSink`] removes that ceiling:
+//! One global tree behind one lock would cap ingestion at one core no
+//! matter how many workload threads produce events. [`ShardedSink`]
+//! removes that ceiling, and moves contexts **by handle** end to end:
 //!
-//! * events are routed to one of N [`CctShard`]s **before** any lock is
-//!   taken, keyed by the originating thread and stream (launches, CPU
-//!   samples — see [`EventOrigin::route_key`]) or by the correlation-id's
-//!   registered home shard (activity records);
-//! * each shard owns a private tree + correlation map behind its own
-//!   mutex, so producers on different threads proceed in parallel;
-//! * a lock-striped correlation *directory* remembers which shard a
-//!   correlation id was bound in, letting asynchronous activity records —
-//!   which carry no thread identity — find their way home;
+//! * a launch or CPU sample arrives with the [`PathHandle`] DLMonitor
+//!   assembled for its calling context and is routed to one of N
+//!   [`CctShard`]s **before** any lock is taken, keyed by the originating
+//!   thread and stream ([`EventOrigin::route_key`]); the shard turns the
+//!   handle into its own node with one read of a dense vector
+//!   ([`CctShard::node_for`]);
+//! * the correlation [directory](crate::directory) is the one
+//!   correlation table: a launch binds `corr → (shard, PathId)`, an
+//!   activity record finds both in one lookup, retirement (two-phase
+//!   prune, or a drop policy's discard) is one remove, and no lock is
+//!   ever taken while another is held;
 //! * snapshots fold the shards into one master tree and **cache** the
 //!   result: every shard carries a dirty generation
 //!   ([`CctShard::generation`]) advanced by each tree mutation, and a
@@ -21,8 +22,7 @@
 //!   [`CallingContextTree::merge_incremental`], which resumes the
 //!   per-shard node mapping and folds per-node metric deltas. Clean
 //!   shards are skipped outright, so a warm snapshot costs O(dirty
-//!   shards) instead of O(shards × tree). Correlation state stays behind
-//!   in the shards for records still in flight, and
+//!   shards) instead of O(shards × tree).
 //!   [`ShardedSink::snapshot_uncached`] keeps the historical full fold
 //!   as baseline and test oracle. Memory-tight deployments can disable
 //!   the cache entirely ([`SinkOptions::snapshot_cache`]): snapshots
@@ -42,20 +42,14 @@
 //!
 //! The asynchronous pipeline's workers ([`AsyncSink`](crate::AsyncSink))
 //! drive pre-routed events into individual shards through the same
-//! per-shard attribution code (`insert_launch`, `apply_activity_buckets`,
-//! [`epoch_complete_shard`]) the synchronous [`EventSink`] implementation
-//! composes after routing, so the two ingestion modes cannot drift apart
-//! semantically.
-//!
-//! A `ShardedSink` with one shard routes everything through one lock like
-//! the old design (set `ingestion_shards: 1`); the ingestion benchmark in
-//! `crates/bench` additionally keeps a faithful reproduction of the full
-//! pre-refactor pipeline as its baseline.
+//! per-shard attribution code (`apply_producer_batch`,
+//! `apply_activity_bucket`, [`epoch_complete_shard`]) the synchronous
+//! [`EventSink`] implementation composes after routing, so the two
+//! ingestion modes cannot drift apart semantically.
 //!
 //! [`epoch_complete_shard`]: ShardedSink::epoch_complete_shard
 //! [`EventOrigin::route_key`]: dlmonitor::EventOrigin::route_key
 
-use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -63,8 +57,8 @@ use parking_lot::{Mutex, MutexGuard};
 
 use deepcontext_core::failpoint::sites as fp_sites;
 use deepcontext_core::{
-    CallPath, CallingContextTree, CctShard, Failpoints, FoldState, Interner, Interval,
-    IntervalKind, MetricKind, NodeId, Sym, TimeNs, TrackKey,
+    CallingContextTree, CctShard, Failpoints, FoldState, Interner, Interval, IntervalKind,
+    MetricKind, NodeId, PathHandle, PathId, Sym, TimeNs, TrackKey,
 };
 use deepcontext_telemetry::{
     journal_sites, Journal, JournalConfig, JournalSeverity, TelemetryConfig,
@@ -74,7 +68,7 @@ use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind};
 
 use crate::batch::ProducerEvent;
-use crate::directory::{mix, StripedHashDirectory, DIR_ENTRY_BYTES};
+use crate::directory::{mix, Binding, StripedHashDirectory, DIR_ENTRY_BYTES};
 use crate::self_telemetry::PipelineTelemetry;
 use crate::sink::{attribute_activity_metrics, EventSink, SinkCounters};
 
@@ -181,9 +175,9 @@ pub struct ShardedSink {
     /// ingestion modes). `None` when timeline recording is off — the
     /// aggregate-only pipeline then pays nothing for it.
     timeline: Option<TimelineSink>,
-    /// Correlation id -> index of the shard it was bound in:
-    /// lock-striped by correlation hash, so binding and resolving rarely
-    /// contend.
+    /// The one correlation table: correlation id -> the shard and
+    /// context it was launched in. Lock-striped by correlation hash, so
+    /// binding and resolving rarely contend.
     directory: StripedHashDirectory,
     /// The interned `"memcpy"` display name, so memcpy records skip even
     /// the thread-local intern cache on the timeline tap.
@@ -366,15 +360,9 @@ impl ShardedSink {
         self.shards.iter().filter(|s| !s.lock().is_empty()).count()
     }
 
-    /// Live correlation bindings across all shards — introspection for
-    /// retirement tests and leak diagnostics.
+    /// Correlations in flight (bound by a launch and not yet retired) —
+    /// introspection for retirement tests and leak diagnostics.
     pub fn correlation_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().correlation_len()).sum()
-    }
-
-    /// Live correlation-directory entries — introspection for routing
-    /// and leak diagnostics.
-    pub fn directory_entries(&self) -> usize {
         self.directory.len()
     }
 
@@ -411,51 +399,49 @@ impl ShardedSink {
         }
     }
 
-    /// The shard an activity record for `correlation` should be applied
-    /// at: the directory's registered home shard when the launch has been
-    /// routed already, the correlation-hash shard otherwise.
-    pub fn route_activity(&self, correlation: u64) -> usize {
-        self.directory_lookup(correlation)
-            .unwrap_or_else(|| self.index_for(correlation))
+    /// What the directory holds for each record of `batch`, in order.
+    fn bindings_of(&self, batch: &[Activity]) -> Vec<Option<Binding>> {
+        let lookup = |a: &Activity| self.directory.lookup(a.correlation_id.0);
+        batch.iter().map(lookup).collect()
     }
 
-    /// Registers `shard` as the home of every correlation in `corrs`
-    /// without touching the shard itself. The asynchronous pipeline calls
-    /// this when a producer batch is *flushed*, so activity records that
-    /// arrive while the launches are still queued route to the same shard
-    /// and resolve once the worker applies the launches ahead of them in
-    /// FIFO order. One striped pass: each directory stripe holding any of
-    /// `corrs` is locked exactly once, so a flush pays one lock round-trip
-    /// per *stripe touched* instead of one per launch.
-    pub fn bind_batch(&self, corrs: &[u64], shard: usize) {
+    /// Retires a shard's pruned correlations from the directory.
+    fn retire(&self, pruned: &[u64]) {
+        for corr in pruned {
+            self.directory.remove(*corr);
+        }
+    }
+
+    /// The shard a record goes to: the one its launch was bound in while
+    /// that is still in flight, the correlation-hash shard otherwise.
+    fn home_of(&self, correlation: u64, binding: Option<Binding>) -> usize {
+        binding.map_or_else(|| self.index_for(correlation), |b| b.shard as usize)
+    }
+
+    /// The shard an activity record for `correlation` should be applied
+    /// at.
+    pub fn route_activity(&self, correlation: u64) -> usize {
+        self.home_of(correlation, self.directory.lookup(correlation))
+    }
+
+    /// Binds every `(correlation, path)` in `launches` to `shard` without
+    /// touching the shard itself, in one striped directory pass. The
+    /// asynchronous pipeline calls this when a producer batch is
+    /// *flushed*, so activity records that arrive while the launches are
+    /// still queued route to the same shard and resolve to the same
+    /// context.
+    pub fn bind_batch(&self, launches: &[(u64, PathId)], shard: usize) {
         self.failpoints
             .stall_at(fp_sites::DIR_BIND_STALL, shard as u64);
-        self.directory.bind_batch(corrs, shard as u32);
+        self.directory.bind_batch(launches, shard as u32);
     }
 
-    /// Forgets every trace of `correlation`: its directory entry and, if
-    /// the launch was already applied, the shard's binding — bypassing
-    /// the two-phase prune. For drop policies discarding a correlation
-    /// whose remaining records will never arrive; without this, evicted
-    /// launches/terminal records would leak their entries forever (the
-    /// prune only retires correlations whose terminal record was
-    /// actually attributed).
+    /// Forgets `correlation`, bypassing the two-phase prune: for drop
+    /// policies discarding a correlation whose remaining records will
+    /// never arrive (the prune only retires correlations whose terminal
+    /// record was actually attributed).
     pub fn discard_correlation(&self, correlation: u64) {
-        if let Some(idx) = self.directory_lookup(correlation) {
-            // Shard before directory stripe (the crate's lock order);
-            // the stripe lock from `directory_lookup` is already
-            // released here.
-            self.shards[idx].lock().unbind(correlation);
-        }
-        self.directory_remove(correlation);
-    }
-
-    fn directory_lookup(&self, corr: u64) -> Option<usize> {
-        self.directory.lookup(corr).map(|s| s as usize)
-    }
-
-    fn directory_remove(&self, corr: u64) {
-        self.directory.remove(corr);
+        self.directory.remove(correlation);
     }
 
     /// The interval a kernel/memcpy activity record contributes to the
@@ -519,116 +505,104 @@ impl ShardedSink {
         }
     }
 
-    /// Attributes one activity record inside its home shard (`idx`),
+    /// Attributes one activity record inside its home shard (`idx`) at
+    /// the context the directory resolved for it (`None`: the catch-all),
     /// recording the record's device interval into the shard's timeline
     /// ring when recording is on — the single tap both ingestion modes
-    /// flow through, since the asynchronous workers drive this same
-    /// entry point.
-    fn attribute_activity(&self, idx: usize, shard: &mut CctShard, activity: &Activity) {
-        let corr = activity.correlation_id.0;
-        self.activities.fetch_add(1, Ordering::Relaxed);
-        let (node, orphaned) = shard.resolve_or_orphan(corr);
-        if orphaned {
-            self.orphans.fetch_add(1, Ordering::Relaxed);
-        }
+    /// flow through. Returns `(orphaned, instruction samples)`.
+    fn attribute_activity(
+        &self,
+        idx: usize,
+        shard: &mut CctShard,
+        activity: &Activity,
+        path: Option<PathId>,
+    ) -> (bool, u64) {
+        let (node, orphaned) = shard.node_or_orphan(path);
         if let Some(timeline) = &self.timeline {
             if let Some(interval) = self.interval_of(shard, activity, node) {
                 timeline.record(idx, interval);
             }
         }
         let samples = attribute_activity_metrics(shard, node, activity);
-        if matches!(activity.kind, ActivityKind::PcSampling { .. }) {
-            // Sampling records keep their correlation live for the kernel
-            // record that follows them.
-            self.instruction_samples
-                .fetch_add(samples, Ordering::Relaxed);
-        } else {
-            // Terminal record kinds retire their correlation.
-            shard.defer_prune(corr);
+        // Sampling records keep their correlation live for the kernel
+        // record that follows them; terminal record kinds retire it.
+        if !matches!(activity.kind, ActivityKind::PcSampling { .. }) {
+            shard.defer_prune(activity.correlation_id.0);
         }
+        (orphaned, samples)
     }
 
-    /// The shard half of a launch, shared by both ingestion modes:
-    /// inserts the call path, counts kernel launches, and binds the
-    /// correlation to the resulting node.
-    fn insert_launch(shard: &mut CctShard, origin: &EventOrigin, path: &CallPath, api: ApiKind) {
-        let node = shard.insert_call_path(path);
+    /// The shard half of a launch or CPU sample, shared by both
+    /// ingestion modes: one vector read for the node, one sample.
+    fn attribute_at(shard: &mut CctShard, path: PathId, metric: MetricKind, value: f64) {
+        let node = shard.node_for(path);
+        shard.attribute(node, metric, value);
+    }
+
+    /// The shard half of a launch: the context exists from the launch on
+    /// (whatever the API), and kernel launches are counted.
+    fn insert_launch(shard: &mut CctShard, path: PathId, api: ApiKind) {
         if api == ApiKind::LaunchKernel {
-            shard.attribute(node, MetricKind::KernelLaunches, 1.0);
-        }
-        if let Some(corr) = origin.correlation {
-            shard.bind(corr.0, node);
-        }
-    }
-
-    /// Applies one launch event inline at shard `idx` (the synchronous
-    /// mode's [`route`](Self::route) of the origin), binding the
-    /// correlation in both the shard and the directory.
-    fn apply_launch(&self, idx: usize, origin: &EventOrigin, path: &CallPath, api: ApiKind) {
-        let mut shard = self.shards[idx].lock();
-        Self::insert_launch(&mut shard, origin, path, api);
-        if let Some(corr) = origin.correlation {
-            // Directory stripes are leaf locks: binding here (while the
-            // shard is held) guarantees the activity path — which never
-            // holds a stripe and a shard at once — sees the binding as
-            // soon as it can see the shard's node.
-            self.failpoints
-                .stall_at(fp_sites::DIR_BIND_STALL, idx as u64);
-            self.directory.bind(corr.0, idx as u32);
+            Self::attribute_at(shard, path, MetricKind::KernelLaunches, 1.0);
+        } else {
+            shard.node_for(path);
         }
     }
 
-    /// Applies pre-routed buckets of activity records (owned by a queue
-    /// message, or borrowed from the caller's buffer) at shard `idx`
-    /// under **one** shard-lock acquisition — the synchronous mode passes
-    /// its one bucket per batch, pipeline workers a run coalesced across
-    /// flush boundaries — ending one two-phase-prune batch per bucket, so
-    /// correlation retirement keeps exactly the cadence of applying each
-    /// bucket synchronously (resident correlation state stays
-    /// proportional to the in-flight window, not to the worker's
-    /// backlog). Callers route records via
-    /// [`route_activity`](Self::route_activity) first; records whose
-    /// correlation lives in another shard fall to the catch-all context.
-    pub(crate) fn apply_activity_buckets<B: AsRef<[A]>, A: Borrow<Activity>>(
+    /// Applies one bucket of activity records — each with the context the
+    /// directory resolved for it — at shard `idx` under one shard-lock
+    /// acquisition, and ends one two-phase-prune batch: correlations
+    /// attributed in the shard's *previous* batch are retired from the
+    /// directory now, so sampling records straddling a buffer boundary
+    /// still resolve. The directory is read before and written after the
+    /// shard lock, never under it.
+    fn apply_resolved<'a>(
         &self,
         idx: usize,
-        buckets: &[B],
+        records: impl Iterator<Item = (&'a Activity, Option<PathId>)>,
     ) {
-        if buckets.iter().all(|bucket| bucket.as_ref().is_empty()) {
-            return;
-        }
+        let (mut activities, mut orphans, mut samples) = (0u64, 0u64, 0u64);
         let pruned = {
             let mut shard = self.shards[idx].lock();
             let hold = self.lock_hold_start();
-            let mut pruned = Vec::new();
-            for bucket in buckets {
-                let bucket = bucket.as_ref();
-                if bucket.is_empty() {
-                    continue;
-                }
-                for activity in bucket {
-                    self.attribute_activity(idx, &mut shard, activity.borrow());
-                }
-                // Two-phase pruning per shard: correlations attributed in
-                // the shard's *previous* batch are dropped now, so
-                // sampling records straddling a buffer boundary resolve.
-                pruned.extend(shard.end_batch());
+            for (activity, path) in records {
+                let (orphaned, sampled) = self.attribute_activity(idx, &mut shard, activity, path);
+                activities += 1;
+                orphans += u64::from(orphaned);
+                samples += sampled;
             }
+            let pruned = shard.end_batch();
             self.close_boundary(idx, &mut shard);
             self.note_lock_hold(hold);
             pruned
         };
-        for corr in pruned {
-            self.directory_remove(corr);
-        }
+        self.retire(&pruned);
+        // One update per bucket, not per record.
+        self.activities.fetch_add(activities, Ordering::Relaxed);
+        self.orphans.fetch_add(orphans, Ordering::Relaxed);
+        self.instruction_samples
+            .fetch_add(samples, Ordering::Relaxed);
+    }
+
+    /// Applies one pre-routed bucket of activity records at shard `idx`,
+    /// resolving each through the directory first. Driven by the
+    /// asynchronous pipeline's workers, in queue order — so a record
+    /// resolves against exactly the retirements a synchronous delivery
+    /// would have seen before it. Records whose correlation is bound to
+    /// another shard fall to the catch-all context.
+    pub(crate) fn apply_activity_bucket(&self, idx: usize, bucket: &[Activity]) {
+        let here = |binding: Binding| (binding.shard as usize == idx).then_some(binding.path);
+        let paths = self.bindings_of(bucket);
+        let paths = paths.into_iter().map(|binding| binding.and_then(here));
+        self.apply_resolved(idx, bucket.iter().zip(paths));
     }
 
     /// Applies one flushed thread-local batch at shard `idx` under **one**
-    /// shard-lock acquisition, preserving buffer order: launches insert
-    /// and bind (their directory entries were published by the flush's
-    /// [`bind_batch`](Self::bind_batch) pass), samples attribute — so a
-    /// batched producer folds exactly the state inline attribution would.
-    /// Driven by the asynchronous pipeline's workers.
+    /// shard-lock acquisition, preserving buffer order (the launches'
+    /// directory entries were published by the flush's
+    /// [`bind_batch`](Self::bind_batch) pass) — so a batched producer
+    /// folds exactly the state inline attribution would. Driven by the
+    /// asynchronous pipeline's workers.
     pub(crate) fn apply_producer_batch(&self, idx: usize, events: &[ProducerEvent]) {
         if events.is_empty() {
             return;
@@ -636,62 +610,41 @@ impl ShardedSink {
         let mut shard = self.shards[idx].lock();
         let hold = self.lock_hold_start();
         for event in events {
-            match event {
-                ProducerEvent::Launch { origin, path, api } => {
-                    Self::insert_launch(&mut shard, origin, path, *api);
+            match *event {
+                ProducerEvent::Launch { path, api, .. } => {
+                    Self::insert_launch(&mut shard, path, api);
                 }
                 ProducerEvent::Sample {
                     path,
                     metric,
                     value,
-                } => {
-                    let node = shard.insert_call_path(path);
-                    shard.attribute(node, *metric, *value);
-                }
+                } => Self::attribute_at(&mut shard, path, metric, value),
             }
         }
-        // Deliberately no `shard_bytes` refresh: like `apply_launch` and
-        // `apply_cpu_sample`, launch/sample shards enter peak accounting
-        // at flush boundaries only, so the set of states a peak sample
-        // can observe is identical with and without producer batching.
+        // Deliberately no `shard_bytes` refresh: like inline launches and
+        // CPU samples, launch/sample shards enter peak accounting at
+        // flush boundaries only, so the set of states a peak sample can
+        // observe is identical with and without producer batching.
         self.note_lock_hold(hold);
-    }
-
-    /// The home shard of every record in `batch` (non-empty): `Ok` when
-    /// they all share one — the common case for single-stream producers,
-    /// found without allocating — `Err` with one route per record
-    /// otherwise.
-    fn route_activities(&self, batch: &[Activity]) -> Result<usize, Vec<u32>> {
-        let route = |activity: &Activity| self.route_activity(activity.correlation_id.0);
-        let first = route(&batch[0]);
-        let uniform = 1 + batch[1..]
-            .iter()
-            .take_while(|activity| route(activity) == first)
-            .count();
-        if uniform == batch.len() {
-            return Ok(first);
-        }
-        let mut routes = Vec::with_capacity(batch.len());
-        routes.resize(uniform, first as u32);
-        routes.extend(
-            batch[uniform..]
-                .iter()
-                .map(|activity| route(activity) as u32),
-        );
-        Err(routes)
     }
 
     /// Routes an owned activity buffer into per-shard buckets without
     /// cloning a record (or PC-sampling payload): the whole buffer is
     /// returned as-is when every record shares one home shard.
     pub(crate) fn partition_activities(&self, batch: Vec<Activity>) -> Vec<(usize, Vec<Activity>)> {
-        let routes = match self.route_activities(&batch) {
-            Ok(idx) => return vec![(idx, batch)],
-            Err(routes) => routes,
+        let homes: Vec<usize> = batch
+            .iter()
+            .zip(self.bindings_of(&batch))
+            .map(|(activity, binding)| self.home_of(activity.correlation_id.0, binding))
+            .collect();
+        let Some(&first) = homes.first() else {
+            return Vec::new();
         };
+        if homes.iter().all(|idx| *idx == first) {
+            return vec![(first, batch)];
+        }
         let mut buckets: Vec<(usize, Vec<Activity>)> = Vec::new();
-        for (activity, idx) in batch.into_iter().zip(routes) {
-            let idx = idx as usize;
+        for (activity, idx) in batch.into_iter().zip(homes) {
             match buckets.binary_search_by_key(&idx, |(shard, _)| *shard) {
                 Ok(at) => buckets[at].1.push(activity),
                 Err(at) => buckets.insert(at, (idx, vec![activity])),
@@ -718,13 +671,13 @@ impl ShardedSink {
     /// are unbiased estimates). Victims attribute *exclusively*: the
     /// exact root-ward total [`apply_dropped`](Self::apply_dropped) puts
     /// at `<dropped>` is never double-counted.
-    pub fn apply_dropped_samples(&self, idx: usize, paths: &[CallPath], stride: u64) {
+    pub fn apply_dropped_samples(&self, idx: usize, paths: &[PathId], stride: u64) {
         if paths.is_empty() {
             return;
         }
         let mut shard = self.shards[idx].lock();
         for path in paths {
-            shard.attribute_dropped_sample(path, stride as f64);
+            shard.attribute_dropped_sample(*path, stride as f64);
         }
         self.close_boundary(idx, &mut shard);
     }
@@ -742,19 +695,6 @@ impl ShardedSink {
         self.close_boundary(idx, &mut shard);
     }
 
-    /// Applies one CPU sample at shard `idx` (normally
-    /// [`route`](Self::route) of the sampled thread's origin). The
-    /// shard's byte estimate is deliberately *not* refreshed here — like
-    /// every pipeline before this one, sample-only shards enter peak
-    /// accounting at flush boundaries (their `epoch_complete_shard`),
-    /// keeping the per-sample hot path O(path) and the set of states a
-    /// peak sample can observe identical across ingestion modes.
-    fn apply_cpu_sample(&self, idx: usize, path: &CallPath, metric: MetricKind, value: f64) {
-        let mut shard = self.shards[idx].lock();
-        let node = shard.insert_call_path(path);
-        shard.attribute(node, metric, value);
-    }
-
     /// The per-shard portion of [`EventSink::epoch_complete`]: retires the
     /// shard's deferred correlations (every straggler has been delivered
     /// by the flush boundary) and releases batch-sized scratch.
@@ -770,9 +710,7 @@ impl ShardedSink {
             self.close_boundary(idx, &mut shard);
             pruned
         };
-        for corr in pruned {
-            self.directory_remove(corr);
-        }
+        self.retire(&pruned);
     }
 
     /// Sheds the directory stripes' high-water capacity — the cross-shard
@@ -851,36 +789,54 @@ impl ShardedSink {
 }
 
 impl EventSink for ShardedSink {
-    fn gpu_launch(&self, origin: &EventOrigin, path: CallPath, api: ApiKind) {
-        self.apply_launch(self.route(origin), origin, &path, api);
+    fn gpu_launch(&self, origin: &EventOrigin, path: PathHandle, api: ApiKind) {
+        let idx = self.route(origin);
+        Self::insert_launch(&mut self.shards[idx].lock(), path.id(), api);
+        if let Some(corr) = origin.correlation {
+            self.failpoints
+                .stall_at(fp_sites::DIR_BIND_STALL, idx as u64);
+            let binding = Binding {
+                shard: idx as u32,
+                path: path.id(),
+            };
+            self.directory.bind(corr.0, binding);
+        }
     }
 
     fn activity_batch(&self, batch: Vec<Activity>) {
         if batch.is_empty() {
             return;
         }
-        // Route every record to its home shard first, then take each
-        // shard lock once per batch. Records are applied from the
-        // borrow: nothing is cloned or moved on this path.
-        match self.route_activities(&batch) {
-            Ok(idx) => self.apply_activity_buckets(idx, std::slice::from_ref(&batch)),
-            Err(routes) => {
-                let mut order: Vec<u32> = (0..batch.len() as u32).collect();
-                order.sort_by_key(|&k| routes[k as usize]);
-                for run in order.chunk_by(|a, b| routes[*a as usize] == routes[*b as usize]) {
-                    let bucket: Vec<&Activity> = run.iter().map(|&k| &batch[k as usize]).collect();
-                    self.apply_activity_buckets(
-                        routes[run[0] as usize] as usize,
-                        std::slice::from_ref(&bucket),
-                    );
-                }
+        // Resolve every record once — its home shard and its context come
+        // out of the same directory lookup — then take each shard lock
+        // once per batch. Records are applied from the borrow: nothing is
+        // cloned or moved on this path.
+        let bindings = self.bindings_of(&batch);
+        let home = |k: usize| self.home_of(batch[k].correlation_id.0, bindings[k]);
+        let path = |k: usize| bindings[k].map(|binding| binding.path);
+        let first = home(0);
+        if (1..batch.len()).all(|k| home(k) == first) {
+            let paths = (0..batch.len()).map(path);
+            self.apply_resolved(first, batch.iter().zip(paths));
+        } else {
+            let mut order: Vec<usize> = (0..batch.len()).collect();
+            order.sort_by_key(|&k| home(k));
+            for run in order.chunk_by(|a, b| home(*a) == home(*b)) {
+                let records = run.iter().map(|&k| (&batch[k], path(k)));
+                self.apply_resolved(home(run[0]), records);
             }
         }
         self.note_peak();
     }
 
-    fn cpu_sample(&self, origin: &EventOrigin, path: CallPath, metric: MetricKind, value: f64) {
-        self.apply_cpu_sample(self.route(origin), &path, metric, value);
+    fn cpu_sample(&self, origin: &EventOrigin, path: PathHandle, metric: MetricKind, value: f64) {
+        // The shard's byte estimate is deliberately *not* refreshed here:
+        // sample-only shards enter peak accounting at flush boundaries
+        // (their `epoch_complete_shard`), keeping the per-sample hot path
+        // O(1) and the set of states a peak sample can observe identical
+        // across ingestion modes.
+        let mut shard = self.shards[self.route(origin)].lock();
+        Self::attribute_at(&mut shard, path.id(), metric, value);
     }
 
     fn epoch_complete(&self) {
@@ -904,10 +860,10 @@ impl EventSink for ShardedSink {
         if !self.cache_enabled {
             return self.snapshot_uncached();
         }
-        // Trees only: correlation state stays in the shards (it is still
-        // needed for records that have not arrived yet), so the fold skips
-        // `CctShard::merge_from`'s remapping work. The fold is cached and
-        // refreshed incrementally: clean shards are skipped outright.
+        // Trees only: prune queues stay behind in the shards, so the fold
+        // skips `CctShard::merge_from`'s remapping work. The fold is
+        // cached and refreshed incrementally: clean shards are skipped
+        // outright.
         let mut cache = self.cache.lock();
         self.refresh_cache(&mut cache);
         CallingContextTree::clone(&cache.as_ref().expect("cache refreshed").master)

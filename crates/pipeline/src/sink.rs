@@ -7,59 +7,17 @@
 //! per-shard locks) and the asynchronous [`AsyncSink`](crate::AsyncSink)
 //! (producers enqueue into bounded channels and a worker pool attributes).
 
-use deepcontext_core::{CallPath, CallingContextTree, CctShard, Frame, MetricKind, NodeId};
+use deepcontext_core::{CallingContextTree, CctShard, Frame, MetricKind, NodeId, PathHandle};
 use deepcontext_timeline::TimelineSnapshot;
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind};
 
-/// Where [`attribute_activity_metrics`] lands a record's samples: a
-/// plain [`CallingContextTree`] propagates each inclusive sample to the
-/// root as it arrives; a [`CctShard`] keeps it at the node until the
-/// shard is next settled.
-pub trait SampleTarget {
-    /// An inclusive sample (reaches every ancestor, now or at settle).
-    fn attribute(&mut self, node: NodeId, kind: MetricKind, value: f64);
-    /// An exclusive sample (stays on `node`).
-    fn attribute_exclusive(&mut self, node: NodeId, kind: MetricKind, value: f64);
-    /// The child of `parent` for `frame`, created if new.
-    fn insert_child(&mut self, parent: NodeId, frame: &Frame) -> NodeId;
-}
-
-impl SampleTarget for CallingContextTree {
-    fn attribute(&mut self, node: NodeId, kind: MetricKind, value: f64) {
-        CallingContextTree::attribute(self, node, kind, value);
-    }
-    fn attribute_exclusive(&mut self, node: NodeId, kind: MetricKind, value: f64) {
-        CallingContextTree::attribute_exclusive(self, node, kind, value);
-    }
-    fn insert_child(&mut self, parent: NodeId, frame: &Frame) -> NodeId {
-        CallingContextTree::insert_child(self, parent, frame)
-    }
-}
-
-impl SampleTarget for CctShard {
-    fn attribute(&mut self, node: NodeId, kind: MetricKind, value: f64) {
-        CctShard::attribute(self, node, kind, value);
-    }
-    fn attribute_exclusive(&mut self, node: NodeId, kind: MetricKind, value: f64) {
-        self.tree_mut().attribute_exclusive(node, kind, value);
-    }
-    fn insert_child(&mut self, parent: NodeId, frame: &Frame) -> NodeId {
-        self.tree_mut().insert_child(parent, frame)
-    }
-}
-
-/// Writes one activity record's metrics at its resolved context `node` —
-/// the single source of truth for the activity-kind → metric mapping,
-/// shared by [`ShardedSink`](crate::ShardedSink) (landing in a shard) and
-/// the benchmark's single-lock baseline (landing in its one tree) so
-/// throughput comparisons never drift apart semantically. Returns the
-/// number of instruction samples attributed (0 for non-sampling records).
-pub fn attribute_activity_metrics<T: SampleTarget>(
-    tree: &mut T,
-    node: NodeId,
-    activity: &Activity,
-) -> u64 {
+/// Attributes one activity record's metrics at its resolved context
+/// `node` of `shard` — the activity-kind → metric mapping. Inclusive
+/// samples wait at the node for the shard's next settle; launch shapes
+/// are exclusive and go to the tree directly. Returns the number of
+/// instruction samples attributed (0 for non-sampling records).
+pub fn attribute_activity_metrics(shard: &mut CctShard, node: NodeId, activity: &Activity) -> u64 {
     match &activity.kind {
         ActivityKind::Kernel {
             start,
@@ -71,7 +29,8 @@ pub fn attribute_activity_metrics<T: SampleTarget>(
             registers_per_thread,
             ..
         } => {
-            tree.attribute(node, MetricKind::GpuTime, (*end - *start).as_nanos() as f64);
+            shard.attribute(node, MetricKind::GpuTime, (*end - *start).as_nanos() as f64);
+            let tree = shard.tree_mut();
             tree.attribute_exclusive(node, MetricKind::Blocks, f64::from(*blocks));
             tree.attribute_exclusive(node, MetricKind::Warps, *warps as f64);
             tree.attribute_exclusive(node, MetricKind::Occupancy, *occupancy);
@@ -90,8 +49,8 @@ pub fn attribute_activity_metrics<T: SampleTarget>(
         ActivityKind::Memcpy {
             bytes, start, end, ..
         } => {
-            tree.attribute(node, MetricKind::MemcpyBytes, *bytes as f64);
-            tree.attribute(
+            shard.attribute(node, MetricKind::MemcpyBytes, *bytes as f64);
+            shard.attribute(
                 node,
                 MetricKind::MemcpyTime,
                 (*end - *start).as_nanos() as f64,
@@ -99,7 +58,7 @@ pub fn attribute_activity_metrics<T: SampleTarget>(
             0
         }
         ActivityKind::Malloc { bytes, .. } => {
-            tree.attribute(node, MetricKind::GpuAllocBytes, *bytes as f64);
+            shard.attribute(node, MetricKind::GpuAllocBytes, *bytes as f64);
             0
         }
         ActivityKind::Free { .. } => 0,
@@ -108,9 +67,11 @@ pub fn attribute_activity_metrics<T: SampleTarget>(
             // (paper §4.2: "we will extend the call path by inserting the
             // PC of each instruction collected").
             for sample in samples {
-                let child = tree.insert_child(node, &Frame::instruction(sample.pc));
-                tree.attribute(child, MetricKind::InstructionSamples, 1.0);
-                tree.attribute(child, MetricKind::Stall(sample.stall), 1.0);
+                let child = shard
+                    .tree_mut()
+                    .insert_child(node, &Frame::instruction(sample.pc));
+                shard.attribute(child, MetricKind::InstructionSamples, 1.0);
+                shard.attribute(child, MetricKind::Stall(sample.stall), 1.0);
             }
             samples.len() as u64
         }
@@ -201,11 +162,11 @@ pub struct SinkCounters {
 pub trait EventSink: Send + Sync {
     /// A GPU API call was intercepted at its launch site: bind
     /// `origin.correlation` to the context `path` and (for kernel
-    /// launches) count the launch. The path is taken by value: the
-    /// profiler's launch callback constructs one per event, and the
-    /// asynchronous pipeline enqueues it without a clone on the
-    /// producer's critical path.
-    fn gpu_launch(&self, origin: &EventOrigin, path: CallPath, api: ApiKind);
+    /// launches) count the launch. The context arrives as the handle
+    /// DLMonitor assembled (`DlMonitor::callpath_for_gpu(..).handle()`);
+    /// tests and replay tools get one from
+    /// `Interner::paths().intern(frames)`.
+    fn gpu_launch(&self, origin: &EventOrigin, path: PathHandle, api: ApiKind);
 
     /// A buffer of completed asynchronous activity records, by value:
     /// the GPU runtime's flush paths own the records they deliver, so
@@ -227,9 +188,9 @@ pub trait EventSink: Send + Sync {
     fn epoch_complete(&self) {}
 
     /// A CPU sample (interval timer or hardware-counter overflow) on the
-    /// thread identified by `origin`, its path by value (see
+    /// thread identified by `origin`, in the context `path` (see
     /// [`gpu_launch`](Self::gpu_launch)).
-    fn cpu_sample(&self, origin: &EventOrigin, path: CallPath, metric: MetricKind, value: f64);
+    fn cpu_sample(&self, origin: &EventOrigin, path: PathHandle, metric: MetricKind, value: f64);
 
     /// Folds the sink's state into one calling context tree.
     fn snapshot(&self) -> CallingContextTree;

@@ -49,7 +49,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use deepcontext_core::{CallPath, CallingContextTree, MetricKind};
+use deepcontext_core::{CallingContextTree, MetricKind, PathHandle};
 use deepcontext_telemetry::{
     journal_sites, names, Counter, Gauge, HealthReport, HealthThresholds, Journal, JournalSeverity,
     Telemetry,
@@ -482,7 +482,7 @@ impl SupervisorSink {
 }
 
 impl EventSink for SupervisorSink {
-    fn gpu_launch(&self, origin: &EventOrigin, path: CallPath, api: ApiKind) {
+    fn gpu_launch(&self, origin: &EventOrigin, path: PathHandle, api: ApiKind) {
         if self.admit_origin(origin) {
             self.inner.gpu_launch(origin, path, api);
         }
@@ -499,7 +499,7 @@ impl EventSink for SupervisorSink {
         self.inner.epoch_complete();
     }
 
-    fn cpu_sample(&self, origin: &EventOrigin, path: CallPath, metric: MetricKind, value: f64) {
+    fn cpu_sample(&self, origin: &EventOrigin, path: PathHandle, metric: MetricKind, value: f64) {
         if self.supervisor.admit_uncorrelated() {
             self.inner.cpu_sample(origin, path, metric, value);
         }
@@ -633,8 +633,9 @@ mod tests {
             stream: Some(StreamId(0)),
             correlation: Some(CorrelationId(corr)),
         };
-        let mut path = CallPath::new();
-        path.push(Frame::gpu_kernel(name, "m.so", 0x1, interner));
+        let path = interner
+            .paths()
+            .intern(&[Frame::gpu_kernel(name, "m.so", 0x1, interner)]);
         sink.gpu_launch(&origin, path, ApiKind::LaunchKernel);
     }
 
@@ -733,8 +734,9 @@ mod tests {
             tid: Some(1),
             ..EventOrigin::default()
         };
-        let mut path = CallPath::new();
-        path.push(Frame::operator("cpu", &interner));
+        let path = interner
+            .paths()
+            .intern(&[Frame::operator("cpu", &interner)]);
         sink.cpu_sample(&origin, path, MetricKind::CpuTime, 1.0);
         let counters = sink.counters();
         assert_eq!(counters.activities, 10);

@@ -1,17 +1,17 @@
 //! The allocation budget of the synchronous sink's steady state, held by
 //! a counting global allocator (the `crates/dlmonitor/tests/alloc_budget.rs`
 //! pattern): a launch on a context the current epoch has already seen
-//! allocates nothing in the sink, and an activity batch allocates a
-//! number of times that does not depend on how many records it carries —
-//! the settle scratch included, which is released at every batch
-//! boundary and regrown by the next one.
+//! allocates nothing, producing its handle included; an activity batch
+//! allocates a number of times that does not depend on its size (settle
+//! scratch included: released at every batch boundary, regrown by the
+//! next); warm iterations grow no table, and a new context is counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::Arc;
 
-use deepcontext_core::{CallPath, Frame, Interner, MetricKind, TimeNs};
+use deepcontext_core::{Frame, Interner, MetricKind, TimeNs};
 use deepcontext_pipeline::{EventSink, ShardedSink};
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind, CorrelationId, DeviceId, StreamId};
@@ -72,60 +72,57 @@ fn allocations<R>(f: impl FnOnce() -> R) -> u64 {
 /// Repeating contexts of one training step.
 const CONTEXTS: u64 = 8;
 
+/// The frames of context `ctx`.
+fn context(interner: &Interner, ctx: u64) -> Vec<Frame> {
+    vec![
+        Frame::python("train.py", 10, "train_step", interner),
+        Frame::python("model.py", 20, "forward", interner),
+        Frame::operator(&format!("aten::op{ctx}"), interner),
+        Frame::gpu_api("cuLaunchKernel", "libcuda.so", 0x10, interner),
+        Frame::gpu_kernel(&format!("kernel_{ctx}"), "module.so", 0x100 + ctx, interner),
+    ]
+}
+
 /// One thread, one stream: every launch and record shares a home shard.
 struct Rig {
+    interner: Arc<Interner>,
     sink: Arc<ShardedSink>,
-    paths: Vec<CallPath>,
+    contexts: Vec<Vec<Frame>>,
     next_corr: u64,
 }
 
 impl Rig {
-    fn new() -> Rig {
+    fn with_shards(shards: usize) -> Rig {
         let interner = Interner::new();
-        let paths = (0..CONTEXTS)
-            .map(|ctx| {
-                [
-                    Frame::python("train.py", 10, "train_step", &interner),
-                    Frame::python("model.py", 20, "forward", &interner),
-                    Frame::operator(&format!("aten::op{ctx}"), &interner),
-                    Frame::gpu_api("cuLaunchKernel", "libcuda.so", 0x10, &interner),
-                    Frame::gpu_kernel(
-                        &format!("kernel_{ctx}"),
-                        "module.so",
-                        0x100 + ctx,
-                        &interner,
-                    ),
-                ]
-                .into_iter()
-                .collect()
-            })
-            .collect();
         Rig {
-            sink: ShardedSink::new(interner, 16),
-            paths,
+            contexts: (0..CONTEXTS).map(|ctx| context(&interner, ctx)).collect(),
+            sink: ShardedSink::new(Arc::clone(&interner), shards),
+            interner,
             next_corr: 1,
         }
     }
 
     /// `n` launches (built here, outside any measurement) with fresh
     /// correlation ids, cycling through the contexts.
-    fn launches(&mut self, n: u64) -> Vec<(EventOrigin, CallPath)> {
+    fn launches(&mut self, n: u64) -> Vec<EventOrigin> {
         let first = self.next_corr;
         self.next_corr += n;
         (first..first + n)
-            .map(|corr| {
-                let origin = EventOrigin {
-                    tid: Some(1),
-                    stream: Some(StreamId(0)),
-                    correlation: Some(CorrelationId(corr)),
-                };
-                (origin, self.paths[(corr % CONTEXTS) as usize].clone())
+            .map(|corr| EventOrigin {
+                tid: Some(1),
+                stream: Some(StreamId(0)),
+                correlation: Some(CorrelationId(corr)),
             })
             .collect()
     }
 
-    fn deliver(&self, launches: Vec<(EventOrigin, CallPath)>) {
-        for (origin, path) in launches {
+    /// Delivers each launch the way the profiler's callback does: the
+    /// context's handle first, then the sink.
+    fn deliver(&self, launches: Vec<EventOrigin>) {
+        for origin in launches {
+            let corr = origin.correlation.expect("launches carry one").0;
+            let frames = &self.contexts[(corr % CONTEXTS) as usize];
+            let path = self.interner.paths().intern(frames);
             self.sink.gpu_launch(&origin, path, ApiKind::LaunchKernel);
         }
     }
@@ -135,7 +132,7 @@ impl Rig {
         let launches = self.launches(n);
         let records = launches
             .iter()
-            .map(|(origin, _)| {
+            .map(|origin| {
                 let corr = origin.correlation.expect("launches carry one").0;
                 let ctx = corr % CONTEXTS;
                 Activity {
@@ -162,8 +159,8 @@ impl Rig {
     }
 
     /// Two full batch cycles: every context exists with every metric
-    /// kind it will carry, and the correlation map, prune queues and
-    /// directory stripes are at their working size.
+    /// kind it will carry, and the prune queues and directory stripes
+    /// are at their working size.
     fn warm(&mut self, batch: u64) {
         for _ in 0..2 {
             let records = self.launch_and_complete(batch);
@@ -174,7 +171,7 @@ impl Rig {
 
 #[test]
 fn a_launch_on_a_context_seen_this_epoch_allocates_nothing() {
-    let mut rig = Rig::new();
+    let mut rig = Rig::with_shards(16);
     rig.warm(256);
     // The batch boundary released the settle scratch; one launch per
     // context brings this epoch's back.
@@ -193,13 +190,13 @@ fn a_launch_on_a_context_seen_this_epoch_allocates_nothing() {
 
 #[test]
 fn an_activity_batch_allocates_the_same_few_times_whatever_its_size() {
-    /// The shard's pruned-correlation list, the sink's copy of it, and
-    /// one doubling of the settle scratch: the batch's launches left it
-    /// holding one `KernelLaunches` aggregate per context, and the
-    /// records add a `GpuTime` one each.
+    /// The batch's resolved `(shard, path)` list, the shard's
+    /// pruned-correlation list, and one doubling of the settle scratch:
+    /// the batch's launches left it holding one `KernelLaunches`
+    /// aggregate per context, and the records add a `GpuTime` one each.
     const PER_BATCH: u64 = 3;
     let per_batch = |batch: u64| {
-        let mut rig = Rig::new();
+        let mut rig = Rig::with_shards(16);
         rig.warm(batch);
         let records = rig.launch_and_complete(batch);
         let sink = Arc::clone(&rig.sink);
@@ -207,4 +204,45 @@ fn an_activity_batch_allocates_the_same_few_times_whatever_its_size() {
     };
     assert_eq!(per_batch(4096), PER_BATCH);
     assert_eq!(per_batch(512), PER_BATCH);
+}
+
+#[test]
+fn warm_iterations_grow_no_table_and_a_new_context_is_counted() {
+    // One shard, so one directory stripe: its capacity settles with the
+    // in-flight window instead of creeping with the luck of the hash.
+    let mut rig = Rig::with_shards(1);
+    let iteration = |rig: &mut Rig| {
+        let records = rig.launch_and_complete(CONTEXTS);
+        rig.sink.activity_batch(records);
+    };
+    for _ in 0..16 {
+        iteration(&mut rig);
+    }
+    let contexts = rig.interner.paths().len();
+    let table = rig.interner.paths().approx_bytes();
+    let resident = rig.sink.approx_bytes();
+    for _ in 0..1_000 {
+        iteration(&mut rig);
+    }
+    assert_eq!(rig.interner.paths().len(), contexts);
+    assert_eq!(
+        rig.sink.approx_bytes(),
+        resident,
+        "no path vector, table or directory growth"
+    );
+
+    // New operators under the known Python frames: three table entries
+    // and three tree nodes each, and the shard's vector grows to reach
+    // them.
+    rig.contexts = (CONTEXTS..2 * CONTEXTS)
+        .map(|ctx| context(&rig.interner, ctx))
+        .collect();
+    iteration(&mut rig);
+    assert_eq!(rig.interner.paths().len(), contexts + 3 * CONTEXTS as usize);
+    let table_growth = rig.interner.paths().approx_bytes() - table;
+    assert!(table_growth > 0);
+    assert!(
+        rig.sink.approx_bytes() >= resident + table_growth,
+        "the table is tool memory"
+    );
 }

@@ -2,8 +2,10 @@
 //! batch size, against the synchronous oracle.
 //!
 //! * **`async == sync` equivalence**: for
-//!   arbitrary interleavings of launches, activity flushes, CPU samples,
-//!   epoch boundaries and snapshot requests, the [`AsyncSink`]'s
+//!   arbitrary interleavings of launches (kernels and memcpys, from full
+//!   contexts and strict prefixes of them), activity flushes (kernel,
+//!   memcpy and PC-sampling records), CPU samples, epoch boundaries and
+//!   snapshot requests, the [`AsyncSink`]'s
 //!   profiles must be semantically identical (via
 //!   `CallingContextTree::semantic_diff`) to a bare [`ShardedSink`] fed
 //!   the same events inline — at `launch_batch` 1, 7 and 64, under both
@@ -20,14 +22,16 @@
 
 use std::sync::Arc;
 
-use deepcontext_core::{CallPath, Frame, FrameKind, Interner, MetricKind, StoredJournal, TimeNs};
+use deepcontext_core::{
+    Frame, FrameKind, Interner, MetricKind, PathHandle, StallReason, StoredJournal, TimeNs,
+};
 use deepcontext_pipeline::{
     journal_sites, AsyncSink, BackpressurePolicy, EventSink, Failpoints, JournalConfig,
     PipelineConfig, ShardedSink, SinkOptions, TimelineConfig,
 };
 use dlmonitor::EventOrigin;
 use proptest::prelude::*;
-use sim_gpu::{Activity, ActivityKind, ApiKind, CorrelationId, DeviceId, StreamId};
+use sim_gpu::{Activity, ActivityKind, ApiKind, CorrelationId, DeviceId, PcSample, StreamId};
 
 /// Joins a thread and, on panic, surfaces the panic payload text in the
 /// failure message instead of the opaque `Any` a bare `expect` prints.
@@ -42,22 +46,20 @@ fn join_reporting<T>(handle: std::thread::JoinHandle<T>, what: &str) -> T {
     })
 }
 
-fn context_path(interner: &Arc<Interner>, tid: u64, ctx: u8) -> CallPath {
-    let mut path = CallPath::new();
-    path.push(Frame::python(
-        &format!("worker{tid}.py"),
-        10,
-        "step",
-        interner,
-    ));
-    path.push(Frame::operator(&format!("aten::op{ctx}"), interner));
-    path.push(Frame::gpu_kernel(
-        &format!("kernel_{ctx}"),
-        "module.so",
-        0x100 + u64::from(ctx),
-        interner,
-    ));
-    path
+fn context_path(interner: &Arc<Interner>, tid: u64, ctx: u8) -> PathHandle {
+    context_prefix(interner, tid, ctx, 3)
+}
+
+/// The first `depth` frames of [`context_path`]: below 3, a strict
+/// prefix of it.
+fn context_prefix(interner: &Arc<Interner>, tid: u64, ctx: u8, depth: usize) -> PathHandle {
+    let (kernel, pc) = (format!("kernel_{ctx}"), 0x100 + u64::from(ctx));
+    let frames = [
+        Frame::python(&format!("worker{tid}.py"), 10, "step", interner),
+        Frame::operator(&format!("aten::op{ctx}"), interner),
+        Frame::gpu_kernel(&kernel, "module.so", pc, interner),
+    ];
+    interner.paths().intern(&frames[..depth])
 }
 
 fn kernel_activity(corr: u64, ctx: u8) -> Activity {
@@ -81,6 +83,35 @@ fn kernel_activity(corr: u64, ctx: u8) -> Activity {
     }
 }
 
+/// What an outstanding launch completes as: kernels whose correlation
+/// divides by three deliver a PC-sampling record ahead of the kernel
+/// record, memcpys a memcpy record.
+fn completion_records(corr: u64, ctx: u8, api: ApiKind) -> Vec<Activity> {
+    let activity = |kind| Activity {
+        correlation_id: CorrelationId(corr),
+        device: DeviceId(0),
+        kind,
+    };
+    let stall = StallReason::MemoryDependency;
+    match api {
+        ApiKind::MemcpyAsync => vec![activity(ActivityKind::Memcpy {
+            bytes: 1024 + corr,
+            stream: StreamId(u32::from(ctx)),
+            start: TimeNs(corr * 10),
+            end: TimeNs(corr * 10 + 50),
+        })],
+        _ if !corr.is_multiple_of(3) => vec![kernel_activity(corr, ctx)],
+        _ => {
+            let pc = |s| 0x8 * (s + corr % 2);
+            let samples = (0..2 + corr % 3).map(|s| PcSample { pc: pc(s), stall });
+            let name = Arc::from(format!("kernel_{ctx}").as_str());
+            let samples = samples.collect();
+            let sampling = activity(ActivityKind::PcSampling { name, samples });
+            vec![sampling, kernel_activity(corr, ctx)]
+        }
+    }
+}
+
 fn launch_origin(tid: u64, ctx: u8, corr: u64) -> EventOrigin {
     EventOrigin {
         tid: Some(tid),
@@ -92,9 +123,15 @@ fn launch_origin(tid: u64, ctx: u8, corr: u64) -> EventOrigin {
 /// One step of a randomly interleaved profiling session.
 #[derive(Debug, Clone)]
 enum Step {
-    /// A kernel launch on `(tid, stream=ctx)`: binds a fresh correlation
-    /// to one of a few repeating contexts.
-    Launch { tid: u64, ctx: u8 },
+    /// A launch on `(tid, stream=ctx)`: binds a fresh correlation to the
+    /// first `depth` frames of one of a few repeating contexts (below 3:
+    /// a strict prefix of the full path), as a kernel launch or a memcpy.
+    Launch {
+        tid: u64,
+        ctx: u8,
+        depth: usize,
+        api: ApiKind,
+    },
     /// Delivers all outstanding activities as one batch.
     Flush,
     /// A CPU sample attributing an integer value on a thread's context.
@@ -108,7 +145,18 @@ enum Step {
 
 fn arb_step() -> impl Strategy<Value = Step> {
     prop_oneof![
-        (0u64..6, 0u8..5).prop_map(|(tid, ctx)| Step::Launch { tid: tid + 1, ctx }),
+        (0u64..6, 0u8..5, 0usize..8).prop_map(|(tid, ctx, shape)| Step::Launch {
+            tid: tid + 1,
+            ctx,
+            // Mostly full paths; one launch in four a strict prefix, one
+            // in four a memcpy.
+            depth: if shape % 4 == 3 { 1 + shape / 4 } else { 3 },
+            api: if shape % 4 == 2 {
+                ApiKind::MemcpyAsync
+            } else {
+                ApiKind::LaunchKernel
+            },
+        }),
         Just(Step::Flush).boxed(),
         (0u64..6, 0u8..5, 1u16..500).prop_map(|(tid, ctx, value)| Step::Sample {
             tid: tid + 1,
@@ -150,30 +198,33 @@ fn check_interleaving(steps: &[Step], shards: usize, launch_batch: usize) {
     let label = || format!("{shards} shards, launch_batch {launch_batch}");
 
     let mut next_corr = 1u64;
-    let mut outstanding: Vec<(u64, u8)> = Vec::new();
+    let mut outstanding: Vec<(u64, u8, ApiKind)> = Vec::new();
     let mut snapshots = 0u32;
     // Activity records with a device-time window delivered so far —
     // exactly the records that must each produce one timeline interval
-    // (today the generator emits Kernel records only, but counting at
-    // the delivery site keeps the final assertion honest if other
-    // activity kinds join the interleaving).
+    // (sampling records carry none).
     let mut intervals_delivered = 0u64;
 
     for step in steps {
         match step {
-            Step::Launch { tid, ctx } => {
+            Step::Launch {
+                tid,
+                ctx,
+                depth,
+                api,
+            } => {
                 let corr = next_corr;
                 next_corr += 1;
                 let origin = launch_origin(*tid, *ctx, corr);
-                let path = context_path(&interner, *tid, *ctx);
-                oracle.gpu_launch(&origin, path.clone(), ApiKind::LaunchKernel);
-                candidate.gpu_launch(&origin, path, ApiKind::LaunchKernel);
-                outstanding.push((corr, *ctx));
+                let path = context_prefix(&interner, *tid, *ctx, *depth);
+                oracle.gpu_launch(&origin, path, *api);
+                candidate.gpu_launch(&origin, path, *api);
+                outstanding.push((corr, *ctx, *api));
             }
             Step::Flush => {
                 let batch: Vec<Activity> = outstanding
                     .drain(..)
-                    .map(|(corr, ctx)| kernel_activity(corr, ctx))
+                    .flat_map(|(corr, ctx, api)| completion_records(corr, ctx, api))
                     .collect();
                 intervals_delivered += batch
                     .iter()
@@ -194,7 +245,7 @@ fn check_interleaving(steps: &[Step], shards: usize, launch_batch: usize) {
                 };
                 let path = context_path(&interner, *tid, *ctx);
                 let value = f64::from(*value);
-                oracle.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, value);
+                oracle.cpu_sample(&origin, path, MetricKind::CpuTime, value);
                 candidate.cpu_sample(&origin, path, MetricKind::CpuTime, value);
             }
             Step::Epoch => {
@@ -329,12 +380,12 @@ fn check_journal_interleaving(steps: &[Step], shards: usize, launch_batch: usize
     let mut snapshots = 0u32;
     for step in steps {
         match step {
-            Step::Launch { tid, ctx } => {
+            Step::Launch { tid, ctx, .. } => {
                 let corr = next_corr;
                 next_corr += 1;
                 let origin = launch_origin(*tid, *ctx, corr);
                 let path = context_path(&interner, *tid, *ctx);
-                oracle.gpu_launch(&origin, path.clone(), ApiKind::LaunchKernel);
+                oracle.gpu_launch(&origin, path, ApiKind::LaunchKernel);
                 candidate.gpu_launch(&origin, path, ApiKind::LaunchKernel);
                 outstanding.push((corr, *ctx));
             }
@@ -353,7 +404,7 @@ fn check_journal_interleaving(steps: &[Step], shards: usize, launch_batch: usize
                 };
                 let path = context_path(&interner, *tid, *ctx);
                 let value = f64::from(*value);
-                oracle.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, value);
+                oracle.cpu_sample(&origin, path, MetricKind::CpuTime, value);
                 candidate.cpu_sample(&origin, path, MetricKind::CpuTime, value);
             }
             Step::Epoch => {
@@ -465,13 +516,13 @@ fn check_panic_interleaving(steps: &[Step], shards: usize, quarantined: usize) {
 
     for step in steps {
         match step {
-            Step::Launch { tid, ctx } => {
+            Step::Launch { tid, ctx, .. } => {
                 let corr = next_corr;
                 next_corr += 1;
                 let origin = launch_origin(*tid, *ctx, corr);
                 let path = context_path(&interner, *tid, *ctx);
                 let healthy = inner.route(&origin) != quarantined;
-                candidate.gpu_launch(&origin, path.clone(), ApiKind::LaunchKernel);
+                candidate.gpu_launch(&origin, path, ApiKind::LaunchKernel);
                 if healthy {
                     oracle.gpu_launch(&origin, path, ApiKind::LaunchKernel);
                 } else {
@@ -512,7 +563,7 @@ fn check_panic_interleaving(steps: &[Step], shards: usize, quarantined: usize) {
                 };
                 let path = context_path(&interner, *tid, *ctx);
                 let value = f64::from(*value);
-                candidate.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, value);
+                candidate.cpu_sample(&origin, path, MetricKind::CpuTime, value);
                 if inner.route(&origin) == quarantined {
                     expected_poisoned += 1;
                 } else {
@@ -645,7 +696,7 @@ fn snapshots_are_drain_barriers_without_explicit_flush() {
                 };
                 let path = context_path(&interner, tid, 0);
                 for _ in 0..SAMPLES {
-                    sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 1.0);
+                    sink.cpu_sample(&origin, path, MetricKind::CpuTime, 1.0);
                 }
             });
         }
@@ -734,7 +785,7 @@ fn drop_oldest_counts_drops_and_attributes_the_rest() {
                 };
                 let path = context_path(&interner, tid, 0);
                 for _ in 0..SAMPLES {
-                    sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 1.0);
+                    sink.cpu_sample(&origin, path, MetricKind::CpuTime, 1.0);
                 }
             });
         }
@@ -827,7 +878,7 @@ fn drop_oldest_evicts_partially_flushed_batches_without_leaks() {
         join_reporting(producer, "partial-batch producer");
     }
     assert_eq!(
-        inner.directory_entries(),
+        inner.correlation_entries(),
         PARTIAL as usize,
         "quiesce flush must have bound the whole partial batch"
     );
@@ -840,7 +891,7 @@ fn drop_oldest_evicts_partially_flushed_batches_without_leaks() {
     };
     let path = context_path(&interner, 1, 0);
     for _ in 0..128 {
-        sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 1.0);
+        sink.cpu_sample(&origin, path, MetricKind::CpuTime, 1.0);
     }
     sink.resume();
 
@@ -852,12 +903,9 @@ fn drop_oldest_evicts_partially_flushed_batches_without_leaks() {
     assert_eq!(counters.enqueued_events, PARTIAL + 128);
     assert!(counters.producer_flushes >= 3, "quiesce + two capacity");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while (inner.correlation_entries() != 0 || inner.directory_entries() != 0)
-        && std::time::Instant::now() < deadline
-    {
+    while inner.correlation_entries() != 0 && std::time::Instant::now() < deadline {
         std::thread::yield_now();
     }
-    assert_eq!(inner.directory_entries(), 0, "evicted batch leaked routes");
     assert_eq!(inner.correlation_entries(), 0, "evicted batch leaked binds");
     let cct = sink.snapshot();
     assert_eq!(cct.total(MetricKind::DroppedEvents), PARTIAL as f64);
@@ -887,7 +935,7 @@ fn snapshot_readers_share_the_cached_master_without_queueing() {
         ..EventOrigin::default()
     };
     let path = context_path(&interner, 1, 0);
-    sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 5.0);
+    sink.cpu_sample(&origin, path, MetricKind::CpuTime, 5.0);
 
     let barrier = Arc::new(Barrier::new(2));
     let readers: Vec<_> = (0..2)
@@ -921,7 +969,7 @@ fn snapshot_readers_share_the_cached_master_without_queueing() {
     // (copy-on-write), and re-entering the snapshot APIs from inside a
     // callback is safe now that no lock is held around `f`.
     sink.with_snapshot(&mut |before| {
-        sink.cpu_sample(&origin, path.clone(), MetricKind::CpuTime, 7.0);
+        sink.cpu_sample(&origin, path, MetricKind::CpuTime, 7.0);
         let refreshed = sink.snapshot();
         assert_eq!(before.total(MetricKind::CpuTime), 5.0, "reader view frozen");
         assert_eq!(refreshed.total(MetricKind::CpuTime), 12.0);

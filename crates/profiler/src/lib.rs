@@ -9,10 +9,10 @@
 //! Collection paths:
 //!
 //! * **GPU kernel launches** — at each `DLMONITOR_GPU` launch callback the
-//!   profiler emits the correlation id, retrieves the unified call path,
-//!   and associates the id with the CCT node; asynchronous activity
-//!   records later resolve through the correlation map and add
-//!   `GpuTime` / occupancy / launch-shape metrics;
+//!   profiler takes the handle of the unified call path from DLMonitor
+//!   and binds the correlation id to it; asynchronous activity records
+//!   later resolve through that one correlation table and add `GpuTime`
+//!   / occupancy / launch-shape metrics;
 //! * **Instruction samples** — PC-sampling records extend the kernel's
 //!   call path with [`Frame::Instruction`] nodes carrying stall-reason
 //!   metrics (fine-grained analysis, §6.7);
@@ -21,9 +21,9 @@
 //!   sampled thread's unified call path (§6.4).
 //!
 //! All of those paths terminate in an [`EventSink`]. The default sink is
-//! the [`ShardedSink`]: per-thread/per-stream [`CctShard`]s (private tree
-//! plus correlation map behind independent locks) that fold into one
-//! master tree on [`Profiler::with_cct`] / [`Profiler::finish`]. The
+//! the [`ShardedSink`]: per-thread/per-stream [`CctShard`]s (private
+//! trees behind independent locks, resolving path handles through a
+//! dense vector) that fold into one master tree on [`Profiler::with_cct`] / [`Profiler::finish`]. The
 //! fold is cached and tracked by per-shard dirty generations, so a warm
 //! snapshot re-folds only the shards that changed — and concurrent
 //! producers never serialize on a global profile lock. See the
@@ -346,7 +346,7 @@ impl Profiler {
                         ApiKind::LaunchKernel | ApiKind::MemcpyAsync | ApiKind::MemAlloc => {}
                         _ => return,
                     }
-                    let path = me.monitor.callpath_for_gpu(gpu_event);
+                    let path = me.monitor.callpath_for_gpu(gpu_event).handle();
                     me.sink
                         .gpu_launch(&gpu_event.origin(), path, gpu_event.data.api);
                     if gpu_event.data.api == ApiKind::LaunchKernel {
@@ -368,7 +368,7 @@ impl Profiler {
             let me = Arc::clone(&inner);
             env.samplers()
                 .register(kind, interval, move |thread, event| {
-                    let path = me.monitor.callpath_get(thread);
+                    let path = me.monitor.callpath_get(thread).handle();
                     let origin = EventOrigin {
                         tid: Some(thread.tid()),
                         ..EventOrigin::default()

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use deepcontext_core::{CallPath, Frame, FrameKind, Interner, MetricKind, TimeNs};
+use deepcontext_core::{Frame, FrameKind, Interner, MetricKind, PathHandle, TimeNs};
 use deepcontext_profiler::{EventSink, ShardedSink};
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind, CorrelationId, DeviceId, StreamId};
@@ -17,7 +17,7 @@ const OPS_PER_PRODUCER: usize = 200;
 /// the matching asynchronous kernel activity.
 struct LaunchEvent {
     origin: EventOrigin,
-    path: CallPath,
+    path: PathHandle,
     activity: Activity,
 }
 
@@ -28,26 +28,12 @@ fn producer_events(interner: &Arc<Interner>, producer: usize) -> Vec<LaunchEvent
             // kernels repeat so contexts collapse like a real training loop.
             let kernel = format!("kernel_{}", k % 4);
             let corr = (producer * 1_000_000 + k) as u64;
-            let mut path = CallPath::new();
-            path.push(Frame::python(
-                &format!("worker{producer}.py"),
-                10,
-                "step",
-                interner,
-            ));
-            path.push(Frame::operator(&format!("aten::op{}", k % 3), interner));
-            path.push(Frame::gpu_api(
-                "cuLaunchKernel",
-                "libcuda.so",
-                0x10,
-                interner,
-            ));
-            path.push(Frame::gpu_kernel(
-                &kernel,
-                "module.so",
-                0x100 + (k % 4) as u64,
-                interner,
-            ));
+            let path = interner.paths().intern(&[
+                Frame::python(&format!("worker{producer}.py"), 10, "step", interner),
+                Frame::operator(&format!("aten::op{}", k % 3), interner),
+                Frame::gpu_api("cuLaunchKernel", "libcuda.so", 0x10, interner),
+                Frame::gpu_kernel(&kernel, "module.so", 0x100 + (k % 4) as u64, interner),
+            ]);
             let start = TimeNs((k as u64) * 100);
             LaunchEvent {
                 origin: EventOrigin {
@@ -82,7 +68,7 @@ fn producer_events(interner: &Arc<Interner>, producer: usize) -> Vec<LaunchEvent
 /// buffer-sized batches, like the GPU runtime delivers them.
 fn ingest(sink: &ShardedSink, events: &[LaunchEvent]) {
     for e in events {
-        sink.gpu_launch(&e.origin, e.path.clone(), ApiKind::LaunchKernel);
+        sink.gpu_launch(&e.origin, e.path, ApiKind::LaunchKernel);
     }
     for chunk in events.chunks(64) {
         sink.activity_batch(chunk.iter().map(|e| e.activity.clone()).collect());

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use deepcontext_core::{CallPath, Frame, Interner, MetricKind, TimeNs};
+use deepcontext_core::{Frame, Interner, MetricKind, PathHandle, TimeNs};
 use deepcontext_profiler::{default_ingestion_shards, EventSink, ShardedSink};
 use dlmonitor::EventOrigin;
 use proptest::prelude::*;
@@ -40,22 +40,17 @@ fn arb_step() -> impl Strategy<Value = Step> {
     ]
 }
 
-fn context_path(interner: &Arc<Interner>, tid: u64, ctx: u8) -> CallPath {
-    let mut path = CallPath::new();
-    path.push(Frame::python(
-        &format!("worker{tid}.py"),
-        10,
-        "step",
-        interner,
-    ));
-    path.push(Frame::operator(&format!("aten::op{ctx}"), interner));
-    path.push(Frame::gpu_kernel(
-        &format!("kernel_{ctx}"),
-        "module.so",
-        0x100 + u64::from(ctx),
-        interner,
-    ));
-    path
+fn context_path(interner: &Arc<Interner>, tid: u64, ctx: u8) -> PathHandle {
+    interner.paths().intern(&[
+        Frame::python(&format!("worker{tid}.py"), 10, "step", interner),
+        Frame::operator(&format!("aten::op{ctx}"), interner),
+        Frame::gpu_kernel(
+            &format!("kernel_{ctx}"),
+            "module.so",
+            0x100 + u64::from(ctx),
+            interner,
+        ),
+    ])
 }
 
 fn kernel_activity(corr: u64, ctx: u8) -> Activity {

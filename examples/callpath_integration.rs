@@ -48,8 +48,8 @@ fn collect_launch_path(
             .expect("conv");
     }
     monitor.callback_unregister(reg);
-    let mut paths = paths.lock();
-    paths.remove(0)
+    let first = paths.lock()[0];
+    first.to_call_path(&monitor.interner())
 }
 
 fn main() {

@@ -75,7 +75,7 @@ pub mod prelude {
     };
     pub use deepcontext_core::{
         CallPath, CallingContextTree, Frame, FrameKind, Interner, MetricKind, NodeId, OpPhase,
-        ProfileDb, ProfileMeta, StallReason, TimeNs, VirtualClock,
+        PathHandle, ProfileDb, ProfileMeta, StallReason, TimeNs, VirtualClock,
     };
     pub use deepcontext_flamegraph::FlameGraph;
     pub use deepcontext_profiler::{EventSink, Profiler, ProfilerConfig, ShardedSink};

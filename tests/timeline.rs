@@ -283,7 +283,7 @@ impl EventSink for CapturingSink {
     fn gpu_launch(
         &self,
         origin: &deepcontext::monitor::EventOrigin,
-        path: CallPath,
+        path: PathHandle,
         api: deepcontext::gpu::ApiKind,
     ) {
         self.inner.gpu_launch(origin, path, api);
@@ -297,7 +297,7 @@ impl EventSink for CapturingSink {
     fn cpu_sample(
         &self,
         origin: &deepcontext::monitor::EventOrigin,
-        path: CallPath,
+        path: PathHandle,
         metric: MetricKind,
         value: f64,
     ) {
