@@ -4,8 +4,8 @@
 //! [`measure`] runs one workload on one platform/engine under one of four
 //! profiler configurations — none, a trace-based framework profiler, and
 //! the paper's two DeepContext configurations — returning both virtual-
-//! time statistics and real (host) wall time plus profile memory, which
-//! is exactly the data Figure 6 plots.
+//! time statistics and real (host) wall time plus profile memory. (The
+//! paper's Figure 6 itself is the repo benchmark's job: `benchmark/`.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,13 +67,6 @@ impl ProfilerKind {
             ProfilerKind::DeepContextNative => "deepcontext-native",
         }
     }
-
-    /// All profiled configurations, Figure 6 order.
-    pub const PROFILED: [ProfilerKind; 3] = [
-        ProfilerKind::FrameworkTrace,
-        ProfilerKind::DeepContext,
-        ProfilerKind::DeepContextNative,
-    ];
 }
 
 /// The outcome of one measured run.
@@ -198,28 +191,6 @@ pub fn deepcontext_profile(
     .expect("deepcontext run produces a profile")
 }
 
-/// Host memory model for the Figure 6c/6d ratios: the unprofiled
-/// process's resident bytes — the framework runtime plus a host-side
-/// shadow of the model state (most parameters live on device).
-pub fn host_base_bytes(workload: &dyn Workload) -> usize {
-    (8 << 20) + (workload.param_bytes() / 16) as usize
-}
-
-/// Memory-overhead ratio for Figure 6c/6d. Returns `None` when the
-/// profiled process would exceed `dram_budget` (plotted as ∞ in the
-/// paper's chart — the out-of-memory cases).
-pub fn memory_overhead(
-    workload: &dyn Workload,
-    profile_bytes: usize,
-    dram_budget: usize,
-) -> Option<f64> {
-    let base = host_base_bytes(workload);
-    if base + profile_bytes > dram_budget {
-        return None;
-    }
-    Some((base + profile_bytes) as f64 / base as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,12 +255,6 @@ mod tests {
             trace.profile_bytes,
             dc.profile_bytes
         );
-    }
-
-    #[test]
-    fn memory_overhead_reports_oom_as_none() {
-        assert!(memory_overhead(&DlrmSmall, 1 << 20, 1 << 30).is_some());
-        assert!(memory_overhead(&DlrmSmall, 1 << 30, 1 << 24).is_none());
     }
 
     #[test]

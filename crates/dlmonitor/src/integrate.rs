@@ -12,7 +12,9 @@
 //! This module implements that merge as a pure function over path
 //! handles (the Python prefix and every operator's context arrive as
 //! [`PathHandle`]s; only the freshly unwound native frames are still
-//! strings), so it can be tested exhaustively without a live runtime.
+//! strings — a slice the caller lends, in the monitor's case the thread's
+//! own stack read in place), so it can be tested exhaustively without a
+//! live runtime.
 
 use deepcontext_core::{Frame, FrameKey, FrameKind, Interner, PathHandle, PathMemo};
 use sim_runtime::NativeFrameInfo;

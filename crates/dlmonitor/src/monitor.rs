@@ -13,7 +13,38 @@
 //! the launch ran under, the one display field a context does not fix —
 //! and frames are only materialised to show it
 //! ([`LivePath::to_call_path`]).
+//!
+//! What a launch touches on the way there is borrowed, not copied:
+//!
+//! * **Events.** A [`DlEvent`] is a view of the runtime's own payload and
+//!   of the thread bound to the calling OS thread
+//!   ([`ThreadRegistry::with_current`]), valid for the length of the
+//!   delivery. A domain nobody subscribed to costs one load.
+//! * **The native tail.** The frames below the anchoring operator are
+//!   read in place under the stack's own lock ([`Unwinder::with_tail`],
+//!   which counts the unwind and its steps) and tested against libpython
+//!   ranges learnt once at [`DlMonitor::init`] and kept current by the
+//!   library map's load callback. In cached mode a tail seen before under
+//!   the same operator is recognised frame by frame and interns nothing.
+//! * **The subscriber list.** Publication is copy-on-write with a
+//!   generation counter; each OS thread parks the list it last delivered
+//!   through (one slot, tagged with the monitor's id) and reuses it while
+//!   the generation has not moved: no lock, no reference count, a
+//!   registration seen by the next event on every thread, re-entrant
+//!   (un)registration from a callback. **How long a removed subscriber
+//!   can stay alive:** the thread that calls `callback_unregister` /
+//!   [`DlMonitor::finalize`] drops its parked copy in that call; any
+//!   other thread at the next event it delivers to a subscriber (of any
+//!   monitor: a finalized one delivers none) or when it exits. A stale
+//!   copy is never delivered through, so no callback runs for an event
+//!   raised after its removal — but a thread can go idle for good (the
+//!   autograd thread after the last iteration), so a subscriber that owns
+//!   something large holds it weakly, as the profiler's holds its sink.
+//!
+//! [`Unwinder::with_tail`]: sim_runtime::Unwinder::with_tail
 
+use std::cell::Cell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -24,7 +55,9 @@ use deepcontext_core::{
 };
 use dl_framework::{CallbackRegistry, FrameworkCallbackId, GraphEvent, MemEvent, OpEvent, Site};
 use sim_gpu::{ApiKind, CallbackData, GpuRuntime, SubscriberId, Vendor};
-use sim_runtime::{NativeFrameInfo, PythonStack, RuntimeEnv, ThreadCtx, ThreadRegistry};
+use sim_runtime::{
+    LibraryInfo, NativeFrameInfo, PythonStack, RuntimeEnv, ThreadCtx, ThreadRegistry,
+};
 
 use crate::integrate::{integrate_call_path, ShadowOp};
 
@@ -48,21 +81,22 @@ impl Domain {
 }
 
 /// A GPU API interception, annotated with the intercepting vendor and the
-/// thread it occurred on.
-#[derive(Debug, Clone)]
-pub struct GpuCallbackEvent {
+/// thread it occurred on. Borrowed from the runtime for the length of the
+/// delivery.
+#[derive(Debug, Clone, Copy)]
+pub struct GpuCallbackEvent<'a> {
     /// The raw callback payload (correlation id, API kind, kernel, ...).
-    pub data: CallbackData,
+    pub data: &'a CallbackData,
     /// Which vendor runtime produced it (CUPTI vs RocTracer naming).
     pub vendor: Vendor,
     /// The simulated thread the API call ran on, when bound.
-    pub thread: Option<Arc<ThreadCtx>>,
+    pub thread: Option<&'a ThreadCtx>,
 }
 
-impl GpuCallbackEvent {
+impl GpuCallbackEvent<'_> {
     /// The originating thread's id, when the call site was bound to one.
     pub fn tid(&self) -> Option<u64> {
-        self.thread.as_ref().map(|t| t.tid())
+        self.thread.map(ThreadCtx::tid)
     }
 
     /// Routing identity of this interception.
@@ -114,20 +148,22 @@ impl EventOrigin {
     }
 }
 
-/// Events delivered to registered profiler callbacks.
-#[derive(Debug, Clone)]
-pub enum DlEvent {
+/// Events delivered to registered profiler callbacks: views of the
+/// framework's and the GPU runtime's own payloads, valid for the length
+/// of the call. A subscriber that keeps one copies the fields it needs.
+#[derive(Debug, Clone, Copy)]
+pub enum DlEvent<'a> {
     /// A framework operator (enter/exit).
-    Op(OpEvent),
+    Op(&'a OpEvent),
     /// A compute-graph compilation event.
-    Graph(GraphEvent),
+    Graph(&'a GraphEvent),
     /// A tensor memory event.
-    Mem(MemEvent),
+    Mem(&'a MemEvent),
     /// A GPU API callback.
-    Gpu(GpuCallbackEvent),
+    Gpu(GpuCallbackEvent<'a>),
 }
 
-impl DlEvent {
+impl DlEvent<'_> {
     /// The event's routing identity. Operator events carry their executing
     /// thread; GPU events carry thread, stream and correlation id; graph
     /// and memory events have no stable origin (they are process-global).
@@ -225,8 +261,50 @@ pub struct MonitorStats {
     pub assoc_live: u64,
 }
 
-type EventCb = Arc<dyn Fn(&DlEvent) + Send + Sync>;
+type EventCb = Arc<dyn for<'a, 'b> Fn(&'a DlEvent<'b>) + Send + Sync>;
 type Registration = (RegistrationId, Domain, EventCb);
+
+/// A monitor's subscriber list as one thread last read it.
+struct SeenSubscribers {
+    /// The [`DlMonitor::id`] it belongs to.
+    monitor: u64,
+    /// [`DlMonitor::generation`] when it was read.
+    generation: u64,
+    list: Arc<[Registration]>,
+}
+
+thread_local! {
+    /// The list this thread last delivered an event through (module docs:
+    /// how long it may outlive its monitor). Taken out for the length of
+    /// a delivery: a callback that raises another event finds the slot
+    /// empty and reads the monitor's list instead.
+    static LAST_SEEN: Cell<Option<SeenSubscribers>> = const { Cell::new(None) };
+}
+
+/// Source of [`DlMonitor::id`]: never reused, unlike an address.
+static NEXT_MONITOR: AtomicU64 = AtomicU64::new(0);
+
+/// Where every loaded `libpython*` is mapped: learnt from the library map
+/// once at [`DlMonitor::init`] and kept current by its load callback, the
+/// way the real tool walks `dl_iterate_phdr` once and then listens to
+/// `LD_AUDIT`. Threads keep a copy and re-read it when `generation` moves.
+#[derive(Default)]
+struct PythonRanges {
+    ranges: Mutex<Vec<Range<u64>>>,
+    /// Bumped after every push.
+    generation: AtomicU64,
+}
+
+impl PythonRanges {
+    fn note(&self, library: &LibraryInfo) {
+        if library.is_libpython() {
+            self.ranges
+                .lock()
+                .push(library.base..library.base + library.size);
+            self.generation.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
 
 /// The Python call path of one thread, valid for exactly the
 /// [`PythonStack::version`] it was taken at.
@@ -272,6 +350,35 @@ impl PythonSnapshot {
 /// only).
 type KernelLeaves = FxHashMap<(PathId, u8, u64), (Arc<str>, PathHandle)>;
 
+/// `(innermost operator's context, leaf PC, tail length)`.
+type TailKey = (PathId, u64, usize);
+
+/// A remembered tail: each frame's `(library, pc)` and the context the
+/// tail extends the operator's to.
+type Tail = (Box<[(Arc<str>, u64)]>, PathHandle);
+
+/// Native tails seen under an operator. A hit is believed only after
+/// every frame's `(library, pc)` was compared in place, so it can only be
+/// what the integrator would have built.
+#[derive(Default)]
+struct NativeTails(FxHashMap<TailKey, Tail>);
+
+impl NativeTails {
+    fn get(&self, key: TailKey, native: &[NativeFrameInfo]) -> Option<PathHandle> {
+        let (frames, path) = self.0.get(&key)?;
+        let same = frames
+            .iter()
+            .zip(native)
+            .all(|((library, pc), f)| *pc == f.pc && **library == *f.library);
+        same.then_some(*path)
+    }
+
+    fn insert(&mut self, key: TailKey, native: &[NativeFrameInfo], path: PathHandle) {
+        let frames = native.iter().map(|f| (Arc::clone(&f.library), f.pc));
+        self.0.insert(key, (frames.collect(), path));
+    }
+}
+
 /// Everything the monitor keeps for one simulated thread.
 #[derive(Default)]
 struct ThreadState {
@@ -282,6 +389,13 @@ struct ThreadState {
     memo: PathMemo,
     /// In front of `memo` for kernel launches: a hit interns nothing.
     kernels: KernelLeaves,
+    /// This thread's copy of [`PythonRanges`] and the generation it was
+    /// taken at: the libpython cut-over test takes no lock per frame.
+    libpython: (u64, Vec<Range<u64>>),
+    /// In front of the integrator in cached mode: a tail seen before
+    /// under the same operator interns nothing. Valid for `libpython`'s
+    /// generation (a load can turn a kept frame into a cut-over point).
+    tails: NativeTails,
     /// This thread's share of [`MonitorStats`]: counted under the lock
     /// the path is built under anyway, summed by [`DlMonitor::stats`].
     built: u64,
@@ -345,9 +459,15 @@ pub struct DlMonitor {
     /// Forward context by autograd sequence id: the Python frames plus
     /// the forward operator frames, ready to prefix a backward path.
     assoc: Mutex<FxHashMap<u64, PathHandle>>,
-    /// Copy-on-write: `fire` snapshots the list with one `Arc` clone, so
+    /// Which monitor a thread's parked subscriber list belongs to.
+    id: u64,
+    /// Copy-on-write: a delivery runs over the list it started with, so
     /// callbacks may register/unregister re-entrantly.
     callbacks: RwLock<Arc<[Registration]>>,
+    /// Bumped under `callbacks`' write lock with every replacement: a
+    /// thread's parked list is current while this has not moved.
+    generation: AtomicU64,
+    libpython: Arc<PythonRanges>,
     /// [`Domain::bit`]s of the domains `callbacks` has a subscriber for.
     subscribed: AtomicU8,
     /// The GPU API frames, `[vendor][api]`, interned on first use.
@@ -365,12 +485,28 @@ impl DlMonitor {
     /// environment. The interner is shared with the profiler so frame
     /// symbols agree.
     pub fn init(env: &RuntimeEnv, interner: Arc<Interner>) -> Arc<Self> {
+        // Subscribe before reading what is loaded already: a library that
+        // loads in between is noted twice, never missed. The map keeps its
+        // callbacks for good, so this one holds the ranges weakly.
+        let libpython = Arc::new(PythonRanges::default());
+        let ranges = Arc::downgrade(&libpython);
+        env.libraries().on_load(move |library| {
+            if let Some(ranges) = ranges.upgrade() {
+                ranges.note(library);
+            }
+        });
+        for library in env.libraries().snapshot() {
+            libpython.note(&library);
+        }
         Arc::new(DlMonitor {
             env: env.clone(),
             interner,
             threads: ThreadSlab::default(),
             assoc: Mutex::new(FxHashMap::default()),
+            id: NEXT_MONITOR.fetch_add(1, Ordering::Relaxed),
             callbacks: RwLock::new(Arc::from([])),
+            generation: AtomicU64::new(0),
+            libpython,
             subscribed: AtomicU8::new(0),
             api_frames: Default::default(),
             next_id: AtomicU64::new(0),
@@ -434,7 +570,7 @@ impl DlMonitor {
     pub fn callback_register(
         &self,
         domain: Domain,
-        cb: impl Fn(&DlEvent) + Send + Sync + 'static,
+        cb: impl for<'a, 'b> Fn(&'a DlEvent<'b>) + Send + Sync + 'static,
     ) -> RegistrationId {
         let id = RegistrationId(self.next_id.fetch_add(1, Ordering::SeqCst));
         let cb: EventCb = Arc::new(cb);
@@ -448,27 +584,60 @@ impl DlMonitor {
     }
 
     /// Replaces the callback list and republishes which domains have a
-    /// subscriber.
+    /// subscriber. The calling thread's parked copy goes at once; every
+    /// other thread's at its next delivered event.
     fn update_callbacks(&self, f: impl FnOnce(&[Registration]) -> Arc<[Registration]>) {
-        let mut callbacks = self.callbacks.write();
-        *callbacks = f(&callbacks);
-        let subscribed = callbacks.iter().fold(0, |mask, (_, d, _)| mask | d.bit());
-        self.subscribed.store(subscribed, Ordering::SeqCst);
+        {
+            let mut callbacks = self.callbacks.write();
+            *callbacks = f(&callbacks);
+            let subscribed = callbacks.iter().fold(0, |mask, (_, d, _)| mask | d.bit());
+            self.subscribed.store(subscribed, Ordering::SeqCst);
+            self.generation.fetch_add(1, Ordering::SeqCst);
+        }
+        // Outside the lock: this may drop subscribers. `try_with`: one
+        // dropped by a thread-local's destructor may unregister while this
+        // thread's locals are being torn down.
+        let _ = LAST_SEEN.try_with(|slot| {
+            let parked = slot.take().filter(|seen| seen.monitor != self.id);
+            slot.set(parked);
+        });
     }
 
-    /// Delivers `event()` to `domain`'s subscribers. The event is only
-    /// built when there is one: a domain nobody listens to costs one
-    /// load, not a deep clone of the framework's payload.
-    fn fire(&self, domain: Domain, event: impl FnOnce() -> DlEvent) {
-        if self.subscribed.load(Ordering::SeqCst) & domain.bit() == 0 {
+    /// Whether `domain` has a subscriber: one load.
+    fn listening(&self, domain: Domain) -> bool {
+        self.subscribed.load(Ordering::SeqCst) & domain.bit() != 0
+    }
+
+    /// Delivers `event` to `domain`'s subscribers; a domain nobody
+    /// listens to costs one load. The list is this thread's parked copy
+    /// when that is still current: no lock and no reference count.
+    fn fire(&self, domain: Domain, event: DlEvent<'_>) {
+        if !self.listening(domain) {
             return;
         }
-        let callbacks = Arc::clone(&self.callbacks.read());
-        let event = event();
-        for (_, d, cb) in callbacks.iter() {
+        let generation = self.generation.load(Ordering::SeqCst);
+        let parked = LAST_SEEN.try_with(Cell::take).ok().flatten();
+        let seen = match parked {
+            Some(seen) if seen.monitor == self.id && seen.generation == generation => seen,
+            // Another monitor's list, or a stale one: dropped here.
+            _ => {
+                let callbacks = self.callbacks.read();
+                SeenSubscribers {
+                    monitor: self.id,
+                    generation: self.generation.load(Ordering::SeqCst),
+                    list: Arc::clone(&callbacks),
+                }
+            }
+        };
+        for (_, d, cb) in seen.list.iter() {
             if *d == domain {
                 cb(&event);
             }
+        }
+        // A callback that (un)registered or finalized already emptied the
+        // slot: do not park the list it replaced.
+        if seen.generation == self.generation.load(Ordering::SeqCst) {
+            let _ = LAST_SEEN.try_with(|slot| slot.set(Some(seen)));
         }
     }
 
@@ -484,17 +653,17 @@ impl DlMonitor {
         let me = Arc::clone(self);
         ids.push(callbacks.on_op(move |event| {
             me.on_op_event(event);
-            me.fire(Domain::Framework, || DlEvent::Op(event.clone()));
+            me.fire(Domain::Framework, DlEvent::Op(event));
         }));
 
         let me = Arc::clone(self);
         ids.push(callbacks.on_graph(move |event| {
-            me.fire(Domain::Framework, || DlEvent::Graph(event.clone()));
+            me.fire(Domain::Framework, DlEvent::Graph(event));
         }));
 
         let me = Arc::clone(self);
         ids.push(callbacks.on_mem(move |event| {
-            me.fire(Domain::Framework, || DlEvent::Mem(event.clone()));
+            me.fire(Domain::Framework, DlEvent::Mem(event));
         }));
 
         self.attached_framework
@@ -511,13 +680,17 @@ impl DlMonitor {
             .unwrap_or(Vendor::Nvidia);
         let me = Arc::clone(self);
         let sub = gpu.subscribe(move |data| {
-            me.fire(Domain::Gpu, || {
-                DlEvent::Gpu(GpuCallbackEvent {
-                    data: data.clone(),
-                    vendor,
-                    thread: ThreadRegistry::current(),
-                })
-            });
+            // Checked here too: nobody listening, no thread looked up.
+            if me.listening(Domain::Gpu) {
+                ThreadRegistry::with_current(|thread| {
+                    let event = GpuCallbackEvent {
+                        data,
+                        vendor,
+                        thread,
+                    };
+                    me.fire(Domain::Gpu, DlEvent::Gpu(event));
+                });
+            }
         });
         self.attached_gpu.lock().push((Arc::clone(gpu), sub));
     }
@@ -582,6 +755,8 @@ impl DlMonitor {
             shadow,
             python,
             memo,
+            libpython,
+            tails,
             cache_hits,
             assoc_hits,
             ..
@@ -604,50 +779,75 @@ impl DlMonitor {
             _ => None,
         };
 
-        let prefix = if flags & FLAG_PYTHON == 0 {
-            PathHandle::ROOT
+        // `cached`: the context of the innermost operator when the path
+        // starts from the Python snapshot it was entered under and no
+        // operator was entered deeper in the native stack than it — then
+        // the path is that context extended by the native tail, no more.
+        let (prefix, cached) = if flags & FLAG_PYTHON == 0 {
+            (PathHandle::ROOT, None)
         } else if let Some(forward) = assoc {
             *assoc_hits += 1;
-            forward
+            (forward, None)
         } else if let (true, Some(innermost)) = (cache_on, shadow.last()) {
             *cache_hits += 1;
-            innermost.python
+            let nested = shadow
+                .iter()
+                .all(|op| op.native_depth <= innermost.native_depth);
+            (innermost.python, nested.then(|| innermost.path.id()))
         } else {
-            python.current(thread.python(), memo, &self.interner)
+            (python.current(thread.python(), memo, &self.interner), None)
         };
 
-        // Native frames. Cached mode (or association) only needs the
-        // tail below the relevant operator: a partial unwind.
-        let anchor = if assoc.is_some() {
-            shadow.first()
-        } else if cache_on {
-            shadow.last()
-        } else {
-            None
+        let native_on = flags & FLAG_NATIVE != 0;
+        if native_on {
+            let generation = self.libpython.generation.load(Ordering::SeqCst);
+            if libpython.0 != generation {
+                *libpython = (generation, self.libpython.ranges.lock().clone());
+                tails.0.clear();
+            }
         }
-        .map(|op| op.native_depth);
-        let (native, native_base): (Vec<NativeFrameInfo>, usize) = if flags & FLAG_NATIVE == 0 {
-            (Vec::new(), 0)
-        } else if let Some(anchor) = anchor {
-            let needed = thread.native().depth().saturating_sub(anchor);
-            let mut cursor = self.env.unwinder().cursor(thread.native());
-            let mut frames = Vec::with_capacity(needed);
-            frames.extend(std::iter::from_fn(|| cursor.step()).take(needed));
-            frames.reverse();
-            (frames, anchor)
-        } else {
-            (self.env.unwinder().backtrace(thread.native()), 0)
+        let libpython = &libpython.1;
+        let mut integrate = |native: &[NativeFrameInfo], native_base| {
+            integrate_call_path(
+                prefix,
+                shadow,
+                native,
+                native_base,
+                |pc| libpython.iter().any(|range| range.contains(&pc)),
+                memo,
+                &self.interner,
+            )
         };
-
-        let path = integrate_call_path(
-            prefix,
-            shadow,
-            &native,
-            native_base,
-            |pc| self.env.libraries().is_python_pc(pc),
-            memo,
-            &self.interner,
-        );
+        let path = if !native_on {
+            integrate(&[], 0)
+        } else {
+            // Native frames, read in place. Cached mode (or association)
+            // only needs the tail below the relevant operator: a partial
+            // unwind.
+            let anchor = if assoc.is_some() {
+                shadow.first()
+            } else if cache_on {
+                shadow.last()
+            } else {
+                None
+            }
+            .map_or(0, |op| op.native_depth);
+            self.env
+                .unwinder()
+                .with_tail(thread.native(), anchor, |native| {
+                    let key = cached
+                        .zip(native.last())
+                        .map(|(op, leaf)| (op, leaf.pc, native.len()));
+                    if let Some(path) = key.and_then(|key| tails.get(key, native)) {
+                        return path;
+                    }
+                    let path = integrate(native, anchor);
+                    if let Some(key) = key {
+                        tails.insert(key, native, path);
+                    }
+                    path
+                })
+        };
         // The sequence id a rendering of this sighting shows: the
         // innermost operator's that has one.
         let seq = shadow.iter().rev().find_map(|op| match op.frame {
@@ -660,8 +860,8 @@ impl DlMonitor {
     /// The call path of a GPU API callback: the thread's unified path
     /// plus the GPU API frame and (for launches) the kernel frame — the
     /// full Figure 3(b) shape.
-    pub fn callpath_for_gpu(&self, event: &GpuCallbackEvent) -> LivePath {
-        match &event.thread {
+    pub fn callpath_for_gpu(&self, event: &GpuCallbackEvent<'_>) -> LivePath {
+        match event.thread {
             Some(thread) => {
                 let mut state = self.threads.slot(thread.tid()).lock();
                 let live = self.unified_path(&mut state, thread);
@@ -688,7 +888,7 @@ impl DlMonitor {
     fn gpu_leaf(
         &self,
         path: PathHandle,
-        event: &GpuCallbackEvent,
+        event: &GpuCallbackEvent<'_>,
         memo: &mut PathMemo,
         kernels: &mut KernelLeaves,
     ) -> PathHandle {
@@ -1043,6 +1243,49 @@ mod tests {
             cached_steps < uncached_steps,
             "cached {cached_steps} !< uncached {uncached_steps}"
         );
+    }
+
+    #[test]
+    fn unwind_counts_are_what_a_stepped_cursor_took() {
+        // One unwind per call path and one step per native frame below
+        // the anchor (the whole stack when there is none), whichever way
+        // the frames are read: the constants are `a00c88d`'s, which
+        // stepped a cursor over a copy of the stack.
+        let rig = rig();
+        let main = rig.env.threads().spawn(ThreadRole::Main);
+        let _bind = ThreadRegistry::bind_current(&main);
+        let _paths = launch_paths(&rig);
+        let core = Arc::clone(rig.engine.core());
+        let _scopes: Vec<_> = (0..3)
+            .map(|i| core.python().frame(&main, "deep.py", i, "level"))
+            .collect();
+        let unwinder = rig.env.unwinder();
+        let counts = || (unwinder.unwinds_started(), unwinder.steps_taken());
+        let index = || {
+            rig.engine
+                .op(
+                    Op::new(OpKind::Index).with_duplicates(16.0),
+                    &[TensorMeta::new([10_000, 64]), TensorMeta::new([512])],
+                )
+                .unwrap();
+        };
+
+        unwinder.reset_counters();
+        index();
+        assert_eq!(counts(), (1, 2), "cached: the frames below the operator");
+
+        rig.monitor.set_cache_enabled(false);
+        unwinder.reset_counters();
+        index();
+        assert_eq!(counts(), (1, 5), "uncached: the whole stack");
+
+        rig.monitor.set_cache_enabled(true);
+        rig.engine.set_grad_enabled(true);
+        index();
+        unwinder.reset_counters();
+        rig.engine.backward().unwrap();
+        assert_eq!(counts(), (2, 4), "association: two backward launches");
+        assert_eq!(rig.monitor.stats().assoc_hits, 2);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The allocation budget of DLMonitor's steady-state hot path, held by a
 //! counting global allocator so the interned-snapshot design cannot
 //! quietly erode: with the thread's Python version unchanged, an operator
-//! Enter/Exit allocates nothing, a call path allocates once (the returned
-//! frame vector), and a taped forward Enter allocates once (its
-//! association record).
+//! Enter/Exit, a taped forward Enter, a warm call path — native frames
+//! included, cached, uncached or through a forward/backward association —
+//! and the delivery of an event to a subscriber all allocate nothing.
 //!
 //! The framework's own `fire_op` allocates (its callback snapshot), so
 //! operator events are measured against the same events delivered to a
@@ -13,16 +13,20 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use deepcontext_core::{Interner, OpPhase, ThreadRole, TimeNs};
-use dl_framework::{CallbackRegistry, OpEvent, Site};
-use dlmonitor::{CallPathSources, DlMonitor, GpuCallbackEvent};
+use dl_framework::{CallbackRegistry, OpEvent, PyScope, PythonSim, Site, TensorMeta};
+use dlmonitor::{CallPathSources, DlEvent, DlMonitor, Domain, GpuCallbackEvent};
 use sim_gpu::{
-    ApiKind, CallbackData, CallbackSite, CorrelationId, DeviceId, KernelDesc, LaunchConfig,
-    StreamId, Vendor,
+    ApiKind, CallbackData, CallbackSite, CorrelationId, DeviceId, DeviceSpec, GpuRuntime,
+    KernelDesc, LaunchConfig, StreamId, Vendor,
 };
-use sim_runtime::{PyFrameGuard, PyFrameInfo, RuntimeEnv, ThreadCtx};
+use sim_runtime::{
+    NativeFrameGuard, NativeFrameInfo, PyFrameGuard, PyFrameInfo, RuntimeEnv, ThreadCtx,
+    ThreadRegistry,
+};
 
 thread_local! {
     /// Allocations made by this thread (tests run on threads of their own).
@@ -113,12 +117,21 @@ fn rig() -> Rig {
 }
 
 fn op_event(rig: &Rig, seq_id: Option<u64>, site: Site) -> OpEvent {
+    op_event_on(&rig.main, OpPhase::Forward, seq_id, site)
+}
+
+fn op_event_on(
+    thread: &Arc<ThreadCtx>,
+    phase: OpPhase,
+    seq_id: Option<u64>,
+    site: Site,
+) -> OpEvent {
     OpEvent {
         name: Arc::from("aten::matmul"),
-        phase: OpPhase::Forward,
+        phase,
         seq_id,
         site,
-        thread: Arc::clone(&rig.main),
+        thread: Arc::clone(thread),
         inputs: Vec::new(),
     }
 }
@@ -154,33 +167,39 @@ fn steady_state_operator_events_allocate_nothing() {
     assert_eq!(monitored, 100 * framework_share(&[&enter, &exit]));
 }
 
-/// A kernel-launch callback on the rig's main thread.
-fn launch_of(rig: &Rig, name: &str, module: &str, entry_pc: u64) -> GpuCallbackEvent {
+/// The payload of a kernel-launch callback.
+fn launch_of(name: &str, module: &str, entry_pc: u64) -> CallbackData {
+    CallbackData {
+        site: CallbackSite::Enter,
+        api: ApiKind::LaunchKernel,
+        correlation_id: CorrelationId(1),
+        device: DeviceId(0),
+        stream: Some(StreamId(0)),
+        kernel: Some(Arc::new(KernelDesc::new(
+            name,
+            module,
+            entry_pc,
+            LaunchConfig::new(64, 256),
+        ))),
+        bytes: None,
+        timestamp: TimeNs(0),
+    }
+}
+
+/// `data` as intercepted on `thread`.
+fn intercepted<'a>(data: &'a CallbackData, thread: &'a ThreadCtx) -> GpuCallbackEvent<'a> {
     GpuCallbackEvent {
-        data: CallbackData {
-            site: CallbackSite::Enter,
-            api: ApiKind::LaunchKernel,
-            correlation_id: CorrelationId(1),
-            device: DeviceId(0),
-            stream: Some(StreamId(0)),
-            kernel: Some(Arc::new(KernelDesc::new(
-                name,
-                module,
-                entry_pc,
-                LaunchConfig::new(64, 256),
-            ))),
-            bytes: None,
-            timestamp: TimeNs(0),
-        },
+        data,
         vendor: Vendor::Nvidia,
-        thread: Some(Arc::clone(&rig.main)),
+        thread: Some(thread),
     }
 }
 
 #[test]
 fn a_warm_call_path_allocates_nothing() {
     let rig = rig();
-    let launch = launch_of(&rig, "sgemm_128x64", "libtorch_cuda.so", 0x1000);
+    let data = launch_of("sgemm_128x64", "libtorch_cuda.so", 0x1000);
+    let launch = intercepted(&data, &rig.main);
     rig.registry.fire_op(&op_event(&rig, None, Site::Enter));
     // Warm-up: interns the GPU API and kernel frames and records the
     // context in the path table and the thread's memo.
@@ -202,8 +221,9 @@ fn kernels_sharing_an_entry_pc_across_modules_both_stay_resident() {
     // allocates or adds a context.
     let rig = rig();
     let interner = rig.monitor.interner();
-    let torch = launch_of(&rig, "sgemm", "libtorch_cuda.so", 0x1000);
-    let xla = launch_of(&rig, "fusion_0", "libxla.so", 0x1000);
+    let torch = launch_of("sgemm", "libtorch_cuda.so", 0x1000);
+    let xla = launch_of("fusion_0", "libxla.so", 0x1000);
+    let (torch, xla) = (intercepted(&torch, &rig.main), intercepted(&xla, &rig.main));
     rig.registry.fire_op(&op_event(&rig, None, Site::Enter));
     let first = (
         rig.monitor.callpath_for_gpu(&torch),
@@ -252,4 +272,148 @@ fn a_taped_forward_enter_allocates_only_its_association_record() {
     let monitored = allocations(deliver);
     assert_eq!(monitored, TAPED * framework_share(&[enter, exit]));
     assert_eq!(rig.monitor.stats().assoc_live, TAPED);
+}
+
+/// The native rig: every source on, two Python scopes (each with its
+/// libpython eval frame), a taped forward operator that has come and gone
+/// (an association record under id 7), then one open operator of `phase`
+/// under `seq_id` with two native frames below it — `fine_native`'s
+/// launch shape.
+struct NativeRig {
+    env: RuntimeEnv,
+    monitor: Arc<DlMonitor>,
+    main: Arc<ThreadCtx>,
+    _scopes: Vec<PyScope>,
+    _frames: Vec<NativeFrameGuard>,
+}
+
+fn native_rig(phase: OpPhase, seq_id: Option<u64>) -> NativeRig {
+    let env = RuntimeEnv::new();
+    let python = PythonSim::new(&env);
+    let torch = env.load_library("/lib/libtorch_cpu.so", 0x10_0000);
+    let registry = CallbackRegistry::new();
+    let monitor = DlMonitor::init(&env, Interner::new());
+    monitor.attach_framework(&registry);
+    monitor.set_sources(CallPathSources::all());
+    let main = env.threads().spawn(ThreadRole::Main);
+    let scopes = vec![
+        python.frame(&main, "train.py", 10, "train_step"),
+        python.frame(&main, "model.py", 11, "forward"),
+    ];
+    registry.fire_op(&op_event_on(&main, OpPhase::Forward, Some(7), Site::Enter));
+    registry.fire_op(&op_event_on(&main, OpPhase::Forward, Some(7), Site::Exit));
+    registry.fire_op(&op_event_on(&main, phase, seq_id, Site::Enter));
+    let frames = ["c10::Dispatcher::call", "at::native::matmul"]
+        .into_iter()
+        .map(|name| {
+            let f = env.define_function(&torch, name, 0x40, None);
+            NativeFrameGuard::enter(
+                main.native(),
+                NativeFrameInfo::new(&f.library, f.addr, &f.name),
+            )
+        })
+        .collect();
+    NativeRig {
+        env,
+        monitor,
+        main,
+        _scopes: scopes,
+        _frames: frames,
+    }
+}
+
+/// Allocations of one warm `callpath_for_gpu` and one warm `callpath_get`.
+fn warm_native_paths(rig: &NativeRig) -> (u64, u64) {
+    let data = launch_of("sgemm_128x64", "libtorch_cuda.so", 0x1000);
+    let launch = intercepted(&data, &rig.main);
+    let warm = rig.monitor.callpath_for_gpu(&launch);
+    rig.monitor.callpath_get(&rig.main);
+    let steps = rig.env.unwinder().steps_taken();
+    let counts = (
+        allocations(|| rig.monitor.callpath_for_gpu(&launch)),
+        allocations(|| rig.monitor.callpath_get(&rig.main)),
+    );
+    assert_eq!(rig.monitor.callpath_for_gpu(&launch), warm);
+    assert!(
+        rig.env.unwinder().steps_taken() > steps,
+        "native frames unwound"
+    );
+    counts
+}
+
+#[test]
+fn a_warm_native_call_path_allocates_nothing_cached_or_not() {
+    let rig = native_rig(OpPhase::Forward, None);
+    assert_eq!(warm_native_paths(&rig), (0, 0), "cached: partial unwind");
+    let data = launch_of("sgemm_128x64", "libtorch_cuda.so", 0x1000);
+    let cached = rig.monitor.callpath_for_gpu(&intercepted(&data, &rig.main));
+    assert_eq!(
+        cached.len(),
+        7,
+        "2 Python + operator + 2 native + API + kernel"
+    );
+
+    rig.monitor.set_cache_enabled(false);
+    assert_eq!(warm_native_paths(&rig), (0, 0), "uncached: full unwind");
+    let uncached = rig.monitor.callpath_for_gpu(&intercepted(&data, &rig.main));
+    assert_eq!(uncached, cached);
+}
+
+#[test]
+fn a_warm_native_call_path_through_an_association_allocates_nothing() {
+    // A backward operator under the taped id: its paths start from the
+    // forward context recorded under that id.
+    let rig = native_rig(OpPhase::Backward, Some(7));
+    assert_eq!(warm_native_paths(&rig), (0, 0));
+    assert_eq!(rig.monitor.stats().assoc_hits, 5);
+}
+
+#[test]
+fn delivering_an_event_to_a_subscriber_allocates_nothing() {
+    let env = RuntimeEnv::new();
+    let gpu = GpuRuntime::new(env.clock().clone(), vec![DeviceSpec::a100_sxm()]);
+    let registry = CallbackRegistry::new();
+    let monitor = DlMonitor::init(&env, Interner::new());
+    monitor.attach_framework(&registry);
+    let main = env.threads().spawn(ThreadRole::Main);
+    let _bind = ThreadRegistry::bind_current(&main);
+    // With inputs, as the framework sends it: a copied event would have
+    // to copy them.
+    let enter = OpEvent {
+        inputs: vec![TensorMeta::new([64, 64])],
+        ..op_event_on(&main, OpPhase::Forward, None, Site::Enter)
+    };
+    let exit = op_event_on(&main, OpPhase::Forward, None, Site::Exit);
+    let deliver = || {
+        for _ in 0..100 {
+            registry.fire_op(&enter);
+            gpu.synchronize(DeviceId(0)).unwrap();
+            registry.fire_op(&exit);
+        }
+    };
+
+    // The same events with nobody listening: the framework's and the
+    // GPU runtime's own share, the monitor attached to both.
+    monitor.attach_gpu(&gpu);
+    deliver();
+    let unobserved = allocations(deliver);
+
+    let seen = Arc::new(AtomicU64::new(0));
+    for domain in [Domain::Framework, Domain::Gpu] {
+        let seen = Arc::clone(&seen);
+        monitor.callback_register(domain, move |event| {
+            let tid = match event {
+                DlEvent::Op(op) => Some(op.thread.tid()),
+                DlEvent::Gpu(gpu) => gpu.tid(),
+                _ => None,
+            };
+            seen.fetch_add(tid.unwrap_or(0), Ordering::Relaxed);
+        });
+    }
+    deliver();
+    seen.store(0, Ordering::Relaxed);
+    assert_eq!(allocations(deliver), unobserved);
+    // Two operator and two API (Enter + Exit) events a round, each on
+    // the bound thread.
+    assert_eq!(seen.load(Ordering::Relaxed), 100 * 4 * main.tid());
 }

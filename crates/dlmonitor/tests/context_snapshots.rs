@@ -6,14 +6,19 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use deepcontext_core::{CallPath, FrameKind, Interner, OpPhase, ThreadRole, TimeNs};
-use dl_framework::{EagerEngine, FrameworkCore, Op, OpEvent, OpKind, Site, TensorMeta};
+use dl_framework::{
+    CallbackRegistry, EagerEngine, FrameworkCore, Op, OpEvent, OpKind, Site, TensorMeta,
+};
 use dlmonitor::{CallPathSources, DlEvent, DlMonitor, Domain, GpuCallbackEvent};
 use parking_lot::Mutex;
 use sim_gpu::{
     ApiKind, CallbackData, CallbackSite, CorrelationId, DeviceId, DeviceSpec, GpuRuntime,
     KernelDesc, LaunchConfig, Vendor,
 };
-use sim_runtime::{RuntimeEnv, ThreadCtx, ThreadRegistry};
+use sim_runtime::{
+    NativeFrameGuard, NativeFrameInfo, PyFrameGuard, PyFrameInfo, RuntimeEnv, ThreadCtx,
+    ThreadRegistry,
+};
 
 struct Rig {
     env: RuntimeEnv,
@@ -326,28 +331,161 @@ fn assoc_live_counts_every_taped_forward_operator() {
 }
 
 #[test]
+fn a_libpython_loaded_after_a_path_was_built_cuts_the_next_one_over() {
+    // The monitor learns where libpython is at `init` and from the load
+    // callback after it: a "not Python" answer for a PC must not outlive
+    // the load that makes it Python — whether the frames are integrated
+    // afresh (no operator) or remembered (under one).
+    for operator in [None, Some("aten::relu")] {
+        let env = RuntimeEnv::new();
+        let registry = CallbackRegistry::new();
+        let monitor = DlMonitor::init(&env, Interner::new());
+        monitor.attach_framework(&registry);
+        let interner = monitor.interner();
+        let main = env.threads().spawn(ThreadRole::Main);
+        let _py = PyFrameGuard::enter(main.python(), PyFrameInfo::new("train.py", 3, "main"));
+        if let Some(name) = operator {
+            registry.fire_op(&op_event(name, OpPhase::Forward, 1, Site::Enter, &main));
+        }
+        let _native: Vec<NativeFrameGuard> = [
+            ("/usr/lib/libpython3.12.so", 0x7000_0100, "_PyEval_Eval"),
+            ("/lib/libtorch_cpu.so", 0x9000_0040, "at::native::relu"),
+        ]
+        .into_iter()
+        .map(|(lib, pc, symbol)| {
+            NativeFrameGuard::enter(main.native(), NativeFrameInfo::new(lib, pc, symbol))
+        })
+        .collect();
+        let path = || {
+            labels(
+                &monitor.callpath_get(&main).to_call_path(&interner),
+                &interner,
+            )
+        };
+        let expect = |native: &[&str]| -> Vec<String> {
+            let frames = ["train.py:3"]
+                .into_iter()
+                .chain(operator)
+                .chain(native.iter().copied());
+            frames.map(str::to_owned).collect()
+        };
+
+        // Nothing is mapped at the eval frame's PC yet: the native path
+        // is kept whole.
+        assert_eq!(path(), expect(&["_PyEval_Eval", "at::native::relu"]));
+        env.libraries()
+            .register("/lib/libtorch_cpu.so", 0x9000_0000, 0x1000);
+        assert_eq!(path(), expect(&["_PyEval_Eval", "at::native::relu"]));
+
+        env.libraries()
+            .register("/usr/lib/libpython3.12.so", 0x7000_0000, 0x1000);
+        assert_eq!(path(), expect(&["at::native::relu"]));
+    }
+}
+
+/// A monitor on a bare registry, every source on, and a thread.
+fn native_rig() -> (Arc<CallbackRegistry>, Arc<DlMonitor>, Arc<ThreadCtx>) {
+    let env = RuntimeEnv::new();
+    let registry = CallbackRegistry::new();
+    let monitor = DlMonitor::init(&env, Interner::new());
+    monitor.attach_framework(&registry);
+    let main = env.threads().spawn(ThreadRole::Main);
+    (registry, monitor, main)
+}
+
+fn enter_native(thread: &ThreadCtx, frames: &[(&str, u64)]) -> Vec<NativeFrameGuard> {
+    let enter = |&(symbol, pc): &(&str, u64)| {
+        let frame = NativeFrameInfo::new("/lib/libtorch_cpu.so", pc, symbol);
+        NativeFrameGuard::enter(thread.native(), frame)
+    };
+    frames.iter().map(enter).collect()
+}
+
+#[test]
+fn native_tails_sharing_an_operator_a_leaf_and_a_length_keep_their_own_contexts() {
+    let (registry, monitor, main) = native_rig();
+    let interner = monitor.interner();
+    let enter = op_event("aten::conv2d", OpPhase::Forward, 1, Site::Enter, &main);
+    registry.fire_op(&enter);
+    let under = |middle: (&str, u64)| {
+        let _frames = enter_native(&main, &[middle, ("cudaLaunchKernel", 0x30)]);
+        monitor.callpath_get(&main)
+    };
+
+    let (v8, v7) = (under(("cudnn::v8", 0x10)), under(("cudnn::v7", 0x20)));
+    assert_ne!(v8, v7);
+    assert_eq!(
+        labels(&v7.to_call_path(&interner), &interner),
+        vec!["aten::conv2d", "cudnn::v7", "cudaLaunchKernel"]
+    );
+    let contexts = interner.paths().len();
+    for _ in 0..3 {
+        assert_eq!(under(("cudnn::v8", 0x10)), v8);
+        assert_eq!(under(("cudnn::v7", 0x20)), v7);
+    }
+    assert_eq!(interner.paths().len(), contexts);
+}
+
+#[test]
+fn a_remembered_native_tail_is_not_reused_when_operators_interleave_with_it() {
+    // The same operators over the same three frames twice, but the first
+    // time the outer operator was entered deeper in the native stack than
+    // the inner one, so it belongs between the frames.
+    let (registry, monitor, main) = native_rig();
+    let interner = monitor.interner();
+    let op = |name: &str, site| op_event(name, OpPhase::Forward, 1, site, &main);
+    let tail = [("x", 0x10), ("y", 0x20), ("z", 0x30)];
+    let path = || {
+        labels(
+            &monitor.callpath_get(&main).to_call_path(&interner),
+            &interner,
+        )
+    };
+
+    let deep = enter_native(&main, &[("a", 0x1), ("b", 0x2), ("c", 0x3)]);
+    registry.fire_op(&op("aten::linear", Site::Enter));
+    drop(deep);
+    let _shallow = enter_native(&main, &[("a", 0x1)]);
+    registry.fire_op(&op("aten::matmul", Site::Enter));
+    let frames = enter_native(&main, &tail);
+    let interleaved = vec!["x", "y", "aten::linear", "aten::matmul", "z"];
+    assert_eq!(path(), interleaved);
+    drop(frames);
+    registry.fire_op(&op("aten::matmul", Site::Exit));
+    registry.fire_op(&op("aten::linear", Site::Exit));
+
+    registry.fire_op(&op("aten::linear", Site::Enter));
+    registry.fire_op(&op("aten::matmul", Site::Enter));
+    let _frames = enter_native(&main, &tail);
+    let nested = vec!["aten::linear", "aten::matmul", "x", "y", "z"];
+    assert_eq!(path(), nested);
+    assert_eq!(path(), nested);
+}
+
+#[test]
 fn kernels_sharing_an_entry_pc_across_modules_keep_their_own_frames() {
     // Entry PCs are unique per module only: the eager and JIT kernel
     // registries both start at 0x1000.
     let rig = rig();
     let interner = rig.monitor.interner();
     let launch = |name: &str, module: &str| {
+        let data = CallbackData {
+            site: CallbackSite::Enter,
+            api: ApiKind::LaunchKernel,
+            correlation_id: CorrelationId(1),
+            device: DeviceId(0),
+            stream: None,
+            kernel: Some(Arc::new(KernelDesc::new(
+                name,
+                module,
+                0x1000,
+                LaunchConfig::new(1, 32),
+            ))),
+            bytes: None,
+            timestamp: TimeNs(0),
+        };
         let event = GpuCallbackEvent {
-            data: CallbackData {
-                site: CallbackSite::Enter,
-                api: ApiKind::LaunchKernel,
-                correlation_id: CorrelationId(1),
-                device: DeviceId(0),
-                stream: None,
-                kernel: Some(Arc::new(KernelDesc::new(
-                    name,
-                    module,
-                    0x1000,
-                    LaunchConfig::new(1, 32),
-                ))),
-                bytes: None,
-                timestamp: TimeNs(0),
-            },
+            data: &data,
             vendor: Vendor::Nvidia,
             thread: None,
         };

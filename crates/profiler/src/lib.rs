@@ -336,7 +336,10 @@ impl Profiler {
             gpu.set_sampling(config.instruction_sampling);
 
             // Launch-site interception: bind correlation ids to contexts.
-            let me = Arc::clone(&inner);
+            // Held weakly: a thread that delivered an event keeps the
+            // monitor's subscriber list until its next one, and the sink
+            // must not wait for a thread that has gone idle.
+            let me = Arc::downgrade(&inner);
             monitor_regs.push(monitor.callback_register(Domain::Gpu, move |event| {
                 if let DlEvent::Gpu(gpu_event) = event {
                     if gpu_event.data.site != CallbackSite::Enter {
@@ -346,6 +349,7 @@ impl Profiler {
                         ApiKind::LaunchKernel | ApiKind::MemcpyAsync | ApiKind::MemAlloc => {}
                         _ => return,
                     }
+                    let Some(me) = me.upgrade() else { return };
                     let path = me.monitor.callpath_for_gpu(gpu_event).handle();
                     me.sink
                         .gpu_launch(&gpu_event.origin(), path, gpu_event.data.api);
@@ -978,6 +982,37 @@ mod tests {
         // no stale callbacks firing into freed state).
         run_relu(&rig, 2);
         assert!(rig.env.samplers().is_empty());
+    }
+
+    #[test]
+    fn finish_releases_the_sink_while_an_idle_thread_still_holds_the_subscriber_list() {
+        // DLMonitor lets a thread keep the subscriber list it last
+        // delivered through until its next event; a thread that goes idle
+        // after the run (the autograd thread) must not keep the sink.
+        let rig = rig();
+        let sink = ShardedSink::new(rig.monitor.interner(), 2);
+        let released = Arc::downgrade(&sink);
+        let profiler = Profiler::attach_with_sink(
+            ProfilerConfig::default(),
+            &rig.env,
+            &rig.monitor,
+            &rig.gpu,
+            sink,
+        );
+        let (idle, done) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                run_relu(&rig, 2);
+                idle.wait();
+                done.wait();
+            });
+            idle.wait();
+            assert_eq!(profiler.stats().launches, 2);
+            drop(profiler.finish(ProfileMeta::default()));
+            let held = released.upgrade().is_some();
+            done.wait();
+            assert!(!held, "the sink outlived finish");
+        });
     }
 
     #[test]

@@ -32,6 +32,12 @@ impl LibraryInfo {
     pub fn basename(&self) -> &str {
         self.path.rsplit('/').next().unwrap_or(&self.path)
     }
+
+    /// Whether this is a `libpython*`: a native frame inside one is where
+    /// the paper's integration cuts over to the Python call path.
+    pub fn is_libpython(&self) -> bool {
+        self.basename().starts_with("libpython")
+    }
 }
 
 type LoadCallback = Box<dyn Fn(&LibraryInfo) + Send + Sync>;
@@ -98,7 +104,7 @@ impl LibraryMap {
         self.libs
             .read()
             .iter()
-            .any(|l| l.contains(pc) && l.basename().starts_with("libpython"))
+            .any(|l| l.contains(pc) && l.is_libpython())
     }
 
     /// All registered libraries.

@@ -5,7 +5,9 @@
 //! upward. Stepping is the expensive part — the paper's call-path caching
 //! optimization exists precisely to bound the number of steps — so the
 //! simulated [`Unwinder`] counts every step globally, letting benches and
-//! tests quantify the optimization exactly.
+//! tests quantify the optimization exactly. A profiler's hot path reads
+//! the frames it steps over where they are ([`Unwinder::with_tail`]); the
+//! copying [`UnwindCursor`] is the step-by-step form.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -147,6 +149,26 @@ impl Unwinder {
         }
     }
 
+    /// Unwinds `stack` from the leaf up to depth `from_depth` and lends
+    /// `f` the frames visited, **root-first**, in place: the partial
+    /// unwind of the paper's call-path caching (`from_depth` is the depth
+    /// recorded at the cached operator; `0` is a full unwind) without a
+    /// copy of any frame. Counts one unwind and one step per frame lent,
+    /// as a [`cursor`](Self::cursor) stepped that far would. `f` runs
+    /// under the stack's lock and must not push or pop it.
+    pub fn with_tail<R>(
+        &self,
+        stack: &NativeStack,
+        from_depth: usize,
+        f: impl FnOnce(&[NativeFrameInfo]) -> R,
+    ) -> R {
+        self.unwinds.fetch_add(1, Ordering::Relaxed);
+        let frames = stack.frames.lock();
+        let tail = frames.get(from_depth..).unwrap_or_default();
+        self.steps.fetch_add(tail.len() as u64, Ordering::Relaxed);
+        f(tail)
+    }
+
     /// Fully unwinds `stack`, returning frames **root-first** (the order
     /// call paths want). Costs one step per frame.
     pub fn backtrace(&self, stack: &NativeStack) -> Vec<NativeFrameInfo> {
@@ -237,6 +259,23 @@ mod tests {
         );
         assert_eq!(u.steps_taken(), 3);
         assert_eq!(u.unwinds_started(), 1);
+    }
+
+    #[test]
+    fn with_tail_lends_the_frames_below_a_depth_and_counts_like_a_cursor() {
+        let stack = stack_of(&["main", "op_entry", "helper", "launch"]);
+        let u = Unwinder::new();
+        let symbols = |frames: &[NativeFrameInfo]| -> Vec<String> {
+            frames.iter().map(|f| f.symbol.to_string()).collect()
+        };
+        assert_eq!(u.with_tail(&stack, 2, symbols), ["helper", "launch"]);
+        assert_eq!((u.unwinds_started(), u.steps_taken()), (1, 2));
+        assert_eq!(u.with_tail(&stack, 0, symbols).len(), 4);
+        assert_eq!((u.unwinds_started(), u.steps_taken()), (2, 6));
+        // At or past the leaf: an unwind that steps over nothing.
+        assert!(u.with_tail(&stack, 4, symbols).is_empty());
+        assert!(u.with_tail(&stack, 9, symbols).is_empty());
+        assert_eq!((u.unwinds_started(), u.steps_taken()), (4, 6));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -101,8 +102,14 @@ impl ThreadCtx {
     }
 }
 
+/// A binding sits behind an `Rc` so [`ThreadRegistry::with_current`] can
+/// keep it alive for a call without touching the shared (atomic) count:
+/// the second allocation, once per `bind_current`, is the point.
+#[allow(clippy::redundant_allocation)]
+type Binding = Rc<Arc<ThreadCtx>>;
+
 thread_local! {
-    static CURRENT: RefCell<Option<Arc<ThreadCtx>>> = const { RefCell::new(None) };
+    static CURRENT: RefCell<Option<Binding>> = const { RefCell::new(None) };
 }
 
 /// Registry of all simulated threads in a process.
@@ -151,13 +158,23 @@ impl ThreadRegistry {
     /// Binds `ctx` as the current simulated thread for this real OS
     /// thread, returning a guard that restores the previous binding.
     pub fn bind_current(ctx: &Arc<ThreadCtx>) -> CurrentThreadGuard {
-        let previous = CURRENT.with(|c| c.replace(Some(Arc::clone(ctx))));
+        let previous = CURRENT.with(|c| c.replace(Some(Rc::new(Arc::clone(ctx)))));
         CurrentThreadGuard { previous }
     }
 
     /// The simulated thread bound to this real OS thread, if any.
     pub fn current() -> Option<Arc<ThreadCtx>> {
-        CURRENT.with(|c| c.borrow().clone())
+        CURRENT.with(|c| c.borrow().as_deref().cloned())
+    }
+
+    /// Runs `f` on the simulated thread bound to this real OS thread
+    /// without taking a shared reference count: the hot-path form of
+    /// [`current`](Self::current). The binding is not borrowed while `f`
+    /// runs, so `f` may call `current` or `bind_current` itself; it keeps
+    /// seeing the thread that was bound when it was called.
+    pub fn with_current<R>(f: impl FnOnce(Option<&ThreadCtx>) -> R) -> R {
+        let bound = CURRENT.with(|c| c.borrow().clone());
+        f(bound.as_deref().map(|ctx| &**ctx))
     }
 }
 
@@ -172,7 +189,7 @@ impl std::fmt::Debug for ThreadRegistry {
 /// Guard restoring the previous "current thread" binding on drop.
 #[derive(Debug)]
 pub struct CurrentThreadGuard {
-    previous: Option<Arc<ThreadCtx>>,
+    previous: Option<Binding>,
 }
 
 impl Drop for CurrentThreadGuard {
@@ -235,6 +252,24 @@ mod tests {
             assert_eq!(ThreadRegistry::current().unwrap().tid(), a.tid());
         }
         assert!(ThreadRegistry::current().is_none());
+    }
+
+    #[test]
+    fn with_current_lends_the_binding_and_allows_rebinding_inside() {
+        let reg = ThreadRegistry::new();
+        let a = reg.spawn(ThreadRole::Main);
+        let b = reg.spawn(ThreadRole::Worker);
+        ThreadRegistry::with_current(|t| assert!(t.is_none()));
+        let _ga = ThreadRegistry::bind_current(&a);
+        let shared = Arc::strong_count(&a);
+        ThreadRegistry::with_current(|t| {
+            assert_eq!(t.unwrap().tid(), a.tid());
+            assert_eq!(Arc::strong_count(&a), shared, "no shared refcount taken");
+            let _gb = ThreadRegistry::bind_current(&b);
+            assert_eq!(ThreadRegistry::current().unwrap().tid(), b.tid());
+            assert_eq!(t.unwrap().tid(), a.tid());
+        });
+        assert_eq!(ThreadRegistry::current().unwrap().tid(), a.tid());
     }
 
     #[test]
