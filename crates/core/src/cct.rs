@@ -200,6 +200,12 @@ impl CallingContextTree {
         self.nodes[node.index()].metrics.add(kind, value);
     }
 
+    /// [`attribute_exclusive`](Self::attribute_exclusive) for a run of
+    /// samples in ascending kind order ([`MetricStore::add_run`]).
+    pub fn attribute_exclusive_run(&mut self, node: NodeId, run: &[(MetricKind, f64)]) {
+        self.nodes[node.index()].metrics.add_run(run);
+    }
+
     /// The aggregate of `kind` at `node`.
     pub fn metric(&self, node: NodeId, kind: MetricKind) -> Option<&MetricStat> {
         self.nodes[node.index()].metrics.get(kind)

@@ -43,6 +43,7 @@ pub mod json;
 mod metrics;
 mod path;
 mod shard;
+mod subscribers;
 mod timeline;
 
 pub use cct::{CallingContextTree, CctNode, FoldState, NodeId};
@@ -57,6 +58,7 @@ pub use journal::{severity_label, StoredJournal, StoredJournalEvent};
 pub use metrics::{MetricKind, MetricStat, MetricStore, StallReason};
 pub use path::{LivePath, PathEntries, PathHandle, PathId, PathMemo, PathTable};
 pub use shard::CctShard;
+pub use subscribers::Subscribers;
 pub use timeline::{Interval, IntervalKind, StoredTimeline, TrackKey};
 
 /// Convenient re-exports for downstream crates.

@@ -487,6 +487,20 @@ impl MetricStore {
         }
     }
 
+    /// [`add`](Self::add)s every sample of `run`, kinds ascending, with one
+    /// search when the store holds exactly those kinds side by side.
+    pub fn add_run(&mut self, run: &[(MetricKind, f64)]) {
+        let at = run
+            .first()
+            .and_then(|(first, _)| self.position(*first).ok());
+        match at.and_then(|at| self.entries.get_mut(at..at + run.len())) {
+            Some(held) if held.iter().zip(run).all(|(h, r)| h.0 == r.0) => {
+                held.iter_mut().zip(run).for_each(|(h, r)| h.1.add(r.1));
+            }
+            _ => run.iter().for_each(|(kind, value)| self.add(*kind, *value)),
+        }
+    }
+
     /// Merges a whole aggregate of `kind` (used by CCT merging).
     pub fn merge_stat(&mut self, kind: MetricKind, other: &MetricStat) {
         match self.position(kind) {

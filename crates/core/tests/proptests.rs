@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use deepcontext_core::{
-    CallingContextTree, CctShard, Frame, Interner, MetricKind, MetricStat, NodeId, OpPhase,
-    ProfileDb, ProfileMeta, StallReason,
+    CallingContextTree, CctShard, Frame, Interner, MetricKind, MetricStat, MetricStore, NodeId,
+    OpPhase, ProfileDb, ProfileMeta, StallReason,
 };
 use proptest::prelude::*;
 
@@ -105,6 +105,19 @@ fn arb_shard_ops() -> impl Strategy<Value = (Arc<Interner>, Vec<ShardOp>)> {
     ];
     prop::collection::vec(op, 1..80).prop_map(move |ops| (Arc::clone(&interner), ops))
 }
+
+/// The launch-shape kinds a kernel record adds as one run, with a
+/// neighbour on either side and one far away, in `MetricKind` order.
+const RUN_KINDS: [MetricKind; 8] = [
+    MetricKind::GpuAllocBytes,
+    MetricKind::SharedMemPerBlock,
+    MetricKind::RegistersPerThread,
+    MetricKind::Occupancy,
+    MetricKind::Warps,
+    MetricKind::Blocks,
+    MetricKind::CpuTime,
+    MetricKind::Stall(StallReason::Other),
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -210,6 +223,39 @@ proptest! {
         prop_assert!((stat.stddev() - var.sqrt()).abs() <= 1e-5 * var.sqrt().max(1.0));
         prop_assert_eq!(stat.min, values.iter().copied().fold(f64::INFINITY, f64::min));
         prop_assert_eq!(stat.max, values.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+    }
+
+    #[test]
+    fn add_run_equals_sample_by_sample_add(
+        held in prop::collection::vec((0usize..RUN_KINDS.len(), -1e6f64..1e6), 0..24),
+        mask in 0usize..(1 << RUN_KINDS.len()),
+        values in prop::collection::vec(-1e6f64..1e6, RUN_KINDS.len()..RUN_KINDS.len() + 1),
+        repeats in 1usize..4,
+    ) {
+        prop_assert!(RUN_KINDS.windows(2).all(|w| w[0] < w[1]));
+        let mut batched = MetricStore::new();
+        for (kind, value) in &held {
+            batched.add(RUN_KINDS[*kind], *value);
+        }
+        let mut one_by_one = batched.clone();
+        // Any ascending run: kinds the store holds side by side, holds
+        // with another between them, or lacks; no kind at all. Repeated,
+        // so what the fallback inserted is found adjacent the next time.
+        let run: Vec<(MetricKind, f64)> = RUN_KINDS
+            .iter()
+            .zip(&values)
+            .enumerate()
+            .filter(|(bit, _)| mask & (1 << bit) != 0)
+            .map(|(_, (kind, value))| (*kind, *value))
+            .collect();
+        for _ in 0..repeats {
+            batched.add_run(&run);
+            for (kind, value) in &run {
+                one_by_one.add(*kind, *value);
+            }
+        }
+        // `==` on every field of every aggregate, floats included.
+        prop_assert_eq!(batched, one_by_one);
     }
 
     #[test]

@@ -8,10 +8,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use crate::tensor::TensorMeta;
-use deepcontext_core::OpPhase;
+use deepcontext_core::{OpPhase, Subscribers};
 use sim_runtime::ThreadCtx;
 
 /// Before or after an interception point.
@@ -86,12 +84,12 @@ type GraphCb = Arc<dyn Fn(&GraphEvent) + Send + Sync>;
 type MemCb = Arc<dyn Fn(&MemEvent) + Send + Sync>;
 
 /// Registry of framework interception callbacks, shared by both engines.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct CallbackRegistry {
     next_id: AtomicU64,
-    op: RwLock<Vec<(FrameworkCallbackId, OpCb)>>,
-    graph: RwLock<Vec<(FrameworkCallbackId, GraphCb)>>,
-    mem: RwLock<Vec<(FrameworkCallbackId, MemCb)>>,
+    op: Subscribers<(FrameworkCallbackId, OpCb)>,
+    graph: Subscribers<(FrameworkCallbackId, GraphCb)>,
+    mem: Subscribers<(FrameworkCallbackId, MemCb)>,
 }
 
 impl CallbackRegistry {
@@ -107,7 +105,7 @@ impl CallbackRegistry {
     /// Registers an operator callback (the `addGlobalCallback` analogue).
     pub fn on_op(&self, cb: impl Fn(&OpEvent) + Send + Sync + 'static) -> FrameworkCallbackId {
         let id = self.next();
-        self.op.write().push((id, Arc::new(cb)));
+        self.op.push((id, Arc::new(cb)));
         id
     }
 
@@ -117,66 +115,37 @@ impl CallbackRegistry {
         cb: impl Fn(&GraphEvent) + Send + Sync + 'static,
     ) -> FrameworkCallbackId {
         let id = self.next();
-        self.graph.write().push((id, Arc::new(cb)));
+        self.graph.push((id, Arc::new(cb)));
         id
     }
 
     /// Registers a memory callback.
     pub fn on_mem(&self, cb: impl Fn(&MemEvent) + Send + Sync + 'static) -> FrameworkCallbackId {
         let id = self.next();
-        self.mem.write().push((id, Arc::new(cb)));
+        self.mem.push((id, Arc::new(cb)));
         id
     }
 
     /// Removes a callback of any type.
     pub fn remove(&self, id: FrameworkCallbackId) {
-        self.op.write().retain(|(i, _)| *i != id);
-        self.graph.write().retain(|(i, _)| *i != id);
-        self.mem.write().retain(|(i, _)| *i != id);
+        self.op.retain(|(i, _)| *i != id);
+        self.graph.retain(|(i, _)| *i != id);
+        self.mem.retain(|(i, _)| *i != id);
     }
 
     /// Fires an operator event.
     pub fn fire_op(&self, event: &OpEvent) {
-        let cbs: Vec<OpCb> = self.op.read().iter().map(|(_, c)| Arc::clone(c)).collect();
-        for cb in cbs {
-            cb(event);
-        }
+        self.op.deliver(|(_, cb)| cb(event));
     }
 
     /// Fires a graph event.
     pub fn fire_graph(&self, event: &GraphEvent) {
-        let cbs: Vec<GraphCb> = self
-            .graph
-            .read()
-            .iter()
-            .map(|(_, c)| Arc::clone(c))
-            .collect();
-        for cb in cbs {
-            cb(event);
-        }
+        self.graph.deliver(|(_, cb)| cb(event));
     }
 
     /// Fires a memory event.
     pub fn fire_mem(&self, event: &MemEvent) {
-        let cbs: Vec<MemCb> = self.mem.read().iter().map(|(_, c)| Arc::clone(c)).collect();
-        for cb in cbs {
-            cb(event);
-        }
-    }
-
-    /// Number of registered op callbacks (for tests).
-    pub fn op_callback_count(&self) -> usize {
-        self.op.read().len()
-    }
-}
-
-impl std::fmt::Debug for CallbackRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CallbackRegistry")
-            .field("op", &self.op.read().len())
-            .field("graph", &self.graph.read().len())
-            .field("mem", &self.mem.read().len())
-            .finish()
+        self.mem.deliver(|(_, cb)| cb(event));
     }
 }
 
@@ -214,7 +183,6 @@ mod tests {
         reg.remove(id);
         reg.fire_op(&op_event(Site::Enter));
         assert_eq!(count.load(Ordering::SeqCst), 2);
-        assert_eq!(reg.op_callback_count(), 0);
     }
 
     #[test]

@@ -26,32 +26,22 @@
 //!   ranges learnt once at [`DlMonitor::init`] and kept current by the
 //!   library map's load callback. In cached mode a tail seen before under
 //!   the same operator is recognised frame by frame and interns nothing.
-//! * **The subscriber list.** Publication is copy-on-write with a
-//!   generation counter; each OS thread parks the list it last delivered
-//!   through (one slot, tagged with the monitor's id) and reuses it while
-//!   the generation has not moved: no lock, no reference count, a
-//!   registration seen by the next event on every thread, re-entrant
-//!   (un)registration from a callback. **How long a removed subscriber
-//!   can stay alive:** the thread that calls `callback_unregister` /
-//!   [`DlMonitor::finalize`] drops its parked copy in that call; any
-//!   other thread at the next event it delivers to a subscriber (of any
-//!   monitor: a finalized one delivers none) or when it exits. A stale
-//!   copy is never delivered through, so no callback runs for an event
-//!   raised after its removal — but a thread can go idle for good (the
-//!   autograd thread after the last iteration), so a subscriber that owns
-//!   something large holds it weakly, as the profiler's holds its sink.
+//! * **The subscriber list.** A [`Subscribers`] list, like the framework
+//!   registry's and the GPU runtime's upstream of it: a delivery takes no
+//!   lock, no reference count and no allocation, and that type's docs say
+//!   how long a removed subscriber can stay alive.
 //!
 //! [`Unwinder::with_tail`]: sim_runtime::Unwinder::with_tail
 
-use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use deepcontext_core::{
     Frame, FrameKey, FxHashMap, Interner, LivePath, OpPhase, PathHandle, PathId, PathMemo,
+    Subscribers,
 };
 use dl_framework::{CallbackRegistry, FrameworkCallbackId, GraphEvent, MemEvent, OpEvent, Site};
 use sim_gpu::{ApiKind, CallbackData, GpuRuntime, SubscriberId, Vendor};
@@ -256,33 +246,13 @@ pub struct MonitorStats {
     pub cache_hits: u64,
     /// Backward call paths recovered through sequence-id association.
     pub assoc_hits: u64,
-    /// Forward association records currently held (one per taped forward
-    /// operator seen since the last [`DlMonitor::clear_associations`]).
+    /// Forward association records currently held: the tape being
+    /// recorded and the last one a backward pass walked.
     pub assoc_live: u64,
 }
 
 type EventCb = Arc<dyn for<'a, 'b> Fn(&'a DlEvent<'b>) + Send + Sync>;
 type Registration = (RegistrationId, Domain, EventCb);
-
-/// A monitor's subscriber list as one thread last read it.
-struct SeenSubscribers {
-    /// The [`DlMonitor::id`] it belongs to.
-    monitor: u64,
-    /// [`DlMonitor::generation`] when it was read.
-    generation: u64,
-    list: Arc<[Registration]>,
-}
-
-thread_local! {
-    /// The list this thread last delivered an event through (module docs:
-    /// how long it may outlive its monitor). Taken out for the length of
-    /// a delivery: a callback that raises another event finds the slot
-    /// empty and reads the monitor's list instead.
-    static LAST_SEEN: Cell<Option<SeenSubscribers>> = const { Cell::new(None) };
-}
-
-/// Source of [`DlMonitor::id`]: never reused, unlike an address.
-static NEXT_MONITOR: AtomicU64 = AtomicU64::new(0);
 
 /// Where every loaded `libpython*` is mapped: learnt from the library map
 /// once at [`DlMonitor::init`] and kept current by its load callback, the
@@ -459,14 +429,14 @@ pub struct DlMonitor {
     /// Forward context by autograd sequence id: the Python frames plus
     /// the forward operator frames, ready to prefix a backward path.
     assoc: Mutex<FxHashMap<u64, PathHandle>>,
-    /// Which monitor a thread's parked subscriber list belongs to.
-    id: u64,
-    /// Copy-on-write: a delivery runs over the list it started with, so
-    /// callbacks may register/unregister re-entrantly.
-    callbacks: RwLock<Arc<[Registration]>>,
-    /// Bumped under `callbacks`' write lock with every replacement: a
-    /// thread's parked list is current while this has not moved.
-    generation: AtomicU64,
+    /// One past the highest sequence id a backward operator was entered
+    /// under. A pass walks its tape from the highest id down, so an id at
+    /// or above this opens a newer tape and retires every record below it:
+    /// not an operator's own exit (one forward operator lowers to several
+    /// backward ones under one id) nor the next taped forward operator
+    /// (it may run beside a pass still under way).
+    walked: AtomicU64,
+    callbacks: Subscribers<Registration>,
     libpython: Arc<PythonRanges>,
     /// [`Domain::bit`]s of the domains `callbacks` has a subscriber for.
     subscribed: AtomicU8,
@@ -503,9 +473,8 @@ impl DlMonitor {
             interner,
             threads: ThreadSlab::default(),
             assoc: Mutex::new(FxHashMap::default()),
-            id: NEXT_MONITOR.fetch_add(1, Ordering::Relaxed),
-            callbacks: RwLock::new(Arc::from([])),
-            generation: AtomicU64::new(0),
+            walked: AtomicU64::new(0),
+            callbacks: Subscribers::default(),
             libpython,
             subscribed: AtomicU8::new(0),
             api_frames: Default::default(),
@@ -584,22 +553,13 @@ impl DlMonitor {
     }
 
     /// Replaces the callback list and republishes which domains have a
-    /// subscriber. The calling thread's parked copy goes at once; every
-    /// other thread's at its next delivered event.
-    fn update_callbacks(&self, f: impl FnOnce(&[Registration]) -> Arc<[Registration]>) {
-        {
-            let mut callbacks = self.callbacks.write();
-            *callbacks = f(&callbacks);
-            let subscribed = callbacks.iter().fold(0, |mask, (_, d, _)| mask | d.bit());
+    /// subscriber.
+    fn update_callbacks(&self, f: impl FnOnce(&[Registration]) -> Vec<Registration>) {
+        self.callbacks.update(|old| {
+            let new = f(old);
+            let subscribed = new.iter().fold(0, |mask, (_, d, _)| mask | d.bit());
             self.subscribed.store(subscribed, Ordering::SeqCst);
-            self.generation.fetch_add(1, Ordering::SeqCst);
-        }
-        // Outside the lock: this may drop subscribers. `try_with`: one
-        // dropped by a thread-local's destructor may unregister while this
-        // thread's locals are being torn down.
-        let _ = LAST_SEEN.try_with(|slot| {
-            let parked = slot.take().filter(|seen| seen.monitor != self.id);
-            slot.set(parked);
+            new
         });
     }
 
@@ -609,35 +569,14 @@ impl DlMonitor {
     }
 
     /// Delivers `event` to `domain`'s subscribers; a domain nobody
-    /// listens to costs one load. The list is this thread's parked copy
-    /// when that is still current: no lock and no reference count.
+    /// listens to costs one load.
     fn fire(&self, domain: Domain, event: DlEvent<'_>) {
-        if !self.listening(domain) {
-            return;
-        }
-        let generation = self.generation.load(Ordering::SeqCst);
-        let parked = LAST_SEEN.try_with(Cell::take).ok().flatten();
-        let seen = match parked {
-            Some(seen) if seen.monitor == self.id && seen.generation == generation => seen,
-            // Another monitor's list, or a stale one: dropped here.
-            _ => {
-                let callbacks = self.callbacks.read();
-                SeenSubscribers {
-                    monitor: self.id,
-                    generation: self.generation.load(Ordering::SeqCst),
-                    list: Arc::clone(&callbacks),
+        if self.listening(domain) {
+            self.callbacks.deliver(|(_, d, cb)| {
+                if *d == domain {
+                    cb(&event);
                 }
-            }
-        };
-        for (_, d, cb) in seen.list.iter() {
-            if *d == domain {
-                cb(&event);
-            }
-        }
-        // A callback that (un)registered or finalized already emptied the
-        // slot: do not park the list it replaced.
-        if seen.generation == self.generation.load(Ordering::SeqCst) {
-            let _ = LAST_SEEN.try_with(|slot| slot.set(Some(seen)));
+            });
         }
     }
 
@@ -722,8 +661,15 @@ impl DlMonitor {
                     memo,
                     &self.interner,
                 );
-                if let (OpPhase::Forward, Some(seq)) = (event.phase, event.seq_id) {
-                    self.assoc.lock().insert(seq, op.path);
+                match (event.phase, event.seq_id) {
+                    (OpPhase::Forward, Some(seq)) => {
+                        self.assoc.lock().insert(seq, op.path);
+                    }
+                    (OpPhase::Backward, Some(seq)) if seq >= self.walked.load(Ordering::SeqCst) => {
+                        let walked = self.walked.swap(seq + 1, Ordering::SeqCst);
+                        self.assoc.lock().retain(|id, _| *id >= walked);
+                    }
+                    _ => {}
                 }
                 shadow.push(op);
             }
@@ -945,7 +891,7 @@ impl DlMonitor {
         for (gpu, sub) in self.attached_gpu.lock().drain(..) {
             gpu.unsubscribe(sub);
         }
-        self.update_callbacks(|_| Arc::from([]));
+        self.update_callbacks(|_| Vec::new());
         for slot in self.threads.slots() {
             slot.lock().reset();
         }

@@ -3,12 +3,9 @@
 //! quietly erode: with the thread's Python version unchanged, an operator
 //! Enter/Exit, a taped forward Enter, a warm call path — native frames
 //! included, cached, uncached or through a forward/backward association —
-//! and the delivery of an event to a subscriber all allocate nothing.
-//!
-//! The framework's own `fire_op` allocates (its callback snapshot), so
-//! operator events are measured against the same events delivered to a
-//! registry holding one no-op callback: the monitor's share is the
-//! difference.
+//! and the delivery of an event to a subscriber all allocate nothing —
+//! through the framework registry and the GPU runtime too, whose lists
+//! are `Subscribers` like the monitor's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -136,16 +133,6 @@ fn op_event_on(
     }
 }
 
-/// What delivering `events` costs a registry with one callback that does
-/// nothing: the framework's own share.
-fn framework_share(events: &[&OpEvent]) -> u64 {
-    let registry = CallbackRegistry::new();
-    registry.on_op(|event| {
-        black_box(event);
-    });
-    allocations(|| events.iter().for_each(|e| registry.fire_op(e)))
-}
-
 #[test]
 fn steady_state_operator_events_allocate_nothing() {
     let rig = rig();
@@ -164,7 +151,7 @@ fn steady_state_operator_events_allocate_nothing() {
             rig.registry.fire_op(&exit);
         }
     });
-    assert_eq!(monitored, 100 * framework_share(&[&enter, &exit]));
+    assert_eq!(monitored, 0);
 }
 
 /// The payload of a kernel-launch callback.
@@ -268,9 +255,7 @@ fn a_taped_forward_enter_allocates_only_its_association_record() {
 
     // The record is one handle in a slot of that table: nothing left to
     // allocate.
-    let (enter, exit) = &events[0];
-    let monitored = allocations(deliver);
-    assert_eq!(monitored, TAPED * framework_share(&[enter, exit]));
+    assert_eq!(allocations(deliver), 0);
     assert_eq!(rig.monitor.stats().assoc_live, TAPED);
 }
 
@@ -374,7 +359,6 @@ fn delivering_an_event_to_a_subscriber_allocates_nothing() {
     let gpu = GpuRuntime::new(env.clock().clone(), vec![DeviceSpec::a100_sxm()]);
     let registry = CallbackRegistry::new();
     let monitor = DlMonitor::init(&env, Interner::new());
-    monitor.attach_framework(&registry);
     let main = env.threads().spawn(ThreadRole::Main);
     let _bind = ThreadRegistry::bind_current(&main);
     // With inputs, as the framework sends it: a copied event would have
@@ -392,8 +376,12 @@ fn delivering_an_event_to_a_subscriber_allocates_nothing() {
         }
     };
 
-    // The same events with nobody listening: the framework's and the
-    // GPU runtime's own share, the monitor attached to both.
+    // The substrate's own share: no monitor at all.
+    deliver();
+    let bare = allocations(deliver);
+
+    // The same events with nobody listening, the monitor attached to both.
+    monitor.attach_framework(&registry);
     monitor.attach_gpu(&gpu);
     deliver();
     let unobserved = allocations(deliver);
@@ -412,7 +400,11 @@ fn delivering_an_event_to_a_subscriber_allocates_nothing() {
     }
     deliver();
     seen.store(0, Ordering::Relaxed);
-    assert_eq!(allocations(deliver), unobserved);
+    let observed = allocations(deliver);
+    assert_eq!(observed, unobserved);
+    // Reaching the monitor through the registry's and the runtime's own
+    // subscriber lists costs nothing either.
+    assert_eq!(observed, bare);
     // Two operator and two API (Enter + Exit) events a round, each on
     // the bound thread.
     assert_eq!(seen.load(Ordering::Relaxed), 100 * 4 * main.tid());

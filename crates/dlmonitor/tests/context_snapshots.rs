@@ -311,20 +311,27 @@ fn assoc_live_counts_every_taped_forward_operator() {
             }
         });
 
+    let _paths = launch_paths(&rig);
+
     relu(&rig); // not taped: no record
     assert_eq!(rig.monitor.stats().assoc_live, 0);
 
     rig.engine.set_grad_enabled(true);
-    for _ in 0..2 {
+    for iteration in 1..=4u64 {
         for _ in 0..5 {
             relu(&rig);
         }
+        // The tape being recorded, and the one the last pass walked.
+        let live = rig.monitor.stats().assoc_live;
+        assert_eq!(live, if iteration == 1 { 5 } else { 10 });
         // Backward operators reuse their forward op's id: nothing is
-        // added, and nothing is retired either.
+        // added, and the first retires the tapes walked before this one.
         rig.engine.backward().unwrap();
+        assert_eq!(rig.monitor.stats().assoc_live, 5);
+        // Every backward launch still found its forward context.
+        assert_eq!(rig.monitor.stats().assoc_hits, 5 * iteration);
     }
-    assert_eq!(taped.load(Ordering::SeqCst), 10);
-    assert_eq!(rig.monitor.stats().assoc_live, 10);
+    assert_eq!(taped.load(Ordering::SeqCst), 20);
 
     rig.monitor.clear_associations();
     assert_eq!(rig.monitor.stats().assoc_live, 0);

@@ -30,19 +30,19 @@ pub fn attribute_activity_metrics(shard: &mut CctShard, node: NodeId, activity: 
             ..
         } => {
             shard.attribute(node, MetricKind::GpuTime, (*end - *start).as_nanos() as f64);
-            let tree = shard.tree_mut();
-            tree.attribute_exclusive(node, MetricKind::Blocks, f64::from(*blocks));
-            tree.attribute_exclusive(node, MetricKind::Warps, *warps as f64);
-            tree.attribute_exclusive(node, MetricKind::Occupancy, *occupancy);
-            tree.attribute_exclusive(
+            // In `MetricKind` order: one search of the node's store.
+            shard.tree_mut().attribute_exclusive_run(
                 node,
-                MetricKind::SharedMemPerBlock,
-                *shared_mem_per_block as f64,
-            );
-            tree.attribute_exclusive(
-                node,
-                MetricKind::RegistersPerThread,
-                f64::from(*registers_per_thread),
+                &[
+                    (MetricKind::SharedMemPerBlock, *shared_mem_per_block as f64),
+                    (
+                        MetricKind::RegistersPerThread,
+                        f64::from(*registers_per_thread),
+                    ),
+                    (MetricKind::Occupancy, *occupancy),
+                    (MetricKind::Warps, *warps as f64),
+                    (MetricKind::Blocks, f64::from(*blocks)),
+                ],
             );
             0
         }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use deepcontext_core::{TimeNs, VirtualClock};
+use deepcontext_core::{Subscribers, TimeNs, VirtualClock};
 
 use crate::activity::{Activity, ActivityKind};
 use crate::callback::{ApiKind, CallbackData, CallbackSite, SubscriberId};
@@ -96,7 +96,7 @@ type ActivityHandler = Arc<dyn Fn(Vec<Activity>) + Send + Sync>;
 pub struct GpuRuntime {
     clock: VirtualClock,
     devices: Mutex<Vec<DeviceState>>,
-    callbacks: RwLock<Vec<(SubscriberId, Callback)>>,
+    callbacks: Subscribers<(SubscriberId, Callback)>,
     next_subscriber: AtomicU64,
     next_correlation: AtomicU64,
     buffer: Mutex<Vec<Activity>>,
@@ -111,7 +111,7 @@ impl GpuRuntime {
         Arc::new(GpuRuntime {
             clock,
             devices: Mutex::new(specs.into_iter().map(DeviceState::new).collect()),
-            callbacks: RwLock::new(Vec::new()),
+            callbacks: Subscribers::default(),
             next_subscriber: AtomicU64::new(0),
             next_correlation: AtomicU64::new(0),
             buffer: Mutex::new(Vec::new()),
@@ -147,13 +147,13 @@ impl GpuRuntime {
     /// Subscribes to API callbacks (the `cuptiSubscribe` analogue).
     pub fn subscribe(&self, cb: impl Fn(&CallbackData) + Send + Sync + 'static) -> SubscriberId {
         let id = SubscriberId(self.next_subscriber.fetch_add(1, Ordering::SeqCst));
-        self.callbacks.write().push((id, Arc::new(cb)));
+        self.callbacks.push((id, Arc::new(cb)));
         id
     }
 
     /// Removes a subscriber.
     pub fn unsubscribe(&self, id: SubscriberId) {
-        self.callbacks.write().retain(|(sid, _)| *sid != id);
+        self.callbacks.retain(|(sid, _)| *sid != id);
     }
 
     /// Installs the buffer-completed handler for activity delivery.
@@ -206,16 +206,7 @@ impl GpuRuntime {
     }
 
     fn fire(&self, data: &CallbackData) {
-        // Snapshot so callbacks may (un)subscribe re-entrantly.
-        let cbs: Vec<Callback> = self
-            .callbacks
-            .read()
-            .iter()
-            .map(|(_, c)| Arc::clone(c))
-            .collect();
-        for cb in cbs {
-            cb(data);
-        }
+        self.callbacks.deliver(|(_, cb)| cb(data));
     }
 
     fn push_activity(&self, activity: Activity) {
