@@ -1,176 +1,126 @@
-//! Regression gate over the committed benchmark scoreboards.
+//! The timing gate for what the repo benchmark (`BENCHMARK.json`,
+//! `benchmark/`) cannot see: it runs `ingestion_mode Sync` with no
+//! supervisor and times `ProfileDiff::compare` only, so the async enqueue
+//! path, the supervisor's Healthy-path admission and the mapped diff are
+//! measured here, in-process, against the bars in [`BARS`]. Prints one
+//! table and exits 1 when a measurement misses its bar; writes no file.
 //!
-//! Scans the working directory for `BENCH_*.json`, pairs every
-//! top-level `target_<metric>` field with its recorded `<metric>`, and
-//! fails (exit 1) when a recorded value misses its target. The
-//! direction of "misses" is keyed off the metric name:
+//! The measurements are noisy on small hosts (a slow host phase reads
+//! every absolute number ≈ 1.6x higher; `supervisor_overhead` is bimodal
+//! across process launches): re-run before trusting one bad sample.
 //!
-//! * names containing `overhead` or `ratio` are *lower-is-better* —
-//!   the recorded value must be `<=` the target (a ratio over a
-//!   baseline measured in the same run, or — `*_overhead_ns` — an
-//!   absolute ns/event cost, for bars whose baseline is itself a thing
-//!   the tree keeps making cheaper);
-//! * names containing `speedup` or `events_per_sec` are
-//!   *higher-is-better* — the recorded value must be `>=` the target;
-//! * anything else is an error: name the metric so the direction is
-//!   self-evident, or the gate refuses to guess.
-//!
-//! The scoreboards are committed, so this runs against the numbers the
-//! tree actually claims — CI re-checking them catches both a stale
-//! scoreboard and a target edit that quietly loosens the bar.
-//!
-//! Run from the repo root: `cargo run --release -p deepcontext-bench
-//! --bin bench_check`.
+//! Run with `cargo run --release -p deepcontext-bench --bin bench_check`.
 
 use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::Instant;
 
-/// Extracts top-level `"key": <number>` fields. Nested containers
-/// (`points` arrays and any objects inside them) are skipped by depth
-/// tracking — targets live at the top level by convention. The scanner
-/// tolerates everything else in the file (strings, booleans, arrays).
-fn top_level_numbers(text: &str) -> Vec<(String, f64)> {
-    let bytes = text.as_bytes();
-    let mut fields = Vec::new();
-    let mut depth = 0i32;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => {
-                depth += 1;
-                i += 1;
-            }
-            b'}' | b']' => {
-                depth -= 1;
-                i += 1;
-            }
-            b'"' => {
-                // A string: either a key (at depth 1, followed by ':')
-                // or a value; scan it whole either way so braces inside
-                // strings never confuse the depth counter.
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    if bytes[j] == b'\\' {
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                let key = &text[start..j.min(text.len())];
-                i = j + 1;
-                if depth != 1 {
-                    continue;
-                }
-                // Key position: skip whitespace, expect ':'.
-                let mut k = i;
-                while k < bytes.len() && (bytes[k] as char).is_whitespace() {
-                    k += 1;
-                }
-                if bytes.get(k) != Some(&b':') {
-                    continue;
-                }
-                k += 1;
-                while k < bytes.len() && (bytes[k] as char).is_whitespace() {
-                    k += 1;
-                }
-                let num_start = k;
-                while k < bytes.len()
-                    && matches!(bytes[k], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    k += 1;
-                }
-                if k > num_start {
-                    if let Ok(value) = text[num_start..k].parse::<f64>() {
-                        fields.push((key.to_string(), value));
-                        i = k;
-                    }
-                }
-            }
-            _ => i += 1,
-        }
-    }
-    fields
+use deepcontext_bench::pipeline::{coarse_stream, pipeline_matrix, PipelineEvent};
+use deepcontext_bench::store::{build_profile, measure, regress};
+use deepcontext_core::Interner;
+use deepcontext_profiler::{EventSink, ShardedSink, Supervisor, SupervisorConfig, SupervisorSink};
+use sim_gpu::ApiKind;
+
+/// Which side of its bound a measurement must fall on.
+#[derive(Clone, Copy)]
+enum Direction {
+    AtLeast,
+    AtMost,
 }
 
-/// Whether `value` satisfies the target for `metric`, or `None` when
-/// the metric name encodes no direction.
-fn satisfies(metric: &str, value: f64, target: f64) -> Option<bool> {
-    if metric.contains("overhead") || metric.contains("ratio") {
-        Some(value <= target)
-    } else if metric.contains("speedup") || metric.contains("events_per_sec") {
-        Some(value >= target)
-    } else {
-        None
+/// The bars, each measured by [`main`] under the same name.
+const BARS: [(&str, Direction, f64); 4] = [
+    // Fine-grained stream (24 PC samples per kernel, paper §6.7):
+    // producer ns/event inline over async enqueue.
+    ("producer_speedup", Direction::AtLeast, 5.0),
+    // Kernel-only stream: what an event costs the producer once
+    // attribution has moved to the workers. Absolute, not a ratio over
+    // the inline sink — that numerator shrinks every time inline
+    // attribution gets cheaper, which is no regression of the enqueue.
+    ("coarse_enqueue_overhead_ns", Direction::AtMost, 160.0),
+    // A Healthy `SupervisorSink` over the bare sink it wraps: admission
+    // is one relaxed atomic load per event.
+    ("supervisor_overhead", Direction::AtMost, 1.2),
+    // `compare` over `compare_mapped` on 1 024 contexts, two changed.
+    ("warm_diff_speedup", Direction::AtLeast, 1.5),
+];
+
+/// One table line per bar and the number of bars missed; a bar with no
+/// measurement is a miss.
+fn judge(bars: &[(&str, Direction, f64)], measured: &[(&str, f64)]) -> (Vec<String>, usize) {
+    let mut misses = 0;
+    let lines = bars
+        .iter()
+        .map(|&(name, direction, bound)| {
+            let value = measured.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+            let (relation, ok) = match direction {
+                Direction::AtLeast => (">=", value.is_some_and(|v| v >= bound)),
+                Direction::AtMost => ("<=", value.is_some_and(|v| v <= bound)),
+            };
+            misses += usize::from(!ok);
+            let value = value.map_or("not measured".to_string(), |v| format!("{v:.2}"));
+            let verdict = if ok { "ok" } else { "MISS" };
+            format!("{verdict:>4}  {name:<28} {value:>12}  {relation} {bound}")
+        })
+        .collect();
+    (lines, misses)
+}
+
+/// Producer-side ns/event of the launches of `events` through `sink`.
+fn launch_ns_per_event(events: &[PipelineEvent], sink: Arc<dyn EventSink>) -> f64 {
+    let start = Instant::now();
+    for e in events {
+        sink.gpu_launch(&e.origin, e.path, ApiKind::LaunchKernel);
     }
+    start.elapsed().as_nanos() as f64 / events.len() as f64
+}
+
+/// The same launch stream through a Healthy [`SupervisorSink`] over the
+/// bare synchronous sink. Best of five, the two sinks alternating so
+/// neither always inherits the other's heap.
+fn supervisor_overhead() -> f64 {
+    let interner = Interner::new();
+    let events = coarse_stream(&interner, 60_000);
+    let (mut bare_ns, mut wrapped_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        let bare: Arc<dyn EventSink> = ShardedSink::new(Arc::clone(&interner), 4);
+        bare_ns = bare_ns.min(launch_ns_per_event(&events, bare));
+        let inner: Arc<dyn EventSink> = ShardedSink::new(Arc::clone(&interner), 4);
+        let wrapped = SupervisorSink::new(
+            inner,
+            Supervisor::new(SupervisorConfig::default(), None, None),
+        );
+        wrapped_ns = wrapped_ns.min(launch_ns_per_event(&events, wrapped));
+    }
+    wrapped_ns / bare_ns
 }
 
 fn main() -> ExitCode {
-    let mut scoreboards: Vec<std::path::PathBuf> = std::fs::read_dir(".")
-        .expect("read working directory")
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|path| {
-            path.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        })
-        .collect();
-    scoreboards.sort();
-    if scoreboards.is_empty() {
-        eprintln!("bench-check: no BENCH_*.json in the working directory (run from the repo root)");
-        return ExitCode::FAILURE;
+    let [fine_sync, coarse_async, fine_async] = pipeline_matrix(30_000, 24, 5);
+    let base = build_profile(64, 16);
+    let diff = measure(&base, &regress(&base, 2), 7);
+    let measured = [
+        (
+            "producer_speedup",
+            fine_sync.producer_ns_per_event / fine_async.producer_ns_per_event,
+        ),
+        (
+            "coarse_enqueue_overhead_ns",
+            coarse_async.producer_ns_per_event,
+        ),
+        ("supervisor_overhead", supervisor_overhead()),
+        ("warm_diff_speedup", diff.warm_diff_speedup()),
+    ];
+    let (lines, misses) = judge(&BARS, &measured);
+    for line in lines {
+        println!("{line}");
     }
-
-    let mut checked = 0usize;
-    let mut failures = 0usize;
-    for path in &scoreboards {
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!("FAIL {name}: unreadable ({err})");
-                failures += 1;
-                continue;
-            }
-        };
-        let fields = top_level_numbers(&text);
-        for (key, target) in &fields {
-            let Some(metric) = key.strip_prefix("target_") else {
-                continue;
-            };
-            let Some((_, value)) = fields.iter().find(|(k, _)| k == metric) else {
-                eprintln!("FAIL {name}: {key} has no recorded \"{metric}\" to check");
-                failures += 1;
-                continue;
-            };
-            checked += 1;
-            match satisfies(metric, *value, *target) {
-                Some(true) => eprintln!("  ok {name}: {metric} {value} vs target {target}"),
-                Some(false) => {
-                    eprintln!("FAIL {name}: {metric} {value} misses target {target}");
-                    failures += 1;
-                }
-                None => {
-                    eprintln!(
-                        "FAIL {name}: metric \"{metric}\" encodes no direction \
-                         (expected overhead/ratio or speedup/events_per_sec in the name)"
-                    );
-                    failures += 1;
-                }
-            }
-        }
+    if misses == 0 {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("bench_check: {misses} of {} bars missed", BARS.len());
+        ExitCode::FAILURE
     }
-    if checked == 0 {
-        eprintln!("bench-check: no target_* fields found in any scoreboard");
-        return ExitCode::FAILURE;
-    }
-    if failures > 0 {
-        eprintln!("bench-check: {failures} failure(s) over {checked} checked target(s)");
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "bench-check: {checked} target(s) satisfied across {} scoreboard(s)",
-        scoreboards.len()
-    );
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -178,35 +128,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scanner_reads_top_level_numbers_only() {
-        let text = r#"{
-  "bench": "timeline",
-  "max_overhead": 1.171,
-  "points": [
-    {"scenario": "a", "producer_ns_per_event": 500}
-  ],
-  "target_max_overhead": 1.25
-}"#;
-        let fields = top_level_numbers(text);
-        assert_eq!(
-            fields,
-            vec![
-                ("max_overhead".to_string(), 1.171),
-                ("target_max_overhead".to_string(), 1.25)
-            ]
-        );
-    }
-
-    #[test]
-    fn direction_is_keyed_off_the_metric_name() {
-        assert_eq!(satisfies("max_overhead", 1.1, 1.25), Some(true));
-        assert_eq!(satisfies("max_overhead", 1.3, 1.25), Some(false));
-        assert_eq!(
-            satisfies("coarse_enqueue_overhead_ns", 160.0, 200.0),
-            Some(true)
-        );
-        assert_eq!(satisfies("producer_speedup", 7.0, 5.0), Some(true));
-        assert_eq!(satisfies("producer_speedup", 3.0, 5.0), Some(false));
-        assert_eq!(satisfies("mystery_metric", 1.0, 1.0), None);
+    fn a_value_on_the_wrong_side_of_its_bar_or_not_measured_is_a_miss() {
+        let bars = [
+            ("speedup", Direction::AtLeast, 5.0),
+            ("overhead", Direction::AtMost, 1.2),
+        ];
+        let misses = |measured: &[(&str, f64)]| judge(&bars, measured).1;
+        assert_eq!(misses(&[("speedup", 5.0), ("overhead", 1.2)]), 0);
+        assert_eq!(misses(&[("speedup", 4.9), ("overhead", 1.0)]), 1);
+        assert_eq!(misses(&[("speedup", 9.0), ("overhead", 1.3)]), 1);
+        assert_eq!(misses(&[("overhead", 1.0)]), 1);
+        assert_eq!(misses(&[("speedup", f64::NAN), ("overhead", 1.0)]), 1);
+        let (lines, _) = judge(&bars, &[("overhead", 1.3)]);
+        assert!(lines[0].starts_with("MISS") && lines[0].contains("not measured"));
+        assert!(lines[1].starts_with("MISS") && lines[1].contains("1.30"));
     }
 }

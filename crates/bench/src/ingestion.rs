@@ -1,16 +1,13 @@
-//! Synthetic launch/record streams for the ingestion harnesses.
-//!
-//! Drives the profiler's [`EventSink`] directly — launch bindings plus
-//! asynchronous activity batches, the exact hot path of §4.2 online
-//! aggregation — the way `bench_pipeline`, `bench_snapshot` and
-//! `bench_timeline` feed their sinks.
+//! Synthetic launch/record streams: launch bindings plus the
+//! asynchronous activity records that resolve through them, the exact
+//! hot path of §4.2 online aggregation, pre-built so `bench_check` times
+//! the profiler's [`EventSink`](deepcontext_profiler::EventSink) alone.
 
 use std::sync::Arc;
 
 use deepcontext_core::{Frame, Interner, PathHandle, TimeNs};
-use deepcontext_profiler::EventSink;
 use dlmonitor::EventOrigin;
-use sim_gpu::{Activity, ActivityKind, ApiKind, CorrelationId, DeviceId, StreamId};
+use sim_gpu::{Activity, ActivityKind, CorrelationId, DeviceId, StreamId};
 
 /// Activity records per delivered batch: the profiler's default
 /// `activity_buffer_capacity` is 4096, so real flushes arrive in batches
@@ -77,27 +74,12 @@ pub fn producer_stream(
         .collect()
 }
 
-/// Ingests one stream into `sink`: interleaves launches with activity
-/// batches the way a runtime delivers them (launch burst, buffer flush).
-/// The stream is consumed — records are handed over by value, so callers
-/// timing this clone their streams beforehand.
-pub fn ingest_stream(sink: &dyn EventSink, events: Vec<IngestionEvent>) {
-    let mut batch = Vec::with_capacity(BATCH.min(events.len()));
-    for e in events {
-        sink.gpu_launch(&e.origin, e.path, ApiKind::LaunchKernel);
-        batch.push(e.activity);
-        if batch.len() == BATCH {
-            sink.activity_batch(std::mem::replace(&mut batch, Vec::with_capacity(BATCH)));
-        }
-    }
-    sink.activity_batch(batch);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use deepcontext_core::MetricKind;
-    use deepcontext_profiler::ShardedSink;
+    use deepcontext_profiler::{EventSink, ShardedSink};
+    use sim_gpu::ApiKind;
 
     #[test]
     fn streams_have_unique_correlations() {
@@ -118,7 +100,11 @@ mod tests {
     fn ingestion_attributes_every_event() {
         let interner = Interner::new();
         let sink = ShardedSink::new(Arc::clone(&interner), 4);
-        ingest_stream(sink.as_ref(), producer_stream(&interner, 0, 128));
+        let events = producer_stream(&interner, 0, 128);
+        for e in &events {
+            sink.gpu_launch(&e.origin, e.path, ApiKind::LaunchKernel);
+        }
+        sink.activity_batch(events.into_iter().map(|e| e.activity).collect());
         assert_eq!(sink.counters().activities, 128);
         let cct = sink.snapshot();
         assert_eq!(cct.total(MetricKind::KernelLaunches), 128.0);

@@ -1,5 +1,6 @@
-//! Measurement harness shared by the table/figure regeneration binaries
-//! and the criterion benches.
+//! Measurement harness shared by the table/figure regeneration binaries,
+//! and the stream / profile builders `bench_check` times ([`pipeline`],
+//! [`store`]).
 //!
 //! [`measure`] runs one workload on one platform/engine under one of four
 //! profiler configurations — none, a trace-based framework profiler, and
@@ -12,9 +13,7 @@
 
 pub mod ingestion;
 pub mod pipeline;
-pub mod snapshot;
 pub mod store;
-pub mod timeline;
 
 use std::time::{Duration, Instant};
 

@@ -1,34 +1,21 @@
-//! Profile-store benchmark harness.
+//! Mapped-diff benchmark harness.
 //!
-//! Two claims of the persistent store are measured:
-//!
-//! * **Container throughput** — the versioned on-disk format
-//!   round-trips (save + load) a profile with a recorded timeline fast
-//!   enough that archiving every run is a non-event. Reported as
-//!   intervals+nodes per second through a full save→load cycle.
-//! * **Mapped-diff speedup** — [`ProfileDiff::compare_mapped`] renders
-//!   call-path strings only for *changed* union nodes, so diffing a run
-//!   against a baseline that mostly matches is cheaper than the
-//!   label-path diff, which renders every context on both sides.
-//!   Reported as `compare` time over `compare_mapped` time on a large
-//!   profile pair differing in a small subtree.
+//! [`ProfileDiff::compare_mapped`] renders call-path strings only for
+//! *changed* union nodes, so diffing a run against a baseline that mostly
+//! matches is cheaper than the label-path diff, which renders every
+//! context on both sides. Measured as `compare` time over
+//! `compare_mapped` time on a large profile pair differing in a small
+//! subtree. (The repo benchmark's `analyzer.diff` span times `compare`
+//! only; container save/load is its `core.*` / `analyzer.store_*` rungs.)
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use deepcontext_analyzer::ProfileDiff;
-use deepcontext_core::{
-    CallingContextTree, Frame, Interval, IntervalKind, MetricKind, ProfileDb, ProfileMeta,
-    StoredTimeline, TimeNs, TrackKey,
-};
+use deepcontext_core::{CallingContextTree, Frame, MetricKind, ProfileDb, ProfileMeta};
 
 /// One measured store scenario.
 #[derive(Debug, Clone)]
 pub struct StorePoint {
-    /// Save+load round trips per second of the container.
-    pub save_load_events_per_sec: f64,
-    /// Serialized container size in bytes.
-    pub container_bytes: usize,
     /// Label-path diff time, nanoseconds.
     pub full_diff_ns: f64,
     /// Mapped diff time, nanoseconds.
@@ -45,13 +32,10 @@ impl StorePoint {
 }
 
 /// Builds a synthetic profile shaped like a real run: `hot_scopes ×
-/// ops_per_scope` three-deep contexts with GPU time, plus a recorded
-/// timeline of `intervals` kernel executions spread over 2 devices × 3
-/// streams, every interval resolving a name and a context.
-pub fn build_profile(hot_scopes: usize, ops_per_scope: usize, intervals: usize) -> ProfileDb {
+/// ops_per_scope` three-deep contexts with GPU time.
+pub fn build_profile(hot_scopes: usize, ops_per_scope: usize) -> ProfileDb {
     let mut cct = CallingContextTree::new();
     let interner = cct.interner();
-    let mut leaves = Vec::with_capacity(hot_scopes * ops_per_scope);
     for scope in 0..hot_scopes {
         for op in 0..ops_per_scope {
             let leaf = cct.insert_path(&[
@@ -65,60 +49,17 @@ pub fn build_profile(hot_scopes: usize, ops_per_scope: usize, intervals: usize) 
                 ),
             ]);
             cct.attribute(leaf, MetricKind::GpuTime, 1.0 + (op as f64));
-            leaves.push(leaf);
         }
     }
-
-    let name_syms: Vec<_> = (0..8)
-        .map(|i| interner.intern(&format!("kernel_{i}")))
-        .collect();
-    let table_len = name_syms.iter().map(|s| s.index()).max().unwrap() as usize + 1;
-    let mut names: Vec<Arc<str>> = vec![Arc::from(""); table_len];
-    for sym in &name_syms {
-        names[sym.index() as usize] = interner.resolve(*sym);
-    }
-    let ivs: Vec<Interval> = (0..intervals)
-        .map(|k| {
-            let branch = k % 6;
-            let start = TimeNs((k / 6) as u64 * 300 + (branch as u64) * 40);
-            Interval {
-                track: TrackKey {
-                    device: (branch as u32) % 2,
-                    stream: (branch as u32) / 2,
-                },
-                start,
-                end: start + TimeNs(250),
-                kind: IntervalKind::Kernel,
-                name: name_syms[k % name_syms.len()],
-                correlation: k as u64 + 1,
-                context: Some(leaves[k % leaves.len()]),
-            }
-        })
-        .collect();
-    let window_end = ivs.last().map_or(TimeNs(0), |iv| iv.end + TimeNs(500));
-    let timeline = StoredTimeline {
-        recorded: ivs.len() as u64,
-        dropped: 0,
-        intervals: ivs,
-        names,
-        window: Some((TimeNs(0), window_end)),
-    };
-
     ProfileDb::new(
         ProfileMeta {
             workload: "bench-store".into(),
             framework: "eager".into(),
             platform: "sim".into(),
-            host: "bench-host".into(),
-            model: "bench-v1".into(),
-            iterations: 8,
-            started: TimeNs(0),
-            ended: window_end,
             ..Default::default()
         },
         cct,
     )
-    .with_timeline(timeline)
 }
 
 /// A near-copy of `base` regressed in `changed_scopes` leading scopes:
@@ -144,24 +85,8 @@ pub fn regress(base: &ProfileDb, changed_scopes: usize) -> ProfileDb {
     cand
 }
 
-/// Measures both store claims, best of `repeats`.
+/// Measures both diffs of `db` against `cand`, best of `repeats`.
 pub fn measure(db: &ProfileDb, cand: &ProfileDb, repeats: usize) -> StorePoint {
-    let events = db.timeline().map_or(0, |t| t.interval_count()) + db.cct().node_count();
-    let mut buf = Vec::new();
-    db.save(&mut buf).expect("save");
-    let container_bytes = buf.len();
-
-    let mut best_round_trip = f64::INFINITY;
-    for _ in 0..repeats.max(1) {
-        let start = Instant::now();
-        let mut buf = Vec::with_capacity(container_bytes);
-        db.save(&mut buf).expect("save");
-        let back = ProfileDb::load(&buf[..]).expect("load");
-        let elapsed = start.elapsed().as_secs_f64();
-        assert_eq!(back.cct().node_count(), db.cct().node_count());
-        best_round_trip = best_round_trip.min(elapsed);
-    }
-
     let mut full_diff_ns = f64::INFINITY;
     let mut mapped_diff_ns = f64::INFINITY;
     let mut changed_entries = 0usize;
@@ -178,8 +103,6 @@ pub fn measure(db: &ProfileDb, cand: &ProfileDb, repeats: usize) -> StorePoint {
     }
 
     StorePoint {
-        save_load_events_per_sec: events as f64 / best_round_trip,
-        container_bytes,
         full_diff_ns,
         mapped_diff_ns,
         changed_entries,
@@ -191,12 +114,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn harness_round_trips_and_diffs() {
-        let base = build_profile(20, 10, 600);
+    fn harness_diffs_a_small_changed_subtree() {
+        let base = build_profile(20, 10);
         let cand = regress(&base, 2);
         let point = measure(&base, &cand, 1);
-        assert!(point.save_load_events_per_sec > 0.0);
-        assert!(point.container_bytes > 0);
         assert!(point.changed_entries > 0);
         assert!(
             point.changed_entries < base.cct().node_count() / 4,
@@ -205,21 +126,5 @@ mod tests {
             base.cct().node_count()
         );
         assert!(point.full_diff_ns > 0.0 && point.mapped_diff_ns > 0.0);
-    }
-
-    #[test]
-    fn built_profile_carries_a_resolvable_timeline() {
-        let db = build_profile(4, 4, 60);
-        let timeline = db.timeline().expect("timeline attached");
-        assert_eq!(timeline.interval_count(), 60);
-        for interval in &timeline.intervals {
-            assert!(timeline.name_of(interval.name).is_some());
-            assert!(interval.context.unwrap().index() < db.cct().node_count());
-        }
-        // And it survives its own container.
-        let mut buf = Vec::new();
-        db.save(&mut buf).unwrap();
-        let back = ProfileDb::load(&buf[..]).unwrap();
-        assert_eq!(back.timeline(), db.timeline());
     }
 }

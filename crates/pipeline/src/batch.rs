@@ -23,7 +23,7 @@
 //! A thread's buffer is flushed when:
 //!
 //! * it reaches [`PipelineConfig::launch_batch`] events (the capacity
-//!   trigger, tuned by `bench_pipeline`);
+//!   trigger);
 //! * **any** activity batch is delivered — activity records resolve
 //!   through launches' correlations, so every buffered launch anywhere
 //!   must be bound and delivered before a record routes

@@ -694,6 +694,104 @@ mod tests {
         assert_eq!(status.sample_stride, 4);
     }
 
+    /// Overload phased the way it really arrives: twelve cold contexts'
+    /// launches first (epoch-start setup kernels), then one hot stream
+    /// floods in. Blind `DropOldest` keeps whatever fits the queue — the
+    /// hot tail — so no scale factor can bring a cold context back;
+    /// `Degraded` admits 1-in-stride of *every* stream and records the
+    /// stride, so `admitted × stride` tracks each context's true count.
+    #[test]
+    fn degraded_sampling_keeps_the_cold_contexts_blind_eviction_loses() {
+        use crate::async_sink::{AsyncSink, BackpressurePolicy, PipelineConfig};
+        const COLD: usize = 12;
+        const COLD_LAUNCHES: u64 = 12 * 1_600;
+        const LAUNCHES: u64 = COLD_LAUNCHES + 40_800;
+        const STRIDE: u64 = 8;
+
+        let interner = Interner::new();
+        // Context `COLD` is the hot one; kernels are told apart by PC.
+        let frames: Vec<Frame> = (0..=COLD)
+            .map(|ctx| Frame::gpu_kernel(&format!("k{ctx:02}"), "m.so", ctx as u64, &interner))
+            .collect();
+        let paths: Vec<PathHandle> = frames
+            .iter()
+            .map(|frame| interner.paths().intern(std::slice::from_ref(frame)))
+            .collect();
+        // A cold launch picks its context by a multiplicative hash of its
+        // correlation id: round-robin would alias with `corr % stride`
+        // and starve some contexts of admitted samples entirely.
+        let context_of = |corr: u64| {
+            if corr <= COLD_LAUNCHES {
+                ((corr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % COLD as u64) as usize
+            } else {
+                COLD
+            }
+        };
+        let mut truth = [0.0f64; COLD + 1];
+        (1..=LAUNCHES).for_each(|corr| truth[context_of(corr)] += 1.0);
+        let drive = |sink: &dyn EventSink| {
+            for corr in 1..=LAUNCHES {
+                let origin = EventOrigin {
+                    tid: Some(1),
+                    stream: None,
+                    correlation: Some(CorrelationId(corr)),
+                };
+                sink.gpu_launch(&origin, paths[context_of(corr)], ApiKind::LaunchKernel);
+            }
+        };
+        let kept = |cct: &CallingContextTree| -> Vec<f64> {
+            frames
+                .iter()
+                .map(|frame| {
+                    cct.dfs()
+                        .filter(|n| cct.node(*n).frame() == frame)
+                        .filter_map(|n| cct.metric(n, MetricKind::KernelLaunches))
+                        .map(|stat| stat.sum)
+                        .sum()
+                })
+                .collect()
+        };
+
+        // Paused workers make the backlog deterministic: the queue holds
+        // the newest 64 launches and everything older is evicted.
+        let blind = AsyncSink::new(
+            ShardedSink::new(interner.clone(), 4),
+            PipelineConfig {
+                workers: 1,
+                queue_capacity: 64,
+                backpressure: BackpressurePolicy::DropOldest,
+                launch_batch: 1,
+                ..PipelineConfig::default()
+            },
+        );
+        blind.pause();
+        drive(blind.as_ref());
+        blind.resume();
+        let blind_kept = kept(&blind.finish_snapshot());
+        assert_eq!(blind_kept[..COLD], [0.0; COLD], "a cold context survived");
+        assert_eq!(blind_kept[COLD], 64.0);
+        assert_eq!(blind.counters().dropped_events, LAUNCHES - 64);
+
+        let sup = Supervisor::new(
+            SupervisorConfig {
+                sample_stride: STRIDE,
+                ..SupervisorConfig::default()
+            },
+            None,
+            None,
+        );
+        sup.force_state(SupervisorState::Degraded);
+        let sampled = SupervisorSink::new(ShardedSink::new(interner.clone(), 4), sup.clone());
+        drive(sampled.as_ref());
+        let status = sup.status();
+        assert_eq!(status.sampled_events, LAUNCHES / STRIDE);
+        assert_eq!(status.rejected_events, LAUNCHES - LAUNCHES / STRIDE);
+        for (ctx, admitted) in kept(&sampled.finish_snapshot()).iter().enumerate() {
+            let error = (admitted * STRIDE as f64 - truth[ctx]).abs() / truth[ctx];
+            assert!(error <= 0.25, "context {ctx}: relative error {error:.3}");
+        }
+    }
+
     #[test]
     fn bypass_discards_data_but_barriers_and_snapshots_still_flow() {
         let interner = Interner::new();

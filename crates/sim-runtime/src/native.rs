@@ -169,18 +169,6 @@ impl Unwinder {
         f(tail)
     }
 
-    /// Fully unwinds `stack`, returning frames **root-first** (the order
-    /// call paths want). Costs one step per frame.
-    pub fn backtrace(&self, stack: &NativeStack) -> Vec<NativeFrameInfo> {
-        let mut cursor = self.cursor(stack);
-        let mut frames = Vec::new();
-        while let Some(f) = cursor.step() {
-            frames.push(f);
-        }
-        frames.reverse();
-        frames
-    }
-
     /// Total `step()` calls ever taken through this unwinder.
     pub fn steps_taken(&self) -> u64 {
         self.steps.load(Ordering::Relaxed)
@@ -213,27 +201,6 @@ impl UnwindCursor<'_> {
         self.unwinder.steps.fetch_add(1, Ordering::Relaxed);
         Some(frame)
     }
-
-    /// Steps until `pred` matches a frame, returning the frames stepped
-    /// over **leaf-first**, excluding the matching frame. Returns the pair
-    /// `(stepped, matched)`; `matched` is `None` if the root was reached.
-    ///
-    /// This is the primitive behind the paper's *call path caching* mode
-    /// with native collection enabled: "retrieve native frames step-by-step
-    /// ... until we reach the cached deep learning operator".
-    pub fn step_until(
-        &mut self,
-        mut pred: impl FnMut(&NativeFrameInfo) -> bool,
-    ) -> (Vec<NativeFrameInfo>, Option<NativeFrameInfo>) {
-        let mut stepped = Vec::new();
-        while let Some(frame) = self.step() {
-            if pred(&frame) {
-                return (stepped, Some(frame));
-            }
-            stepped.push(frame);
-        }
-        (stepped, None)
-    }
 }
 
 #[cfg(test)]
@@ -246,19 +213,6 @@ mod tests {
             s.push(NativeFrameInfo::new("lib.so", 0x100 + i as u64, sym));
         }
         s
-    }
-
-    #[test]
-    fn backtrace_is_root_first_and_counts_steps() {
-        let stack = stack_of(&["main", "dispatch", "launch"]);
-        let u = Unwinder::new();
-        let bt = u.backtrace(&stack);
-        assert_eq!(
-            bt.iter().map(|f| f.symbol.as_ref()).collect::<Vec<_>>(),
-            vec!["main", "dispatch", "launch"]
-        );
-        assert_eq!(u.steps_taken(), 3);
-        assert_eq!(u.unwinds_started(), 1);
     }
 
     #[test]
@@ -279,34 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn step_until_stops_at_match() {
-        let stack = stack_of(&["main", "op_entry", "helper", "launch"]);
-        let u = Unwinder::new();
-        let mut cursor = u.cursor(&stack);
-        let (stepped, matched) = cursor.step_until(|f| f.symbol.as_ref() == "op_entry");
-        assert_eq!(
-            stepped
-                .iter()
-                .map(|f| f.symbol.as_ref())
-                .collect::<Vec<_>>(),
-            vec!["launch", "helper"]
-        );
-        assert_eq!(matched.unwrap().symbol.as_ref(), "op_entry");
-        // Only 3 steps: launch, helper, op_entry — main untouched.
-        assert_eq!(u.steps_taken(), 3);
-    }
-
-    #[test]
-    fn step_until_without_match_reaches_root() {
-        let stack = stack_of(&["main", "launch"]);
-        let u = Unwinder::new();
-        let mut cursor = u.cursor(&stack);
-        let (stepped, matched) = cursor.step_until(|_| false);
-        assert_eq!(stepped.len(), 2);
-        assert!(matched.is_none());
-    }
-
-    #[test]
     fn guards_pop_on_drop() {
         let s = Arc::new(NativeStack::new());
         {
@@ -320,7 +246,7 @@ mod tests {
     fn reset_counters_zeroes() {
         let stack = stack_of(&["a"]);
         let u = Unwinder::new();
-        u.backtrace(&stack);
+        u.cursor(&stack).step();
         assert!(u.steps_taken() > 0);
         u.reset_counters();
         assert_eq!(u.steps_taken(), 0);
