@@ -11,13 +11,15 @@
 //! ([`merge`](CallingContextTree::merge) /
 //! [`merge_incremental`](CallingContextTree::merge_incremental) outputs,
 //! loaded profiles). The private tree inside a
-//! [`CctShard`](crate::CctShard) is the one exception: the shard collects
-//! samples at the attributed node and pays the root-ward walk once per
-//! touched `(node, kind)` at its next
-//! [`settle`](crate::CctShard::settle) — through
-//! [`merge_stat`](CallingContextTree::merge_stat) — so a shard's tree is
-//! inclusive *at settle points*, which is the only time anything outside
-//! the shard reads it.
+//! [`CctShard`](crate::CctShard) is the one exception: the shard holds
+//! samples at the attributed node and carries them root-ward itself at
+//! its next [`settle`](crate::CctShard::settle) — node by node through
+//! [`merge_stat_at`](CallingContextTree::merge_stat_at), by the rule
+//! `shard.rs` states — so a shard's tree is inclusive *at settle points*,
+//! which is the only time anything outside the shard reads it. The
+//! root-ward walk of [`attribute`](CallingContextTree::attribute) and
+//! [`merge_stat`](CallingContextTree::merge_stat) is for trees driven
+//! directly: test oracles and loaded profiles.
 
 use std::sync::Arc;
 
@@ -185,13 +187,19 @@ impl CallingContextTree {
 
     /// Merges a whole aggregate of `kind` into `node` and every ancestor:
     /// what [`attribute`](Self::attribute) does for one sample, done once
-    /// for any number of samples aggregated elsewhere first (a
-    /// [`CctShard`](crate::CctShard) settling its deferred samples).
-    /// Counts, sums and extrema come out exactly as sample-by-sample
-    /// propagation leaves them; mean and variance agree up to f64
-    /// rounding (parallel Welford merge).
+    /// for any number of samples aggregated elsewhere first. Counts, sums
+    /// and extrema come out exactly as sample-by-sample propagation
+    /// leaves them; mean and variance agree up to f64 rounding (parallel
+    /// Welford merge).
     pub fn merge_stat(&mut self, node: NodeId, kind: MetricKind, stat: &MetricStat) {
         self.each_to_root(node, |metrics| metrics.merge_stat(kind, stat));
+    }
+
+    /// Merges a whole aggregate of `kind` into `node` alone — no walk.
+    /// A [`CctShard`](crate::CctShard) settling bottom-up calls this once
+    /// per node and kind and carries the aggregate to the parent itself.
+    pub fn merge_stat_at(&mut self, node: NodeId, kind: MetricKind, stat: &MetricStat) {
+        self.nodes[node.index()].metrics.merge_stat(kind, stat);
     }
 
     /// Adds a metric sample at `node` only, without propagation (used for
@@ -375,8 +383,12 @@ impl CallingContextTree {
     /// (matched by collapse key, ignoring node ids and child insertion
     /// order) carrying the same aggregates. Counts compare exactly;
     /// sums, extrema, means and standard deviations compare within
-    /// relative 1e-9, since merge order perturbs Welford state at f64
-    /// precision. Returns a description of the first difference found,
+    /// relative 1e-9. Only *measured* kinds (times, bytes, occupancy)
+    /// need the tolerance — merge order perturbs their Welford state at
+    /// f64 precision; kinds that count occurrences (launches,
+    /// instruction samples, stalls) aggregate in integers and come out
+    /// bit-equal under any order, which the shard differential tests
+    /// check with `==`. Returns a description of the first difference found,
     /// or `None` when the trees are equivalent — the oracle behind the
     /// `cached == fresh` snapshot equivalence tests.
     pub fn semantic_diff(&self, other: &CallingContextTree) -> Option<String> {

@@ -74,6 +74,11 @@ impl StallReason {
     }
 }
 
+/// How many kinds count *occurrences* — every sample is the value `1.0` —
+/// and so have a [`unit column`](MetricKind::unit_column): launches,
+/// instruction samples and one per stall reason.
+pub(crate) const UNIT_COLUMNS: usize = 2 + StallReason::ALL.len();
+
 impl fmt::Display for StallReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -158,6 +163,32 @@ impl MetricKind {
                 | MetricKind::CpuTime
                 | MetricKind::RealTime
         )
+    }
+
+    /// The column an occurrence-counting kind has in a shard's table of
+    /// unsettled integer counts, ascending in `MetricKind` order; `None`
+    /// for every measured kind (and for `DroppedEvents` /
+    /// `PoisonedEvents`, whose one sample carries a count as its value).
+    pub(crate) fn unit_column(self) -> Option<usize> {
+        match self {
+            MetricKind::KernelLaunches => Some(0),
+            MetricKind::InstructionSamples => Some(1),
+            MetricKind::Stall(reason) => Some(2 + usize::from(reason.code())),
+            _ => None,
+        }
+    }
+
+    /// The inverse of [`unit_column`](Self::unit_column).
+    pub(crate) fn from_unit_column(column: usize) -> Option<Self> {
+        match column {
+            0 => Some(MetricKind::KernelLaunches),
+            1 => Some(MetricKind::InstructionSamples),
+            // `ALL` is in code order (the bijection test holds it to that).
+            _ => StallReason::ALL
+                .get(column - 2)
+                .copied()
+                .map(MetricKind::Stall),
+        }
     }
 
     /// Short stable name used in reports and the profile database.
@@ -312,6 +343,23 @@ impl MetricStat {
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             mean: 0.0,
+            m2: 0.0,
+        }
+    }
+
+    /// The aggregate of `n` samples of the value `1.0`, field for field
+    /// what `n` [`add`](Self::add)s leave (every delta is zero, so mean
+    /// stays `1.0` and `m2` stays `0`).
+    pub(crate) fn units(n: u64) -> Self {
+        if n == 0 {
+            return MetricStat::new();
+        }
+        MetricStat {
+            count: n,
+            sum: n as f64,
+            min: 1.0,
+            max: 1.0,
+            mean: 1.0,
             m2: 0.0,
         }
     }
@@ -816,6 +864,46 @@ mod tests {
             assert_eq!(forward.get(k).map(|s| s.count), Some(1));
         }
         assert_eq!(forward.get(MetricKind::RealTime), None);
+    }
+
+    #[test]
+    fn unit_columns_are_a_bijection_onto_the_counting_kinds() {
+        let i = crate::Interner::new();
+        let counting: Vec<MetricKind> =
+            [MetricKind::KernelLaunches, MetricKind::InstructionSamples]
+                .into_iter()
+                .chain(StallReason::ALL.map(MetricKind::Stall))
+                .collect();
+        assert_eq!(counting.len(), UNIT_COLUMNS, "a new reason needs a column");
+        for (column, kind) in counting.iter().enumerate() {
+            assert_eq!(kind.unit_column(), Some(column), "ascending, no alias");
+            assert_eq!(MetricKind::from_unit_column(column), Some(*kind));
+        }
+        assert!(counting.windows(2).all(|w| w[0] < w[1]), "in store order");
+        assert_eq!(MetricKind::from_unit_column(UNIT_COLUMNS), None);
+        let measured = (0..18)
+            .filter_map(MetricKind::from_base_code)
+            .chain([MetricKind::Custom(i.intern("mine"))])
+            .filter(|kind| !counting.contains(kind));
+        assert_eq!(measured.clone().count(), 18 - 2 + 1, "base kinds + custom");
+        for kind in measured {
+            assert_eq!(kind.unit_column(), None, "{kind} carries values");
+        }
+    }
+
+    #[test]
+    fn units_is_what_that_many_adds_of_one_leave() {
+        assert_eq!(MetricStat::units(0), MetricStat::new());
+        for n in [1u64, 2, 3, 1000] {
+            let mut added = MetricStat::new();
+            (0..n).for_each(|_| added.add(1.0));
+            assert_eq!(MetricStat::units(n), added);
+            // ... and merging it is adding them: bit-equal, not close.
+            let mut merged = MetricStat::units(7);
+            merged.merge(&MetricStat::units(n));
+            (0..7).for_each(|_| added.add(1.0));
+            assert_eq!(merged, added);
+        }
     }
 
     #[test]

@@ -17,16 +17,61 @@
 //! already knows and inserts the missing frames below it — once per path
 //! per shard, after which that context costs no hashing at all.
 //!
-//! **Samples enter a shard through [`CctShard::attribute`] and nowhere
-//! else.** It accumulates at the attributed node only — one aggregate per
-//! touched `(node, kind)` — and [`CctShard::settle`] walks each aggregate
-//! root-ward once, so a sample costs O(1) on the ingestion path instead
-//! of one Welford update per ancestor. The shard's tree therefore holds
-//! inclusive metrics *at settle points*, not always: whoever owns the
-//! shard settles it before the tree is folded, read or measured
-//! (`ShardedSink` does so under the shard lock at every batch boundary
-//! and before every fold). Exclusive metrics (launch shapes, sampled drop
-//! victims) never propagate and are written to the tree directly.
+//! **Samples enter a shard through [`CctShard::count`] and
+//! [`CctShard::attribute`] and nowhere else**, and wait at the attributed
+//! node until [`CctShard::settle`] carries them root-ward. The scratch
+//! they wait in is a per-node index (4 bytes a node) into one slot per
+//! *touched* node, and a slot has two parts, for the two kinds of data a
+//! shard receives:
+//!
+//! * *Occurrences* — launches, instruction samples, one kind per stall
+//!   reason; every sample is the value `1.0` — are `count`ed into the
+//!   slot's `UNIT_COLUMNS` integer counters: an index read and one add,
+//!   no hashing, no [`MetricStat`]. The counters are `u64`: a launch- or
+//!   sample-only shard settles at flush boundaries only, so a column can
+//!   outlive any number of batches, and `u32` would need a branch in
+//!   `count` that settles the shard under its caller.
+//! * *Measurements* — times, bytes, custom kinds, anything without a
+//!   column — are `attribute`d into one aggregate per touched `(node,
+//!   kind)`, chained off the slot (a node holds three or four at most).
+//!
+//! `settle` is one sweep over node ids **descending**. A child is always
+//! inserted after its parent, so by the time a node is visited everything
+//! below it has arrived: its counters merge into its own store as that
+//! many samples of `1.0` and are added, as integers, to the parent's
+//! slot; its aggregates merge into its own store and then into the
+//! parent's list (a parent holding nothing adopts the child's list whole,
+//! which is most of the single-child Python/operator spine). Every
+//! ancestor is thus merged once per kind per settle, not once per
+//! descendant, and in a **stated order**, which is what makes the low
+//! digits of a measured kind's mean and variance reproducible: *a node's
+//! own aggregate first, then its children's by descending `NodeId`*.
+//! Integer counts need no order at all — their sums are exactly
+//! associative — so launches, instruction samples and stalls settle to
+//! bit-identical aggregates whatever order they arrived or were folded
+//! in.
+//!
+//! **What this is built for, and what it costs elsewhere.** Slots, lists
+//! and merges scale with the nodes touched since the last settle and
+//! their ancestors; the index alone scales with the tree: every settle
+//! that has work allocates, fills and sweeps 4 bytes per node of the
+//! shard (room for a slot per node is reserved with it, but written only
+//! where touched). That is the right trade where a batch touches most of
+//! a small tree — every benchmark workload: 21–608 nodes a shard, at
+//! least 99.5 % of them reached by every settle — and the wrong one for
+//! a shard of ~10^5 nodes of which a batch touches a handful, where the
+//! map this replaced cost O(touched × depth) and a scratch microbench
+//! (102 558 nodes, 8–64 touched contexts per 4 096 records) reads about
+//! twice its time per batch. No benchmark workload is on that side; the
+//! readings are in CHANGES.md under PR 21.
+//!
+//! The shard's tree therefore holds inclusive metrics *at settle points*,
+//! not always: whoever owns the shard settles it before the tree is
+//! folded, read or measured (`ShardedSink` does so under the shard lock
+//! at every batch boundary and before every fold). `settle` releases the
+//! scratch, and [`CctShard::approx_bytes`] counts it while it is held.
+//! Exclusive metrics (launch shapes, sampled drop victims) never
+//! propagate and are written to the tree directly.
 //!
 //! Which context a correlation id belongs to is not the shard's business
 //! (the pipeline's correlation directory holds the one `corr → (shard,
@@ -41,18 +86,101 @@
 //!   catch-all context, created once per shard instead of re-interned per
 //!   orphaned record.
 
-use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use crate::cct::{CallingContextTree, NodeId};
 use crate::frame::Frame;
-use crate::fx::FxHashMap;
 use crate::interner::Interner;
-use crate::metrics::{MetricKind, MetricStat};
+use crate::metrics::{MetricKind, MetricStat, UNIT_COLUMNS};
 use crate::path::PathId;
 
 /// A `by_path` slot this shard has not resolved yet.
 const UNRESOLVED: NodeId = NodeId(u32::MAX);
+
+/// "No entry": a node without a slot, the end of a list.
+const NONE: u32 = u32::MAX;
+
+/// One measured aggregate waiting at a node.
+#[derive(Debug, Clone, Copy)]
+struct Held {
+    kind: MetricKind,
+    stat: MetricStat,
+    /// The node's next entry in [`Pending::held`], or [`NONE`].
+    next: u32,
+}
+
+/// What one touched node holds.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Its occurrence counters, one per unit column.
+    counts: [u64; UNIT_COLUMNS],
+    /// Its first entry in [`Pending::held`], or [`NONE`].
+    held: u32,
+}
+
+/// Inclusive samples not yet carried root-ward (see the
+/// [module docs](self)): scratch that lives between two settles, not
+/// profile state. `slot_of` is sized to the tree, and `slots` reserved
+/// for it, on first touch, so neither grows with what arrives.
+#[derive(Debug, Clone, Default)]
+struct Pending {
+    /// Per node, its entry in `slots`, or [`NONE`].
+    slot_of: Vec<u32>,
+    /// One entry per touched node.
+    slots: Vec<Slot>,
+    /// One entry per touched `(node, measured kind)`.
+    held: Vec<Held>,
+}
+
+/// The entry for `kind` in the list that starts at `first`, or [`NONE`].
+fn find(held: &[Held], first: u32, kind: MetricKind) -> u32 {
+    let mut at = first;
+    while at != NONE && held[at as usize].kind != kind {
+        at = held[at as usize].next;
+    }
+    at
+}
+
+impl Pending {
+    /// `node`'s slot, handed out empty on first touch, in a tree of
+    /// `nodes` nodes.
+    #[inline]
+    fn slot(&mut self, node: NodeId, nodes: usize) -> &mut Slot {
+        if node.index() >= self.slot_of.len() {
+            self.slot_of.resize(nodes, NONE);
+            self.slots.reserve(nodes - self.slots.len());
+        }
+        let mut at = self.slot_of[node.index()];
+        if at == NONE {
+            at = self.slots.len() as u32;
+            self.slot_of[node.index()] = at;
+            self.slots.push(Slot {
+                counts: [0; UNIT_COLUMNS],
+                held: NONE,
+            });
+        }
+        &mut self.slots[at as usize]
+    }
+
+    /// `node`'s aggregate for `kind`, created empty if it holds none.
+    fn stat(&mut self, node: NodeId, kind: MetricKind, nodes: usize) -> &mut MetricStat {
+        let first = self.slot(node, nodes).held;
+        let mut at = find(&self.held, first, kind);
+        if at == NONE {
+            at = self.held.len() as u32;
+            // Not `MetricStat::default()`: an empty aggregate starts at
+            // min = +inf, max = -inf.
+            let stat = MetricStat::new();
+            self.held.push(Held {
+                kind,
+                stat,
+                next: first,
+            });
+            self.slot(node, nodes).held = at;
+        }
+        &mut self.held[at as usize].stat
+    }
+}
 
 /// One shard of a sharded calling-context-tree ingestion pipeline: a
 /// private tree, its `PathId → node` vector and its prune queue.
@@ -74,11 +202,8 @@ pub struct CctShard {
     prev_batch: Vec<u64>,
     curr_batch: Vec<u64>,
     generation: u64,
-    /// Inclusive samples not yet walked root-ward: one aggregate per
-    /// touched `(node, kind)`, merged into the node and its ancestors by
-    /// [`settle`](Self::settle), which also releases the map — it is
-    /// scratch that lives between two boundaries, not profile state.
-    pending: FxHashMap<(NodeId, MetricKind), MetricStat>,
+    /// Samples waiting for the next [`settle`](Self::settle).
+    pending: Pending,
 }
 
 impl CctShard {
@@ -93,7 +218,7 @@ impl CctShard {
             prev_batch: Vec::new(),
             curr_batch: Vec::new(),
             generation: 0,
-            pending: FxHashMap::default(),
+            pending: Pending::default(),
         }
     }
 
@@ -160,27 +285,92 @@ impl CctShard {
         node
     }
 
-    /// Records one inclusive sample of `kind` at `node`. The sample is
-    /// aggregated at the node only; its ancestors receive it at the next
-    /// [`settle`](Self::settle).
-    pub fn attribute(&mut self, node: NodeId, kind: MetricKind, value: f64) {
+    /// Records `n` occurrences — `n` inclusive samples of the value `1.0`
+    /// — of `kind` at `node`: one integer add for a kind that counts
+    /// occurrences, the `n × 1.0` aggregate through
+    /// [`attribute`](Self::attribute)'s list for any other. The node's
+    /// ancestors receive them at the next [`settle`](Self::settle).
+    #[inline]
+    pub fn count(&mut self, node: NodeId, kind: MetricKind, n: u64) {
         self.generation += 1;
-        // Not `or_default`: an empty aggregate starts at min = +inf,
-        // max = -inf, which `MetricStat::default()` does not.
-        match self.pending.entry((node, kind)) {
-            Entry::Occupied(mut held) => held.get_mut().add(value),
-            Entry::Vacant(slot) => slot.insert(MetricStat::new()).add(value),
+        let nodes = self.tree.node_count();
+        match kind.unit_column() {
+            Some(column) => self.pending.slot(node, nodes).counts[column] += n,
+            None => self
+                .pending
+                .stat(node, kind, nodes)
+                .merge(&MetricStat::units(n)),
         }
     }
 
-    /// Walks every unsettled aggregate root-ward, once per touched
-    /// `(node, kind)`, and releases the scratch the samples were held
-    /// in. Afterwards the tree is exactly what sample-by-sample
-    /// propagation would have built. Does not bump the dirty generation:
+    /// Records one inclusive sample of `kind` at `node`. The sample is
+    /// aggregated at the node only; its ancestors receive it at the next
+    /// [`settle`](Self::settle). Any kind may come this way — a `(node,
+    /// kind)` both counted and attributed settles to the sum of the two.
+    pub fn attribute(&mut self, node: NodeId, kind: MetricKind, value: f64) {
+        self.generation += 1;
+        let nodes = self.tree.node_count();
+        self.pending.stat(node, kind, nodes).add(value);
+    }
+
+    /// Carries every unsettled sample root-ward — one descending sweep,
+    /// each node merged once per kind, in the order the
+    /// [module docs](self) state — and releases the scratch the samples
+    /// were held in. Afterwards the tree is exactly what
+    /// sample-by-sample propagation would have built. Does not bump the
+    /// dirty generation: [`count`](Self::count) and
     /// [`attribute`](Self::attribute) already did.
     pub fn settle(&mut self) {
-        for ((node, kind), stat) in std::mem::take(&mut self.pending) {
-            self.tree.merge_stat(node, kind, &stat);
+        let mut pending = std::mem::take(&mut self.pending);
+        let nodes = pending.slot_of.len();
+        for at in (0..nodes).rev() {
+            if pending.slot_of[at] == NONE {
+                continue;
+            }
+            let Slot { counts, held: list } = pending.slots[pending.slot_of[at] as usize];
+            let node = NodeId(at as u32);
+            let parent = self.tree.node(node).parent();
+            assert!(
+                parent.is_none_or(|up| up.index() < at),
+                "a child is inserted after its parent"
+            );
+            // The parent's slot; its id is lower, so `slot_of` covers it.
+            let up = parent.map(|up| {
+                pending.slot(up, nodes);
+                pending.slot_of[up.index()] as usize
+            });
+            for (column, n) in counts.into_iter().enumerate().filter(|(_, n)| *n != 0) {
+                let kind = MetricKind::from_unit_column(column).expect("a kind per column");
+                self.tree.merge_stat_at(node, kind, &MetricStat::units(n));
+                if let Some(up) = up {
+                    pending.slots[up].counts[column] += n;
+                }
+            }
+            // A parent holding nothing adopts the list whole; otherwise
+            // each entry joins the parent's own of its kind, own first.
+            let mut joins = None;
+            if let (Some(up), true) = (up, list != NONE) {
+                if pending.slots[up].held == NONE {
+                    pending.slots[up].held = list;
+                } else {
+                    joins = Some(up);
+                }
+            }
+            let mut entry = list;
+            while entry != NONE {
+                let Held { kind, stat, next } = pending.held[entry as usize];
+                self.tree.merge_stat_at(node, kind, &stat);
+                if let Some(up) = joins {
+                    let own = find(&pending.held, pending.slots[up].held, kind);
+                    if own == NONE {
+                        pending.held[entry as usize].next = pending.slots[up].held;
+                        pending.slots[up].held = entry;
+                    } else {
+                        pending.held[own as usize].stat.merge(&stat);
+                    }
+                }
+                entry = next;
+            }
         }
     }
 
@@ -339,12 +529,19 @@ impl CctShard {
     pub fn merge_from(&mut self, other: &CctShard) {
         self.generation += 1;
         let mapping = self.tree.merge(&other.tree);
-        for ((node, kind), stat) in &other.pending {
-            match self.pending.entry((mapping[node.index()], *kind)) {
-                Entry::Occupied(mut held) => held.get_mut().merge(stat),
-                Entry::Vacant(slot) => {
-                    slot.insert(*stat);
-                }
+        let nodes = self.tree.node_count();
+        for (&at, node) in other.pending.slot_of.iter().zip(&mapping) {
+            if at == NONE {
+                continue;
+            }
+            let Slot { counts, held } = other.pending.slots[at as usize];
+            let mine = &mut self.pending.slot(*node, nodes).counts;
+            mine.iter_mut().zip(counts).for_each(|(mine, n)| *mine += n);
+            let mut entry = held;
+            while entry != NONE {
+                let Held { kind, stat, next } = other.pending.held[entry as usize];
+                self.pending.stat(*node, kind, nodes).merge(&stat);
+                entry = next;
             }
         }
         // `end_batch` walks both queues in order.
@@ -366,11 +563,17 @@ impl CctShard {
     /// excluded), path vector, prune queues and whatever settle scratch
     /// is currently held.
     pub fn approx_bytes(&self) -> usize {
-        let pending = std::mem::size_of::<((NodeId, MetricKind), MetricStat)>() + 1;
+        let Pending {
+            slot_of,
+            slots,
+            held,
+        } = &self.pending;
         self.tree.approx_tree_bytes()
             + self.by_path.capacity() * std::mem::size_of::<NodeId>()
             + (self.prev_batch.capacity() + self.curr_batch.capacity()) * std::mem::size_of::<u64>()
-            + self.pending.capacity() * pending
+            + slot_of.capacity() * std::mem::size_of::<u32>()
+            + slots.capacity() * std::mem::size_of::<Slot>()
+            + held.capacity() * std::mem::size_of::<Held>()
     }
 
     /// Whether the shard recorded nothing.
@@ -448,19 +651,108 @@ mod tests {
         let mut shard = CctShard::new(Arc::clone(&i));
         let gelu = handle(&i, "aten::gelu").id();
         let leaf = shard.node_for(gelu);
-        shard.attribute(leaf, MetricKind::KernelLaunches, 1.0);
+        shard.count(leaf, MetricKind::KernelLaunches, 1);
+        shard.attribute(leaf, MetricKind::GpuTime, 250.0);
         shard.settle();
         let settled = shard.approx_bytes();
-        // A second sample of a kind every node on the path already
-        // carries grows nothing but the scratch it waits in.
+        // More samples of kinds every node on the path already carries
+        // grow nothing but the scratch they wait in: the per-node index
+        // and the slots reserved for it, then the aggregates, each
+        // counted.
         assert_eq!(shard.node_for(gelu), leaf);
-        shard.attribute(leaf, MetricKind::KernelLaunches, 1.0);
-        assert!(
-            shard.approx_bytes() > settled,
-            "held scratch is counted as tool memory"
-        );
+        shard.count(leaf, MetricKind::KernelLaunches, 1);
+        let counted = shard.approx_bytes();
+        let slot = std::mem::size_of::<Slot>();
+        assert_eq!(counted, settled + 4 * 4 + 4 * slot, "sized to the tree");
+        shard.attribute(leaf, MetricKind::GpuTime, 250.0);
+        let held = std::mem::size_of::<Held>();
+        assert_eq!(shard.approx_bytes(), counted + 4 * held);
         shard.settle();
         assert_eq!(shard.approx_bytes(), settled);
+    }
+
+    #[test]
+    fn counts_are_unit_samples_and_a_column_outlives_u32() {
+        let i = interner();
+        let mut shard = CctShard::new(Arc::clone(&i));
+        let leaf = shard.node_for(handle(&i, "aten::gelu").id());
+        let stall = MetricKind::Stall(crate::StallReason::Other);
+        // A launch-only shard settles at flush boundaries only: nothing
+        // bounds what a column holds in between.
+        let big = u64::from(u32::MAX);
+        shard.count(leaf, stall, big);
+        shard.count(leaf, stall, big);
+        shard.count(leaf, stall, 3);
+        // Attributed as well as counted: it settles to the sum of both.
+        shard.attribute(leaf, stall, 1.0);
+        // A kind without a column waits as the `n × 1.0` aggregate.
+        shard.count(leaf, MetricKind::CpuTime, 3);
+        shard.attribute(leaf, MetricKind::CpuTime, 5.0);
+        shard.settle();
+        for id in shard.tree().path_to_root(leaf) {
+            let got = shard.tree().metric(id, stall).unwrap();
+            assert_eq!(*got, MetricStat::units(2 * big + 4), "{id}: no epsilon");
+            let cpu = shard.tree().metric(id, MetricKind::CpuTime).unwrap();
+            assert_eq!((cpu.count, cpu.sum, cpu.min, cpu.max), (4, 8.0, 1.0, 5.0));
+        }
+    }
+
+    #[test]
+    fn settle_merges_own_first_then_children_by_descending_id() {
+        let i = interner();
+        let stat = |values: &[f64]| {
+            let mut stat = MetricStat::new();
+            values.iter().for_each(|v| stat.add(*v));
+            stat
+        };
+        // root → py → {relu → k_relu, gelu → k_gelu}; merge order shows
+        // in the low digits of these.
+        let samples: [(&str, usize, &[f64]); 4] = [
+            ("aten::relu", 3, &[0.1, 1e6 + 0.3]),
+            ("aten::gelu", 3, &[0.7, 3.3, 1e-3]),
+            ("aten::relu", 1, &[2.2]),
+            ("aten::gelu", 2, &[1e9 + 0.1]),
+        ];
+        let settle = |order: &[usize]| {
+            let mut shard = CctShard::new(Arc::clone(&i));
+            shard.node_for(handle(&i, "aten::relu").id());
+            shard.node_for(handle(&i, "aten::gelu").id());
+            for &k in order {
+                let (op, depth, values) = samples[k];
+                let node = shard.node_for(i.paths().intern(&path(&i, op)[..depth]).id());
+                for v in values {
+                    shard.attribute(node, MetricKind::GpuTime, *v);
+                }
+                shard.attribute(node, MetricKind::CpuTime, 1.5);
+            }
+            shard.settle();
+            shard
+        };
+        // First touched in any order, the same tree to the bit.
+        let shard = settle(&[0, 1, 2, 3]);
+        for order in [[3, 2, 1, 0], [1, 3, 0, 2]] {
+            let other = settle(&order);
+            for id in shard.tree().dfs() {
+                assert_eq!(
+                    shard.tree().node(id).metrics(),
+                    other.tree().node(id).metrics()
+                );
+            }
+        }
+        // And it is the stated order. Ids: py 1, relu 2, k_relu 3, gelu 4,
+        // k_gelu 5. gelu is its own aggregate, then its kernel's; py is
+        // its own (the relu-path cut), then gelu's (4), then relu's (2),
+        // which holds nothing of its own and adopted its kernel's.
+        let mut gelu = stat(samples[3].2);
+        gelu.merge(&stat(samples[1].2));
+        let mut py = stat(samples[2].2);
+        py.merge(&gelu);
+        py.merge(&stat(samples[0].2));
+        let at = |n: u32| *shard.tree().metric(NodeId(n), MetricKind::GpuTime).unwrap();
+        assert_eq!(at(4), gelu);
+        assert_eq!(at(2), stat(samples[0].2));
+        assert_eq!(at(1), py);
+        assert_eq!(at(0), py, "the root adopts py's list");
     }
 
     #[test]
@@ -583,16 +875,19 @@ mod tests {
         a.node_for(handle(&i, "aten::conv2d").id());
         let relu = handle(&i, "aten::relu").id();
         let nb = b.node_for(relu);
-        // Left unsettled: the fold carries the sample over.
+        // Left unsettled: the fold carries the samples over.
         b.attribute(nb, MetricKind::GpuTime, 4.0);
+        b.count(nb, MetricKind::KernelLaunches, 2);
         b.defer_prune(42);
 
         a.merge_from(&b);
         let resolved = a.node_for(relu);
         assert_ne!(resolved, nb, "the path resolves in a's id space");
         a.attribute(resolved, MetricKind::GpuTime, 6.0);
+        a.count(resolved, MetricKind::KernelLaunches, 1);
         a.settle();
         assert_eq!(a.tree().total(MetricKind::GpuTime), 10.0);
+        assert_eq!(a.tree().total(MetricKind::KernelLaunches), 3.0);
         assert_eq!(
             a.tree().metric(resolved, MetricKind::GpuTime).unwrap().sum,
             10.0,

@@ -69,6 +69,16 @@ enum ShardOp {
         kind: MetricKind,
         value: u16,
     },
+    /// `n` occurrences through `count` — or, `by_sample`, as that many
+    /// `attribute(.., 1.0)` calls, which must settle to the same bits.
+    Count {
+        node: usize,
+        kind: MetricKind,
+        n: u8,
+        by_sample: bool,
+    },
+    /// Another shard's unsettled counts and samples, folded in.
+    MergeFrom(Vec<(Vec<Frame>, MetricKind, u8)>),
     /// A context inserted behind the path vector's back through `tree_mut`.
     InsertChild {
         node: usize,
@@ -88,7 +98,26 @@ fn arb_shard_ops() -> impl Strategy<Value = (Arc<Interner>, Vec<ShardOp>)> {
         MetricKind::CpuTime,
         MetricKind::Stall(StallReason::MemoryDependency),
     ]);
+    // `KernelLaunches` is both counted and attributed arbitrary values;
+    // `DroppedEvents` has no column; `UNIT_ONLY` never see anything but 1.0.
+    let counted = || {
+        prop::sample::select(vec![
+            MetricKind::KernelLaunches,
+            MetricKind::DroppedEvents,
+            UNIT_ONLY[0],
+            UNIT_ONLY[1],
+        ])
+    };
     let op = prop_oneof![
+        (0usize..64, counted(), 1u8..5, prop::bool::ANY).prop_map(|(node, kind, n, by_sample)| {
+            ShardOp::Count {
+                node,
+                kind,
+                n,
+                by_sample,
+            }
+        }),
+        prop::collection::vec((path(), counted(), 1u8..5), 1..4).prop_map(ShardOp::MergeFrom),
         path().prop_map(ShardOp::Insert),
         path().prop_map(ShardOp::Insert),
         (0usize..8).prop_map(ShardOp::InsertPrefix),
@@ -105,6 +134,12 @@ fn arb_shard_ops() -> impl Strategy<Value = (Arc<Interner>, Vec<ShardOp>)> {
     ];
     prop::collection::vec(op, 1..80).prop_map(move |ops| (Arc::clone(&interner), ops))
 }
+
+/// Kinds the shard differential test only ever feeds the value `1.0`.
+const UNIT_ONLY: [MetricKind; 2] = [
+    MetricKind::InstructionSamples,
+    MetricKind::Stall(StallReason::NotSelected),
+];
 
 /// The launch-shape kinds a kernel record adds as one run, with a
 /// neighbour on either side and one far away, in `MetricKind` order.
@@ -489,7 +524,38 @@ proptest! {
                     prop_assert!(shard.generation() > generation);
                     oracle.attribute(node, kind, f64::from(value));
                 }
+                ShardOp::Count { node, kind, n, by_sample } => {
+                    let node = nodes[node % nodes.len()];
+                    let generation = shard.generation();
+                    if by_sample {
+                        (0..n).for_each(|_| shard.attribute(node, kind, 1.0));
+                    } else {
+                        shard.count(node, kind, u64::from(n));
+                    }
+                    prop_assert!(shard.generation() > generation);
+                    (0..n).for_each(|_| oracle.attribute(node, kind, 1.0));
+                }
+                ShardOp::MergeFrom(samples) => {
+                    // The fold inserts the other shard's contexts in its
+                    // id order, which is the order it met them in.
+                    let mut other = CctShard::new(Arc::clone(&interner));
+                    for (frames, kind, n) in &samples {
+                        let node = other.node_for(interner.paths().intern(frames).id());
+                        other.count(node, *kind, u64::from(*n));
+                        other.attribute(node, MetricKind::GpuTime, f64::from(*n));
+                        let node = oracle.insert_path(frames);
+                        (0..*n).for_each(|_| oracle.attribute(node, *kind, 1.0));
+                        oracle.attribute(node, MetricKind::GpuTime, f64::from(*n));
+                        nodes.push(node);
+                    }
+                    shard.merge_from(&other);
+                    for (frames, ..) in &samples {
+                        let got = shard.node_for(interner.paths().intern(frames).id());
+                        prop_assert_eq!(got, oracle.insert_path(frames));
+                    }
+                }
                 ShardOp::InsertChild { node, frame } => {
+                    // Mid-batch: the scratch must grow to reach the node.
                     let node = nodes[node % nodes.len()];
                     let got = shard.tree_mut().insert_child(node, &frame);
                     prop_assert_eq!(got, oracle.insert_child(node, &frame));
@@ -518,7 +584,8 @@ proptest! {
         shard.settle();
         prop_assert_eq!(shard.tree().semantic_diff(&oracle), None);
         // Beyond `semantic_diff`'s tolerance: integer-valued samples make
-        // counts, sums and extrema exact.
+        // counts, sums and extrema exact, and a kind that only counts
+        // occurrences has no rounding to tolerate at all.
         for id in oracle.dfs() {
             for (kind, want) in oracle.node(id).metrics().iter() {
                 let got = shard.tree().metric(id, kind).expect("kind present");
@@ -526,6 +593,9 @@ proptest! {
                     (got.count, got.sum, got.min, got.max),
                     (want.count, want.sum, want.min, want.max)
                 );
+                if UNIT_ONLY.contains(&kind) {
+                    prop_assert_eq!(got, want, "{}: {}", id, kind);
+                }
             }
         }
     }

@@ -31,14 +31,15 @@
 //!
 //! Inclusive samples are **attributed at the node and settled at the
 //! boundary**: every ingestion path hands its samples to
-//! [`CctShard::attribute`], which aggregates them at the attributed node
-//! in O(1), and the shard is [settled](CctShard::settle) — each touched
-//! `(node, kind)` walked root-ward once — under the shard lock wherever
-//! its tree is about to be observed or its bytes measured: the end of
-//! every activity batch, every flush boundary, every fold (cached,
-//! uncached, timeline) and [`EventSink::approx_bytes`]. Nothing outside
-//! a shard lock ever sees a tree that is not fully inclusive, so the
-//! folds, the cache and the fold states are unaware of the deferral.
+//! [`CctShard::count`] (a launch, a PC sample and its stall: one integer
+//! add each) or [`CctShard::attribute`] (a measurement), and the shard is
+//! [settled](CctShard::settle) — one bottom-up sweep, in the order
+//! `core/src/shard.rs` states — under the shard lock wherever its tree is
+//! about to be observed or its bytes measured: the end of every activity
+//! batch, every flush boundary, every fold (cached, uncached, timeline)
+//! and [`EventSink::approx_bytes`]. Nothing outside a shard lock ever
+//! sees a tree that is not fully inclusive, so the folds, the cache and
+//! the fold states are unaware of the deferral.
 //!
 //! The asynchronous pipeline's workers ([`AsyncSink`](crate::AsyncSink))
 //! drive pre-routed events into individual shards through the same
@@ -399,10 +400,23 @@ impl ShardedSink {
         }
     }
 
-    /// What the directory holds for each record of `batch`, in order.
-    fn bindings_of(&self, batch: &[Activity]) -> Vec<Option<Binding>> {
-        let lookup = |a: &Activity| self.directory.lookup(a.correlation_id.0);
-        batch.iter().map(lookup).collect()
+    /// Where each record of `batch` goes and the context it resolves to,
+    /// in order: one directory lookup gives both. A kernel's sampling
+    /// record sits next to its kernel record, so a record with its
+    /// predecessor's correlation reuses the predecessor's answer.
+    fn resolve(&self, batch: &[Activity]) -> Vec<(usize, Option<PathId>)> {
+        let mut resolved: Vec<(usize, Option<PathId>)> = Vec::with_capacity(batch.len());
+        for (k, activity) in batch.iter().enumerate() {
+            let corr = activity.correlation_id.0;
+            let answer = if k > 0 && batch[k - 1].correlation_id.0 == corr {
+                resolved[k - 1]
+            } else {
+                let binding = self.directory.lookup(corr);
+                (self.home_of(corr, binding), binding.map(|b| b.path))
+            };
+            resolved.push(answer);
+        }
+        resolved
     }
 
     /// Retires a shard's pruned correlations from the directory.
@@ -532,8 +546,8 @@ impl ShardedSink {
         (orphaned, samples)
     }
 
-    /// The shard half of a launch or CPU sample, shared by both
-    /// ingestion modes: one vector read for the node, one sample.
+    /// The shard half of a CPU sample, shared by both ingestion modes:
+    /// one vector read for the node, one sample.
     fn attribute_at(shard: &mut CctShard, path: PathId, metric: MetricKind, value: f64) {
         let node = shard.node_for(path);
         shard.attribute(node, metric, value);
@@ -542,10 +556,9 @@ impl ShardedSink {
     /// The shard half of a launch: the context exists from the launch on
     /// (whatever the API), and kernel launches are counted.
     fn insert_launch(shard: &mut CctShard, path: PathId, api: ApiKind) {
+        let node = shard.node_for(path);
         if api == ApiKind::LaunchKernel {
-            Self::attribute_at(shard, path, MetricKind::KernelLaunches, 1.0);
-        } else {
-            shard.node_for(path);
+            shard.count(node, MetricKind::KernelLaunches, 1);
         }
     }
 
@@ -591,10 +604,11 @@ impl ShardedSink {
     /// would have seen before it. Records whose correlation is bound to
     /// another shard fall to the catch-all context.
     pub(crate) fn apply_activity_bucket(&self, idx: usize, bucket: &[Activity]) {
-        let here = |binding: Binding| (binding.shard as usize == idx).then_some(binding.path);
-        let paths = self.bindings_of(bucket);
-        let paths = paths.into_iter().map(|binding| binding.and_then(here));
-        self.apply_resolved(idx, bucket.iter().zip(paths));
+        let resolved = self.resolve(bucket);
+        let here = resolved
+            .into_iter()
+            .map(|(home, path)| path.filter(|_| home == idx));
+        self.apply_resolved(idx, bucket.iter().zip(here));
     }
 
     /// Applies one flushed thread-local batch at shard `idx` under **one**
@@ -632,19 +646,15 @@ impl ShardedSink {
     /// cloning a record (or PC-sampling payload): the whole buffer is
     /// returned as-is when every record shares one home shard.
     pub(crate) fn partition_activities(&self, batch: Vec<Activity>) -> Vec<(usize, Vec<Activity>)> {
-        let homes: Vec<usize> = batch
-            .iter()
-            .zip(self.bindings_of(&batch))
-            .map(|(activity, binding)| self.home_of(activity.correlation_id.0, binding))
-            .collect();
-        let Some(&first) = homes.first() else {
+        let resolved = self.resolve(&batch);
+        let Some(&(first, _)) = resolved.first() else {
             return Vec::new();
         };
-        if homes.iter().all(|idx| *idx == first) {
+        if resolved.iter().all(|(idx, _)| *idx == first) {
             return vec![(first, batch)];
         }
         let mut buckets: Vec<(usize, Vec<Activity>)> = Vec::new();
-        for (activity, idx) in batch.into_iter().zip(homes) {
+        for (activity, (idx, _)) in batch.into_iter().zip(resolved) {
             match buckets.binary_search_by_key(&idx, |(shard, _)| *shard) {
                 Ok(at) => buckets[at].1.push(activity),
                 Err(at) => buckets.insert(at, (idx, vec![activity])),
@@ -808,23 +818,17 @@ impl EventSink for ShardedSink {
             return;
         }
         // Resolve every record once — its home shard and its context come
-        // out of the same directory lookup — then take each shard lock
-        // once per batch. Records are applied from the borrow: nothing is
-        // cloned or moved on this path.
-        let bindings = self.bindings_of(&batch);
-        let home = |k: usize| self.home_of(batch[k].correlation_id.0, bindings[k]);
-        let path = |k: usize| bindings[k].map(|binding| binding.path);
-        let first = home(0);
-        if (1..batch.len()).all(|k| home(k) == first) {
-            let paths = (0..batch.len()).map(path);
-            self.apply_resolved(first, batch.iter().zip(paths));
-        } else {
-            let mut order: Vec<usize> = (0..batch.len()).collect();
-            order.sort_by_key(|&k| home(k));
-            for run in order.chunk_by(|a, b| home(*a) == home(*b)) {
-                let records = run.iter().map(|&k| (&batch[k], path(k)));
-                self.apply_resolved(home(run[0]), records);
-            }
+        // out of the same directory lookup — then walk the batch once per
+        // shard that appears in it, ascending, taking that shard's lock
+        // once. Records are applied from the borrow: nothing is cloned or
+        // moved on this path.
+        let resolved = self.resolve(&batch);
+        let homes = || resolved.iter().map(|(home, _)| *home);
+        let mut next = homes().min();
+        while let Some(idx) = next {
+            let here = batch.iter().zip(&resolved).filter(|(_, r)| r.0 == idx);
+            self.apply_resolved(idx, here.map(|(activity, r)| (activity, r.1)));
+            next = homes().filter(|home| *home > idx).min();
         }
         self.note_peak();
     }

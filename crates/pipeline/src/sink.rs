@@ -14,8 +14,9 @@ use sim_gpu::{Activity, ActivityKind, ApiKind};
 
 /// Attributes one activity record's metrics at its resolved context
 /// `node` of `shard` — the activity-kind → metric mapping. Inclusive
-/// samples wait at the node for the shard's next settle; launch shapes
-/// are exclusive and go to the tree directly. Returns the number of
+/// samples wait at the node for the shard's next settle (measurements as
+/// aggregates, PC samples as integer counts); launch shapes are
+/// exclusive and go to the tree directly. Returns the number of
 /// instruction samples attributed (0 for non-sampling records).
 pub fn attribute_activity_metrics(shard: &mut CctShard, node: NodeId, activity: &Activity) -> u64 {
     match &activity.kind {
@@ -65,13 +66,29 @@ pub fn attribute_activity_metrics(shard: &mut CctShard, node: NodeId, activity: 
         ActivityKind::PcSampling { samples, .. } => {
             // Extend the kernel's call path with per-PC instruction frames
             // (paper §4.2: "we will extend the call path by inserting the
-            // PC of each instruction collected").
+            // PC of each instruction collected"). A record's samples fall
+            // on a handful of PCs, so the last four `pc → child` answers
+            // are kept: `seen` misses so far, the newest overwriting the
+            // oldest. A miss asks the tree, so children are created in
+            // first-appearance order whatever the memo forgot.
+            let mut memo = [(0u64, node); 4];
+            let mut seen = 0usize;
             for sample in samples {
-                let child = shard
-                    .tree_mut()
-                    .insert_child(node, &Frame::instruction(sample.pc));
-                shard.attribute(child, MetricKind::InstructionSamples, 1.0);
-                shard.attribute(child, MetricKind::Stall(sample.stall), 1.0);
+                let known = memo[..seen.min(memo.len())]
+                    .iter()
+                    .find(|(pc, _)| *pc == sample.pc);
+                let child = match known {
+                    Some(&(_, child)) => child,
+                    None => {
+                        let frame = Frame::instruction(sample.pc);
+                        let child = shard.tree_mut().insert_child(node, &frame);
+                        memo[seen % memo.len()] = (sample.pc, child);
+                        seen += 1;
+                        child
+                    }
+                };
+                shard.count(child, MetricKind::InstructionSamples, 1);
+                shard.count(child, MetricKind::Stall(sample.stall), 1);
             }
             samples.len() as u64
         }

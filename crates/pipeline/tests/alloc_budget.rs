@@ -190,11 +190,13 @@ fn a_launch_on_a_context_seen_this_epoch_allocates_nothing() {
 
 #[test]
 fn an_activity_batch_allocates_the_same_few_times_whatever_its_size() {
-    /// The batch's resolved `(shard, path)` list, the shard's
-    /// pruned-correlation list, and one doubling of the settle scratch:
-    /// the batch's launches left it holding one `KernelLaunches`
-    /// aggregate per context, and the records add a `GpuTime` one each.
-    const PER_BATCH: u64 = 3;
+    /// The batch's resolved `(shard, path)` list; the shard's
+    /// pruned-correlation list; and the settle scratch the records'
+    /// `GpuTime` needs — the aggregates themselves, one per context: a
+    /// first allocation of four and one doubling to eight. (The batch's
+    /// launches already brought the per-node index and the slots back,
+    /// sized to the tree.) None of it depends on how many records arrive.
+    const PER_BATCH: u64 = 4;
     let per_batch = |batch: u64| {
         let mut rig = Rig::with_shards(16);
         rig.warm(batch);

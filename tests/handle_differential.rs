@@ -83,7 +83,7 @@ fn arb_step() -> impl Strategy<Value = Step> {
         )
     };
     let complete = || {
-        (0usize..8, 0usize..4, 0u8..3).prop_map(|(nth, samples, sampling_late)| Step::Complete {
+        (0usize..8, 0usize..12, 0u8..3).prop_map(|(nth, samples, sampling_late)| Step::Complete {
             nth,
             samples,
             sampling_late,
@@ -165,23 +165,31 @@ fn terminal_record(corr: u64, api: ApiKind, stream: u32) -> Activity {
     }
 }
 
+/// More PCs than the sink's per-record memo holds, revisited out of
+/// order, and one no sentinel may stand in for.
+const PCS: [u64; 7] = [0x0, 0x8, 0x10, u64::MAX, 0x18, 0x20, 0x28];
+
 fn sampling_record(corr: u64, samples: usize) -> Activity {
+    let pcs = (0..samples).map(|s| PCS[(corr as usize + s * s) % PCS.len()]);
+    sampling_record_at(corr, pcs)
+}
+
+fn sampling_record_at(corr: u64, pcs: impl IntoIterator<Item = u64>) -> Activity {
     const STALLS: [StallReason; 3] = [
         StallReason::MemoryDependency,
         StallReason::ExecutionDependency,
         StallReason::None,
     ];
+    let sample = |(s, pc)| PcSample {
+        pc,
+        stall: STALLS[s % STALLS.len()],
+    };
     Activity {
         correlation_id: CorrelationId(corr),
         device: DeviceId(0),
         kind: ActivityKind::PcSampling {
             name: Arc::from("kernel"),
-            samples: (0..samples)
-                .map(|s| PcSample {
-                    pc: 0x8 * ((corr as usize + s) % 3) as u64,
-                    stall: STALLS[s % STALLS.len()],
-                })
-                .collect(),
+            samples: pcs.into_iter().enumerate().map(sample).collect(),
         },
     }
 }
@@ -435,6 +443,59 @@ fn check(steps: &[Step], shards: usize) {
     );
     prop_assert_eq!(sink.counters().orphans, reference.orphans);
     prop_assert_eq!(sink.snapshot_uncached().semantic_diff(&folded), None);
+}
+
+/// What the sink's per-record `pc → child` memo must not change: a pc
+/// equal to any would-be "empty" marker, more distinct PCs than it holds
+/// (eviction, then the evicted pc again) and A,B,A each yield the tree
+/// the per-sample `insert_child` loop builds — `NodeId` for `NodeId`,
+/// aggregate for aggregate, counts being exact.
+#[test]
+fn a_sampling_records_pc_memo_changes_no_node_and_no_count() {
+    let records: [&[u64]; 4] = [
+        &[u64::MAX, 0x8, u64::MAX, 0x0],
+        &[0x0, 0x8, 0x10, 0x18, 0x20, 0x0, 0x28, 0x8, 0x0],
+        &[0x30, 0x38, 0x30],
+        &[],
+    ];
+    let interner = Interner::new();
+    // One shard: the uncached fold inserts its nodes in id order.
+    let sink = ShardedSink::new(Arc::clone(&interner), 1);
+    let mut reference = Reference::new(&interner, 1);
+    let frames = context(&interner, 0, 5);
+    let mut batch = Vec::new();
+    for (corr, pcs) in (1u64..).zip(records) {
+        let origin = EventOrigin {
+            tid: Some(1),
+            stream: Some(StreamId(0)),
+            correlation: Some(CorrelationId(corr)),
+        };
+        let path = interner.paths().intern(&frames);
+        sink.gpu_launch(&origin, path, ApiKind::LaunchKernel);
+        let node = reference.tree.insert_path(&frames);
+        let launches = MetricKind::KernelLaunches;
+        reference.tree.attribute(node, launches, 1.0);
+        reference.bound.insert(corr, (0, frames.clone()));
+        batch.push(sampling_record_at(corr, pcs.iter().copied()));
+        batch.push(terminal_record(corr, ApiKind::LaunchKernel, 0));
+    }
+    reference.activity_batch(&batch, &vec![0; batch.len()]);
+    sink.activity_batch(batch);
+    let folded = sink.snapshot_uncached();
+    assert_eq!(folded.node_count(), reference.tree.node_count());
+    for id in reference.tree.dfs() {
+        let (got, want) = (folded.node(id), reference.tree.node(id));
+        assert_eq!(got.frame(), want.frame(), "{id}");
+        assert_eq!(got.parent(), want.parent(), "{id}");
+        for (kind, want) in want.metrics().iter() {
+            let got = got.metrics().get(kind).expect("kind present");
+            assert_eq!(got.count, want.count, "{id}: {kind}");
+            if kind != MetricKind::GpuTime {
+                assert_eq!(got, want, "{id}: {kind}");
+            }
+        }
+    }
+    assert_eq!(sink.counters().instruction_samples, 16);
 }
 
 proptest! {

@@ -7,6 +7,12 @@
 //! replaced them must reproduce every byte, and `load` must read the
 //! container back to a profile that saves to the same bytes again.
 //!
+//! The only bytes of `run.dcprof` that depend on the order a shard
+//! settles in are the low digits of `mean` / `m2` of measured kinds
+//! (`gpu_time`, `memcpy_*`, ...); the rule that fixes them is stated in
+//! `crates/core/src/shard.rs`'s module docs. A changed count, sum, min,
+//! max, node or line order is a bug, never a regeneration.
+//!
 //! On a mismatch the actual output is written under the test's target
 //! tmp directory and the failure names the file — copy it over the golden
 //! only when the format change is the point of the PR.
