@@ -53,9 +53,7 @@ pub use latency::{GpuIdleRule, StreamSerializationRule};
 pub use query::{CallPathQuery, FrameMatcher, SemanticClass};
 pub use report::AnalysisReport;
 pub use rules::{CpuLatencyRule, FwdBwdRule, HotspotRule, KernelFusionRule, StallRule};
-pub use store::{
-    DegradedRunRule, IncidentRule, ProfileStore, RegressionRule, RunFilter, RunRecord, TrendPoint,
-};
+pub use store::{IncidentRule, ProfileStore, RegressionRule, RunFilter, RunRecord, TrendPoint};
 pub use view::ProfileView;
 
 use deepcontext_core::{CallingContextTree, ProfileDb};
@@ -105,10 +103,8 @@ impl Analyzer {
     /// An analyzer preloaded with the paper's five example analyses at
     /// their default thresholds, plus the two timeline-backed latency
     /// rules (which stay silent unless a timeline is attached to the
-    /// analyzed view), the [`DegradedRunRule`] guard (silent unless the
-    /// profile was collected under supervisor degradation), and the
-    /// [`IncidentRule`] correlator (silent unless the profile carries an
-    /// incident journal).
+    /// analyzed view) and the [`IncidentRule`] correlator (silent
+    /// unless the profile carries an incident journal).
     pub fn with_default_rules() -> Self {
         let mut a = Analyzer::new();
         a.add_rule(HotspotRule::default());
@@ -118,9 +114,6 @@ impl Analyzer {
         a.add_rule(CpuLatencyRule::default());
         a.add_rule(GpuIdleRule::default());
         a.add_rule(StreamSerializationRule::default());
-        // Silent unless the profiled run carries supervisor.* metadata
-        // (i.e. degraded ingestion actually happened).
-        a.add_rule(DegradedRunRule);
         // Silent unless the profiled run carries its incident journal.
         a.add_rule(IncidentRule);
         a

@@ -90,7 +90,7 @@ pub struct RunFilter {
     /// Match this model identity.
     pub model: Option<String>,
     /// Match runs whose journal recorded an event at this site (the
-    /// `journal.sites` metadata stamp, e.g. `shard.quarantine`).
+    /// `journal.sites` metadata stamp, e.g. `store.retry`).
     pub incident: Option<String>,
 }
 
@@ -131,7 +131,7 @@ impl RunFilter {
     }
 
     /// Requires the run's journal to have recorded an event at `site`
-    /// (e.g. [`journal_sites::SHARD_QUARANTINE`]). Matching reads only
+    /// (e.g. [`journal_sites::STORE_RETRY`]). Matching reads only
     /// the `journal.sites` metadata stamp the profiler embeds at
     /// `finish`, so incident filtering stays header-only; runs without a
     /// journal never match.
@@ -677,138 +677,6 @@ impl Rule for RegressionRule {
     }
 }
 
-/// Flags profiles collected under supervisor degradation (rule name
-/// `degraded-run`).
-///
-/// The profiler stamps `supervisor.*` keys into [`ProfileMeta::extra`]
-/// when the pipeline's `SupervisorSink` guarded ingestion. This rule
-/// reads them back at analysis time so nobody mistakes a sampled or
-/// bypassed profile for a complete one:
-///
-/// - **Bypass** evidence (`supervisor.bypassed_events > 0`, or the run
-///   finished in state 2) is Critical — events were discarded outright
-///   and the profile is a partial record;
-/// - **Degraded** evidence (sampled/rejected events, or finishing in
-///   state 1) is a Warning — estimates are unbiased once multiplied by
-///   the recorded `supervisor.sample_rate`;
-/// - transitions that round-tripped without touching any event are
-///   Info.
-///
-/// Profiles without `supervisor.*` metadata (unsupervised runs, older
-/// stores) produce no issues, so the rule is safe in every default rule
-/// set.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DegradedRunRule;
-
-impl DegradedRunRule {
-    fn meta_u64(meta: &ProfileMeta, key: &str) -> Option<u64> {
-        meta.extra
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.parse::<u64>().ok())
-    }
-}
-
-impl Rule for DegradedRunRule {
-    fn name(&self) -> &str {
-        "degraded-run"
-    }
-
-    fn description(&self) -> &str {
-        "flags profiles whose ingestion was sampled or bypassed by the pipeline supervisor"
-    }
-
-    fn analyze(&self, view: &ProfileView<'_>) -> Vec<Issue> {
-        let Some(meta) = view.db().map(|db| db.meta()) else {
-            return Vec::new();
-        };
-        let Some(state) = Self::meta_u64(meta, "supervisor.state") else {
-            return Vec::new();
-        };
-        let journal = view.journal();
-        let transitions = Self::meta_u64(meta, "supervisor.transitions").unwrap_or(0);
-        let windows = Self::meta_u64(meta, "supervisor.degraded_windows").unwrap_or(0);
-        let sample_rate = Self::meta_u64(meta, "supervisor.sample_rate").unwrap_or(1);
-        let sampled = Self::meta_u64(meta, "supervisor.sampled_events").unwrap_or(0);
-        let rejected = Self::meta_u64(meta, "supervisor.rejected_events").unwrap_or(0);
-        let bypassed = Self::meta_u64(meta, "supervisor.bypassed_events").unwrap_or(0);
-        if state == 0 && transitions == 0 && sampled == 0 && rejected == 0 && bypassed == 0 {
-            // Supervised, but the run never left Healthy: nothing to say.
-            return Vec::new();
-        }
-        let (severity, mut message, suggestion) = if bypassed > 0 || state == 2 {
-            (
-                Severity::Critical,
-                format!(
-                    "ingestion was bypassed under overload: {bypassed} events were discarded \
-                     outright (plus {rejected} rejected while sampling); this profile is a \
-                     partial record of the run"
-                ),
-                "treat totals as lower bounds; raise queue capacity / worker count or relax \
-                 the supervisor's bypass edge, then re-profile"
-                    .to_string(),
-            )
-        } else if sampled > 0 || rejected > 0 || state == 1 {
-            (
-                Severity::Warning,
-                format!(
-                    "ingestion degraded to 1-in-{sample_rate} sampled admission for {windows} \
-                     health window(s): {sampled} events admitted, {rejected} rejected; \
-                     per-context estimates are unbiased after multiplying by \
-                     supervisor.sample_rate = {sample_rate}"
-                ),
-                "multiply sampled-window metric estimates by the recorded sample rate; if \
-                 full fidelity is needed, raise queue capacity or worker count"
-                    .to_string(),
-            )
-        } else {
-            (
-                Severity::Info,
-                format!(
-                    "the supervisor transitioned {transitions} time(s) but no event was \
-                     sampled or discarded; the profile is complete"
-                ),
-                "no action needed; the pipeline brushed against its overload edges".to_string(),
-            )
-        };
-        // When the run carries its journal, cite the actual transition
-        // times: metadata says the run degraded, the journal says when.
-        if let Some(journal) = journal {
-            let cited: Vec<String> = journal
-                .events_at(journal_sites::SUPERVISOR_TRANSITION)
-                .map(|e| {
-                    format!(
-                        "{}\u{2192}{} at {}",
-                        event_field(e, "from").unwrap_or("?"),
-                        event_field(e, "to").unwrap_or("?"),
-                        format_ts(e.ts_ns),
-                    )
-                })
-                .collect();
-            if !cited.is_empty() {
-                message.push_str(&format!("; journaled transitions: {}", cited.join(", ")));
-            }
-        }
-        let cct = view.cct();
-        vec![Issue {
-            rule: self.name().to_string(),
-            severity,
-            node: cct.root(),
-            call_path: "<whole run>".to_string(),
-            message,
-            suggestion,
-            metrics: vec![
-                ("supervisor_state".to_string(), state as f64),
-                ("sample_rate".to_string(), sample_rate as f64),
-                ("sampled_events".to_string(), sampled as f64),
-                ("rejected_events".to_string(), rejected as f64),
-                ("bypassed_events".to_string(), bypassed as f64),
-            ],
-            weight: (rejected + bypassed) as f64,
-        }]
-    }
-}
-
 /// Renders a journal timestamp as milliseconds since the run's epoch
 /// (the shared telemetry clock when both were on).
 fn format_ts(ts_ns: u64) -> String {
@@ -827,23 +695,14 @@ fn event_field<'a>(event: &'a StoredJournalEvent, key: &str) -> Option<&'a str> 
 /// Correlates the run's incident journal with the profile's artifacts
 /// (rule name `incident`).
 ///
-/// Where [`DegradedRunRule`] reads the supervisor's aggregate metadata
-/// stamps, this rule reads the journal itself — the causal flight
-/// record [`ProfileDb`] persists with the run — and ties each incident
-/// kind to the artifact it left in the tree:
+/// This rule reads the journal itself — the causal flight record
+/// [`ProfileDb`] persists with the run — and names what it finds:
 ///
-/// - **Quarantines** (`shard.quarantine` / `worker.restart` events) are
-///   tied to the `<poisoned>` synthetic context's event mass: Critical
-///   when in-flight events were actually poisoned, Warning when every
-///   worker recovered without losing work;
-/// - **Drop storms** (`drop.storm.start` / `drop.storm.end`) are tied
-///   to the `<dropped>` synthetic context's mass: Critical when the
-///   last storm was still open at snapshot time (its losses have no end
-///   marker), Warning otherwise;
 /// - **Store retries** (`store.retry`) warn that persistence rode out
 ///   transient I/O errors, citing the attempts;
 /// - **Failpoint fires** (`failpoint.fire`) are Info — faults were
-///   injected, so the incidents above are at least partly synthetic.
+///   injected, so the incidents in this run are at least partly
+///   synthetic.
 ///
 /// Profiles without a journal (journaling off, pre-v3 stores, live
 /// previews) produce no issues, so the rule is safe in every default
@@ -869,129 +728,6 @@ impl Rule for IncidentRule {
         }
         let mut issues = Vec::new();
         let cct = view.cct();
-        // Anchor an incident at its synthetic context when the tree has
-        // one (`<poisoned>`, `<dropped>`), at the root otherwise.
-        let synthetic = |name: &str| {
-            view.operators()
-                .into_iter()
-                .find(|&n| view.operator_name(n).as_deref() == Some(name))
-        };
-
-        let quarantines: Vec<&StoredJournalEvent> =
-            journal.events_at(journal_sites::SHARD_QUARANTINE).collect();
-        let restarts = journal.events_at(journal_sites::WORKER_RESTART).count();
-        if !quarantines.is_empty() || restarts > 0 {
-            let poisoned = view.total(MetricKind::PoisonedEvents);
-            let first_ts = quarantines
-                .iter()
-                .map(|e| e.ts_ns)
-                .chain(
-                    journal
-                        .events_at(journal_sites::WORKER_RESTART)
-                        .map(|e| e.ts_ns),
-                )
-                .min()
-                .unwrap_or(0);
-            let shards: Vec<&str> = quarantines
-                .iter()
-                .filter_map(|e| event_field(e, "shard"))
-                .collect();
-            let (severity, message) = if poisoned > 0.0 {
-                (
-                    Severity::Critical,
-                    format!(
-                        "worker panic(s) quarantined shard(s) [{}] (first incident at {}, \
-                         {restarts} worker restart(s)); {poisoned} in-flight events were \
-                         poisoned and attributed under <poisoned>",
-                        shards.join(", "),
-                        format_ts(first_ts),
-                    ),
-                )
-            } else {
-                (
-                    Severity::Warning,
-                    format!(
-                        "{} shard quarantine(s) and {restarts} worker restart(s) (first \
-                         incident at {}); no in-flight events were poisoned",
-                        quarantines.len(),
-                        format_ts(first_ts),
-                    ),
-                )
-            };
-            let node = synthetic("<poisoned>");
-            issues.push(Issue {
-                rule: self.name().to_string(),
-                severity,
-                node: node.unwrap_or_else(|| cct.root()),
-                call_path: node
-                    .map(|n| view.path_string(n))
-                    .unwrap_or_else(|| "<whole run>".to_string()),
-                message,
-                suggestion: "the journal cites each quarantine's shard and time; exclude the \
-                             <poisoned> subtree from totals and fix the panicking \
-                             instrumentation path before trusting this run"
-                    .to_string(),
-                metrics: vec![
-                    ("quarantined_shards".to_string(), quarantines.len() as f64),
-                    ("worker_restarts".to_string(), restarts as f64),
-                    ("poisoned_events".to_string(), poisoned),
-                ],
-                weight: poisoned + (quarantines.len() + restarts) as f64,
-            });
-        }
-
-        let storms = journal.events_at(journal_sites::DROP_STORM_START).count();
-        if storms > 0 {
-            let ends = journal.events_at(journal_sites::DROP_STORM_END).count();
-            let open = storms > ends;
-            let dropped_mass = view.total(MetricKind::DroppedEvents);
-            let journal_dropped: u64 = journal
-                .events_at(journal_sites::DROP_STORM_END)
-                .filter_map(|e| event_field(e, "dropped").and_then(|v| v.parse::<u64>().ok()))
-                .sum();
-            let first_ts = journal
-                .events_at(journal_sites::DROP_STORM_START)
-                .map(|e| e.ts_ns)
-                .min()
-                .unwrap_or(0);
-            let mut message = format!(
-                "{storms} drop storm(s) (first onset at {}) evicted {journal_dropped} \
-                 event(s) at their end barriers; {dropped_mass} of dropped mass is \
-                 attributed under <dropped>",
-                format_ts(first_ts),
-            );
-            if open {
-                message.push_str(
-                    " — the last storm was still open at snapshot time, so its losses \
-                     have no journaled end marker",
-                );
-            }
-            let node = synthetic("<dropped>");
-            issues.push(Issue {
-                rule: self.name().to_string(),
-                severity: if open {
-                    Severity::Critical
-                } else {
-                    Severity::Warning
-                },
-                node: node.unwrap_or_else(|| cct.root()),
-                call_path: node
-                    .map(|n| view.path_string(n))
-                    .unwrap_or_else(|| "<whole run>".to_string()),
-                message,
-                suggestion: "treat totals as lower bounds over the journaled storm windows; \
-                             raise queue capacity or switch the backpressure policy, then \
-                             re-profile"
-                    .to_string(),
-                metrics: vec![
-                    ("drop_storms".to_string(), storms as f64),
-                    ("journal_dropped".to_string(), journal_dropped as f64),
-                    ("dropped_mass".to_string(), dropped_mass),
-                ],
-                weight: dropped_mass.max(journal_dropped as f64),
-            });
-        }
-
         let retries: Vec<&StoredJournalEvent> =
             journal.events_at(journal_sites::STORE_RETRY).collect();
         if !retries.is_empty() {
@@ -1330,62 +1066,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_run_rule_reads_supervisor_stamps() {
-        let rule = DegradedRunRule;
-        // Unsupervised profile: silent.
-        let plain = profile("unet", "h", 1, 1.0);
-        assert!(rule.analyze(&ProfileView::new(&plain)).is_empty());
-
-        // Supervised but never degraded: still silent.
-        let mut healthy = profile("unet", "h", 2, 1.0);
-        for (k, v) in [("supervisor.state", "0"), ("supervisor.transitions", "0")] {
-            healthy
-                .meta_mut()
-                .extra
-                .push((k.to_string(), v.to_string()));
-        }
-        assert!(rule.analyze(&ProfileView::new(&healthy)).is_empty());
-
-        // Sampled ingestion: a warning naming the scale factor.
-        let mut sampled = profile("unet", "h", 3, 1.0);
-        for (k, v) in [
-            ("supervisor.state", "0"),
-            ("supervisor.transitions", "2"),
-            ("supervisor.degraded_windows", "3"),
-            ("supervisor.sample_rate", "8"),
-            ("supervisor.sampled_events", "100"),
-            ("supervisor.rejected_events", "700"),
-            ("supervisor.bypassed_events", "0"),
-        ] {
-            sampled
-                .meta_mut()
-                .extra
-                .push((k.to_string(), v.to_string()));
-        }
-        let issues = rule.analyze(&ProfileView::new(&sampled));
-        assert_eq!(issues.len(), 1);
-        assert_eq!(issues[0].severity, Severity::Warning);
-        assert!(issues[0].message.contains("1-in-8"));
-
-        // Bypassed ingestion: critical — the profile is partial.
-        let mut bypassed = profile("unet", "h", 4, 1.0);
-        for (k, v) in [
-            ("supervisor.state", "2"),
-            ("supervisor.sample_rate", "8"),
-            ("supervisor.bypassed_events", "5000"),
-        ] {
-            bypassed
-                .meta_mut()
-                .extra
-                .push((k.to_string(), v.to_string()));
-        }
-        let issues = rule.analyze(&ProfileView::new(&bypassed));
-        assert_eq!(issues.len(), 1);
-        assert_eq!(issues[0].severity, Severity::Critical);
-        assert!(issues[0].weight >= 5000.0);
-    }
-
-    #[test]
     fn min_value_floor_suppresses_noise() {
         let baselines = vec![profile("unet", "h", 1, 1.0)];
         let rule = RegressionRule::from_profiles(MetricKind::GpuTime, &baselines)
@@ -1439,16 +1119,18 @@ mod tests {
             "pipeline.epoch,shard.quarantine".to_string(),
         ));
         let plain = profile("unet", "h", 2, 1.0);
-        let want = RunFilter::any().incident(journal_sites::SHARD_QUARANTINE);
+        // A site only journals stored before the async pipeline was
+        // deleted carry: stamps are strings, so they still filter.
+        let want = RunFilter::any().incident("shard.quarantine");
         assert!(want.matches(incident.meta()));
         assert!(!want.matches(plain.meta()));
         assert!(!RunFilter::any()
-            .incident(journal_sites::DROP_STORM_START)
+            .incident(journal_sites::STORE_RETRY)
             .matches(incident.meta()));
         // Composes with the other axes.
         assert!(!RunFilter::any()
             .workload("bert")
-            .incident(journal_sites::SHARD_QUARANTINE)
+            .incident("shard.quarantine")
             .matches(incident.meta()));
 
         // Header-only store listings filter the same way.
@@ -1458,7 +1140,7 @@ mod tests {
         let hits = store.list_filtered(&want).unwrap();
         assert_eq!(hits.len(), 1);
         assert!(store
-            .list_filtered(&RunFilter::any().incident("drop.storm.start"))
+            .list_filtered(&RunFilter::any().incident(journal_sites::STORE_RETRY))
             .unwrap()
             .is_empty());
         fs::remove_dir_all(dir).unwrap();
@@ -1499,66 +1181,6 @@ mod tests {
     }
 
     #[test]
-    fn incident_rule_ties_quarantine_to_poisoned_mass() {
-        let mut cct = CallingContextTree::new();
-        let i = cct.interner();
-        let node = cct.insert_path(&[Frame::operator("<poisoned>", &i)]);
-        cct.attribute(node, MetricKind::PoisonedEvents, 5.0);
-        let mut db = ProfileDb::new(ProfileMeta::default(), cct);
-        db.set_journal(Some(stored_journal(&[
-            ("shard.quarantine", 2, 1_500_000, &[("shard", "3")]),
-            ("worker.restart", 2, 1_600_000, &[("worker", "1")]),
-        ])));
-        let issues = IncidentRule.analyze(&ProfileView::new(&db));
-        assert_eq!(issues.len(), 1);
-        let q = &issues[0];
-        assert_eq!(q.severity, Severity::Critical);
-        assert!(q.call_path.contains("<poisoned>"), "got {}", q.call_path);
-        assert!(q.message.contains("shard(s) [3]"), "got {}", q.message);
-        assert!(q.message.contains("t=+1.500ms"), "cites the journaled time");
-        assert!(q.message.contains("5 in-flight events were poisoned"));
-        assert!(q
-            .metrics
-            .iter()
-            .any(|(k, v)| k == "poisoned_events" && *v == 5.0));
-    }
-
-    #[test]
-    fn incident_rule_flags_drop_storms_and_open_storms_escalate() {
-        // A storm bracketed by its end barrier: Warning at <dropped>.
-        let mut cct = CallingContextTree::new();
-        let i = cct.interner();
-        let node = cct.insert_path(&[Frame::operator("<dropped>", &i)]);
-        cct.attribute(node, MetricKind::DroppedEvents, 7.0);
-        let mut db = ProfileDb::new(ProfileMeta::default(), cct);
-        db.set_journal(Some(stored_journal(&[
-            ("drop.storm.start", 1, 2_000_000, &[("weight", "1")]),
-            ("drop.storm.end", 1, 3_000_000, &[("dropped", "7")]),
-        ])));
-        let issues = IncidentRule.analyze(&ProfileView::new(&db));
-        assert_eq!(issues.len(), 1);
-        assert_eq!(issues[0].severity, Severity::Warning);
-        assert!(issues[0].call_path.contains("<dropped>"));
-        assert!(issues[0].message.contains("evicted 7"));
-        assert!(issues[0].message.contains("t=+2.000ms"));
-
-        // A storm with no end marker: Critical, anchored at the root
-        // when the tree has no <dropped> context.
-        let mut open = profile("unet", "h", 1, 1.0);
-        open.set_journal(Some(stored_journal(&[(
-            "drop.storm.start",
-            1,
-            2_000_000,
-            &[("weight", "1")],
-        )])));
-        let issues = IncidentRule.analyze(&ProfileView::new(&open));
-        assert_eq!(issues.len(), 1);
-        assert_eq!(issues[0].severity, Severity::Critical);
-        assert_eq!(issues[0].call_path, "<whole run>");
-        assert!(issues[0].message.contains("still open"));
-    }
-
-    #[test]
     fn incident_rule_reports_store_retries_and_failpoint_fires() {
         let mut db = profile("unet", "h", 1, 1.0);
         db.set_journal(Some(stored_journal(&[
@@ -1589,48 +1211,5 @@ mod tests {
             .unwrap();
         assert_eq!(fire.severity, Severity::Info);
         assert!(fire.message.contains("store_io_err"));
-    }
-
-    #[test]
-    fn degraded_run_rule_cites_journaled_transition_times() {
-        let mut db = profile("unet", "h", 1, 1.0);
-        for (k, v) in [
-            ("supervisor.state", "1"),
-            ("supervisor.sample_rate", "8"),
-            ("supervisor.sampled_events", "10"),
-        ] {
-            db.meta_mut().extra.push((k.to_string(), v.to_string()));
-        }
-        db.set_journal(Some(stored_journal(&[
-            (
-                "supervisor.transition",
-                1,
-                4_200_000,
-                &[
-                    ("from", "Healthy"),
-                    ("to", "Degraded"),
-                    ("drop_rate", "0.5"),
-                    ("queue_saturation", "0.9"),
-                ],
-            ),
-            (
-                "supervisor.transition",
-                0,
-                9_000_000,
-                &[("from", "Degraded"), ("to", "Healthy"), ("forced", "true")],
-            ),
-        ])));
-        let issues = DegradedRunRule.analyze(&ProfileView::new(&db));
-        assert_eq!(issues.len(), 1);
-        assert!(
-            issues[0]
-                .message
-                .contains("journaled transitions: Healthy\u{2192}Degraded at t=+4.200ms"),
-            "got {}",
-            issues[0].message
-        );
-        assert!(issues[0]
-            .message
-            .contains("Degraded\u{2192}Healthy at t=+9.000ms"));
     }
 }

@@ -1,6 +1,5 @@
 //! Measurement harness shared by the table/figure regeneration binaries,
-//! and the stream / profile builders `bench_check` times ([`pipeline`],
-//! [`store`]).
+//! and the profile builder `bench_check` times ([`store`]).
 //!
 //! [`measure`] runs one workload on one platform/engine under one of four
 //! profiler configurations — none, a trace-based framework profiler, and
@@ -11,8 +10,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ingestion;
-pub mod pipeline;
 pub mod store;
 
 use std::time::{Duration, Instant};

@@ -10,11 +10,11 @@
 //! an optional timeline section persists the recorded intervals (with
 //! their own captured symbol table and the recording counters) so a
 //! run's timeline survives the profiler. Version 3 adds an optional
-//! incident-journal section — the run's lifecycle events (supervisor
-//! transitions, quarantines, drop storms, store retries, failpoint
-//! fires) with their own site-name table and conservation counters — so
-//! a stored run carries its own causal incident history. Version 1 and
-//! 2 files still load.
+//! incident-journal section — the run's lifecycle events (flush
+//! boundaries, store retries, failpoint fires; in older files also
+//! supervisor transitions, quarantines and drop storms) with their own
+//! site-name table and conservation counters — so a stored run carries
+//! its own causal incident history. Version 1 and 2 files still load.
 //!
 //! Both directions work on one buffer. [`ProfileDb::save`] renders into
 //! one reused `String` — the interval lines' integers through
@@ -1042,6 +1042,25 @@ mod tests {
         for s in ["plain", "with\ttab", "with\nnewline", "back\\slash", ""] {
             assert_eq!(unescape(&Escaped(s).to_string()).unwrap(), s);
         }
+    }
+
+    #[test]
+    fn stats_of_kinds_only_older_profiles_carry_round_trip() {
+        // `<dropped>` / `<poisoned>` were written by the asynchronous
+        // pipeline; it is gone, files saved under it are not.
+        let mut cct = CallingContextTree::new();
+        let i = cct.interner();
+        let dropped = cct.insert_path(&[Frame::operator("<dropped>", &i)]);
+        let poisoned = cct.insert_path(&[Frame::operator("<poisoned>", &i)]);
+        cct.attribute(dropped, MetricKind::DroppedEvents, 7.0);
+        cct.attribute(poisoned, MetricKind::PoisonedEvents, 5.0);
+        let db = ProfileDb::new(ProfileMeta::default(), cct);
+        let mut buf = Vec::new();
+        db.save(&mut buf).unwrap();
+        let back = ProfileDb::load(&buf[..]).unwrap();
+        assert_eq!(back.cct().semantic_diff(db.cct()), None);
+        assert_eq!(back.cct().total(MetricKind::DroppedEvents), 7.0);
+        assert_eq!(back.cct().total(MetricKind::PoisonedEvents), 5.0);
     }
 
     #[test]

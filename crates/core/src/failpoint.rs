@@ -1,7 +1,7 @@
 //! Deterministic fault injection for resilience testing.
 //!
-//! DeepContext's failure modes — a panicking pipeline worker, a stalled
-//! channel, a flaky profile-store disk — must be *injectable and
+//! DeepContext's failure modes — a stalled directory bind or snapshot
+//! fold, a flaky profile-store disk — must be *injectable and
 //! regression-tested*, not discovered in production. This module is the
 //! no-new-deps harness: a [`Failpoints`] registry parsed from a compact
 //! spec string, checked at named injection sites across the workspace.
@@ -21,23 +21,23 @@
 //! | `always`      | fires on every check                                   |
 //! | `p<F>`        | fires independently with probability `F` (seeded PRNG) |
 //!
-//! Example: `worker_panic@3;store_io_err@first;queue_stall@shard2`.
+//! Example: `fold_stall@3;store_io_err@first;dir_bind_stall@shard2`.
 //!
-//! The process-global registry is parsed once from the
-//! `DEEPCONTEXT_FAILPOINTS` environment variable (see [`from_env`]);
-//! probabilistic triggers draw from a per-point xorshift64* stream
-//! seeded by `DEEPCONTEXT_FAILPOINT_SEED`, so a run is reproducible from
-//! its spec + seed alone. Tests construct instance-scoped registries
-//! with [`Failpoints::parse`] and thread them through configuration
-//! (e.g. `PipelineConfig::failpoints`) instead of mutating the process
-//! environment, so concurrently running tests never contaminate each
-//! other.
+//! The `DEEPCONTEXT_FAILPOINTS` environment variable only *seeds*
+//! registries: every [`from_env`] call parses the spec into a registry of
+//! its own, so two profilers (or two stores) in one process count their
+//! own hits and report their own fires. Probabilistic triggers draw from
+//! a per-point xorshift64* stream seeded by `DEEPCONTEXT_FAILPOINT_SEED`,
+//! so a run is reproducible from its spec + seed alone. Tests construct
+//! registries with [`Failpoints::parse`] and thread them through
+//! configuration (e.g. `PipelineConfig::failpoints`) instead of mutating
+//! the process environment.
 //!
 //! What *happens* when a point fires is decided by the site, not the
-//! spec: the worker-apply site panics, the store read/write sites
-//! synthesize a transient [`std::io::Error`] (via [`Failpoints::io_error`]),
-//! the channel-send / directory-bind / snapshot-fold sites stall briefly
-//! (via [`Failpoints::stall_at`]) to shake out timing assumptions.
+//! spec: the store read/write sites synthesize a transient
+//! [`std::io::Error`] (via [`Failpoints::io_error`]), the directory-bind /
+//! snapshot-fold sites stall briefly (via [`Failpoints::stall_at`]) to
+//! shake out timing assumptions.
 //!
 //! [`from_env`]: Failpoints::from_env
 
@@ -48,10 +48,6 @@ use std::time::Duration;
 /// Well-known injection-site names, so call sites and CI specs agree on
 /// spelling.
 pub mod sites {
-    /// Pipeline worker applying a message to its shard (fires → panic).
-    pub const WORKER_PANIC: &str = "worker_panic";
-    /// Producer-side bounded-channel send (fires → brief stall).
-    pub const QUEUE_STALL: &str = "queue_stall";
     /// Correlation-directory bind (fires → brief stall).
     pub const DIR_BIND_STALL: &str = "dir_bind_stall";
     /// Incremental snapshot fold (fires → brief stall).
@@ -198,22 +194,23 @@ impl Failpoints {
         })
     }
 
-    /// The process-global registry, parsed once from
-    /// `DEEPCONTEXT_FAILPOINTS` (+ `DEEPCONTEXT_FAILPOINT_SEED`). A
-    /// malformed spec degrades to the disabled registry — the harness is
-    /// test infrastructure and must never take the workload down itself.
+    /// A fresh registry parsed from `DEEPCONTEXT_FAILPOINTS`
+    /// (+ `DEEPCONTEXT_FAILPOINT_SEED`): the environment is read once per
+    /// process, the spec is parsed once per call, so every caller counts
+    /// its own hits and installs its own fire observer. A malformed spec
+    /// degrades to the disabled registry — the harness is test
+    /// infrastructure and must never take the workload down itself.
     pub fn from_env() -> Failpoints {
-        static GLOBAL: OnceLock<Failpoints> = OnceLock::new();
-        GLOBAL
-            .get_or_init(|| {
-                let spec = std::env::var("DEEPCONTEXT_FAILPOINTS").unwrap_or_default();
-                let seed = std::env::var("DEEPCONTEXT_FAILPOINT_SEED")
-                    .ok()
-                    .and_then(|v| v.trim().parse::<u64>().ok())
-                    .unwrap_or(DEFAULT_SEED);
-                Failpoints::parse_with_seed(&spec, seed).unwrap_or_else(|_| Failpoints::disabled())
-            })
-            .clone()
+        static SPEC: OnceLock<(String, u64)> = OnceLock::new();
+        let (spec, seed) = SPEC.get_or_init(|| {
+            let spec = std::env::var("DEEPCONTEXT_FAILPOINTS").unwrap_or_default();
+            let seed = std::env::var("DEEPCONTEXT_FAILPOINT_SEED")
+                .ok()
+                .and_then(|v| v.trim().parse::<u64>().ok())
+                .unwrap_or(DEFAULT_SEED);
+            (spec, seed)
+        });
+        Failpoints::parse_with_seed(spec, *seed).unwrap_or_else(|_| Failpoints::disabled())
     }
 
     /// Whether any point is registered. The negative is the hot-path
@@ -224,11 +221,8 @@ impl Failpoints {
 
     /// Installs a callback invoked (from the checking thread, with the
     /// point name and numbered site) every time a point actually fires.
-    /// The latest installer wins — [`from_env`](Self::from_env) hands
-    /// every caller one process-global registry, so the observer must
-    /// follow the *current* run's journal rather than stay pinned to
-    /// whichever profiler attached first. Clones share the observer just
-    /// as they share counters.
+    /// The latest installer wins; clones share the observer just as they
+    /// share counters.
     pub fn observe_fires(&self, observer: FireObserver) {
         if let Ok(mut slot) = self.observer.write() {
             *slot = Some(observer);
@@ -241,15 +235,15 @@ impl Failpoints {
         self.check(name, None)
     }
 
-    /// Checks the named point at a numbered site (shard index, worker
-    /// index, …) — the entry `shard<K>` triggers match against.
+    /// Checks the named point at a numbered site (a shard index) — the
+    /// entry `shard<K>` triggers match against.
     pub fn should_fire_at(&self, name: &str, site: u64) -> bool {
         self.check(name, Some(site))
     }
 
     /// Checks + fires-as-a-stall: sleeps a few hundred microseconds when
     /// the point trips. The convenience wrapper for timing-perturbation
-    /// sites (channel send, directory bind, snapshot fold).
+    /// sites (directory bind, snapshot fold).
     pub fn stall_at(&self, name: &str, site: u64) {
         if self.should_fire_at(name, site) {
             std::thread::sleep(STALL);
@@ -359,9 +353,9 @@ mod tests {
     fn disabled_registry_never_fires_and_counts_nothing() {
         let fp = Failpoints::disabled();
         assert!(!fp.is_active());
-        assert!(!fp.should_fire(sites::WORKER_PANIC));
-        assert!(!fp.should_fire_at(sites::QUEUE_STALL, 2));
-        assert_eq!(fp.hits(sites::WORKER_PANIC), 0);
+        assert!(!fp.should_fire(sites::FOLD_STALL));
+        assert!(!fp.should_fire_at(sites::DIR_BIND_STALL, 2));
+        assert_eq!(fp.hits(sites::FOLD_STALL), 0);
     }
 
     #[test]
@@ -438,9 +432,7 @@ mod tests {
         use std::sync::Mutex;
         type Seen = Arc<Mutex<Vec<(String, Option<u64>)>>>;
         let fp = Failpoints::parse("a@every2;b@shard1").unwrap();
-        // The first observer is replaced before anything fires: with the
-        // process-global env registry, each new run's journal must take
-        // over from the previous run's.
+        // The first observer is replaced before anything fires.
         fp.observe_fires(Box::new(|_, _| panic!("replaced observer must not fire")));
         let seen: Seen = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);

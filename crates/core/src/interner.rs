@@ -8,8 +8,7 @@
 //! The intern map is **lock-striped**: `intern` hashes the string to one
 //! of [`STRIPES`] independent `RwLock`ed maps, so concurrent producers
 //! interning *different* strings — the common case once ingestion is
-//! sharded and attribution runs on a worker pool — no longer serialize on
-//! one global lock. The hot path (interning an already-known string) is
+//! sharded — no longer serialize on one global lock. The hot path (interning an already-known string) is
 //! one striped read lock. Symbol ids stay dense and stable: a shared
 //! append-only symbol table assigns ids in insertion order, and a string
 //! is only ever inserted once (the stripe's write lock makes the

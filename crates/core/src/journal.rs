@@ -5,8 +5,10 @@
 //! shape lives here, next to [`StoredTimeline`](crate::StoredTimeline)
 //! and for the same reason: [`ProfileDb`](crate::ProfileDb) embeds the
 //! journal tail so a saved run carries its own incident history
-//! (supervisor transitions, shard quarantines, drop storms, store
-//! retries, failpoint fires), and the database crate cannot depend on
+//! (flush boundaries, store retries, failpoint fires — and, in files
+//! saved while ingestion had queues and workers, supervisor transitions,
+//! shard quarantines and drop storms: sites are stored as strings, so
+//! those still load), and the database crate cannot depend on
 //! the telemetry machinery without a cycle. The telemetry crate converts
 //! to this form (`JournalSnapshot::to_stored`) and the analyzer reads it
 //! back to correlate incidents with profile artifacts.

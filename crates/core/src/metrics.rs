@@ -139,13 +139,14 @@ pub enum MetricKind {
     HwBranchMisses,
     /// GPU instruction samples (count).
     InstructionSamples,
-    /// Profiler events discarded by an overloaded ingestion pipeline
-    /// (the `DropOldest` backpressure policy), attributed to a synthetic
-    /// `<dropped>` context so overload is visible in the profile itself.
+    /// Profiler events an overloaded ingestion queue discarded, under a
+    /// synthetic `<dropped>` context. Nothing in this tree produces it
+    /// any more (the queues are gone); the kind and its container tag
+    /// stay so profiles saved before that still load.
     DroppedEvents,
-    /// Profiler events discarded because their shard was quarantined
-    /// after a worker panic, attributed to a synthetic `<poisoned>`
-    /// context so fault isolation is visible in the profile itself.
+    /// Profiler events lost to a quarantined ingestion worker, under a
+    /// synthetic `<poisoned>` context. Kept, like
+    /// [`DroppedEvents`](Self::DroppedEvents), for stored profiles only.
     PoisonedEvents,
     /// GPU instruction samples stalled for a specific reason (count).
     Stall(StallReason),

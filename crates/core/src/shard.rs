@@ -195,8 +195,6 @@ pub struct CctShard {
     /// entry stays valid whatever else is inserted into the tree.
     by_path: Vec<NodeId>,
     orphan: Option<NodeId>,
-    dropped: Option<NodeId>,
-    poisoned: Option<NodeId>,
     // `prev_batch` is sorted (its own batch ended with the sort), so
     // `end_batch` sorts `curr_batch` and merge-walks the two.
     prev_batch: Vec<u64>,
@@ -213,8 +211,6 @@ impl CctShard {
             tree: CallingContextTree::with_interner(interner),
             by_path: Vec::new(),
             orphan: None,
-            dropped: None,
-            poisoned: None,
             prev_batch: Vec::new(),
             curr_batch: Vec::new(),
             generation: 0,
@@ -391,81 +387,6 @@ impl CctShard {
         }
     }
 
-    /// The hoisted synthetic `<dropped>` context: overload telemetry for
-    /// ingestion pipelines whose drop policy discarded events. Created on
-    /// first use, like [`orphan_node`](Self::orphan_node).
-    pub fn dropped_node(&mut self) -> NodeId {
-        match self.dropped {
-            Some(node) => node,
-            None => {
-                self.generation += 1;
-                let interner = self.tree.interner();
-                let frame = Frame::operator("<dropped>", &interner);
-                let node = self.tree.insert_path(std::slice::from_ref(&frame));
-                self.dropped = Some(node);
-                node
-            }
-        }
-    }
-
-    /// Records `count` events discarded by an overloaded pipeline under
-    /// the synthetic `<dropped>` context
-    /// ([`MetricKind::DroppedEvents`]), so `DropOldest` overload is
-    /// visible inside the profile rather than only in side counters.
-    pub fn attribute_dropped(&mut self, count: u64) {
-        let node = self.dropped_node();
-        self.attribute(node, MetricKind::DroppedEvents, count as f64);
-    }
-
-    /// The hoisted synthetic `<poisoned>` context: fault-isolation
-    /// telemetry for ingestion pipelines that quarantined this shard
-    /// after a worker panic. Created on first use, like
-    /// [`orphan_node`](Self::orphan_node).
-    pub fn poisoned_node(&mut self) -> NodeId {
-        match self.poisoned {
-            Some(node) => node,
-            None => {
-                self.generation += 1;
-                let interner = self.tree.interner();
-                let frame = Frame::operator("<poisoned>", &interner);
-                let node = self.tree.insert_path(std::slice::from_ref(&frame));
-                self.poisoned = Some(node);
-                node
-            }
-        }
-    }
-
-    /// Records `count` events discarded because the shard was
-    /// quarantined after a worker panic, under the synthetic
-    /// `<poisoned>` context ([`MetricKind::PoisonedEvents`]) — so fault
-    /// isolation is visible inside the profile and event conservation
-    /// (attributed + poisoned + dropped == produced) can be audited from
-    /// the profile alone.
-    pub fn attribute_poisoned(&mut self, count: u64) {
-        let node = self.poisoned_node();
-        self.attribute(node, MetricKind::PoisonedEvents, count as f64);
-    }
-
-    /// Records a *sampled* drop victim: `count` estimated events evicted
-    /// from the context `path`, attributed **exclusively** (no root-ward
-    /// propagation) at a copy of the path below the synthetic `<dropped>`
-    /// node. The `<dropped>` node itself keeps carrying the exact total
-    /// via [`attribute_dropped`](Self::attribute_dropped); the sampled
-    /// children are scaled estimates (sample stride × samples) of *which*
-    /// contexts the overload hit, so the two must not double-count.
-    pub fn attribute_dropped_sample(&mut self, path: PathId, count: f64) {
-        let mut node = self.dropped_node();
-        self.generation += 1;
-        let interner = self.tree.interner();
-        let entries = interner.paths().entries();
-        let chain: Vec<PathId> = entries.leaf_to_root(path).collect();
-        for id in chain.into_iter().rev() {
-            node = self.tree.insert_child(node, entries.frame(id));
-        }
-        self.tree
-            .attribute_exclusive(node, MetricKind::DroppedEvents, count);
-    }
-
     /// The node a record resolved to `path` by the correlation directory
     /// attributes at, falling back to the hoisted catch-all when the
     /// correlation was unknown. Returns the node and whether it was the
@@ -550,12 +471,6 @@ impl CctShard {
         self.curr_batch.extend_from_slice(&other.curr_batch);
         if self.orphan.is_none() {
             self.orphan = other.orphan.map(|node| mapping[node.index()]);
-        }
-        if self.dropped.is_none() {
-            self.dropped = other.dropped.map(|node| mapping[node.index()]);
-        }
-        if self.poisoned.is_none() {
-            self.poisoned = other.poisoned.map(|node| mapping[node.index()]);
         }
     }
 
@@ -913,100 +828,6 @@ mod tests {
         assert_eq!(
             a.tree().metric(orphan_a, MetricKind::GpuTime).unwrap().sum,
             1.0
-        );
-    }
-
-    #[test]
-    fn dropped_node_is_created_once_and_aggregates_counts() {
-        let i = interner();
-        let mut shard = CctShard::new(i);
-        shard.attribute_dropped(3);
-        shard.attribute_dropped(4);
-        shard.settle();
-        let node = shard.dropped_node();
-        assert_eq!(shard.dropped_node(), node);
-        assert_eq!(shard.tree().node_count(), 2, "root + one <dropped>");
-        let stat = shard
-            .tree()
-            .metric(node, MetricKind::DroppedEvents)
-            .expect("dropped metric present");
-        assert_eq!(stat.sum, 7.0);
-        assert_eq!(stat.count, 2);
-    }
-
-    #[test]
-    fn poisoned_node_is_created_once_and_aggregates_counts() {
-        let i = interner();
-        let mut shard = CctShard::new(i);
-        shard.attribute_poisoned(5);
-        shard.attribute_poisoned(2);
-        shard.settle();
-        let node = shard.poisoned_node();
-        assert_eq!(shard.poisoned_node(), node);
-        assert_eq!(shard.tree().node_count(), 2, "root + one <poisoned>");
-        let stat = shard
-            .tree()
-            .metric(node, MetricKind::PoisonedEvents)
-            .expect("poisoned metric present");
-        assert_eq!(stat.sum, 7.0);
-        assert_eq!(stat.count, 2);
-        assert_eq!(shard.tree().total(MetricKind::PoisonedEvents), 7.0);
-    }
-
-    #[test]
-    fn merge_from_adopts_poisoned_node() {
-        let i = interner();
-        let mut a = CctShard::new(Arc::clone(&i));
-        let mut b = CctShard::new(Arc::clone(&i));
-        b.attribute_poisoned(3);
-        a.merge_from(&b);
-        a.settle();
-        let before = a.tree().node_count();
-        let node = a.poisoned_node();
-        assert_eq!(a.tree().node_count(), before, "no duplicate <poisoned>");
-        assert_eq!(
-            a.tree()
-                .metric(node, MetricKind::PoisonedEvents)
-                .unwrap()
-                .sum,
-            3.0
-        );
-    }
-
-    #[test]
-    fn dropped_samples_nest_under_dropped_without_double_counting() {
-        let i = interner();
-        let mut shard = CctShard::new(Arc::clone(&i));
-        // Exact total: 32 events dropped.
-        shard.attribute_dropped(32);
-        // Two sampled victims at stride 16 → estimates of 16 each.
-        let relu = Frame::operator("aten::relu", &i);
-        let victim = i.paths().intern(std::slice::from_ref(&relu)).id();
-        shard.attribute_dropped_sample(victim, 16.0);
-        shard.attribute_dropped_sample(victim, 16.0);
-        shard.settle();
-        let dropped = shard.dropped_node();
-        // The exact total at <dropped> (and the tree total) is untouched
-        // by the exclusive sample estimates...
-        assert_eq!(
-            shard
-                .tree()
-                .metric(dropped, MetricKind::DroppedEvents)
-                .unwrap()
-                .sum,
-            32.0
-        );
-        assert_eq!(shard.tree().total(MetricKind::DroppedEvents), 32.0);
-        // ...while the victim child carries the scaled estimate.
-        let child = shard.tree_mut().insert_child(dropped, &relu);
-        assert_eq!(
-            shard
-                .tree()
-                .metric(child, MetricKind::DroppedEvents)
-                .unwrap()
-                .sum,
-            32.0,
-            "two stride-16 samples"
         );
     }
 

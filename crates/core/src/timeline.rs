@@ -50,8 +50,9 @@ pub struct TrackKey {
 
 impl TrackKey {
     /// The device id reserved for the profiler's *self-timeline*: when
-    /// self-telemetry is on, worker batches, producer flushes, and
-    /// snapshot folds are recorded as intervals on this device so
+    /// self-telemetry is on, snapshot folds are recorded as intervals on
+    /// this device (timelines stored by older builds also carry worker
+    /// batches and producer flushes there) so
     /// exporters can render the profiler's own execution next to the
     /// workload it profiled. No simulated GPU can claim it (real device
     /// ids count up from zero), and because it sorts last the self
@@ -63,10 +64,10 @@ impl TrackKey {
     /// the tracks never interleave.
     pub const SELF_DEVICE: u32 = u32::MAX;
 
-    /// Self-timeline stream carrying pipeline worker-batch intervals
-    /// (one stream per worker: `SELF_STREAM_WORKER + worker index`).
-    pub const SELF_STREAM_WORKER: u32 = 0;
-    /// Self-timeline stream carrying producer batch-flush intervals.
+    /// Self-timeline stream of producer batch-flush intervals in
+    /// timelines stored while ingestion batched (nothing records it
+    /// now; streams below it were one per ingestion worker). The Chrome
+    /// exporter still names those lanes.
     pub const SELF_STREAM_FLUSH: u32 = 1_000;
     /// Self-timeline stream carrying incremental snapshot-fold
     /// intervals.

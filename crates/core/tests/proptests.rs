@@ -84,8 +84,6 @@ enum ShardOp {
         node: usize,
         frame: Frame,
     },
-    Dropped(u16),
-    DroppedSample(Vec<Frame>, u16),
     Settle,
 }
 
@@ -128,8 +126,6 @@ fn arb_shard_ops() -> impl Strategy<Value = (Arc<Interner>, Vec<ShardOp>)> {
         }),
         (0usize..64, arb_frame(Arc::clone(&interner)))
             .prop_map(|(node, frame)| ShardOp::InsertChild { node, frame }),
-        (1u16..100).prop_map(ShardOp::Dropped),
-        (path(), 1u16..100).prop_map(|(p, n)| ShardOp::DroppedSample(p, n)),
         Just(ShardOp::Settle),
     ];
     prop::collection::vec(op, 1..80).prop_map(move |ops| (Arc::clone(&interner), ops))
@@ -503,7 +499,6 @@ proptest! {
         let mut oracle = CallingContextTree::with_interner(Arc::clone(&interner));
         let mut nodes = vec![NodeId::ROOT];
         let mut last: Vec<Frame> = Vec::new();
-        let dropped = [Frame::operator("<dropped>", &interner)];
         for op in ops {
             match op {
                 ShardOp::Insert(frames) => {
@@ -560,20 +555,6 @@ proptest! {
                     let got = shard.tree_mut().insert_child(node, &frame);
                     prop_assert_eq!(got, oracle.insert_child(node, &frame));
                     nodes.push(got);
-                }
-                ShardOp::Dropped(count) => {
-                    shard.attribute_dropped(u64::from(count));
-                    let node = oracle.insert_path(&dropped);
-                    oracle.attribute(node, MetricKind::DroppedEvents, f64::from(count));
-                }
-                ShardOp::DroppedSample(frames, count) => {
-                    let path = interner.paths().intern(&frames).id();
-                    shard.attribute_dropped_sample(path, f64::from(count));
-                    let mut node = oracle.insert_path(&dropped);
-                    for frame in &frames {
-                        node = oracle.insert_child(node, frame);
-                    }
-                    oracle.attribute_exclusive(node, MetricKind::DroppedEvents, f64::from(count));
                 }
                 ShardOp::Settle => {
                     shard.settle();

@@ -3,8 +3,8 @@
 //! It maps `correlation id → (home shard, PathId)`, so an asynchronous
 //! activity record — which carries neither thread identity nor context —
 //! finds both in one lookup. Nothing else remembers a correlation: a
-//! launch is one `bind`, a record one `lookup`, retirement (two-phase
-//! prune, or a drop policy's discard) one `remove`. It sits on the hot
+//! launch is one `bind`, a record one `lookup`, retirement (the
+//! two-phase prune) one `remove`. It sits on the hot
 //! path, so it is one concrete type: [`StripedHashDirectory`], lock
 //! stripes of `std::collections::HashMap` keyed by one splitmix64 round.
 //! Stripe locks are leaves: nobody holds one while taking another lock.
@@ -39,13 +39,9 @@ pub struct Binding {
 /// by peak accounting.
 pub(crate) const DIR_ENTRY_BYTES: usize = std::mem::size_of::<(u64, Binding)>() + 1;
 
-/// Events per stack-allocated chunk in
-/// [`StripedHashDirectory::bind_batch`].
-const BIND_CHUNK: usize = 256;
-
 /// Hasher for the hash directory's `u64` keys: one splitmix64 round
 /// instead of SipHash — the default hasher's setup cost is measurable on
-/// the enqueue path.
+/// the launch path.
 #[derive(Default, Clone)]
 struct CorrHasher(u64);
 
@@ -113,49 +109,6 @@ impl StripedHashDirectory {
             .is_none()
         {
             self.entries.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// [`bind`](Self::bind) for a whole launch batch bound to one shard
-    /// in one striped pass: each stripe holding any of `launches` is
-    /// locked exactly once, so a flushed thread-local batch pays one lock
-    /// round-trip per *stripe touched* instead of one per launch.
-    pub fn bind_batch(&self, launches: &[(u64, PathId)], shard: u32) {
-        let at = |path| Binding { shard, path };
-        match launches {
-            [] => {}
-            [(corr, path)] => self.bind(*corr, at(*path)),
-            _ => {
-                // Allocation-free: each chunk's stripe indices live on
-                // the stack.
-                for chunk in launches.chunks(BIND_CHUNK) {
-                    let mut slots = [0u16; BIND_CHUNK];
-                    for (slot, (corr, _)) in slots.iter_mut().zip(chunk) {
-                        *slot = self.stripe_of(*corr) as u16;
-                    }
-                    let mut remaining = chunk.len();
-                    for stripe in 0..self.stripes.len() {
-                        if remaining == 0 {
-                            break;
-                        }
-                        let mut map = None;
-                        let mut added = 0usize;
-                        for ((corr, path), slot) in chunk.iter().zip(&slots) {
-                            if *slot as usize != stripe {
-                                continue;
-                            }
-                            let map = map.get_or_insert_with(|| self.stripes[stripe].lock());
-                            if map.insert(*corr, at(*path)).is_none() {
-                                added += 1;
-                            }
-                            remaining -= 1;
-                        }
-                        if added > 0 {
-                            self.entries.fetch_add(added, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
         }
     }
 
@@ -260,22 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn bind_batch_matches_singles() {
-        // Spans several BIND_CHUNK chunks and all stripes.
-        let path = paths(7);
-        let batch: Vec<(u64, PathId)> = (0..1000).map(|n| (n * 11, path(n))).collect();
-        let dir = StripedHashDirectory::new(4);
-        dir.bind_batch(&batch, 6);
-        assert_eq!(dir.len(), batch.len());
-        for (corr, path) in &batch {
-            assert_eq!(dir.lookup(*corr), Some(at(6, *path)), "corr {corr}");
-        }
-        // Re-binding the same batch adds nothing.
-        dir.bind_batch(&batch, 6);
-        assert_eq!(dir.len(), batch.len());
-    }
-
-    #[test]
     fn matches_a_std_hashmap_oracle_under_churn() {
         // Deterministic mixed workload: insert / lookup / remove over a
         // small key space (collisions and reuse are common), checked
@@ -311,8 +248,9 @@ mod tests {
     fn trim_sheds_capacity_and_preserves_entries() {
         let only = at(1, paths(1)(0));
         let dir = StripedHashDirectory::new(4);
-        let batch: Vec<(u64, PathId)> = (0..4096).map(|corr| (corr, only.path)).collect();
-        dir.bind_batch(&batch, 1);
+        for corr in 0..4096 {
+            dir.bind(corr, only);
+        }
         let full = dir.approx_bytes();
         for corr in 16..4096 {
             dir.remove(corr);
@@ -346,8 +284,8 @@ mod tests {
                     let base = t * 10_000;
                     let batch: Vec<(u64, PathId)> =
                         (base..base + 500).map(|corr| (corr, path(corr))).collect();
-                    dir.bind_batch(&batch, t as u32);
                     for (corr, path) in &batch {
+                        dir.bind(*corr, at(t as u32, *path));
                         assert_eq!(dir.lookup(*corr), Some(at(t as u32, *path)));
                     }
                     for (corr, path) in batch.iter().step_by(2) {

@@ -6,20 +6,18 @@
 //! the pipeline-facing door, documenting which sites this crate actually
 //! wires up:
 //!
-//! | site (see [`sites`])       | where it fires                          | effect            |
-//! |----------------------------|------------------------------------------|------------------|
-//! | [`sites::WORKER_PANIC`]    | worker applying a message to its shard   | panic → quarantine |
-//! | [`sites::QUEUE_STALL`]     | producer-side bounded-channel send       | brief stall       |
-//! | [`sites::DIR_BIND_STALL`]  | correlation-directory bind               | brief stall       |
-//! | [`sites::FOLD_STALL`]      | incremental snapshot fold                | brief stall       |
+//! | site (see [`sites`])       | where it fires                          | effect      |
+//! |----------------------------|------------------------------------------|------------|
+//! | [`sites::DIR_BIND_STALL`]  | correlation-directory bind               | brief stall |
+//! | [`sites::FOLD_STALL`]      | incremental snapshot fold                | brief stall |
 //!
 //! (The `STORE_IO_ERR` / `STORE_READ_ERR` sites fire in
 //! `deepcontext-analyzer`'s `ProfileStore`.)
 //!
 //! Tests inject through [`PipelineConfig::failpoints`]
-//! (`Failpoints::parse("worker_panic@shard0")`); CI injects through the
+//! (`Failpoints::parse("fold_stall@first")`); CI injects through the
 //! `DEEPCONTEXT_FAILPOINTS` environment variable, which
-//! [`PipelineConfig::default`] picks up via [`Failpoints::from_env`].
+//! [`PipelineConfig::default`] parses via [`Failpoints::from_env`].
 //!
 //! [`PipelineConfig::failpoints`]: crate::PipelineConfig::failpoints
 //! [`PipelineConfig::default`]: crate::PipelineConfig

@@ -5,19 +5,16 @@
 //! instrumentation sites hold the returned `Arc` handles for the run.
 //! A hot path observes a metric with one relaxed atomic add; the
 //! disabled path is the absence of this whole struct (an `Option`
-//! branch per site). Per-shard and per-worker series (queue depth,
-//! busy/parked time) are registered by the asynchronous sink when it
-//! learns its layout; everything mode-independent lives here.
+//! branch per site).
 
 use std::sync::Arc;
 
 use deepcontext_core::{Interner, Sym};
 use deepcontext_telemetry::{names, Gauge, Histogram, Telemetry, TelemetryConfig};
 
-/// The instruments shared by both ingestion modes, plus the interned
-/// display names the *self-timeline* intervals (worker batches,
-/// producer flushes, snapshot folds on the reserved
-/// `TrackKey::SELF_DEVICE` tracks) carry.
+/// The sink's instruments, plus the interned display name the
+/// *self-timeline* intervals (snapshot folds on the reserved
+/// `TrackKey::SELF_DEVICE` track) carry.
 pub struct PipelineTelemetry {
     telemetry: Telemetry,
     self_timeline: bool,
@@ -25,18 +22,10 @@ pub struct PipelineTelemetry {
     pub(crate) shard_lock_hold: Arc<Histogram>,
     /// Incremental snapshot fold latency, nanoseconds.
     pub(crate) fold_latency: Arc<Histogram>,
-    /// Events per producer batch flush.
-    pub(crate) flush_size: Arc<Histogram>,
-    /// Producer batch-flush latency, nanoseconds.
-    pub(crate) flush_latency: Arc<Histogram>,
     /// Approximate interner footprint, bytes.
     pub(crate) interner_bytes: Arc<Gauge>,
     /// Approximate timeline-ring footprint, bytes.
     pub(crate) ring_bytes: Arc<Gauge>,
-    /// Display name of worker-batch self-intervals.
-    pub(crate) worker_sym: Sym,
-    /// Display name of producer-flush self-intervals.
-    pub(crate) flush_sym: Sym,
     /// Display name of snapshot-fold self-intervals.
     pub(crate) fold_sym: Sym,
 }
@@ -44,8 +33,8 @@ pub struct PipelineTelemetry {
 impl PipelineTelemetry {
     /// Builds the instrument bundle when `config` enables telemetry
     /// (`None` otherwise — the sink then stores no handle and every
-    /// site's branch folds to the disabled path). Interval display
-    /// names are interned through `interner` so self-intervals resolve
+    /// site's branch folds to the disabled path). The interval display
+    /// name is interned through `interner` so self-intervals resolve
     /// through the same symbol table as workload intervals.
     pub fn from_config(
         config: &TelemetryConfig,
@@ -55,12 +44,8 @@ impl PipelineTelemetry {
         Some(Arc::new(PipelineTelemetry {
             shard_lock_hold: telemetry.histogram(names::SHARD_LOCK_HOLD_NS, &[]),
             fold_latency: telemetry.histogram(names::FOLD_LATENCY_NS, &[]),
-            flush_size: telemetry.histogram(names::FLUSH_SIZE, &[]),
-            flush_latency: telemetry.histogram(names::FLUSH_LATENCY_NS, &[]),
             interner_bytes: telemetry.gauge(names::INTERNER_BYTES, &[]),
             ring_bytes: telemetry.gauge(names::TIMELINE_RING_BYTES, &[]),
-            worker_sym: interner.intern("profiler worker batch"),
-            flush_sym: interner.intern("profiler producer flush"),
             fold_sym: interner.intern("profiler snapshot fold"),
             self_timeline: config.self_timeline,
             telemetry,

@@ -1,4 +1,4 @@
-//! The sharded synchronous event-ingestion sink.
+//! The sharded event-ingestion sink.
 //!
 //! One global tree behind one lock would cap ingestion at one core no
 //! matter how many workload threads produce events. [`ShardedSink`]
@@ -12,9 +12,9 @@
 //!   ([`CctShard::node_for`]);
 //! * the correlation [directory](crate::directory) is the one
 //!   correlation table: a launch binds `corr → (shard, PathId)`, an
-//!   activity record finds both in one lookup, retirement (two-phase
-//!   prune, or a drop policy's discard) is one remove, and no lock is
-//!   ever taken while another is held;
+//!   activity record finds both in one lookup, retirement (the two-phase
+//!   prune) is one remove, and no lock is ever taken while another is
+//!   held;
 //! * snapshots fold the shards into one master tree and **cache** the
 //!   result: every shard carries a dirty generation
 //!   ([`CctShard::generation`]) advanced by each tree mutation, and a
@@ -41,14 +41,6 @@
 //! sees a tree that is not fully inclusive, so the folds, the cache and
 //! the fold states are unaware of the deferral.
 //!
-//! The asynchronous pipeline's workers ([`AsyncSink`](crate::AsyncSink))
-//! drive pre-routed events into individual shards through the same
-//! per-shard attribution code (`apply_producer_batch`,
-//! `apply_activity_bucket`, [`epoch_complete_shard`]) the synchronous
-//! [`EventSink`] implementation composes after routing, so the two
-//! ingestion modes cannot drift apart semantically.
-//!
-//! [`epoch_complete_shard`]: ShardedSink::epoch_complete_shard
 //! [`EventOrigin::route_key`]: dlmonitor::EventOrigin::route_key
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -68,7 +60,6 @@ use deepcontext_timeline::{TimelineConfig, TimelineSink, TimelineSnapshot};
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind};
 
-use crate::batch::ProducerEvent;
 use crate::directory::{mix, Binding, StripedHashDirectory, DIR_ENTRY_BYTES};
 use crate::self_telemetry::PipelineTelemetry;
 use crate::sink::{attribute_activity_metrics, EventSink, SinkCounters};
@@ -123,27 +114,26 @@ pub struct SinkOptions {
     /// a bounded per-shard ring (see [`EventSink::timeline_snapshot`]).
     pub timeline: TimelineConfig,
     /// Self-telemetry: when enabled, the sink registers its instruments
-    /// once and records shard-lock hold times, producer flush
-    /// sizes/latencies, snapshot fold latencies, and interner/ring
-    /// occupancy as it runs; when additionally `self_timeline` and the
-    /// timeline are on, flushes and folds are recorded as intervals on
-    /// the reserved [`TrackKey::SELF_DEVICE`] tracks so the exported
-    /// trace shows the profiler's own execution.
+    /// once and records shard-lock hold times, snapshot fold latencies,
+    /// and interner/ring occupancy as it runs; when additionally
+    /// `self_timeline` and the timeline are on, folds are recorded as
+    /// intervals on the reserved [`TrackKey::SELF_DEVICE`] track so the
+    /// exported trace shows the profiler's own execution.
     pub telemetry: TelemetryConfig,
     /// The incident journal: when enabled, the sink builds the ring —
     /// attached to the same telemetry session as its own instruments, so
     /// journal timestamps, self-timeline intervals and the
     /// `deepcontext_journal_*` counters share one clock/registry — and
     /// records the barrier-anchored flush-boundary event at every
-    /// [`EventSink::epoch_complete`]. The async pipeline / supervisor /
-    /// profiler layers pick the handle up from
-    /// [`ShardedSink::journal`] for quarantines, drop storms,
-    /// transitions and retries — one causally ordered record per run.
+    /// [`EventSink::epoch_complete`]. The profiler picks the handle up
+    /// from [`ShardedSink::journal`] for failpoint fires and hands it to
+    /// the profile store for retries — one causally ordered record per
+    /// run.
     pub journal: JournalConfig,
     /// Fault-injection registry for the directory-bind and snapshot-fold
-    /// stall sites. The default honours the `DEEPCONTEXT_FAILPOINTS`
-    /// environment spec; tests pass an explicit registry so injected
-    /// faults never leak across tests through the process environment.
+    /// stall sites. The default parses the `DEEPCONTEXT_FAILPOINTS`
+    /// environment spec into a registry of this sink's own; tests pass
+    /// an explicit one.
     pub failpoints: Failpoints,
 }
 
@@ -172,9 +162,9 @@ pub struct ShardedSink {
     /// requested (and again after `finish_snapshot` consumes it).
     cache: Mutex<Option<SnapshotCache>>,
     /// Per-shard bounded interval rings, recorded while kernel/memcpy
-    /// records are attributed (i.e. under the shard lock, in both
-    /// ingestion modes). `None` when timeline recording is off — the
-    /// aggregate-only pipeline then pays nothing for it.
+    /// records are attributed (i.e. under the shard lock). `None` when
+    /// timeline recording is off — the aggregate-only pipeline then pays
+    /// nothing for it.
     timeline: Option<TimelineSink>,
     /// The one correlation table: correlation id -> the shard and
     /// context it was launched in. Lock-striped by correlation hash, so
@@ -192,8 +182,7 @@ pub struct ShardedSink {
     /// then one branch on an empty list.
     failpoints: Failpoints,
     /// The incident journal (`None` = journaling off, the default). The
-    /// sync sink records only the barrier-anchored flush-boundary event;
-    /// the async pipeline and supervisor share this handle for theirs.
+    /// sink itself records only the flush-boundary event.
     journal: Option<Arc<Journal>>,
     /// Last-known `CctShard::approx_bytes` per shard, refreshed while the
     /// shard lock is already held at batch boundaries, so peak tracking
@@ -283,9 +272,9 @@ impl ShardedSink {
         self.telemetry.as_ref()
     }
 
-    /// The incident journal, when journaling is enabled. The async
-    /// pipeline and the profiler pick the handle up from here so every
-    /// layer appends to one causally ordered record.
+    /// The incident journal, when journaling is enabled. The profiler
+    /// picks the handle up from here so every layer appends to one
+    /// causally ordered record.
     pub fn journal(&self) -> Option<&Arc<Journal>> {
         self.journal.as_ref()
     }
@@ -301,7 +290,7 @@ impl ShardedSink {
     /// telemetry clock domain) onto the reserved self track `stream`.
     /// A no-op unless telemetry, its self-timeline switch, *and* the
     /// timeline rings are all on.
-    pub(crate) fn record_self_interval(&self, stream: u32, start_ns: u64, end_ns: u64, name: Sym) {
+    fn record_self_interval(&self, stream: u32, start_ns: u64, end_ns: u64, name: Sym) {
         let (Some(telemetry), Some(timeline)) = (&self.telemetry, &self.timeline) else {
             return;
         };
@@ -438,26 +427,6 @@ impl ShardedSink {
         self.home_of(correlation, self.directory.lookup(correlation))
     }
 
-    /// Binds every `(correlation, path)` in `launches` to `shard` without
-    /// touching the shard itself, in one striped directory pass. The
-    /// asynchronous pipeline calls this when a producer batch is
-    /// *flushed*, so activity records that arrive while the launches are
-    /// still queued route to the same shard and resolve to the same
-    /// context.
-    pub fn bind_batch(&self, launches: &[(u64, PathId)], shard: usize) {
-        self.failpoints
-            .stall_at(fp_sites::DIR_BIND_STALL, shard as u64);
-        self.directory.bind_batch(launches, shard as u32);
-    }
-
-    /// Forgets `correlation`, bypassing the two-phase prune: for drop
-    /// policies discarding a correlation whose remaining records will
-    /// never arrive (the prune only retires correlations whose terminal
-    /// record was actually attributed).
-    pub fn discard_correlation(&self, correlation: u64) {
-        self.directory.remove(correlation);
-    }
-
     /// The interval a kernel/memcpy activity record contributes to the
     /// timeline, tagged with the context `node` it was attributed to
     /// (shard-local; snapshots remap it into the master tree). Other
@@ -471,7 +440,7 @@ impl ShardedSink {
     /// frames collapse by `(module, pc)`, so the symbol is the code
     /// location's first-seen name — the same convention every CCT view
     /// renders.) Orphaned records, whose node is not a kernel frame,
-    /// fall back to interning the record's own name through the worker
+    /// fall back to interning the record's own name through the calling
     /// thread's local cache ([`Interner::intern_cached`]); memcpys
     /// reuse the pre-interned symbol outright.
     fn interval_of(&self, shard: &CctShard, activity: &Activity, node: NodeId) -> Option<Interval> {
@@ -522,8 +491,8 @@ impl ShardedSink {
     /// Attributes one activity record inside its home shard (`idx`) at
     /// the context the directory resolved for it (`None`: the catch-all),
     /// recording the record's device interval into the shard's timeline
-    /// ring when recording is on — the single tap both ingestion modes
-    /// flow through. Returns `(orphaned, instruction samples)`.
+    /// ring when recording is on. Returns `(orphaned, instruction
+    /// samples)`.
     fn attribute_activity(
         &self,
         idx: usize,
@@ -546,8 +515,8 @@ impl ShardedSink {
         (orphaned, samples)
     }
 
-    /// The shard half of a CPU sample, shared by both ingestion modes:
-    /// one vector read for the node, one sample.
+    /// The shard half of a CPU sample: one vector read for the node, one
+    /// sample.
     fn attribute_at(shard: &mut CctShard, path: PathId, metric: MetricKind, value: f64) {
         let node = shard.node_for(path);
         shard.attribute(node, metric, value);
@@ -597,118 +566,10 @@ impl ShardedSink {
             .fetch_add(samples, Ordering::Relaxed);
     }
 
-    /// Applies one pre-routed bucket of activity records at shard `idx`,
-    /// resolving each through the directory first. Driven by the
-    /// asynchronous pipeline's workers, in queue order — so a record
-    /// resolves against exactly the retirements a synchronous delivery
-    /// would have seen before it. Records whose correlation is bound to
-    /// another shard fall to the catch-all context.
-    pub(crate) fn apply_activity_bucket(&self, idx: usize, bucket: &[Activity]) {
-        let resolved = self.resolve(bucket);
-        let here = resolved
-            .into_iter()
-            .map(|(home, path)| path.filter(|_| home == idx));
-        self.apply_resolved(idx, bucket.iter().zip(here));
-    }
-
-    /// Applies one flushed thread-local batch at shard `idx` under **one**
-    /// shard-lock acquisition, preserving buffer order (the launches'
-    /// directory entries were published by the flush's
-    /// [`bind_batch`](Self::bind_batch) pass) — so a batched producer
-    /// folds exactly the state inline attribution would. Driven by the
-    /// asynchronous pipeline's workers.
-    pub(crate) fn apply_producer_batch(&self, idx: usize, events: &[ProducerEvent]) {
-        if events.is_empty() {
-            return;
-        }
-        let mut shard = self.shards[idx].lock();
-        let hold = self.lock_hold_start();
-        for event in events {
-            match *event {
-                ProducerEvent::Launch { path, api, .. } => {
-                    Self::insert_launch(&mut shard, path, api);
-                }
-                ProducerEvent::Sample {
-                    path,
-                    metric,
-                    value,
-                } => Self::attribute_at(&mut shard, path, metric, value),
-            }
-        }
-        // Deliberately no `shard_bytes` refresh: like inline launches and
-        // CPU samples, launch/sample shards enter peak accounting at
-        // flush boundaries only, so the set of states a peak sample can
-        // observe is identical with and without producer batching.
-        self.note_lock_hold(hold);
-    }
-
-    /// Routes an owned activity buffer into per-shard buckets without
-    /// cloning a record (or PC-sampling payload): the whole buffer is
-    /// returned as-is when every record shares one home shard.
-    pub(crate) fn partition_activities(&self, batch: Vec<Activity>) -> Vec<(usize, Vec<Activity>)> {
-        let resolved = self.resolve(&batch);
-        let Some(&(first, _)) = resolved.first() else {
-            return Vec::new();
-        };
-        if resolved.iter().all(|(idx, _)| *idx == first) {
-            return vec![(first, batch)];
-        }
-        let mut buckets: Vec<(usize, Vec<Activity>)> = Vec::new();
-        for (activity, (idx, _)) in batch.into_iter().zip(resolved) {
-            match buckets.binary_search_by_key(&idx, |(shard, _)| *shard) {
-                Ok(at) => buckets[at].1.push(activity),
-                Err(at) => buckets.insert(at, (idx, vec![activity])),
-            }
-        }
-        buckets
-    }
-
-    /// Attributes `count` pipeline-dropped events to shard `idx`'s
-    /// synthetic `<dropped>` context, so `DropOldest` overload shows up
-    /// inside the profile (not just in side counters).
-    pub fn apply_dropped(&self, idx: usize, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let mut shard = self.shards[idx].lock();
-        shard.attribute_dropped(count);
-        self.close_boundary(idx, &mut shard);
-    }
-
-    /// Attributes sampled eviction-victim contexts as children of shard
-    /// `idx`'s `<dropped>` node, `stride` events each (the sampler keeps
-    /// one victim per `stride` evicted events, so the per-context counts
-    /// are unbiased estimates). Victims attribute *exclusively*: the
-    /// exact root-ward total [`apply_dropped`](Self::apply_dropped) puts
-    /// at `<dropped>` is never double-counted.
-    pub fn apply_dropped_samples(&self, idx: usize, paths: &[PathId], stride: u64) {
-        if paths.is_empty() {
-            return;
-        }
-        let mut shard = self.shards[idx].lock();
-        for path in paths {
-            shard.attribute_dropped_sample(*path, stride as f64);
-        }
-        self.close_boundary(idx, &mut shard);
-    }
-
-    /// Attributes `count` events lost to a quarantined worker to shard
-    /// `idx`'s synthetic `<poisoned>` context, so fault isolation shows
-    /// up inside the profile (not just in side counters) — the
-    /// `<dropped>` convention, applied to panics.
-    pub fn apply_poisoned(&self, idx: usize, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let mut shard = self.shards[idx].lock();
-        shard.attribute_poisoned(count);
-        self.close_boundary(idx, &mut shard);
-    }
-
     /// The per-shard portion of [`EventSink::epoch_complete`]: retires the
     /// shard's deferred correlations (every straggler has been delivered
     /// by the flush boundary) and releases batch-sized scratch.
-    pub fn epoch_complete_shard(&self, idx: usize) {
+    fn epoch_complete_shard(&self, idx: usize) {
         let pruned = {
             let mut shard = self.shards[idx].lock();
             // Every deferred correlation's trailing records have been
@@ -725,10 +586,9 @@ impl ShardedSink {
 
     /// Sheds the directory stripes' high-water capacity — the cross-shard
     /// portion of a flush boundary, run after every shard's
-    /// [`epoch_complete_shard`](Self::epoch_complete_shard). Both
-    /// ingestion modes pass through here at every epoch, which makes it
-    /// the natural cadence for the occupancy gauges too.
-    pub fn trim_directory(&self) {
+    /// [`epoch_complete_shard`](Self::epoch_complete_shard) — and
+    /// refreshes the occupancy gauges at the same cadence.
+    fn trim_directory(&self) {
         self.directory.trim();
         self.note_occupancy();
     }
@@ -786,7 +646,7 @@ impl ShardedSink {
     /// Records the current approximate profile size into the peak, using
     /// the per-shard byte estimates refreshed at batch boundaries — no
     /// cross-shard locking on the ingestion hot path.
-    pub(crate) fn note_peak(&self) {
+    fn note_peak(&self) {
         let shard_bytes: usize = self
             .shard_bytes
             .iter()
@@ -837,8 +697,7 @@ impl EventSink for ShardedSink {
         // The shard's byte estimate is deliberately *not* refreshed here:
         // sample-only shards enter peak accounting at flush boundaries
         // (their `epoch_complete_shard`), keeping the per-sample hot path
-        // O(1) and the set of states a peak sample can observe identical
-        // across ingestion modes.
+        // O(1).
         let mut shard = self.shards[self.route(origin)].lock();
         Self::attribute_at(&mut shard, path.id(), metric, value);
     }
@@ -849,12 +708,8 @@ impl EventSink for ShardedSink {
         }
         // Directory stripes shed their high-water capacity too.
         self.trim_directory();
-        // The barrier-anchored journal event: by the time either
-        // ingestion mode reaches its flush boundary the same events have
-        // been applied, so sync and async runs journal identical epoch
-        // sequences (the equivalence suite holds this as an invariant).
-        // The async pipeline does not route through this method — it
-        // records the same site itself after its drain barrier.
+        // One journal event per flush boundary (the equivalence suite
+        // counts them).
         if let Some(journal) = &self.journal {
             journal.record(JournalSeverity::Info, journal_sites::PIPELINE_EPOCH, &[]);
         }

@@ -2,10 +2,10 @@
 //!
 //! Every collection path of the profiler — GPU launch callbacks, completed
 //! activity buffers, CPU samples, PC-sampling records — terminates in an
-//! [`EventSink`]. Two implementations ship in this crate: the synchronous
+//! [`EventSink`]. One implementation ships in this crate, the
 //! [`ShardedSink`](crate::ShardedSink) (producers attribute inline under
-//! per-shard locks) and the asynchronous [`AsyncSink`](crate::AsyncSink)
-//! (producers enqueue into bounded channels and a worker pool attributes).
+//! per-shard locks); the trait stays so tests and embedders can
+//! substitute their own through `Profiler::attach_with_sink`.
 
 use deepcontext_core::{CallingContextTree, CctShard, Frame, MetricKind, NodeId, PathHandle};
 use deepcontext_timeline::TimelineSnapshot;
@@ -99,11 +99,6 @@ pub fn attribute_activity_metrics(shard: &mut CctShard, node: NodeId, activity: 
 /// [`launches`](Self::launches) / [`cpu_samples`](Self::cpu_samples)
 /// filled in by the profiler's collection callbacks, the whole of
 /// `Profiler::stats()` (`ProfilerStats` is this struct).
-///
-/// The `activities` through `shards_skipped` block is maintained by
-/// every sink; the `enqueued_events` through `batched_events` block is
-/// meaningful only for asynchronous pipelines
-/// ([`AsyncSink`](crate::AsyncSink)) and stays zero on synchronous sinks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SinkCounters {
     /// Kernel launches observed by the profiler's launch callback (zero
@@ -128,47 +123,20 @@ pub struct SinkCounters {
     /// generation had not advanced — direct evidence the snapshot cache
     /// is being hit.
     pub shards_skipped: u64,
-    /// Events accepted into the asynchronous pipeline's shard queues
-    /// (activity batches count each contained record).
-    pub enqueued_events: u64,
-    /// Events discarded by the `DropOldest` backpressure policy. Always
-    /// zero under the default `Block` policy.
-    pub dropped_events: u64,
-    /// High-water mark of any one shard queue's depth, in queued
-    /// messages (an activity bucket is one message).
-    pub max_queue_depth: u64,
-    /// Drain barriers that found work still in flight and had to wait
-    /// for workers (barriers that found all queues already drained are
-    /// not counted).
-    pub drain_waits: u64,
-    /// Worker passes that applied at least one message; together with
-    /// [`worker_events`](Self::worker_events) this measures utilization:
-    /// `worker_events / worker_batches` is the mean coalescing factor.
-    pub worker_batches: u64,
-    /// Events applied by pipeline workers.
-    pub worker_events: u64,
-    /// Per-shard thread-local batch deliveries performed by producers
-    /// (asynchronous pipelines only). With
-    /// [`batched_events`](Self::batched_events), measures producer-side
-    /// amortization: `batched_events / producer_flushes` is the mean
-    /// events per flushed batch.
-    pub producer_flushes: u64,
-    /// Events that travelled through thread-local producer batches.
-    pub batched_events: u64,
     /// Kernel/memcpy intervals recorded into the timeline rings (zero
     /// when `ProfilerConfig::timeline` is off).
     pub timeline_intervals: u64,
     /// Timeline intervals evicted by ring overflow — when non-zero, the
-    /// timeline is a trailing window of the run, not the whole run
-    /// (surfaced like the pipeline's `<dropped>` telemetry).
+    /// timeline is a trailing window of the run, not the whole run.
     pub timeline_dropped: u64,
-    /// Worker panics caught by the asynchronous pipeline's fault
-    /// isolation. Each one quarantines the shard whose apply panicked;
-    /// an orderly run keeps this at zero.
-    pub worker_panics: u64,
-    /// Events that arrived at a quarantined shard and were accounted to
-    /// the synthetic `<poisoned>` context instead of being attributed.
-    /// Always zero on synchronous sinks.
+    /// Vestigial, always 0: inline attribution has no queue to drop
+    /// from. Read only by the frozen repo benchmark
+    /// (`benchmark/src/{session,ladder}.rs`); removed by the
+    /// benchmark-archetype issue that re-cuts its checks.
+    pub dropped_events: u64,
+    /// Vestigial, always 0: there is no worker to quarantine. Read only
+    /// by the frozen repo benchmark (`benchmark/src/session.rs`);
+    /// removed with [`dropped_events`](Self::dropped_events).
     pub poisoned_events: u64,
 }
 
@@ -186,10 +154,7 @@ pub trait EventSink: Send + Sync {
     fn gpu_launch(&self, origin: &EventOrigin, path: PathHandle, api: ApiKind);
 
     /// A buffer of completed asynchronous activity records, by value:
-    /// the GPU runtime's flush paths own the records they deliver, so
-    /// the asynchronous pipeline move-partitions them into per-shard
-    /// queue messages instead of cloning every record (including
-    /// PC-sampling payloads).
+    /// the GPU runtime's flush paths own the records they deliver.
     fn activity_batch(&self, batch: Vec<Activity>);
 
     /// A flush boundary completed: the runtime's entire completed-record
@@ -199,9 +164,7 @@ pub trait EventSink: Send + Sync {
     /// than the flush that drains the kernel). Sinks may use this to
     /// retire deferred correlation state eagerly and release batch-sized
     /// scratch, keeping resident memory proportional to live state.
-    /// Asynchronous sinks additionally treat this as a drain barrier:
-    /// every event enqueued before the call is attributed before it
-    /// returns. Default: no-op.
+    /// Default: no-op.
     fn epoch_complete(&self) {}
 
     /// A CPU sample (interval timer or hardware-counter overflow) on the
@@ -241,9 +204,7 @@ pub trait EventSink: Send + Sync {
     /// [`with_snapshot`](Self::with_snapshot) (stable across refreshes —
     /// the fold is append-only); with the cache disabled they index into
     /// an uncached [`snapshot`](Self::snapshot) taken at the same
-    /// quiesce point with no interleaved ingestion. Asynchronous sinks
-    /// run their drain barrier first, so the timeline is exactly as
-    /// deterministic as the profile itself at every flush.
+    /// quiesce point with no interleaved ingestion.
     fn timeline_snapshot(&self) -> Option<TimelineSnapshot> {
         None
     }

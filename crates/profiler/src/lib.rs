@@ -48,14 +48,12 @@ use sim_runtime::{RuntimeEnv, SampleKind, SamplerId};
 // The ingestion pipeline lives in its own crate so the profiler, the
 // benchmarks and external embedders share one implementation.
 pub use deepcontext_pipeline::{
-    attribute_activity_metrics, default_ingestion_mode, default_journal_config,
-    default_journal_enabled, default_telemetry_config, default_telemetry_enabled,
-    default_timeline_config, default_timeline_enabled, journal_sites, AsyncSink,
-    BackpressurePolicy, DirectoryMapKind, EventSink, Failpoints, HealthReport, HealthThresholds,
+    attribute_activity_metrics, default_journal_config, default_journal_enabled,
+    default_telemetry_config, default_telemetry_enabled, default_timeline_config,
+    default_timeline_enabled, journal_sites, DirectoryMapKind, EventSink, Failpoints, HealthReport,
     IngestionMode, Journal, JournalConfig, JournalSeverity, PipelineConfig, PipelineTelemetry,
-    ShardedSink, SinkCounters, SinkOptions, Supervisor, SupervisorConfig, SupervisorSink,
-    SupervisorState, Telemetry, TelemetryConfig, TelemetrySnapshot, TimelineConfig,
-    TimelineSnapshot, TimelineStats, DEFAULT_LAUNCH_BATCH,
+    ShardedSink, SinkCounters, SinkOptions, Telemetry, TelemetryConfig, TelemetrySnapshot,
+    TimelineConfig, TimelineSnapshot, TimelineStats, DEFAULT_LAUNCH_BATCH,
 };
 
 /// The default ingestion shard count, honouring the
@@ -94,17 +92,13 @@ pub struct ProfilerConfig {
     /// to before any lock is taken). `1` reproduces the historical
     /// single-lock pipeline.
     pub ingestion_shards: usize,
-    /// Whether attribution runs inline on producers
-    /// ([`IngestionMode::Sync`], the default) or on a bounded-channel
-    /// worker pool ([`IngestionMode::Async`]) that takes correlation
-    /// resolution, CCT mutation and metric folds off the monitored
-    /// workload's critical path.
+    /// Vestigial: attribution runs inline on producers, the one mode
+    /// there is. Read only by the frozen repo benchmark's `resolved:`
+    /// header (see [`IngestionMode`]) and removed with it.
     pub ingestion_mode: IngestionMode,
-    /// Asynchronous-pipeline tuning: worker count, queue capacity,
-    /// backpressure policy and thread-local producer batching
-    /// (`launch_batch`) all apply to [`IngestionMode::Async`] only —
-    /// synchronous mode attributes inline and reads none of them except
-    /// `failpoints`, the one fault-injection registry both layers share.
+    /// The fault-injection registry (`failpoints`), plus two vestigial
+    /// fields only the benchmark's header reads (see
+    /// [`PipelineConfig`]).
     pub pipeline: PipelineConfig,
     /// Whether snapshots are served from the incremental generation-
     /// tracked cache. Disabling trades warm `with_cct` latency for not
@@ -120,27 +114,15 @@ pub struct ProfilerConfig {
     /// default on.
     pub timeline: TimelineConfig,
     /// Self-telemetry: the profiler recording metrics about its own
-    /// pipeline (queue depths, flush/fold latencies, drops, worker
-    /// utilization — see [`Profiler::health_report`]) and, when the
+    /// pipeline (shard-lock hold times, fold latencies, interner and
+    /// ring occupancy — see [`Profiler::health_report`]) and, when the
     /// timeline is also on, its own execution as intervals on a reserved
     /// self-timeline track. Off by default; the `DEEPCONTEXT_TELEMETRY`
     /// environment override flips the default on.
     pub telemetry: TelemetryConfig,
-    /// Health-driven graceful degradation: wrap the sink in a
-    /// [`SupervisorSink`] whose `Healthy → Degraded → Bypass` state
-    /// machine is fed one [`HealthReport`] window per
-    /// [`Profiler::flush`]. `Degraded` switches ingestion to
-    /// deterministic 1-in-N sampling (the stride is stamped into
-    /// `ProfileMeta::extra` as `supervisor.sample_rate` for rescaling);
-    /// `Bypass` turns the tap off while the workload runs untouched.
-    /// `None` (the default) admits everything unconditionally. The
-    /// health windows come from self-telemetry, so configuring a
-    /// supervisor turns [`telemetry`](Self::telemetry) on at attach.
-    pub supervisor: Option<SupervisorConfig>,
     /// Incident journal: a bounded ring of structured lifecycle events
-    /// (supervisor transitions with their evidence, shard quarantines,
-    /// drop storms, store retries, pause/resume/drain barriers,
-    /// failpoint fires) kept alongside the profile and persisted with it
+    /// (flush boundaries, store retries, failpoint fires) kept alongside
+    /// the profile and persisted with it
     /// ([`Profiler::journal`] for the live handle). Off by default —
     /// disabled, ingestion pays nothing; the `DEEPCONTEXT_JOURNAL`
     /// environment override flips the default on.
@@ -159,12 +141,11 @@ impl Default for ProfilerConfig {
             hw_counter_period: None,
             activity_buffer_capacity: 4096,
             ingestion_shards: default_ingestion_shards(),
-            ingestion_mode: default_ingestion_mode(),
+            ingestion_mode: IngestionMode::Sync,
             pipeline: PipelineConfig::default(),
             snapshot_cache: true,
             timeline: default_timeline_config(),
             telemetry: default_telemetry_config(),
-            supervisor: None,
             journal: default_journal_config(),
         }
     }
@@ -220,10 +201,6 @@ pub struct Profiler {
     /// [`attach_with_sink`](Profiler::attach_with_sink) leaves this
     /// `None`).
     telemetry: Option<Arc<PipelineTelemetry>>,
-    /// The degradation state machine — set by [`Profiler::attach`] when
-    /// [`ProfilerConfig::supervisor`] is configured. [`Profiler::flush`]
-    /// and [`Profiler::finish`] feed it health windows.
-    supervisor: Option<Arc<Supervisor>>,
     /// The incident journal — set by [`Profiler::attach`] when
     /// [`ProfilerConfig::journal`] is enabled. Every pipeline layer
     /// appends to this one handle; [`Profiler::finish`] persists its
@@ -243,69 +220,38 @@ impl Profiler {
         monitor: &Arc<DlMonitor>,
         gpu: &Arc<GpuRuntime>,
     ) -> Profiler {
-        // A supervisor is fed health windows, and those come from
-        // self-telemetry: configuring one implies the other.
-        let telemetry_config = TelemetryConfig {
-            enabled: config.telemetry.enabled || config.supervisor.is_some(),
-            ..config.telemetry
-        };
-        // One fault-injection registry per profiler: the sharded sites,
-        // the async sites and the journal's fire observer all share it.
-        let sharded = ShardedSink::with(
+        // One fault-injection registry per profiler: the sink's sites and
+        // the journal's fire observer share it, and nobody else does.
+        let sink = ShardedSink::with(
             monitor.interner(),
             SinkOptions {
                 shards: config.ingestion_shards,
                 snapshot_cache: config.snapshot_cache,
                 timeline: config.timeline,
-                telemetry: telemetry_config,
+                telemetry: config.telemetry,
                 journal: config.journal,
                 failpoints: config.pipeline.failpoints.clone(),
             },
         );
-        let telemetry = sharded.telemetry().cloned();
-        let journal = sharded.journal().cloned();
+        let telemetry = sink.telemetry().cloned();
+        let journal = sink.journal().cloned();
         // Injected faults belong in the causal record next to the
         // symptoms they provoke: route every failpoint fire into the
-        // journal. Latest-wins on the shared env registry, so the
-        // observer always follows the current run — and holds the
-        // journal weakly, so that process-global registry neither keeps
-        // a finished run's ring alive nor feeds it the next run's fires.
-        if let Some(journal) = &journal {
-            let journal = Arc::downgrade(journal);
-            sharded
-                .failpoints()
-                .observe_fires(Box::new(move |name, site| {
-                    let Some(journal) = journal.upgrade() else {
-                        return;
-                    };
-                    let at = site.map(|at| at.to_string());
-                    let mut fields = vec![("name", name)];
-                    fields.extend(at.as_deref().map(|at| ("at", at)));
-                    journal.record(
-                        JournalSeverity::Error,
-                        journal_sites::FAILPOINT_FIRE,
-                        &fields,
-                    );
-                }));
+        // journal.
+        if let Some(journal) = journal.clone() {
+            sink.failpoints().observe_fires(Box::new(move |name, site| {
+                let at = site.map(|at| at.to_string());
+                let mut fields = vec![("name", name)];
+                fields.extend(at.as_deref().map(|at| ("at", at)));
+                journal.record(
+                    JournalSeverity::Error,
+                    journal_sites::FAILPOINT_FIRE,
+                    &fields,
+                );
+            }));
         }
-        let mut sink: Arc<dyn EventSink> = match config.ingestion_mode {
-            IngestionMode::Sync => sharded,
-            IngestionMode::Async => AsyncSink::new(sharded, config.pipeline.clone()),
-        };
-        // Admission control goes outermost so degraded-mode sampling is
-        // decided before any queueing effort is spent.
-        let supervisor = config.supervisor.map(|sup_config| {
-            let supervisor = Supervisor::new(
-                sup_config,
-                telemetry.as_deref().map(|t| t.handle()),
-                journal.clone(),
-            );
-            sink = SupervisorSink::new(Arc::clone(&sink), Arc::clone(&supervisor));
-            supervisor
-        });
         let mut profiler = Profiler::attach_with_sink(config, env, monitor, gpu, sink);
         profiler.telemetry = telemetry;
-        profiler.supervisor = supervisor;
         profiler.journal = journal;
         profiler
     }
@@ -421,7 +367,6 @@ impl Profiler {
             sampler_ids,
             started: env.clock().now(),
             telemetry: None,
-            supervisor: None,
             journal: None,
         }
     }
@@ -441,22 +386,6 @@ impl Profiler {
             self.inner.sink.activity_batch(batch);
         }
         self.inner.sink.epoch_complete();
-        self.observe_health();
-    }
-
-    /// Feeds the current health window into the supervisor (no-op
-    /// without one). Runs at every flush boundary; long-running
-    /// embedders can also call it directly on their own cadence.
-    pub fn observe_health(&self) {
-        if let (Some(supervisor), Some(report)) = (&self.supervisor, self.health_report()) {
-            supervisor.observe(&report);
-        }
-    }
-
-    /// The degradation state machine (`None` unless
-    /// [`ProfilerConfig::supervisor`] was configured at attach).
-    pub fn supervisor(&self) -> Option<&Arc<Supervisor>> {
-        self.supervisor.as_ref()
     }
 
     /// The live incident journal (`None` when
@@ -499,9 +428,9 @@ impl Profiler {
         self.telemetry.as_ref().map(|t| t.handle().snapshot())
     }
 
-    /// The profiler's own vital signs — drop rate, queue saturation,
-    /// worker utilization, flush/fold latency summaries — over the
-    /// window from attach to now (`None` when telemetry is off).
+    /// The profiler's own vital signs — today the fold-latency summary —
+    /// over the window from attach to now (`None` when telemetry is
+    /// off).
     pub fn health_report(&self) -> Option<HealthReport> {
         self.telemetry
             .as_ref()
@@ -582,7 +511,6 @@ impl Profiler {
             self.inner.sink.activity_batch(batch);
         }
         self.inner.sink.epoch_complete();
-        self.observe_health();
         let ended = self.env.clock().now();
         // Capture the timeline before finish_snapshot consumes the
         // sink's cached fold state (its context remap depends on it).
@@ -603,70 +531,9 @@ impl Profiler {
                 HealthReport::from_snapshot(&telemetry.handle().snapshot(), telemetry.now_ns());
             for (key, value) in [
                 ("telemetry.window_ns", report.window_ns.to_string()),
-                (
-                    "telemetry.enqueued_events",
-                    report.events_enqueued.to_string(),
-                ),
-                (
-                    "telemetry.dropped_events",
-                    report.events_dropped.to_string(),
-                ),
-                ("telemetry.drop_rate", format!("{:.6}", report.drop_rate)),
-                (
-                    "telemetry.max_queue_depth",
-                    report.max_queue_depth.to_string(),
-                ),
-                (
-                    "telemetry.queue_saturation",
-                    format!("{:.6}", report.queue_saturation),
-                ),
-                (
-                    "telemetry.worker_utilization",
-                    format!("{:.6}", report.worker_utilization),
-                ),
-                (
-                    "telemetry.flush_p99_ns",
-                    report.flush_latency.p99.to_string(),
-                ),
                 ("telemetry.fold_p99_ns", report.fold_latency.p99.to_string()),
             ] {
                 meta.extra.push((key.to_string(), value));
-            }
-        }
-        // Stamp the degradation record: a profile taken under sampled or
-        // bypassed ingestion must say so (the analyzer's DegradedRunRule
-        // reads these, and estimate consumers rescale by sample_rate).
-        if let Some(supervisor) = &self.supervisor {
-            let status = supervisor.status();
-            for (key, value) in [
-                ("supervisor.state", status.state.to_string()),
-                ("supervisor.transitions", status.transitions.to_string()),
-                (
-                    "supervisor.degraded_windows",
-                    status.degraded_windows.to_string(),
-                ),
-                ("supervisor.sample_rate", status.sample_stride.to_string()),
-                (
-                    "supervisor.sampled_events",
-                    status.sampled_events.to_string(),
-                ),
-                (
-                    "supervisor.rejected_events",
-                    status.rejected_events.to_string(),
-                ),
-                (
-                    "supervisor.bypassed_events",
-                    status.bypassed_events.to_string(),
-                ),
-            ] {
-                meta.extra.push((key.to_string(), value));
-            }
-            // The first departure from Healthy, as a journal-clock
-            // timestamp: header-only listings can spot a run that
-            // degraded (and when) without loading the journal itself.
-            if let Some(ns) = supervisor.first_degraded_ns() {
-                meta.extra
-                    .push(("supervisor.first_degraded_ns".to_string(), ns.to_string()));
             }
         }
         // Flatten the incident journal into the database and summarize
@@ -903,34 +770,29 @@ mod tests {
         // shard is settled, normally by the activity batch that follows.
         // Every read surface must settle first, in every layout.
         let launches = |cct: &CallingContextTree| cct.total(MetricKind::KernelLaunches);
-        for ingestion_mode in [IngestionMode::Sync, IngestionMode::Async] {
-            for (ingestion_shards, snapshot_cache) in
-                [(1, true), (1, false), (16, true), (16, false)]
-            {
-                let rig = rig();
-                let config = ProfilerConfig {
-                    ingestion_mode,
-                    ingestion_shards,
-                    snapshot_cache,
-                    timeline: TimelineConfig {
-                        enabled: true,
-                        ring_capacity: 1024,
-                    },
-                    ..ProfilerConfig::default()
-                };
-                let profiler = Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);
-                // No flush: the records stay in the runtime's buffer.
-                run_relu(&rig, 3);
-                assert_eq!(profiler.with_cct(launches), 3.0);
-                assert_eq!(launches(&profiler.inner.sink.snapshot()), 3.0);
-                run_relu(&rig, 2);
-                profiler.timeline().expect("timeline enabled");
-                assert_eq!(profiler.with_cct(launches), 5.0);
-                assert_eq!(profiler.stats().activities, 0, "nothing was flushed");
-                run_relu(&rig, 1);
-                let db = profiler.finish(ProfileMeta::default());
-                assert_eq!(launches(db.cct()), 6.0);
-            }
+        for (ingestion_shards, snapshot_cache) in [(1, true), (1, false), (16, true), (16, false)] {
+            let rig = rig();
+            let config = ProfilerConfig {
+                ingestion_shards,
+                snapshot_cache,
+                timeline: TimelineConfig {
+                    enabled: true,
+                    ring_capacity: 1024,
+                },
+                ..ProfilerConfig::default()
+            };
+            let profiler = Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);
+            // No flush: the records stay in the runtime's buffer.
+            run_relu(&rig, 3);
+            assert_eq!(profiler.with_cct(launches), 3.0);
+            assert_eq!(launches(&profiler.inner.sink.snapshot()), 3.0);
+            run_relu(&rig, 2);
+            profiler.timeline().expect("timeline enabled");
+            assert_eq!(profiler.with_cct(launches), 5.0);
+            assert_eq!(profiler.stats().activities, 0, "nothing was flushed");
+            run_relu(&rig, 1);
+            let db = profiler.finish(ProfileMeta::default());
+            assert_eq!(launches(db.cct()), 6.0);
         }
     }
 
@@ -1038,136 +900,6 @@ mod tests {
             })
         };
         assert_eq!(totals(1), totals(16));
-    }
-
-    #[test]
-    fn producer_batching_amortizes_and_matches_unbatched() {
-        // Thread-local launch batching (asynchronous mode only) is a
-        // cost optimization, not a semantic one: profiles and event
-        // counts are identical at every batch size, while the batching
-        // counters prove events actually travelled through per-thread
-        // batches — at `launch_batch` 1 too, where every flush carries
-        // one event. Synchronous mode attributes inline at any
-        // `launch_batch`.
-        let run = |ingestion_mode: IngestionMode, launch_batch: usize| {
-            let rig = rig();
-            let config = ProfilerConfig {
-                ingestion_mode,
-                pipeline: PipelineConfig {
-                    launch_batch,
-                    ..PipelineConfig::default()
-                },
-                ..ProfilerConfig::default()
-            };
-            let profiler = Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);
-            run_relu(&rig, 6);
-            profiler.flush();
-            let stats = profiler.stats();
-            let totals = profiler.with_cct(|cct| {
-                (
-                    cct.node_count(),
-                    cct.total(MetricKind::GpuTime),
-                    cct.total(MetricKind::KernelLaunches),
-                )
-            });
-            (stats, totals)
-        };
-        let (unbatched, unbatched_totals) = run(IngestionMode::Async, 1);
-        let (batched, batched_totals) = run(IngestionMode::Async, 64);
-        assert_eq!(unbatched_totals, batched_totals);
-        assert_eq!(batched.activities, unbatched.activities);
-        assert_eq!(batched.launches, unbatched.launches);
-        assert_eq!(
-            unbatched.batched_events + unbatched.activities,
-            unbatched.enqueued_events,
-            "the batcher is the only route launches and samples take"
-        );
-        assert_eq!(
-            unbatched.producer_flushes, unbatched.batched_events,
-            "launch_batch=1 flushes after every event"
-        );
-        assert!(batched.batched_events > 0, "events flowed through batches");
-        assert!(batched.producer_flushes > 0);
-        assert!(
-            batched.batched_events >= batched.producer_flushes,
-            "flushes amortize at least one event each"
-        );
-        let (sync, sync_totals) = run(IngestionMode::Sync, 64);
-        assert_eq!(sync_totals, batched_totals);
-        assert_eq!(sync.batched_events, 0, "sync mode never buffers");
-        assert_eq!(sync.producer_flushes, 0);
-    }
-
-    #[test]
-    fn async_mode_matches_sync_mode() {
-        // The asynchronous pipeline is a scheduling change, not a
-        // semantic one: the same workload must produce identical
-        // aggregates under both ingestion modes, with nothing dropped
-        // under the default Block policy.
-        let run = |mode: IngestionMode| {
-            let rig = rig();
-            let config = ProfilerConfig {
-                ingestion_mode: mode,
-                ..ProfilerConfig::default()
-            };
-            let profiler = Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);
-            run_relu(&rig, 6);
-            profiler.flush();
-            let stats = profiler.stats();
-            let totals = profiler.with_cct(|cct| {
-                (
-                    cct.node_count(),
-                    cct.total(MetricKind::GpuTime),
-                    cct.total(MetricKind::KernelLaunches),
-                )
-            });
-            (stats, totals)
-        };
-        let (sync_stats, sync_totals) = run(IngestionMode::Sync);
-        let (async_stats, async_totals) = run(IngestionMode::Async);
-        assert_eq!(sync_totals, async_totals);
-        assert_eq!(sync_stats.activities, async_stats.activities);
-        assert_eq!(sync_stats.launches, async_stats.launches);
-        assert_eq!(async_stats.orphans, 0);
-        // Pipeline accounting: events flowed through the queues and the
-        // Block policy lost none of them.
-        assert!(async_stats.enqueued_events > 0);
-        assert_eq!(async_stats.dropped_events, 0);
-        assert_eq!(async_stats.worker_events, async_stats.enqueued_events);
-        assert_eq!(sync_stats.enqueued_events, 0, "sync mode bypasses queues");
-    }
-
-    #[test]
-    fn async_finish_produces_complete_profile() {
-        let rig = rig();
-        let config = ProfilerConfig {
-            ingestion_mode: IngestionMode::Async,
-            ..ProfilerConfig::default()
-        };
-        let profiler = Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);
-        run_relu(&rig, 5);
-        // No explicit flush: finish itself must drain the pipeline.
-        let db = profiler.finish(ProfileMeta {
-            workload: "relu-async".into(),
-            framework: "eager".into(),
-            platform: "nvidia-a100".into(),
-            iterations: 5,
-            ..Default::default()
-        });
-        assert_eq!(
-            db.cct()
-                .root_metric(MetricKind::KernelLaunches)
-                .unwrap()
-                .sum,
-            5.0
-        );
-        assert_eq!(
-            db.cct()
-                .metric(db.cct().root(), MetricKind::GpuTime)
-                .unwrap()
-                .count,
-            5
-        );
     }
 
     #[test]
@@ -1328,61 +1060,6 @@ mod tests {
         let back = ProfileDb::load(&buf[..]).unwrap();
         assert_eq!(back.timeline(), db.timeline());
         assert_eq!(back.meta(), db.meta());
-    }
-
-    #[test]
-    fn supervised_degraded_run_samples_and_stamps_meta() {
-        let rig = rig();
-        let config = ProfilerConfig {
-            telemetry: TelemetryConfig::enabled(),
-            supervisor: Some(SupervisorConfig {
-                sample_stride: 4,
-                ..SupervisorConfig::default()
-            }),
-            ..ProfilerConfig::default()
-        };
-        let profiler = Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);
-        let supervisor = Arc::clone(profiler.supervisor().expect("supervisor configured"));
-        // A healthy supervised run admits everything.
-        run_relu(&rig, 8);
-        profiler.flush();
-        assert_eq!(profiler.stats().launches, 8);
-        assert_eq!(profiler.stats().activities, 8);
-        assert_eq!(supervisor.state(), SupervisorState::Healthy);
-
-        // Degrade and run again: only sampled correlations are ingested,
-        // coherently (no sampling-induced orphans), and the stamps in
-        // the finished profile record exactly how to rescale.
-        supervisor.force_state(SupervisorState::Degraded);
-        run_relu(&rig, 8);
-        let db = profiler.finish(ProfileMeta {
-            workload: "relu-degraded".into(),
-            ..Default::default()
-        });
-        let extra = |key: &str| {
-            db.meta()
-                .extra
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| panic!("meta key {key} missing"))
-        };
-        assert_eq!(extra("supervisor.state"), "1");
-        assert_eq!(extra("supervisor.sample_rate"), "4");
-        assert!(extra("supervisor.transitions").parse::<u64>().unwrap() >= 1);
-        let sampled = extra("supervisor.sampled_events").parse::<u64>().unwrap();
-        let rejected = extra("supervisor.rejected_events").parse::<u64>().unwrap();
-        assert!(sampled > 0, "some events must pass the 1-in-4 sampler");
-        assert!(rejected > sampled, "a stride of 4 rejects most events");
-        // The full first phase plus the sampled second phase landed; no
-        // record resolved against a missing binding.
-        let launches = db
-            .cct()
-            .root_metric(MetricKind::KernelLaunches)
-            .unwrap()
-            .sum;
-        assert!((8.0..16.0).contains(&launches), "got {launches}");
-        assert!(db.cct().total(MetricKind::GpuTime) > 0.0);
     }
 
     #[test]

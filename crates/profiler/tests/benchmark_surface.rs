@@ -6,17 +6,24 @@
 //! by name out of a copied `Option<ProfilerStats>`; the benchmark is
 //! built from its own manifest, outside `cargo test`. These tests use
 //! both the same way, so removing, renaming or retyping one fails here
-//! rather than in the benchmark build later.
+//! rather than in the benchmark build later. `ingestion_mode`,
+//! `launch_batch`, `directory_map`, `dropped_events` and
+//! `poisoned_events` are vestiges nothing but the benchmark reads; no
+//! other test names them.
 
-use deepcontext_profiler::{IngestionMode, ProfilerConfig, ProfilerStats, DEFAULT_LAUNCH_BATCH};
+use deepcontext_profiler::{
+    IngestionMode, Profiler, ProfilerConfig, ProfilerStats, DEFAULT_LAUNCH_BATCH,
+};
+
+mod common;
+use common::{rig, run_relu};
 
 #[test]
 fn resolved_header_fields_keep_their_names_and_formats() {
     let config = ProfilerConfig {
-        // Pinned: the CI matrix moves these two defaults through the
-        // environment.
+        // Pinned: the CI matrix moves this default through the
+        // environment. Every other field is what a user gets.
         ingestion_shards: 16,
-        ingestion_mode: IngestionMode::Sync,
         ..ProfilerConfig::deepcontext()
     };
     let resolved = format!(
@@ -28,10 +35,29 @@ fn resolved_header_fields_keep_their_names_and_formats() {
     );
     assert_eq!(
         resolved,
-        format!(
-            "ingestion_shards 16, ingestion_mode Sync, launch_batch {DEFAULT_LAUNCH_BATCH}, \
-             directory_map Striped"
-        )
+        "ingestion_shards 16, ingestion_mode Sync, launch_batch 64, directory_map Striped"
+    );
+    assert_eq!(config.ingestion_mode, IngestionMode::Sync);
+    assert_eq!(config.pipeline.launch_batch, DEFAULT_LAUNCH_BATCH);
+}
+
+#[test]
+fn the_loss_counters_the_benchmark_sums_read_zero_after_a_flushed_run() {
+    let rig = rig();
+    let profiler = Profiler::attach(
+        ProfilerConfig::deepcontext(),
+        &rig.env,
+        &rig.monitor,
+        &rig.gpu,
+    );
+    run_relu(&rig, 6);
+    profiler.flush();
+    let pstats = profiler.stats();
+    assert_eq!((pstats.launches, pstats.activities), (6, 6));
+    // benchmark/src/session.rs: `lost`.
+    assert_eq!(
+        pstats.orphans + pstats.dropped_events + pstats.poisoned_events,
+        0
     );
 }
 

@@ -1,12 +1,11 @@
-//! [`HealthReport`]: the snapshot rolled into the handful of windowed
-//! rates an overload controller would act on.
+//! [`HealthReport`]: the snapshot rolled into the numbers a caller would
+//! act on.
 //!
 //! The raw registry answers "what happened"; the health report answers
-//! "is the profiler keeping up" — drop rate, queue saturation against
-//! the configured capacity, worker busy-vs-parked utilization, and
-//! latency summaries for the two operations that stall everything else
-//! (producer flushes and snapshot folds). The ROADMAP's work-stealing /
-//! adaptive-overload direction consumes exactly these signals.
+//! "is the profiler keeping up". Inline attribution has no queue to
+//! saturate and no worker to starve, so today that is the one operation
+//! that stalls readers: the snapshot fold. (ROADMAP direction 3 — an
+//! always-on overhead budget — grows the report from here.)
 
 use crate::metrics::HistogramSnapshot;
 use crate::names;
@@ -46,68 +45,12 @@ impl DistributionSummary {
     }
 }
 
-/// One overload edge a [`HealthReport`] is judged against: the report
-/// breaches the edge when *either* signal crosses its threshold. A
-/// supervisor pairs a trip edge with a stricter recovery edge to get
-/// hysteresis on both sides.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthThresholds {
-    /// Window drop rate (`events_dropped / events_enqueued`) at or above
-    /// which the edge trips.
-    pub drop_rate: f64,
-    /// Queue saturation (`max_queue_depth / queue_capacity`) at or above
-    /// which the edge trips.
-    pub queue_saturation: f64,
-}
-
-impl HealthThresholds {
-    /// Whether `report` crosses either threshold.
-    pub fn breached(&self, report: &HealthReport) -> bool {
-        report.drop_rate >= self.drop_rate || report.queue_saturation >= self.queue_saturation
-    }
-}
-
-impl Default for HealthThresholds {
-    /// The degrade edge the pipeline supervisor ships with: any drops at
-    /// all above 1% of the window, or a shard queue that filled to 90%.
-    fn default() -> Self {
-        HealthThresholds {
-            drop_rate: 0.01,
-            queue_saturation: 0.9,
-        }
-    }
-}
-
 /// The profiler's own vital signs over one telemetry window.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HealthReport {
     /// Window length: nanoseconds from the telemetry epoch (session
     /// start) to the moment the report was taken.
     pub window_ns: u64,
-    /// Events accepted into the pipeline.
-    pub events_enqueued: u64,
-    /// Events evicted by `DropOldest` backpressure.
-    pub events_dropped: u64,
-    /// `events_dropped / events_enqueued` (0 when nothing was enqueued).
-    pub drop_rate: f64,
-    /// High-water queue depth across all shards.
-    pub max_queue_depth: u64,
-    /// The configured per-shard queue capacity (0 in sync mode — there
-    /// is no queue).
-    pub queue_capacity: u64,
-    /// `max_queue_depth / queue_capacity` (0 without a queue) — 1.0
-    /// means some shard queue was completely full at least once.
-    pub queue_saturation: f64,
-    /// Total nanoseconds workers spent draining shards.
-    pub worker_busy_ns: u64,
-    /// Total nanoseconds workers spent parked waiting for work.
-    pub worker_parked_ns: u64,
-    /// `busy / (busy + parked)` (0 when no worker ran).
-    pub worker_utilization: f64,
-    /// Observed queue depths at enqueue time (all shards merged).
-    pub queue_depth: DistributionSummary,
-    /// Producer batch-flush latency, nanoseconds.
-    pub flush_latency: DistributionSummary,
     /// Incremental snapshot fold latency, nanoseconds.
     pub fold_latency: DistributionSummary,
 }
@@ -117,68 +60,18 @@ impl HealthReport {
     /// caller's measurement window (typically
     /// [`Telemetry::now_ns`](crate::Telemetry::now_ns) at report time).
     pub fn from_snapshot(snapshot: &TelemetrySnapshot, window_ns: u64) -> HealthReport {
-        let events_enqueued = snapshot.counter_total(names::EVENTS_ENQUEUED);
-        let events_dropped = snapshot.counter_total(names::EVENTS_DROPPED);
-        let drop_rate = if events_enqueued == 0 {
-            0.0
-        } else {
-            events_dropped as f64 / events_enqueued as f64
-        };
-        let max_queue_depth = snapshot.gauge_max(names::MAX_QUEUE_DEPTH);
-        let queue_capacity = snapshot.gauge_max(names::QUEUE_CAPACITY);
-        let queue_saturation = if queue_capacity == 0 {
-            0.0
-        } else {
-            max_queue_depth as f64 / queue_capacity as f64
-        };
-        let worker_busy_ns = snapshot.counter_total(names::WORKER_BUSY_NS);
-        let worker_parked_ns = snapshot.counter_total(names::WORKER_PARKED_NS);
-        let worker_total = worker_busy_ns + worker_parked_ns;
-        let worker_utilization = if worker_total == 0 {
-            0.0
-        } else {
-            worker_busy_ns as f64 / worker_total as f64
-        };
         HealthReport {
             window_ns,
-            events_enqueued,
-            events_dropped,
-            drop_rate,
-            max_queue_depth,
-            queue_capacity,
-            queue_saturation,
-            worker_busy_ns,
-            worker_parked_ns,
-            worker_utilization,
-            queue_depth: DistributionSummary::from_histogram(
-                &snapshot.histogram_merged(names::QUEUE_DEPTH),
-            ),
-            flush_latency: DistributionSummary::from_histogram(
-                &snapshot.histogram_merged(names::FLUSH_LATENCY_NS),
-            ),
             fold_latency: DistributionSummary::from_histogram(
                 &snapshot.histogram_merged(names::FOLD_LATENCY_NS),
             ),
         }
     }
 
-    /// Enqueue rate over the window, events per second.
-    pub fn enqueue_rate(&self) -> f64 {
-        if self.window_ns == 0 {
-            0.0
-        } else {
-            self.events_enqueued as f64 / (self.window_ns as f64 / 1e9)
-        }
-    }
-
     /// Whether the report carries no signal at all (telemetry was on
     /// but nothing instrumented ran).
     pub fn is_empty(&self) -> bool {
-        self.events_enqueued == 0
-            && self.events_dropped == 0
-            && self.queue_depth.count == 0
-            && self.flush_latency.count == 0
-            && self.fold_latency.count == 0
+        self.fold_latency.count == 0
     }
 }
 
@@ -191,53 +84,20 @@ mod tests {
     fn empty_snapshot_rolls_into_an_empty_report() {
         let report = HealthReport::from_snapshot(&Telemetry::new().snapshot(), 0);
         assert!(report.is_empty());
-        assert_eq!(report.drop_rate, 0.0);
-        assert_eq!(report.worker_utilization, 0.0);
-        assert_eq!(report.enqueue_rate(), 0.0);
+        assert_eq!(report.fold_latency.mean(), 0.0);
     }
 
     #[test]
-    fn thresholds_trip_on_either_signal() {
-        let edge = HealthThresholds {
-            drop_rate: 0.1,
-            queue_saturation: 0.5,
-        };
-        let mut report = HealthReport::default();
-        assert!(!edge.breached(&report));
-        report.drop_rate = 0.2;
-        assert!(edge.breached(&report));
-        report.drop_rate = 0.0;
-        report.queue_saturation = 0.5;
-        assert!(edge.breached(&report));
-    }
-
-    #[test]
-    fn rates_roll_up_from_well_known_names() {
+    fn fold_latency_rolls_up_from_its_well_known_name() {
         let t = Telemetry::new();
-        t.counter(names::EVENTS_ENQUEUED, &[("shard", "0")]).add(90);
-        t.counter(names::EVENTS_ENQUEUED, &[("shard", "1")]).add(10);
-        t.counter(names::EVENTS_DROPPED, &[("shard", "1")]).add(25);
-        t.gauge(names::MAX_QUEUE_DEPTH, &[]).record_max(64);
-        t.gauge(names::QUEUE_CAPACITY, &[]).set(256);
-        t.counter(names::WORKER_BUSY_NS, &[("worker", "0")])
-            .add(300);
-        t.counter(names::WORKER_PARKED_NS, &[("worker", "0")])
-            .add(700);
-        t.histogram(names::QUEUE_DEPTH, &[("shard", "0")]).record(5);
-        t.histogram(names::FLUSH_LATENCY_NS, &[]).record(1_000);
-        t.histogram(names::FOLD_LATENCY_NS, &[]).record(2_000);
+        t.histogram(names::FOLD_LATENCY_NS, &[]).record(1_000);
+        t.histogram(names::FOLD_LATENCY_NS, &[]).record(3_000);
         let report = HealthReport::from_snapshot(&t.snapshot(), 2_000_000_000);
         assert!(!report.is_empty());
-        assert_eq!(report.events_enqueued, 100);
-        assert_eq!(report.events_dropped, 25);
-        assert!((report.drop_rate - 0.25).abs() < 1e-12);
-        assert!((report.queue_saturation - 0.25).abs() < 1e-12);
-        assert!((report.worker_utilization - 0.3).abs() < 1e-12);
-        assert_eq!(report.queue_depth.count, 1);
-        assert_eq!(report.flush_latency.count, 1);
-        assert_eq!(report.flush_latency.p99, 1_023);
-        assert_eq!(report.fold_latency.count, 1);
-        assert!((report.enqueue_rate() - 50.0).abs() < 1e-9);
-        assert!((report.flush_latency.mean() - 1_000.0).abs() < 1e-9);
+        assert_eq!(report.window_ns, 2_000_000_000);
+        assert_eq!(report.fold_latency.count, 2);
+        assert_eq!(report.fold_latency.p50, 1_023);
+        assert_eq!(report.fold_latency.p99, 4_095);
+        assert!((report.fold_latency.mean() - 2_000.0).abs() < 1e-9);
     }
 }

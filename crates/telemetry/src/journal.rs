@@ -1,14 +1,13 @@
 //! The incident journal: a causal flight recorder for pipeline
 //! lifecycle events.
 //!
-//! Numeric self-telemetry says *that* the pipeline degraded, dropped or
-//! quarantined; the journal records *when, in what order, and why* — a
-//! bounded, lock-striped ring of structured lifecycle events
-//! ([`Journal`]): each event carries a global sequence number, a
-//! monotonic timestamp, a severity, a `Sym`-interned site name and the
-//! key/value evidence fields the site attached (the `HealthReport`
-//! rates that tripped a supervisor transition, the shard index of a
-//! quarantine, the attempt number of a store retry).
+//! Numeric self-telemetry says *that* something was slow or retried; the
+//! journal records *when, in what order, and why* — a bounded,
+//! lock-striped ring of structured lifecycle events ([`Journal`]): each
+//! event carries a global sequence number, a monotonic timestamp, a
+//! severity, a `Sym`-interned site name and the key/value evidence
+//! fields the site attached (the name and shard of a failpoint fire,
+//! the attempt number of a store retry).
 //!
 //! The cost model mirrors [`Telemetry`]: a disabled journal is the
 //! *absence* of the handle — instrumented code holds an
@@ -48,53 +47,27 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 512;
 /// Well-known journal site names, so instrumentation sites, stored
 /// profiles, and analyzer rules agree on spelling.
 pub mod journal_sites {
-    /// Supervisor state transition (fields: `from`, `to`, and — when the
-    /// transition was health-driven — the `HealthReport` evidence rates).
-    pub const SUPERVISOR_TRANSITION: &str = "supervisor.transition";
-    /// A worker panic quarantined a shard (field: `shard`).
-    pub const SHARD_QUARANTINE: &str = "shard.quarantine";
-    /// A pipeline worker thread unwound past its loop and restarted.
-    pub const WORKER_RESTART: &str = "worker.restart";
-    /// First `DropOldest` eviction after a clean window (field: `shard`).
-    pub const DROP_STORM_START: &str = "drop.storm.start";
-    /// First clean drain barrier after drops (field: `dropped`, the
-    /// total lost since the storm began).
-    pub const DROP_STORM_END: &str = "drop.storm.end";
     /// `ProfileStore` retry-with-backoff attempt (fields: `op`,
     /// `attempt`, `error`).
     pub const STORE_RETRY: &str = "store.retry";
-    /// Worker pool paused (operator quiesce).
-    pub const PIPELINE_PAUSE: &str = "pipeline.pause";
-    /// Worker pool resumed.
-    pub const PIPELINE_RESUME: &str = "pipeline.resume";
-    /// A flush boundary (epoch barrier) completed — the barrier-anchored
-    /// event both ingestion modes record identically.
+    /// A flush boundary (`EventSink::epoch_complete`) completed.
     pub const PIPELINE_EPOCH: &str = "pipeline.epoch";
-    /// A drain barrier that actually waited on the worker pool.
-    pub const PIPELINE_DRAIN: &str = "pipeline.drain";
     /// A fault-injection point fired (fields: `name`, optional `at`).
     pub const FAILPOINT_FIRE: &str = "failpoint.fire";
 
     /// Every built-in site, in declaration order. [`Journal::new`]
     /// pre-interns this vocabulary so *which* sites a run happens to
     /// fire cannot perturb downstream symbol tables — the timeline's
-    /// name table is an interner snapshot, and sync vs async runs
-    /// journal different lifecycle sites by design (only async drains).
+    /// name table is an interner snapshot.
+    ///
+    /// Journals stored before the asynchronous pipeline was deleted also
+    /// name `supervisor.transition`, `shard.quarantine`, `worker.restart`,
+    /// `drop.storm.*` and `pipeline.{pause, resume, drain}`; stored
+    /// events carry their site as a string, so those files still load
+    /// and render.
     ///
     /// [`Journal::new`]: super::Journal::new
-    pub const ALL: &[&str] = &[
-        SUPERVISOR_TRANSITION,
-        SHARD_QUARANTINE,
-        WORKER_RESTART,
-        DROP_STORM_START,
-        DROP_STORM_END,
-        STORE_RETRY,
-        PIPELINE_PAUSE,
-        PIPELINE_RESUME,
-        PIPELINE_EPOCH,
-        PIPELINE_DRAIN,
-        FAILPOINT_FIRE,
-    ];
+    pub const ALL: &[&str] = &[STORE_RETRY, PIPELINE_EPOCH, FAILPOINT_FIRE];
 }
 
 /// Event severity. Discriminants are the stored byte
@@ -102,11 +75,11 @@ pub mod journal_sites {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum JournalSeverity {
-    /// Expected lifecycle (barriers, pauses, recoveries).
+    /// Expected lifecycle (flush boundaries).
     Info = 0,
-    /// Degraded but operating (transitions, drop storms, retries).
+    /// Degraded but operating (retries).
     Warn = 1,
-    /// Faults (quarantines, exhausted retries, failpoint fires).
+    /// Faults (exhausted retries, failpoint fires).
     Error = 2,
 }
 
@@ -174,9 +147,8 @@ struct Event {
 }
 
 /// The bounded, lock-striped incident ring (see the [module
-/// docs](self)). Shared via `Arc` between the supervisor, both sink
-/// layers, the profile store and the profiler; disabled journaling is
-/// the absence of the `Arc`.
+/// docs](self)). Shared via `Arc` between the sink, the profile store
+/// and the profiler; disabled journaling is the absence of the `Arc`.
 #[derive(Debug)]
 pub struct Journal {
     interner: Arc<Interner>,
@@ -360,8 +332,8 @@ mod tests {
         let j = journal(64);
         j.record(
             JournalSeverity::Warn,
-            journal_sites::SHARD_QUARANTINE,
-            &[("shard", "3")],
+            journal_sites::STORE_RETRY,
+            &[("attempt", "3")],
         );
         j.record(JournalSeverity::Info, journal_sites::PIPELINE_EPOCH, &[]);
         let snap = j.snapshot();
@@ -373,12 +345,12 @@ mod tests {
         assert!(snap.events[1].ts_ns >= snap.events[0].ts_ns);
         assert_eq!(
             snap.site_name(&snap.events[0]),
-            Some(journal_sites::SHARD_QUARANTINE)
+            Some(journal_sites::STORE_RETRY)
         );
         assert_eq!(snap.events[0].severity, 1);
         assert_eq!(
             snap.events[0].fields,
-            vec![("shard".to_string(), "3".to_string())]
+            vec![("attempt".to_string(), "3".to_string())]
         );
         assert!(snap.has_site(journal_sites::PIPELINE_EPOCH));
     }
@@ -390,7 +362,7 @@ mod tests {
         for i in 0..1000u64 {
             j.record(
                 JournalSeverity::Info,
-                journal_sites::PIPELINE_DRAIN,
+                journal_sites::PIPELINE_EPOCH,
                 &[("i", &i.to_string())],
             );
         }
@@ -419,7 +391,7 @@ mod tests {
                     for _ in 0..500 {
                         j.record(
                             JournalSeverity::Info,
-                            journal_sites::PIPELINE_DRAIN,
+                            journal_sites::PIPELINE_EPOCH,
                             &[("t", &t.to_string())],
                         );
                     }
@@ -462,7 +434,7 @@ mod tests {
         assert!(Journal::from_config(&JournalConfig::default(), &interner, None).is_none());
         let j = Journal::from_config(&JournalConfig::enabled(), &interner, None)
             .expect("enabled config builds");
-        j.record(JournalSeverity::Info, journal_sites::PIPELINE_PAUSE, &[]);
+        j.record(JournalSeverity::Info, journal_sites::PIPELINE_EPOCH, &[]);
         assert_eq!(j.recorded(), 1);
     }
 

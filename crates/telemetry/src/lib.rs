@@ -1,9 +1,8 @@
 //! Self-telemetry: the profiler watching its own pipeline.
 //!
 //! DeepContext's pitch is low-overhead always-on profiling, but the
-//! profiler's own behavior — queue-depth dynamics, flush latencies,
-//! drop bursts, worker utilization — is invisible in end-of-run
-//! aggregates. This crate is the introspection layer the rest of the
+//! profiler's own behavior — lock hold times, fold latencies, interner
+//! and ring occupancy — is invisible in end-of-run aggregates. This crate is the introspection layer the rest of the
 //! workspace instruments itself with:
 //!
 //! * [`Telemetry`] / [`Registry`] — a lock-striped registry of atomic
@@ -15,21 +14,20 @@
 //! * [`TelemetrySnapshot`] — a sorted, immutable copy of every metric,
 //!   with [Prometheus text exposition](TelemetrySnapshot::to_prometheus)
 //!   and [JSON](TelemetrySnapshot::to_json) exporters.
-//! * [`HealthReport`] — the snapshot rolled into windowed rates (drop
-//!   rate, queue saturation, worker utilization, flush/fold latency
-//!   summaries) for programmatic overload decisions.
+//! * [`HealthReport`] — the snapshot rolled into the window length and
+//!   the fold-latency summary.
 //! * [`Journal`] — the incident journal: a bounded, lock-striped ring
-//!   of structured lifecycle events (supervisor transitions, shard
-//!   quarantines, drop storms, store retries, failpoint fires) that
-//!   persists with the profile and is cited by the analyzer.
+//!   of structured lifecycle events (flush boundaries, store retries,
+//!   failpoint fires) that persists with the profile and is cited by
+//!   the analyzer.
 //! * [`names`] — the well-known metric names shared between the
 //!   instrumentation sites and the report.
 //!
 //! Recording is wired behind `ProfilerConfig::telemetry` (default off;
 //! the `DEEPCONTEXT_TELEMETRY` environment variable flips the default —
-//! see [`default_telemetry_config`]). The *self-timeline* — worker
-//! batches, producer flushes, and snapshot folds as intervals on a
-//! reserved timeline track — rides on the same config's
+//! see [`default_telemetry_config`]). The *self-timeline* — snapshot
+//! folds as intervals on a reserved timeline track — rides on the same
+//! config's
 //! [`self_timeline`](TelemetryConfig::self_timeline) switch and the
 //! existing `crates/timeline` ring machinery.
 
@@ -43,7 +41,7 @@ pub mod metrics;
 pub mod registry;
 
 pub use export::{escape_label_value, sanitize_label_name, sanitize_metric_name};
-pub use health::{DistributionSummary, HealthReport, HealthThresholds};
+pub use health::{DistributionSummary, HealthReport};
 pub use journal::{
     default_journal_config, default_journal_enabled, journal_sites, Journal, JournalConfig,
     JournalSeverity, DEFAULT_JOURNAL_CAPACITY,
@@ -54,34 +52,13 @@ pub use metrics::{
 pub use registry::{MetricSample, MetricValue, Registry, Telemetry, TelemetrySnapshot};
 
 /// Well-known metric names: the vocabulary shared by the pipeline /
-/// profiler / analyzer instrumentation sites, [`HealthReport`], and the
-/// bench snapshot embeds. All names use the `deepcontext_` prefix so a
+/// profiler / analyzer instrumentation sites and [`HealthReport`]. All
+/// names use the `deepcontext_` prefix so a
 /// Prometheus scrape of a co-hosted process stays collision-free.
 pub mod names {
-    /// Counter: events accepted into the async pipeline.
-    pub const EVENTS_ENQUEUED: &str = "deepcontext_pipeline_events_enqueued_total";
-    /// Counter: events dropped (evicted by `DropOldest`, or lost to a
-    /// shutdown race).
-    pub const EVENTS_DROPPED: &str = "deepcontext_pipeline_events_dropped_total";
-    /// Histogram, label `shard`: queue depth observed at enqueue time.
-    pub const QUEUE_DEPTH: &str = "deepcontext_pipeline_queue_depth";
-    /// Gauge: high-water queue depth across shards.
-    pub const MAX_QUEUE_DEPTH: &str = "deepcontext_pipeline_max_queue_depth";
-    /// Gauge: configured per-shard queue capacity (absent in sync mode).
-    pub const QUEUE_CAPACITY: &str = "deepcontext_pipeline_queue_capacity";
-    /// Histogram: events per producer batch flush.
-    pub const FLUSH_SIZE: &str = "deepcontext_pipeline_flush_size";
-    /// Histogram: producer batch-flush latency, nanoseconds.
-    pub const FLUSH_LATENCY_NS: &str = "deepcontext_pipeline_flush_latency_ns";
     /// Histogram: shard-lock hold time on the attribution paths,
     /// nanoseconds.
     pub const SHARD_LOCK_HOLD_NS: &str = "deepcontext_pipeline_shard_lock_hold_ns";
-    /// Counter, label `worker`: nanoseconds spent draining shards.
-    pub const WORKER_BUSY_NS: &str = "deepcontext_pipeline_worker_busy_ns_total";
-    /// Counter, label `worker`: nanoseconds spent parked.
-    pub const WORKER_PARKED_NS: &str = "deepcontext_pipeline_worker_parked_ns_total";
-    /// Histogram, label `worker`: events applied per worker wake.
-    pub const WORKER_BATCH_SIZE: &str = "deepcontext_pipeline_worker_batch_size";
     /// Histogram: incremental snapshot fold latency, nanoseconds.
     pub const FOLD_LATENCY_NS: &str = "deepcontext_snapshot_fold_latency_ns";
     /// Gauge: approximate interner footprint, bytes.
@@ -92,25 +69,6 @@ pub mod names {
     pub const STORE_SAVE_LATENCY_NS: &str = "deepcontext_store_save_latency_ns";
     /// Histogram: `ProfileStore::load` latency, nanoseconds.
     pub const STORE_LOAD_LATENCY_NS: &str = "deepcontext_store_load_latency_ns";
-    /// Counter: worker panics caught by the pipeline's fault isolation
-    /// (each quarantines the shard whose apply unwound).
-    pub const WORKER_PANICS: &str = "deepcontext_pipeline_worker_panics_total";
-    /// Counter: events accounted to the synthetic `<poisoned>` context
-    /// after arriving at a quarantined shard.
-    pub const EVENTS_POISONED: &str = "deepcontext_pipeline_events_poisoned_total";
-    /// Counter: supervisor state transitions (every edge of
-    /// `Healthy ⇄ Degraded ⇄ Bypass`).
-    pub const SUPERVISOR_TRANSITIONS: &str = "deepcontext_supervisor_transitions_total";
-    /// Gauge: current supervisor state (0 = Healthy, 1 = Degraded,
-    /// 2 = Bypass).
-    pub const SUPERVISOR_STATE: &str = "deepcontext_supervisor_state";
-    /// Counter: events admitted by the supervisor's 1-in-N sampler while
-    /// `Degraded` (rescale by the recorded sample rate for estimates).
-    pub const SUPERVISOR_SAMPLED_EVENTS: &str = "deepcontext_supervisor_sampled_events_total";
-    /// Counter: events rejected by the sampler while `Degraded`.
-    pub const SUPERVISOR_REJECTED_EVENTS: &str = "deepcontext_supervisor_rejected_events_total";
-    /// Counter: events discarded outright while `Bypass`.
-    pub const SUPERVISOR_BYPASSED_EVENTS: &str = "deepcontext_supervisor_bypassed_events_total";
     /// Counter: lifecycle events recorded by the incident journal
     /// (kept + evicted — the conservation total).
     pub const JOURNAL_RECORDED: &str = "deepcontext_journal_recorded_total";
@@ -125,9 +83,8 @@ pub struct TelemetryConfig {
     /// default: the disabled path is an `Option` branch per
     /// instrumentation site.
     pub enabled: bool,
-    /// Whether worker batches, producer flushes, and snapshot folds are
-    /// additionally recorded as intervals on the reserved self-timeline
-    /// track (requires the timeline itself to be enabled; on by default
+    /// Whether snapshot folds are additionally recorded as intervals on
+    /// the reserved self-timeline track (requires the timeline itself to be enabled; on by default
     /// *when* telemetry is on).
     pub self_timeline: bool,
 }

@@ -13,9 +13,9 @@
 //!
 //! [`to_chrome_trace_with_journal`] additionally merges the run's
 //! incident journal into the `profiler (self)` process as instant
-//! (`"i"`) events on a dedicated `incidents` lane — supervisor
-//! transitions, quarantines and drop storms render as markers right
-//! above the flush/fold/worker swim-lanes they explain.
+//! (`"i"`) events on a dedicated `incidents` lane — flush boundaries,
+//! store retries and failpoint fires render as markers right above the
+//! fold swim-lane.
 //!
 //! The writer streams: every event is appended straight into one output
 //! buffer sized before the first byte is written, and whatever repeats
@@ -37,9 +37,9 @@ use deepcontext_core::{
 use crate::snapshot::TimelineSnapshot;
 
 /// The `tid` of the incident-journal lane inside the `profiler (self)`
-/// process — above the reserved self streams (workers count from 0,
-/// flush/fold are 1000/1001) so it never collides with an interval
-/// track.
+/// process — above the reserved self streams (fold is 1001; stored
+/// timelines of older builds count workers from 0 and put flushes at
+/// 1000) so it never collides with an interval track.
 const INCIDENT_TID: u32 = 1_002;
 
 /// Upper bound on the bytes of one interval event outside its track

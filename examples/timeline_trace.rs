@@ -12,8 +12,8 @@
 //! <https://ui.perfetto.dev> to see one swim-lane per stream, each
 //! slice carrying its full calling context. Run with
 //! `DEEPCONTEXT_TELEMETRY=1` to additionally get the `profiler (self)`
-//! process: the profiler's own worker batches, producer flushes, and
-//! snapshot folds as slices next to the workload they serve. Add
+//! process: the profiler's own snapshot folds as slices next to the
+//! workload they serve. Add
 //! `DEEPCONTEXT_JOURNAL=1` and journaled lifecycle incidents render as
 //! instant markers on that process's `incidents` lane.
 

@@ -1,76 +1,28 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! Only the `channel` module subset used by this workspace is provided:
-//! `unbounded()` and `bounded()` multi-producer channels whose `Sender`
-//! and `Receiver` are both `Clone + Send + Sync`. Both flavors share one
-//! implementation — a `VecDeque` behind a mutex with two condition
-//! variables — so bounded channels get real blocking `send` backpressure
-//! and both get non-blocking `try_send` / `try_recv` plus queue-depth
-//! introspection (`len`), which the ingestion pipeline's backpressure
-//! policies and drain barriers rely on.
+//! Only the `channel` module subset used by this workspace is provided —
+//! what `dl-framework`'s autograd hand-over calls: `unbounded()`,
+//! `Sender::{send, clone}` and `Receiver::recv`, over a `VecDeque` behind
+//! a mutex with two condition variables. `send` and `recv` are kept
+//! exactly as they were when the shim also had bounded channels (the
+//! capacity check and the `not_full` wait included): the simulated
+//! substrate's timing is the repo benchmark's denominator.
 
 #![forbid(unsafe_code)]
 
 /// Multi-producer channels (crossbeam-channel API subset).
 pub mod channel {
     use std::collections::VecDeque;
-    use std::fmt;
     use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
     /// Error returned by [`Sender::send`] when the channel is disconnected.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
 
-    /// Error returned by [`Sender::try_send`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        /// The channel is bounded and at capacity.
-        Full(T),
-        /// All receivers are gone.
-        Disconnected(T),
-    }
-
-    impl<T> TrySendError<T> {
-        /// Recovers the message that failed to send.
-        pub fn into_inner(self) -> T {
-            match self {
-                TrySendError::Full(v) | TrySendError::Disconnected(v) => v,
-            }
-        }
-
-        /// Whether the failure was a full channel (vs a disconnected one).
-        pub fn is_full(&self) -> bool {
-            matches!(self, TrySendError::Full(_))
-        }
-    }
-
     /// Error returned by [`Receiver::recv`] when the channel is empty and
     /// disconnected.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("receiving on an empty and disconnected channel")
-        }
-    }
-
-    impl std::error::Error for RecvError {}
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    impl<T> fmt::Display for TrySendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TrySendError::Full(_) => f.write_str("sending on a full channel"),
-                TrySendError::Disconnected(_) => f.write_str("sending on a disconnected channel"),
-            }
-        }
-    }
 
     struct State<T> {
         queue: VecDeque<T>,
@@ -80,7 +32,7 @@ pub mod channel {
         /// entirely when nobody is waiting, keeping the uncontended send
         /// path to one lock round-trip.
         recv_waiters: usize,
-        /// Senders blocked in a bounded `send`.
+        /// Senders blocked in `send` (none: every channel is unbounded).
         send_waiters: usize,
     }
 
@@ -88,7 +40,7 @@ pub mod channel {
         state: Mutex<State<T>>,
         not_empty: Condvar,
         not_full: Condvar,
-        /// `usize::MAX` for unbounded channels.
+        /// `usize::MAX`: every channel is unbounded.
         cap: usize,
     }
 
@@ -122,8 +74,7 @@ pub mod channel {
     }
 
     impl<T> Sender<T> {
-        /// Sends a message, blocking while a bounded channel is at
-        /// capacity. Fails only if all receivers are gone.
+        /// Sends a message. Fails only if all receivers are gone.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let mut state = self.0.lock();
             loop {
@@ -148,114 +99,10 @@ pub mod channel {
                 state.send_waiters -= 1;
             }
         }
-
-        /// Sends a run of messages under **one** lock acquisition with at
-        /// most one receiver notify — the batched-producer fast path: a
-        /// flush of N queued messages costs one lock round-trip instead
-        /// of N. Blocks (in chunks) while a bounded channel is at
-        /// capacity, exactly like [`send`](Self::send); on disconnect the
-        /// not-yet-queued remainder is returned inside the error. Returns
-        /// the number of messages sent.
-        pub fn send_batch(
-            &self,
-            values: impl IntoIterator<Item = T>,
-        ) -> Result<usize, SendError<Vec<T>>> {
-            let mut values = values.into_iter();
-            let mut next = values.next();
-            let mut sent = 0usize;
-            // Whether messages were queued since the last notify — a full
-            // queue forces an interim notify before blocking, so the
-            // receiver can make the space we are waiting for.
-            let mut unannounced = false;
-            let mut state = self.0.lock();
-            while let Some(value) = next.take() {
-                if state.receivers == 0 {
-                    let mut rest = vec![value];
-                    rest.extend(values);
-                    return Err(SendError(rest));
-                }
-                if state.queue.len() < self.0.cap {
-                    state.queue.push_back(value);
-                    sent += 1;
-                    unannounced = true;
-                    next = values.next();
-                } else {
-                    next = Some(value);
-                    if unannounced && state.recv_waiters > 0 {
-                        // A run carries many messages: wake every blocked
-                        // receiver (`notify_one` would leave all but one
-                        // asleep with messages still queued — per-message
-                        // `send` wakes one receiver per message).
-                        self.0.not_empty.notify_all();
-                        unannounced = false;
-                    }
-                    state.send_waiters += 1;
-                    state = self
-                        .0
-                        .not_full
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    state.send_waiters -= 1;
-                }
-            }
-            let wake = unannounced && state.recv_waiters > 0;
-            drop(state);
-            if wake {
-                self.0.not_empty.notify_all();
-            }
-            Ok(sent)
-        }
-
-        /// Sends without blocking, failing with [`TrySendError::Full`]
-        /// when a bounded channel is at capacity.
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            let mut state = self.0.lock();
-            if state.receivers == 0 {
-                return Err(TrySendError::Disconnected(value));
-            }
-            if state.queue.len() >= self.0.cap {
-                return Err(TrySendError::Full(value));
-            }
-            state.queue.push_back(value);
-            let wake = state.recv_waiters > 0;
-            drop(state);
-            if wake {
-                self.0.not_empty.notify_one();
-            }
-            Ok(())
-        }
-
-        /// Messages currently queued.
-        pub fn len(&self) -> usize {
-            self.0.lock().queue.len()
-        }
-
-        /// Whether the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// The channel capacity (`None` for unbounded channels).
-        pub fn capacity(&self) -> Option<usize> {
-            (self.0.cap != usize::MAX).then_some(self.0.cap)
-        }
-    }
-
-    impl<T> fmt::Debug for Sender<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Sender { .. }")
-        }
     }
 
     /// The receiving half of a channel.
     pub struct Receiver<T>(Arc<Shared<T>>);
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            self.0.lock().receivers += 1;
-            Receiver(Arc::clone(&self.0))
-        }
-    }
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
@@ -293,57 +140,13 @@ pub mod channel {
                 state.recv_waiters -= 1;
             }
         }
-
-        /// Returns a message if one is ready, without blocking.
-        pub fn try_recv(&self) -> Result<T, RecvError> {
-            let mut state = self.0.lock();
-            match state.queue.pop_front() {
-                Some(value) => {
-                    let wake = state.send_waiters > 0;
-                    drop(state);
-                    if wake {
-                        self.0.not_full.notify_one();
-                    }
-                    Ok(value)
-                }
-                None => Err(RecvError),
-            }
-        }
-
-        /// Messages currently queued.
-        pub fn len(&self) -> usize {
-            self.0.lock().queue.len()
-        }
-
-        /// Whether the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// The channel capacity (`None` for unbounded channels).
-        pub fn capacity(&self) -> Option<usize> {
-            (self.0.cap != usize::MAX).then_some(self.0.cap)
-        }
     }
 
-    impl<T> fmt::Debug for Receiver<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Receiver { .. }")
-        }
-    }
-
-    fn with_cap<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        // Bounded channels preallocate their ring (capped so pathological
-        // capacities don't reserve gigabytes), keeping reallocation
-        // memcpys off the send path.
-        let prealloc = if cap == usize::MAX {
-            0
-        } else {
-            cap.min(1 << 16)
-        };
+    /// Creates an unbounded channel.
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                queue: VecDeque::with_capacity(prealloc),
+                queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
                 recv_waiters: 0,
@@ -351,20 +154,9 @@ pub mod channel {
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            cap,
+            cap: usize::MAX,
         });
         (Sender(Arc::clone(&shared)), Receiver(shared))
-    }
-
-    /// Creates an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_cap(usize::MAX)
-    }
-
-    /// Creates a bounded channel holding at most `cap` messages (clamped
-    /// to at least one so `send` can always make progress).
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        with_cap(cap.max(1))
     }
 
     #[cfg(test)]
@@ -399,94 +191,10 @@ pub mod channel {
         }
 
         #[test]
-        fn bounded_try_send_reports_full() {
-            let (tx, rx) = bounded(2);
-            tx.try_send(1).unwrap();
-            tx.try_send(2).unwrap();
-            assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
-            assert_eq!(tx.len(), 2);
-            assert_eq!(rx.try_recv(), Ok(1));
-            tx.try_send(3).unwrap();
-            assert_eq!(rx.recv(), Ok(2));
-            assert_eq!(rx.recv(), Ok(3));
-        }
-
-        #[test]
-        fn bounded_send_blocks_until_space() {
-            let (tx, rx) = bounded(1);
-            tx.send(1).unwrap();
-            let t = std::thread::spawn(move || {
-                // Blocks until the main thread drains the slot.
-                tx.send(2).unwrap();
-            });
-            assert_eq!(rx.recv(), Ok(1));
-            assert_eq!(rx.recv(), Ok(2));
-            t.join().unwrap();
-        }
-
-        #[test]
-        fn send_batch_queues_everything_in_order() {
-            let (tx, rx) = unbounded();
-            assert_eq!(tx.send_batch(0..5), Ok(5));
-            for want in 0..5 {
-                assert_eq!(rx.recv(), Ok(want));
-            }
-            // Empty batches are a no-op.
-            assert_eq!(tx.send_batch(std::iter::empty::<i32>()), Ok(0));
-        }
-
-        #[test]
-        fn send_batch_blocks_in_chunks_on_a_bounded_channel() {
-            let (tx, rx) = bounded(2);
-            let t = std::thread::spawn(move || tx.send_batch(0..6));
-            let mut got = Vec::new();
-            for _ in 0..6 {
-                got.push(rx.recv().unwrap());
-            }
-            assert_eq!(t.join().unwrap(), Ok(6));
-            assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
-        }
-
-        #[test]
-        fn send_batch_wakes_every_blocked_receiver() {
-            let (tx, rx) = unbounded();
-            let rx2 = rx.clone();
-            let t1 = std::thread::spawn(move || rx.recv().unwrap());
-            let t2 = std::thread::spawn(move || rx2.recv().unwrap());
-            // Give both receivers a chance to block; the batch push must
-            // wake them all, not just one.
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            assert_eq!(tx.send_batch([1, 2]), Ok(2));
-            let mut got = vec![t1.join().unwrap(), t2.join().unwrap()];
-            got.sort_unstable();
-            assert_eq!(got, vec![1, 2]);
-        }
-
-        #[test]
-        fn send_batch_returns_the_remainder_on_disconnect() {
-            let (tx, rx) = bounded(8);
-            drop(rx);
-            assert_eq!(tx.send_batch(0..3), Err(SendError(vec![0, 1, 2])));
-        }
-
-        #[test]
         fn send_errors_when_receivers_dropped() {
-            let (tx, rx) = bounded(1);
+            let (tx, rx) = unbounded();
             drop(rx);
             assert_eq!(tx.send(9), Err(SendError(9)));
-            assert!(matches!(tx.try_send(9), Err(TrySendError::Disconnected(9))));
-        }
-
-        #[test]
-        fn capacity_and_len_introspection() {
-            let (tx, rx) = bounded::<u8>(4);
-            assert_eq!(tx.capacity(), Some(4));
-            assert_eq!(rx.capacity(), Some(4));
-            assert!(tx.is_empty());
-            tx.send(1).unwrap();
-            assert_eq!(rx.len(), 1);
-            let (utx, _urx) = unbounded::<u8>();
-            assert_eq!(utx.capacity(), None);
         }
     }
 }

@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`core`] | `deepcontext-core` | unified frames, call paths, calling context tree, metrics |
 //! | [`monitor`] | `dlmonitor` | the DLMonitor shim layer (§4.1) |
-//! | [`pipeline`] | `deepcontext-pipeline` | event-ingestion pipeline: sharded sync + bounded-channel async sinks |
+//! | [`pipeline`] | `deepcontext-pipeline` | event-ingestion pipeline: the `EventSink` contract and the sharded inline-attribution sink |
 //! | [`timeline`] | `deepcontext-timeline` | per-(device, stream) interval tracks, latency analysis, Chrome-trace export |
 //! | [`profiler`] | `deepcontext-profiler` | metric collection & online aggregation (§4.2) |
 //! | [`telemetry`] | `deepcontext-telemetry` | self-telemetry: metrics + health reports about the profiler itself |

@@ -233,77 +233,6 @@ fn multi_stream_routing_attributes_every_stream_to_its_call_path() {
 }
 
 #[test]
-fn multi_stream_async_ingestion_matches_sync() {
-    // The same multi-device multi-stream workload through both ingestion
-    // modes explicitly (independent of the DEEPCONTEXT_INGESTION_MODE
-    // matrix): the bounded-channel worker pipeline must attribute every
-    // branch identically to inline attribution, and the default Block
-    // backpressure must lose nothing.
-    use deepcontext::profiler::IngestionMode;
-    const ITERATIONS: u32 = 3;
-    let run = |mode: IngestionMode| {
-        let workload = MultiStream::default();
-        let bed = TestBed::with_devices(vec![DeviceSpec::a100_sxm(), DeviceSpec::a100_sxm()]);
-        let monitor = DlMonitor::init(bed.env(), Interner::new());
-        monitor.attach_framework(bed.eager().core().callbacks());
-        monitor.attach_gpu(bed.gpu());
-        let profiler = Profiler::attach(
-            ProfilerConfig {
-                ingestion_mode: mode,
-                ..ProfilerConfig::deepcontext()
-            },
-            bed.env(),
-            &monitor,
-            bed.gpu(),
-        );
-        bed.run_eager(&workload, &WorkloadOptions::default(), ITERATIONS)
-            .expect("workload run");
-        profiler.flush();
-        let stats = profiler.stats();
-        // Per-branch attribution fingerprint: (scope label, records, launches).
-        let branches = profiler.with_cct(|cct| {
-            let interner = cct.interner();
-            let mut branches = Vec::new();
-            for device in 0..workload.devices() {
-                for stream in 0..workload.streams() {
-                    let label = format!(
-                        "multi_stream.py:{}",
-                        MultiStream::scope_line(device, stream)
-                    );
-                    let scope = cct
-                        .dfs()
-                        .find(|n| cct.node(*n).frame().short_label(&interner) == label)
-                        .unwrap_or_else(|| panic!("missing scope {label}"));
-                    branches.push((
-                        label,
-                        cct.metric(scope, MetricKind::GpuTime).map(|s| s.count),
-                        cct.metric(scope, MetricKind::KernelLaunches).map(|s| s.sum),
-                    ));
-                }
-            }
-            branches.push((
-                "total".into(),
-                Some(cct.node_count() as u64),
-                Some(cct.total(MetricKind::GpuTime)),
-            ));
-            branches
-        });
-        (stats, branches)
-    };
-    let (sync_stats, sync_branches) = run(IngestionMode::Sync);
-    let (async_stats, async_branches) = run(IngestionMode::Async);
-    assert_eq!(sync_branches, async_branches);
-    assert_eq!(sync_stats.launches, async_stats.launches);
-    assert_eq!(sync_stats.activities, async_stats.activities);
-    assert_eq!(async_stats.orphans, 0);
-    assert!(
-        async_stats.enqueued_events > 0,
-        "events flowed through queues"
-    );
-    assert_eq!(async_stats.dropped_events, 0, "Block policy loses nothing");
-}
-
-#[test]
 fn analyzer_preview_runs_on_the_live_cached_snapshot() {
     // Preview queries over a *running* profiler: analysis runs inside
     // with_cct against the cached snapshot (no ProfileDb round-trip) and

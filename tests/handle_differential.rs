@@ -4,12 +4,12 @@
 //! streams (the same context landing on several shards, strict prefixes
 //! of other contexts included), CPU samples, kernel / memcpy / malloc /
 //! PC-sampling records arriving in order, one batch late or two, records
-//! nobody launched, correlations a drop policy discarded — go into a
-//! synchronous [`ShardedSink`] as path handles at 1, 3 and 16 shards.
+//! nobody launched — go into a [`ShardedSink`] as path handles at 1, 3
+//! and 16 shards.
 //! The reference is one [`CallingContextTree`] driven with `insert_path`
 //! and eager `attribute` on the frames themselves, plus a plain map for
 //! the correlation lifecycle (bind at launch, two-phase retirement per
-//! shard batch, discard). The folded profile must be the same tree
+//! shard batch). The folded profile must be the same tree
 //! (`semantic_diff == None`), and the one correlation table must hold
 //! exactly the reference's in-flight set at every flush.
 
@@ -61,9 +61,6 @@ enum Step {
     },
     /// A kernel record for a correlation nobody launched.
     Stray,
-    /// A drop policy discards the `nth` pending launch's correlation; its
-    /// record still arrives.
-    Evict { nth: usize },
     /// Delivers the open batch.
     Flush,
     /// A flush boundary.
@@ -104,7 +101,6 @@ fn arb_step() -> impl Strategy<Value = Step> {
         complete(),
         complete(),
         Just(Step::Stray).boxed(),
-        (0usize..8).prop_map(|nth| Step::Evict { nth }),
         Just(Step::Flush).boxed(),
         Just(Step::Flush).boxed(),
         Just(Step::Epoch).boxed(),
@@ -393,12 +389,6 @@ fn check(steps: &[Step], shards: usize) {
                 let corr = 1_000_000 + next_corr;
                 next_corr += 1;
                 open.push(terminal_record(corr, ApiKind::LaunchKernel, 0));
-            }
-            Step::Evict { nth } => {
-                if let Some((corr, _, _)) = pending.get(nth % pending.len().max(1)) {
-                    sink.discard_correlation(*corr);
-                    reference.bound.remove(corr);
-                }
             }
             Step::Flush => {
                 let mut batch = std::mem::take(&mut open);

@@ -23,7 +23,6 @@ use std::sync::Arc;
 use deepcontext::core::{
     Interval, IntervalKind, StoredJournal, StoredJournalEvent, StoredTimeline, TrackKey,
 };
-use deepcontext::pipeline::IngestionMode;
 use deepcontext::prelude::*;
 use deepcontext::profiler::JournalConfig;
 use deepcontext::timeline::TimelineCounters;
@@ -62,7 +61,6 @@ fn finished_run() -> ProfileDb {
     let profiler = Profiler::attach(
         ProfilerConfig {
             ingestion_shards: 4,
-            ingestion_mode: IngestionMode::Sync,
             timeline: TimelineConfig {
                 enabled: true,
                 ring_capacity: 40,

@@ -8,7 +8,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use deepcontext::pipeline::IngestionMode;
 use deepcontext::prelude::*;
 use deepcontext::profiler::TimelineConfig;
 use deepcontext_telemetry::names;
@@ -31,11 +30,10 @@ fn rig() -> Rig {
 /// A profiler with self-telemetry *and* the timeline explicitly on —
 /// independent of the `DEEPCONTEXT_TELEMETRY` matrix, so these tests
 /// exercise the enabled path even in the default CI lanes.
-fn telemetry_profiler(rig: &Rig, mode: IngestionMode) -> Profiler {
+fn telemetry_profiler(rig: &Rig) -> Profiler {
     Profiler::attach(
         ProfilerConfig {
             timeline: TimelineConfig::enabled(),
-            ingestion_mode: mode,
             telemetry: TelemetryConfig::enabled(),
             ..ProfilerConfig::deepcontext()
         },
@@ -59,75 +57,24 @@ fn run_multi_stream(rig: &Rig, profiler: &Profiler) {
 }
 
 #[test]
-fn async_run_produces_a_populated_health_report() {
+fn sync_run_reports_folds_without_flush_or_queue_series() {
     let rig = rig();
-    let profiler = telemetry_profiler(&rig, IngestionMode::Async);
+    let profiler = telemetry_profiler(&rig);
     run_multi_stream(&rig, &profiler);
 
     let report = profiler.health_report().expect("telemetry enabled");
     assert!(!report.is_empty(), "report carries signal: {report:?}");
     assert!(report.window_ns > 0);
-    assert!(report.events_enqueued > 0, "events flowed through queues");
-    assert_eq!(report.events_dropped, 0, "Block policy loses nothing");
-    assert_eq!(report.drop_rate, 0.0);
-    assert!(report.enqueue_rate() > 0.0);
-
-    // The acceptance bar: queue-depth and flush-latency histograms are
-    // both populated by a MultiStream async run.
-    assert!(report.queue_depth.count > 0, "queue depths observed");
-    assert!(report.flush_latency.count > 0, "producer flushes timed");
     assert!(report.fold_latency.count > 0, "snapshot folds timed");
-    assert!(report.flush_latency.p99 >= report.flush_latency.p50);
+    assert!(report.fold_latency.p99 >= report.fold_latency.p50);
 
-    // Queue capacity was registered and the high-water mark stayed
-    // within it.
-    assert!(report.queue_capacity > 0);
-    assert!(report.max_queue_depth >= 1);
-    assert!(report.queue_saturation > 0.0 && report.queue_saturation <= 1.0);
-
-    // Workers accounted their time as busy or parked.
-    assert!(report.worker_busy_ns > 0, "workers drained batches");
-    assert!(report.worker_utilization > 0.0 && report.worker_utilization <= 1.0);
-
-    // The stats struct and the scrape agree exactly, because each counter
-    // has one home: they are reads of the same atomic. (`stats()` first:
-    // it runs the drain barrier, after which the run is quiescent.)
-    let stats = profiler.stats();
-    let snapshot = profiler.telemetry_snapshot().expect("telemetry enabled");
-    for (name, stat) in [
-        (names::EVENTS_ENQUEUED, stats.enqueued_events),
-        (names::EVENTS_DROPPED, stats.dropped_events),
-        (names::EVENTS_POISONED, stats.poisoned_events),
-        (names::WORKER_PANICS, stats.worker_panics),
-    ] {
-        assert_eq!(snapshot.counter_total(name), stat, "{name}");
-    }
-    assert_eq!(
-        snapshot.gauge_max(names::MAX_QUEUE_DEPTH),
-        stats.max_queue_depth
-    );
-}
-
-#[test]
-fn sync_run_reports_folds_without_flush_or_queue_series() {
-    let rig = rig();
-    let profiler = telemetry_profiler(&rig, IngestionMode::Sync);
-    run_multi_stream(&rig, &profiler);
-
-    let report = profiler.health_report().expect("telemetry enabled");
-    assert!(!report.is_empty());
-    assert!(report.fold_latency.count > 0);
-    // Sync mode attributes inline: no producer batches to flush...
-    assert_eq!(report.flush_latency.count, 0);
-    // ...and no queues: the queue series are absent, not zeroed.
-    assert_eq!(report.queue_capacity, 0);
-    assert_eq!(report.queue_depth.count, 0);
-    assert_eq!(report.queue_saturation, 0.0);
-    let exposition = profiler.telemetry_snapshot().unwrap().to_prometheus();
-    assert!(!exposition.contains(names::QUEUE_DEPTH));
-
-    // Lock-hold and occupancy instrumentation fired on the sync path.
+    // Attribution is inline: nothing is flushed, nothing queues, and the
+    // scrape has no such series.
     let snapshot = profiler.telemetry_snapshot().unwrap();
+    let exposition = snapshot.to_prometheus();
+    assert!(!exposition.contains("flush") && !exposition.contains("queue"));
+
+    // Lock-hold and occupancy instrumentation fired on the ingest path.
     assert!(snapshot.histogram_merged(names::SHARD_LOCK_HOLD_NS).count > 0);
     assert!(snapshot.gauge_max(names::INTERNER_BYTES) > 0);
     assert!(snapshot.gauge_max(names::TIMELINE_RING_BYTES) > 0);
@@ -261,26 +208,22 @@ fn parse_exposition(text: &str) -> (BTreeMap<String, String>, Vec<Sample>) {
 #[test]
 fn prometheus_exposition_is_well_formed() {
     let rig = rig();
-    let profiler = telemetry_profiler(&rig, IngestionMode::Async);
+    let profiler = telemetry_profiler(&rig);
     run_multi_stream(&rig, &profiler);
     let snapshot = profiler.telemetry_snapshot().expect("telemetry enabled");
     let text = snapshot.to_prometheus();
 
     let (types, samples) = parse_exposition(&text);
     assert_eq!(
-        types.get(names::EVENTS_ENQUEUED).map(String::as_str),
-        Some("counter")
-    );
-    assert_eq!(
-        types.get(names::MAX_QUEUE_DEPTH).map(String::as_str),
+        types.get(names::INTERNER_BYTES).map(String::as_str),
         Some("gauge")
     );
     assert_eq!(
-        types.get(names::QUEUE_DEPTH).map(String::as_str),
+        types.get(names::SHARD_LOCK_HOLD_NS).map(String::as_str),
         Some("histogram")
     );
     assert_eq!(
-        types.get(names::FLUSH_LATENCY_NS).map(String::as_str),
+        types.get(names::FOLD_LATENCY_NS).map(String::as_str),
         Some("histogram")
     );
 
@@ -310,8 +253,7 @@ fn prometheus_exposition_is_well_formed() {
     assert_eq!(text, snapshot.to_prometheus(), "exporter is deterministic");
 
     // Histogram discipline per (family, labels-minus-le): cumulative
-    // non-decreasing buckets, ascending bounds, +Inf == _count, and the
-    // queue-depth family carries per-shard series.
+    // non-decreasing buckets, ascending bounds, +Inf == _count.
     type SeriesKey = (String, Vec<(String, String)>);
     let mut buckets: BTreeMap<SeriesKey, Vec<(f64, f64)>> = BTreeMap::new();
     let mut counts: BTreeMap<SeriesKey, f64> = BTreeMap::new();
@@ -346,7 +288,6 @@ fn prometheus_exposition_is_well_formed() {
         }
     }
     assert!(!buckets.is_empty(), "run produced histogram series");
-    let mut queue_depth_series = 0usize;
     for (key, series) in &buckets {
         let mut last_le = f64::NEG_INFINITY;
         let mut last_cum = 0.0;
@@ -363,21 +304,13 @@ fn prometheus_exposition_is_well_formed() {
             "{}: +Inf bucket must equal _count",
             key.0
         );
-        if key.0 == names::QUEUE_DEPTH {
-            queue_depth_series += 1;
-            assert!(
-                key.1.iter().any(|(k, _)| k == "shard"),
-                "queue depth series carries its shard label"
-            );
-        }
     }
-    assert!(queue_depth_series > 0, "per-shard queue depth exposed");
 }
 
 #[test]
 fn chrome_trace_renders_self_tracks_alongside_workload_tracks() {
     let rig = rig();
-    let profiler = telemetry_profiler(&rig, IngestionMode::Async);
+    let profiler = telemetry_profiler(&rig);
     run_multi_stream(&rig, &profiler);
 
     let timeline = profiler.timeline().expect("timeline enabled");
@@ -417,12 +350,11 @@ fn chrome_trace_renders_self_tracks_alongside_workload_tracks() {
 
     let json = profiler.with_cct(|cct| timeline.to_chrome_trace(Some(cct)));
     // The reserved device renders as the profiler's own process, its
-    // lanes named after the pipeline stages, next to the GPU processes.
+    // lane named after the pipeline stage, next to the GPU processes.
     assert!(json.contains("\"name\":\"profiler (self)\""));
     assert!(json.contains("\"name\":\"GPU 0\""));
     assert!(json.contains("\"name\":\"snapshot fold\""));
-    assert!(json.contains("\"name\":\"producer flush\"") || json.contains("\"name\":\"worker 0\""));
-    assert!(json.contains("profiler worker batch") || json.contains("profiler producer flush"));
+    assert!(json.contains("profiler snapshot fold"));
     assert_eq!(json.matches('{').count(), json.matches('}').count());
 }
 
@@ -430,7 +362,7 @@ fn chrome_trace_renders_self_tracks_alongside_workload_tracks() {
 fn finish_embeds_telemetry_metadata_that_trends_across_a_store() {
     let run = || {
         let rig = rig();
-        let profiler = telemetry_profiler(&rig, IngestionMode::Async);
+        let profiler = telemetry_profiler(&rig);
         run_multi_stream(&rig, &profiler);
         profiler.finish(ProfileMeta {
             workload: "multi-stream".into(),
@@ -446,21 +378,10 @@ fn finish_embeds_telemetry_metadata_that_trends_across_a_store() {
         .iter()
         .map(|(k, v)| (k.as_str(), v.as_str()))
         .collect();
-    for key in [
-        "telemetry.window_ns",
-        "telemetry.enqueued_events",
-        "telemetry.dropped_events",
-        "telemetry.drop_rate",
-        "telemetry.max_queue_depth",
-        "telemetry.queue_saturation",
-        "telemetry.worker_utilization",
-        "telemetry.flush_p99_ns",
-        "telemetry.fold_p99_ns",
-    ] {
+    for key in ["telemetry.window_ns", "telemetry.fold_p99_ns"] {
         let value = extra.get(key).unwrap_or_else(|| panic!("missing {key}"));
-        assert!(value.parse::<f64>().is_ok(), "{key}={value} not numeric");
+        assert!(value.parse::<u64>().is_ok_and(|v| v > 0), "{key}={value}");
     }
-    assert!(extra["telemetry.enqueued_events"].parse::<u64>().unwrap() > 0);
 
     // The embeds survive the store and feed cross-run overhead trends.
     let dir =
@@ -469,17 +390,13 @@ fn finish_embeds_telemetry_metadata_that_trends_across_a_store() {
     store.save(&db).unwrap();
     store.save(&run()).unwrap();
     let filter = RunFilter::any().workload("multi-stream");
-    let trend = store
-        .meta_trend(&filter, "telemetry.enqueued_events")
-        .unwrap();
+    let trend = store.meta_trend(&filter, "telemetry.fold_p99_ns").unwrap();
     assert_eq!(trend.len(), 2);
     assert!(trend.iter().all(|p| p.total > 0.0));
     // Header-only loads see the embeds too.
     let runs = store.list_filtered(&filter).unwrap();
-    assert!(runs.iter().all(|r| r
-        .meta
-        .extra
+    assert!(runs
         .iter()
-        .any(|(k, _)| k == "telemetry.flush_p99_ns")));
+        .all(|r| r.meta.extra.iter().any(|(k, _)| k == "telemetry.window_ns")));
     std::fs::remove_dir_all(dir).unwrap();
 }

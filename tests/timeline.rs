@@ -1,15 +1,14 @@
 //! End-to-end timeline tests: the multi-stream workload through the full
 //! stack (framework → DLMonitor → profiler → timeline subsystem), with a
 //! brute-force oracle over the complete activity set, ring-overflow
-//! accounting, Chrome-trace well-formedness, and sync == async timeline
-//! equivalence.
+//! accounting and Chrome-trace well-formedness.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use deepcontext::gpu::Activity;
 use deepcontext::gpu::ActivityKind;
-use deepcontext::pipeline::{EventSink, IngestionMode, ShardedSink, SinkOptions};
+use deepcontext::pipeline::{EventSink, ShardedSink, SinkOptions};
 use deepcontext::prelude::*;
 use deepcontext::profiler::{TelemetryConfig, TimelineConfig};
 
@@ -37,16 +36,14 @@ fn run_multi_stream(rig: &Rig, profiler: &Profiler) -> MultiStream {
     workload
 }
 
-fn timeline_profiler(rig: &Rig, timeline: TimelineConfig, mode: IngestionMode) -> Profiler {
+fn timeline_profiler(rig: &Rig, timeline: TimelineConfig) -> Profiler {
     Profiler::attach(
         ProfilerConfig {
             timeline,
-            ingestion_mode: mode,
             // Self-telemetry is pinned off regardless of the
             // DEEPCONTEXT_TELEMETRY matrix: these tests assert exact
-            // per-track interval counts and sync == async snapshot
-            // equality, which the reserved self-timeline tracks would
-            // (legitimately) perturb. The enabled path has its own
+            // per-track interval counts, which the reserved
+            // self-timeline tracks would (legitimately) perturb. The enabled path has its own
             // end-to-end suite in `tests/telemetry.rs`.
             telemetry: TelemetryConfig::default(),
             ..ProfilerConfig::deepcontext()
@@ -60,7 +57,7 @@ fn timeline_profiler(rig: &Rig, timeline: TimelineConfig, mode: IngestionMode) -
 #[test]
 fn multi_stream_produces_one_track_per_device_stream_with_overlap() {
     let rig = rig();
-    let profiler = timeline_profiler(&rig, TimelineConfig::enabled(), IngestionMode::Sync);
+    let profiler = timeline_profiler(&rig, TimelineConfig::enabled());
     let workload = run_multi_stream(&rig, &profiler);
 
     let timeline = profiler.timeline().expect("timeline enabled");
@@ -389,40 +386,6 @@ fn timeline_metrics_match_brute_force_recomputation_over_all_activities() {
 }
 
 #[test]
-fn sync_and_async_timelines_are_identical() {
-    let run = |mode: IngestionMode| {
-        let rig = rig();
-        let profiler = timeline_profiler(&rig, TimelineConfig::enabled(), mode);
-        run_multi_stream(&rig, &profiler);
-        profiler.timeline().expect("timeline enabled")
-    };
-    let sync = run(IngestionMode::Sync);
-    let asynchronous = run(IngestionMode::Async);
-    assert!(!sync.is_empty());
-    assert_eq!(
-        sync, asynchronous,
-        "bounded-channel ingestion must record the identical timeline"
-    );
-    // The two runs intern through separate interners, so raw `Sym` ids
-    // are incidental; the contract is that every interval *resolves* to
-    // the same name through its own snapshot's captured symbol table.
-    for (st, at) in sync.tracks().iter().zip(asynchronous.tracks().iter()) {
-        for (si, ai) in st.intervals().iter().zip(at.intervals().iter()) {
-            let name = sync
-                .name_of(si.name)
-                .expect("sync snapshot resolves every interval name");
-            assert_eq!(
-                Some(name),
-                asynchronous.name_of(ai.name),
-                "resolved names diverge on {:?} corr {}",
-                st.key(),
-                si.correlation
-            );
-        }
-    }
-}
-
-#[test]
 fn interval_names_round_trip_through_snapshot_remap_and_chrome_export() {
     // `Interval::name` is an interned `Sym`: the recording tap stores a
     // handle, the snapshot captures the symbol table once, and the
@@ -514,7 +477,6 @@ fn ring_overflow_is_counted_and_keeps_the_newest_window() {
             enabled: true,
             ring_capacity: 2,
         },
-        IngestionMode::Sync,
     );
     let workload = run_multi_stream(&rig, &profiler);
 
@@ -529,7 +491,7 @@ fn ring_overflow_is_counted_and_keeps_the_newest_window() {
     assert_eq!(timeline.recorded(), total);
     assert_eq!(timeline.dropped(), stats.timeline_dropped);
     // Exact partition: what the snapshot kept plus what overflow evicted
-    // is everything ever recorded — the `<dropped>`-style accounting.
+    // is everything ever recorded.
     assert_eq!(
         timeline.interval_count() as u64 + timeline.dropped(),
         timeline.recorded()
@@ -539,7 +501,7 @@ fn ring_overflow_is_counted_and_keeps_the_newest_window() {
 #[test]
 fn timeline_disabled_records_nothing_and_costs_nothing() {
     let rig = rig();
-    let profiler = timeline_profiler(&rig, TimelineConfig::default(), IngestionMode::Sync);
+    let profiler = timeline_profiler(&rig, TimelineConfig::default());
     run_multi_stream(&rig, &profiler);
     assert!(profiler.timeline().is_none());
     let stats = profiler.stats();
@@ -553,7 +515,7 @@ fn latency_rules_run_clean_on_the_overlapping_multi_stream_profile() {
     // rule must stay silent on it — and the timeline-attached preview
     // must agree with the aggregate-only preview on every aggregate rule.
     let rig = rig();
-    let profiler = timeline_profiler(&rig, TimelineConfig::enabled(), IngestionMode::Sync);
+    let profiler = timeline_profiler(&rig, TimelineConfig::enabled());
     run_multi_stream(&rig, &profiler);
     let timeline = profiler.timeline().expect("timeline enabled");
     let analyzer = Analyzer::with_default_rules();
@@ -798,7 +760,7 @@ impl<'a> Parser<'a> {
 #[test]
 fn chrome_trace_is_valid_json_with_consistent_tracks() {
     let rig = rig();
-    let profiler = timeline_profiler(&rig, TimelineConfig::enabled(), IngestionMode::Sync);
+    let profiler = timeline_profiler(&rig, TimelineConfig::enabled());
     let workload = run_multi_stream(&rig, &profiler);
     let timeline = profiler.timeline().expect("timeline enabled");
     let json = profiler.with_cct(|cct| timeline.to_chrome_trace(Some(cct)));
