@@ -222,7 +222,7 @@ impl Rule for StreamSerializationRule {
                 .tracks()
                 .iter()
                 .filter(|t| t.key().device == device.device)
-                .flat_map(|t| t.intervals().iter())
+                .flat_map(|t| t.intervals())
                 .max_by_key(|iv| iv.duration().as_nanos());
             let node = anchor(view, longest.and_then(|iv| iv.context));
             issues.push(Issue {
@@ -397,7 +397,7 @@ mod tests {
                     interval(0, (n % 2) as u32, start, start + 10_000, n, Some(node)),
                 );
             }
-            sink.snapshot_with(|_, node| Some(node))
+            sink.snapshot_with(&[])
         };
         let analyze = |timeline: &TimelineSnapshot| {
             let view = ProfileView::new(&db).with_timeline(timeline);

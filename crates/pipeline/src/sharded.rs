@@ -760,20 +760,19 @@ impl EventSink for ShardedSink {
 
     fn timeline_snapshot(&self) -> Option<TimelineSnapshot> {
         let timeline = self.timeline.as_ref()?;
-        let mappings: Vec<Vec<NodeId>> = if self.cache_enabled {
+        let tables: Vec<Arc<[NodeId]>> = if self.cache_enabled {
             // Refresh the cached master first: the fold is append-only,
             // so every interval context recorded so far has a slot in
             // the per-shard fold mappings, and the remapped ids index
             // into exactly the tree `snapshot`/`with_snapshot` serve.
-            // The mappings are copied out so the cache mutex is released
-            // before the rings are merged and remapped — assembling a
-            // full timeline must not stall concurrent `with_snapshot`
-            // readers (mappings are 4 bytes per folded node; the rings
-            // dominate).
+            // The mappings are copied out (4 bytes per folded node) so
+            // the snapshot keeps resolving against this fold after the
+            // cache moves on, and the cache mutex is released before
+            // the rings are locked.
             let mut cache = self.cache.lock();
             self.refresh_cache(&mut cache);
             let cache = cache.as_ref().expect("cache refreshed");
-            cache.folds.iter().map(|f| f.mapping().to_vec()).collect()
+            cache.folds.iter().map(|f| f.mapping().into()).collect()
         } else {
             // No cache to borrow mappings from: run one deterministic
             // fold (same shard order as `snapshot_uncached`, so the ids
@@ -781,12 +780,12 @@ impl EventSink for ShardedSink {
             // point) purely to learn the shard → master node mappings.
             let mut master = CallingContextTree::with_interner(Arc::clone(&self.interner));
             (0..self.shards.len())
-                .map(|idx| master.merge(self.settled(idx).tree()))
+                .map(|idx| master.merge(self.settled(idx).tree()).into())
                 .collect()
         };
         Some(
             timeline
-                .snapshot_with(|shard, node| mappings[shard].get(node.index()).copied())
+                .snapshot_with(&tables)
                 // One symbol-table capture per snapshot (not per
                 // interval): exporters resolve `Sym` names by index.
                 .with_names(self.interner.snapshot()),

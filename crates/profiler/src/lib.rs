@@ -471,11 +471,17 @@ impl Profiler {
         out.expect("sink ran the snapshot closure")
     }
 
-    /// The recorded timeline, assembled behind the same barriers as a
-    /// profile snapshot (`None` when [`ProfilerConfig::timeline`] is
-    /// off). Interval context ids index into the tree served by
-    /// [`with_cct`](Self::with_cct) at the same quiesce point — pair the
-    /// two for context-aware latency analysis:
+    /// The recorded timeline as of this call (`None` when
+    /// [`ProfilerConfig::timeline`] is off). The snapshot shares the
+    /// rings' storage — chunk handles, the open tails and the per-shard
+    /// context tables, a few KiB whatever the rings hold — so a live read
+    /// beside the writes is cheap to take and to drop, and it keeps
+    /// showing this moment while recording goes on (chunks the rings have
+    /// since evicted live as long as the snapshot does). Intervals are
+    /// expanded and merged as a track is iterated. Their context ids
+    /// index into the tree served by [`with_cct`](Self::with_cct) at the
+    /// same quiesce point — pair the two for context-aware latency
+    /// analysis:
     ///
     /// ```ignore
     /// profiler.flush();
@@ -513,7 +519,9 @@ impl Profiler {
         self.inner.sink.epoch_complete();
         let ended = self.env.clock().now();
         // Capture the timeline before finish_snapshot consumes the
-        // sink's cached fold state (its context remap depends on it).
+        // sink's cached fold state (its context tables come from it).
+        // The snapshot shares the rings; `to_stored` is the one pass
+        // that merges and flattens them.
         let timeline = self
             .inner
             .sink

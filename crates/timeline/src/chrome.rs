@@ -208,7 +208,7 @@ pub fn to_chrome_trace_with_journal(
         prefix.push_str(",\"tid\":");
         push_u64(&mut prefix, key.stream.into());
         prefix.push_str(",\"name\":\"");
-        size += track.intervals().len() * (prefix.len() + EVENT_TAIL_MAX);
+        size += track.len() * (prefix.len() + EVENT_TAIL_MAX);
         for interval in track.intervals() {
             size += labels.name(interval.name).len() + labels.context(interval.context).len();
         }

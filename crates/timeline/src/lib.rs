@@ -17,9 +17,9 @@
 //!   ingestion shard, locked only under that shard's existing
 //!   serialization) bounded interval storage, written by the ingestion
 //!   pipeline while it attributes kernel/memcpy records;
-//! * [`TimelineSnapshot`] — the analysis side: intervals assembled into
-//!   per-track, start-sorted vectors, with shard-local context ids
-//!   remapped into the folded master CCT;
+//! * [`TimelineSnapshot`] — the analysis side: a view that shares the
+//!   rings' storage and reads as per-track, start-sorted intervals with
+//!   shard-local context ids remapped into the folded master CCT;
 //! * [`TimelineStats`] — per-device utilization, cross-stream overlap
 //!   factor, and idle gaps attributed to the contexts of their bounding
 //!   launches;
@@ -49,8 +49,9 @@ pub use deepcontext_core::{Interval, IntervalKind, TrackKey};
 /// Default per-shard ring capacity, in intervals. Large enough that the
 /// benchmark workloads (and an iteration window of a real training loop)
 /// fit without eviction, small enough that a full ring stays a bounded
-/// slice of profile memory (intervals are ~100 bytes; a full default
-/// ring is ~6 MiB, allocated lazily).
+/// slice of profile memory (a ring slot is 40 bytes; a full default ring
+/// is 2.5 MiB plus under 1 % of chunk headers and handles, allocated a
+/// 10 KiB chunk at a time).
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 /// Timeline recording knobs (the `ProfilerConfig::timeline` field).

@@ -10,12 +10,15 @@
 //! bounding launches, so an analyzer rule can point at the call path
 //! that left the device idle.
 //!
-//! Assembly copies every interval once and sorts nothing it can avoid:
-//! the rings keep one run per `(shard, track)` in track order, so a
-//! track is the [`merge_runs`] of its runs into an exactly-sized vector
-//! ([`TimelineSink::snapshot_with`]); a stored timeline that is still in
-//! the order [`to_stored`](TimelineSnapshot::to_stored) wrote is cut at
-//! its track boundaries ([`from_stored`](TimelineSnapshot::from_stored));
+//! A snapshot is a view, not a copy: a track is its per-shard [`Run`]s —
+//! handles to the rings' own sealed chunks, a copy of each open tail and
+//! the shard's context table ([`TimelineSink::snapshot_with`]) — and
+//! [`Track::intervals`] expands, remaps and [`merge_runs`]-merges them
+//! as it is iterated, so taking a snapshot costs per chunk and sorts
+//! nothing. The constructors for intervals that are not in a ring build
+//! the same tracks with one chunk each: a stored timeline still in the
+//! order [`to_stored`](TimelineSnapshot::to_stored) wrote is cut at its
+//! track boundaries ([`from_stored`](TimelineSnapshot::from_stored));
 //! only [`from_intervals`](TimelineSnapshot::from_intervals), the
 //! constructor for intervals in no particular order, groups and sorts.
 //! Statistics are computed on the first [`stats`](TimelineSnapshot::stats)
@@ -24,6 +27,7 @@
 //! [`TimelineSink::snapshot_with`]: crate::TimelineSink::snapshot_with
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::iter::Peekable;
 use std::sync::{Arc, OnceLock};
 
@@ -31,27 +35,29 @@ use deepcontext_core::{
     CallingContextTree, Interval, NodeId, StoredTimeline, Sym, TimeNs, TrackKey,
 };
 
-use crate::ring::TimelineCounters;
+use crate::ring::{live_slots, Slot, TimelineCounters};
 
 /// The order of intervals within a track.
-pub(crate) fn sort_key(interval: &Interval) -> (TimeNs, TimeNs, u64) {
+fn sort_key(interval: &Interval) -> (TimeNs, TimeNs, u64) {
     (interval.start, interval.end, interval.correlation)
 }
 
-/// Visits every interval of `runs` in [`sort_key`] order, passing the
-/// index of the run it came from; equal keys go to the earlier run. Each
-/// run must itself be in that order, which makes this the stable sort of
-/// the runs' concatenation without the sort. The next interval is found
-/// by scanning the run heads: a track has at most one run per shard and
-/// a device one per stream, a handful either way.
-pub(crate) fn merge_runs<'a, I>(
-    runs: impl IntoIterator<Item = I>,
-    mut visit: impl FnMut(usize, &'a Interval),
-) where
-    I: Iterator<Item = &'a Interval>,
+/// Every interval of `runs` in [`sort_key`] order; equal keys go to the
+/// earlier run. Each run must itself be in that order, which makes this
+/// the stable sort of the runs' concatenation without the sort. The next
+/// interval is found by scanning the run heads: a track has at most one
+/// run per shard and a device one per stream, a handful either way — and
+/// a lone run, which is every track of a stored timeline, is passed
+/// through.
+fn merge_runs<I>(runs: impl IntoIterator<Item = I>) -> impl Iterator<Item = Interval>
+where
+    I: Iterator<Item = Interval>,
 {
     let mut runs: Vec<Peekable<I>> = runs.into_iter().map(Iterator::peekable).collect();
-    loop {
+    std::iter::from_fn(move || {
+        if let [only] = &mut runs[..] {
+            return only.next();
+        }
         let mut next = None;
         for (idx, run) in runs.iter_mut().enumerate() {
             if let Some(head) = run.peek() {
@@ -61,24 +67,63 @@ pub(crate) fn merge_runs<'a, I>(
                 }
             }
         }
-        let Some((idx, _)) = next else { return };
-        visit(idx, runs[idx].next().expect("peeked"));
+        runs[next?.0].next()
+    })
+}
+
+/// One shard's share of a track: the ring's sealed chunks by handle, its
+/// open tail as one more chunk, and the table that takes the shard's
+/// context ids to the master tree's.
+#[derive(Clone)]
+pub(crate) struct Run {
+    /// `None`: the slots hold master ids already.
+    pub(crate) table: Option<Arc<[NodeId]>>,
+    pub(crate) chunks: Vec<Arc<[Slot]>>,
+    /// Slots of `chunks[0]` evicted before the snapshot was taken.
+    pub(crate) front: usize,
+}
+
+impl Run {
+    fn len(&self) -> usize {
+        self.chunks.iter().map(|chunk| chunk.len()).sum::<usize>() - self.front
+    }
+
+    fn intervals(&self, track: TrackKey) -> impl Iterator<Item = Interval> + '_ {
+        live_slots(self.chunks.iter(), self.front)
+            .map(move |slot| slot.expand(track, self.table.as_deref()))
     }
 }
 
 /// One `(device, stream)` swim-lane: its intervals sorted by
 /// `(start, end, correlation)`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Track {
     key: TrackKey,
-    intervals: Vec<Interval>,
+    /// In shard order, none empty, each in [`sort_key`] order.
+    runs: Vec<Run>,
+    len: usize,
 }
 
 impl Track {
-    /// A track of `intervals` already in [`sort_key`] order.
-    pub(crate) fn new(key: TrackKey, intervals: Vec<Interval>) -> Self {
-        debug_assert!(intervals.is_sorted_by_key(sort_key));
-        Track { key, intervals }
+    pub(crate) fn new(key: TrackKey, runs: Vec<Run>) -> Self {
+        let len = runs.iter().map(Run::len).sum();
+        let track = Track { key, runs, len };
+        debug_assert!(track
+            .runs
+            .iter()
+            .all(|run| run.intervals(key).is_sorted_by_key(|iv| sort_key(&iv))));
+        track
+    }
+
+    /// A one-run, one-chunk track of `slots` already in [`sort_key`]
+    /// order, their contexts master ids.
+    fn of_sorted(key: TrackKey, slots: Arc<[Slot]>) -> Self {
+        let run = Run {
+            table: None,
+            chunks: vec![slots],
+            front: 0,
+        };
+        Track::new(key, vec![run])
     }
 
     /// The `(device, stream)` placement.
@@ -86,15 +131,45 @@ impl Track {
         self.key
     }
 
-    /// Intervals, start-sorted.
-    pub fn intervals(&self) -> &[Interval] {
-        &self.intervals
+    /// Intervals, start-sorted: the merge of the track's per-shard runs,
+    /// each slot expanded to an [`Interval`] on this track with its
+    /// context remapped, as the iterator advances.
+    pub fn intervals(&self) -> impl Iterator<Item = Interval> + '_ {
+        merge_runs(self.runs.iter().map(|run| run.intervals(self.key)))
+    }
+
+    /// Number of intervals on the track.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the track holds nothing (a snapshot keeps no such track).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Sum of interval durations on this track (no union: one stream
     /// executes serially, so the sum *is* the track's busy time).
     pub fn busy(&self) -> TimeNs {
-        TimeNs(self.intervals.iter().map(|iv| iv.duration().0).sum())
+        let runs = self.runs.iter().flat_map(|run| run.intervals(self.key));
+        TimeNs(runs.map(|iv| iv.duration().0).sum())
+    }
+}
+
+/// Two tracks are equal when they hold the same intervals in the same
+/// order; how those are cut into runs and chunks does not enter into it.
+impl PartialEq for Track {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key && self.len == other.len && self.intervals().eq(other.intervals())
+    }
+}
+
+impl fmt::Debug for Track {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Track")
+            .field("key", &self.key)
+            .field("intervals", &self.intervals().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -152,15 +227,18 @@ impl TimelineSnapshot {
     /// ring and store paths, whose input is already in order, produce
     /// the same snapshot without it.
     pub fn from_intervals(intervals: Vec<Interval>, counters: TimelineCounters) -> Self {
-        let mut by_track: BTreeMap<TrackKey, Vec<Interval>> = BTreeMap::new();
-        for interval in intervals {
-            by_track.entry(interval.track).or_default().push(interval);
+        let mut by_track: BTreeMap<TrackKey, Vec<Slot>> = BTreeMap::new();
+        for interval in &intervals {
+            by_track
+                .entry(interval.track)
+                .or_default()
+                .push(Slot::of(interval));
         }
         let tracks = by_track
             .into_iter()
-            .map(|(key, mut intervals)| {
-                intervals.sort_by_key(sort_key);
-                Track::new(key, intervals)
+            .map(|(key, mut slots)| {
+                slots.sort_by_key(Slot::key);
+                Track::of_sorted(key, slots.into())
             })
             .collect();
         TimelineSnapshot::from_tracks(tracks, counters)
@@ -188,7 +266,7 @@ impl TimelineSnapshot {
     pub fn to_stored(&self) -> StoredTimeline {
         let mut intervals = Vec::with_capacity(self.interval_count());
         for track in &self.tracks {
-            intervals.extend_from_slice(&track.intervals);
+            intervals.extend(track.intervals());
         }
         StoredTimeline {
             intervals,
@@ -217,7 +295,7 @@ impl TimelineSnapshot {
             let tracks = stored
                 .intervals
                 .chunk_by(|a, b| a.track == b.track)
-                .map(|run| Track::new(run[0].track, run.to_vec()))
+                .map(|run| Track::of_sorted(run[0].track, run.iter().map(Slot::of).collect()))
                 .collect();
             TimelineSnapshot::from_tracks(tracks, counters)
         } else {
@@ -272,7 +350,7 @@ impl TimelineSnapshot {
 
     /// Total live intervals across all tracks.
     pub fn interval_count(&self) -> usize {
-        self.tracks.iter().map(|t| t.intervals.len()).sum()
+        self.tracks.iter().map(Track::len).sum()
     }
 
     /// Intervals recorded over the sink's lifetime (kept + evicted).
@@ -438,11 +516,12 @@ impl TimelineStats {
             let mut summed = 0u64;
             let mut busy = 0u64;
             let mut gaps = Vec::new();
-            // The running covered segment and the interval whose end
-            // currently bounds it (the "last to finish" before any gap).
+            // The running covered segment and the context of the interval
+            // whose end currently bounds it (the "last to finish" before
+            // any gap).
             let mut cover_end = TimeNs::default();
-            let mut closer: Option<&Interval> = None;
-            merge_runs(tracks.iter().map(|t| t.intervals.iter()), |_, iv| {
+            let mut closer: Option<NodeId> = None;
+            for iv in merge_runs(tracks.iter().map(Track::intervals)) {
                 if first_start.is_none() {
                     first_start = Some(iv.start);
                     cover_end = iv.start;
@@ -463,18 +542,18 @@ impl TimelineStats {
                     gaps.push(Gap {
                         start: cover_end,
                         end: iv.start,
-                        before: closer.and_then(|c| c.context),
+                        before: closer,
                         after: iv.context,
                     });
                     busy += iv.duration().0;
                     cover_end = iv.end.max(cover_end);
-                    closer = Some(iv);
+                    closer = iv.context;
                 } else if iv.end > cover_end {
                     busy += (iv.end - cover_end).0;
                     cover_end = iv.end;
-                    closer = Some(iv);
+                    closer = iv.context;
                 }
-            });
+            }
             // Trailing idle: from the device's last completion to the
             // run's end. `after: None` marks the run edge.
             if let Some((_, we)) = snapshot.window {
@@ -482,14 +561,14 @@ impl TimelineStats {
                     gaps.push(Gap {
                         start: cover_end,
                         end: we,
-                        before: closer.and_then(|c| c.context),
+                        before: closer,
                         after: None,
                     });
                 }
             }
             devices.push(DeviceStats {
                 device,
-                streams: tracks.iter().filter(|t| !t.intervals.is_empty()).count(),
+                streams: tracks.iter().filter(|t| !t.is_empty()).count(),
                 first_start: first_start.unwrap_or_default(),
                 last_end: cover_end,
                 busy: TimeNs(busy),
@@ -546,7 +625,7 @@ mod tests {
         assert_eq!(snap.tracks().len(), 3);
         assert_eq!(snap.devices(), vec![0, 1]);
         let t01 = snap.track(0, 1).expect("track (0,1)");
-        let starts: Vec<u64> = t01.intervals().iter().map(|i| i.start.0).collect();
+        let starts: Vec<u64> = t01.intervals().map(|i| i.start.0).collect();
         assert_eq!(starts, vec![5, 50]);
         assert_eq!(t01.busy(), TimeNs(20));
         assert_eq!(snap.interval_count(), 4);

@@ -1,6 +1,7 @@
 //! Sort-free assembly against the sorting constructor.
 //!
-//! `TimelineSink::snapshot_with` merges the per-shard runs of each track;
+//! `TimelineSink::snapshot_with` shares the rings' chunks and merges the
+//! per-shard runs of each track as it is read;
 //! `TimelineSnapshot::from_intervals` groups and stable-sorts whatever it
 //! is given. Over random pushes — several shards and tracks, rings small
 //! enough to evict (down to tracks evicted empty), runs of equal
@@ -62,10 +63,16 @@ fn arb_push() -> impl Strategy<Value = Push> {
         )
 }
 
-/// Shard-local ids to "master" ids: depends on the shard, drops some.
-fn remap(nodes: &[NodeId], shard: usize, node: NodeId) -> Option<NodeId> {
-    let slot = node.index() + shard;
-    (!slot.is_multiple_of(5)).then(|| nodes[slot % nodes.len()])
+/// Shard-local ids to "master" ids, one table per shard: each shard maps
+/// differently, and the later ones are too short to resolve every id.
+fn tables(nodes: &[NodeId]) -> Vec<Arc<[NodeId]>> {
+    (0..SHARDS)
+        .map(|shard| {
+            (0..=nodes.len() - shard)
+                .map(|local| nodes[(local + shard) % nodes.len()])
+                .collect()
+        })
+        .collect()
 }
 
 proptest! {
@@ -108,14 +115,14 @@ proptest! {
         }
 
         let counters = sink.counters();
+        let tables = tables(&nodes);
         let live: Vec<Interval> = mirror
             .iter()
-            .enumerate()
-            .flat_map(|(shard, ring)| {
-                let nodes = &nodes;
+            .zip(&tables)
+            .flat_map(|(ring, table)| {
                 ring.iter().map(move |iv| Interval {
-                    context: iv.context.and_then(|node| remap(nodes, shard, node)),
-                    ..*iv
+                    context: iv.context.and_then(|node| table.get(node.index()).copied()),
+                    ..iv
                 })
             })
             .collect();
@@ -133,11 +140,11 @@ proptest! {
             let snapshot = snapshot.with_names(interner.snapshot());
             if window { snapshot.with_window(TimeNs(3), TimeNs(40)) } else { snapshot }
         };
-        let merged = finish(sink.snapshot_with(|shard, node| remap(&nodes, shard, node)));
+        let merged = finish(sink.snapshot_with(&tables));
         let sorted = finish(TimelineSnapshot::from_intervals(live, counters));
         prop_assert_eq!(&merged, &sorted);
         prop_assert_eq!(merged.stats(), sorted.stats());
-        prop_assert!(merged.tracks().iter().all(|t| !t.intervals().is_empty()));
+        prop_assert!(merged.tracks().iter().all(|t| !t.is_empty() && t.intervals().count() == t.len()));
         prop_assert_eq!(merged.interval_count() as u64 + merged.dropped(), merged.recorded());
 
         // The stored form reassembles: as written (cut at track
@@ -148,7 +155,7 @@ proptest! {
         prop_assert_eq!(&back, &merged);
         prop_assert_eq!(back.stats(), merged.stats());
         let mut rotated = stored.clone();
-        let first_track = merged.tracks().first().map_or(0, |t| t.intervals().len());
+        let first_track = merged.tracks().first().map_or(0, |t| t.len());
         rotated.intervals.rotate_left(first_track);
         prop_assert_eq!(&TimelineSnapshot::from_stored(&rotated), &merged);
     }

@@ -6,10 +6,13 @@
 //! not move when the interval count grows eightfold, and it stays under
 //! a stated bound. (At commit `2ab0956` the Chrome export allocated more
 //! than three times per interval, `save` twice and `load` three times.)
+//! A timeline read is also held to a budget in bytes: it shares the
+//! rings' chunks, so it may allocate a sixteenth of what they hold.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::Arc;
 
 use deepcontext::core::{Interval, IntervalKind, NodeId, StoredTimeline, Sym, TrackKey};
 use deepcontext::prelude::*;
@@ -18,23 +21,26 @@ use deepcontext::timeline::TimelineSink;
 thread_local! {
     /// Allocations made by this thread (tests run on threads of their own).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for.
+    static ALLOCATED_BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's locals are
     // being torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATED_BYTES.try_with(|n| n.set(n.get() + bytes));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter is a thread-local `Cell`
-// with a const initializer and no destructor, so touching it never
-// allocates or re-enters the allocator.
+// with a const initializer and no destructor (so is the byte count), so
+// touching it never allocates or re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
@@ -45,13 +51,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: `ptr` came from `System` through this allocator; the
         // caller's obligations are passed through as they are.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -61,11 +67,20 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations this thread makes while running `f`, and the bytes they
+/// ask for.
+fn allocated<R>(f: impl FnOnce() -> R) -> (u64, usize) {
+    let before = (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get));
+    black_box(f());
+    (
+        ALLOCATIONS.with(Cell::get) - before.0,
+        ALLOCATED_BYTES.with(Cell::get) - before.1,
+    )
+}
+
 /// Allocations this thread makes while running `f`.
 fn allocations<R>(f: impl FnOnce() -> R) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    black_box(f());
-    ALLOCATIONS.with(Cell::get) - before
+    allocated(f).0
 }
 
 const TRACKS: usize = 6;
@@ -154,29 +169,47 @@ fn chrome_export_allocates_per_track_context_and_name() {
     );
 }
 
+/// Rings the intervals are spread over.
+const SHARDS: usize = 3;
+/// `size_of` the ring's slot, which is private to the timeline crate (a
+/// test beside it asserts the size).
+const SLOT_BYTES: usize = 40;
+
 #[test]
 fn timeline_assembly_allocates_per_track() {
-    let count = |n: usize| {
-        let (_cct, leaves) = contexts();
+    // `LARGE` intervals fill the rings exactly: a live read of full rings.
+    let read = |n: usize| {
+        let (cct, leaves) = contexts();
         let config = TimelineConfig {
             enabled: true,
-            ring_capacity: LARGE,
+            ring_capacity: LARGE / SHARDS,
         };
-        let sink = TimelineSink::new(4, &config);
+        let sink = TimelineSink::new(SHARDS + 1, &config);
         for (j, interval) in intervals(n, &leaves).enumerate() {
-            sink.record(j % 3, interval);
+            sink.record(j % SHARDS, interval);
         }
-        allocations(|| sink.snapshot_with(|_, node| Some(node)))
+        let table: Arc<[NodeId]> = vec![NodeId::ROOT; cct.node_count()].into();
+        let tables = vec![table; SHARDS + 1];
+        allocated(|| sink.snapshot_with(&tables))
     };
-    let (small, large) = (count(SMALL), count(LARGE));
+    let ((small, _), (large, large_bytes)) = (read(SMALL), read(LARGE));
     assert_eq!(
         small, large,
         "allocations must not follow the interval count"
     );
     // The ring guards, the key list (and its growth), the track list;
-    // per track the run list, the merge cursors and the intervals.
+    // per track the run list; per run — each track is in one ring here —
+    // its chunk handles and its tail.
     let bound = 8 + 3 * TRACKS as u64;
     assert!(small <= bound, "{small} allocations, budget {bound}");
+    // Handles and tails, not intervals: 41 584 bytes here, 38 496 of them
+    // the six open tails. The parent (`ddb375d`) copied every interval
+    // into the snapshot and allocated 1 153 024 bytes for the same read.
+    let budget = LARGE * SLOT_BYTES / 16;
+    assert!(
+        large_bytes <= budget,
+        "{large_bytes} bytes allocated by a read of {LARGE} intervals, budget {budget}"
+    );
 }
 
 #[test]

@@ -73,7 +73,7 @@ fn multi_stream_produces_one_track_per_device_stream_with_overlap() {
                 .track(device, stream)
                 .unwrap_or_else(|| panic!("missing track ({device}, {stream})"));
             assert_eq!(
-                track.intervals().len() as u64,
+                track.len() as u64,
                 per_track,
                 "intervals on ({device}, {stream})"
             );
@@ -180,10 +180,7 @@ fn jit_multi_stream_keeps_placements_and_fills_every_track() {
             let track = timeline
                 .track(device, stream)
                 .unwrap_or_else(|| panic!("missing track ({device}, {stream})"));
-            assert!(
-                !track.intervals().is_empty(),
-                "no intervals on ({device}, {stream})"
-            );
+            assert!(!track.is_empty(), "no intervals on ({device}, {stream})");
         }
     }
     // Streams still overlap on each device under the compiled executor.
