@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 mod diff;
+mod history;
 mod issue;
 mod latency;
 mod query;
@@ -48,12 +49,13 @@ mod store;
 mod view;
 
 pub use diff::{DiffEntry, ProfileDiff};
+pub use history::{IncidentRule, RegressionRule};
 pub use issue::{Issue, Severity};
 pub use latency::{GpuIdleRule, StreamSerializationRule};
 pub use query::{CallPathQuery, FrameMatcher, SemanticClass};
 pub use report::AnalysisReport;
 pub use rules::{CpuLatencyRule, FwdBwdRule, HotspotRule, KernelFusionRule, StallRule};
-pub use store::{IncidentRule, ProfileStore, RegressionRule, RunFilter, RunRecord, TrendPoint};
+pub use store::{ProfileStore, RunFilter, RunRecord, TrendPoint};
 pub use view::ProfileView;
 
 use deepcontext_core::{CallingContextTree, ProfileDb};

@@ -40,6 +40,13 @@ impl NodeId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The id with raw index `index`, for data that carries ids outside
+    /// a tree (a stored timeline's contexts); it names a node only in a
+    /// tree that has one at that index.
+    pub fn from_index(index: u32) -> NodeId {
+        NodeId(index)
+    }
 }
 
 impl std::fmt::Display for NodeId {

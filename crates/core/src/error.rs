@@ -41,8 +41,8 @@ impl From<std::io::Error> for CoreError {
     }
 }
 
-/// Rendering into a `String` does not fail; the conversion exists so
-/// the container writer can use `?` on `write!` beside its real I/O.
+/// Rendering into the container writer's buffer does not fail; the
+/// conversion exists so it can use `?` on `write!` beside its real I/O.
 impl From<fmt::Error> for CoreError {
     fn from(e: fmt::Error) -> Self {
         CoreError::Io(std::io::Error::other(e))

@@ -594,8 +594,7 @@ impl<'a> IntoIterator for &'a CallPath {
 /// Serialization helpers shared by the profile database.
 impl Frame {
     /// Appends the frame's tab-separated record to `out`.
-    pub(crate) fn write_record(&self, out: &mut String) {
-        use fmt::Write as _;
+    pub(crate) fn write_record(&self, out: &mut impl fmt::Write) {
         let _ = match *self {
             Frame::Root => write!(out, "R"),
             Frame::Thread { tid, role } => write!(out, "T\t{tid}\t{}", role_code(role)),

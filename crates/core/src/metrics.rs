@@ -219,8 +219,7 @@ impl MetricKind {
     }
 
     /// Appends the kind's record (a tag letter and a code) to `out`.
-    pub(crate) fn write_record(self, out: &mut String) {
-        use fmt::Write as _;
+    pub(crate) fn write_record(self, out: &mut impl fmt::Write) {
         let _ = match self {
             MetricKind::Stall(r) => write!(out, "S{}", r.code()),
             MetricKind::Custom(sym) => write!(out, "C{}", sym.index()),
@@ -463,8 +462,7 @@ impl MetricStat {
     }
 
     /// Appends the six tab-separated fields of the aggregate to `out`.
-    pub(crate) fn write_record(self, out: &mut String) {
-        use fmt::Write as _;
+    pub(crate) fn write_record(self, out: &mut impl fmt::Write) {
         let _ = write!(
             out,
             "{}\t{}\t{}\t{}\t{}\t{}",

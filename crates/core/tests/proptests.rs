@@ -6,8 +6,9 @@
 use std::sync::Arc;
 
 use deepcontext_core::{
-    CallingContextTree, CctShard, Frame, Interner, MetricKind, MetricStat, MetricStore, NodeId,
-    OpPhase, ProfileDb, ProfileMeta, StallReason,
+    CallingContextTree, CctShard, Frame, Interner, Interval, IntervalKind, MetricKind, MetricStat,
+    MetricStore, NodeId, OpPhase, ProfileDb, ProfileMeta, StallReason, StoredTimeline, TimeNs,
+    TrackKey,
 };
 use proptest::prelude::*;
 
@@ -129,6 +130,80 @@ fn arb_shard_ops() -> impl Strategy<Value = (Arc<Interner>, Vec<ShardOp>)> {
         Just(ShardOp::Settle),
     ];
     prop::collection::vec(op, 1..80).prop_map(move |ops| (Arc::clone(&interner), ops))
+}
+
+/// A `u64` at either end of its range as often as anywhere between.
+fn arb_u64() -> BoxedStrategy<u64> {
+    prop_oneof![Just(0u64), Just(u64::MAX), 0u64..1_000, 0u64..u64::MAX].boxed()
+}
+
+/// A device or stream: a few small ones, so same-track runs form and
+/// interleave, and the largest.
+fn arb_u32() -> BoxedStrategy<u32> {
+    prop_oneof![0u32..3, Just(u32::MAX)].boxed()
+}
+
+/// Any stored timeline: tracks interleaved in any order, `end < start`,
+/// starts and correlations of 0 and `u64::MAX`, no context and the
+/// largest one, names up to the table's last index.
+fn arb_stored_timeline() -> impl Strategy<Value = StoredTimeline> {
+    let context = prop_oneof![
+        Just(None),
+        Just(Some(NodeId::from_index(u32::MAX))),
+        (0u32..100).prop_map(|index| Some(NodeId::from_index(index))),
+    ];
+    let interval = (
+        (arb_u32(), arb_u32()),
+        (arb_u64(), arb_u64()),
+        prop::bool::ANY,
+        // Past the table: clamped to its last index.
+        prop_oneof![0usize..6, Just(usize::MAX)],
+        arb_u64(),
+        context,
+    );
+    let window = prop_oneof![
+        Just(None),
+        (arb_u64(), arb_u64()).prop_map(|(start, end)| Some((TimeNs(start), TimeNs(end)))),
+    ];
+    (
+        1usize..6,
+        prop::collection::vec(interval, 0..40),
+        (arb_u64(), arb_u64()),
+        window,
+    )
+        .prop_map(|(names, intervals, (recorded, dropped), window)| {
+            let interner = Interner::new();
+            let syms: Vec<_> = (0..names)
+                .map(|i| interner.intern(&format!("kernel{i}")))
+                .collect();
+            let intervals = intervals
+                .into_iter()
+                .map(
+                    |((device, stream), (start, end), memcpy, name, correlation, context)| {
+                        Interval {
+                            track: TrackKey { device, stream },
+                            start: TimeNs(start),
+                            end: TimeNs(end),
+                            kind: if memcpy {
+                                IntervalKind::Memcpy
+                            } else {
+                                IntervalKind::Kernel
+                            },
+                            name: syms[name.min(names - 1)],
+                            correlation,
+                            context,
+                        }
+                    },
+                )
+                .collect();
+            StoredTimeline {
+                intervals,
+                names: interner.snapshot(),
+                recorded,
+                dropped,
+                window,
+            }
+        })
 }
 
 /// Kinds the shard differential test only ever feeds the value `1.0`.
@@ -616,6 +691,19 @@ proptest! {
             back.cct().render(MetricKind::Warps),
             db.cct().render(MetricKind::Warps)
         );
+    }
+
+    #[test]
+    fn profile_db_round_trips_any_stored_timeline(timeline in arb_stored_timeline()) {
+        let db = ProfileDb::new(ProfileMeta::default(), CallingContextTree::new())
+            .with_timeline(timeline.clone());
+        let mut saved = Vec::new();
+        db.save(&mut saved).unwrap();
+        let back = ProfileDb::load(&saved[..]).unwrap();
+        prop_assert_eq!(back.timeline(), Some(&timeline));
+        let mut again = Vec::new();
+        back.save(&mut again).unwrap();
+        prop_assert!(again == saved, "save → load → save changed the container");
     }
 
     #[test]

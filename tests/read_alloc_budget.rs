@@ -7,7 +7,9 @@
 //! a stated bound. (At commit `2ab0956` the Chrome export allocated more
 //! than three times per interval, `save` twice and `load` three times.)
 //! A timeline read is also held to a budget in bytes: it shares the
-//! rings' chunks, so it may allocate a sixteenth of what they hold.
+//! rings' chunks, so it may allocate a sixteenth of what they hold. The
+//! container's interval block is held to a size: at most ten bytes an
+//! interval, where a text line was forty.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -241,4 +243,31 @@ fn container_save_and_load_allocate_per_string_and_node() {
         "{small_load} allocations, budget {bound}"
     );
     assert!(large_load <= small_load + 2, "{large_load} vs {small_load}");
+}
+
+#[test]
+fn interval_block_costs_at_most_ten_bytes_an_interval() {
+    // Track by track, each in start order: the order `to_stored` writes.
+    let mut db = profile(LARGE);
+    let mut timeline = db.timeline().unwrap().clone();
+    timeline.intervals.sort_by_key(|iv| (iv.track, iv.start));
+    db.set_timeline(Some(timeline));
+    let mut container = Vec::new();
+    db.save(&mut container).unwrap();
+    let prefix = b"\nintervals\t";
+    let at = container
+        .windows(prefix.len())
+        .position(|w| w == prefix)
+        .expect("the container has an interval block")
+        + prefix.len();
+    let digits = container[at..].iter().take_while(|b| b.is_ascii_digit());
+    let bytes: usize = String::from_utf8(digits.copied().collect())
+        .unwrap()
+        .parse()
+        .unwrap();
+    // As text lines the same intervals were 40 bytes each.
+    assert!(
+        bytes <= 10 * LARGE,
+        "{bytes} bytes of interval block for {LARGE} intervals"
+    );
 }

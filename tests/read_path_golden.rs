@@ -1,10 +1,16 @@
 //! Byte-level goldens of the read path: the Chrome trace (four variants)
 //! and the `.dcprof` container of one deterministic MultiStream run.
 //!
-//! The files under `tests/golden/` were written by the per-event Chrome
-//! renderer and the `writeln!`-per-field `ProfileDb::save` of commit
-//! `2ab0956`; the streaming writer and the single-buffer `save` that
-//! replaced them must reproduce every byte, and `load` must read the
+//! The four Chrome traces under `tests/golden/` were written by the
+//! per-event Chrome renderer of commit `2ab0956`; the streaming writer
+//! that replaced it must reproduce every byte. `run.dcprof` was written
+//! by `2ab0956`'s `ProfileDb::save` as a v3 container and regenerated
+//! once, by the v4 writer of the commit that replaced v3's interval
+//! lines with a varint block, under this rule: before the v3 reader was
+//! deleted, the old and the new file loaded to the same profile (equal
+//! meta, `semantic_diff` of `None`, equal timeline, equal journal), and
+//! the new file's text lines equal the old one's except the magic line
+//! and the 80 interval lines the block replaced. `load` must read the
 //! container back to a profile that saves to the same bytes again.
 //!
 //! The only bytes of `run.dcprof` that depend on the order a shard

@@ -1,8 +1,9 @@
 //! End-to-end profile store tests: a finished profiler run persists to a
 //! store directory with its timeline intact, corrupt files surface as
-//! `CoreError`s instead of panics (named cases, then arbitrary bytes,
-//! every line-boundary truncation and random single-byte corruptions of
-//! the golden v3 container), cross-run trend queries follow the metric
+//! `CoreError`s instead of panics (named cases, every byte of the
+//! interval block cut off, then arbitrary bytes, every line-boundary
+//! truncation and random single-byte corruptions of the golden
+//! container), cross-run trend queries follow the metric
 //! across stored runs, and the `store-regression` rule flags an injected
 //! regression against the stored baseline.
 
@@ -105,48 +106,76 @@ fn finished_run_reloads_from_the_store_with_timeline_intact() {
     fs::remove_dir_all(dir).unwrap();
 }
 
+/// Where `needle` first occurs in `haystack`.
+fn find(haystack: &[u8], needle: &[u8]) -> usize {
+    haystack
+        .windows(needle.len())
+        .position(|w| w == needle)
+        .expect("present")
+}
+
 #[test]
 fn corrupt_and_truncated_store_files_error_not_panic() {
     let db = profile_multi_stream(1);
-    let mut buf = Vec::new();
-    db.save(&mut buf).unwrap();
-    let text = String::from_utf8(buf).unwrap();
+    let mut bytes = Vec::new();
+    db.save(&mut bytes).unwrap();
     let (dir, store) = temp_store();
+    let load_cut = |name: &str, bytes: &[u8]| {
+        fs::write(dir.join(format!("{name}.dcprof")), bytes).unwrap();
+        store.load(name)
+    };
 
-    // Wrong container version: rewrite whatever version the header
-    // line carries (v2 plain, v3 when a journal rode along) to a
-    // future one.
-    let header_end = text.find('\n').expect("container has a header line");
+    // Wrong container version: rewrite the version the header line
+    // carries to a future one.
+    let header_end = find(&bytes, b"\n");
     assert!(
-        text[..header_end].starts_with("deepcontext-profile v"),
+        bytes.starts_with(b"deepcontext-profile v"),
         "header is the version magic"
     );
-    fs::write(
-        dir.join("wrong-version.dcprof"),
-        format!("deepcontext-profile v9{}", &text[header_end..]),
-    )
-    .unwrap();
-    assert!(store.load("wrong-version").is_err());
+    let mut future = b"deepcontext-profile v9".to_vec();
+    future.extend_from_slice(&bytes[header_end..]);
+    assert!(load_cut("wrong-version", &future).is_err());
 
-    // Truncations at every section boundary and a few interior cuts.
-    let lines: Vec<&str> = text.lines().collect();
-    assert!(lines.last() == Some(&"end"), "container ends with end");
-    for keep in [1, lines.len() / 4, lines.len() / 2, lines.len() - 1] {
-        let name = format!("truncated-{keep}");
-        fs::write(dir.join(format!("{name}.dcprof")), lines[..keep].join("\n")).unwrap();
+    // Truncations at a few line boundaries of the text before the block
+    // and after it.
+    assert!(bytes.ends_with(b"\nend\n"), "container ends with end");
+    let block_line = find(&bytes, b"\nintervals\t") + 1;
+    let newlines: Vec<usize> = bytes
+        .iter()
+        .enumerate()
+        .filter(|&(at, &b)| b == b'\n' && at < block_line)
+        .map(|(at, _)| at)
+        .collect();
+    let end_line = bytes.len() - "end\n".len();
+    for cut in [
+        newlines[1],
+        newlines[newlines.len() / 2],
+        block_line,
+        end_line,
+    ] {
         assert!(
-            store.load(&name).is_err(),
-            "truncation to {keep} lines must error, not panic"
+            load_cut("truncated", &bytes[..cut]).is_err(),
+            "truncation at byte {cut} must error, not panic"
+        );
+    }
+
+    // A cut at every byte of the interval block, its closing newline
+    // included: a newline inside it is data, not a line boundary.
+    let prefix = block_line + find(&bytes[block_line..], b"\n");
+    let len: usize = std::str::from_utf8(&bytes[block_line + "intervals\t".len()..prefix])
+        .unwrap()
+        .parse()
+        .unwrap();
+    for cut in prefix + 1..=prefix + 1 + len {
+        assert!(
+            load_cut("in-block", &bytes[..cut]).is_err(),
+            "cut at byte {cut} inside the interval block must error"
         );
     }
 
     // Garbage body after a valid magic.
-    fs::write(
-        dir.join("garbage.dcprof"),
-        "deepcontext-profile v2\nnot\ta\tvalid\tsection\n",
-    )
-    .unwrap();
-    assert!(store.load("garbage").is_err());
+    let garbage = b"deepcontext-profile v4\nnot\ta\tvalid\tsection\n";
+    assert!(load_cut("garbage", garbage).is_err());
 
     // The intact run still loads from the same directory.
     let id = store.save(&db).unwrap();
@@ -260,8 +289,8 @@ fn arb_profile() -> impl Strategy<Value = ProfileDb> {
     })
 }
 
-/// The committed v3 container (timeline and journal sections; see
-/// `tests/read_path_golden.rs`).
+/// The committed container (timeline and journal sections; see
+/// `tests/read_path_golden.rs` for which commit wrote it).
 fn golden_container() -> Vec<u8> {
     fs::read(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -292,9 +321,10 @@ fn truncation_at_every_line_boundary_errors_not_panics() {
         .count();
     let boundaries = golden.iter().enumerate().filter(|(_, &b)| b == b'\n');
     for (line, (at, _)) in boundaries.enumerate() {
-        // Cut after line `line`, with and without its newline; the
-        // second cut of the last line is the whole container minus one
-        // byte, which `lines()` reads the same.
+        // Cut after line `line`, with and without its newline. Every
+        // `0x0A` byte counts, the four inside the interval block too:
+        // there it is data, not a line boundary, and both cuts must
+        // fail. Only the last line may lose its newline and still load.
         let whole = at + 1 == golden.len();
         for cut in [at, at + 1] {
             let (loaded, meta) = read_every_way(&store, &golden[..cut]);
@@ -328,15 +358,18 @@ proptest! {
                 0u32..256,
                 // Bias toward the bytes the format is made of.
                 prop::sample::select(b"\t\n\r\\-0123456789KMRTPONAIBSC".map(u32::from).to_vec()),
+                // ... and the interval block's varints are made of.
+                prop::sample::select(vec![0x00, 0x01, 0x02, 0x7f, 0x80, 0x81, 0xff]),
             ],
             0..200,
         ),
         prefix in prop::sample::select(vec![
             "",
-            "deepcontext-profile v3\n",
-            "deepcontext-profile v1\nmeta\tworkload\tw\nstrings\t0\nnodes\t1\n-\tR\t0\n",
-            "deepcontext-profile v3\nstrings\t0\nnodes\t1\n-\tR\t0\ntimeline\t1\t1\t0\t-\t-\ntnames\t1\nk\n",
-            "deepcontext-profile v3\nstrings\t0\nnodes\t1\n-\tR\t0\njournal\t1\t1\t0\njnames\t1\ns\n",
+            "deepcontext-profile v4\n",
+            "deepcontext-profile v4\nmeta\tworkload\tw\nstrings\t0\nnodes\t1\n-\tR\t0\n",
+            "deepcontext-profile v4\nstrings\t0\nnodes\t1\n-\tR\t0\ntimeline\t1\t1\t0\t-\t-\ntnames\t1\nk\n",
+            "deepcontext-profile v4\nstrings\t0\nnodes\t1\n-\tR\t0\ntimeline\t1\t1\t0\t-\t-\ntnames\t1\nk\nintervals\t8\n",
+            "deepcontext-profile v4\nstrings\t0\nnodes\t1\n-\tR\t0\njournal\t1\t1\t0\njnames\t1\ns\n",
         ]),
     ) {
         let mut bytes = prefix.as_bytes().to_vec();
