@@ -28,7 +28,10 @@
 //! its own, so two profilers (or two stores) in one process count their
 //! own hits and report their own fires. Probabilistic triggers draw from
 //! a per-point xorshift64* stream seeded by `DEEPCONTEXT_FAILPOINT_SEED`,
-//! so a run is reproducible from its spec + seed alone. Tests construct
+//! so a run is reproducible from its spec + seed alone. A malformed
+//! clause, a site outside [`sites::ALL`] or an unparseable seed makes
+//! [`from_env`] panic with the variable and the culprit named, rather
+//! than quietly inject nothing. Tests construct
 //! registries with [`Failpoints::parse`] and thread them through
 //! configuration (e.g. `PipelineConfig::failpoints`) instead of mutating
 //! the process environment.
@@ -56,6 +59,9 @@ pub mod sites {
     pub const STORE_IO_ERR: &str = "store_io_err";
     /// `ProfileStore` read path (fires → synthetic transient IO error).
     pub const STORE_READ_ERR: &str = "store_read_err";
+
+    /// Every site above: the names an environment spec may use.
+    pub const ALL: [&str; 4] = [DIR_BIND_STALL, FOLD_STALL, STORE_IO_ERR, STORE_READ_ERR];
 }
 
 /// How long [`Failpoints::stall_at`] sleeps when its point fires: long
@@ -197,20 +203,28 @@ impl Failpoints {
     /// A fresh registry parsed from `DEEPCONTEXT_FAILPOINTS`
     /// (+ `DEEPCONTEXT_FAILPOINT_SEED`): the environment is read once per
     /// process, the spec is parsed once per call, so every caller counts
-    /// its own hits and installs its own fire observer. A malformed spec
-    /// degrades to the disabled registry — the harness is test
-    /// infrastructure and must never take the workload down itself.
+    /// its own hits and installs its own fire observer.
+    ///
+    /// # Panics
+    ///
+    /// On a spec that does not say what it was meant to — a malformed
+    /// clause, a site name outside [`sites::ALL`], an unparseable seed —
+    /// with a message naming the variable and the bad clause or value.
+    /// Injection is opt-in test infrastructure: a typo that silently
+    /// disabled it would make a fault-injection run test nothing.
     pub fn from_env() -> Failpoints {
-        static SPEC: OnceLock<(String, u64)> = OnceLock::new();
-        let (spec, seed) = SPEC.get_or_init(|| {
+        static SPEC: OnceLock<Result<(String, u64), String>> = OnceLock::new();
+        let spec = SPEC.get_or_init(|| {
             let spec = std::env::var("DEEPCONTEXT_FAILPOINTS").unwrap_or_default();
-            let seed = std::env::var("DEEPCONTEXT_FAILPOINT_SEED")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .unwrap_or(DEFAULT_SEED);
-            (spec, seed)
+            let seed = std::env::var("DEEPCONTEXT_FAILPOINT_SEED").ok();
+            env_spec(&spec, seed.as_deref()).map(|seed| (spec, seed))
         });
-        Failpoints::parse_with_seed(spec, *seed).unwrap_or_else(|_| Failpoints::disabled())
+        match spec {
+            Ok((spec, seed)) => {
+                Failpoints::parse_with_seed(spec, *seed).expect("checked when first read")
+            }
+            Err(error) => panic!("{error}"),
+        }
     }
 
     /// Whether any point is registered. The negative is the hot-path
@@ -323,6 +337,29 @@ impl Failpoints {
     }
 }
 
+/// Checks a spec and a seed as [`Failpoints::from_env`] reads them from
+/// the environment and returns the seed: every clause must parse and
+/// name a site in [`sites::ALL`], and a set seed must be a `u64`. The
+/// error names the variable and the clause or value at fault.
+fn env_spec(spec: &str, seed: Option<&str>) -> Result<u64, String> {
+    for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
+        Failpoints::parse(clause).map_err(|error| format!("DEEPCONTEXT_FAILPOINTS: {error}"))?;
+        let (name, _) = clause.split_once('@').expect("a parsed clause has `@`");
+        if !sites::ALL.contains(&name.trim()) {
+            return Err(format!(
+                "DEEPCONTEXT_FAILPOINTS: failpoint clause `{clause}` names no site; the sites are {}",
+                sites::ALL.join(", ")
+            ));
+        }
+    }
+    match seed {
+        None => Ok(DEFAULT_SEED),
+        Some(seed) => seed.trim().parse().map_err(|_| {
+            format!("DEEPCONTEXT_FAILPOINT_SEED: `{seed}` is not an unsigned 64-bit integer")
+        }),
+    }
+}
+
 fn parse_trigger(trigger: &str) -> Option<Trigger> {
     if trigger.eq_ignore_ascii_case("first") {
         return Some(Trigger::First);
@@ -425,6 +462,32 @@ mod tests {
         // Empty / whitespace specs are the disabled registry.
         assert!(!Failpoints::parse("").unwrap().is_active());
         assert!(!Failpoints::parse(" ; ").unwrap().is_active());
+    }
+
+    #[test]
+    fn env_specs_name_known_sites_and_a_numeric_seed() {
+        assert_eq!(env_spec("", None), Ok(DEFAULT_SEED));
+        assert_eq!(
+            env_spec(" store_io_err@first ; fold_stall@every2 ;", Some(" 7 ")),
+            Ok(7)
+        );
+        let error = |spec, seed| env_spec(spec, seed).unwrap_err();
+        let malformed = error("fold_stall@first;store_io_err@sometimes", None);
+        assert!(
+            malformed.starts_with("DEEPCONTEXT_FAILPOINTS: "),
+            "{malformed}"
+        );
+        assert!(
+            malformed.contains("`store_io_err@sometimes`"),
+            "{malformed}"
+        );
+        let unknown = error("fold_stall@first; fold_stal@3", None);
+        assert!(unknown.starts_with("DEEPCONTEXT_FAILPOINTS: "), "{unknown}");
+        assert!(unknown.contains("`fold_stal@3`"), "{unknown}");
+        assert!(unknown.contains("dir_bind_stall, fold_stall"), "{unknown}");
+        let seed = error("fold_stall@first", Some("0x2a"));
+        assert!(seed.starts_with("DEEPCONTEXT_FAILPOINT_SEED: "), "{seed}");
+        assert!(seed.contains("`0x2a`"), "{seed}");
     }
 
     #[test]

@@ -366,59 +366,65 @@ impl Frame {
 
     /// Human-readable label, resolving interned names through `interner`.
     pub fn label(&self, interner: &Interner) -> String {
+        // Room for a typical label, so most take one allocation.
+        let mut label = String::with_capacity(64);
+        let _ = self.write_label(&mut label, interner);
+        label
+    }
+
+    /// Writes [`label`](Self::label) into `out` without allocating it.
+    pub fn write_label(&self, out: &mut impl fmt::Write, interner: &Interner) -> fmt::Result {
         match *self {
-            Frame::Root => "<root>".to_owned(),
-            Frame::Thread { tid, role } => format!("<thread {tid} ({role})>"),
+            Frame::Root => out.write_str("<root>"),
+            Frame::Thread { tid, role } => write!(out, "<thread {tid} ({role})>"),
             Frame::Python {
                 file,
                 line,
                 function,
-            } => {
-                format!(
-                    "{}:{} ({})",
-                    interner.resolve(file),
-                    line,
-                    interner.resolve(function)
-                )
-            }
+            } => write!(
+                out,
+                "{}:{} ({})",
+                interner.resolve(file),
+                line,
+                interner.resolve(function)
+            ),
             Frame::Operator {
                 name,
                 phase,
                 seq_id,
             } => {
-                let name = interner.resolve(name);
-                let seq = seq_id.map(|s| format!(" seq={s}")).unwrap_or_default();
-                match phase {
-                    OpPhase::Forward => format!("{name}{seq}"),
-                    OpPhase::Backward => format!("{name} [backward]{seq}"),
+                out.write_str(&interner.resolve(name))?;
+                if phase == OpPhase::Backward {
+                    out.write_str(" [backward]")?;
+                }
+                match seq_id {
+                    Some(seq) => write!(out, " seq={seq}"),
+                    None => Ok(()),
                 }
             }
             Frame::Native {
                 library,
                 pc,
                 symbol,
-            } => {
-                format!(
-                    "{} ({}+{pc:#x})",
-                    interner.resolve(symbol),
-                    interner.resolve(library)
-                )
-            }
-            Frame::GpuApi { name, library, pc } => {
-                format!(
-                    "{} ({}+{pc:#x})",
-                    interner.resolve(name),
-                    interner.resolve(library)
-                )
-            }
-            Frame::GpuKernel { name, module, pc } => {
-                format!(
-                    "{} [kernel] ({}+{pc:#x})",
-                    interner.resolve(name),
-                    interner.resolve(module)
-                )
-            }
-            Frame::Instruction { pc } => format!("pc {pc:#x}"),
+            } => write!(
+                out,
+                "{} ({}+{pc:#x})",
+                interner.resolve(symbol),
+                interner.resolve(library)
+            ),
+            Frame::GpuApi { name, library, pc } => write!(
+                out,
+                "{} ({}+{pc:#x})",
+                interner.resolve(name),
+                interner.resolve(library)
+            ),
+            Frame::GpuKernel { name, module, pc } => write!(
+                out,
+                "{} [kernel] ({}+{pc:#x})",
+                interner.resolve(name),
+                interner.resolve(module)
+            ),
+            Frame::Instruction { pc } => write!(out, "pc {pc:#x}"),
         }
     }
 
@@ -549,7 +555,7 @@ impl CallPath {
             for _ in 0..depth {
                 out.push_str("  ");
             }
-            out.push_str(&frame.label(interner));
+            let _ = frame.write_label(&mut out, interner);
             out.push('\n');
         }
         out

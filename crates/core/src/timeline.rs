@@ -51,8 +51,7 @@ pub struct TrackKey {
 impl TrackKey {
     /// The device id reserved for the profiler's *self-timeline*: when
     /// self-telemetry is on, snapshot folds are recorded as intervals on
-    /// this device (timelines stored by older builds also carry worker
-    /// batches and producer flushes there) so
+    /// this device's [`SELF_STREAM_FOLD`](Self::SELF_STREAM_FOLD) so
     /// exporters can render the profiler's own execution next to the
     /// workload it profiled. No simulated GPU can claim it (real device
     /// ids count up from zero), and because it sorts last the self
@@ -64,13 +63,8 @@ impl TrackKey {
     /// the tracks never interleave.
     pub const SELF_DEVICE: u32 = u32::MAX;
 
-    /// Self-timeline stream of producer batch-flush intervals in
-    /// timelines stored while ingestion batched (nothing records it
-    /// now; streams below it were one per ingestion worker). The Chrome
-    /// exporter still names those lanes.
-    pub const SELF_STREAM_FLUSH: u32 = 1_000;
     /// Self-timeline stream carrying incremental snapshot-fold
-    /// intervals.
+    /// intervals — the only self stream anything records.
     pub const SELF_STREAM_FOLD: u32 = 1_001;
 
     /// A track on the reserved self-telemetry device.

@@ -489,6 +489,8 @@ impl Profiler {
     /// let report = profiler.with_cct(|cct| {
     ///     analyzer.preview_with_timeline(cct, &timeline)
     /// });
+    /// // Each slice's `"sf"` names its context in the trace's
+    /// // `stackFrames` dictionary, resolved against this same tree.
     /// let trace = profiler.with_cct(|cct| timeline.to_chrome_trace(Some(cct)));
     /// ```
     ///

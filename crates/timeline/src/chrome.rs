@@ -6,10 +6,22 @@
 //! its own swim-lane — with each interval emitted as a complete (`"X"`)
 //! event. Timestamps and durations are microseconds per the format, at
 //! nanosecond precision (fractional values are allowed and preserved).
+//!
 //! When the caller passes the CCT the snapshot was resolved against,
-//! every slice carries its full calling context as an argument, so
-//! clicking a kernel in the trace viewer shows the Python → operator →
-//! kernel path that launched it.
+//! the trace names each calling context once, in the format's own
+//! dictionary for it: a top-level `stackFrames` object holds one entry
+//! per CCT node some slice reaches, plus that node's ancestors, keyed by
+//! the node's index — `{"name": <frame label>, "parent": "<id>"}`, with
+//! no `parent` under the synthetic root — and each slice cites its
+//! context with `"sf": <id>`. Following the chain from a slice's `sf`
+//! up and joining the names root-first with `" > "` spells the
+//! Python → operator → kernel path that launched it.
+//! `chrome://tracing` shows the chain as the selected slice's "Start
+//! Stack Trace"; Perfetto's JSON importer is not documented to read
+//! `stackFrames`, so there the slice shows only its name and
+//! correlation id (every path is still in the stored profile and its
+//! CCT views). A slice whose context is unresolved, outside the tree or
+//! the root itself gets no `sf`.
 //!
 //! [`to_chrome_trace_with_journal`] additionally merges the run's
 //! incident journal into the `profiler (self)` process as instant
@@ -20,11 +32,11 @@
 //! The writer streams: every event is appended straight into one output
 //! buffer sized before the first byte is written, and whatever repeats
 //! is rendered once per distinct thing — the event prefix once per
-//! track, the escaped name once per [`Sym`], the escaped
-//! `,"context":"…"` argument once per CCT node. A run has tens of
-//! contexts and hundreds of thousands of intervals, so per interval the
-//! writer copies bytes and prints three integers through
-//! [`push_u64`]; it neither walks the tree nor allocates.
+//! track, the escaped name once per [`Sym`], a frame label once per
+//! trace. A run has tens of contexts and hundreds of thousands of
+//! intervals, so per interval the writer copies bytes and prints at
+//! most four integers through [`push_u64`]; it neither walks the tree
+//! nor allocates.
 
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
@@ -37,15 +49,17 @@ use deepcontext_core::{
 use crate::snapshot::TimelineSnapshot;
 
 /// The `tid` of the incident-journal lane inside the `profiler (self)`
-/// process — above the reserved self streams (fold is 1001; stored
-/// timelines of older builds count workers from 0 and put flushes at
-/// 1000) so it never collides with an interval track.
+/// process — right after the fold lane (1001), the one self stream
+/// anything records, so it sorts below it and never shares its track.
 const INCIDENT_TID: u32 = 1_002;
 
 /// Upper bound on the bytes of one interval event outside its track
-/// prefix, name and context: separator, category, two microsecond
+/// prefix, name and `sf`: separator, category, two microsecond
 /// timestamps, the correlation id and the punctuation between them.
 const EVENT_TAIL_MAX: usize = 128;
+
+/// Upper bound on the bytes of one event's `,"sf":<id>`.
+const SF_MAX: usize = 16;
 
 /// Upper bound on the bytes of one metadata event.
 const META_MAX: usize = 128;
@@ -99,16 +113,29 @@ impl Events {
     }
 }
 
-/// The per-`Sym` and per-node strings of one export, each rendered on
-/// first use.
+/// A [`fmt::Write`] that escapes whatever is written through it into a
+/// JSON string's contents.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(self.0, s);
+        Ok(())
+    }
+}
+
+/// The per-`Sym` names of one export, each rendered on first use, and
+/// the CCT nodes its `stackFrames` dictionary names.
 struct Labels<'a> {
     snapshot: &'a TimelineSnapshot,
     cct: Option<(&'a CallingContextTree, Arc<Interner>)>,
     /// Escaped interval names.
     names: FxHashMap<Sym, String>,
-    /// Escaped `,"context":"…"` arguments, indexed by node; sized to the
-    /// tree, so an id outside it has no slot and renders nothing.
-    contexts: Vec<Option<String>>,
+    /// Whether the dictionary names this node — some interval's context,
+    /// or once [`stack_frames`](Self::stack_frames) has closed the set,
+    /// an ancestor of one — indexed by node; sized to the tree, so an id
+    /// outside it has no slot and no `sf`.
+    reached: Vec<bool>,
 }
 
 impl<'a> Labels<'a> {
@@ -117,7 +144,7 @@ impl<'a> Labels<'a> {
             snapshot,
             cct: cct.map(|cct| (cct, cct.interner())),
             names: FxHashMap::default(),
-            contexts: vec![None; cct.map_or(0, CallingContextTree::node_count)],
+            reached: vec![false; cct.map_or(0, CallingContextTree::node_count)],
         }
     }
 
@@ -141,27 +168,58 @@ impl<'a> Labels<'a> {
         })
     }
 
-    /// The `,"context":"root > … > kernel"` argument of an interval
-    /// attributed to `node`; empty without a tree, without a context, or
-    /// for an id the tree does not hold.
-    fn context(&mut self, node: Option<NodeId>) -> &str {
-        let (Some((cct, interner)), Some(node)) = (&self.cct, node) else {
-            return "";
+    /// The `sf` of an interval attributed to `node`, which marks the
+    /// node reached; `None` without a tree, without a context, for an id
+    /// the tree does not hold, or for the root (its path is empty).
+    fn frame(&mut self, node: Option<NodeId>) -> Option<u64> {
+        let node = node.filter(|&node| node != NodeId::ROOT)?;
+        *self.reached.get_mut(node.index())? = true;
+        Some(node.index() as u64)
+    }
+
+    /// The `,"stackFrames":{…}` member naming every reached node and its
+    /// ancestors, in index order; empty without a tree.
+    fn stack_frames(&mut self) -> String {
+        let Some((cct, interner)) = &self.cct else {
+            return String::new();
         };
-        let Some(slot) = self.contexts.get_mut(node.index()) else {
-            return "";
-        };
-        slot.get_or_insert_with(|| {
-            let mut argument = String::from(",\"context\":\"");
-            for (depth, frame) in cct.frames_to_root(node).frames().iter().enumerate() {
-                if depth > 0 {
-                    argument.push_str(" > ");
-                }
-                escape_into(&mut argument, &frame.label(interner));
+        // Close the reached set under `parent`. A walk stops at a marked
+        // node: its ancestors are marked already, or will be when the
+        // loop gets to it.
+        for index in 0..self.reached.len() {
+            if !self.reached[index] {
+                continue;
             }
-            argument.push('"');
-            argument
-        })
+            let mut up = cct.node(NodeId::from_index(index as u32)).parent();
+            while let Some(node) = up.filter(|&node| node != NodeId::ROOT) {
+                if std::mem::replace(&mut self.reached[node.index()], true) {
+                    break;
+                }
+                up = cct.node(node).parent();
+            }
+        }
+        let mut out = String::from(",\"stackFrames\":{");
+        let nodes = self
+            .reached
+            .iter()
+            .enumerate()
+            .filter(|(_, &reached)| reached);
+        for (n, (index, _)) in nodes.enumerate() {
+            out.push_str(if n == 0 { "\n  \"" } else { ",\n  \"" });
+            push_u64(&mut out, index as u64);
+            out.push_str("\":{\"name\":\"");
+            let node = cct.node(NodeId::from_index(index as u32));
+            let _ = node.frame().write_label(&mut Escaped(&mut out), interner);
+            out.push('"');
+            if let Some(parent) = node.parent().filter(|&parent| parent != NodeId::ROOT) {
+                out.push_str(",\"parent\":\"");
+                push_u64(&mut out, parent.index() as u64);
+                out.push('"');
+            }
+            out.push('}');
+        }
+        out.push_str("\n}");
+        out
     }
 }
 
@@ -195,9 +253,10 @@ pub fn to_chrome_trace_with_journal(
     }
 
     // Size the buffer before writing: the first pass renders every
-    // distinct name and context (the second finds them rendered) and
-    // adds up an upper bound, so the output — tens of megabytes for a
-    // full ring set — is allocated once and never moved.
+    // distinct name (the second finds them rendered), marks every
+    // reached context and adds up an upper bound, so the output — tens
+    // of megabytes for a full ring set — is allocated once and never
+    // moved.
     let mut labels = Labels::new(snapshot, cct);
     let mut prefixes = Vec::with_capacity(snapshot.tracks().len());
     let mut size = (devices.len() + 2 * snapshot.tracks().len() + 4) * META_MAX;
@@ -210,10 +269,15 @@ pub fn to_chrome_trace_with_journal(
         prefix.push_str(",\"name\":\"");
         size += track.len() * (prefix.len() + EVENT_TAIL_MAX);
         for interval in track.intervals() {
-            size += labels.name(interval.name).len() + labels.context(interval.context).len();
+            size += labels.name(interval.name).len();
+            if labels.frame(interval.context).is_some() {
+                size += SF_MAX;
+            }
         }
         prefixes.push(prefix);
     }
+    let stack_frames = labels.stack_frames();
+    size += stack_frames.len();
     for record in journal.iter().flat_map(|j| &j.events) {
         // Worst case every byte escapes to `\u00XX`.
         let fields = record.fields.iter().map(|(k, v)| k.len() + v.len() + 6);
@@ -243,9 +307,8 @@ pub fn to_chrome_trace_with_journal(
         let key = track.key();
         let lane = match key.stream {
             stream if !key.is_self() => format!("stream {stream}"),
-            TrackKey::SELF_STREAM_FLUSH => "producer flush".to_string(),
             TrackKey::SELF_STREAM_FOLD => "snapshot fold".to_string(),
-            worker => format!("worker {worker}"),
+            stream => format!("self {stream}"),
         };
         events.lane(key.device, key.stream, &lane);
     }
@@ -263,9 +326,12 @@ pub fn to_chrome_trace_with_journal(
             push_us(out, interval.start.as_nanos());
             out.push_str(",\"dur\":");
             push_us(out, interval.duration().as_nanos());
+            if let Some(frame) = labels.frame(interval.context) {
+                out.push_str(",\"sf\":");
+                push_u64(out, frame);
+            }
             out.push_str(",\"args\":{\"correlation\":");
             push_u64(out, interval.correlation);
-            out.push_str(labels.context(interval.context));
             out.push_str("}}");
         }
     }
@@ -299,7 +365,9 @@ pub fn to_chrome_trace_with_journal(
             out.push_str("}}");
         }
     }
-    events.out.push_str("\n]}\n");
+    events.out.push_str("\n]");
+    events.out.push_str(&stack_frames);
+    events.out.push_str("}\n");
     events.out
 }
 

@@ -9,8 +9,10 @@
 //! recording on, prints per-device utilization / overlap / idle-gap
 //! statistics and the timeline-backed analyzer findings, and writes
 //! `artifacts/timeline_trace.json` — load it in `chrome://tracing` or
-//! <https://ui.perfetto.dev> to see one swim-lane per stream, each
-//! slice carrying its full calling context. Run with
+//! <https://ui.perfetto.dev> to see one swim-lane per stream. Each slice
+//! cites its calling context by `"sf"` id in the trace's `stackFrames`
+//! dictionary, which names every context once; `chrome://tracing` shows
+//! it as the selected slice's "Start Stack Trace". Run with
 //! `DEEPCONTEXT_TELEMETRY=1` to additionally get the `profiler (self)`
 //! process: the profiler's own snapshot folds as slices next to the
 //! workload they serve. Add
@@ -92,9 +94,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Export the Chrome trace with full calling contexts on each slice,
-    // and — when `DEEPCONTEXT_JOURNAL=1` — the incident journal as
-    // instant markers next to the slices they explain.
+    // Export the Chrome trace with each slice's calling context, and —
+    // when `DEEPCONTEXT_JOURNAL=1` — the incident journal as instant
+    // markers next to the slices they explain.
     let journal = profiler.journal_snapshot();
     if let Some(journal) = &journal {
         println!(

@@ -9,7 +9,9 @@
 //! A timeline read is also held to a budget in bytes: it shares the
 //! rings' chunks, so it may allocate a sixteenth of what they hold. The
 //! container's interval block is held to a size: at most ten bytes an
-//! interval, where a text line was forty.
+//! interval, where a text line was forty. So is what a CCT adds to the
+//! Chrome export: its `stackFrames` dictionary plus at most twelve bytes
+//! an interval, where a path string per event was about 180.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -87,11 +89,9 @@ fn allocations<R>(f: impl FnOnce() -> R) -> u64 {
 
 const TRACKS: usize = 6;
 const CONTEXTS: usize = 12;
-/// Frames from the root to each context's kernel.
-const DEPTH: u64 = 6;
 
-/// A tree of `CONTEXTS` kernel contexts, `DEPTH` frames deep, each with
-/// a kernel name of its own.
+/// A tree of `CONTEXTS` kernel contexts, five frames deep, each with a
+/// kernel name of its own.
 fn contexts() -> (CallingContextTree, Vec<(NodeId, Sym)>) {
     let mut cct = CallingContextTree::new();
     let i = cct.interner();
@@ -159,15 +159,39 @@ fn chrome_export_allocates_per_track_context_and_name() {
         small, large,
         "allocations must not follow the interval count"
     );
-    // The output buffer, the prefix and context tables and the name
-    // map's growth; one prefix per track; per context its escaped name
-    // and — for the path to the root, a label per frame and the argument
-    // they are escaped into as it grows — about four per frame.
-    let bound = 16 + TRACKS as u64 + CONTEXTS as u64 * (2 + 5 * DEPTH);
+    // The output buffer, the prefix list, the reached-node bitmap, the
+    // name map's growth and the `stackFrames` dictionary's; per track
+    // its prefix, its lane name and the merge of its runs, twice; per
+    // context its escaped name as it grows. A frame label is written
+    // straight into the dictionary, so the path's depth costs nothing.
+    let bound = 32 + 6 * TRACKS as u64 + 4 * CONTEXTS as u64;
     assert!(small <= bound, "{small} allocations, budget {bound}");
     assert!(
         (small as usize) < SMALL,
         "parent allocated > 3 per interval"
+    );
+}
+
+#[test]
+fn chrome_export_names_each_context_once() {
+    let db = profile(LARGE);
+    let snapshot = TimelineSnapshot::from_stored(db.timeline().unwrap());
+    let (with, without) = (
+        snapshot.to_chrome_trace(Some(db.cct())),
+        snapshot.to_chrome_trace(None),
+    );
+    let dictionary = with.len()
+        - with
+            .find(",\"stackFrames\":")
+            .expect("a CCT export carries the dictionary");
+    // Per interval a CCT adds `,"sf":<id>` and nothing else; each
+    // context's path is spelled once, in the dictionary. With a path
+    // string per event this was about 180 bytes an interval here.
+    let budget = 12 * LARGE + dictionary;
+    assert!(
+        with.len() - without.len() <= budget,
+        "{} bytes more with a CCT, budget {budget} ({dictionary} of dictionary)",
+        with.len() - without.len()
     );
 }
 

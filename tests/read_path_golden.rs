@@ -3,7 +3,19 @@
 //!
 //! The four Chrome traces under `tests/golden/` were written by the
 //! per-event Chrome renderer of commit `2ab0956`; the streaming writer
-//! that replaced it must reproduce every byte. `run.dcprof` was written
+//! that replaced it must reproduce every byte. `chrome_plain.json` (no
+//! CCT) is still that file. The three CCT-bearing traces were
+//! regenerated once, when a `stackFrames` dictionary and per-event
+//! `"sf"` ids replaced the per-event `args.context` path string, under
+//! this rule: every old line equals the new one with `,"sf":<id>`
+//! removed and `,"context":"…"` added back after the correlation, the
+//! context rebuilt by joining the names of the `sf` chain root-first
+//! with `" > "`; the new files end in the dictionary where the old ones
+//! ended the event array; and in `chrome_self.json` the self lanes once
+//! named `worker 0`, `worker 1` and `producer flush` are `self 0`,
+//! `self 1` and `self 1000`.
+//!
+//! `run.dcprof` was written
 //! by `2ab0956`'s `ProfileDb::save` as a v3 container and regenerated
 //! once, by the v4 writer of the commit that replaced v3's interval
 //! lines with a varint block, under this rule: before the v3 reader was
@@ -131,8 +143,9 @@ fn journal() -> StoredJournal {
     }
 }
 
-/// The run's timeline plus the profiler's reserved self tracks, a name
-/// that needs escaping, a symbol outside the captured table and a
+/// The run's timeline plus the profiler's reserved self tracks — the
+/// fold lane and three other self streams, which render as `self N` —,
+/// a name that needs escaping, a symbol outside the captured table and a
 /// context outside the tree.
 fn with_self_tracks(stored: &StoredTimeline, cct: &CallingContextTree) -> TimelineSnapshot {
     let mut names = stored.names.clone();
@@ -140,24 +153,18 @@ fn with_self_tracks(stored: &StoredTimeline, cct: &CallingContextTree) -> Timeli
         names.push(Arc::from(text));
         names.len() - 1
     };
-    let (worker, flush, fold) = (
+    let (batch, quoted, fold) = (
         name("worker batch"),
         name("producer \"flush\""),
         name("fold\\\u{2}"),
     );
-    // Symbols and node ids have no public constructor: take them from a
-    // scratch interner / tree big enough to reach the wanted index.
+    // Symbols have no public constructor: take them from a scratch
+    // interner big enough to reach the wanted index.
     let scratch = Interner::new();
     let syms: Vec<_> = (0..names.len() + 3)
         .map(|i| scratch.intern(&format!("s{i}")))
         .collect();
-    let mut big = CallingContextTree::new();
-    let interner = big.interner();
-    let deep: Vec<Frame> = (0..cct.node_count() + 2)
-        .map(|i| Frame::python("scratch.py", i as u32, "f", &interner))
-        .collect();
-    let foreign = big.insert_path(&deep);
-    assert!(foreign.index() >= cct.node_count());
+    let foreign = NodeId::from_index(cct.node_count() as u32 + 1);
 
     let iv = |track, start, end, name: usize, correlation, context| Interval {
         track,
@@ -170,14 +177,14 @@ fn with_self_tracks(stored: &StoredTimeline, cct: &CallingContextTree) -> Timeli
     };
     let mut intervals = stored.intervals.clone();
     intervals.extend([
-        iv(TrackKey::self_track(0), 10, 1_010, worker, 0, None),
-        iv(TrackKey::self_track(0), 2_000, 2_000, worker, 0, None),
-        iv(TrackKey::self_track(1), 500, 1_999, worker, 0, None),
+        iv(TrackKey::self_track(0), 10, 1_010, batch, 0, None),
+        iv(TrackKey::self_track(0), 2_000, 2_000, batch, 0, None),
+        iv(TrackKey::self_track(1), 500, 1_999, batch, 0, None),
         iv(
-            TrackKey::self_track(TrackKey::SELF_STREAM_FLUSH),
+            TrackKey::self_track(1_000),
             3_000,
             4_000_001,
-            flush,
+            quoted,
             0,
             None,
         ),

@@ -6,11 +6,13 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use deepcontext::core::{Interval, IntervalKind, TrackKey};
 use deepcontext::gpu::Activity;
 use deepcontext::gpu::ActivityKind;
 use deepcontext::pipeline::{EventSink, ShardedSink, SinkOptions};
 use deepcontext::prelude::*;
 use deepcontext::profiler::{TelemetryConfig, TimelineConfig};
+use deepcontext::timeline::TimelineCounters;
 
 const ITERATIONS: u32 = 3;
 
@@ -754,19 +756,80 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The names on the `stackFrames` chain from `sf` up, root first, joined
+/// with `" > "`; panics on an id the dictionary lacks or a cycle.
+fn stack_chain(frames: &Json, sf: &str) -> String {
+    let entries = match frames {
+        Json::Obj(entries) => entries.len(),
+        other => panic!("stackFrames is not an object: {other:?}"),
+    };
+    let mut names = Vec::new();
+    let mut id = Some(sf.to_string());
+    while let Some(key) = id {
+        assert!(names.len() < entries, "stackFrames chain from {sf} cycles");
+        let frame = frames
+            .get(&key)
+            .unwrap_or_else(|| panic!("frame {key} is not in stackFrames"));
+        names.push(
+            frame
+                .get("name")
+                .and_then(Json::as_str)
+                .expect("frame name"),
+        );
+        id = frame.get("parent").map(|parent| {
+            parent
+                .as_str()
+                .expect("a parent is a string id")
+                .to_string()
+        });
+    }
+    names.reverse();
+    names.join(" > ")
+}
+
 #[test]
 fn chrome_trace_is_valid_json_with_consistent_tracks() {
     let rig = rig();
     let profiler = timeline_profiler(&rig, TimelineConfig::enabled());
     let workload = run_multi_stream(&rig, &profiler);
     let timeline = profiler.timeline().expect("timeline enabled");
-    let json = profiler.with_cct(|cct| timeline.to_chrome_trace(Some(cct)));
+    let (json, contexts) = profiler.with_cct(|cct| {
+        // Each interval's context as the exporter once spelled it on the
+        // slice: its path's labels, root first, joined with " > ".
+        let interner = cct.interner();
+        let contexts: BTreeMap<u64, String> = timeline
+            .tracks()
+            .iter()
+            .flat_map(|track| track.intervals())
+            .map(|interval| {
+                let node = interval
+                    .context
+                    .expect("every interval resolved its context");
+                let labels: Vec<String> = cct
+                    .frames_to_root(node)
+                    .frames()
+                    .iter()
+                    .map(|frame| frame.label(&interner))
+                    .collect();
+                (interval.correlation, labels.join(" > "))
+            })
+            .collect();
+        assert_eq!(
+            contexts.len(),
+            timeline.interval_count(),
+            "one per correlation"
+        );
+        (timeline.to_chrome_trace(Some(cct)), contexts)
+    });
 
     let root = Parser::parse(&json).expect("chrome trace must be valid JSON");
     let events = match root.get("traceEvents") {
         Some(Json::Arr(events)) => events,
         other => panic!("traceEvents array missing: {other:?}"),
     };
+    let frames = root
+        .get("stackFrames")
+        .expect("a CCT export names its frames");
 
     let mut slice_tracks: BTreeMap<(u64, u64), f64> = BTreeMap::new();
     let mut slices = 0usize;
@@ -796,13 +859,21 @@ fn chrome_trace_is_valid_json_with_consistent_tracks() {
                     "track ({pid},{tid}) ts went backwards: {ts} < {last}"
                 );
                 *last = ts;
-                // Context argument points at a real call path.
+                // `sf` names the slice's context: its chain through
+                // `stackFrames` spells the path of the interval with this
+                // correlation.
                 let args = event.get("args").expect("args");
-                assert!(args.get("correlation").is_some());
-                let context = args
-                    .get("context")
-                    .and_then(Json::as_str)
+                let correlation = args
+                    .get("correlation")
+                    .and_then(Json::as_num)
+                    .expect("correlation");
+                assert!(args.get("context").is_none(), "the path is in stackFrames");
+                let sf = event
+                    .get("sf")
+                    .and_then(Json::as_num)
                     .expect("every MultiStream slice resolves its context");
+                let context = stack_chain(frames, &(sf as u64).to_string());
+                assert_eq!(context, contexts[&(correlation as u64)]);
                 assert!(context.contains("multi_stream.py"), "{context}");
             }
             other => panic!("unexpected phase {other}"),
@@ -815,4 +886,68 @@ fn chrome_trace_is_valid_json_with_consistent_tracks() {
         "one Chrome track per (device, stream)"
     );
     assert_eq!(slices, timeline.interval_count());
+}
+
+#[test]
+fn chrome_trace_gives_no_sf_to_a_context_outside_the_tree() {
+    let mut cct = CallingContextTree::new();
+    let interner = cct.interner();
+    let kernel = cct.insert_path(&[
+        Frame::python("train.py", 3, "step", &interner),
+        Frame::gpu_kernel("k", "m.so", 0x10, &interner),
+    ]);
+    // An id past the tree's end, as a stored timeline read against the
+    // wrong tree would carry; the root, whose path is empty; no context.
+    let foreign = NodeId::from_index(cct.node_count() as u32 + 5);
+    let contexts = [Some(kernel), Some(foreign), Some(NodeId::ROOT), None];
+    let intervals = (0u64..)
+        .zip(contexts)
+        .map(|(correlation, context)| Interval {
+            track: TrackKey {
+                device: 0,
+                stream: 0,
+            },
+            start: TimeNs(correlation * 1_000),
+            end: TimeNs(correlation * 1_000 + 500),
+            kind: IntervalKind::Kernel,
+            name: interner.intern("k"),
+            correlation,
+            context,
+        })
+        .collect();
+    let snapshot = TimelineSnapshot::from_intervals(
+        intervals,
+        TimelineCounters {
+            recorded: 4,
+            dropped: 0,
+        },
+    )
+    .with_names(interner.snapshot());
+    let json = snapshot.to_chrome_trace(Some(&cct));
+
+    let root = Parser::parse(&json).expect("chrome trace must be valid JSON");
+    let frames = root
+        .get("stackFrames")
+        .expect("a CCT export names its frames");
+    assert!(matches!(frames, Json::Obj(entries) if entries.len() == 2));
+    let Some(Json::Arr(events)) = root.get("traceEvents") else {
+        panic!("traceEvents array missing");
+    };
+    let sfs: Vec<Option<String>> = events
+        .iter()
+        .filter(|event| event.get("ph").and_then(Json::as_str) == Some("X"))
+        .map(|event| {
+            let sf = event.get("sf").and_then(Json::as_num)?;
+            Some(stack_chain(frames, &(sf as u64).to_string()))
+        })
+        .collect();
+    assert_eq!(
+        sfs,
+        [
+            Some("train.py:3 (step) > k [kernel] (m.so+0x10)".to_string()),
+            None,
+            None,
+            None
+        ]
+    );
 }
