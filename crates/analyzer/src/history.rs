@@ -4,12 +4,14 @@
 //! [`RegressionRule`] flags a run against the mean of stored baseline
 //! runs — the whole run and each outermost regressed context — and
 //! [`IncidentRule`] names what the run's journal recorded: store retries
-//! and failpoint fires.
+//! and failpoint fires. Only profiles saved by earlier builds carry a
+//! journal; nothing records one now.
 
 use std::collections::HashMap;
 
-use deepcontext_core::{CoreError, MetricKind, NodeId, ProfileDb, StoredJournalEvent};
-use deepcontext_telemetry::journal_sites;
+use deepcontext_core::{
+    journal_sites, CoreError, MetricKind, NodeId, ProfileDb, StoredJournalEvent,
+};
 
 use crate::issue::{Issue, Severity};
 use crate::store::{ProfileStore, RunFilter};
@@ -223,8 +225,7 @@ impl Rule for RegressionRule {
     }
 }
 
-/// Renders a journal timestamp as milliseconds since the run's epoch
-/// (the shared telemetry clock when both were on).
+/// Renders a journal timestamp as milliseconds since the run's epoch.
 fn format_ts(ts_ns: u64) -> String {
     format!("t=+{:.3}ms", ts_ns as f64 / 1e6)
 }
@@ -250,8 +251,9 @@ fn event_field<'a>(event: &'a StoredJournalEvent, key: &str) -> Option<&'a str> 
 ///   injected, so the incidents in this run are at least partly
 ///   synthetic.
 ///
-/// Profiles without a journal (journaling off, live previews) produce
-/// no issues, so the rule is safe in every default rule set.
+/// Profiles without a journal (every run this build records, live
+/// previews) produce no issues, so the rule is safe in every default
+/// rule set.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IncidentRule;
 

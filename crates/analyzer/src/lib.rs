@@ -116,7 +116,8 @@ impl Analyzer {
         a.add_rule(CpuLatencyRule::default());
         a.add_rule(GpuIdleRule::default());
         a.add_rule(StreamSerializationRule::default());
-        // Silent unless the profiled run carries its incident journal.
+        // Silent unless the profile, saved by an earlier build, carries
+        // its incident journal.
         a.add_rule(IncidentRule);
         a
     }

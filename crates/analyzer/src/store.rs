@@ -12,23 +12,16 @@
 //! axes ([`RunFilter`]), [`trend`](ProfileStore::trend) of one metric
 //! across runs in wall-clock order,
 //! [`meta_trend`](ProfileStore::meta_trend) of a numeric metadata key
-//! (e.g. the `telemetry.*` self-telemetry embeds) across runs.
+//! across runs.
 //! [`RegressionRule::from_store`](crate::RegressionRule::from_store)
 //! takes its baseline from the runs a filter selects.
-//!
-//! A store can itself be instrumented: pass a self-telemetry handle to
-//! [`with_telemetry`](ProfileStore::with_telemetry) and every
-//! [`save`](ProfileStore::save) / [`load`](ProfileStore::load) records
-//! its latency into the shared registry's store histograms.
 
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use deepcontext_core::failpoint::{sites as fp_sites, Failpoints};
 use deepcontext_core::{CoreError, MetricKind, ProfileDb, ProfileMeta, TimeNs};
-use deepcontext_telemetry::{journal_sites, names, Histogram, Journal, JournalSeverity, Telemetry};
 
 /// File extension of stored runs.
 const EXT: &str = "dcprof";
@@ -82,7 +75,8 @@ pub struct RunFilter {
     /// Match this model identity.
     pub model: Option<String>,
     /// Match runs whose journal recorded an event at this site (the
-    /// `journal.sites` metadata stamp, e.g. `store.retry`).
+    /// `journal.sites` metadata stamp, e.g. `store.retry`, that builds
+    /// which kept a journal wrote).
     pub incident: Option<String>,
 }
 
@@ -124,9 +118,12 @@ impl RunFilter {
 
     /// Requires the run's journal to have recorded an event at `site`
     /// (e.g. [`journal_sites::STORE_RETRY`]). Matching reads only
-    /// the `journal.sites` metadata stamp the profiler embeds at
-    /// `finish`, so incident filtering stays header-only; runs without a
-    /// journal never match.
+    /// the `journal.sites` metadata stamp that builds which kept a
+    /// journal embedded at `finish`, so incident filtering stays
+    /// header-only; runs without a journal — every run this build
+    /// records — never match.
+    ///
+    /// [`journal_sites::STORE_RETRY`]: deepcontext_core::journal_sites::STORE_RETRY
     pub fn incident(mut self, site: impl Into<String>) -> Self {
         self.incident = Some(site.into());
         self
@@ -162,21 +159,11 @@ pub struct TrendPoint {
     pub total: f64,
 }
 
-/// The store's slice of the self-telemetry registry: save/load latency
-/// histograms, registered once when the handle is attached.
-#[derive(Debug, Clone)]
-struct StoreTelemetry {
-    save_latency: Arc<Histogram>,
-    load_latency: Arc<Histogram>,
-}
-
 /// A directory of stored profile runs.
 #[derive(Debug, Clone)]
 pub struct ProfileStore {
     dir: PathBuf,
-    telemetry: Option<StoreTelemetry>,
     failpoints: Failpoints,
-    journal: Option<Arc<Journal>>,
 }
 
 impl ProfileStore {
@@ -186,9 +173,7 @@ impl ProfileStore {
         fs::create_dir_all(&dir)?;
         Ok(ProfileStore {
             dir,
-            telemetry: None,
             failpoints: Failpoints::from_env(),
-            journal: None,
         })
     }
 
@@ -199,45 +184,6 @@ impl ProfileStore {
     pub fn with_failpoints(mut self, failpoints: Failpoints) -> Self {
         self.failpoints = failpoints;
         self
-    }
-
-    /// Attaches a self-telemetry handle: subsequent [`save`](Self::save)
-    /// and [`load`](Self::load) calls record their wall-clock latency
-    /// into the registry's `deepcontext_store_*_latency_ns` histograms.
-    /// Header-only reads ([`load_meta`](Self::load_meta) and listings)
-    /// stay unrecorded — they run per stored file and would drown the
-    /// full-materialization signal.
-    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.telemetry = Some(StoreTelemetry {
-            save_latency: telemetry.histogram(names::STORE_SAVE_LATENCY_NS, &[]),
-            load_latency: telemetry.histogram(names::STORE_LOAD_LATENCY_NS, &[]),
-        });
-        self
-    }
-
-    /// Attaches the incident journal: every transient I/O error a
-    /// [`save`](Self::save) or [`load`](Self::load) retries past is then
-    /// recorded as a `store.retry` event (fields: `op`, `attempt`,
-    /// `error`), so a flaky disk shows up in the run's causal record and
-    /// not just as latency.
-    pub fn with_journal(mut self, journal: Arc<Journal>) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Journals one retried transient error (no-op without a journal).
-    fn journal_retry(&self, op: &str, attempt: u32, err: &CoreError) {
-        if let Some(journal) = &self.journal {
-            journal.record(
-                JournalSeverity::Warn,
-                journal_sites::STORE_RETRY,
-                &[
-                    ("op", op),
-                    ("attempt", &attempt.to_string()),
-                    ("error", &err.to_string()),
-                ],
-            );
-        }
     }
 
     /// The store's directory.
@@ -263,7 +209,6 @@ impl ProfileStore {
     /// never silently deleted on a flaky disk (listings skip `.tmp`
     /// files; re-saving the id overwrites it).
     pub fn save(&self, db: &ProfileDb) -> Result<String, CoreError> {
-        let start = self.telemetry.as_ref().map(|_| Instant::now());
         let base = format!(
             "run-{:020}-{}",
             db.meta().started.0,
@@ -282,14 +227,10 @@ impl ProfileStore {
             match self.try_save(db, &tmp, &id) {
                 Ok(()) => break,
                 Err(e) if is_transient(&e) && attempt < IO_ATTEMPTS => {
-                    self.journal_retry("save", attempt, &e);
                     std::thread::sleep(backoff(attempt));
                 }
                 Err(e) => return Err(e),
             }
-        }
-        if let (Some(t), Some(start)) = (&self.telemetry, start) {
-            t.save_latency.record(elapsed_ns(start));
         }
         Ok(id)
     }
@@ -317,23 +258,17 @@ impl ProfileStore {
     /// Loads the full profile (tree + timeline) of a stored run.
     /// Transient I/O errors are retried like [`save`](Self::save)'s.
     pub fn load(&self, id: &str) -> Result<ProfileDb, CoreError> {
-        let start = self.telemetry.as_ref().map(|_| Instant::now());
         let mut attempt = 0u32;
-        let db = loop {
+        loop {
             attempt += 1;
             match self.try_load(id) {
-                Ok(db) => break db,
+                Ok(db) => return Ok(db),
                 Err(e) if is_transient(&e) && attempt < IO_ATTEMPTS => {
-                    self.journal_retry("load", attempt, &e);
                     std::thread::sleep(backoff(attempt));
                 }
                 Err(e) => return Err(e),
             }
-        };
-        if let (Some(t), Some(start)) = (&self.telemetry, start) {
-            t.load_latency.record(elapsed_ns(start));
         }
-        Ok(db)
     }
 
     /// One full-materialization read attempt.
@@ -408,13 +343,11 @@ impl ProfileStore {
     /// The trend of a numeric metadata key across the runs matching
     /// `filter`, in wall-clock start order.
     ///
-    /// This is how the self-telemetry embeds become trendable: the
-    /// profiler's `finish` stamps `telemetry.*` keys (drop rate, max
-    /// queue depth, flush p99, …) into each run's metadata, and
-    /// `meta_trend(&filter, "telemetry.flush_p99_ns")` charts that
-    /// overhead figure across stored runs. Only each file's metadata
-    /// header is read; runs without the key (or with a non-numeric
-    /// value) are skipped, so pre-telemetry runs simply don't plot.
+    /// The key is looked up in each run's [`ProfileMeta::extra`] pairs —
+    /// whatever the caller stamped there before saving — and its value
+    /// parsed as a number. Only each file's metadata header is read;
+    /// runs without the key (or with a non-numeric value) are skipped,
+    /// so runs that never carried it simply don't plot.
     pub fn meta_trend(&self, filter: &RunFilter, key: &str) -> Result<Vec<TrendPoint>, CoreError> {
         let mut points = Vec::new();
         for run in self.list_filtered(filter)? {
@@ -435,11 +368,6 @@ impl ProfileStore {
         }
         Ok(points)
     }
-}
-
-/// Nanoseconds since `start`, saturating at `u64::MAX`.
-fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Lowercases `name` to `[a-z0-9-]`, for use inside a run id / filename.
@@ -466,7 +394,7 @@ fn sanitize(name: &str) -> String {
 pub(crate) mod tests {
     use super::*;
     use crate::RegressionRule;
-    use deepcontext_core::{CallingContextTree, Frame};
+    use deepcontext_core::{journal_sites, CallingContextTree, Frame};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn temp_store() -> (PathBuf, ProfileStore) {
@@ -580,7 +508,8 @@ pub(crate) mod tests {
         late.meta_mut()
             .extra
             .push(("telemetry.flush_p99_ns".to_string(), "4096".to_string()));
-        // No key at all: a pre-telemetry run that must not plot.
+        // Earlier builds stamped `telemetry.*` keys; any key in `extra`
+        // trends the same way. No key at all: a run that must not plot.
         let plain = profile("unet", "h", 3, 10.0);
         store.save(&early).unwrap();
         store.save(&late).unwrap();
@@ -597,33 +526,6 @@ pub(crate) mod tests {
             .meta_trend(&RunFilter::any(), "telemetry.absent")
             .unwrap()
             .is_empty());
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn telemetry_records_save_and_load_latency() {
-        use deepcontext_telemetry::TelemetryConfig;
-        let telemetry = Telemetry::from_config(&TelemetryConfig::enabled()).unwrap();
-        let (dir, store) = temp_store();
-        let store = store.with_telemetry(&telemetry);
-        let id = store.save(&profile("unet", "h", 1, 1.0)).unwrap();
-        store.load(&id).unwrap();
-        store.load_meta(&id).unwrap();
-
-        let snapshot = telemetry.snapshot();
-        assert_eq!(
-            snapshot
-                .histogram_merged(names::STORE_SAVE_LATENCY_NS)
-                .count,
-            1
-        );
-        // load_meta is header-only and intentionally unrecorded.
-        assert_eq!(
-            snapshot
-                .histogram_merged(names::STORE_LOAD_LATENCY_NS)
-                .count,
-            1
-        );
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -740,30 +642,6 @@ pub(crate) mod tests {
             .list_filtered(&RunFilter::any().incident(journal_sites::STORE_RETRY))
             .unwrap()
             .is_empty());
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn store_journal_records_retry_attempts() {
-        use deepcontext_core::Interner;
-        use deepcontext_telemetry::JournalConfig;
-        let journal = Journal::from_config(&JournalConfig::enabled(), &Interner::new(), None)
-            .expect("enabled config builds");
-        let (dir, store) = temp_store();
-        let store = store
-            .with_failpoints(Failpoints::parse("store_io_err@first;store_read_err@first").unwrap())
-            .with_journal(Arc::clone(&journal));
-        let id = store.save(&profile("unet", "h", 1, 1.0)).unwrap();
-        store.load(&id).unwrap();
-        let snap = journal.snapshot();
-        let retries: Vec<_> = snap.events_at(journal_sites::STORE_RETRY).collect();
-        assert_eq!(retries.len(), 2, "one retried save, one retried load");
-        assert_eq!(retries[0].fields[0], ("op".to_string(), "save".to_string()));
-        assert_eq!(retries[1].fields[0], ("op".to_string(), "load".to_string()));
-        assert!(retries
-            .iter()
-            .all(|e| e.fields.iter().any(|(k, v)| k == "attempt" && v == "1")));
-        assert!(retries.iter().all(|e| e.severity == 1), "retries warn");
         fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -69,7 +69,8 @@ impl<'a> ProfileView<'a> {
     }
 
     /// The incident journal persisted with this profile (`None` for
-    /// live previews and for runs collected without journaling). The
+    /// live previews and for runs recorded by a build without the
+    /// journal, this one included). The
     /// [`IncidentRule`](crate::IncidentRule) correlates its events with
     /// the profile's artifacts.
     pub fn journal(&self) -> Option<&'a StoredJournal> {

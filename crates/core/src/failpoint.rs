@@ -26,9 +26,10 @@
 //! The `DEEPCONTEXT_FAILPOINTS` environment variable only *seeds*
 //! registries: every [`from_env`] call parses the spec into a registry of
 //! its own, so two profilers (or two stores) in one process count their
-//! own hits and report their own fires. Probabilistic triggers draw from
-//! a per-point xorshift64* stream seeded by `DEEPCONTEXT_FAILPOINT_SEED`,
-//! so a run is reproducible from its spec + seed alone. A malformed
+//! own hits and fires ([`Failpoints::hits`], [`Failpoints::fired`]).
+//! Probabilistic triggers draw from a per-point xorshift64* stream seeded
+//! by `DEEPCONTEXT_FAILPOINT_SEED`, so a run is reproducible from its
+//! spec + seed alone. A malformed
 //! clause, a site outside [`sites::ALL`] or an unparseable seed makes
 //! [`from_env`] panic with the variable and the culprit named, rather
 //! than quietly inject nothing. Tests construct
@@ -45,7 +46,7 @@
 //! [`from_env`]: Failpoints::from_env
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Well-known injection-site names, so call sites and CI specs agree on
@@ -96,35 +97,12 @@ struct Point {
     rng: AtomicU64,
 }
 
-/// A callback invoked every time a failpoint actually fires, with the
-/// point's name and the numbered site (if any) it fired at. The incident
-/// journal installs one so injected faults appear in the run's causal
-/// record alongside the symptoms they provoked.
-pub type FireObserver = Box<dyn Fn(&str, Option<u64>) + Send + Sync>;
-
 /// A parsed fault-injection registry. Cloning is cheap (an `Arc` bump)
 /// and clones share hit/fired counters, so a test can keep a handle to
 /// the registry it injected and observe how often each point tripped.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Failpoints {
     points: Arc<Vec<Point>>,
-    /// Fire observer, shared by clones (replaceable; see
-    /// [`observe_fires`]).
-    ///
-    /// [`observe_fires`]: Failpoints::observe_fires
-    observer: Arc<RwLock<Option<FireObserver>>>,
-}
-
-impl std::fmt::Debug for Failpoints {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Failpoints")
-            .field("points", &self.points)
-            .field(
-                "observed",
-                &self.observer.read().map(|o| o.is_some()).unwrap_or(false),
-            )
-            .finish()
-    }
 }
 
 impl PartialEq for Failpoints {
@@ -155,7 +133,6 @@ impl Failpoints {
     pub fn disabled() -> Failpoints {
         Failpoints {
             points: Arc::new(Vec::new()),
-            observer: Arc::new(RwLock::new(None)),
         }
     }
 
@@ -196,14 +173,13 @@ impl Failpoints {
         }
         Ok(Failpoints {
             points: Arc::new(points),
-            observer: Arc::new(RwLock::new(None)),
         })
     }
 
     /// A fresh registry parsed from `DEEPCONTEXT_FAILPOINTS`
     /// (+ `DEEPCONTEXT_FAILPOINT_SEED`): the environment is read once per
     /// process, the spec is parsed once per call, so every caller counts
-    /// its own hits and installs its own fire observer.
+    /// its own hits and fires.
     ///
     /// # Panics
     ///
@@ -231,16 +207,6 @@ impl Failpoints {
     /// guard every injection site starts with.
     pub fn is_active(&self) -> bool {
         !self.points.is_empty()
-    }
-
-    /// Installs a callback invoked (from the checking thread, with the
-    /// point name and numbered site) every time a point actually fires.
-    /// The latest installer wins; clones share the observer just as they
-    /// share counters.
-    pub fn observe_fires(&self, observer: FireObserver) {
-        if let Ok(mut slot) = self.observer.write() {
-            *slot = Some(observer);
-        }
     }
 
     /// Checks the named point with no site argument. `shard`-triggered
@@ -327,11 +293,6 @@ impl Failpoints {
         };
         if fire {
             point.fired.fetch_add(1, Ordering::Relaxed);
-            if let Ok(slot) = self.observer.read() {
-                if let Some(observer) = slot.as_ref() {
-                    observer(name, site);
-                }
-            }
         }
         fire
     }
@@ -488,30 +449,6 @@ mod tests {
         let seed = error("fold_stall@first", Some("0x2a"));
         assert!(seed.starts_with("DEEPCONTEXT_FAILPOINT_SEED: "), "{seed}");
         assert!(seed.contains("`0x2a`"), "{seed}");
-    }
-
-    #[test]
-    fn observer_sees_fires_only_and_latest_install_wins() {
-        use std::sync::Mutex;
-        type Seen = Arc<Mutex<Vec<(String, Option<u64>)>>>;
-        let fp = Failpoints::parse("a@every2;b@shard1").unwrap();
-        // The first observer is replaced before anything fires.
-        fp.observe_fires(Box::new(|_, _| panic!("replaced observer must not fire")));
-        let seen: Seen = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        // Installed through a clone: clones share the observer slot.
-        fp.clone().observe_fires(Box::new(move |name, site| {
-            sink.lock().unwrap().push((name.to_string(), site));
-        }));
-        assert!(!fp.should_fire("a"));
-        assert!(fp.should_fire("a"));
-        assert!(fp.should_fire_at("b", 1));
-        assert!(!fp.should_fire_at("b", 0));
-        assert_eq!(
-            *seen.lock().unwrap(),
-            vec![("a".to_string(), None), ("b".to_string(), Some(1))],
-            "observer fires exactly when the point does"
-        );
     }
 
     #[test]

@@ -1,21 +1,30 @@
 //! The incident journal's persistent form.
 //!
-//! The live journal — a bounded, lock-striped ring of structured
-//! lifecycle events — lives in `deepcontext-telemetry`. Its *stored*
-//! shape lives here, next to [`StoredTimeline`](crate::StoredTimeline)
-//! and for the same reason: [`ProfileDb`](crate::ProfileDb) embeds the
-//! journal tail so a saved run carries its own incident history
-//! (flush boundaries, store retries, failpoint fires — and, in files
-//! saved while ingestion had queues and workers, supervisor transitions,
-//! shard quarantines and drop storms: sites are stored as strings, so
-//! those still load), and the database crate cannot depend on
-//! the telemetry machinery without a cycle. The telemetry crate converts
-//! to this form (`JournalSnapshot::to_stored`) and the analyzer reads it
-//! back to correlate incidents with profile artifacts.
+//! Earlier builds could keep a live incident journal — a bounded ring
+//! of structured lifecycle events — and [`ProfileDb`](crate::ProfileDb)
+//! embedded its tail, so a saved run carried its own incident history:
+//! flush boundaries, store retries, failpoint fires and, in files saved
+//! while ingestion had queues and workers, supervisor transitions, shard
+//! quarantines and drop storms (sites are stored as strings, so those
+//! still load). Nothing records a journal any more, but profiles on disk
+//! must keep loading: this is their stored shape, next to
+//! [`StoredTimeline`](crate::StoredTimeline). The container reads and
+//! re-writes it, the Chrome exporter renders it and the analyzer's
+//! `IncidentRule` cites it.
 
 use std::sync::Arc;
 
 use crate::json::escape_into;
+
+/// Well-known journal site names, so stored profiles and the analyzer
+/// rules that read them agree on spelling.
+pub mod journal_sites {
+    /// `ProfileStore` retry-with-backoff attempt (fields: `op`,
+    /// `attempt`, `error`).
+    pub const STORE_RETRY: &str = "store.retry";
+    /// A fault-injection point fired (fields: `name`, optional `at`).
+    pub const FAILPOINT_FIRE: &str = "failpoint.fire";
+}
 
 /// One journaled lifecycle event in its persistent form: the sequence
 /// number and monotonic timestamp it was recorded with, its severity,
@@ -26,8 +35,8 @@ pub struct StoredJournalEvent {
     /// Global sequence number: the total order events were recorded in,
     /// across every ring stripe.
     pub seq: u64,
-    /// Nanoseconds since the journal's epoch (the telemetry epoch when
-    /// telemetry is on, so incidents line up with self-timeline
+    /// Nanoseconds since the journal's epoch (the self-timeline's epoch
+    /// when the run recorded both, so incidents line up with its
     /// intervals).
     pub ts_ns: u64,
     /// Severity: 0 = info, 1 = warning, 2 = error (see

@@ -1,7 +1,6 @@
 //! The workspace's one JSON string escaper and one `fmt`-free integer
 //! writer, shared by every hand-rolled text writer (journal JSONL,
-//! Chrome trace, flame-graph JSON, telemetry JSON, the profile
-//! container).
+//! Chrome trace, flame-graph JSON, the profile container).
 
 use std::fmt::Write as _;
 

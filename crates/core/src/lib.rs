@@ -54,7 +54,7 @@ pub use failpoint::Failpoints;
 pub use frame::{CallPath, Frame, FrameKey, FrameKind, OpPhase, ThreadRole};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use interner::{Interner, Sym};
-pub use journal::{severity_label, StoredJournal, StoredJournalEvent};
+pub use journal::{journal_sites, severity_label, StoredJournal, StoredJournalEvent};
 pub use metrics::{MetricKind, MetricStat, MetricStore, StallReason};
 pub use path::{LivePath, PathEntries, PathHandle, PathId, PathMemo, PathTable};
 pub use shard::CctShard;

@@ -49,25 +49,26 @@ pub struct TrackKey {
 }
 
 impl TrackKey {
-    /// The device id reserved for the profiler's *self-timeline*: when
-    /// self-telemetry is on, snapshot folds are recorded as intervals on
-    /// this device's [`SELF_STREAM_FOLD`](Self::SELF_STREAM_FOLD) so
-    /// exporters can render the profiler's own execution next to the
-    /// workload it profiled. No simulated GPU can claim it (real device
-    /// ids count up from zero), and because it sorts last the self
-    /// track always renders below the workload tracks.
+    /// The device id reserved for the profiler's *self-timeline*. Earlier
+    /// builds could record snapshot folds as intervals on this device's
+    /// [`SELF_STREAM_FOLD`](Self::SELF_STREAM_FOLD); nothing records
+    /// there now, but stored timelines that carry such tracks still load
+    /// and render as the profiler's own process. No simulated GPU can
+    /// claim it (real device ids count up from zero), and because it
+    /// sorts last the self track always renders below the workload
+    /// tracks.
     ///
     /// Self-interval timestamps are wall-clock nanoseconds since the
-    /// telemetry session's epoch — a different time domain from the
+    /// recording session's epoch — a different time domain from the
     /// workload's virtual clock, which is acceptable precisely because
     /// the tracks never interleave.
     pub const SELF_DEVICE: u32 = u32::MAX;
 
-    /// Self-timeline stream carrying incremental snapshot-fold
-    /// intervals — the only self stream anything records.
+    /// Self-timeline stream that carried incremental snapshot-fold
+    /// intervals — the last self stream any build recorded.
     pub const SELF_STREAM_FOLD: u32 = 1_001;
 
-    /// A track on the reserved self-telemetry device.
+    /// A track on the reserved self-timeline device.
     pub fn self_track(stream: u32) -> TrackKey {
         TrackKey {
             device: TrackKey::SELF_DEVICE,

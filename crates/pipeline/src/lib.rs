@@ -34,23 +34,13 @@
 
 pub mod directory;
 pub mod failpoint;
-pub mod self_telemetry;
 pub mod sharded;
 pub mod sink;
 
 pub use directory::{Binding, DirectoryMapKind, StripedHashDirectory};
 pub use failpoint::Failpoints;
-pub use self_telemetry::PipelineTelemetry;
 pub use sharded::{ShardedSink, SinkOptions};
 pub use sink::{attribute_activity_metrics, EventSink, SinkCounters};
-
-// The self-telemetry types the profiler speaks (see
-// `SinkOptions::telemetry`), re-exported for the same reason.
-pub use deepcontext_telemetry::{
-    default_journal_config, default_journal_enabled, default_telemetry_config,
-    default_telemetry_enabled, journal_sites, HealthReport, Journal, JournalConfig,
-    JournalSeverity, Telemetry, TelemetryConfig, TelemetrySnapshot,
-};
 
 // The timeline types every sink speaks (see `EventSink::timeline_snapshot`
 // and `SinkOptions::timeline`), re-exported so embedders need no

@@ -45,23 +45,20 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard};
 
 use deepcontext_core::failpoint::sites as fp_sites;
 use deepcontext_core::{
     CallingContextTree, CctShard, Failpoints, FoldState, Interner, Interval, IntervalKind,
-    MetricKind, NodeId, PathHandle, PathId, Sym, TimeNs, TrackKey,
-};
-use deepcontext_telemetry::{
-    journal_sites, Journal, JournalConfig, JournalSeverity, TelemetryConfig,
+    MetricKind, NodeId, PathHandle, PathId, Sym, TrackKey,
 };
 use deepcontext_timeline::{TimelineConfig, TimelineSink, TimelineSnapshot};
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind};
 
 use crate::directory::{mix, Binding, StripedHashDirectory, DIR_ENTRY_BYTES};
-use crate::self_telemetry::PipelineTelemetry;
 use crate::sink::{attribute_activity_metrics, EventSink, SinkCounters};
 
 /// The memoized fold of all shards: the merged master tree, the
@@ -113,23 +110,6 @@ pub struct SinkOptions {
     /// attributed by the sink also appends a context-tagged interval to
     /// a bounded per-shard ring (see [`EventSink::timeline_snapshot`]).
     pub timeline: TimelineConfig,
-    /// Self-telemetry: when enabled, the sink registers its instruments
-    /// once and records shard-lock hold times, snapshot fold latencies,
-    /// and interner/ring occupancy as it runs; when additionally
-    /// `self_timeline` and the timeline are on, folds are recorded as
-    /// intervals on the reserved [`TrackKey::SELF_DEVICE`] track so the
-    /// exported trace shows the profiler's own execution.
-    pub telemetry: TelemetryConfig,
-    /// The incident journal: when enabled, the sink builds the ring —
-    /// attached to the same telemetry session as its own instruments, so
-    /// journal timestamps, self-timeline intervals and the
-    /// `deepcontext_journal_*` counters share one clock/registry — and
-    /// records the barrier-anchored flush-boundary event at every
-    /// [`EventSink::epoch_complete`]. The profiler picks the handle up
-    /// from [`ShardedSink::journal`] for failpoint fires and hands it to
-    /// the profile store for retries — one causally ordered record per
-    /// run.
-    pub journal: JournalConfig,
     /// Fault-injection registry for the directory-bind and snapshot-fold
     /// stall sites. The default parses the `DEEPCONTEXT_FAILPOINTS`
     /// environment spec into a registry of this sink's own; tests pass
@@ -143,8 +123,6 @@ impl Default for SinkOptions {
             shards: 16,
             snapshot_cache: true,
             timeline: TimelineConfig::default(),
-            telemetry: TelemetryConfig::default(),
-            journal: JournalConfig::default(),
             failpoints: Failpoints::from_env(),
         }
     }
@@ -173,17 +151,11 @@ pub struct ShardedSink {
     /// The interned `"memcpy"` display name, so memcpy records skip even
     /// the thread-local intern cache on the timeline tap.
     memcpy_sym: Sym,
-    /// Self-telemetry instruments (`None` = telemetry off, the default;
-    /// every instrumentation site is then a single `Option` branch).
-    telemetry: Option<Arc<PipelineTelemetry>>,
     /// Deterministic fault-injection registry (directory-bind and
     /// snapshot-fold stall sites live in this sink). Disabled unless the
     /// `DEEPCONTEXT_FAILPOINTS` spec names one of them; every check is
     /// then one branch on an empty list.
     failpoints: Failpoints,
-    /// The incident journal (`None` = journaling off, the default). The
-    /// sink itself records only the flush-boundary event.
-    journal: Option<Arc<Journal>>,
     /// Last-known `CctShard::approx_bytes` per shard, refreshed while the
     /// shard lock is already held at batch boundaries, so peak tracking
     /// never sweeps every shard lock.
@@ -194,6 +166,7 @@ pub struct ShardedSink {
     peak_bytes: AtomicUsize,
     snapshot_merges: AtomicU64,
     shards_skipped: AtomicU64,
+    fold_ns: AtomicU64,
 }
 
 impl ShardedSink {
@@ -212,16 +185,8 @@ impl ShardedSink {
     /// Creates a sink from explicit [`SinkOptions`].
     pub fn with(interner: Arc<Interner>, options: SinkOptions) -> Arc<Self> {
         let n = options.shards.max(1);
-        let telemetry = PipelineTelemetry::from_config(&options.telemetry, &interner);
-        let journal = Journal::from_config(
-            &options.journal,
-            &interner,
-            telemetry.as_deref().map(|t| t.handle()),
-        );
         Arc::new(ShardedSink {
-            telemetry,
             failpoints: options.failpoints,
-            journal,
             timeline: options
                 .timeline
                 .enabled
@@ -241,6 +206,7 @@ impl ShardedSink {
             peak_bytes: AtomicUsize::new(0),
             snapshot_merges: AtomicU64::new(0),
             shards_skipped: AtomicU64::new(0),
+            fold_ns: AtomicU64::new(0),
         })
     }
 
@@ -263,85 +229,6 @@ impl ShardedSink {
     /// rings.
     pub fn timeline_enabled(&self) -> bool {
         self.timeline.is_some()
-    }
-
-    /// The self-telemetry instruments, when telemetry is enabled. The
-    /// profiler snapshots [`PipelineTelemetry::handle`] for health
-    /// reports and exports.
-    pub fn telemetry(&self) -> Option<&Arc<PipelineTelemetry>> {
-        self.telemetry.as_ref()
-    }
-
-    /// The incident journal, when journaling is enabled. The profiler
-    /// picks the handle up from here so every layer appends to one
-    /// causally ordered record.
-    pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.journal.as_ref()
-    }
-
-    /// The fault-injection registry this sink consults. The profiler
-    /// installs its fire observer here so injected faults land in the
-    /// incident journal.
-    pub fn failpoints(&self) -> &Failpoints {
-        &self.failpoints
-    }
-
-    /// Records one self-timeline interval (`[start_ns, end_ns)` in the
-    /// telemetry clock domain) onto the reserved self track `stream`.
-    /// A no-op unless telemetry, its self-timeline switch, *and* the
-    /// timeline rings are all on.
-    fn record_self_interval(&self, stream: u32, start_ns: u64, end_ns: u64, name: Sym) {
-        let (Some(telemetry), Some(timeline)) = (&self.telemetry, &self.timeline) else {
-            return;
-        };
-        if !telemetry.self_timeline_enabled() {
-            return;
-        }
-        // Self intervals ride the ring of the shard the stream hashes
-        // to, spreading the (tiny) self-traffic across rings instead of
-        // hot-spotting shard 0.
-        let idx = stream as usize % self.shards.len();
-        timeline.record(
-            idx,
-            Interval {
-                track: TrackKey::self_track(stream),
-                start: TimeNs(start_ns),
-                end: TimeNs(end_ns),
-                kind: IntervalKind::Kernel,
-                name,
-                correlation: 0,
-                context: None,
-            },
-        );
-    }
-
-    /// Starts a shard-lock hold-time measurement (`None` when telemetry
-    /// is off). Pair with [`note_lock_hold`](Self::note_lock_hold)
-    /// before the guard drops.
-    fn lock_hold_start(&self) -> Option<u64> {
-        self.telemetry.as_ref().map(|t| t.now_ns())
-    }
-
-    /// Completes a shard-lock hold-time measurement.
-    fn note_lock_hold(&self, start: Option<u64>) {
-        if let (Some(t), Some(start)) = (&self.telemetry, start) {
-            t.shard_lock_hold.record(t.now_ns().saturating_sub(start));
-        }
-    }
-
-    /// Refreshes the interner / timeline-ring occupancy gauges. Called
-    /// from epoch boundaries (cold path — sizing the rings takes their
-    /// locks).
-    fn note_occupancy(&self) {
-        if let Some(t) = &self.telemetry {
-            t.interner_bytes.set(self.interner.approx_bytes() as u64);
-            t.ring_bytes.set(
-                self.timeline
-                    .as_ref()
-                    .map(TimelineSink::approx_bytes)
-                    .unwrap_or(0) as u64,
-            );
-        }
     }
 
     /// Number of shards that have recorded anything — used by routing
@@ -546,7 +433,6 @@ impl ShardedSink {
         let (mut activities, mut orphans, mut samples) = (0u64, 0u64, 0u64);
         let pruned = {
             let mut shard = self.shards[idx].lock();
-            let hold = self.lock_hold_start();
             for (activity, path) in records {
                 let (orphaned, sampled) = self.attribute_activity(idx, &mut shard, activity, path);
                 activities += 1;
@@ -555,7 +441,6 @@ impl ShardedSink {
             }
             let pruned = shard.end_batch();
             self.close_boundary(idx, &mut shard);
-            self.note_lock_hold(hold);
             pruned
         };
         self.retire(&pruned);
@@ -584,26 +469,19 @@ impl ShardedSink {
         self.retire(&pruned);
     }
 
-    /// Sheds the directory stripes' high-water capacity — the cross-shard
-    /// portion of a flush boundary, run after every shard's
-    /// [`epoch_complete_shard`](Self::epoch_complete_shard) — and
-    /// refreshes the occupancy gauges at the same cadence.
-    fn trim_directory(&self) {
-        self.directory.trim();
-        self.note_occupancy();
-    }
-
     /// Brings the snapshot cache up to date: folds every shard whose
     /// dirty generation advanced since the last refresh and skips the
     /// rest. Each shard lock is held only while that one shard is
     /// inspected/folded (cache → shard is the only lock order involving
-    /// the cache, so ingestion never deadlocks against refreshes).
+    /// the cache, so ingestion never deadlocks against refreshes). A
+    /// refresh that folded at least one shard adds its wall time, from
+    /// the first dirty shard on, to [`SinkCounters::fold_ns`]; a clean
+    /// one reads no clock and adds nothing.
     fn refresh_cache(&self, cache: &mut Option<SnapshotCache>) {
         self.failpoints.stall_at(fp_sites::FOLD_STALL, 0);
         let cache =
             cache.get_or_insert_with(|| SnapshotCache::empty(&self.interner, self.shards.len()));
-        let fold_start = self.telemetry.as_ref().map(|t| t.now_ns());
-        let mut folded = 0u32;
+        let mut start = None;
         for idx in 0..self.shards.len() {
             let shard = self.settled(idx);
             let generation = shard.generation();
@@ -611,22 +489,17 @@ impl ShardedSink {
                 self.shards_skipped.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
+            start.get_or_insert_with(Instant::now);
             // Copy-on-write only when a reader still holds the previous
             // snapshot handle; clean refreshes never reach this line, so
             // an idle profile costs nothing.
             Arc::make_mut(&mut cache.master).merge_incremental(shard.tree(), &mut cache.folds[idx]);
             cache.generations[idx] = generation;
             self.snapshot_merges.fetch_add(1, Ordering::Relaxed);
-            folded += 1;
         }
-        if let (Some(t), Some(start)) = (&self.telemetry, fold_start) {
-            // Clean refreshes (every shard skipped) stay out of the fold
-            // histogram — they would drown the signal in near-zeros.
-            if folded > 0 {
-                let end = t.now_ns();
-                t.fold_latency.record(end.saturating_sub(start));
-                self.record_self_interval(TrackKey::SELF_STREAM_FOLD, start, end, t.fold_sym);
-            }
+        if let Some(start) = start {
+            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.fold_ns.fetch_add(ns, Ordering::Relaxed);
         }
     }
 
@@ -707,12 +580,7 @@ impl EventSink for ShardedSink {
             self.epoch_complete_shard(idx);
         }
         // Directory stripes shed their high-water capacity too.
-        self.trim_directory();
-        // One journal event per flush boundary (the equivalence suite
-        // counts them).
-        if let Some(journal) = &self.journal {
-            journal.record(JournalSeverity::Info, journal_sites::PIPELINE_EPOCH, &[]);
-        }
+        self.directory.trim();
     }
 
     fn snapshot(&self) -> CallingContextTree {
@@ -805,6 +673,7 @@ impl EventSink for ShardedSink {
             peak_bytes: self.peak_bytes.load(Ordering::Relaxed),
             snapshot_merges: self.snapshot_merges.load(Ordering::Relaxed),
             shards_skipped: self.shards_skipped.load(Ordering::Relaxed),
+            fold_ns: self.fold_ns.load(Ordering::Relaxed),
             timeline_intervals: timeline.recorded,
             timeline_dropped: timeline.dropped,
             ..SinkCounters::default()

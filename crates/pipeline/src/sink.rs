@@ -123,6 +123,10 @@ pub struct SinkCounters {
     /// generation had not advanced — direct evidence the snapshot cache
     /// is being hit.
     pub shards_skipped: u64,
+    /// Wall-clock nanoseconds snapshot reads spent refreshing the cache,
+    /// counting only refreshes that folded at least one shard — what a
+    /// live read costs the profiler.
+    pub fold_ns: u64,
     /// Kernel/memcpy intervals recorded into the timeline rings (zero
     /// when `ProfilerConfig::timeline` is off).
     pub timeline_intervals: u64,

@@ -13,16 +13,13 @@
 //! * **nothing waits**: every launch and CPU sample driven so far is in
 //!   the snapshot, whether or not a batch or boundary followed it.
 //!
-//! And once the stream closes: the correlation directory is empty, every
-//! kernel/memcpy record produced one timeline interval, and the journal
-//! holds one `pipeline.epoch` event per boundary driven.
+//! And once the stream closes: the correlation directory is empty and
+//! every kernel/memcpy record produced one timeline interval.
 
 use std::sync::Arc;
 
 use deepcontext_core::{Frame, Interner, MetricKind, PathHandle, StallReason, TimeNs};
-use deepcontext_pipeline::{
-    journal_sites, EventSink, Failpoints, JournalConfig, ShardedSink, SinkOptions, TimelineConfig,
-};
+use deepcontext_pipeline::{EventSink, Failpoints, ShardedSink, SinkOptions, TimelineConfig};
 use dlmonitor::EventOrigin;
 use proptest::prelude::*;
 use sim_gpu::{Activity, ActivityKind, ApiKind, CorrelationId, DeviceId, PcSample, StreamId};
@@ -172,7 +169,6 @@ fn check_interleaving(steps: &[Step]) {
             SinkOptions {
                 shards,
                 timeline: TimelineConfig::enabled(),
-                journal: JournalConfig::enabled(),
                 failpoints: Failpoints::disabled(),
                 ..SinkOptions::default()
             },
@@ -295,14 +291,6 @@ fn check_interleaving(steps: &[Step]) {
                 shards
             );
         }
-        let epochs = 1 + steps.iter().filter(|s| matches!(s, Step::Epoch)).count();
-        let journal = sink.journal().expect("journal on").snapshot();
-        prop_assert_eq!(
-            journal.events_at(journal_sites::PIPELINE_EPOCH).count(),
-            epochs,
-            "one journal event per boundary ({} shards)",
-            shards
-        );
         prop_assert_eq!(sink.counters().orphans, 0);
         finished.push(sink.finish_snapshot());
     }

@@ -48,24 +48,37 @@ use sim_runtime::{RuntimeEnv, SampleKind, SamplerId};
 // The ingestion pipeline lives in its own crate so the profiler, the
 // benchmarks and external embedders share one implementation.
 pub use deepcontext_pipeline::{
-    attribute_activity_metrics, default_journal_config, default_journal_enabled,
-    default_telemetry_config, default_telemetry_enabled, default_timeline_config,
-    default_timeline_enabled, journal_sites, DirectoryMapKind, EventSink, Failpoints, HealthReport,
-    IngestionMode, Journal, JournalConfig, JournalSeverity, PipelineConfig, PipelineTelemetry,
-    ShardedSink, SinkCounters, SinkOptions, Telemetry, TelemetryConfig, TelemetrySnapshot,
-    TimelineConfig, TimelineSnapshot, TimelineStats, DEFAULT_LAUNCH_BATCH,
+    attribute_activity_metrics, default_timeline_config, default_timeline_enabled,
+    DirectoryMapKind, EventSink, Failpoints, IngestionMode, PipelineConfig, ShardedSink,
+    SinkCounters, SinkOptions, TimelineConfig, TimelineSnapshot, TimelineStats,
+    DEFAULT_LAUNCH_BATCH,
 };
 
 /// The default ingestion shard count, honouring the
 /// `DEEPCONTEXT_TEST_SHARDS` environment override CI uses to run the
 /// whole suite under both the historical single-lock layout (`=1`) and
-/// the sharded layout (`=16`). Falls back to 16 when unset or invalid.
+/// the sharded layout (`=16`). Unset means 16.
+///
+/// # Panics
+///
+/// When the variable is set to anything but an integer ≥ 1, naming the
+/// variable and the value: a typo that silently meant 16 would run a
+/// single-shard CI cell on the default layout.
 pub fn default_ingestion_shards() -> usize {
-    std::env::var("DEEPCONTEXT_TEST_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(16)
+    match std::env::var("DEEPCONTEXT_TEST_SHARDS") {
+        Err(std::env::VarError::NotPresent) => 16,
+        value => {
+            let value = value.unwrap_or_else(|e| format!("{e:?}"));
+            value
+                .trim()
+                .parse::<usize>()
+                .ok()
+                .filter(|&n| n >= 1)
+                .unwrap_or_else(|| {
+                    panic!("DEEPCONTEXT_TEST_SHARDS: `{value}` is not an integer ≥ 1")
+                })
+        }
+    }
 }
 
 /// Profiler configuration.
@@ -113,20 +126,6 @@ pub struct ProfilerConfig {
     /// `DEEPCONTEXT_TIMELINE` environment override CI uses flips the
     /// default on.
     pub timeline: TimelineConfig,
-    /// Self-telemetry: the profiler recording metrics about its own
-    /// pipeline (shard-lock hold times, fold latencies, interner and
-    /// ring occupancy — see [`Profiler::health_report`]) and, when the
-    /// timeline is also on, its own execution as intervals on a reserved
-    /// self-timeline track. Off by default; the `DEEPCONTEXT_TELEMETRY`
-    /// environment override flips the default on.
-    pub telemetry: TelemetryConfig,
-    /// Incident journal: a bounded ring of structured lifecycle events
-    /// (flush boundaries, store retries, failpoint fires) kept alongside
-    /// the profile and persisted with it
-    /// ([`Profiler::journal`] for the live handle). Off by default —
-    /// disabled, ingestion pays nothing; the `DEEPCONTEXT_JOURNAL`
-    /// environment override flips the default on.
-    pub journal: JournalConfig,
 }
 
 impl Default for ProfilerConfig {
@@ -145,8 +144,6 @@ impl Default for ProfilerConfig {
             pipeline: PipelineConfig::default(),
             snapshot_cache: true,
             timeline: default_timeline_config(),
-            telemetry: default_telemetry_config(),
-            journal: default_journal_config(),
         }
     }
 }
@@ -195,17 +192,6 @@ pub struct Profiler {
     /// Wall-clock attach time: the start of the run's window. Timeline
     /// snapshots and [`Profiler::finish`] bound idle analysis with it.
     started: TimeNs,
-    /// The pipeline's self-telemetry instruments — set by
-    /// [`Profiler::attach`] when `config.telemetry` is enabled (a
-    /// caller-provided sink carries its own, so
-    /// [`attach_with_sink`](Profiler::attach_with_sink) leaves this
-    /// `None`).
-    telemetry: Option<Arc<PipelineTelemetry>>,
-    /// The incident journal — set by [`Profiler::attach`] when
-    /// [`ProfilerConfig::journal`] is enabled. Every pipeline layer
-    /// appends to this one handle; [`Profiler::finish`] persists its
-    /// snapshot into the profile.
-    journal: Option<Arc<Journal>>,
 }
 
 impl Profiler {
@@ -220,40 +206,18 @@ impl Profiler {
         monitor: &Arc<DlMonitor>,
         gpu: &Arc<GpuRuntime>,
     ) -> Profiler {
-        // One fault-injection registry per profiler: the sink's sites and
-        // the journal's fire observer share it, and nobody else does.
+        // The sink shares the config's fault-injection registry: clones
+        // share counters, so a caller holding one sees this run's fires.
         let sink = ShardedSink::with(
             monitor.interner(),
             SinkOptions {
                 shards: config.ingestion_shards,
                 snapshot_cache: config.snapshot_cache,
                 timeline: config.timeline,
-                telemetry: config.telemetry,
-                journal: config.journal,
                 failpoints: config.pipeline.failpoints.clone(),
             },
         );
-        let telemetry = sink.telemetry().cloned();
-        let journal = sink.journal().cloned();
-        // Injected faults belong in the causal record next to the
-        // symptoms they provoke: route every failpoint fire into the
-        // journal.
-        if let Some(journal) = journal.clone() {
-            sink.failpoints().observe_fires(Box::new(move |name, site| {
-                let at = site.map(|at| at.to_string());
-                let mut fields = vec![("name", name)];
-                fields.extend(at.as_deref().map(|at| ("at", at)));
-                journal.record(
-                    JournalSeverity::Error,
-                    journal_sites::FAILPOINT_FIRE,
-                    &fields,
-                );
-            }));
-        }
-        let mut profiler = Profiler::attach_with_sink(config, env, monitor, gpu, sink);
-        profiler.telemetry = telemetry;
-        profiler.journal = journal;
-        profiler
+        Profiler::attach_with_sink(config, env, monitor, gpu, sink)
     }
 
     /// Attaches a profiler delivering events to a caller-provided sink
@@ -366,8 +330,6 @@ impl Profiler {
             monitor_regs,
             sampler_ids,
             started: env.clock().now(),
-            telemetry: None,
-            journal: None,
         }
     }
 
@@ -388,56 +350,15 @@ impl Profiler {
         self.inner.sink.epoch_complete();
     }
 
-    /// The live incident journal (`None` when
-    /// [`ProfilerConfig::journal`] is off or the sink was
-    /// caller-provided). Snapshot it at any point for a causally
-    /// ordered record of what the pipeline went through:
-    /// `profiler.journal().map(|j| j.snapshot().to_jsonl())` exports
-    /// one JSON object per event for log shippers.
-    pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.journal.as_ref()
-    }
-
-    /// A point-in-time flattening of the incident journal (`None` when
-    /// journaling is off): kept events in order plus the conservation
-    /// counters. [`finish`](Self::finish) persists exactly this into
-    /// the profile database.
-    pub fn journal_snapshot(&self) -> Option<deepcontext_core::StoredJournal> {
-        self.journal.as_ref().map(|j| j.snapshot())
-    }
-
     /// Current approximate profile memory (shards + correlation state).
     pub fn approx_bytes(&self) -> usize {
         self.inner.sink.approx_bytes()
     }
 
-    /// The self-telemetry handle (`None` when
-    /// [`ProfilerConfig::telemetry`] is off or the sink was
-    /// caller-provided). Exposes the registry for exports:
-    /// `profiler.telemetry().map(|t| t.handle().snapshot().to_prometheus())`.
-    pub fn telemetry(&self) -> Option<&Arc<PipelineTelemetry>> {
-        self.telemetry.as_ref()
-    }
-
-    /// A point-in-time copy of every self-telemetry metric (`None` when
-    /// telemetry is off). Feed it to
-    /// [`TelemetrySnapshot::to_prometheus`] /
-    /// [`TelemetrySnapshot::to_json`] for scraping, or to
-    /// [`HealthReport::from_snapshot`] for programmatic decisions.
-    pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.telemetry.as_ref().map(|t| t.handle().snapshot())
-    }
-
-    /// The profiler's own vital signs — today the fold-latency summary —
-    /// over the window from attach to now (`None` when telemetry is
-    /// off).
-    pub fn health_report(&self) -> Option<HealthReport> {
-        self.telemetry
-            .as_ref()
-            .map(|t| HealthReport::from_snapshot(&t.handle().snapshot(), t.now_ns()))
-    }
-
-    /// Activity counters.
+    /// Activity counters — the profiler's one report about itself: what
+    /// it ingested, what it holds (`peak_bytes`) and what its reads cost
+    /// (`fold_ns`, `snapshot_merges`, `shards_skipped`). Every counter is
+    /// always on.
     pub fn stats(&self) -> ProfilerStats {
         let counters = self.inner.sink.counters();
         ProfilerStats {
@@ -532,36 +453,8 @@ impl Profiler {
         self.detach();
         meta.started = self.started;
         meta.ended = ended;
-        // Embed the run's self-telemetry roll-up into the metadata's
-        // free-form pairs: the on-disk format is untouched, header-only
-        // `ProfileStore` listings still see the values, and trend queries
-        // can track profiler overhead across runs.
-        if let Some(telemetry) = &self.telemetry {
-            let report =
-                HealthReport::from_snapshot(&telemetry.handle().snapshot(), telemetry.now_ns());
-            for (key, value) in [
-                ("telemetry.window_ns", report.window_ns.to_string()),
-                ("telemetry.fold_p99_ns", report.fold_latency.p99.to_string()),
-            ] {
-                meta.extra.push((key.to_string(), value));
-            }
-        }
-        // Flatten the incident journal into the database and summarize
-        // it in the header: `journal.sites` lets `ProfileStore` listings
-        // filter runs by incident kind from metadata alone.
-        let journal = self.journal.as_ref().map(|j| j.snapshot());
-        if let Some(journal) = &journal {
-            for (key, value) in [
-                ("journal.events", journal.event_count().to_string()),
-                ("journal.evicted", journal.evicted.to_string()),
-                ("journal.sites", journal.site_summary().join(",")),
-            ] {
-                meta.extra.push((key.to_string(), value));
-            }
-        }
         let mut db = ProfileDb::new(meta, self.inner.sink.finish_snapshot());
         db.set_timeline(timeline);
-        db.set_journal(journal);
         db
     }
 
@@ -986,6 +879,35 @@ mod tests {
     }
 
     #[test]
+    fn fold_ns_counts_reads_that_fold_and_only_those() {
+        let rig = rig();
+        let profiler =
+            Profiler::attach(ProfilerConfig::default(), &rig.env, &rig.monitor, &rig.gpu);
+        run_relu(&rig, 3);
+        profiler.flush();
+        assert_eq!(profiler.stats().fold_ns, 0, "nothing read yet");
+
+        profiler.with_cct(|c| c.node_count());
+        let folded = profiler.stats().fold_ns;
+        assert!(folded > 0, "a cold read folds every shard");
+
+        profiler.with_cct(|c| c.node_count());
+        assert_eq!(
+            profiler.stats().fold_ns,
+            folded,
+            "a clean read folds nothing"
+        );
+
+        run_relu(&rig, 2);
+        profiler.flush();
+        profiler.with_cct(|c| c.node_count());
+        assert!(
+            profiler.stats().fold_ns > folded,
+            "new data dirtied a shard"
+        );
+    }
+
+    #[test]
     fn finish_consumes_the_cache_with_all_data_present() {
         let rig = rig();
         let profiler =
@@ -1029,10 +951,6 @@ mod tests {
                 enabled: true,
                 ring_capacity: 1024,
             },
-            // Pinned off regardless of the DEEPCONTEXT_TELEMETRY matrix:
-            // this test counts exact workload intervals, which the
-            // self-timeline tracks would add to.
-            telemetry: TelemetryConfig::default(),
             ..ProfilerConfig::default()
         };
         let profiler = Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);

@@ -23,11 +23,12 @@
 //! CCT views). A slice whose context is unresolved, outside the tree or
 //! the root itself gets no `sf`.
 //!
-//! [`to_chrome_trace_with_journal`] additionally merges the run's
+//! [`to_chrome_trace_with_journal`] additionally merges a stored run's
 //! incident journal into the `profiler (self)` process as instant
 //! (`"i"`) events on a dedicated `incidents` lane — flush boundaries,
 //! store retries and failpoint fires render as markers right above the
-//! fold swim-lane.
+//! fold swim-lane. Only profiles saved by earlier builds carry a journal
+//! or self tracks; both still render.
 //!
 //! The writer streams: every event is appended straight into one output
 //! buffer sized before the first byte is written, and whatever repeats
@@ -49,8 +50,8 @@ use deepcontext_core::{
 use crate::snapshot::TimelineSnapshot;
 
 /// The `tid` of the incident-journal lane inside the `profiler (self)`
-/// process — right after the fold lane (1001), the one self stream
-/// anything records, so it sorts below it and never shares its track.
+/// process — right after the fold lane (1001), the last self stream
+/// any build recorded, so it sorts below it and never shares its track.
 const INCIDENT_TID: u32 = 1_002;
 
 /// Upper bound on the bytes of one interval event outside its track
@@ -235,15 +236,14 @@ pub fn to_chrome_trace(snapshot: &TimelineSnapshot, cct: Option<&CallingContextT
 /// `incidents` lane of the `profiler (self)` process, named by its site
 /// and carrying its severity, sequence number and key/value fields as
 /// arguments. The self process is emitted even when the snapshot holds
-/// no self intervals (telemetry off, journal on), so the markers always
-/// have a named home.
+/// no self intervals, so the markers always have a named home.
 pub fn to_chrome_trace_with_journal(
     snapshot: &TimelineSnapshot,
     cct: Option<&CallingContextTree>,
     journal: Option<&StoredJournal>,
 ) -> String {
     let journal = journal.filter(|j| !j.is_empty());
-    // The reserved self-telemetry device renders as the profiler's own
+    // The reserved self-timeline device renders as the profiler's own
     // process (it sorts last — after every real GPU — because it is
     // `u32::MAX`); a journal forces it into existence even without self
     // intervals.

@@ -87,15 +87,37 @@ impl TimelineConfig {
 }
 
 /// Whether the `DEEPCONTEXT_TIMELINE` environment override asks for
-/// timeline recording (`1` / `true` / `on`, case-insensitive). Unset or
-/// anything else means off — the timeline is strictly opt-in.
+/// timeline recording: `1` / `true` / `on` or `0` / `false` / `off`,
+/// case-insensitive. Unset means off — the timeline is strictly opt-in.
+///
+/// # Panics
+///
+/// On any other value, naming the variable and the value: a typo that
+/// silently meant "off" would make a timeline run record nothing.
 pub fn default_timeline_enabled() -> bool {
-    std::env::var("DEEPCONTEXT_TIMELINE")
-        .map(|v| {
-            let v = v.trim();
-            v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on")
-        })
-        .unwrap_or(false)
+    match std::env::var("DEEPCONTEXT_TIMELINE") {
+        Err(std::env::VarError::NotPresent) => false,
+        value => {
+            let value = value.unwrap_or_else(|e| format!("{e:?}"));
+            switch(&value).unwrap_or_else(|| {
+                panic!("DEEPCONTEXT_TIMELINE: `{value}` is not one of 0, 1, true, false, on, off")
+            })
+        }
+    }
+}
+
+/// Reads an on/off switch: `1` / `true` / `on` or `0` / `false` / `off`,
+/// case-insensitive, surrounding whitespace ignored.
+fn switch(value: &str) -> Option<bool> {
+    let value = value.trim();
+    let is = |word: &str| value.eq_ignore_ascii_case(word);
+    if is("1") || is("true") || is("on") {
+        Some(true)
+    } else if is("0") || is("false") || is("off") {
+        Some(false)
+    } else {
+        None
+    }
 }
 
 /// The default timeline configuration, honouring the

@@ -384,7 +384,8 @@ impl TimelineSnapshot {
     }
 
     /// [`to_chrome_trace`](Self::to_chrome_trace) plus the incident
-    /// journal: journaled events render as process-scoped instant
+    /// journal of a profile saved by an earlier build (see
+    /// [`StoredJournal`](deepcontext_core::StoredJournal)): its events render as process-scoped instant
     /// markers on an `incidents` lane of the `profiler (self)` process
     /// (see [`chrome`](crate::chrome)).
     pub fn to_chrome_trace_with_journal(
@@ -496,8 +497,9 @@ impl TimelineStats {
     /// bounded by the interval that finished last and the one that
     /// started next.
     ///
-    /// The reserved self-telemetry device ([`TrackKey::SELF_DEVICE`]) is
-    /// excluded: its intervals are timestamped on the telemetry clock,
+    /// The reserved self-timeline device ([`TrackKey::SELF_DEVICE`]),
+    /// which only timelines stored by earlier builds carry, is
+    /// excluded: its intervals are timestamped on the profiler's clock,
     /// not the workload clock, so utilization/idle figures computed over
     /// them would be meaningless — and the latency rules must not flag
     /// the profiler's own bookkeeping lanes as an underutilized GPU.

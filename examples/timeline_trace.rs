@@ -12,12 +12,7 @@
 //! <https://ui.perfetto.dev> to see one swim-lane per stream. Each slice
 //! cites its calling context by `"sf"` id in the trace's `stackFrames`
 //! dictionary, which names every context once; `chrome://tracing` shows
-//! it as the selected slice's "Start Stack Trace". Run with
-//! `DEEPCONTEXT_TELEMETRY=1` to additionally get the `profiler (self)`
-//! process: the profiler's own snapshot folds as slices next to the
-//! workload they serve. Add
-//! `DEEPCONTEXT_JOURNAL=1` and journaled lifecycle incidents render as
-//! instant markers on that process's `incidents` lane.
+//! it as the selected slice's "Start Stack Trace".
 
 use deepcontext::prelude::*;
 
@@ -94,18 +89,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Export the Chrome trace with each slice's calling context, and —
-    // when `DEEPCONTEXT_JOURNAL=1` — the incident journal as instant
-    // markers next to the slices they explain.
-    let journal = profiler.journal_snapshot();
-    if let Some(journal) = &journal {
-        println!(
-            "\nincident journal: {} event(s) recorded ({} evicted)",
-            journal.recorded, journal.evicted
-        );
-    }
-    let trace =
-        profiler.with_cct(|cct| timeline.to_chrome_trace_with_journal(Some(cct), journal.as_ref()));
+    // Export the Chrome trace with each slice's calling context.
+    let trace = profiler.with_cct(|cct| timeline.to_chrome_trace(Some(cct)));
     std::fs::create_dir_all("artifacts")?;
     std::fs::write("artifacts/timeline_trace.json", &trace)?;
     println!(

@@ -14,8 +14,7 @@
 //! | [`monitor`] | `dlmonitor` | the DLMonitor shim layer (§4.1) |
 //! | [`pipeline`] | `deepcontext-pipeline` | event-ingestion pipeline: the `EventSink` contract and the sharded inline-attribution sink |
 //! | [`timeline`] | `deepcontext-timeline` | per-(device, stream) interval tracks, latency analysis, Chrome-trace export |
-//! | [`profiler`] | `deepcontext-profiler` | metric collection & online aggregation (§4.2) |
-//! | [`telemetry`] | `deepcontext-telemetry` | self-telemetry: metrics + health reports about the profiler itself |
+//! | [`profiler`] | `deepcontext-profiler` | metric collection & online aggregation (§4.2); `Profiler::stats()` is its self-report |
 //! | [`analyzer`] | `deepcontext-analyzer` | automated performance analyses (§4.3) |
 //! | [`flamegraph`] | `deepcontext-flamegraph` | GUI views & renderers (§4.4) |
 //! | [`runtime`] | `sim-runtime` | simulated CPython/native/unwinding substrate |
@@ -59,7 +58,6 @@ pub use deepcontext_core as core;
 pub use deepcontext_flamegraph as flamegraph;
 pub use deepcontext_pipeline as pipeline;
 pub use deepcontext_profiler as profiler;
-pub use deepcontext_telemetry as telemetry;
 pub use deepcontext_timeline as timeline;
 pub use dl_framework as framework;
 pub use dl_models as workloads;
@@ -79,7 +77,6 @@ pub mod prelude {
     };
     pub use deepcontext_flamegraph::FlameGraph;
     pub use deepcontext_profiler::{EventSink, Profiler, ProfilerConfig, ShardedSink};
-    pub use deepcontext_telemetry::{HealthReport, TelemetryConfig, TelemetrySnapshot};
     pub use deepcontext_timeline::{TimelineConfig, TimelineSnapshot, TimelineStats};
     pub use dl_framework::{
         DType, EagerEngine, FrameworkCore, JitEngine, Layout, Op, OpKind, TensorMeta,

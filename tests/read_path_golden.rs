@@ -42,7 +42,6 @@ use deepcontext::core::{
     Interval, IntervalKind, StoredJournal, StoredJournalEvent, StoredTimeline, TrackKey,
 };
 use deepcontext::prelude::*;
-use deepcontext::profiler::JournalConfig;
 use deepcontext::timeline::TimelineCounters;
 
 fn check(name: &str, actual: &[u8]) {
@@ -83,8 +82,6 @@ fn finished_run() -> ProfileDb {
                 enabled: true,
                 ring_capacity: 40,
             },
-            telemetry: TelemetryConfig::default(),
-            journal: JournalConfig::default(),
             ..ProfilerConfig::deepcontext()
         },
         bed.env(),

@@ -87,19 +87,9 @@ fn finished_run_reloads_from_the_store_with_timeline_intact() {
         "stored window matches the stamped run window"
     );
     assert!(db.meta().ended > db.meta().started);
-    // Every interval still resolves its name and its context. Self
-    // intervals (present when the DEEPCONTEXT_TELEMETRY matrix runs this
-    // suite with the self-timeline on) carry no workload context by
-    // design, so only their names are checked.
+    // Every interval still resolves its name and its context.
     for interval in &reloaded.intervals {
         assert!(reloaded.name_of(interval.name).is_some());
-        if interval.track.is_self() {
-            assert!(
-                interval.context.is_none(),
-                "self intervals have no CCT node"
-            );
-            continue;
-        }
         let context = interval.context.expect("contexts resolved");
         assert!(context.index() < back.cct().node_count());
     }

@@ -11,7 +11,7 @@ use deepcontext::gpu::Activity;
 use deepcontext::gpu::ActivityKind;
 use deepcontext::pipeline::{EventSink, ShardedSink, SinkOptions};
 use deepcontext::prelude::*;
-use deepcontext::profiler::{TelemetryConfig, TimelineConfig};
+use deepcontext::profiler::TimelineConfig;
 use deepcontext::timeline::TimelineCounters;
 
 const ITERATIONS: u32 = 3;
@@ -42,12 +42,6 @@ fn timeline_profiler(rig: &Rig, timeline: TimelineConfig) -> Profiler {
     Profiler::attach(
         ProfilerConfig {
             timeline,
-            // Self-telemetry is pinned off regardless of the
-            // DEEPCONTEXT_TELEMETRY matrix: these tests assert exact
-            // per-track interval counts, which the reserved
-            // self-timeline tracks would (legitimately) perturb. The enabled path has its own
-            // end-to-end suite in `tests/telemetry.rs`.
-            telemetry: TelemetryConfig::default(),
             ..ProfilerConfig::deepcontext()
         },
         rig.bed.env(),
@@ -151,9 +145,6 @@ fn jit_multi_stream_keeps_placements_and_fills_every_track() {
     let profiler = Profiler::attach(
         ProfilerConfig {
             timeline: TimelineConfig::enabled(),
-            // Pinned off for the same exact-track-count reason as
-            // `timeline_profiler`.
-            telemetry: TelemetryConfig::default(),
             ..ProfilerConfig::deepcontext()
         },
         bed.env(),
