@@ -324,8 +324,8 @@ impl Rule for IncidentRule {
                     fires.len(),
                     names.join(", "),
                 ),
-                suggestion: "expected under fault injection; unset DEEPCONTEXT_FAILPOINTS \
-                             for production profiling"
+                suggestion: "this run was recorded under fault injection by an earlier \
+                             build; compare against a run recorded without it"
                     .to_string(),
                 metrics: vec![("failpoint_fires".to_string(), fires.len() as f64)],
                 weight: fires.len() as f64,
@@ -462,5 +462,6 @@ mod tests {
             .unwrap();
         assert_eq!(fire.severity, Severity::Info);
         assert!(fire.message.contains("store_io_err"));
+        assert!(fire.suggestion.contains("earlier build"));
     }
 }

@@ -20,7 +20,6 @@ use std::fs::{self, File};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use deepcontext_core::failpoint::{sites as fp_sites, Failpoints};
 use deepcontext_core::{CoreError, MetricKind, ProfileDb, ProfileMeta, TimeNs};
 
 /// File extension of stored runs.
@@ -49,6 +48,80 @@ fn is_transient(err: &CoreError) -> bool {
             ErrorKind::Interrupted | ErrorKind::WouldBlock | ErrorKind::TimedOut
         )
     )
+}
+
+/// Runs `attempt` until it succeeds, fails with an error that is not
+/// [transient](is_transient), or has been tried [`IO_ATTEMPTS`] times,
+/// backing off between tries. `save` and `load` both go through here.
+fn with_retry<T>(mut attempt: impl FnMut() -> Result<T, CoreError>) -> Result<T, CoreError> {
+    let mut tries = 1;
+    loop {
+        match attempt() {
+            Err(e) if is_transient(&e) && tries < IO_ATTEMPTS => {
+                std::thread::sleep(backoff(tries));
+                tries += 1;
+            }
+            result => return result,
+        }
+    }
+}
+
+/// The retry's test seam: a thread queues I/O error kinds at one point
+/// of a store operation, and each check there counts and hands out the
+/// next one. Test builds only; nothing else can reach it.
+#[cfg(test)]
+mod inject {
+    use std::cell::RefCell;
+    use std::io::{Error, ErrorKind};
+
+    /// Where a store operation checks for a queued fault.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Point {
+        /// Between writing the tmp sibling and renaming it into place.
+        Publish,
+        /// Before a full load opens the run's file.
+        Open,
+    }
+
+    struct Queue {
+        point: Point,
+        /// Pending faults, the next one last.
+        faults: Vec<ErrorKind>,
+        checks: u32,
+    }
+
+    thread_local! {
+        static QUEUE: RefCell<Option<Queue>> = const { RefCell::new(None) };
+    }
+
+    /// Queues `faults` at `point` for this thread, first to last,
+    /// replacing whatever was queued, and restarts the check count.
+    pub(super) fn queue(point: Point, faults: &[ErrorKind]) {
+        let faults = faults.iter().rev().copied().collect();
+        QUEUE.set(Some(Queue {
+            point,
+            faults,
+            checks: 0,
+        }));
+    }
+
+    /// Checks made at the queued point since [`queue`].
+    pub(super) fn checks() -> u32 {
+        QUEUE.with_borrow(|q| q.as_ref().map_or(0, |q| q.checks))
+    }
+
+    /// One check at `point`: the next fault queued there, if any.
+    pub(super) fn check(point: Point) -> std::io::Result<()> {
+        QUEUE.with_borrow_mut(|q| match q {
+            Some(q) if q.point == point => {
+                q.checks += 1;
+                q.faults
+                    .pop()
+                    .map_or(Ok(()), |kind| Err(Error::new(kind, "injected")))
+            }
+            _ => Ok(()),
+        })
+    }
 }
 
 /// One run as seen in a store listing: its id plus the metadata header.
@@ -163,7 +236,6 @@ pub struct TrendPoint {
 #[derive(Debug, Clone)]
 pub struct ProfileStore {
     dir: PathBuf,
-    failpoints: Failpoints,
 }
 
 impl ProfileStore {
@@ -171,19 +243,7 @@ impl ProfileStore {
     pub fn open(dir: impl AsRef<Path>) -> Result<ProfileStore, CoreError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        Ok(ProfileStore {
-            dir,
-            failpoints: Failpoints::from_env(),
-        })
-    }
-
-    /// Replaces the store's fault-injection registry (tests; production
-    /// stores inherit the `DEEPCONTEXT_FAILPOINTS` environment spec).
-    /// The `store_io_err` point fires on the save path, `store_read_err`
-    /// on the load path.
-    pub fn with_failpoints(mut self, failpoints: Failpoints) -> Self {
-        self.failpoints = failpoints;
-        self
+        Ok(ProfileStore { dir })
     }
 
     /// The store's directory.
@@ -221,33 +281,19 @@ impl ProfileStore {
             id = format!("{base}-{n}");
         }
         let tmp = self.dir.join(format!("{id}.{EXT}.tmp"));
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match self.try_save(db, &tmp, &id) {
-                Ok(()) => break,
-                Err(e) if is_transient(&e) && attempt < IO_ATTEMPTS => {
-                    std::thread::sleep(backoff(attempt));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        with_retry(|| {
+            // Each attempt re-creates the tmp sibling from scratch
+            // (truncating any partial previous attempt); `save` renders
+            // the container and hands it over in one write.
+            db.save(File::create(&tmp)?)?;
+            // Tests fail here the way that leaves the bytes on disk but
+            // the run invisible — what the preserved tmp sibling is for.
+            #[cfg(test)]
+            inject::check(inject::Point::Publish)?;
+            fs::rename(&tmp, self.path_of(&id))?;
+            Ok(())
+        })?;
         Ok(id)
-    }
-
-    /// One write-and-rename attempt. A fresh attempt re-creates the tmp
-    /// sibling from scratch (truncating any partial previous attempt).
-    fn try_save(&self, db: &ProfileDb, tmp: &Path, id: &str) -> Result<(), CoreError> {
-        // `save` renders the container and hands it over in one write.
-        db.save(File::create(tmp)?)?;
-        // Injected between write and publish: the failure mode where the
-        // bytes are on disk but the run never became visible — exactly
-        // what the preserved tmp sibling exists for.
-        if let Some(e) = self.failpoints.io_error(fp_sites::STORE_IO_ERR) {
-            return Err(CoreError::Io(e));
-        }
-        fs::rename(tmp, self.path_of(id))?;
-        Ok(())
     }
 
     /// Whether a run with this id exists.
@@ -258,25 +304,11 @@ impl ProfileStore {
     /// Loads the full profile (tree + timeline) of a stored run.
     /// Transient I/O errors are retried like [`save`](Self::save)'s.
     pub fn load(&self, id: &str) -> Result<ProfileDb, CoreError> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match self.try_load(id) {
-                Ok(db) => return Ok(db),
-                Err(e) if is_transient(&e) && attempt < IO_ATTEMPTS => {
-                    std::thread::sleep(backoff(attempt));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// One full-materialization read attempt.
-    fn try_load(&self, id: &str) -> Result<ProfileDb, CoreError> {
-        if let Some(e) = self.failpoints.io_error(fp_sites::STORE_READ_ERR) {
-            return Err(CoreError::Io(e));
-        }
-        ProfileDb::load(File::open(self.path_of(id))?)
+        with_retry(|| {
+            #[cfg(test)]
+            inject::check(inject::Point::Open)?;
+            ProfileDb::load(File::open(self.path_of(id))?)
+        })
     }
 
     /// Loads only the metadata header of a stored run.
@@ -395,6 +427,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::RegressionRule;
     use deepcontext_core::{journal_sites, CallingContextTree, Frame};
+    use std::io::ErrorKind;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn temp_store() -> (PathBuf, ProfileStore) {
@@ -565,13 +598,13 @@ pub(crate) mod tests {
     #[test]
     fn save_retries_transient_io_errors_and_succeeds() {
         let (dir, store) = temp_store();
-        let store = store.with_failpoints(Failpoints::parse("store_io_err@first").unwrap());
+        inject::queue(inject::Point::Publish, &[ErrorKind::Interrupted]);
         let id = store.save(&profile("unet", "h", 1, 1.0)).unwrap();
         assert!(store.contains(&id));
-        assert_eq!(store.failpoints.fired(fp_sites::STORE_IO_ERR), 1);
-        assert!(
-            store.failpoints.hits(fp_sites::STORE_IO_ERR) >= 2,
-            "a retry must have re-checked the site"
+        assert_eq!(
+            inject::checks(),
+            2,
+            "a retry must have re-checked the point"
         );
         // The successful retry renamed the tmp sibling away.
         assert!(!dir.join(format!("{id}.{EXT}.tmp")).exists());
@@ -581,10 +614,14 @@ pub(crate) mod tests {
     #[test]
     fn exhausted_retries_fail_with_the_run_preserved_in_tmp() {
         let (dir, store) = temp_store();
-        let store = store.with_failpoints(Failpoints::parse("store_io_err@always").unwrap());
+        // More faults than attempts: the error persists.
+        inject::queue(
+            inject::Point::Publish,
+            &[ErrorKind::Interrupted; IO_ATTEMPTS as usize + 1],
+        );
         let err = store.save(&profile("unet", "h", 1, 1.0)).unwrap_err();
         assert!(matches!(err, CoreError::Io(_)), "got {err:?}");
-        assert_eq!(store.failpoints.fired(fp_sites::STORE_IO_ERR), 3);
+        assert_eq!(inject::checks(), 3);
         // Nothing became visible, but the written bytes were kept: the
         // tmp sibling holds a complete, loadable profile.
         assert!(store.list().unwrap().is_empty());
@@ -603,10 +640,45 @@ pub(crate) mod tests {
     fn load_retries_transient_read_errors() {
         let (dir, store) = temp_store();
         let id = store.save(&profile("unet", "h", 1, 1.0)).unwrap();
-        let store = store.with_failpoints(Failpoints::parse("store_read_err@first").unwrap());
+        inject::queue(inject::Point::Open, &[ErrorKind::Interrupted]);
         let back = store.load(&id).unwrap();
         assert_eq!(back.meta().workload, "unet");
-        assert_eq!(store.failpoints.fired(fp_sites::STORE_READ_ERR), 1);
+        assert_eq!(inject::checks(), 2);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn would_block_and_timed_out_are_retried_like_interrupted() {
+        let (dir, store) = temp_store();
+        let transient = [ErrorKind::WouldBlock, ErrorKind::TimedOut];
+        inject::queue(inject::Point::Publish, &transient);
+        let id = store.save(&profile("unet", "h", 1, 1.0)).unwrap();
+        assert_eq!(inject::checks(), 3);
+        inject::queue(inject::Point::Open, &transient);
+        assert_eq!(store.load(&id).unwrap().meta().workload, "unet");
+        assert_eq!(inject::checks(), 3);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn persistent_errors_are_attempted_once() {
+        let (dir, store) = temp_store();
+        // A real one: the id names no file.
+        inject::queue(inject::Point::Open, &[]);
+        let err = store.load("run-missing").unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Io(e) if e.kind() == ErrorKind::NotFound),
+            "got {err:?}"
+        );
+        assert_eq!(inject::checks(), 1);
+        // An injected one on the save path fails the save as it is.
+        inject::queue(inject::Point::Publish, &[ErrorKind::PermissionDenied]);
+        let err = store.save(&profile("unet", "h", 1, 1.0)).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Io(e) if e.kind() == ErrorKind::PermissionDenied),
+            "got {err:?}"
+        );
+        assert_eq!(inject::checks(), 1);
         fs::remove_dir_all(dir).unwrap();
     }
 

@@ -34,7 +34,6 @@ mod cct;
 mod clock;
 mod db;
 mod error;
-pub mod failpoint;
 mod frame;
 mod fx;
 mod interner;
@@ -50,7 +49,6 @@ pub use cct::{CallingContextTree, CctNode, FoldState, NodeId};
 pub use clock::{TimeNs, VirtualClock};
 pub use db::{ProfileDb, ProfileMeta};
 pub use error::CoreError;
-pub use failpoint::Failpoints;
 pub use frame::{CallPath, Frame, FrameKey, FrameKind, OpPhase, ThreadRole};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use interner::{Interner, Sym};

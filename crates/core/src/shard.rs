@@ -220,7 +220,7 @@ impl CctShard {
 
     /// The shard's dirty generation: a counter advanced by every
     /// operation that may have changed the shard's *tree* (inserting
-    /// contexts, attributing metrics, folding another shard in).
+    /// contexts, attributing metrics).
     /// Snapshot caches remember the generation they folded and skip the
     /// shard entirely while it has not advanced. Prune bookkeeping
     /// (`defer_prune`, `end_batch`) and resolving a path the shard
@@ -438,39 +438,6 @@ impl CctShard {
         }
         if oversized(self.curr_batch.capacity(), self.curr_batch.len()) {
             self.curr_batch.shrink_to_fit();
-        }
-    }
-
-    /// Folds `other` into this shard: trees merge by collapse keys, and
-    /// `other`'s side state (prune queues, hoisted nodes, unsettled
-    /// samples) follows — node ids remapped through the merge's mapping
-    /// — so samples `other` had not settled are settled here. Paths
-    /// `other` had resolved resolve again here on first use, onto the
-    /// nodes the merge just created.
-    pub fn merge_from(&mut self, other: &CctShard) {
-        self.generation += 1;
-        let mapping = self.tree.merge(&other.tree);
-        let nodes = self.tree.node_count();
-        for (&at, node) in other.pending.slot_of.iter().zip(&mapping) {
-            if at == NONE {
-                continue;
-            }
-            let Slot { counts, held } = other.pending.slots[at as usize];
-            let mine = &mut self.pending.slot(*node, nodes).counts;
-            mine.iter_mut().zip(counts).for_each(|(mine, n)| *mine += n);
-            let mut entry = held;
-            while entry != NONE {
-                let Held { kind, stat, next } = other.pending.held[entry as usize];
-                self.pending.stat(*node, kind, nodes).merge(&stat);
-                entry = next;
-            }
-        }
-        // `end_batch` walks both queues in order.
-        self.prev_batch.extend_from_slice(&other.prev_batch);
-        self.prev_batch.sort_unstable();
-        self.curr_batch.extend_from_slice(&other.curr_batch);
-        if self.orphan.is_none() {
-            self.orphan = other.orphan.map(|node| mapping[node.index()]);
         }
     }
 
@@ -781,57 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_remaps_correlation_state() {
-        let i = interner();
-        let mut a = CctShard::new(Arc::clone(&i));
-        let mut b = CctShard::new(Arc::clone(&i));
-        // Same logical context in both shards gets different local ids
-        // because `a` inserts another path first.
-        a.node_for(handle(&i, "aten::conv2d").id());
-        let relu = handle(&i, "aten::relu").id();
-        let nb = b.node_for(relu);
-        // Left unsettled: the fold carries the samples over.
-        b.attribute(nb, MetricKind::GpuTime, 4.0);
-        b.count(nb, MetricKind::KernelLaunches, 2);
-        b.defer_prune(42);
-
-        a.merge_from(&b);
-        let resolved = a.node_for(relu);
-        assert_ne!(resolved, nb, "the path resolves in a's id space");
-        a.attribute(resolved, MetricKind::GpuTime, 6.0);
-        a.count(resolved, MetricKind::KernelLaunches, 1);
-        a.settle();
-        assert_eq!(a.tree().total(MetricKind::GpuTime), 10.0);
-        assert_eq!(a.tree().total(MetricKind::KernelLaunches), 3.0);
-        assert_eq!(
-            a.tree().metric(resolved, MetricKind::GpuTime).unwrap().sum,
-            10.0,
-            "b's unsettled sample landed on the same leaf"
-        );
-        // Prune queue followed the merge.
-        assert!(a.end_batch().is_empty());
-        assert_eq!(a.end_batch(), vec![42]);
-    }
-
-    #[test]
-    fn merge_from_adopts_orphan_node() {
-        let i = interner();
-        let mut a = CctShard::new(Arc::clone(&i));
-        let mut b = CctShard::new(Arc::clone(&i));
-        let orphan_b = b.orphan_node();
-        b.tree_mut().attribute(orphan_b, MetricKind::GpuTime, 1.0);
-        a.merge_from(&b);
-        // a's orphan collapses onto the merged catch-all: no duplicate node.
-        let before = a.tree().node_count();
-        let orphan_a = a.orphan_node();
-        assert_eq!(a.tree().node_count(), before);
-        assert_eq!(
-            a.tree().metric(orphan_a, MetricKind::GpuTime).unwrap().sum,
-            1.0
-        );
-    }
-
-    #[test]
     fn generation_advances_on_tree_mutations_only() {
         let i = interner();
         let mut shard = CctShard::new(Arc::clone(&i));
@@ -853,9 +769,6 @@ mod tests {
         let g = shard.generation();
         shard.settle();
         assert_eq!(shard.generation(), g);
-        let other = CctShard::new(Arc::clone(&i));
-        shard.merge_from(&other);
-        assert!(shard.generation() > g);
     }
 
     #[test]

@@ -78,8 +78,6 @@ enum ShardOp {
         n: u8,
         by_sample: bool,
     },
-    /// Another shard's unsettled counts and samples, folded in.
-    MergeFrom(Vec<(Vec<Frame>, MetricKind, u8)>),
     /// A context inserted behind the path vector's back through `tree_mut`.
     InsertChild {
         node: usize,
@@ -116,7 +114,6 @@ fn arb_shard_ops() -> impl Strategy<Value = (Arc<Interner>, Vec<ShardOp>)> {
                 by_sample,
             }
         }),
-        prop::collection::vec((path(), counted(), 1u8..5), 1..4).prop_map(ShardOp::MergeFrom),
         path().prop_map(ShardOp::Insert),
         path().prop_map(ShardOp::Insert),
         (0usize..8).prop_map(ShardOp::InsertPrefix),
@@ -541,17 +538,12 @@ proptest! {
             let leaf = shard.node_for(interner.paths().intern(p).id());
             shard.attribute(leaf, MetricKind::GpuTime, *v);
         }
-        // Every other shard is folded with its samples still unsettled:
-        // the fold carries them over.
-        for shard in shards.iter_mut().step_by(2) {
+        // Settle each shard, then fold its tree, as `ShardedSink` does.
+        let mut folded = CallingContextTree::with_interner(interner);
+        for shard in &mut shards {
             shard.settle();
+            folded.merge(shard.tree());
         }
-        let mut master = CctShard::new(interner);
-        for shard in &shards {
-            master.merge_from(shard);
-        }
-        master.settle();
-        let folded = master.tree();
         prop_assert_eq!(folded.node_count(), whole.node_count());
         let fs = folded.total(MetricKind::GpuTime);
         let ws = whole.total(MetricKind::GpuTime);
@@ -604,25 +596,6 @@ proptest! {
                     }
                     prop_assert!(shard.generation() > generation);
                     (0..n).for_each(|_| oracle.attribute(node, kind, 1.0));
-                }
-                ShardOp::MergeFrom(samples) => {
-                    // The fold inserts the other shard's contexts in its
-                    // id order, which is the order it met them in.
-                    let mut other = CctShard::new(Arc::clone(&interner));
-                    for (frames, kind, n) in &samples {
-                        let node = other.node_for(interner.paths().intern(frames).id());
-                        other.count(node, *kind, u64::from(*n));
-                        other.attribute(node, MetricKind::GpuTime, f64::from(*n));
-                        let node = oracle.insert_path(frames);
-                        (0..*n).for_each(|_| oracle.attribute(node, *kind, 1.0));
-                        oracle.attribute(node, MetricKind::GpuTime, f64::from(*n));
-                        nodes.push(node);
-                    }
-                    shard.merge_from(&other);
-                    for (frames, ..) in &samples {
-                        let got = shard.node_for(interner.paths().intern(frames).id());
-                        prop_assert_eq!(got, oracle.insert_path(frames));
-                    }
                 }
                 ShardOp::InsertChild { node, frame } => {
                     // Mid-batch: the scratch must grow to reach the node.

@@ -33,12 +33,10 @@
 #![warn(missing_docs)]
 
 pub mod directory;
-pub mod failpoint;
 pub mod sharded;
 pub mod sink;
 
 pub use directory::{Binding, DirectoryMapKind, StripedHashDirectory};
-pub use failpoint::Failpoints;
 pub use sharded::{ShardedSink, SinkOptions};
 pub use sink::{attribute_activity_metrics, EventSink, SinkCounters};
 
@@ -69,8 +67,8 @@ pub enum IngestionMode {
     Sync,
 }
 
-/// The fault-injection registry, plus two fields nothing reads but the
-/// frozen repo benchmark's `resolved:` header line.
+/// Two fields only the frozen repo benchmark reads, in its `resolved:`
+/// header line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Vestigial: see [`DEFAULT_LAUNCH_BATCH`].
@@ -79,12 +77,6 @@ pub struct PipelineConfig {
     /// [`DirectoryMapKind`]); read only by the benchmark's header and
     /// removed with it.
     pub directory_map: DirectoryMapKind,
-    /// Deterministic fault-injection registry for the pipeline's sites
-    /// (see [`failpoint`]). The default parses the
-    /// `DEEPCONTEXT_FAILPOINTS` environment spec into a registry of its
-    /// own; when no spec is set every site check is one branch on an
-    /// empty registry.
-    pub failpoints: Failpoints,
 }
 
 impl Default for PipelineConfig {
@@ -92,7 +84,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             launch_batch: DEFAULT_LAUNCH_BATCH,
             directory_map: DirectoryMapKind::Striped,
-            failpoints: Failpoints::from_env(),
         }
     }
 }

@@ -24,10 +24,7 @@
 //!   shards are skipped outright, so a warm snapshot costs O(dirty
 //!   shards) instead of O(shards × tree).
 //!   [`ShardedSink::snapshot_uncached`] keeps the historical full fold
-//!   as baseline and test oracle. Memory-tight deployments can disable
-//!   the cache entirely ([`SinkOptions::snapshot_cache`]): snapshots
-//!   then re-fold every shard per request and the sink holds no second
-//!   copy of the profile.
+//!   as baseline and test oracle.
 //!
 //! Inclusive samples are **attributed at the node and settled at the
 //! boundary**: every ingestion path hands its samples to
@@ -49,10 +46,9 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard};
 
-use deepcontext_core::failpoint::sites as fp_sites;
 use deepcontext_core::{
-    CallingContextTree, CctShard, Failpoints, FoldState, Interner, Interval, IntervalKind,
-    MetricKind, NodeId, PathHandle, PathId, Sym, TrackKey,
+    CallingContextTree, CctShard, FoldState, Interner, Interval, IntervalKind, MetricKind, NodeId,
+    PathHandle, PathId, Sym, TrackKey,
 };
 use deepcontext_timeline::{TimelineConfig, TimelineSink, TimelineSnapshot};
 use dlmonitor::EventOrigin;
@@ -102,28 +98,17 @@ impl SnapshotCache {
 pub struct SinkOptions {
     /// Shard count (clamped to at least one).
     pub shards: usize,
-    /// Whether snapshots go through the incremental cache. `false`
-    /// trades warm-snapshot latency for not holding a merged second copy
-    /// of the profile.
-    pub snapshot_cache: bool,
     /// Timeline recording: when enabled, every kernel/memcpy record
     /// attributed by the sink also appends a context-tagged interval to
     /// a bounded per-shard ring (see [`EventSink::timeline_snapshot`]).
     pub timeline: TimelineConfig,
-    /// Fault-injection registry for the directory-bind and snapshot-fold
-    /// stall sites. The default parses the `DEEPCONTEXT_FAILPOINTS`
-    /// environment spec into a registry of this sink's own; tests pass
-    /// an explicit one.
-    pub failpoints: Failpoints,
 }
 
 impl Default for SinkOptions {
     fn default() -> Self {
         SinkOptions {
             shards: 16,
-            snapshot_cache: true,
             timeline: TimelineConfig::default(),
-            failpoints: Failpoints::from_env(),
         }
     }
 }
@@ -132,10 +117,6 @@ impl Default for SinkOptions {
 pub struct ShardedSink {
     interner: Arc<Interner>,
     shards: Vec<Mutex<CctShard>>,
-    /// Whether snapshots go through the incremental cache. Off for
-    /// memory-tight deployments: every snapshot is then a full fold and
-    /// the sink never holds a second copy of the profile.
-    cache_enabled: bool,
     /// Cached incremental snapshot; `None` until the first snapshot is
     /// requested (and again after `finish_snapshot` consumes it).
     cache: Mutex<Option<SnapshotCache>>,
@@ -151,11 +132,6 @@ pub struct ShardedSink {
     /// The interned `"memcpy"` display name, so memcpy records skip even
     /// the thread-local intern cache on the timeline tap.
     memcpy_sym: Sym,
-    /// Deterministic fault-injection registry (directory-bind and
-    /// snapshot-fold stall sites live in this sink). Disabled unless the
-    /// `DEEPCONTEXT_FAILPOINTS` spec names one of them; every check is
-    /// then one branch on an empty list.
-    failpoints: Failpoints,
     /// Last-known `CctShard::approx_bytes` per shard, refreshed while the
     /// shard lock is already held at batch boundaries, so peak tracking
     /// never sweeps every shard lock.
@@ -186,7 +162,6 @@ impl ShardedSink {
     pub fn with(interner: Arc<Interner>, options: SinkOptions) -> Arc<Self> {
         let n = options.shards.max(1);
         Arc::new(ShardedSink {
-            failpoints: options.failpoints,
             timeline: options
                 .timeline
                 .enabled
@@ -196,7 +171,6 @@ impl ShardedSink {
                 .collect(),
             directory: StripedHashDirectory::new(n),
             shard_bytes: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            cache_enabled: options.snapshot_cache,
             cache: Mutex::new(None),
             memcpy_sym: interner.intern("memcpy"),
             interner,
@@ -218,11 +192,6 @@ impl ShardedSink {
     /// The interner shared by every shard.
     pub fn interner(&self) -> &Arc<Interner> {
         &self.interner
-    }
-
-    /// Whether the incremental snapshot cache is enabled.
-    pub fn snapshot_cache_enabled(&self) -> bool {
-        self.cache_enabled
     }
 
     /// Whether kernel/memcpy intervals are being recorded into timeline
@@ -478,7 +447,6 @@ impl ShardedSink {
     /// the first dirty shard on, to [`SinkCounters::fold_ns`]; a clean
     /// one reads no clock and adds nothing.
     fn refresh_cache(&self, cache: &mut Option<SnapshotCache>) {
-        self.failpoints.stall_at(fp_sites::FOLD_STALL, 0);
         let cache =
             cache.get_or_insert_with(|| SnapshotCache::empty(&self.interner, self.shards.len()));
         let mut start = None;
@@ -506,8 +474,7 @@ impl ShardedSink {
     /// Folds all shards into a fresh master tree, bypassing the snapshot
     /// cache — the historical O(shards × tree) path, kept as the
     /// benchmark baseline, as the oracle the `cached == fresh`
-    /// equivalence tests compare against, and as the only snapshot path
-    /// when the cache is disabled.
+    /// equivalence tests compare against.
     pub fn snapshot_uncached(&self) -> CallingContextTree {
         let mut master = CallingContextTree::with_interner(Arc::clone(&self.interner));
         for idx in 0..self.shards.len() {
@@ -536,8 +503,6 @@ impl EventSink for ShardedSink {
         let idx = self.route(origin);
         Self::insert_launch(&mut self.shards[idx].lock(), path.id(), api);
         if let Some(corr) = origin.correlation {
-            self.failpoints
-                .stall_at(fp_sites::DIR_BIND_STALL, idx as u64);
             let binding = Binding {
                 shard: idx as u32,
                 path: path.id(),
@@ -584,23 +549,14 @@ impl EventSink for ShardedSink {
     }
 
     fn snapshot(&self) -> CallingContextTree {
-        if !self.cache_enabled {
-            return self.snapshot_uncached();
-        }
-        // Trees only: prune queues stay behind in the shards, so the fold
-        // skips `CctShard::merge_from`'s remapping work. The fold is
-        // cached and refreshed incrementally: clean shards are skipped
-        // outright.
+        // The fold is cached and refreshed incrementally: clean shards
+        // are skipped outright.
         let mut cache = self.cache.lock();
         self.refresh_cache(&mut cache);
         CallingContextTree::clone(&cache.as_ref().expect("cache refreshed").master)
     }
 
     fn with_snapshot(&self, f: &mut dyn FnMut(&CallingContextTree)) {
-        if !self.cache_enabled {
-            f(&self.snapshot_uncached());
-            return;
-        }
         // Clone the refreshed master's *handle* under the cache mutex,
         // then run the callback outside it: concurrent readers share one
         // snapshot instead of queueing on the cache lock for the length
@@ -615,9 +571,6 @@ impl EventSink for ShardedSink {
     }
 
     fn finish_snapshot(&self) -> CallingContextTree {
-        if !self.cache_enabled {
-            return self.snapshot_uncached();
-        }
         let mut cache = self.cache.lock();
         self.refresh_cache(&mut cache);
         let master = cache.take().expect("cache refreshed").master;
@@ -628,28 +581,18 @@ impl EventSink for ShardedSink {
 
     fn timeline_snapshot(&self) -> Option<TimelineSnapshot> {
         let timeline = self.timeline.as_ref()?;
-        let tables: Vec<Arc<[NodeId]>> = if self.cache_enabled {
-            // Refresh the cached master first: the fold is append-only,
-            // so every interval context recorded so far has a slot in
-            // the per-shard fold mappings, and the remapped ids index
-            // into exactly the tree `snapshot`/`with_snapshot` serve.
-            // The mappings are copied out (4 bytes per folded node) so
-            // the snapshot keeps resolving against this fold after the
-            // cache moves on, and the cache mutex is released before
-            // the rings are locked.
+        // Refresh the cached master first: the fold is append-only, so
+        // every interval context recorded so far has a slot in the
+        // per-shard fold mappings, and the remapped ids index into
+        // exactly the tree `snapshot`/`with_snapshot` serve. The mappings
+        // are copied out (4 bytes per folded node) so the snapshot keeps
+        // resolving against this fold after the cache moves on, and the
+        // cache mutex is released before the rings are locked.
+        let tables: Vec<Arc<[NodeId]>> = {
             let mut cache = self.cache.lock();
             self.refresh_cache(&mut cache);
             let cache = cache.as_ref().expect("cache refreshed");
             cache.folds.iter().map(|f| f.mapping().into()).collect()
-        } else {
-            // No cache to borrow mappings from: run one deterministic
-            // fold (same shard order as `snapshot_uncached`, so the ids
-            // match an uncached snapshot taken at the same quiesce
-            // point) purely to learn the shard → master node mappings.
-            let mut master = CallingContextTree::with_interner(Arc::clone(&self.interner));
-            (0..self.shards.len())
-                .map(|idx| master.merge(self.settled(idx).tree()).into())
-                .collect()
         };
         Some(
             timeline

@@ -203,12 +203,9 @@ pub trait EventSink: Send + Sync {
     /// timeline at all).
     ///
     /// Interval context ids are remapped into the master tree the
-    /// snapshot paths observe: with the snapshot cache enabled they
-    /// index into the cached master served by
+    /// snapshot paths observe: the master served by
     /// [`with_snapshot`](Self::with_snapshot) (stable across refreshes —
-    /// the fold is append-only); with the cache disabled they index into
-    /// an uncached [`snapshot`](Self::snapshot) taken at the same
-    /// quiesce point with no interleaved ingestion.
+    /// the fold is append-only).
     fn timeline_snapshot(&self) -> Option<TimelineSnapshot> {
         None
     }

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use deepcontext_core::{Frame, Interner, MetricKind, PathHandle, StallReason, TimeNs};
-use deepcontext_pipeline::{EventSink, Failpoints, ShardedSink, SinkOptions, TimelineConfig};
+use deepcontext_pipeline::{EventSink, ShardedSink, SinkOptions, TimelineConfig};
 use dlmonitor::EventOrigin;
 use proptest::prelude::*;
 use sim_gpu::{Activity, ActivityKind, ApiKind, CorrelationId, DeviceId, PcSample, StreamId};
@@ -169,8 +169,6 @@ fn check_interleaving(steps: &[Step]) {
             SinkOptions {
                 shards,
                 timeline: TimelineConfig::enabled(),
-                failpoints: Failpoints::disabled(),
-                ..SinkOptions::default()
             },
         )
     };

@@ -49,9 +49,8 @@ use sim_runtime::{RuntimeEnv, SampleKind, SamplerId};
 // benchmarks and external embedders share one implementation.
 pub use deepcontext_pipeline::{
     attribute_activity_metrics, default_timeline_config, default_timeline_enabled,
-    DirectoryMapKind, EventSink, Failpoints, IngestionMode, PipelineConfig, ShardedSink,
-    SinkCounters, SinkOptions, TimelineConfig, TimelineSnapshot, TimelineStats,
-    DEFAULT_LAUNCH_BATCH,
+    DirectoryMapKind, EventSink, IngestionMode, PipelineConfig, ShardedSink, SinkCounters,
+    SinkOptions, TimelineConfig, TimelineSnapshot, TimelineStats, DEFAULT_LAUNCH_BATCH,
 };
 
 /// The default ingestion shard count, honouring the
@@ -109,15 +108,9 @@ pub struct ProfilerConfig {
     /// there is. Read only by the frozen repo benchmark's `resolved:`
     /// header (see [`IngestionMode`]) and removed with it.
     pub ingestion_mode: IngestionMode,
-    /// The fault-injection registry (`failpoints`), plus two vestigial
-    /// fields only the benchmark's header reads (see
+    /// Two vestigial fields only the benchmark's header reads (see
     /// [`PipelineConfig`]).
     pub pipeline: PipelineConfig,
-    /// Whether snapshots are served from the incremental generation-
-    /// tracked cache. Disabling trades warm `with_cct` latency for not
-    /// holding a merged second copy of the profile — for memory-tight
-    /// deployments.
-    pub snapshot_cache: bool,
     /// Timeline recording: keep each kernel/memcpy record's
     /// `[start, end)` interval — tagged with its resolved CCT context —
     /// in bounded per-shard rings, for utilization / overlap / idle-gap
@@ -142,7 +135,6 @@ impl Default for ProfilerConfig {
             ingestion_shards: default_ingestion_shards(),
             ingestion_mode: IngestionMode::Sync,
             pipeline: PipelineConfig::default(),
-            snapshot_cache: true,
             timeline: default_timeline_config(),
         }
     }
@@ -206,15 +198,11 @@ impl Profiler {
         monitor: &Arc<DlMonitor>,
         gpu: &Arc<GpuRuntime>,
     ) -> Profiler {
-        // The sink shares the config's fault-injection registry: clones
-        // share counters, so a caller holding one sees this run's fires.
         let sink = ShardedSink::with(
             monitor.interner(),
             SinkOptions {
                 shards: config.ingestion_shards,
-                snapshot_cache: config.snapshot_cache,
                 timeline: config.timeline,
-                failpoints: config.pipeline.failpoints.clone(),
             },
         );
         Profiler::attach_with_sink(config, env, monitor, gpu, sink)
@@ -673,11 +661,10 @@ mod tests {
         // shard is settled, normally by the activity batch that follows.
         // Every read surface must settle first, in every layout.
         let launches = |cct: &CallingContextTree| cct.total(MetricKind::KernelLaunches);
-        for (ingestion_shards, snapshot_cache) in [(1, true), (1, false), (16, true), (16, false)] {
+        for ingestion_shards in [1, 16] {
             let rig = rig();
             let config = ProfilerConfig {
                 ingestion_shards,
-                snapshot_cache,
                 timeline: TimelineConfig {
                     enabled: true,
                     ring_capacity: 1024,
@@ -803,43 +790,6 @@ mod tests {
             })
         };
         assert_eq!(totals(1), totals(16));
-    }
-
-    #[test]
-    fn snapshot_cache_knob_trades_memory_for_snapshot_cost() {
-        let run = |snapshot_cache: bool| {
-            let rig = rig();
-            let config = ProfilerConfig {
-                ingestion_shards: 16,
-                snapshot_cache,
-                ..ProfilerConfig::default()
-            };
-            let profiler = Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);
-            run_relu(&rig, 6);
-            profiler.flush();
-            // Open an "analysis session": repeated snapshot reads.
-            let totals = profiler.with_cct(|c| (c.node_count(), c.total(MetricKind::GpuTime)));
-            assert_eq!(
-                totals,
-                profiler.with_cct(|c| (c.node_count(), c.total(MetricKind::GpuTime)))
-            );
-            (totals, profiler.approx_bytes(), profiler.stats())
-        };
-        let (on_totals, on_bytes, on_stats) = run(true);
-        let (off_totals, off_bytes, off_stats) = run(false);
-        // Same profile either way.
-        assert_eq!(on_totals, off_totals);
-        // With the cache on, snapshots hold a merged second copy; off, the
-        // resident footprint drops.
-        assert!(
-            off_bytes < on_bytes,
-            "cache-off bytes {off_bytes} must undercut cache-on bytes {on_bytes}"
-        );
-        assert!(on_stats.snapshot_merges > 0);
-        assert_eq!(
-            off_stats.snapshot_merges, 0,
-            "cache disabled: no incremental folds happen"
-        );
     }
 
     #[test]

@@ -258,7 +258,6 @@ impl CapturingSink {
                 SinkOptions {
                     shards: deepcontext::profiler::default_ingestion_shards(),
                     timeline: TimelineConfig::enabled(),
-                    ..SinkOptions::default()
                 },
             ),
             captured: Mutex::new(Vec::new()),
