@@ -5,20 +5,19 @@
 //! makes that workflow first-class: align two profiles by *context label
 //! paths* and report the largest regressions/improvements of any metric.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use deepcontext_core::{CallingContextTree, MetricKind, NodeId, ProfileDb};
-
-use crate::view::ProfileView;
+use deepcontext_core::{CallingContextTree, FrameKind, Interner, MetricKind, NodeId, ProfileDb};
 
 /// One aligned context with its metric value in both profiles.
 #[derive(Debug, Clone)]
 pub struct DiffEntry {
     /// ` > `-joined short-label path identifying the context.
     pub path: String,
-    /// Metric value in the baseline profile (0 when absent).
+    /// Metric value in the baseline profile, summed over every context
+    /// on this label path (0 when absent).
     pub baseline: f64,
-    /// Metric value in the candidate profile (0 when absent).
+    /// Metric value in the candidate profile, likewise.
     pub candidate: f64,
 }
 
@@ -52,117 +51,33 @@ pub struct ProfileDiff {
 }
 
 impl ProfileDiff {
-    /// Aligns `baseline` and `candidate` on context label paths and
-    /// compares `metric`. Only *leaf-ward* aggregation matters, so every
-    /// node of both trees participates; entries are sorted by
-    /// `|delta|` descending.
-    pub fn compare(baseline: &ProfileDb, candidate: &ProfileDb, metric: MetricKind) -> ProfileDiff {
-        let collect = |db: &ProfileDb| -> HashMap<String, f64> {
-            let view = ProfileView::new(db);
-            let mut map = HashMap::new();
-            for node in db.cct().dfs() {
-                if node == db.cct().root() {
-                    continue;
-                }
-                let value = view.sum(node, metric);
-                if value > 0.0 {
-                    // Short-label paths align across platforms/frameworks
-                    // (kernel PCs and libraries may differ; labels do not).
-                    let path = db
-                        .cct()
-                        .frames_to_root(node)
-                        .frames()
-                        .iter()
-                        .map(|f| f.short_label(&db.cct().interner()))
-                        .collect::<Vec<_>>()
-                        .join(" > ");
-                    map.insert(path, value);
-                }
-            }
-            map
-        };
-
-        let base = collect(baseline);
-        let cand = collect(candidate);
-        let mut keys: Vec<&String> = base.keys().chain(cand.keys()).collect();
-        keys.sort();
-        keys.dedup();
-        let mut entries: Vec<DiffEntry> = keys
-            .into_iter()
-            .map(|k| DiffEntry {
-                path: k.clone(),
-                baseline: base.get(k).copied().unwrap_or(0.0),
-                candidate: cand.get(k).copied().unwrap_or(0.0),
-            })
-            .collect();
-        entries.sort_by(|a, b| b.delta().abs().total_cmp(&a.delta().abs()));
-        ProfileDiff {
-            metric,
-            entries,
-            baseline_total: baseline.cct().total(metric),
-            candidate_total: candidate.cct().total(metric),
-        }
-    }
-
-    /// Compares `metric` by structural identity instead of label-path
-    /// hashing: both trees are folded into a fresh union tree, reusing
-    /// [`CallingContextTree::merge`]'s node mapping to align contexts,
-    /// and values are compared per union node in O(1) each. The
-    /// expensive part of a diff — rendering ` > `-joined call paths —
-    /// runs **only for changed nodes**, making repeated cross-run
-    /// comparisons against a stored baseline O(changed subtree) in
-    /// string work rather than O(tree).
+    /// Aligns `baseline` and `candidate` on short-label paths and
+    /// compares the inclusive sums of `metric`, in one top-down walk of
+    /// both trees.
     ///
-    /// Unlike [`compare`](Self::compare), unchanged contexts are
-    /// omitted entirely (no unit-ratio entries), and alignment uses
-    /// frame *collapse keys* (which distinguish e.g. same-named kernels
-    /// at different PCs) rather than short-label paths.
-    pub fn compare_mapped(
-        baseline: &ProfileDb,
-        candidate: &ProfileDb,
-        metric: MetricKind,
-    ) -> ProfileDiff {
-        let mut union = CallingContextTree::new();
-        let base_map = union.merge(baseline.cct());
-        let cand_map = union.merge(candidate.cct());
-
-        // Each input tree has unique (parent, collapse key) children, so
-        // its merge mapping is injective: plain assignment indexed by the
-        // union id captures every node's inclusive sum.
-        let mut base_vals = vec![0.0f64; union.node_count()];
-        let mut cand_vals = vec![0.0f64; union.node_count()];
-        let fill = |vals: &mut Vec<f64>, db: &ProfileDb, map: &[NodeId]| {
-            let view = ProfileView::new(db);
-            for node in db.cct().dfs() {
-                vals[map[node.index()].index()] = view.sum(node, metric);
-            }
+    /// At each level the children of both sides are grouped by short
+    /// label: siblings sharing a label (one kernel at two PCs,
+    /// `a/x.py:3` beside `b/x.py:3`) are summed, and each group is
+    /// paired with its namesake on the other side. GPU API frames are
+    /// walked through, so a kernel under `cuLaunchKernel` meets the same
+    /// kernel under `hipModuleLaunchKernel`. The trees may use different
+    /// interners (two profiles loaded from a store).
+    ///
+    /// Only label paths whose two sums differ get an entry (a side
+    /// without the path reads `0.0`), ordered by `|delta|` descending,
+    /// then by path; a path string is rendered only for those.
+    pub fn compare(baseline: &ProfileDb, candidate: &ProfileDb, metric: MetricKind) -> ProfileDiff {
+        let trees = [baseline.cct(), candidate.cct()];
+        let mut walk = Walk {
+            trees,
+            interners: trees.map(CallingContextTree::interner),
+            metric,
+            labels: Vec::new(),
+            entries: Vec::new(),
         };
-        fill(&mut base_vals, baseline, &base_map);
-        fill(&mut cand_vals, candidate, &cand_map);
-
-        let interner = union.interner();
-        let mut entries: Vec<DiffEntry> = Vec::new();
-        for node in union.dfs() {
-            if node == union.root() {
-                continue;
-            }
-            let (b, c) = (base_vals[node.index()], cand_vals[node.index()]);
-            if b == c {
-                continue;
-            }
-            let path = union
-                .frames_to_root(node)
-                .frames()
-                .iter()
-                .map(|f| f.short_label(&interner))
-                .collect::<Vec<_>>()
-                .join(" > ");
-            entries.push(DiffEntry {
-                path,
-                baseline: b,
-                candidate: c,
-            });
-        }
+        let root = [NodeId::ROOT];
+        walk.level([&root, &root]);
+        let mut entries = walk.entries;
         entries.sort_by(|a, b| {
             b.delta()
                 .abs()
@@ -182,7 +97,7 @@ impl ProfileDiff {
         self.metric
     }
 
-    /// All aligned entries, largest |delta| first.
+    /// The changed label paths, largest |delta| first.
     pub fn entries(&self) -> &[DiffEntry] {
         &self.entries
     }
@@ -213,19 +128,81 @@ impl ProfileDiff {
             if b > 0.0 { (c - b) / b * 100.0 } else { 0.0 }
         );
         for entry in self.entries.iter().take(n) {
+            let change = if entry.baseline > 0.0 {
+                format!("{:+.1}%", entry.delta() / entry.baseline * 100.0)
+            } else {
+                "new".to_owned()
+            };
             out.push_str(&format!(
-                "{:>12.3e} -> {:>12.3e}  ({:+.1}%)  {}\n",
-                entry.baseline,
-                entry.candidate,
-                if entry.baseline > 0.0 {
-                    entry.delta() / entry.baseline * 100.0
-                } else {
-                    100.0
-                },
-                entry.path
+                "{:>12.3e} -> {:>12.3e}  ({change})  {}\n",
+                entry.baseline, entry.candidate, entry.path
             ));
         }
         out
+    }
+}
+
+/// The state of one [`ProfileDiff::compare`] walk; side 0 is the
+/// baseline, side 1 the candidate.
+struct Walk<'a> {
+    trees: [&'a CallingContextTree; 2],
+    interners: [Arc<Interner>; 2],
+    metric: MetricKind,
+    /// Short labels from the root down to the group being visited.
+    labels: Vec<String>,
+    entries: Vec<DiffEntry>,
+}
+
+impl Walk<'_> {
+    /// Groups the children of `parents` (one group of nodes per side) by
+    /// short label, records each group whose sums differ, and descends.
+    fn level(&mut self, parents: [&[NodeId]; 2]) {
+        let mut children: Vec<(String, usize, NodeId)> = Vec::new();
+        for (side, nodes) in parents.into_iter().enumerate() {
+            for &node in nodes {
+                self.children(side, node, &mut children);
+            }
+        }
+        // Stable, so a group keeps each side's nodes in child order.
+        children.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut children = children.into_iter().peekable();
+        while let Some((label, side, node)) = children.next() {
+            let mut group: [Vec<NodeId>; 2] = Default::default();
+            group[side].push(node);
+            while let Some((_, side, node)) = children.next_if(|next| next.0 == label) {
+                group[side].push(node);
+            }
+            let [baseline, candidate] = [0, 1].map(|side| {
+                let tree = self.trees[side];
+                group[side].iter().fold(0.0, |sum, &node| {
+                    sum + tree.node(node).metrics().sum(self.metric)
+                })
+            });
+            self.labels.push(label);
+            if baseline != candidate {
+                self.entries.push(DiffEntry {
+                    path: self.labels.join(" > "),
+                    baseline,
+                    candidate,
+                });
+            }
+            self.level([&group[0], &group[1]]);
+            self.labels.pop();
+        }
+    }
+
+    /// Appends `(short label, side, node)` for each child of `node`,
+    /// standing in a GPU API frame's children for the frame itself.
+    fn children(&self, side: usize, node: NodeId, out: &mut Vec<(String, usize, NodeId)>) {
+        let tree = self.trees[side];
+        for &child in tree.node(node).children() {
+            let frame = tree.node(child).frame();
+            if frame.kind() == FrameKind::GpuApi {
+                self.children(side, child, out);
+            } else {
+                out.push((frame.short_label(&self.interners[side]), side, child));
+            }
+        }
     }
 }
 
@@ -234,27 +211,50 @@ mod tests {
     use super::*;
     use deepcontext_core::{CallingContextTree, Frame, ProfileMeta};
 
-    fn profile(conv_time: f64, norm_time: f64) -> ProfileDb {
+    /// A profile with each sample's value attributed at its path.
+    fn db(samples: impl Fn(&Interner) -> Vec<(Vec<Frame>, f64)>) -> ProfileDb {
         let mut cct = CallingContextTree::new();
-        let i = cct.interner();
-        let conv = cct.insert_path(&[
-            Frame::python("unet.py", 30, "down_block", &i),
-            Frame::gpu_kernel("implicit_gemm", "m.so", 0x10, &i),
-        ]);
-        let norm = cct.insert_path(&[
-            Frame::python("unet.py", 30, "down_block", &i),
-            Frame::gpu_kernel("batch_norm_template", "m.so", 0x20, &i),
-        ]);
-        cct.attribute(conv, MetricKind::GpuTime, conv_time);
-        cct.attribute(norm, MetricKind::GpuTime, norm_time);
+        for (path, value) in samples(&cct.interner()) {
+            let leaf = cct.insert_path(&path);
+            cct.attribute(leaf, MetricKind::GpuTime, value);
+        }
         ProfileDb::new(ProfileMeta::default(), cct)
+    }
+
+    fn profile(conv_time: f64, norm_time: f64) -> ProfileDb {
+        db(|i| {
+            [
+                ("implicit_gemm", 0x10, conv_time),
+                ("batch_norm_template", 0x20, norm_time),
+            ]
+            .map(|(kernel, pc, value)| {
+                let block = Frame::python("unet.py", 30, "down_block", i);
+                (vec![block, Frame::gpu_kernel(kernel, "m.so", pc, i)], value)
+            })
+            .into()
+        })
+    }
+
+    fn new_kernel_only() -> ProfileDb {
+        db(|i| {
+            vec![(
+                vec![Frame::gpu_kernel("new_kernel", "m.so", 0x30, i)],
+                700.0,
+            )]
+        })
+    }
+
+    fn gpu_time(baseline: &ProfileDb, candidate: &ProfileDb) -> ProfileDiff {
+        ProfileDiff::compare(baseline, candidate, MetricKind::GpuTime)
+    }
+
+    fn paths(diff: &ProfileDiff) -> Vec<&str> {
+        diff.entries().iter().map(|e| e.path.as_str()).collect()
     }
 
     #[test]
     fn diff_finds_the_regressed_context() {
-        let nv = profile(100.0, 40.0);
-        let amd = profile(80.0, 120.0);
-        let diff = ProfileDiff::compare(&nv, &amd, MetricKind::GpuTime);
+        let diff = gpu_time(&profile(100.0, 40.0), &profile(80.0, 120.0));
         let top = &diff.entries()[0];
         assert!(top.path.contains("batch_norm_template"));
         assert_eq!(top.delta(), 80.0);
@@ -268,101 +268,83 @@ mod tests {
 
     #[test]
     fn contexts_missing_on_one_side_are_reported() {
-        let base = profile(100.0, 40.0);
-        let mut other_cct = CallingContextTree::new();
-        let i = other_cct.interner();
-        let only = other_cct.insert_path(&[Frame::gpu_kernel("new_kernel", "m.so", 0x30, &i)]);
-        other_cct.attribute(only, MetricKind::GpuTime, 7.0);
-        let other = ProfileDb::new(ProfileMeta::default(), other_cct);
-
-        let diff = ProfileDiff::compare(&base, &other, MetricKind::GpuTime);
-        let new_entry = diff
-            .entries()
-            .iter()
-            .find(|e| e.path.contains("new_kernel"))
-            .unwrap();
-        assert_eq!(new_entry.baseline, 0.0);
-        assert_eq!(new_entry.ratio(), f64::INFINITY);
-        let gone = diff
-            .entries()
-            .iter()
-            .find(|e| e.path.ends_with("implicit_gemm"))
-            .unwrap();
-        assert_eq!(gone.candidate, 0.0);
+        let diff = gpu_time(&profile(100.0, 40.0), &new_kernel_only());
+        let entry = |path: &str| diff.entries().iter().find(|e| e.path == path).unwrap();
+        // `0.0`, not the `-0.0` an empty `f64` sum gives.
+        assert_eq!(entry("new_kernel").baseline.to_bits(), 0.0f64.to_bits());
+        assert_eq!(entry("new_kernel").ratio(), f64::INFINITY);
+        let gone = entry("unet.py:30 > implicit_gemm");
+        assert_eq!(gone.candidate.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
-    fn mapped_diff_matches_path_diff_on_changed_contexts() {
-        let nv = profile(100.0, 40.0);
-        let amd = profile(80.0, 120.0);
-        let by_path = ProfileDiff::compare(&nv, &amd, MetricKind::GpuTime);
-        let mapped = ProfileDiff::compare_mapped(&nv, &amd, MetricKind::GpuTime);
-        assert_eq!(mapped.totals(), by_path.totals());
-        let changed: Vec<_> = by_path
-            .entries()
-            .iter()
-            .filter(|e| e.delta() != 0.0)
-            .collect();
-        assert_eq!(mapped.entries().len(), changed.len());
-        for (m, p) in mapped.entries().iter().zip(changed) {
-            assert_eq!(m.path, p.path);
-            assert_eq!(m.baseline, p.baseline);
-            assert_eq!(m.candidate, p.candidate);
-        }
+    fn render_top_marks_a_context_absent_from_the_baseline_new() {
+        let text = gpu_time(&profile(100.0, 40.0), &new_kernel_only()).render_top(1);
+        assert!(text.ends_with("(new)  new_kernel\n"), "{text}");
     }
 
     #[test]
-    fn mapped_diff_omits_unchanged_contexts() {
-        let a = profile(10.0, 40.0);
-        let b = profile(10.0, 90.0);
-        let mapped = ProfileDiff::compare_mapped(&a, &b, MetricKind::GpuTime);
-        // The shared python parent changed (inclusive sums differ), and
-        // the batch_norm leaf changed; the conv leaf is identical.
-        assert!(mapped.entries().iter().all(|e| e.delta() != 0.0));
-        assert!(!mapped
-            .entries()
-            .iter()
-            .any(|e| e.path.ends_with("implicit_gemm")));
-        assert!(mapped
-            .entries()
-            .iter()
-            .any(|e| e.path.ends_with("batch_norm_template")));
+    fn siblings_sharing_a_label_are_summed_not_overwritten() {
+        // One kernel name at two PCs under one operator: two contexts,
+        // one label path.
+        let run = |at_10: f64, at_20: f64| {
+            db(|i| {
+                [(0x10, at_10), (0x20, at_20)]
+                    .map(|(pc, value)| {
+                        let op = Frame::operator("aten::conv2d", i);
+                        (vec![op, Frame::gpu_kernel("k", "m.so", pc, i)], value)
+                    })
+                    .into()
+            })
+        };
+        let diff = gpu_time(&run(100.0, 40.0), &run(100.0, 80.0));
+        assert_eq!(paths(&diff), ["aten::conv2d", "aten::conv2d > k"]);
+        let k = &diff.entries()[1];
+        assert_eq!((k.baseline, k.candidate), (140.0, 180.0));
     }
 
     #[test]
-    fn mapped_diff_reports_one_sided_contexts() {
-        let base = profile(100.0, 40.0);
-        let mut other_cct = CallingContextTree::new();
-        let i = other_cct.interner();
-        let only = other_cct.insert_path(&[Frame::gpu_kernel("new_kernel", "m.so", 0x30, &i)]);
-        other_cct.attribute(only, MetricKind::GpuTime, 7.0);
-        let other = ProfileDb::new(ProfileMeta::default(), other_cct);
+    fn gpu_api_frames_are_walked_through() {
+        let run = |api: &'static str, norm_time: f64| {
+            db(move |i| {
+                let op = Frame::operator("aten::instance_norm", i);
+                let kernel = Frame::gpu_kernel("batch_norm_template", "m.so", 0x20, i);
+                vec![(
+                    vec![op, Frame::gpu_api(api, "rt.so", 0x40, i), kernel],
+                    norm_time,
+                )]
+            })
+        };
+        let nv = run("cuLaunchKernel", 40.0);
+        let amd = run("hipModuleLaunchKernel", 120.0);
+        let diff = gpu_time(&nv, &amd);
+        let norm = "aten::instance_norm";
+        assert_eq!(
+            paths(&diff),
+            [norm, &format!("{norm} > batch_norm_template")]
+        );
+        assert!(diff
+            .entries()
+            .iter()
+            .all(|e| (e.baseline, e.candidate) == (40.0, 120.0)));
+    }
 
-        let mapped = ProfileDiff::compare_mapped(&base, &other, MetricKind::GpuTime);
-        let new_entry = mapped
-            .entries()
-            .iter()
-            .find(|e| e.path.contains("new_kernel"))
-            .unwrap();
-        assert_eq!(new_entry.baseline, 0.0);
-        assert_eq!(new_entry.candidate, 7.0);
-        let gone = mapped
-            .entries()
-            .iter()
-            .find(|e| e.path.ends_with("implicit_gemm"))
-            .unwrap();
-        assert_eq!(gone.candidate, 0.0);
+    #[test]
+    fn unchanged_contexts_get_no_entry_and_ties_order_by_path() {
+        let diff = gpu_time(&profile(10.0, 40.0), &profile(10.0, 90.0));
+        // The shared python parent and the batch_norm leaf both moved by
+        // 50; the conv leaf did not.
+        assert_eq!(
+            paths(&diff),
+            ["unet.py:30", "unet.py:30 > batch_norm_template"]
+        );
     }
 
     #[test]
     fn identical_profiles_have_unit_ratios() {
-        let a = profile(10.0, 10.0);
-        let b = profile(10.0, 10.0);
-        let diff = ProfileDiff::compare(&a, &b, MetricKind::GpuTime);
-        assert!(diff.entries().iter().all(|e| e.ratio() == 1.0));
-        let text = diff.render_top(3);
-        assert!(text.contains("+0.0%"));
-        let mapped = ProfileDiff::compare_mapped(&a, &b, MetricKind::GpuTime);
-        assert!(mapped.entries().is_empty());
+        let diff = gpu_time(&profile(10.0, 10.0), &profile(10.0, 10.0));
+        assert!(diff.entries().is_empty());
+        assert_eq!(diff.totals(), (20.0, 20.0));
+        assert!(diff.render_top(3).contains("(+0.0%)"));
     }
 }

@@ -152,7 +152,7 @@ impl Rule for RegressionRule {
                     self.baseline_runs,
                 ),
                 suggestion: "bisect against the most recent non-regressed stored run \
-                             (ProfileDiff::compare_mapped pinpoints the changed contexts)"
+                             (ProfileDiff::compare pinpoints the changed contexts)"
                     .to_string(),
                 metrics: vec![
                     (self.metric.name().to_string(), total),

@@ -28,9 +28,9 @@
 //! Cross-run analysis works against a persistent [`ProfileStore`] (a
 //! directory of saved runs): filter runs by metadata ([`RunFilter`]),
 //! follow a metric across runs ([`ProfileStore::trend`]), diff two
-//! stored runs in O(changed subtree)
-//! ([`ProfileDiff::compare_mapped`]), and flag a fresh run against the
-//! store's baseline with the [`RegressionRule`] rule.
+//! runs by label path, across GPU vendors ([`ProfileDiff::compare`]),
+//! and flag a fresh run against the store's baseline with the
+//! [`RegressionRule`] rule.
 //!
 //! Custom rules implement the [`Rule`] trait and register on an
 //! [`Analyzer`].

@@ -21,7 +21,6 @@ use deepcontext_timeline::TimelineSnapshot;
 #[derive(Debug, Clone, Copy)]
 pub struct ProfileView<'a> {
     cct: &'a CallingContextTree,
-    db: Option<&'a ProfileDb>,
     timeline: Option<&'a TimelineSnapshot>,
 }
 
@@ -30,7 +29,6 @@ impl<'a> ProfileView<'a> {
     pub fn new(db: &'a ProfileDb) -> Self {
         ProfileView {
             cct: db.cct(),
-            db: Some(db),
             timeline: None,
         }
     }
@@ -40,7 +38,6 @@ impl<'a> ProfileView<'a> {
     pub fn live(cct: &'a CallingContextTree) -> Self {
         ProfileView {
             cct,
-            db: None,
             timeline: None,
         }
     }
@@ -59,12 +56,6 @@ impl<'a> ProfileView<'a> {
     /// The attached timeline, if any.
     pub fn timeline(&self) -> Option<&'a TimelineSnapshot> {
         self.timeline
-    }
-
-    /// The underlying stored profile, when this view wraps one (`None`
-    /// for live previews).
-    pub fn db(&self) -> Option<&'a ProfileDb> {
-        self.db
     }
 
     /// The calling context tree.
@@ -166,8 +157,6 @@ mod tests {
         let db = sample();
         let stored = ProfileView::new(&db);
         let live = ProfileView::live(db.cct());
-        assert!(live.db().is_none());
-        assert!(stored.db().is_some());
         assert_eq!(live.kernels(), stored.kernels());
         assert_eq!(
             live.total(MetricKind::GpuTime),

@@ -1,5 +1,4 @@
-//! Measurement harness shared by the table/figure regeneration binaries,
-//! and the profile builder `bench_check` times ([`store`]).
+//! Measurement harness shared by the table/figure regeneration binaries.
 //!
 //! [`measure`] runs one workload on one platform/engine under one of four
 //! profiler configurations — none, a trace-based framework profiler, and
@@ -9,8 +8,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod store;
 
 use std::time::{Duration, Instant};
 

@@ -306,13 +306,13 @@ impl CallingContextTree {
     /// it through this table. Used to fold per-thread/per-stream shards into a master
     /// tree.
     ///
-    /// `other` may use a different interner (e.g. a tree loaded from a
-    /// stored profile): its frames are re-interned into `self`'s
-    /// interner on the way in, so contexts still unify by the strings
-    /// they denote. Same-interner merges (the shard fold path) skip
-    /// that work entirely.
+    /// # Panics
+    ///
+    /// Panics unless both trees share one interner: a frame's `Sym`s
+    /// mean nothing in another interner, so merging them would corrupt
+    /// labels silently.
     pub fn merge(&mut self, other: &CallingContextTree) -> Vec<NodeId> {
-        let foreign = !Arc::ptr_eq(&self.interner, &other.interner);
+        self.assert_same_interner(other);
         // Map other's node ids to ours, walking other's tree top-down
         // (parents always precede children in the node vector).
         let mut mapping: Vec<NodeId> = Vec::with_capacity(other.nodes.len());
@@ -321,14 +321,7 @@ impl CallingContextTree {
                 self.root()
             } else {
                 let my_parent = mapping[node.parent.expect("non-root has parent").index()];
-                if foreign {
-                    self.insert_child(
-                        my_parent,
-                        &node.frame.reintern(&other.interner, &self.interner),
-                    )
-                } else {
-                    self.insert_child(my_parent, &node.frame)
-                }
+                self.insert_child(my_parent, &node.frame)
             };
             mapping.push(my_id);
             self.nodes[my_id.index()].metrics.merge(&node.metrics);
@@ -350,8 +343,10 @@ impl CallingContextTree {
     /// `state` must only ever be used with the same `(self, other)` pair,
     /// and `other` must evolve append-only between calls (no node or
     /// sample removal); both are upheld by the profiler's snapshot cache.
+    /// Panics unless both trees share one interner, as
+    /// [`merge`](Self::merge) does.
     pub fn merge_incremental(&mut self, other: &CallingContextTree, state: &mut FoldState) {
-        let foreign = !Arc::ptr_eq(&self.interner, &other.interner);
+        self.assert_same_interner(other);
         for (idx, node) in other.nodes.iter().enumerate() {
             let my_id = if idx < state.mapping.len() {
                 state.mapping[idx]
@@ -360,14 +355,7 @@ impl CallingContextTree {
                 self.root()
             } else {
                 let my_parent = state.mapping[node.parent.expect("non-root has parent").index()];
-                let id = if foreign {
-                    self.insert_child(
-                        my_parent,
-                        &node.frame.reintern(&other.interner, &self.interner),
-                    )
-                } else {
-                    self.insert_child(my_parent, &node.frame)
-                };
+                let id = self.insert_child(my_parent, &node.frame);
                 state.mapping.push(id);
                 id
             };
@@ -384,6 +372,13 @@ impl CallingContextTree {
                 state.folded.push(node.metrics.clone());
             }
         }
+    }
+
+    fn assert_same_interner(&self, other: &CallingContextTree) {
+        assert!(
+            Arc::ptr_eq(&self.interner, &other.interner),
+            "merged trees must share one interner"
+        );
     }
 
     /// Compares two trees for *semantic* equality: the same contexts
@@ -749,26 +744,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_reinterns_frames_from_a_foreign_tree() {
-        // Two trees built independently (distinct interners), same
-        // logical contexts. A fresh union must unify them by string,
-        // not by raw Sym value.
+    #[should_panic(expected = "share one interner")]
+    fn merge_refuses_a_tree_with_another_interner() {
         let mut a = CallingContextTree::new();
-        let la = a.insert_path(&sample_path(&a, "aten::matmul", "sgemm"));
-        a.attribute(la, MetricKind::GpuTime, 10.0);
         let mut b = CallingContextTree::new();
-        let lb = b.insert_path(&sample_path(&b, "aten::matmul", "sgemm"));
-        b.attribute(lb, MetricKind::GpuTime, 5.0);
-
-        let mut union = CallingContextTree::new();
-        let map_a = union.merge(&a);
-        let map_b = union.merge(&b);
-        assert_eq!(union.node_count(), a.node_count());
-        assert_eq!(map_a[la.index()], map_b[lb.index()]);
-        assert_eq!(union.total(MetricKind::GpuTime), 15.0);
-        let interner = union.interner();
-        let leaf = map_a[la.index()];
-        assert_eq!(union.node(leaf).frame().short_label(&interner), "sgemm");
+        b.insert_path(&sample_path(&b, "aten::matmul", "sgemm"));
+        a.merge(&b);
     }
 
     #[test]

@@ -148,11 +148,6 @@ impl ProfileDb {
         &self.cct
     }
 
-    /// Mutable access to the tree (e.g. for post-load annotation).
-    pub fn cct_mut(&mut self) -> &mut CallingContextTree {
-        &mut self.cct
-    }
-
     /// The persisted timeline, when the run recorded one.
     pub fn timeline(&self) -> Option<&StoredTimeline> {
         self.timeline.as_ref()
@@ -161,11 +156,6 @@ impl ProfileDb {
     /// Sets or clears the persisted timeline.
     pub fn set_timeline(&mut self, timeline: Option<StoredTimeline>) {
         self.timeline = timeline;
-    }
-
-    /// Consumes the database, returning its parts.
-    pub fn into_parts(self) -> (ProfileMeta, CallingContextTree) {
-        (self.meta, self.cct)
     }
 
     /// Writes the profile to `w`, 64 KiB of rendered bytes at a time.
@@ -812,7 +802,8 @@ fn parse_node_line(line: &str) -> Result<RawNode, CoreError> {
     let mut metrics = MetricStore::new();
     for _ in 0..metric_count {
         let kind = MetricKind::from_record(fields.text("metric kind")?)?;
-        let stat = MetricStat::from_record_fields(&mut fields)?;
+        let count = fields.number("sample count")?;
+        let stat = MetricStat::from_record_fields(count, &mut fields)?;
         metrics.merge_stat(kind, &stat);
     }
     Ok((parent, frame, metrics))
@@ -1217,6 +1208,28 @@ mod tests {
         db.save(&mut buf).unwrap();
         let cut = buf.len() / 2;
         assert!(ProfileDb::load(&buf[..cut]).is_err());
+    }
+
+    #[test]
+    fn a_metric_sample_count_that_is_no_unsigned_integer_is_refused() {
+        let mut cct = CallingContextTree::new();
+        cct.attribute(NodeId::ROOT, MetricKind::GpuTime, 4.0);
+        let mut buf = Vec::new();
+        ProfileDb::new(ProfileMeta::default(), cct)
+            .save(&mut buf)
+            .unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        // The root's line: no parent, the root frame, one kind, then the
+        // kind's six fields, sample count first.
+        let root = text.lines().find(|l| l.starts_with("-\tR\t1\t")).unwrap();
+        let kind = root.split('\t').nth(3).unwrap();
+        let count_at = format!("-\tR\t1\t{kind}\t1\t");
+        assert!(root.starts_with(&count_at));
+        for count in ["1.5", "-3", "NaN", "inf", "1e3"] {
+            let bad = text.replace(&count_at, &format!("-\tR\t1\t{kind}\t{count}\t"));
+            let msg = parse_error(bad.as_bytes());
+            assert!(msg.contains("sample count"), "{count}: {msg}");
+        }
     }
 
     #[test]

@@ -271,58 +271,6 @@ impl Frame {
         }
     }
 
-    /// Re-creates this frame with its strings interned in `to` instead
-    /// of `from`. Identity (modulo `Sym` values) for frames that carry
-    /// no interned strings. This is what lets trees with *different*
-    /// interners be merged — e.g. two profiles loaded independently
-    /// from a store — since `Sym`s are only meaningful within the
-    /// interner that produced them.
-    pub fn reintern(&self, from: &Interner, to: &Interner) -> Frame {
-        let re = |s: Sym| to.intern(&from.resolve(s));
-        match *self {
-            Frame::Root => Frame::Root,
-            Frame::Thread { tid, role } => Frame::Thread { tid, role },
-            Frame::Python {
-                file,
-                line,
-                function,
-            } => Frame::Python {
-                file: re(file),
-                line,
-                function: re(function),
-            },
-            Frame::Operator {
-                name,
-                phase,
-                seq_id,
-            } => Frame::Operator {
-                name: re(name),
-                phase,
-                seq_id,
-            },
-            Frame::Native {
-                library,
-                pc,
-                symbol,
-            } => Frame::Native {
-                library: re(library),
-                pc,
-                symbol: re(symbol),
-            },
-            Frame::GpuApi { name, library, pc } => Frame::GpuApi {
-                name: re(name),
-                library: re(library),
-                pc,
-            },
-            Frame::GpuKernel { name, module, pc } => Frame::GpuKernel {
-                name: re(name),
-                module: re(module),
-                pc,
-            },
-            Frame::Instruction { pc } => Frame::Instruction { pc },
-        }
-    }
-
     /// The layer this frame belongs to.
     pub fn kind(&self) -> FrameKind {
         match self {

@@ -454,7 +454,10 @@ impl MetricStat {
         );
     }
 
+    /// Reads the five floating-point fields that follow `count` in a
+    /// [`write_record`](Self::write_record) record.
     pub(crate) fn from_record_fields<'a>(
+        count: u64,
         mut fields: impl Iterator<Item = &'a str>,
     ) -> Result<Self, crate::CoreError> {
         let mut next_f64 = |what: &str| -> Result<f64, crate::CoreError> {
@@ -464,7 +467,6 @@ impl MetricStat {
                 .parse::<f64>()
                 .map_err(|e| crate::CoreError::parse(format!("bad {what}: {e}")))
         };
-        let count = next_f64("count")? as u64;
         let sum = next_f64("sum")?;
         let min = next_f64("min")?;
         let max = next_f64("max")?;

@@ -159,28 +159,33 @@ fn case6_llama_stall_analysis_finds_cast_stalls() {
     assert!(!stalls.is_empty(), "stall analysis found nothing");
 }
 
+/// One eager U-Net iteration on `spec`, native call paths included.
+fn unet_profile(spec: DeviceSpec) -> ProfileDb {
+    let platform = spec.platform_tag();
+    let bed = TestBed::new(spec);
+    let monitor = DlMonitor::init(bed.env(), Interner::new());
+    monitor.attach_framework(bed.eager().core().callbacks());
+    monitor.attach_gpu(bed.gpu());
+    let profiler = Profiler::attach(
+        ProfilerConfig::deepcontext_native(),
+        bed.env(),
+        &monitor,
+        bed.gpu(),
+    );
+    bed.run_eager(&UNet, &WorkloadOptions::default(), 1)
+        .unwrap();
+    profiler.finish(ProfileMeta {
+        platform,
+        ..Default::default()
+    })
+}
+
 #[test]
 fn case7_amd_norm_share_exceeds_nvidia_norm_share() {
     // Paper §6.5 / Figure 10: on MI250 the instance_norm template becomes
     // the hotspot; on A100 conv2d stays on top.
     fn operator_share(spec: DeviceSpec, op_label: &str) -> f64 {
-        let platform = spec.platform_tag();
-        let bed = TestBed::new(spec);
-        let monitor = DlMonitor::init(bed.env(), Interner::new());
-        monitor.attach_framework(bed.eager().core().callbacks());
-        monitor.attach_gpu(bed.gpu());
-        let profiler = Profiler::attach(
-            ProfilerConfig::deepcontext_native(),
-            bed.env(),
-            &monitor,
-            bed.gpu(),
-        );
-        bed.run_eager(&UNet, &WorkloadOptions::default(), 1)
-            .unwrap();
-        let db = profiler.finish(ProfileMeta {
-            platform,
-            ..Default::default()
-        });
+        let db = unet_profile(spec);
         let cct = db.cct();
         let interner = cct.interner();
         let total = cct.total(MetricKind::GpuTime);
@@ -212,6 +217,32 @@ fn case7_amd_norm_share_exceeds_nvidia_norm_share() {
         amd_norm > amd_conv,
         "MI250 hotspot should be instance_norm ({amd_norm:.2} vs {amd_conv:.2})"
     );
+}
+
+#[test]
+fn case7_unet_diff_pairs_every_context_across_vendors() {
+    // The same comparison as a diff: every path below an operator runs
+    // through `cuLaunchKernel` on A100 and `hipModuleLaunchKernel` on
+    // MI250, and the diff still pairs each context with its namesake.
+    let diff = ProfileDiff::compare(
+        &unet_profile(DeviceSpec::a100_sxm()),
+        &unet_profile(DeviceSpec::mi250()),
+        MetricKind::GpuTime,
+    );
+    assert!(!diff.entries().is_empty());
+    for e in diff.entries() {
+        assert!(
+            e.baseline > 0.0 && e.candidate > 0.0,
+            "one-sided: {}",
+            e.path
+        );
+    }
+    assert!(diff.regressions().any(|e| {
+        let (above, kernel) = e.path.rsplit_once(" > ").unwrap_or_default();
+        kernel.starts_with("batch_norm_")
+            && kernel.ends_with("_template")
+            && above.contains("aten::instance_norm")
+    }));
 }
 
 #[test]

@@ -4,9 +4,11 @@
 //! interval block cut off, then arbitrary bytes, every line-boundary
 //! truncation and random single-byte corruptions of the golden
 //! container), cross-run trend queries follow the metric
-//! across stored runs, and the `store-regression` rule flags an injected
-//! regression against the stored baseline.
+//! across stored runs, the `store-regression` rule flags an injected
+//! regression against the stored baseline, and `ProfileDiff::compare`
+//! agrees with a label-path oracle, in memory and after a round trip.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -220,9 +222,9 @@ fn trend_and_regression_rule_flag_an_injected_regression() {
         .by_rule("store-regression")
         .is_empty());
 
-    // The mapped diff against a stored baseline run shows the growth.
+    // The diff against a stored baseline run shows the growth.
     let baseline_run = store.load(&trend[0].id).unwrap();
-    let diff = ProfileDiff::compare_mapped(&baseline_run, &regressed, MetricKind::GpuTime);
+    let diff = ProfileDiff::compare(&baseline_run, &regressed, MetricKind::GpuTime);
     let (base_total, cand_total) = diff.totals();
     assert!(cand_total > 2.0 * base_total);
     assert!(!diff.entries().is_empty());
@@ -231,17 +233,22 @@ fn trend_and_regression_rule_flag_an_injected_regression() {
 }
 
 // ---------------------------------------------------------------------
-// Property: persisting two profiles through the store and diffing the
-// reloads gives exactly the in-memory diff — even though reloaded trees
-// use fresh interners.
+// Properties of `ProfileDiff::compare` over two profiles, each with its
+// own interner: it equals a label-path oracle, and persisting both
+// profiles through the store and diffing the reloads (fresh interners
+// again) gives exactly the in-memory diff.
 // ---------------------------------------------------------------------
 
+/// Frames whose short labels collide without their collapse keys doing
+/// so (`d0/file1.py:2` beside `d1/file1.py:2`, one kernel name at several
+/// PCs), and launch APIs of both vendors.
 fn arb_frame(interner: Arc<Interner>) -> impl Strategy<Value = Frame> {
     let i2 = Arc::clone(&interner);
     let i3 = Arc::clone(&interner);
+    let i4 = Arc::clone(&interner);
     prop_oneof![
-        (0u8..4, 1u32..5, 0u8..3).prop_map(move |(f, line, func)| Frame::python(
-            &format!("file{f}.py"),
+        (0u8..2, 0u8..4, 1u32..5, 0u8..3).prop_map(move |(d, f, line, func)| Frame::python(
+            &format!("d{d}/file{f}.py"),
             line,
             &format!("fn{func}"),
             &interner
@@ -253,19 +260,26 @@ fn arb_frame(interner: Arc<Interner>) -> impl Strategy<Value = Frame> {
             pc * 0x100,
             &i3
         )),
+        prop::sample::select(vec![
+            ("cuLaunchKernel", "libcuda.so"),
+            ("hipModuleLaunchKernel", "libamdhip64.so"),
+        ])
+        .prop_map(move |(api, library)| Frame::gpu_api(api, library, 0x40, &i4)),
     ]
 }
 
+/// Small integer samples: sums are exact in any order, and the two sides
+/// of a diff often tie on a path.
 fn arb_profile() -> impl Strategy<Value = ProfileDb> {
     let interner = Interner::new();
     let frames = arb_frame(Arc::clone(&interner));
     let paths = prop::collection::vec(prop::collection::vec(frames, 1..6), 1..20);
-    let values = prop::collection::vec(0.0f64..1e6, 1..20);
+    let values = prop::collection::vec(0u32..4, 1..20);
     (paths, values).prop_map(move |(paths, values)| {
         let mut cct = CallingContextTree::with_interner(Arc::clone(&interner));
         for (p, v) in paths.iter().zip(values.iter().cycle()) {
             let leaf = cct.insert_path(p);
-            cct.attribute(leaf, MetricKind::GpuTime, *v);
+            cct.attribute(leaf, MetricKind::GpuTime, f64::from(*v));
         }
         ProfileDb::new(
             ProfileMeta {
@@ -277,6 +291,23 @@ fn arb_profile() -> impl Strategy<Value = ProfileDb> {
             cct,
         )
     })
+}
+
+/// Adds each label path of `db` (GPU API frames dropped) to `sums`: the
+/// summed inclusive GPU time of the contexts on it, at index `side`.
+fn add_label_path_sums(db: &ProfileDb, side: usize, sums: &mut BTreeMap<String, [f64; 2]>) {
+    let (cct, interner) = (db.cct(), db.cct().interner());
+    let not_api = |f: &Frame| f.kind() != FrameKind::GpuApi;
+    for node in cct.dfs().skip(1).filter(|&n| not_api(cct.node(n).frame())) {
+        let path = cct.frames_to_root(node);
+        let labels: Vec<_> = path
+            .iter()
+            .filter(|f| not_api(f))
+            .map(|f| f.short_label(&interner))
+            .collect();
+        sums.entry(labels.join(" > ")).or_default()[side] +=
+            cct.node(node).metrics().sum(MetricKind::GpuTime);
+    }
 }
 
 /// The committed container (with a timeline section; see
@@ -376,16 +407,41 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
+    fn diff_equals_the_label_path_oracle(
+        base in arb_profile(),
+        cand in arb_profile(),
+    ) {
+        let diff = ProfileDiff::compare(&base, &cand, MetricKind::GpuTime);
+        prop_assert_eq!(
+            diff.totals(),
+            (base.cct().total(MetricKind::GpuTime), cand.cct().total(MetricKind::GpuTime))
+        );
+        let mut sums = BTreeMap::new();
+        add_label_path_sums(&base, 0, &mut sums);
+        add_label_path_sums(&cand, 1, &mut sums);
+        let mut expected: Vec<_> = sums.into_iter().filter(|(_, [b, c])| b != c).collect();
+        expected.sort_by(|(p, [b, c]), (q, [d, e])| {
+            (e - d).abs().total_cmp(&(c - b).abs()).then_with(|| p.cmp(q))
+        });
+        prop_assert_eq!(diff.entries().len(), expected.len());
+        for (entry, (path, [b, c])) in diff.entries().iter().zip(&expected) {
+            prop_assert_eq!(&entry.path, path);
+            prop_assert_eq!(entry.baseline.to_bits(), b.to_bits());
+            prop_assert_eq!(entry.candidate.to_bits(), c.to_bits());
+        }
+    }
+
+    #[test]
     fn store_then_diff_equals_in_memory_diff(
         base in arb_profile(),
         cand in arb_profile(),
     ) {
-        let in_memory = ProfileDiff::compare_mapped(&base, &cand, MetricKind::GpuTime);
+        let in_memory = ProfileDiff::compare(&base, &cand, MetricKind::GpuTime);
 
         let (dir, store) = temp_store();
         let base_id = store.save(&base).unwrap();
         let cand_id = store.save(&cand).unwrap();
-        let stored = ProfileDiff::compare_mapped(
+        let stored = ProfileDiff::compare(
             &store.load(&base_id).unwrap(),
             &store.load(&cand_id).unwrap(),
             MetricKind::GpuTime,
