@@ -124,11 +124,6 @@ impl Analyzer {
         self
     }
 
-    /// Number of registered rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     /// Runs every rule over `db`.
     pub fn analyze(&self, db: &ProfileDb) -> AnalysisReport {
         self.run(&ProfileView::new(db))

@@ -146,17 +146,6 @@ pub enum MetricKind {
 }
 
 impl MetricKind {
-    /// Returns `true` for metric kinds measured in nanoseconds.
-    pub fn is_time(self) -> bool {
-        matches!(
-            self,
-            MetricKind::GpuTime
-                | MetricKind::MemcpyTime
-                | MetricKind::CpuTime
-                | MetricKind::RealTime
-        )
-    }
-
     /// The column an occurrence-counting kind has in a shard's table of
     /// unsettled integer counts, ascending in `MetricKind` order; `None`
     /// for every measured kind.

@@ -139,11 +139,6 @@ impl EagerEngine {
         self.tape.lock().len()
     }
 
-    /// Clears the tape without running backward.
-    pub fn zero_tape(&self) {
-        self.tape.lock().clear();
-    }
-
     /// Runs backward over the taped operators on the dedicated backward
     /// thread, blocking until complete (like `loss.backward()`).
     ///

@@ -43,10 +43,11 @@ pub use sink::{attribute_activity_metrics, EventSink, SinkCounters};
 // The timeline types every sink speaks (see `EventSink::timeline_snapshot`
 // and `SinkOptions::timeline`), re-exported so embedders need no
 // direct `deepcontext-timeline` dependency.
-pub use deepcontext_timeline::{
-    default_timeline_config, default_timeline_enabled, TimelineConfig, TimelineSnapshot,
-    TimelineStats,
-};
+pub use deepcontext_timeline::{TimelineConfig, TimelineSnapshot, TimelineStats};
+
+/// The default ingestion shard count: what [`SinkOptions::default`] and
+/// the profiler's default configuration both build.
+pub const DEFAULT_SHARDS: usize = 16;
 
 /// Vestigial: nothing batches. The constant is what
 /// [`PipelineConfig::launch_batch`] defaults to, so the frozen repo

@@ -56,6 +56,7 @@ use sim_gpu::{Activity, ActivityKind, ApiKind};
 
 use crate::directory::{mix, Binding, StripedHashDirectory, DIR_ENTRY_BYTES};
 use crate::sink::{attribute_activity_metrics, EventSink, SinkCounters};
+use crate::DEFAULT_SHARDS;
 
 /// The memoized fold of all shards: the merged master tree, the
 /// per-shard [`FoldState`] it was built through, and the shard dirty
@@ -92,8 +93,8 @@ impl SnapshotCache {
 }
 
 /// Everything [`ShardedSink::with`] can be told. The [`Default`] is what
-/// [`ShardedSink::new`] builds (at 16 shards, the profiler's default
-/// layout).
+/// [`ShardedSink::new`] builds (at [`DEFAULT_SHARDS`], the profiler's
+/// default layout).
 #[derive(Debug, Clone)]
 pub struct SinkOptions {
     /// Shard count (clamped to at least one).
@@ -107,7 +108,7 @@ pub struct SinkOptions {
 impl Default for SinkOptions {
     fn default() -> Self {
         SinkOptions {
-            shards: 16,
+            shards: DEFAULT_SHARDS,
             timeline: TimelineConfig::default(),
         }
     }
@@ -192,12 +193,6 @@ impl ShardedSink {
     /// The interner shared by every shard.
     pub fn interner(&self) -> &Arc<Interner> {
         &self.interner
-    }
-
-    /// Whether kernel/memcpy intervals are being recorded into timeline
-    /// rings.
-    pub fn timeline_enabled(&self) -> bool {
-        self.timeline.is_some()
     }
 
     /// Number of shards that have recorded anything — used by routing

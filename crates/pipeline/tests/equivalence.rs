@@ -10,11 +10,14 @@
 //!   `CallingContextTree::semantic_diff`), mid-stream, at 16 shards and
 //!   at 1;
 //! * **`16 shards == 1 shard`**: the layout changes nothing either;
+//! * **`timeline on == off`**: the timeline tap changes nothing in the
+//!   profile (a third sink, 16 shards with recording off);
 //! * **nothing waits**: every launch and CPU sample driven so far is in
 //!   the snapshot, whether or not a batch or boundary followed it.
 //!
-//! And once the stream closes: the correlation directory is empty and
-//! every kernel/memcpy record produced one timeline interval.
+//! And once the stream closes: the correlation directory is empty,
+//! every kernel/memcpy record produced one timeline interval where
+//! recording is on, and none where it is off.
 
 use std::sync::Arc;
 
@@ -158,21 +161,21 @@ fn arb_step() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// Drives one interleaving into a 16-shard and a 1-shard sink, checking
-/// the module's invariants at every snapshot point and once more after
-/// the stream closes.
+/// Drives one interleaving into a 16-shard and a 1-shard sink recording
+/// the timeline and a 16-shard sink that does not, checking the module's
+/// invariants at every snapshot point and once more after the stream
+/// closes.
 fn check_interleaving(steps: &[Step]) {
     let interner = Interner::new();
-    let sink = |shards| {
-        ShardedSink::with(
-            Arc::clone(&interner),
-            SinkOptions {
-                shards,
-                timeline: TimelineConfig::enabled(),
-            },
-        )
+    let sink = |shards, timeline| {
+        ShardedSink::with(Arc::clone(&interner), SinkOptions { shards, timeline })
     };
-    let sinks = [sink(16), sink(1)];
+    let on = TimelineConfig::enabled();
+    let sinks = [
+        sink(16, on),
+        sink(1, on),
+        sink(16, TimelineConfig::default()),
+    ];
 
     let mut next_corr = 1u64;
     let mut outstanding: Vec<(u64, u8, ApiKind)> = Vec::new();
@@ -229,12 +232,12 @@ fn check_interleaving(steps: &[Step]) {
             Step::Epoch => sinks.iter().for_each(|sink| sink.epoch_complete()),
             Step::Snapshot => {
                 snapshots += 1;
-                let [wide, narrow] = sinks.each_ref().map(|sink| {
+                let [wide, narrow, dark] = sinks.each_ref().map(|sink| {
                     let cached = sink.snapshot();
                     let fresh = sink.snapshot_uncached();
                     (sink.shard_count(), cached, fresh)
                 });
-                for (shards, cached, fresh) in [&wide, &narrow] {
+                for (shards, cached, fresh) in [&wide, &narrow, &dark] {
                     prop_assert_eq!(
                         cached.semantic_diff(fresh),
                         None,
@@ -259,17 +262,32 @@ fn check_interleaving(steps: &[Step]) {
                     "16 shards != 1 shard, snapshot #{}",
                     snapshots
                 );
+                prop_assert_eq!(
+                    wide.1.semantic_diff(&dark.1),
+                    None,
+                    "timeline on != off, snapshot #{}",
+                    snapshots
+                );
             }
         }
     }
 
     // Close the stream: deliver what is outstanding, then one boundary.
     flush(&mut outstanding);
-    let mut finished = Vec::new();
+    let [recording @ .., dark] = &sinks;
     for sink in &sinks {
         sink.epoch_complete();
+        prop_assert_eq!(
+            sink.correlation_entries(),
+            0,
+            "{} shards",
+            sink.shard_count()
+        );
+        prop_assert_eq!(sink.counters().orphans, 0);
+    }
+    prop_assert!(dark.timeline_snapshot().is_none(), "timeline off");
+    for sink in recording {
         let shards = sink.shard_count();
-        prop_assert_eq!(sink.correlation_entries(), 0, "{} shards", shards);
         let timeline = sink.timeline_snapshot().expect("timeline on");
         prop_assert_eq!(
             timeline.recorded(),
@@ -289,10 +307,10 @@ fn check_interleaving(steps: &[Step]) {
                 shards
             );
         }
-        prop_assert_eq!(sink.counters().orphans, 0);
-        finished.push(sink.finish_snapshot());
     }
-    prop_assert_eq!(finished[0].semantic_diff(&finished[1]), None, "finish");
+    let [wide, narrow, dark] = sinks.each_ref().map(|sink| sink.finish_snapshot());
+    prop_assert_eq!(wide.semantic_diff(&narrow), None, "finish, 16 != 1");
+    prop_assert_eq!(wide.semantic_diff(&dark), None, "finish, on != off");
 }
 
 proptest! {

@@ -48,37 +48,14 @@ use sim_runtime::{RuntimeEnv, SampleKind, SamplerId};
 // The ingestion pipeline lives in its own crate so the profiler, the
 // benchmarks and external embedders share one implementation.
 pub use deepcontext_pipeline::{
-    attribute_activity_metrics, default_timeline_config, default_timeline_enabled,
-    DirectoryMapKind, EventSink, IngestionMode, PipelineConfig, ShardedSink, SinkCounters,
-    SinkOptions, TimelineConfig, TimelineSnapshot, TimelineStats, DEFAULT_LAUNCH_BATCH,
+    attribute_activity_metrics, DirectoryMapKind, EventSink, IngestionMode, PipelineConfig,
+    ShardedSink, SinkCounters, SinkOptions, TimelineConfig, TimelineSnapshot, TimelineStats,
+    DEFAULT_LAUNCH_BATCH, DEFAULT_SHARDS,
 };
 
-/// The default ingestion shard count, honouring the
-/// `DEEPCONTEXT_TEST_SHARDS` environment override CI uses to run the
-/// whole suite under both the historical single-lock layout (`=1`) and
-/// the sharded layout (`=16`). Unset means 16.
-///
-/// # Panics
-///
-/// When the variable is set to anything but an integer ≥ 1, naming the
-/// variable and the value: a typo that silently meant 16 would run a
-/// single-shard CI cell on the default layout.
-pub fn default_ingestion_shards() -> usize {
-    match std::env::var("DEEPCONTEXT_TEST_SHARDS") {
-        Err(std::env::VarError::NotPresent) => 16,
-        value => {
-            let value = value.unwrap_or_else(|e| format!("{e:?}"));
-            value
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    panic!("DEEPCONTEXT_TEST_SHARDS: `{value}` is not an integer ≥ 1")
-                })
-        }
-    }
-}
+/// GPU activity records the runtime buffers before it auto-flushes them
+/// to the profiler.
+const ACTIVITY_BUFFER_CAPACITY: usize = 4096;
 
 /// Profiler configuration.
 #[derive(Debug, Clone)]
@@ -86,9 +63,9 @@ pub struct ProfilerConfig {
     /// Which call-path sources to integrate (paper's "DeepContext" vs
     /// "DeepContext Native" configurations).
     pub sources: CallPathSources,
-    /// Collect coarse GPU metrics (time, launch shapes, occupancy).
-    pub gpu_metrics: bool,
-    /// Collect fine-grained instruction samples.
+    /// Collect fine-grained instruction samples. Both fields of the
+    /// [`SamplingConfig`] must be non-zero ([`Profiler::attach`] panics
+    /// otherwise): either at zero would sample nothing.
     pub instruction_sampling: Option<SamplingConfig>,
     /// CPU_TIME sampling interval (None = off).
     pub cpu_time_interval: Option<TimeNs>,
@@ -98,11 +75,9 @@ pub struct ProfilerConfig {
     /// retired instructions sample every `period` events, cache misses
     /// every `period / 10` (at least 1).
     pub hw_counter_period: Option<u64>,
-    /// GPU activity buffer capacity before auto-flush.
-    pub activity_buffer_capacity: usize,
     /// Number of ingestion shards (parallel CCT shards events are routed
-    /// to before any lock is taken). `1` reproduces the historical
-    /// single-lock pipeline.
+    /// to before any lock is taken), [`DEFAULT_SHARDS`] by default. `1`
+    /// reproduces the historical single-lock pipeline.
     pub ingestion_shards: usize,
     /// Vestigial: attribution runs inline on producers, the one mode
     /// there is. Read only by the frozen repo benchmark's `resolved:`
@@ -115,9 +90,7 @@ pub struct ProfilerConfig {
     /// `[start, end)` interval — tagged with its resolved CCT context —
     /// in bounded per-shard rings, for utilization / overlap / idle-gap
     /// analysis and Chrome-trace export ([`Profiler::timeline`]).
-    /// Off by default (aggregate-only profiling pays nothing); the
-    /// `DEEPCONTEXT_TIMELINE` environment override CI uses flips the
-    /// default on.
+    /// Off by default: aggregate-only profiling pays nothing for it.
     pub timeline: TimelineConfig,
 }
 
@@ -125,16 +98,14 @@ impl Default for ProfilerConfig {
     fn default() -> Self {
         ProfilerConfig {
             sources: CallPathSources::all(),
-            gpu_metrics: true,
             instruction_sampling: None,
             cpu_time_interval: Some(TimeNs::from_us(100)),
             real_time_interval: None,
             hw_counter_period: None,
-            activity_buffer_capacity: 4096,
-            ingestion_shards: default_ingestion_shards(),
+            ingestion_shards: DEFAULT_SHARDS,
             ingestion_mode: IngestionMode::Sync,
             pipeline: PipelineConfig::default(),
-            timeline: default_timeline_config(),
+            timeline: TimelineConfig::default(),
         }
     }
 }
@@ -178,7 +149,8 @@ pub struct Profiler {
     inner: Arc<Inner>,
     env: RuntimeEnv,
     gpu: Arc<GpuRuntime>,
-    monitor_regs: Vec<RegistrationId>,
+    /// The launch-site callback; `None` once detached.
+    launch_callback: Option<RegistrationId>,
     sampler_ids: Vec<SamplerId>,
     /// Wall-clock attach time: the start of the run's window. Timeline
     /// snapshots and [`Profiler::finish`] bound idle analysis with it.
@@ -191,6 +163,12 @@ impl Profiler {
     /// `monitor` must already be attached to the framework(s) and GPU
     /// runtime (see [`DlMonitor::attach_framework`] /
     /// [`DlMonitor::attach_gpu`]).
+    ///
+    /// # Panics
+    ///
+    /// When [`ProfilerConfig::instruction_sampling`] asks for sampling
+    /// with a zero `period` or `max_samples_per_kernel`, naming the
+    /// field: such a run would collect no instruction sample, silently.
     pub fn attach(
         config: ProfilerConfig,
         env: &RuntimeEnv,
@@ -209,6 +187,10 @@ impl Profiler {
 
     /// Attaches a profiler delivering events to a caller-provided sink
     /// (custom aggregation pipelines, instrumented sinks in tests).
+    ///
+    /// # Panics
+    ///
+    /// On the configurations [`Profiler::attach`] refuses.
     pub fn attach_with_sink(
         config: ProfilerConfig,
         env: &RuntimeEnv,
@@ -216,6 +198,17 @@ impl Profiler {
         gpu: &Arc<GpuRuntime>,
         sink: Arc<dyn EventSink>,
     ) -> Profiler {
+        if let Some(sampling) = &config.instruction_sampling {
+            assert!(
+                sampling.period.as_nanos() > 0,
+                "ProfilerConfig::instruction_sampling: `period` is 0, so no kernel would be sampled"
+            );
+            assert!(
+                sampling.max_samples_per_kernel > 0,
+                "ProfilerConfig::instruction_sampling: `max_samples_per_kernel` is 0, \
+                 so no kernel would keep a sample"
+            );
+        }
         monitor.set_sources(config.sources);
 
         let inner = Arc::new(Inner {
@@ -225,42 +218,38 @@ impl Profiler {
             cpu_samples: AtomicU64::new(0),
         });
 
-        let mut monitor_regs = Vec::new();
+        gpu.set_buffer_capacity(ACTIVITY_BUFFER_CAPACITY);
+        gpu.set_sampling(config.instruction_sampling);
 
-        if config.gpu_metrics {
-            gpu.set_buffer_capacity(config.activity_buffer_capacity);
-            gpu.set_sampling(config.instruction_sampling);
-
-            // Launch-site interception: bind correlation ids to contexts.
-            // Held weakly: a thread that delivered an event keeps the
-            // monitor's subscriber list until its next one, and the sink
-            // must not wait for a thread that has gone idle.
-            let me = Arc::downgrade(&inner);
-            monitor_regs.push(monitor.callback_register(Domain::Gpu, move |event| {
-                if let DlEvent::Gpu(gpu_event) = event {
-                    if gpu_event.data.site != CallbackSite::Enter {
-                        return;
-                    }
-                    match gpu_event.data.api {
-                        ApiKind::LaunchKernel | ApiKind::MemcpyAsync | ApiKind::MemAlloc => {}
-                        _ => return,
-                    }
-                    let Some(me) = me.upgrade() else { return };
-                    let path = me.monitor.callpath_for_gpu(gpu_event).handle();
-                    me.sink
-                        .gpu_launch(&gpu_event.origin(), path, gpu_event.data.api);
-                    if gpu_event.data.api == ApiKind::LaunchKernel {
-                        me.launches.fetch_add(1, Ordering::Relaxed);
-                    }
+        // Launch-site interception: bind correlation ids to contexts.
+        // Held weakly: a thread that delivered an event keeps the
+        // monitor's subscriber list until its next one, and the sink
+        // must not wait for a thread that has gone idle.
+        let me = Arc::downgrade(&inner);
+        let launch_callback = monitor.callback_register(Domain::Gpu, move |event| {
+            if let DlEvent::Gpu(gpu_event) = event {
+                if gpu_event.data.site != CallbackSite::Enter {
+                    return;
                 }
-            }));
+                match gpu_event.data.api {
+                    ApiKind::LaunchKernel | ApiKind::MemcpyAsync | ApiKind::MemAlloc => {}
+                    _ => return,
+                }
+                let Some(me) = me.upgrade() else { return };
+                let path = me.monitor.callpath_for_gpu(gpu_event).handle();
+                me.sink
+                    .gpu_launch(&gpu_event.origin(), path, gpu_event.data.api);
+                if gpu_event.data.api == ApiKind::LaunchKernel {
+                    me.launches.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        });
 
-            // Asynchronous activity delivery (buffer-completed handler).
-            let me = Arc::clone(&inner);
-            gpu.set_activity_handler(move |batch| {
-                me.sink.activity_batch(batch);
-            });
-        }
+        // Asynchronous activity delivery (buffer-completed handler).
+        let me = Arc::clone(&inner);
+        gpu.set_activity_handler(move |batch| {
+            me.sink.activity_batch(batch);
+        });
 
         // CPU sampling (sigaction / perf-event substitutes).
         let mut sampler_ids = Vec::new();
@@ -313,7 +302,7 @@ impl Profiler {
             inner,
             env: env.clone(),
             gpu: Arc::clone(gpu),
-            monitor_regs,
+            launch_callback: Some(launch_callback),
             sampler_ids,
             started: env.clock().now(),
         }
@@ -445,7 +434,7 @@ impl Profiler {
     }
 
     fn detach(&mut self) {
-        for id in self.monitor_regs.drain(..) {
+        if let Some(id) = self.launch_callback.take() {
             self.inner.monitor.callback_unregister(id);
         }
         for id in self.sampler_ids.drain(..) {
@@ -810,27 +799,75 @@ mod tests {
 
     #[test]
     fn single_shard_config_matches_default() {
-        // The sharded pipeline is an API-compatible refactor: one shard
-        // (the historical single-lock design) and many shards must agree
-        // on every aggregate.
-        let totals = |shards: usize| {
+        // Neither the layout nor the timeline tap changes the profile:
+        // one shard (the historical single-lock design) or many,
+        // recording intervals or not, every cell finishes the same tree.
+        let run = |ingestion_shards: usize, enabled: bool| {
             let rig = rig();
             let config = ProfilerConfig {
-                ingestion_shards: shards,
+                ingestion_shards,
+                timeline: TimelineConfig {
+                    enabled,
+                    ..TimelineConfig::default()
+                },
                 ..ProfilerConfig::default()
             };
             let profiler = Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);
             run_relu(&rig, 6);
+            let main = rig.env.threads().spawn(ThreadRole::Main);
+            let _bind = ThreadRegistry::bind_current(&main);
+            rig.gpu.malloc(DeviceId(0), 4096).unwrap();
+            for _ in 0..2 {
+                rig.gpu
+                    .memcpy_async(DeviceId(0), sim_gpu::StreamId(0), 1 << 20)
+                    .unwrap();
+            }
+            rig.gpu.synchronize(DeviceId(0)).unwrap();
             profiler.flush();
-            profiler.with_cct(|cct| {
-                (
-                    cct.node_count(),
-                    cct.total(MetricKind::GpuTime),
-                    cct.total(MetricKind::KernelLaunches),
-                )
-            })
+            let stats = profiler.stats();
+            let db = profiler.finish(ProfileMeta::default());
+            (stats, db)
         };
-        assert_eq!(totals(1), totals(16));
+        let (_, default) = run(DEFAULT_SHARDS, false);
+        for shards in [1, 16] {
+            for enabled in [false, true] {
+                let (stats, db) = run(shards, enabled);
+                let cell = format!("{shards} shards, timeline {enabled}");
+                assert_eq!(db.cct().semantic_diff(default.cct()), None, "{cell}");
+                // Six kernels, two memcpys and one malloc.
+                assert_eq!((stats.launches, stats.activities), (6, 9), "{cell}");
+                let intervals = if enabled { 6 + 2 } else { 0 };
+                assert_eq!(stats.timeline_intervals, intervals, "{cell}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "instruction_sampling: `period` is 0")]
+    fn instruction_sampling_with_a_zero_period_panics_at_attach() {
+        let rig = rig();
+        let config = ProfilerConfig {
+            instruction_sampling: Some(SamplingConfig {
+                period: TimeNs(0),
+                ..SamplingConfig::default()
+            }),
+            ..ProfilerConfig::default()
+        };
+        Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);
+    }
+
+    #[test]
+    #[should_panic(expected = "instruction_sampling: `max_samples_per_kernel` is 0")]
+    fn instruction_sampling_keeping_no_sample_panics_at_attach() {
+        let rig = rig();
+        let config = ProfilerConfig {
+            instruction_sampling: Some(SamplingConfig {
+                max_samples_per_kernel: 0,
+                ..SamplingConfig::default()
+            }),
+            ..ProfilerConfig::default()
+        };
+        Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);
     }
 
     #[test]

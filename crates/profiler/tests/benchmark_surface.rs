@@ -21,8 +21,6 @@ use common::{rig, run_relu};
 #[test]
 fn resolved_header_fields_keep_their_names_and_formats() {
     let config = ProfilerConfig {
-        // Pinned: the CI matrix moves this default through the
-        // environment. Every other field is what a user gets.
         ingestion_shards: 16,
         ..ProfilerConfig::deepcontext()
     };

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use deepcontext_core::{Frame, Interner, MetricKind, PathHandle, TimeNs};
-use deepcontext_profiler::{default_ingestion_shards, EventSink, ShardedSink};
+use deepcontext_profiler::{EventSink, ShardedSink};
 use dlmonitor::EventOrigin;
 use proptest::prelude::*;
 use sim_gpu::{Activity, ActivityKind, ApiKind, CorrelationId, DeviceId, StreamId};
@@ -191,7 +191,7 @@ proptest! {
 
     #[test]
     fn cached_snapshot_equals_fresh_fold(steps in prop::collection::vec(arb_step(), 1..80)) {
-        for shards in [1usize, 16, default_ingestion_shards()] {
+        for shards in [1, 16] {
             check_interleaving(&steps, shards);
         }
     }

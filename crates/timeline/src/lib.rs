@@ -27,9 +27,8 @@
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev) to see
 //!   one swim-lane per `(device, stream)` track.
 //!
-//! Recording is wired behind `ProfilerConfig::timeline` (default off;
-//! the `DEEPCONTEXT_TIMELINE` environment variable CI uses flips the
-//! default — see [`default_timeline_config`]).
+//! Recording is wired behind `ProfilerConfig::timeline`, off unless the
+//! caller enables it ([`TimelineConfig::enabled`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -82,49 +81,5 @@ impl TimelineConfig {
             enabled: true,
             ..TimelineConfig::default()
         }
-    }
-}
-
-/// Whether the `DEEPCONTEXT_TIMELINE` environment override asks for
-/// timeline recording: `1` / `true` / `on` or `0` / `false` / `off`,
-/// case-insensitive. Unset means off — the timeline is strictly opt-in.
-///
-/// # Panics
-///
-/// On any other value, naming the variable and the value: a typo that
-/// silently meant "off" would make a timeline run record nothing.
-pub fn default_timeline_enabled() -> bool {
-    match std::env::var("DEEPCONTEXT_TIMELINE") {
-        Err(std::env::VarError::NotPresent) => false,
-        value => {
-            let value = value.unwrap_or_else(|e| format!("{e:?}"));
-            switch(&value).unwrap_or_else(|| {
-                panic!("DEEPCONTEXT_TIMELINE: `{value}` is not one of 0, 1, true, false, on, off")
-            })
-        }
-    }
-}
-
-/// Reads an on/off switch: `1` / `true` / `on` or `0` / `false` / `off`,
-/// case-insensitive, surrounding whitespace ignored.
-fn switch(value: &str) -> Option<bool> {
-    let value = value.trim();
-    let is = |word: &str| value.eq_ignore_ascii_case(word);
-    if is("1") || is("true") || is("on") {
-        Some(true)
-    } else if is("0") || is("false") || is("off") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// The default timeline configuration, honouring the
-/// `DEEPCONTEXT_TIMELINE` environment override CI uses to run the whole
-/// suite with recording off (`=0`, the default) and on (`=1`).
-pub fn default_timeline_config() -> TimelineConfig {
-    TimelineConfig {
-        enabled: default_timeline_enabled(),
-        ..TimelineConfig::default()
     }
 }

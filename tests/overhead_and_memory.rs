@@ -98,17 +98,14 @@ fn trace_grows_linearly_while_cct_stays_bounded() {
     );
 
     // DeepContext: the CCT converges after the first iteration. Timeline
-    // recording is pinned off regardless of the DEEPCONTEXT_TIMELINE
-    // matrix: interval rings are bounded by their capacity, not by the
-    // iteration count, so they would legitimately grow inside the
-    // measured window — this test is about the aggregate profile.
+    // recording stays off (the default): interval rings are bounded by
+    // their capacity, not by the iteration count, so they would
+    // legitimately grow inside the measured window — this test is about
+    // the aggregate profile.
     let dc_bytes = |iters: u32| {
         let rig = monitored_bed();
         let profiler = Profiler::attach(
-            ProfilerConfig {
-                timeline: deepcontext::profiler::TimelineConfig::default(),
-                ..ProfilerConfig::deepcontext_native()
-            },
+            ProfilerConfig::deepcontext_native(),
             rig.bed.env(),
             &rig.monitor,
             rig.bed.gpu(),

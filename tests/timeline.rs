@@ -256,7 +256,7 @@ impl CapturingSink {
             inner: ShardedSink::with(
                 interner,
                 SinkOptions {
-                    shards: deepcontext::profiler::default_ingestion_shards(),
+                    shards: deepcontext::profiler::DEFAULT_SHARDS,
                     timeline: TimelineConfig::enabled(),
                 },
             ),
