@@ -36,7 +36,7 @@ pub mod directory;
 pub mod sharded;
 pub mod sink;
 
-pub use directory::{Binding, DirectoryMapKind, StripedHashDirectory};
+pub use directory::{Binding, CorrelationWindow, DirectoryMapKind};
 pub use sharded::{ShardedSink, SinkOptions};
 pub use sink::{attribute_activity_metrics, EventSink, SinkCounters};
 

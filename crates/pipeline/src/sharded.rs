@@ -54,7 +54,7 @@ use deepcontext_timeline::{TimelineConfig, TimelineSink, TimelineSnapshot};
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind};
 
-use crate::directory::{mix, Binding, StripedHashDirectory, DIR_ENTRY_BYTES};
+use crate::directory::{mix, Binding, CorrelationWindow, DIR_ENTRY_BYTES};
 use crate::sink::{attribute_activity_metrics, EventSink, SinkCounters};
 use crate::DEFAULT_SHARDS;
 
@@ -127,9 +127,10 @@ pub struct ShardedSink {
     /// nothing for it.
     timeline: Option<TimelineSink>,
     /// The one correlation table: correlation id -> the shard and
-    /// context it was launched in. Lock-striped by correlation hash, so
-    /// binding and resolving rarely contend.
-    directory: StripedHashDirectory,
+    /// context it was launched in. One lock over a window indexed by
+    /// correlation id, taken once per launch, once per activity batch's
+    /// lookups and once per batch's retirements.
+    directory: CorrelationWindow,
     /// The interned `"memcpy"` display name, so memcpy records skip even
     /// the thread-local intern cache on the timeline tap.
     memcpy_sym: Sym,
@@ -170,7 +171,7 @@ impl ShardedSink {
             shards: (0..n)
                 .map(|_| Mutex::new(CctShard::new(Arc::clone(&interner))))
                 .collect(),
-            directory: StripedHashDirectory::new(n),
+            directory: CorrelationWindow::new(),
             shard_bytes: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             cache: Mutex::new(None),
             memcpy_sym: interner.intern("memcpy"),
@@ -241,29 +242,24 @@ impl ShardedSink {
     }
 
     /// Where each record of `batch` goes and the context it resolves to,
-    /// in order: one directory lookup gives both. A kernel's sampling
-    /// record sits next to its kernel record, so a record with its
-    /// predecessor's correlation reuses the predecessor's answer.
+    /// in order: one directory lookup gives both, all under one lock. A
+    /// kernel's sampling record sits next to its kernel record, so a
+    /// record with its predecessor's correlation reuses the predecessor's
+    /// answer.
     fn resolve(&self, batch: &[Activity]) -> Vec<(usize, Option<PathId>)> {
         let mut resolved: Vec<(usize, Option<PathId>)> = Vec::with_capacity(batch.len());
+        let directory = self.directory.lock();
         for (k, activity) in batch.iter().enumerate() {
             let corr = activity.correlation_id.0;
             let answer = if k > 0 && batch[k - 1].correlation_id.0 == corr {
                 resolved[k - 1]
             } else {
-                let binding = self.directory.lookup(corr);
+                let binding = directory.lookup(corr);
                 (self.home_of(corr, binding), binding.map(|b| b.path))
             };
             resolved.push(answer);
         }
         resolved
-    }
-
-    /// Retires a shard's pruned correlations from the directory.
-    fn retire(&self, pruned: &[u64]) {
-        for corr in pruned {
-            self.directory.remove(*corr);
-        }
     }
 
     /// The shard a record goes to: the one its launch was bound in while
@@ -407,7 +403,7 @@ impl ShardedSink {
             self.close_boundary(idx, &mut shard);
             pruned
         };
-        self.retire(&pruned);
+        self.directory.remove_all(&pruned);
         // One update per bucket, not per record.
         self.activities.fetch_add(activities, Ordering::Relaxed);
         self.orphans.fetch_add(orphans, Ordering::Relaxed);
@@ -430,7 +426,7 @@ impl ShardedSink {
             self.close_boundary(idx, &mut shard);
             pruned
         };
-        self.retire(&pruned);
+        self.directory.remove_all(&pruned);
     }
 
     /// Brings the snapshot cache up to date: folds every shard whose
@@ -539,7 +535,7 @@ impl EventSink for ShardedSink {
         for idx in 0..self.shards.len() {
             self.epoch_complete_shard(idx);
         }
-        // Directory stripes shed their high-water capacity too.
+        // The directory sheds its high-water capacity too.
         self.directory.trim();
     }
 

@@ -168,8 +168,8 @@ fn epoch_complete_retires_correlation_state_without_changing_the_profile() {
     }
     sink.activity_batch(batch);
 
-    let before_bytes = sink.approx_bytes();
     let before = sink.snapshot();
+    let before_bytes = sink.approx_bytes();
     sink.epoch_complete();
 
     // Deferred correlations retired and scratch released...
