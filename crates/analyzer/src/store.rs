@@ -1,11 +1,11 @@
 //! Persistent profile store: a directory of runs with cross-run queries.
 //!
 //! A [`ProfileStore`] is a plain directory of `.dcprof` files, one per
-//! run, written atomically (tmp + rename) so a crashed writer never
-//! leaves a half-visible run. Listings read only each file's metadata
-//! header ([`ProfileDb::load_meta`]), so browsing a store of large
-//! profiles stays cheap; [`load`](ProfileStore::load) materializes the
-//! full tree + timeline on demand.
+//! run, written atomically (a tmp file, hard-linked into place) so a
+//! crashed writer never leaves a half-visible run. Listings read only
+//! each file's metadata header ([`ProfileDb::load_meta`]), so browsing a
+//! store of large profiles stays cheap; [`load`](ProfileStore::load)
+//! materializes the full tree + timeline on demand.
 //!
 //! On top of the store sit the cross-run queries the fleet workflow
 //! needs: [`list_filtered`](ProfileStore::list_filtered) by metadata
@@ -18,6 +18,7 @@
 
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use deepcontext_core::{CoreError, MetricKind, ProfileDb, ProfileMeta, TimeNs};
@@ -236,29 +237,30 @@ impl ProfileStore {
     ///
     /// Ids are derived from the run's start stamp and workload
     /// (`run-<started>-<workload>`), uniquified with a numeric suffix on
-    /// collision. The file appears atomically: it is written to a
-    /// `.tmp` sibling and renamed into place.
+    /// collision. The file appears atomically and never replaces another
+    /// run, even when several writers save the same run at once: each
+    /// save writes a `.tmp` sibling of its own, then hard-links it under
+    /// the first free id and removes the sibling.
     ///
     /// Transient I/O errors (`Interrupted` / `WouldBlock` / `TimedOut`)
     /// are retried up to two times with a short backoff. A persistent
     /// error is returned as-is — with whatever bytes were written left
     /// in the `.tmp` sibling, so a run that cost hours to collect is
     /// never silently deleted on a flaky disk (listings skip `.tmp`
-    /// files; re-saving the id overwrites it).
+    /// files).
     pub fn save(&self, db: &ProfileDb) -> Result<String, CoreError> {
+        static SAVES: AtomicU64 = AtomicU64::new(0);
         let base = format!(
             "run-{:020}-{}",
             db.meta().started.0,
             sanitize(&db.meta().workload)
         );
-        let mut id = base.clone();
-        let mut n = 1u32;
-        while self.path_of(&id).exists() {
-            n += 1;
-            id = format!("{base}-{n}");
-        }
-        let tmp = self.dir.join(format!("{id}.{EXT}.tmp"));
-        with_retry(|| {
+        let tmp = self.dir.join(format!(
+            "{base}.{}-{}.{EXT}.tmp",
+            std::process::id(),
+            SAVES.fetch_add(1, Ordering::Relaxed)
+        ));
+        let id = with_retry(|| {
             // Each attempt re-creates the tmp sibling from scratch
             // (truncating any partial previous attempt); `save` renders
             // the container and hands it over in one write.
@@ -267,10 +269,30 @@ impl ProfileStore {
             // the run invisible — what the preserved tmp sibling is for.
             #[cfg(test)]
             inject::check(inject::Point::Publish)?;
-            fs::rename(&tmp, self.path_of(&id))?;
-            Ok(())
+            self.publish(&tmp, &base)
         })?;
+        // The run is published; a sibling a failed remove leaves behind
+        // is skipped by listings.
+        let _ = fs::remove_file(&tmp);
         Ok(id)
+    }
+
+    /// Links `tmp` under `base`, or `base-2`, `base-3`, ... — the first
+    /// id no file holds. A link never overwrites: a writer that loses the
+    /// race for an id gets `AlreadyExists` and tries the next.
+    fn publish(&self, tmp: &Path, base: &str) -> Result<String, CoreError> {
+        let mut id = base.to_string();
+        let mut n = 1u32;
+        loop {
+            match fs::hard_link(tmp, self.path_of(&id)) {
+                Ok(()) => return Ok(id),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                    n += 1;
+                    id = format!("{base}-{n}");
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
     }
 
     /// Whether a run with this id exists.
@@ -582,8 +604,13 @@ pub(crate) mod tests {
             2,
             "a retry must have re-checked the point"
         );
-        // The successful retry renamed the tmp sibling away.
-        assert!(!dir.join(format!("{id}.{EXT}.tmp")).exists());
+        // The successful retry published the run and removed its tmp
+        // sibling.
+        let tmp = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("tmp"));
+        assert_eq!(tmp.count(), 0);
         fs::remove_dir_all(dir).unwrap();
     }
 

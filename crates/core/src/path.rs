@@ -47,7 +47,7 @@ impl PathId {
 
 /// A calling context by handle: its [`PathId`] plus its depth, so the
 /// hot path never goes back to the table to learn how long a path is.
-/// This is what `EventSink::gpu_launch` takes.
+/// This is what `ShardedSink::gpu_launch` takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PathHandle {
     id: PathId,

@@ -198,12 +198,6 @@ pub struct CorrelationWindow {
     window: Mutex<Window>,
 }
 
-impl Default for CorrelationWindow {
-    fn default() -> Self {
-        CorrelationWindow::new()
-    }
-}
-
 impl CorrelationWindow {
     /// An empty directory.
     pub fn new() -> Self {
@@ -229,11 +223,6 @@ impl CorrelationWindow {
         self.lock().lookup(corr)
     }
 
-    /// Removes `corr`'s binding, returning it.
-    pub fn remove(&self, corr: u64) -> Option<Binding> {
-        self.lock().remove(corr)
-    }
-
     /// Removes every id of `retired` under one acquisition.
     pub fn remove_all(&self, retired: &[u64]) {
         if retired.is_empty() {
@@ -248,11 +237,6 @@ impl CorrelationWindow {
     /// Live entries, in the window and among the stragglers.
     pub fn len(&self) -> usize {
         self.lock().live
-    }
-
-    /// Whether the directory holds no bindings.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Sheds high-water capacity after a flush boundary: the deque and
@@ -278,20 +262,6 @@ impl CorrelationWindow {
     }
 }
 
-/// The correlation-directory layout. One variant: nothing branches on
-/// it. It survives only because the frozen repo benchmark
-/// (`benchmark/src/workloads.rs`) formats
-/// [`PipelineConfig::directory_map`](crate::PipelineConfig::directory_map)
-/// with `{:?}` in its `resolved:` header line; it goes with the next
-/// benchmark PR. Its one variant's name predates the
-/// [`CorrelationWindow`], which is what it stands for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DirectoryMapKind {
-    /// The [`CorrelationWindow`].
-    #[default]
-    Striped,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +278,18 @@ mod tests {
 
     fn at(shard: u32, path: PathId) -> Binding {
         Binding { shard, path }
+    }
+
+    /// Single-id removal and emptiness: only the tests ask; the sink
+    /// retires a flush's ids at once through `remove_all`.
+    impl CorrelationWindow {
+        fn remove(&self, corr: u64) -> Option<Binding> {
+            self.lock().remove(corr)
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! The DeepContext event-ingestion pipeline.
 //!
-//! Every collection path of the profiler terminates in an [`EventSink`].
-//! This crate owns that contract and the one sink that implements it,
-//! [`ShardedSink`]: producers route each event to one of N [`CctShard`]s
-//! and attribute it inline under that shard's lock (see [`sharded`]) —
-//! the paper's design (§4.2: aggregation happens online, inside the
-//! launch callback and the activity-buffer handler).
+//! Every collection path of the profiler terminates in the one sink this
+//! crate provides, [`ShardedSink`]: producers route each event to one of
+//! N [`CctShard`]s and attribute it inline under that shard's lock — the
+//! paper's design (§4.2: aggregation happens online, inside the launch
+//! callback and the activity-buffer handler). The profiler calls it
+//! directly.
 //!
 //! Contexts travel **by handle**: a launch or sample carries the
 //! `PathHandle` DLMonitor assembled, shards resolve its `PathId` through
-//! a dense vector, and the correlation [`directory`] — the one
-//! correlation table — maps `corr → (shard, PathId)`.
+//! a dense vector, and the correlation directory — the one correlation
+//! table — maps `corr → (shard, PathId)`.
 //!
 //! ```text
 //!  producers (launch cb / activity flush / CPU sampler)
@@ -24,7 +24,7 @@
 //! entry point additionally records each kernel/memcpy record's
 //! `[start, end)` interval — tagged with its resolved CCT context — into
 //! bounded per-shard timeline rings (`deepcontext-timeline`);
-//! [`EventSink::timeline_snapshot`] assembles them at the same quiesce
+//! [`ShardedSink::timeline_snapshot`] assembles them at the same quiesce
 //! point as the profile snapshots.
 //!
 //! [`CctShard`]: deepcontext_core::CctShard
@@ -32,15 +32,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod directory;
-pub mod sharded;
-pub mod sink;
+mod directory;
+mod sharded;
+mod sink;
 
-pub use directory::{Binding, CorrelationWindow, DirectoryMapKind};
 pub use sharded::{ShardedSink, SinkOptions};
-pub use sink::{attribute_activity_metrics, EventSink, SinkCounters};
+pub use sink::SinkCounters;
 
-// The timeline types every sink speaks (see `EventSink::timeline_snapshot`
+// The timeline types the sink speaks (see `ShardedSink::timeline_snapshot`
 // and `SinkOptions::timeline`), re-exported so embedders need no
 // direct `deepcontext-timeline` dependency.
 pub use deepcontext_timeline::{TimelineConfig, TimelineSnapshot, TimelineStats};
@@ -66,6 +65,19 @@ pub enum IngestionMode {
     /// Producers attribute inline under per-shard locks ([`ShardedSink`]).
     #[default]
     Sync,
+}
+
+/// Vestigial: the correlation-directory layout. One variant: nothing
+/// branches on it. It survives only because the frozen repo benchmark
+/// (`benchmark/src/workloads.rs`) formats
+/// [`PipelineConfig::directory_map`] with `{:?}` in its `resolved:`
+/// header line; it goes with the next benchmark PR. Its one variant's
+/// name predates the correlation window, which is what it stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum DirectoryMapKind {
+    /// The correlation window.
+    #[default]
+    Striped,
 }
 
 /// Two fields only the frozen repo benchmark reads, in its `resolved:`

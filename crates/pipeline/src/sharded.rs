@@ -1,44 +1,4 @@
-//! The sharded event-ingestion sink.
-//!
-//! One global tree behind one lock would cap ingestion at one core no
-//! matter how many workload threads produce events. [`ShardedSink`]
-//! removes that ceiling, and moves contexts **by handle** end to end:
-//!
-//! * a launch or CPU sample arrives with the [`PathHandle`] DLMonitor
-//!   assembled for its calling context and is routed to one of N
-//!   [`CctShard`]s **before** any lock is taken, keyed by the originating
-//!   thread and stream ([`EventOrigin::route_key`]); the shard turns the
-//!   handle into its own node with one read of a dense vector
-//!   ([`CctShard::node_for`]);
-//! * the correlation [directory](crate::directory) is the one
-//!   correlation table: a launch binds `corr → (shard, PathId)`, an
-//!   activity record finds both in one lookup, retirement (the two-phase
-//!   prune) is one remove, and no lock is ever taken while another is
-//!   held;
-//! * snapshots fold the shards into one master tree and **cache** the
-//!   result: every shard carries a dirty generation
-//!   ([`CctShard::generation`]) advanced by each tree mutation, and a
-//!   refresh re-folds only shards whose generation moved — via
-//!   [`CallingContextTree::merge_incremental`], which resumes the
-//!   per-shard node mapping and folds per-node metric deltas. Clean
-//!   shards are skipped outright, so a warm snapshot costs O(dirty
-//!   shards) instead of O(shards × tree).
-//!   [`ShardedSink::snapshot_uncached`] keeps the historical full fold
-//!   as baseline and test oracle.
-//!
-//! Inclusive samples are **attributed at the node and settled at the
-//! boundary**: every ingestion path hands its samples to
-//! [`CctShard::count`] (a launch, a PC sample and its stall: one integer
-//! add each) or [`CctShard::attribute`] (a measurement), and the shard is
-//! [settled](CctShard::settle) — one bottom-up sweep, in the order
-//! `core/src/shard.rs` states — under the shard lock wherever its tree is
-//! about to be observed or its bytes measured: the end of every activity
-//! batch, every flush boundary, every fold (cached, uncached, timeline)
-//! and [`EventSink::approx_bytes`]. Nothing outside a shard lock ever
-//! sees a tree that is not fully inclusive, so the folds, the cache and
-//! the fold states are unaware of the deferral.
-//!
-//! [`EventOrigin::route_key`]: dlmonitor::EventOrigin::route_key
+//! The sharded event-ingestion sink, [`ShardedSink`].
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -55,7 +15,7 @@ use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind};
 
 use crate::directory::{mix, Binding, CorrelationWindow, DIR_ENTRY_BYTES};
-use crate::sink::{attribute_activity_metrics, EventSink, SinkCounters};
+use crate::sink::{attribute_activity_metrics, SinkCounters};
 use crate::DEFAULT_SHARDS;
 
 /// The memoized fold of all shards: the merged master tree, the
@@ -101,7 +61,7 @@ pub struct SinkOptions {
     pub shards: usize,
     /// Timeline recording: when enabled, every kernel/memcpy record
     /// attributed by the sink also appends a context-tagged interval to
-    /// a bounded per-shard ring (see [`EventSink::timeline_snapshot`]).
+    /// a bounded per-shard ring (see [`ShardedSink::timeline_snapshot`]).
     pub timeline: TimelineConfig,
 }
 
@@ -114,7 +74,49 @@ impl Default for SinkOptions {
     }
 }
 
-/// The sharded [`EventSink`] (see the [module docs](self)).
+/// The profiler's event sink: every collection path — GPU launch
+/// callbacks, completed activity buffers, CPU samples, PC-sampling
+/// records — calls it directly, from any producer thread, with no outer
+/// lock.
+///
+/// One global tree behind one lock would cap ingestion at one core no
+/// matter how many workload threads produce events. The sink removes
+/// that ceiling, and moves contexts **by handle** end to end:
+///
+/// * a launch or CPU sample arrives with the [`PathHandle`] DLMonitor
+///   assembled for its calling context and is routed to one of N
+///   [`CctShard`]s **before** any lock is taken, keyed by the originating
+///   thread and stream ([`EventOrigin::route_key`]); the shard turns the
+///   handle into its own node with one read of a dense vector
+///   ([`CctShard::node_for`]);
+/// * the correlation directory is the one correlation table: a launch
+///   binds `corr → (shard, PathId)`, an activity record finds both in one
+///   lookup, retirement (the two-phase prune) is one remove, and no lock
+///   is ever taken while another is held;
+/// * snapshots fold the shards into one master tree and **cache** the
+///   result: every shard carries a dirty generation
+///   ([`CctShard::generation`]) advanced by each tree mutation, and a
+///   refresh re-folds only shards whose generation moved — via
+///   [`CallingContextTree::merge_incremental`], which resumes the
+///   per-shard node mapping and folds per-node metric deltas. Clean
+///   shards are skipped outright, so a warm snapshot costs O(dirty
+///   shards) instead of O(shards × tree).
+///   [`snapshot_uncached`](Self::snapshot_uncached) keeps the historical
+///   full fold as baseline and test oracle.
+///
+/// Inclusive samples are **attributed at the node and settled at the
+/// boundary**: every ingestion path hands its samples to
+/// [`CctShard::count`] (a launch, a PC sample and its stall: one integer
+/// add each) or [`CctShard::attribute`] (a measurement), and the shard is
+/// [settled](CctShard::settle) — one bottom-up sweep, in the order
+/// `core/src/shard.rs` states — under the shard lock wherever its tree is
+/// about to be observed or its bytes measured: the end of every activity
+/// batch, every flush boundary, every fold (cached, uncached, timeline)
+/// and [`approx_bytes`](Self::approx_bytes). Nothing outside a shard
+/// lock ever sees a tree that is not fully inclusive, so the folds, the
+/// cache and the fold states are unaware of the deferral.
+///
+/// [`EventOrigin::route_key`]: dlmonitor::EventOrigin::route_key
 pub struct ShardedSink {
     interner: Arc<Interner>,
     shards: Vec<Mutex<CctShard>>,
@@ -411,9 +413,10 @@ impl ShardedSink {
             .fetch_add(samples, Ordering::Relaxed);
     }
 
-    /// The per-shard portion of [`EventSink::epoch_complete`]: retires the
-    /// shard's deferred correlations (every straggler has been delivered
-    /// by the flush boundary) and releases batch-sized scratch.
+    /// The per-shard portion of [`epoch_complete`](Self::epoch_complete):
+    /// retires the shard's deferred correlations (every straggler has
+    /// been delivered by the flush boundary) and releases batch-sized
+    /// scratch.
     fn epoch_complete_shard(&self, idx: usize) {
         let pruned = {
             let mut shard = self.shards[idx].lock();
@@ -487,10 +490,14 @@ impl ShardedSink {
             shard_bytes + self.directory.len() * DIR_ENTRY_BYTES + self.interner.approx_bytes();
         self.peak_bytes.fetch_max(bytes, Ordering::Relaxed);
     }
-}
 
-impl EventSink for ShardedSink {
-    fn gpu_launch(&self, origin: &EventOrigin, path: PathHandle, api: ApiKind) {
+    /// A GPU API call was intercepted at its launch site: binds
+    /// `origin.correlation` to the context `path` and (for kernel
+    /// launches) counts the launch. The context arrives as the handle
+    /// DLMonitor assembled (`DlMonitor::callpath_for_gpu(..).handle()`);
+    /// tests and replay tools get one from
+    /// `Interner::paths().intern(frames)`.
+    pub fn gpu_launch(&self, origin: &EventOrigin, path: PathHandle, api: ApiKind) {
         let idx = self.route(origin);
         Self::insert_launch(&mut self.shards[idx].lock(), path.id(), api);
         if let Some(corr) = origin.correlation {
@@ -502,15 +509,17 @@ impl EventSink for ShardedSink {
         }
     }
 
-    fn activity_batch(&self, batch: Vec<Activity>) {
+    /// A buffer of completed asynchronous activity records, by value:
+    /// the GPU runtime's flush paths own the records they deliver. Every
+    /// record is resolved once — its home shard and its context come out
+    /// of the same directory lookup — then the batch is walked once per
+    /// shard that appears in it, ascending, taking that shard's lock
+    /// once. Records are applied from the borrow: nothing is cloned or
+    /// moved on this path.
+    pub fn activity_batch(&self, batch: Vec<Activity>) {
         if batch.is_empty() {
             return;
         }
-        // Resolve every record once — its home shard and its context come
-        // out of the same directory lookup — then walk the batch once per
-        // shard that appears in it, ascending, taking that shard's lock
-        // once. Records are applied from the borrow: nothing is cloned or
-        // moved on this path.
         let resolved = self.resolve(&batch);
         let homes = || resolved.iter().map(|(home, _)| *home);
         let mut next = homes().min();
@@ -522,7 +531,16 @@ impl EventSink for ShardedSink {
         self.note_peak();
     }
 
-    fn cpu_sample(&self, origin: &EventOrigin, path: PathHandle, metric: MetricKind, value: f64) {
+    /// A CPU sample (interval timer or hardware-counter overflow) on the
+    /// thread identified by `origin`, in the context `path` (see
+    /// [`gpu_launch`](Self::gpu_launch)).
+    pub fn cpu_sample(
+        &self,
+        origin: &EventOrigin,
+        path: PathHandle,
+        metric: MetricKind,
+        value: f64,
+    ) {
         // The shard's byte estimate is deliberately *not* refreshed here:
         // sample-only shards enter peak accounting at flush boundaries
         // (their `epoch_complete_shard`), keeping the per-sample hot path
@@ -531,54 +549,69 @@ impl EventSink for ShardedSink {
         Self::attribute_at(&mut shard, path.id(), metric, value);
     }
 
-    fn epoch_complete(&self) {
+    /// A flush boundary completed: the runtime's entire completed-record
+    /// backlog has been delivered, so no record referencing an
+    /// already-attributed correlation can still be in flight (activity
+    /// buffers deliver a kernel's trailing sampling records no later
+    /// than the flush that drains the kernel). Every shard retires its
+    /// deferred correlations and releases batch-sized scratch, and the
+    /// directory sheds its high-water capacity, keeping resident memory
+    /// proportional to live state.
+    pub fn epoch_complete(&self) {
         for idx in 0..self.shards.len() {
             self.epoch_complete_shard(idx);
         }
-        // The directory sheds its high-water capacity too.
         self.directory.trim();
     }
 
-    fn snapshot(&self) -> CallingContextTree {
-        // The fold is cached and refreshed incrementally: clean shards
-        // are skipped outright.
+    /// Folds the shards into one calling context tree, a copy of the
+    /// cached master: clean shards are skipped outright.
+    pub fn snapshot(&self) -> CallingContextTree {
         let mut cache = self.cache.lock();
         self.refresh_cache(&mut cache);
         CallingContextTree::clone(&cache.as_ref().expect("cache refreshed").master)
     }
 
-    fn with_snapshot(&self, f: &mut dyn FnMut(&CallingContextTree)) {
-        // Clone the refreshed master's *handle* under the cache mutex,
-        // then run the callback outside it: concurrent readers share one
-        // snapshot instead of queueing on the cache lock for the length
-        // of every callback, and a callback may safely re-enter this
-        // sink's snapshot APIs.
+    /// Runs `f` against the folded snapshot without handing out
+    /// ownership. The refreshed master's `Arc` handle is cloned under the
+    /// cache lock and the lock is *released* before `f` runs, so repeated
+    /// analysis previews skip both the re-fold and the clone that
+    /// [`snapshot`](Self::snapshot) pays, concurrent readers proceed in
+    /// parallel on one shared snapshot instead of queueing on the cache
+    /// lock for the length of every callback, and `f` may safely re-enter
+    /// this sink's snapshot APIs.
+    pub fn with_snapshot<R>(&self, f: impl FnOnce(&CallingContextTree) -> R) -> R {
         let master = {
             let mut cache = self.cache.lock();
             self.refresh_cache(&mut cache);
             Arc::clone(&cache.as_ref().expect("cache refreshed").master)
         };
-        f(&master);
+        f(&master)
     }
 
-    fn finish_snapshot(&self) -> CallingContextTree {
+    /// Final snapshot at detach time: like [`snapshot`](Self::snapshot),
+    /// but it yields the cached fold by value — copying only if a reader
+    /// still holds it — since no further snapshot will be requested.
+    pub fn finish_snapshot(&self) -> CallingContextTree {
         let mut cache = self.cache.lock();
         self.refresh_cache(&mut cache);
         let master = cache.take().expect("cache refreshed").master;
-        // Unwrap the handle without copying unless a reader still holds
-        // the final snapshot.
         Arc::try_unwrap(master).unwrap_or_else(|shared| CallingContextTree::clone(&shared))
     }
 
-    fn timeline_snapshot(&self) -> Option<TimelineSnapshot> {
+    /// The assembled timeline (`None` when timeline recording is off —
+    /// the default). Interval context ids are remapped into the master
+    /// tree the snapshot paths observe: the master served by
+    /// [`with_snapshot`](Self::with_snapshot), stable across refreshes
+    /// because the fold is append-only.
+    pub fn timeline_snapshot(&self) -> Option<TimelineSnapshot> {
         let timeline = self.timeline.as_ref()?;
-        // Refresh the cached master first: the fold is append-only, so
-        // every interval context recorded so far has a slot in the
-        // per-shard fold mappings, and the remapped ids index into
-        // exactly the tree `snapshot`/`with_snapshot` serve. The mappings
-        // are copied out (4 bytes per folded node) so the snapshot keeps
-        // resolving against this fold after the cache moves on, and the
-        // cache mutex is released before the rings are locked.
+        // Refresh the cached master first, so every interval context
+        // recorded so far has a slot in the per-shard fold mappings. The
+        // mappings are copied out (4 bytes per folded node) so the
+        // snapshot keeps resolving against this fold after the cache
+        // moves on, and the cache mutex is released before the rings are
+        // locked.
         let tables: Vec<Arc<[NodeId]>> = {
             let mut cache = self.cache.lock();
             self.refresh_cache(&mut cache);
@@ -594,7 +627,9 @@ impl EventSink for ShardedSink {
         )
     }
 
-    fn counters(&self) -> SinkCounters {
+    /// Current ingestion counters (`launches` and `cpu_samples` read 0:
+    /// the profiler counts those).
+    pub fn counters(&self) -> SinkCounters {
         let timeline = self
             .timeline
             .as_ref()
@@ -614,7 +649,10 @@ impl EventSink for ShardedSink {
         }
     }
 
-    fn approx_bytes(&self) -> usize {
+    /// Approximate resident bytes of all ingestion state: the shards, the
+    /// directory, the snapshot cache, the timeline rings and the
+    /// interner.
+    pub fn approx_bytes(&self) -> usize {
         // The snapshot cache (cached master tree + per-shard fold state)
         // is tool memory too — once an analysis session opens, it holds
         // roughly another copy of the profile.

@@ -1,16 +1,7 @@
-//! The [`EventSink`] contract and the shared activity-metric mapping.
-//!
-//! Every collection path of the profiler — GPU launch callbacks, completed
-//! activity buffers, CPU samples, PC-sampling records — terminates in an
-//! [`EventSink`]. One implementation ships in this crate, the
-//! [`ShardedSink`](crate::ShardedSink) (producers attribute inline under
-//! per-shard locks); the trait stays so tests and embedders can
-//! substitute their own through `Profiler::attach_with_sink`.
+//! The activity-kind → metric mapping and the sink's counters.
 
-use deepcontext_core::{CallingContextTree, CctShard, Frame, MetricKind, NodeId, PathHandle};
-use deepcontext_timeline::TimelineSnapshot;
-use dlmonitor::EventOrigin;
-use sim_gpu::{Activity, ActivityKind, ApiKind};
+use deepcontext_core::{CctShard, Frame, MetricKind, NodeId};
+use sim_gpu::{Activity, ActivityKind};
 
 /// Attributes one activity record's metrics at its resolved context
 /// `node` of `shard` — the activity-kind → metric mapping. Inclusive
@@ -18,7 +9,11 @@ use sim_gpu::{Activity, ActivityKind, ApiKind};
 /// aggregates, PC samples as integer counts); launch shapes are
 /// exclusive and go to the tree directly. Returns the number of
 /// instruction samples attributed (0 for non-sampling records).
-pub fn attribute_activity_metrics(shard: &mut CctShard, node: NodeId, activity: &Activity) -> u64 {
+pub(crate) fn attribute_activity_metrics(
+    shard: &mut CctShard,
+    node: NodeId,
+    activity: &Activity,
+) -> u64 {
     match &activity.kind {
         ActivityKind::Kernel {
             start,
@@ -142,77 +137,4 @@ pub struct SinkCounters {
     /// by the frozen repo benchmark (`benchmark/src/session.rs`);
     /// removed with [`dropped_events`](Self::dropped_events).
     pub poisoned_events: u64,
-}
-
-/// Where profiler collection paths deliver their events.
-///
-/// Implementations must be callable from any producer thread concurrently;
-/// the profiler registers one sink and never wraps it in an outer lock.
-pub trait EventSink: Send + Sync {
-    /// A GPU API call was intercepted at its launch site: bind
-    /// `origin.correlation` to the context `path` and (for kernel
-    /// launches) count the launch. The context arrives as the handle
-    /// DLMonitor assembled (`DlMonitor::callpath_for_gpu(..).handle()`);
-    /// tests and replay tools get one from
-    /// `Interner::paths().intern(frames)`.
-    fn gpu_launch(&self, origin: &EventOrigin, path: PathHandle, api: ApiKind);
-
-    /// A buffer of completed asynchronous activity records, by value:
-    /// the GPU runtime's flush paths own the records they deliver.
-    fn activity_batch(&self, batch: Vec<Activity>);
-
-    /// A flush boundary completed: the runtime's entire completed-record
-    /// backlog has been delivered, so no record referencing an
-    /// already-attributed correlation can still be in flight (activity
-    /// buffers deliver a kernel's trailing sampling records no later
-    /// than the flush that drains the kernel). Sinks may use this to
-    /// retire deferred correlation state eagerly and release batch-sized
-    /// scratch, keeping resident memory proportional to live state.
-    /// Default: no-op.
-    fn epoch_complete(&self) {}
-
-    /// A CPU sample (interval timer or hardware-counter overflow) on the
-    /// thread identified by `origin`, in the context `path` (see
-    /// [`gpu_launch`](Self::gpu_launch)).
-    fn cpu_sample(&self, origin: &EventOrigin, path: PathHandle, metric: MetricKind, value: f64);
-
-    /// Folds the sink's state into one calling context tree.
-    fn snapshot(&self) -> CallingContextTree;
-
-    /// Runs `f` against a folded snapshot without handing out ownership.
-    /// Sinks that cache their fold (see [`ShardedSink`](crate::ShardedSink))
-    /// serve this by sharing the cached tree behind an `Arc` refreshed
-    /// under the cache lock and *released* before `f` runs, so repeated
-    /// analysis previews skip both the re-fold and the clone that
-    /// [`snapshot`](Self::snapshot) pays — and concurrent readers
-    /// proceed in parallel on one shared snapshot instead of queueing
-    /// on the cache lock for the length of every callback.
-    fn with_snapshot(&self, f: &mut dyn FnMut(&CallingContextTree)) {
-        f(&self.snapshot());
-    }
-
-    /// Final snapshot at detach time: like [`snapshot`](Self::snapshot),
-    /// but the sink may yield its cached fold by value instead of
-    /// cloning, since no further snapshots will be requested.
-    fn finish_snapshot(&self) -> CallingContextTree {
-        self.snapshot()
-    }
-
-    /// The assembled timeline, when the sink records one (`None` when
-    /// timeline recording is off — the default — or the sink has no
-    /// timeline at all).
-    ///
-    /// Interval context ids are remapped into the master tree the
-    /// snapshot paths observe: the master served by
-    /// [`with_snapshot`](Self::with_snapshot) (stable across refreshes —
-    /// the fold is append-only).
-    fn timeline_snapshot(&self) -> Option<TimelineSnapshot> {
-        None
-    }
-
-    /// Current ingestion counters.
-    fn counters(&self) -> SinkCounters;
-
-    /// Approximate resident bytes of all ingestion state.
-    fn approx_bytes(&self) -> usize;
 }

@@ -12,7 +12,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use deepcontext_core::{Frame, Interner, MetricKind, TimeNs};
-use deepcontext_pipeline::{EventSink, ShardedSink};
+use deepcontext_pipeline::ShardedSink;
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind, CorrelationId, DeviceId, StreamId};
 
@@ -180,7 +180,7 @@ fn a_launch_on_a_context_seen_this_epoch_allocates_nothing() {
 
     let launches = rig.launches(64);
     assert_eq!(allocations(|| rig.deliver(launches)), 0);
-    rig.sink.with_snapshot(&mut |cct| {
+    rig.sink.with_snapshot(|cct| {
         assert_eq!(
             cct.total(MetricKind::KernelLaunches),
             (2 * 256 + CONTEXTS + 64) as f64

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use deepcontext_core::{Frame, Interner, MetricKind, PathHandle, StallReason, TimeNs};
-use deepcontext_pipeline::{EventSink, ShardedSink, SinkOptions, TimelineConfig};
+use deepcontext_pipeline::{ShardedSink, SinkOptions, TimelineConfig};
 use dlmonitor::EventOrigin;
 use proptest::prelude::*;
 use sim_gpu::{Activity, ActivityKind, ApiKind, CorrelationId, DeviceId, PcSample, StreamId};
@@ -381,7 +381,7 @@ fn snapshot_readers_share_the_cached_master_without_queueing() {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 let mut total = 0.0;
-                sink.with_snapshot(&mut |cct| {
+                sink.with_snapshot(|cct| {
                     barrier.wait();
                     total = cct.total(MetricKind::CpuTime);
                 });
@@ -405,7 +405,7 @@ fn snapshot_readers_share_the_cached_master_without_queueing() {
     // snapshot while ingestion refreshes the cache underneath it
     // (copy-on-write), and re-entering the snapshot APIs from inside a
     // callback is safe now that no lock is held around `f`.
-    sink.with_snapshot(&mut |before| {
+    sink.with_snapshot(|before| {
         sink.cpu_sample(&origin, path, MetricKind::CpuTime, 7.0);
         let refreshed = sink.snapshot();
         assert_eq!(before.total(MetricKind::CpuTime), 5.0, "reader view frozen");

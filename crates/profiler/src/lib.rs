@@ -20,15 +20,14 @@
 //!   perf-style hardware-counter overflow samples attribute to the
 //!   sampled thread's unified call path (§6.4).
 //!
-//! All of those paths terminate in an [`EventSink`]. The default sink is
-//! the [`ShardedSink`]: per-thread/per-stream [`CctShard`]s (private
-//! trees behind independent locks, resolving path handles through a
-//! dense vector) that fold into one master tree on [`Profiler::with_cct`] / [`Profiler::finish`]. The
+//! All of those paths call one [`ShardedSink`] directly:
+//! per-thread/per-stream [`CctShard`]s (private trees behind independent
+//! locks, resolving path handles through a dense vector) that fold into
+//! one master tree on [`Profiler::with_cct`] / [`Profiler::finish`]. The
 //! fold is cached and tracked by per-shard dirty generations, so a warm
 //! snapshot re-folds only the shards that changed — and concurrent
-//! producers never serialize on a global profile lock. See the
-//! `deepcontext_pipeline::sharded` module docs for the routing rules and
-//! the cache mechanics.
+//! producers never serialize on a global profile lock. See
+//! [`ShardedSink`]'s docs for the routing rules and the cache mechanics.
 //!
 //! [`CctShard`]: deepcontext_core::CctShard
 //! [`Frame::Instruction`]: deepcontext_core::Frame
@@ -48,9 +47,8 @@ use sim_runtime::{RuntimeEnv, SampleKind, SamplerId};
 // The ingestion pipeline lives in its own crate so the profiler, the
 // benchmarks and external embedders share one implementation.
 pub use deepcontext_pipeline::{
-    attribute_activity_metrics, DirectoryMapKind, EventSink, IngestionMode, PipelineConfig,
-    ShardedSink, SinkCounters, SinkOptions, TimelineConfig, TimelineSnapshot, TimelineStats,
-    DEFAULT_LAUNCH_BATCH, DEFAULT_SHARDS,
+    DirectoryMapKind, IngestionMode, PipelineConfig, ShardedSink, SinkCounters, SinkOptions,
+    TimelineConfig, TimelineSnapshot, TimelineStats, DEFAULT_LAUNCH_BATCH, DEFAULT_SHARDS,
 };
 
 /// GPU activity records the runtime buffers before it auto-flushes them
@@ -136,7 +134,7 @@ pub type ProfilerStats = SinkCounters;
 
 struct Inner {
     monitor: Arc<DlMonitor>,
-    sink: Arc<dyn EventSink>,
+    sink: Arc<ShardedSink>,
     launches: AtomicU64,
     cpu_samples: AtomicU64,
 }
@@ -175,29 +173,6 @@ impl Profiler {
         monitor: &Arc<DlMonitor>,
         gpu: &Arc<GpuRuntime>,
     ) -> Profiler {
-        let sink = ShardedSink::with(
-            monitor.interner(),
-            SinkOptions {
-                shards: config.ingestion_shards,
-                timeline: config.timeline,
-            },
-        );
-        Profiler::attach_with_sink(config, env, monitor, gpu, sink)
-    }
-
-    /// Attaches a profiler delivering events to a caller-provided sink
-    /// (custom aggregation pipelines, instrumented sinks in tests).
-    ///
-    /// # Panics
-    ///
-    /// On the configurations [`Profiler::attach`] refuses.
-    pub fn attach_with_sink(
-        config: ProfilerConfig,
-        env: &RuntimeEnv,
-        monitor: &Arc<DlMonitor>,
-        gpu: &Arc<GpuRuntime>,
-        sink: Arc<dyn EventSink>,
-    ) -> Profiler {
         if let Some(sampling) = &config.instruction_sampling {
             assert!(
                 sampling.period.as_nanos() > 0,
@@ -213,7 +188,13 @@ impl Profiler {
 
         let inner = Arc::new(Inner {
             monitor: Arc::clone(monitor),
-            sink,
+            sink: ShardedSink::with(
+                monitor.interner(),
+                SinkOptions {
+                    shards: config.ingestion_shards,
+                    timeline: config.timeline,
+                },
+            ),
             launches: AtomicU64::new(0),
             cpu_samples: AtomicU64::new(0),
         });
@@ -308,11 +289,6 @@ impl Profiler {
         }
     }
 
-    /// Wall-clock time the profiler attached (the run window's start).
-    pub fn started(&self) -> TimeNs {
-        self.started
-    }
-
     /// Flushes completed GPU activities into the tree (call at
     /// synchronisation points / iteration boundaries). Since this drains
     /// the runtime's whole completed backlog, the sink is told the epoch
@@ -357,14 +333,7 @@ impl Profiler {
     /// copies-on-write and never disturbs the reader's view). The
     /// per-shard trees stay live and keep ingesting throughout.
     pub fn with_cct<R>(&self, f: impl FnOnce(&CallingContextTree) -> R) -> R {
-        let mut f = Some(f);
-        let mut out = None;
-        self.inner.sink.with_snapshot(&mut |cct| {
-            if let Some(f) = f.take() {
-                out = Some(f(cct));
-            }
-        });
-        out.expect("sink ran the snapshot closure")
+        self.inner.sink.with_snapshot(f)
     }
 
     /// The recorded timeline as of this call (`None` when
@@ -377,18 +346,8 @@ impl Profiler {
     /// expanded and merged as a track is iterated. Their context ids
     /// index into the tree served by [`with_cct`](Self::with_cct) at the
     /// same quiesce point — pair the two for context-aware latency
-    /// analysis:
-    ///
-    /// ```ignore
-    /// profiler.flush();
-    /// let timeline = profiler.timeline().expect("timeline enabled");
-    /// let report = profiler.with_cct(|cct| {
-    ///     analyzer.preview_with_timeline(cct, &timeline)
-    /// });
-    /// // Each slice's `"sf"` names its context in the trace's
-    /// // `stackFrames` dictionary, resolved against this same tree.
-    /// let trace = profiler.with_cct(|cct| timeline.to_chrome_trace(Some(cct)));
-    /// ```
+    /// analysis, as `examples/timeline_trace.rs` does with
+    /// `preview_with_timeline` and `to_chrome_trace`.
     ///
     /// Call before [`finish`](Self::finish) (which consumes the sink's
     /// state); typically right after a [`flush`](Self::flush), so the
@@ -772,15 +731,9 @@ mod tests {
         // delivered through until its next event; a thread that goes idle
         // after the run (the autograd thread) must not keep the sink.
         let rig = rig();
-        let sink = ShardedSink::new(rig.monitor.interner(), 2);
-        let released = Arc::downgrade(&sink);
-        let profiler = Profiler::attach_with_sink(
-            ProfilerConfig::default(),
-            &rig.env,
-            &rig.monitor,
-            &rig.gpu,
-            sink,
-        );
+        let profiler =
+            Profiler::attach(ProfilerConfig::default(), &rig.env, &rig.monitor, &rig.gpu);
+        let released = Arc::downgrade(&profiler.inner.sink);
         let (idle, done) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -982,7 +935,7 @@ mod tests {
             ..ProfilerConfig::default()
         };
         let profiler = Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);
-        let started = profiler.started();
+        let started = profiler.started;
         run_relu(&rig, 4);
         profiler.flush();
 

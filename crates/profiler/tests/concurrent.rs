@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use deepcontext_core::{Frame, FrameKind, Interner, MetricKind, PathHandle, TimeNs};
-use deepcontext_profiler::{EventSink, ShardedSink};
+use deepcontext_profiler::ShardedSink;
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind, CorrelationId, DeviceId, StreamId};
 
@@ -153,7 +153,7 @@ fn cached_snapshots_stay_consistent_under_eight_producers() {
         scope.spawn(move || {
             let mut last_time = 0.0;
             for _ in 0..30 {
-                sink.with_snapshot(&mut |cct| {
+                sink.with_snapshot(|cct| {
                     let root = cct.total(MetricKind::GpuTime);
                     // Inclusive-metric invariant at every node.
                     for id in cct.dfs() {

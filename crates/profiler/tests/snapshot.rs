@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use deepcontext_core::{Frame, Interner, MetricKind, PathHandle, TimeNs};
-use deepcontext_profiler::{EventSink, ShardedSink};
+use deepcontext_profiler::ShardedSink;
 use dlmonitor::EventOrigin;
 use proptest::prelude::*;
 use sim_gpu::{Activity, ActivityKind, ApiKind, CorrelationId, DeviceId, StreamId};

@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`core`] | `deepcontext-core` | unified frames, call paths, calling context tree, metrics |
 //! | [`monitor`] | `dlmonitor` | the DLMonitor shim layer (§4.1) |
-//! | [`pipeline`] | `deepcontext-pipeline` | event-ingestion pipeline: the `EventSink` contract and the sharded inline-attribution sink |
+//! | [`pipeline`] | `deepcontext-pipeline` | event ingestion: the one sharded inline-attribution sink the profiler calls |
 //! | [`timeline`] | `deepcontext-timeline` | per-(device, stream) interval tracks, latency analysis, Chrome-trace export |
 //! | [`profiler`] | `deepcontext-profiler` | metric collection & online aggregation (§4.2); `Profiler::stats()` is its self-report |
 //! | [`analyzer`] | `deepcontext-analyzer` | automated performance analyses (§4.3) |
@@ -76,7 +76,7 @@ pub mod prelude {
         PathHandle, ProfileDb, ProfileMeta, StallReason, TimeNs, VirtualClock,
     };
     pub use deepcontext_flamegraph::FlameGraph;
-    pub use deepcontext_profiler::{EventSink, Profiler, ProfilerConfig, ShardedSink};
+    pub use deepcontext_profiler::{Profiler, ProfilerConfig, ShardedSink};
     pub use deepcontext_timeline::{TimelineConfig, TimelineSnapshot, TimelineStats};
     pub use dl_framework::{
         DType, EagerEngine, FrameworkCore, JitEngine, Layout, Op, OpKind, TensorMeta,

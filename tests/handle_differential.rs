@@ -23,7 +23,7 @@ use deepcontext::gpu::{
     Activity, ActivityKind, ApiKind, CorrelationId, DeviceId, PcSample, StreamId,
 };
 use deepcontext::monitor::EventOrigin;
-use deepcontext::pipeline::{EventSink, ShardedSink};
+use deepcontext::pipeline::ShardedSink;
 use proptest::prelude::*;
 
 const APIS: [ApiKind; 3] = [

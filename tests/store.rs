@@ -1,5 +1,6 @@
 //! End-to-end profile store tests: a finished profiler run persists to a
-//! store directory with its timeline intact, corrupt files surface as
+//! store directory with its timeline intact, writers saving one run at
+//! once each publish under their own id, corrupt files surface as
 //! `CoreError`s instead of panics (named cases, every byte of the
 //! interval block cut off, then arbitrary bytes, every line-boundary
 //! truncation and random single-byte corruptions of the golden
@@ -8,7 +9,7 @@
 //! regression against the stored baseline, and `ProfileDiff::compare`
 //! agrees with a label-path oracle, in memory and after a round trip.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -99,6 +100,36 @@ fn finished_run_reloads_from_the_store_with_timeline_intact() {
 }
 
 /// Where `needle` first occurs in `haystack`.
+#[test]
+fn concurrent_saves_of_one_run_each_publish_under_their_own_id() {
+    // Eight writers save the same run 25 times each into one store: every
+    // save derives the same base id, so all but one race for a suffix.
+    let db = profile_multi_stream(1);
+    let (dir, store) = temp_store();
+    let ids: Vec<String> = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..8)
+            .map(|_| {
+                s.spawn(|| {
+                    (0..25)
+                        .map(|_| store.save(&db).expect("save"))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        writers
+            .into_iter()
+            .flat_map(|w| w.join().expect("writer"))
+            .collect()
+    });
+    let distinct: BTreeSet<&String> = ids.iter().collect();
+    assert_eq!(distinct.len(), 200, "two saves were given one id");
+    assert_eq!(store.list().unwrap().len(), 200, "a save replaced another");
+    for id in &ids {
+        assert_eq!(store.load(id).unwrap().meta(), db.meta(), "run {id}");
+    }
+    fs::remove_dir_all(dir).unwrap();
+}
+
 fn find(haystack: &[u8], needle: &[u8]) -> usize {
     haystack
         .windows(needle.len())

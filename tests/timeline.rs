@@ -7,9 +7,8 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use deepcontext::core::{Interval, IntervalKind, TrackKey};
-use deepcontext::gpu::Activity;
-use deepcontext::gpu::ActivityKind;
-use deepcontext::pipeline::{EventSink, ShardedSink, SinkOptions};
+use deepcontext::gpu::{Activity, ActivityKind, ApiKind, CallbackSite};
+use deepcontext::pipeline::{ShardedSink, SinkOptions};
 use deepcontext::prelude::*;
 use deepcontext::profiler::TimelineConfig;
 use deepcontext::timeline::TimelineCounters;
@@ -242,91 +241,68 @@ fn oracle_stats(activities: &[Activity]) -> BTreeMap<u32, OracleDevice> {
         .collect()
 }
 
-/// Wraps the real sink, keeping its own copy of every activity record —
-/// the complete activity set the oracle recomputes from.
-struct CapturingSink {
-    inner: Arc<ShardedSink>,
-    captured: Mutex<Vec<Activity>>,
-}
-
-impl CapturingSink {
-    /// A capturing sink over a timeline-recording sharded sink.
-    fn recording(interner: Arc<deepcontext::core::Interner>) -> Arc<Self> {
-        Arc::new(CapturingSink {
-            inner: ShardedSink::with(
-                interner,
-                SinkOptions {
-                    shards: deepcontext::profiler::DEFAULT_SHARDS,
-                    timeline: TimelineConfig::enabled(),
-                },
-            ),
-            captured: Mutex::new(Vec::new()),
-        })
-    }
-}
-
-impl EventSink for CapturingSink {
-    fn gpu_launch(
-        &self,
-        origin: &deepcontext::monitor::EventOrigin,
-        path: PathHandle,
-        api: deepcontext::gpu::ApiKind,
-    ) {
-        self.inner.gpu_launch(origin, path, api);
-    }
-
-    fn activity_batch(&self, batch: Vec<Activity>) {
-        self.captured.lock().unwrap().extend(batch.iter().cloned());
-        self.inner.activity_batch(batch);
-    }
-
-    fn cpu_sample(
-        &self,
-        origin: &deepcontext::monitor::EventOrigin,
-        path: PathHandle,
-        metric: MetricKind,
-        value: f64,
-    ) {
-        self.inner.cpu_sample(origin, path, metric, value);
-    }
-
-    fn epoch_complete(&self) {
-        self.inner.epoch_complete();
-    }
-
-    fn snapshot(&self) -> CallingContextTree {
-        self.inner.snapshot()
-    }
-
-    fn timeline_snapshot(&self) -> Option<deepcontext::timeline::TimelineSnapshot> {
-        self.inner.timeline_snapshot()
-    }
-
-    fn counters(&self) -> deepcontext::pipeline::SinkCounters {
-        self.inner.counters()
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.inner.approx_bytes()
-    }
+/// Runs the multi-stream workload into a timeline-recording sink wired
+/// the way `Profiler::attach` wires its own — a launch callback holding
+/// the monitor weakly, an activity handler — and returns the sink with a
+/// copy of every activity record it was delivered: the complete activity
+/// set the oracle recomputes from.
+fn captured_run(rig: &Rig) -> (Arc<ShardedSink>, Vec<Activity>) {
+    let sink = ShardedSink::with(
+        rig.monitor.interner(),
+        SinkOptions {
+            shards: deepcontext::profiler::DEFAULT_SHARDS,
+            timeline: TimelineConfig::enabled(),
+        },
+    );
+    let monitor = Arc::downgrade(&rig.monitor);
+    let launches = Arc::clone(&sink);
+    rig.monitor.callback_register(Domain::Gpu, move |event| {
+        let DlEvent::Gpu(gpu_event) = event else {
+            return;
+        };
+        let api = gpu_event.data.api;
+        let launch = matches!(
+            api,
+            ApiKind::LaunchKernel | ApiKind::MemcpyAsync | ApiKind::MemAlloc
+        );
+        if gpu_event.data.site != CallbackSite::Enter || !launch {
+            return;
+        }
+        let Some(monitor) = monitor.upgrade() else {
+            return;
+        };
+        let path = monitor.callpath_for_gpu(gpu_event).handle();
+        launches.gpu_launch(&gpu_event.origin(), path, api);
+    });
+    let captured = Arc::new(Mutex::new(Vec::new()));
+    let deliver = {
+        let (sink, captured) = (Arc::clone(&sink), Arc::clone(&captured));
+        move |batch: Vec<Activity>| {
+            captured.lock().unwrap().extend(batch.iter().cloned());
+            sink.activity_batch(batch);
+        }
+    };
+    rig.bed.gpu().set_activity_handler(deliver.clone());
+    rig.bed
+        .run_eager(
+            &MultiStream::default(),
+            &WorkloadOptions::default(),
+            ITERATIONS,
+        )
+        .expect("workload run");
+    deliver(rig.bed.gpu().flush_all());
+    sink.epoch_complete();
+    let captured = std::mem::take(&mut *captured.lock().unwrap());
+    (sink, captured)
 }
 
 #[test]
 fn timeline_metrics_match_brute_force_recomputation_over_all_activities() {
     let rig = rig();
-    let sink = CapturingSink::recording(rig.monitor.interner());
-    let profiler = Profiler::attach_with_sink(
-        ProfilerConfig::deepcontext(),
-        rig.bed.env(),
-        &rig.monitor,
-        rig.bed.gpu(),
-        Arc::clone(&sink) as Arc<dyn EventSink>,
-    );
-    run_multi_stream(&rig, &profiler);
+    let (sink, captured) = captured_run(&rig);
 
     let timeline = sink.timeline_snapshot().expect("timeline enabled");
     assert_eq!(timeline.dropped(), 0, "oracle needs the complete set");
-    let captured = sink.captured.lock().unwrap();
     let oracle = oracle_stats(&captured);
     let stats = timeline.stats();
     assert_eq!(
@@ -383,15 +359,7 @@ fn interval_names_round_trip_through_snapshot_remap_and_chrome_export() {
     // producer launched with, both on the snapshot and in the exported
     // trace.
     let rig = rig();
-    let sink = CapturingSink::recording(rig.monitor.interner());
-    let profiler = Profiler::attach_with_sink(
-        ProfilerConfig::deepcontext(),
-        rig.bed.env(),
-        &rig.monitor,
-        rig.bed.gpu(),
-        Arc::clone(&sink) as Arc<dyn EventSink>,
-    );
-    run_multi_stream(&rig, &profiler);
+    let (sink, captured) = captured_run(&rig);
 
     let timeline = sink.timeline_snapshot().expect("timeline enabled");
     assert_eq!(timeline.dropped(), 0, "need the complete interval set");
@@ -401,7 +369,6 @@ fn interval_names_round_trip_through_snapshot_remap_and_chrome_export() {
     );
     // The producer-side truth: correlation id → the name each activity
     // record carried into the sink.
-    let captured = sink.captured.lock().unwrap();
     let mut launched: BTreeMap<u64, String> = BTreeMap::new();
     for activity in captured.iter() {
         let name = match &activity.kind {
