@@ -194,10 +194,10 @@ impl CallingContextTree {
 
     /// Merges a whole aggregate of `kind` into `node` and every ancestor:
     /// what [`attribute`](Self::attribute) does for one sample, done once
-    /// for any number of samples aggregated elsewhere first. Counts, sums
-    /// and extrema come out exactly as sample-by-sample propagation
-    /// leaves them; mean and variance agree up to f64 rounding (parallel
-    /// Welford merge).
+    /// for any number of samples aggregated elsewhere first. Counts and
+    /// extrema come out exactly as sample-by-sample propagation leaves
+    /// them, and so do sums of integer or power-of-two-multiple samples
+    /// (see [`MetricStat`]).
     pub fn merge_stat(&mut self, node: NodeId, kind: MetricKind, stat: &MetricStat) {
         self.each_to_root(node, |metrics| metrics.merge_stat(kind, stat));
     }
@@ -383,21 +383,14 @@ impl CallingContextTree {
 
     /// Compares two trees for *semantic* equality: the same contexts
     /// (matched by collapse key, ignoring node ids and child insertion
-    /// order) carrying the same aggregates. Counts compare exactly;
-    /// sums, extrema, means and standard deviations compare within
-    /// relative 1e-9. Only *measured* kinds (times, bytes, occupancy)
-    /// need the tolerance — merge order perturbs their Welford state at
-    /// f64 precision; kinds that count occurrences (launches,
-    /// instruction samples, stalls) aggregate in integers and come out
-    /// bit-equal under any order, which the shard differential tests
-    /// check with `==`. Returns a description of the first difference found,
-    /// or `None` when the trees are equivalent — the oracle behind the
-    /// `cached == fresh` snapshot equivalence tests.
+    /// order) carrying `==` metric stores — every count, sum, min and max
+    /// bit for bit. That is exact whatever order the samples were added,
+    /// merged or settled in, as long as they are integers or multiples
+    /// of a power of two (ns, bytes, counts, occupancy `k/64`) and each
+    /// sum stays under 2^53 units. Returns a description of the first
+    /// difference found, or `None` when the trees are equivalent — the
+    /// oracle behind the `cached == fresh` snapshot equivalence tests.
     pub fn semantic_diff(&self, other: &CallingContextTree) -> Option<String> {
-        fn close(a: f64, b: f64) -> bool {
-            let scale = a.abs().max(b.abs());
-            (a - b).abs() <= 1e-9 * scale.max(1.0)
-        }
         fn diff_nodes(
             a: &CallingContextTree,
             an: NodeId,
@@ -406,34 +399,8 @@ impl CallingContextTree {
         ) -> Option<String> {
             let (na, nb) = (a.node(an), b.node(bn));
             let at = format!("{} ({an})", na.frame.label(&a.interner));
-            if na.metrics.len() != nb.metrics.len() {
-                return Some(format!(
-                    "{at}: {} metric kinds vs {}",
-                    na.metrics.len(),
-                    nb.metrics.len()
-                ));
-            }
-            for (kind, sa) in na.metrics.iter() {
-                let Some(sb) = nb.metrics.get(kind) else {
-                    return Some(format!("{at}: metric {kind} missing on the right"));
-                };
-                if sa.count != sb.count {
-                    return Some(format!("{at}: {kind} count {} vs {}", sa.count, sb.count));
-                }
-                if sa.count == 0 {
-                    continue;
-                }
-                for (what, va, vb) in [
-                    ("sum", sa.sum, sb.sum),
-                    ("min", sa.min, sb.min),
-                    ("max", sa.max, sb.max),
-                    ("mean", sa.mean(), sb.mean()),
-                    ("stddev", sa.stddev(), sb.stddev()),
-                ] {
-                    if !close(va, vb) {
-                        return Some(format!("{at}: {kind} {what} {va} vs {vb}"));
-                    }
-                }
+            if na.metrics != nb.metrics {
+                return Some(format!("{at}: {:?} vs {:?}", na.metrics, nb.metrics));
             }
             if na.children.len() != nb.children.len() {
                 return Some(format!(
@@ -891,6 +858,28 @@ mod tests {
         // Metric drift is caught.
         b.attribute(lb, MetricKind::GpuTime, 1.0);
         assert!(a.semantic_diff(&b).is_some());
+    }
+
+    #[test]
+    fn semantic_diff_reports_one_ulp_of_a_sum_and_a_lone_min() {
+        let interner = CallingContextTree::new().interner();
+        let mut stat = MetricStat::new();
+        [1.0, 2.0].iter().for_each(|v| stat.add(*v));
+        let tree = |stat: MetricStat| {
+            let mut t = CallingContextTree::with_interner(Arc::clone(&interner));
+            let leaf = t.insert_path(&sample_path(&t, "aten::relu", "relu_kernel"));
+            t.merge_stat(leaf, MetricKind::GpuTime, &stat);
+            t
+        };
+        assert_eq!(tree(stat).semantic_diff(&tree(stat)), None);
+        let sum = f64::from_bits(stat.sum.to_bits() + 1);
+        for (other, shows) in [
+            (MetricStat { sum, ..stat }, format!("sum: {sum:?}")),
+            (MetricStat { min: 0.5, ..stat }, "min: 0.5".to_string()),
+        ] {
+            let diff = tree(stat).semantic_diff(&tree(other)).expect("reported");
+            assert!(diff.contains(&shows), "{diff}");
+        }
     }
 
     #[test]

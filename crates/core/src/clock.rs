@@ -152,7 +152,8 @@ mod tests {
     fn conversions_round_trip() {
         assert_eq!(TimeNs::from_us(3).as_nanos(), 3_000);
         assert_eq!(TimeNs::from_ms(2).as_nanos(), 2_000_000);
-        assert!((TimeNs::from_secs_f64(1.5).as_secs_f64() - 1.5).abs() < 1e-9);
+        assert_eq!(TimeNs::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
+        assert_eq!(TimeNs::from_secs_f64(1.5).as_secs_f64(), 1.5);
     }
 
     #[test]

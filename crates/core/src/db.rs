@@ -2,7 +2,7 @@
 //!
 //! DeepContext aggregates online, so the on-disk profile is a compact
 //! calling context tree rather than a trace. The container,
-//! `deepcontext-profile v4`, is tab-separated text lines — the magic, run
+//! `deepcontext-profile v5`, is tab-separated text lines — the magic, run
 //! metadata (host / model / config identity and the run's wall-clock
 //! window among them), an interned string table, the nodes in
 //! topological order — plus one optional section: the run's timeline
@@ -26,13 +26,9 @@
 //! [`StoredTimeline`] round-trips exactly, in any order; a track-ordered
 //! one costs about nine bytes an interval against forty as a text line.
 //!
-//! v4 is the only version written or read: an older magic is an error
-//! that names its version. Two things earlier v4 writers could add are
-//! refused by name too, since nothing reads them any more: a `journal`
-//! section (a run's incident journal) and an interval run on device
-//! `u32::MAX` (the profiler's self-timeline). The device is checked once
-//! per run, not per interval. `save` does not check for either: no
-//! current recorder produces them.
+//! A node's line carries, per metric kind, the kind and its aggregate's
+//! count, sum, min and max. v5 is the only version written or read: an
+//! older magic is an error that names its version.
 //!
 //! Both directions work on one buffer. [`ProfileDb::save`] renders into
 //! one reused byte buffer — text escaped in place, the block's varints
@@ -57,7 +53,7 @@ use crate::interner::{Interner, Sym};
 use crate::metrics::{MetricKind, MetricStat, MetricStore};
 use crate::timeline::{Interval, IntervalKind, StoredTimeline, TrackKey};
 
-const MAGIC: &str = "deepcontext-profile v4";
+const MAGIC: &str = "deepcontext-profile v5";
 /// What every version's magic starts with.
 const MAGIC_PREFIX: &str = "deepcontext-profile v";
 
@@ -236,8 +232,7 @@ impl ProfileDb {
     /// # Errors
     ///
     /// Returns [`CoreError::Parse`] for malformed input (including a
-    /// text line that is not UTF-8, a container of another version and
-    /// the two retired v4 items the module docs name) and
+    /// text line that is not UTF-8 and a container of another version) and
     /// [`CoreError::Io`] for read failures.
     pub fn load<R: Read>(mut r: R) -> Result<Self, CoreError> {
         let mut bytes = Vec::new();
@@ -261,11 +256,6 @@ impl ProfileDb {
         if let Some(rest) = line.strip_prefix("timeline\t") {
             timeline = Some(parse_timeline_section(rest, &mut lines)?);
             line = lines.next()?;
-        }
-        if line.starts_with("journal\t") {
-            return Err(CoreError::parse(
-                "journal section: stored incident journals are no longer read".into(),
-            ));
         }
         if line != "end" {
             return Err(CoreError::parse("missing end marker".into()));
@@ -684,10 +674,6 @@ fn parse_timeline_section(
     })
 }
 
-/// The device earlier builds recorded the profiler's own self-timeline
-/// on; `load` refuses a run there.
-const SELF_TIMELINE_DEVICE: u32 = u32::MAX;
-
 /// A cursor over the varints of an interval block.
 struct Varints<'a> {
     block: &'a [u8],
@@ -739,12 +725,6 @@ fn parse_interval_block(
             device: varints.number("device")?,
             stream: varints.number("stream")?,
         };
-        if track.device == SELF_TIMELINE_DEVICE {
-            return Err(CoreError::parse(format!(
-                "interval run on device {SELF_TIMELINE_DEVICE}: stored self-timeline \
-                 tracks are no longer read"
-            )));
-        }
         let left = count - intervals.len();
         let run: usize = varints.number("run length")?;
         if !(1..=left).contains(&run) {
@@ -1123,61 +1103,6 @@ mod tests {
     }
 
     #[test]
-    fn a_journal_section_is_refused_by_name() {
-        // As earlier v4 writers placed it: after the nodes or after the
-        // timeline, just before the end marker.
-        for with_timeline in [false, true] {
-            let mut db = sample_db();
-            if with_timeline {
-                db = db.with_timeline(sample_timeline());
-            }
-            let mut buf = Vec::new();
-            db.save(&mut buf).unwrap();
-            let section_at = buf.len() - b"end\n".len();
-            let mut old = buf[..section_at].to_vec();
-            old.extend_from_slice(
-                b"journal\t1\t1\t0\njnames\t1\nstore.retry\n1\t1500\t1\t0\t0\nend\n",
-            );
-            let msg = parse_error(&old);
-            assert!(msg.contains("journal section"), "{msg}");
-            for cut in section_at..old.len() {
-                assert!(ProfileDb::load(&old[..cut]).is_err(), "cut at {cut}");
-            }
-        }
-    }
-
-    #[test]
-    fn an_interval_run_on_the_self_timeline_device_is_refused_by_name() {
-        let db = sample_db().with_timeline(sample_timeline());
-        let mut buf = Vec::new();
-        db.save(&mut buf).unwrap();
-        // Three well-formed intervals: two on a workload track, then one
-        // on `device`.
-        let block = |device: u32| {
-            let interval = [2, 2, 0, 0, 2];
-            let mut fields = vec![0, 0, 2];
-            fields.extend(interval);
-            fields.extend(interval);
-            fields.extend([device.into(), 1_001, 1]);
-            fields.extend(interval);
-            varints(&fields)
-        };
-        let load_block = |block: &[u8]| ProfileDb::load(&with_block(&buf, block.len(), block)[..]);
-        let back = load_block(&block(u32::MAX - 1)).unwrap();
-        assert_eq!(
-            back.timeline().unwrap().intervals[2].track.device,
-            u32::MAX - 1
-        );
-        let old = block(u32::MAX);
-        let msg = parse_error(&with_block(&buf, old.len(), &old));
-        assert!(msg.contains(&format!("device {}", u32::MAX)), "{msg}");
-        assert!(msg.contains("self-timeline"), "{msg}");
-        for cut in 0..old.len() {
-            assert!(load_block(&old[..cut]).is_err(), "cut at {cut}");
-        }
-    }
-
-    #[test]
     fn load_rejects_bad_magic() {
         let err = ProfileDb::load(&b"not a profile\n"[..]).unwrap_err();
         assert!(err.to_string().contains("magic"));
@@ -1186,7 +1111,7 @@ mod tests {
         let db = sample_db();
         let mut buf = Vec::new();
         db.save(&mut buf).unwrap();
-        for version in ["v1", "v2", "v3", "v9"] {
+        for version in ["v1", "v2", "v3", "v4", "v9"] {
             let mut other = format!("deepcontext-profile {version}").into_bytes();
             other.extend_from_slice(&buf[MAGIC.len()..]);
             for err in [
@@ -1220,7 +1145,7 @@ mod tests {
             .unwrap();
         let text = String::from_utf8(buf).unwrap();
         // The root's line: no parent, the root frame, one kind, then the
-        // kind's six fields, sample count first.
+        // kind's four fields, sample count first.
         let root = text.lines().find(|l| l.starts_with("-\tR\t1\t")).unwrap();
         let kind = root.split('\t').nth(3).unwrap();
         let count_at = format!("-\tR\t1\t{kind}\t1\t");

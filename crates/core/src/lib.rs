@@ -6,7 +6,8 @@
 //! (ASPLOS 2025): unified multi-layer [`Frame`]s and [`CallPath`]s spanning
 //! Python, framework-operator, native C/C++, GPU API and GPU kernel levels,
 //! the [`CallingContextTree`] with the paper's frame-collapse rules, online
-//! metric aggregation ([`MetricStat`]: sum / min / max / mean / stddev) with
+//! metric aggregation ([`MetricStat`]: count / sum / min / max, exact in any
+//! merge order for integer and power-of-two-multiple samples) with
 //! root-ward propagation, a virtual clock, and a persistent profile
 //! database.
 //!

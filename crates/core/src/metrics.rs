@@ -3,9 +3,10 @@
 //! The paper (§4.2) aggregates metrics of the same type within a calling
 //! context *online* — "sum, minimum, average, and standard deviation" — so
 //! that profile size depends on the number of distinct contexts, not the
-//! number of events. [`MetricStat`] implements that aggregation with
-//! Welford's algorithm; [`MetricStore`] maps metric kinds to stats at one
-//! tree node.
+//! number of events. [`MetricStat`] implements that aggregation as count,
+//! sum, min and max (the average is their quotient; the standard deviation
+//! is not kept); [`MetricStore`] maps metric kinds to stats at one tree
+//! node.
 
 use std::fmt;
 
@@ -273,10 +274,13 @@ impl fmt::Display for MetricKind {
 
 /// Online aggregate of one metric kind at one calling context.
 ///
-/// Maintains count, sum, min, max, and mean/variance via Welford's
-/// algorithm, so adding a sample is O(1) and no per-event storage is
-/// retained — the core of the paper's memory-overhead advantage over
-/// trace-based profilers.
+/// Holds count, sum, min and max, so adding a sample is O(1) and no
+/// per-event storage is retained — the core of the paper's
+/// memory-overhead advantage over trace-based profilers. The mean is
+/// `sum / count`. Merging is plain addition and comparison: for samples
+/// that are integers or multiples of a power of two (every kind the
+/// runtime produces) it is exact in any order while a sum stays under
+/// 2^53 units.
 ///
 /// # Examples
 ///
@@ -291,9 +295,9 @@ impl fmt::Display for MetricKind {
 /// assert_eq!(stat.sum, 12.0);
 /// assert_eq!(stat.min, 2.0);
 /// assert_eq!(stat.max, 6.0);
-/// assert!((stat.mean() - 4.0).abs() < 1e-12);
+/// assert_eq!(stat.mean(), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricStat {
     /// Number of samples.
     pub count: u64,
@@ -303,8 +307,12 @@ pub struct MetricStat {
     pub min: f64,
     /// Largest sample (`f64::NEG_INFINITY` when empty).
     pub max: f64,
-    mean: f64,
-    m2: f64,
+}
+
+impl Default for MetricStat {
+    fn default() -> Self {
+        MetricStat::new()
+    }
 }
 
 impl MetricStat {
@@ -315,14 +323,11 @@ impl MetricStat {
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            mean: 0.0,
-            m2: 0.0,
         }
     }
 
     /// The aggregate of `n` samples of the value `1.0`, field for field
-    /// what `n` [`add`](Self::add)s leave (every delta is zero, so mean
-    /// stays `1.0` and `m2` stays `0`).
+    /// what `n` [`add`](Self::add)s leave.
     pub(crate) fn units(n: u64) -> Self {
         if n == 0 {
             return MetricStat::new();
@@ -332,8 +337,6 @@ impl MetricStat {
             sum: n as f64,
             min: 1.0,
             max: 1.0,
-            mean: 1.0,
-            m2: 0.0,
         }
     }
 
@@ -347,68 +350,14 @@ impl MetricStat {
         if value > self.max {
             self.max = value;
         }
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
     }
 
-    /// Merges another aggregate into this one (parallel Welford merge).
+    /// Merges another aggregate into this one.
     pub fn merge(&mut self, other: &MetricStat) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-
-    /// The aggregate of the samples added to `new` since it looked like
-    /// `old` — the inverse of [`merge`](Self::merge), valid only for
-    /// *append-only* histories (`new` is `old` plus further `add`s, which
-    /// is how CCT nodes evolve during profiling). Merging the returned
-    /// stat into any aggregate that already contains `old`'s samples
-    /// yields the aggregate of `new`'s samples: count and sum are exact;
-    /// min/max carry `new`'s bounds (correct because `new`'s extrema
-    /// subsume `old`'s); mean and variance are recovered by inverting the
-    /// parallel Welford merge, exact up to f64 rounding.
-    pub fn delta_since(new: &MetricStat, old: &MetricStat) -> MetricStat {
-        if old.count == 0 {
-            return *new;
-        }
-        debug_assert!(
-            old.count <= new.count,
-            "delta_since needs append-only stats"
-        );
-        let count = new.count.saturating_sub(old.count);
-        if count == 0 {
-            return MetricStat::new();
-        }
-        let sum = new.sum - old.sum;
-        let mean = sum / count as f64;
-        let delta = mean - old.mean;
-        let m2 = (new.m2
-            - old.m2
-            - delta * delta * (old.count as f64) * (count as f64) / (new.count as f64))
-            .max(0.0);
-        MetricStat {
-            count,
-            sum,
-            min: new.min,
-            max: new.max,
-            mean,
-            m2,
-        }
     }
 
     /// Arithmetic mean (0 when empty).
@@ -416,16 +365,7 @@ impl MetricStat {
         if self.count == 0 {
             0.0
         } else {
-            self.mean
-        }
-    }
-
-    /// Population standard deviation (0 for fewer than 2 samples).
-    pub fn stddev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt()
+            self.sum / self.count as f64
         }
     }
 
@@ -434,16 +374,16 @@ impl MetricStat {
         self.count == 0
     }
 
-    /// Appends the six tab-separated fields of the aggregate to `out`.
+    /// Appends the four tab-separated fields of the aggregate to `out`.
     pub(crate) fn write_record(self, out: &mut impl fmt::Write) {
         let _ = write!(
             out,
-            "{}\t{}\t{}\t{}\t{}\t{}",
-            self.count, self.sum, self.min, self.max, self.mean, self.m2
+            "{}\t{}\t{}\t{}",
+            self.count, self.sum, self.min, self.max
         );
     }
 
-    /// Reads the five floating-point fields that follow `count` in a
+    /// Reads the three floating-point fields that follow `count` in a
     /// [`write_record`](Self::write_record) record.
     pub(crate) fn from_record_fields<'a>(
         count: u64,
@@ -456,18 +396,11 @@ impl MetricStat {
                 .parse::<f64>()
                 .map_err(|e| crate::CoreError::parse(format!("bad {what}: {e}")))
         };
-        let sum = next_f64("sum")?;
-        let min = next_f64("min")?;
-        let max = next_f64("max")?;
-        let mean = next_f64("mean")?;
-        let m2 = next_f64("m2")?;
         Ok(MetricStat {
             count,
-            sum,
-            min,
-            max,
-            mean,
-            m2,
+            sum: next_f64("sum")?,
+            min: next_f64("min")?,
+            max: next_f64("max")?,
         })
     }
 }
@@ -538,18 +471,28 @@ impl MetricStore {
         }
     }
 
-    /// Merges only what `new` accumulated since it looked like `old`
-    /// (see [`MetricStat::delta_since`]). `old` must be an earlier state
-    /// of the *same* store: kinds never disappear and per-kind histories
-    /// are append-only. Kinds whose sample count did not advance are
-    /// skipped entirely, making repeated incremental folds of a mostly
-    /// quiet store O(changed kinds).
+    /// Merges only what `new` accumulated since it looked like `old`.
+    /// `old` must be an earlier state of the *same* store: kinds never
+    /// disappear and per-kind histories are append-only. The delta since
+    /// `old` is the count and sum differences with `new`'s extrema (which
+    /// subsume `old`'s), so merging it into an aggregate that already
+    /// holds `old`'s samples leaves that of `new`'s. Kinds whose sample
+    /// count did not advance are skipped entirely, making repeated
+    /// incremental folds of a mostly quiet store O(changed kinds).
     pub fn merge_delta(&mut self, new: &MetricStore, old: &MetricStore) {
         for (kind, stat) in &new.entries {
             match old.get(*kind) {
                 None => self.merge_stat(*kind, stat),
                 Some(o) if o.count == stat.count => {}
-                Some(o) => self.merge_stat(*kind, &MetricStat::delta_since(stat, o)),
+                Some(o) => {
+                    debug_assert!(o.count < stat.count, "merge_delta needs append-only stats");
+                    let delta = MetricStat {
+                        count: stat.count - o.count,
+                        sum: stat.sum - o.sum,
+                        ..*stat
+                    };
+                    self.merge_stat(*kind, &delta);
+                }
             }
         }
     }
@@ -604,12 +547,6 @@ impl FromIterator<(MetricKind, MetricStat)> for MetricStore {
 mod tests {
     use super::*;
 
-    fn naive_stddev(values: &[f64]) -> f64 {
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        (values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n).sqrt()
-    }
-
     #[test]
     fn stat_tracks_count_sum_min_max() {
         let mut s = MetricStat::new();
@@ -621,17 +558,15 @@ mod tests {
         assert_eq!(s.sum, 9.0);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 5.0);
-        assert!((s.mean() - 3.0).abs() < 1e-12);
+        assert_eq!(s.mean(), 3.0);
     }
 
     #[test]
-    fn welford_matches_naive_stddev() {
-        let values = [3.0, 7.0, 7.0, 19.0, 24.0, 1.5];
-        let mut s = MetricStat::new();
-        for v in values {
-            s.add(v);
-        }
-        assert!((s.stddev() - naive_stddev(&values)).abs() < 1e-9);
+    fn default_is_the_empty_aggregate() {
+        assert_eq!(MetricStat::default(), MetricStat::new());
+        let mut s = MetricStat::default();
+        s.add(5.0);
+        assert_eq!((s.min, s.max), (5.0, 5.0));
     }
 
     #[test]
@@ -651,12 +586,7 @@ mod tests {
             }
         }
         a.merge(&b);
-        assert_eq!(a.count, whole.count);
-        assert!((a.sum - whole.sum).abs() < 1e-9);
-        assert_eq!(a.min, whole.min);
-        assert_eq!(a.max, whole.max);
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.stddev() - whole.stddev()).abs() < 1e-9);
+        assert_eq!(a, whole);
     }
 
     #[test]
@@ -674,40 +604,40 @@ mod tests {
 
     #[test]
     fn delta_since_recovers_the_appended_samples() {
-        let mut old = MetricStat::new();
+        let mut old = MetricStore::new();
         for v in [4.0, 9.0, 1.0] {
-            old.add(v);
+            old.add(MetricKind::GpuTime, v);
         }
-        let mut new = old;
+        let mut new = old.clone();
         for v in [7.0, 0.5, 12.0] {
-            new.add(v);
+            new.add(MetricKind::GpuTime, v);
         }
-        let delta = MetricStat::delta_since(&new, &old);
-        assert_eq!(delta.count, 3);
-        assert_eq!(delta.sum, 19.5);
-
-        // Folding old + delta into a third aggregate matches folding new.
-        let mut base = MetricStat::new();
-        base.add(100.0);
-        let mut via_delta = base;
+        // Folding old + the delta into a third store matches folding new.
+        let mut base = MetricStore::new();
+        base.add(MetricKind::GpuTime, 100.0);
+        let mut via_delta = base.clone();
         via_delta.merge(&old);
-        via_delta.merge(&delta);
+        via_delta.merge_delta(&new, &old);
         let mut direct = base;
         direct.merge(&new);
-        assert_eq!(via_delta.count, direct.count);
-        assert_eq!(via_delta.sum, direct.sum);
-        assert_eq!(via_delta.min, direct.min);
-        assert_eq!(via_delta.max, direct.max);
-        assert!((via_delta.mean() - direct.mean()).abs() < 1e-9);
-        assert!((via_delta.stddev() - direct.stddev()).abs() < 1e-9);
+        assert_eq!(via_delta, direct);
+        // Into an empty store, the delta is the appended samples alone.
+        let mut delta = MetricStore::new();
+        delta.merge_delta(&new, &old);
+        let stat = delta.get(MetricKind::GpuTime).unwrap();
+        assert_eq!((stat.count, stat.sum), (3, 19.5));
     }
 
     #[test]
     fn delta_since_empty_old_is_new_and_unchanged_is_empty() {
-        let mut new = MetricStat::new();
-        new.add(3.0);
-        assert_eq!(MetricStat::delta_since(&new, &MetricStat::new()), new);
-        assert!(MetricStat::delta_since(&new, &new).is_empty());
+        let mut new = MetricStore::new();
+        new.add(MetricKind::GpuTime, 3.0);
+        let mut dest = MetricStore::new();
+        dest.merge_delta(&new, &MetricStore::new());
+        assert_eq!(dest, new);
+        let mut dest = MetricStore::new();
+        dest.merge_delta(&new, &new);
+        assert!(dest.is_empty());
     }
 
     #[test]
@@ -725,24 +655,7 @@ mod tests {
 
         let mut direct = MetricStore::new();
         direct.merge(&new);
-        assert_eq!(
-            dest.sum(MetricKind::GpuTime),
-            direct.sum(MetricKind::GpuTime)
-        );
-        assert_eq!(
-            dest.count(MetricKind::GpuTime),
-            direct.count(MetricKind::GpuTime)
-        );
-        assert_eq!(dest.sum(MetricKind::Warps), 32.0);
-        assert_eq!(dest.sum(MetricKind::CpuTime), 2.0);
-        assert_eq!(dest.len(), direct.len());
-    }
-
-    #[test]
-    fn stddev_of_single_sample_is_zero() {
-        let mut s = MetricStat::new();
-        s.add(42.0);
-        assert_eq!(s.stddev(), 0.0);
+        assert_eq!(dest, direct);
     }
 
     #[test]

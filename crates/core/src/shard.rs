@@ -43,13 +43,14 @@
 //! parent's list (a parent holding nothing adopts the child's list whole,
 //! which is most of the single-child Python/operator spine). Every
 //! ancestor is thus merged once per kind per settle, not once per
-//! descendant, and in a **stated order**, which is what makes the low
-//! digits of a measured kind's mean and variance reproducible: *a node's
-//! own aggregate first, then its children's by descending `NodeId`*.
-//! Integer counts need no order at all — their sums are exactly
-//! associative — so launches, instruction samples and stalls settle to
-//! bit-identical aggregates whatever order they arrived or were folded
-//! in.
+//! descendant, and in a **stated order**: *a node's own aggregate first,
+//! then its children's by descending `NodeId`*. An aggregate is count,
+//! sum, min and max, and only `sum` can depend on order: the stated order
+//! fixes its low bits for samples that are neither integers nor
+//! multiples of a power of two, and the runtime produces none. Every sum
+//! it does produce — occurrences, ns, bytes, occupancy `k/64` or `k/32`
+//! — is exact below 2^53 units, so the settled tree is bit-identical
+//! whatever order its samples arrived or were folded in.
 //!
 //! **What this is built for, and what it costs elsewhere.** Slots, lists
 //! and merges scale with the nodes touched since the last settle and
@@ -168,12 +169,9 @@ impl Pending {
         let mut at = find(&self.held, first, kind);
         if at == NONE {
             at = self.held.len() as u32;
-            // Not `MetricStat::default()`: an empty aggregate starts at
-            // min = +inf, max = -inf.
-            let stat = MetricStat::new();
             self.held.push(Held {
                 kind,
-                stat,
+                stat: MetricStat::new(),
                 next: first,
             });
             self.slot(node, nodes).held = at;

@@ -23,22 +23,25 @@
 //! and the context outside the tree. Nothing else changed.
 //!
 //! `run.dcprof` was written by `2ab0956`'s `ProfileDb::save` as a v3
-//! container and regenerated twice. First by the v4 writer of the commit
-//! that replaced v3's interval lines with a varint block, under this
-//! rule: before the v3 reader was deleted, the old and the new file
+//! container and regenerated three times. First by the v4 writer of the
+//! commit that replaced v3's interval lines with a varint block, under
+//! this rule: before the v3 reader was deleted, the old and the new file
 //! loaded to the same profile (equal meta, `semantic_diff` of `None`,
 //! equal timeline and journal), and the new file's text lines equal the old one's
 //! except the magic line and the 80 interval lines the block replaced.
 //! Then when stored incident journals stopped being read: the new file
 //! is the old one without its `journal` section (old lines 101–109, the
-//! `journal` line through the section's last event). `load` must read
-//! the container back to a profile that saves to the same bytes again.
+//! `journal` line through the section's last event). Then when v5
+//! dropped an aggregate's Welford `mean` and `m2`: every text line of
+//! the new file equals the old one except the magic line and each node
+//! line, whose metric records each lost their last two fields (`mean`,
+//! `m2`); the interval block is byte-identical. `load` must read the
+//! container back to a profile that saves to the same bytes again.
 //!
-//! The only bytes of `run.dcprof` that depend on the order a shard
-//! settles in are the low digits of `mean` / `m2` of measured kinds
-//! (`gpu_time`, `memcpy_*`, ...); the rule that fixes them is stated in
-//! `crates/core/src/shard.rs`'s module docs. A changed count, sum, min,
-//! max, node or line order is a bug, never a regeneration.
+//! No byte of `run.dcprof` depends on the order a shard settles in: every
+//! sample the run records is an integer or a multiple of a power of two,
+//! whose sums are exact in any order. A changed count, sum, min, max,
+//! node or line order is a bug, never a regeneration.
 //!
 //! On a mismatch the actual output is written under the test's target
 //! tmp directory and the failure names the file — copy it over the golden

@@ -197,7 +197,7 @@ fn corrupt_and_truncated_store_files_error_not_panic() {
     }
 
     // Garbage body after a valid magic.
-    let garbage = b"deepcontext-profile v4\nnot\ta\tvalid\tsection\n";
+    let garbage = b"deepcontext-profile v5\nnot\ta\tvalid\tsection\n";
     assert!(load_cut("garbage", garbage).is_err());
 
     // The intact run still loads from the same directory.
@@ -417,18 +417,18 @@ proptest! {
         ),
         prefix in prop::sample::select(vec![
             "",
-            "deepcontext-profile v4\n",
-            "deepcontext-profile v4\nmeta\tworkload\tw\nstrings\t0\nnodes\t1\n-\tR\t0\n",
-            "deepcontext-profile v4\nstrings\t0\nnodes\t1\n-\tR\t0\ntimeline\t1\t1\t0\t-\t-\ntnames\t1\nk\n",
-            "deepcontext-profile v4\nstrings\t0\nnodes\t1\n-\tR\t0\ntimeline\t1\t1\t0\t-\t-\ntnames\t1\nk\nintervals\t8\n",
-            "deepcontext-profile v4\nstrings\t0\nnodes\t1\n-\tR\t0\njournal\t1\t1\t0\njnames\t1\ns\n",
+            "deepcontext-profile v5\n",
+            "deepcontext-profile v5\nmeta\tworkload\tw\nstrings\t0\nnodes\t1\n-\tR\t0\n",
+            "deepcontext-profile v5\nstrings\t0\nnodes\t1\n-\tR\t0\ntimeline\t1\t1\t0\t-\t-\ntnames\t1\nk\n",
+            "deepcontext-profile v5\nstrings\t0\nnodes\t1\n-\tR\t0\ntimeline\t1\t1\t0\t-\t-\ntnames\t1\nk\nintervals\t8\n",
+            "deepcontext-profile v5\nstrings\t0\nnodes\t1\n-\tR\t0\njournal\t1\t1\t0\njnames\t1\ns\n",
         ]),
     ) {
         let mut bytes = prefix.as_bytes().to_vec();
         bytes.extend(body.iter().map(|&b| b as u8));
         let (dir, store) = temp_store();
         let (loaded, _) = read_every_way(&store, &bytes);
-        // A journal section is refused whatever follows it.
+        // A stray `journal` line is no end marker, whatever follows it.
         prop_assert!(!(loaded && prefix.contains("\njournal\t")));
         fs::remove_dir_all(dir).unwrap();
     }
