@@ -28,8 +28,12 @@
 //!   entry, the operator's pre-interned frame and the *handle*
 //!   ([`deepcontext_core::PathHandle`]) of the thread's Python call path
 //!   extended by the shadow operators. The Python snapshot is keyed by
-//!   `PythonStack::version()` and nothing else: it is re-walked only when
-//!   the version has moved since the thread's last snapshot. A
+//!   `PythonStack::version()` and nothing else, and it keeps the walk it
+//!   last took: each frame's `(file, line)` and its handle. When the
+//!   version has moved it keeps the longest prefix of that walk that still
+//!   matches the stack and resolves only the frames below it, each through
+//!   a per-thread `(parent, line)` index matched by file — a frame the
+//!   thread has pushed before under the same parent interns nothing. A
 //!   kernel-launch call path is then that handle extended — through the
 //!   thread's own memo of the session's path table — by a partial native
 //!   unwind (or none, if native collection is off) and the GPU API and

@@ -1,7 +1,9 @@
 //! The DLMonitor runtime.
 //!
 //! A calling context is a **handle** here: every piece of state the
-//! monitor keeps per thread — the version-keyed Python snapshot, each
+//! monitor keeps per thread — the version-keyed Python snapshot (the
+//! handle of each frame of its last walk, so a version bump re-resolves
+//! only the frames below the part that still matches the stack), each
 //! shadow-stack operator, each forward/backward association record —
 //! holds the [`PathHandle`] of the context it stands for, and
 //! [`DlMonitor::callpath_for_gpu`] / [`DlMonitor::callpath_get`] extend
@@ -40,13 +42,12 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use deepcontext_core::{
-    Frame, FrameKey, FxHashMap, Interner, LivePath, OpPhase, PathHandle, PathId, PathMemo,
-    Subscribers,
+    Frame, FxHashMap, Interner, LivePath, OpPhase, PathHandle, PathId, PathMemo, Subscribers,
 };
 use dl_framework::{CallbackRegistry, FrameworkCallbackId, GraphEvent, MemEvent, OpEvent, Site};
 use sim_gpu::{ApiKind, CallbackData, GpuRuntime, SubscriberId, Vendor};
 use sim_runtime::{
-    LibraryInfo, NativeFrameInfo, PythonStack, RuntimeEnv, ThreadCtx, ThreadRegistry,
+    LibraryInfo, NativeFrameInfo, PyFrameInfo, PythonStack, RuntimeEnv, ThreadCtx, ThreadRegistry,
 };
 
 use crate::integrate::{integrate_call_path, ShadowOp};
@@ -249,6 +250,9 @@ pub struct MonitorStats {
     /// Forward association records currently held: the tape being
     /// recorded and the last one a backward pass walked.
     pub assoc_live: u64,
+    /// Python frames resolved after a version bump: the frames below the
+    /// part of the last walk that still matched the stack.
+    pub python_frames: u64,
 }
 
 type EventCb = Arc<dyn for<'a, 'b> Fn(&'a DlEvent<'b>) + Send + Sync>;
@@ -276,38 +280,91 @@ impl PythonRanges {
     }
 }
 
-/// The Python call path of one thread, valid for exactly the
-/// [`PythonStack::version`] it was taken at.
+/// Whether two frames name one file: the same `Arc`, or equal strings.
+fn same_file(a: &Arc<str>, b: &Arc<str>) -> bool {
+    Arc::ptr_eq(a, b) || a == b
+}
+
+/// A frame's file and the context the frame extends its parent to.
+type FileContext = (Arc<str>, PathHandle);
+
+/// The Python frames one thread has resolved, by `(parent, line)`: each
+/// file met at that line under that parent and the context it extends the
+/// parent to. Files match by value, so a frame pushed again with a fresh
+/// `Arc` still hits.
 #[derive(Default)]
-struct PythonSnapshot(Option<(u64, PathHandle)>);
+struct PythonIndex(FxHashMap<(PathId, u32), Vec<FileContext>>);
+
+impl PythonIndex {
+    /// `parent` extended by `frame`: one probe and a string compare when
+    /// this thread has met the frame under `parent` before; otherwise the
+    /// frame is built and the path table extended.
+    fn extend(
+        &mut self,
+        parent: PathHandle,
+        frame: &PyFrameInfo,
+        interner: &Interner,
+    ) -> PathHandle {
+        let files = self.0.entry((parent.id(), frame.line)).or_default();
+        if let Some(&(_, path)) = files.iter().find(|(file, _)| same_file(file, &frame.file)) {
+            return path;
+        }
+        let built = Frame::python(&frame.file, frame.line, &frame.function, interner);
+        let path = interner.paths().extend(parent, &built);
+        files.push((Arc::clone(&frame.file), path));
+        path
+    }
+}
+
+/// The Python call path of one thread, valid for exactly the
+/// [`PythonStack::version`] it was taken at, and the walk that produced
+/// it: each frame's `(file, line)` collapse key and its context, root
+/// first.
+#[derive(Default)]
+struct PythonSnapshot {
+    taken: Option<(u64, PathHandle)>,
+    walk: Vec<(Arc<str>, u32, PathHandle)>,
+    index: PythonIndex,
+}
 
 impl PythonSnapshot {
-    /// The thread's current Python path, re-walked only when the stack's
-    /// version has moved since the last call.
+    /// The thread's current Python path. When the stack's version has
+    /// moved since the last call, the longest prefix of the last walk
+    /// whose `(file, line)` still match the stack is kept and only the
+    /// frames below it are resolved; `resolved` counts them.
     fn current(
         &mut self,
         python: &PythonStack,
-        memo: &mut PathMemo,
         interner: &Interner,
+        resolved: &mut u64,
     ) -> PathHandle {
         // Read the version before walking: a racing mutation can then only
         // make the snapshot look stale, never fresh.
         let version = python.version();
-        match self.0 {
+        match self.taken {
             Some((taken_at, path)) if taken_at == version => path,
             _ => {
+                let PythonSnapshot { walk, index, .. } = self;
                 let path = python.with_frames(|frames| {
-                    frames.iter().fold(PathHandle::ROOT, |path, f| {
-                        let key = FrameKey::Python {
-                            file: interner.intern_cached(&f.file),
-                            line: f.line,
-                        };
-                        memo.extend(interner.paths(), path, key, || {
-                            Frame::python(&f.file, f.line, &f.function, interner)
+                    let kept = walk
+                        .iter()
+                        .zip(frames)
+                        .take_while(|((file, line, _), f)| {
+                            *line == f.line && same_file(file, &f.file)
                         })
-                    })
+                        .count();
+                    walk.truncate(kept);
+                    *resolved += (frames.len() - kept) as u64;
+                    frames[kept..].iter().fold(
+                        walk.last().map_or(PathHandle::ROOT, |w| w.2),
+                        |parent, f| {
+                            let path = index.extend(parent, f, interner);
+                            walk.push((Arc::clone(&f.file), f.line, path));
+                            path
+                        },
+                    )
                 });
-                self.0 = Some((version, path));
+                self.taken = Some((version, path));
                 path
             }
         }
@@ -355,7 +412,8 @@ struct ThreadState {
     /// The shadow operator stack, outermost first.
     shadow: Vec<ShadowOp>,
     python: PythonSnapshot,
-    /// This thread's sightings of the session's path table.
+    /// This thread's sightings of the session's path table, Python
+    /// frames excepted (the snapshot's index holds those).
     memo: PathMemo,
     /// In front of `memo` for kernel launches: a hit interns nothing.
     kernels: KernelLeaves,
@@ -371,6 +429,7 @@ struct ThreadState {
     built: u64,
     cache_hits: u64,
     assoc_hits: u64,
+    python_frames: u64,
 }
 
 impl ThreadState {
@@ -380,6 +439,7 @@ impl ThreadState {
             built: self.built,
             cache_hits: self.cache_hits,
             assoc_hits: self.assoc_hits,
+            python_frames: self.python_frames,
             ..ThreadState::default()
         };
     }
@@ -530,6 +590,7 @@ impl DlMonitor {
             stats.callpaths_built += state.built;
             stats.cache_hits += state.cache_hits;
             stats.assoc_hits += state.assoc_hits;
+            stats.python_frames += state.python_frames;
         }
         stats
     }
@@ -644,13 +705,14 @@ impl DlMonitor {
             shadow,
             python,
             memo,
+            python_frames,
             ..
         } = &mut *state;
         match event.site {
             Site::Enter => {
                 // Snapshot at every Enter, whatever the cache flag says
                 // now: it may be switched on before the launch.
-                let python = python.current(thread.python(), memo, &self.interner);
+                let python = python.current(thread.python(), &self.interner, python_frames);
                 let frame =
                     Frame::operator_with(&event.name, event.phase, event.seq_id, &self.interner);
                 let op = ShadowOp::enter(
@@ -705,6 +767,7 @@ impl DlMonitor {
             tails,
             cache_hits,
             assoc_hits,
+            python_frames,
             ..
         } = state;
         let shadow: &[ShadowOp] = if flags & FLAG_FRAMEWORK != 0 {
@@ -741,7 +804,8 @@ impl DlMonitor {
                 .all(|op| op.native_depth <= innermost.native_depth);
             (innermost.python, nested.then(|| innermost.path.id()))
         } else {
-            (python.current(thread.python(), memo, &self.interner), None)
+            let python = python.current(thread.python(), &self.interner, python_frames);
+            (python, None)
         };
 
         let native_on = flags & FLAG_NATIVE != 0;

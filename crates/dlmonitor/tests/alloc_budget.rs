@@ -5,7 +5,8 @@
 //! included, cached, uncached or through a forward/backward association —
 //! and the delivery of an event to a subscriber all allocate nothing —
 //! through the framework registry and the GPU runtime too, whose lists
-//! are `Subscribers` like the monitor's.
+//! are `Subscribers` like the monitor's. Neither does an operator Enter
+//! after a version bump to a stack whose frames the thread has met.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -152,6 +153,37 @@ fn steady_state_operator_events_allocate_nothing() {
         }
     });
     assert_eq!(monitored, 0);
+}
+
+#[test]
+fn a_version_bump_between_operators_allocates_nothing() {
+    let rig = rig();
+    let (enter, exit) = (
+        op_event(&rig, None, Site::Enter),
+        op_event(&rig, None, Site::Exit),
+    );
+    let python = rig.main.python();
+    let round = |line| {
+        python.set_line(line);
+        rig.registry.fire_op(&enter);
+        rig.registry.fire_op(&exit);
+    };
+    // Warm-up: the innermost frame at each of the two lines enters the
+    // snapshot's index.
+    round(40);
+    round(41);
+    // The substrate's share: none, so only the monitor is measured.
+    assert_eq!(allocations(|| python.set_line(40)), 0);
+
+    let resolved = rig.monitor.stats().python_frames;
+    let monitored = allocations(|| {
+        for line in (40..42).cycle().take(100) {
+            round(line);
+        }
+    });
+    assert_eq!(monitored, 0);
+    // Each bump resolves the one frame whose line moved.
+    assert_eq!(rig.monitor.stats().python_frames - resolved, 100);
 }
 
 /// The payload of a kernel-launch callback.

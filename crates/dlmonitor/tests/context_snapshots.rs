@@ -164,6 +164,10 @@ fn every_python_stack_mutation_between_operators_changes_the_next_path() {
         ]
     );
     assert_eq!(rig.monitor.stats().cache_hits, 5);
+    // Only the frames below the part of the last walk that still matches
+    // the stack are resolved: the first walk's one frame, the frame whose
+    // line moved, the pushed frame, and nothing after the pop.
+    assert_eq!(rig.monitor.stats().python_frames, 3);
 }
 
 #[test]
