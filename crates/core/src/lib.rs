@@ -8,8 +8,9 @@
 //! the [`CallingContextTree`] with the paper's frame-collapse rules, online
 //! metric aggregation ([`MetricStat`]: count / sum / min / max, exact in any
 //! merge order for integer and power-of-two-multiple samples) with
-//! root-ward propagation, a virtual clock, and a persistent profile
-//! database.
+//! root-ward propagation, a virtual clock, a persistent profile
+//! database, and [`IdWindow`], the one map the correlation directory and
+//! the forward/backward association keep their counter-issued ids in.
 //!
 //! # Quick example
 //!
@@ -44,6 +45,7 @@ mod path;
 mod shard;
 mod subscribers;
 mod timeline;
+mod window;
 
 pub use cct::{CallingContextTree, CctNode, FoldState, NodeId};
 pub use clock::{TimeNs, VirtualClock};
@@ -57,6 +59,7 @@ pub use path::{LivePath, PathEntries, PathHandle, PathId, PathMemo, PathTable};
 pub use shard::CctShard;
 pub use subscribers::Subscribers;
 pub use timeline::{Interval, IntervalKind, StoredTimeline, TrackKey};
+pub use window::IdWindow;
 
 /// Convenient re-exports for downstream crates.
 pub mod prelude {

@@ -23,7 +23,14 @@
 //! * **Forward/backward operator association** — forward operators record
 //!   their Python/framework context under their autograd sequence id;
 //!   backward operators executing on the dedicated backward thread (which
-//!   has *no* Python stack) recover it by sequence-id lookup;
+//!   has *no* Python stack) recover it by sequence-id lookup. The records
+//!   live in a [`deepcontext_core::IdWindow`] and retire by advancing its
+//!   base: a backward operator entered under an id at or above the
+//!   backward-pass mark opens a new pass, retires every record below the
+//!   old mark and raises the mark to one past its id, under one lock. The
+//!   window holds the tape being recorded and the one the last pass
+//!   walked; a nested pass (activation checkpointing) retires the outer
+//!   tape before the outer pass is done;
 //! * **Call path caching** — every operator Enter stores, in its shadow
 //!   entry, the operator's pre-interned frame and the *handle*
 //!   ([`deepcontext_core::PathHandle`]) of the thread's Python call path

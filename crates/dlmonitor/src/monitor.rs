@@ -42,7 +42,8 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use deepcontext_core::{
-    Frame, FxHashMap, Interner, LivePath, OpPhase, PathHandle, PathId, PathMemo, Subscribers,
+    Frame, FxHashMap, IdWindow, Interner, LivePath, OpPhase, PathHandle, PathId, PathMemo,
+    Subscribers,
 };
 use dl_framework::{CallbackRegistry, FrameworkCallbackId, GraphEvent, MemEvent, OpEvent, Site};
 use sim_gpu::{ApiKind, CallbackData, GpuRuntime, SubscriberId, Vendor};
@@ -424,6 +425,10 @@ struct ThreadState {
     /// under the same operator interns nothing. Valid for `libpython`'s
     /// generation (a load can turn a kept frame into a cut-over point).
     tails: NativeTails,
+    /// The backward-pass mark as this thread last read it under the
+    /// association's lock. The mark only rises, so a backward operator
+    /// below this copy cannot open a pass and skips that lock.
+    walked: u64,
     /// This thread's share of [`MonitorStats`]: counted under the lock
     /// the path is built under anyway, summed by [`DlMonitor::stats`].
     built: u64,
@@ -476,6 +481,40 @@ impl ThreadSlab {
     }
 }
 
+/// The forward/backward association (paper §4.1): the forward context —
+/// the Python frames plus the forward operator frames, ready to prefix a
+/// backward path — by autograd sequence id, and the backward-pass mark.
+///
+/// Records retire by a base advance. A pass walks its tape from the
+/// highest id down, so a backward operator entered at or above `walked`
+/// opens a newer pass: the base advances to the old mark and the mark
+/// rises to one past that id, in one critical section, so the mark only
+/// rises. The window holds the tape being recorded and the one the last
+/// pass walked; neither an operator's exit (one forward operator lowers
+/// to several backward ones under one id) nor the next taped forward
+/// operator (it may run beside a pass still under way) retires anything.
+/// Passes are assumed not to nest: a checkpointed segment's nested pass
+/// advances the base past the outer tape, whose rest finds no forward
+/// context.
+#[derive(Default)]
+struct Association {
+    tape: IdWindow<PathHandle>,
+    /// One past the highest sequence id a backward operator was entered
+    /// under.
+    walked: u64,
+}
+
+impl Association {
+    /// A backward operator was entered under `seq`: returns the mark.
+    fn enter_backward(&mut self, seq: u64) -> u64 {
+        if seq >= self.walked {
+            self.tape.retire_below(self.walked);
+            self.walked = seq + 1;
+        }
+        self.walked
+    }
+}
+
 /// Slots of the per-vendor GPU API frame table.
 const API_KINDS: usize = 5;
 
@@ -486,16 +525,9 @@ pub struct DlMonitor {
     env: RuntimeEnv,
     interner: Arc<Interner>,
     threads: ThreadSlab,
-    /// Forward context by autograd sequence id: the Python frames plus
-    /// the forward operator frames, ready to prefix a backward path.
-    assoc: Mutex<FxHashMap<u64, PathHandle>>,
-    /// One past the highest sequence id a backward operator was entered
-    /// under. A pass walks its tape from the highest id down, so an id at
-    /// or above this opens a newer tape and retires every record below it:
-    /// not an operator's own exit (one forward operator lowers to several
-    /// backward ones under one id) nor the next taped forward operator
-    /// (it may run beside a pass still under way).
-    walked: AtomicU64,
+    /// The forward/backward association, and the backward-pass mark
+    /// beside it, under one lock.
+    assoc: Mutex<Association>,
     callbacks: Subscribers<Registration>,
     libpython: Arc<PythonRanges>,
     /// [`Domain::bit`]s of the domains `callbacks` has a subscriber for.
@@ -532,8 +564,7 @@ impl DlMonitor {
             env: env.clone(),
             interner,
             threads: ThreadSlab::default(),
-            assoc: Mutex::new(FxHashMap::default()),
-            walked: AtomicU64::new(0),
+            assoc: Mutex::default(),
             callbacks: Subscribers::default(),
             libpython,
             subscribed: AtomicU8::new(0),
@@ -582,7 +613,7 @@ impl DlMonitor {
     /// Activity counters.
     pub fn stats(&self) -> MonitorStats {
         let mut stats = MonitorStats {
-            assoc_live: self.assoc.lock().len() as u64,
+            assoc_live: self.assoc.lock().tape.len() as u64,
             ..MonitorStats::default()
         };
         for slot in self.threads.slots() {
@@ -705,6 +736,7 @@ impl DlMonitor {
             shadow,
             python,
             memo,
+            walked,
             python_frames,
             ..
         } = &mut *state;
@@ -724,12 +756,9 @@ impl DlMonitor {
                     &self.interner,
                 );
                 match (event.phase, event.seq_id) {
-                    (OpPhase::Forward, Some(seq)) => {
-                        self.assoc.lock().insert(seq, op.path);
-                    }
-                    (OpPhase::Backward, Some(seq)) if seq >= self.walked.load(Ordering::SeqCst) => {
-                        let walked = self.walked.swap(seq + 1, Ordering::SeqCst);
-                        self.assoc.lock().retain(|id, _| *id >= walked);
+                    (OpPhase::Forward, Some(seq)) => self.assoc.lock().tape.insert(seq, op.path),
+                    (OpPhase::Backward, Some(seq)) if seq >= *walked => {
+                        *walked = self.assoc.lock().enter_backward(seq);
                     }
                     _ => {}
                 }
@@ -739,12 +768,6 @@ impl DlMonitor {
                 shadow.pop();
             }
         }
-    }
-
-    /// Drops recorded forward/backward associations (typically once per
-    /// training iteration, after `backward()` completes, to bound memory).
-    pub fn clear_associations(&self) {
-        self.assoc.lock().clear();
     }
 
     /// `dlmonitor_callpath_get`: the unified multi-layer call path of
@@ -784,7 +807,7 @@ impl DlMonitor {
                 phase: OpPhase::Backward,
                 seq_id: Some(seq),
                 ..
-            }) => self.assoc.lock().get(seq).copied(),
+            }) => self.assoc.lock().tape.get(*seq),
             _ => None,
         };
 
@@ -959,7 +982,7 @@ impl DlMonitor {
         for slot in self.threads.slots() {
             slot.lock().reset();
         }
-        self.assoc.lock().clear();
+        *self.assoc.lock() = Association::default();
     }
 
     /// Depth of the shadow stack for a thread (test/diagnostic hook).
@@ -1175,18 +1198,34 @@ mod tests {
         rig.engine.set_grad_enabled(true);
         let paths = launch_paths(&rig);
 
+        let core = Arc::clone(rig.engine.core());
         {
-            let core = Arc::clone(rig.engine.core());
             let _s1 = core.python().frame(&main, "train.py", 12, "train_step");
             rig.engine
                 .op(Op::new(OpKind::Relu), &[TensorMeta::new([64])])
                 .unwrap();
         }
-        rig.monitor.clear_associations(); // simulate a monitor without the feature
-        rig.engine.backward().unwrap();
+        // A backward operator on the backward thread under a sequence id
+        // no forward operator recorded.
+        let backward = rig.env.threads().spawn(ThreadRole::Backward);
+        let event = |site| OpEvent {
+            name: Arc::from("aten::relu"),
+            phase: OpPhase::Backward,
+            seq_id: Some(1_000),
+            site,
+            thread: Arc::clone(&backward),
+            inputs: Vec::new(),
+        };
+        core.callbacks().fire_op(&event(Site::Enter));
+        let bwd = rig
+            .monitor
+            .callpath_get(&backward)
+            .to_call_path(&rig.monitor.interner);
+        core.callbacks().fire_op(&event(Site::Exit));
 
-        let paths = paths.lock();
-        let bwd = &paths[1];
+        assert_eq!(paths.lock().len(), 1, "the forward launch");
+        assert_eq!(rig.monitor.stats().assoc_hits, 0);
+        assert!(bwd.frames().iter().any(|f| f.kind() == FrameKind::Operator));
         assert!(
             bwd.frames().iter().all(|f| f.kind() != FrameKind::Python),
             "orphaned backward path must lack Python frames"

@@ -280,13 +280,12 @@ fn a_taped_forward_enter_allocates_only_its_association_record() {
             rig.registry.fire_op(exit);
         }
     };
-    // Warm-up: also grows the association table to its working size,
-    // which clearing keeps.
+    // Warm-up: also grows the association window to its working size.
     deliver();
-    rig.monitor.clear_associations();
 
-    // The record is one handle in a slot of that table: nothing left to
-    // allocate.
+    // The record is one handle in a slot of that window, and a second
+    // delivery rebinds the same ids into slots that already exist:
+    // nothing left to allocate.
     assert_eq!(allocations(deliver), 0);
     assert_eq!(rig.monitor.stats().assoc_live, TAPED);
 }

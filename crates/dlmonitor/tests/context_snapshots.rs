@@ -337,8 +337,60 @@ fn assoc_live_counts_every_taped_forward_operator() {
     }
     assert_eq!(taped.load(Ordering::SeqCst), 20);
 
-    rig.monitor.clear_associations();
+    rig.monitor.finalize();
     assert_eq!(rig.monitor.stats().assoc_live, 0);
+}
+
+#[test]
+fn a_nested_backward_pass_retires_the_outer_tape() {
+    // Activation checkpointing, as the registry sees it: the outer pass
+    // enters backward at its top id, a checkpointed segment re-runs
+    // forward under fresh ids above the outer tape and a nested pass
+    // walks them, then the outer pass continues below its first id. The
+    // nested pass opens a newer tape, so the association retires the
+    // outer one while the outer pass is still under way: the rest of the
+    // outer pass finds no forward context. This pins that known gap.
+    let rig = rig();
+    let registry = Arc::clone(rig.core.callbacks());
+    let main = rig.env.threads().spawn(ThreadRole::Main);
+    let backward = rig.env.threads().spawn(ThreadRole::Backward);
+    let interner = rig.monitor.interner();
+
+    // A taped forward operator under `seq`, from `model.py:<seq>`.
+    let forward = |seq: u64| {
+        let _scope = rig.core.python().frame(&main, "model.py", seq as u32, "f");
+        for site in [Site::Enter, Site::Exit] {
+            registry.fire_op(&op_event("aten::relu", OpPhase::Forward, seq, site, &main));
+        }
+    };
+    // The first frame of the path a backward operator under `seq`
+    // launches from on the backward thread, which has no Python stack:
+    // its forward context's line, or the operator itself.
+    let backward_op = |seq: u64| {
+        let event = |site| op_event("aten::relu", OpPhase::Backward, seq, site, &backward);
+        registry.fire_op(&event(Site::Enter));
+        let path = rig.monitor.callpath_get(&backward).to_call_path(&interner);
+        registry.fire_op(&event(Site::Exit));
+        (seq, path.frames()[0].short_label(&interner))
+    };
+
+    (1..=4).for_each(forward);
+    let mut paths = vec![backward_op(4)];
+    (5..=6).for_each(forward);
+    paths.extend([6, 5, 3, 2, 1].map(backward_op));
+
+    let expected = [
+        (4, "model.py:4"),
+        (6, "model.py:6"),
+        (5, "model.py:5"),
+        (3, "aten::relu~bwd"),
+        (2, "aten::relu~bwd"),
+        (1, "aten::relu~bwd"),
+    ];
+    assert_eq!(paths, expected.map(|(seq, frame)| (seq, frame.to_owned())));
+    assert_eq!(rig.monitor.stats().assoc_hits, 3);
+    // The nested tape, which the pass that retired the outer one walked.
+    assert_eq!(rig.monitor.stats().assoc_live, 2);
 }
 
 #[test]

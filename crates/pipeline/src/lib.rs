@@ -10,7 +10,12 @@
 //! Contexts travel **by handle**: a launch or sample carries the
 //! `PathHandle` DLMonitor assembled, shards resolve its `PathId` through
 //! a dense vector, and the correlation directory — the one correlation
-//! table — maps `corr → (shard, PathId)`.
+//! table — maps `corr → (shard, PathId)`. The directory is a
+//! [`deepcontext_core::IdWindow`] under one lock, the same window
+//! DLMonitor keeps its forward/backward association in: an asynchronous
+//! activity record, which carries neither thread identity nor context,
+//! finds both in one lookup, and a launch is one insert, a record one
+//! lookup, retirement (the two-phase prune) one remove.
 //!
 //! ```text
 //!  producers (launch cb / activity flush / CPU sampler)
@@ -32,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod directory;
 mod sharded;
 mod sink;
 

@@ -7,16 +7,34 @@ use std::time::Instant;
 use parking_lot::{Mutex, MutexGuard};
 
 use deepcontext_core::{
-    CallingContextTree, CctShard, FoldState, Interner, Interval, IntervalKind, MetricKind, NodeId,
-    PathHandle, PathId, Sym, TrackKey,
+    CallingContextTree, CctShard, FoldState, IdWindow, Interner, Interval, IntervalKind,
+    MetricKind, NodeId, PathHandle, PathId, Sym, TrackKey,
 };
 use deepcontext_timeline::{TimelineConfig, TimelineSink, TimelineSnapshot};
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind};
 
-use crate::directory::{mix, Binding, CorrelationWindow, DIR_ENTRY_BYTES};
 use crate::sink::{attribute_activity_metrics, SinkCounters};
 use crate::DEFAULT_SHARDS;
+
+/// Mixes a routing key so sequential tids/correlation ids spread across
+/// shards (splitmix64 finalizer). The sink's shard routing and the
+/// fallback shard of an unbound correlation both derive from it.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// What the correlation directory holds for one in-flight correlation.
+#[derive(Clone, Copy, Default)]
+struct Binding {
+    /// The shard the launch was routed to.
+    shard: u32,
+    /// The calling context the launch was made from.
+    path: PathId,
+}
 
 /// The memoized fold of all shards: the merged master tree, the
 /// per-shard [`FoldState`] it was built through, and the shard dirty
@@ -131,8 +149,9 @@ pub struct ShardedSink {
     /// The one correlation table: correlation id -> the shard and
     /// context it was launched in. One lock over a window indexed by
     /// correlation id, taken once per launch, once per activity batch's
-    /// lookups and once per batch's retirements.
-    directory: CorrelationWindow,
+    /// lookups and once per batch's retirements. The lock is a leaf:
+    /// nobody holds it while taking another lock.
+    directory: Mutex<IdWindow<Binding>>,
     /// The interned `"memcpy"` display name, so memcpy records skip even
     /// the thread-local intern cache on the timeline tap.
     memcpy_sym: Sym,
@@ -173,7 +192,7 @@ impl ShardedSink {
             shards: (0..n)
                 .map(|_| Mutex::new(CctShard::new(Arc::clone(&interner))))
                 .collect(),
-            directory: CorrelationWindow::new(),
+            directory: Mutex::default(),
             shard_bytes: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             cache: Mutex::new(None),
             memcpy_sym: interner.intern("memcpy"),
@@ -207,7 +226,7 @@ impl ShardedSink {
     /// Correlations in flight (bound by a launch and not yet retired) —
     /// introspection for retirement tests and leak diagnostics.
     pub fn correlation_entries(&self) -> usize {
-        self.directory.len()
+        self.directory.lock().len()
     }
 
     /// Locks shard `idx` and settles it: the only way a shard's tree is
@@ -256,7 +275,7 @@ impl ShardedSink {
             let answer = if k > 0 && batch[k - 1].correlation_id.0 == corr {
                 resolved[k - 1]
             } else {
-                let binding = directory.lookup(corr);
+                let binding = directory.get(corr);
                 (self.home_of(corr, binding), binding.map(|b| b.path))
             };
             resolved.push(answer);
@@ -273,7 +292,7 @@ impl ShardedSink {
     /// The shard an activity record for `correlation` should be applied
     /// at.
     pub fn route_activity(&self, correlation: u64) -> usize {
-        self.home_of(correlation, self.directory.lookup(correlation))
+        self.home_of(correlation, self.directory.lock().get(correlation))
     }
 
     /// The interval a kernel/memcpy activity record contributes to the
@@ -405,7 +424,7 @@ impl ShardedSink {
             self.close_boundary(idx, &mut shard);
             pruned
         };
-        self.directory.remove_all(&pruned);
+        self.retire(&pruned);
         // One update per bucket, not per record.
         self.activities.fetch_add(activities, Ordering::Relaxed);
         self.orphans.fetch_add(orphans, Ordering::Relaxed);
@@ -429,7 +448,19 @@ impl ShardedSink {
             self.close_boundary(idx, &mut shard);
             pruned
         };
-        self.directory.remove_all(&pruned);
+        self.retire(&pruned);
+    }
+
+    /// Retires a shard's pruned correlations from the directory under
+    /// one acquisition.
+    fn retire(&self, pruned: &[u64]) {
+        if pruned.is_empty() {
+            return;
+        }
+        let mut directory = self.directory.lock();
+        for corr in pruned {
+            directory.remove(*corr);
+        }
     }
 
     /// Brings the snapshot cache up to date: folds every shard whose
@@ -486,8 +517,9 @@ impl ShardedSink {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .sum();
-        let bytes =
-            shard_bytes + self.directory.len() * DIR_ENTRY_BYTES + self.interner.approx_bytes();
+        let bytes = shard_bytes
+            + self.directory.lock().len() * IdWindow::<Binding>::ENTRY_BYTES
+            + self.interner.approx_bytes();
         self.peak_bytes.fetch_max(bytes, Ordering::Relaxed);
     }
 
@@ -505,7 +537,7 @@ impl ShardedSink {
                 shard: idx as u32,
                 path: path.id(),
             };
-            self.directory.bind(corr.0, binding);
+            self.directory.lock().insert(corr.0, binding);
         }
     }
 
@@ -561,7 +593,7 @@ impl ShardedSink {
         for idx in 0..self.shards.len() {
             self.epoch_complete_shard(idx);
         }
-        self.directory.trim();
+        self.directory.lock().trim();
     }
 
     /// Folds the shards into one calling context tree, a copy of the
@@ -668,7 +700,7 @@ impl ShardedSink {
         let shard_bytes: usize = (0..self.shards.len())
             .map(|idx| self.settled(idx).approx_bytes())
             .sum();
-        let dir_bytes = self.directory.approx_bytes();
+        let dir_bytes = self.directory.lock().approx_bytes();
         // Timeline rings are ingestion state too (bounded by
         // ring_capacity × shards, allocated lazily).
         let timeline_bytes = self
