@@ -1,5 +1,6 @@
-//! The subscriber list of every interception point: the GPU runtime's,
-//! the framework registry's, DLMonitor's.
+//! Every callback list in the workspace: the GPU runtime's, the framework
+//! registry's, DLMonitor's, the CPU samplers', the library-load audit's
+//! and the custom driver interceptor's.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -15,7 +16,7 @@ static GENERATION: AtomicU64 = AtomicU64::new(1);
 /// Source of a list's id: never reused, unlike an address.
 static NEXT_LIST: AtomicU64 = AtomicU64::new(0);
 
-/// Copies a thread parks (a profiled session delivers through five
+/// Copies a thread parks (a profiled session delivers through six
 /// lists); one list more is read under its lock every time.
 const SLOTS: usize = 8;
 
@@ -46,7 +47,8 @@ fn sweep(slots: &[Slot; SLOTS], generation: u64) {
     }
 }
 
-/// A copy-on-write list of subscribers, and its parking contract.
+/// A copy-on-write list of subscribers, and its parking contract: every
+/// callback list in the workspace is one.
 ///
 /// Publication is copy-on-write behind the list's write lock and bumps a
 /// process-wide generation; a delivery runs over the list it began with,
@@ -88,6 +90,11 @@ impl<T> std::fmt::Debug for Subscribers<T> {
 }
 
 impl<T: Clone + Send + Sync + 'static> Subscribers<T> {
+    /// Whether the list has no entry.
+    pub fn is_empty(&self) -> bool {
+        !self.occupied.load(Ordering::SeqCst)
+    }
+
     /// Publishes `f(current entries)`, computed under the write lock.
     pub fn update(&self, f: impl FnOnce(&[T]) -> Vec<T>) {
         let replaced = {
@@ -115,6 +122,12 @@ impl<T: Clone + Send + Sync + 'static> Subscribers<T> {
 
     /// Calls `call` with every entry the list held when the delivery began.
     pub fn deliver(&self, mut call: impl FnMut(&T)) {
+        self.deliver_all(|list| list.iter().for_each(&mut call));
+    }
+
+    /// Calls `call` once with the whole list as it stood when the delivery
+    /// began; not at all if it was empty.
+    pub fn deliver_all(&self, mut call: impl FnMut(&[T])) {
         let generation = GENERATION.load(Ordering::SeqCst);
         let parked = self.occupied.load(Ordering::SeqCst)
             && PARKED.try_with(|slots| {
@@ -123,7 +136,7 @@ impl<T: Clone + Send + Sync + 'static> Subscribers<T> {
                     .find(|s| s.list.get() == self.id && s.generation.get() == generation)?;
                 let list = slot.entries.borrow();
                 let list: &Vec<T> = list.as_ref()?.downcast_ref()?;
-                list.iter().for_each(&mut call);
+                call(list);
                 Some(())
             }) == Ok(Some(()));
         if !parked {
@@ -134,7 +147,7 @@ impl<T: Clone + Send + Sync + 'static> Subscribers<T> {
                 }
                 Arc::clone(&entries)
             };
-            entries.iter().for_each(call);
+            call(&entries);
             let _ = PARKED.try_with(|slots| {
                 sweep(slots, generation);
                 let vacant = slots

@@ -16,6 +16,7 @@
 
 use std::sync::Arc;
 
+use deepcontext_core::Subscribers;
 use parking_lot::Mutex;
 
 use sim_runtime::{LibraryMap, ThreadCtx};
@@ -36,7 +37,7 @@ type HookCallback = Arc<dyn Fn(&CustomHook, &Arc<ThreadCtx>) + Send + Sync>;
 pub struct CustomInterceptor {
     hooks: Vec<CustomHook>,
     armed: Arc<Mutex<Vec<CustomHook>>>,
-    callbacks: Arc<Mutex<Vec<HookCallback>>>,
+    callbacks: Subscribers<HookCallback>,
 }
 
 impl CustomInterceptor {
@@ -71,7 +72,7 @@ impl CustomInterceptor {
         Ok(CustomInterceptor {
             hooks,
             armed: Arc::new(Mutex::new(Vec::new())),
-            callbacks: Arc::new(Mutex::new(Vec::new())),
+            callbacks: Subscribers::default(),
         })
     }
 
@@ -85,29 +86,10 @@ impl CustomInterceptor {
     pub fn install(&self, libraries: &LibraryMap) {
         // Arm for libraries already loaded.
         for lib in libraries.snapshot() {
-            self.arm_for(lib.basename());
+            arm(&self.hooks, &self.armed, lib.basename());
         }
-        let hooks = self.hooks.clone();
-        let armed = Arc::clone(&self.armed);
-        libraries.on_load(move |info| {
-            for hook in &hooks {
-                if hook.library == info.basename() {
-                    let mut armed = armed.lock();
-                    if !armed.contains(hook) {
-                        armed.push(hook.clone());
-                    }
-                }
-            }
-        });
-    }
-
-    fn arm_for(&self, basename: &str) {
-        let mut armed = self.armed.lock();
-        for hook in &self.hooks {
-            if hook.library == basename && !armed.contains(hook) {
-                armed.push(hook.clone());
-            }
-        }
+        let (hooks, armed) = (self.hooks.clone(), Arc::clone(&self.armed));
+        libraries.on_load(move |info| arm(&hooks, &armed, info.basename()));
     }
 
     /// Hooks currently armed (their libraries are loaded).
@@ -117,29 +99,32 @@ impl CustomInterceptor {
 
     /// Registers a callback fired when an armed driver function executes.
     pub fn on_intercept(&self, cb: impl Fn(&CustomHook, &Arc<ThreadCtx>) + Send + Sync + 'static) {
-        self.callbacks.lock().push(Arc::new(cb));
+        self.callbacks.push(Arc::new(cb));
     }
 
     /// Called by a simulated custom driver at function entry; fires
     /// callbacks if the (library, function) pair is armed.
     /// Returns whether the call was intercepted.
     pub fn driver_call(&self, library: &str, function: &str, thread: &Arc<ThreadCtx>) -> bool {
-        let hook = {
-            let armed = self.armed.lock();
-            armed
-                .iter()
-                .find(|h| h.library == library && h.function == function)
-                .cloned()
+        let armed = self.armed.lock();
+        let found = armed
+            .iter()
+            .find(|h| h.library == library && h.function == function);
+        let Some(hook) = found.cloned() else {
+            return false;
         };
-        match hook {
-            Some(hook) => {
-                let cbs: Vec<HookCallback> = self.callbacks.lock().clone();
-                for cb in cbs {
-                    cb(&hook, thread);
-                }
-                true
-            }
-            None => false,
+        drop(armed);
+        self.callbacks.deliver(|cb| cb(&hook, thread));
+        true
+    }
+}
+
+/// Arms the `hooks` whose library is `basename`, once each.
+fn arm(hooks: &[CustomHook], armed: &Mutex<Vec<CustomHook>>, basename: &str) {
+    let mut armed = armed.lock();
+    for hook in hooks {
+        if hook.library == basename && !armed.contains(hook) {
+            armed.push(hook.clone());
         }
     }
 }

@@ -235,9 +235,11 @@ impl Profiler {
         // CPU sampling (sigaction / perf-event substitutes).
         let mut sampler_ids = Vec::new();
         let cpu_sampler = |kind: SampleKind, metric: MetricKind, interval: u64| {
-            let me = Arc::clone(&inner);
+            // Held weakly, like the launch callback.
+            let me = Arc::downgrade(&inner);
             env.samplers()
                 .register(kind, interval, move |thread, event| {
+                    let Some(me) = me.upgrade() else { return };
                     let path = me.monitor.callpath_get(thread).handle();
                     let origin = EventOrigin {
                         tid: Some(thread.tid()),
@@ -727,9 +729,10 @@ mod tests {
 
     #[test]
     fn finish_releases_the_sink_while_an_idle_thread_still_holds_the_subscriber_list() {
-        // DLMonitor lets a thread keep the subscriber list it last
-        // delivered through until its next event; a thread that goes idle
-        // after the run (the autograd thread) must not keep the sink.
+        // A thread keeps each subscriber list it last delivered through
+        // (DLMonitor's, the CPU samplers') until its next delivery; a
+        // thread that goes idle after the run (the autograd thread) must
+        // not keep the sink through either.
         let rig = rig();
         let profiler =
             Profiler::attach(ProfilerConfig::default(), &rig.env, &rig.monitor, &rig.gpu);

@@ -7,17 +7,16 @@
 //! deterministic: simulated CPU work advances per-thread counters, and a
 //! registered sampler fires once per interval boundary crossed — exactly
 //! the observable behaviour of interval timers and counter-overflow
-//! sampling.
+//! sampling. A sampler's progress toward its next boundary belongs to the
+//! thread it counts, as a kernel timer's state does: it lives on that
+//! [`ThreadCtx`], and the registry is only the list of samplers.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-
 use crate::thread::ThreadCtx;
-use deepcontext_core::TimeNs;
+use deepcontext_core::{Subscribers, TimeNs};
 
 /// A chunk of simulated CPU work performed by a thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,12 +99,13 @@ pub struct SampleEvent {
     pub interval: u64,
 }
 
-/// Identifier of a registered sampler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Identifier of a registered sampler; ids rise in registration order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SamplerId(u64);
 
 type Handler = Arc<dyn Fn(&Arc<ThreadCtx>, SampleEvent) + Send + Sync>;
 
+#[derive(Clone)]
 struct Registration {
     id: SamplerId,
     kind: SampleKind,
@@ -114,12 +114,10 @@ struct Registration {
 }
 
 /// Registry of interval samplers, the `sigaction`/perf-event substitute.
-#[derive(Default)]
+#[derive(Default, Debug)]
 pub struct CpuSamplerRegistry {
-    samplers: RwLock<Vec<Registration>>,
+    samplers: Subscribers<Registration>,
     next_id: AtomicU64,
-    // Per (thread, sampler) residual progress toward the next boundary.
-    residuals: Mutex<HashMap<(u64, SamplerId), u64>>,
 }
 
 impl CpuSamplerRegistry {
@@ -140,46 +138,38 @@ impl CpuSamplerRegistry {
         handler: impl Fn(&Arc<ThreadCtx>, SampleEvent) + Send + Sync + 'static,
     ) -> SamplerId {
         assert!(interval > 0, "sampling interval must be positive");
-        let id = SamplerId(self.next_id.fetch_add(1, Ordering::SeqCst));
-        self.samplers.write().push(Registration {
-            id,
-            kind,
-            interval,
-            handler: Arc::new(handler),
+        let handler: Handler = Arc::new(handler);
+        let mut id = SamplerId(0);
+        self.samplers.update(|old| {
+            // Taken under the list's lock, so a list is in id order.
+            id = SamplerId(self.next_id.fetch_add(1, Ordering::SeqCst));
+            let new = Registration {
+                id,
+                kind,
+                interval,
+                handler,
+            };
+            old.iter().cloned().chain([new]).collect()
         });
         id
     }
 
     /// Removes a sampler.
     pub fn unregister(&self, id: SamplerId) {
-        self.samplers.write().retain(|r| r.id != id);
-        self.residuals.lock().retain(|(_, sid), _| *sid != id);
-    }
-
-    /// Number of active samplers.
-    pub fn len(&self) -> usize {
-        self.samplers.read().len()
+        self.samplers.retain(|r| r.id != id);
     }
 
     /// Whether no samplers are registered.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.samplers.is_empty()
     }
 
     /// Accounts one chunk of work on `thread`, firing handlers for every
     /// crossed interval boundary. Called by
     /// [`RuntimeEnv::do_cpu_work`](crate::RuntimeEnv::do_cpu_work).
     pub fn on_work(&self, thread: &Arc<ThreadCtx>, work: &CpuWork) {
-        // Collect matching handlers first so handlers may re-entrantly
-        // inspect the registry.
-        let mut to_fire: Vec<(Handler, SampleEvent)> = Vec::new();
-        {
-            let samplers = self.samplers.read();
-            if samplers.is_empty() {
-                return;
-            }
-            let mut residuals = self.residuals.lock();
-            for reg in samplers.iter() {
+        self.samplers.deliver_all(|samplers| {
+            for reg in samplers {
                 let amount = match reg.kind {
                     SampleKind::CpuTime | SampleKind::RealTime => work.time.as_nanos(),
                     SampleKind::HwInstructions => work.instructions,
@@ -189,34 +179,34 @@ impl CpuSamplerRegistry {
                 if amount == 0 {
                     continue;
                 }
-                let key = (thread.tid(), reg.id);
-                let residual = residuals.entry(key).or_insert(0);
-                *residual += amount;
-                let count = *residual / reg.interval;
+                // Released before the handler runs: it may work on `thread`.
+                let count = {
+                    let mut residuals = thread.residuals.lock();
+                    let at = residuals.iter().position(|&(id, _)| id == reg.id);
+                    let at = at.unwrap_or_else(|| {
+                        // New to this thread: drop the samplers unregistered
+                        // since. They are older than this list's newest and
+                        // absent; a newer one was registered mid-delivery.
+                        let newest = samplers[samplers.len() - 1].id;
+                        residuals
+                            .retain(|&(id, _)| id > newest || samplers.iter().any(|r| r.id == id));
+                        residuals.push((reg.id, 0));
+                        residuals.len() - 1
+                    });
+                    let total = residuals[at].1 + amount;
+                    residuals[at].1 = total % reg.interval;
+                    total / reg.interval
+                };
                 if count > 0 {
-                    *residual %= reg.interval;
-                    to_fire.push((
-                        Arc::clone(&reg.handler),
-                        SampleEvent {
-                            kind: reg.kind,
-                            count,
-                            interval: reg.interval,
-                        },
-                    ));
+                    let event = SampleEvent {
+                        kind: reg.kind,
+                        count,
+                        interval: reg.interval,
+                    };
+                    (reg.handler)(thread, event);
                 }
             }
-        }
-        for (handler, event) in to_fire {
-            handler(thread, event);
-        }
-    }
-}
-
-impl fmt::Debug for CpuSamplerRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CpuSamplerRegistry")
-            .field("samplers", &self.len())
-            .finish()
+        });
     }
 }
 
@@ -225,7 +215,9 @@ mod tests {
     use super::*;
     use crate::thread::ThreadRegistry;
     use deepcontext_core::ThreadRole;
-    use std::sync::atomic::AtomicU64 as Counter;
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicBool, AtomicU64 as Counter};
+    use std::sync::mpsc;
 
     fn thread() -> Arc<ThreadCtx> {
         ThreadRegistry::new().spawn(ThreadRole::Main)
@@ -345,6 +337,175 @@ mod tests {
             },
         );
         assert_eq!(fired.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn matches_a_per_thread_residual_oracle_under_churn() {
+        // Deterministic LCG: four threads, all five kinds, random work with
+        // frequent zeros, samplers registered and unregistered between
+        // steps, a quarter of them unregistering themselves from inside
+        // their first delivery. Checked event for event against the rule
+        // one process-wide map once kept: a residual per (thread,
+        // sampler), `%= interval` at a boundary, forgotten at unregister.
+        const KINDS: [SampleKind; 5] = [
+            SampleKind::CpuTime,
+            SampleKind::RealTime,
+            SampleKind::HwInstructions,
+            SampleKind::HwCacheMisses,
+            SampleKind::HwBranchMisses,
+        ];
+        let mut state = 0x243f_6a88_85a3_08d3u64;
+        let mut below = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let reg = CpuSamplerRegistry::new();
+        let spawner = ThreadRegistry::new();
+        let threads: Vec<_> = (0..4).map(|_| spawner.spawn(ThreadRole::Worker)).collect();
+        let (tx, rx) = mpsc::channel();
+        // (id, kind, interval, unregisters itself when it fires)
+        let mut live: Vec<(SamplerId, SampleKind, u64, bool)> = Vec::new();
+        let mut residuals: BTreeMap<(u64, SamplerId), u64> = BTreeMap::new();
+        let mut fired = Vec::new(); // (thread, kind) pairs seen firing
+        let (mut registered, mut self_removed) = (0, 0);
+        for step in 0..20_000 {
+            match below(8) {
+                0 => {
+                    let (kind, interval) = (KINDS[below(5) as usize], 1 + below(60));
+                    let once = below(4) == 0;
+                    let own = SamplerId(registered);
+                    registered += 1;
+                    let (tx, me) = (tx.clone(), Arc::downgrade(&reg));
+                    let id = reg.register(kind, interval, move |t, e| {
+                        tx.send((t.tid(), own, e)).unwrap();
+                        if once {
+                            me.upgrade().expect("registry alive").unregister(own);
+                        }
+                    });
+                    assert_eq!(id, own);
+                    live.push((id, kind, interval, once));
+                }
+                1 if !live.is_empty() => {
+                    let (id, ..) = live.remove(below(live.len() as u64) as usize);
+                    reg.unregister(id);
+                    residuals.retain(|&(_, sid), _| sid != id);
+                }
+                _ => {
+                    let mut amount = || if below(3) == 0 { 0 } else { below(150) };
+                    let work = CpuWork {
+                        time: TimeNs(amount()),
+                        instructions: amount(),
+                        cache_misses: amount(),
+                        branch_misses: amount(),
+                    };
+                    let t = &threads[below(4) as usize];
+                    let mut expected = Vec::new();
+                    for &(id, kind, interval, _) in &live {
+                        let amount = match kind {
+                            SampleKind::CpuTime | SampleKind::RealTime => work.time.as_nanos(),
+                            SampleKind::HwInstructions => work.instructions,
+                            SampleKind::HwCacheMisses => work.cache_misses,
+                            SampleKind::HwBranchMisses => work.branch_misses,
+                        };
+                        if amount == 0 {
+                            continue;
+                        }
+                        let residual = residuals.entry((t.tid(), id)).or_insert(0);
+                        *residual += amount;
+                        let count = *residual / interval;
+                        if count > 0 {
+                            *residual %= interval;
+                            let event = SampleEvent {
+                                kind,
+                                count,
+                                interval,
+                            };
+                            expected.push((t.tid(), id, event));
+                        }
+                    }
+                    reg.on_work(t, &work);
+                    let got: Vec<_> = rx.try_iter().collect();
+                    assert_eq!(got, expected, "step {step}");
+                    for &(tid, id, event) in &got {
+                        if !fired.contains(&(tid, event.kind)) {
+                            fired.push((tid, event.kind));
+                        }
+                        if let Some(at) = live.iter().position(|s| s.0 == id && s.3) {
+                            live.remove(at);
+                            residuals.retain(|&(_, sid), _| sid != id);
+                            self_removed += 1;
+                        }
+                    }
+                }
+            }
+            assert_eq!(reg.is_empty(), live.is_empty(), "step {step}");
+        }
+        assert_eq!(
+            fired.len(),
+            threads.len() * KINDS.len(),
+            "every kind on every thread"
+        );
+        assert!(
+            self_removed > 10,
+            "{self_removed} handlers removed themselves"
+        );
+    }
+
+    #[test]
+    fn a_thread_drops_the_residuals_of_unregistered_samplers() {
+        // 1 000 register / work / unregister cycles beside one sampler
+        // that stays: after every delivery the thread holds at most one
+        // residual per live sampler.
+        let reg = CpuSamplerRegistry::new();
+        reg.register(SampleKind::CpuTime, 7, |_t, _e| {});
+        let t = thread();
+        for _ in 0..1_000 {
+            let id = reg.register(SampleKind::HwInstructions, 5, |_t, _e| {});
+            reg.on_work(&t, &CpuWork::compute(TimeNs(3)));
+            let held = t.residuals.lock().len();
+            assert!(held <= 2, "{held} residuals for 2 live samplers");
+            reg.unregister(id);
+        }
+    }
+
+    #[test]
+    fn a_sampler_registered_and_worked_inside_a_delivery_keeps_its_residual() {
+        // The outer delivery's list predates `late`: meeting a sampler new
+        // to the thread there (instructions, which the inner work lacks)
+        // must not drop the residual the inner work left `late`.
+        let reg = CpuSamplerRegistry::new();
+        let late = Arc::new(Counter::new(0));
+        let (me, l, first) = (
+            Arc::downgrade(&reg),
+            Arc::clone(&late),
+            AtomicBool::new(true),
+        );
+        reg.register(SampleKind::CpuTime, 1, move |t, _e| {
+            if first.swap(false, Ordering::SeqCst) {
+                let reg = me.upgrade().expect("registry alive");
+                let l = Arc::clone(&l);
+                reg.register(SampleKind::CpuTime, 10, move |_t, e| {
+                    l.fetch_add(e.count, Ordering::SeqCst);
+                });
+                let inner = CpuWork {
+                    time: TimeNs(6),
+                    ..CpuWork::default()
+                };
+                reg.on_work(t, &inner);
+            }
+        });
+        reg.register(SampleKind::HwInstructions, 1_000, |_t, _e| {});
+        let t = thread();
+        let work = |ns, instructions| CpuWork {
+            time: TimeNs(ns),
+            instructions,
+            ..CpuWork::default()
+        };
+        reg.on_work(&t, &work(1, 1));
+        reg.on_work(&t, &work(4, 0));
+        assert_eq!(late.load(Ordering::SeqCst), 1, "6 + 4 crossed 10");
     }
 
     #[test]

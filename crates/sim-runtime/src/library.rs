@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use deepcontext_core::Subscribers;
 use parking_lot::RwLock;
 
 /// A loaded simulated shared library.
@@ -40,14 +41,14 @@ impl LibraryInfo {
     }
 }
 
-type LoadCallback = Box<dyn Fn(&LibraryInfo) + Send + Sync>;
+type LoadCallback = Arc<dyn Fn(&LibraryInfo) + Send + Sync>;
 
 /// Registry of loaded libraries with PC lookup and load-time callbacks
 /// (the `la_objopen` analogue).
 #[derive(Default)]
 pub struct LibraryMap {
     libs: RwLock<Vec<LibraryInfo>>,
-    callbacks: RwLock<Vec<LoadCallback>>,
+    callbacks: Subscribers<LoadCallback>,
 }
 
 impl LibraryMap {
@@ -64,15 +65,13 @@ impl LibraryMap {
             size,
         };
         self.libs.write().push(info.clone());
-        for cb in self.callbacks.read().iter() {
-            cb(&info);
-        }
+        self.callbacks.deliver(|cb| cb(&info));
         info
     }
 
     /// Registers an audit callback invoked for every *future* library load.
     pub fn on_load(&self, cb: impl Fn(&LibraryInfo) + Send + Sync + 'static) {
-        self.callbacks.write().push(Box::new(cb));
+        self.callbacks.push(Arc::new(cb));
     }
 
     /// Finds the library containing `pc`.
@@ -134,7 +133,8 @@ impl std::fmt::Debug for LibraryMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
     #[test]
     fn register_and_find_by_pc() {
@@ -169,6 +169,27 @@ mod tests {
         map.register("/lib/a.so", 0x1, 0x10);
         map.register("/lib/b.so", 0x100, 0x10);
         assert_eq!(count.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn a_load_callback_may_subscribe_and_load() {
+        // A callback added during a load sees the next load (here one the
+        // same callback makes), not the one being delivered.
+        let map = LibraryMap::new();
+        let (tx, rx) = mpsc::channel();
+        let (me, first) = (Arc::downgrade(&map), AtomicBool::new(true));
+        map.on_load(move |_info| {
+            if first.swap(false, Ordering::SeqCst) {
+                let map = me.upgrade().expect("the map outlives its loads");
+                let tx = tx.clone();
+                map.on_load(move |info| tx.send(info.basename().to_owned()).unwrap());
+                map.register("/lib/nested.so", 0x100, 0x10);
+            }
+        });
+        map.register("/lib/a.so", 0x1, 0x10);
+        map.register("/lib/c.so", 0x200, 0x10);
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), ["nested.so", "c.so"]);
+        assert_eq!(map.len(), 3);
     }
 
     #[test]

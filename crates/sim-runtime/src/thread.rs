@@ -14,9 +14,9 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
-use crate::cpu::CpuWork;
+use crate::cpu::{CpuWork, SamplerId};
 use crate::native::NativeStack;
 use crate::python::PythonStack;
 use deepcontext_core::{ThreadRole, TimeNs};
@@ -32,6 +32,10 @@ pub struct ThreadCtx {
     instructions: AtomicU64,
     cache_misses: AtomicU64,
     branch_misses: AtomicU64,
+    /// Each CPU sampler's progress toward its next boundary here. Locked by
+    /// whoever accounts this thread's work: itself, or the dataloader's
+    /// generator for its workers.
+    pub(crate) residuals: Mutex<Vec<(SamplerId, u64)>>,
 }
 
 impl ThreadCtx {
@@ -45,6 +49,7 @@ impl ThreadCtx {
             instructions: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             branch_misses: AtomicU64::new(0),
+            residuals: Mutex::default(),
         }
     }
 
