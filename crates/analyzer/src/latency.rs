@@ -258,9 +258,11 @@ impl Rule for StreamSerializationRule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::tests::temp_store;
+    use crate::Analyzer;
     use deepcontext_core::{
         CallingContextTree, Frame, Interner, Interval, IntervalKind, MetricKind, ProfileDb,
-        ProfileMeta, TimeNs, TrackKey,
+        ProfileMeta, StoredTimeline, TimeNs, TrackKey, TrackSlot,
     };
     use deepcontext_timeline::{TimelineConfig, TimelineCounters, TimelineSink};
     use std::sync::{Arc, OnceLock};
@@ -335,6 +337,44 @@ mod tests {
             .metrics
             .iter()
             .any(|(k, v)| k == "idle_ns" && *v == 90_000.0));
+    }
+
+    #[test]
+    fn a_timeline_reloaded_from_the_store_feeds_the_idle_rule() {
+        let (db, node) = db_with_kernel();
+        // 10µs of work every 100µs on one stream: 10% utilization.
+        let slots = (0..5u64).map(|n| {
+            let start = n * 100_000;
+            TrackSlot::of(&interval(0, 0, start, start + 10_000, n, Some(node)))
+        });
+        let db = db.with_timeline(StoredTimeline {
+            tracks: vec![(
+                TrackKey {
+                    device: 0,
+                    stream: 0,
+                },
+                slots.collect(),
+            )],
+            names: vec![Arc::from("k")],
+            recorded: 5,
+            dropped: 0,
+            window: Some((TimeNs(0), TimeNs(500_000))),
+        });
+        let (dir, store) = temp_store();
+        let loaded = store.load(&store.save(&db).unwrap()).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
+
+        let timeline = TimelineSnapshot::from_stored(loaded.timeline().unwrap());
+        let report = Analyzer::with_default_rules().analyze_with_timeline(&loaded, &timeline);
+        let idle = report.by_rule("gpu-idle");
+        assert_eq!(idle.len(), 1, "{}", report.render_text());
+        assert!(idle[0].node.index() < loaded.cct().node_count());
+        assert_eq!(idle[0].node, node);
+        assert!(
+            idle[0].call_path.contains("aten::relu"),
+            "{}",
+            idle[0].call_path
+        );
     }
 
     #[test]

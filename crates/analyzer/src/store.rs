@@ -429,7 +429,7 @@ pub(crate) mod tests {
     use std::io::ErrorKind;
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    fn temp_store() -> (PathBuf, ProfileStore) {
+    pub(crate) fn temp_store() -> (PathBuf, ProfileStore) {
         static NEXT: AtomicU32 = AtomicU32::new(0);
         let dir = std::env::temp_dir().join(format!(
             "deepcontext-store-test-{}-{}",

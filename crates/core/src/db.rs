@@ -11,9 +11,9 @@
 //!
 //! The timeline's intervals are the one part that is not text. They are
 //! one length-prefixed binary block — an `intervals\t<bytes>` line,
-//! exactly that many bytes, then `\n` — of LEB128 varints, cut into runs
-//! of consecutive same-track intervals. A run is its `device`, `stream`
-//! and length, then per interval:
+//! exactly that many bytes, then `\n` — of LEB128 varints, one run per
+//! stored track. A run is its `device`, `stream` and length, then per
+//! interval:
 //!
 //! - zigzag(start − the previous interval's start)
 //! - zigzag(end − start)
@@ -22,9 +22,11 @@
 //! - the name index
 //! - zigzag(correlation − the previous interval's correlation)
 //!
-//! The block's first interval counts from zero. Differences wrap, so any
-//! [`StoredTimeline`] round-trips exactly, in any order; a track-ordered
-//! one costs about nine bytes an interval against forty as a text line.
+//! The block's first interval counts from zero. Differences wrap, so
+//! any value round-trips, at about nine bytes an interval against forty
+//! as a text line — in [`StoredTimeline`]'s order only: a block with a
+//! track at or below the one before it, or an interval below the one
+//! before it in its run, is refused.
 //!
 //! A node's line carries, per metric kind, the kind and its aggregate's
 //! count, sum, min and max. v5 is the only version written or read: an
@@ -41,6 +43,7 @@
 //! Neither allocates per interval.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::sync::Arc;
@@ -51,7 +54,7 @@ use crate::error::CoreError;
 use crate::frame::Frame;
 use crate::interner::{Interner, Sym};
 use crate::metrics::{MetricKind, MetricStat, MetricStore};
-use crate::timeline::{Interval, IntervalKind, StoredTimeline, TrackKey};
+use crate::timeline::{IntervalKind, StoredTimeline, TrackKey, TrackSlot};
 
 const MAGIC: &str = "deepcontext-profile v5";
 /// What every version's magic starts with.
@@ -199,7 +202,7 @@ impl ProfileDb {
             o.end_line()?;
         }
         if let Some(tl) = &self.timeline {
-            let (intervals, recorded, dropped) = (tl.intervals.len(), tl.recorded, tl.dropped);
+            let (intervals, recorded, dropped) = (tl.interval_count(), tl.recorded, tl.dropped);
             write!(o, "timeline\t{intervals}\t{recorded}\t{dropped}\t")?;
             index_or_dash(o, tl.window.map(|(start, _)| start.0))?;
             o.buf.push(b'\t');
@@ -209,12 +212,12 @@ impl ProfileDb {
             // Sized first, so the prefix can precede a block that is
             // handed to the writer before it is complete.
             let mut bytes = 0;
-            block_fields(&tl.intervals, |fields| {
+            block_fields(&tl.tracks, |fields| {
                 bytes += fields.iter().map(|&f| varint_len(f)).sum::<usize>();
                 Ok(())
             })?;
             o.line(format_args!("intervals\t{bytes}"))?;
-            block_fields(&tl.intervals, |fields| {
+            block_fields(&tl.tracks, |fields| {
                 for &field in fields {
                     push_varint(&mut o.buf, field);
                 }
@@ -344,17 +347,18 @@ impl<W: Write> fmt::Write for Out<W> {
     }
 }
 
-/// Walks the interval block's varints: `emit` sees each run's header
+type StoredTrack = (TrackKey, Arc<[TrackSlot]>);
+
+/// Walks the interval block's varints: `emit` sees each track's header
 /// (device, stream, length), then each of its intervals' five fields.
 fn block_fields(
-    intervals: &[Interval],
+    tracks: &[StoredTrack],
     mut emit: impl FnMut(&[u64]) -> io::Result<()>,
 ) -> io::Result<()> {
     let (mut start, mut correlation) = (0u64, 0u64);
-    for run in intervals.chunk_by(|a, b| a.track == b.track) {
-        let track = run[0].track;
+    for (track, run) in tracks {
         emit(&[track.device.into(), track.stream.into(), run.len() as u64])?;
-        for iv in run {
+        for iv in run.iter() {
             let context = iv.context.map_or(0, |c| u64::from(c.0) + 1);
             let kind = match iv.kind {
                 IntervalKind::Kernel => 0,
@@ -664,9 +668,9 @@ fn parse_timeline_section(
     let name_count = count_of(lines.next()?, "tnames\t", "timeline name")?;
     let names = lines.names(name_count)?;
     let block_len = count_of(lines.next()?, "intervals\t", "interval block byte")?;
-    let intervals = parse_interval_block(lines.block(block_len)?, interval_count, name_count)?;
+    let tracks = parse_interval_block(lines.block(block_len)?, interval_count, name_count)?;
     Ok(StoredTimeline {
-        intervals,
+        tracks,
         names,
         recorded,
         dropped,
@@ -681,6 +685,7 @@ struct Varints<'a> {
 }
 
 impl Varints<'_> {
+    #[inline]
     fn next(&mut self) -> Result<u64, CoreError> {
         let mut value = 0u64;
         let mut shift = 0;
@@ -708,30 +713,42 @@ impl Varints<'_> {
     }
 }
 
-/// Decodes `count` intervals from `block`, which must hold exactly
-/// those (see the module docs for the encoding).
+/// Decodes `block`, which must hold exactly `count` intervals, into one
+/// slice per track (see the module docs for the encoding and order).
 fn parse_interval_block(
     block: &[u8],
     count: usize,
     name_count: usize,
-) -> Result<Vec<Interval>, CoreError> {
+) -> Result<Vec<StoredTrack>, CoreError> {
     let mut varints = Varints { block, at: 0 };
-    // An interval is at least five bytes: a corrupt count cannot size
-    // the vector.
-    let mut intervals = Vec::with_capacity(count.min(block.len() / 5));
-    let (mut start, mut correlation) = (0u64, 0u64);
-    while intervals.len() < count {
+    let mut tracks: Vec<StoredTrack> = Vec::new();
+    // Each run is decoded into this scratch and copied into its track's
+    // slice, which measured faster than collecting into the slice.
+    let mut slots: Vec<TrackSlot> = Vec::new();
+    let (mut start, mut correlation, mut left) = (0u64, 0u64, count);
+    while left > 0 {
         let track = TrackKey {
             device: varints.number("device")?,
             stream: varints.number("stream")?,
         };
-        let left = count - intervals.len();
+        match tracks.last().map(|(previous, _)| track.cmp(previous)) {
+            Some(Ordering::Equal) => Err(format!("interval track {track:?} in two runs")),
+            Some(Ordering::Less) => Err(format!("interval track {track:?} below its predecessor")),
+            _ => Ok(()),
+        }
+        .map_err(CoreError::parse)?;
         let run: usize = varints.number("run length")?;
-        if !(1..=left).contains(&run) {
+        // An interval is at least five bytes: a corrupt length cannot
+        // size the scratch.
+        let bytes = block.len() - varints.at;
+        if !(1..=left.min(bytes / 5)).contains(&run) {
             return Err(CoreError::parse(format!(
-                "interval run of {run} with {left} intervals left"
+                "interval run of {run} with {left} intervals and {bytes} bytes left"
             )));
         }
+        left -= run;
+        slots.clear();
+        slots.reserve(run);
         for _ in 0..run {
             start = start.wrapping_add(unzigzag(varints.next()?));
             let end = start.wrapping_add(unzigzag(varints.next()?));
@@ -753,19 +770,26 @@ fn parse_interval_block(
                 )));
             }
             correlation = correlation.wrapping_add(unzigzag(varints.next()?));
-            intervals.push(Interval {
-                track,
+            let slot = TrackSlot {
                 start: TimeNs(start),
                 end: TimeNs(end),
-                kind,
-                name: Sym(name),
                 correlation,
+                name: Sym(name),
                 context,
-            });
+                kind,
+            };
+            if slots.last().is_some_and(|last| last.key() > slot.key()) {
+                return Err(CoreError::parse(format!(
+                    "interval {:?} on track {track:?} below the one before it",
+                    slot.key()
+                )));
+            }
+            slots.push(slot);
         }
+        tracks.push((track, Arc::from(&slots[..])));
     }
     match block.len() - varints.at {
-        0 => Ok(intervals),
+        0 => Ok(tracks),
         trailing => Err(CoreError::parse(format!(
             "{trailing} trailing bytes in interval block"
         ))),
@@ -877,38 +901,23 @@ mod tests {
 
     fn sample_timeline() -> StoredTimeline {
         let names: Vec<Arc<str>> = vec![Arc::from("sgemm"), Arc::from("memcpy")];
-        let iv = |device, stream, start, end, kind, name, correlation, context| Interval {
-            track: TrackKey { device, stream },
-            start: TimeNs(start),
-            end: TimeNs(end),
-            kind,
-            name: Sym(name),
-            correlation,
-            context,
+        let track = |device, stream, start, end, kind, name, correlation, context| {
+            let slot = TrackSlot {
+                start: TimeNs(start),
+                end: TimeNs(end),
+                correlation,
+                name: Sym(name),
+                context,
+                kind,
+            };
+            (TrackKey { device, stream }, Arc::from([slot]))
         };
+        let kernel = IntervalKind::Kernel;
         StoredTimeline {
-            intervals: vec![
-                iv(
-                    0,
-                    0,
-                    1_100,
-                    1_400,
-                    IntervalKind::Kernel,
-                    0,
-                    1,
-                    Some(NodeId(2)),
-                ),
-                iv(0, 1, 1_200, 1_300, IntervalKind::Memcpy, 1, 2, None),
-                iv(
-                    1,
-                    0,
-                    2_000,
-                    2_500,
-                    IntervalKind::Kernel,
-                    0,
-                    3,
-                    Some(NodeId(3)),
-                ),
+            tracks: vec![
+                track(0, 0, 1_100, 1_400, kernel, 0, 1, Some(NodeId(2))),
+                track(0, 1, 1_200, 1_300, IntervalKind::Memcpy, 1, 2, None),
+                track(1, 0, 2_000, 2_500, kernel, 0, 3, Some(NodeId(3))),
             ],
             names,
             recorded: 5,
@@ -1039,7 +1048,7 @@ mod tests {
         let max_context = ((u64::from(u32::MAX) + 1) << 1) | 1;
         let good = block(&[3], max_context, 1);
         let back = load(&with_block(&buf, good.len(), &good)).unwrap();
-        let intervals = &back.timeline().unwrap().intervals;
+        let intervals = &back.timeline().unwrap().tracks[0].1;
         assert_eq!(intervals.len(), 3);
         assert_eq!(intervals[2].context, Some(NodeId(u32::MAX)));
         assert_eq!(intervals[2].kind, IntervalKind::Memcpy);
@@ -1076,6 +1085,33 @@ mod tests {
         assert!(load_block(&block(&[0, 3], 0, 0)).is_err());
         assert!(load_block(&block(&[4], 0, 0)).is_err());
         assert!(load_block(&block(&[2], 0, 0)).is_err());
+        // Runs out of the stored order: a track below its predecessor,
+        // one track in two runs, an interval below the one before it in
+        // its run (a start one step back). Equal keys are in order.
+        let step = [2, 2, 0, 0, 2];
+        let on_streams = |runs: &[(u64, u64)], second: [u64; 5]| {
+            let mut fields = Vec::new();
+            for &(stream, run) in runs {
+                fields.extend([0, stream, run]);
+                for at in 0..run {
+                    fields.extend(if at == 1 { second } else { step });
+                }
+            }
+            varints(&fields)
+        };
+        let refused = |block: &[u8]| parse_error(&with_block(&buf, block.len(), block));
+        assert!(load_block(&on_streams(&[(0, 1), (1, 2)], step)).is_ok());
+        let msg = refused(&on_streams(&[(1, 1), (0, 2)], step));
+        assert!(msg.contains("below its predecessor"), "{msg}");
+        let msg = refused(&on_streams(&[(0, 1), (0, 2)], step));
+        assert!(msg.contains("in two runs"), "{msg}");
+        let msg = refused(&on_streams(&[(0, 3)], [1, 2, 0, 0, 2]));
+        assert!(msg.contains("below the one before it"), "{msg}");
+        let equal = load_block(&on_streams(&[(0, 3)], [0, 2, 0, 0, 0])).unwrap();
+        let keys = equal.timeline().unwrap().tracks[0].1.iter();
+        assert!(keys
+            .map(|slot| (slot.start.0, slot.correlation))
+            .eq([(1, 1), (1, 1), (2, 2)]));
         // Trailing bytes inside the declared length.
         let mut trailing = good.clone();
         trailing.push(0);

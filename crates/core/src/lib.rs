@@ -58,7 +58,7 @@ pub use metrics::{MetricKind, MetricStat, MetricStore, StallReason};
 pub use path::{LivePath, PathEntries, PathHandle, PathId, PathMemo, PathTable};
 pub use shard::CctShard;
 pub use subscribers::Subscribers;
-pub use timeline::{Interval, IntervalKind, StoredTimeline, TrackKey};
+pub use timeline::{Interval, IntervalKind, StoredTimeline, TrackKey, TrackSlot};
 pub use window::IdWindow;
 
 /// Convenient re-exports for downstream crates.

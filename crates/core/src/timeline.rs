@@ -5,7 +5,8 @@
 //! intervals that aggregation would otherwise discard. [`Interval`] is
 //! the unit of that record: one kernel or memcpy execution on one
 //! `(device, stream)` placement, tagged with the CCT context it was
-//! attributed to, so latency analyses (utilization, cross-stream
+//! attributed to (a track keeps it as a [`TrackSlot`], which drops the
+//! placement), so latency analyses (utilization, cross-stream
 //! overlap, idle-gap attribution) can point back into the same tree the
 //! aggregate analyses run over. The bounded ring buffers, track
 //! assembly and analysis live in the `deepcontext-timeline` crate; the
@@ -89,24 +90,81 @@ impl Interval {
     }
 }
 
-/// A timeline in its persistent form: the flattened interval set of an
-/// assembled snapshot, the captured symbol table its interval names
-/// resolve against, the recording counters, and the run's wall-clock
-/// window.
+/// An [`Interval`] without its track key, which is the track's: 40 bytes
+/// against 48. It is an interval's one record from the ring it is
+/// recorded into to the [`StoredTimeline`] a profile saves and loads; a
+/// track's `Arc<[TrackSlot]>` slices are shared, not copied, on the way.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrackSlot {
+    /// Device-side start time.
+    pub start: TimeNs,
+    /// Device-side end time.
+    pub end: TimeNs,
+    /// Correlation id linking back to the launching API call.
+    pub correlation: u64,
+    /// Interned display name.
+    pub name: Sym,
+    /// The CCT context the interval was attributed to.
+    pub context: Option<NodeId>,
+    /// Kernel or memcpy.
+    pub kind: IntervalKind,
+}
+
+impl TrackSlot {
+    /// `interval` without its track key.
+    pub fn of(interval: &Interval) -> TrackSlot {
+        TrackSlot {
+            start: interval.start,
+            end: interval.end,
+            correlation: interval.correlation,
+            name: interval.name,
+            context: interval.context,
+            kind: interval.kind,
+        }
+    }
+
+    /// The order of slots within a track: `(start, end, correlation)`.
+    pub fn key(&self) -> (TimeNs, TimeNs, u64) {
+        (self.start, self.end, self.correlation)
+    }
+
+    /// The interval this slot records on `track`, its context looked up
+    /// in `table` (no table: the context is kept as recorded; no entry:
+    /// unresolved).
+    pub fn expand(&self, track: TrackKey, table: Option<&[NodeId]>) -> Interval {
+        Interval {
+            track,
+            start: self.start,
+            end: self.end,
+            kind: self.kind,
+            name: self.name,
+            correlation: self.correlation,
+            context: match table {
+                Some(table) => self
+                    .context
+                    .and_then(|node| table.get(node.index()).copied()),
+                None => self.context,
+            },
+        }
+    }
+}
+
+/// A timeline in its persistent form: each track's slots, the captured
+/// symbol table their names resolve against, the recording counters,
+/// and the run's wall-clock window.
 ///
 /// This is the shape `ProfileDb` stores on disk so a run's timeline
 /// survives the profiler. It lives in core (next to [`Interval`]) rather
 /// than in the timeline crate so the database can hold one without a
-/// dependency cycle; the timeline crate converts to and from its
-/// assembled `TimelineSnapshot` view (`TimelineSnapshot::to_stored` /
-/// `TimelineSnapshot::from_stored`).
+/// dependency cycle; `TimelineSnapshot::to_stored` writes each track
+/// once, and `TimelineSnapshot::from_stored` shares the slices.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StoredTimeline {
-    /// Every live interval at snapshot time, in no particular order
-    /// (consumers re-group into per-track, start-sorted views).
-    /// `Interval::context` ids index into the profile's master tree.
-    pub intervals: Vec<Interval>,
-    /// The captured symbol table: `Interval::name` handles index into
+    /// Every live interval at snapshot time: tracks in [`TrackKey`]
+    /// order, none empty, each in [`TrackSlot::key`] order (which
+    /// `ProfileDb::load` enforces); contexts are master-tree ids.
+    pub tracks: Vec<(TrackKey, Arc<[TrackSlot]>)>,
+    /// The captured symbol table: `TrackSlot::name` handles index into
     /// this vector. Out-of-range handles simply fail to resolve.
     pub names: Vec<Arc<str>>,
     /// Intervals recorded over the run (kept + evicted).
@@ -129,12 +187,7 @@ impl StoredTimeline {
 
     /// Total live intervals.
     pub fn interval_count(&self) -> usize {
-        self.intervals.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
+        self.tracks.iter().map(|(_, slots)| slots.len()).sum()
     }
 }
 
@@ -168,5 +221,16 @@ mod tests {
             ..iv
         };
         assert_eq!(backwards.duration(), TimeNs::ZERO);
+    }
+
+    #[test]
+    fn a_slot_is_at_most_40_bytes() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<TrackSlot>() <= 40,
+            "{} bytes",
+            size_of::<TrackSlot>()
+        );
+        assert!(size_of::<TrackSlot>() < size_of::<Interval>());
     }
 }

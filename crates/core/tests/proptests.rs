@@ -2,12 +2,13 @@
 //! relies on: CCT structural consistency, inclusive-metric propagation,
 //! exact aggregation, merge correctness, and database round-tripping.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use deepcontext_core::{
-    CallingContextTree, CctShard, Frame, Interner, Interval, IntervalKind, MetricKind, MetricStat,
+    CallingContextTree, CctShard, Frame, Interner, IntervalKind, MetricKind, MetricStat,
     MetricStore, NodeId, OpPhase, ProfileDb, ProfileMeta, StallReason, StoredTimeline, TimeNs,
-    TrackKey,
+    TrackKey, TrackSlot,
 };
 use proptest::prelude::*;
 
@@ -139,9 +140,11 @@ fn arb_track_id() -> BoxedStrategy<u32> {
     prop_oneof![0u32..3, Just(u32::MAX)].boxed()
 }
 
-/// Any stored timeline: tracks interleaved in any order, `end < start`,
+/// Any stored timeline: intervals on any of the tracks, `end < start`,
 /// starts and correlations of 0 and `u64::MAX`, no context and the
-/// largest one, names up to the table's last index.
+/// largest one, names up to the table's last index — grouped into
+/// key-ordered tracks, each sorted, which is the order a stored
+/// timeline keeps.
 fn arb_stored_timeline() -> impl Strategy<Value = StoredTimeline> {
     let context = prop_oneof![
         Just(None),
@@ -172,28 +175,31 @@ fn arb_stored_timeline() -> impl Strategy<Value = StoredTimeline> {
             let syms: Vec<_> = (0..names)
                 .map(|i| interner.intern(&format!("kernel{i}")))
                 .collect();
-            let intervals = intervals
-                .into_iter()
-                .map(
-                    |((device, stream), (start, end), memcpy, name, correlation, context)| {
-                        Interval {
-                            track: TrackKey { device, stream },
-                            start: TimeNs(start),
-                            end: TimeNs(end),
-                            kind: if memcpy {
-                                IntervalKind::Memcpy
-                            } else {
-                                IntervalKind::Kernel
-                            },
-                            name: syms[name.min(names - 1)],
-                            correlation,
-                            context,
-                        }
+            let mut tracks: BTreeMap<TrackKey, Vec<TrackSlot>> = BTreeMap::new();
+            for ((device, stream), (start, end), memcpy, name, correlation, context) in intervals {
+                let slot = TrackSlot {
+                    start: TimeNs(start),
+                    end: TimeNs(end),
+                    correlation,
+                    name: syms[name.min(names - 1)],
+                    context,
+                    kind: if memcpy {
+                        IntervalKind::Memcpy
+                    } else {
+                        IntervalKind::Kernel
                     },
-                )
-                .collect();
+                };
+                tracks
+                    .entry(TrackKey { device, stream })
+                    .or_default()
+                    .push(slot);
+            }
+            let tracks = tracks.into_iter().map(|(key, mut slots)| {
+                slots.sort_by_key(TrackSlot::key);
+                (key, slots.into())
+            });
             StoredTimeline {
-                intervals,
+                tracks: tracks.collect(),
                 names: interner.snapshot(),
                 recorded,
                 dropped,

@@ -233,53 +233,35 @@ impl Profiler {
         });
 
         // CPU sampling (sigaction / perf-event substitutes).
-        let mut sampler_ids = Vec::new();
-        let cpu_sampler = |kind: SampleKind, metric: MetricKind, interval: u64| {
+        let cpu_sampler = |(kind, metric, interval): (SampleKind, MetricKind, Option<u64>)| {
             // Held weakly, like the launch callback.
             let me = Arc::downgrade(&inner);
-            env.samplers()
-                .register(kind, interval, move |thread, event| {
+            let id = env
+                .samplers()
+                .register(kind, interval?, move |thread, event| {
                     let Some(me) = me.upgrade() else { return };
                     let path = me.monitor.callpath_get(thread).handle();
                     let origin = EventOrigin {
                         tid: Some(thread.tid()),
                         ..EventOrigin::default()
                     };
-                    me.sink.cpu_sample(
-                        &origin,
-                        path,
-                        metric,
-                        (event.count * event.interval) as f64,
-                    );
+                    let value = (event.count * event.interval) as f64;
+                    me.sink.cpu_sample(&origin, path, metric, value);
                     me.cpu_samples.fetch_add(event.count, Ordering::Relaxed);
-                })
+                });
+            Some(id)
         };
-        if let Some(interval) = config.cpu_time_interval {
-            sampler_ids.push(cpu_sampler(
-                SampleKind::CpuTime,
-                MetricKind::CpuTime,
-                interval.as_nanos(),
-            ));
-        }
-        if let Some(interval) = config.real_time_interval {
-            sampler_ids.push(cpu_sampler(
-                SampleKind::RealTime,
-                MetricKind::RealTime,
-                interval.as_nanos(),
-            ));
-        }
-        if let Some(period) = config.hw_counter_period {
-            sampler_ids.push(cpu_sampler(
-                SampleKind::HwInstructions,
-                MetricKind::HwInstructions,
-                period,
-            ));
-            sampler_ids.push(cpu_sampler(
-                SampleKind::HwCacheMisses,
-                MetricKind::HwCacheMisses,
-                (period / 10).max(1),
-            ));
-        }
+        let cpu_time = config.cpu_time_interval.map(TimeNs::as_nanos);
+        let real_time = config.real_time_interval.map(TimeNs::as_nanos);
+        let hw = config.hw_counter_period;
+        let misses = hw.map(|period| (period / 10).max(1));
+        let samplers = [
+            (SampleKind::CpuTime, MetricKind::CpuTime, cpu_time),
+            (SampleKind::RealTime, MetricKind::RealTime, real_time),
+            (SampleKind::HwInstructions, MetricKind::HwInstructions, hw),
+            (SampleKind::HwCacheMisses, MetricKind::HwCacheMisses, misses),
+        ];
+        let sampler_ids = samplers.into_iter().filter_map(cpu_sampler).collect();
 
         Profiler {
             inner,
@@ -379,8 +361,8 @@ impl Profiler {
         let ended = self.env.clock().now();
         // Capture the timeline before finish_snapshot consumes the
         // sink's cached fold state (its context tables come from it).
-        // The snapshot shares the rings; `to_stored` is the one pass
-        // that merges and flattens them.
+        // The snapshot shares the rings; `to_stored` merges each track
+        // once into the slice the profile keeps.
         let timeline = self
             .inner
             .sink
@@ -960,7 +942,7 @@ mod tests {
         assert_eq!(stored.window, Some((db.meta().started, db.meta().ended)));
         // Interval names resolve from the captured table, and contexts
         // point into the master tree the db carries.
-        for iv in &stored.intervals {
+        for iv in stored.tracks.iter().flat_map(|(_, slots)| slots.iter()) {
             assert!(stored.name_of(iv.name).is_some());
             let ctx = iv.context.expect("context resolved");
             assert!(ctx.index() < db.cct().node_count());

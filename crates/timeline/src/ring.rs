@@ -14,11 +14,12 @@
 //! Each ring keeps one run per track in track order — activity records
 //! arrive in completion order per stream, so [`IntervalRing::push`]
 //! pays one compare against the newest entry for it. A run is a list of
-//! **sealed chunks** — immutable, reference-counted slices of compact
-//! `Slot`s — plus a small open tail. Nothing ever writes into a sealed
-//! chunk: eviction advances an offset into the oldest one (and frees it
-//! when the offset reaches its end), a late arrival replaces the one
-//! chunk it lands in with a rewritten copy. That is what lets
+//! **sealed chunks** — immutable, reference-counted slices of 40-byte
+//! [`TrackSlot`]s, the record a stored timeline keeps too — plus a
+//! small open tail. Nothing ever writes into a sealed chunk: eviction
+//! advances an offset into the oldest one (and frees it when the offset
+//! reaches its end), a late arrival replaces the one chunk it lands in
+//! with a rewritten copy. That is what lets
 //! [`TimelineSink::snapshot_with`] *share* the rings instead of copying
 //! them: a snapshot clones the chunk handles, copies each open tail (at
 //! most one chunk) and is a consistent view from then on, whatever the
@@ -32,7 +33,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use deepcontext_core::{Interval, IntervalKind, NodeId, Sym, TimeNs, TrackKey};
+use deepcontext_core::{Interval, NodeId, TrackKey, TrackSlot};
 
 use crate::snapshot::{Run, TimelineSnapshot, Track};
 use crate::TimelineConfig;
@@ -43,67 +44,16 @@ use crate::TimelineConfig;
 /// (32 bytes per 10 KiB).
 const CHUNK_LEN: usize = 256;
 
-/// What an `Arc<[Slot]>` allocation carries in front of its payload:
+/// What an `Arc<[TrackSlot]>` allocation carries in front of its payload:
 /// the strong and the weak count.
 const ARC_HEADER_BYTES: usize = 2 * size_of::<usize>();
-
-/// The ring's record of one interval: an [`Interval`] without its track
-/// key, which is the run's. 40 bytes against `Interval`'s 48.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Slot {
-    start: TimeNs,
-    end: TimeNs,
-    correlation: u64,
-    name: Sym,
-    context: Option<NodeId>,
-    kind: IntervalKind,
-}
-
-impl Slot {
-    pub(crate) fn of(interval: &Interval) -> Slot {
-        Slot {
-            start: interval.start,
-            end: interval.end,
-            correlation: interval.correlation,
-            name: interval.name,
-            context: interval.context,
-            kind: interval.kind,
-        }
-    }
-
-    /// The order of slots within a run (`snapshot::sort_key` of the
-    /// interval it came from).
-    pub(crate) fn key(&self) -> (TimeNs, TimeNs, u64) {
-        (self.start, self.end, self.correlation)
-    }
-
-    /// The interval this slot records on `track`, its context looked up
-    /// in `table` (no table: the context is kept as recorded; no entry:
-    /// unresolved).
-    pub(crate) fn expand(&self, track: TrackKey, table: Option<&[NodeId]>) -> Interval {
-        Interval {
-            track,
-            start: self.start,
-            end: self.end,
-            kind: self.kind,
-            name: self.name,
-            correlation: self.correlation,
-            context: match table {
-                Some(table) => self
-                    .context
-                    .and_then(|node| table.get(node.index()).copied()),
-                None => self.context,
-            },
-        }
-    }
-}
 
 /// The live slots of a chunk list whose oldest chunk has lost its first
 /// `front` slots to eviction.
 pub(crate) fn live_slots<'a>(
-    chunks: impl Iterator<Item = &'a Arc<[Slot]>>,
+    chunks: impl Iterator<Item = &'a Arc<[TrackSlot]>>,
     front: usize,
-) -> impl Iterator<Item = &'a Slot> {
+) -> impl Iterator<Item = &'a TrackSlot> {
     chunks.flat_map(|chunk| chunk.iter()).skip(front)
 }
 
@@ -141,11 +91,11 @@ struct TrackRing {
     key: TrackKey,
     /// Immutable once sealed, none empty; a snapshot holds handles to
     /// the same allocations.
-    sealed: VecDeque<Arc<[Slot]>>,
+    sealed: VecDeque<Arc<[TrackSlot]>>,
     /// Slots of `sealed[0]` already evicted.
     front: usize,
     /// The newest slots, at most a chunk of them.
-    tail: Vec<Slot>,
+    tail: Vec<TrackSlot>,
     /// Live slots: the sealed chunks' past `front`, plus the tail.
     len: usize,
 }
@@ -163,7 +113,7 @@ impl TrackRing {
         }
     }
 
-    fn slots(&self) -> impl Iterator<Item = &Slot> {
+    fn slots(&self) -> impl Iterator<Item = &TrackSlot> {
         live_slots(self.sealed.iter(), self.front).chain(&self.tail)
     }
 
@@ -177,7 +127,7 @@ impl TrackRing {
     /// stream's completion-ordered records produce — is one compare and
     /// an append; a late arrival goes after every entry it does not
     /// precede, where a stable sort would leave it.
-    fn push(&mut self, slot: Slot, chunk_len: usize) {
+    fn push(&mut self, slot: TrackSlot, chunk_len: usize) {
         if self.tail.len() >= chunk_len {
             self.seal();
         }
@@ -198,7 +148,7 @@ impl TrackRing {
     /// is replaced by a rewritten copy (snapshots keep the old one), cut
     /// in two once it reaches twice the chunk length so that the slots a
     /// chunk holds past their eviction stay bounded.
-    fn insert_sealed(&mut self, slot: Slot, chunk_len: usize) {
+    fn insert_sealed(&mut self, slot: TrackSlot, chunk_len: usize) {
         let key = slot.key();
         // The last chunk whose first slot it does not precede, the
         // oldest when it precedes them all. An evicted first slot can
@@ -270,11 +220,11 @@ impl TrackRing {
         let chunks: usize = self
             .sealed
             .iter()
-            .map(|chunk| ARC_HEADER_BYTES + chunk.len() * size_of::<Slot>())
+            .map(|chunk| ARC_HEADER_BYTES + chunk.len() * size_of::<TrackSlot>())
             .sum();
         chunks
-            + self.sealed.capacity() * size_of::<Arc<[Slot]>>()
-            + self.tail.capacity() * size_of::<Slot>()
+            + self.sealed.capacity() * size_of::<Arc<[TrackSlot]>>()
+            + self.tail.capacity() * size_of::<TrackSlot>()
     }
 }
 
@@ -323,7 +273,7 @@ impl IntervalRing {
                 idx
             }
         };
-        self.tracks[idx].push(Slot::of(&interval), self.chunk_len);
+        self.tracks[idx].push(TrackSlot::of(&interval), self.chunk_len);
         self.len += 1;
     }
 
@@ -467,11 +417,10 @@ impl TimelineSink {
     /// are expanded, remapped and merged when a [`Track`] is iterated.
     pub fn snapshot_with(&self, tables: &[Arc<[NodeId]>]) -> TimelineSnapshot {
         let rings: Vec<_> = self.rings.iter().map(|ring| ring.lock()).collect();
-        let mut counters = TimelineCounters::default();
-        for ring in &rings {
-            counters.recorded += ring.recorded();
-            counters.dropped += ring.dropped();
-        }
+        let counters = TimelineCounters {
+            recorded: rings.iter().map(|ring| ring.recorded).sum(),
+            dropped: rings.iter().map(|ring| ring.dropped).sum(),
+        };
         let mut keys: Vec<TrackKey> = rings
             .iter()
             .flat_map(|ring| ring.tracks.iter())
@@ -516,7 +465,7 @@ impl std::fmt::Debug for TimelineSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepcontext_core::{CallingContextTree, Frame, Interner};
+    use deepcontext_core::{CallingContextTree, Frame, Interner, IntervalKind, TimeNs};
     use proptest::prelude::*;
     use std::cmp::Reverse;
     use std::collections::BTreeMap;
@@ -538,12 +487,6 @@ mod tests {
             correlation: corr,
             context: None,
         }
-    }
-
-    #[test]
-    fn a_slot_is_at_most_40_bytes() {
-        assert!(size_of::<Slot>() <= 40, "{} bytes", size_of::<Slot>());
-        assert!(size_of::<Slot>() < size_of::<Interval>());
     }
 
     #[test]

@@ -15,12 +15,15 @@
 //! the shard's context table ([`TimelineSink::snapshot_with`]) — and
 //! [`Track::intervals`] expands, remaps and `merge_runs`-merges them
 //! as it is iterated, so taking a snapshot costs per chunk and sorts
-//! nothing. The constructors for intervals that are not in a ring build
-//! the same tracks with one chunk each: a stored timeline still in the
-//! order [`to_stored`](TimelineSnapshot::to_stored) wrote is cut at its
-//! track boundaries ([`from_stored`](TimelineSnapshot::from_stored));
-//! only [`from_intervals`](TimelineSnapshot::from_intervals), the
-//! constructor for intervals in no particular order, groups and sorts.
+//! nothing. A stored timeline is shared the same way: its tracks are
+//! already the slices a run is made of, in order, and
+//! [`from_stored`](TimelineSnapshot::from_stored) adopts each one as a
+//! one-chunk run by handle — per track, not per interval.
+//! [`to_stored`](TimelineSnapshot::to_stored) is the one copy: it merges
+//! each track once into a slice of master-tree contexts.
+//! [`from_intervals`](TimelineSnapshot::from_intervals), for intervals in
+//! no particular order, sorts them into that stored form: it is the
+//! oracle the ring's merge is tested against.
 //! Statistics are computed on the first [`stats`](TimelineSnapshot::stats)
 //! call — a live preview that only wants the tracks never pays the sweep.
 //!
@@ -32,23 +35,18 @@ use std::iter::Peekable;
 use std::sync::{Arc, OnceLock};
 
 use deepcontext_core::{
-    CallingContextTree, Interval, NodeId, StoredTimeline, Sym, TimeNs, TrackKey,
+    CallingContextTree, Interval, NodeId, StoredTimeline, Sym, TimeNs, TrackKey, TrackSlot,
 };
 
-use crate::ring::{live_slots, Slot, TimelineCounters};
+use crate::ring::{live_slots, TimelineCounters};
 
-/// The order of intervals within a track.
-fn sort_key(interval: &Interval) -> (TimeNs, TimeNs, u64) {
-    (interval.start, interval.end, interval.correlation)
-}
-
-/// Every interval of `runs` in [`sort_key`] order; equal keys go to the
-/// earlier run. Each run must itself be in that order, which makes this
-/// the stable sort of the runs' concatenation without the sort. The next
-/// interval is found by scanning the run heads: a track has at most one
-/// run per shard and a device one per stream, a handful either way — and
-/// a lone run, which is every track of a stored timeline, is passed
-/// through.
+/// Every interval of `runs` in [`TrackSlot::key`] order; equal keys go
+/// to the earlier run. Each run must itself be in that order, which
+/// makes this the stable sort of the runs' concatenation without the
+/// sort. The next interval is found by scanning the run heads: a track
+/// has at most one run per shard and a device one per stream, a handful
+/// either way — and a lone run, which is every track of a stored
+/// timeline, is passed through.
 fn merge_runs<I>(runs: impl IntoIterator<Item = I>) -> impl Iterator<Item = Interval>
 where
     I: Iterator<Item = Interval>,
@@ -61,7 +59,7 @@ where
         let mut next = None;
         for (idx, run) in runs.iter_mut().enumerate() {
             if let Some(head) = run.peek() {
-                let key = sort_key(head);
+                let key = (head.start, head.end, head.correlation);
                 if next.is_none_or(|(_, least)| key < least) {
                     next = Some((idx, key));
                 }
@@ -78,7 +76,7 @@ where
 pub(crate) struct Run {
     /// `None`: the slots hold master ids already.
     pub(crate) table: Option<Arc<[NodeId]>>,
-    pub(crate) chunks: Vec<Arc<[Slot]>>,
+    pub(crate) chunks: Vec<Arc<[TrackSlot]>>,
     /// Slots of `chunks[0]` evicted before the snapshot was taken.
     pub(crate) front: usize,
 }
@@ -99,7 +97,7 @@ impl Run {
 #[derive(Clone)]
 pub struct Track {
     key: TrackKey,
-    /// In shard order, none empty, each in [`sort_key`] order.
+    /// In shard order, none empty, each in [`TrackSlot::key`] order.
     runs: Vec<Run>,
     len: usize,
 }
@@ -111,19 +109,12 @@ impl Track {
         debug_assert!(track
             .runs
             .iter()
-            .all(|run| run.intervals(key).is_sorted_by_key(|iv| sort_key(&iv))));
+            .all(|run| run.intervals(key).is_sorted_by_key(|iv| (
+                iv.start,
+                iv.end,
+                iv.correlation
+            ))));
         track
-    }
-
-    /// A one-run, one-chunk track of `slots` already in [`sort_key`]
-    /// order, their contexts master ids.
-    fn of_sorted(key: TrackKey, slots: Arc<[Slot]>) -> Self {
-        let run = Run {
-            table: None,
-            chunks: vec![slots],
-            front: 0,
-        };
-        Track::new(key, vec![run])
     }
 
     /// The `(device, stream)` placement.
@@ -223,25 +214,26 @@ impl TimelineSnapshot {
 
     /// Groups `intervals`, in any order, into start-sorted tracks:
     /// tracks sort by `(start, end, correlation)`, intervals equal under
-    /// that key keep their input order. The sorting constructor — the
-    /// ring and store paths, whose input is already in order, produce
-    /// the same snapshot without it.
+    /// that key keep their input order: the stored form, sorted and then
+    /// shared. The oracle the ring's merge is tested against.
     pub fn from_intervals(intervals: Vec<Interval>, counters: TimelineCounters) -> Self {
-        let mut by_track: BTreeMap<TrackKey, Vec<Slot>> = BTreeMap::new();
+        let mut by_track: BTreeMap<TrackKey, Vec<TrackSlot>> = BTreeMap::new();
         for interval in &intervals {
             by_track
                 .entry(interval.track)
                 .or_default()
-                .push(Slot::of(interval));
+                .push(TrackSlot::of(interval));
         }
-        let tracks = by_track
-            .into_iter()
-            .map(|(key, mut slots)| {
-                slots.sort_by_key(Slot::key);
-                Track::of_sorted(key, slots.into())
-            })
-            .collect();
-        TimelineSnapshot::from_tracks(tracks, counters)
+        let tracks = by_track.into_iter().map(|(key, mut slots)| {
+            slots.sort_by_key(TrackSlot::key);
+            (key, slots.into())
+        });
+        TimelineSnapshot::from_stored(&StoredTimeline {
+            tracks: tracks.collect(),
+            recorded: counters.recorded,
+            dropped: counters.dropped,
+            ..StoredTimeline::default()
+        })
     }
 
     /// Attaches the run's wall-clock window `[start, end)`, under which
@@ -260,16 +252,20 @@ impl TimelineSnapshot {
         self.window
     }
 
-    /// Flattens the snapshot into its persistent form: the interval set,
-    /// the captured symbol table, the counters and the window — the
-    /// shape `ProfileDb` stores on disk.
+    /// The snapshot in its persistent form: each track merged once into
+    /// one slice, contexts as master ids, plus the captured symbol
+    /// table, the counters and the window — the shape `ProfileDb`
+    /// stores on disk.
     pub fn to_stored(&self) -> StoredTimeline {
-        let mut intervals = Vec::with_capacity(self.interval_count());
-        for track in &self.tracks {
-            intervals.extend(track.intervals());
-        }
+        let tracks = self.tracks.iter().map(|track| {
+            // Counted, so the slice is allocated once at its length.
+            let mut intervals = track.intervals();
+            let slots = (0..track.len())
+                .map(|_| TrackSlot::of(&intervals.next().expect("a track yields its length")));
+            (track.key, slots.collect())
+        });
         StoredTimeline {
-            intervals,
+            tracks: tracks.collect(),
             names: self.names.clone(),
             recorded: self.counters.recorded,
             dropped: self.counters.dropped,
@@ -277,30 +273,25 @@ impl TimelineSnapshot {
         }
     }
 
-    /// Reassembles a snapshot from its persistent form: the intervals
-    /// as sorted tracks, the symbol table and the window. A timeline
-    /// still in the order [`to_stored`](Self::to_stored) wrote — tracks
-    /// in key order, each in track order — is cut at its track
-    /// boundaries; any other order goes through
-    /// [`from_intervals`](Self::from_intervals).
+    /// Reassembles a snapshot from its persistent form, sharing it: each
+    /// stored track becomes a one-chunk run by handle (it is in order
+    /// already — `ProfileDb::load` refuses one that is not), with the
+    /// symbol table and the window.
     pub fn from_stored(stored: &StoredTimeline) -> Self {
+        let tracks = stored.tracks.iter().map(|(key, slots)| {
+            let chunks = vec![Arc::clone(slots)];
+            let run = Run {
+                table: None,
+                chunks,
+                front: 0,
+            };
+            Track::new(*key, vec![run])
+        });
         let counters = TimelineCounters {
             recorded: stored.recorded,
             dropped: stored.dropped,
         };
-        let in_order = stored
-            .intervals
-            .is_sorted_by_key(|iv| (iv.track, sort_key(iv)));
-        let mut snapshot = if in_order {
-            let tracks = stored
-                .intervals
-                .chunk_by(|a, b| a.track == b.track)
-                .map(|run| Track::of_sorted(run[0].track, run.iter().map(Slot::of).collect()))
-                .collect();
-            TimelineSnapshot::from_tracks(tracks, counters)
-        } else {
-            TimelineSnapshot::from_intervals(stored.intervals.clone(), counters)
-        };
+        let mut snapshot = TimelineSnapshot::from_tracks(tracks.collect(), counters);
         snapshot.names = stored.names.clone();
         snapshot.window = stored.window;
         snapshot

@@ -7,7 +7,8 @@
 //! a stated bound. (At commit `2ab0956` the Chrome export allocated more
 //! than three times per interval, `save` twice and `load` three times.)
 //! A timeline read is also held to a budget in bytes: it shares the
-//! rings' chunks, so it may allocate a sixteenth of what they hold. The
+//! rings' chunks, so it may allocate a sixteenth of what they hold, and
+//! it shares a stored timeline's tracks, so it allocates per track. The
 //! container's interval block is held to a size: at most ten bytes an
 //! interval, where a text line was forty. So is what a CCT adds to the
 //! Chrome export: its `stackFrames` dictionary plus at most twelve bytes
@@ -16,9 +17,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::mem::size_of;
 use std::sync::Arc;
 
-use deepcontext::core::{Interval, IntervalKind, NodeId, StoredTimeline, Sym, TrackKey};
+use deepcontext::core::{Interval, IntervalKind, NodeId, StoredTimeline, Sym, TrackKey, TrackSlot};
 use deepcontext::prelude::*;
 use deepcontext::timeline::TimelineSink;
 
@@ -134,8 +136,18 @@ fn intervals(n: usize, leaves: &[(NodeId, Sym)]) -> impl Iterator<Item = Interva
 
 fn profile(n: usize) -> ProfileDb {
     let (cct, leaves) = contexts();
+    // Track `t` holds every `TRACKS`-th interval from the `t`-th: tracks
+    // in key order, each in start order, as a stored timeline keeps them.
+    let tracks = (0..TRACKS).map(|t| {
+        let mut on_track = intervals(n, &leaves).skip(t).step_by(TRACKS).peekable();
+        let key = on_track
+            .peek()
+            .expect("a track per interval at least")
+            .track;
+        (key, on_track.map(|iv| TrackSlot::of(&iv)).collect())
+    });
     let timeline = StoredTimeline {
-        intervals: intervals(n, &leaves).collect(),
+        tracks: tracks.collect(),
         names: cct.interner().snapshot(),
         recorded: n as u64,
         dropped: 0,
@@ -197,9 +209,6 @@ fn chrome_export_names_each_context_once() {
 
 /// Rings the intervals are spread over.
 const SHARDS: usize = 3;
-/// `size_of` the ring's slot, which is private to the timeline crate (a
-/// test beside it asserts the size).
-const SLOT_BYTES: usize = 40;
 
 #[test]
 fn timeline_assembly_allocates_per_track() {
@@ -231,10 +240,37 @@ fn timeline_assembly_allocates_per_track() {
     // Handles and tails, not intervals: 41 584 bytes here, 38 496 of them
     // the six open tails. The parent (`ddb375d`) copied every interval
     // into the snapshot and allocated 1 153 024 bytes for the same read.
-    let budget = LARGE * SLOT_BYTES / 16;
+    let budget = LARGE * size_of::<TrackSlot>() / 16;
     assert!(
         large_bytes <= budget,
         "{large_bytes} bytes allocated by a read of {LARGE} intervals, budget {budget}"
+    );
+}
+
+#[test]
+fn a_stored_timeline_is_read_by_handle() {
+    let read = |n: usize| {
+        let db = profile(n);
+        let names = db.timeline().unwrap().names.len();
+        let read = allocated(|| TimelineSnapshot::from_stored(db.timeline().unwrap()));
+        (read, names)
+    };
+    let (((small, _), _), ((large, large_bytes), names)) = (read(SMALL), read(LARGE));
+    assert_eq!(
+        small, large,
+        "allocations must not follow the interval count"
+    );
+    // The track list and the name table; per track its run list and
+    // its chunk list, which holds the stored slice by handle.
+    let bound = 2 + 2 * TRACKS as u64;
+    assert!(small <= bound, "{small} allocations, budget {bound}");
+    // Per track and per name, never per interval. At `2c53c53`, which
+    // copied every interval, this read made 76 allocations at 3 000
+    // intervals and 94 at 24 000, 5 038 704 bytes.
+    let budget = 128 * TRACKS + size_of::<Arc<str>>() * names;
+    assert!(
+        large_bytes <= budget,
+        "{large_bytes} bytes allocated by a read of {LARGE} stored intervals, budget {budget}"
     );
 }
 
@@ -259,8 +295,9 @@ fn container_save_and_load_allocate_per_string_and_node() {
     // container vector above kept its capacity).
     assert!(small_save <= 4, "{small_save} allocations in save");
     assert_eq!(large_save, small_save);
-    // `load`: the input, the interval vector, and per string, per node
-    // and per timeline name a constant number.
+    // `load`: the input, the track list, the scratch run, a slice per
+    // track, and per string, per node and per timeline name a constant
+    // number.
     let bound = 16 + 4 * strings + 6 * nodes + 2 * strings;
     assert!(
         small_load <= bound,
@@ -271,11 +308,7 @@ fn container_save_and_load_allocate_per_string_and_node() {
 
 #[test]
 fn interval_block_costs_at_most_ten_bytes_an_interval() {
-    // Track by track, each in start order: the order `to_stored` writes.
-    let mut db = profile(LARGE);
-    let mut timeline = db.timeline().unwrap().clone();
-    timeline.intervals.sort_by_key(|iv| (iv.track, iv.start));
-    db.set_timeline(Some(timeline));
+    let db = profile(LARGE);
     let mut container = Vec::new();
     db.save(&mut container).unwrap();
     let prefix = b"\nintervals\t";

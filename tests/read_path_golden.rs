@@ -149,7 +149,10 @@ fn with_edge_cases(stored: &StoredTimeline, cct: &CallingContextTree) -> Timelin
         device: 1,
         stream: 9,
     };
-    let mut intervals = stored.intervals.clone();
+    let stored_tracks = stored.tracks.iter();
+    let mut intervals: Vec<Interval> = stored_tracks
+        .flat_map(|(key, slots)| slots.iter().map(move |slot| slot.expand(*key, None)))
+        .collect();
     intervals.extend([
         iv(lane, 7, 1_000_007, names.len() + 2, u64::MAX, Some(foreign)),
         iv(lane, 2_000, 2_000, batch, 0, None),

@@ -91,7 +91,7 @@ fn finished_run_reloads_from_the_store_with_timeline_intact() {
     );
     assert!(db.meta().ended > db.meta().started);
     // Every interval still resolves its name and its context.
-    for interval in &reloaded.intervals {
+    for interval in reloaded.tracks.iter().flat_map(|(_, slots)| slots.iter()) {
         assert!(reloaded.name_of(interval.name).is_some());
         let context = interval.context.expect("contexts resolved");
         assert!(context.index() < back.cct().node_count());
