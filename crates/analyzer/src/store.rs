@@ -270,6 +270,13 @@ impl ProfileStore {
             #[cfg(test)]
             inject::check(inject::Point::Publish)?;
             self.publish(&tmp, &base)
+        })
+        .inspect_err(|e| {
+            // A profile `ProfileDb::save` refuses wrote no byte: its empty
+            // tmp sibling holds nothing worth keeping.
+            if matches!(e, CoreError::Parse(_)) {
+                let _ = fs::remove_file(&tmp);
+            }
         })?;
         // The run is published; a sibling a failed remove leaves behind
         // is skipped by listings.
@@ -557,6 +564,41 @@ pub(crate) mod tests {
             .meta_trend(&RunFilter::any(), "step.absent")
             .unwrap()
             .is_empty());
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn a_timeline_load_would_refuse_publishes_no_run() {
+        use deepcontext_core::{Interner, IntervalKind, StoredTimeline, TrackKey, TrackSlot};
+        let name = Interner::new().intern("sgemm");
+        assert_eq!(name.index(), 0, "inside the one-name table below");
+        let slot = |start| TrackSlot {
+            start: TimeNs(start),
+            end: TimeNs(start + 10),
+            correlation: start,
+            name,
+            context: None,
+            kind: IntervalKind::Kernel,
+        };
+        let track = |stream, slots: &[TrackSlot]| (TrackKey { device: 0, stream }, slots.into());
+        let (dir, store) = temp_store();
+        for tracks in [
+            // Tracks out of key order; an empty track; an interval below
+            // its predecessor.
+            vec![track(1, &[slot(5)]), track(0, &[slot(5)])],
+            vec![track(0, &[slot(5)]), track(1, &[])],
+            vec![track(0, &[slot(5), slot(4)])],
+        ] {
+            let mut db = profile("unet", "h", 1, 1.0);
+            db.set_timeline(Some(StoredTimeline {
+                tracks,
+                names: vec!["sgemm".into()],
+                ..StoredTimeline::default()
+            }));
+            assert!(matches!(store.save(&db), Err(CoreError::Parse(_))));
+        }
+        assert!(store.list().unwrap().is_empty());
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "no file left");
         fs::remove_dir_all(dir).unwrap();
     }
 

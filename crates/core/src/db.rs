@@ -161,8 +161,14 @@ impl ProfileDb {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Io`] if writing fails.
+    /// Returns [`CoreError::Parse`], naming the fault, before writing a
+    /// byte if the timeline breaks the stored order [`load`](Self::load)
+    /// enforces (see [`StoredTimeline::tracks`]), and [`CoreError::Io`]
+    /// if writing fails.
     pub fn save<W: Write>(&self, w: W) -> Result<(), CoreError> {
+        if let Some(tl) = &self.timeline {
+            check_stored_order(tl)?;
+        }
         let mut out = Out {
             buf: Vec::with_capacity(CHUNK + 4096),
             w,
@@ -731,12 +737,7 @@ fn parse_interval_block(
             device: varints.number("device")?,
             stream: varints.number("stream")?,
         };
-        match tracks.last().map(|(previous, _)| track.cmp(previous)) {
-            Some(Ordering::Equal) => Err(format!("interval track {track:?} in two runs")),
-            Some(Ordering::Less) => Err(format!("interval track {track:?} below its predecessor")),
-            _ => Ok(()),
-        }
-        .map_err(CoreError::parse)?;
+        check_track_order(tracks.last().map(|(previous, _)| previous), &track)?;
         let run: usize = varints.number("run length")?;
         // An interval is at least five bytes: a corrupt length cannot
         // size the scratch.
@@ -764,11 +765,7 @@ fn parse_interval_block(
                 })?)),
             };
             let name: u32 = varints.number("name")?;
-            if name as usize >= name_count {
-                return Err(CoreError::parse(format!(
-                    "interval name index {name} out of range"
-                )));
-            }
+            check_name(name, name_count)?;
             correlation = correlation.wrapping_add(unzigzag(varints.next()?));
             let slot = TrackSlot {
                 start: TimeNs(start),
@@ -778,12 +775,7 @@ fn parse_interval_block(
                 context,
                 kind,
             };
-            if slots.last().is_some_and(|last| last.key() > slot.key()) {
-                return Err(CoreError::parse(format!(
-                    "interval {:?} on track {track:?} below the one before it",
-                    slot.key()
-                )));
-            }
+            check_slot_order(slots.last(), &slot, &track)?;
             slots.push(slot);
         }
         tracks.push((track, Arc::from(&slots[..])));
@@ -794,6 +786,64 @@ fn parse_interval_block(
             "{trailing} trailing bytes in interval block"
         ))),
     }
+}
+
+/// The stored order between `track` and the track before it: keys
+/// strictly ascending, so no track is stored in two runs.
+fn check_track_order(previous: Option<&TrackKey>, track: &TrackKey) -> Result<(), CoreError> {
+    match previous.map(|previous| track.cmp(previous)) {
+        Some(Ordering::Equal) => Err(format!("interval track {track:?} in two runs")),
+        Some(Ordering::Less) => Err(format!("interval track {track:?} below its predecessor")),
+        _ => Ok(()),
+    }
+    .map_err(CoreError::parse)
+}
+
+/// The stored order within `track`: ascending by [`TrackSlot::key`].
+fn check_slot_order(
+    last: Option<&TrackSlot>,
+    slot: &TrackSlot,
+    track: &TrackKey,
+) -> Result<(), CoreError> {
+    match last {
+        Some(last) if last.key() > slot.key() => Err(CoreError::parse(format!(
+            "interval {:?} on track {track:?} below the one before it",
+            slot.key()
+        ))),
+        _ => Ok(()),
+    }
+}
+
+fn check_name(name: u32, name_count: usize) -> Result<(), CoreError> {
+    if name as usize >= name_count {
+        return Err(CoreError::parse(format!(
+            "interval name index {name} out of range"
+        )));
+    }
+    Ok(())
+}
+
+/// What [`parse_interval_block`] enforces, checked on the way out: the
+/// tracks in order and none empty, each track's intervals in order, and
+/// every name inside the captured table.
+fn check_stored_order(tl: &StoredTimeline) -> Result<(), CoreError> {
+    let mut previous = None;
+    for (track, slots) in &tl.tracks {
+        check_track_order(previous, track)?;
+        if slots.is_empty() {
+            return Err(CoreError::parse(format!(
+                "interval track {track:?} has no intervals"
+            )));
+        }
+        let mut last = None;
+        for slot in slots.iter() {
+            check_slot_order(last, slot, track)?;
+            check_name(slot.name.0, tl.names.len())?;
+            last = Some(slot);
+        }
+        previous = Some(track);
+    }
+    Ok(())
 }
 
 type RawNode = (Option<NodeId>, Frame, MetricStore);
@@ -1128,6 +1178,50 @@ mod tests {
         for cut in span.start..=span.end {
             assert!(load(&buf[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn save_refuses_a_timeline_load_would_refuse_before_writing() {
+        let save = |edit: &dyn Fn(&mut StoredTimeline)| {
+            let mut timeline = sample_timeline();
+            edit(&mut timeline);
+            let mut db = sample_db();
+            db.set_timeline(Some(timeline));
+            let mut buf = Vec::new();
+            (db.save(&mut buf), buf)
+        };
+        let refused = |edit: &dyn Fn(&mut StoredTimeline)| match save(edit) {
+            (Err(CoreError::Parse(msg)), buf) => {
+                assert!(buf.is_empty(), "{msg}: {} bytes written", buf.len());
+                msg
+            }
+            (other, _) => panic!("expected a refusal, got {other:?}"),
+        };
+        let (saved, buf) = save(&|_| {});
+        saved.expect("the stored order saves");
+        assert!(ProfileDb::load(&buf[..]).is_ok());
+        // Tracks out of key order, and one track twice.
+        let msg = refused(&|tl| tl.tracks.swap(0, 1));
+        assert!(msg.contains("below its predecessor"), "{msg}");
+        let msg = refused(&|tl| tl.tracks[1].0 = tl.tracks[0].0);
+        assert!(msg.contains("in two runs"), "{msg}");
+        // A track with no intervals.
+        let msg = refused(&|tl| tl.tracks[1].1 = Arc::from([]));
+        assert!(msg.contains("no intervals"), "{msg}");
+        // An interval below its predecessor: a start one step back.
+        let msg = refused(&|tl| {
+            let mut slots = tl.tracks[0].1.to_vec();
+            let mut earlier = slots[0];
+            earlier.start = TimeNs(earlier.start.0 - 1);
+            slots.push(earlier);
+            tl.tracks[0].1 = slots.into();
+        });
+        assert!(msg.contains("below the one before it"), "{msg}");
+        // A name outside the captured table.
+        let msg = refused(&|tl| {
+            tl.names.pop();
+        });
+        assert!(msg.contains("name index 1 out of range"), "{msg}");
     }
 
     /// The parse error `bytes` must load to.

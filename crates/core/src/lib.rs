@@ -9,7 +9,7 @@
 //! metric aggregation ([`MetricStat`]: count / sum / min / max, exact in any
 //! merge order for integer and power-of-two-multiple samples) with
 //! root-ward propagation, a virtual clock, a persistent profile
-//! database, and [`IdWindow`], the one map the correlation directory and
+//! database, and [`IdWindow`], the one map each shard's correlations and
 //! the forward/backward association keep their counter-issued ids in.
 //!
 //! # Quick example

@@ -10,7 +10,7 @@
 //! frame (through a per-thread [`PathMemo`], so a context seen before
 //! costs no shared lock) as a launch's context is assembled; the
 //! ingestion pipeline moves
-//! the 4-byte [`PathId`] through queues and the correlation directory;
+//! the 4-byte [`PathId`] through each shard's correlation window;
 //! each [`CctShard`](crate::CctShard) resolves it to its own node through
 //! a dense vector. A [`CallPath`] is only materialised to *show* a
 //! context ([`PathHandle::to_call_path`]).

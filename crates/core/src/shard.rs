@@ -74,15 +74,19 @@
 //! Exclusive metrics (launch shapes, sampled drop victims) never
 //! propagate and are written to the tree directly.
 //!
-//! Which context a correlation id belongs to is not the shard's business
-//! (the pipeline's correlation directory holds the one `corr → (shard,
-//! PathId)` table); the shard only keeps the *retirement* cadence:
+//! **A shard owns the correlations launched into it.** Every launch and
+//! every record of one GPU stream go to the same shard, so the shard's
+//! own [`IdWindow`] maps `corr → PathId` under the lock its owner already
+//! holds, and keeps the *retirement* cadence beside it:
 //!
+//! * [`bind`](CctShard::bind) maps a launch's correlation to its
+//!   context; [`correlations`](CctShard::correlations) is the window a
+//!   record looks its correlation up in;
 //! * [`defer_prune`](CctShard::defer_prune) / [`end_batch`](CctShard::end_batch)
 //!   implement two-phase pruning: ids attributed in the *previous* batch
-//!   are handed back for retirement at the end of the current one, so
-//!   records that straddle a buffer boundary (e.g. PC-sampling batches)
-//!   still resolve;
+//!   leave the window at the end of the current one, so records that
+//!   straddle a buffer boundary (e.g. PC-sampling batches) still
+//!   resolve;
 //! * [`orphan_node`](CctShard::orphan_node) is the hoisted `<unattributed>`
 //!   catch-all context, created once per shard instead of re-interned per
 //!   orphaned record.
@@ -94,6 +98,7 @@ use crate::frame::Frame;
 use crate::interner::Interner;
 use crate::metrics::{MetricKind, MetricStat, UNIT_COLUMNS};
 use crate::path::PathId;
+use crate::window::IdWindow;
 
 /// A `by_path` slot this shard has not resolved yet.
 const UNRESOLVED: NodeId = NodeId(u32::MAX);
@@ -181,7 +186,8 @@ impl Pending {
 }
 
 /// One shard of a sharded calling-context-tree ingestion pipeline: a
-/// private tree, its `PathId → node` vector and its prune queue.
+/// private tree, its `PathId → node` vector, its correlation window and
+/// its prune queue.
 ///
 /// Correlation keys are raw `u64`s so the core stays independent of any
 /// particular GPU runtime's id type.
@@ -193,6 +199,8 @@ pub struct CctShard {
     /// entry stays valid whatever else is inserted into the tree.
     by_path: Vec<NodeId>,
     orphan: Option<NodeId>,
+    /// The correlations launched into this shard and not yet retired.
+    correlations: IdWindow<PathId>,
     // `prev_batch` is sorted (its own batch ended with the sort), so
     // `end_batch` sorts `curr_batch` and merge-walks the two.
     prev_batch: Vec<u64>,
@@ -209,6 +217,7 @@ impl CctShard {
             tree: CallingContextTree::with_interner(interner),
             by_path: Vec::new(),
             orphan: None,
+            correlations: IdWindow::default(),
             prev_batch: Vec::new(),
             curr_batch: Vec::new(),
             generation: 0,
@@ -385,15 +394,25 @@ impl CctShard {
         }
     }
 
-    /// The node a record resolved to `path` by the correlation directory
-    /// attributes at, falling back to the hoisted catch-all when the
-    /// correlation was unknown. Returns the node and whether it was the
-    /// orphan fallback.
+    /// The node a record whose correlation resolved to `path` attributes
+    /// at, falling back to the hoisted catch-all when the correlation was
+    /// unknown. Returns the node and whether it was the orphan fallback.
     pub fn node_or_orphan(&mut self, path: Option<PathId>) -> (NodeId, bool) {
         match path {
             Some(path) => (self.node_for(path), false),
             None => (self.orphan_node(), true),
         }
+    }
+
+    /// Binds `correlation` to the context `path` its launch was made
+    /// from (a later bind wins).
+    pub fn bind(&mut self, correlation: u64, path: PathId) {
+        self.correlations.insert(correlation, path);
+    }
+
+    /// The correlations bound here and not yet retired.
+    pub fn correlations(&self) -> &IdWindow<PathId> {
+        &self.correlations
     }
 
     /// Marks `correlation` as attributed in the current batch; it becomes
@@ -402,31 +421,29 @@ impl CctShard {
         self.curr_batch.push(correlation);
     }
 
-    /// Ends an activity batch: returns the correlations deferred in the
-    /// previous batch and not re-attributed in this one, for the caller
-    /// to retire from the correlation directory.
-    pub fn end_batch(&mut self) -> Vec<u64> {
+    /// Ends an activity batch: the correlations deferred in the previous
+    /// batch and not re-attributed in this one leave the window.
+    pub fn end_batch(&mut self) {
         // Correlation ids arrive nearly in order, so the sort is close
         // to a scan; `prev_batch` was sorted when its own batch ended.
         self.curr_batch.sort_unstable();
-        let mut pruned = Vec::with_capacity(self.prev_batch.len());
         let mut renewed = self.curr_batch.iter().copied().peekable();
         for id in self.prev_batch.drain(..) {
             while renewed.next_if(|&r| r < id).is_some() {}
             if renewed.peek() != Some(&id) {
-                pruned.push(id);
+                self.correlations.remove(id);
             }
         }
         std::mem::swap(&mut self.prev_batch, &mut self.curr_batch);
-        pruned
     }
 
-    /// Releases prune-queue capacity that a large batch left behind (the
-    /// queues retain their high-water capacity after draining). Called
-    /// at quiescent points — e.g. after a flush boundary has retired all
-    /// deferred correlations — so resident profile memory tracks *live*
-    /// state, not the largest batch ever seen. Does not touch the tree
-    /// (and so does not dirty the shard's snapshot generation).
+    /// Releases the capacity a large batch left behind in the prune
+    /// queues and the correlation window (both retain their high-water
+    /// capacity after draining). Called at quiescent points — e.g. after
+    /// a flush boundary has retired all deferred correlations — so
+    /// resident profile memory tracks *live* state, not the largest
+    /// batch ever seen. Does not touch the tree (and so does not dirty
+    /// the shard's snapshot generation).
     pub fn trim(&mut self) {
         fn oversized(capacity: usize, len: usize) -> bool {
             capacity > 64 && capacity / 4 > len
@@ -437,11 +454,15 @@ impl CctShard {
         if oversized(self.curr_batch.capacity(), self.curr_batch.len()) {
             self.curr_batch.shrink_to_fit();
         }
+        self.correlations.trim();
     }
 
     /// Approximate resident bytes of tree (interner and its path table
     /// excluded), path vector, prune queues and whatever settle scratch
-    /// is currently held.
+    /// is currently held. The correlation window is sized apart, through
+    /// [`correlations`](Self::correlations): peak accounting charges it
+    /// by its span, holes included ([`IdWindow::held_bytes`]), resident
+    /// accounting by capacity.
     pub fn approx_bytes(&self) -> usize {
         let Pending {
             slot_of,
@@ -728,21 +749,50 @@ mod tests {
     fn two_phase_prune_drops_only_previous_batch() {
         let i = interner();
         let mut shard = CctShard::new(Arc::clone(&i));
+        let relu = handle(&i, "aten::relu").id();
+        for corr in 1..=3 {
+            shard.bind(corr, relu);
+        }
+        let live = |shard: &CctShard| -> Vec<u64> {
+            (1..=3)
+                .filter(|&corr| shard.correlations().get(corr) == Some(relu))
+                .collect()
+        };
         // Batch 1 attributes correlations 1 and 2.
         shard.defer_prune(1);
         shard.defer_prune(2);
-        assert!(
-            shard.end_batch().is_empty(),
-            "nothing deferred before batch 1"
-        );
+        shard.end_batch();
+        assert_eq!(live(&shard), [1, 2, 3], "nothing deferred before batch 1");
         // Batch 2 re-attributes 2 (straddling record) and touches 3.
         shard.defer_prune(2);
         shard.defer_prune(3);
-        let pruned = shard.end_batch();
-        assert_eq!(pruned, vec![1], "1 was deferred last batch and not renewed");
+        shard.end_batch();
+        assert_eq!(
+            live(&shard),
+            [2, 3],
+            "1 was deferred last batch and not renewed"
+        );
         // Batch 3: nothing new; 2 and 3 now age out.
-        assert_eq!(shard.end_batch(), vec![2, 3]);
-        assert!(shard.end_batch().is_empty());
+        shard.end_batch();
+        assert!(shard.correlations().is_empty());
+    }
+
+    #[test]
+    fn trim_releases_the_window_a_retired_batch_left() {
+        let i = interner();
+        let mut shard = CctShard::new(Arc::clone(&i));
+        let relu = handle(&i, "aten::relu").id();
+        // Every third id, as one of three interleaved streams binds them.
+        for corr in (0..12_288).step_by(3) {
+            shard.bind(corr, relu);
+            shard.defer_prune(corr);
+        }
+        shard.end_batch();
+        shard.end_batch();
+        assert!(shard.correlations().is_empty());
+        assert!(shard.correlations().approx_bytes() > 0, "capacity kept");
+        shard.trim();
+        assert_eq!(shard.correlations().approx_bytes(), 0);
     }
 
     #[test]
@@ -754,7 +804,9 @@ mod tests {
         let node = shard.node_for(relu);
         let after_insert = shard.generation();
         assert!(after_insert > 0);
-        // Prune bookkeeping and a known path leave the tree untouched.
+        // Correlation bookkeeping and a known path leave the tree
+        // untouched.
+        shard.bind(1, relu);
         shard.defer_prune(1);
         shard.end_batch();
         assert_eq!(shard.node_for(relu), node);

@@ -162,10 +162,12 @@ impl TrackSlot {
 pub struct StoredTimeline {
     /// Every live interval at snapshot time: tracks in [`TrackKey`]
     /// order, none empty, each in [`TrackSlot::key`] order (which
-    /// `ProfileDb::load` enforces); contexts are master-tree ids.
+    /// `ProfileDb::load` enforces and `ProfileDb::save` checks before
+    /// writing); contexts are master-tree ids.
     pub tracks: Vec<(TrackKey, Arc<[TrackSlot]>)>,
     /// The captured symbol table: `TrackSlot::name` handles index into
-    /// this vector. Out-of-range handles simply fail to resolve.
+    /// this vector. An out-of-range handle fails to resolve here, and
+    /// `ProfileDb::save` refuses to store it.
     pub names: Vec<Arc<str>>,
     /// Intervals recorded over the run (kept + evicted).
     pub recorded: u64,

@@ -1,6 +1,6 @@
-//! [`IdWindow`]: a map keyed by ids from a counter that only grows — the
-//! correlation directory's correlation ids and the forward/backward
-//! association's autograd sequence ids.
+//! [`IdWindow`]: a map keyed by ids from a counter that only grows — a
+//! sink shard's correlation ids and the forward/backward association's
+//! autograd sequence ids.
 
 use std::collections::{HashMap, VecDeque};
 use std::mem::size_of;
@@ -11,7 +11,8 @@ use std::mem::size_of;
 /// attributed and each shard's previous batch, which the sink's
 /// two-phase prune retires only at the shard's next batch — so a shard
 /// may sit out a dozen flushes before its ids are slid past. A full
-/// window of 12-byte slots is 64 Ki × 12 bytes = 768 KiB.
+/// window of a shard's 8-byte `Option<PathId>` slots is 64 Ki × 8 bytes
+/// = 512 KiB.
 const SPAN: u64 = 16 * 4096;
 
 /// A `HashMap` that has shrunk below a quarter of its capacity (and holds
@@ -45,7 +46,7 @@ const TRIM_FLOOR: usize = 64;
 /// [`retire_below`](Self::retire_below) is the other way ids leave: it
 /// advances the base to a floor, dropping every slot it passes, and
 /// drops the stragglers below the floor.
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 pub struct IdWindow<V: Copy> {
     /// The id slot 0 holds. Meaningless while `slots` is empty: the next
     /// insert sets it.
@@ -60,9 +61,9 @@ pub struct IdWindow<V: Copy> {
 }
 
 impl<V: Copy> IdWindow<V> {
-    /// Bytes a live entry is charged in peak accounting: a hash slot's
-    /// key, value and control byte, which is also what a straggler costs.
-    pub const ENTRY_BYTES: usize = size_of::<(u64, V)>() + 1;
+    /// Bytes a straggler costs: a hash slot's key, value and control
+    /// byte.
+    const ENTRY_BYTES: usize = size_of::<(u64, V)>() + 1;
 
     /// Bytes per window slot.
     const SLOT_BYTES: usize = size_of::<Option<V>>();
@@ -199,6 +200,14 @@ impl<V: Copy> IdWindow<V> {
         }
     }
 
+    /// Bytes the live contents occupy, holes included: every slot from
+    /// the base to the last live id, and every straggler (for peak
+    /// accounting). Ids bound elsewhere in a shared counter leave holes,
+    /// so this follows the span, not [`len`](Self::len).
+    pub fn held_bytes(&self) -> usize {
+        self.slots.len() * Self::SLOT_BYTES + self.stragglers.len() * Self::ENTRY_BYTES
+    }
+
     /// Heap bytes held, from the deque's and the map's capacity (for
     /// tool-memory accounting).
     pub fn approx_bytes(&self) -> usize {
@@ -212,7 +221,7 @@ mod tests {
     use crate::{Frame, Interner, PathId};
     use parking_lot::Mutex;
 
-    /// What the correlation directory maps an id to: a shard and a path.
+    /// The value these tests store: a shard and a path.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     struct Binding {
         shard: u32,
@@ -346,6 +355,28 @@ mod tests {
         assert!(dir.is_empty());
         dir.trim();
         assert!(dir.approx_bytes() <= TRIM_FLOOR * (SLOT_BYTES + DIR_ENTRY_BYTES));
+    }
+
+    #[test]
+    fn held_bytes_follow_the_span_and_the_stragglers() {
+        let path = paths(2);
+        let mut dir = Window::default();
+        assert_eq!(dir.held_bytes(), 0);
+        // Every third id of 100..=190: 31 live ids over a 91-slot span.
+        for corr in (100..=190).step_by(3) {
+            dir.insert(corr, at(0, path(corr)));
+        }
+        assert_eq!(dir.len(), 31);
+        assert_eq!(dir.held_bytes(), 91 * SLOT_BYTES);
+        // Two stragglers below the base.
+        dir.insert(5, at(0, path(5)));
+        dir.insert(6, at(0, path(6)));
+        assert_eq!(dir.held_bytes(), 91 * SLOT_BYTES + 2 * DIR_ENTRY_BYTES);
+        // Removing the front slides the base to the next live id.
+        dir.remove(100);
+        assert_eq!(dir.held_bytes(), 88 * SLOT_BYTES + 2 * DIR_ENTRY_BYTES);
+        dir.retire_below(u64::MAX);
+        assert_eq!(dir.held_bytes(), 0);
     }
 
     #[test]

@@ -103,12 +103,14 @@ impl GpuCallbackEvent<'_> {
 
 /// Where an event came from: the identity an ingestion pipeline routes on.
 ///
-/// Sharded profiler sinks (see `deepcontext-profiler`) pick an ingestion
-/// shard from these fields *before* taking any lock, so concurrent
-/// producers on different threads/streams never serialize on a global
-/// mutex. All fields are optional — events raised outside any bound thread
-/// (e.g. a runtime-internal callback) simply carry less identity, and the
-/// consumer falls back to whatever field is present.
+/// The profiler's sharded sink (`deepcontext-pipeline`'s `ShardedSink`)
+/// picks an ingestion shard from these fields *before* taking any lock:
+/// a GPU API event by its `stream` alone — every launch and every
+/// activity record of one stream meet in one shard, whichever thread
+/// launched them, and the allocation APIs, which have no stream, share
+/// one fixed shard — and a CPU sample by its `tid`. All fields are
+/// optional: events raised outside any bound thread (e.g. a
+/// runtime-internal callback) simply carry less identity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventOrigin {
     /// The originating simulated OS thread.
@@ -117,27 +119,6 @@ pub struct EventOrigin {
     pub stream: Option<sim_gpu::StreamId>,
     /// The GPU correlation id, for GPU API events.
     pub correlation: Option<sim_gpu::CorrelationId>,
-}
-
-impl EventOrigin {
-    /// The routing key sharded ingestion pipelines hash a shard index
-    /// from: `(tid, stream)` when both are known — so a *single* thread
-    /// fanning kernels over many streams spreads across shards instead
-    /// of serializing on one — `tid` alone for events without a stream
-    /// (CPU samples), the correlation id for events raised outside any
-    /// bound thread, and `None` when the event carries no identity at
-    /// all. Events for the same `(tid, stream)` pair always share a key,
-    /// which is what keeps one stream's launches in FIFO order through a
-    /// per-shard queue.
-    pub fn route_key(&self) -> Option<u64> {
-        match (self.tid, self.stream) {
-            (Some(tid), Some(stream)) => {
-                Some(tid ^ (u64::from(stream.0) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            }
-            (Some(tid), None) => Some(tid),
-            (None, _) => self.correlation.map(|corr| corr.0),
-        }
-    }
 }
 
 /// Events delivered to registered profiler callbacks: views of the

@@ -8,18 +8,20 @@
 //! directly.
 //!
 //! Contexts travel **by handle**: a launch or sample carries the
-//! `PathHandle` DLMonitor assembled, shards resolve its `PathId` through
-//! a dense vector, and the correlation directory — the one correlation
-//! table — maps `corr → (shard, PathId)`. The directory is a
-//! [`deepcontext_core::IdWindow`] under one lock, the same window
-//! DLMonitor keeps its forward/backward association in: an asynchronous
-//! activity record, which carries neither thread identity nor context,
-//! finds both in one lookup, and a launch is one insert, a record one
-//! lookup, retirement (the two-phase prune) one remove.
+//! `PathHandle` DLMonitor assembled, and shards resolve its `PathId`
+//! through a dense vector. Correlations travel **by stream**: a launch
+//! and every asynchronous activity record of it — which carries neither
+//! thread identity nor context, but does name its stream — go to the
+//! shard of that stream, whose own [`deepcontext_core::IdWindow`] (the
+//! window DLMonitor keeps its forward/backward association in) maps
+//! `corr → PathId` under the shard lock. A launch takes that one lock and
+//! is one insert, a record one lookup, retirement (the two-phase prune)
+//! one remove in place. No lock spans every stream, but all producers on
+//! one stream share its shard's lock, for the tree insert as well.
 //!
 //! ```text
 //!  producers (launch cb / activity flush / CPU sampler)
-//!      │  route (thread+stream / correlation directory)
+//!      │  route (stream for launches and records / thread for samples)
 //!      ▼  apply inline under the home shard's lock
 //!  CctShards ──settle, merge_incremental──▶ cached master CCT (Arc-shared)
 //!      └── kernel/memcpy records ──▶ timeline rings (per-shard, bounded)
@@ -71,15 +73,15 @@ pub enum IngestionMode {
     Sync,
 }
 
-/// Vestigial: the correlation-directory layout. One variant: nothing
-/// branches on it. It survives only because the frozen repo benchmark
-/// (`benchmark/src/workloads.rs`) formats
+/// Vestigial: names a correlation-table layout the sink no longer has
+/// (each shard keeps its own streams' correlations). One variant:
+/// nothing branches on it. It survives only because the frozen repo
+/// benchmark (`benchmark/src/workloads.rs`) formats
 /// [`PipelineConfig::directory_map`] with `{:?}` in its `resolved:`
-/// header line; it goes with the next benchmark PR. Its one variant's
-/// name predates the correlation window, which is what it stands for.
+/// header line; it goes with the next benchmark PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DirectoryMapKind {
-    /// The correlation window.
+    /// The only value.
     #[default]
     Striped,
 }
@@ -90,9 +92,8 @@ pub enum DirectoryMapKind {
 pub struct PipelineConfig {
     /// Vestigial: see [`DEFAULT_LAUNCH_BATCH`].
     pub launch_batch: usize,
-    /// Vestigial: the directory has one layout (see
-    /// [`DirectoryMapKind`]); read only by the benchmark's header and
-    /// removed with it.
+    /// Vestigial: see [`DirectoryMapKind`]; read only by the benchmark's
+    /// header and removed with it.
     pub directory_map: DirectoryMapKind,
 }
 

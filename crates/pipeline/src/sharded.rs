@@ -7,19 +7,18 @@ use std::time::Instant;
 use parking_lot::{Mutex, MutexGuard};
 
 use deepcontext_core::{
-    CallingContextTree, CctShard, FoldState, IdWindow, Interner, Interval, IntervalKind,
-    MetricKind, NodeId, PathHandle, PathId, Sym, TrackKey,
+    CallingContextTree, CctShard, FoldState, Interner, Interval, IntervalKind, MetricKind, NodeId,
+    PathHandle, PathId, Sym, TrackKey,
 };
 use deepcontext_timeline::{TimelineConfig, TimelineSink, TimelineSnapshot};
 use dlmonitor::EventOrigin;
-use sim_gpu::{Activity, ActivityKind, ApiKind};
+use sim_gpu::{Activity, ActivityKind, ApiKind, StreamId};
 
 use crate::sink::{attribute_activity_metrics, SinkCounters};
 use crate::DEFAULT_SHARDS;
 
-/// Mixes a routing key so sequential tids/correlation ids spread across
-/// shards (splitmix64 finalizer). The sink's shard routing and the
-/// fallback shard of an unbound correlation both derive from it.
+/// Mixes a routing key so sequential stream ids and tids spread across
+/// shards (splitmix64 finalizer).
 fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -27,13 +26,19 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// What the correlation directory holds for one in-flight correlation.
-#[derive(Clone, Copy, Default)]
-struct Binding {
-    /// The shard the launch was routed to.
-    shard: u32,
-    /// The calling context the launch was made from.
-    path: PathId,
+/// The shard the allocation APIs, which have no stream, launch into and
+/// their records go to.
+const ALLOCATION_SHARD: usize = 0;
+
+/// What peak accounting reads of one shard without taking its lock.
+#[derive(Default)]
+struct Gauge {
+    /// [`CctShard::approx_bytes`] at the shard's last batch boundary.
+    bytes: AtomicUsize,
+    /// What the shard's correlation window holds, holes included
+    /// ([`IdWindow::held_bytes`](deepcontext_core::IdWindow::held_bytes)),
+    /// as of its last launch or boundary.
+    window: AtomicUsize,
 }
 
 /// The memoized fold of all shards: the merged master tree, the
@@ -103,14 +108,21 @@ impl Default for SinkOptions {
 ///
 /// * a launch or CPU sample arrives with the [`PathHandle`] DLMonitor
 ///   assembled for its calling context and is routed to one of N
-///   [`CctShard`]s **before** any lock is taken, keyed by the originating
-///   thread and stream ([`EventOrigin::route_key`]); the shard turns the
-///   handle into its own node with one read of a dense vector
+///   [`CctShard`]s **before** any lock is taken: a launch by its GPU
+///   stream alone, a CPU sample by its thread. The shard turns the handle
+///   into its own node with one read of a dense vector
 ///   ([`CctShard::node_for`]);
-/// * the correlation directory is the one correlation table: a launch
-///   binds `corr → (shard, PathId)`, an activity record finds both in one
-///   lookup, retirement (the two-phase prune) is one remove, and no lock
-///   is ever taken while another is held;
+/// * a stream's correlations live in its shard: a launch binds `corr →
+///   PathId` in the shard's own window ([`CctShard::bind`]) under the
+///   shard lock it already holds; an activity record names its stream,
+///   so it reaches the same shard ([`route_activity`](Self::route_activity))
+///   and finds its context there; retirement (the two-phase prune) removes
+///   ids from that window in place. The allocation APIs, which have no
+///   stream, launch into one fixed shard, and their records follow. A
+///   launch takes one lock, an activity batch one per shard it touches,
+///   and no lock is ever taken while another is held. Every producer on
+///   one stream shares that stream's shard lock, which covers the tree
+///   insert as well as the bind;
 /// * snapshots fold the shards into one master tree and **cache** the
 ///   result: every shard carries a dirty generation
 ///   ([`CctShard::generation`]) advanced by each tree mutation, and a
@@ -133,8 +145,6 @@ impl Default for SinkOptions {
 /// and [`approx_bytes`](Self::approx_bytes). Nothing outside a shard
 /// lock ever sees a tree that is not fully inclusive, so the folds, the
 /// cache and the fold states are unaware of the deferral.
-///
-/// [`EventOrigin::route_key`]: dlmonitor::EventOrigin::route_key
 pub struct ShardedSink {
     interner: Arc<Interner>,
     shards: Vec<Mutex<CctShard>>,
@@ -146,19 +156,12 @@ pub struct ShardedSink {
     /// timeline recording is off — the aggregate-only pipeline then pays
     /// nothing for it.
     timeline: Option<TimelineSink>,
-    /// The one correlation table: correlation id -> the shard and
-    /// context it was launched in. One lock over a window indexed by
-    /// correlation id, taken once per launch, once per activity batch's
-    /// lookups and once per batch's retirements. The lock is a leaf:
-    /// nobody holds it while taking another lock.
-    directory: Mutex<IdWindow<Binding>>,
     /// The interned `"memcpy"` display name, so memcpy records skip even
     /// the thread-local intern cache on the timeline tap.
     memcpy_sym: Sym,
-    /// Last-known `CctShard::approx_bytes` per shard, refreshed while the
-    /// shard lock is already held at batch boundaries, so peak tracking
-    /// never sweeps every shard lock.
-    shard_bytes: Vec<AtomicUsize>,
+    /// Per shard, what peak tracking reads, stored while the shard lock
+    /// is already held, so peak tracking never sweeps every shard lock.
+    gauges: Vec<Gauge>,
     activities: AtomicU64,
     instruction_samples: AtomicU64,
     orphans: AtomicU64,
@@ -192,8 +195,7 @@ impl ShardedSink {
             shards: (0..n)
                 .map(|_| Mutex::new(CctShard::new(Arc::clone(&interner))))
                 .collect(),
-            directory: Mutex::default(),
-            shard_bytes: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            gauges: (0..n).map(|_| Gauge::default()).collect(),
             cache: Mutex::new(None),
             memcpy_sym: interner.intern("memcpy"),
             interner,
@@ -223,10 +225,14 @@ impl ShardedSink {
         self.shards.iter().filter(|s| !s.lock().is_empty()).count()
     }
 
-    /// Correlations in flight (bound by a launch and not yet retired) —
-    /// introspection for retirement tests and leak diagnostics.
+    /// Correlations in flight (bound by a launch and not yet retired),
+    /// over all shards — introspection for retirement tests and leak
+    /// diagnostics.
     pub fn correlation_entries(&self) -> usize {
-        self.directory.lock().len()
+        self.shards
+            .iter()
+            .map(|s| s.lock().correlations().len())
+            .sum()
     }
 
     /// Locks shard `idx` and settles it: the only way a shard's tree is
@@ -243,56 +249,41 @@ impl ShardedSink {
     /// and only then is the shard sized for peak accounting.
     fn close_boundary(&self, idx: usize, shard: &mut CctShard) {
         shard.settle();
-        self.shard_bytes[idx].store(shard.approx_bytes(), Ordering::Relaxed);
+        self.gauges[idx]
+            .bytes
+            .store(shard.approx_bytes(), Ordering::Relaxed);
+        self.note_window(idx, shard);
+    }
+
+    /// Publishes what shard `idx`'s correlation window holds (its lock
+    /// held by the caller) to peak accounting.
+    fn note_window(&self, idx: usize, shard: &CctShard) {
+        self.gauges[idx]
+            .window
+            .store(shard.correlations().held_bytes(), Ordering::Relaxed);
     }
 
     fn index_for(&self, key: u64) -> usize {
         (mix(key) % self.shards.len() as u64) as usize
     }
 
-    /// The shard an event from `origin` routes to, keyed by
-    /// [`EventOrigin::route_key`]: thread **and** stream for launches (a
-    /// single thread fanning work over many streams spreads across
-    /// shards), thread alone for CPU samples, correlation id for
-    /// identity-less events, shard 0 as the last resort.
-    pub fn route(&self, origin: &EventOrigin) -> usize {
-        match origin.route_key() {
-            Some(key) => self.index_for(key),
-            None => 0,
-        }
+    /// The shard a GPU stream's launches and records go to, the stream
+    /// alone deciding (the device is ignored); the allocation APIs, which
+    /// have no stream, go to one fixed shard. Stream ids and tids both
+    /// count up from small numbers, so a stream's key is spread by the
+    /// 64-bit golden ratio first: stream 0 and thread 1 are not the same
+    /// key.
+    fn stream_home(&self, stream: Option<StreamId>) -> usize {
+        stream.map_or(ALLOCATION_SHARD, |stream| {
+            self.index_for((u64::from(stream.0) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        })
     }
 
-    /// Where each record of `batch` goes and the context it resolves to,
-    /// in order: one directory lookup gives both, all under one lock. A
-    /// kernel's sampling record sits next to its kernel record, so a
-    /// record with its predecessor's correlation reuses the predecessor's
-    /// answer.
-    fn resolve(&self, batch: &[Activity]) -> Vec<(usize, Option<PathId>)> {
-        let mut resolved: Vec<(usize, Option<PathId>)> = Vec::with_capacity(batch.len());
-        let directory = self.directory.lock();
-        for (k, activity) in batch.iter().enumerate() {
-            let corr = activity.correlation_id.0;
-            let answer = if k > 0 && batch[k - 1].correlation_id.0 == corr {
-                resolved[k - 1]
-            } else {
-                let binding = directory.get(corr);
-                (self.home_of(corr, binding), binding.map(|b| b.path))
-            };
-            resolved.push(answer);
-        }
-        resolved
-    }
-
-    /// The shard a record goes to: the one its launch was bound in while
-    /// that is still in flight, the correlation-hash shard otherwise.
-    fn home_of(&self, correlation: u64, binding: Option<Binding>) -> usize {
-        binding.map_or_else(|| self.index_for(correlation), |b| b.shard as usize)
-    }
-
-    /// The shard an activity record for `correlation` should be applied
-    /// at.
-    pub fn route_activity(&self, correlation: u64) -> usize {
-        self.home_of(correlation, self.directory.lock().get(correlation))
+    /// The shard an activity record is applied at: its stream's, where
+    /// its launch bound the correlation. [`activity_batch`](Self::activity_batch)
+    /// groups its records by this rule.
+    pub fn route_activity(&self, activity: &Activity) -> usize {
+        self.stream_home(activity.stream())
     }
 
     /// The interval a kernel/memcpy activity record contributes to the
@@ -357,17 +348,17 @@ impl ShardedSink {
     }
 
     /// Attributes one activity record inside its home shard (`idx`) at
-    /// the context the directory resolved for it (`None`: the catch-all),
-    /// recording the record's device interval into the shard's timeline
-    /// ring when recording is on. Returns `(orphaned, instruction
-    /// samples)`.
+    /// the context the shard bound its correlation to (unbound: the
+    /// catch-all), recording the record's device interval into the
+    /// shard's timeline ring when recording is on. Returns `(orphaned,
+    /// instruction samples)`.
     fn attribute_activity(
         &self,
         idx: usize,
         shard: &mut CctShard,
         activity: &Activity,
-        path: Option<PathId>,
     ) -> (bool, u64) {
+        let path = shard.correlations().get(activity.correlation_id.0);
         let (node, orphaned) = shard.node_or_orphan(path);
         if let Some(timeline) = &self.timeline {
             if let Some(interval) = self.interval_of(shard, activity, node) {
@@ -399,32 +390,25 @@ impl ShardedSink {
         }
     }
 
-    /// Applies one bucket of activity records — each with the context the
-    /// directory resolved for it — at shard `idx` under one shard-lock
-    /// acquisition, and ends one two-phase-prune batch: correlations
-    /// attributed in the shard's *previous* batch are retired from the
-    /// directory now, so sampling records straddling a buffer boundary
-    /// still resolve. The directory is read before and written after the
-    /// shard lock, never under it.
-    fn apply_resolved<'a>(
-        &self,
-        idx: usize,
-        records: impl Iterator<Item = (&'a Activity, Option<PathId>)>,
-    ) {
+    /// Applies one bucket of activity records at shard `idx` under one
+    /// shard-lock acquisition, each looked up in the shard's own
+    /// correlation window, and ends one two-phase-prune batch:
+    /// correlations attributed in the shard's *previous* batch leave the
+    /// window now, so sampling records straddling a buffer boundary still
+    /// resolve.
+    fn apply_batch<'a>(&self, idx: usize, records: impl Iterator<Item = &'a Activity>) {
         let (mut activities, mut orphans, mut samples) = (0u64, 0u64, 0u64);
-        let pruned = {
+        {
             let mut shard = self.shards[idx].lock();
-            for (activity, path) in records {
-                let (orphaned, sampled) = self.attribute_activity(idx, &mut shard, activity, path);
+            for activity in records {
+                let (orphaned, sampled) = self.attribute_activity(idx, &mut shard, activity);
                 activities += 1;
                 orphans += u64::from(orphaned);
                 samples += sampled;
             }
-            let pruned = shard.end_batch();
+            shard.end_batch();
             self.close_boundary(idx, &mut shard);
-            pruned
-        };
-        self.retire(&pruned);
+        }
         // One update per bucket, not per record.
         self.activities.fetch_add(activities, Ordering::Relaxed);
         self.orphans.fetch_add(orphans, Ordering::Relaxed);
@@ -437,30 +421,14 @@ impl ShardedSink {
     /// been delivered by the flush boundary) and releases batch-sized
     /// scratch.
     fn epoch_complete_shard(&self, idx: usize) {
-        let pruned = {
-            let mut shard = self.shards[idx].lock();
-            // Every deferred correlation's trailing records have been
-            // delivered by now, so one extra epoch retires them all.
-            let pruned = shard.end_batch();
-            shard.trim();
-            // Launch- and sample-only shards see no activity batch: the
-            // flush boundary is where their samples walk root-ward.
-            self.close_boundary(idx, &mut shard);
-            pruned
-        };
-        self.retire(&pruned);
-    }
-
-    /// Retires a shard's pruned correlations from the directory under
-    /// one acquisition.
-    fn retire(&self, pruned: &[u64]) {
-        if pruned.is_empty() {
-            return;
-        }
-        let mut directory = self.directory.lock();
-        for corr in pruned {
-            directory.remove(*corr);
-        }
+        let mut shard = self.shards[idx].lock();
+        // Every deferred correlation's trailing records have been
+        // delivered by now, so one extra epoch retires them all.
+        shard.end_batch();
+        shard.trim();
+        // Launch- and sample-only shards see no activity batch: the
+        // flush boundary is where their samples walk root-ward.
+        self.close_boundary(idx, &mut shard);
     }
 
     /// Brings the snapshot cache up to date: folds every shard whose
@@ -509,56 +477,53 @@ impl ShardedSink {
     }
 
     /// Records the current approximate profile size into the peak, using
-    /// the per-shard byte estimates refreshed at batch boundaries — no
-    /// cross-shard locking on the ingestion hot path.
+    /// the per-shard gauges — each shard's bytes as of its last batch
+    /// boundary, and its correlation window's span, holes included, as of
+    /// its last launch or boundary — and no cross-shard locking on the
+    /// ingestion hot path.
     fn note_peak(&self) {
         let shard_bytes: usize = self
-            .shard_bytes
+            .gauges
             .iter()
-            .map(|b| b.load(Ordering::Relaxed))
+            .map(|gauge| gauge.bytes.load(Ordering::Relaxed) + gauge.window.load(Ordering::Relaxed))
             .sum();
-        let bytes = shard_bytes
-            + self.directory.lock().len() * IdWindow::<Binding>::ENTRY_BYTES
-            + self.interner.approx_bytes();
+        let bytes = shard_bytes + self.interner.approx_bytes();
         self.peak_bytes.fetch_max(bytes, Ordering::Relaxed);
     }
 
-    /// A GPU API call was intercepted at its launch site: binds
-    /// `origin.correlation` to the context `path` and (for kernel
-    /// launches) counts the launch. The context arrives as the handle
-    /// DLMonitor assembled (`DlMonitor::callpath_for_gpu(..).handle()`);
-    /// tests and replay tools get one from
-    /// `Interner::paths().intern(frames)`.
+    /// A GPU API call was intercepted at its launch site: in the shard of
+    /// `origin.stream`, under one lock, binds `origin.correlation` to the
+    /// context `path` and (for kernel launches) counts the launch. The
+    /// context arrives as the handle DLMonitor assembled
+    /// (`DlMonitor::callpath_for_gpu(..).handle()`); tests and replay
+    /// tools get one from `Interner::paths().intern(frames)`.
     pub fn gpu_launch(&self, origin: &EventOrigin, path: PathHandle, api: ApiKind) {
-        let idx = self.route(origin);
-        Self::insert_launch(&mut self.shards[idx].lock(), path.id(), api);
+        let idx = self.stream_home(origin.stream);
+        let mut shard = self.shards[idx].lock();
+        Self::insert_launch(&mut shard, path.id(), api);
         if let Some(corr) = origin.correlation {
-            let binding = Binding {
-                shard: idx as u32,
-                path: path.id(),
-            };
-            self.directory.lock().insert(corr.0, binding);
+            shard.bind(corr.0, path.id());
+            self.note_window(idx, &shard);
         }
     }
 
     /// A buffer of completed asynchronous activity records, by value:
     /// the GPU runtime's flush paths own the records they deliver. Every
-    /// record is resolved once — its home shard and its context come out
-    /// of the same directory lookup — then the batch is walked once per
-    /// shard that appears in it, ascending, taking that shard's lock
-    /// once. Records are applied from the borrow: nothing is cloned or
-    /// moved on this path.
+    /// record's shard is named by its stream
+    /// ([`route_activity`](Self::route_activity)), computed once; then
+    /// the batch is walked once per shard that appears in it, ascending,
+    /// taking that shard's lock once. Records are applied from the
+    /// borrow: nothing is cloned or moved on this path.
     pub fn activity_batch(&self, batch: Vec<Activity>) {
         if batch.is_empty() {
             return;
         }
-        let resolved = self.resolve(&batch);
-        let homes = || resolved.iter().map(|(home, _)| *home);
-        let mut next = homes().min();
+        let homes: Vec<usize> = batch.iter().map(|a| self.route_activity(a)).collect();
+        let mut next = homes.iter().copied().min();
         while let Some(idx) = next {
-            let here = batch.iter().zip(&resolved).filter(|(_, r)| r.0 == idx);
-            self.apply_resolved(idx, here.map(|(activity, r)| (activity, r.1)));
-            next = homes().filter(|home| *home > idx).min();
+            let here = batch.iter().zip(&homes).filter(|(_, home)| **home == idx);
+            self.apply_batch(idx, here.map(|(activity, _)| activity));
+            next = homes.iter().copied().filter(|home| *home > idx).min();
         }
         self.note_peak();
     }
@@ -577,8 +542,8 @@ impl ShardedSink {
         // sample-only shards enter peak accounting at flush boundaries
         // (their `epoch_complete_shard`), keeping the per-sample hot path
         // O(1).
-        let mut shard = self.shards[self.route(origin)].lock();
-        Self::attribute_at(&mut shard, path.id(), metric, value);
+        let idx = origin.tid.map_or(0, |tid| self.index_for(tid));
+        Self::attribute_at(&mut self.shards[idx].lock(), path.id(), metric, value);
     }
 
     /// A flush boundary completed: the runtime's entire completed-record
@@ -586,14 +551,13 @@ impl ShardedSink {
     /// already-attributed correlation can still be in flight (activity
     /// buffers deliver a kernel's trailing sampling records no later
     /// than the flush that drains the kernel). Every shard retires its
-    /// deferred correlations and releases batch-sized scratch, and the
-    /// directory sheds its high-water capacity, keeping resident memory
-    /// proportional to live state.
+    /// deferred correlations and sheds its prune queues' and correlation
+    /// window's high-water capacity, keeping resident memory proportional
+    /// to live state.
     pub fn epoch_complete(&self) {
         for idx in 0..self.shards.len() {
             self.epoch_complete_shard(idx);
         }
-        self.directory.lock().trim();
     }
 
     /// Folds the shards into one calling context tree, a copy of the
@@ -681,9 +645,9 @@ impl ShardedSink {
         }
     }
 
-    /// Approximate resident bytes of all ingestion state: the shards, the
-    /// directory, the snapshot cache, the timeline rings and the
-    /// interner.
+    /// Approximate resident bytes of all ingestion state: the shards and
+    /// their correlation windows, the snapshot cache, the timeline rings
+    /// and the interner.
     pub fn approx_bytes(&self) -> usize {
         // The snapshot cache (cached master tree + per-shard fold state)
         // is tool memory too — once an analysis session opens, it holds
@@ -698,9 +662,11 @@ impl ShardedSink {
             })
             .unwrap_or(0);
         let shard_bytes: usize = (0..self.shards.len())
-            .map(|idx| self.settled(idx).approx_bytes())
+            .map(|idx| {
+                let shard = self.settled(idx);
+                shard.approx_bytes() + shard.correlations().approx_bytes()
+            })
             .sum();
-        let dir_bytes = self.directory.lock().approx_bytes();
         // Timeline rings are ingestion state too (bounded by
         // ring_capacity × shards, allocated lazily).
         let timeline_bytes = self
@@ -708,7 +674,7 @@ impl ShardedSink {
             .as_ref()
             .map(TimelineSink::approx_bytes)
             .unwrap_or(0);
-        shard_bytes + dir_bytes + cache_bytes + timeline_bytes + self.interner.approx_bytes()
+        shard_bytes + cache_bytes + timeline_bytes + self.interner.approx_bytes()
     }
 }
 

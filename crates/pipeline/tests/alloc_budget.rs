@@ -159,7 +159,7 @@ impl Rig {
     }
 
     /// Two full batch cycles: every context exists with every metric
-    /// kind it will carry, and the prune queues and directory stripes
+    /// kind it will carry, and the prune queues and correlation window
     /// are at their working size.
     fn warm(&mut self, batch: u64) {
         for _ in 0..2 {
@@ -190,13 +190,13 @@ fn a_launch_on_a_context_seen_this_epoch_allocates_nothing() {
 
 #[test]
 fn an_activity_batch_allocates_the_same_few_times_whatever_its_size() {
-    /// The batch's resolved `(shard, path)` list; the shard's
-    /// pruned-correlation list; and the settle scratch the records'
-    /// `GpuTime` needs — the aggregates themselves, one per context: a
-    /// first allocation of four and one doubling to eight. (The batch's
-    /// launches already brought the per-node index and the slots back,
-    /// sized to the tree.) None of it depends on how many records arrive.
-    const PER_BATCH: u64 = 4;
+    /// The batch's list of record shards, and the settle scratch the
+    /// records' `GpuTime` needs — the aggregates themselves, one per
+    /// context: a first allocation of four and one doubling to eight.
+    /// (The batch's launches already brought the per-node index and the
+    /// slots back, sized to the tree; the shard retires its correlations
+    /// in place.) None of it depends on how many records arrive.
+    const PER_BATCH: u64 = 3;
     let per_batch = |batch: u64| {
         let mut rig = Rig::with_shards(16);
         rig.warm(batch);
@@ -210,8 +210,8 @@ fn an_activity_batch_allocates_the_same_few_times_whatever_its_size() {
 
 #[test]
 fn warm_iterations_grow_no_table_and_a_new_context_is_counted() {
-    // One shard, so one directory stripe: its capacity settles with the
-    // in-flight window instead of creeping with the luck of the hash.
+    // One shard: its correlation window's capacity settles with the
+    // in-flight ids instead of creeping with the luck of the hash.
     let mut rig = Rig::with_shards(1);
     let iteration = |rig: &mut Rig| {
         let records = rig.launch_and_complete(CONTEXTS);
@@ -230,7 +230,7 @@ fn warm_iterations_grow_no_table_and_a_new_context_is_counted() {
     assert_eq!(
         rig.sink.approx_bytes(),
         resident,
-        "no path vector, table or directory growth"
+        "no path vector, table or correlation window growth"
     );
 
     // New operators under the known Python frames: three table entries

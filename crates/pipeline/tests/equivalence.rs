@@ -15,7 +15,7 @@
 //! * **nothing waits**: every launch and CPU sample driven so far is in
 //!   the snapshot, whether or not a batch or boundary followed it.
 //!
-//! And once the stream closes: the correlation directory is empty,
+//! And once the stream closes: every shard's correlation window is empty,
 //! every kernel/memcpy record produced one timeline interval where
 //! recording is on, and none where it is off.
 
@@ -100,7 +100,12 @@ fn completion_records(corr: u64, ctx: u8, api: ApiKind) -> Vec<Activity> {
             let samples = (0..2 + corr % 3).map(|s| PcSample { pc: pc(s), stall });
             let name = Arc::from(format!("kernel_{ctx}").as_str());
             let samples = samples.collect();
-            let sampling = activity(ActivityKind::PcSampling { name, samples });
+            let stream = StreamId(u32::from(ctx));
+            let sampling = activity(ActivityKind::PcSampling {
+                name,
+                stream,
+                samples,
+            });
             vec![sampling, kernel_activity(corr, ctx)]
         }
     }
@@ -415,10 +420,9 @@ fn snapshot_readers_share_the_cached_master_without_queueing() {
 
 #[test]
 fn single_thread_multi_stream_launches_spread_across_shards() {
-    // Stream-aware routing: one producer thread fanning launches over
-    // six streams must occupy several shards (the seed keyed launches by
-    // thread alone, serializing this workload on one shard), and the
-    // directory must still resolve every activity to the right context.
+    // Stream routing: one producer thread fanning launches over six
+    // streams must occupy several shards, and each stream's shard must
+    // still resolve every activity of it to the right context.
     let interner = Interner::new();
     let sink = ShardedSink::new(Arc::clone(&interner), 16);
     let mut batch = Vec::new();
@@ -436,6 +440,6 @@ fn single_thread_multi_stream_launches_spread_across_shards() {
         sink.shards_occupied() > 1,
         "six streams on one thread must not serialize on one shard"
     );
-    assert_eq!(sink.counters().orphans, 0, "directory routed every record");
+    assert_eq!(sink.counters().orphans, 0, "every record met its launch");
     assert_eq!(sink.snapshot().total(MetricKind::KernelLaunches), 120.0);
 }

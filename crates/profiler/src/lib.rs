@@ -21,8 +21,10 @@
 //!   sampled thread's unified call path (§6.4).
 //!
 //! All of those paths call one [`ShardedSink`] directly:
-//! per-thread/per-stream [`CctShard`]s (private trees behind independent
-//! locks, resolving path handles through a dense vector) that fold into
+//! per-stream (launches, records) and per-thread (CPU samples)
+//! [`CctShard`]s (private trees behind independent locks, resolving path
+//! handles through a dense vector, each holding its streams'
+//! correlations) that fold into
 //! one master tree on [`Profiler::with_cct`] / [`Profiler::finish`]. The
 //! fold is cached and tracked by per-shard dirty generations, so a warm
 //! snapshot re-folds only the shards that changed — and concurrent

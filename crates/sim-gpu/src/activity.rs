@@ -82,6 +82,8 @@ pub enum ActivityKind {
     PcSampling {
         /// Kernel name the samples belong to.
         name: Arc<str>,
+        /// Stream the sampled kernel ran on.
+        stream: StreamId,
         /// Samples.
         samples: Vec<PcSample>,
     },
@@ -104,6 +106,17 @@ impl Activity {
                 Some(*end - *start)
             }
             _ => None,
+        }
+    }
+
+    /// The stream a kernel, memcpy or sampling record ran on; `None` for
+    /// allocation records, which have no stream.
+    pub fn stream(&self) -> Option<StreamId> {
+        match &self.kind {
+            ActivityKind::Kernel { stream, .. }
+            | ActivityKind::Memcpy { stream, .. }
+            | ActivityKind::PcSampling { stream, .. } => Some(*stream),
+            ActivityKind::Malloc { .. } | ActivityKind::Free { .. } => None,
         }
     }
 
@@ -146,6 +159,7 @@ mod tests {
         assert_eq!(a.duration(), Some(TimeNs(250)));
         assert_eq!(a.end_time(), Some(TimeNs(350)));
         assert_eq!(a.kernel_name(), Some("sgemm"));
+        assert_eq!(a.stream(), Some(StreamId(0)));
     }
 
     #[test]
@@ -161,5 +175,6 @@ mod tests {
         assert_eq!(a.duration(), None);
         assert_eq!(a.end_time(), Some(TimeNs(5)));
         assert_eq!(a.kernel_name(), None);
+        assert_eq!(a.stream(), None, "allocations have no stream");
     }
 }

@@ -297,6 +297,7 @@ impl GpuRuntime {
                         device,
                         kind: ActivityKind::PcSampling {
                             name: Arc::clone(&kernel.name),
+                            stream,
                             samples,
                         },
                     })
@@ -775,6 +776,11 @@ mod tests {
             .filter(|a| matches!(a.kind, ActivityKind::PcSampling { .. }))
             .collect();
         assert_eq!(sampling.len(), 1);
+        assert_eq!(
+            sampling[0].stream(),
+            Some(StreamId(0)),
+            "the kernel's stream"
+        );
         // Disabled: no sampling records.
         rt.set_sampling(None);
         let k2 = Arc::new(

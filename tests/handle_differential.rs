@@ -2,16 +2,17 @@
 //!
 //! Random streams — launches of three API kinds from several threads and
 //! streams (the same context landing on several shards, strict prefixes
-//! of other contexts included), CPU samples, kernel / memcpy / malloc /
-//! PC-sampling records arriving in order, one batch late or two, records
-//! nobody launched — go into a [`ShardedSink`] as path handles at 1, 3
-//! and 16 shards.
+//! of other contexts included; allocations, like the runtime's, with no
+//! stream), CPU samples, kernel / memcpy / malloc / PC-sampling records
+//! arriving in order, one batch late or two, records nobody launched —
+//! go into a [`ShardedSink`] as path handles at 1, 3 and 16 shards.
 //! The reference is one [`CallingContextTree`] driven with `insert_path`
-//! and eager `attribute` on the frames themselves, plus a plain map for
+//! and eager `attribute` on the frames themselves, plus one plain map for
 //! the correlation lifecycle (bind at launch, two-phase retirement per
-//! shard batch). The folded profile must be the same tree
-//! (`semantic_diff == None`), and the one correlation table must hold
-//! exactly the reference's in-flight set at every flush.
+//! batch of the shard `route_activity` names). The folded profile must be
+//! the same tree (`semantic_diff == None`), and the shards' correlation
+//! windows together must hold exactly the reference's in-flight set at
+//! every flush.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -165,12 +166,12 @@ fn terminal_record(corr: u64, api: ApiKind, stream: u32) -> Activity {
 /// order, and one no sentinel may stand in for.
 const PCS: [u64; 7] = [0x0, 0x8, 0x10, u64::MAX, 0x18, 0x20, 0x28];
 
-fn sampling_record(corr: u64, samples: usize) -> Activity {
+fn sampling_record(corr: u64, stream: u32, samples: usize) -> Activity {
     let pcs = (0..samples).map(|s| PCS[(corr as usize + s * s) % PCS.len()]);
-    sampling_record_at(corr, pcs)
+    sampling_record_at(corr, stream, pcs)
 }
 
-fn sampling_record_at(corr: u64, pcs: impl IntoIterator<Item = u64>) -> Activity {
+fn sampling_record_at(corr: u64, stream: u32, pcs: impl IntoIterator<Item = u64>) -> Activity {
     const STALLS: [StallReason; 3] = [
         StallReason::MemoryDependency,
         StallReason::ExecutionDependency,
@@ -185,6 +186,7 @@ fn sampling_record_at(corr: u64, pcs: impl IntoIterator<Item = u64>) -> Activity
         device: DeviceId(0),
         kind: ActivityKind::PcSampling {
             name: Arc::from("kernel"),
+            stream: StreamId(stream),
             samples: pcs.into_iter().enumerate().map(sample).collect(),
         },
     }
@@ -193,8 +195,8 @@ fn sampling_record_at(corr: u64, pcs: impl IntoIterator<Item = u64>) -> Activity
 /// The eager reference: one tree, one map, per-shard prune queues.
 struct Reference {
     tree: CallingContextTree,
-    /// In-flight correlations: home shard and launch context.
-    bound: HashMap<u64, (usize, Vec<Frame>)>,
+    /// In-flight correlations and their launch contexts.
+    bound: HashMap<u64, Vec<Frame>>,
     /// Per shard: terminal correlations of its previous / current batch.
     deferred: Vec<(Vec<u64>, Vec<u64>)>,
     orphans: u64,
@@ -274,7 +276,7 @@ impl Reference {
         // Every record resolves against the table as the batch found it.
         let resolved: Vec<Option<Vec<Frame>>> = batch
             .iter()
-            .map(|a| self.bound.get(&a.correlation_id.0).map(|(_, f)| f.clone()))
+            .map(|a| self.bound.get(&a.correlation_id.0).cloned())
             .collect();
         for ((activity, frames), home) in batch.iter().zip(resolved).zip(homes) {
             let node = match frames {
@@ -337,7 +339,7 @@ fn check(steps: &[Step], shards: usize) {
                 next_corr += 1;
                 let origin = EventOrigin {
                     tid: Some(tid),
-                    stream: Some(StreamId(stream)),
+                    stream: (APIS[api] != ApiKind::MemAlloc).then_some(StreamId(stream)),
                     correlation: Some(CorrelationId(corr)),
                 };
                 let frames = context(&interner, ctx, depth);
@@ -348,7 +350,7 @@ fn check(steps: &[Step], shards: usize) {
                         .tree
                         .attribute(node, MetricKind::KernelLaunches, 1.0);
                 }
-                reference.bound.insert(corr, (sink.route(&origin), frames));
+                reference.bound.insert(corr, frames);
                 pending.push((corr, APIS[api], stream));
             }
             Step::Sample {
@@ -377,7 +379,7 @@ fn check(steps: &[Step], shards: usize) {
                 }
                 let (corr, api, stream) = pending.remove(nth % pending.len());
                 if api == ApiKind::LaunchKernel && samples > 0 {
-                    let record = sampling_record(corr, samples);
+                    let record = sampling_record(corr, stream, samples);
                     match sampling_late {
                         0 => open.push(record),
                         n => late.push((n, record)),
@@ -401,10 +403,7 @@ fn check(steps: &[Step], shards: usize) {
                 if batch.is_empty() {
                     continue;
                 }
-                let homes: Vec<usize> = batch
-                    .iter()
-                    .map(|a| sink.route_activity(a.correlation_id.0))
-                    .collect();
+                let homes: Vec<usize> = batch.iter().map(|a| sink.route_activity(a)).collect();
                 reference.activity_batch(&batch, &homes);
                 sink.activity_batch(batch);
                 prop_assert_eq!(
@@ -465,8 +464,8 @@ fn a_sampling_records_pc_memo_changes_no_node_and_no_count() {
         let node = reference.tree.insert_path(&frames);
         let launches = MetricKind::KernelLaunches;
         reference.tree.attribute(node, launches, 1.0);
-        reference.bound.insert(corr, (0, frames.clone()));
-        batch.push(sampling_record_at(corr, pcs.iter().copied()));
+        reference.bound.insert(corr, frames.clone());
+        batch.push(sampling_record_at(corr, 0, pcs.iter().copied()));
         batch.push(terminal_record(corr, ApiKind::LaunchKernel, 0));
     }
     reference.activity_batch(&batch, &vec![0; batch.len()]);

@@ -38,10 +38,23 @@
 //! `m2`); the interval block is byte-identical. `load` must read the
 //! container back to a profile that saves to the same bytes again.
 //!
+//! All four files were regenerated once by an ingestion change, not a
+//! read-path one: when the sink began routing a launch by its stream
+//! alone (it had keyed on thread and stream), the run's 4 shards took a
+//! different pair of MultiStream's three streams into one timeline ring,
+//! so the 40-slot rings kept a different set of intervals, and the
+//! shards folded into the master tree in a different node order. The
+//! rule: the new `run.dcprof` loads, under `6a2c3e4`'s reader, to the
+//! old one's meta, a tree with a `semantic_diff` of `None` against the
+//! old tree, and the same `recorded` (144) and `dropped` (64); and
+//! `6a2c3e4`'s writer, rendering the new `run.dcprof`'s timeline and
+//! tree, produces the three new Chrome traces byte for byte.
+//!
 //! No byte of `run.dcprof` depends on the order a shard settles in: every
 //! sample the run records is an integer or a multiple of a power of two,
 //! whose sums are exact in any order. A changed count, sum, min, max,
-//! node or line order is a bug, never a regeneration.
+//! node or line order out of the read path is a bug, never a
+//! regeneration.
 //!
 //! On a mismatch the actual output is written under the test's target
 //! tmp directory and the failure names the file — copy it over the golden
