@@ -264,7 +264,7 @@ mod tests {
         CallingContextTree, Frame, Interner, Interval, IntervalKind, MetricKind, ProfileDb,
         ProfileMeta, StoredTimeline, TimeNs, TrackKey, TrackSlot,
     };
-    use deepcontext_timeline::{TimelineConfig, TimelineCounters, TimelineSink};
+    use deepcontext_timeline::{IntervalRing, TimelineCounters};
     use std::sync::{Arc, OnceLock};
 
     fn interval(
@@ -425,19 +425,19 @@ mod tests {
         // Two serialized streams with a long gap, through rings too small
         // to keep them: ten intervals recorded, four held.
         let record = |ring_capacity: usize| {
-            let config = TimelineConfig {
-                enabled: true,
-                ring_capacity,
-            };
-            let sink = TimelineSink::new(1, &config);
+            let mut ring = IntervalRing::new(ring_capacity);
             for n in 0..10u64 {
                 let start = n * 100_000;
-                sink.record(
+                ring.push(interval(
                     0,
-                    interval(0, (n % 2) as u32, start, start + 10_000, n, Some(node)),
-                );
+                    (n % 2) as u32,
+                    start,
+                    start + 10_000,
+                    n,
+                    Some(node),
+                ));
             }
-            sink.snapshot_with(&[])
+            ring.snapshot(None)
         };
         let analyze = |timeline: &TimelineSnapshot| {
             let view = ProfileView::new(&db).with_timeline(timeline);

@@ -9,10 +9,8 @@
 //!
 //! On top of the store sit the cross-run queries the fleet workflow
 //! needs: [`list_filtered`](ProfileStore::list_filtered) by metadata
-//! axes ([`RunFilter`]), [`trend`](ProfileStore::trend) of one metric
-//! across runs in wall-clock order,
-//! [`meta_trend`](ProfileStore::meta_trend) of a numeric metadata key
-//! across runs.
+//! axes ([`RunFilter`]) and [`trend`](ProfileStore::trend) of one metric
+//! across runs in wall-clock order.
 //! [`RegressionRule::from_store`](crate::RegressionRule::from_store)
 //! takes its baseline from the runs a filter selects.
 
@@ -204,9 +202,7 @@ pub struct TrendPoint {
     pub id: String,
     /// The run's wall-clock start (trend x-axis).
     pub started: TimeNs,
-    /// The queried value: a metric's whole-run inclusive total
-    /// ([`trend`](ProfileStore::trend)) or a metadata key parsed as a
-    /// number ([`meta_trend`](ProfileStore::meta_trend)).
+    /// The metric's whole-run inclusive total.
     pub total: f64,
 }
 
@@ -377,35 +373,6 @@ impl ProfileStore {
         }
         Ok(points)
     }
-
-    /// The trend of a numeric metadata key across the runs matching
-    /// `filter`, in wall-clock start order.
-    ///
-    /// The key is looked up in each run's [`ProfileMeta::extra`] pairs —
-    /// whatever the caller stamped there before saving — and its value
-    /// parsed as a number. Only each file's metadata header is read;
-    /// runs without the key (or with a non-numeric value) are skipped,
-    /// so runs that never carried it simply don't plot.
-    pub fn meta_trend(&self, filter: &RunFilter, key: &str) -> Result<Vec<TrendPoint>, CoreError> {
-        let mut points = Vec::new();
-        for run in self.list_filtered(filter)? {
-            let Some(value) = run
-                .meta
-                .extra
-                .iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.parse::<f64>().ok())
-            else {
-                continue;
-            };
-            points.push(TrendPoint {
-                id: run.id,
-                started: run.meta.started,
-                total: value,
-            });
-        }
-        Ok(points)
-    }
 }
 
 /// Lowercases `name` to `[a-z0-9-]`, for use inside a run id / filename.
@@ -532,38 +499,6 @@ pub(crate) mod tests {
         assert_eq!(trend[0].total, 10.0);
         assert_eq!(trend[1].total, 12.0);
         assert!(trend[0].started < trend[1].started);
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn meta_trend_charts_a_numeric_extra_key() {
-        let (dir, store) = temp_store();
-        let mut early = profile("unet", "h", 1, 10.0);
-        early
-            .meta_mut()
-            .extra
-            .push(("step.p99_ns".to_string(), "2048".to_string()));
-        let mut late = profile("unet", "h", 2, 10.0);
-        late.meta_mut()
-            .extra
-            .push(("step.p99_ns".to_string(), "4096".to_string()));
-        // No key at all: a run that must not plot.
-        let plain = profile("unet", "h", 3, 10.0);
-        store.save(&early).unwrap();
-        store.save(&late).unwrap();
-        store.save(&plain).unwrap();
-
-        let trend = store
-            .meta_trend(&RunFilter::any().workload("unet"), "step.p99_ns")
-            .unwrap();
-        assert_eq!(trend.len(), 2);
-        assert_eq!(trend[0].total, 2048.0);
-        assert_eq!(trend[1].total, 4096.0);
-        assert!(trend[0].started < trend[1].started);
-        assert!(store
-            .meta_trend(&RunFilter::any(), "step.absent")
-            .unwrap()
-            .is_empty());
         fs::remove_dir_all(dir).unwrap();
     }
 

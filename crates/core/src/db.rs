@@ -136,12 +136,6 @@ impl ProfileDb {
         &self.meta
     }
 
-    /// Mutable access to the metadata (e.g. for stamping `extra` keys
-    /// onto an already-built profile).
-    pub fn meta_mut(&mut self) -> &mut ProfileMeta {
-        &mut self.meta
-    }
-
     /// The calling context tree.
     pub fn cct(&self) -> &CallingContextTree {
         &self.cct

@@ -23,16 +23,17 @@
 //!  producers (launch cb / activity flush / CPU sampler)
 //!      │  route (stream for launches and records / thread for samples)
 //!      ▼  apply inline under the home shard's lock
-//!  CctShards ──settle, merge_incremental──▶ cached master CCT (Arc-shared)
-//!      └── kernel/memcpy records ──▶ timeline rings (per-shard, bounded)
+//!  shards: CctShard + timeline ring (bounded), one lock each
+//!      └──settle, merge_incremental──▶ cached master CCT (Arc-shared)
 //! ```
 //!
-//! When `ProfilerConfig::timeline` is on, the per-shard attribution
-//! entry point additionally records each kernel/memcpy record's
-//! `[start, end)` interval — tagged with its resolved CCT context — into
-//! bounded per-shard timeline rings (`deepcontext-timeline`);
-//! [`ShardedSink::timeline_snapshot`] assembles them at the same quiesce
-//! point as the profile snapshots.
+//! When `ProfilerConfig::timeline` is on, attributing a kernel/memcpy
+//! record also pushes its `[start, end)` interval — tagged with its
+//! resolved CCT context — into a bounded ring (`deepcontext-timeline`)
+//! that sits in the shard, so a record still takes its shard's lock and
+//! no other. [`ShardedSink::timeline_snapshot`] folds each shard and
+//! shares its ring in one critical section, so every interval it returns
+//! resolves in the master tree the profile snapshots serve.
 //!
 //! [`CctShard`]: deepcontext_core::CctShard
 

@@ -10,7 +10,7 @@ use deepcontext_core::{
     CallingContextTree, CctShard, FoldState, Interner, Interval, IntervalKind, MetricKind, NodeId,
     PathHandle, PathId, Sym, TrackKey,
 };
-use deepcontext_timeline::{TimelineConfig, TimelineSink, TimelineSnapshot};
+use deepcontext_timeline::{IntervalRing, TimelineConfig, TimelineSnapshot};
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind, StreamId};
 
@@ -29,6 +29,15 @@ fn mix(x: u64) -> u64 {
 /// The shard the allocation APIs, which have no stream, launch into and
 /// their records go to.
 const ALLOCATION_SHARD: usize = 0;
+
+/// One shard: its tree and correlation window and, when timeline
+/// recording is on, its interval ring, all behind the shard's one lock.
+/// A stream's launches and records all reach one shard, so each
+/// `(device, stream)` track is held by one ring.
+struct Shard {
+    cct: CctShard,
+    ring: Option<IntervalRing>,
+}
 
 /// What peak accounting reads of one shard without taking its lock.
 #[derive(Default)]
@@ -84,7 +93,7 @@ pub struct SinkOptions {
     pub shards: usize,
     /// Timeline recording: when enabled, every kernel/memcpy record
     /// attributed by the sink also appends a context-tagged interval to
-    /// a bounded per-shard ring (see [`ShardedSink::timeline_snapshot`]).
+    /// a bounded ring in its shard (see [`ShardedSink::timeline_snapshot`]).
     pub timeline: TimelineConfig,
 }
 
@@ -119,10 +128,11 @@ impl Default for SinkOptions {
 ///   and finds its context there; retirement (the two-phase prune) removes
 ///   ids from that window in place. The allocation APIs, which have no
 ///   stream, launch into one fixed shard, and their records follow. A
-///   launch takes one lock, an activity batch one per shard it touches,
-///   and no lock is ever taken while another is held. Every producer on
-///   one stream shares that stream's shard lock, which covers the tree
-///   insert as well as the bind;
+///   launch takes one lock, an activity batch one per shard it touches —
+///   recording an interval is a push into the ring inside the shard, under
+///   that same lock — and no lock is ever taken while another is held.
+///   Every producer on one stream shares that stream's shard lock, which
+///   covers the tree insert as well as the bind;
 /// * snapshots fold the shards into one master tree and **cache** the
 ///   result: every shard carries a dirty generation
 ///   ([`CctShard::generation`]) advanced by each tree mutation, and a
@@ -132,7 +142,10 @@ impl Default for SinkOptions {
 ///   shards are skipped outright, so a warm snapshot costs O(dirty
 ///   shards) instead of O(shards × tree).
 ///   [`snapshot_uncached`](Self::snapshot_uncached) keeps the historical
-///   full fold as baseline and test oracle.
+///   full fold as baseline and test oracle. A timeline read rides the same
+///   refresh: each shard is settled, folded when dirty and has its ring's
+///   chunks shared under one acquisition of its lock, so every interval's
+///   context is in the fold it is mapped through.
 ///
 /// Inclusive samples are **attributed at the node and settled at the
 /// boundary**: every ingestion path hands its samples to
@@ -147,15 +160,13 @@ impl Default for SinkOptions {
 /// cache and the fold states are unaware of the deferral.
 pub struct ShardedSink {
     interner: Arc<Interner>,
-    shards: Vec<Mutex<CctShard>>,
+    shards: Vec<Mutex<Shard>>,
     /// Cached incremental snapshot; `None` until the first snapshot is
     /// requested (and again after `finish_snapshot` consumes it).
     cache: Mutex<Option<SnapshotCache>>,
-    /// Per-shard bounded interval rings, recorded while kernel/memcpy
-    /// records are attributed (i.e. under the shard lock). `None` when
-    /// timeline recording is off — the aggregate-only pipeline then pays
-    /// nothing for it.
-    timeline: Option<TimelineSink>,
+    /// Whether the shards record a timeline (each has its ring). When
+    /// off, the aggregate-only pipeline pays nothing for it.
+    timeline: bool,
     /// The interned `"memcpy"` display name, so memcpy records skip even
     /// the thread-local intern cache on the timeline tap.
     memcpy_sym: Sym,
@@ -186,15 +197,16 @@ impl ShardedSink {
 
     /// Creates a sink from explicit [`SinkOptions`].
     pub fn with(interner: Arc<Interner>, options: SinkOptions) -> Arc<Self> {
-        let n = options.shards.max(1);
-        Arc::new(ShardedSink {
-            timeline: options
-                .timeline
+        let (n, timeline) = (options.shards.max(1), options.timeline);
+        let shard = || Shard {
+            cct: CctShard::new(Arc::clone(&interner)),
+            ring: timeline
                 .enabled
-                .then(|| TimelineSink::new(n, &options.timeline)),
-            shards: (0..n)
-                .map(|_| Mutex::new(CctShard::new(Arc::clone(&interner))))
-                .collect(),
+                .then(|| IntervalRing::new(timeline.ring_capacity)),
+        };
+        Arc::new(ShardedSink {
+            timeline: timeline.enabled,
+            shards: (0..n).map(|_| Mutex::new(shard())).collect(),
             gauges: (0..n).map(|_| Gauge::default()).collect(),
             cache: Mutex::new(None),
             memcpy_sym: interner.intern("memcpy"),
@@ -222,7 +234,10 @@ impl ShardedSink {
     /// Number of shards that have recorded anything — used by routing
     /// tests to assert that multi-stream workloads actually spread.
     pub fn shards_occupied(&self) -> usize {
-        self.shards.iter().filter(|s| !s.lock().is_empty()).count()
+        self.shards
+            .iter()
+            .filter(|s| !s.lock().cct.is_empty())
+            .count()
     }
 
     /// Correlations in flight (bound by a launch and not yet retired),
@@ -231,15 +246,15 @@ impl ShardedSink {
     pub fn correlation_entries(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().correlations().len())
+            .map(|s| s.lock().cct.correlations().len())
             .sum()
     }
 
     /// Locks shard `idx` and settles it: the only way a shard's tree is
     /// read for a fold or sized for the memory report.
-    fn settled(&self, idx: usize) -> MutexGuard<'_, CctShard> {
+    fn settled(&self, idx: usize) -> MutexGuard<'_, Shard> {
         let mut shard = self.shards[idx].lock();
-        shard.settle();
+        shard.cct.settle();
         shard
     }
 
@@ -347,29 +362,25 @@ impl ShardedSink {
         }
     }
 
-    /// Attributes one activity record inside its home shard (`idx`) at
-    /// the context the shard bound its correlation to (unbound: the
-    /// catch-all), recording the record's device interval into the
-    /// shard's timeline ring when recording is on. Returns `(orphaned,
-    /// instruction samples)`.
-    fn attribute_activity(
-        &self,
-        idx: usize,
-        shard: &mut CctShard,
-        activity: &Activity,
-    ) -> (bool, u64) {
-        let path = shard.correlations().get(activity.correlation_id.0);
-        let (node, orphaned) = shard.node_or_orphan(path);
-        if let Some(timeline) = &self.timeline {
-            if let Some(interval) = self.interval_of(shard, activity, node) {
-                timeline.record(idx, interval);
+    /// Attributes one activity record inside its home shard at the
+    /// context the shard bound its correlation to (unbound: the
+    /// catch-all), pushing the record's device interval into the shard's
+    /// ring when recording is on. Returns `(orphaned, instruction
+    /// samples)`.
+    fn attribute_activity(&self, shard: &mut Shard, activity: &Activity) -> (bool, u64) {
+        let Shard { cct, ring } = shard;
+        let path = cct.correlations().get(activity.correlation_id.0);
+        let (node, orphaned) = cct.node_or_orphan(path);
+        if let Some(ring) = ring {
+            if let Some(interval) = self.interval_of(cct, activity, node) {
+                ring.push(interval);
             }
         }
-        let samples = attribute_activity_metrics(shard, node, activity);
+        let samples = attribute_activity_metrics(cct, node, activity);
         // Sampling records keep their correlation live for the kernel
         // record that follows them; terminal record kinds retire it.
         if !matches!(activity.kind, ActivityKind::PcSampling { .. }) {
-            shard.defer_prune(activity.correlation_id.0);
+            cct.defer_prune(activity.correlation_id.0);
         }
         (orphaned, samples)
     }
@@ -401,13 +412,13 @@ impl ShardedSink {
         {
             let mut shard = self.shards[idx].lock();
             for activity in records {
-                let (orphaned, sampled) = self.attribute_activity(idx, &mut shard, activity);
+                let (orphaned, sampled) = self.attribute_activity(&mut shard, activity);
                 activities += 1;
                 orphans += u64::from(orphaned);
                 samples += sampled;
             }
-            shard.end_batch();
-            self.close_boundary(idx, &mut shard);
+            shard.cct.end_batch();
+            self.close_boundary(idx, &mut shard.cct);
         }
         // One update per bucket, not per record.
         self.activities.fetch_add(activities, Ordering::Relaxed);
@@ -421,42 +432,49 @@ impl ShardedSink {
     /// been delivered by the flush boundary) and releases batch-sized
     /// scratch.
     fn epoch_complete_shard(&self, idx: usize) {
-        let mut shard = self.shards[idx].lock();
+        let shard = &mut self.shards[idx].lock().cct;
         // Every deferred correlation's trailing records have been
         // delivered by now, so one extra epoch retires them all.
         shard.end_batch();
         shard.trim();
         // Launch- and sample-only shards see no activity batch: the
         // flush boundary is where their samples walk root-ward.
-        self.close_boundary(idx, &mut shard);
+        self.close_boundary(idx, shard);
     }
 
     /// Brings the snapshot cache up to date: folds every shard whose
     /// dirty generation advanced since the last refresh and skips the
-    /// rest. Each shard lock is held only while that one shard is
-    /// inspected/folded (cache → shard is the only lock order involving
-    /// the cache, so ingestion never deadlocks against refreshes). A
-    /// refresh that folded at least one shard adds its wall time, from
-    /// the first dirty shard on, to [`SinkCounters::fold_ns`]; a clean
-    /// one reads no clock and adds nothing.
-    fn refresh_cache(&self, cache: &mut Option<SnapshotCache>) {
+    /// rest, then hands the shard, still locked, and its fold state to
+    /// `visit`. Each shard lock is held only while that one shard is
+    /// settled, folded and visited (cache → shard is the only lock order
+    /// involving the cache, so ingestion never deadlocks against
+    /// refreshes). A refresh that folded at least one shard adds its wall
+    /// time, from the first dirty shard on, to [`SinkCounters::fold_ns`];
+    /// a clean one reads no clock and adds nothing.
+    fn refresh_cache(
+        &self,
+        cache: &mut Option<SnapshotCache>,
+        mut visit: impl FnMut(&Shard, &FoldState),
+    ) {
         let cache =
             cache.get_or_insert_with(|| SnapshotCache::empty(&self.interner, self.shards.len()));
         let mut start = None;
         for idx in 0..self.shards.len() {
             let shard = self.settled(idx);
-            let generation = shard.generation();
+            let generation = shard.cct.generation();
             if cache.generations[idx] == generation {
                 self.shards_skipped.fetch_add(1, Ordering::Relaxed);
-                continue;
+            } else {
+                start.get_or_insert_with(Instant::now);
+                // Copy-on-write only when a reader still holds the
+                // previous snapshot handle; clean refreshes never reach
+                // this line, so an idle profile costs nothing.
+                Arc::make_mut(&mut cache.master)
+                    .merge_incremental(shard.cct.tree(), &mut cache.folds[idx]);
+                cache.generations[idx] = generation;
+                self.snapshot_merges.fetch_add(1, Ordering::Relaxed);
             }
-            start.get_or_insert_with(Instant::now);
-            // Copy-on-write only when a reader still holds the previous
-            // snapshot handle; clean refreshes never reach this line, so
-            // an idle profile costs nothing.
-            Arc::make_mut(&mut cache.master).merge_incremental(shard.tree(), &mut cache.folds[idx]);
-            cache.generations[idx] = generation;
-            self.snapshot_merges.fetch_add(1, Ordering::Relaxed);
+            visit(&shard, &cache.folds[idx]);
         }
         if let Some(start) = start {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -471,7 +489,7 @@ impl ShardedSink {
     pub fn snapshot_uncached(&self) -> CallingContextTree {
         let mut master = CallingContextTree::with_interner(Arc::clone(&self.interner));
         for idx in 0..self.shards.len() {
-            master.merge(self.settled(idx).tree());
+            master.merge(self.settled(idx).cct.tree());
         }
         master
     }
@@ -499,11 +517,11 @@ impl ShardedSink {
     /// tools get one from `Interner::paths().intern(frames)`.
     pub fn gpu_launch(&self, origin: &EventOrigin, path: PathHandle, api: ApiKind) {
         let idx = self.stream_home(origin.stream);
-        let mut shard = self.shards[idx].lock();
-        Self::insert_launch(&mut shard, path.id(), api);
+        let shard = &mut self.shards[idx].lock().cct;
+        Self::insert_launch(shard, path.id(), api);
         if let Some(corr) = origin.correlation {
             shard.bind(corr.0, path.id());
-            self.note_window(idx, &shard);
+            self.note_window(idx, shard);
         }
     }
 
@@ -543,7 +561,7 @@ impl ShardedSink {
         // (their `epoch_complete_shard`), keeping the per-sample hot path
         // O(1).
         let idx = origin.tid.map_or(0, |tid| self.index_for(tid));
-        Self::attribute_at(&mut self.shards[idx].lock(), path.id(), metric, value);
+        Self::attribute_at(&mut self.shards[idx].lock().cct, path.id(), metric, value);
     }
 
     /// A flush boundary completed: the runtime's entire completed-record
@@ -564,7 +582,7 @@ impl ShardedSink {
     /// cached master: clean shards are skipped outright.
     pub fn snapshot(&self) -> CallingContextTree {
         let mut cache = self.cache.lock();
-        self.refresh_cache(&mut cache);
+        self.refresh_cache(&mut cache, |_, _| ());
         CallingContextTree::clone(&cache.as_ref().expect("cache refreshed").master)
     }
 
@@ -579,7 +597,7 @@ impl ShardedSink {
     pub fn with_snapshot<R>(&self, f: impl FnOnce(&CallingContextTree) -> R) -> R {
         let master = {
             let mut cache = self.cache.lock();
-            self.refresh_cache(&mut cache);
+            self.refresh_cache(&mut cache, |_, _| ());
             Arc::clone(&cache.as_ref().expect("cache refreshed").master)
         };
         f(&master)
@@ -590,7 +608,7 @@ impl ShardedSink {
     /// still holds it — since no further snapshot will be requested.
     pub fn finish_snapshot(&self) -> CallingContextTree {
         let mut cache = self.cache.lock();
-        self.refresh_cache(&mut cache);
+        self.refresh_cache(&mut cache, |_, _| ());
         let master = cache.take().expect("cache refreshed").master;
         Arc::try_unwrap(master).unwrap_or_else(|shared| CallingContextTree::clone(&shared))
     }
@@ -599,38 +617,42 @@ impl ShardedSink {
     /// the default). Interval context ids are remapped into the master
     /// tree the snapshot paths observe: the master served by
     /// [`with_snapshot`](Self::with_snapshot), stable across refreshes
-    /// because the fold is append-only.
+    /// because the fold is append-only. Every interval's context
+    /// resolves: each shard is folded and has its ring shared under one
+    /// acquisition of its lock, so no record can land between the fold
+    /// and the read.
     pub fn timeline_snapshot(&self) -> Option<TimelineSnapshot> {
-        let timeline = self.timeline.as_ref()?;
-        // Refresh the cached master first, so every interval context
-        // recorded so far has a slot in the per-shard fold mappings. The
-        // mappings are copied out (4 bytes per folded node) so the
-        // snapshot keeps resolving against this fold after the cache
-        // moves on, and the cache mutex is released before the rings are
-        // locked.
-        let tables: Vec<Arc<[NodeId]>> = {
+        if !self.timeline {
+            return None;
+        }
+        let mut parts = Vec::with_capacity(self.shards.len());
+        {
             let mut cache = self.cache.lock();
-            self.refresh_cache(&mut cache);
-            let cache = cache.as_ref().expect("cache refreshed");
-            cache.folds.iter().map(|f| f.mapping().into()).collect()
-        };
-        Some(
-            timeline
-                .snapshot_with(&tables)
-                // One symbol-table capture per snapshot (not per
-                // interval): exporters resolve `Sym` names by index.
-                .with_names(self.interner.snapshot()),
-        )
+            self.refresh_cache(&mut cache, |shard, fold| {
+                // The mapping is copied out (4 bytes per folded node) so
+                // the snapshot keeps resolving against this fold after
+                // the cache moves on.
+                if let Some(ring) = shard.ring.as_ref().filter(|ring| !ring.is_empty()) {
+                    parts.push(ring.snapshot(Some(fold.mapping().into())));
+                }
+            });
+        }
+        // One symbol-table capture per snapshot (not per interval),
+        // after the last ring was read: exporters resolve `Sym` names by
+        // index.
+        Some(TimelineSnapshot::join(parts).with_names(self.interner.snapshot()))
     }
 
     /// Current ingestion counters (`launches` and `cpu_samples` read 0:
     /// the profiler counts those).
     pub fn counters(&self) -> SinkCounters {
-        let timeline = self
-            .timeline
-            .as_ref()
-            .map(|t| t.counters())
-            .unwrap_or_default();
+        let (mut timeline_intervals, mut timeline_dropped) = (0, 0);
+        for shard in &self.shards {
+            if let Some(ring) = &shard.lock().ring {
+                timeline_intervals += ring.recorded();
+                timeline_dropped += ring.dropped();
+            }
+        }
         SinkCounters {
             activities: self.activities.load(Ordering::Relaxed),
             instruction_samples: self.instruction_samples.load(Ordering::Relaxed),
@@ -639,14 +661,14 @@ impl ShardedSink {
             snapshot_merges: self.snapshot_merges.load(Ordering::Relaxed),
             shards_skipped: self.shards_skipped.load(Ordering::Relaxed),
             fold_ns: self.fold_ns.load(Ordering::Relaxed),
-            timeline_intervals: timeline.recorded,
-            timeline_dropped: timeline.dropped,
+            timeline_intervals,
+            timeline_dropped,
             ..SinkCounters::default()
         }
     }
 
-    /// Approximate resident bytes of all ingestion state: the shards and
-    /// their correlation windows, the snapshot cache, the timeline rings
+    /// Approximate resident bytes of all ingestion state: the shards with
+    /// their correlation windows and timeline rings, the snapshot cache
     /// and the interner.
     pub fn approx_bytes(&self) -> usize {
         // The snapshot cache (cached master tree + per-shard fold state)
@@ -664,17 +686,12 @@ impl ShardedSink {
         let shard_bytes: usize = (0..self.shards.len())
             .map(|idx| {
                 let shard = self.settled(idx);
-                shard.approx_bytes() + shard.correlations().approx_bytes()
+                // A ring is bounded by its capacity and allocated lazily.
+                let ring = shard.ring.as_ref().map_or(0, IntervalRing::approx_bytes);
+                shard.cct.approx_bytes() + shard.cct.correlations().approx_bytes() + ring
             })
             .sum();
-        // Timeline rings are ingestion state too (bounded by
-        // ring_capacity × shards, allocated lazily).
-        let timeline_bytes = self
-            .timeline
-            .as_ref()
-            .map(TimelineSink::approx_bytes)
-            .unwrap_or(0);
-        shard_bytes + cache_bytes + timeline_bytes + self.interner.approx_bytes()
+        shard_bytes + cache_bytes + self.interner.approx_bytes()
     }
 }
 

@@ -329,11 +329,15 @@ impl Profiler {
     /// beside the writes is cheap to take and to drop, and it keeps
     /// showing this moment while recording goes on (chunks the rings have
     /// since evicted live as long as the snapshot does). Intervals are
-    /// expanded and merged as a track is iterated. Their context ids
-    /// index into the tree served by [`with_cct`](Self::with_cct) at the
-    /// same quiesce point — pair the two for context-aware latency
-    /// analysis, as `examples/timeline_trace.rs` does with
-    /// `preview_with_timeline` and `to_chrome_trace`.
+    /// expanded as a track is iterated.
+    ///
+    /// Every interval's context resolves, however the read interleaves
+    /// with recording: each shard is folded and has its ring shared under
+    /// one acquisition of its lock, so the context of every interval the
+    /// snapshot holds is `Some` and indexes into the tree served by
+    /// [`with_cct`](Self::with_cct) from then on — pair the two for
+    /// context-aware latency analysis, as `examples/timeline_trace.rs`
+    /// does with `preview_with_timeline` and `to_chrome_trace`.
     ///
     /// Call before [`finish`](Self::finish) (which consumes the sink's
     /// state); typically right after a [`flush`](Self::flush), so the
@@ -363,7 +367,7 @@ impl Profiler {
         let ended = self.env.clock().now();
         // Capture the timeline before finish_snapshot consumes the
         // sink's cached fold state (its context tables come from it).
-        // The snapshot shares the rings; `to_stored` merges each track
+        // The snapshot shares the rings; `to_stored` copies each track
         // once into the slice the profile keeps.
         let timeline = self
             .inner

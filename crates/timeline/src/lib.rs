@@ -12,13 +12,16 @@
 //!
 //! Layers:
 //!
-//! * [`TimelineSink`] — the recording side: lock-striped (one ring per
-//!   ingestion shard, locked only under that shard's existing
-//!   serialization) bounded interval storage, written by the ingestion
-//!   pipeline while it attributes kernel/memcpy records;
+//! * [`IntervalRing`] — the recording side: bounded interval storage.
+//!   The ingestion pipeline keeps one ring inside each shard, under the
+//!   shard's own lock, and pushes into it while it attributes
+//!   kernel/memcpy records; a stream's records all reach one shard, so
+//!   each track is held by one ring;
 //! * [`TimelineSnapshot`] — the analysis side: a view that shares the
-//!   rings' storage and reads as per-track, start-sorted intervals with
-//!   shard-local context ids remapped into the folded master CCT;
+//!   rings' storage ([`IntervalRing::snapshot`], put together by
+//!   [`TimelineSnapshot::join`]) and reads as per-track, start-sorted
+//!   intervals with shard-local context ids remapped into the folded
+//!   master CCT;
 //! * [`TimelineStats`] — per-device utilization, cross-stream overlap
 //!   factor, and idle gaps attributed to the contexts of their bounding
 //!   launches;
@@ -37,7 +40,7 @@ pub mod chrome;
 pub mod ring;
 pub mod snapshot;
 
-pub use ring::{IntervalRing, TimelineCounters, TimelineSink};
+pub use ring::{IntervalRing, TimelineCounters};
 pub use snapshot::{DeviceStats, Gap, TimelineSnapshot, TimelineStats, Track};
 
 // The shared vocabulary lives in core; re-export it so timeline users

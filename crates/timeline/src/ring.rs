@@ -1,15 +1,15 @@
-//! Bounded interval storage: per-shard ring buffers behind one
-//! recording facade.
+//! Bounded interval storage: one ring buffer per ingestion shard.
 //!
 //! The ingestion pipeline records an interval at the moment the
-//! corresponding activity record is attributed inside its home shard —
-//! already serialized per shard — so the timeline mirrors that layout:
-//! one [`IntervalRing`] per shard, each behind its own mutex that is
-//! only ever contended by that shard's applier and by snapshots. A full
-//! ring evicts under its global capacity from whichever *track* holds
-//! the largest retained share, so one hot stream degrades to a bounded
-//! trailing window of itself without erasing a quiet stream's history
-//! (the CCT keeps the lossless aggregate view either way).
+//! corresponding activity record is attributed inside its home shard,
+//! and a stream's records all reach one shard, so the timeline mirrors
+//! that layout: one [`IntervalRing`] per shard, kept under the shard's
+//! own lock, and each `(device, stream)` track held by exactly one
+//! ring. A full ring evicts under its global capacity from whichever
+//! *track* holds the largest retained share, so one hot stream degrades
+//! to a bounded trailing window of itself without erasing a quiet
+//! stream's history (the CCT keeps the lossless aggregate view either
+//! way).
 //!
 //! Each ring keeps one run per track in track order — activity records
 //! arrive in completion order per stream, so [`IntervalRing::push`]
@@ -19,24 +19,21 @@
 //! small open tail. Nothing ever writes into a sealed chunk: eviction
 //! advances an offset into the oldest one (and frees it when the offset
 //! reaches its end), a late arrival replaces the one chunk it lands in
-//! with a rewritten copy. That is what lets
-//! [`TimelineSink::snapshot_with`] *share* the rings instead of copying
-//! them: a snapshot clones the chunk handles, copies each open tail (at
-//! most one chunk) and is a consistent view from then on, whatever the
-//! ring does next. There is no second copy of the intervals for
-//! `ProfilerStats::peak_bytes` to count, and the rings are locked for
-//! microseconds per read, not for the length of a 9 MB copy.
+//! with a rewritten copy. That is what lets [`IntervalRing::snapshot`]
+//! *share* the ring instead of copying it: a snapshot clones the chunk
+//! handles, copies each open tail (at most one chunk) and is a
+//! consistent view from then on, whatever the ring does next. There is
+//! no second copy of the intervals for `ProfilerStats::peak_bytes` to
+//! count, and a shard is held for microseconds per read, not for the
+//! length of a 9 MB copy.
 
 use std::collections::VecDeque;
 use std::mem::size_of;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use deepcontext_core::{Interval, NodeId, TrackKey, TrackSlot};
 
 use crate::snapshot::{Run, TimelineSnapshot, Track};
-use crate::TimelineConfig;
 
 /// Slots per sealed chunk. Small enough that a read copies little (one
 /// open tail per run) and a late arrival rewrites little, large enough
@@ -65,12 +62,12 @@ pub(crate) fn live_slots<'a>(
 /// stream's intervals survive as long as its share stays below the hot
 /// track's.
 ///
-/// The counters live here — plain integers updated under the ring's
-/// lock, which the recording path already holds — instead of as shared
-/// atomics: the tap sits inside inline attribution, and a per-interval
-/// atomic RMW is measurable against the ~tens-of-nanoseconds budget the
-/// recording overhead bar allows. Reads ([`TimelineSink::counters`])
-/// sum over the rings on the cold stats path.
+/// The counters live here — plain integers updated under the lock the
+/// recording path already holds — instead of as shared atomics: the tap
+/// sits inside inline attribution, and a per-interval atomic RMW is
+/// measurable against the ~tens-of-nanoseconds budget the recording
+/// overhead bar allows. Reads sum them over the rings on the cold stats
+/// path.
 #[derive(Debug, Clone)]
 pub struct IntervalRing {
     /// Per-track runs, sorted by [`TrackKey`]. Shards see a handful
@@ -334,6 +331,30 @@ impl IntervalRing {
         self.tracks.capacity() * size_of::<TrackRing>()
             + self.tracks.iter().map(TrackRing::heap_bytes).sum::<usize>()
     }
+
+    /// A view of the ring's current contents as per-track sorted
+    /// intervals, with its counters. `table` maps the ring's context ids
+    /// into the caller's master-tree id space (an id past its end is left
+    /// unresolved); `None` keeps them as recorded.
+    /// [`TimelineSnapshot::join`] puts the snapshots of several rings
+    /// together.
+    ///
+    /// The snapshot shares the ring's sealed chunks and copies only the
+    /// open tails, so the work here is per chunk, not per interval, and
+    /// what the ring does afterwards — pushes, evictions, late arrivals —
+    /// never shows in it. Intervals are expanded and remapped when a
+    /// [`Track`] is iterated.
+    pub fn snapshot(&self, table: Option<Arc<[NodeId]>>) -> TimelineSnapshot {
+        let tracks = self.tracks.iter().filter_map(|track| {
+            let run = track.run(table.clone())?;
+            Some(Track::new(track.key, run))
+        });
+        let counters = TimelineCounters {
+            recorded: self.recorded,
+            dropped: self.dropped,
+        };
+        TimelineSnapshot::from_tracks(tracks.collect(), counters)
+    }
 }
 
 /// Monotonic timeline-recording counters.
@@ -346,126 +367,11 @@ pub struct TimelineCounters {
     pub dropped: u64,
 }
 
-/// The recording facade the ingestion pipeline writes into: one bounded
-/// ring per ingestion shard; counters live inside the rings (see
-/// [`IntervalRing`]) and are summed on read.
-pub struct TimelineSink {
-    rings: Vec<Mutex<IntervalRing>>,
-    ring_capacity: usize,
-}
-
-impl TimelineSink {
-    /// A sink with one ring (of `config.ring_capacity`) per shard.
-    pub fn new(shards: usize, config: &TimelineConfig) -> Self {
-        TimelineSink::with_chunk_len(shards, config.ring_capacity, CHUNK_LEN)
-    }
-
-    fn with_chunk_len(shards: usize, capacity: usize, chunk_len: usize) -> Self {
-        let capacity = capacity.max(1);
-        TimelineSink {
-            rings: (0..shards.max(1))
-                .map(|_| Mutex::new(IntervalRing::with_chunk_len(capacity, chunk_len)))
-                .collect(),
-            ring_capacity: capacity,
-        }
-    }
-
-    /// Number of shard rings.
-    pub fn shard_count(&self) -> usize {
-        self.rings.len()
-    }
-
-    /// Per-ring interval capacity.
-    pub fn ring_capacity(&self) -> usize {
-        self.ring_capacity
-    }
-
-    /// Records one interval into shard `idx`'s ring. Callers serialize
-    /// per shard already (the pipeline records while holding the shard's
-    /// lock), so this lock is effectively uncontended outside snapshots
-    /// — and the ring's own counters make this one lock acquisition the
-    /// tap's entire bookkeeping (no shared atomics).
-    pub fn record(&self, idx: usize, interval: Interval) {
-        self.rings[idx].lock().push(interval);
-    }
-
-    /// Current counters, summed over the rings.
-    pub fn counters(&self) -> TimelineCounters {
-        let mut counters = TimelineCounters::default();
-        for ring in &self.rings {
-            let ring = ring.lock();
-            counters.recorded += ring.recorded();
-            counters.dropped += ring.dropped();
-        }
-        counters
-    }
-
-    /// A view of the current ring contents as per-track sorted
-    /// intervals. `tables[shard]` maps that shard's local context ids
-    /// into the caller's master-tree id space (an id past its end is
-    /// left unresolved; a shard past the end of `tables` keeps its
-    /// contexts as recorded). Each track is the merge of its per-shard
-    /// runs, equal keys in shard order —
-    /// [`TimelineSnapshot::from_intervals`] over the same intervals
-    /// builds the same snapshot by sorting.
-    ///
-    /// The snapshot shares the rings' sealed chunks and copies only the
-    /// open tails, so the work here is per chunk, not per interval: all
-    /// rings are locked while the handles are cloned, no other lock is
-    /// taken under them, and what the rings do afterwards — pushes,
-    /// evictions, late arrivals — never shows in the snapshot. Intervals
-    /// are expanded, remapped and merged when a [`Track`] is iterated.
-    pub fn snapshot_with(&self, tables: &[Arc<[NodeId]>]) -> TimelineSnapshot {
-        let rings: Vec<_> = self.rings.iter().map(|ring| ring.lock()).collect();
-        let counters = TimelineCounters {
-            recorded: rings.iter().map(|ring| ring.recorded).sum(),
-            dropped: rings.iter().map(|ring| ring.dropped).sum(),
-        };
-        let mut keys: Vec<TrackKey> = rings
-            .iter()
-            .flat_map(|ring| ring.tracks.iter())
-            .filter(|track| track.len > 0)
-            .map(|track| track.key)
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let tracks = keys
-            .into_iter()
-            .map(|key| {
-                let runs = rings
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(shard, ring)| ring.track(key)?.run(tables.get(shard).cloned()))
-                    .collect();
-                Track::new(key, runs)
-            })
-            .collect();
-        TimelineSnapshot::from_tracks(tracks, counters)
-    }
-
-    /// Approximate resident bytes of all rings.
-    pub fn approx_bytes(&self) -> usize {
-        self.rings
-            .iter()
-            .map(|r| size_of::<Mutex<IntervalRing>>() + r.lock().approx_bytes())
-            .sum()
-    }
-}
-
-impl std::fmt::Debug for TimelineSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimelineSink")
-            .field("shards", &self.rings.len())
-            .field("ring_capacity", &self.ring_capacity)
-            .field("counters", &self.counters())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use deepcontext_core::{CallingContextTree, Frame, Interner, IntervalKind, TimeNs};
+    use parking_lot::Mutex;
     use proptest::prelude::*;
     use std::cmp::Reverse;
     use std::collections::BTreeMap;
@@ -502,28 +408,19 @@ mod tests {
     }
 
     #[test]
-    fn sink_counters_partition_recorded_into_kept_plus_dropped() {
-        let sink = TimelineSink::new(
-            2,
-            &TimelineConfig {
-                enabled: true,
-                ring_capacity: 3,
-            },
-        );
+    fn joined_counters_partition_recorded_into_kept_plus_dropped() {
+        let mut rings = [IntervalRing::new(3), IntervalRing::new(3)];
         for corr in 1..=5u64 {
-            sink.record(0, interval(corr, corr, corr + 1));
+            rings[0].push(interval(corr, corr, corr + 1));
         }
-        sink.record(1, interval(99, 1, 2));
-        let counters = sink.counters();
-        assert_eq!(counters.recorded, 6);
-        assert_eq!(counters.dropped, 2);
-        let snap = sink.snapshot_with(&[]);
+        rings[1].push(on_track(0, 1, 99, 1, 2));
+        let snap = TimelineSnapshot::join(rings.iter().map(|ring| ring.snapshot(None)));
+        assert_eq!((snap.recorded(), snap.dropped()), (6, 2));
         assert_eq!(
-            snap.interval_count() as u64 + counters.dropped,
-            counters.recorded,
+            snap.interval_count() as u64 + snap.dropped(),
+            snap.recorded(),
             "kept + dropped == recorded"
         );
-        assert_eq!(snap.dropped(), counters.dropped);
     }
 
     #[test]
@@ -659,16 +556,16 @@ mod tests {
         }
     }
 
+    /// Rings: stream `s` records into ring `s % SHARDS`, so a ring holds
+    /// one or two tracks and no track is in two rings.
     const SHARDS: usize = 2;
 
-    /// One push — which ring, which stream, how far the stream's clock
-    /// moves first (`None`: back to its start, a late arrival that lands
+    /// One push — which stream, how far the stream's clock moves first (`None`: back to its start, a late arrival that lands
     /// in whatever the track holds there, sealed or open), then
     /// duration, correlation and context — after a snapshot or not.
     #[derive(Debug, Clone)]
     struct Step {
         snapshot_first: bool,
-        shard: usize,
         stream: u32,
         advance: Option<u64>,
         duration: u64,
@@ -679,7 +576,6 @@ mod tests {
     fn arb_step() -> impl Strategy<Value = Step> {
         (
             0u32..6,
-            0usize..SHARDS,
             0u32..3,
             // One in four jumps back.
             (0u64..4, 0u64..3).prop_map(|(late, step)| (late > 0).then_some(step)),
@@ -688,9 +584,8 @@ mod tests {
             prop_oneof![(0usize..3).prop_map(Some), Just(None)],
         )
             .prop_map(
-                |(snapshot, shard, stream, advance, duration, correlation, context)| Step {
+                |(snapshot, stream, advance, duration, correlation, context)| Step {
                     snapshot_first: snapshot == 0,
-                    shard,
                     stream,
                     advance,
                     duration,
@@ -721,7 +616,13 @@ mod tests {
                 .collect();
             let name = interner.intern("k");
 
-            let sink = TimelineSink::with_chunk_len(SHARDS, capacity, chunk_len);
+            let mut rings: Vec<IntervalRing> = (0..SHARDS)
+                .map(|_| IntervalRing::with_chunk_len(capacity, chunk_len))
+                .collect();
+            let snapshot = |rings: &[IntervalRing]| {
+                let parts = rings.iter().zip(&tables);
+                TimelineSnapshot::join(parts.map(|(ring, table)| ring.snapshot(Some(Arc::clone(table)))))
+            };
             let mut models: Vec<Model> = (0..SHARDS).map(|_| Model::new(capacity)).collect();
             // What a snapshot of the models would hold right now.
             let expected = |models: &[Model]| {
@@ -738,12 +639,13 @@ mod tests {
                 TimelineSnapshot::from_intervals(live.collect(), counters)
             };
             let mut held: Vec<(TimelineSnapshot, TimelineSnapshot)> = Vec::new();
-            let mut clocks = [[10u64; 3]; SHARDS];
+            let mut clocks = [10u64; 3];
             for step in &steps {
                 if step.snapshot_first {
-                    held.push((sink.snapshot_with(&tables), expected(&models)));
+                    held.push((snapshot(&rings), expected(&models)));
                 }
-                let clock = &mut clocks[step.shard][step.stream as usize];
+                let shard = step.stream as usize % SHARDS;
+                let clock = &mut clocks[step.stream as usize];
                 *clock = step.advance.map_or(10, |by| *clock + by);
                 let interval = Interval {
                     track: TrackKey { device: 0, stream: step.stream },
@@ -754,12 +656,11 @@ mod tests {
                     correlation: step.correlation,
                     context: step.context.map(|c| nodes[c]),
                 };
-                sink.record(step.shard, interval);
-                models[step.shard].push(interval);
+                rings[shard].push(interval);
+                models[shard].push(interval);
 
-                let ring = sink.rings[step.shard].lock();
-                let model = &models[step.shard];
-                prop_assert!(ring.iter().eq(model.iter()), "{:?} != {:?}", *ring, model.tracks);
+                let (ring, model) = (&rings[shard], &models[shard]);
+                prop_assert!(ring.iter().eq(model.iter()), "{:?} != {:?}", ring, model.tracks);
                 prop_assert_eq!((ring.recorded(), ring.dropped()), (model.recorded, model.dropped));
                 prop_assert_eq!(ring.len() as u64 + ring.dropped(), ring.recorded());
                 for (key, buf) in &model.tracks {
@@ -775,13 +676,12 @@ mod tests {
                     prop_assert!(track.front < 2 * chunk_len);
                     prop_assert_eq!(sealed - track.front + track.tail.len(), track.len);
                 }
-                drop(ring);
                 // Every snapshot taken so far still shows its own step.
                 for (snapshot, then) in &held {
                     prop_assert_eq!(snapshot, then);
                 }
             }
-            prop_assert_eq!(&sink.snapshot_with(&tables), &expected(&models));
+            prop_assert_eq!(&snapshot(&rings), &expected(&models));
             for (snapshot, then) in &held {
                 prop_assert_eq!(snapshot.stats(), then.stats());
             }
@@ -791,8 +691,12 @@ mod tests {
     #[test]
     fn a_held_snapshot_is_unchanged_by_ten_capacities_of_pushes() {
         const CAPACITY: u64 = 600;
-        let sink = TimelineSink::with_chunk_len(1, CAPACITY as usize, 16);
-        let push = |corr: u64| sink.record(0, on_track(0, (corr % 2) as u32, corr, corr, corr + 1));
+        // Behind a lock, as a shard keeps it.
+        let ring = Mutex::new(IntervalRing::with_chunk_len(CAPACITY as usize, 16));
+        let push = |corr: u64| {
+            ring.lock()
+                .push(on_track(0, (corr % 2) as u32, corr, corr, corr + 1))
+        };
         // Met twice: when the ring is full and evicting, and when the
         // reader holds its snapshot of that.
         let rendezvous = Barrier::new(2);
@@ -807,13 +711,13 @@ mod tests {
                     if corr % 7 == 0 {
                         // A late arrival, into a sealed chunk the
                         // snapshot shares while there still is one.
-                        sink.record(0, on_track(0, 0, corr, corr - 300, corr));
+                        ring.lock().push(on_track(0, 0, corr, corr - 300, corr));
                     }
                 }
                 writing.store(false, Ordering::Release);
             });
             rendezvous.wait();
-            let snapshot = sink.snapshot_with(&[]);
+            let snapshot = ring.lock().snapshot(None);
             let read = || -> Vec<Interval> {
                 let tracks = snapshot.tracks().iter();
                 tracks.flat_map(|track| track.intervals()).collect()
@@ -829,7 +733,7 @@ mod tests {
             assert_eq!(read(), then, "a held snapshot moved");
         });
         // The writer did evict everything the snapshot shares.
-        let oldest_live = sink.rings[0].lock().iter().map(|iv| iv.correlation).min();
+        let oldest_live = ring.lock().iter().map(|iv| iv.correlation).min();
         assert!(oldest_live > Some(CAPACITY + 100));
     }
 }

@@ -10,24 +10,25 @@
 //! bounding launches, so an analyzer rule can point at the call path
 //! that left the device idle.
 //!
-//! A snapshot is a view, not a copy: a track is its per-shard `Run`s —
-//! handles to the rings' own sealed chunks, a copy of each open tail and
-//! the shard's context table ([`TimelineSink::snapshot_with`]) — and
-//! [`Track::intervals`] expands, remaps and `merge_runs`-merges them
-//! as it is iterated, so taking a snapshot costs per chunk and sorts
-//! nothing. A stored timeline is shared the same way: its tracks are
-//! already the slices a run is made of, in order, and
-//! [`from_stored`](TimelineSnapshot::from_stored) adopts each one as a
-//! one-chunk run by handle — per track, not per interval.
-//! [`to_stored`](TimelineSnapshot::to_stored) is the one copy: it merges
-//! each track once into a slice of master-tree contexts.
+//! A snapshot is a view, not a copy: a track is one `Run` — handles to
+//! its ring's own sealed chunks, a copy of the open tail and the ring's
+//! context table ([`IntervalRing::snapshot`]) — and [`Track::intervals`]
+//! expands and remaps it as it is iterated, so taking a snapshot costs
+//! per chunk and sorts nothing. Every track lives in one ring, so
+//! [`join`](TimelineSnapshot::join) puts the rings' snapshots together
+//! by sorting their tracks, never their intervals. A stored timeline is
+//! shared the same way: its tracks are already the slices a run is made
+//! of, in order, and [`from_stored`](TimelineSnapshot::from_stored)
+//! adopts each one as a one-chunk run by handle — per track, not per
+//! interval. [`to_stored`](TimelineSnapshot::to_stored) is the one copy:
+//! it expands each track once into a slice of master-tree contexts.
 //! [`from_intervals`](TimelineSnapshot::from_intervals), for intervals in
 //! no particular order, sorts them into that stored form: it is the
-//! oracle the ring's merge is tested against.
+//! oracle the ring is tested against.
 //! Statistics are computed on the first [`stats`](TimelineSnapshot::stats)
 //! call — a live preview that only wants the tracks never pays the sweep.
 //!
-//! [`TimelineSink::snapshot_with`]: crate::TimelineSink::snapshot_with
+//! [`IntervalRing::snapshot`]: crate::IntervalRing::snapshot
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -43,10 +44,9 @@ use crate::ring::{live_slots, TimelineCounters};
 /// Every interval of `runs` in [`TrackSlot::key`] order; equal keys go
 /// to the earlier run. Each run must itself be in that order, which
 /// makes this the stable sort of the runs' concatenation without the
-/// sort. The next interval is found by scanning the run heads: a track
-/// has at most one run per shard and a device one per stream, a handful
-/// either way — and a lone run, which is every track of a stored
-/// timeline, is passed through.
+/// sort. The next interval is found by scanning the run heads: a device
+/// has one run per stream, a handful — and a lone run, a device with
+/// one stream, is passed through.
 fn merge_runs<I>(runs: impl IntoIterator<Item = I>) -> impl Iterator<Item = Interval>
 where
     I: Iterator<Item = Interval>,
@@ -69,9 +69,9 @@ where
     })
 }
 
-/// One shard's share of a track: the ring's sealed chunks by handle, its
-/// open tail as one more chunk, and the table that takes the shard's
-/// context ids to the master tree's.
+/// A track's intervals: its ring's sealed chunks by handle, the open
+/// tail as one more chunk, and the table that takes the ring's context
+/// ids to the master tree's.
 #[derive(Clone)]
 pub(crate) struct Run {
     /// `None`: the slots hold master ids already.
@@ -97,23 +97,21 @@ impl Run {
 #[derive(Clone)]
 pub struct Track {
     key: TrackKey,
-    /// In shard order, none empty, each in [`TrackSlot::key`] order.
-    runs: Vec<Run>,
+    /// Not empty, in [`TrackSlot::key`] order.
+    run: Run,
     len: usize,
 }
 
 impl Track {
-    pub(crate) fn new(key: TrackKey, runs: Vec<Run>) -> Self {
-        let len = runs.iter().map(Run::len).sum();
-        let track = Track { key, runs, len };
+    pub(crate) fn new(key: TrackKey, run: Run) -> Self {
+        let track = Track {
+            key,
+            len: run.len(),
+            run,
+        };
         debug_assert!(track
-            .runs
-            .iter()
-            .all(|run| run.intervals(key).is_sorted_by_key(|iv| (
-                iv.start,
-                iv.end,
-                iv.correlation
-            ))));
+            .intervals()
+            .is_sorted_by_key(|iv| (iv.start, iv.end, iv.correlation)));
         track
     }
 
@@ -122,11 +120,10 @@ impl Track {
         self.key
     }
 
-    /// Intervals, start-sorted: the merge of the track's per-shard runs,
-    /// each slot expanded to an [`Interval`] on this track with its
-    /// context remapped, as the iterator advances.
+    /// Intervals, start-sorted, each slot expanded to an [`Interval`] on
+    /// this track with its context remapped as the iterator advances.
     pub fn intervals(&self) -> impl Iterator<Item = Interval> + '_ {
-        merge_runs(self.runs.iter().map(|run| run.intervals(self.key)))
+        self.run.intervals(self.key)
     }
 
     /// Number of intervals on the track.
@@ -142,13 +139,12 @@ impl Track {
     /// Sum of interval durations on this track (no union: one stream
     /// executes serially, so the sum *is* the track's busy time).
     pub fn busy(&self) -> TimeNs {
-        let runs = self.runs.iter().flat_map(|run| run.intervals(self.key));
-        TimeNs(runs.map(|iv| iv.duration().0).sum())
+        TimeNs(self.intervals().map(|iv| iv.duration().0).sum())
     }
 }
 
 /// Two tracks are equal when they hold the same intervals in the same
-/// order; how those are cut into runs and chunks does not enter into it.
+/// order; how those are cut into chunks does not enter into it.
 impl PartialEq for Track {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key && self.len == other.len && self.intervals().eq(other.intervals())
@@ -212,6 +208,30 @@ impl TimelineSnapshot {
         }
     }
 
+    /// One snapshot of several rings' ([`IntervalRing::snapshot`]): their
+    /// tracks in `(device, stream)` order and their counters summed. The
+    /// parts' names and windows are not kept; attach them to the result.
+    ///
+    /// # Panics
+    ///
+    /// If two parts hold the same track: a track lives in one ring.
+    ///
+    /// [`IntervalRing::snapshot`]: crate::IntervalRing::snapshot
+    pub fn join(parts: impl IntoIterator<Item = TimelineSnapshot>) -> Self {
+        let mut tracks = Vec::new();
+        let mut counters = TimelineCounters::default();
+        for part in parts {
+            tracks.extend(part.tracks);
+            counters.recorded += part.counters.recorded;
+            counters.dropped += part.counters.dropped;
+        }
+        tracks.sort_unstable_by_key(Track::key);
+        if let Some(pair) = tracks.windows(2).find(|pair| pair[0].key == pair[1].key) {
+            panic!("track {:?} is held by two rings", pair[0].key);
+        }
+        TimelineSnapshot::from_tracks(tracks, counters)
+    }
+
     /// Groups `intervals`, in any order, into start-sorted tracks:
     /// tracks sort by `(start, end, correlation)`, intervals equal under
     /// that key keep their input order: the stored form, sorted and then
@@ -252,7 +272,7 @@ impl TimelineSnapshot {
         self.window
     }
 
-    /// The snapshot in its persistent form: each track merged once into
+    /// The snapshot in its persistent form: each track expanded once into
     /// one slice, contexts as master ids, plus the captured symbol
     /// table, the counters and the window — the shape `ProfileDb`
     /// stores on disk.
@@ -279,13 +299,12 @@ impl TimelineSnapshot {
     /// symbol table and the window.
     pub fn from_stored(stored: &StoredTimeline) -> Self {
         let tracks = stored.tracks.iter().map(|(key, slots)| {
-            let chunks = vec![Arc::clone(slots)];
             let run = Run {
                 table: None,
-                chunks,
+                chunks: vec![Arc::clone(slots)],
                 front: 0,
             };
-            Track::new(*key, vec![run])
+            Track::new(*key, run)
         });
         let counters = TimelineCounters {
             recorded: stored.recorded,
@@ -598,6 +617,26 @@ mod tests {
         assert_eq!(starts, vec![5, 50]);
         assert_eq!(t01.busy(), TimeNs(20));
         assert_eq!(snap.interval_count(), 4);
+    }
+
+    #[test]
+    fn join_sorts_disjoint_tracks_and_sums_counters() {
+        let parts = [
+            snapshot(vec![iv(1, 0, 0, 5, 3), iv(0, 1, 5, 15, 2)]),
+            snapshot(vec![iv(0, 0, 0, 10, 1)]),
+        ];
+        let joined = TimelineSnapshot::join(parts);
+        let all = vec![iv(0, 0, 0, 10, 1), iv(0, 1, 5, 15, 2), iv(1, 0, 0, 5, 3)];
+        assert_eq!(joined, snapshot(all));
+    }
+
+    #[test]
+    #[should_panic(expected = "is held by two rings")]
+    fn join_refuses_a_track_held_by_two_parts() {
+        TimelineSnapshot::join([
+            snapshot(vec![iv(0, 0, 0, 10, 1), iv(0, 1, 5, 15, 2)]),
+            snapshot(vec![iv(0, 1, 20, 30, 3)]),
+        ]);
     }
 
     #[test]

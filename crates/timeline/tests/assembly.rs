@@ -1,32 +1,33 @@
 //! Sort-free assembly against the sorting constructor.
 //!
-//! `TimelineSink::snapshot_with` shares the rings' chunks and merges the
-//! per-shard runs of each track as it is read;
-//! `TimelineSnapshot::from_intervals` groups and stable-sorts whatever it
-//! is given. Over random pushes — several shards and tracks, rings small
-//! enough to evict (down to tracks evicted empty), runs of equal
-//! `(start, end)` and equal whole keys, arrivals that jump back in time —
-//! the two must build the same snapshot, statistics included, and the
-//! stored form must reassemble to it.
+//! `IntervalRing::snapshot` shares a ring's chunks and
+//! `TimelineSnapshot::join` puts several rings' snapshots together by
+//! track; `TimelineSnapshot::from_intervals` groups and stable-sorts
+//! whatever it is given. Over random pushes — several rings and tracks,
+//! each track in one ring as a shard keeps it, rings small enough to
+//! evict (down to tracks evicted empty), runs of equal `(start, end)`
+//! and equal whole keys, arrivals that jump back in time — the two must
+//! build the same snapshot, statistics included, and the stored form
+//! must reassemble to it.
 
 use std::sync::Arc;
 
 use deepcontext_core::{
     CallingContextTree, Frame, Interner, Interval, IntervalKind, NodeId, TimeNs, TrackKey,
 };
-use deepcontext_timeline::{
-    IntervalRing, TimelineConfig, TimelineCounters, TimelineSink, TimelineSnapshot,
-};
+use deepcontext_timeline::{IntervalRing, TimelineCounters, TimelineSnapshot};
 use proptest::prelude::*;
 
+/// Rings. Track `(device, stream)` records into ring
+/// `(2 * device + stream) % SHARDS`: one ring holds two of the four
+/// tracks, the others one each.
 const SHARDS: usize = 3;
 
-/// One push: which ring, which track, how far the track's clock moves
-/// first (`None`: back to its start — a late arrival), and the rest of
-/// the interval.
+/// One push: which track, how far the track's clock moves first
+/// (`None`: back to its start — a late arrival), and the rest of the
+/// interval.
 #[derive(Debug, Clone)]
 struct Push {
-    shard: usize,
     device: u32,
     stream: u32,
     advance: Option<u64>,
@@ -37,7 +38,6 @@ struct Push {
 
 fn arb_push() -> impl Strategy<Value = Push> {
     (
-        0usize..SHARDS,
         0u32..2,
         0u32..2,
         // Mostly small steps (0 repeats the start), one in three jumps back.
@@ -51,8 +51,7 @@ fn arb_push() -> impl Strategy<Value = Push> {
         prop_oneof![(0usize..4).prop_map(Some), Just(None)],
     )
         .prop_map(
-            |(shard, device, stream, advance, duration, correlation, context)| Push {
-                shard,
+            |(device, stream, advance, duration, correlation, context)| Push {
                 device,
                 stream,
                 advance,
@@ -91,12 +90,10 @@ proptest! {
             .collect();
         let names = ["k0", "k1", "memcpy"].map(|n| interner.intern(n));
 
-        let sink = TimelineSink::new(SHARDS, &TimelineConfig { enabled: true, ring_capacity: capacity });
-        // The same pushes into rings the test can read back.
-        let mut mirror: Vec<IntervalRing> = (0..SHARDS).map(|_| IntervalRing::new(capacity)).collect();
-        let mut clocks = [[[10u64; 2]; 2]; SHARDS];
+        let mut rings: Vec<IntervalRing> = (0..SHARDS).map(|_| IntervalRing::new(capacity)).collect();
+        let mut clocks = [[10u64; 2]; 2];
         for (n, push) in pushes.iter().enumerate() {
-            let clock = &mut clocks[push.shard][push.device as usize][push.stream as usize];
+            let clock = &mut clocks[push.device as usize][push.stream as usize];
             *clock = match push.advance {
                 Some(step) => *clock + step,
                 None => 10,
@@ -110,13 +107,11 @@ proptest! {
                 correlation: push.correlation,
                 context: push.context.map(|c| nodes[c]),
             };
-            sink.record(push.shard, interval);
-            mirror[push.shard].push(interval);
+            rings[(2 * push.device + push.stream) as usize % SHARDS].push(interval);
         }
 
-        let counters = sink.counters();
         let tables = tables(&nodes);
-        let live: Vec<Interval> = mirror
+        let live: Vec<Interval> = rings
             .iter()
             .zip(&tables)
             .flat_map(|(ring, table)| {
@@ -126,21 +121,19 @@ proptest! {
                 })
             })
             .collect();
+        let counters = TimelineCounters {
+            recorded: rings.iter().map(IntervalRing::recorded).sum(),
+            dropped: rings.iter().map(IntervalRing::dropped).sum(),
+        };
         prop_assert_eq!(live.len() as u64 + counters.dropped, counters.recorded);
         prop_assert_eq!(counters.recorded, pushes.len() as u64);
-        prop_assert_eq!(
-            counters,
-            TimelineCounters {
-                recorded: mirror.iter().map(IntervalRing::recorded).sum(),
-                dropped: mirror.iter().map(IntervalRing::dropped).sum(),
-            }
-        );
 
         let finish = |snapshot: TimelineSnapshot| {
             let snapshot = snapshot.with_names(interner.snapshot());
             if window { snapshot.with_window(TimeNs(3), TimeNs(40)) } else { snapshot }
         };
-        let merged = finish(sink.snapshot_with(&tables));
+        let parts = rings.iter().zip(&tables).map(|(ring, table)| ring.snapshot(Some(Arc::clone(table))));
+        let merged = finish(TimelineSnapshot::join(parts));
         let sorted = finish(TimelineSnapshot::from_intervals(live, counters));
         prop_assert_eq!(&merged, &sorted);
         prop_assert_eq!(merged.stats(), sorted.stats());

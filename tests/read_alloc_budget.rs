@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use deepcontext::core::{Interval, IntervalKind, NodeId, StoredTimeline, Sym, TrackKey, TrackSlot};
 use deepcontext::prelude::*;
-use deepcontext::timeline::TimelineSink;
+use deepcontext::timeline::IntervalRing;
 
 thread_local! {
     /// Allocations made by this thread (tests run on threads of their own).
@@ -215,29 +215,34 @@ fn timeline_assembly_allocates_per_track() {
     // `LARGE` intervals fill the rings exactly: a live read of full rings.
     let read = |n: usize| {
         let (cct, leaves) = contexts();
-        let config = TimelineConfig {
-            enabled: true,
-            ring_capacity: LARGE / SHARDS,
-        };
-        let sink = TimelineSink::new(SHARDS + 1, &config);
+        // One ring more than the intervals reach, left empty.
+        let mut rings: Vec<IntervalRing> = (0..=SHARDS)
+            .map(|_| IntervalRing::new(LARGE / SHARDS))
+            .collect();
+        // Track `j % TRACKS` goes to ring `j % SHARDS`: each track is in
+        // one ring, as a shard keeps it.
         for (j, interval) in intervals(n, &leaves).enumerate() {
-            sink.record(j % SHARDS, interval);
+            rings[j % SHARDS].push(interval);
         }
         let table: Arc<[NodeId]> = vec![NodeId::ROOT; cct.node_count()].into();
-        let tables = vec![table; SHARDS + 1];
-        allocated(|| sink.snapshot_with(&tables))
+        allocated(|| {
+            let parts = rings
+                .iter()
+                .map(|ring| ring.snapshot(Some(Arc::clone(&table))));
+            TimelineSnapshot::join(parts)
+        })
     };
     let ((small, _), (large, large_bytes)) = (read(SMALL), read(LARGE));
     assert_eq!(
         small, large,
         "allocations must not follow the interval count"
     );
-    // The ring guards, the key list (and its growth), the track list;
-    // per track the run list; per run — each track is in one ring here —
-    // its chunk handles and its tail.
-    let bound = 8 + 3 * TRACKS as u64;
+    // Each ring's track list (the empty ring has none), the joined list
+    // and its growth (at most three times for six tracks); per track its
+    // chunk handles and its tail. 17 here.
+    let bound = SHARDS as u64 + 3 + 2 * TRACKS as u64;
     assert!(small <= bound, "{small} allocations, budget {bound}");
-    // Handles and tails, not intervals: 41 584 bytes here, 38 496 of them
+    // Handles and tails, not intervals: 41 568 bytes here, 38 496 of them
     // the six open tails. The parent (`ddb375d`) copied every interval
     // into the snapshot and allocated 1 153 024 bytes for the same read.
     let budget = LARGE * size_of::<TrackSlot>() / 16;
