@@ -507,13 +507,9 @@ pub(crate) mod tests {
         use deepcontext_core::{Interner, IntervalKind, StoredTimeline, TrackKey, TrackSlot};
         let name = Interner::new().intern("sgemm");
         assert_eq!(name.index(), 0, "inside the one-name table below");
-        let slot = |start| TrackSlot {
-            start: TimeNs(start),
-            end: TimeNs(start + 10),
-            correlation: start,
-            name,
-            context: None,
-            kind: IntervalKind::Kernel,
+        let slot = |start| {
+            let kind = IntervalKind::Kernel;
+            TrackSlot::new(TimeNs(start), TimeNs(start + 10), start, name, None, kind)
         };
         let track = |stream, slots: &[TrackSlot]| (TrackKey { device: 0, stream }, slots.into());
         let (dir, store) = temp_store();

@@ -359,15 +359,10 @@ fn block_fields(
     for (track, run) in tracks {
         emit(&[track.device.into(), track.stream.into(), run.len() as u64])?;
         for iv in run.iter() {
-            let context = iv.context.map_or(0, |c| u64::from(c.0) + 1);
-            let kind = match iv.kind {
-                IntervalKind::Kernel => 0,
-                IntervalKind::Memcpy => 1,
-            };
             emit(&[
                 zigzag(iv.start.0.wrapping_sub(start)),
                 zigzag(iv.end.0.wrapping_sub(iv.start.0)),
-                (context << 1) | kind,
+                iv.word.into(),
                 iv.name.index().into(),
                 zigzag(iv.correlation.wrapping_sub(correlation)),
             ])?;
@@ -754,21 +749,27 @@ fn parse_interval_block(
             };
             let context = match tagged >> 1 {
                 0 => None,
-                context => Some(NodeId(u32::try_from(context - 1).map_err(|_| {
-                    CoreError::parse(format!("interval context {} out of range", context - 1))
-                })?)),
+                context if context - 1 <= u64::from(TrackSlot::MAX_CONTEXT) => {
+                    Some(NodeId(context as u32 - 1))
+                }
+                context => {
+                    return Err(CoreError::parse(format!(
+                        "interval context {} out of range",
+                        context - 1
+                    )))
+                }
             };
             let name: u32 = varints.number("name")?;
             check_name(name, name_count)?;
             correlation = correlation.wrapping_add(unzigzag(varints.next()?));
-            let slot = TrackSlot {
-                start: TimeNs(start),
-                end: TimeNs(end),
+            let slot = TrackSlot::new(
+                TimeNs(start),
+                TimeNs(end),
                 correlation,
-                name: Sym(name),
+                Sym(name),
                 context,
                 kind,
-            };
+            );
             check_slot_order(slots.last(), &slot, &track)?;
             slots.push(slot);
         }
@@ -946,14 +947,14 @@ mod tests {
     fn sample_timeline() -> StoredTimeline {
         let names: Vec<Arc<str>> = vec![Arc::from("sgemm"), Arc::from("memcpy")];
         let track = |device, stream, start, end, kind, name, correlation, context| {
-            let slot = TrackSlot {
-                start: TimeNs(start),
-                end: TimeNs(end),
+            let slot = TrackSlot::new(
+                TimeNs(start),
+                TimeNs(end),
                 correlation,
-                name: Sym(name),
+                Sym(name),
                 context,
                 kind,
-            };
+            );
             (TrackKey { device, stream }, Arc::from([slot]))
         };
         let kernel = IntervalKind::Kernel;
@@ -1077,8 +1078,8 @@ mod tests {
 
         // Hand-made blocks of three intervals on track (0, 0), cut into
         // runs of the given lengths. The good one loads — at the name
-        // table's last index and the largest context a `NodeId` holds —
-        // so each corruption below fails on its own.
+        // table's last index and the largest context a slot holds — so
+        // each corruption below fails on its own.
         let block = |runs: &[u64], tagged: u64, name: u64| {
             let mut fields = Vec::new();
             for &run in runs {
@@ -1089,21 +1090,29 @@ mod tests {
             }
             varints(&fields)
         };
-        let max_context = ((u64::from(u32::MAX) + 1) << 1) | 1;
-        let good = block(&[3], max_context, 1);
+        let max_context = u64::from(TrackSlot::MAX_CONTEXT);
+        let good = block(&[3], ((max_context + 1) << 1) | 1, 1);
         let back = load(&with_block(&buf, good.len(), &good)).unwrap();
         let intervals = &back.timeline().unwrap().tracks[0].1;
         assert_eq!(intervals.len(), 3);
-        assert_eq!(intervals[2].context, Some(NodeId(u32::MAX)));
-        assert_eq!(intervals[2].kind, IntervalKind::Memcpy);
+        assert_eq!(intervals[2].context(), Some(NodeId(TrackSlot::MAX_CONTEXT)));
+        assert_eq!(intervals[2].kind(), IntervalKind::Memcpy);
         assert_eq!(intervals[2].name, Sym(1));
         assert_eq!(intervals[2].start, TimeNs(3));
 
         let load_block = |block: &[u8]| load(&with_block(&buf, block.len(), block));
         // A name index past the captured table.
         assert!(load_block(&block(&[3], 0, 2)).is_err());
-        // A context above `u32::MAX`.
-        assert!(load_block(&block(&[3], (u64::from(u32::MAX) + 2) << 1, 0)).is_err());
+        // A context one past the largest a slot holds, and one above
+        // `u32::MAX`: refused by name.
+        for context in [max_context + 1, u64::from(u32::MAX) + 1] {
+            let past = block(&[3], (context + 1) << 1, 0);
+            let msg = parse_error(&with_block(&buf, past.len(), &past));
+            assert!(
+                msg.contains(&format!("interval context {context} out of range")),
+                "{msg}"
+            );
+        }
         // A device that is not a `u32`.
         let mut wide = varints(&[1 << 32]);
         wide.extend_from_slice(&good[1..]);

@@ -122,7 +122,8 @@ pub enum MetricKind {
     SharedMemPerBlock,
     /// Registers per thread.
     RegistersPerThread,
-    /// Achieved occupancy (0..=1 per kernel instance).
+    /// The occupancy the four limiters allow (0..=1 per kernel instance:
+    /// resident warps per SM over the maximum).
     Occupancy,
     /// Number of warps per launch.
     Warps,

@@ -71,8 +71,8 @@
 //! folded, read or measured (`ShardedSink` does so under the shard lock
 //! at every batch boundary and before every fold). `settle` releases the
 //! scratch, and [`CctShard::approx_bytes`] counts it while it is held.
-//! Exclusive metrics (launch shapes, sampled drop victims) never
-//! propagate and are written to the tree directly.
+//! Exclusive metrics (launch shapes) never propagate and are written to
+//! the tree directly.
 //!
 //! **A shard owns the correlations launched into it.** Every launch and
 //! every record of one GPU stream go to the same shard, so the shard's

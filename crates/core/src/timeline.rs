@@ -14,6 +14,7 @@
 //! analyzer, exporters) shares one vocabulary without depending on the
 //! timeline machinery.
 
+use std::fmt;
 use std::sync::Arc;
 
 use crate::cct::NodeId;
@@ -90,11 +91,17 @@ impl Interval {
     }
 }
 
-/// An [`Interval`] without its track key, which is the track's: 40 bytes
+/// An [`Interval`] without its track key, which is the track's: 32 bytes
 /// against 48. It is an interval's one record from the ring it is
 /// recorded into to the [`StoredTimeline`] a profile saves and loads; a
 /// track's `Arc<[TrackSlot]>` slices are shared, not copied, on the way.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// The context and the kind share one word, `(context + 1) << 1 | kind`
+/// (no context is 0, a memcpy sets the low bit) — the word the profile
+/// database stores. So a slot holds a context id up to
+/// [`TrackSlot::MAX_CONTEXT`], 2³¹ − 2: [`TrackSlot::new`] asserts it,
+/// and `ProfileDb::load` refuses a stored id above it.
+#[derive(Clone, Copy, PartialEq)]
 pub struct TrackSlot {
     /// Device-side start time.
     pub start: TimeNs,
@@ -104,22 +111,74 @@ pub struct TrackSlot {
     pub correlation: u64,
     /// Interned display name.
     pub name: Sym,
-    /// The CCT context the interval was attributed to.
-    pub context: Option<NodeId>,
-    /// Kernel or memcpy.
-    pub kind: IntervalKind,
+    /// The CCT context and the kind, `(context + 1) << 1 | kind`; the
+    /// container stores it as it is.
+    pub(crate) word: u32,
 }
 
 impl TrackSlot {
+    /// The largest context id a slot holds: its word must fit in 32 bits.
+    pub const MAX_CONTEXT: u32 = (1 << 31) - 2;
+
+    /// A slot of `[start, end)` recorded for `context`.
+    ///
+    /// # Panics
+    /// If `context` is above [`TrackSlot::MAX_CONTEXT`].
+    pub fn new(
+        start: TimeNs,
+        end: TimeNs,
+        correlation: u64,
+        name: Sym,
+        context: Option<NodeId>,
+        kind: IntervalKind,
+    ) -> TrackSlot {
+        let context = context.map_or(0, |node| {
+            assert!(
+                node.0 <= Self::MAX_CONTEXT,
+                "context {} above a slot's limit {}",
+                node.0,
+                Self::MAX_CONTEXT
+            );
+            node.0 + 1
+        });
+        let kind = match kind {
+            IntervalKind::Kernel => 0,
+            IntervalKind::Memcpy => 1,
+        };
+        TrackSlot {
+            start,
+            end,
+            correlation,
+            name,
+            word: context << 1 | kind,
+        }
+    }
+
     /// `interval` without its track key.
     pub fn of(interval: &Interval) -> TrackSlot {
-        TrackSlot {
-            start: interval.start,
-            end: interval.end,
-            correlation: interval.correlation,
-            name: interval.name,
-            context: interval.context,
-            kind: interval.kind,
+        TrackSlot::new(
+            interval.start,
+            interval.end,
+            interval.correlation,
+            interval.name,
+            interval.context,
+            interval.kind,
+        )
+    }
+
+    /// The CCT context the interval was attributed to.
+    pub fn context(&self) -> Option<NodeId> {
+        match self.word >> 1 {
+            0 => None,
+            context => Some(NodeId(context - 1)),
+        }
+    }
+
+    /// Kernel or memcpy.
+    pub fn kind(&self) -> IntervalKind {
+        match self.word & 1 {
+            0 => IntervalKind::Kernel,
+            _ => IntervalKind::Memcpy,
         }
     }
 
@@ -136,16 +195,30 @@ impl TrackSlot {
             track,
             start: self.start,
             end: self.end,
-            kind: self.kind,
+            kind: self.kind(),
             name: self.name,
             correlation: self.correlation,
             context: match table {
                 Some(table) => self
-                    .context
+                    .context()
                     .and_then(|node| table.get(node.index()).copied()),
-                None => self.context,
+                None => self.context(),
             },
         }
+    }
+}
+
+/// The fields, the context and the kind among them, not the word.
+impl fmt::Debug for TrackSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TrackSlot")
+            .field("start", &self.start)
+            .field("end", &self.end)
+            .field("correlation", &self.correlation)
+            .field("name", &self.name)
+            .field("context", &self.context())
+            .field("kind", &self.kind())
+            .finish()
     }
 }
 
@@ -226,13 +299,47 @@ mod tests {
     }
 
     #[test]
-    fn a_slot_is_at_most_40_bytes() {
+    fn a_slot_is_32_bytes() {
         use std::mem::size_of;
-        assert!(
-            size_of::<TrackSlot>() <= 40,
-            "{} bytes",
-            size_of::<TrackSlot>()
+        assert_eq!(size_of::<TrackSlot>(), 32);
+        assert_eq!(size_of::<Interval>(), 48);
+    }
+
+    #[test]
+    fn a_slot_round_trips_its_context_and_kind() {
+        let largest = NodeId(TrackSlot::MAX_CONTEXT);
+        for context in [None, Some(NodeId::ROOT), Some(largest)] {
+            for kind in [IntervalKind::Kernel, IntervalKind::Memcpy] {
+                let slot = TrackSlot::new(TimeNs(3), TimeNs(5), 9, Sym(2), context, kind);
+                assert_eq!((slot.context(), slot.kind()), (context, kind));
+                assert_eq!(slot.key(), (TimeNs(3), TimeNs(5), 9));
+                assert_eq!(slot.name, Sym(2));
+            }
+        }
+        assert_eq!(TrackSlot::MAX_CONTEXT, (1 << 31) - 2);
+        let word = TrackSlot::new(
+            TimeNs(0),
+            TimeNs(0),
+            0,
+            Sym(0),
+            Some(largest),
+            IntervalKind::Memcpy,
+        )
+        .word;
+        assert_eq!(word, u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "above a slot's limit")]
+    fn a_slot_past_the_largest_context_panics() {
+        let past = NodeId(TrackSlot::MAX_CONTEXT + 1);
+        TrackSlot::new(
+            TimeNs(0),
+            TimeNs(0),
+            0,
+            Sym(0),
+            Some(past),
+            IntervalKind::Kernel,
         );
-        assert!(size_of::<TrackSlot>() < size_of::<Interval>());
     }
 }

@@ -148,7 +148,7 @@ fn arb_track_id() -> BoxedStrategy<u32> {
 fn arb_stored_timeline() -> impl Strategy<Value = StoredTimeline> {
     let context = prop_oneof![
         Just(None),
-        Just(Some(NodeId::from_index(u32::MAX))),
+        Just(Some(NodeId::from_index(TrackSlot::MAX_CONTEXT))),
         (0u32..100).prop_map(|index| Some(NodeId::from_index(index))),
     ];
     let interval = (
@@ -177,18 +177,19 @@ fn arb_stored_timeline() -> impl Strategy<Value = StoredTimeline> {
                 .collect();
             let mut tracks: BTreeMap<TrackKey, Vec<TrackSlot>> = BTreeMap::new();
             for ((device, stream), (start, end), memcpy, name, correlation, context) in intervals {
-                let slot = TrackSlot {
-                    start: TimeNs(start),
-                    end: TimeNs(end),
-                    correlation,
-                    name: syms[name.min(names - 1)],
-                    context,
-                    kind: if memcpy {
-                        IntervalKind::Memcpy
-                    } else {
-                        IntervalKind::Kernel
-                    },
+                let kind = if memcpy {
+                    IntervalKind::Memcpy
+                } else {
+                    IntervalKind::Kernel
                 };
+                let slot = TrackSlot::new(
+                    TimeNs(start),
+                    TimeNs(end),
+                    correlation,
+                    syms[name.min(names - 1)],
+                    context,
+                    kind,
+                );
                 tracks
                     .entry(TrackKey { device, stream })
                     .or_default()

@@ -950,7 +950,7 @@ mod tests {
         // point into the master tree the db carries.
         for iv in stored.tracks.iter().flat_map(|(_, slots)| slots.iter()) {
             assert!(stored.name_of(iv.name).is_some());
-            let ctx = iv.context.expect("context resolved");
+            let ctx = iv.context().expect("context resolved");
             assert!(ctx.index() < db.cct().node_count());
         }
 

@@ -46,7 +46,8 @@ pub enum ActivityKind {
         blocks: u32,
         /// Warps launched.
         warps: u64,
-        /// Achieved occupancy 0..=1.
+        /// The occupancy the four limiters allow, 0..=1 (see
+        /// `KernelCost::occupancy`).
         occupancy: f64,
         /// Shared memory per block, bytes.
         shared_mem_per_block: u64,

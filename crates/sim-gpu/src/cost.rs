@@ -1,9 +1,9 @@
 //! Analytic kernel cost model.
 //!
 //! Duration is a roofline estimate — the larger of compute time and memory
-//! time at the device's peaks — degraded by achieved occupancy and
-//! parallelism, multiplied by the kernel's serialization factor, plus a
-//! fixed launch-to-start latency:
+//! time at the device's peaks — degraded by occupancy and parallelism,
+//! multiplied by the kernel's serialization factor, plus a fixed
+//! launch-to-start latency:
 //!
 //! ```text
 //! ideal   = max(flops / peak_flops, bytes / (mem_bandwidth * pattern_eff))
@@ -37,7 +37,8 @@ pub struct KernelCost {
     pub warps: u64,
     /// Blocks launched.
     pub blocks: u32,
-    /// Achieved occupancy, 0..=1.
+    /// The occupancy the four limiters allow, 0..=1: resident warps per
+    /// SM over `max_warps_per_sm`, a multiple of `1 / max_warps_per_sm`.
     pub occupancy: f64,
     /// Device utilization used for the duration estimate, 0..=1.
     pub utilization: f64,
@@ -183,6 +184,41 @@ mod tests {
         let light = big_kernel(1024, 256).with_registers(32);
         let heavy = big_kernel(1024, 256).with_registers(255);
         assert!(kernel_cost(&spec, &heavy).occupancy < kernel_cost(&spec, &light).occupancy);
+    }
+
+    /// Settling and the store are exact in any merge order only because
+    /// every occupancy sample is a multiple of a power of two: a sum of
+    /// `k / 64` or `k / 32` values never rounds.
+    #[test]
+    fn occupancy_is_a_whole_number_of_warp_slots_on_every_spec() {
+        for spec in [DeviceSpec::a100_sxm(), DeviceSpec::mi250()] {
+            let slots = spec.max_warps_per_sm;
+            assert!(slots.is_power_of_two(), "{}: {slots} warp slots", spec.name);
+            let too_much_shared = spec.shared_mem_per_sm + 1;
+            let mut fits = [false, false];
+            for block in [
+                1, 31, 32, 33, 64, 96, 128, 200, 256, 384, 512, 1024, 2048, 4096,
+            ] {
+                for registers in [0, 16, 32, 64, 100, 128, 255] {
+                    for shared in [0, 1024, 48 * 1024, 82 * 1024, too_much_shared] {
+                        let desc = big_kernel(1024, block)
+                            .with_registers(registers)
+                            .with_shared_mem(shared);
+                        let occupancy = kernel_cost(&spec, &desc).occupancy;
+                        let warps = occupancy * f64::from(slots);
+                        assert_eq!(
+                            warps,
+                            warps.trunc(),
+                            "{}: block {block}, {registers} registers, {shared} B shared",
+                            spec.name
+                        );
+                        assert!((0.0..=1.0).contains(&occupancy));
+                        fits[usize::from(blocks_per_sm(&spec, &desc) > 0)] = true;
+                    }
+                }
+            }
+            assert_eq!(fits, [true, true], "{}: both sides swept", spec.name);
+        }
     }
 
     #[test]

@@ -50,9 +50,9 @@ pub use deepcontext_core::{Interval, IntervalKind, TrackKey};
 /// Default per-shard ring capacity, in intervals. Large enough that the
 /// benchmark workloads (and an iteration window of a real training loop)
 /// fit without eviction, small enough that a full ring stays a bounded
-/// slice of profile memory (a ring slot is 40 bytes; a full default ring
-/// is 2.5 MiB plus under 1 % of chunk headers and handles, allocated a
-/// 10 KiB chunk at a time).
+/// slice of profile memory (a ring slot is 32 bytes; a full default ring
+/// is 2 MiB plus under 1 % of chunk headers and handles, allocated an
+/// 8 KiB chunk at a time).
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 /// Timeline recording knobs (the `ProfilerConfig::timeline` field).

@@ -14,7 +14,7 @@
 //! Each ring keeps one run per track in track order — activity records
 //! arrive in completion order per stream, so [`IntervalRing::push`]
 //! pays one compare against the newest entry for it. A run is a list of
-//! **sealed chunks** — immutable, reference-counted slices of 40-byte
+//! **sealed chunks** — immutable, reference-counted slices of 32-byte
 //! [`TrackSlot`]s, the record a stored timeline keeps too — plus a
 //! small open tail. Nothing ever writes into a sealed chunk: eviction
 //! advances an offset into the oldest one (and frees it when the offset

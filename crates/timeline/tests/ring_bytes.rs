@@ -109,10 +109,9 @@ fn approx_bytes_is_the_rings_live_heap() {
     let (ring, live) = fed(CAPACITY);
     assert_eq!((ring.len(), ring.dropped()), (CAPACITY, 0));
     assert_within_2_percent(&ring, live, "exactly at capacity");
-    // A 40-byte slot plus the chunk headers, handles and tail slack: the
-    // parent's ring held 48-byte intervals in power-of-two deques.
+    // A 32-byte slot plus the chunk headers, handles and tail slack.
     assert!(
-        live <= CAPACITY * 42,
+        live <= CAPACITY * 34,
         "{} bytes per interval",
         live / CAPACITY
     );

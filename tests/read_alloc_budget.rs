@@ -327,7 +327,8 @@ fn interval_block_costs_at_most_ten_bytes_an_interval() {
         .unwrap()
         .parse()
         .unwrap();
-    // As text lines the same intervals were 40 bytes each.
+    // As text lines the same intervals were 40 bytes each; a ring slot
+    // is 32.
     assert!(
         bytes <= 10 * LARGE,
         "{bytes} bytes of interval block for {LARGE} intervals"

@@ -93,7 +93,7 @@ fn finished_run_reloads_from_the_store_with_timeline_intact() {
     // Every interval still resolves its name and its context.
     for interval in reloaded.tracks.iter().flat_map(|(_, slots)| slots.iter()) {
         assert!(reloaded.name_of(interval.name).is_some());
-        let context = interval.context.expect("contexts resolved");
+        let context = interval.context().expect("contexts resolved");
         assert!(context.index() < back.cct().node_count());
     }
     fs::remove_dir_all(dir).unwrap();
