@@ -92,11 +92,6 @@ impl ProfileDiff {
         }
     }
 
-    /// The compared metric.
-    pub fn metric(&self) -> MetricKind {
-        self.metric
-    }
-
     /// The changed label paths, largest |delta| first.
     pub fn entries(&self) -> &[DiffEntry] {
         &self.entries

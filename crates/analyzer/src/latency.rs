@@ -310,7 +310,7 @@ mod tests {
     #[test]
     fn rules_are_silent_without_a_timeline() {
         let (db, _) = db_with_kernel();
-        let view = ProfileView::new(&db);
+        let view = ProfileView::new(db.cct());
         assert!(GpuIdleRule::default().analyze(&view).is_empty());
         assert!(StreamSerializationRule::default().analyze(&view).is_empty());
     }
@@ -324,7 +324,7 @@ mod tests {
             interval(0, 0, 0, 10_000, 1, Some(node)),
             interval(0, 0, 100_000, 110_000, 2, Some(node)),
         ]);
-        let view = ProfileView::new(&db).with_timeline(&timeline);
+        let view = ProfileView::new(db.cct()).with_timeline(&timeline);
         let issues = GpuIdleRule::default().analyze(&view);
         assert_eq!(issues.len(), 1);
         let issue = &issues[0];
@@ -341,13 +341,13 @@ mod tests {
 
     #[test]
     fn a_timeline_reloaded_from_the_store_feeds_the_idle_rule() {
-        let (db, node) = db_with_kernel();
+        let (mut db, node) = db_with_kernel();
         // 10µs of work every 100µs on one stream: 10% utilization.
         let slots = (0..5u64).map(|n| {
             let start = n * 100_000;
             TrackSlot::of(&interval(0, 0, start, start + 10_000, n, Some(node)))
         });
-        let db = db.with_timeline(StoredTimeline {
+        db.set_timeline(Some(StoredTimeline {
             tracks: vec![(
                 TrackKey {
                     device: 0,
@@ -359,13 +359,13 @@ mod tests {
             recorded: 5,
             dropped: 0,
             window: Some((TimeNs(0), TimeNs(500_000))),
-        });
+        }));
         let (dir, store) = temp_store();
         let loaded = store.load(&store.save(&db).unwrap()).unwrap();
         std::fs::remove_dir_all(dir).unwrap();
 
         let timeline = TimelineSnapshot::from_stored(loaded.timeline().unwrap());
-        let report = Analyzer::with_default_rules().analyze_with_timeline(&loaded, &timeline);
+        let report = Analyzer::with_default_rules().preview_with_timeline(loaded.cct(), &timeline);
         let idle = report.by_rule("gpu-idle");
         assert_eq!(idle.len(), 1, "{}", report.render_text());
         assert!(idle[0].node.index() < loaded.cct().node_count());
@@ -384,7 +384,7 @@ mod tests {
             interval(0, 0, 0, 50_000, 1, Some(node)),
             interval(0, 0, 50_000, 100_000, 2, Some(node)),
         ]);
-        let view = ProfileView::new(&db).with_timeline(&timeline);
+        let view = ProfileView::new(db.cct()).with_timeline(&timeline);
         assert!(GpuIdleRule::default().analyze(&view).is_empty());
     }
 
@@ -396,7 +396,7 @@ mod tests {
             interval(0, 0, 0, 50_000, 1, Some(node)),
             interval(0, 1, 50_000, 100_000, 2, Some(node)),
         ]);
-        let view = ProfileView::new(&db).with_timeline(&timeline);
+        let view = ProfileView::new(db.cct()).with_timeline(&timeline);
         let issues = StreamSerializationRule::default().analyze(&view);
         assert_eq!(issues.len(), 1);
         assert!(issues[0].message.contains("2 streams"));
@@ -411,11 +411,11 @@ mod tests {
             interval(0, 0, 0, 80_000, 1, Some(node)),
             interval(0, 1, 10_000, 90_000, 2, Some(node)),
         ]);
-        let view = ProfileView::new(&db).with_timeline(&timeline);
+        let view = ProfileView::new(db.cct()).with_timeline(&timeline);
         assert!(StreamSerializationRule::default().analyze(&view).is_empty());
         // Single-stream devices are never "serialized".
         let single = snapshot(vec![interval(1, 0, 0, 10_000, 1, Some(node))]);
-        let view = ProfileView::new(&db).with_timeline(&single);
+        let view = ProfileView::new(db.cct()).with_timeline(&single);
         assert!(StreamSerializationRule::default().analyze(&view).is_empty());
     }
 
@@ -440,7 +440,7 @@ mod tests {
             ring.snapshot(None)
         };
         let analyze = |timeline: &TimelineSnapshot| {
-            let view = ProfileView::new(&db).with_timeline(timeline);
+            let view = ProfileView::new(db.cct()).with_timeline(timeline);
             let mut issues = GpuIdleRule::default().analyze(&view);
             issues.extend(StreamSerializationRule::default().analyze(&view));
             issues
@@ -475,7 +475,7 @@ mod tests {
             interval(0, 0, 0, 1_000, 1, None),
             interval(0, 0, 100_000, 101_000, 2, None),
         ]);
-        let view = ProfileView::new(&db).with_timeline(&timeline);
+        let view = ProfileView::new(db.cct()).with_timeline(&timeline);
         let issues = GpuIdleRule::default().analyze(&view);
         assert_eq!(issues.len(), 1);
         assert_eq!(issues[0].node, db.cct().root());

@@ -18,19 +18,16 @@
 //!
 //! Two timeline-backed latency analyses join them when a recorded
 //! timeline is attached to the view
-//! ([`ProfileView::with_timeline`] / [`Analyzer::analyze_with_timeline`]):
+//! ([`ProfileView::with_timeline`] / [`Analyzer::preview_with_timeline`]):
 //!
 //! | # | Rule | Question |
 //! |---|------|----------|
 //! | 6 | [`GpuIdleRule`] | which contexts left the device idle between launches |
 //! | 7 | [`StreamSerializationRule`] | do multi-stream devices actually overlap |
 //!
-//! Cross-run analysis works against a persistent [`ProfileStore`] (a
-//! directory of saved runs): filter runs by metadata ([`RunFilter`]),
-//! follow a metric across runs ([`ProfileStore::trend`]), diff two
-//! runs by label path, across GPU vendors ([`ProfileDiff::compare`]),
-//! and flag a fresh run against the store's baseline with the
-//! [`RegressionRule`] rule.
+//! Runs persist in a [`ProfileStore`] (a directory of saved runs), and
+//! [`ProfileDiff::compare`] diffs two runs by label path, across GPU
+//! vendors.
 //!
 //! Custom rules implement the [`Rule`] trait and register on an
 //! [`Analyzer`].
@@ -39,23 +36,19 @@
 #![warn(missing_docs)]
 
 mod diff;
-mod history;
 mod issue;
 mod latency;
-mod query;
 mod report;
 mod rules;
 mod store;
 mod view;
 
 pub use diff::{DiffEntry, ProfileDiff};
-pub use history::RegressionRule;
 pub use issue::{Issue, Severity};
 pub use latency::{GpuIdleRule, StreamSerializationRule};
-pub use query::{CallPathQuery, FrameMatcher, SemanticClass};
 pub use report::AnalysisReport;
 pub use rules::{CpuLatencyRule, FwdBwdRule, HotspotRule, KernelFusionRule, StallRule};
-pub use store::{ProfileStore, RunFilter, RunRecord, TrendPoint};
+pub use store::ProfileStore;
 pub use view::ProfileView;
 
 use deepcontext_core::{CallingContextTree, ProfileDb};
@@ -126,7 +119,7 @@ impl Analyzer {
 
     /// Runs every rule over `db`.
     pub fn analyze(&self, db: &ProfileDb) -> AnalysisReport {
-        self.run(&ProfileView::new(db))
+        self.preview(db.cct())
     }
 
     /// Runs every rule over a live (in-progress) calling context tree —
@@ -134,19 +127,7 @@ impl Analyzer {
     /// profiler's cached snapshot (`profiler.with_cct(|cct|
     /// analyzer.preview(cct))`), with no database round-trip.
     pub fn preview(&self, cct: &CallingContextTree) -> AnalysisReport {
-        self.run(&ProfileView::live(cct))
-    }
-
-    /// [`analyze`](Self::analyze) with the profile's recorded timeline
-    /// attached, enabling the latency rules. `timeline` must have been
-    /// resolved against `db`'s tree (the snapshot `Profiler::finish`
-    /// consumed).
-    pub fn analyze_with_timeline(
-        &self,
-        db: &ProfileDb,
-        timeline: &TimelineSnapshot,
-    ) -> AnalysisReport {
-        self.run(&ProfileView::new(db).with_timeline(timeline))
+        self.run(&ProfileView::new(cct))
     }
 
     /// [`preview`](Self::preview) with the running profiler's timeline
@@ -159,7 +140,7 @@ impl Analyzer {
         cct: &CallingContextTree,
         timeline: &TimelineSnapshot,
     ) -> AnalysisReport {
-        self.run(&ProfileView::live(cct).with_timeline(timeline))
+        self.run(&ProfileView::new(cct).with_timeline(timeline))
     }
 
     fn run(&self, view: &ProfileView<'_>) -> AnalysisReport {

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::issue::{Issue, Severity};
+use crate::issue::Issue;
 
 /// The result of running an [`Analyzer`](crate::Analyzer) over a profile:
 /// issues sorted by severity then weight.
@@ -24,14 +24,6 @@ impl AnalysisReport {
     /// Issues raised by one rule.
     pub fn by_rule(&self, rule: &str) -> Vec<&Issue> {
         self.issues.iter().filter(|i| i.rule == rule).collect()
-    }
-
-    /// Issues at or above a severity.
-    pub fn at_least(&self, severity: Severity) -> Vec<&Issue> {
-        self.issues
-            .iter()
-            .filter(|i| i.severity >= severity)
-            .collect()
     }
 
     /// Number of issues.
@@ -67,6 +59,7 @@ impl fmt::Display for AnalysisReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Severity;
     use deepcontext_core::NodeId;
 
     fn issue(rule: &str, severity: Severity, weight: f64) -> Issue {
@@ -91,7 +84,6 @@ mod tests {
         ]);
         assert_eq!(report.len(), 3);
         assert_eq!(report.by_rule("hotspot").len(), 2);
-        assert_eq!(report.at_least(Severity::Warning).len(), 2);
         let text = report.render_text();
         assert!(text.contains("3 issue(s)"));
         assert!(text.contains("#1"));

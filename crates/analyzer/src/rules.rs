@@ -547,7 +547,7 @@ mod tests {
         cct.attribute(hot, MetricKind::GpuTime, 95.0e6);
         cct.attribute(cold, MetricKind::GpuTime, 5.0e6);
         let db = view_of(cct);
-        let issues = HotspotRule::default().analyze(&ProfileView::new(&db));
+        let issues = HotspotRule::default().analyze(&ProfileView::new(db.cct()));
         assert_eq!(issues.len(), 1);
         assert!(issues[0].message.contains("implicit_gemm"));
         assert_eq!(issues[0].severity, Severity::Critical);
@@ -557,7 +557,7 @@ mod tests {
     fn hotspot_empty_profile_is_silent() {
         let db = view_of(CallingContextTree::new());
         assert!(HotspotRule::default()
-            .analyze(&ProfileView::new(&db))
+            .analyze(&ProfileView::new(db.cct()))
             .is_empty());
     }
 
@@ -578,7 +578,7 @@ mod tests {
             }
         }
         let db = view_of(cct);
-        let issues = KernelFusionRule::default().analyze(&ProfileView::new(&db));
+        let issues = KernelFusionRule::default().analyze(&ProfileView::new(db.cct()));
         assert!(!issues.is_empty());
         assert!(issues.iter().any(|i| i.call_path.contains("loss_fn")));
         assert!(issues[0].suggestion.contains("fuse"));
@@ -593,7 +593,7 @@ mod tests {
         }
         let db = view_of(cct);
         assert!(KernelFusionRule::default()
-            .analyze(&ProfileView::new(&db))
+            .analyze(&ProfileView::new(db.cct()))
             .is_empty());
     }
 
@@ -610,7 +610,7 @@ mod tests {
         cct.attribute(fwd, MetricKind::GpuTime, 0.6e9); // 0.8% like the paper
         cct.attribute(bwd, MetricKind::GpuTime, 30.5e9); // 39.6%
         let db = view_of(cct);
-        let issues = FwdBwdRule::default().analyze(&ProfileView::new(&db));
+        let issues = FwdBwdRule::default().analyze(&ProfileView::new(db.cct()));
         assert_eq!(issues.len(), 1);
         assert!(issues[0].message.contains("aten::index"));
         assert!(issues[0].suggestion.contains("index_select"));
@@ -626,7 +626,7 @@ mod tests {
         cct.attribute(bwd, MetricKind::GpuTime, 1.8e9);
         let db = view_of(cct);
         assert!(FwdBwdRule::default()
-            .analyze(&ProfileView::new(&db))
+            .analyze(&ProfileView::new(db.cct()))
             .is_empty());
     }
 
@@ -646,7 +646,7 @@ mod tests {
             cct.attribute(i2, MetricKind::Stall(StallReason::MathDependency), 1.0);
         }
         let db = view_of(cct);
-        let issues = StallRule::default().analyze(&ProfileView::new(&db));
+        let issues = StallRule::default().analyze(&ProfileView::new(db.cct()));
         assert_eq!(issues.len(), 1);
         assert!(issues[0].message.contains("constant_memory"));
         assert!(issues[0].message.contains("math_dependency"));
@@ -661,7 +661,7 @@ mod tests {
         cct.attribute(kernel, MetricKind::GpuTime, 1.0e9);
         let db = view_of(cct);
         assert!(StallRule::default()
-            .analyze(&ProfileView::new(&db))
+            .analyze(&ProfileView::new(db.cct()))
             .is_empty());
     }
 
@@ -686,7 +686,7 @@ mod tests {
         let kernel = cct.insert_child(op, &Frame::gpu_kernel("implicit_gemm", "m.so", 0x100, &i));
         cct.attribute(kernel, MetricKind::GpuTime, 30.0e9);
         let db = view_of(cct);
-        let issues = CpuLatencyRule::default().analyze(&ProfileView::new(&db));
+        let issues = CpuLatencyRule::default().analyze(&ProfileView::new(db.cct()));
         assert_eq!(issues.len(), 1);
         assert!(issues[0].call_path.contains("data_selection"));
         assert!(issues[0].suggestion.contains("worker"));
@@ -703,7 +703,7 @@ mod tests {
         cct.attribute_exclusive(py, MetricKind::CpuTime, 2.0e6);
         let db = view_of(cct);
         assert!(CpuLatencyRule::default()
-            .analyze(&ProfileView::new(&db))
+            .analyze(&ProfileView::new(db.cct()))
             .is_empty());
     }
 }

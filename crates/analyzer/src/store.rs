@@ -1,25 +1,17 @@
-//! Persistent profile store: a directory of runs with cross-run queries.
+//! Persistent profile store: a directory of runs.
 //!
 //! A [`ProfileStore`] is a plain directory of `.dcprof` files, one per
 //! run, written atomically (a tmp file, hard-linked into place) so a
-//! crashed writer never leaves a half-visible run. Listings read only
-//! each file's metadata header ([`ProfileDb::load_meta`]), so browsing a
-//! store of large profiles stays cheap; [`load`](ProfileStore::load)
-//! materializes the full tree + timeline on demand.
-//!
-//! On top of the store sit the cross-run queries the fleet workflow
-//! needs: [`list_filtered`](ProfileStore::list_filtered) by metadata
-//! axes ([`RunFilter`]) and [`trend`](ProfileStore::trend) of one metric
-//! across runs in wall-clock order.
-//! [`RegressionRule::from_store`](crate::RegressionRule::from_store)
-//! takes its baseline from the runs a filter selects.
+//! crashed writer never leaves a half-visible run.
+//! [`load`](ProfileStore::load) materializes a run's tree + timeline;
+//! [`ProfileDiff`](crate::ProfileDiff) compares two runs.
 
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use deepcontext_core::{CoreError, MetricKind, ProfileDb, ProfileMeta, TimeNs};
+use deepcontext_core::{CoreError, ProfileDb};
 
 /// File extension of stored runs.
 const EXT: &str = "dcprof";
@@ -123,89 +115,6 @@ mod inject {
     }
 }
 
-/// One run as seen in a store listing: its id plus the metadata header.
-#[derive(Debug, Clone)]
-pub struct RunRecord {
-    /// Store-unique run id (the file stem).
-    pub id: String,
-    /// The run's metadata header.
-    pub meta: ProfileMeta,
-}
-
-/// Metadata predicate for store queries. Empty (`default()`) matches
-/// every run; each set field must match exactly.
-#[derive(Debug, Clone, Default)]
-pub struct RunFilter {
-    /// Match this workload name.
-    pub workload: Option<String>,
-    /// Match this framework.
-    pub framework: Option<String>,
-    /// Match this platform.
-    pub platform: Option<String>,
-    /// Match this host.
-    pub host: Option<String>,
-    /// Match this model identity.
-    pub model: Option<String>,
-}
-
-impl RunFilter {
-    /// A filter matching every run.
-    pub fn any() -> Self {
-        Self::default()
-    }
-
-    /// Requires `workload` to match.
-    pub fn workload(mut self, workload: impl Into<String>) -> Self {
-        self.workload = Some(workload.into());
-        self
-    }
-
-    /// Requires `framework` to match.
-    pub fn framework(mut self, framework: impl Into<String>) -> Self {
-        self.framework = Some(framework.into());
-        self
-    }
-
-    /// Requires `platform` to match.
-    pub fn platform(mut self, platform: impl Into<String>) -> Self {
-        self.platform = Some(platform.into());
-        self
-    }
-
-    /// Requires `host` to match.
-    pub fn host(mut self, host: impl Into<String>) -> Self {
-        self.host = Some(host.into());
-        self
-    }
-
-    /// Requires `model` to match.
-    pub fn model(mut self, model: impl Into<String>) -> Self {
-        self.model = Some(model.into());
-        self
-    }
-
-    /// Whether `meta` satisfies every set field.
-    pub fn matches(&self, meta: &ProfileMeta) -> bool {
-        let field = |want: &Option<String>, have: &str| want.as_deref().is_none_or(|w| w == have);
-        field(&self.workload, &meta.workload)
-            && field(&self.framework, &meta.framework)
-            && field(&self.platform, &meta.platform)
-            && field(&self.host, &meta.host)
-            && field(&self.model, &meta.model)
-    }
-}
-
-/// One sample of a metric trend across stored runs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrendPoint {
-    /// The run's store id.
-    pub id: String,
-    /// The run's wall-clock start (trend x-axis).
-    pub started: TimeNs,
-    /// The metric's whole-run inclusive total.
-    pub total: f64,
-}
-
 /// A directory of stored profile runs.
 #[derive(Debug, Clone)]
 pub struct ProfileStore {
@@ -218,11 +127,6 @@ impl ProfileStore {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         Ok(ProfileStore { dir })
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn path_of(&self, id: &str) -> PathBuf {
@@ -242,8 +146,7 @@ impl ProfileStore {
     /// are retried up to two times with a short backoff. A persistent
     /// error is returned as-is — with whatever bytes were written left
     /// in the `.tmp` sibling, so a run that cost hours to collect is
-    /// never silently deleted on a flaky disk (listings skip `.tmp`
-    /// files).
+    /// never silently deleted on a flaky disk.
     pub fn save(&self, db: &ProfileDb) -> Result<String, CoreError> {
         static SAVES: AtomicU64 = AtomicU64::new(0);
         let base = format!(
@@ -274,8 +177,8 @@ impl ProfileStore {
                 let _ = fs::remove_file(&tmp);
             }
         })?;
-        // The run is published; a sibling a failed remove leaves behind
-        // is skipped by listings.
+        // The run is published; a failed remove only leaves a `.tmp`
+        // sibling behind.
         let _ = fs::remove_file(&tmp);
         Ok(id)
     }
@@ -298,11 +201,6 @@ impl ProfileStore {
         }
     }
 
-    /// Whether a run with this id exists.
-    pub fn contains(&self, id: &str) -> bool {
-        self.path_of(id).exists()
-    }
-
     /// Loads the full profile (tree + timeline) of a stored run.
     /// Transient I/O errors are retried like [`save`](Self::save)'s.
     pub fn load(&self, id: &str) -> Result<ProfileDb, CoreError> {
@@ -311,67 +209,6 @@ impl ProfileStore {
             inject::check(inject::Point::Open)?;
             ProfileDb::load(File::open(self.path_of(id))?)
         })
-    }
-
-    /// Loads only the metadata header of a stored run.
-    pub fn load_meta(&self, id: &str) -> Result<ProfileMeta, CoreError> {
-        ProfileDb::load_meta(File::open(self.path_of(id))?)
-    }
-
-    /// Lists every run, sorted by (start stamp, id).
-    ///
-    /// Only each file's metadata header is read. Files that are not
-    /// valid stored profiles (foreign files, interrupted writes) are
-    /// skipped — [`load`](Self::load) on a known id is the place where
-    /// corruption surfaces as a [`CoreError`].
-    pub fn list(&self) -> Result<Vec<RunRecord>, CoreError> {
-        let mut runs = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) != Some(EXT) {
-                continue;
-            }
-            let Some(id) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            let Ok(meta) = ProfileDb::load_meta(File::open(&path)?) else {
-                continue;
-            };
-            runs.push(RunRecord {
-                id: id.to_string(),
-                meta,
-            });
-        }
-        runs.sort_by(|a, b| (a.meta.started, &a.id).cmp(&(b.meta.started, &b.id)));
-        Ok(runs)
-    }
-
-    /// Lists the runs matching `filter`, sorted by (start stamp, id).
-    pub fn list_filtered(&self, filter: &RunFilter) -> Result<Vec<RunRecord>, CoreError> {
-        Ok(self
-            .list()?
-            .into_iter()
-            .filter(|r| filter.matches(&r.meta))
-            .collect())
-    }
-
-    /// The trend of `metric`'s whole-run total across the runs matching
-    /// `filter`, in wall-clock start order.
-    pub fn trend(
-        &self,
-        filter: &RunFilter,
-        metric: MetricKind,
-    ) -> Result<Vec<TrendPoint>, CoreError> {
-        let mut points = Vec::new();
-        for run in self.list_filtered(filter)? {
-            let db = self.load(&run.id)?;
-            points.push(TrendPoint {
-                id: run.id,
-                started: run.meta.started,
-                total: db.cct().total(metric),
-            });
-        }
-        Ok(points)
     }
 }
 
@@ -398,8 +235,7 @@ fn sanitize(name: &str) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::RegressionRule;
-    use deepcontext_core::{CallingContextTree, Frame};
+    use deepcontext_core::{CallingContextTree, Frame, MetricKind, ProfileMeta, TimeNs};
     use std::io::ErrorKind;
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -412,6 +248,14 @@ pub(crate) mod tests {
         ));
         let store = ProfileStore::open(&dir).unwrap();
         (dir, store)
+    }
+
+    /// Published runs in `dir`: its `.dcprof` files.
+    fn runs(dir: &Path) -> usize {
+        fs::read_dir(dir)
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().path().extension() == Some(EXT.as_ref()))
+            .count()
     }
 
     pub(crate) fn profile(workload: &str, host: &str, started: u64, gpu_time: f64) -> ProfileDb {
@@ -443,7 +287,6 @@ pub(crate) mod tests {
         let b = profile("bert", "host-b", 100, 20.0);
         let id_a = store.save(&a).unwrap();
         let id_b = store.save(&b).unwrap();
-        assert!(store.contains(&id_a));
         let back = store.load(&id_a).unwrap();
         assert_eq!(back.meta(), a.meta());
         assert_eq!(back.cct().node_count(), a.cct().node_count());
@@ -452,13 +295,8 @@ pub(crate) mod tests {
             a.cct().total(MetricKind::GpuTime)
         );
         assert_eq!(back.timeline(), a.timeline());
-        assert_eq!(store.load_meta(&id_b).unwrap(), *b.meta());
-
-        let runs = store.list().unwrap();
-        assert_eq!(runs.len(), 2);
-        // Sorted by start stamp: b (100) before a (200).
-        assert_eq!(runs[0].id, id_b);
-        assert_eq!(runs[1].id, id_a);
+        assert_eq!(store.load(&id_b).unwrap().meta(), b.meta());
+        assert_eq!(runs(&dir), 2);
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -469,36 +307,11 @@ pub(crate) mod tests {
         let id1 = store.save(&p).unwrap();
         let id2 = store.save(&p).unwrap();
         assert_ne!(id1, id2);
-        assert_eq!(store.list().unwrap().len(), 2);
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn filters_and_trend_select_by_metadata() {
-        let (dir, store) = temp_store();
-        store.save(&profile("unet", "host-a", 1, 10.0)).unwrap();
-        store.save(&profile("unet", "host-a", 2, 12.0)).unwrap();
-        store.save(&profile("bert", "host-b", 3, 99.0)).unwrap();
-
-        let unet = RunFilter::any().workload("unet");
-        assert_eq!(store.list_filtered(&unet).unwrap().len(), 2);
+        assert_eq!(runs(&dir), 2);
         assert_eq!(
-            store
-                .list_filtered(&RunFilter::any().host("host-b"))
-                .unwrap()
-                .len(),
-            1
+            store.load(&id1).unwrap().meta(),
+            store.load(&id2).unwrap().meta()
         );
-        assert!(store
-            .list_filtered(&RunFilter::any().workload("unet").host("host-b"))
-            .unwrap()
-            .is_empty());
-
-        let trend = store.trend(&unet, MetricKind::GpuTime).unwrap();
-        assert_eq!(trend.len(), 2);
-        assert_eq!(trend[0].total, 10.0);
-        assert_eq!(trend[1].total, 12.0);
-        assert!(trend[0].started < trend[1].started);
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -528,41 +341,18 @@ pub(crate) mod tests {
             }));
             assert!(matches!(store.save(&db), Err(CoreError::Parse(_))));
         }
-        assert!(store.list().unwrap().is_empty());
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "no file left");
         fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
-    fn listing_skips_foreign_and_truncated_files() {
+    fn foreign_and_truncated_files_fail_only_their_own_load() {
         let (dir, store) = temp_store();
-        store.save(&profile("unet", "h", 1, 1.0)).unwrap();
         fs::write(dir.join("notes.txt"), "not a profile").unwrap();
         fs::write(dir.join("bad.dcprof"), "garbage header").unwrap();
-        assert_eq!(store.list().unwrap().len(), 1);
+        let id = store.save(&profile("unet", "h", 1, 1.0)).unwrap();
+        assert_eq!(store.load(&id).unwrap().meta().workload, "unet");
         assert!(store.load("bad").is_err());
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn regression_rule_from_store_and_empty_store() {
-        let (dir, store) = temp_store();
-        assert!(
-            RegressionRule::from_store(&store, &RunFilter::any(), MetricKind::GpuTime)
-                .unwrap()
-                .is_none()
-        );
-
-        store.save(&profile("unet", "h", 1, 50.0)).unwrap();
-        store.save(&profile("unet", "h", 2, 50.0)).unwrap();
-        let rule = RegressionRule::from_store(
-            &store,
-            &RunFilter::any().workload("unet"),
-            MetricKind::GpuTime,
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(rule.baseline_total(), 50.0);
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -571,7 +361,7 @@ pub(crate) mod tests {
         let (dir, store) = temp_store();
         inject::queue(inject::Point::Publish, &[ErrorKind::Interrupted]);
         let id = store.save(&profile("unet", "h", 1, 1.0)).unwrap();
-        assert!(store.contains(&id));
+        assert_eq!(store.load(&id).unwrap().meta().workload, "unet");
         assert_eq!(
             inject::checks(),
             2,
@@ -600,7 +390,7 @@ pub(crate) mod tests {
         assert_eq!(inject::checks(), 3);
         // Nothing became visible, but the written bytes were kept: the
         // tmp sibling holds a complete, loadable profile.
-        assert!(store.list().unwrap().is_empty());
+        assert_eq!(runs(&dir), 0);
         let tmp: Vec<_> = fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())

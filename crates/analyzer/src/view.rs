@@ -3,18 +3,17 @@
 use std::sync::Arc;
 
 use deepcontext_core::{
-    CallingContextTree, Frame, FrameKind, Interner, MetricKind, NodeId, OpPhase, ProfileDb,
+    CallingContextTree, Frame, FrameKind, Interner, MetricKind, NodeId, OpPhase,
 };
 use deepcontext_timeline::TimelineSnapshot;
 
 /// A convenience view over a profile for rules: label rendering, semantic
 /// lookups, and common metric projections.
 ///
-/// Rules only ever need the calling context tree, so a view can wrap
-/// either a stored [`ProfileDb`] ([`new`](Self::new)) or a borrowed
-/// in-progress tree ([`live`](Self::live)) — the latter is how analysis
-/// previews run inside `Profiler::with_cct` against the profiler's
-/// cached snapshot, without serializing a database first. Latency rules
+/// Rules only ever need the calling context tree, so a view wraps a
+/// borrowed tree ([`new`](Self::new)): a stored profile's, or a running
+/// profiler's cached snapshot inside `Profiler::with_cct`, without
+/// serializing a database first. Latency rules
 /// additionally need the recorded timeline; attach one with
 /// [`with_timeline`](Self::with_timeline) (views without one simply
 /// yield no timeline issues).
@@ -25,17 +24,10 @@ pub struct ProfileView<'a> {
 }
 
 impl<'a> ProfileView<'a> {
-    /// Wraps a stored profile.
-    pub fn new(db: &'a ProfileDb) -> Self {
-        ProfileView {
-            cct: db.cct(),
-            timeline: None,
-        }
-    }
-
-    /// Wraps a live (in-progress) calling context tree, e.g. the cached
-    /// snapshot a running profiler exposes through `with_cct`.
-    pub fn live(cct: &'a CallingContextTree) -> Self {
+    /// Wraps a calling context tree: a stored profile's
+    /// ([`ProfileDb::cct`](deepcontext_core::ProfileDb::cct)) or the
+    /// cached snapshot a running profiler exposes through `with_cct`.
+    pub fn new(cct: &'a CallingContextTree) -> Self {
         ProfileView {
             cct,
             timeline: None,
@@ -138,9 +130,9 @@ impl<'a> ProfileView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepcontext_core::ProfileMeta;
+    use deepcontext_core::{ProfileDb, ProfileMeta};
 
-    fn sample() -> ProfileDb {
+    fn sample_tree() -> CallingContextTree {
         let mut cct = CallingContextTree::new();
         let i = cct.interner();
         let leaf = cct.insert_path(&[
@@ -149,14 +141,19 @@ mod tests {
             Frame::gpu_kernel("relu_kernel", "m.so", 0x10, &i),
         ]);
         cct.attribute(leaf, MetricKind::GpuTime, 42.0);
-        ProfileDb::new(ProfileMeta::default(), cct)
+        cct
+    }
+
+    fn sample() -> ProfileDb {
+        ProfileDb::new(ProfileMeta::default(), sample_tree())
     }
 
     #[test]
     fn live_view_answers_the_same_queries_without_a_db() {
         let db = sample();
-        let stored = ProfileView::new(&db);
-        let live = ProfileView::live(db.cct());
+        let tree = sample_tree();
+        let stored = ProfileView::new(db.cct());
+        let live = ProfileView::new(&tree);
         assert_eq!(live.kernels(), stored.kernels());
         assert_eq!(
             live.total(MetricKind::GpuTime),
@@ -171,7 +168,7 @@ mod tests {
     #[test]
     fn lookups_and_labels() {
         let db = sample();
-        let v = ProfileView::new(&db);
+        let v = ProfileView::new(db.cct());
         assert_eq!(v.kernels().len(), 1);
         assert_eq!(v.operators().len(), 1);
         assert_eq!(v.total(MetricKind::GpuTime), 42.0);

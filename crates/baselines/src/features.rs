@@ -23,24 +23,6 @@ pub struct ProfilerFeatures {
     pub cpu_profiling: bool,
 }
 
-impl ProfilerFeatures {
-    /// Number of supported capabilities.
-    pub fn score(&self) -> usize {
-        [
-            self.python_context,
-            self.framework_context,
-            self.cpp_context,
-            self.device_context,
-            self.cross_gpus,
-            self.cross_frameworks,
-            self.cpu_profiling,
-        ]
-        .into_iter()
-        .filter(|b| *b)
-        .count()
-    }
-}
-
 /// The paper's Table 1 rows.
 pub fn table1() -> Vec<ProfilerFeatures> {
     vec![
@@ -144,14 +126,30 @@ pub fn render_table1() -> String {
 mod tests {
     use super::*;
 
+    /// Number of supported capabilities.
+    fn score(f: &ProfilerFeatures) -> usize {
+        [
+            f.python_context,
+            f.framework_context,
+            f.cpp_context,
+            f.device_context,
+            f.cross_gpus,
+            f.cross_frameworks,
+            f.cpu_profiling,
+        ]
+        .into_iter()
+        .filter(|b| *b)
+        .count()
+    }
+
     #[test]
     fn deepcontext_supports_everything() {
         let rows = table1();
         let dc = rows.iter().find(|r| r.name == "DeepContext").unwrap();
-        assert_eq!(dc.score(), 7);
+        assert_eq!(score(dc), 7);
         // And strictly dominates every other tool.
         for other in rows.iter().filter(|r| r.name != "DeepContext") {
-            assert!(other.score() < dc.score(), "{}", other.name);
+            assert!(score(other) < score(dc), "{}", other.name);
         }
     }
 

@@ -279,11 +279,6 @@ impl TraceProfiler {
             + self.events.lock().capacity() * std::mem::size_of::<TraceEvent>()
     }
 
-    /// The recording style.
-    pub fn style(&self) -> TraceStyle {
-        self.style
-    }
-
     /// Exports a Chrome-trace-format JSON document.
     ///
     /// # Errors

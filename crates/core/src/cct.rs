@@ -287,13 +287,6 @@ impl CallingContextTree {
             .collect()
     }
 
-    /// All leaf node ids.
-    pub fn leaves(&self) -> Vec<NodeId> {
-        self.dfs()
-            .filter(|id| self.node(*id).children.is_empty())
-            .collect()
-    }
-
     /// Merges `other` into `self`: contexts are unified by collapse keys and
     /// metric aggregates (inclusive and exclusive alike — both live in the
     /// per-node [`MetricStore`]) are merged node-wise, so exclusive metrics
@@ -543,11 +536,6 @@ impl FoldState {
     /// return value.
     pub fn mapping(&self) -> &[NodeId] {
         &self.mapping
-    }
-
-    /// Number of source nodes folded so far.
-    pub fn folded_nodes(&self) -> usize {
-        self.mapping.len()
     }
 
     /// Approximate resident bytes of the fold state (cache accounting).
@@ -804,7 +792,7 @@ mod tests {
         incr.merge_incremental(&source, &mut state);
         let mapping = fresh.merge(&source);
         assert_eq!(state.mapping(), &mapping[..]);
-        assert_eq!(state.folded_nodes(), source.node_count());
+        assert_eq!(state.mapping().len(), source.node_count());
         assert_eq!(incr.semantic_diff(&fresh), None);
     }
 

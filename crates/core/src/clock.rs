@@ -48,11 +48,6 @@ impl TimeNs {
     pub fn saturating_sub(self, other: TimeNs) -> TimeNs {
         TimeNs(self.0.saturating_sub(other.0))
     }
-
-    /// Scales a span by a factor (used by cost models).
-    pub fn scale(self, factor: f64) -> TimeNs {
-        TimeNs((self.0 as f64 * factor).round().max(0.0) as u64)
-    }
 }
 
 impl Add for TimeNs {
@@ -163,7 +158,6 @@ mod tests {
         assert_eq!(a + b, TimeNs(140));
         assert_eq!(a - b, TimeNs(60));
         assert_eq!(b.saturating_sub(a), TimeNs::ZERO);
-        assert_eq!(a.scale(2.5), TimeNs(250));
     }
 
     #[test]

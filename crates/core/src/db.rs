@@ -125,12 +125,6 @@ impl ProfileDb {
         }
     }
 
-    /// Attaches a persisted timeline (builder form).
-    pub fn with_timeline(mut self, timeline: StoredTimeline) -> Self {
-        self.timeline = Some(timeline);
-        self
-    }
-
     /// Run metadata.
     pub fn meta(&self) -> &ProfileMeta {
         &self.meta
@@ -993,14 +987,14 @@ mod tests {
 
     #[test]
     fn timeline_section_round_trips() {
-        let db = sample_db().with_timeline(sample_timeline());
+        let mut db = sample_db();
+        db.set_timeline(Some(sample_timeline()));
         let mut buf = Vec::new();
         db.save(&mut buf).unwrap();
         let back = ProfileDb::load(&buf[..]).unwrap();
         let tl = back.timeline().expect("timeline survived");
         assert_eq!(tl, &sample_timeline());
-        assert_eq!(tl.name_of(Sym(0)), Some("sgemm"));
-        assert_eq!(tl.name_of(Sym(5)), None);
+        assert_eq!(&*tl.names[0], "sgemm");
         assert_eq!(back.meta().started, TimeNs(1_000));
         assert_eq!(back.meta().ended, TimeNs(9_000));
         assert_eq!(back.meta().host, "node-17");
@@ -1016,7 +1010,8 @@ mod tests {
 
     #[test]
     fn load_meta_reads_header_only() {
-        let db = sample_db().with_timeline(sample_timeline());
+        let mut db = sample_db();
+        db.set_timeline(Some(sample_timeline()));
         let mut buf = Vec::new();
         db.save(&mut buf).unwrap();
         let meta = ProfileDb::load_meta(&buf[..]).unwrap();
@@ -1071,7 +1066,8 @@ mod tests {
 
     #[test]
     fn corrupt_timeline_section_errors_not_panics() {
-        let db = sample_db().with_timeline(sample_timeline());
+        let mut db = sample_db();
+        db.set_timeline(Some(sample_timeline()));
         let mut buf = Vec::new();
         db.save(&mut buf).unwrap();
         let load = |bytes: &[u8]| ProfileDb::load(bytes);

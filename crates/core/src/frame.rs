@@ -255,11 +255,6 @@ impl Frame {
         Frame::Instruction { pc }
     }
 
-    /// Creates a thread frame.
-    pub fn thread(tid: u64, role: ThreadRole) -> Self {
-        Frame::Thread { tid, role }
-    }
-
     /// The interned kernel name when this is a device-kernel frame.
     /// Attribution taps use this to reuse the `Sym` the launch path
     /// already interned instead of re-interning the activity record's
@@ -766,7 +761,10 @@ mod tests {
         let i = interner();
         let frames = vec![
             Frame::Root,
-            Frame::thread(7, ThreadRole::Backward),
+            Frame::Thread {
+                tid: 7,
+                role: ThreadRole::Backward,
+            },
             Frame::python("a.py", 42, "fn", &i),
             Frame::operator_with("aten::index", OpPhase::Backward, Some(9), &i),
             Frame::operator("aten::relu", &i),

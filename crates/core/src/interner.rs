@@ -223,11 +223,6 @@ impl Interner {
         Arc::clone(&self.strings.read()[sym.0 as usize])
     }
 
-    /// Looks up a string without interning it.
-    pub fn lookup(&self, s: &str) -> Option<Sym> {
-        self.stripe_of(s).read().get(s).copied()
-    }
-
     /// Number of distinct strings interned. Lock-free: reads the atomic
     /// mirror of the symbol table's length, so stats paths polling this
     /// (or [`approx_bytes`](Self::approx_bytes)) never contend with
@@ -293,15 +288,6 @@ mod tests {
         for (s, sym) in strings.iter().zip(&syms) {
             assert_eq!(i.resolve(*sym).as_ref(), *s);
         }
-    }
-
-    #[test]
-    fn lookup_does_not_intern() {
-        let i = Interner::new();
-        assert_eq!(i.lookup("missing"), None);
-        let s = i.intern("present");
-        assert_eq!(i.lookup("present"), Some(s));
-        assert_eq!(i.len(), 1);
     }
 
     #[test]
@@ -457,8 +443,8 @@ mod tests {
         }
         for (n, sym) in results[0].iter().enumerate() {
             assert_eq!(
-                i.lookup(&format!("hot_kernel_{n}")),
-                Some(*sym),
+                i.intern(&format!("hot_kernel_{n}")),
+                *sym,
                 "cached ids match the shared interner"
             );
         }

@@ -296,7 +296,6 @@ impl fmt::Display for MetricKind {
 /// assert_eq!(stat.sum, 12.0);
 /// assert_eq!(stat.min, 2.0);
 /// assert_eq!(stat.max, 6.0);
-/// assert_eq!(stat.mean(), 4.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricStat {
@@ -359,15 +358,6 @@ impl MetricStat {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
     }
 
     /// Whether no samples have been added.
@@ -559,7 +549,6 @@ mod tests {
         assert_eq!(s.sum, 9.0);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 5.0);
-        assert_eq!(s.mean(), 3.0);
     }
 
     #[test]

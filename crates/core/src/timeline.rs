@@ -255,11 +255,6 @@ pub struct StoredTimeline {
 }
 
 impl StoredTimeline {
-    /// Resolves an interval name against the captured symbol table.
-    pub fn name_of(&self, sym: Sym) -> Option<&str> {
-        self.names.get(sym.index() as usize).map(|s| s.as_ref())
-    }
-
     /// Total live intervals.
     pub fn interval_count(&self) -> usize {
         self.tracks.iter().map(|(_, slots)| slots.len()).sum()

@@ -322,7 +322,6 @@ proptest! {
         let sum = values.iter().fold(0.0, |sum, v| sum + v);
         prop_assert_eq!(stat.count, values.len() as u64);
         prop_assert_eq!(stat.sum, sum);
-        prop_assert_eq!(stat.mean(), sum / values.len() as f64);
         prop_assert_eq!(stat.min, values.iter().copied().fold(f64::INFINITY, f64::min));
         prop_assert_eq!(stat.max, values.iter().copied().fold(f64::NEG_INFINITY, f64::max));
     }
@@ -695,8 +694,8 @@ proptest! {
 
     #[test]
     fn profile_db_round_trips_any_stored_timeline(timeline in arb_stored_timeline()) {
-        let db = ProfileDb::new(ProfileMeta::default(), CallingContextTree::new())
-            .with_timeline(timeline.clone());
+        let mut db = ProfileDb::new(ProfileMeta::default(), CallingContextTree::new());
+        db.set_timeline(Some(timeline.clone()));
         let mut saved = Vec::new();
         db.save(&mut saved).unwrap();
         let back = ProfileDb::load(&saved[..]).unwrap();
@@ -734,6 +733,6 @@ proptest! {
         let mut fresh = CallingContextTree::with_interner(Arc::clone(&interner));
         fresh.merge(&source);
         prop_assert_eq!(master.semantic_diff(&fresh), None);
-        prop_assert_eq!(state.folded_nodes(), source.node_count());
+        prop_assert_eq!(state.mapping().len(), source.node_count());
     }
 }

@@ -107,11 +107,6 @@ impl FrameworkCore {
         &self.python
     }
 
-    /// The framework's host library.
-    pub fn framework_lib(&self) -> &LibraryInfo {
-        &self.framework_lib
-    }
-
     /// Resolves (defining on first use) a native function of the framework
     /// library.
     pub fn native_fn(&self, name: &str) -> FunctionInfo {
@@ -202,7 +197,7 @@ impl FrameworkCore {
 mod tests {
     use super::*;
     use crate::ops::OpKind;
-    use deepcontext_core::{ThreadRole, VirtualClock};
+    use deepcontext_core::ThreadRole;
     use sim_gpu::DeviceSpec;
 
     fn core() -> (Arc<FrameworkCore>, RuntimeEnv) {
@@ -259,7 +254,7 @@ mod tests {
         // CPU time was spent and the clock advanced.
         assert!(env.clock().now() > deepcontext_core::TimeNs::ZERO);
         // Native dispatcher frames were popped on exit.
-        assert!(t.native().is_empty());
+        assert!(t.native().depth() == 0);
     }
 
     #[test]
@@ -274,9 +269,16 @@ mod tests {
     fn clock_is_shared_between_env_and_gpu() {
         let env = RuntimeEnv::new();
         let gpu = GpuRuntime::new(env.clock().clone(), vec![DeviceSpec::a100_sxm()]);
-        let c1: &VirtualClock = env.clock();
-        let c2 = gpu.clock();
-        c1.advance(TimeNs(5));
-        assert_eq!(c2.now(), TimeNs(5));
+        let config = sim_gpu::LaunchConfig::new(1, 32);
+        let kernel = Arc::new(sim_gpu::KernelDesc::new("k", "m.so", 0x10, config));
+        let (device, stream) = (sim_gpu::DeviceId(0), sim_gpu::StreamId(0));
+        gpu.launch_kernel(device, stream, kernel).unwrap();
+        gpu.synchronize(device).unwrap();
+        let end = gpu.flush_all()[0].end_time().unwrap();
+        assert_eq!(
+            env.clock().now(),
+            end,
+            "the device advanced the env's clock"
+        );
     }
 }

@@ -91,16 +91,6 @@ impl DataLoader {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &DataLoaderConfig {
-        &self.config
-    }
-
-    /// Worker thread contexts (for samplers/tests).
-    pub fn workers(&self) -> &[Arc<ThreadCtx>] {
-        &self.workers
-    }
-
     /// Loads one batch: accounts CPU work on every worker (in parallel)
     /// and advances the virtual clock by the batch's wall-clock span.
     /// Returns that span.
@@ -131,11 +121,6 @@ impl DataLoader {
         }
         self.env.clock().advance(wall);
         wall
-    }
-
-    /// Batches loaded so far.
-    pub fn iterations(&self) -> u64 {
-        self.iteration.load(Ordering::SeqCst)
     }
 }
 
@@ -185,7 +170,7 @@ mod tests {
     fn workers_accumulate_cpu_time_under_python_context() {
         let (dl, _env) = loader(4, 6);
         dl.load_batch();
-        for w in dl.workers() {
+        for w in dl.workers {
             assert!(w.cpu_time() > TimeNs::ZERO);
             let py = w.python().walk();
             assert_eq!(py.len(), 1);
@@ -197,12 +182,12 @@ mod tests {
     fn clock_advances_by_wall_not_total_cpu() {
         let (dl, env) = loader(6, 6);
         dl.load_batch(); // absorb the one-time disk cost
-        let cpu_before: u64 = dl.workers().iter().map(|w| w.cpu_time().as_nanos()).sum();
+        let cpu_before: u64 = dl.workers.iter().map(|w| w.cpu_time().as_nanos()).sum();
         let before = env.clock().now();
         let wall = dl.load_batch();
         assert_eq!(env.clock().now() - before, wall);
         // Total CPU across workers exceeds wall (parallelism).
-        let cpu_after: u64 = dl.workers().iter().map(|w| w.cpu_time().as_nanos()).sum();
+        let cpu_after: u64 = dl.workers.iter().map(|w| w.cpu_time().as_nanos()).sum();
         assert!(cpu_after - cpu_before > wall.as_nanos());
     }
 

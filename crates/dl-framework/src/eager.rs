@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use deepcontext_core::{OpPhase, ThreadRole};
 use sim_runtime::{NativeFrameGuard, NativeFrameInfo, ThreadRegistry};
 
-use crate::callbacks::{FrameworkCallbackId, MemEvent, OpEvent};
+use crate::callbacks::MemEvent;
 use crate::core::FrameworkCore;
 use crate::error::FrameworkError;
 use crate::ops::{backward_ops, Op};
@@ -92,15 +92,6 @@ impl EagerEngine {
     /// The shared core (for profilers needing env/gpu access).
     pub fn core(&self) -> &Arc<FrameworkCore> {
         &self.core
-    }
-
-    /// Registers a global operator callback — the
-    /// `aten::addGlobalCallback` interception point DLMonitor uses.
-    pub fn add_global_callback(
-        &self,
-        cb: impl Fn(&OpEvent) + Send + Sync + 'static,
-    ) -> FrameworkCallbackId {
-        self.core.callbacks().on_op(cb)
     }
 
     /// Enables or disables autograd taping.
@@ -309,7 +300,7 @@ mod tests {
 
         let events = Arc::new(Mutex::new(Vec::new()));
         let ev = Arc::clone(&events);
-        e.add_global_callback(move |op_ev| {
+        e.core().callbacks().on_op(move |op_ev| {
             if op_ev.site == crate::callbacks::Site::Enter {
                 ev.lock().push((
                     op_ev.name.to_string(),
@@ -371,7 +362,7 @@ mod tests {
 
         let bwd_py_depth = Arc::new(Mutex::new(Vec::new()));
         let d = Arc::clone(&bwd_py_depth);
-        e.add_global_callback(move |ev| {
+        e.core().callbacks().on_op(move |ev| {
             if ev.phase == OpPhase::Backward {
                 d.lock().push(ev.thread.python().depth());
             }

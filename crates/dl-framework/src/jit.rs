@@ -54,18 +54,6 @@ pub struct Graph {
     nodes: Vec<GraphNode>,
 }
 
-impl Graph {
-    /// Graph name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Traced nodes in order.
-    pub fn nodes(&self) -> &[GraphNode] {
-        &self.nodes
-    }
-}
-
 /// Records operators during tracing.
 #[derive(Debug)]
 pub struct Tracer {
@@ -148,16 +136,6 @@ impl FusionMapping {
     pub fn compiled_names(&self) -> impl Iterator<Item = &str> {
         self.map.keys().map(String::as_str)
     }
-
-    /// Number of compiled operators with origins.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the mapping is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 #[derive(Debug)]
@@ -174,24 +152,12 @@ struct CompiledItem {
 /// A compiled, executable graph.
 #[derive(Debug)]
 pub struct CompiledGraph {
-    name: Arc<str>,
     core: Arc<FrameworkCore>,
     items: Vec<CompiledItem>,
     mapping: FusionMapping,
-    original_ops: usize,
 }
 
 impl CompiledGraph {
-    /// Graph name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of operators before fusion.
-    pub fn original_op_count(&self) -> usize {
-        self.original_ops
-    }
-
     /// Number of compiled (post-fusion) operators.
     pub fn compiled_op_count(&self) -> usize {
         self.items.len()
@@ -464,11 +430,9 @@ impl JitEngine {
         });
 
         Ok(CompiledGraph {
-            name: Arc::clone(&graph.name),
             core: Arc::clone(&self.core),
             items,
             mapping,
-            original_ops: graph.nodes.len(),
         })
     }
 
@@ -539,11 +503,10 @@ mod tests {
         let t = env.threads().spawn(ThreadRole::Main);
         let _bind = ThreadRegistry::bind_current(&t);
         let graph = mlp_graph(&jit);
-        assert_eq!(graph.nodes().len(), 4);
+        assert_eq!(graph.nodes.len(), 4);
         let compiled = jit.compile(&graph).unwrap();
         // matmul + fused(add, mul, relu).
         assert_eq!(compiled.compiled_op_count(), 2);
-        assert_eq!(compiled.original_op_count(), 4);
         let origins = compiled.mapping().origins("fusion.0").unwrap();
         let names: Vec<_> = origins.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["aten::add", "aten::mul", "aten::relu"]);
@@ -585,7 +548,7 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        let path = &graph.nodes()[0].trace_path;
+        let path = &graph.nodes[0].trace_path;
         assert_eq!(path.len(), 1);
         assert_eq!(path[0].function.as_ref(), "apply_layer");
         assert_eq!(path[0].line, 33);
@@ -655,7 +618,7 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        let phases: Vec<_> = graph.nodes().iter().map(|n| n.phase).collect();
+        let phases: Vec<_> = graph.nodes.iter().map(|n| n.phase).collect();
         assert_eq!(phases.iter().filter(|p| **p == OpPhase::Forward).count(), 2);
         // relu backward (1) + matmul backward (2 matmuls).
         assert_eq!(
@@ -664,7 +627,7 @@ mod tests {
         );
         // Backward of the last forward op comes first.
         let first_bwd = graph
-            .nodes()
+            .nodes
             .iter()
             .find(|n| n.phase == OpPhase::Backward)
             .unwrap();

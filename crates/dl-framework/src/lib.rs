@@ -4,9 +4,9 @@
 //! crate provides both execution models against the simulated substrates,
 //! with exactly the interception surfaces DLMonitor needs (paper §4.1):
 //!
-//! * [`EagerEngine`] — a PyTorch-like eager dispatcher with
-//!   [`EagerEngine::add_global_callback`] (the `aten::addGlobalCallback`
-//!   analogue), an autograd tape assigning **sequence ids** to forward
+//! * [`EagerEngine`] — a PyTorch-like eager dispatcher whose core's
+//!   [`CallbackRegistry::on_op`] is the `aten::addGlobalCallback`
+//!   analogue, with an autograd tape assigning **sequence ids** to forward
 //!   operators, and a dedicated **real backward thread** per engine that
 //!   replays the tape with no Python context — faithfully reproducing the
 //!   forward/backward association problem the paper solves;

@@ -159,13 +159,8 @@ pub struct OpAttrs {
     /// Mean duplicates per index for index/scatter ops; drives the
     /// deterministic-serialization cost (paper §6.1).
     pub duplicate_ratio: f64,
-    /// Whether index backward must be deterministic (serialized) rather
-    /// than atomic.
-    pub deterministic: bool,
     /// Fixed CTA size override (the §6.5 kernel-template parameter).
     pub threads_per_block: Option<u32>,
-    /// Target layout for [`OpKind::ToLayout`].
-    pub target_layout: Option<Layout>,
     /// Target dtype for [`OpKind::Cast`].
     pub target_dtype: Option<DType>,
     /// Explicit device placement (multi-GPU workloads); `None` launches
@@ -182,9 +177,7 @@ impl Default for OpAttrs {
             out_shape: None,
             weight_shape: None,
             duplicate_ratio: 1.0,
-            deterministic: true,
             threads_per_block: None,
-            target_layout: None,
             target_dtype: None,
             device: None,
             stream: None,
@@ -233,21 +226,9 @@ impl Op {
         self
     }
 
-    /// Chooses deterministic (serialized) or atomic index backward.
-    pub fn deterministic(mut self, deterministic: bool) -> Self {
-        self.attrs.deterministic = deterministic;
-        self
-    }
-
     /// Overrides the threads-per-CTA of the lowered kernels.
     pub fn with_threads_per_block(mut self, threads: u32) -> Self {
         self.attrs.threads_per_block = Some(threads);
-        self
-    }
-
-    /// Sets the target layout (for [`OpKind::ToLayout`]).
-    pub fn with_target_layout(mut self, layout: Layout) -> Self {
-        self.attrs.target_layout = Some(layout);
         self
     }
 
@@ -387,11 +368,6 @@ impl Op {
         if let Some(dtype) = self.attrs.target_dtype {
             if self.kind == OpKind::Cast {
                 out.dtype = dtype;
-            }
-        }
-        if let Some(layout) = self.attrs.target_layout {
-            if self.kind == OpKind::ToLayout {
-                out.layout = layout;
             }
         }
         Ok(out)
@@ -813,12 +789,7 @@ pub fn backward_ops(
         }
         OpKind::Index => {
             let table = inputs.first().cloned().unwrap_or_else(|| output.clone());
-            let kind = if op.attrs.deterministic {
-                OpKind::IndexBackward
-            } else {
-                OpKind::IndexSelectBackward
-            };
-            let mut bwd = Op::new(kind).with_out_shape(table.shape.clone());
+            let mut bwd = Op::new(OpKind::IndexBackward).with_out_shape(table.shape.clone());
             bwd.attrs.duplicate_ratio = op.attrs.duplicate_ratio;
             vec![(bwd, vec![grad_out, table])]
         }
@@ -930,16 +901,10 @@ mod tests {
     }
 
     #[test]
-    fn cast_changes_dtype_tolayout_changes_layout() {
+    fn cast_changes_dtype() {
         let cast = Op::new(OpKind::Cast).with_target_dtype(DType::F16);
         let out = cast.infer_shape(&[TensorMeta::new([4, 4])]).unwrap();
         assert_eq!(out.dtype, DType::F16);
-
-        let conv = Op::new(OpKind::ToLayout).with_target_layout(Layout::ChannelsLast);
-        let out = conv
-            .infer_shape(&[TensorMeta::new([1, 3, 8, 8]).with_layout(Layout::ChannelsFirst)])
-            .unwrap();
-        assert_eq!(out.layout, Layout::ChannelsLast);
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl KernelRegistry {
         }
     }
 
-    /// The module name.
-    pub fn module(&self) -> &str {
-        &self.module
-    }
-
     /// The entry PC for `name`, allocating one on first use.
     pub fn entry_pc(&self, name: &str) -> u64 {
         let mut map = self.map.lock();
@@ -51,16 +46,6 @@ impl KernelRegistry {
     pub fn kernel(&self, name: &str, config: LaunchConfig) -> KernelDesc {
         KernelDesc::new(name, &self.module, self.entry_pc(name), config)
     }
-
-    /// Number of distinct kernels registered.
-    pub fn len(&self) -> usize {
-        self.map.lock().len()
-    }
-
-    /// Whether no kernels are registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -75,7 +60,7 @@ mod tests {
         let a2 = reg.entry_pc("sgemm");
         assert_eq!(a1, a2);
         assert_ne!(a1, b);
-        assert_eq!(reg.len(), 2);
+        assert_eq!(reg.map.lock().len(), 2);
     }
 
     #[test]

@@ -115,12 +115,6 @@ impl TensorMeta {
         self
     }
 
-    /// Sets the device.
-    pub fn with_device(mut self, device: DeviceId) -> Self {
-        self.device = device;
-        self
-    }
-
     /// Number of elements.
     pub fn numel(&self) -> usize {
         self.shape.iter().product()
@@ -129,11 +123,6 @@ impl TensorMeta {
     /// Total bytes.
     pub fn bytes(&self) -> usize {
         self.numel() * self.dtype.size_bytes()
-    }
-
-    /// Rank (number of dimensions).
-    pub fn rank(&self) -> usize {
-        self.shape.len()
     }
 }
 
@@ -164,18 +153,16 @@ mod tests {
     fn empty_shape_is_scalar() {
         let t = TensorMeta::new(Vec::new());
         assert_eq!(t.numel(), 1);
-        assert_eq!(t.rank(), 0);
+        assert!(t.shape.is_empty());
     }
 
     #[test]
     fn builders_set_fields() {
         let t = TensorMeta::new([1, 3, 224, 224])
             .with_dtype(DType::F16)
-            .with_layout(Layout::ChannelsLast)
-            .with_device(DeviceId(1));
+            .with_layout(Layout::ChannelsLast);
         assert_eq!(t.dtype, DType::F16);
         assert_eq!(t.layout, Layout::ChannelsLast);
-        assert_eq!(t.device, DeviceId(1));
     }
 
     #[test]

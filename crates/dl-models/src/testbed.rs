@@ -106,11 +106,6 @@ impl TestBed {
         &self.main
     }
 
-    /// The device under test.
-    pub fn device(&self) -> DeviceId {
-        self.device
-    }
-
     /// Runs `iterations` of `workload` on the eager engine.
     ///
     /// # Errors

@@ -136,22 +136,6 @@ pub enum DlEvent<'a> {
     Gpu(GpuCallbackEvent<'a>),
 }
 
-impl DlEvent<'_> {
-    /// The event's routing identity. Operator events carry their executing
-    /// thread; GPU events carry thread, stream and correlation id; graph
-    /// and memory events have no stable origin (they are process-global).
-    pub fn origin(&self) -> EventOrigin {
-        match self {
-            DlEvent::Op(op) => EventOrigin {
-                tid: Some(op.thread.tid()),
-                ..EventOrigin::default()
-            },
-            DlEvent::Graph(_) | DlEvent::Mem(_) => EventOrigin::default(),
-            DlEvent::Gpu(gpu) => gpu.origin(),
-        }
-    }
-}
-
 /// Which call-path sources `dlmonitor_callpath_get` integrates — the
 /// paper's "allows users to choose which specific call path source to
 /// integrate or ignore to reduce overhead".
@@ -1255,19 +1239,17 @@ mod tests {
             })
             .collect();
 
+        let steps = || {
+            let before = rig.env.unwinder().steps_taken();
+            rig.engine
+                .op(Op::new(OpKind::Relu), &[TensorMeta::new([64])])
+                .unwrap();
+            rig.env.unwinder().steps_taken() - before
+        };
         rig.monitor.set_cache_enabled(false);
-        rig.env.unwinder().reset_counters();
-        rig.engine
-            .op(Op::new(OpKind::Relu), &[TensorMeta::new([64])])
-            .unwrap();
-        let uncached_steps = rig.env.unwinder().steps_taken();
-
+        let uncached_steps = steps();
         rig.monitor.set_cache_enabled(true);
-        rig.env.unwinder().reset_counters();
-        rig.engine
-            .op(Op::new(OpKind::Relu), &[TensorMeta::new([64])])
-            .unwrap();
-        let cached_steps = rig.env.unwinder().steps_taken();
+        let cached_steps = steps();
 
         assert!(
             cached_steps < uncached_steps,
@@ -1277,9 +1259,9 @@ mod tests {
 
     #[test]
     fn unwind_counts_are_what_a_stepped_cursor_took() {
-        // One unwind per call path and one step per native frame below
+        // One call path per launch and one step per native frame below
         // the anchor (the whole stack when there is none), whichever way
-        // the frames are read: the constants are `a00c88d`'s, which
+        // the frames are read: the step constants are `a00c88d`'s, which
         // stepped a cursor over a copy of the stack.
         let rig = rig();
         let main = rig.env.threads().spawn(ThreadRole::Main);
@@ -1289,8 +1271,13 @@ mod tests {
         let _scopes: Vec<_> = (0..3)
             .map(|i| core.python().frame(&main, "deep.py", i, "level"))
             .collect();
-        let unwinder = rig.env.unwinder();
-        let counts = || (unwinder.unwinds_started(), unwinder.steps_taken());
+        // (call paths built, unwind steps) while `f` runs.
+        let counts = |f: &dyn Fn()| {
+            let built = || rig.monitor.stats().callpaths_built;
+            let (paths, steps) = (built(), rig.env.unwinder().steps_taken());
+            f();
+            (built() - paths, rig.env.unwinder().steps_taken() - steps)
+        };
         let index = || {
             rig.engine
                 .op(
@@ -1300,21 +1287,17 @@ mod tests {
                 .unwrap();
         };
 
-        unwinder.reset_counters();
-        index();
-        assert_eq!(counts(), (1, 2), "cached: the frames below the operator");
+        let cached = counts(&index);
+        assert_eq!(cached, (1, 2), "cached: the frames below the operator");
 
         rig.monitor.set_cache_enabled(false);
-        unwinder.reset_counters();
-        index();
-        assert_eq!(counts(), (1, 5), "uncached: the whole stack");
+        assert_eq!(counts(&index), (1, 5), "uncached: the whole stack");
 
         rig.monitor.set_cache_enabled(true);
         rig.engine.set_grad_enabled(true);
         index();
-        unwinder.reset_counters();
-        rig.engine.backward().unwrap();
-        assert_eq!(counts(), (2, 4), "association: two backward launches");
+        let backward = counts(&|| rig.engine.backward().unwrap());
+        assert_eq!(backward, (2, 4), "association: two backward launches");
         assert_eq!(rig.monitor.stats().assoc_hits, 2);
     }
 
@@ -1328,11 +1311,11 @@ mod tests {
         let core = Arc::clone(rig.engine.core());
         let _s = core.python().frame(&main, "a.py", 1, "f");
 
-        rig.env.unwinder().reset_counters();
+        let before = rig.env.unwinder().steps_taken();
         rig.engine
             .op(Op::new(OpKind::Relu), &[TensorMeta::new([64])])
             .unwrap();
-        assert_eq!(rig.env.unwinder().steps_taken(), 0);
+        assert_eq!(rig.env.unwinder().steps_taken(), before);
 
         let paths = paths.lock();
         let kinds: Vec<FrameKind> = paths[0].frames().iter().map(|f| f.kind()).collect();

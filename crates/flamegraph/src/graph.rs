@@ -34,11 +34,6 @@ impl FlameNode {
         }
     }
 
-    /// Value not covered by children (the "self" value).
-    pub fn self_value(&self) -> f64 {
-        (self.value - self.children.iter().map(|c| c.value).sum::<f64>()).max(0.0)
-    }
-
     /// Total number of boxes in this subtree.
     pub fn node_count(&self) -> usize {
         1 + self
@@ -193,14 +188,6 @@ impl FlameGraph {
         self.metric
     }
 
-    pub(crate) fn from_root(root: FlameNode, metric: MetricKind) -> FlameGraph {
-        FlameGraph {
-            root,
-            metric,
-            provenance: HashMap::new(),
-        }
-    }
-
     /// Marks hotspot paths: every box whose value exceeds
     /// `threshold × total` is flagged hot (the GUI's hotspot
     /// highlighting).
@@ -339,17 +326,6 @@ mod tests {
         assert_eq!(conv.children.len(), 2);
         // Biggest consumer sorts first.
         assert_eq!(fg.root().children[0].label, "implicit_gemm");
-    }
-
-    #[test]
-    fn self_value_subtracts_children() {
-        let cct = sample_cct();
-        let fg = FlameGraph::top_down(&cct, MetricKind::GpuTime);
-        let main = &fg.root().children[0];
-        // All of main's time is in children.
-        assert_eq!(main.self_value(), 0.0);
-        let kernel = &main.children[0].children[0];
-        assert_eq!(kernel.self_value(), kernel.value);
     }
 
     #[test]

@@ -11,19 +11,17 @@
 //!   (paper Figure 8);
 //! * hotspot highlighting and analyzer-issue colour coding
 //!   ([`FlameGraph::annotate`]);
-//! * renderers: ASCII (terminal), SVG (standalone file), Brendan-Gregg
-//!   folded stacks, and a JSON export shaped for WebView consumers.
+//! * renderers: ASCII (terminal), SVG (standalone file), and a JSON
+//!   export shaped for WebView consumers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod ascii;
-mod folded;
 mod graph;
 mod json;
 mod svg;
 
 pub use ascii::AsciiOptions;
-pub use folded::parse_folded;
 pub use graph::{FlameGraph, FlameNode};
 pub use svg::SvgOptions;

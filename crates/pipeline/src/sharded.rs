@@ -221,16 +221,6 @@ impl ShardedSink {
         })
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The interner shared by every shard.
-    pub fn interner(&self) -> &Arc<Interner> {
-        &self.interner
-    }
-
     /// Number of shards that have recorded anything — used by routing
     /// tests to assert that multi-stream workloads actually spread.
     pub fn shards_occupied(&self) -> usize {
@@ -480,6 +470,11 @@ impl ShardedSink {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             self.fold_ns.fetch_add(ns, Ordering::Relaxed);
         }
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
     }
 
     /// Folds all shards into a fresh master tree, bypassing the snapshot

@@ -287,11 +287,6 @@ impl Profiler {
         self.inner.sink.epoch_complete();
     }
 
-    /// Current approximate profile memory (shards + correlation state).
-    pub fn approx_bytes(&self) -> usize {
-        self.inner.sink.approx_bytes()
-    }
-
     /// Activity counters — the profiler's one report about itself: what
     /// it ingested, what it holds (`peak_bytes`) and what its reads cost
     /// (`fold_ns`, `snapshot_merges`, `shards_skipped`). Every counter is
@@ -949,7 +944,7 @@ mod tests {
         // Interval names resolve from the captured table, and contexts
         // point into the master tree the db carries.
         for iv in stored.tracks.iter().flat_map(|(_, slots)| slots.iter()) {
-            assert!(stored.name_of(iv.name).is_some());
+            assert!(stored.names.get(iv.name.index() as usize).is_some());
             let ctx = iv.context().expect("context resolved");
             assert!(ctx.index() < db.cct().node_count());
         }

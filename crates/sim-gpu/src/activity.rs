@@ -100,16 +100,6 @@ impl Activity {
         }
     }
 
-    /// Duration, when meaningful.
-    pub fn duration(&self) -> Option<TimeNs> {
-        match &self.kind {
-            ActivityKind::Kernel { start, end, .. } | ActivityKind::Memcpy { start, end, .. } => {
-                Some(*end - *start)
-            }
-            _ => None,
-        }
-    }
-
     /// The stream a kernel, memcpy or sampling record ran on; `None` for
     /// allocation records, which have no stream.
     pub fn stream(&self) -> Option<StreamId> {
@@ -118,14 +108,6 @@ impl Activity {
             | ActivityKind::Memcpy { stream, .. }
             | ActivityKind::PcSampling { stream, .. } => Some(*stream),
             ActivityKind::Malloc { .. } | ActivityKind::Free { .. } => None,
-        }
-    }
-
-    /// Kernel name for kernel/sampling records.
-    pub fn kernel_name(&self) -> Option<&str> {
-        match &self.kind {
-            ActivityKind::Kernel { name, .. } | ActivityKind::PcSampling { name, .. } => Some(name),
-            _ => None,
         }
     }
 }
@@ -157,9 +139,8 @@ mod tests {
     #[test]
     fn duration_and_end_time() {
         let a = kernel_activity(100, 350);
-        assert_eq!(a.duration(), Some(TimeNs(250)));
         assert_eq!(a.end_time(), Some(TimeNs(350)));
-        assert_eq!(a.kernel_name(), Some("sgemm"));
+        assert_eq!(a.end_time().unwrap() - TimeNs(100), TimeNs(250));
         assert_eq!(a.stream(), Some(StreamId(0)));
     }
 
@@ -173,9 +154,8 @@ mod tests {
                 at: TimeNs(5),
             },
         };
-        assert_eq!(a.duration(), None);
+        // An allocation ends where it happens.
         assert_eq!(a.end_time(), Some(TimeNs(5)));
-        assert_eq!(a.kernel_name(), None);
         assert_eq!(a.stream(), None, "allocations have no stream");
     }
 }

@@ -35,11 +35,6 @@ impl LaunchConfig {
         assert!(grid > 0 && block > 0, "launch dimensions must be positive");
         LaunchConfig { grid, block }
     }
-
-    /// Total threads launched.
-    pub fn total_threads(&self) -> u64 {
-        u64::from(self.grid) * u64::from(self.block)
-    }
 }
 
 /// One synthetic instruction of a kernel's hot region.
@@ -282,12 +277,6 @@ impl KernelDesc {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn launch_config_totals() {
-        let c = LaunchConfig::new(128, 256);
-        assert_eq!(c.total_threads(), 128 * 256);
-    }
 
     #[test]
     #[should_panic(expected = "dimensions must be positive")]

@@ -121,11 +121,6 @@ impl GpuRuntime {
         })
     }
 
-    /// The runtime's virtual clock.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
-    }
-
     /// Number of devices.
     pub fn device_count(&self) -> usize {
         self.devices.lock().len()
@@ -171,20 +166,6 @@ impl GpuRuntime {
     /// Enables (`Some`) or disables (`None`) instruction sampling.
     pub fn set_sampling(&self, config: Option<SamplingConfig>) {
         *self.sampling.write() = config;
-    }
-
-    /// Creates an additional stream on `device`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpuError::NoSuchDevice`] for unknown devices.
-    pub fn create_stream(&self, device: DeviceId) -> Result<StreamId, GpuError> {
-        let mut devices = self.devices.lock();
-        let dev = devices
-            .get_mut(device.0 as usize)
-            .ok_or(GpuError::NoSuchDevice(device.0))?;
-        dev.streams.push(TimeNs::ZERO);
-        Ok(StreamId(dev.streams.len() as u32 - 1))
     }
 
     /// Ensures `device` has at least `count` streams, creating any
@@ -571,19 +552,6 @@ impl GpuRuntime {
             .map(|d| d.busy_total)
             .ok_or(GpuError::NoSuchDevice(device.0))
     }
-
-    /// Bytes currently allocated on a device.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpuError::NoSuchDevice`] for unknown devices.
-    pub fn allocated_bytes(&self, device: DeviceId) -> Result<u64, GpuError> {
-        self.devices
-            .lock()
-            .get(device.0 as usize)
-            .map(|d| d.allocated)
-            .ok_or(GpuError::NoSuchDevice(device.0))
-    }
 }
 
 impl std::fmt::Debug for GpuRuntime {
@@ -671,7 +639,8 @@ mod tests {
     #[test]
     fn kernels_on_different_streams_overlap() {
         let rt = runtime();
-        let s1 = rt.create_stream(DeviceId(0)).unwrap();
+        rt.ensure_streams(DeviceId(0), 2).unwrap();
+        let s1 = StreamId(1);
         rt.launch_kernel(DeviceId(0), StreamId(0), kernel("a"))
             .unwrap();
         rt.launch_kernel(DeviceId(0), s1, kernel("b")).unwrap();
@@ -691,12 +660,13 @@ mod tests {
 
     #[test]
     fn synchronize_advances_clock_to_horizon() {
-        let rt = runtime();
+        let clock = VirtualClock::new();
+        let rt = GpuRuntime::new(clock.clone(), vec![DeviceSpec::a100_sxm()]);
         rt.launch_kernel(DeviceId(0), StreamId(0), kernel("a"))
             .unwrap();
-        let before = rt.clock().now();
+        let before = clock.now();
         rt.synchronize(DeviceId(0)).unwrap();
-        let after = rt.clock().now();
+        let after = clock.now();
         assert!(after > before);
         // All activities now completed.
         let done = rt.flush_completed();
@@ -745,11 +715,12 @@ mod tests {
         spec.memory_bytes = 1_000;
         let rt = GpuRuntime::new(clock, vec![spec]);
         let p1 = rt.malloc(DeviceId(0), 600).unwrap();
-        assert_eq!(rt.allocated_bytes(DeviceId(0)).unwrap(), 600);
         let err = rt.malloc(DeviceId(0), 600).unwrap_err();
         assert!(matches!(err, GpuError::OutOfMemory { available: 400, .. }));
         rt.free(DeviceId(0), p1).unwrap();
-        assert_eq!(rt.allocated_bytes(DeviceId(0)).unwrap(), 0);
+        // The whole capacity is free again.
+        let p2 = rt.malloc(DeviceId(0), 1_000).unwrap();
+        rt.free(DeviceId(0), p2).unwrap();
         assert!(matches!(
             rt.free(DeviceId(0), p1).unwrap_err(),
             GpuError::InvalidFree(_)

@@ -8,9 +8,9 @@
 //!
 //! * [`PythonStack`] — a per-thread interpreter frame stack walked exactly
 //!   like `PyFrame_GetBack`;
-//! * [`NativeStack`] + [`Unwinder`] — per-thread native frames with a
-//!   step-wise cursor mirroring `unw_step`, including a global step counter
-//!   so the paper's call-path-caching optimization can be quantified;
+//! * [`NativeStack`] + [`Unwinder`] — per-thread native frames unwound
+//!   like `unw_step`, with a global step counter so the paper's
+//!   call-path-caching optimization can be quantified;
 //! * [`LibraryMap`] — `LD_AUDIT`-style library load registration and
 //!   PC→library lookup (this is how DLMonitor recognises `libpython.so`
 //!   frames);
@@ -39,7 +39,7 @@ pub use addr::AddressSpace;
 pub use cpu::{CpuSamplerRegistry, CpuWork, SampleEvent, SampleKind, SamplerId};
 pub use env::RuntimeEnv;
 pub use library::{LibraryInfo, LibraryMap};
-pub use native::{NativeFrameGuard, NativeFrameInfo, NativeStack, UnwindCursor, Unwinder};
+pub use native::{NativeFrameGuard, NativeFrameInfo, NativeStack, Unwinder};
 pub use python::{PyFrameGuard, PyFrameInfo, PythonStack};
 pub use symbols::{FunctionInfo, LineMap, SymbolTable};
 pub use thread::{ThreadCtx, ThreadRegistry};

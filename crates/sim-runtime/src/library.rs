@@ -79,24 +79,6 @@ impl LibraryMap {
         self.libs.read().iter().find(|l| l.contains(pc)).cloned()
     }
 
-    /// Finds a library by exact path.
-    pub fn by_path(&self, path: &str) -> Option<LibraryInfo> {
-        self.libs
-            .read()
-            .iter()
-            .find(|l| l.path.as_ref() == path)
-            .cloned()
-    }
-
-    /// Finds a library whose basename matches, e.g. `libpython3.11.so`.
-    pub fn by_basename(&self, basename: &str) -> Option<LibraryInfo> {
-        self.libs
-            .read()
-            .iter()
-            .find(|l| l.basename() == basename)
-            .cloned()
-    }
-
     /// Whether `pc` belongs to a library whose basename starts with
     /// `libpython` — the cutover test of the paper's integration algorithm.
     pub fn is_python_pc(&self, pc: u64) -> bool {
@@ -190,14 +172,5 @@ mod tests {
         map.register("/lib/c.so", 0x200, 0x10);
         assert_eq!(rx.try_iter().collect::<Vec<_>>(), ["nested.so", "c.so"]);
         assert_eq!(map.len(), 3);
-    }
-
-    #[test]
-    fn lookup_by_path_and_basename() {
-        let map = LibraryMap::new();
-        map.register("/opt/cuda/libcudart.so", 0x5000, 0x500);
-        assert!(map.by_path("/opt/cuda/libcudart.so").is_some());
-        assert!(map.by_basename("libcudart.so").is_some());
-        assert!(map.by_basename("libmissing.so").is_none());
     }
 }

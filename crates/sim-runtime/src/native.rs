@@ -6,8 +6,7 @@
 //! optimization exists precisely to bound the number of steps — so the
 //! simulated [`Unwinder`] counts every step globally, letting benches and
 //! tests quantify the optimization exactly. A profiler's hot path reads
-//! the frames it steps over where they are ([`Unwinder::with_tail`]); the
-//! copying [`UnwindCursor`] is the step-by-step form.
+//! the frames it steps over where they are ([`Unwinder::with_tail`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,7 +39,6 @@ impl NativeFrameInfo {
 #[derive(Debug, Default)]
 pub struct NativeStack {
     frames: Mutex<Vec<NativeFrameInfo>>,
-    version: AtomicU64,
 }
 
 impl NativeStack {
@@ -52,36 +50,16 @@ impl NativeStack {
     /// Pushes a frame (function entry).
     pub fn push(&self, frame: NativeFrameInfo) {
         self.frames.lock().push(frame);
-        self.version.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Pops the innermost frame (function exit).
     pub fn pop(&self) -> Option<NativeFrameInfo> {
-        let popped = self.frames.lock().pop();
-        if popped.is_some() {
-            self.version.fetch_add(1, Ordering::SeqCst);
-        }
-        popped
-    }
-
-    /// Snapshot, root-first.
-    pub fn walk(&self) -> Vec<NativeFrameInfo> {
-        self.frames.lock().clone()
+        self.frames.lock().pop()
     }
 
     /// Current depth.
     pub fn depth(&self) -> usize {
         self.frames.lock().len()
-    }
-
-    /// Monotonic change counter.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::SeqCst)
-    }
-
-    /// Whether the stack is empty.
-    pub fn is_empty(&self) -> bool {
-        self.depth() == 0
     }
 }
 
@@ -107,8 +85,8 @@ impl Drop for NativeFrameGuard {
     }
 }
 
-/// The libunwind analogue: produces step-wise cursors over native stacks
-/// and counts total steps taken process-wide.
+/// The libunwind analogue: unwinds native stacks and counts the steps
+/// taken process-wide.
 ///
 /// # Examples
 ///
@@ -120,17 +98,14 @@ impl Drop for NativeFrameGuard {
 /// stack.push(NativeFrameInfo::new("libtorch.so", 0x20, "launch"));
 ///
 /// let unwinder = Unwinder::new();
-/// let mut cursor = unwinder.cursor(&stack);
-/// // Leaf-first, like unw_step.
-/// assert_eq!(cursor.step().unwrap().symbol.as_ref(), "launch");
-/// assert_eq!(cursor.step().unwrap().symbol.as_ref(), "start");
-/// assert!(cursor.step().is_none());
-/// assert_eq!(unwinder.steps_taken(), 2);
+/// // The frames below depth 1, root-first: one step each.
+/// let symbols = unwinder.with_tail(&stack, 1, |tail| tail[0].symbol.to_string());
+/// assert_eq!(symbols, "launch");
+/// assert_eq!(unwinder.steps_taken(), 1);
 /// ```
 #[derive(Debug, Default)]
 pub struct Unwinder {
     steps: AtomicU64,
-    unwinds: AtomicU64,
 }
 
 impl Unwinder {
@@ -139,67 +114,28 @@ impl Unwinder {
         Self::default()
     }
 
-    /// Begins unwinding `stack` from the leaf (`unw_getcontext` +
-    /// `unw_init_local`).
-    pub fn cursor(&self, stack: &NativeStack) -> UnwindCursor<'_> {
-        self.unwinds.fetch_add(1, Ordering::Relaxed);
-        UnwindCursor {
-            unwinder: self,
-            frames: stack.walk(),
-        }
-    }
-
     /// Unwinds `stack` from the leaf up to depth `from_depth` and lends
     /// `f` the frames visited, **root-first**, in place: the partial
     /// unwind of the paper's call-path caching (`from_depth` is the depth
     /// recorded at the cached operator; `0` is a full unwind) without a
-    /// copy of any frame. Counts one unwind and one step per frame lent,
-    /// as a [`cursor`](Self::cursor) stepped that far would. `f` runs
-    /// under the stack's lock and must not push or pop it.
+    /// copy of any frame. Counts one step per frame lent, as
+    /// `unw_step` would. `f` runs under the stack's lock and must not
+    /// push or pop it.
     pub fn with_tail<R>(
         &self,
         stack: &NativeStack,
         from_depth: usize,
         f: impl FnOnce(&[NativeFrameInfo]) -> R,
     ) -> R {
-        self.unwinds.fetch_add(1, Ordering::Relaxed);
         let frames = stack.frames.lock();
         let tail = frames.get(from_depth..).unwrap_or_default();
         self.steps.fetch_add(tail.len() as u64, Ordering::Relaxed);
         f(tail)
     }
 
-    /// Total `step()` calls ever taken through this unwinder.
+    /// Total frames ever stepped over through this unwinder.
     pub fn steps_taken(&self) -> u64 {
         self.steps.load(Ordering::Relaxed)
-    }
-
-    /// Total cursors created (unwind operations started).
-    pub fn unwinds_started(&self) -> u64 {
-        self.unwinds.load(Ordering::Relaxed)
-    }
-
-    /// Resets the counters (between bench phases).
-    pub fn reset_counters(&self) {
-        self.steps.store(0, Ordering::Relaxed);
-        self.unwinds.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A step-wise unwind cursor, leaf-first like `unw_step`.
-#[derive(Debug)]
-pub struct UnwindCursor<'a> {
-    unwinder: &'a Unwinder,
-    frames: Vec<NativeFrameInfo>,
-}
-
-impl UnwindCursor<'_> {
-    /// Steps to the next outer frame, returning it; `None` past the root.
-    /// Each call increments the unwinder's global step counter.
-    pub fn step(&mut self) -> Option<NativeFrameInfo> {
-        let frame = self.frames.pop()?;
-        self.unwinder.steps.fetch_add(1, Ordering::Relaxed);
-        Some(frame)
     }
 }
 
@@ -223,13 +159,13 @@ mod tests {
             frames.iter().map(|f| f.symbol.to_string()).collect()
         };
         assert_eq!(u.with_tail(&stack, 2, symbols), ["helper", "launch"]);
-        assert_eq!((u.unwinds_started(), u.steps_taken()), (1, 2));
+        assert_eq!(u.steps_taken(), 2);
         assert_eq!(u.with_tail(&stack, 0, symbols).len(), 4);
-        assert_eq!((u.unwinds_started(), u.steps_taken()), (2, 6));
+        assert_eq!(u.steps_taken(), 6);
         // At or past the leaf: an unwind that steps over nothing.
         assert!(u.with_tail(&stack, 4, symbols).is_empty());
         assert!(u.with_tail(&stack, 9, symbols).is_empty());
-        assert_eq!((u.unwinds_started(), u.steps_taken()), (4, 6));
+        assert_eq!(u.steps_taken(), 6);
     }
 
     #[test]
@@ -239,17 +175,6 @@ mod tests {
             let _g = NativeFrameGuard::enter(&s, NativeFrameInfo::new("lib.so", 1, "f"));
             assert_eq!(s.depth(), 1);
         }
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn reset_counters_zeroes() {
-        let stack = stack_of(&["a"]);
-        let u = Unwinder::new();
-        u.cursor(&stack).step();
-        assert!(u.steps_taken() > 0);
-        u.reset_counters();
-        assert_eq!(u.steps_taken(), 0);
-        assert_eq!(u.unwinds_started(), 0);
+        assert_eq!(s.depth(), 0);
     }
 }

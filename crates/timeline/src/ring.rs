@@ -318,11 +318,6 @@ impl IntervalRing {
         self.dropped
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Heap bytes the ring owns: the track list at its capacity and, per
     /// track, every chunk allocation (payload and reference counts), the
     /// chunk list and the open tail at theirs. Chunks a snapshot still

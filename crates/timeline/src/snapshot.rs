@@ -135,12 +135,6 @@ impl Track {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Sum of interval durations on this track (no union: one stream
-    /// executes serially, so the sum *is* the track's busy time).
-    pub fn busy(&self) -> TimeNs {
-        TimeNs(self.intervals().map(|iv| iv.duration().0).sum())
-    }
 }
 
 /// Two tracks are equal when they hold the same intervals in the same
@@ -615,7 +609,8 @@ mod tests {
         let t01 = snap.track(0, 1).expect("track (0,1)");
         let starts: Vec<u64> = t01.intervals().map(|i| i.start.0).collect();
         assert_eq!(starts, vec![5, 50]);
-        assert_eq!(t01.busy(), TimeNs(20));
+        let busy: u64 = t01.intervals().map(|iv| iv.duration().0).sum();
+        assert_eq!(busy, 20);
         assert_eq!(snap.interval_count(), 4);
     }
 

@@ -5,7 +5,8 @@
 //!
 //! Writes `artifacts/flame_nvidia.svg` and `artifacts/flame_amd.svg`
 //! under the working directory (the `artifacts/` convention keeps
-//! generated renderings out of the repo root).
+//! generated renderings out of the repo root), each beside the JSON the
+//! GUI's WebView reads (`flame_<vendor>.json`).
 //!
 //! ```text
 //! cargo run --release --example amd_vs_nvidia
@@ -76,12 +77,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })
         );
         std::fs::create_dir_all("artifacts")?;
-        let svg_path = format!(
-            "artifacts/flame_{}.svg",
-            tag.split('-').next().unwrap_or("gpu")
-        );
-        std::fs::write(&svg_path, flame.to_svg(&SvgOptions::default()))?;
-        println!("wrote {svg_path}\n");
+        let stem = format!("artifacts/flame_{}", tag.split('-').next().unwrap_or("gpu"));
+        std::fs::write(format!("{stem}.svg"), flame.to_svg(&SvgOptions::default()))?;
+        let json = flame.to_json();
+        // The WebView feed names the hotspot operator and stays balanced.
+        assert!(json.contains(&format!("\"name\":\"{op}\"")), "{op} missing");
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        std::fs::write(format!("{stem}.json"), json)?;
+        println!("wrote {stem}.svg and {stem}.json\n");
     }
     Ok(())
 }

@@ -1,16 +1,19 @@
 //! Reproduces the paper's Figure 1 / Figure 3 contrast: the same kernel
 //! launch seen (a) as a bare native call path and (b) as DeepContext's
 //! unified call path with Python, framework-operator, native, GPU-API and
-//! kernel frames.
+//! kernel frames. Then (c) extends DLMonitor to a driver with no vendor
+//! callbacks through a configuration file (§4.1's custom interception).
 //!
 //! ```text
 //! cargo run --release --example callpath_integration
 //! ```
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use deepcontext::prelude::*;
 use dl_framework::FrameworkCore;
+use dlmonitor::CustomInterceptor;
 use parking_lot::Mutex;
 use sim_gpu::{ApiKind, CallbackSite};
 
@@ -79,6 +82,41 @@ fn main() {
 
     println!("\nlayers in (a): {:?}", layer_set(&native_only));
     println!("layers in (b): {:?}", layer_set(&unified));
+
+    custom_driver(&bed);
+}
+
+/// A driver DLMonitor has no callback API for: its functions are named
+/// in a configuration file, armed when the library loads, and each call
+/// to one reaches the registered callbacks.
+fn custom_driver(bed: &TestBed) {
+    let config = "# custom NPU driver\nlibnpu.so  npuLaunchKernel\nlibnpu.so  npuMemcpy\n";
+    let interceptor = CustomInterceptor::parse(config).expect("config");
+    interceptor.install(bed.env().libraries());
+    bed.env().load_library("/opt/npu/libnpu.so", 0x1000);
+    assert_eq!(
+        interceptor.armed(),
+        interceptor.hooks(),
+        "load arms every hook"
+    );
+
+    let calls = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&calls);
+    interceptor.on_intercept(move |hook, thread| {
+        println!(
+            "  intercepted {}::{} on tid {}",
+            hook.library,
+            hook.function,
+            thread.tid()
+        );
+        seen.fetch_add(1, Ordering::Relaxed);
+    });
+    println!("\n(c) custom driver interception (§4.1):\n");
+    let intercepted = interceptor.driver_call("libnpu.so", "npuLaunchKernel", bed.main_thread());
+    assert!(
+        intercepted && calls.load(Ordering::Relaxed) == 1,
+        "driver call not intercepted"
+    );
 }
 
 fn layer_set(path: &CallPath) -> Vec<FrameKind> {

@@ -67,16 +67,13 @@ pub use sim_runtime as runtime;
 
 /// Everything needed for typical profiling sessions.
 pub mod prelude {
-    pub use deepcontext_analyzer::{
-        Analyzer, Issue, ProfileDiff, ProfileStore, RegressionRule, Rule, RunFilter, Severity,
-        TrendPoint,
-    };
+    pub use deepcontext_analyzer::{Analyzer, Issue, ProfileDiff, ProfileStore, Rule, Severity};
     pub use deepcontext_core::{
         CallPath, CallingContextTree, Frame, FrameKind, Interner, MetricKind, NodeId, OpPhase,
         PathHandle, ProfileDb, ProfileMeta, StallReason, TimeNs, VirtualClock,
     };
     pub use deepcontext_flamegraph::FlameGraph;
-    pub use deepcontext_profiler::{Profiler, ProfilerConfig, ShardedSink};
+    pub use deepcontext_profiler::{Profiler, ProfilerConfig};
     pub use deepcontext_timeline::{TimelineConfig, TimelineSnapshot, TimelineStats};
     pub use dl_framework::{
         DType, EagerEngine, FrameworkCore, JitEngine, Layout, Op, OpKind, TensorMeta,

@@ -153,7 +153,9 @@ fn profile(n: usize) -> ProfileDb {
         dropped: 0,
         window: Some((TimeNs(0), TimeNs(2_000_000_000))),
     };
-    ProfileDb::new(ProfileMeta::default(), cct).with_timeline(timeline)
+    let mut db = ProfileDb::new(ProfileMeta::default(), cct);
+    db.set_timeline(Some(timeline));
+    db
 }
 
 const SMALL: usize = 3_000;

@@ -4,14 +4,13 @@
 //! `CoreError`s instead of panics (named cases, every byte of the
 //! interval block cut off, then arbitrary bytes, every line-boundary
 //! truncation and random single-byte corruptions of the golden
-//! container), cross-run trend queries follow the metric
-//! across stored runs, the `store-regression` rule flags an injected
-//! regression against the stored baseline, and `ProfileDiff::compare`
-//! agrees with a label-path oracle, in memory and after a round trip.
+//! container), a diff against a stored baseline run shows an injected
+//! regression, and `ProfileDiff::compare` agrees with a label-path
+//! oracle, in memory and after a round trip.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -28,6 +27,14 @@ fn temp_store() -> (PathBuf, ProfileStore) {
     ));
     let store = ProfileStore::open(&dir).expect("store opens");
     (dir, store)
+}
+
+/// Published runs in `dir`: its `.dcprof` files.
+fn runs(dir: &Path) -> usize {
+    fs::read_dir(dir)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().path().extension() == Some("dcprof".as_ref()))
+        .count()
 }
 
 /// A full profiler run over the multi-device multi-stream workload with
@@ -92,7 +99,7 @@ fn finished_run_reloads_from_the_store_with_timeline_intact() {
     assert!(db.meta().ended > db.meta().started);
     // Every interval still resolves its name and its context.
     for interval in reloaded.tracks.iter().flat_map(|(_, slots)| slots.iter()) {
-        assert!(reloaded.name_of(interval.name).is_some());
+        assert!(reloaded.names.get(interval.name.index() as usize).is_some());
         let context = interval.context().expect("contexts resolved");
         assert!(context.index() < back.cct().node_count());
     }
@@ -123,7 +130,7 @@ fn concurrent_saves_of_one_run_each_publish_under_their_own_id() {
     });
     let distinct: BTreeSet<&String> = ids.iter().collect();
     assert_eq!(distinct.len(), 200, "two saves were given one id");
-    assert_eq!(store.list().unwrap().len(), 200, "a save replaced another");
+    assert_eq!(runs(&dir), 200, "a save replaced another");
     for id in &ids {
         assert_eq!(store.load(id).unwrap().meta(), db.meta(), "run {id}");
     }
@@ -207,59 +214,25 @@ fn corrupt_and_truncated_store_files_error_not_panic() {
 }
 
 #[test]
-fn trend_and_regression_rule_flag_an_injected_regression() {
+fn a_stored_baseline_diff_shows_an_injected_regression() {
     let (dir, store) = temp_store();
-    // Three healthy baseline runs (the sim is deterministic, so their
-    // totals agree exactly).
-    for _ in 0..3 {
-        store.save(&profile_multi_stream(2)).unwrap();
-    }
-    let filter = RunFilter::any().workload("multi-stream");
-    let trend = store.trend(&filter, MetricKind::GpuTime).unwrap();
-    assert_eq!(trend.len(), 3);
-    assert!(trend[0].total > 0.0);
-    assert_eq!(trend[0].total, trend[1].total);
-    assert_eq!(trend[1].total, trend[2].total);
-
-    let rule = RegressionRule::from_store(&store, &filter, MetricKind::GpuTime)
-        .unwrap()
-        .expect("store has baseline runs");
-    assert_eq!(rule.baseline_runs(), 3);
-    assert_eq!(rule.baseline_total(), trend[0].total);
+    let id = store.save(&profile_multi_stream(2)).unwrap();
+    let baseline_run = store.load(&id).unwrap();
+    assert!(baseline_run.cct().total(MetricKind::GpuTime) > 0.0);
 
     // Injected regression: triple the iterations, ~3x the GPU time.
     let regressed = profile_multi_stream(6);
-    let mut analyzer = Analyzer::new();
-    analyzer.add_rule(rule.clone());
-    let report = analyzer.analyze(&regressed);
-    let issues = report.by_rule("store-regression");
-    assert!(
-        issues
-            .iter()
-            .any(|i| i.severity == Severity::Critical && i.call_path == "<whole run>"),
-        "whole-run regression must be flagged: {report}"
-    );
-    assert!(
-        issues.iter().any(|i| i.call_path != "<whole run>"),
-        "at least one regressed context is pinpointed"
-    );
-
-    // A healthy run of the same shape stays clean against the baseline.
-    let healthy = profile_multi_stream(2);
-    let mut clean_analyzer = Analyzer::new();
-    clean_analyzer.add_rule(rule);
-    assert!(clean_analyzer
-        .analyze(&healthy)
-        .by_rule("store-regression")
-        .is_empty());
-
-    // The diff against a stored baseline run shows the growth.
-    let baseline_run = store.load(&trend[0].id).unwrap();
     let diff = ProfileDiff::compare(&baseline_run, &regressed, MetricKind::GpuTime);
     let (base_total, cand_total) = diff.totals();
     assert!(cand_total > 2.0 * base_total);
     assert!(!diff.entries().is_empty());
     assert!(diff.entries().iter().all(|e| e.delta() != 0.0));
+    assert!(diff.improvements().next().is_none(), "nothing got cheaper");
+
+    // A healthy run of the same shape shows no change against it.
+    let healthy = profile_multi_stream(2);
+    let same = ProfileDiff::compare(&baseline_run, &healthy, MetricKind::GpuTime);
+    assert!(same.entries().is_empty(), "{}", same.render_top(5));
     fs::remove_dir_all(dir).unwrap();
 }
 
@@ -351,14 +324,14 @@ fn golden_container() -> Vec<u8> {
     .expect("golden")
 }
 
-/// Runs all three readers over `bytes`. None may panic; the store reads
-/// through `ProfileDb::load`, so the two must agree on the verdict.
-fn read_every_way(store: &ProfileStore, bytes: &[u8]) -> (bool, bool) {
+/// Runs all three readers over `bytes`, the store's from `dir`. None may
+/// panic; the store reads through `ProfileDb::load`, so the two must
+/// agree on the verdict.
+fn read_every_way(dir: &Path, store: &ProfileStore, bytes: &[u8]) -> (bool, bool) {
     let loaded = ProfileDb::load(bytes).is_ok();
     let meta = ProfileDb::load_meta(bytes).is_ok();
-    fs::write(store.dir().join("case.dcprof"), bytes).unwrap();
+    fs::write(dir.join("case.dcprof"), bytes).unwrap();
     assert_eq!(store.load("case").is_ok(), loaded);
-    assert_eq!(store.load_meta("case").is_ok(), meta);
     (loaded, meta)
 }
 
@@ -366,7 +339,7 @@ fn read_every_way(store: &ProfileStore, bytes: &[u8]) -> (bool, bool) {
 fn truncation_at_every_line_boundary_errors_not_panics() {
     let golden = golden_container();
     let (dir, store) = temp_store();
-    assert_eq!(read_every_way(&store, &golden), (true, true));
+    assert_eq!(read_every_way(&dir, &store, &golden), (true, true));
     let header_lines = golden
         .split(|&b| b == b'\n')
         .take_while(|line| !line.starts_with(b"strings\t"))
@@ -379,7 +352,7 @@ fn truncation_at_every_line_boundary_errors_not_panics() {
         // fail. Only the last line may lose its newline and still load.
         let whole = at + 1 == golden.len();
         for cut in [at, at + 1] {
-            let (loaded, meta) = read_every_way(&store, &golden[..cut]);
+            let (loaded, meta) = read_every_way(&dir, &store, &golden[..cut]);
             assert_eq!(loaded, whole, "cut at byte {cut}");
             assert_eq!(meta, line >= header_lines, "header read, cut at byte {cut}");
         }
@@ -399,7 +372,7 @@ proptest! {
         let at = at % bytes.len();
         bytes[at] = byte as u8;
         let (dir, store) = temp_store();
-        read_every_way(&store, &bytes);
+        read_every_way(&dir, &store, &bytes);
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -427,7 +400,7 @@ proptest! {
         let mut bytes = prefix.as_bytes().to_vec();
         bytes.extend(body.iter().map(|&b| b as u8));
         let (dir, store) = temp_store();
-        let (loaded, _) = read_every_way(&store, &bytes);
+        let (loaded, _) = read_every_way(&dir, &store, &bytes);
         // A stray `journal` line is no end marker, whatever follows it.
         prop_assert!(!(loaded && prefix.contains("\njournal\t")));
         fs::remove_dir_all(dir).unwrap();
