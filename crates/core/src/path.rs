@@ -43,6 +43,11 @@ impl PathId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The id at raw `index`, for a store that packs ids into fewer bits.
+    pub(crate) fn from_index(index: u32) -> PathId {
+        PathId(index)
+    }
 }
 
 /// A calling context by handle: its [`PathId`] plus its depth, so the

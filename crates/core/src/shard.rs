@@ -76,21 +76,24 @@
 //!
 //! **A shard owns the correlations launched into it.** Every launch and
 //! every record of one GPU stream go to the same shard, so the shard's
-//! own [`IdWindow`] maps `corr → PathId` under the lock its owner already
-//! holds, and keeps the *retirement* cadence beside it:
+//! own [`IdWindow`] maps each correlation to a [`Bound`] — its context
+//! and its *retirement* stamp in one 4-byte word — under the lock its
+//! owner already holds:
 //!
 //! * [`bind`](CctShard::bind) maps a launch's correlation to its
-//!   context; [`correlations`](CctShard::correlations) is the window a
-//!   record looks its correlation up in;
+//!   context; [`correlation`](CctShard::correlation) is where a record
+//!   looks its correlation up;
 //! * [`defer_prune`](CctShard::defer_prune) / [`end_batch`](CctShard::end_batch)
 //!   implement two-phase pruning: ids attributed in the *previous* batch
 //!   leave the window at the end of the current one, so records that
 //!   straddle a buffer boundary (e.g. PC-sampling batches) still
-//!   resolve;
+//!   resolve. An attributed id's slot is stamped with its batch's parity,
+//!   and a batch's end sweeps the previous batch's stamped id range;
 //! * [`orphan_node`](CctShard::orphan_node) is the hoisted `<unattributed>`
 //!   catch-all context, created once per shard instead of re-interned per
 //!   orphaned record.
 
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 use crate::cct::{CallingContextTree, NodeId};
@@ -185,9 +188,53 @@ impl Pending {
     }
 }
 
+/// A correlation's slot in a shard's window, one word: `(path + 1) << 2
+/// | attributed << 1 | parity` — the context its launch was made from,
+/// whether a terminal record attributed it, and the parity of the batch
+/// that did. Every stamp is retired or renewed by the next batch's end,
+/// so one bit tells the two batches apart. Nonzero, so `Option<Bound>`
+/// is 4 bytes too; the path index is below 2³⁰ − 1, as
+/// [`CctShard::bind`] asserts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bound(NonZeroU32);
+
+impl Bound {
+    /// The largest path index a slot holds: `path + 1` fills 30 bits.
+    const MAX_PATH: usize = (1 << 30) - 2;
+    const ATTRIBUTED: u32 = 0b10;
+
+    fn new(path: PathId) -> Bound {
+        assert!(
+            path.index() <= Self::MAX_PATH,
+            "path index {} past a correlation slot's largest, {}",
+            path.index(),
+            Self::MAX_PATH
+        );
+        let word = (path.index() as u32 + 1) << 2;
+        Bound(NonZeroU32::new(word).expect("path + 1 is nonzero"))
+    }
+
+    fn path(self) -> PathId {
+        PathId::from_index((self.0.get() >> 2) - 1)
+    }
+
+    /// This binding, attributed in a batch of `parity`.
+    fn stamped(self, parity: bool) -> Bound {
+        let word = self.0.get() & !0b11 | Self::ATTRIBUTED | u32::from(parity);
+        Bound(NonZeroU32::new(word).expect("the path keeps it nonzero"))
+    }
+
+    /// Whether a batch of `parity` attributed it.
+    fn attributed_in(self, parity: bool) -> bool {
+        self.0.get() & 0b11 == Self::ATTRIBUTED | u32::from(parity)
+    }
+}
+
+/// No id stamped: an empty `(lo, hi)` range.
+const UNSTAMPED: (u64, u64) = (u64::MAX, 0);
+
 /// One shard of a sharded calling-context-tree ingestion pipeline: a
-/// private tree, its `PathId → node` vector, its correlation window and
-/// its prune queue.
+/// private tree, its `PathId → node` vector and its correlation window.
 ///
 /// Correlation keys are raw `u64`s so the core stays independent of any
 /// particular GPU runtime's id type.
@@ -200,11 +247,12 @@ pub struct CctShard {
     by_path: Vec<NodeId>,
     orphan: Option<NodeId>,
     /// The correlations launched into this shard and not yet retired.
-    correlations: IdWindow<PathId>,
-    // `prev_batch` is sorted (its own batch ended with the sort), so
-    // `end_batch` sorts `curr_batch` and merge-walks the two.
-    prev_batch: Vec<u64>,
-    curr_batch: Vec<u64>,
+    correlations: IdWindow<Bound>,
+    /// The parity [`defer_prune`](Self::defer_prune) stamps in the
+    /// current batch.
+    parity: bool,
+    /// Per parity, the lowest and highest id stamped with it.
+    stamped: [(u64, u64); 2],
     generation: u64,
     /// Samples waiting for the next [`settle`](Self::settle).
     pending: Pending,
@@ -218,8 +266,8 @@ impl CctShard {
             by_path: Vec::new(),
             orphan: None,
             correlations: IdWindow::default(),
-            prev_batch: Vec::new(),
-            curr_batch: Vec::new(),
+            parity: false,
+            stamped: [UNSTAMPED; 2],
             generation: 0,
             pending: Pending::default(),
         }
@@ -229,9 +277,10 @@ impl CctShard {
     /// operation that may have changed the shard's *tree* (inserting
     /// contexts, attributing metrics).
     /// Snapshot caches remember the generation they folded and skip the
-    /// shard entirely while it has not advanced. Prune bookkeeping
-    /// (`defer_prune`, `end_batch`) and resolving a path the shard
-    /// already knows do not bump it, because snapshots fold trees only.
+    /// shard entirely while it has not advanced. Correlation bookkeeping
+    /// (`bind`, `defer_prune`, `end_batch`) and resolving a path the
+    /// shard already knows do not bump it, because snapshots fold trees
+    /// only.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -405,61 +454,61 @@ impl CctShard {
     }
 
     /// Binds `correlation` to the context `path` its launch was made
-    /// from (a later bind wins).
+    /// from (a later bind wins, unstamped: the runtime binds an id once).
+    /// Panics if `path`'s index is past a slot's largest, 2³⁰ − 2.
     pub fn bind(&mut self, correlation: u64, path: PathId) {
-        self.correlations.insert(correlation, path);
+        self.correlations.insert(correlation, Bound::new(path));
+    }
+
+    /// The context `correlation` is bound to, if it is bound here and
+    /// not yet retired.
+    pub fn correlation(&self, correlation: u64) -> Option<PathId> {
+        self.correlations.get(correlation).map(Bound::path)
     }
 
     /// The correlations bound here and not yet retired.
-    pub fn correlations(&self) -> &IdWindow<PathId> {
+    pub fn correlations(&self) -> &IdWindow<Bound> {
         &self.correlations
     }
 
     /// Marks `correlation` as attributed in the current batch; it becomes
-    /// prunable once the *next* batch completes.
+    /// prunable once the *next* batch completes. An id not bound here is
+    /// not stamped.
     pub fn defer_prune(&mut self, correlation: u64) {
-        self.curr_batch.push(correlation);
+        let parity = self.parity;
+        if let Some(bound) = self.correlations.get_mut(correlation) {
+            *bound = bound.stamped(parity);
+            let (lo, hi) = &mut self.stamped[usize::from(parity)];
+            (*lo, *hi) = ((*lo).min(correlation), (*hi).max(correlation));
+        }
     }
 
-    /// Ends an activity batch: the correlations deferred in the previous
-    /// batch and not re-attributed in this one leave the window.
+    /// Ends an activity batch: the correlations stamped in the previous
+    /// batch and not re-stamped in this one leave the window. One sweep
+    /// of the previous batch's id range, never of the whole window.
     pub fn end_batch(&mut self) {
-        // Correlation ids arrive nearly in order, so the sort is close
-        // to a scan; `prev_batch` was sorted when its own batch ended.
-        self.curr_batch.sort_unstable();
-        let mut renewed = self.curr_batch.iter().copied().peekable();
-        for id in self.prev_batch.drain(..) {
-            while renewed.next_if(|&r| r < id).is_some() {}
-            if renewed.peek() != Some(&id) {
-                self.correlations.remove(id);
-            }
+        let previous = !self.parity;
+        let (lo, hi) = std::mem::replace(&mut self.stamped[usize::from(previous)], UNSTAMPED);
+        if lo <= hi {
+            self.correlations
+                .retire_where(lo, hi, |bound| bound.attributed_in(previous));
         }
-        std::mem::swap(&mut self.prev_batch, &mut self.curr_batch);
+        self.parity = previous;
     }
 
-    /// Releases the capacity a large batch left behind in the prune
-    /// queues and the correlation window (both retain their high-water
-    /// capacity after draining). Called at quiescent points — e.g. after
-    /// a flush boundary has retired all deferred correlations — so
-    /// resident profile memory tracks *live* state, not the largest
-    /// batch ever seen. Does not touch the tree (and so does not dirty
-    /// the shard's snapshot generation).
+    /// Releases the capacity a large batch left behind in the correlation
+    /// window (it retains its high-water capacity after draining). Called
+    /// at quiescent points — e.g. after a flush boundary has retired all
+    /// deferred correlations — so resident profile memory tracks *live*
+    /// state, not the largest batch ever seen. Does not touch the tree
+    /// (and so does not dirty the shard's snapshot generation).
     pub fn trim(&mut self) {
-        fn oversized(capacity: usize, len: usize) -> bool {
-            capacity > 64 && capacity / 4 > len
-        }
-        if oversized(self.prev_batch.capacity(), self.prev_batch.len()) {
-            self.prev_batch.shrink_to_fit();
-        }
-        if oversized(self.curr_batch.capacity(), self.curr_batch.len()) {
-            self.curr_batch.shrink_to_fit();
-        }
         self.correlations.trim();
     }
 
     /// Approximate resident bytes of tree (interner and its path table
-    /// excluded), path vector, prune queues and whatever settle scratch
-    /// is currently held. The correlation window is sized apart, through
+    /// excluded), path vector and whatever settle scratch is currently
+    /// held. The correlation window is sized apart, through
     /// [`correlations`](Self::correlations): peak accounting charges it
     /// by its span, holes included ([`IdWindow::held_bytes`]), resident
     /// accounting by capacity.
@@ -471,7 +520,6 @@ impl CctShard {
         } = &self.pending;
         self.tree.approx_tree_bytes()
             + self.by_path.capacity() * std::mem::size_of::<NodeId>()
-            + (self.prev_batch.capacity() + self.curr_batch.capacity()) * std::mem::size_of::<u64>()
             + slot_of.capacity() * std::mem::size_of::<u32>()
             + slots.capacity() * std::mem::size_of::<Slot>()
             + held.capacity() * std::mem::size_of::<Held>()
@@ -755,7 +803,7 @@ mod tests {
         }
         let live = |shard: &CctShard| -> Vec<u64> {
             (1..=3)
-                .filter(|&corr| shard.correlations().get(corr) == Some(relu))
+                .filter(|&corr| shard.correlation(corr) == Some(relu))
                 .collect()
         };
         // Batch 1 attributes correlations 1 and 2.
@@ -827,13 +875,49 @@ mod tests {
         let mut shard = CctShard::new(Arc::clone(&i));
         assert!(shard.is_empty());
         let empty = shard.approx_bytes();
-        shard.node_for(handle(&i, "aten::matmul").id());
+        let matmul = handle(&i, "aten::matmul").id();
+        let node = shard.node_for(matmul);
         let with_context = shard.approx_bytes();
         assert!(with_context > empty);
+        // The window is sized apart, 4 bytes a slot of its span, and a
+        // retirement stamp lives in the slot: binding and deferring
+        // grow nothing the shard counts.
         for c in 0..64 {
+            shard.bind(c, matmul);
             shard.defer_prune(c);
         }
-        assert!(shard.approx_bytes() > with_context);
+        assert_eq!(shard.approx_bytes(), with_context);
+        assert_eq!(shard.correlations().held_bytes(), 64 * 4);
+        shard.count(node, MetricKind::KernelLaunches, 1);
+        assert!(shard.approx_bytes() > with_context, "settle scratch");
         assert!(!shard.is_empty());
+    }
+
+    #[test]
+    fn a_bound_slot_is_4_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Bound>>(), 4);
+        // A stamp, either parity, and its renewal leave the path as bound.
+        for index in [0, 1, Bound::MAX_PATH as u32] {
+            let path = PathId::from_index(index);
+            let bound = Bound::new(path);
+            assert_eq!(bound.path(), path);
+            for parity in [false, true] {
+                assert!(!bound.attributed_in(parity), "bound unstamped");
+                let stamped = bound.stamped(parity);
+                assert_eq!(stamped.path(), path);
+                assert!(stamped.attributed_in(parity));
+                assert!(!stamped.attributed_in(!parity));
+                let renewed = stamped.stamped(!parity);
+                assert_eq!(renewed.path(), path);
+                assert!(renewed.attributed_in(!parity) && !renewed.attributed_in(parity));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past a correlation slot's largest")]
+    fn a_path_index_past_a_slots_largest_panics_at_bind() {
+        let mut shard = CctShard::new(interner());
+        shard.bind(1, PathId::from_index(Bound::MAX_PATH as u32 + 1));
     }
 }

@@ -11,8 +11,8 @@ use std::mem::size_of;
 /// attributed and each shard's previous batch, which the sink's
 /// two-phase prune retires only at the shard's next batch — so a shard
 /// may sit out a dozen flushes before its ids are slid past. A full
-/// window of a shard's 8-byte `Option<PathId>` slots is 64 Ki × 8 bytes
-/// = 512 KiB.
+/// window of a shard's 4-byte `Option<Bound>` slots is 64 Ki × 4 bytes
+/// = 256 KiB.
 const SPAN: u64 = 16 * 4096;
 
 /// A `HashMap` that has shrunk below a quarter of its capacity (and holds
@@ -43,10 +43,11 @@ const TRIM_FLOOR: usize = 64;
 /// map: after a jump in the counter (a long run of ids nobody inserts)
 /// every later id would follow it there.
 ///
-/// [`retire_below`](Self::retire_below) is the other way ids leave: it
-/// advances the base to a floor, dropping every slot it passes, and
-/// drops the stragglers below the floor.
-#[derive(Debug, Clone, Default)]
+/// Ids leave in two ways. [`retire_below`](Self::retire_below) advances
+/// the base to a floor, dropping every slot it passes, and drops the
+/// stragglers below the floor. [`retire_where`](Self::retire_where)
+/// drops the ids of a range whose values a predicate picks.
+#[derive(Debug, Clone)]
 pub struct IdWindow<V: Copy> {
     /// The id slot 0 holds. Meaningless while `slots` is empty: the next
     /// insert sets it.
@@ -58,6 +59,19 @@ pub struct IdWindow<V: Copy> {
     /// straggler — never probes the map.
     straggler_max: u64,
     live: usize,
+}
+
+// Not derived: that would ask `V: Default`.
+impl<V: Copy> Default for IdWindow<V> {
+    fn default() -> Self {
+        IdWindow {
+            base: 0,
+            slots: VecDeque::new(),
+            stragglers: HashMap::new(),
+            straggler_max: 0,
+            live: 0,
+        }
+    }
 }
 
 impl<V: Copy> IdWindow<V> {
@@ -154,18 +168,39 @@ impl<V: Copy> IdWindow<V> {
         held
     }
 
-    /// Removes `id`, returning what it mapped to.
-    pub fn remove(&mut self, id: u64) -> Option<V> {
-        let removed = match self.index(id).and_then(|i| self.slots[i].take()) {
-            Some(value) => {
+    /// What `id` maps to, in place, if it is live.
+    pub fn get_mut(&mut self, id: u64) -> Option<&mut V> {
+        match self.index(id) {
+            Some(i) if self.slots[i].is_some() => self.slots[i].as_mut(),
+            _ if self.may_straggle(id) => self.stragglers.get_mut(&id),
+            _ => None,
+        }
+    }
+
+    /// Removes every id in `lo..=hi` whose value `retire` picks: the
+    /// slots of that range the window covers, then the stragglers, when
+    /// any may lie in the range. The cost is the range's slots and the
+    /// straggler map, never the rest of the window.
+    pub fn retire_where(&mut self, lo: u64, hi: u64, mut retire: impl FnMut(V) -> bool) {
+        if let Some(last) = self.slots.len().checked_sub(1) {
+            let (start, end) = (lo.max(self.base), hi.min(self.base + last as u64));
+            if start <= end {
+                let range = (start - self.base) as usize..=(end - self.base) as usize;
+                for slot in self.slots.range_mut(range) {
+                    if slot.is_some_and(&mut retire) {
+                        *slot = None;
+                        self.live -= 1;
+                    }
+                }
                 self.pop_empty_ends();
-                Some(value)
             }
-            None if self.may_straggle(id) => self.stragglers.remove(&id),
-            None => None,
-        };
-        self.live -= usize::from(removed.is_some());
-        removed
+        }
+        if self.may_straggle(lo) {
+            let held = self.stragglers.len();
+            self.stragglers
+                .retain(|id, value| !((lo..=hi).contains(id) && retire(*value)));
+            self.live -= held - self.stragglers.len();
+        }
     }
 
     /// Removes every id below `floor`: the base advances to the first
@@ -247,6 +282,14 @@ mod tests {
         Binding { shard, path }
     }
 
+    /// Retires `id` alone, returning what it mapped to.
+    fn retire(dir: &mut Window, id: u64) -> Option<Binding> {
+        let held = dir.get(id);
+        dir.retire_where(id, id, |_| true);
+        assert_eq!(dir.get(id), None);
+        held
+    }
+
     #[test]
     fn insert_get_remove_round_trip() {
         let path = paths(4);
@@ -263,21 +306,29 @@ mod tests {
         dir.insert(7, at(5, path(3)));
         assert_eq!(dir.get(7), Some(at(5, path(3))), "later inserts win");
         assert_eq!(dir.len(), 3, "reinsert is not a new entry");
-        assert_eq!(dir.remove(7), Some(at(5, path(3))));
-        assert_eq!(dir.remove(7), None);
-        assert_eq!(dir.get(7), None);
+        *dir.get_mut(u64::MAX).expect("live") = at(4, path(2));
+        assert_eq!(dir.get(u64::MAX), Some(at(4, path(2))), "updated in place");
+        assert_eq!(dir.get_mut(8), None);
+        assert_eq!(retire(&mut dir, 7), Some(at(5, path(3))));
+        assert_eq!(retire(&mut dir, 7), None);
         assert_eq!(dir.len(), 2);
+        // A predicate keeps what it does not pick.
+        dir.retire_where(0, u64::MAX, |b| b.shard == 2);
+        assert_eq!(dir.get(0), None);
+        assert_eq!(dir.get(u64::MAX), Some(at(4, path(2))));
+        assert_eq!(dir.len(), 1);
     }
 
     #[test]
     fn matches_a_std_hashmap_oracle_under_churn() {
-        // Deterministic mixed workload: insert / remove / retire_below over
-        // a small key space (collisions and reuse are common), with a
-        // lookup every step, checked op-for-op against
-        // std::collections::HashMap. Random keys land below the base as
-        // often as in the window, so the straggler map and rebasing an
-        // emptied window are exercised throughout; a random floor lands
-        // below, inside and above the window and among the stragglers.
+        // Deterministic mixed workload: insert / update in place /
+        // retire_where / retire_below over a small key space (collisions
+        // and reuse are common), with a lookup every step, checked
+        // op-for-op against std::collections::HashMap. Random keys land
+        // below the base as often as in the window, so the straggler map
+        // and rebasing an emptied window are exercised throughout; a
+        // random range or floor lands below, inside and above the window
+        // and among the stragglers.
         let path = paths(5);
         let mut dir = Window::default();
         let mut oracle = HashMap::new();
@@ -293,8 +344,21 @@ mod tests {
                     dir.insert(key, binding);
                     oracle.insert(key, binding);
                 }
-                5 | 6 => {
-                    assert_eq!(dir.remove(key), oracle.remove(&key), "step {step}");
+                5 => {
+                    let binding = at((step % 7) as u32, path(step));
+                    if let Some(held) = dir.get_mut(key) {
+                        *held = binding;
+                    }
+                    if let Some(held) = oracle.get_mut(&key) {
+                        *held = binding;
+                    }
+                }
+                6 => {
+                    // A range up to 64 ids wide, picking one shard in three.
+                    let (lo, hi) = (key, key + (state >> 20) % 64);
+                    let picked = |b: Binding| b.shard % 3 == (step % 3) as u32;
+                    dir.retire_where(lo, hi, picked);
+                    oracle.retain(|id, b| !((lo..=hi).contains(id) && picked(*b)));
                 }
                 _ => {
                     let floor = key;
@@ -335,9 +399,7 @@ mod tests {
                 dir.get(flush[0]),
                 Some(at((flush[0] % 16) as u32, path(flush[0])))
             );
-            for corr in flush {
-                dir.remove(*corr);
-            }
+            dir.retire_where(flush[0], flush[flush.len() - 1], |_| true);
             assert_eq!(dir.len(), 1, "only the pinned id stays live");
             assert_eq!(dir.get(1), Some(pinned));
             assert!(
@@ -351,7 +413,9 @@ mod tests {
             dir.stragglers.contains_key(&1),
             "the window slid past the pinned id"
         );
-        assert_eq!(dir.remove(1), Some(pinned));
+        dir.retire_where(2, u64::MAX, |_| true);
+        assert_eq!(dir.get(1), Some(pinned), "outside the range");
+        assert_eq!(retire(&mut dir, 1), Some(pinned));
         assert!(dir.is_empty());
         dir.trim();
         assert!(dir.approx_bytes() <= TRIM_FLOOR * (SLOT_BYTES + DIR_ENTRY_BYTES));
@@ -373,7 +437,7 @@ mod tests {
         dir.insert(6, at(0, path(6)));
         assert_eq!(dir.held_bytes(), 91 * SLOT_BYTES + 2 * DIR_ENTRY_BYTES);
         // Removing the front slides the base to the next live id.
-        dir.remove(100);
+        retire(&mut dir, 100);
         assert_eq!(dir.held_bytes(), 88 * SLOT_BYTES + 2 * DIR_ENTRY_BYTES);
         dir.retire_below(u64::MAX);
         assert_eq!(dir.held_bytes(), 0);
@@ -393,9 +457,8 @@ mod tests {
         let full = dir.approx_bytes();
         // Most are removed: the window keeps 16 ids at its front (the back
         // pops as it empties), the map 8.
-        for corr in (1016..5096).chain(8..200) {
-            dir.remove(corr);
-        }
+        dir.retire_where(1016, 5095, |_| true);
+        dir.retire_where(8, 199, |_| true);
         dir.trim();
         assert!(
             dir.approx_bytes() < full / 8,
@@ -410,9 +473,7 @@ mod tests {
             );
         }
         assert_eq!(dir.len(), 24);
-        for corr in (1000..1016).chain(0..8) {
-            dir.remove(corr);
-        }
+        dir.retire_where(0, 1015, |_| true);
         dir.trim();
         assert!(dir.is_empty());
         assert!(
@@ -436,7 +497,7 @@ mod tests {
                         assert_eq!(dir.lock().get(*corr), Some(at(t as u32, *path)));
                     }
                     for (corr, path) in batch.iter().step_by(2) {
-                        assert_eq!(dir.lock().remove(*corr), Some(at(t as u32, *path)));
+                        assert_eq!(retire(&mut dir.lock(), *corr), Some(at(t as u32, *path)));
                     }
                 });
             }

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use deepcontext_core::{
     CallingContextTree, CctShard, Frame, Interner, IntervalKind, MetricKind, MetricStat,
-    MetricStore, NodeId, OpPhase, ProfileDb, ProfileMeta, StallReason, StoredTimeline, TimeNs,
-    TrackKey, TrackSlot,
+    MetricStore, NodeId, OpPhase, PathId, ProfileDb, ProfileMeta, StallReason, StoredTimeline,
+    TimeNs, TrackKey, TrackSlot,
 };
 use proptest::prelude::*;
 
@@ -127,6 +127,83 @@ fn arb_shard_ops() -> impl Strategy<Value = (Arc<Interner>, Vec<ShardOp>)> {
         Just(ShardOp::Settle),
     ];
     prop::collection::vec(op, 1..80).prop_map(move |ops| (Arc::clone(&interner), ops))
+}
+
+/// One step of a shard's correlation lifecycle (`correlation_sweep_*`).
+#[derive(Debug, Clone)]
+enum CorrOp {
+    /// The runtime issues the next correlation id to `stream`, launched
+    /// from context `path`; the shard binds it if it owns the stream.
+    Launch {
+        stream: u8,
+        path: u8,
+    },
+    /// A record of a correlation, sampling or terminal. `from` picks
+    /// which: 0 the `k`-th latest id issued (bound here or not, retired
+    /// or not), 1 an id the previous batch's terminal records attributed
+    /// (a re-attribution), 2 one this batch's did.
+    Record {
+        from: u8,
+        k: usize,
+        terminal: bool,
+    },
+    EndBatch,
+    /// The counter skips `gap` ids: past the window's 64 Ki span, the
+    /// next bind slides the ids before it into the straggler map.
+    Jump {
+        gap: u64,
+    },
+}
+
+/// The streams issuing ids (1–4), which of them the shard owns (a bit
+/// each; stream 0 always) and the steps.
+fn arb_corr_script() -> impl Strategy<Value = (u8, u8, Vec<CorrOp>)> {
+    let launch = || (0u8..4, 0u8..6).prop_map(|(stream, path)| CorrOp::Launch { stream, path });
+    let record = || {
+        (0u8..3, 0usize..16, prop::bool::ANY).prop_map(|(from, k, terminal)| CorrOp::Record {
+            from,
+            k,
+            terminal,
+        })
+    };
+    let op = prop_oneof![
+        launch(),
+        launch(),
+        launch(),
+        record(),
+        record(),
+        record(),
+        Just(CorrOp::EndBatch),
+        Just(CorrOp::EndBatch),
+        prop_oneof![1u64..64, 65_530u64..65_600].prop_map(|gap| CorrOp::Jump { gap }),
+    ];
+    (1u8..5, 0u8..16, prop::collection::vec(op, 1..160))
+}
+
+/// The two-phase prune as two id queues: the rule `CctShard` keeps.
+/// A terminal record's id joins the current batch's queue; a batch's end
+/// sorts that queue, merge-walks the previous batch's (sorted at its own
+/// end) against it, removes every id found only in the previous one,
+/// and makes the current queue the previous.
+#[derive(Default)]
+struct TwoQueuePrune {
+    bound: BTreeMap<u64, PathId>,
+    prev_batch: Vec<u64>,
+    curr_batch: Vec<u64>,
+}
+
+impl TwoQueuePrune {
+    fn end_batch(&mut self) {
+        self.curr_batch.sort_unstable();
+        let mut renewed = self.curr_batch.iter().copied().peekable();
+        for id in self.prev_batch.drain(..) {
+            while renewed.next_if(|&r| r < id).is_some() {}
+            if renewed.peek() != Some(&id) {
+                self.bound.remove(&id);
+            }
+        }
+        std::mem::swap(&mut self.prev_batch, &mut self.curr_batch);
+    }
 }
 
 /// A `u64` at either end of its range as often as anywhere between.
@@ -653,6 +730,71 @@ proptest! {
         }
         shard.settle();
         prop_assert_eq!(shard.tree().semantic_diff(&oracle), None);
+    }
+
+    #[test]
+    fn correlation_sweep_retires_what_two_queues_retire(
+        (streams, owned, ops) in arb_corr_script()
+    ) {
+        // A shard's stamped window against the two-queue prune it
+        // replaced, driven as the sink drives it: a record looks its id
+        // up, and a terminal one defers it. After every step both hold
+        // the same ids, bound to the same contexts.
+        let interner = Interner::new();
+        let paths: Vec<PathId> = (0..6)
+            .map(|pc| interner.paths().intern(&[Frame::instruction(pc)]).id())
+            .collect();
+        let mut shard = CctShard::new(Arc::clone(&interner));
+        let mut oracle = TwoQueuePrune::default();
+        let (mut next, mut issued) = (1u64, Vec::new());
+        for op in ops {
+            match op {
+                CorrOp::Launch { stream, path } => {
+                    let stream = stream % streams;
+                    if stream == 0 || owned & (1 << stream) != 0 {
+                        shard.bind(next, paths[usize::from(path)]);
+                        oracle.bound.insert(next, paths[usize::from(path)]);
+                    }
+                    issued.push(next);
+                    next += 1;
+                }
+                CorrOp::Record { from, k, terminal } => {
+                    let queue = match from {
+                        0 => &issued,
+                        1 => &oracle.prev_batch,
+                        _ => &oracle.curr_batch,
+                    };
+                    let Some(&id) = queue.iter().rev().nth(k % queue.len().max(1)) else {
+                        continue;
+                    };
+                    prop_assert_eq!(shard.correlation(id), oracle.bound.get(&id).copied());
+                    if terminal {
+                        shard.defer_prune(id);
+                        oracle.curr_batch.push(id);
+                    }
+                }
+                CorrOp::EndBatch => {
+                    shard.end_batch();
+                    oracle.end_batch();
+                }
+                CorrOp::Jump { gap } => next += gap,
+            }
+            prop_assert_eq!(shard.correlations().len(), oracle.bound.len());
+            for id in &issued {
+                prop_assert_eq!(
+                    shard.correlation(*id),
+                    oracle.bound.get(id).copied(),
+                    "id {}",
+                    id
+                );
+            }
+        }
+        // Two batches with no records retire every stamp.
+        shard.end_batch();
+        shard.end_batch();
+        oracle.end_batch();
+        oracle.end_batch();
+        prop_assert_eq!(shard.correlations().len(), oracle.bound.len());
     }
 
     #[test]

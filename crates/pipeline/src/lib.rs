@@ -15,9 +15,11 @@
 //! shard of that stream, whose own [`deepcontext_core::IdWindow`] (the
 //! window DLMonitor keeps its forward/backward association in) maps
 //! `corr → PathId` under the shard lock. A launch takes that one lock and
-//! is one insert, a record one lookup, retirement (the two-phase prune)
-//! one remove in place. No lock spans every stream, but all producers on
-//! one stream share its shard's lock, for the tree insert as well.
+//! is one insert, a record one lookup; retirement (the two-phase prune)
+//! stamps a record's id in its slot and sweeps the previous batch's
+//! stamped range at the batch's end. No lock spans every stream, but all
+//! producers on one stream share its shard's lock, for the tree insert as
+//! well.
 //!
 //! ```text
 //!  producers (launch cb / activity flush / CPU sampler)

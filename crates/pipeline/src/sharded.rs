@@ -125,9 +125,11 @@ impl Default for SinkOptions {
 ///   PathId` in the shard's own window ([`CctShard::bind`]) under the
 ///   shard lock it already holds; an activity record names its stream,
 ///   so it reaches the same shard ([`route_activity`](Self::route_activity))
-///   and finds its context there; retirement (the two-phase prune) removes
-///   ids from that window in place. The allocation APIs, which have no
-///   stream, launch into one fixed shard, and their records follow. A
+///   and finds its context there ([`CctShard::correlation`]); retirement
+///   (the two-phase prune) stamps a terminal record's id in its window
+///   slot and, at the batch's end, sweeps the previous batch's stamped
+///   range. The allocation APIs, which have no stream, launch into one
+///   fixed shard, and their records follow. A
 ///   launch takes one lock, an activity batch one per shard it touches —
 ///   recording an interval is a push into the ring inside the shard, under
 ///   that same lock — and no lock is ever taken while another is held.
@@ -359,7 +361,7 @@ impl ShardedSink {
     /// samples)`.
     fn attribute_activity(&self, shard: &mut Shard, activity: &Activity) -> (bool, u64) {
         let Shard { cct, ring } = shard;
-        let path = cct.correlations().get(activity.correlation_id.0);
+        let path = cct.correlation(activity.correlation_id.0);
         let (node, orphaned) = cct.node_or_orphan(path);
         if let Some(ring) = ring {
             if let Some(interval) = self.interval_of(cct, activity, node) {
@@ -564,9 +566,9 @@ impl ShardedSink {
     /// already-attributed correlation can still be in flight (activity
     /// buffers deliver a kernel's trailing sampling records no later
     /// than the flush that drains the kernel). Every shard retires its
-    /// deferred correlations and sheds its prune queues' and correlation
-    /// window's high-water capacity, keeping resident memory proportional
-    /// to live state.
+    /// deferred correlations and sheds its correlation window's
+    /// high-water capacity, keeping resident memory proportional to live
+    /// state.
     pub fn epoch_complete(&self) {
         for idx in 0..self.shards.len() {
             self.epoch_complete_shard(idx);

@@ -17,9 +17,7 @@
 
 use std::sync::Arc;
 
-use deepcontext_core::{
-    Frame, FrameKind, Interner, MetricKind, PathHandle, PathId, StallReason, TimeNs,
-};
+use deepcontext_core::{Frame, FrameKind, Interner, MetricKind, PathHandle, StallReason, TimeNs};
 use deepcontext_pipeline::ShardedSink;
 use dlmonitor::EventOrigin;
 use sim_gpu::{Activity, ActivityKind, ApiKind, CorrelationId, DeviceId, PcSample, StreamId};
@@ -217,8 +215,9 @@ fn peak_bytes_charge_every_shards_window_holes_included() {
         sink.counters().peak_bytes
     };
     let unbound = peak(false);
-    let slot = std::mem::size_of::<Option<PathId>>();
-    assert_eq!(peak(true) - unbound, 3 * (LAUNCHES as usize - 2) * slot);
+    // A slot is a 4-byte `Option<Bound>`: the context and its
+    // retirement stamp in one word.
+    assert_eq!(peak(true) - unbound, 3 * (LAUNCHES as usize - 2) * 4);
 }
 
 #[test]
