@@ -125,16 +125,25 @@ def line_of(text, offset):
     return text.count("\n", 0, offset) + 1
 
 
-def count_lines(root):
-    files = subprocess.run(
-        ["git", "ls-files", "-z", "--", "crates", "src", "examples", "shims"],
-        cwd=root, check=True, capture_output=True, text=True,
-    ).stdout.split("\0")
+def tracked_files(*paths):
+    """The files git tracks under `paths` (all of them when none); exits
+    with one line when the repository is not a git checkout."""
+    try:
+        proc = subprocess.run(
+            ["git", "ls-files", "-z", "--", *paths],
+            cwd=REPO, check=True, capture_output=True, text=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        sys.exit(f"pub_census.py: needs a git checkout; `git ls-files` failed in {REPO}")
+    return [rel for rel in proc.stdout.split("\0") if rel]
+
+
+def count_lines():
     total = 0
-    for rel in files:
+    for rel in tracked_files("crates", "src", "examples", "shims"):
         if not rel.endswith(".rs") or "/tests/" in "/" + rel:
             continue
-        with open(os.path.join(root, rel), encoding="utf-8") as f:
+        with open(os.path.join(REPO, rel), encoding="utf-8") as f:
             text = f.read()
         lines = text.count("\n") + (0 if text.endswith("\n") or not text else 1)
         for a, b in test_ranges(text):
@@ -276,10 +285,7 @@ def census(target):
     tmp = tempfile.mkdtemp(prefix="pub_census.")
     try:
         root = os.path.join(tmp, "repo")
-        tracked = subprocess.run(
-            ["git", "ls-files", "-z"], cwd=REPO, check=True, capture_output=True, text=True
-        ).stdout.split("\0")
-        for rel in filter(None, tracked):
+        for rel in tracked_files():
             src = os.path.join(REPO, rel)
             if not os.path.isfile(src):
                 continue
@@ -356,7 +362,7 @@ def main():
     ap.add_argument("--check", action="store_true", help="compare the census with the allowlist")
     args = ap.parse_args()
     if args.lines:
-        print(count_lines(REPO))
+        print(count_lines())
         return 0
     target = os.environ.get("CARGO_TARGET_DIR") or os.path.join(REPO, "target", "pub_census")
     entries = census(os.path.abspath(target))

@@ -700,7 +700,7 @@ mod tests {
         let node = kernel_path(&mut cct, "aten::conv2d", "implicit_gemm", OpPhase::Forward);
         cct.attribute(node, MetricKind::GpuTime, 50.0e9);
         let py = cct.path_to_root(node)[1];
-        cct.attribute_exclusive(py, MetricKind::CpuTime, 2.0e6);
+        cct.attribute(py, MetricKind::CpuTime, 2.0e6);
         let db = view_of(cct);
         assert!(CpuLatencyRule::default()
             .analyze(&ProfileView::new(db.cct()))

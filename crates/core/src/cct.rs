@@ -6,12 +6,12 @@
 //! a sample at the bottom of a call path propagates it along the entire
 //! path to the root, so every node holds *inclusive* metrics.
 //!
-//! That holds **always** for a tree driven through
+//! That holds **always**, in every kind, for a tree driven through
 //! [`CallingContextTree::attribute`] and for every folded tree
 //! ([`merge`](CallingContextTree::merge) /
 //! [`merge_incremental`](CallingContextTree::merge_incremental) outputs,
-//! loaded profiles). The private tree inside a
-//! [`CctShard`](crate::CctShard) is the one exception: the shard holds
+//! loaded profiles): no metric stays at its node alone. The private tree
+//! inside a [`CctShard`](crate::CctShard) is the one exception: the shard holds
 //! samples at the attributed node and carries them root-ward itself at
 //! its next [`settle`](crate::CctShard::settle) — node by node through
 //! [`merge_stat_at`](CallingContextTree::merge_stat_at), by the rule
@@ -179,7 +179,9 @@ impl CallingContextTree {
     /// including the root — receives the sample, so each node holds
     /// inclusive metrics.
     pub fn attribute(&mut self, node: NodeId, kind: MetricKind, value: f64) {
-        self.each_to_root(node, |metrics| metrics.add(kind, value));
+        let mut sample = MetricStat::new();
+        sample.add(value);
+        self.merge_stat(node, kind, &sample);
     }
 
     /// Applies `f` to the metric store of `node` and of every ancestor.
@@ -193,11 +195,10 @@ impl CallingContextTree {
     }
 
     /// Merges a whole aggregate of `kind` into `node` and every ancestor:
-    /// what [`attribute`](Self::attribute) does for one sample, done once
-    /// for any number of samples aggregated elsewhere first. Counts and
-    /// extrema come out exactly as sample-by-sample propagation leaves
-    /// them, and so do sums of integer or power-of-two-multiple samples
-    /// (see [`MetricStat`]).
+    /// [`attribute`](Self::attribute) for any number of samples
+    /// aggregated elsewhere first. Counts and extrema come out exactly as
+    /// sample-by-sample propagation leaves them, and so do sums of integer
+    /// or power-of-two-multiple samples (see [`MetricStat`]).
     pub fn merge_stat(&mut self, node: NodeId, kind: MetricKind, stat: &MetricStat) {
         self.each_to_root(node, |metrics| metrics.merge_stat(kind, stat));
     }
@@ -207,18 +208,6 @@ impl CallingContextTree {
     /// per node and kind and carries the aggregate to the parent itself.
     pub fn merge_stat_at(&mut self, node: NodeId, kind: MetricKind, stat: &MetricStat) {
         self.nodes[node.index()].metrics.merge_stat(kind, stat);
-    }
-
-    /// Adds a metric sample at `node` only, without propagation (used for
-    /// exclusive bookkeeping such as per-node launch parameters).
-    pub fn attribute_exclusive(&mut self, node: NodeId, kind: MetricKind, value: f64) {
-        self.nodes[node.index()].metrics.add(kind, value);
-    }
-
-    /// [`attribute_exclusive`](Self::attribute_exclusive) for a run of
-    /// samples in ascending kind order ([`MetricStore::add_run`]).
-    pub fn attribute_exclusive_run(&mut self, node: NodeId, run: &[(MetricKind, f64)]) {
-        self.nodes[node.index()].metrics.add_run(run);
     }
 
     /// The aggregate of `kind` at `node`.
@@ -288,9 +277,8 @@ impl CallingContextTree {
     }
 
     /// Merges `other` into `self`: contexts are unified by collapse keys and
-    /// metric aggregates (inclusive and exclusive alike — both live in the
-    /// per-node [`MetricStore`]) are merged node-wise, so exclusive metrics
-    /// stay on their node and never propagate root-ward.
+    /// each node's [`MetricStore`] is merged into its counterpart's. Both
+    /// trees being inclusive, so is the result.
     ///
     /// Returns the node mapping: entry `i` is the id in `self` that
     /// `other`'s node `i` collapsed into. Callers holding per-tree side
@@ -379,7 +367,7 @@ impl CallingContextTree {
     /// order) carrying `==` metric stores — every count, sum, min and max
     /// bit for bit. That is exact whatever order the samples were added,
     /// merged or settled in, as long as they are integers or multiples
-    /// of a power of two (ns, bytes, counts, occupancy `k/64`) and each
+    /// of a power of two (ns, bytes, counts) and each
     /// sum stays under 2^53 units. Returns a description of the first
     /// difference found, or `None` when the trees are equivalent — the
     /// oracle behind the `cached == fresh` snapshot equivalence tests.
@@ -655,15 +643,6 @@ mod tests {
             assert_eq!(batched.metric(id, MetricKind::GpuTime), Some(&stat));
         }
         assert_eq!(batched.semantic_diff(&eager), None);
-    }
-
-    #[test]
-    fn attribute_exclusive_does_not_propagate() {
-        let mut t = CallingContextTree::new();
-        let leaf = t.insert_path(&sample_path(&t, "aten::matmul", "sgemm"));
-        t.attribute_exclusive(leaf, MetricKind::Warps, 32.0);
-        assert_eq!(t.metric(leaf, MetricKind::Warps).unwrap().sum, 32.0);
-        assert!(t.root_metric(MetricKind::Warps).is_none());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! DeepContext aggregates online, so the on-disk profile is a compact
 //! calling context tree rather than a trace. The container,
-//! `deepcontext-profile v5`, is tab-separated text lines — the magic, run
+//! `deepcontext-profile v6`, is tab-separated text lines — the magic, run
 //! metadata (host / model / config identity and the run's wall-clock
 //! window among them), an interned string table, the nodes in
 //! topological order — plus one optional section: the run's timeline
@@ -29,7 +29,7 @@
 //! before it in its run, is refused.
 //!
 //! A node's line carries, per metric kind, the kind and its aggregate's
-//! count, sum, min and max. v5 is the only version written or read: an
+//! count, sum, min and max. v6 is the only version written or read: an
 //! older magic is an error that names its version.
 //!
 //! Both directions work on one buffer. [`ProfileDb::save`] renders into
@@ -56,7 +56,7 @@ use crate::interner::{Interner, Sym};
 use crate::metrics::{MetricKind, MetricStat, MetricStore};
 use crate::timeline::{IntervalKind, StoredTimeline, TrackKey, TrackSlot};
 
-const MAGIC: &str = "deepcontext-profile v5";
+const MAGIC: &str = "deepcontext-profile v6";
 /// What every version's magic starts with.
 const MAGIC_PREFIX: &str = "deepcontext-profile v";
 
@@ -920,7 +920,7 @@ mod tests {
             MetricKind::Stall(StallReason::MemoryDependency),
             17.0,
         );
-        cct.attribute_exclusive(leaf2, MetricKind::Warps, 64.0);
+        cct.attribute(leaf2, MetricKind::MemcpyBytes, 64.0);
         ProfileDb::new(
             ProfileMeta {
                 workload: "dlrm-small".into(),
@@ -1240,7 +1240,7 @@ mod tests {
         let db = sample_db();
         let mut buf = Vec::new();
         db.save(&mut buf).unwrap();
-        for version in ["v1", "v2", "v3", "v4", "v9"] {
+        for version in ["v1", "v2", "v3", "v4", "v5", "v9"] {
             let mut other = format!("deepcontext-profile {version}").into_bytes();
             other.extend_from_slice(&buf[MAGIC.len()..]);
             for err in [

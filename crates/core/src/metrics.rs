@@ -100,7 +100,7 @@ impl fmt::Display for StallReason {
 
 /// The type of a performance metric attributed to a calling context.
 ///
-/// Coarse-grained kinds (times, launches, occupancy, memory) come from the
+/// Coarse-grained kinds (times, launches, memory) come from the
 /// GPU callback/activity APIs and CPU sampling; fine-grained kinds (stall
 /// samples) come from instruction sampling.
 ///
@@ -118,17 +118,6 @@ pub enum MetricKind {
     MemcpyTime,
     /// Bytes allocated on device.
     GpuAllocBytes,
-    /// Shared memory per block, bytes.
-    SharedMemPerBlock,
-    /// Registers per thread.
-    RegistersPerThread,
-    /// The occupancy the four limiters allow (0..=1 per kernel instance:
-    /// resident warps per SM over the maximum).
-    Occupancy,
-    /// Number of warps per launch.
-    Warps,
-    /// Number of blocks (CTAs) per launch.
-    Blocks,
     /// CPU time, nanoseconds (from CPU_TIME sampling).
     CpuTime,
     /// Wall-clock time, nanoseconds (from REAL_TIME sampling).
@@ -181,11 +170,6 @@ impl MetricKind {
             MetricKind::MemcpyBytes => "memcpy_bytes".into(),
             MetricKind::MemcpyTime => "memcpy_time".into(),
             MetricKind::GpuAllocBytes => "gpu_alloc_bytes".into(),
-            MetricKind::SharedMemPerBlock => "shared_mem_per_block".into(),
-            MetricKind::RegistersPerThread => "registers_per_thread".into(),
-            MetricKind::Occupancy => "occupancy".into(),
-            MetricKind::Warps => "warps".into(),
-            MetricKind::Blocks => "blocks".into(),
             MetricKind::CpuTime => "cpu_time".into(),
             MetricKind::RealTime => "real_time".into(),
             MetricKind::HwInstructions => "hw_instructions".into(),
@@ -229,11 +213,6 @@ impl MetricKind {
             MetricKind::MemcpyBytes => 2,
             MetricKind::MemcpyTime => 3,
             MetricKind::GpuAllocBytes => 4,
-            MetricKind::SharedMemPerBlock => 5,
-            MetricKind::RegistersPerThread => 6,
-            MetricKind::Occupancy => 7,
-            MetricKind::Warps => 8,
-            MetricKind::Blocks => 9,
             MetricKind::CpuTime => 10,
             MetricKind::RealTime => 11,
             MetricKind::HwInstructions => 12,
@@ -251,11 +230,6 @@ impl MetricKind {
             2 => MetricKind::MemcpyBytes,
             3 => MetricKind::MemcpyTime,
             4 => MetricKind::GpuAllocBytes,
-            5 => MetricKind::SharedMemPerBlock,
-            6 => MetricKind::RegistersPerThread,
-            7 => MetricKind::Occupancy,
-            8 => MetricKind::Warps,
-            9 => MetricKind::Blocks,
             10 => MetricKind::CpuTime,
             11 => MetricKind::RealTime,
             12 => MetricKind::HwInstructions,
@@ -421,32 +395,6 @@ impl MetricStore {
         self.entries.binary_search_by(|(k, _)| k.cmp(&kind))
     }
 
-    /// Adds a sample of `kind`.
-    pub fn add(&mut self, kind: MetricKind, value: f64) {
-        match self.position(kind) {
-            Ok(i) => self.entries[i].1.add(value),
-            Err(i) => {
-                let mut stat = MetricStat::new();
-                stat.add(value);
-                self.entries.insert(i, (kind, stat));
-            }
-        }
-    }
-
-    /// [`add`](Self::add)s every sample of `run`, kinds ascending, with one
-    /// search when the store holds exactly those kinds side by side.
-    pub fn add_run(&mut self, run: &[(MetricKind, f64)]) {
-        let at = run
-            .first()
-            .and_then(|(first, _)| self.position(*first).ok());
-        match at.and_then(|at| self.entries.get_mut(at..at + run.len())) {
-            Some(held) if held.iter().zip(run).all(|(h, r)| h.0 == r.0) => {
-                held.iter_mut().zip(run).for_each(|(h, r)| h.1.add(r.1));
-            }
-            _ => run.iter().for_each(|(kind, value)| self.add(*kind, *value)),
-        }
-    }
-
     /// Merges a whole aggregate of `kind` (used by CCT merging).
     pub fn merge_stat(&mut self, kind: MetricKind, other: &MetricStat) {
         match self.position(kind) {
@@ -537,6 +485,16 @@ impl FromIterator<(MetricKind, MetricStat)> for MetricStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MetricStore {
+        /// Adds one sample of `kind`, as `CallingContextTree::attribute`
+        /// merges it at each node.
+        fn add(&mut self, kind: MetricKind, value: f64) {
+            let mut sample = MetricStat::new();
+            sample.add(value);
+            self.merge_stat(kind, &sample);
+        }
+    }
 
     #[test]
     fn stat_tracks_count_sum_min_max() {
@@ -634,7 +592,7 @@ mod tests {
     fn store_merge_delta_folds_only_advanced_kinds() {
         let mut old = MetricStore::new();
         old.add(MetricKind::GpuTime, 10.0);
-        old.add(MetricKind::Warps, 32.0);
+        old.add(MetricKind::MemcpyBytes, 32.0);
         let mut new = old.clone();
         new.add(MetricKind::GpuTime, 5.0);
         new.add(MetricKind::CpuTime, 2.0); // kind born after `old`
@@ -675,10 +633,10 @@ mod tests {
         a.add(MetricKind::GpuTime, 1.0);
         let mut b = MetricStore::new();
         b.add(MetricKind::GpuTime, 2.0);
-        b.add(MetricKind::Warps, 32.0);
+        b.add(MetricKind::MemcpyBytes, 32.0);
         a.merge(&b);
         assert_eq!(a.sum(MetricKind::GpuTime), 3.0);
-        assert_eq!(a.sum(MetricKind::Warps), 32.0);
+        assert_eq!(a.sum(MetricKind::MemcpyBytes), 32.0);
     }
 
     #[test]
@@ -691,11 +649,6 @@ mod tests {
             MetricKind::MemcpyBytes,
             MetricKind::MemcpyTime,
             MetricKind::GpuAllocBytes,
-            MetricKind::SharedMemPerBlock,
-            MetricKind::RegistersPerThread,
-            MetricKind::Occupancy,
-            MetricKind::Warps,
-            MetricKind::Blocks,
             MetricKind::CpuTime,
             MetricKind::RealTime,
             MetricKind::HwInstructions,
@@ -710,8 +663,9 @@ mod tests {
             k.write_record(&mut rec);
             assert_eq!(MetricKind::from_record(&rec).unwrap(), k, "record {rec:?}");
         }
-        // The asynchronous pipeline's retired loss kinds.
-        for rec in ["B16", "B17"] {
+        // The retired launch-shape kinds and the asynchronous pipeline's
+        // retired loss kinds.
+        for rec in ["B5", "B6", "B7", "B8", "B9", "B16", "B17"] {
             assert!(MetricKind::from_record(rec).is_err(), "{rec}");
         }
     }
@@ -764,7 +718,7 @@ mod tests {
             .filter_map(MetricKind::from_base_code)
             .chain([MetricKind::Custom(i.intern("mine"))])
             .filter(|kind| !counting.contains(kind));
-        assert_eq!(measured.clone().count(), 16 - 2 + 1, "base kinds + custom");
+        assert_eq!(measured.clone().count(), 11 - 2 + 1, "base kinds + custom");
         for kind in measured {
             assert_eq!(kind.unit_column(), None, "{kind} carries values");
         }

@@ -48,9 +48,9 @@
 //! sum, min and max, and only `sum` can depend on order: the stated order
 //! fixes its low bits for samples that are neither integers nor
 //! multiples of a power of two, and the runtime produces none. Every sum
-//! it does produce — occurrences, ns, bytes, occupancy `k/64` or `k/32`
-//! — is exact below 2^53 units, so the settled tree is bit-identical
-//! whatever order its samples arrived or were folded in.
+//! it does produce — occurrences, ns, bytes — is exact below 2^53
+//! units, so the settled tree is bit-identical whatever order its
+//! samples arrived or were folded in.
 //!
 //! **What this is built for, and what it costs elsewhere.** Slots, lists
 //! and merges scale with the nodes touched since the last settle and
@@ -71,8 +71,8 @@
 //! folded, read or measured (`ShardedSink` does so under the shard lock
 //! at every batch boundary and before every fold). `settle` releases the
 //! scratch, and [`CctShard::approx_bytes`] counts it while it is held.
-//! Exclusive metrics (launch shapes) never propagate and are written to
-//! the tree directly.
+//! Every metric is inclusive: a shard's tree gains metrics only at a
+//! settle.
 //!
 //! **A shard owns the correlations launched into it.** Every launch and
 //! every record of one GPU stream go to the same shard, so the shard's
@@ -292,9 +292,9 @@ impl CctShard {
         &self.tree
     }
 
-    /// Mutable access to the shard's tree (inserting contexts, exclusive
-    /// metrics). Conservatively bumps the dirty generation: callers take
-    /// this to mutate, and a spurious bump only costs one no-op re-fold.
+    /// Mutable access to the shard's tree (inserting contexts).
+    /// Conservatively bumps the dirty generation: callers take this to
+    /// mutate, and a spurious bump only costs one no-op re-fold.
     pub fn tree_mut(&mut self) -> &mut CallingContextTree {
         self.generation += 1;
         &mut self.tree

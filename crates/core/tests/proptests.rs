@@ -286,19 +286,6 @@ fn arb_stored_timeline() -> impl Strategy<Value = StoredTimeline> {
         })
 }
 
-/// The launch-shape kinds a kernel record adds as one run, with a
-/// neighbour on either side and one far away, in `MetricKind` order.
-const RUN_KINDS: [MetricKind; 8] = [
-    MetricKind::GpuAllocBytes,
-    MetricKind::SharedMemPerBlock,
-    MetricKind::RegistersPerThread,
-    MetricKind::Occupancy,
-    MetricKind::Warps,
-    MetricKind::Blocks,
-    MetricKind::CpuTime,
-    MetricKind::Stall(StallReason::Other),
-];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -404,39 +391,6 @@ proptest! {
     }
 
     #[test]
-    fn add_run_equals_sample_by_sample_add(
-        held in prop::collection::vec((0usize..RUN_KINDS.len(), -1e6f64..1e6), 0..24),
-        mask in 0usize..(1 << RUN_KINDS.len()),
-        values in prop::collection::vec(-1e6f64..1e6, RUN_KINDS.len()..RUN_KINDS.len() + 1),
-        repeats in 1usize..4,
-    ) {
-        prop_assert!(RUN_KINDS.windows(2).all(|w| w[0] < w[1]));
-        let mut batched = MetricStore::new();
-        for (kind, value) in &held {
-            batched.add(RUN_KINDS[*kind], *value);
-        }
-        let mut one_by_one = batched.clone();
-        // Any ascending run: kinds the store holds side by side, holds
-        // with another between them, or lacks; no kind at all. Repeated,
-        // so what the fallback inserted is found adjacent the next time.
-        let run: Vec<(MetricKind, f64)> = RUN_KINDS
-            .iter()
-            .zip(&values)
-            .enumerate()
-            .filter(|(bit, _)| mask & (1 << bit) != 0)
-            .map(|(_, (kind, value))| (*kind, *value))
-            .collect();
-        for _ in 0..repeats {
-            batched.add_run(&run);
-            for (kind, value) in &run {
-                one_by_one.add(*kind, *value);
-            }
-        }
-        // `==` on every field of every aggregate, floats included.
-        prop_assert_eq!(batched, one_by_one);
-    }
-
-    #[test]
     fn stat_merge_is_equivalent_to_concatenation(
         a in prop::collection::vec(-1e6f64..1e6, 0..100),
         b in prop::collection::vec(-1e6f64..1e6, 0..100),
@@ -496,7 +450,11 @@ proptest! {
         let mut folded = MetricStore::new();
         let mut at = 0;
         for cut in cuts {
-            samples[at..cut].iter().for_each(|v| live.add(MetricKind::GpuTime, *v));
+            for v in &samples[at..cut] {
+                let mut sample = MetricStat::new();
+                sample.add(*v);
+                live.merge_stat(MetricKind::GpuTime, &sample);
+            }
             at = cut;
             folded.merge_delta(&live, &seen);
             seen = live.clone();
@@ -581,33 +539,6 @@ proptest! {
             left.insert_path(p);
         }
         prop_assert_eq!(left.node_count(), count);
-    }
-
-    #[test]
-    fn merge_never_propagates_exclusive_metrics_rootward(
-        (interner, paths) in arb_paths(),
-        warps in prop::collection::vec(1.0f64..64.0, 1..40),
-    ) {
-        let mut left = CallingContextTree::with_interner(Arc::clone(&interner));
-        let mut right = CallingContextTree::with_interner(interner);
-        let mut expected = 0.0;
-        for (idx, (p, w)) in paths.iter().zip(warps.iter().cycle()).enumerate() {
-            let target = if idx % 2 == 0 { &mut left } else { &mut right };
-            let leaf = target.insert_path(p);
-            target.attribute_exclusive(leaf, MetricKind::Warps, *w);
-            expected += *w;
-        }
-        left.merge(&right);
-        // Exclusive metrics live only where they were attributed: the sum
-        // over all nodes equals the sum of samples, and any node carrying
-        // Warps either was a leaf-attribution target or absorbed one —
-        // never the root unless a path was empty (arb paths are non-empty).
-        let mut total = 0.0;
-        for id in left.dfs() {
-            total += left.node(id).metrics().sum(MetricKind::Warps);
-        }
-        prop_assert!((total - expected).abs() <= 1e-9 * expected.max(1.0));
-        prop_assert!(left.root_metric(MetricKind::Warps).is_none());
     }
 
     #[test]
@@ -807,7 +738,7 @@ proptest! {
         for (p, v) in paths.iter().zip(values.iter().cycle()) {
             let leaf = cct.insert_path(p);
             cct.attribute(leaf, MetricKind::GpuTime, *v);
-            cct.attribute_exclusive(leaf, MetricKind::Warps, 32.0);
+            cct.attribute(leaf, MetricKind::MemcpyBytes, 32.0);
         }
         let db = ProfileDb::new(
             ProfileMeta {
@@ -829,8 +760,8 @@ proptest! {
             db.cct().render(MetricKind::GpuTime)
         );
         prop_assert_eq!(
-            back.cct().render(MetricKind::Warps),
-            db.cct().render(MetricKind::Warps)
+            back.cct().render(MetricKind::MemcpyBytes),
+            db.cct().render(MetricKind::MemcpyBytes)
         );
     }
 
@@ -863,7 +794,7 @@ proptest! {
         for (step, (p, v)) in paths.iter().zip(values.iter().cycle()).enumerate() {
             let leaf = source.insert_path(p);
             source.attribute(leaf, MetricKind::GpuTime, f64::from(*v));
-            source.attribute_exclusive(leaf, MetricKind::Warps, 32.0);
+            source.attribute(leaf, MetricKind::MemcpyBytes, 32.0);
             if step % fold_every == 0 {
                 master.merge_incremental(&source, &mut state);
                 let mut fresh = CallingContextTree::with_interner(Arc::clone(&interner));

@@ -4,42 +4,19 @@ use deepcontext_core::{CctShard, Frame, MetricKind, NodeId};
 use sim_gpu::{Activity, ActivityKind};
 
 /// Attributes one activity record's metrics at its resolved context
-/// `node` of `shard` — the activity-kind → metric mapping. Inclusive
-/// samples wait at the node for the shard's next settle (measurements as
-/// aggregates, PC samples as integer counts); launch shapes are
-/// exclusive and go to the tree directly. Returns the number of
-/// instruction samples attributed (0 for non-sampling records).
+/// `node` of `shard` — the activity-kind → metric mapping. Every sample
+/// waits at the node for the shard's next settle, which carries it
+/// root-ward (measurements as aggregates, PC samples as integer counts).
+/// Returns the number of instruction samples attributed (0 for
+/// non-sampling records).
 pub(crate) fn attribute_activity_metrics(
     shard: &mut CctShard,
     node: NodeId,
     activity: &Activity,
 ) -> u64 {
     match &activity.kind {
-        ActivityKind::Kernel {
-            start,
-            end,
-            blocks,
-            warps,
-            occupancy,
-            shared_mem_per_block,
-            registers_per_thread,
-            ..
-        } => {
+        ActivityKind::Kernel { start, end, .. } => {
             shard.attribute(node, MetricKind::GpuTime, (*end - *start).as_nanos() as f64);
-            // In `MetricKind` order: one search of the node's store.
-            shard.tree_mut().attribute_exclusive_run(
-                node,
-                &[
-                    (MetricKind::SharedMemPerBlock, *shared_mem_per_block as f64),
-                    (
-                        MetricKind::RegistersPerThread,
-                        f64::from(*registers_per_thread),
-                    ),
-                    (MetricKind::Occupancy, *occupancy),
-                    (MetricKind::Warps, *warps as f64),
-                    (MetricKind::Blocks, f64::from(*blocks)),
-                ],
-            );
             0
         }
         ActivityKind::Memcpy {

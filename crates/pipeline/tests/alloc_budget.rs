@@ -145,11 +145,6 @@ impl Rig {
                         stream: StreamId(0),
                         start: TimeNs(corr * 300),
                         end: TimeNs(corr * 300 + 250),
-                        blocks: 16,
-                        warps: 128,
-                        occupancy: 0.5,
-                        shared_mem_per_block: 0,
-                        registers_per_thread: 32,
                     },
                 }
             })

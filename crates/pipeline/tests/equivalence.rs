@@ -68,11 +68,6 @@ fn kernel_activity(corr: u64, ctx: u8) -> Activity {
             stream: StreamId(u32::from(ctx)),
             start,
             end: start + TimeNs(100 + u64::from(ctx)),
-            blocks: 8,
-            warps: 64,
-            occupancy: 0.5,
-            shared_mem_per_block: 0,
-            registers_per_thread: 32,
         },
     }
 }

@@ -31,11 +31,6 @@ fn kernel(corr: u64) -> Activity {
             stream: StreamId(0),
             start,
             end: start + TimeNs(4),
-            blocks: 8,
-            warps: 64,
-            occupancy: 0.5,
-            shared_mem_per_block: 0,
-            registers_per_thread: 32,
         },
     }
 }

@@ -58,11 +58,6 @@ fn kernel(corr: u64, stream: u32) -> Activity {
             stream: StreamId(stream),
             start,
             end: start + TimeNs(4),
-            blocks: 8,
-            warps: 64,
-            occupancy: 0.5,
-            shared_mem_per_block: 0,
-            registers_per_thread: 32,
         },
     )
 }

@@ -11,8 +11,8 @@
 //! * **GPU kernel launches** — at each `DLMONITOR_GPU` launch callback the
 //!   profiler takes the handle of the unified call path from DLMonitor
 //!   and binds the correlation id to it; asynchronous activity records
-//!   later resolve through that one correlation table and add `GpuTime`
-//!   / occupancy / launch-shape metrics;
+//!   later resolve through that one correlation table and add their
+//!   metrics (`GpuTime` for a kernel, bytes and time for a memcpy);
 //! * **Instruction samples** — PC-sampling records extend the kernel's
 //!   call path with [`Frame::Instruction`] nodes carrying stall-reason
 //!   metrics (fine-grained analysis, §6.7);
@@ -477,9 +477,8 @@ mod tests {
             assert_eq!(kernels.len(), 1);
             let k = kernels[0];
             assert_eq!(cct.metric(k, MetricKind::GpuTime).unwrap().count, 5);
-            // Exclusive launch-shape metrics present on the kernel node only.
-            assert!(cct.metric(k, MetricKind::Warps).is_some());
-            assert!(cct.root_metric(MetricKind::Warps).is_none());
+            // Inclusive: the root holds the kernel node's samples.
+            assert_eq!(cct.root_metric(MetricKind::GpuTime).unwrap().count, 5);
         });
     }
 

@@ -52,11 +52,6 @@ fn producer_events(interner: &Arc<Interner>, producer: usize) -> Vec<LaunchEvent
                         stream: StreamId(producer as u32),
                         start,
                         end: start + TimeNs(250),
-                        blocks: 8,
-                        warps: 64,
-                        occupancy: 0.5,
-                        shared_mem_per_block: 0,
-                        registers_per_thread: 32,
                     },
                 },
             }
@@ -75,7 +70,7 @@ fn ingest(sink: &ShardedSink, events: &[LaunchEvent]) {
     }
 }
 
-fn fingerprint(sink: &ShardedSink) -> (usize, f64, f64, u64, f64) {
+fn fingerprint(sink: &ShardedSink) -> (usize, f64, f64, u64, u64) {
     let cct = sink.snapshot();
     let gpu_time = cct.total(MetricKind::GpuTime);
     let launches = cct.total(MetricKind::KernelLaunches);
@@ -83,13 +78,14 @@ fn fingerprint(sink: &ShardedSink) -> (usize, f64, f64, u64, f64) {
         .root_metric(MetricKind::GpuTime)
         .map(|s| s.count)
         .unwrap_or(0);
-    // Exclusive metrics: summed across all kernel nodes.
-    let warps: f64 = cct
+    // Kernel records per kernel node, summed: each record lands at one.
+    let kernel_records = cct
         .nodes_of_kind(FrameKind::GpuKernel)
         .iter()
-        .map(|n| cct.node(*n).metrics().sum(MetricKind::Warps))
+        .filter_map(|n| cct.metric(*n, MetricKind::GpuTime))
+        .map(|s| s.count)
         .sum();
-    (cct.node_count(), gpu_time, launches, count, warps)
+    (cct.node_count(), gpu_time, launches, count, kernel_records)
 }
 
 #[test]
@@ -128,6 +124,7 @@ fn eight_threads_match_single_thread_totals() {
     assert_eq!(sharded.counters().activities, expected);
     assert_eq!(sharded.counters().orphans, 0);
     assert_eq!(base.3, expected, "every kernel sample aggregated");
+    assert_eq!(base.4, expected, "every kernel record at a kernel node");
 }
 
 #[test]

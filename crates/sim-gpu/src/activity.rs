@@ -42,17 +42,6 @@ pub enum ActivityKind {
         start: TimeNs,
         /// Device-side end time.
         end: TimeNs,
-        /// Blocks launched.
-        blocks: u32,
-        /// Warps launched.
-        warps: u64,
-        /// The occupancy the four limiters allow, 0..=1 (see
-        /// `KernelCost::occupancy`).
-        occupancy: f64,
-        /// Shared memory per block, bytes.
-        shared_mem_per_block: u64,
-        /// Registers per thread.
-        registers_per_thread: u32,
     },
     /// An async memcpy.
     Memcpy {
@@ -127,11 +116,6 @@ mod tests {
                 stream: StreamId(0),
                 start: TimeNs(start),
                 end: TimeNs(end),
-                blocks: 8,
-                warps: 64,
-                occupancy: 0.5,
-                shared_mem_per_block: 0,
-                registers_per_thread: 32,
             },
         }
     }

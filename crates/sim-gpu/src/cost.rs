@@ -13,10 +13,11 @@
 //!
 //! Occupancy (resident warps per SM over the maximum) is limited by
 //! threads, blocks, shared memory and registers per SM — the standard CUDA
-//! occupancy calculation — and is reported as a metric. Because AMD's
-//! warp size is 64, a block of fixed thread count yields half the warps it
-//! does on Nvidia; under-saturated kernels therefore run at lower `util`
-//! on MI250, which reproduces the §6.5 `instance_norm` case study.
+//! occupancy calculation; the same resident-block limit bounds `util`.
+//! Because AMD's warp size is 64, a block of fixed thread count yields
+//! half the warps it does on Nvidia; under-saturated kernels therefore
+//! run at lower `util` on MI250, which reproduces the §6.5
+//! `instance_norm` case study.
 
 use deepcontext_core::TimeNs;
 
@@ -186,9 +187,8 @@ mod tests {
         assert!(kernel_cost(&spec, &heavy).occupancy < kernel_cost(&spec, &light).occupancy);
     }
 
-    /// Settling and the store are exact in any merge order only because
-    /// every occupancy sample is a multiple of a power of two: a sum of
-    /// `k / 64` or `k / 32` values never rounds.
+    /// Occupancy is a whole number of warp slots over a power-of-two
+    /// slot count, on every spec and whether or not a block fits.
     #[test]
     fn occupancy_is_a_whole_number_of_warp_slots_on_every_spec() {
         for spec in [DeviceSpec::a100_sxm(), DeviceSpec::mi250()] {

@@ -261,11 +261,6 @@ impl GpuRuntime {
                     stream,
                     start,
                     end,
-                    blocks: cost.blocks,
-                    warps: cost.warps,
-                    occupancy: cost.occupancy,
-                    shared_mem_per_block: kernel.shared_mem_per_block,
-                    registers_per_thread: kernel.registers_per_thread,
                 },
             };
             let sampling_activity = self.sampling.read().as_ref().and_then(|cfg| {

@@ -287,3 +287,68 @@ fn cct_size_is_independent_of_iteration_count() {
     // But the metrics keep accumulating.
     assert!(large.cct().total(MetricKind::GpuTime) > small.cct().total(MetricKind::GpuTime) * 2.0);
 }
+
+/// The CCT is inclusive in every kind a profiled run produces (paper
+/// §4.2): with every collection path on, each kind a node holds its
+/// parent holds too, at a count no smaller than its children's summed,
+/// so the root holds every kind in the tree — before and after a store
+/// round trip.
+#[test]
+fn every_kind_of_a_profiled_run_is_inclusive() {
+    let bed = TestBed::new(DeviceSpec::a100_sxm());
+    let monitor = DlMonitor::init(bed.env(), Interner::new());
+    monitor.attach_framework(bed.eager().core().callbacks());
+    monitor.attach_gpu(bed.gpu());
+    let config = ProfilerConfig {
+        instruction_sampling: Some(SamplingConfig::default()),
+        real_time_interval: Some(TimeNs::from_us(100)),
+        hw_counter_period: Some(10_000),
+        ..ProfilerConfig::deepcontext_native()
+    };
+    let profiler = Profiler::attach(config, bed.env(), &monitor, bed.gpu());
+    bed.run_eager(&DlrmSmall, &WorkloadOptions::default(), 1)
+        .expect("workload run");
+    let db = profiler.finish(ProfileMeta::default());
+    let mut buf = Vec::new();
+    db.save(&mut buf).unwrap();
+    let loaded = ProfileDb::load(&buf[..]).unwrap();
+
+    for cct in [db.cct(), loaded.cct()] {
+        let interner = cct.interner();
+        let root = cct.node(cct.root()).metrics();
+        for id in cct.dfs() {
+            let node = cct.node(id);
+            for (kind, stat) in node.metrics().iter() {
+                let at = || format!("{kind} at {}", node.frame().short_label(&interner));
+                assert!(root.get(kind).is_some(), "root lacks {}", at());
+                let Some(parent) = node.parent() else {
+                    continue;
+                };
+                assert!(cct.metric(parent, kind).is_some(), "parent lacks {}", at());
+                let children: u64 = node
+                    .children()
+                    .iter()
+                    .filter_map(|c| cct.metric(*c, kind))
+                    .map(|s| s.count)
+                    .sum();
+                assert!(
+                    stat.count >= children,
+                    "{}: {} < {children}",
+                    at(),
+                    stat.count
+                );
+            }
+        }
+        // Every collection path contributed.
+        for kind in [
+            MetricKind::GpuTime,
+            MetricKind::KernelLaunches,
+            MetricKind::CpuTime,
+            MetricKind::RealTime,
+            MetricKind::HwInstructions,
+            MetricKind::InstructionSamples,
+        ] {
+            assert!(root.get(kind).is_some(), "no {kind} in the run");
+        }
+    }
+}

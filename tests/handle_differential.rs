@@ -138,11 +138,6 @@ fn terminal_record(corr: u64, api: ApiKind, stream: u32) -> Activity {
             stream: StreamId(stream),
             start,
             end: start + TimeNs(100 + corr % 7),
-            blocks: 8,
-            warps: 64,
-            occupancy: 0.5,
-            shared_mem_per_block: 1024,
-            registers_per_thread: 32,
         },
         ApiKind::MemcpyAsync => ActivityKind::Memcpy {
             bytes: 4096 + corr,
@@ -223,29 +218,8 @@ impl Reference {
     fn attribute(&mut self, node: NodeId, activity: &Activity) {
         let tree = &mut self.tree;
         match &activity.kind {
-            ActivityKind::Kernel {
-                start,
-                end,
-                blocks,
-                warps,
-                occupancy,
-                shared_mem_per_block,
-                registers_per_thread,
-                ..
-            } => {
+            ActivityKind::Kernel { start, end, .. } => {
                 tree.attribute(node, MetricKind::GpuTime, (*end - *start).as_nanos() as f64);
-                for (kind, value) in [
-                    (MetricKind::Blocks, f64::from(*blocks)),
-                    (MetricKind::Warps, *warps as f64),
-                    (MetricKind::Occupancy, *occupancy),
-                    (MetricKind::SharedMemPerBlock, *shared_mem_per_block as f64),
-                    (
-                        MetricKind::RegistersPerThread,
-                        f64::from(*registers_per_thread),
-                    ),
-                ] {
-                    tree.attribute_exclusive(node, kind, value);
-                }
             }
             ActivityKind::Memcpy {
                 bytes, start, end, ..

@@ -23,7 +23,7 @@
 //! and the context outside the tree. Nothing else changed.
 //!
 //! `run.dcprof` was written by `2ab0956`'s `ProfileDb::save` as a v3
-//! container and regenerated three times. First by the v4 writer of the
+//! container and regenerated four times. First by the v4 writer of the
 //! commit that replaced v3's interval lines with a varint block, under
 //! this rule: before the v3 reader was deleted, the old and the new file
 //! loaded to the same profile (equal meta, `semantic_diff` of `None`,
@@ -35,8 +35,13 @@
 //! dropped an aggregate's Welford `mean` and `m2`: every text line of
 //! the new file equals the old one except the magic line and each node
 //! line, whose metric records each lost their last two fields (`mean`,
-//! `m2`); the interval block is byte-identical. `load` must read the
-//! container back to a profile that saves to the same bytes again.
+//! `m2`); the interval block is byte-identical. Then when v6 dropped the
+//! five exclusive launch-shape kinds (base codes 5–9): every text line
+//! of the new file equals the old one except the magic line and the 12
+//! kernel node lines, each of which lost its five `B5`–`B9` records, its
+//! record count falling by five; the interval block is byte-identical.
+//! `load` must read the container back to a profile that saves to the
+//! same bytes again.
 //!
 //! All four files were regenerated once by an ingestion change, not a
 //! read-path one: when the sink began routing a launch by its stream

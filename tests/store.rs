@@ -204,7 +204,7 @@ fn corrupt_and_truncated_store_files_error_not_panic() {
     }
 
     // Garbage body after a valid magic.
-    let garbage = b"deepcontext-profile v5\nnot\ta\tvalid\tsection\n";
+    let garbage = b"deepcontext-profile v6\nnot\ta\tvalid\tsection\n";
     assert!(load_cut("garbage", garbage).is_err());
 
     // The intact run still loads from the same directory.
@@ -390,11 +390,11 @@ proptest! {
         ),
         prefix in prop::sample::select(vec![
             "",
-            "deepcontext-profile v5\n",
-            "deepcontext-profile v5\nmeta\tworkload\tw\nstrings\t0\nnodes\t1\n-\tR\t0\n",
-            "deepcontext-profile v5\nstrings\t0\nnodes\t1\n-\tR\t0\ntimeline\t1\t1\t0\t-\t-\ntnames\t1\nk\n",
-            "deepcontext-profile v5\nstrings\t0\nnodes\t1\n-\tR\t0\ntimeline\t1\t1\t0\t-\t-\ntnames\t1\nk\nintervals\t8\n",
-            "deepcontext-profile v5\nstrings\t0\nnodes\t1\n-\tR\t0\njournal\t1\t1\t0\njnames\t1\ns\n",
+            "deepcontext-profile v6\n",
+            "deepcontext-profile v6\nmeta\tworkload\tw\nstrings\t0\nnodes\t1\n-\tR\t0\n",
+            "deepcontext-profile v6\nstrings\t0\nnodes\t1\n-\tR\t0\ntimeline\t1\t1\t0\t-\t-\ntnames\t1\nk\n",
+            "deepcontext-profile v6\nstrings\t0\nnodes\t1\n-\tR\t0\ntimeline\t1\t1\t0\t-\t-\ntnames\t1\nk\nintervals\t8\n",
+            "deepcontext-profile v6\nstrings\t0\nnodes\t1\n-\tR\t0\njournal\t1\t1\t0\njnames\t1\ns\n",
         ]),
     ) {
         let mut bytes = prefix.as_bytes().to_vec();
