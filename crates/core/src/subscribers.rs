@@ -17,7 +17,7 @@ static GENERATION: AtomicU64 = AtomicU64::new(1);
 static NEXT_LIST: AtomicU64 = AtomicU64::new(0);
 
 /// Copies a thread parks (a profiled session delivers through six
-/// lists); one list more is read under its lock every time.
+/// lists); once all are current, a list read under its lock replaces one.
 const SLOTS: usize = 8;
 
 /// One list as this thread last read it.
@@ -31,6 +31,8 @@ struct Slot {
 
 thread_local! {
     static PARKED: [Slot; SLOTS] = Default::default();
+    /// Where the next miss looks first for a current copy to replace.
+    static TURN: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Drops this thread's copies of another generation, except those a
@@ -53,10 +55,10 @@ fn sweep(slots: &[Slot; SLOTS], generation: u64) {
 /// Publication is copy-on-write behind the list's write lock and bumps a
 /// process-wide generation; a delivery runs over the list it began with,
 /// so a subscriber may (un)subscribe from inside one. Each OS thread
-/// parks a copy of the lists it delivers through (up to `SLOTS`) and
-/// reads it in place while the generation has not moved: no lock, no
-/// reference count, no allocation. A list nobody subscribed to parks
-/// nothing and is read under its lock.
+/// parks a copy of the lists it delivered through most recently (up to
+/// `SLOTS`) and reads it in place while the generation has not moved: no
+/// lock, no reference count, no allocation. A list nobody subscribed to
+/// parks nothing and is read under its lock.
 ///
 /// **How long a removed subscriber can stay alive:** a thread that
 /// (un)subscribes, on any list, drops its copies in that call (one it is
@@ -150,15 +152,20 @@ impl<T: Clone + Send + Sync + 'static> Subscribers<T> {
             call(&entries);
             let _ = PARKED.try_with(|slots| {
                 sweep(slots, generation);
-                let vacant = slots
-                    .iter()
-                    .filter(|s| s.generation.get() != generation)
-                    .find_map(|s| Some((s, s.entries.try_borrow_mut().ok()?)));
-                if let Some((slot, mut held)) = vacant {
-                    *held = Some(entries);
-                    slot.list.set(self.id);
-                    slot.generation.set(generation);
-                }
+                // No current copy, else the next in turn, never one being read;
+                // the copy replaced is dropped after the borrow, as in `sweep`.
+                let turn = TURN.get();
+                let _replaced = (0..SLOTS)
+                    .filter(|&i| slots[i].generation.get() != generation)
+                    .chain((turn..turn + SLOTS).map(|i| i % SLOTS))
+                    .find_map(|i| Some((i, slots[i].entries.try_borrow_mut().ok()?)))
+                    .and_then(|(i, mut held)| {
+                        if slots[i].generation.replace(generation) == generation {
+                            TURN.set(i + 1);
+                        }
+                        slots[i].list.set(self.id);
+                        held.replace(entries)
+                    });
             });
         }
         // A subscriber (un)subscribed: its sweep left the copy read, or
@@ -307,6 +314,76 @@ mod tests {
         }
         assert_eq!(a_calls.load(Ordering::SeqCst), 3);
         assert_eq!(b_calls.load(Ordering::SeqCst), 6);
+    }
+
+    #[test]
+    fn a_thread_parks_the_lists_it_delivered_through_last() {
+        let lists: Vec<List> = (0..SLOTS + 4).map(|_| List::default()).collect();
+        let calls: Vec<_> = lists.iter().map(|list| counting(list, 1).0).collect();
+        // Other tests publish concurrently: judged on a round no
+        // publication overlapped.
+        let mut rounds = 0;
+        let quiet = (0..1000).find_map(|_| {
+            let before = GENERATION.load(Ordering::SeqCst);
+            lists.iter().for_each(fire);
+            rounds += 1;
+            (GENERATION.load(Ordering::SeqCst) == before).then_some(())
+        });
+        assert!(quiet.is_some(), "a quiet round within 1000");
+        assert!(
+            lists[SLOTS..].iter().all(parked),
+            "the last lists delivered through are parked"
+        );
+        for calls in calls {
+            assert_eq!(
+                calls.load(Ordering::SeqCst),
+                rounds,
+                "every list, every round"
+            );
+        }
+    }
+
+    #[test]
+    fn a_reentrant_delivery_never_evicts_the_copy_it_is_reading() {
+        let outer = Arc::new(List::default());
+        let inner: Arc<Vec<List>> = Arc::new((0..SLOTS + 4).map(|_| List::default()).collect());
+        let inner_calls: Vec<_> = inner.iter().map(|list| counting(list, 1).0).collect();
+        let (kept, nested) = (
+            Arc::new(AtomicUsize::new(0)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let (me, lists) = (Arc::downgrade(&outer), Arc::clone(&inner));
+        let (k, n) = (Arc::clone(&kept), Arc::clone(&nested));
+        outer.push((
+            1,
+            Arc::new(move || {
+                if !n.load(Ordering::SeqCst) {
+                    return;
+                }
+                let outer = me.upgrade().expect("the list outlives its events");
+                let before = parked(&outer);
+                // Every slot is taken in turn, the one being read aside.
+                lists.iter().for_each(fire);
+                lists.iter().for_each(fire);
+                if before && parked(&outer) {
+                    k.fetch_add(1, Ordering::SeqCst);
+                }
+            }),
+        ));
+        assert!((0..100).any(|_| {
+            fire(&outer);
+            parked(&outer)
+        }));
+        nested.store(true, Ordering::SeqCst);
+        let deliveries = (1..=100)
+            .find(|_| {
+                fire(&outer);
+                kept.load(Ordering::SeqCst) > 0
+            })
+            .expect("a nested round read from the parked copy within 100");
+        for calls in inner_calls {
+            assert_eq!(calls.load(Ordering::SeqCst), 2 * deliveries);
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * [`DlMonitor::init`] — `dlmonitor_init`: creates the monitor
 //!   (the `LD_PRELOAD`-time initialisation);
 //! * [`DlMonitor::callback_register`] — `dlmonitor_callback_register`:
-//!   registers profiler callbacks for a [`Domain`]
-//!   (`DLMONITOR_FRAMEWORK` / `DLMONITOR_GPU`);
+//!   registers profiler callbacks for a [`Domain`] (`DLMONITOR_FRAMEWORK`
+//!   / `DLMONITOR_GPU`, which delivers each GPU API call at its enter);
 //! * [`DlMonitor::callpath_get`] — `dlmonitor_callpath_get`: the handle
 //!   of the multi-layer call path of a thread (with the autograd
 //!   sequence id it was taken under: a [`deepcontext_core::LivePath`]),

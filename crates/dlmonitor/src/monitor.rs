@@ -46,7 +46,7 @@ use deepcontext_core::{
     Subscribers,
 };
 use dl_framework::{CallbackRegistry, FrameworkCallbackId, GraphEvent, MemEvent, OpEvent, Site};
-use sim_gpu::{ApiKind, CallbackData, GpuRuntime, SubscriberId, Vendor};
+use sim_gpu::{ApiKind, CallbackData, CallbackSite, GpuRuntime, SubscriberId, Vendor};
 use sim_runtime::{
     LibraryInfo, NativeFrameInfo, PyFrameInfo, PythonStack, RuntimeEnv, ThreadCtx, ThreadRegistry,
 };
@@ -59,7 +59,8 @@ use crate::integrate::{integrate_call_path, ShadowOp};
 pub enum Domain {
     /// Framework operators, graph compilation, tensor memory.
     Framework,
-    /// GPU runtime APIs (launches, memcpys, mallocs, syncs).
+    /// GPU runtime APIs (launches, memcpys, mallocs, syncs) at their enter,
+    /// the launch site; a tool that wants exits subscribes to [`GpuRuntime`].
     Gpu,
 }
 
@@ -72,9 +73,9 @@ impl Domain {
     }
 }
 
-/// A GPU API interception, annotated with the intercepting vendor and the
-/// thread it occurred on. Borrowed from the runtime for the length of the
-/// delivery.
+/// A GPU API interception at its enter site, annotated with the
+/// intercepting vendor and the thread it occurred on. Borrowed from the
+/// runtime for the length of the delivery.
 #[derive(Debug, Clone, Copy)]
 pub struct GpuCallbackEvent<'a> {
     /// The raw callback payload (correlation id, API kind, kernel, ...).
@@ -668,7 +669,7 @@ impl DlMonitor {
     }
 
     /// Attaches to a GPU runtime (CUPTI/RocTracer substitute), forwarding
-    /// API callbacks to `Gpu`-domain callbacks.
+    /// API-enter callbacks to `Gpu`-domain callbacks.
     pub fn attach_gpu(self: &Arc<Self>, gpu: &Arc<GpuRuntime>) {
         let vendor = gpu
             .device_spec(sim_gpu::DeviceId(0))
@@ -677,7 +678,7 @@ impl DlMonitor {
         let me = Arc::clone(self);
         let sub = gpu.subscribe(move |data| {
             // Checked here too: nobody listening, no thread looked up.
-            if me.listening(Domain::Gpu) {
+            if data.site == CallbackSite::Enter && me.listening(Domain::Gpu) {
                 ThreadRegistry::with_current(|thread| {
                     let event = GpuCallbackEvent {
                         data,
@@ -990,7 +991,7 @@ mod tests {
     use super::*;
     use deepcontext_core::{CallPath, FrameKind, ThreadRole, TimeNs};
     use dl_framework::{EagerEngine, FrameworkCore, Op, OpKind, TensorMeta};
-    use sim_gpu::{CallbackSite, DeviceId, DeviceSpec, GpuRuntime};
+    use sim_gpu::{DeviceId, DeviceSpec, GpuRuntime};
 
     struct Rig {
         env: RuntimeEnv,
@@ -1026,9 +1027,7 @@ mod tests {
         let monitor = Arc::clone(&rig.monitor);
         rig.monitor.callback_register(Domain::Gpu, move |event| {
             if let DlEvent::Gpu(gpu_event) = event {
-                if gpu_event.data.api == ApiKind::LaunchKernel
-                    && gpu_event.data.site == CallbackSite::Enter
-                {
+                if gpu_event.data.api == ApiKind::LaunchKernel {
                     let path = monitor.callpath_for_gpu(gpu_event);
                     p.lock().push(path.to_call_path(&monitor.interner));
                 }

@@ -57,7 +57,7 @@ fn launch_paths(rig: &Rig) -> Arc<Mutex<Vec<CallPath>>> {
     let (p, monitor) = (Arc::clone(&paths), Arc::clone(&rig.monitor));
     rig.monitor.callback_register(Domain::Gpu, move |event| {
         let DlEvent::Gpu(gpu) = event else { return };
-        if gpu.data.api == ApiKind::LaunchKernel && gpu.data.site == CallbackSite::Enter {
+        if gpu.data.api == ApiKind::LaunchKernel {
             let path = monitor.callpath_for_gpu(gpu);
             p.lock().push(path.to_call_path(&monitor.interner()));
         }

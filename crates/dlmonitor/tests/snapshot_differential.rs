@@ -14,7 +14,7 @@ use dl_framework::{EagerEngine, FrameworkCore, Op, OpKind, TensorMeta};
 use dlmonitor::{CallPathSources, DlEvent, DlMonitor, Domain};
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use sim_gpu::{ApiKind, CallbackSite, DeviceId, DeviceSpec, GpuRuntime};
+use sim_gpu::{ApiKind, DeviceId, DeviceSpec, GpuRuntime};
 use sim_runtime::{PyFrameInfo, RuntimeEnv, ThreadRegistry};
 
 const FILES: [&str; 2] = ["model.py", "layer.py"];
@@ -75,7 +75,7 @@ proptest! {
         let (seen, m) = (Arc::clone(&launches), Arc::clone(&monitor));
         monitor.callback_register(Domain::Gpu, move |event| {
             let DlEvent::Gpu(gpu) = event else { return };
-            if gpu.data.api == ApiKind::LaunchKernel && gpu.data.site == CallbackSite::Enter {
+            if gpu.data.api == ApiKind::LaunchKernel {
                 seen.lock().push(m.callpath_for_gpu(gpu).handle());
             }
         });

@@ -10,7 +10,10 @@ use deepcontext_core::{Interner, OpPhase, ThreadRole};
 use dl_framework::{CallbackRegistry, OpEvent, Site};
 use dlmonitor::{DlEvent, DlMonitor, Domain, RegistrationId};
 use parking_lot::Mutex;
-use sim_runtime::RuntimeEnv;
+use sim_gpu::{
+    ApiKind, CallbackSite, DeviceId, DeviceSpec, GpuRuntime, KernelDesc, LaunchConfig, StreamId,
+};
+use sim_runtime::{RuntimeEnv, ThreadRegistry};
 
 struct Rig {
     registry: Arc<CallbackRegistry>,
@@ -205,4 +208,48 @@ fn two_monitors_on_one_thread_never_see_each_others_subscribers() {
     }
     assert_eq!(a_calls.load(Ordering::SeqCst), 3);
     assert_eq!(b_calls.load(Ordering::SeqCst), 6);
+}
+
+#[test]
+fn the_gpu_domain_delivers_each_api_call_once_at_its_enter() {
+    let env = RuntimeEnv::new();
+    let gpu = GpuRuntime::new(env.clock().clone(), vec![DeviceSpec::a100_sxm()]);
+    let monitor = DlMonitor::init(&env, Interner::new());
+    monitor.attach_gpu(&gpu);
+    let main = env.threads().spawn(ThreadRole::Main);
+    let _bind = ThreadRegistry::bind_current(&main);
+
+    let domain: Arc<Mutex<Vec<(ApiKind, CallbackSite)>>> = Arc::default();
+    let runtime: Arc<Mutex<Vec<(ApiKind, CallbackSite)>>> = Arc::default();
+    let (seen, tid) = (Arc::clone(&domain), main.tid());
+    monitor.callback_register(Domain::Gpu, move |event| {
+        let DlEvent::Gpu(gpu) = event else { return };
+        assert_eq!(gpu.tid(), Some(tid), "annotated with its thread");
+        seen.lock().push((gpu.data.api, gpu.data.site));
+    });
+    let seen = Arc::clone(&runtime);
+    gpu.subscribe(move |data| seen.lock().push((data.api, data.site)));
+
+    let kernel = Arc::new(KernelDesc::new(
+        "relu",
+        "libtorch_cuda.so",
+        0x1000,
+        LaunchConfig::new(64, 256),
+    ));
+    gpu.launch_kernel(DeviceId(0), StreamId(0), kernel).unwrap();
+    gpu.memcpy_async(DeviceId(0), StreamId(0), 4096).unwrap();
+    gpu.synchronize(DeviceId(0)).unwrap();
+
+    let apis = [
+        ApiKind::LaunchKernel,
+        ApiKind::MemcpyAsync,
+        ApiKind::Synchronize,
+    ];
+    let enters: Vec<_> = apis.iter().map(|&api| (api, CallbackSite::Enter)).collect();
+    assert_eq!(*domain.lock(), enters, "one enter per call, no exit");
+    let both: Vec<_> = apis
+        .iter()
+        .flat_map(|&api| [(api, CallbackSite::Enter), (api, CallbackSite::Exit)])
+        .collect();
+    assert_eq!(*runtime.lock(), both, "the runtime's own list sees both");
 }

@@ -640,17 +640,20 @@ impl ShardedSink {
         Some(TimelineSnapshot::join(parts).with_names(self.interner.snapshot()))
     }
 
-    /// Current ingestion counters (`launches` and `cpu_samples` read 0:
-    /// the profiler counts those).
+    /// Current ingestion counters, each shard settled to count its
+    /// launches (`cpu_samples` reads 0: the profiler counts those).
     pub fn counters(&self) -> SinkCounters {
-        let (mut timeline_intervals, mut timeline_dropped) = (0, 0);
-        for shard in &self.shards {
-            if let Some(ring) = &shard.lock().ring {
+        let (mut launches, mut timeline_intervals, mut timeline_dropped) = (0, 0, 0);
+        for idx in 0..self.shards.len() {
+            let shard = self.settled(idx);
+            launches += shard.cct.tree().total(MetricKind::KernelLaunches) as u64;
+            if let Some(ring) = &shard.ring {
                 timeline_intervals += ring.recorded();
                 timeline_dropped += ring.dropped();
             }
         }
         SinkCounters {
+            launches,
             activities: self.activities.load(Ordering::Relaxed),
             instruction_samples: self.instruction_samples.load(Ordering::Relaxed),
             orphans: self.orphans.load(Ordering::Relaxed),

@@ -68,13 +68,13 @@ pub(crate) fn attribute_activity_metrics(
 }
 
 /// Monotonic counters a sink maintains while ingesting — and, with
-/// [`launches`](Self::launches) / [`cpu_samples`](Self::cpu_samples)
-/// filled in by the profiler's collection callbacks, the whole of
-/// `Profiler::stats()` (`ProfilerStats` is this struct).
+/// [`cpu_samples`](Self::cpu_samples) filled in by the profiler's
+/// samplers, the whole of `Profiler::stats()` (`ProfilerStats` is this
+/// struct).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SinkCounters {
-    /// Kernel launches observed by the profiler's launch callback (zero
-    /// when read straight from a sink).
+    /// Kernel launches ingested: the sum of the shards' `KernelLaunches`
+    /// totals, each shard settled by the read.
     pub launches: u64,
     /// CPU samples observed by the profiler's samplers (zero when read
     /// straight from a sink).

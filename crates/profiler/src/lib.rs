@@ -43,7 +43,7 @@ use std::sync::Arc;
 
 use deepcontext_core::{CallingContextTree, MetricKind, ProfileDb, ProfileMeta, TimeNs};
 use dlmonitor::{CallPathSources, DlEvent, DlMonitor, Domain, EventOrigin, RegistrationId};
-use sim_gpu::{ApiKind, CallbackSite, GpuRuntime, SamplingConfig};
+use sim_gpu::{ApiKind, GpuRuntime, SamplingConfig};
 use sim_runtime::{RuntimeEnv, SampleKind, SamplerId};
 
 // The ingestion pipeline lives in its own crate so the profiler, the
@@ -131,13 +131,12 @@ impl ProfilerConfig {
 }
 
 /// Profiler activity counters: the sink's [`SinkCounters`] with
-/// `launches` and `cpu_samples` filled in by [`Profiler::stats`].
+/// `cpu_samples` filled in by [`Profiler::stats`].
 pub type ProfilerStats = SinkCounters;
 
 struct Inner {
     monitor: Arc<DlMonitor>,
     sink: Arc<ShardedSink>,
-    launches: AtomicU64,
     cpu_samples: AtomicU64,
 }
 
@@ -197,7 +196,6 @@ impl Profiler {
                     timeline: config.timeline,
                 },
             ),
-            launches: AtomicU64::new(0),
             cpu_samples: AtomicU64::new(0),
         });
 
@@ -210,22 +208,14 @@ impl Profiler {
         // must not wait for a thread that has gone idle.
         let me = Arc::downgrade(&inner);
         let launch_callback = monitor.callback_register(Domain::Gpu, move |event| {
-            if let DlEvent::Gpu(gpu_event) = event {
-                if gpu_event.data.site != CallbackSite::Enter {
-                    return;
-                }
-                match gpu_event.data.api {
-                    ApiKind::LaunchKernel | ApiKind::MemcpyAsync | ApiKind::MemAlloc => {}
-                    _ => return,
-                }
-                let Some(me) = me.upgrade() else { return };
-                let path = me.monitor.callpath_for_gpu(gpu_event).handle();
-                me.sink
-                    .gpu_launch(&gpu_event.origin(), path, gpu_event.data.api);
-                if gpu_event.data.api == ApiKind::LaunchKernel {
-                    me.launches.fetch_add(1, Ordering::Relaxed);
-                }
+            let DlEvent::Gpu(call) = event else { return };
+            match call.data.api {
+                ApiKind::LaunchKernel | ApiKind::MemcpyAsync | ApiKind::MemAlloc => {}
+                _ => return,
             }
+            let Some(me) = me.upgrade() else { return };
+            let path = me.monitor.callpath_for_gpu(call).handle();
+            me.sink.gpu_launch(&call.origin(), path, call.data.api);
         });
 
         // Asynchronous activity delivery (buffer-completed handler).
@@ -290,11 +280,11 @@ impl Profiler {
     /// Activity counters — the profiler's one report about itself: what
     /// it ingested, what it holds (`peak_bytes`) and what its reads cost
     /// (`fold_ns`, `snapshot_merges`, `shards_skipped`). Every counter is
-    /// always on.
+    /// always on. `launches` is the sink's: the `KernelLaunches` total
+    /// of its trees.
     pub fn stats(&self) -> ProfilerStats {
         let counters = self.inner.sink.counters();
         ProfilerStats {
-            launches: self.inner.launches.load(Ordering::Relaxed),
             cpu_samples: self.inner.cpu_samples.load(Ordering::Relaxed),
             peak_bytes: counters.peak_bytes.max(self.inner.sink.approx_bytes()),
             ..counters
@@ -632,8 +622,14 @@ mod tests {
     fn reads_between_a_launch_and_its_activity_batch_see_the_launch() {
         // A launch's `KernelLaunches` sample waits at its node until the
         // shard is settled, normally by the activity batch that follows.
-        // Every read surface must settle first, in every layout.
+        // Every read surface must settle first, in every layout, and
+        // `stats()` counts what the tree holds.
         let launches = |cct: &CallingContextTree| cct.total(MetricKind::KernelLaunches);
+        let read = |profiler: &Profiler| {
+            let total = profiler.with_cct(launches);
+            assert_eq!(profiler.stats().launches as f64, total);
+            total
+        };
         for ingestion_shards in [1, 16] {
             let rig = rig();
             let config = ProfilerConfig {
@@ -647,11 +643,11 @@ mod tests {
             let profiler = Profiler::attach(config, &rig.env, &rig.monitor, &rig.gpu);
             // No flush: the records stay in the runtime's buffer.
             run_relu(&rig, 3);
-            assert_eq!(profiler.with_cct(launches), 3.0);
+            assert_eq!(read(&profiler), 3.0);
             assert_eq!(launches(&profiler.inner.sink.snapshot()), 3.0);
             run_relu(&rig, 2);
             profiler.timeline().expect("timeline enabled");
-            assert_eq!(profiler.with_cct(launches), 5.0);
+            assert_eq!(read(&profiler), 5.0);
             assert_eq!(profiler.stats().activities, 0, "nothing was flushed");
             run_relu(&rig, 1);
             let db = profiler.finish(ProfileMeta::default());

@@ -119,8 +119,11 @@ fn eight_threads_match_single_thread_totals() {
         "sharded concurrent ingestion must match the single-lock run"
     );
 
-    // Nothing fell through to the catch-all and every record arrived.
+    // Nothing fell through to the catch-all and every launch and record
+    // arrived: `launches` is what `Profiler::stats()` reports.
     let expected = (PRODUCERS * OPS_PER_PRODUCER) as u64;
+    assert_eq!(sharded.counters().launches, expected);
+    assert_eq!(single.counters().launches, expected);
     assert_eq!(sharded.counters().activities, expected);
     assert_eq!(sharded.counters().orphans, 0);
     assert_eq!(base.3, expected, "every kernel sample aggregated");

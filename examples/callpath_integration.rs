@@ -15,7 +15,7 @@ use deepcontext::prelude::*;
 use dl_framework::FrameworkCore;
 use dlmonitor::CustomInterceptor;
 use parking_lot::Mutex;
-use sim_gpu::{ApiKind, CallbackSite};
+use sim_gpu::ApiKind;
 
 fn collect_launch_path(
     monitor: &Arc<DlMonitor>,
@@ -29,9 +29,7 @@ fn collect_launch_path(
     let m = Arc::clone(monitor);
     let reg = monitor.callback_register(Domain::Gpu, move |event| {
         if let DlEvent::Gpu(gpu_event) = event {
-            if gpu_event.data.api == ApiKind::LaunchKernel
-                && gpu_event.data.site == CallbackSite::Enter
-            {
+            if gpu_event.data.api == ApiKind::LaunchKernel {
                 sink.lock().push(m.callpath_for_gpu(gpu_event));
             }
         }

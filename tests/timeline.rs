@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use deepcontext::core::{Interval, IntervalKind, TrackKey};
-use deepcontext::gpu::{Activity, ActivityKind, ApiKind, CallbackSite};
+use deepcontext::gpu::{Activity, ActivityKind, ApiKind};
 use deepcontext::pipeline::{ShardedSink, SinkOptions};
 use deepcontext::prelude::*;
 use deepcontext::profiler::TimelineConfig;
@@ -261,11 +261,10 @@ fn captured_run(rig: &Rig) -> (Arc<ShardedSink>, Vec<Activity>) {
             return;
         };
         let api = gpu_event.data.api;
-        let launch = matches!(
+        if !matches!(
             api,
             ApiKind::LaunchKernel | ApiKind::MemcpyAsync | ApiKind::MemAlloc
-        );
-        if gpu_event.data.site != CallbackSite::Enter || !launch {
+        ) {
             return;
         }
         let Some(monitor) = monitor.upgrade() else {
