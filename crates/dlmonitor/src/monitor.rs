@@ -8,9 +8,12 @@
 //! holds the [`PathHandle`] of the context it stands for, and
 //! [`DlMonitor::callpath_for_gpu`] / [`DlMonitor::callpath_get`] extend
 //! one of them by whatever lies below it (native frames, the GPU API,
-//! the kernel) through the thread's own [`PathMemo`]. A launch from a
-//! context the thread has produced before is a handful of probes of that
-//! memo: no allocation, no frame built, no lock shared between threads.
+//! the kernel) through the thread's own [`PathMemo`]. That state lives in
+//! a thread-local table of the OS thread that drives the simulated
+//! thread, so reaching it takes no lock. A launch from a context the
+//! thread has produced before is a handful of probes of that memo: no
+//! allocation, no frame built, no monitor lock (a backward operator's
+//! association lookup aside).
 //! Both return a [`LivePath`] — the handle plus the autograd sequence id
 //! the launch ran under, the one display field a context does not fix —
 //! and frames are only materialised to show it
@@ -22,8 +25,9 @@
 //!   of the thread bound to the calling OS thread
 //!   ([`ThreadRegistry::with_current`]), valid for the length of the
 //!   delivery. A domain nobody subscribed to costs one load.
-//! * **The native tail.** The frames below the anchoring operator are
-//!   read in place under the stack's own lock ([`Unwinder::with_tail`],
+//! * **The native tail.** An operator's native depth is one load
+//!   ([`NativeStack::depth`]). The frames below the anchoring operator
+//!   are read in place under the stack's own lock ([`Unwinder::with_tail`],
 //!   which counts the unwind and its steps) and tested against libpython
 //!   ranges learnt once at [`DlMonitor::init`] and kept current by the
 //!   library map's load callback. In cached mode a tail seen before under
@@ -34,10 +38,13 @@
 //!   how long a removed subscriber can stay alive.
 //!
 //! [`Unwinder::with_tail`]: sim_runtime::Unwinder::with_tail
+//! [`NativeStack::depth`]: sim_runtime::NativeStack::depth
 
+use std::cell::RefCell;
+use std::hash::BuildHasherDefault;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
@@ -245,6 +252,16 @@ impl PythonRanges {
             self.generation.fetch_add(1, Ordering::SeqCst);
         }
     }
+
+    /// Brings a thread's `copy` up to date: whether it moved.
+    fn refresh(&self, copy: &mut (u64, Vec<Range<u64>>)) -> bool {
+        let generation = self.generation.load(Ordering::SeqCst);
+        if copy.0 == generation {
+            return false;
+        }
+        *copy = (generation, self.ranges.lock().clone());
+        true
+    }
 }
 
 /// Whether two frames name one file: the same `Arc`, or equal strings.
@@ -303,7 +320,7 @@ impl PythonSnapshot {
         &mut self,
         python: &PythonStack,
         interner: &Interner,
-        resolved: &mut u64,
+        resolved: &AtomicU64,
     ) -> PathHandle {
         // Read the version before walking: a racing mutation can then only
         // make the snapshot look stale, never fresh.
@@ -321,7 +338,7 @@ impl PythonSnapshot {
                         })
                         .count();
                     walk.truncate(kept);
-                    *resolved += (frames.len() - kept) as u64;
+                    bump(resolved, (frames.len() - kept) as u64);
                     frames[kept..].iter().fold(
                         walk.last().map_or(PathHandle::ROOT, |w| w.2),
                         |parent, f| {
@@ -395,56 +412,85 @@ struct ThreadState {
     /// association's lock. The mark only rises, so a backward operator
     /// below this copy cannot open a pass and skips that lock.
     walked: u64,
-    /// This thread's share of [`MonitorStats`]: counted under the lock
-    /// the path is built under anyway, summed by [`DlMonitor::stats`].
-    built: u64,
-    cache_hits: u64,
-    assoc_hits: u64,
-    python_frames: u64,
 }
 
-impl ThreadState {
-    /// Forgets the thread's contexts; its counters are history and stay.
-    fn reset(&mut self) {
-        *self = ThreadState {
-            built: self.built,
-            cache_hits: self.cache_hits,
-            assoc_hits: self.assoc_hits,
-            python_frames: self.python_frames,
-            ..ThreadState::default()
-        };
+/// One thread's share of [`MonitorStats`]. Only the OS thread whose
+/// table holds the entry writes it, with a load and a store
+/// ([`bump`]); [`DlMonitor::stats`] sums every entry's from any thread.
+#[derive(Default)]
+struct Counters {
+    built: AtomicU64,
+    cache_hits: AtomicU64,
+    assoc_hits: AtomicU64,
+    python_frames: AtomicU64,
+}
+
+/// Every entry's counters, as a monitor lists them.
+type Shares = Mutex<Vec<Arc<Counters>>>;
+
+/// Adds `by` to a counter only this thread writes: no read-modify-write.
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+}
+
+/// Source of a monitor's id: never reused, unlike an address.
+static NEXT_MONITOR: AtomicU64 = AtomicU64::new(0);
+
+/// A simulated thread's record for one monitor, in the table of the OS
+/// thread that drives it.
+struct Entry {
+    monitor: u64,
+    tid: u64,
+    /// The monitor's [`DlMonitor::shares`], held weakly: dead once the
+    /// monitor is gone.
+    alive: Weak<Shares>,
+    /// The [`DlMonitor::epoch`] `state` was kept under.
+    epoch: u64,
+    counters: Arc<Counters>,
+    state: ThreadState,
+}
+
+/// This OS thread's entries, and where the last lookup hit.
+struct Table {
+    entries: Vec<Entry>,
+    /// Where each `(monitor, tid)` entry is in `entries`. One OS thread can
+    /// drive many simulated threads (the CPU sampler builds the paths of a
+    /// data loader's workers on the thread that loads), so a lookup that
+    /// misses `last` is one probe, not a scan.
+    at: FxHashMap<(u64, u64), usize>,
+    last: usize,
+}
+
+impl Table {
+    /// Keeps the entries `keep` accepts, and re-indexes if any went.
+    fn retain(&mut self, keep: impl FnMut(&Entry) -> bool) {
+        let held = self.entries.len();
+        self.entries.retain(keep);
+        if self.entries.len() != held {
+            let keys = self.entries.iter().map(|e| (e.monitor, e.tid));
+            self.at = keys.enumerate().map(|(at, key)| (key, at)).collect();
+        }
     }
 }
 
-/// Every thread's [`ThreadState`], indexed by tid. Tids are dense from 1,
-/// so slot `tid` lives in chunk `⌊log2(tid + 1)⌋` (chunk `k` holds `2^k`
-/// slots, allocated on first touch and never moved): reaching a record is
-/// one acquire load plus that thread's own mutex — no hashing and no lock
-/// shared between threads.
-struct ThreadSlab([OnceLock<Box<[Mutex<ThreadState>]>>; 64]);
-
-impl Default for ThreadSlab {
-    fn default() -> Self {
-        ThreadSlab(std::array::from_fn(|_| OnceLock::new()))
-    }
-}
-
-impl ThreadSlab {
-    fn slot(&self, tid: u64) -> &Mutex<ThreadState> {
-        let n = tid.saturating_add(1);
-        let k = n.ilog2();
-        let chunk =
-            self.0[k as usize].get_or_init(|| (0..1u64 << k).map(|_| Mutex::default()).collect());
-        &chunk[(n - (1 << k)) as usize]
-    }
-
-    /// Every record allocated so far.
-    fn slots(&self) -> impl Iterator<Item = &Mutex<ThreadState>> {
-        self.0
-            .iter()
-            .filter_map(OnceLock::get)
-            .flat_map(|c| c.iter())
-    }
+thread_local! {
+    /// The monitor's per-thread state lives with the OS thread that
+    /// drives the simulated thread (each is bound to one), so a launch
+    /// reaches it with no lock. Borrowed by one monitor call at a time,
+    /// and no callback runs while it is.
+    ///
+    /// An entry owns no monitor. A monitor's entries go when
+    /// [`DlMonitor::finalize`] runs on their thread; otherwise, once it is
+    /// dropped, at the thread's next miss or when it exits. A thread that
+    /// goes idle for good keeps its memos, which hold handles and file
+    /// names only.
+    static TABLE: RefCell<Table> = const {
+        RefCell::new(Table {
+            entries: Vec::new(),
+            at: FxHashMap::with_hasher(BuildHasherDefault::new()),
+            last: 0,
+        })
+    };
 }
 
 /// The forward/backward association (paper §4.1): the forward context —
@@ -462,22 +508,50 @@ impl ThreadSlab {
 /// Passes are assumed not to nest: a checkpointed segment's nested pass
 /// advances the base past the outer tape, whose rest finds no forward
 /// context.
+///
+/// Every thread's operators meet here, under one lock: the one monitor
+/// lock a launch can still take (recording a taped forward operator,
+/// opening a backward pass, a backward path's lookup).
 #[derive(Default)]
-struct Association {
-    tape: IdWindow<PathHandle>,
+struct Association(Mutex<Tape>);
+
+#[derive(Default)]
+struct Tape {
+    window: IdWindow<PathHandle>,
     /// One past the highest sequence id a backward operator was entered
     /// under.
     walked: u64,
 }
 
 impl Association {
+    /// A taped forward operator was entered under `seq`.
+    fn record(&self, seq: u64, path: PathHandle) {
+        self.0.lock().window.insert(seq, path);
+    }
+
     /// A backward operator was entered under `seq`: returns the mark.
-    fn enter_backward(&mut self, seq: u64) -> u64 {
-        if seq >= self.walked {
-            self.tape.retire_below(self.walked);
-            self.walked = seq + 1;
+    fn enter_backward(&self, seq: u64) -> u64 {
+        let mut tape = self.0.lock();
+        if seq >= tape.walked {
+            let walked = tape.walked;
+            tape.window.retire_below(walked);
+            tape.walked = seq + 1;
         }
-        self.walked
+        tape.walked
+    }
+
+    /// The forward context recorded under `seq`.
+    fn forward(&self, seq: u64) -> Option<PathHandle> {
+        self.0.lock().window.get(seq)
+    }
+
+    /// Records held.
+    fn live(&self) -> usize {
+        self.0.lock().window.len()
+    }
+
+    fn clear(&self) {
+        *self.0.lock() = Tape::default();
     }
 }
 
@@ -490,10 +564,17 @@ const API_KINDS: usize = 5;
 pub struct DlMonitor {
     env: RuntimeEnv,
     interner: Arc<Interner>,
-    threads: ThreadSlab,
+    /// Keys this monitor's entries in every thread's [`TABLE`].
+    id: u64,
+    /// Bumped by [`DlMonitor::finalize`]: an entry kept under an older
+    /// epoch forgets its contexts at its next access.
+    epoch: AtomicU64,
+    /// Every entry's counters, listed once when the entry is made;
+    /// entries hold it weakly as the monitor's liveness token.
+    shares: Arc<Shares>,
     /// The forward/backward association, and the backward-pass mark
-    /// beside it, under one lock.
-    assoc: Mutex<Association>,
+    /// beside it.
+    assoc: Association,
     callbacks: Subscribers<Registration>,
     libpython: Arc<PythonRanges>,
     /// [`Domain::bit`]s of the domains `callbacks` has a subscriber for.
@@ -529,8 +610,10 @@ impl DlMonitor {
         Arc::new(DlMonitor {
             env: env.clone(),
             interner,
-            threads: ThreadSlab::default(),
-            assoc: Mutex::default(),
+            id: NEXT_MONITOR.fetch_add(1, Ordering::Relaxed),
+            epoch: AtomicU64::new(0),
+            shares: Arc::default(),
+            assoc: Association::default(),
             callbacks: Subscribers::default(),
             libpython,
             subscribed: AtomicU8::new(0),
@@ -579,15 +662,14 @@ impl DlMonitor {
     /// Activity counters.
     pub fn stats(&self) -> MonitorStats {
         let mut stats = MonitorStats {
-            assoc_live: self.assoc.lock().tape.len() as u64,
+            assoc_live: self.assoc.live() as u64,
             ..MonitorStats::default()
         };
-        for slot in self.threads.slots() {
-            let state = slot.lock();
-            stats.callpaths_built += state.built;
-            stats.cache_hits += state.cache_hits;
-            stats.assoc_hits += state.assoc_hits;
-            stats.python_frames += state.python_frames;
+        for counters in self.shares.lock().iter() {
+            stats.callpaths_built += counters.built.load(Ordering::Relaxed);
+            stats.cache_hits += counters.cache_hits.load(Ordering::Relaxed);
+            stats.assoc_hits += counters.assoc_hits.load(Ordering::Relaxed);
+            stats.python_frames += counters.python_frames.load(Ordering::Relaxed);
         }
         stats
     }
@@ -697,54 +779,114 @@ impl DlMonitor {
             return;
         }
         let thread = &event.thread;
-        let mut state = self.threads.slot(thread.tid()).lock();
-        let ThreadState {
-            shadow,
-            python,
-            memo,
-            walked,
-            python_frames,
-            ..
-        } = &mut *state;
-        match event.site {
-            Site::Enter => {
-                // Snapshot at every Enter, whatever the cache flag says
-                // now: it may be switched on before the launch.
-                let python = python.current(thread.python(), &self.interner, python_frames);
-                let frame =
-                    Frame::operator_with(&event.name, event.phase, event.seq_id, &self.interner);
-                let op = ShadowOp::enter(
-                    frame,
-                    thread.native().depth(),
-                    python,
-                    shadow,
-                    memo,
-                    &self.interner,
-                );
-                match (event.phase, event.seq_id) {
-                    (OpPhase::Forward, Some(seq)) => self.assoc.lock().tape.insert(seq, op.path),
-                    (OpPhase::Backward, Some(seq)) if seq >= *walked => {
-                        *walked = self.assoc.lock().enter_backward(seq);
+        self.with_state(thread.tid(), |state, counters| {
+            let ThreadState {
+                shadow,
+                python,
+                memo,
+                walked,
+                ..
+            } = state;
+            match event.site {
+                Site::Enter => {
+                    // Snapshot at every Enter, whatever the cache flag says
+                    // now: it may be switched on before the launch.
+                    let python =
+                        python.current(thread.python(), &self.interner, &counters.python_frames);
+                    let frame = Frame::operator_with(
+                        &event.name,
+                        event.phase,
+                        event.seq_id,
+                        &self.interner,
+                    );
+                    let op = ShadowOp::enter(
+                        frame,
+                        thread.native().depth(),
+                        python,
+                        shadow,
+                        memo,
+                        &self.interner,
+                    );
+                    match (event.phase, event.seq_id) {
+                        (OpPhase::Forward, Some(seq)) => self.assoc.record(seq, op.path),
+                        (OpPhase::Backward, Some(seq)) if seq >= *walked => {
+                            *walked = self.assoc.enter_backward(seq);
+                        }
+                        _ => {}
                     }
-                    _ => {}
+                    shadow.push(op);
                 }
-                shadow.push(op);
+                Site::Exit => {
+                    shadow.pop();
+                }
             }
-            Site::Exit => {
-                shadow.pop();
+        });
+    }
+
+    /// Runs `f` on this OS thread's entry for simulated thread `tid`,
+    /// made on first use and emptied of its contexts when a
+    /// [`DlMonitor::finalize`] came after it was last used. `f` runs no
+    /// callback: the table stays borrowed while it runs.
+    fn with_state<R>(&self, tid: u64, f: impl FnOnce(&mut ThreadState, &Counters) -> R) -> R {
+        TABLE.with(|table| {
+            let mut table = table.borrow_mut();
+            let at = self.entry(&mut table, tid);
+            let entry = &mut table.entries[at];
+            let epoch = self.epoch.load(Ordering::SeqCst);
+            if entry.epoch != epoch {
+                entry.epoch = epoch;
+                entry.state = ThreadState::default();
             }
+            f(&mut entry.state, &entry.counters)
+        })
+    }
+
+    /// Where `tid`'s entry for this monitor is in `table`: the last hit
+    /// first, then the index. A miss drops the entries of monitors that
+    /// are gone and adds one, listing its counters in
+    /// [`DlMonitor::shares`].
+    fn entry(&self, table: &mut Table, tid: u64) -> usize {
+        let last = table.entries.get(table.last);
+        if last.is_some_and(|e| e.monitor == self.id && e.tid == tid) {
+            return table.last;
         }
+        table.last = match table.at.get(&(self.id, tid)) {
+            Some(&at) => at,
+            None => {
+                table.retain(|e| e.alive.strong_count() > 0);
+                let counters = Arc::<Counters>::default();
+                self.shares.lock().push(Arc::clone(&counters));
+                table.at.insert((self.id, tid), table.entries.len());
+                table.entries.push(Entry {
+                    monitor: self.id,
+                    tid,
+                    alive: Arc::downgrade(&self.shares),
+                    epoch: self.epoch.load(Ordering::SeqCst),
+                    counters,
+                    state: ThreadState::default(),
+                });
+                table.entries.len() - 1
+            }
+        };
+        table.last
     }
 
     /// `dlmonitor_callpath_get`: the unified multi-layer call path of
     /// `thread` under the configured sources and cache mode.
     pub fn callpath_get(&self, thread: &Arc<ThreadCtx>) -> LivePath {
-        self.unified_path(&mut self.threads.slot(thread.tid()).lock(), thread)
+        self.with_state(thread.tid(), |state, counters| {
+            self.unified_path(state, counters, thread)
+        })
     }
 
     /// The unified path of `thread`, whose record `state` is.
-    fn unified_path(&self, state: &mut ThreadState, thread: &ThreadCtx) -> LivePath {
-        state.built += 1;
+    fn unified_path(
+        &self,
+        state: &mut ThreadState,
+        counters: &Counters,
+        thread: &ThreadCtx,
+    ) -> LivePath {
+        bump(&counters.built, 1);
         let flags = self.flags.load(Ordering::SeqCst);
         let cache_on = flags & FLAG_CACHE != 0;
 
@@ -754,9 +896,6 @@ impl DlMonitor {
             memo,
             libpython,
             tails,
-            cache_hits,
-            assoc_hits,
-            python_frames,
             ..
         } = state;
         let shadow: &[ShadowOp] = if flags & FLAG_FRAMEWORK != 0 {
@@ -773,7 +912,7 @@ impl DlMonitor {
                 phase: OpPhase::Backward,
                 seq_id: Some(seq),
                 ..
-            }) => self.assoc.lock().tape.get(*seq),
+            }) => self.assoc.forward(*seq),
             _ => None,
         };
 
@@ -784,26 +923,22 @@ impl DlMonitor {
         let (prefix, cached) = if flags & FLAG_PYTHON == 0 {
             (PathHandle::ROOT, None)
         } else if let Some(forward) = assoc {
-            *assoc_hits += 1;
+            bump(&counters.assoc_hits, 1);
             (forward, None)
         } else if let (true, Some(innermost)) = (cache_on, shadow.last()) {
-            *cache_hits += 1;
+            bump(&counters.cache_hits, 1);
             let nested = shadow
                 .iter()
                 .all(|op| op.native_depth <= innermost.native_depth);
             (innermost.python, nested.then(|| innermost.path.id()))
         } else {
-            let python = python.current(thread.python(), &self.interner, python_frames);
+            let python = python.current(thread.python(), &self.interner, &counters.python_frames);
             (python, None)
         };
 
         let native_on = flags & FLAG_NATIVE != 0;
-        if native_on {
-            let generation = self.libpython.generation.load(Ordering::SeqCst);
-            if libpython.0 != generation {
-                *libpython = (generation, self.libpython.ranges.lock().clone());
-                tails.0.clear();
-            }
+        if native_on && self.libpython.refresh(libpython) {
+            tails.0.clear();
         }
         let libpython = &libpython.1;
         let mut integrate = |native: &[NativeFrameInfo], native_base| {
@@ -861,15 +996,14 @@ impl DlMonitor {
     /// full Figure 3(b) shape.
     pub fn callpath_for_gpu(&self, event: &GpuCallbackEvent<'_>) -> LivePath {
         match event.thread {
-            Some(thread) => {
-                let mut state = self.threads.slot(thread.tid()).lock();
-                let live = self.unified_path(&mut state, thread);
-                let ThreadState { memo, kernels, .. } = &mut *state;
+            Some(thread) => self.with_state(thread.tid(), |state, counters| {
+                let live = self.unified_path(state, counters, thread);
+                let ThreadState { memo, kernels, .. } = state;
                 LivePath::new(
                     self.gpu_leaf(live.handle(), event, memo, kernels),
                     live.seq(),
                 )
-            }
+            }),
             // A runtime-internal callback: no thread, so nothing to keep.
             None => LivePath::new(
                 self.gpu_leaf(
@@ -933,7 +1067,9 @@ impl DlMonitor {
     }
 
     /// `dlmonitor_finalize`: detaches every interception and clears
-    /// monitor state. Further events are ignored.
+    /// monitor state: the association and the calling thread's entries
+    /// now, every other thread's contexts at its next access (counters
+    /// stay). Further events are ignored.
     pub fn finalize(&self) {
         self.finalized.store(true, Ordering::SeqCst);
         for (registry, ids) in self.attached_framework.lock().drain(..) {
@@ -945,15 +1081,21 @@ impl DlMonitor {
             gpu.unsubscribe(sub);
         }
         self.update_callbacks(|_| Vec::new());
-        for slot in self.threads.slots() {
-            slot.lock().reset();
-        }
-        *self.assoc.lock() = Association::default();
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        // This thread's entries go now, as a dropped monitor's would at its
+        // next miss; another thread's empty themselves at its next access.
+        let _ = TABLE.try_with(|table| {
+            if let Ok(mut table) = table.try_borrow_mut() {
+                table.retain(|e| e.monitor != self.id);
+            }
+        });
+        self.assoc.clear();
     }
 
-    /// Depth of the shadow stack for a thread (test/diagnostic hook).
+    /// Depth of the shadow stack for a thread, as the calling OS thread
+    /// keeps it (test/diagnostic hook).
     pub fn shadow_depth(&self, tid: u64) -> usize {
-        self.threads.slot(tid).lock().shadow.len()
+        self.with_state(tid, |state, _| state.shadow.len())
     }
 }
 
@@ -1369,6 +1511,176 @@ mod tests {
         // Depth observed at Enter is 1 for each (not nested; exits popped).
         assert_eq!(*depths.lock(), vec![1, 1]);
         assert_eq!(rig.monitor.shadow_depth(tid), 0);
+    }
+
+    /// Every launch path, rendered, by the tid it was launched from.
+    type PathsByTid = Arc<Mutex<Vec<(u64, Vec<String>)>>>;
+
+    fn launch_labels(rig: &Rig) -> PathsByTid {
+        let paths = PathsByTid::default();
+        let p = Arc::clone(&paths);
+        let monitor = Arc::clone(&rig.monitor);
+        rig.monitor.callback_register(Domain::Gpu, move |event| {
+            if let DlEvent::Gpu(gpu_event) = event {
+                if gpu_event.data.api == ApiKind::LaunchKernel {
+                    let path = monitor.callpath_for_gpu(gpu_event);
+                    let labels = path
+                        .to_call_path(&monitor.interner)
+                        .frames()
+                        .iter()
+                        .map(|f| f.short_label(&monitor.interner))
+                        .collect();
+                    p.lock().push((gpu_event.tid().unwrap(), labels));
+                }
+            }
+        });
+        paths
+    }
+
+    /// Binds a fresh simulated thread to the calling OS thread and runs
+    /// 50 operators under Python frames of `file`.
+    fn drive(rig: &Rig, file: &str) -> u64 {
+        let thread = rig.env.threads().spawn(ThreadRole::Main);
+        let _bind = ThreadRegistry::bind_current(&thread);
+        let core = Arc::clone(rig.engine.core());
+        for i in 0..50 {
+            let _outer = core.python().frame(&thread, file, 1, "step");
+            let _inner = core.python().frame(&thread, file, 10 + i % 3, "layer");
+            let kind = if i % 2 == 0 {
+                OpKind::Relu
+            } else {
+                OpKind::Gelu
+            };
+            rig.engine
+                .op(Op::new(kind), &[TensorMeta::new([64])])
+                .unwrap();
+        }
+        thread.tid()
+    }
+
+    /// `paths`' entries from `tid`, in launch order.
+    fn of(paths: &PathsByTid, tid: u64) -> Vec<Vec<String>> {
+        let paths = paths.lock();
+        let mine = paths.iter().filter(|(t, _)| *t == tid);
+        mine.map(|(_, labels)| labels.clone()).collect()
+    }
+
+    #[test]
+    fn two_os_threads_keep_their_own_state_and_stats_sum_them() {
+        // One OS thread drives both simulated threads in turn...
+        let alone = rig();
+        let alone_paths = launch_labels(&alone);
+        let (a, b) = std::thread::scope(|scope| {
+            let alone = &alone;
+            let one = scope.spawn(move || (drive(alone, "a.py"), drive(alone, "b.py")));
+            one.join().unwrap()
+        });
+        let expected = alone.monitor.stats();
+        assert_eq!(expected.callpaths_built, 100);
+
+        // ...then two OS threads drive one each, at once.
+        let together = rig();
+        let together_paths = launch_labels(&together);
+        let start = std::sync::Barrier::new(2);
+        let (x, y) = std::thread::scope(|scope| {
+            let run = |file| {
+                let (rig, start) = (&together, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    drive(rig, file)
+                })
+            };
+            let (x, y) = (run("a.py"), run("b.py"));
+            (x.join().unwrap(), y.join().unwrap())
+        });
+        assert_eq!(together.monitor.stats(), expected);
+        assert_eq!(of(&together_paths, x), of(&alone_paths, a));
+        assert_eq!(of(&together_paths, y), of(&alone_paths, b));
+        assert_eq!(of(&alone_paths, a).len(), 50);
+        assert_ne!(of(&alone_paths, a), of(&alone_paths, b));
+    }
+
+    #[test]
+    fn finalize_from_a_third_thread_empties_each_threads_next_path_and_keeps_its_counts() {
+        let rig = rig();
+        let core = Arc::clone(rig.engine.core());
+        let (entered, finalized) = (std::sync::Barrier::new(3), std::sync::Barrier::new(3));
+        std::thread::scope(|scope| {
+            for name in ["aten::relu", "aten::gelu"] {
+                let (rig, core) = (&rig, &core);
+                let (entered, finalized) = (&entered, &finalized);
+                scope.spawn(move || {
+                    let thread = rig.env.threads().spawn(ThreadRole::Main);
+                    let event = OpEvent {
+                        name: Arc::from(name),
+                        phase: OpPhase::Forward,
+                        seq_id: None,
+                        site: Site::Enter,
+                        thread: Arc::clone(&thread),
+                        inputs: Vec::new(),
+                    };
+                    core.callbacks().fire_op(&event);
+                    let frames = |rig: &Rig| {
+                        let path = rig.monitor.callpath_get(&thread);
+                        path.to_call_path(&rig.monitor.interner).frames().len()
+                    };
+                    assert_eq!(frames(rig), 1, "the operator");
+                    assert_eq!(rig.monitor.shadow_depth(thread.tid()), 1);
+                    entered.wait();
+                    finalized.wait();
+                    assert_eq!(frames(rig), 0, "the operator is forgotten");
+                    assert_eq!(rig.monitor.shadow_depth(thread.tid()), 0);
+                });
+            }
+            entered.wait();
+            let before = rig.monitor.stats();
+            assert_eq!(before.callpaths_built, 2);
+            rig.monitor.finalize();
+            assert_eq!(rig.monitor.stats(), before, "counters are history");
+            finalized.wait();
+        });
+        assert_eq!(rig.monitor.stats().callpaths_built, 4);
+    }
+
+    #[test]
+    fn finalize_drops_the_calling_threads_entries_at_once() {
+        let rig = rig();
+        let main = rig.env.threads().spawn(ThreadRole::Main);
+        let _bind = ThreadRegistry::bind_current(&main);
+        let _paths = launch_paths(&rig);
+        let held = || {
+            let ours = |e: &&Entry| e.monitor == rig.monitor.id;
+            TABLE.with(|t| t.borrow().entries.iter().filter(ours).count())
+        };
+        rig.engine
+            .op(Op::new(OpKind::Relu), &[TensorMeta::new([64])])
+            .unwrap();
+        assert_eq!(held(), 1);
+        rig.monitor.finalize();
+        assert_eq!(held(), 0);
+        assert_eq!(rig.monitor.stats().callpaths_built, 1, "counters stay");
+    }
+
+    #[test]
+    fn sequential_monitors_leave_at_most_two_entries_in_a_threads_table() {
+        let env = RuntimeEnv::new();
+        let entries = std::thread::spawn(move || {
+            let thread = env.threads().spawn(ThreadRole::Main);
+            let mut previous = None;
+            let mut most = 0;
+            for _ in 0..200 {
+                let monitor = DlMonitor::init(&env, Interner::new());
+                monitor.callpath_get(&thread);
+                // The previous monitor is still alive at this one's miss.
+                previous = Some(monitor);
+                most = most.max(TABLE.with(|t| t.borrow().entries.len()));
+            }
+            drop(previous);
+            most
+        })
+        .join()
+        .unwrap();
+        assert_eq!(entries, 2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! tests quantify the optimization exactly. A profiler's hot path reads
 //! the frames it steps over where they are ([`Unwinder::with_tail`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -36,9 +36,16 @@ impl NativeFrameInfo {
 }
 
 /// A per-thread simulated native call stack.
+///
+/// The frames sit under a lock, which [`push`](Self::push),
+/// [`pop`](Self::pop) and [`Unwinder::with_tail`] take; the depth is
+/// kept beside them, written under that lock, so [`depth`](Self::depth)
+/// is one load.
 #[derive(Debug, Default)]
 pub struct NativeStack {
     frames: Mutex<Vec<NativeFrameInfo>>,
+    /// `frames.len()`, stored after every push and pop.
+    depth: AtomicUsize,
 }
 
 impl NativeStack {
@@ -49,17 +56,24 @@ impl NativeStack {
 
     /// Pushes a frame (function entry).
     pub fn push(&self, frame: NativeFrameInfo) {
-        self.frames.lock().push(frame);
+        let mut frames = self.frames.lock();
+        frames.push(frame);
+        self.depth.store(frames.len(), Ordering::Release);
     }
 
     /// Pops the innermost frame (function exit).
     pub fn pop(&self) -> Option<NativeFrameInfo> {
-        self.frames.lock().pop()
+        let mut frames = self.frames.lock();
+        let popped = frames.pop();
+        self.depth.store(frames.len(), Ordering::Release);
+        popped
     }
 
-    /// Current depth.
+    /// Current depth: one load, no lock. Exact on the thread that pushes
+    /// and pops; another thread sees the depth of the last push or pop it
+    /// is ordered after.
     pub fn depth(&self) -> usize {
-        self.frames.lock().len()
+        self.depth.load(Ordering::Acquire)
     }
 }
 
@@ -120,7 +134,9 @@ impl Unwinder {
     /// recorded at the cached operator; `0` is a full unwind) without a
     /// copy of any frame. Counts one step per frame lent, as
     /// `unw_step` would. `f` runs under the stack's lock and must not
-    /// push or pop it.
+    /// push or pop it; [`NativeStack::depth`] takes no lock and stays
+    /// readable meanwhile. The one lock per unwind is the stack's own,
+    /// which only its thread's pushes and pops contend for.
     pub fn with_tail<R>(
         &self,
         stack: &NativeStack,
