@@ -437,7 +437,7 @@ mod tests {
                     Some(node),
                 ));
             }
-            ring.snapshot(None)
+            ring.snapshot()
         };
         let analyze = |timeline: &TimelineSnapshot| {
             let view = ProfileView::new(db.cct()).with_timeline(timeline);

@@ -6,17 +6,15 @@
 //! a sample at the bottom of a call path propagates it along the entire
 //! path to the root, so every node holds *inclusive* metrics.
 //!
-//! That holds **always**, in every kind, for a tree driven through
-//! [`CallingContextTree::attribute`] and for every folded tree
-//! ([`merge`](CallingContextTree::merge) /
-//! [`merge_incremental`](CallingContextTree::merge_incremental) outputs,
-//! loaded profiles): no metric stays at its node alone. The private tree
-//! inside a [`CctShard`](crate::CctShard) is the one exception: the shard holds
-//! samples at the attributed node and carries them root-ward itself at
-//! its next [`settle`](crate::CctShard::settle) — node by node through
-//! [`merge_stat_at`](CallingContextTree::merge_stat_at), by the rule
-//! `shard.rs` states — so a shard's tree is inclusive *at settle points*,
-//! which is the only time anything outside the shard reads it. The
+//! That holds **always**, in every kind: for a tree driven through
+//! [`CallingContextTree::attribute`], for a loaded profile and for the
+//! tree a profiling session folds. A session's tree is built from the
+//! [path table](crate::PathTable) — every context enters it by `PathId`
+//! ([`path_node`](CallingContextTree::path_node)) — and receives metrics
+//! that are inclusive already: each [`CctShard`](crate::CctShard) holds
+//! samples at the attributed row, carries them root-ward itself at its
+//! next [`settle`](crate::CctShard::settle), and its rows are merged
+//! node by node through [`merge_at`](CallingContextTree::merge_at). The
 //! root-ward walk of [`attribute`](CallingContextTree::attribute) and
 //! [`merge_stat`](CallingContextTree::merge_stat) is for trees driven
 //! directly: test oracles and loaded profiles.
@@ -27,6 +25,7 @@ use crate::frame::{CallPath, Frame, FrameKey, FrameKind};
 use crate::fx::FxHashMap;
 use crate::interner::Interner;
 use crate::metrics::{MetricKind, MetricStat, MetricStore};
+use crate::path::{PathId, PathIndex};
 
 /// Identifier of a node within one [`CallingContextTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -98,6 +97,8 @@ pub struct CallingContextTree {
     // Fx-hashed: probed once per frame of every inserted call path, on
     // keys (node id + collapse key) that are small and attacker-free.
     child_index: FxHashMap<(NodeId, FrameKey), NodeId>,
+    /// The node of each path placed through [`path_node`](Self::path_node).
+    paths: PathIndex,
 }
 
 impl CallingContextTree {
@@ -118,6 +119,7 @@ impl CallingContextTree {
                 metrics: MetricStore::new(),
             }],
             child_index: FxHashMap::default(),
+            paths: PathIndex::default(),
         }
     }
 
@@ -164,6 +166,27 @@ impl CallingContextTree {
         id
     }
 
+    /// The node of `path`, from the table of this tree's interner: one
+    /// vector read for a path placed before; on first sight, whatever of
+    /// it the tree lacks is inserted, ancestors first.
+    pub fn path_node(&mut self, path: PathId) -> NodeId {
+        let node = self.paths.get(path).unwrap_or_else(|| {
+            let (interner, mut paths) = (self.interner(), std::mem::take(&mut self.paths));
+            let node = paths.place(interner.paths(), path, |parent, _, frame| {
+                self.insert_child(NodeId(parent), frame).0
+            });
+            self.paths = paths;
+            node
+        });
+        NodeId(node)
+    }
+
+    /// Each placed path's node, indexed by `PathId`: how a timeline
+    /// snapshot maps the paths its intervals were recorded under.
+    pub fn path_nodes(&self) -> Arc<[NodeId]> {
+        self.paths.0.iter().map(|&node| NodeId(node)).collect()
+    }
+
     /// Inserts a root-to-leaf path, returning the leaf's node id
     /// ("Insert Call Path" in the paper's Figure 5).
     pub fn insert_path(&mut self, path: &[Frame]) -> NodeId {
@@ -203,11 +226,15 @@ impl CallingContextTree {
         self.each_to_root(node, |metrics| metrics.merge_stat(kind, stat));
     }
 
-    /// Merges a whole aggregate of `kind` into `node` alone — no walk.
-    /// A [`CctShard`](crate::CctShard) settling bottom-up calls this once
-    /// per node and kind and carries the aggregate to the parent itself.
-    pub fn merge_stat_at(&mut self, node: NodeId, kind: MetricKind, stat: &MetricStat) {
-        self.nodes[node.index()].metrics.merge_stat(kind, stat);
+    /// Merges `metrics`, inclusive already, into `node` alone — no walk;
+    /// a node holding nothing takes an exact-size copy.
+    pub fn merge_at(&mut self, node: NodeId, metrics: &MetricStore) {
+        let own = &mut self.nodes[node.index()].metrics;
+        if own.is_empty() {
+            *own = metrics.clone();
+        } else {
+            own.merge(metrics);
+        }
     }
 
     /// The aggregate of `kind` at `node`.
@@ -274,92 +301,6 @@ impl CallingContextTree {
         self.dfs()
             .filter(|id| self.node(*id).frame.kind() == kind)
             .collect()
-    }
-
-    /// Merges `other` into `self`: contexts are unified by collapse keys and
-    /// each node's [`MetricStore`] is merged into its counterpart's. Both
-    /// trees being inclusive, so is the result.
-    ///
-    /// Returns the node mapping: entry `i` is the id in `self` that
-    /// `other`'s node `i` collapsed into. Callers holding per-tree side
-    /// state keyed by [`NodeId`] — unsettled samples in
-    /// [`CctShard`](crate::CctShard), timeline interval contexts — remap
-    /// it through this table. Used to fold per-thread/per-stream shards into a master
-    /// tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both trees share one interner: a frame's `Sym`s
-    /// mean nothing in another interner, so merging them would corrupt
-    /// labels silently.
-    pub fn merge(&mut self, other: &CallingContextTree) -> Vec<NodeId> {
-        self.assert_same_interner(other);
-        // Map other's node ids to ours, walking other's tree top-down
-        // (parents always precede children in the node vector).
-        let mut mapping: Vec<NodeId> = Vec::with_capacity(other.nodes.len());
-        for (idx, node) in other.nodes.iter().enumerate() {
-            let my_id = if idx == 0 {
-                self.root()
-            } else {
-                let my_parent = mapping[node.parent.expect("non-root has parent").index()];
-                self.insert_child(my_parent, &node.frame)
-            };
-            mapping.push(my_id);
-            self.nodes[my_id.index()].metrics.merge(&node.metrics);
-        }
-        mapping
-    }
-
-    /// Incrementally folds `other` into `self`, resuming from `state`.
-    ///
-    /// The first call with a fresh [`FoldState`] is equivalent to
-    /// [`merge`](Self::merge). Subsequent calls against a *grown* `other`
-    /// (CCT shards only ever gain nodes and samples during profiling)
-    /// fold in only what changed since the previous call: new contexts
-    /// are inserted, and per-node aggregates advance by their
-    /// [`MetricStore::merge_delta`] — unchanged nodes cost one equality
-    /// check and contribute nothing. This is what makes cached profile
-    /// snapshots O(dirty shards) instead of O(shards × tree).
-    ///
-    /// `state` must only ever be used with the same `(self, other)` pair,
-    /// and `other` must evolve append-only between calls (no node or
-    /// sample removal); both are upheld by the profiler's snapshot cache.
-    /// Panics unless both trees share one interner, as
-    /// [`merge`](Self::merge) does.
-    pub fn merge_incremental(&mut self, other: &CallingContextTree, state: &mut FoldState) {
-        self.assert_same_interner(other);
-        for (idx, node) in other.nodes.iter().enumerate() {
-            let my_id = if idx < state.mapping.len() {
-                state.mapping[idx]
-            } else if idx == 0 {
-                state.mapping.push(self.root());
-                self.root()
-            } else {
-                let my_parent = state.mapping[node.parent.expect("non-root has parent").index()];
-                let id = self.insert_child(my_parent, &node.frame);
-                state.mapping.push(id);
-                id
-            };
-            if let Some(folded) = state.folded.get_mut(idx) {
-                if *folded == node.metrics {
-                    continue;
-                }
-                self.nodes[my_id.index()]
-                    .metrics
-                    .merge_delta(&node.metrics, folded);
-                folded.clone_from(&node.metrics);
-            } else {
-                self.nodes[my_id.index()].metrics.merge(&node.metrics);
-                state.folded.push(node.metrics.clone());
-            }
-        }
-    }
-
-    fn assert_same_interner(&self, other: &CallingContextTree) {
-        assert!(
-            Arc::ptr_eq(&self.interner, &other.interner),
-            "merged trees must share one interner"
-        );
     }
 
     /// Compares two trees for *semantic* equality: the same contexts
@@ -433,7 +374,7 @@ impl CallingContextTree {
             .sum();
         let index_bytes = self.child_index.capacity()
             * (std::mem::size_of::<(NodeId, FrameKey)>() + std::mem::size_of::<NodeId>() + 16);
-        node_bytes + index_bytes
+        node_bytes + index_bytes + self.paths.0.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Renders the tree as an indented listing with one metric column,
@@ -499,41 +440,6 @@ impl CallingContextTree {
 impl Default for CallingContextTree {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Resumable state of one incremental fold (see
-/// [`CallingContextTree::merge_incremental`]): the node mapping from the
-/// source tree into the destination, plus each source node's aggregates
-/// as of the last fold, so the next fold can compute deltas.
-#[derive(Debug, Clone, Default)]
-pub struct FoldState {
-    mapping: Vec<NodeId>,
-    folded: Vec<MetricStore>,
-}
-
-impl FoldState {
-    /// A fresh state: the first fold through it behaves like a plain
-    /// [`CallingContextTree::merge`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The destination id each source node folded into so far (entry `i`
-    /// is source node `i`), mirroring [`CallingContextTree::merge`]'s
-    /// return value.
-    pub fn mapping(&self) -> &[NodeId] {
-        &self.mapping
-    }
-
-    /// Approximate resident bytes of the fold state (cache accounting).
-    pub fn approx_bytes(&self) -> usize {
-        self.mapping.capacity() * std::mem::size_of::<NodeId>()
-            + self
-                .folded
-                .iter()
-                .map(|s| std::mem::size_of::<MetricStore>() + s.approx_bytes())
-                .sum::<usize>()
     }
 }
 
@@ -678,12 +584,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "share one interner")]
+    #[should_panic(expected = "shares its interner")]
     fn merge_refuses_a_tree_with_another_interner() {
-        let mut a = CallingContextTree::new();
-        let mut b = CallingContextTree::new();
-        b.insert_path(&sample_path(&b, "aten::matmul", "sgemm"));
-        a.merge(&b);
+        let b = CallingContextTree::new();
+        let interner = b.interner();
+        let mut shard = crate::CctShard::new(Arc::clone(&interner));
+        let path = interner
+            .paths()
+            .intern(&sample_path(&b, "aten::matmul", "sgemm"));
+        shard.node_for(path.id());
+        shard.drain_into(&mut CallingContextTree::new());
     }
 
     #[test]
@@ -727,10 +637,9 @@ mod tests {
 
     #[test]
     fn merge_unifies_contexts_and_metrics() {
+        // Two shards' rows folded into one tree through one vector.
         let mut a = CallingContextTree::new();
         let interner = a.interner();
-        let mut b = CallingContextTree::with_interner(Arc::clone(&interner));
-
         let path1 = vec![
             Frame::python("m.py", 1, "f", &interner),
             Frame::operator("aten::relu", &interner),
@@ -739,72 +648,22 @@ mod tests {
             Frame::python("m.py", 1, "f", &interner),
             Frame::operator("aten::gelu", &interner),
         ];
-        let la = a.insert_path(&path1);
-        a.attribute(la, MetricKind::GpuTime, 10.0);
-        let lb1 = b.insert_path(&path1);
-        b.attribute(lb1, MetricKind::GpuTime, 5.0);
-        let lb2 = b.insert_path(&path2);
-        b.attribute(lb2, MetricKind::GpuTime, 2.0);
-
-        a.merge(&b);
+        let mut shards = [0, 1].map(|_| crate::CctShard::new(Arc::clone(&interner)));
+        for (shard, frames, v) in [(0, &path1, 10.0), (1, &path1, 5.0), (1, &path2, 2.0)] {
+            let shard = &mut shards[shard];
+            let row = shard.node_for(interner.paths().intern(frames).id());
+            shard.attribute(row, MetricKind::GpuTime, v);
+        }
+        for shard in &mut shards {
+            shard.settle();
+            shard.drain_into(&mut a);
+        }
         assert_eq!(a.total(MetricKind::GpuTime), 17.0);
         // Root + python + relu + gelu
         assert_eq!(a.node_count(), 4);
         let relu = a.insert_path(&path1);
         assert_eq!(a.metric(relu, MetricKind::GpuTime).unwrap().sum, 15.0);
-    }
-
-    #[test]
-    fn merge_incremental_first_fold_matches_merge() {
-        let mut fresh = CallingContextTree::new();
-        let interner = fresh.interner();
-        let mut source = CallingContextTree::with_interner(Arc::clone(&interner));
-        for (op, kernel, v) in [
-            ("aten::matmul", "sgemm", 4.0),
-            ("aten::relu", "relu_k", 2.0),
-        ] {
-            let leaf = source.insert_path(&sample_path(&source, op, kernel));
-            source.attribute(leaf, MetricKind::GpuTime, v);
-        }
-        let mut incr = CallingContextTree::with_interner(Arc::clone(&interner));
-        let mut state = FoldState::new();
-        incr.merge_incremental(&source, &mut state);
-        let mapping = fresh.merge(&source);
-        assert_eq!(state.mapping(), &mapping[..]);
-        assert_eq!(state.mapping().len(), source.node_count());
-        assert_eq!(incr.semantic_diff(&fresh), None);
-    }
-
-    #[test]
-    fn merge_incremental_folds_only_the_delta() {
-        let mut master = CallingContextTree::new();
-        let interner = master.interner();
-        let mut source = CallingContextTree::with_interner(Arc::clone(&interner));
-        let mut state = FoldState::new();
-
-        let a = source.insert_path(&sample_path(&source, "aten::matmul", "sgemm"));
-        source.attribute(a, MetricKind::GpuTime, 10.0);
-        master.merge_incremental(&source, &mut state);
-
-        // Grow the source: more samples on an old node, plus a new context.
-        source.attribute(a, MetricKind::GpuTime, 7.0);
-        let b = source.insert_path(&sample_path(&source, "aten::conv2d", "implicit_gemm"));
-        source.attribute(b, MetricKind::GpuTime, 5.0);
-        master.merge_incremental(&source, &mut state);
-
-        let mut fresh = CallingContextTree::with_interner(Arc::clone(&interner));
-        fresh.merge(&source);
-        assert_eq!(
-            master.semantic_diff(&fresh),
-            None,
-            "\n{}",
-            master.render(MetricKind::GpuTime)
-        );
-
-        // A third fold with nothing new is a no-op.
-        let before = master.total(MetricKind::GpuTime);
-        master.merge_incremental(&source, &mut state);
-        assert_eq!(master.total(MetricKind::GpuTime), before);
+        assert_eq!(a.path_node(interner.paths().intern(&path1).id()), relu);
     }
 
     #[test]

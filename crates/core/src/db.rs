@@ -842,7 +842,11 @@ fn parse_node_line(line: &str) -> Result<RawNode, CoreError> {
     let parent = fields.index_or_dash("parent")?.map(NodeId);
     let frame = Frame::from_record(&mut fields)?;
     let metric_count: usize = fields.number("metric count")?;
-    let mut metrics = MetricStore::new();
+    // One allocation a store; a record is at least ten bytes.
+    let mut metrics = MetricStore::default();
+    metrics
+        .entries
+        .reserve_exact(metric_count.min(line.len() / 10));
     for _ in 0..metric_count {
         let kind = MetricKind::from_record(fields.text("metric kind")?)?;
         let count = fields.number("sample count")?;

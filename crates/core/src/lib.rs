@@ -47,7 +47,7 @@ mod subscribers;
 mod timeline;
 mod window;
 
-pub use cct::{CallingContextTree, CctNode, FoldState, NodeId};
+pub use cct::{CallingContextTree, CctNode, NodeId};
 pub use clock::{TimeNs, VirtualClock};
 pub use db::{ProfileDb, ProfileMeta};
 pub use error::CoreError;

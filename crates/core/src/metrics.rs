@@ -380,7 +380,8 @@ impl MetricStat {
 /// most one small `memmove` when a node sees a brand-new kind.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricStore {
-    entries: Vec<(MetricKind, MetricStat)>,
+    /// Sorted by kind.
+    pub(crate) entries: Vec<(MetricKind, MetricStat)>,
 }
 
 impl MetricStore {
@@ -395,11 +396,17 @@ impl MetricStore {
         self.entries.binary_search_by(|(k, _)| k.cmp(&kind))
     }
 
-    /// Merges a whole aggregate of `kind` (used by CCT merging).
+    /// Merges a whole aggregate of `kind`. A kind new to the store grows
+    /// it by exactly one entry: a node meets a new kind a few times a
+    /// session, never once a launch, and a store rounded up to four
+    /// entries would hold more unused capacity than data.
     pub fn merge_stat(&mut self, kind: MetricKind, other: &MetricStat) {
         match self.position(kind) {
             Ok(i) => self.entries[i].1.merge(other),
-            Err(i) => self.entries.insert(i, (kind, *other)),
+            Err(i) => {
+                self.entries.reserve_exact(1);
+                self.entries.insert(i, (kind, *other));
+            }
         }
     }
 
@@ -407,32 +414,6 @@ impl MetricStore {
     pub fn merge(&mut self, other: &MetricStore) {
         for (kind, stat) in &other.entries {
             self.merge_stat(*kind, stat);
-        }
-    }
-
-    /// Merges only what `new` accumulated since it looked like `old`.
-    /// `old` must be an earlier state of the *same* store: kinds never
-    /// disappear and per-kind histories are append-only. The delta since
-    /// `old` is the count and sum differences with `new`'s extrema (which
-    /// subsume `old`'s), so merging it into an aggregate that already
-    /// holds `old`'s samples leaves that of `new`'s. Kinds whose sample
-    /// count did not advance are skipped entirely, making repeated
-    /// incremental folds of a mostly quiet store O(changed kinds).
-    pub fn merge_delta(&mut self, new: &MetricStore, old: &MetricStore) {
-        for (kind, stat) in &new.entries {
-            match old.get(*kind) {
-                None => self.merge_stat(*kind, stat),
-                Some(o) if o.count == stat.count => {}
-                Some(o) => {
-                    debug_assert!(o.count < stat.count, "merge_delta needs append-only stats");
-                    let delta = MetricStat {
-                        count: stat.count - o.count,
-                        sum: stat.sum - o.sum,
-                        ..*stat
-                    };
-                    self.merge_stat(*kind, &delta);
-                }
-            }
         }
     }
 
@@ -551,59 +532,24 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_recovers_the_appended_samples() {
-        let mut old = MetricStore::new();
-        for v in [4.0, 9.0, 1.0] {
-            old.add(MetricKind::GpuTime, v);
+    fn a_store_holds_exactly_its_kinds() {
+        let mut store = MetricStore::new();
+        assert_eq!(store.approx_bytes(), 0);
+        let kinds = [
+            MetricKind::GpuTime,
+            MetricKind::KernelLaunches,
+            MetricKind::CpuTime,
+            MetricKind::Stall(StallReason::ConstantMemory),
+            MetricKind::MemcpyBytes,
+        ];
+        for (k, kind) in kinds.into_iter().enumerate() {
+            store.add(kind, 1.0);
+            store.add(kind, 2.0);
+            assert_eq!(
+                store.approx_bytes(),
+                (k + 1) * std::mem::size_of::<(MetricKind, MetricStat)>()
+            );
         }
-        let mut new = old.clone();
-        for v in [7.0, 0.5, 12.0] {
-            new.add(MetricKind::GpuTime, v);
-        }
-        // Folding old + the delta into a third store matches folding new.
-        let mut base = MetricStore::new();
-        base.add(MetricKind::GpuTime, 100.0);
-        let mut via_delta = base.clone();
-        via_delta.merge(&old);
-        via_delta.merge_delta(&new, &old);
-        let mut direct = base;
-        direct.merge(&new);
-        assert_eq!(via_delta, direct);
-        // Into an empty store, the delta is the appended samples alone.
-        let mut delta = MetricStore::new();
-        delta.merge_delta(&new, &old);
-        let stat = delta.get(MetricKind::GpuTime).unwrap();
-        assert_eq!((stat.count, stat.sum), (3, 19.5));
-    }
-
-    #[test]
-    fn delta_since_empty_old_is_new_and_unchanged_is_empty() {
-        let mut new = MetricStore::new();
-        new.add(MetricKind::GpuTime, 3.0);
-        let mut dest = MetricStore::new();
-        dest.merge_delta(&new, &MetricStore::new());
-        assert_eq!(dest, new);
-        let mut dest = MetricStore::new();
-        dest.merge_delta(&new, &new);
-        assert!(dest.is_empty());
-    }
-
-    #[test]
-    fn store_merge_delta_folds_only_advanced_kinds() {
-        let mut old = MetricStore::new();
-        old.add(MetricKind::GpuTime, 10.0);
-        old.add(MetricKind::MemcpyBytes, 32.0);
-        let mut new = old.clone();
-        new.add(MetricKind::GpuTime, 5.0);
-        new.add(MetricKind::CpuTime, 2.0); // kind born after `old`
-
-        let mut dest = MetricStore::new();
-        dest.merge(&old);
-        dest.merge_delta(&new, &old);
-
-        let mut direct = MetricStore::new();
-        direct.merge(&new);
-        assert_eq!(dest, direct);
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! costs no shared lock) as a launch's context is assembled; the
 //! ingestion pipeline moves
 //! the 4-byte [`PathId`] through each shard's correlation window;
-//! each [`CctShard`](crate::CctShard) resolves it to its own node through
-//! a dense vector. A [`CallPath`] is only materialised to *show* a
-//! context ([`PathHandle::to_call_path`]).
+//! each [`CctShard`](crate::CctShard) resolves it to its own metric row
+//! through a dense vector, and a fold places rows in the master tree by
+//! `PathId` ([`CallingContextTree::path_node`](crate::CallingContextTree::path_node)). A PC sample's
+//! instruction frame and the `<unattributed>` catch-all are entries too.
+//! A [`CallPath`] is only materialised to *show* a context
+//! ([`PathHandle::to_call_path`]).
 //!
 //! Frames collapse by [`FrameKey`], so an entry keeps the **first** frame
 //! seen under its key: display-only fields (`function`, `seq_id`,
@@ -193,31 +196,36 @@ impl PathTable {
     /// The handle of `parent` extended by `frame`, created if this is the
     /// first time `frame`'s collapse key is seen under `parent`.
     pub fn extend(&self, parent: PathHandle, frame: &Frame) -> PathHandle {
-        let key = (parent.id, frame.key());
-        let known = self.inner.read().index.get(&key).copied();
-        let id = known.unwrap_or_else(|| {
-            let mut inner = self.inner.write();
-            if let Some(&id) = inner.index.get(&key) {
-                return id;
-            }
-            inner.entries.push(Entry {
-                parent: parent.id,
-                frame: frame.clone(),
-            });
-            let id = PathId(inner.entries.len() as u32);
-            inner.index.insert(key, id);
-            self.len.store(inner.entries.len(), Ordering::Release);
-            self.bytes.store(
-                inner.entries.capacity() * std::mem::size_of::<Entry>()
-                    + inner.index.capacity() * INDEX_SLOT_BYTES,
-                Ordering::Relaxed,
-            );
-            id
-        });
         PathHandle {
-            id,
+            id: self.child(parent.id, frame),
             depth: parent.depth + 1,
         }
+    }
+
+    /// [`extend`](Self::extend) by id alone: the path `parent` extended
+    /// by `frame`, created on first sight of the pair.
+    pub(crate) fn child(&self, parent: PathId, frame: &Frame) -> PathId {
+        let key = (parent, frame.key());
+        if let Some(&id) = self.inner.read().index.get(&key) {
+            return id;
+        }
+        let mut inner = self.inner.write();
+        if let Some(&id) = inner.index.get(&key) {
+            return id;
+        }
+        inner.entries.push(Entry {
+            parent,
+            frame: frame.clone(),
+        });
+        let id = PathId(inner.entries.len() as u32);
+        inner.index.insert(key, id);
+        self.len.store(inner.entries.len(), Ordering::Release);
+        self.bytes.store(
+            inner.entries.capacity() * std::mem::size_of::<Entry>()
+                + inner.index.capacity() * INDEX_SLOT_BYTES,
+            Ordering::Relaxed,
+        );
+        id
     }
 
     /// The handle of a whole root-first path (cold: tests, benches and
@@ -281,6 +289,56 @@ impl PathEntries<'_> {
     pub fn leaf_to_root(&self, id: PathId) -> impl Iterator<Item = PathId> + '_ {
         let up = |&id: &PathId| (id != PathId::ROOT).then(|| self.parent(id));
         std::iter::successors(Some(id), up).take_while(|&id| id != PathId::ROOT)
+    }
+}
+
+/// A dense `PathId → u32` map for a structure built from a path table,
+/// parents first — a shard's rows, a folded tree's nodes. Index 0 is
+/// the root's; [`UNPLACED`] marks a path not placed yet.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PathIndex(pub(crate) Vec<u32>);
+
+const UNPLACED: u32 = u32::MAX;
+
+impl PathIndex {
+    /// `path`'s index, if it is placed: one vector read.
+    #[inline]
+    pub(crate) fn get(&self, path: PathId) -> Option<u32> {
+        self.0
+            .get(path.index())
+            .copied()
+            .filter(|&at| at != UNPLACED)
+    }
+
+    /// `path`'s index, placing first whatever of it is missing: walking
+    /// `table`'s parent links up to the nearest placed ancestor, then
+    /// down again, `add(parent's index, path, frame)` appends each
+    /// missing path and returns its index.
+    #[cold]
+    pub(crate) fn place(
+        &mut self,
+        table: &PathTable,
+        path: PathId,
+        mut add: impl FnMut(u32, PathId, &Frame) -> u32,
+    ) -> u32 {
+        if path.index() >= self.0.len() {
+            // Parents precede children in the table: every ancestor's
+            // slot is in range too.
+            self.0.resize(path.index() + 1, UNPLACED);
+            self.0[0] = 0;
+        }
+        let entries = table.entries();
+        let missing: Vec<PathId> = entries
+            .leaf_to_root(path)
+            .take_while(|id| self.0[id.index()] == UNPLACED)
+            .collect();
+        let above = missing.last().map_or(path, |&id| entries.parent(id));
+        let mut at = self.0[above.index()];
+        for id in missing.into_iter().rev() {
+            at = add(at, id, entries.frame(id));
+            self.0[id.index()] = at;
+        }
+        at
     }
 }
 

@@ -1,27 +1,30 @@
-//! Per-thread/per-stream calling-context-tree shards.
+//! Per-thread/per-stream shards of a session's metrics.
 //!
 //! DeepContext aggregates metrics online (paper §4.2), which makes the
 //! attribution path the ingestion bottleneck: one global tree behind one
 //! lock serializes every kernel launch, activity record and CPU sample. A
-//! [`CctShard`] is the unit of the sharded alternative — a private
-//! [`CallingContextTree`] owned by one ingestion shard and locked
-//! independently of its siblings. Shards share one [`Interner`], so
-//! frames collapse identically everywhere and folding shards together is
-//! pure [`CallingContextTree::merge`].
+//! [`CctShard`] is the unit of the sharded alternative, locked apart from
+//! its siblings. It holds **metric rows, not a tree**: the session's
+//! [path table](crate::PathTable), shared through one [`Interner`], is
+//! the tree's skeleton, so a row is its parent's row, its [`PathId`] and
+//! its [`MetricStore`]. Shards fold by moving rows by `PathId`
+//! ([`CctShard::drain_into`]).
 //!
-//! **Contexts enter a shard by handle.** Events carry the [`PathId`] the
-//! session's [path table](crate::PathTable) gave their calling context;
-//! [`CctShard::node_for`] turns it into this shard's node with one read
-//! of a dense vector indexed by `PathId`. The first time a shard meets a
-//! path it walks the table's parent links up to the nearest ancestor it
-//! already knows and inserts the missing frames below it — once per path
-//! per shard, after which that context costs no hashing at all.
+//! **Contexts enter a shard by handle.** [`CctShard::node_for`] turns an
+//! event's [`PathId`] into this shard's row with one read of a dense
+//! vector. The first time a shard meets a path it walks the table's
+//! parent links up to the nearest ancestor it has a row for and appends
+//! rows for the rest, parent before child. A PC sample's instruction
+//! frame is a table entry below its kernel's path, reached through the
+//! shard's `(kernel path, pc) → PathId` memo ([`CctShard::instruction`]),
+//! so a warm PC takes no table lock; `<unattributed>` is an entry below
+//! the root.
 //!
 //! **Samples enter a shard through [`CctShard::count`] and
 //! [`CctShard::attribute`] and nowhere else**, and wait at the attributed
-//! node until [`CctShard::settle`] carries them root-ward. The scratch
-//! they wait in is a per-node index (4 bytes a node) into one slot per
-//! *touched* node, and a slot has two parts, for the two kinds of data a
+//! row until [`CctShard::settle`] carries them root-ward. The scratch
+//! they wait in is a per-row index (4 bytes a row) into one slot per
+//! *touched* row, and a slot has two parts, for the two kinds of data a
 //! shard receives:
 //!
 //! * *Occurrences* — launches, instruction samples, one kind per stall
@@ -32,47 +35,47 @@
 //!   outlive any number of batches, and `u32` would need a branch in
 //!   `count` that settles the shard under its caller.
 //! * *Measurements* — times, bytes, custom kinds, anything without a
-//!   column — are `attribute`d into one aggregate per touched `(node,
-//!   kind)`, chained off the slot (a node holds three or four at most).
+//!   column — are `attribute`d into one aggregate per touched `(row,
+//!   kind)`, chained off the slot (a row holds three or four at most).
 //!
-//! `settle` is one sweep over node ids **descending**. A child is always
-//! inserted after its parent, so by the time a node is visited everything
-//! below it has arrived: its counters merge into its own store as that
-//! many samples of `1.0` and are added, as integers, to the parent's
-//! slot; its aggregates merge into its own store and then into the
-//! parent's list (a parent holding nothing adopts the child's list whole,
-//! which is most of the single-child Python/operator spine). Every
-//! ancestor is thus merged once per kind per settle, not once per
-//! descendant, and in a **stated order**: *a node's own aggregate first,
-//! then its children's by descending `NodeId`*. An aggregate is count,
-//! sum, min and max, and only `sum` can depend on order: the stated order
+//! `settle` is one sweep over rows **descending**. A row is always
+//! appended after its parent's, so by the time a row is visited
+//! everything below it has arrived: its counters merge into its own
+//! store as that many samples of `1.0` and are added, as integers, to
+//! the parent's slot; its aggregates merge into its own store and then
+//! into the parent's list (a parent holding nothing adopts the child's
+//! list whole, which is most of the single-child Python/operator spine).
+//! Every ancestor is thus merged once per kind per settle, not once per
+//! descendant, and in a **stated order**: *a row's own aggregate first,
+//! then its children's by descending row*. An aggregate is count, sum,
+//! min and max, and only `sum` can depend on order: the stated order
 //! fixes its low bits for samples that are neither integers nor
 //! multiples of a power of two, and the runtime produces none. Every sum
 //! it does produce — occurrences, ns, bytes — is exact below 2^53
-//! units, so the settled tree is bit-identical whatever order its
+//! units, so the settled rows are bit-identical whatever order their
 //! samples arrived or were folded in.
 //!
 //! **What this is built for, and what it costs elsewhere.** Slots, lists
-//! and merges scale with the nodes touched since the last settle and
-//! their ancestors; the index alone scales with the tree: every settle
-//! that has work allocates, fills and sweeps 4 bytes per node of the
-//! shard (room for a slot per node is reserved with it, but written only
-//! where touched). That is the right trade where a batch touches most of
-//! a small tree — every benchmark workload: 21–608 nodes a shard, at
-//! least 99.5 % of them reached by every settle — and the wrong one for
-//! a shard of ~10^5 nodes of which a batch touches a handful, where the
-//! map this replaced cost O(touched × depth) and a scratch microbench
-//! (102 558 nodes, 8–64 touched contexts per 4 096 records) reads about
-//! twice its time per batch. No benchmark workload is on that side; the
-//! readings are in CHANGES.md under PR 21.
+//! and merges scale with the rows touched since the last settle and
+//! their ancestors; the index alone scales with the shard: every settle
+//! that has work allocates, fills and sweeps 4 bytes per row (room for a
+//! slot per row is reserved with it, but written only where touched).
+//! That is the right trade where a batch touches most of a small shard —
+//! every benchmark workload: 21–608 rows a shard, at least 99.5 % of
+//! them reached by every settle — and the wrong one for a shard of ~10^5
+//! rows of which a batch touches a handful, where the map this replaced
+//! cost O(touched × depth) and a scratch microbench (102 558 nodes, 8–64
+//! touched contexts per 4 096 records) reads about twice its time per
+//! batch. No benchmark workload is on that side; the readings are in
+//! the CHANGES.md entry that introduced the index.
 //!
-//! The shard's tree therefore holds inclusive metrics *at settle points*,
-//! not always: whoever owns the shard settles it before the tree is
-//! folded, read or measured (`ShardedSink` does so under the shard lock
-//! at every batch boundary and before every fold). `settle` releases the
-//! scratch, and [`CctShard::approx_bytes`] counts it while it is held.
-//! Every metric is inclusive: a shard's tree gains metrics only at a
-//! settle.
+//! The rows therefore hold inclusive metrics *at settle points*, not
+//! always: whoever owns the shard settles it before its rows are folded,
+//! read or measured (`ShardedSink` does so under the shard lock at every
+//! batch boundary and before every fold). `settle` releases the scratch,
+//! and [`CctShard::approx_bytes`] counts it while it is held. A fold
+//! empties each row it moves, keeping its room: a row holds what arrived
+//! since.
 //!
 //! **A shard owns the correlations launched into it.** Every launch and
 //! every record of one GPU stream go to the same shard, so the shard's
@@ -90,35 +93,35 @@
 //!   resolve. An attributed id's slot is stamped with its batch's parity,
 //!   and a batch's end sweeps the previous batch's stamped id range;
 //! * [`orphan_node`](CctShard::orphan_node) is the hoisted `<unattributed>`
-//!   catch-all context, created once per shard instead of re-interned per
-//!   orphaned record.
+//!   catch-all context, resolved once per shard instead of per orphaned
+//!   record.
 
+use std::collections::hash_map::Entry;
 use std::num::NonZeroU32;
 use std::sync::Arc;
 
 use crate::cct::{CallingContextTree, NodeId};
 use crate::frame::Frame;
-use crate::interner::Interner;
-use crate::metrics::{MetricKind, MetricStat, UNIT_COLUMNS};
-use crate::path::PathId;
+use crate::fx::FxHashMap;
+use crate::interner::{Interner, Sym};
+use crate::metrics::{MetricKind, MetricStat, MetricStore, UNIT_COLUMNS};
+use crate::path::{PathId, PathIndex};
 use crate::window::IdWindow;
 
-/// A `by_path` slot this shard has not resolved yet.
-const UNRESOLVED: NodeId = NodeId(u32::MAX);
-
-/// "No entry": a node without a slot, the end of a list.
+/// "No entry": a row without a slot, the end of a list, the root's
+/// parent.
 const NONE: u32 = u32::MAX;
 
-/// One measured aggregate waiting at a node.
+/// One measured aggregate waiting at a row.
 #[derive(Debug, Clone, Copy)]
 struct Held {
     kind: MetricKind,
     stat: MetricStat,
-    /// The node's next entry in [`Pending::held`], or [`NONE`].
+    /// The row's next entry in [`Pending::held`], or [`NONE`].
     next: u32,
 }
 
-/// What one touched node holds.
+/// What one touched row holds.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     /// Its occurrence counters, one per unit column.
@@ -129,15 +132,15 @@ struct Slot {
 
 /// Inclusive samples not yet carried root-ward (see the
 /// [module docs](self)): scratch that lives between two settles, not
-/// profile state. `slot_of` is sized to the tree, and `slots` reserved
-/// for it, on first touch, so neither grows with what arrives.
+/// profile state. `slot_of` is sized to the rows, and `slots` reserved
+/// for them, on first touch, so neither grows with what arrives.
 #[derive(Debug, Clone, Default)]
 struct Pending {
-    /// Per node, its entry in `slots`, or [`NONE`].
+    /// Per row, its entry in `slots`, or [`NONE`].
     slot_of: Vec<u32>,
-    /// One entry per touched node.
+    /// One entry per touched row.
     slots: Vec<Slot>,
-    /// One entry per touched `(node, measured kind)`.
+    /// One entry per touched `(row, measured kind)`.
     held: Vec<Held>,
 }
 
@@ -151,8 +154,8 @@ fn find(held: &[Held], first: u32, kind: MetricKind) -> u32 {
 }
 
 impl Pending {
-    /// `node`'s slot, handed out empty on first touch, in a tree of
-    /// `nodes` nodes.
+    /// `node`'s slot, handed out empty on first touch, in a shard of
+    /// `nodes` rows.
     #[inline]
     fn slot(&mut self, node: NodeId, nodes: usize) -> &mut Slot {
         if node.index() >= self.slot_of.len() {
@@ -233,18 +236,42 @@ impl Bound {
 /// No id stamped: an empty `(lo, hi)` range.
 const UNSTAMPED: (u64, u64) = (u64::MAX, 0);
 
-/// One shard of a sharded calling-context-tree ingestion pipeline: a
-/// private tree, its `PathId → node` vector and its correlation window.
-///
-/// Correlation keys are raw `u64`s so the core stays independent of any
-/// particular GPU runtime's id type.
+/// One context a shard has met, and what arrived at it since the last
+/// fold: 16 bytes beside its store.
+#[derive(Debug, Clone)]
+struct Row {
+    /// The parent's row, [`NONE`] for the root's; always a lower index.
+    parent: u32,
+    path: PathId,
+    /// A kernel row's name: the timeline tap takes no table lock.
+    name: Option<Sym>,
+    metrics: MetricStore,
+}
+
+impl Row {
+    fn new(parent: u32, path: PathId, frame: &Frame) -> Row {
+        Row {
+            parent,
+            path,
+            name: frame.gpu_kernel_name(),
+            metrics: MetricStore::new(),
+        }
+    }
+}
+
+/// One shard of a sharded ingestion pipeline: metric rows, their
+/// `PathId → row` vector and its correlation window. Row `i` is named
+/// `NodeId(i)`, its node in [`to_tree`](Self::to_tree). Correlation keys
+/// are raw `u64`s, independent of any GPU runtime's id type.
 #[derive(Debug, Clone)]
 pub struct CctShard {
-    tree: CallingContextTree,
-    /// This shard's node for each [`PathId`], dense by index, filled the
-    /// first time the path is seen here. Node ids are append-only, so an
-    /// entry stays valid whatever else is inserted into the tree.
-    by_path: Vec<NodeId>,
+    interner: Arc<Interner>,
+    /// Parents before children; row 0 is the root.
+    rows: Vec<Row>,
+    /// This shard's row for each [`PathId`] it met.
+    by_path: PathIndex,
+    /// `(kernel path, pc) → instruction path`, as the table answered.
+    instructions: FxHashMap<(PathId, u64), PathId>,
     orphan: Option<NodeId>,
     /// The correlations launched into this shard and not yet retired.
     correlations: IdWindow<Bound>,
@@ -258,12 +285,17 @@ pub struct CctShard {
     pending: Pending,
 }
 
+/// Bytes per `instructions` slot: key, value and the map's control byte.
+const MEMO_SLOT_BYTES: usize = std::mem::size_of::<((PathId, u64), PathId)>() + 1;
+
 impl CctShard {
     /// Creates an empty shard sharing `interner` with its siblings.
     pub fn new(interner: Arc<Interner>) -> Self {
         CctShard {
-            tree: CallingContextTree::with_interner(interner),
-            by_path: Vec::new(),
+            interner,
+            rows: vec![Row::new(NONE, PathId::ROOT, &Frame::Root)],
+            by_path: PathIndex::default(),
+            instructions: FxHashMap::default(),
             orphan: None,
             correlations: IdWindow::default(),
             parity: false,
@@ -274,78 +306,70 @@ impl CctShard {
     }
 
     /// The shard's dirty generation: a counter advanced by every
-    /// operation that may have changed the shard's *tree* (inserting
-    /// contexts, attributing metrics).
-    /// Snapshot caches remember the generation they folded and skip the
-    /// shard entirely while it has not advanced. Correlation bookkeeping
-    /// (`bind`, `defer_prune`, `end_batch`) and resolving a path the
-    /// shard already knows do not bump it, because snapshots fold trees
-    /// only.
+    /// operation that may have changed the shard's *rows* (appending
+    /// contexts, attributing metrics). Snapshot caches remember the
+    /// generation they folded and skip the shard entirely while it has
+    /// not advanced. Correlation bookkeeping, a known path and a fold do
+    /// not bump it.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Read access to the shard's tree. Its contexts are always
-    /// current; its metrics are inclusive only once the shard has been
-    /// [settled](Self::settle).
-    pub fn tree(&self) -> &CallingContextTree {
-        &self.tree
-    }
-
-    /// Mutable access to the shard's tree (inserting contexts).
-    /// Conservatively bumps the dirty generation: callers take this to
-    /// mutate, and a spurious bump only costs one no-op re-fold.
-    pub fn tree_mut(&mut self) -> &mut CallingContextTree {
-        self.generation += 1;
-        &mut self.tree
-    }
-
-    /// This shard's node for `path`: one vector read for a path seen
+    /// This shard's row for `path`: one vector read for a path seen
     /// here before, the parent-link walk described in the `shard`
     /// module docs otherwise.
     pub fn node_for(&mut self, path: PathId) -> NodeId {
-        match self.by_path.get(path.index()) {
-            Some(&node) if node != UNRESOLVED => node,
-            _ => self.resolve(path),
+        match self.by_path.get(path) {
+            Some(row) => NodeId(row),
+            None => self.resolve(path),
         }
     }
 
     #[cold]
     fn resolve(&mut self, path: PathId) -> NodeId {
-        if path.index() >= self.by_path.len() {
-            // Parents precede children in the table, so every ancestor's
-            // slot is in range too.
-            self.by_path.resize(path.index() + 1, UNRESOLVED);
-            self.by_path[0] = NodeId::ROOT;
-        }
-        let interner = self.tree.interner();
-        let entries = interner.paths().entries();
-        // Slot 0 is the root, so the walk stops there at the latest.
-        let missing: Vec<PathId> = entries
-            .leaf_to_root(path)
-            .take_while(|id| self.by_path[id.index()] == UNRESOLVED)
-            .collect();
-        let known = missing.last().map_or(path, |&id| entries.parent(id));
-        let mut node = self.by_path[known.index()];
-        if !missing.is_empty() {
-            self.generation += 1;
-        }
-        for id in missing.into_iter().rev() {
-            node = self.tree.insert_child(node, entries.frame(id));
-            self.by_path[id.index()] = node;
-        }
-        node
+        let (rows, generation) = (&mut self.rows, &mut self.generation);
+        let row = self
+            .by_path
+            .place(self.interner.paths(), path, |parent, path, frame| {
+                *generation += 1;
+                rows.push(Row::new(parent, path, frame));
+                (rows.len() - 1) as u32
+            });
+        NodeId(row)
+    }
+
+    /// The row of instruction `pc` below the kernel row `kernel` (paper
+    /// §4.2): the memo's answer, the table's — one lock — on first sight.
+    pub fn instruction(&mut self, kernel: NodeId, pc: u64) -> NodeId {
+        let parent = self.rows[kernel.index()].path;
+        let path = match self.instructions.entry((parent, pc)) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(slot) => {
+                *slot.insert(self.interner.paths().child(parent, &Frame::instruction(pc)))
+            }
+        };
+        self.node_for(path)
+    }
+
+    /// The path `node` is the row of.
+    pub fn path(&self, node: NodeId) -> PathId {
+        self.rows[node.index()].path
+    }
+
+    /// The kernel name of `node`, when its frame is a device kernel's.
+    pub fn kernel_name(&self, node: NodeId) -> Option<Sym> {
+        self.rows[node.index()].name
     }
 
     /// Records `n` occurrences — `n` inclusive samples of the value `1.0`
     /// — of `kind` at `node`: one integer add for a kind that counts
     /// occurrences, the `n × 1.0` aggregate through
-    /// [`attribute`](Self::attribute)'s list for any other. The node's
+    /// [`attribute`](Self::attribute)'s list for any other. The row's
     /// ancestors receive them at the next [`settle`](Self::settle).
     #[inline]
     pub fn count(&mut self, node: NodeId, kind: MetricKind, n: u64) {
         self.generation += 1;
-        let nodes = self.tree.node_count();
+        let nodes = self.rows.len();
         match kind.unit_column() {
             Some(column) => self.pending.slot(node, nodes).counts[column] += n,
             None => self
@@ -356,21 +380,21 @@ impl CctShard {
     }
 
     /// Records one inclusive sample of `kind` at `node`. The sample is
-    /// aggregated at the node only; its ancestors receive it at the next
+    /// aggregated at the row only; its ancestors receive it at the next
     /// [`settle`](Self::settle). Any kind may come this way — a `(node,
     /// kind)` both counted and attributed settles to the sum of the two.
     pub fn attribute(&mut self, node: NodeId, kind: MetricKind, value: f64) {
         self.generation += 1;
-        let nodes = self.tree.node_count();
+        let nodes = self.rows.len();
         self.pending.stat(node, kind, nodes).add(value);
     }
 
     /// Carries every unsettled sample root-ward — one descending sweep,
-    /// each node merged once per kind, in the order the `shard` module
-    /// docs state — and releases the scratch the samples
-    /// were held in. Afterwards the tree is exactly what
-    /// sample-by-sample propagation would have built. Does not bump the
-    /// dirty generation: [`count`](Self::count) and
+    /// each row merged once per kind, in the order the `shard` module
+    /// docs state — and releases the scratch the samples were held in.
+    /// Afterwards the rows hold exactly what sample-by-sample
+    /// propagation would have added to them. Does not bump the dirty
+    /// generation: [`count`](Self::count) and
     /// [`attribute`](Self::attribute) already did.
     pub fn settle(&mut self) {
         let mut pending = std::mem::take(&mut self.pending);
@@ -380,20 +404,20 @@ impl CctShard {
                 continue;
             }
             let Slot { counts, held: list } = pending.slots[pending.slot_of[at] as usize];
-            let node = NodeId(at as u32);
-            let parent = self.tree.node(node).parent();
+            let parent = self.rows[at].parent;
             assert!(
-                parent.is_none_or(|up| up.index() < at),
-                "a child is inserted after its parent"
+                parent == NONE || (parent as usize) < at,
+                "a row is appended after its parent"
             );
-            // The parent's slot; its id is lower, so `slot_of` covers it.
-            let up = parent.map(|up| {
-                pending.slot(up, nodes);
-                pending.slot_of[up.index()] as usize
+            // The parent's slot; its row is lower, so `slot_of` covers it.
+            let up = (parent != NONE).then(|| {
+                pending.slot(NodeId(parent), nodes);
+                pending.slot_of[parent as usize] as usize
             });
+            let metrics = &mut self.rows[at].metrics;
             for (column, n) in counts.into_iter().enumerate().filter(|(_, n)| *n != 0) {
                 let kind = MetricKind::from_unit_column(column).expect("a kind per column");
-                self.tree.merge_stat_at(node, kind, &MetricStat::units(n));
+                metrics.merge_stat(kind, &MetricStat::units(n));
                 if let Some(up) = up {
                     pending.slots[up].counts[column] += n;
                 }
@@ -411,7 +435,7 @@ impl CctShard {
             let mut entry = list;
             while entry != NONE {
                 let Held { kind, stat, next } = pending.held[entry as usize];
-                self.tree.merge_stat_at(node, kind, &stat);
+                metrics.merge_stat(kind, &stat);
                 if let Some(up) = joins {
                     let own = find(&pending.held, pending.slots[up].held, kind);
                     if own == NONE {
@@ -426,30 +450,59 @@ impl CctShard {
         }
     }
 
-    /// The hoisted catch-all context for records whose correlation was
-    /// pruned or never seen. Created on first use and reused thereafter,
-    /// so orphaned records cost nothing beyond the attribution itself.
-    pub fn orphan_node(&mut self) -> NodeId {
-        match self.orphan {
-            Some(node) => node,
-            None => {
-                self.generation += 1;
-                let interner = self.tree.interner();
-                let frame = Frame::gpu_kernel("<unattributed>", "<none>", 0, &interner);
-                let node = self.tree.insert_path(std::slice::from_ref(&frame));
-                self.orphan = Some(node);
-                node
+    /// Moves every row into `tree` by its path
+    /// ([`CallingContextTree::path_node`]): what the row holds is merged
+    /// at the path's node and emptied from the row; a row holding nothing
+    /// still places its path. Unsettled samples stay where they wait.
+    /// Does not bump the dirty generation. Draining a clone is a copying
+    /// fold.
+    ///
+    /// # Panics
+    ///
+    /// Unless `tree` shares this shard's interner: a `PathId` means
+    /// nothing in another interner's table.
+    pub fn drain_into(&mut self, tree: &mut CallingContextTree) {
+        assert!(
+            Arc::ptr_eq(&self.interner, &tree.interner()),
+            "a shard drains only into a tree that shares its interner"
+        );
+        for row in &mut self.rows {
+            let node = tree.path_node(row.path);
+            if !row.metrics.is_empty() {
+                tree.merge_at(node, &row.metrics);
+                // Keeps the room: the next settle reallocates nothing.
+                row.metrics.entries.clear();
             }
         }
     }
 
-    /// The node a record whose correlation resolved to `path` attributes
-    /// at, falling back to the hoisted catch-all when the correlation was
-    /// unknown. Returns the node and whether it was the orphan fallback.
-    pub fn node_or_orphan(&mut self, path: Option<PathId>) -> (NodeId, bool) {
-        match path {
-            Some(path) => (self.node_for(path), false),
-            None => (self.orphan_node(), true),
+    /// A tree of this shard's rows alone, row `i` at `NodeId(i)`.
+    pub fn to_tree(&self) -> CallingContextTree {
+        let mut tree = CallingContextTree::with_interner(Arc::clone(&self.interner));
+        self.clone().drain_into(&mut tree);
+        tree
+    }
+
+    /// The root row's sum of `kind`: what arrived since the last drain,
+    /// as of the last settle.
+    pub fn total(&self, kind: MetricKind) -> f64 {
+        self.rows[0].metrics.sum(kind)
+    }
+
+    /// The hoisted catch-all context for records whose correlation was
+    /// pruned or never seen: a table entry below the root, resolved on
+    /// first use and reused thereafter, so orphaned records cost nothing
+    /// beyond the attribution itself.
+    pub fn orphan_node(&mut self) -> NodeId {
+        match self.orphan {
+            Some(node) => node,
+            None => {
+                let frame = Frame::gpu_kernel("<unattributed>", "<none>", 0, &self.interner);
+                let path = self.interner.paths().child(PathId::ROOT, &frame);
+                let node = self.node_for(path);
+                self.orphan = Some(node);
+                node
+            }
         }
     }
 
@@ -497,18 +550,23 @@ impl CctShard {
     }
 
     /// Releases the capacity a large batch left behind in the correlation
-    /// window (it retains its high-water capacity after draining). Called
-    /// at quiescent points — e.g. after a flush boundary has retired all
-    /// deferred correlations — so resident profile memory tracks *live*
-    /// state, not the largest batch ever seen. Does not touch the tree
-    /// (and so does not dirty the shard's snapshot generation).
+    /// window (it retains its high-water capacity after draining), and
+    /// the growth room of the row and path vectors. Called at quiescent
+    /// points — e.g. after a flush boundary has retired all deferred
+    /// correlations — so resident profile memory tracks *live* state, not
+    /// the largest batch ever seen. A shard that met no new context since
+    /// the last trim reallocates nothing. Changes no row (and so does not
+    /// dirty the shard's snapshot generation).
     pub fn trim(&mut self) {
         self.correlations.trim();
+        self.rows.shrink_to_fit();
+        self.by_path.0.shrink_to_fit();
     }
 
-    /// Approximate resident bytes of tree (interner and its path table
-    /// excluded), path vector and whatever settle scratch is currently
-    /// held. The correlation window is sized apart, through
+    /// Approximate resident bytes of the rows and their stores, the path
+    /// vector, the instruction memo and whatever settle scratch is
+    /// currently held (the interner and its path table excluded). The
+    /// correlation window is sized apart, through
     /// [`correlations`](Self::correlations): peak accounting charges it
     /// by its span, holes included ([`IdWindow::held_bytes`]), resident
     /// accounting by capacity.
@@ -518,16 +576,19 @@ impl CctShard {
             slots,
             held,
         } = &self.pending;
-        self.tree.approx_tree_bytes()
-            + self.by_path.capacity() * std::mem::size_of::<NodeId>()
+        let stores: usize = self.rows.iter().map(|row| row.metrics.approx_bytes()).sum();
+        self.rows.capacity() * std::mem::size_of::<Row>()
+            + stores
+            + self.by_path.0.capacity() * std::mem::size_of::<u32>()
+            + self.instructions.capacity() * MEMO_SLOT_BYTES
             + slot_of.capacity() * std::mem::size_of::<u32>()
             + slots.capacity() * std::mem::size_of::<Slot>()
             + held.capacity() * std::mem::size_of::<Held>()
     }
 
-    /// Whether the shard recorded nothing.
+    /// Whether the shard met no context.
     pub fn is_empty(&self) -> bool {
-        self.tree.node_count() == 1
+        self.rows.len() == 1
     }
 }
 
@@ -560,8 +621,8 @@ mod tests {
         let a = shard.orphan_node();
         let b = shard.orphan_node();
         assert_eq!(a, b);
-        assert_eq!(shard.tree().node_count(), 2, "root + one catch-all");
-        assert_eq!(shard.node_or_orphan(None), (a, true));
+        assert_eq!(shard.to_tree().node_count(), 2, "root + one catch-all");
+        assert_eq!(shard.node_for(shard.path(a)), a, "a path like any other");
     }
 
     #[test]
@@ -576,22 +637,23 @@ mod tests {
             eager.attribute(eager_leaf, MetricKind::GpuTime, v);
         }
         assert_eq!(
-            shard.tree().total(MetricKind::GpuTime),
+            shard.total(MetricKind::GpuTime),
             0.0,
             "nothing walks root-ward before settle"
         );
         shard.settle();
-        for id in shard.tree().path_to_root(leaf) {
-            let stat = shard.tree().metric(id, MetricKind::GpuTime).unwrap();
+        let tree = shard.to_tree();
+        for id in tree.path_to_root(leaf) {
+            let stat = tree.metric(id, MetricKind::GpuTime).unwrap();
             assert_eq!(
                 (stat.count, stat.sum, stat.min, stat.max),
                 (3, 17.0, 3.0, 9.0)
             );
         }
-        assert_eq!(shard.tree().semantic_diff(&eager), None);
+        assert_eq!(tree.semantic_diff(&eager), None);
         // Settling twice adds nothing.
         shard.settle();
-        assert_eq!(shard.tree().total(MetricKind::GpuTime), 17.0);
+        assert_eq!(shard.total(MetricKind::GpuTime), 17.0);
     }
 
     #[test]
@@ -604,15 +666,15 @@ mod tests {
         shard.attribute(leaf, MetricKind::GpuTime, 250.0);
         shard.settle();
         let settled = shard.approx_bytes();
-        // More samples of kinds every node on the path already carries
-        // grow nothing but the scratch they wait in: the per-node index
+        // More samples of kinds every row on the path already carries
+        // grow nothing but the scratch they wait in: the per-row index
         // and the slots reserved for it, then the aggregates, each
         // counted.
         assert_eq!(shard.node_for(gelu), leaf);
         shard.count(leaf, MetricKind::KernelLaunches, 1);
         let counted = shard.approx_bytes();
         let slot = std::mem::size_of::<Slot>();
-        assert_eq!(counted, settled + 4 * 4 + 4 * slot, "sized to the tree");
+        assert_eq!(counted, settled + 4 * 4 + 4 * slot, "sized to the rows");
         shard.attribute(leaf, MetricKind::GpuTime, 250.0);
         let held = std::mem::size_of::<Held>();
         assert_eq!(shard.approx_bytes(), counted + 4 * held);
@@ -638,10 +700,11 @@ mod tests {
         shard.count(leaf, MetricKind::CpuTime, 3);
         shard.attribute(leaf, MetricKind::CpuTime, 5.0);
         shard.settle();
-        for id in shard.tree().path_to_root(leaf) {
-            let got = shard.tree().metric(id, stall).unwrap();
+        let tree = shard.to_tree();
+        for id in tree.path_to_root(leaf) {
+            let got = tree.metric(id, stall).unwrap();
             assert_eq!(*got, MetricStat::units(2 * big + 4), "{id}: no epsilon");
-            let cpu = shard.tree().metric(id, MetricKind::CpuTime).unwrap();
+            let cpu = tree.metric(id, MetricKind::CpuTime).unwrap();
             assert_eq!((cpu.count, cpu.sum, cpu.min, cpu.max), (4, 8.0, 1.0, 5.0));
         }
     }
@@ -675,21 +738,18 @@ mod tests {
                 shard.attribute(node, MetricKind::CpuTime, 1.5);
             }
             shard.settle();
-            shard
+            shard.to_tree()
         };
-        // First touched in any order, the same tree to the bit.
-        let shard = settle(&[0, 1, 2, 3]);
+        // First touched in any order, the same rows to the bit.
+        let tree = settle(&[0, 1, 2, 3]);
         for order in [[3, 2, 1, 0], [1, 3, 0, 2]] {
             let other = settle(&order);
-            for id in shard.tree().dfs() {
-                assert_eq!(
-                    shard.tree().node(id).metrics(),
-                    other.tree().node(id).metrics()
-                );
+            for id in tree.dfs() {
+                assert_eq!(tree.node(id).metrics(), other.node(id).metrics());
             }
         }
-        // And it is the stated order. Ids: py 1, relu 2, k_relu 3, gelu 4,
-        // k_gelu 5. gelu is its own aggregate, then its kernel's; py is
+        // And it is the stated order. Rows: py 1, relu 2, k_relu 3, gelu
+        // 4, k_gelu 5. gelu is its own aggregate, then its kernel's; py is
         // its own (the relu-path cut), then gelu's (4), then relu's (2),
         // which holds nothing of its own and adopted its kernel's.
         let mut gelu = stat(samples[3].2);
@@ -697,7 +757,7 @@ mod tests {
         let mut py = stat(samples[2].2);
         py.merge(&gelu);
         py.merge(&stat(samples[0].2));
-        let at = |n: u32| *shard.tree().metric(NodeId(n), MetricKind::GpuTime).unwrap();
+        let at = |n: u32| *tree.metric(NodeId(n), MetricKind::GpuTime).unwrap();
         assert_eq!(at(4), gelu);
         assert_eq!(at(2), stat(samples[0].2));
         assert_eq!(at(1), py);
@@ -722,21 +782,49 @@ mod tests {
             &[][..],    // empty path: the root
             &relu[..],
         ] {
-            let known = shard.tree().node_count();
+            let known = shard.rows.len();
             let generation = shard.generation();
             let got = shard.node_for(i.paths().intern(frames).id());
             assert_eq!(got, oracle.insert_path(frames));
             assert_eq!(
                 shard.generation() > generation,
-                shard.tree().node_count() > known,
+                shard.rows.len() > known,
                 "a known path leaves the shard clean"
             );
-            // Insertions behind the vector's back cannot invalidate it.
-            let extra = Frame::instruction(got.index() as u64);
-            shard.tree_mut().insert_child(got, &extra);
-            oracle.insert_child(got, &extra);
+            // Rows appended behind the vector's back cannot invalidate
+            // it: an instruction below every context met.
+            let pc = got.index() as u64;
+            assert_eq!(
+                shard.instruction(got, pc),
+                oracle.insert_child(got, &Frame::instruction(pc))
+            );
         }
-        assert_eq!(shard.tree().semantic_diff(&oracle), None);
+        assert_eq!(shard.to_tree().semantic_diff(&oracle), None);
+    }
+
+    #[test]
+    fn an_instruction_is_a_table_entry_the_memo_answers_warm() {
+        let i = interner();
+        let mut shard = CctShard::new(Arc::clone(&i));
+        let relu = handle(&i, "aten::relu");
+        let kernel = shard.node_for(relu.id());
+        let row = shard.instruction(kernel, 0x40);
+        let entry = i.paths().extend(relu, &Frame::instruction(0x40));
+        assert_eq!(shard.path(row), entry.id(), "a child of the kernel's path");
+        assert_eq!(shard.kernel_name(row), None);
+        assert_eq!(
+            shard.kernel_name(kernel).map(|name| i.resolve(name)),
+            Some("k_aten::relu".into())
+        );
+        // Another shard meeting the same PC finds the same entry.
+        let mut other = CctShard::new(Arc::clone(&i));
+        let elsewhere = other.node_for(relu.id());
+        let there = other.instruction(elsewhere, 0x40);
+        assert_eq!(other.path(there), entry.id());
+        let table = i.paths().len();
+        let bytes = shard.approx_bytes();
+        assert_eq!(shard.instruction(kernel, 0x40), row);
+        assert_eq!((i.paths().len(), shard.approx_bytes()), (table, bytes));
     }
 
     #[test]
@@ -753,8 +841,9 @@ mod tests {
         assert!(late.index() > 200);
         let before = shard.approx_bytes();
         let node = shard.node_for(late);
-        assert_eq!(shard.tree().depth(node), 3);
-        assert_eq!(shard.tree().node_count(), 1 + 3 + 2, "only its own frames");
+        let tree = shard.to_tree();
+        assert_eq!(tree.depth(node), 3);
+        assert_eq!(tree.node_count(), 1 + 3 + 2, "only its own frames");
         let grown = shard.approx_bytes();
         assert!(grown > before, "the vector is tool memory");
         // Warm: neither path grows anything again.
@@ -787,10 +876,68 @@ mod tests {
         late_shard.node_for(later.id());
         early_shard.node_for(first.id());
         let mut master = CallingContextTree::with_interner(Arc::clone(&i));
-        master.merge(late_shard.tree());
-        master.merge(early_shard.tree());
+        late_shard.drain_into(&mut master);
+        early_shard.drain_into(&mut master);
         let node = master.node(NodeId::ROOT).children()[0];
         assert_eq!(master.node(node).frame(), &seq(5)[0]);
+    }
+
+    #[test]
+    fn a_first_drain_matches_a_copying_fold() {
+        let i = interner();
+        let mut shard = CctShard::new(Arc::clone(&i));
+        let mut oracle = CallingContextTree::with_interner(Arc::clone(&i));
+        for (op, v) in [("aten::matmul", 4.0), ("aten::relu", 2.0)] {
+            let leaf = shard.node_for(handle(&i, op).id());
+            shard.attribute(leaf, MetricKind::GpuTime, v);
+            let eager = oracle.insert_path(&path(&i, op));
+            oracle.attribute(eager, MetricKind::GpuTime, v);
+        }
+        shard.settle();
+        let copy = shard.to_tree();
+        let mut master = CallingContextTree::with_interner(Arc::clone(&i));
+        shard.drain_into(&mut master);
+        assert_eq!(master.semantic_diff(&copy), None);
+        assert_eq!(master.semantic_diff(&oracle), None);
+        assert_eq!(master.node_count(), oracle.node_count());
+    }
+
+    #[test]
+    fn a_later_drain_adds_only_what_arrived_since() {
+        let i = interner();
+        let mut shard = CctShard::new(Arc::clone(&i));
+        let mut oracle = CallingContextTree::with_interner(Arc::clone(&i));
+        let mut master = oracle.clone();
+        for (op, v) in [
+            ("aten::relu", 4.0),
+            ("aten::gelu", 2.0),
+            ("aten::relu", 7.0),
+        ] {
+            let leaf = shard.node_for(handle(&i, op).id());
+            shard.count(leaf, MetricKind::KernelLaunches, 1);
+            shard.attribute(leaf, MetricKind::GpuTime, v);
+            let eager = oracle.insert_path(&path(&i, op));
+            oracle.attribute(eager, MetricKind::KernelLaunches, 1.0);
+            oracle.attribute(eager, MetricKind::GpuTime, v);
+            shard.settle();
+            // The copying fold of master + rows is what the drain leaves.
+            let mut copy = master.clone();
+            shard.clone().drain_into(&mut copy);
+            let generation = shard.generation();
+            shard.drain_into(&mut master);
+            assert_eq!(master.semantic_diff(&copy), None);
+            assert_eq!(master.semantic_diff(&oracle), None);
+            assert_eq!(shard.generation(), generation, "a fold is no change");
+            assert_eq!(shard.total(MetricKind::GpuTime), 0.0, "rows emptied");
+            assert_eq!(shard.to_tree().total(MetricKind::KernelLaunches), 0.0);
+            assert!(
+                shard.rows.iter().all(|row| row.metrics.is_empty()),
+                "an emptied store holds no kind"
+            );
+        }
+        // Nothing new: a drain is a no-op.
+        shard.drain_into(&mut master);
+        assert_eq!(master.semantic_diff(&oracle), None);
     }
 
     #[test]
@@ -852,7 +999,7 @@ mod tests {
         let node = shard.node_for(relu);
         let after_insert = shard.generation();
         assert!(after_insert > 0);
-        // Correlation bookkeeping and a known path leave the tree
+        // Correlation bookkeeping and a known path leave the rows
         // untouched.
         shard.bind(1, relu);
         shard.defer_prune(1);
@@ -891,6 +1038,12 @@ mod tests {
         shard.count(node, MetricKind::KernelLaunches, 1);
         assert!(shard.approx_bytes() > with_context, "settle scratch");
         assert!(!shard.is_empty());
+        // A row is 40 bytes, its store's header included, and a settled
+        // store holds exactly its kinds.
+        assert_eq!(std::mem::size_of::<Row>(), 40);
+        shard.settle();
+        let entry = std::mem::size_of::<(MetricKind, MetricStat)>();
+        assert_eq!(shard.approx_bytes(), with_context + 4 * entry);
     }
 
     #[test]

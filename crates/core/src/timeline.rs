@@ -76,10 +76,10 @@ pub struct Interval {
     pub correlation: u64,
     /// The CCT context the interval's metrics were attributed to.
     ///
-    /// While buffered inside the ingestion pipeline this is a
-    /// *shard-local* node id; snapshots remap it into the folded master
-    /// tree (`None` when the context cannot be resolved — e.g. the
-    /// orphaned-record fallback of a pruned correlation).
+    /// While buffered inside the ingestion pipeline this is the context's
+    /// [`PathId`](crate::PathId) index, the same in every shard;
+    /// snapshots map it into the folded master tree (`None` when the
+    /// context cannot be resolved).
     pub context: Option<NodeId>,
 }
 

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use deepcontext_core::{
     CallingContextTree, CctShard, Frame, Interner, IntervalKind, MetricKind, MetricStat,
-    MetricStore, NodeId, OpPhase, PathId, ProfileDb, ProfileMeta, StallReason, StoredTimeline,
-    TimeNs, TrackKey, TrackSlot,
+    MetricStore, NodeId, OpPhase, PathHandle, PathId, ProfileDb, ProfileMeta, StallReason,
+    StoredTimeline, TimeNs, TrackKey, TrackSlot,
 };
 use proptest::prelude::*;
 
@@ -78,11 +78,14 @@ enum ShardOp {
         n: u8,
         by_sample: bool,
     },
-    /// A context inserted behind the path vector's back through `tree_mut`.
+    /// A context one frame below an earlier one, by extending its
+    /// handle in the table.
     InsertChild {
         node: usize,
         frame: Frame,
     },
+    /// Settles, then compares master + rows with the oracle and drains
+    /// the rows into the master.
     Settle,
 }
 
@@ -442,12 +445,12 @@ proptest! {
         order.iter().for_each(|p| merged.merge(&parts[*p]));
         prop_assert_eq!(merged, whole);
 
-        // A growing store folded by a `merge_delta` chain at any points.
+        // A store drained into another at any points, as a shard's row
+        // is into the master.
         let mut cuts: Vec<usize> = folds.iter().map(|f| (*f).min(samples.len())).collect();
         cuts.push(samples.len());
         cuts.sort_unstable();
-        let (mut live, mut seen) = (MetricStore::new(), MetricStore::new());
-        let mut folded = MetricStore::new();
+        let (mut live, mut folded) = (MetricStore::new(), MetricStore::new());
         let mut at = 0;
         for cut in cuts {
             for v in &samples[at..cut] {
@@ -456,8 +459,7 @@ proptest! {
                 live.merge_stat(MetricKind::GpuTime, &sample);
             }
             at = cut;
-            folded.merge_delta(&live, &seen);
-            seen = live.clone();
+            folded.merge(&std::mem::take(&mut live));
         }
         prop_assert_eq!(folded.get(MetricKind::GpuTime).copied().unwrap_or_default(), whole);
     }
@@ -467,20 +469,21 @@ proptest! {
         (interner, paths) in arb_paths(),
         split in 0usize..40,
     ) {
+        // Two shards' rows folded into one tree hold what one tree fed
+        // everything holds.
         let mut whole = CallingContextTree::with_interner(Arc::clone(&interner));
-        let mut left = CallingContextTree::with_interner(Arc::clone(&interner));
-        let mut right = CallingContextTree::with_interner(interner);
+        let mut halves = [0, 1].map(|_| CctShard::new(Arc::clone(&interner)));
         for (idx, p) in paths.iter().enumerate() {
             let lw = whole.insert_path(p);
             whole.attribute(lw, MetricKind::GpuTime, 1.0);
-            let target = if idx < split % paths.len().max(1) { &mut left } else { &mut right };
-            let l = target.insert_path(p);
-            target.attribute(l, MetricKind::GpuTime, 1.0);
+            let half = &mut halves[usize::from(idx >= split % paths.len().max(1))];
+            let row = half.node_for(interner.paths().intern(p).id());
+            half.attribute(row, MetricKind::GpuTime, 1.0);
         }
-        left.merge(&right);
-        prop_assert_eq!(left.node_count(), whole.node_count());
+        let folded = fold(&interner, &mut halves, &[0, 1]);
+        prop_assert_eq!(folded.node_count(), whole.node_count());
         prop_assert_eq!(
-            left.total(MetricKind::GpuTime),
+            folded.total(MetricKind::GpuTime),
             whole.total(MetricKind::GpuTime)
         );
     }
@@ -491,17 +494,14 @@ proptest! {
         values in prop::collection::vec(0.0f64..1e6, 1..40),
         split in 0usize..40,
     ) {
-        let mut left = CallingContextTree::with_interner(Arc::clone(&interner));
-        let mut right = CallingContextTree::with_interner(interner);
+        let mut halves = [0, 1].map(|_| CctShard::new(Arc::clone(&interner)));
         for (idx, (p, v)) in paths.iter().zip(values.iter().cycle()).enumerate() {
-            let target = if idx < split % paths.len().max(1) { &mut left } else { &mut right };
-            let leaf = target.insert_path(p);
-            target.attribute(leaf, MetricKind::GpuTime, *v);
+            let half = &mut halves[usize::from(idx >= split % paths.len().max(1))];
+            let row = half.node_for(interner.paths().intern(p).id());
+            half.attribute(row, MetricKind::GpuTime, *v);
         }
-        let mut ab = left.clone();
-        ab.merge(&right);
-        let mut ba = right.clone();
-        ba.merge(&left);
+        let ab = fold(&interner, &mut halves, &[0, 1]);
+        let ba = fold(&interner, &mut halves, &[1, 0]);
         prop_assert_eq!(ab.node_count(), ba.node_count());
         let sa = ab.total(MetricKind::GpuTime);
         let sb = ba.total(MetricKind::GpuTime);
@@ -513,13 +513,12 @@ proptest! {
 
     #[test]
     fn merge_preserves_frame_collapse_rules((interner, paths) in arb_paths(), split in 0usize..40) {
-        let mut left = CallingContextTree::with_interner(Arc::clone(&interner));
-        let mut right = CallingContextTree::with_interner(interner);
+        let mut halves = [0, 1].map(|_| CctShard::new(Arc::clone(&interner)));
         for (idx, p) in paths.iter().enumerate() {
-            let target = if idx < split % paths.len().max(1) { &mut left } else { &mut right };
-            target.insert_path(p);
+            let half = &mut halves[usize::from(idx >= split % paths.len().max(1))];
+            half.node_for(interner.paths().intern(p).id());
         }
-        left.merge(&right);
+        let mut left = fold(&interner, &mut halves, &[0, 1]);
         // No parent ends up with two children sharing a collapse key, and
         // re-inserting every path finds existing nodes (no duplicates).
         for id in left.dfs() {
@@ -543,28 +542,29 @@ proptest! {
 
     #[test]
     fn merge_mapping_points_at_equivalent_contexts((interner, paths) in arb_paths()) {
+        // Every path placed by either shard's drain names a node that
+        // spells it, under the node of the path it extends.
         let mut target = CallingContextTree::with_interner(Arc::clone(&interner));
-        let mut other = CallingContextTree::with_interner(interner);
+        let mut halves = [0, 1].map(|_| CctShard::new(Arc::clone(&interner)));
+        let mut handles = Vec::new();
         for (idx, p) in paths.iter().enumerate() {
-            if idx % 2 == 0 {
-                target.insert_path(p);
-            } else {
-                other.insert_path(p);
+            let handle = interner.paths().intern(p);
+            halves[idx % 2].node_for(handle.id());
+            handles.push((handle, p));
+        }
+        for half in &mut halves {
+            half.drain_into(&mut target);
+        }
+        let count = target.node_count();
+        for (handle, p) in handles {
+            let node = target.path_node(handle.id());
+            let keys = |frames: &[Frame]| frames.iter().map(|f| format!("{:?}", f.key())).collect::<Vec<_>>();
+            prop_assert_eq!(keys(target.frames_to_root(node).frames()), keys(p));
+            if let Some(up) = interner.paths().entries().leaf_to_root(handle.id()).nth(1) {
+                prop_assert_eq!(target.node(node).parent(), Some(target.path_node(up)));
             }
         }
-        let mapping = target.merge(&other);
-        prop_assert_eq!(mapping.len(), other.node_count());
-        for id in other.dfs() {
-            let mapped = mapping[id.index()];
-            // Same collapse key, and the parent relationship survives.
-            prop_assert_eq!(
-                format!("{:?}", target.node(mapped).frame().key()),
-                format!("{:?}", other.node(id).frame().key())
-            );
-            if let Some(parent) = other.node(id).parent() {
-                prop_assert_eq!(target.node(mapped).parent(), Some(mapping[parent.index()]));
-            }
-        }
+        prop_assert_eq!(target.node_count(), count, "every path was placed by the drains");
     }
 
     #[test]
@@ -587,11 +587,11 @@ proptest! {
             let leaf = shard.node_for(interner.paths().intern(p).id());
             shard.attribute(leaf, MetricKind::GpuTime, *v);
         }
-        // Settle each shard, then fold its tree, as `ShardedSink` does.
+        // Settle each shard, then drain its rows, as `ShardedSink` does.
         let mut folded = CallingContextTree::with_interner(interner);
         for shard in &mut shards {
             shard.settle();
-            folded.merge(shard.tree());
+            shard.drain_into(&mut folded);
         }
         prop_assert_eq!(folded.node_count(), whole.node_count());
         let fs = folded.total(MetricKind::GpuTime);
@@ -607,20 +607,22 @@ proptest! {
     fn deferred_attribution_equals_eager_propagation((interner, ops) in arb_shard_ops()) {
         // The shard under test, fed path handles, against an oracle tree
         // driven through plain `insert_path` + eager `attribute`. Both
-        // perform the same insertions in the same order, so node ids
-        // must agree at every step (which is what holds the shard's
-        // `PathId → node` vector to account), and after the final settle
-        // the trees must be the same tree.
+        // perform the same insertions in the same order, so row and node
+        // ids must agree at every step (which is what holds the shard's
+        // `PathId → row` vector to account), and at every settle the
+        // master the rows drain into, plus the rows, must be the oracle.
         let mut shard = CctShard::new(Arc::clone(&interner));
         let mut oracle = CallingContextTree::with_interner(Arc::clone(&interner));
-        let mut nodes = vec![NodeId::ROOT];
+        let mut master = CallingContextTree::with_interner(Arc::clone(&interner));
+        let mut nodes = vec![(NodeId::ROOT, PathHandle::ROOT)];
         let mut last: Vec<Frame> = Vec::new();
         for op in ops {
             match op {
                 ShardOp::Insert(frames) => {
-                    let got = shard.node_for(interner.paths().intern(&frames).id());
+                    let handle = interner.paths().intern(&frames);
+                    let got = shard.node_for(handle.id());
                     prop_assert_eq!(got, oracle.insert_path(&frames));
-                    nodes.push(got);
+                    nodes.push((got, handle));
                     last = frames;
                 }
                 ShardOp::InsertPrefix(len) => {
@@ -629,14 +631,14 @@ proptest! {
                     prop_assert_eq!(got, oracle.insert_path(&last));
                 }
                 ShardOp::Attribute { node, kind, value } => {
-                    let node = nodes[node % nodes.len()];
+                    let (node, _) = nodes[node % nodes.len()];
                     let generation = shard.generation();
                     shard.attribute(node, kind, f64::from(value));
                     prop_assert!(shard.generation() > generation);
                     oracle.attribute(node, kind, f64::from(value));
                 }
                 ShardOp::Count { node, kind, n, by_sample } => {
-                    let node = nodes[node % nodes.len()];
+                    let (node, _) = nodes[node % nodes.len()];
                     let generation = shard.generation();
                     if by_sample {
                         (0..n).for_each(|_| shard.attribute(node, kind, 1.0));
@@ -647,20 +649,25 @@ proptest! {
                     (0..n).for_each(|_| oracle.attribute(node, kind, 1.0));
                 }
                 ShardOp::InsertChild { node, frame } => {
-                    // Mid-batch: the scratch must grow to reach the node.
-                    let node = nodes[node % nodes.len()];
-                    let got = shard.tree_mut().insert_child(node, &frame);
+                    // Mid-batch: the scratch must grow to reach the row.
+                    let (node, handle) = nodes[node % nodes.len()];
+                    let child = interner.paths().extend(handle, &frame);
+                    let got = shard.node_for(child.id());
                     prop_assert_eq!(got, oracle.insert_child(node, &frame));
-                    nodes.push(got);
+                    nodes.push((got, child));
                 }
                 ShardOp::Settle => {
                     shard.settle();
-                    prop_assert_eq!(shard.tree().semantic_diff(&oracle), None);
+                    let mut copy = master.clone();
+                    shard.clone().drain_into(&mut copy);
+                    prop_assert_eq!(copy.semantic_diff(&oracle), None);
+                    shard.drain_into(&mut master);
                 }
             }
         }
         shard.settle();
-        prop_assert_eq!(shard.tree().semantic_diff(&oracle), None);
+        shard.drain_into(&mut master);
+        prop_assert_eq!(master.semantic_diff(&oracle), None);
     }
 
     #[test]
@@ -784,28 +791,39 @@ proptest! {
         values in prop::collection::vec(1u32..1000, 1..40),
         fold_every in 1usize..6,
     ) {
-        // Grow a source tree path by path, folding it into a master
-        // every few steps through one resumed FoldState; the master
-        // must always equal a one-shot merge of the source's current
-        // state (the shard-level guarantee behind snapshot caching).
-        let mut source = CallingContextTree::with_interner(Arc::clone(&interner));
+        // Grow a shard path by path, draining it into a master every few
+        // steps; the master must always equal one tree fed everything so
+        // far (the shard-level guarantee behind snapshot caching), and
+        // a drain leaves nothing behind in the rows.
+        let mut shard = CctShard::new(Arc::clone(&interner));
+        let mut whole = CallingContextTree::with_interner(Arc::clone(&interner));
         let mut master = CallingContextTree::with_interner(Arc::clone(&interner));
-        let mut state = deepcontext_core::FoldState::new();
         for (step, (p, v)) in paths.iter().zip(values.iter().cycle()).enumerate() {
-            let leaf = source.insert_path(p);
-            source.attribute(leaf, MetricKind::GpuTime, f64::from(*v));
-            source.attribute(leaf, MetricKind::MemcpyBytes, 32.0);
+            let row = shard.node_for(interner.paths().intern(p).id());
+            let leaf = whole.insert_path(p);
+            for (kind, value) in [(MetricKind::GpuTime, f64::from(*v)), (MetricKind::MemcpyBytes, 32.0)] {
+                shard.attribute(row, kind, value);
+                whole.attribute(leaf, kind, value);
+            }
             if step % fold_every == 0 {
-                master.merge_incremental(&source, &mut state);
-                let mut fresh = CallingContextTree::with_interner(Arc::clone(&interner));
-                fresh.merge(&source);
-                prop_assert_eq!(master.semantic_diff(&fresh), None);
+                shard.settle();
+                shard.drain_into(&mut master);
+                prop_assert_eq!(master.semantic_diff(&whole), None);
+                prop_assert_eq!(shard.to_tree().total(MetricKind::GpuTime), 0.0);
             }
         }
-        master.merge_incremental(&source, &mut state);
-        let mut fresh = CallingContextTree::with_interner(Arc::clone(&interner));
-        fresh.merge(&source);
-        prop_assert_eq!(master.semantic_diff(&fresh), None);
-        prop_assert_eq!(state.mapping().len(), source.node_count());
+        shard.settle();
+        shard.drain_into(&mut master);
+        prop_assert_eq!(master.semantic_diff(&whole), None);
     }
+}
+
+/// `shards` folded, without emptying them, into a fresh tree in `order`.
+fn fold(interner: &Arc<Interner>, shards: &mut [CctShard], order: &[usize]) -> CallingContextTree {
+    let mut tree = CallingContextTree::with_interner(Arc::clone(interner));
+    for &idx in order {
+        shards[idx].settle();
+        shards[idx].clone().drain_into(&mut tree);
+    }
+    tree
 }

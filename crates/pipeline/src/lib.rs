@@ -9,8 +9,10 @@
 //!
 //! Contexts travel **by handle**: a launch or sample carries the
 //! `PathHandle` DLMonitor assembled, and shards resolve its `PathId`
-//! through a dense vector. Correlations travel **by stream**: a launch
-//! and every asynchronous activity record of it — which carries neither
+//! through a dense vector to a metric row — a shard holds rows, not a
+//! tree, since the session's path table is the tree's skeleton.
+//! Correlations travel **by stream**: a launch and every asynchronous
+//! activity record of it — which carries neither
 //! thread identity nor context, but does name its stream — go to the
 //! shard of that stream, whose own [`deepcontext_core::IdWindow`] (the
 //! window DLMonitor keeps its forward/backward association in) maps
@@ -18,24 +20,25 @@
 //! is one insert, a record one lookup; retirement (the two-phase prune)
 //! stamps a record's id in its slot and sweeps the previous batch's
 //! stamped range at the batch's end. No lock spans every stream, but all
-//! producers on one stream share its shard's lock, for the tree insert as
+//! producers on one stream share its shard's lock, for the row append as
 //! well.
 //!
 //! ```text
 //!  producers (launch cb / activity flush / CPU sampler)
 //!      │  route (stream for launches and records / thread for samples)
 //!      ▼  apply inline under the home shard's lock
-//!  shards: CctShard + timeline ring (bounded), one lock each
-//!      └──settle, merge_incremental──▶ cached master CCT (Arc-shared)
+//!  shards: CctShard rows + timeline ring (bounded), one lock each
+//!      └──settle, drain rows by PathId──▶ cached master CCT (Arc-shared)
 //! ```
 //!
 //! When `ProfilerConfig::timeline` is on, attributing a kernel/memcpy
 //! record also pushes its `[start, end)` interval — tagged with its
-//! resolved CCT context — into a bounded ring (`deepcontext-timeline`)
+//! context's `PathId` — into a bounded ring (`deepcontext-timeline`)
 //! that sits in the shard, so a record still takes its shard's lock and
-//! no other. [`ShardedSink::timeline_snapshot`] folds each shard and
-//! shares its ring in one critical section, so every interval it returns
-//! resolves in the master tree the profile snapshots serve.
+//! no other. [`ShardedSink::timeline_snapshot`] drains each shard and
+//! shares its ring in one critical section, and maps every interval
+//! through the master's one `PathId → NodeId` vector, so every interval
+//! it returns resolves in the master tree the profile snapshots serve.
 //!
 //! [`CctShard`]: deepcontext_core::CctShard
 

@@ -7,8 +7,8 @@ use std::time::Instant;
 use parking_lot::{Mutex, MutexGuard};
 
 use deepcontext_core::{
-    CallingContextTree, CctShard, FoldState, Interner, Interval, IntervalKind, MetricKind, NodeId,
-    PathHandle, PathId, Sym, TrackKey,
+    CallingContextTree, CctShard, Interner, Interval, IntervalKind, MetricKind, NodeId, PathHandle,
+    Sym, TrackKey,
 };
 use deepcontext_timeline::{IntervalRing, TimelineConfig, TimelineSnapshot};
 use dlmonitor::EventOrigin;
@@ -30,7 +30,7 @@ fn mix(x: u64) -> u64 {
 /// their records go to.
 const ALLOCATION_SHARD: usize = 0;
 
-/// One shard: its tree and correlation window and, when timeline
+/// One shard: its rows and correlation window and, when timeline
 /// recording is on, its interval ring, all behind the shard's one lock.
 /// A stream's launches and records all reach one shard, so each
 /// `(device, stream)` track is held by one ring.
@@ -50,12 +50,11 @@ struct Gauge {
     window: AtomicUsize,
 }
 
-/// The memoized fold of all shards: the merged master tree, the
-/// per-shard [`FoldState`] it was built through, and the shard dirty
-/// generations it reflects. Refreshing re-folds **only** shards whose
+/// The memoized fold of all shards: the master tree the shards' rows
+/// were drained into — their only copy — and the shard dirty
+/// generations it reflects. Refreshing drains **only** shards whose
 /// generation advanced; the rest are skipped without touching their
-/// trees, turning repeated snapshots from O(shards × tree) into
-/// O(dirty shards).
+/// rows: O(dirty shards), not O(shards × rows).
 ///
 /// The master lives behind an `Arc` so concurrent `with_snapshot`
 /// readers *share* the refreshed tree: each reader clones the handle
@@ -68,20 +67,9 @@ struct Gauge {
 /// blocked, and never observe a half-refreshed fold).
 struct SnapshotCache {
     master: Arc<CallingContextTree>,
-    folds: Vec<FoldState>,
     /// Generation folded per shard; `u64::MAX` = never folded (shard
     /// generations start at 0, so the first refresh folds everything).
     generations: Vec<u64>,
-}
-
-impl SnapshotCache {
-    fn empty(interner: &Arc<Interner>, shards: usize) -> Self {
-        SnapshotCache {
-            master: Arc::new(CallingContextTree::with_interner(Arc::clone(interner))),
-            folds: (0..shards).map(|_| FoldState::new()).collect(),
-            generations: vec![u64::MAX; shards],
-        }
-    }
 }
 
 /// Everything [`ShardedSink::with`] can be told. The [`Default`] is what
@@ -119,7 +107,7 @@ impl Default for SinkOptions {
 ///   assembled for its calling context and is routed to one of N
 ///   [`CctShard`]s **before** any lock is taken: a launch by its GPU
 ///   stream alone, a CPU sample by its thread. The shard turns the handle
-///   into its own node with one read of a dense vector
+///   into its own metric row with one read of a dense vector
 ///   ([`CctShard::node_for`]);
 /// * a stream's correlations live in its shard: a launch binds `corr →
 ///   PathId` in the shard's own window ([`CctShard::bind`]) under the
@@ -134,20 +122,17 @@ impl Default for SinkOptions {
 ///   recording an interval is a push into the ring inside the shard, under
 ///   that same lock — and no lock is ever taken while another is held.
 ///   Every producer on one stream shares that stream's shard lock, which
-///   covers the tree insert as well as the bind;
-/// * snapshots fold the shards into one master tree and **cache** the
-///   result: every shard carries a dirty generation
-///   ([`CctShard::generation`]) advanced by each tree mutation, and a
-///   refresh re-folds only shards whose generation moved — via
-///   [`CallingContextTree::merge_incremental`], which resumes the
-///   per-shard node mapping and folds per-node metric deltas. Clean
-///   shards are skipped outright, so a warm snapshot costs O(dirty
-///   shards) instead of O(shards × tree).
-///   [`snapshot_uncached`](Self::snapshot_uncached) keeps the historical
-///   full fold as baseline and test oracle. A timeline read rides the same
-///   refresh: each shard is settled, folded when dirty and has its ring's
-///   chunks shared under one acquisition of its lock, so every interval's
-///   context is in the fold it is mapped through.
+///   covers the row append as well as the bind;
+/// * snapshots fold the shards into one master tree and **cache** it: a
+///   refresh drains only shards whose dirty generation
+///   ([`CctShard::generation`]) moved, each settled row merged at its
+///   path's node through the master's `PathId → NodeId` vector
+///   ([`CctShard::drain_into`]) — no frame is matched.
+///   [`snapshot_uncached`](Self::snapshot_uncached), the master plus
+///   every shard's undrained rows, is the test oracle. A timeline read
+///   rides the same refresh: each shard is drained and has its ring
+///   shared under one acquisition of its lock, so every interval's path
+///   is in the vector it is mapped through.
 ///
 /// Inclusive samples are **attributed at the node and settled at the
 /// boundary**: every ingestion path hands its samples to
@@ -158,8 +143,8 @@ impl Default for SinkOptions {
 /// about to be observed or its bytes measured: the end of every activity
 /// batch, every flush boundary, every fold (cached, uncached, timeline)
 /// and [`approx_bytes`](Self::approx_bytes). Nothing outside a shard
-/// lock ever sees a tree that is not fully inclusive, so the folds, the
-/// cache and the fold states are unaware of the deferral.
+/// lock ever sees a row that is not fully inclusive, so the folds and
+/// the cache are unaware of the deferral.
 pub struct ShardedSink {
     interner: Arc<Interner>,
     shards: Vec<Mutex<Shard>>,
@@ -242,7 +227,7 @@ impl ShardedSink {
             .sum()
     }
 
-    /// Locks shard `idx` and settles it: the only way a shard's tree is
+    /// Locks shard `idx` and settles it: the only way a shard's rows are
     /// read for a fold or sized for the memory report.
     fn settled(&self, idx: usize) -> MutexGuard<'_, Shard> {
         let mut shard = self.shards[idx].lock();
@@ -294,64 +279,47 @@ impl ShardedSink {
     }
 
     /// The interval a kernel/memcpy activity record contributes to the
-    /// timeline, tagged with the context `node` it was attributed to
-    /// (shard-local; snapshots remap it into the master tree). Other
-    /// record kinds carry no device-time window and record nothing.
+    /// timeline, tagged with the path of the row `node` it was attributed
+    /// to (one id space for every shard; snapshots map it into the master
+    /// tree). Other record kinds have no device-time window.
     ///
-    /// This is the recording tap's only contact with the kernel name,
-    /// and it avoids even a hash of it on the hot path: a resolved
-    /// launch's leaf frame is the `GpuKernel` frame whose name `Sym`
-    /// the launch path already interned, so the tap reuses that handle
-    /// — one node read, no lock, no clone, no allocation. (Kernel
-    /// frames collapse by `(module, pc)`, so the symbol is the code
-    /// location's first-seen name — the same convention every CCT view
-    /// renders.) Orphaned records, whose node is not a kernel frame,
-    /// fall back to interning the record's own name through the calling
-    /// thread's local cache ([`Interner::intern_cached`]); memcpys
-    /// reuse the pre-interned symbol outright.
+    /// The tap never hashes a kernel name on this path: a launch's row
+    /// keeps its kernel frame's name `Sym` (kernel frames collapse by
+    /// `(module, pc)`, so it is the code location's first-seen name, as
+    /// every CCT view renders it) — one row read, no lock, no
+    /// allocation. A record whose row is no kernel's interns its own name
+    /// through the calling thread's cache ([`Interner::intern_cached`]);
+    /// memcpys reuse the pre-interned symbol.
     fn interval_of(&self, shard: &CctShard, activity: &Activity, node: NodeId) -> Option<Interval> {
-        match &activity.kind {
+        let (stream, start, end, kind, name) = match &activity.kind {
             ActivityKind::Kernel {
                 name,
                 stream,
                 start,
                 end,
                 ..
-            } => Some(Interval {
-                track: TrackKey {
-                    device: activity.device.0,
-                    stream: stream.0,
-                },
-                start: *start,
-                end: *end,
-                kind: IntervalKind::Kernel,
-                name: shard
-                    .tree()
-                    .node(node)
-                    .frame()
-                    .gpu_kernel_name()
-                    .unwrap_or_else(|| self.interner.intern_cached(name)),
-                correlation: activity.correlation_id.0,
-                context: Some(node),
-            }),
+            } => {
+                let known = shard.kernel_name(node);
+                let name = known.unwrap_or_else(|| self.interner.intern_cached(name));
+                (stream, start, end, IntervalKind::Kernel, name)
+            }
             ActivityKind::Memcpy {
                 stream, start, end, ..
-            } => Some(Interval {
-                track: TrackKey {
-                    device: activity.device.0,
-                    stream: stream.0,
-                },
-                start: *start,
-                end: *end,
-                kind: IntervalKind::Memcpy,
-                name: self.memcpy_sym,
-                correlation: activity.correlation_id.0,
-                context: Some(node),
-            }),
-            ActivityKind::Malloc { .. }
-            | ActivityKind::Free { .. }
-            | ActivityKind::PcSampling { .. } => None,
-        }
+            } => (stream, start, end, IntervalKind::Memcpy, self.memcpy_sym),
+            _ => return None,
+        };
+        Some(Interval {
+            track: TrackKey {
+                device: activity.device.0,
+                stream: stream.0,
+            },
+            start: *start,
+            end: *end,
+            kind,
+            name,
+            correlation: activity.correlation_id.0,
+            context: Some(NodeId::from_index(shard.path(node).index() as u32)),
+        })
     }
 
     /// Attributes one activity record inside its home shard at the
@@ -362,7 +330,10 @@ impl ShardedSink {
     fn attribute_activity(&self, shard: &mut Shard, activity: &Activity) -> (bool, u64) {
         let Shard { cct, ring } = shard;
         let path = cct.correlation(activity.correlation_id.0);
-        let (node, orphaned) = cct.node_or_orphan(path);
+        let node = match path {
+            Some(path) => cct.node_for(path),
+            None => cct.orphan_node(),
+        };
         if let Some(ring) = ring {
             if let Some(interval) = self.interval_of(cct, activity, node) {
                 ring.push(interval);
@@ -374,23 +345,7 @@ impl ShardedSink {
         if !matches!(activity.kind, ActivityKind::PcSampling { .. }) {
             cct.defer_prune(activity.correlation_id.0);
         }
-        (orphaned, samples)
-    }
-
-    /// The shard half of a CPU sample: one vector read for the node, one
-    /// sample.
-    fn attribute_at(shard: &mut CctShard, path: PathId, metric: MetricKind, value: f64) {
-        let node = shard.node_for(path);
-        shard.attribute(node, metric, value);
-    }
-
-    /// The shard half of a launch: the context exists from the launch on
-    /// (whatever the API), and kernel launches are counted.
-    fn insert_launch(shard: &mut CctShard, path: PathId, api: ApiKind) {
-        let node = shard.node_for(path);
-        if api == ApiKind::LaunchKernel {
-            shard.count(node, MetricKind::KernelLaunches, 1);
-        }
+        (path.is_none(), samples)
     }
 
     /// Applies one bucket of activity records at shard `idx` under one
@@ -434,25 +389,30 @@ impl ShardedSink {
         self.close_boundary(idx, shard);
     }
 
-    /// Brings the snapshot cache up to date: folds every shard whose
-    /// dirty generation advanced since the last refresh and skips the
-    /// rest, then hands the shard, still locked, and its fold state to
-    /// `visit`. Each shard lock is held only while that one shard is
-    /// settled, folded and visited (cache → shard is the only lock order
+    /// Brings the snapshot cache up to date: drains every shard whose
+    /// dirty generation advanced since the last refresh into the master
+    /// and skips the rest, handing each shard, still locked, to `visit`.
+    /// Each shard lock is held only while that one shard is settled,
+    /// drained and visited (cache → shard is the only lock order
     /// involving the cache, so ingestion never deadlocks against
-    /// refreshes). A refresh that folded at least one shard adds its wall
-    /// time, from the first dirty shard on, to [`SinkCounters::fold_ns`];
-    /// a clean one reads no clock and adds nothing.
-    fn refresh_cache(
+    /// refreshes). A refresh that drained at least one shard adds its
+    /// wall time, from the first dirty shard on, to
+    /// [`SinkCounters::fold_ns`]; a clean one reads no clock and adds
+    /// nothing.
+    fn refresh_cache<'c>(
         &self,
-        cache: &mut Option<SnapshotCache>,
-        mut visit: impl FnMut(&Shard, &FoldState),
-    ) {
-        let cache =
-            cache.get_or_insert_with(|| SnapshotCache::empty(&self.interner, self.shards.len()));
+        cache: &'c mut Option<SnapshotCache>,
+        mut visit: impl FnMut(&Shard),
+    ) -> &'c SnapshotCache {
+        let cache = cache.get_or_insert_with(|| SnapshotCache {
+            master: Arc::new(CallingContextTree::with_interner(Arc::clone(
+                &self.interner,
+            ))),
+            generations: vec![u64::MAX; self.shards.len()],
+        });
         let mut start = None;
         for idx in 0..self.shards.len() {
-            let shard = self.settled(idx);
+            let mut shard = self.settled(idx);
             let generation = shard.cct.generation();
             if cache.generations[idx] == generation {
                 self.shards_skipped.fetch_add(1, Ordering::Relaxed);
@@ -461,17 +421,18 @@ impl ShardedSink {
                 // Copy-on-write only when a reader still holds the
                 // previous snapshot handle; clean refreshes never reach
                 // this line, so an idle profile costs nothing.
-                Arc::make_mut(&mut cache.master)
-                    .merge_incremental(shard.cct.tree(), &mut cache.folds[idx]);
+                let master = Arc::make_mut(&mut cache.master);
+                shard.cct.drain_into(master);
                 cache.generations[idx] = generation;
                 self.snapshot_merges.fetch_add(1, Ordering::Relaxed);
             }
-            visit(&shard, &cache.folds[idx]);
+            visit(&shard);
         }
         if let Some(start) = start {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             self.fold_ns.fetch_add(ns, Ordering::Relaxed);
         }
+        cache
     }
 
     /// Number of shards.
@@ -479,16 +440,20 @@ impl ShardedSink {
         self.shards.len()
     }
 
-    /// Folds all shards into a fresh master tree, bypassing the snapshot
-    /// cache — the historical O(shards × tree) path, kept as the
-    /// benchmark baseline, as the oracle the `cached == fresh`
-    /// equivalence tests compare against.
+    /// A fresh tree, bypassing the snapshot cache: a copy of the master —
+    /// the only copy of what refreshes drained — plus every shard's
+    /// undrained rows. The `cached == fresh` tests' oracle: a refresh
+    /// that skips a dirty shard or loses a row differs from it.
     pub fn snapshot_uncached(&self) -> CallingContextTree {
-        let mut master = CallingContextTree::with_interner(Arc::clone(&self.interner));
+        let cache = self.cache.lock();
+        let mut tree = cache.as_ref().map_or_else(
+            || CallingContextTree::with_interner(Arc::clone(&self.interner)),
+            |cache| CallingContextTree::clone(&cache.master),
+        );
         for idx in 0..self.shards.len() {
-            master.merge(self.settled(idx).cct.tree());
+            self.settled(idx).cct.clone().drain_into(&mut tree);
         }
-        master
+        tree
     }
 
     /// Records the current approximate profile size into the peak, using
@@ -515,7 +480,11 @@ impl ShardedSink {
     pub fn gpu_launch(&self, origin: &EventOrigin, path: PathHandle, api: ApiKind) {
         let idx = self.stream_home(origin.stream);
         let shard = &mut self.shards[idx].lock().cct;
-        Self::insert_launch(shard, path.id(), api);
+        // The context exists from the launch on, whatever the API.
+        let node = shard.node_for(path.id());
+        if api == ApiKind::LaunchKernel {
+            shard.count(node, MetricKind::KernelLaunches, 1);
+        }
         if let Some(corr) = origin.correlation {
             shard.bind(corr.0, path.id());
             self.note_window(idx, shard);
@@ -558,7 +527,9 @@ impl ShardedSink {
         // (their `epoch_complete_shard`), keeping the per-sample hot path
         // O(1).
         let idx = origin.tid.map_or(0, |tid| self.index_for(tid));
-        Self::attribute_at(&mut self.shards[idx].lock().cct, path.id(), metric, value);
+        let shard = &mut self.shards[idx].lock().cct;
+        let node = shard.node_for(path.id());
+        shard.attribute(node, metric, value);
     }
 
     /// A flush boundary completed: the runtime's entire completed-record
@@ -568,19 +539,20 @@ impl ShardedSink {
     /// than the flush that drains the kernel). Every shard retires its
     /// deferred correlations and sheds its correlation window's
     /// high-water capacity, keeping resident memory proportional to live
-    /// state.
+    /// state. Ends by noting the peak, so a shard that only CPU samples
+    /// reached enters it at its size at the boundary.
     pub fn epoch_complete(&self) {
         for idx in 0..self.shards.len() {
             self.epoch_complete_shard(idx);
         }
+        self.note_peak();
     }
 
     /// Folds the shards into one calling context tree, a copy of the
     /// cached master: clean shards are skipped outright.
     pub fn snapshot(&self) -> CallingContextTree {
         let mut cache = self.cache.lock();
-        self.refresh_cache(&mut cache, |_, _| ());
-        CallingContextTree::clone(&cache.as_ref().expect("cache refreshed").master)
+        CallingContextTree::clone(&self.refresh_cache(&mut cache, |_| ()).master)
     }
 
     /// Runs `f` against the folded snapshot without handing out
@@ -594,59 +566,66 @@ impl ShardedSink {
     pub fn with_snapshot<R>(&self, f: impl FnOnce(&CallingContextTree) -> R) -> R {
         let master = {
             let mut cache = self.cache.lock();
-            self.refresh_cache(&mut cache, |_, _| ());
-            Arc::clone(&cache.as_ref().expect("cache refreshed").master)
+            Arc::clone(&self.refresh_cache(&mut cache, |_| ()).master)
         };
         f(&master)
     }
 
     /// Final snapshot at detach time: like [`snapshot`](Self::snapshot),
     /// but it yields the cached fold by value — copying only if a reader
-    /// still holds it — since no further snapshot will be requested.
+    /// still holds it — since no further snapshot will be requested. The
+    /// master is the only copy of the rows refreshes drained, so this is
+    /// the sink's last read: a later one sees only what arrives after it.
     pub fn finish_snapshot(&self) -> CallingContextTree {
         let mut cache = self.cache.lock();
-        self.refresh_cache(&mut cache, |_, _| ());
+        self.refresh_cache(&mut cache, |_| ());
         let master = cache.take().expect("cache refreshed").master;
         Arc::try_unwrap(master).unwrap_or_else(|shared| CallingContextTree::clone(&shared))
     }
 
     /// The assembled timeline (`None` when timeline recording is off —
-    /// the default). Interval context ids are remapped into the master
-    /// tree the snapshot paths observe: the master served by
-    /// [`with_snapshot`](Self::with_snapshot), stable across refreshes
-    /// because the fold is append-only. Every interval's context
-    /// resolves: each shard is folded and has its ring shared under one
-    /// acquisition of its lock, so no record can land between the fold
-    /// and the read.
+    /// the default). The rings record paths, mapped through the master's
+    /// `PathId → NodeId` vector into the tree
+    /// [`with_snapshot`](Self::with_snapshot) serves, stable across
+    /// refreshes because the fold is append-only. Every interval's context
+    /// resolves: each shard is drained and has its ring shared under one
+    /// acquisition of its lock.
     pub fn timeline_snapshot(&self) -> Option<TimelineSnapshot> {
         if !self.timeline {
             return None;
         }
         let mut parts = Vec::with_capacity(self.shards.len());
-        {
+        let table = {
             let mut cache = self.cache.lock();
-            self.refresh_cache(&mut cache, |shard, fold| {
-                // The mapping is copied out (4 bytes per folded node) so
-                // the snapshot keeps resolving against this fold after
-                // the cache moves on.
+            let cache = self.refresh_cache(&mut cache, |shard| {
                 if let Some(ring) = shard.ring.as_ref().filter(|ring| !ring.is_empty()) {
-                    parts.push(ring.snapshot(Some(fold.mapping().into())));
+                    parts.push(ring.snapshot());
                 }
             });
-        }
+            // Copied out (4 bytes a path), once, after the last drain, so
+            // the snapshot keeps resolving after the cache moves on.
+            cache.master.path_nodes()
+        };
         // One symbol-table capture per snapshot (not per interval),
         // after the last ring was read: exporters resolve `Sym` names by
         // index.
-        Some(TimelineSnapshot::join(parts).with_names(self.interner.snapshot()))
+        let snapshot = TimelineSnapshot::join(parts).with_contexts(table);
+        Some(snapshot.with_names(self.interner.snapshot()))
     }
 
-    /// Current ingestion counters, each shard settled to count its
-    /// launches (`cpu_samples` reads 0: the profiler counts those).
+    /// Current ingestion counters (`cpu_samples` reads 0: the profiler
+    /// counts those). `launches` is the master root's plus every settled
+    /// shard's undrained root's, under the cache lock: no refresh moves a
+    /// launch between the two.
     pub fn counters(&self) -> SinkCounters {
-        let (mut launches, mut timeline_intervals, mut timeline_dropped) = (0, 0, 0);
+        let cache = self.cache.lock();
+        let drained = cache
+            .as_ref()
+            .map_or(0.0, |cache| cache.master.total(MetricKind::KernelLaunches));
+        let (mut launches, mut timeline_intervals, mut timeline_dropped) = (drained as u64, 0, 0);
         for idx in 0..self.shards.len() {
             let shard = self.settled(idx);
-            launches += shard.cct.tree().total(MetricKind::KernelLaunches) as u64;
+            launches += shard.cct.total(MetricKind::KernelLaunches) as u64;
             if let Some(ring) = &shard.ring {
                 timeline_intervals += ring.recorded();
                 timeline_dropped += ring.dropped();
@@ -667,21 +646,17 @@ impl ShardedSink {
         }
     }
 
-    /// Approximate resident bytes of all ingestion state: the shards with
-    /// their correlation windows and timeline rings, the snapshot cache
-    /// and the interner.
+    /// Approximate resident bytes of all ingestion state: the shards'
+    /// rows with their correlation windows and timeline rings, the
+    /// snapshot cache and the interner with its path table.
     pub fn approx_bytes(&self) -> usize {
-        // The snapshot cache (cached master tree + per-shard fold state)
-        // is tool memory too — once an analysis session opens, it holds
-        // roughly another copy of the profile.
+        // The snapshot cache's master holds what refreshes drained out
+        // of the shards' rows.
         let cache_bytes: usize = self
             .cache
             .lock()
             .as_ref()
-            .map(|c| {
-                c.master.approx_tree_bytes()
-                    + c.folds.iter().map(FoldState::approx_bytes).sum::<usize>()
-            })
+            .map(|c| c.master.approx_tree_bytes())
             .unwrap_or(0);
         let shard_bytes: usize = (0..self.shards.len())
             .map(|idx| {

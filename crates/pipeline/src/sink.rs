@@ -1,11 +1,11 @@
 //! The activity-kind → metric mapping and the sink's counters.
 
-use deepcontext_core::{CctShard, Frame, MetricKind, NodeId};
+use deepcontext_core::{CctShard, MetricKind, NodeId};
 use sim_gpu::{Activity, ActivityKind};
 
 /// Attributes one activity record's metrics at its resolved context
 /// `node` of `shard` — the activity-kind → metric mapping. Every sample
-/// waits at the node for the shard's next settle, which carries it
+/// waits at the row for the shard's next settle, which carries it
 /// root-ward (measurements as aggregates, PC samples as integer counts).
 /// Returns the number of instruction samples attributed (0 for
 /// non-sampling records).
@@ -39,9 +39,9 @@ pub(crate) fn attribute_activity_metrics(
             // Extend the kernel's call path with per-PC instruction frames
             // (paper §4.2: "we will extend the call path by inserting the
             // PC of each instruction collected"). A record's samples fall
-            // on a handful of PCs, so the last four `pc → child` answers
+            // on a handful of PCs, so the last four `pc → row` answers
             // are kept: `seen` misses so far, the newest overwriting the
-            // oldest. A miss asks the tree, so children are created in
+            // oldest. A miss asks the shard, so rows are appended in
             // first-appearance order whatever the memo forgot.
             let mut memo = [(0u64, node); 4];
             let mut seen = 0usize;
@@ -52,8 +52,7 @@ pub(crate) fn attribute_activity_metrics(
                 let child = match known {
                     Some(&(_, child)) => child,
                     None => {
-                        let frame = Frame::instruction(sample.pc);
-                        let child = shard.tree_mut().insert_child(node, &frame);
+                        let child = shard.instruction(node, sample.pc);
                         memo[seen % memo.len()] = (sample.pc, child);
                         seen += 1;
                         child
@@ -73,8 +72,8 @@ pub(crate) fn attribute_activity_metrics(
 /// struct).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SinkCounters {
-    /// Kernel launches ingested: the sum of the shards' `KernelLaunches`
-    /// totals, each shard settled by the read.
+    /// Kernel launches ingested: the cached master root's `KernelLaunches`
+    /// total plus each shard's undrained root's, settled by the read.
     pub launches: u64,
     /// CPU samples observed by the profiler's samplers (zero when read
     /// straight from a sink).

@@ -13,7 +13,9 @@
 //!   whether or not a batch touched the shard;
 //! * after a flush boundary every shard's window is trimmed: the holes
 //!   interleaved streams leave in each other's windows cost nothing once
-//!   their ids retire.
+//!   their ids retire;
+//! * a flush boundary notes the peak, so a shard only CPU samples reached
+//!   enters it at its size at the boundary.
 
 use std::sync::Arc;
 
@@ -183,6 +185,27 @@ fn a_free_record_with_no_binding_is_an_orphan() {
         "the orphan joined the allocation"
     );
     assert_eq!(sink.snapshot().total(MetricKind::GpuAllocBytes), 256.0);
+}
+
+#[test]
+fn a_flush_boundary_notes_the_peak_of_sample_only_shards() {
+    let interner = Interner::new();
+    let sink = ShardedSink::new(Arc::clone(&interner), 16);
+    for tid in 1..=3 {
+        for n in 0..20 {
+            let origin = origin(tid, None, 0);
+            let metric = if n % 2 == 0 {
+                MetricKind::CpuTime
+            } else {
+                MetricKind::HwInstructions
+            };
+            sink.cpu_sample(&origin, context(&interner, tid), metric, 1_000.0);
+        }
+    }
+    sink.epoch_complete();
+    let peak = sink.counters().peak_bytes;
+    assert!(peak > 0);
+    assert_eq!(peak, sink.approx_bytes());
 }
 
 #[test]

@@ -309,8 +309,8 @@ impl Profiler {
 
     /// The recorded timeline as of this call (`None` when
     /// [`ProfilerConfig::timeline`] is off). The snapshot shares the
-    /// rings' storage — chunk handles, the open tails and the per-shard
-    /// context tables, a few KiB whatever the rings hold — so a live read
+    /// rings' storage — chunk handles, the open tails and one `PathId →
+    /// NodeId` table, a few KiB whatever the rings hold — so a live read
     /// beside the writes is cheap to take and to drop, and it keeps
     /// showing this moment while recording goes on (chunks the rings have
     /// since evicted live as long as the snapshot does). Intervals are
@@ -351,7 +351,7 @@ impl Profiler {
         self.inner.sink.epoch_complete();
         let ended = self.env.clock().now();
         // Capture the timeline before finish_snapshot consumes the
-        // sink's cached fold state (its context tables come from it).
+        // sink's cached fold (its context table comes from it).
         // The snapshot shares the rings; `to_stored` copies each track
         // once into the slice the profile keeps.
         let timeline = self

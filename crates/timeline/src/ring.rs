@@ -26,12 +26,14 @@
 //! no second copy of the intervals for `ProfilerStats::peak_bytes` to
 //! count, and a shard is held for microseconds per read, not for the
 //! length of a 9 MB copy.
+//! A ring keeps context ids as recorded: the ingestion pipeline records
+//! path ids, one id space for every ring.
 
 use std::collections::VecDeque;
 use std::mem::size_of;
 use std::sync::Arc;
 
-use deepcontext_core::{Interval, NodeId, TrackKey, TrackSlot};
+use deepcontext_core::{Interval, TrackKey, TrackSlot};
 
 use crate::snapshot::{Run, TimelineSnapshot, Track};
 
@@ -195,7 +197,7 @@ impl TrackRing {
 
     /// This track's share of a snapshot: handles to the sealed chunks
     /// and a copy of the tail. `None` when it holds nothing.
-    fn run(&self, table: Option<Arc<[NodeId]>>) -> Option<Run> {
+    fn run(&self) -> Option<Run> {
         if self.len == 0 {
             return None;
         }
@@ -205,7 +207,7 @@ impl TrackRing {
             chunks.push(Arc::from(&self.tail[..]));
         }
         Some(Run {
-            table,
+            table: None,
             chunks,
             front: self.front,
         })
@@ -328,20 +330,18 @@ impl IntervalRing {
     }
 
     /// A view of the ring's current contents as per-track sorted
-    /// intervals, with its counters. `table` maps the ring's context ids
-    /// into the caller's master-tree id space (an id past its end is left
-    /// unresolved); `None` keeps them as recorded.
+    /// intervals, with its counters and its context ids as recorded.
     /// [`TimelineSnapshot::join`] puts the snapshots of several rings
-    /// together.
+    /// together, [`TimelineSnapshot::with_contexts`] maps their ids.
     ///
     /// The snapshot shares the ring's sealed chunks and copies only the
     /// open tails, so the work here is per chunk, not per interval, and
     /// what the ring does afterwards — pushes, evictions, late arrivals —
     /// never shows in it. Intervals are expanded and remapped when a
     /// [`Track`] is iterated.
-    pub fn snapshot(&self, table: Option<Arc<[NodeId]>>) -> TimelineSnapshot {
+    pub fn snapshot(&self) -> TimelineSnapshot {
         let tracks = self.tracks.iter().filter_map(|track| {
-            let run = track.run(table.clone())?;
+            let run = track.run()?;
             Some(Track::new(track.key, run))
         });
         let counters = TimelineCounters {
@@ -365,7 +365,7 @@ pub struct TimelineCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepcontext_core::{CallingContextTree, Frame, Interner, IntervalKind, TimeNs};
+    use deepcontext_core::{CallingContextTree, Frame, Interner, IntervalKind, NodeId, TimeNs};
     use parking_lot::Mutex;
     use proptest::prelude::*;
     use std::cmp::Reverse;
@@ -409,7 +409,7 @@ mod tests {
             rings[0].push(interval(corr, corr, corr + 1));
         }
         rings[1].push(on_track(0, 1, 99, 1, 2));
-        let snap = TimelineSnapshot::join(rings.iter().map(|ring| ring.snapshot(None)));
+        let snap = TimelineSnapshot::join(rings.iter().map(IntervalRing::snapshot));
         assert_eq!((snap.recorded(), snap.dropped()), (6, 2));
         assert_eq!(
             snap.interval_count() as u64 + snap.dropped(),
@@ -604,25 +604,23 @@ mod tests {
             let nodes: Vec<NodeId> = (0..3)
                 .map(|i| tree.insert_path(&[Frame::python("m.py", i, "f", &interner)]))
                 .collect();
-            // Shard 0 resolves every context (to another node), shard 1
-            // is one entry short.
-            let tables: Vec<Arc<[NodeId]>> = (0..SHARDS)
-                .map(|shard| (0..=nodes.len() - shard).map(|n| nodes[(n + shard) % 3]).collect())
-                .collect();
+            // Every ring's ids map to other nodes, and the table is one
+            // entry short.
+            let table: Arc<[NodeId]> = (0..nodes.len() - 1).map(|n| nodes[(n + 1) % 3]).collect();
             let name = interner.intern("k");
 
             let mut rings: Vec<IntervalRing> = (0..SHARDS)
                 .map(|_| IntervalRing::with_chunk_len(capacity, chunk_len))
                 .collect();
             let snapshot = |rings: &[IntervalRing]| {
-                let parts = rings.iter().zip(&tables);
-                TimelineSnapshot::join(parts.map(|(ring, table)| ring.snapshot(Some(Arc::clone(table)))))
+                TimelineSnapshot::join(rings.iter().map(IntervalRing::snapshot))
+                    .with_contexts(Arc::clone(&table))
             };
             let mut models: Vec<Model> = (0..SHARDS).map(|_| Model::new(capacity)).collect();
             // What a snapshot of the models would hold right now.
             let expected = |models: &[Model]| {
-                let live = models.iter().zip(&tables).flat_map(|(model, table)| {
-                    model.iter().map(move |iv| Interval {
+                let live = models.iter().flat_map(|model| {
+                    model.iter().map(|iv| Interval {
                         context: iv.context.and_then(|node| table.get(node.index()).copied()),
                         ..iv
                     })
@@ -712,7 +710,7 @@ mod tests {
                 writing.store(false, Ordering::Release);
             });
             rendezvous.wait();
-            let snapshot = ring.lock().snapshot(None);
+            let snapshot = ring.lock().snapshot();
             let read = || -> Vec<Interval> {
                 let tracks = snapshot.tracks().iter();
                 tracks.flat_map(|track| track.intervals()).collect()

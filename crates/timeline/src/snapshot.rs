@@ -11,8 +11,9 @@
 //! that left the device idle.
 //!
 //! A snapshot is a view, not a copy: a track is one `Run` — handles to
-//! its ring's own sealed chunks, a copy of the open tail and the ring's
-//! context table ([`IntervalRing::snapshot`]) — and [`Track::intervals`]
+//! its ring's own sealed chunks, a copy of the open tail and the table
+//! its context ids map through ([`with_contexts`](TimelineSnapshot::with_contexts))
+//! — and [`Track::intervals`]
 //! expands and remaps it as it is iterated, so taking a snapshot costs
 //! per chunk and sorts nothing. Every track lives in one ring, so
 //! [`join`](TimelineSnapshot::join) puts the rings' snapshots together
@@ -70,8 +71,8 @@ where
 }
 
 /// A track's intervals: its ring's sealed chunks by handle, the open
-/// tail as one more chunk, and the table that takes the ring's context
-/// ids to the master tree's.
+/// tail as one more chunk, and the table that takes the recorded
+/// context ids to the master tree's.
 #[derive(Clone)]
 pub(crate) struct Run {
     /// `None`: the slots hold master ids already.
@@ -308,6 +309,16 @@ impl TimelineSnapshot {
         snapshot.names = stored.names.clone();
         snapshot.window = stored.window;
         snapshot
+    }
+
+    /// Maps every track's recorded context ids through `table`: one table
+    /// for rings whose ids share one space, as the pipeline's path ids do.
+    pub fn with_contexts(mut self, table: Arc<[NodeId]>) -> Self {
+        for track in &mut self.tracks {
+            track.run.table = Some(Arc::clone(&table));
+        }
+        self.stats = OnceLock::new();
+        self
     }
 
     /// Attaches the symbol table interval names resolve against —

@@ -62,15 +62,11 @@ fn arb_push() -> impl Strategy<Value = Push> {
         )
 }
 
-/// Shard-local ids to "master" ids, one table per shard: each shard maps
-/// differently, and the later ones are too short to resolve every id.
-fn tables(nodes: &[NodeId]) -> Vec<Arc<[NodeId]>> {
-    (0..SHARDS)
-        .map(|shard| {
-            (0..=nodes.len() - shard)
-                .map(|local| nodes[(local + shard) % nodes.len()])
-                .collect()
-        })
+/// Recorded ids to "master" ids, one table for every ring: each id maps
+/// to another node, and the table is too short to resolve the last id.
+fn table(nodes: &[NodeId]) -> Arc<[NodeId]> {
+    (0..nodes.len() - 1)
+        .map(|id| nodes[(id + 1) % nodes.len()])
         .collect()
 }
 
@@ -110,12 +106,11 @@ proptest! {
             rings[(2 * push.device + push.stream) as usize % SHARDS].push(interval);
         }
 
-        let tables = tables(&nodes);
+        let table = table(&nodes);
         let live: Vec<Interval> = rings
             .iter()
-            .zip(&tables)
-            .flat_map(|(ring, table)| {
-                ring.iter().map(move |iv| Interval {
+            .flat_map(|ring| {
+                ring.iter().map(|iv| Interval {
                     context: iv.context.and_then(|node| table.get(node.index()).copied()),
                     ..iv
                 })
@@ -132,8 +127,8 @@ proptest! {
             let snapshot = snapshot.with_names(interner.snapshot());
             if window { snapshot.with_window(TimeNs(3), TimeNs(40)) } else { snapshot }
         };
-        let parts = rings.iter().zip(&tables).map(|(ring, table)| ring.snapshot(Some(Arc::clone(table))));
-        let merged = finish(TimelineSnapshot::join(parts));
+        let parts = rings.iter().map(IntervalRing::snapshot);
+        let merged = finish(TimelineSnapshot::join(parts).with_contexts(Arc::clone(&table)));
         let sorted = finish(TimelineSnapshot::from_intervals(live, counters));
         prop_assert_eq!(&merged, &sorted);
         prop_assert_eq!(merged.stats(), sorted.stats());

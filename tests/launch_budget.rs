@@ -8,10 +8,12 @@
 //! armed and a second, unarmed, under a counting global allocator. Every
 //! lock site is classed by its file and enclosing function and each
 //! class's acquisitions over the window are pinned, on both sides; so
-//! are the allocations. The counts come from the virtual clock and the
-//! call sequence alone, so they are the same on every run and on every
-//! host: a lock the launch path gains or loses changes a figure here
-//! however little it costs in time.
+//! are the allocations, and the profile's bytes at the end
+//! (`Profiler::stats().peak_bytes`). The counts come from the virtual
+//! clock and the call sequence alone, and so do the capacities behind
+//! the bytes, so they are the same on every run and on every host: a
+//! lock the launch path gains or loses, or a byte the profile grows,
+//! changes a figure here however little it costs in time.
 //!
 //! "Profiler-added" is the sum, over classes, of what the profiled side
 //! takes beyond the bare one: 1.52 a launch on `jit_train` (the sink's
@@ -103,6 +105,8 @@ struct Shape {
     locks: &'static [(&'static str, u64, u64)],
     /// Allocations over a window: `(bare, profiled)`.
     allocations: (u64, u64),
+    /// `Profiler::stats().peak_bytes` after the three runs.
+    peak_bytes: usize,
 }
 
 const SHAPES: [Shape; 3] = [
@@ -134,7 +138,8 @@ const SHAPES: [Shape; 3] = [
             ("sim-runtime/python.rs::push", 830, 830),
             ("sim-runtime/python.rs::with_frames", 0, 970),
         ],
-        allocations: (124832, 124881),
+        allocations: (124832, 124880),
+        peak_bytes: 248436,
     },
     Shape {
         name: "jit_train",
@@ -145,8 +150,8 @@ const SHAPES: [Shape; 3] = [
         locks: &[
             ("core/interner.rs::intern", 0, 3),
             ("core/interner.rs::resolve", 0, 1),
+            ("core/path.rs::child", 0, 2),
             ("core/path.rs::entries", 0, 5),
-            ("core/path.rs::extend", 0, 2),
             ("core/subscribers.rs::deliver_all", 7318, 0),
             ("dl-framework/core.rs::native_fn", 10, 10),
             ("dl-framework/registry.rs::entry_pc", 215, 215),
@@ -167,7 +172,8 @@ const SHAPES: [Shape; 3] = [
             ("sim-runtime/python.rs::walk", 133, 133),
             ("sim-runtime/python.rs::with_frames", 0, 12),
         ],
-        allocations: (5069, 5171),
+        allocations: (5069, 5255),
+        peak_bytes: 57828,
     },
     Shape {
         name: "unet_native",
@@ -176,8 +182,8 @@ const SHAPES: [Shape; 3] = [
         native: true,
         launches: 2440,
         locks: &[
+            ("core/path.rs::child", 0, 16),
             ("core/path.rs::entries", 0, 44),
-            ("core/path.rs::extend", 0, 16),
             ("core/subscribers.rs::deliver_all", 11292, 0),
             ("dl-framework/core.rs::native_fn", 2540, 2540),
             ("dl-framework/eager.rs::backward", 20, 20),
@@ -206,7 +212,8 @@ const SHAPES: [Shape; 3] = [
             ("sim-runtime/python.rs::with_frames", 0, 296),
             ("sim-runtime/thread.rs::spawn", 16, 16),
         ],
-        allocations: (53502, 54184),
+        allocations: (53502, 54610),
+        peak_bytes: 184104,
     },
 ];
 
@@ -215,6 +222,8 @@ struct Window {
     launches: u64,
     locks: BTreeMap<String, u64>,
     allocations: u64,
+    /// The profiled side's `Profiler::stats().peak_bytes`.
+    peak_bytes: Option<usize>,
 }
 
 /// `crates/<crate>/src/<file>::<enclosing fn>`, shortened to
@@ -279,14 +288,17 @@ fn measure(shape: &Shape, profiled: bool) -> Window {
         "{}: windows differ",
         shape.name
     );
-    if let Some((monitor, profiler)) = attached {
+    let peak_bytes = attached.map(|(monitor, profiler)| {
+        let peak = profiler.stats().peak_bytes;
         drop(profiler);
         monitor.finalize();
-    }
+        peak
+    });
     Window {
         launches: stats.kernels,
         locks,
         allocations,
+        peak_bytes,
     }
 }
 
@@ -334,6 +346,8 @@ fn a_launch_stays_within_its_lock_and_allocation_budget() {
             "    allocations: ({}, {}),",
             bare.allocations, profiled.allocations
         );
+        let peak_bytes = profiled.peak_bytes.expect("the profiled side has stats");
+        println!("    peak_bytes: {peak_bytes},");
         let expected: Vec<(String, u64, u64)> = shape
             .locks
             .iter()
@@ -349,6 +363,7 @@ fn a_launch_stays_within_its_lock_and_allocation_budget() {
         if launches != shape.launches
             || actual != expected
             || (bare.allocations, profiled.allocations) != shape.allocations
+            || peak_bytes != shape.peak_bytes
         {
             failures.push(shape.name);
         }

@@ -228,10 +228,8 @@ fn timeline_assembly_allocates_per_track() {
         }
         let table: Arc<[NodeId]> = vec![NodeId::ROOT; cct.node_count()].into();
         allocated(|| {
-            let parts = rings
-                .iter()
-                .map(|ring| ring.snapshot(Some(Arc::clone(&table))));
-            TimelineSnapshot::join(parts)
+            let parts = rings.iter().map(IntervalRing::snapshot);
+            TimelineSnapshot::join(parts).with_contexts(Arc::clone(&table))
         })
     };
     let ((small, _), (large, large_bytes)) = (read(SMALL), read(LARGE));
