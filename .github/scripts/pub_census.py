@@ -6,14 +6,14 @@ library, binary, example or benchmark code reach?
 
   1. Copy the tracked files to a temporary directory (the checkout is
      never edited).
-  2. Rewrite every `pub fn` in `crates/*/src` (not `crates/bench`) that
-     sits outside a `#[cfg(test)]` item to `pub(crate) fn`.
+  2. Rewrite every `pub fn`, `pub const`, `pub static` and named `pub`
+     field in `crates/*/src` (not `crates/bench`) that sits outside a
+     `#[cfg(test)]` item to `pub(crate)`.
   3. Build the workspace's libs, bins and examples, and `benchmark/`.
-     Turn back to `pub` every function an E0624, E0603 or E0364 error
-     points at; repeat until both build.
+     Turn back to `pub` every item an E0624, E0603, E0364, E0616 or
+     E0451 error points at; repeat until both build.
   4. Report rustc's `dead_code` warnings: each names an item only test
-     code reaches (functions, and the fields and constants that only
-     such functions read).
+     code reaches (functions, fields and constants).
 
 Each entry prints as `<path> <item>`: `Type::method`, `Type.field` or a
 free name. Entries the project keeps on purpose are listed, each with a
@@ -45,8 +45,17 @@ import tempfile
 REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 ALLOWLIST = os.path.join(REPO, ".github", "scripts", "pub_allowlist.txt")
 CLASSES = ("oracle", "probe", "driver", "memory-op", "baseline")
-PUB_FN = re.compile(r"\bpub(\s+(?:const|unsafe|async)\s+|\s+)fn\b")
+# A public function, constant, static or named field: what `privatize`
+# rewrites. Group 1 is what follows `pub`.
+PUB_ITEM = re.compile(
+    r"\bpub(\s+(?:(?:const|unsafe|async)\s+)?fn\b"
+    r"|\s+(?:const|static)\s+(?:mut\s+)?[A-Za-z_][A-Za-z0-9_]*\s*:"
+    r"|\s+[A-Za-z_][A-Za-z0-9_]*\s*:(?!:))"
+)
 PRIVATE_ERRORS = ("E0624", "E0603", "E0364")
+PRIVATE_FIELD_ERRORS = ("E0616", "E0451")
+# "field `a` of struct `S` is private", "fields `a`, `b` and `c` of ...".
+PRIVATE_FIELD = re.compile(r"fields? (.+?) of \w+ `([^`]+)` (?:is|are) private")
 
 
 def scan(text):
@@ -164,18 +173,19 @@ def rewritten_files(root):
 
 
 def privatize(path):
-    """Rewrites `pub fn` outside test items to `pub(crate) fn`."""
+    """Rewrites `pub` functions, constants, statics and named fields
+    outside test items to `pub(crate)`."""
     with open(path, encoding="utf-8") as f:
         text = f.read()
     tests = test_ranges(text)
     pieces, last = [], 0
-    for m in PUB_FN.finditer(text):
+    for m in PUB_ITEM.finditer(text):
         if any(a <= m.start() < b for a, b in tests):
             continue
         line_start = text.rfind("\n", 0, m.start()) + 1
         if text[line_start : m.start()].lstrip().startswith("//"):
             continue
-        pieces += [text[last : m.start()], "pub(crate)" + m.group(1) + "fn"]
+        pieces += [text[last : m.start()], "pub(crate)" + m.group(1)]
         last = m.end()
     pieces.append(text[last:])
     with open(path, "w", encoding="utf-8") as f:
@@ -183,11 +193,16 @@ def privatize(path):
 
 
 def republicize(path, line, name):
-    """Turns the `pub(crate) fn <name>` nearest at or below `line` back
-    to `pub`. Returns whether it changed anything."""
+    """Turns the `pub(crate)` function, constant or static `<name>`
+    nearest at or below `line` back to `pub`. Returns whether it changed
+    anything."""
     with open(path, encoding="utf-8") as f:
         lines = f.read().split("\n")
-    pat = re.compile(r"\bpub\(crate\)(\s+(?:const\s+|unsafe\s+|async\s+)*fn\s+" + re.escape(name) + r")\b")
+    pat = re.compile(
+        r"\bpub\(crate\)(\s+(?:(?:const\s+|unsafe\s+|async\s+)*fn|(?:const|static)(?:\s+mut)?)\s+"
+        + re.escape(name)
+        + r")\b"
+    )
     order = range(max(line - 1, 0), len(lines)) if line else range(len(lines))
     for i in order:
         if pat.search(lines[i]):
@@ -227,11 +242,53 @@ def abs_span(root, span):
     return os.path.realpath(path if os.path.isabs(path) else os.path.join(root, path))
 
 
+def republicize_field(candidates, owner, field):
+    """Turns field `field` of every `struct <owner>` among `candidates`
+    back to `pub`. Returns whether it changed anything."""
+    decl = re.compile(r"\bstruct\s+" + re.escape(owner) + r"\b")
+    pat = re.compile(r"\bpub\(crate\)(\s+" + re.escape(field) + r"\s*:)")
+    changed = False
+    for path in candidates:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        hits = []
+        for m in decl.finditer(text):
+            body = None
+            for off, c in scan(text[m.end() :]):
+                if body is None and c in "(;":
+                    break  # a tuple or unit struct
+                if c == "{" and body is None:
+                    body = m.end() + off
+                elif c == "}":
+                    hit = pat.search(text, body, m.end() + off)
+                    hits += [hit] if hit else []
+                    break
+        for hit in reversed(hits):
+            text = text[: hit.start()] + "pub" + hit.group(1) + text[hit.end() :]
+        if hits:
+            changed = True
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+    return changed
+
+
 def fix_privacy(root, msgs, candidates):
     """Republicizes what each privacy error points at; returns the count."""
     fixed = set()
     for diag in msgs:
         code = (diag.get("code") or {}).get("code")
+        if code in PRIVATE_FIELD_ERRORS:
+            m = PRIVATE_FIELD.search(diag["message"])
+            if not m:
+                sys.exit(f"census: cannot read {code}: {diag['rendered']}")
+            owner = re.sub(r"<.*", "", m.group(2)).split("::")[-1]
+            for field in re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", m.group(1)):
+                if (owner, field) in fixed:
+                    continue
+                if not republicize_field(candidates, owner, field):
+                    sys.exit(f"census: cannot resolve {code}: {diag['rendered']}")
+                fixed.add((owner, field))
+            continue
         if code not in PRIVATE_ERRORS:
             continue
         m = re.search(r"`([A-Za-z_][A-Za-z0-9_]*)`", diag["message"])

@@ -103,7 +103,6 @@ impl<'a> ProfileView<'a> {
         let interner = self.interner();
         self.cct()
             .frames_to_root(node)
-            .frames()
             .iter()
             .map(|f| f.label(&interner))
             .collect::<Vec<_>>()

@@ -188,83 +188,15 @@ impl TraceProfiler {
     pub fn attach_gpu(&mut self, gpu: &Arc<GpuRuntime>) {
         let events = Arc::clone(&self.events);
         let bytes = Arc::clone(&self.bytes);
-        gpu.set_activity_handler(move |batch: Vec<Activity>| {
-            for activity in batch {
-                let (kind, name, ts, dur) = match &activity.kind {
-                    ActivityKind::Kernel {
-                        name, start, end, ..
-                    } => (
-                        TraceEventKind::Kernel,
-                        Arc::clone(name),
-                        *start,
-                        Some(*end - *start),
-                    ),
-                    ActivityKind::Memcpy {
-                        bytes: b,
-                        start,
-                        end,
-                        ..
-                    } => (
-                        TraceEventKind::Memcpy,
-                        Arc::from(format!("memcpy {b}B").as_str()),
-                        *start,
-                        Some(*end - *start),
-                    ),
-                    ActivityKind::Malloc { bytes: b, at } => (
-                        TraceEventKind::Malloc,
-                        Arc::from(format!("malloc {b}B").as_str()),
-                        *at,
-                        None,
-                    ),
-                    _ => continue,
-                };
-                let event = TraceEvent {
-                    kind,
-                    name,
-                    ts,
-                    dur,
-                    tid: 0,
-                    correlation: Some(activity.correlation_id.0),
-                    metadata: String::new(),
-                };
-                bytes.fetch_add(event.approx_bytes(), Ordering::Relaxed);
-                events.lock().push(event);
-            }
-        });
+        gpu.set_activity_handler(move |batch| record(&events, &bytes, batch));
         self.gpu = Some(Arc::clone(gpu));
     }
 
-    /// Drains completed GPU activities into the trace.
+    /// Drains completed GPU activities into the trace, as the handler
+    /// [`attach_gpu`](Self::attach_gpu) installs records a full buffer.
     pub fn flush(&self) {
         if let Some(gpu) = &self.gpu {
-            // Delivery happens through the installed activity handler.
-            let batch = gpu.flush_completed();
-            if !batch.is_empty() {
-                // Handler was replaced? Record directly as a fallback.
-                self.record_batch(batch);
-            }
-        }
-    }
-
-    fn record_batch(&self, batch: Vec<Activity>) {
-        for activity in batch {
-            if let ActivityKind::Kernel {
-                name, start, end, ..
-            } = &activity.kind
-            {
-                let event = TraceEvent {
-                    kind: TraceEventKind::Kernel,
-                    name: Arc::clone(name),
-                    ts: *start,
-                    dur: Some(*end - *start),
-                    tid: 0,
-                    correlation: Some(activity.correlation_id.0),
-                    metadata: String::new(),
-                };
-                self.bytes
-                    .fetch_add(event.approx_bytes(), Ordering::Relaxed);
-                self.events.lock().push(event);
-            }
+            record(&self.events, &self.bytes, gpu.flush_completed());
         }
     }
 
@@ -327,6 +259,51 @@ impl TraceProfiler {
         if let Some(gpu) = self.gpu.take() {
             gpu.set_activity_handler(|_| {});
         }
+    }
+}
+
+/// Appends every kernel, memcpy and malloc record of `batch` to `events`.
+fn record(events: &Mutex<Vec<TraceEvent>>, bytes: &AtomicUsize, batch: Vec<Activity>) {
+    for activity in batch {
+        let (kind, name, ts, dur) = match &activity.kind {
+            ActivityKind::Kernel {
+                name, start, end, ..
+            } => (
+                TraceEventKind::Kernel,
+                Arc::clone(name),
+                *start,
+                Some(*end - *start),
+            ),
+            ActivityKind::Memcpy {
+                bytes: b,
+                start,
+                end,
+                ..
+            } => (
+                TraceEventKind::Memcpy,
+                Arc::from(format!("memcpy {b}B").as_str()),
+                *start,
+                Some(*end - *start),
+            ),
+            ActivityKind::Malloc { bytes: b, at } => (
+                TraceEventKind::Malloc,
+                Arc::from(format!("malloc {b}B").as_str()),
+                *at,
+                None,
+            ),
+            _ => continue,
+        };
+        let event = TraceEvent {
+            kind,
+            name,
+            ts,
+            dur,
+            tid: 0,
+            correlation: Some(activity.correlation_id.0),
+            metadata: String::new(),
+        };
+        bytes.fetch_add(event.approx_bytes(), Ordering::Relaxed);
+        events.lock().push(event);
     }
 }
 
@@ -396,6 +373,22 @@ mod tests {
         profiler.flush();
         // 5 ops x (begin+end) + 5 kernels.
         assert_eq!(profiler.event_count(), 15);
+    }
+
+    #[test]
+    fn a_flushed_memcpy_is_recorded() {
+        let rig = rig();
+        let mut profiler = TraceProfiler::new(TraceStyle::Torch);
+        profiler.attach_gpu(&rig.gpu);
+        rig.gpu
+            .memcpy_async(DeviceId(0), sim_gpu::StreamId(0), 4096)
+            .unwrap();
+        rig.gpu.synchronize(DeviceId(0)).unwrap();
+        profiler.flush();
+        let events = profiler.events.lock();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, TraceEventKind::Memcpy);
+        assert_eq!(&*events[0].name, "memcpy 4096B");
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn main() {
             time / total * 100.0
         );
         println!("associated call path (forward context + backward operator):");
-        for (depth, frame) in cct.frames_to_root(node).frames().iter().enumerate() {
+        for (depth, frame) in cct.frames_to_root(node).iter().enumerate() {
             println!("{}{}", "  ".repeat(depth), frame.label(&interner));
         }
         break;

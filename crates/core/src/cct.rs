@@ -2,7 +2,10 @@
 //!
 //! Call paths obtained from DLMonitor are inserted into the tree; frames
 //! that refer to the same location collapse into one node (see
-//! [`Frame::key`]). Each node carries online metric aggregates; attributing
+//! [`Frame::key`]). Whether two frames are the same context is decided by
+//! the [path table](crate::PathTable) alone: every node records its
+//! [`PathId`], and the tree finds a node by that id — it keeps no child
+//! index of its own. Each node carries online metric aggregates; attributing
 //! a sample at the bottom of a call path propagates it along the entire
 //! path to the root, so every node holds *inclusive* metrics.
 //!
@@ -21,7 +24,7 @@
 
 use std::sync::Arc;
 
-use crate::frame::{CallPath, Frame, FrameKey, FrameKind};
+use crate::frame::{Frame, FrameKey, FrameKind};
 use crate::fx::FxHashMap;
 use crate::interner::Interner;
 use crate::metrics::{MetricKind, MetricStat, MetricStore};
@@ -58,6 +61,7 @@ impl std::fmt::Display for NodeId {
 #[derive(Debug, Clone)]
 pub struct CctNode {
     frame: Frame,
+    path: PathId,
     parent: Option<NodeId>,
     children: Vec<NodeId>,
     metrics: MetricStore,
@@ -94,10 +98,7 @@ impl CctNode {
 pub struct CallingContextTree {
     interner: Arc<Interner>,
     nodes: Vec<CctNode>,
-    // Fx-hashed: probed once per frame of every inserted call path, on
-    // keys (node id + collapse key) that are small and attacker-free.
-    child_index: FxHashMap<(NodeId, FrameKey), NodeId>,
-    /// The node of each path placed through [`path_node`](Self::path_node).
+    /// The node of each path in the tree, by `PathId`.
     paths: PathIndex,
 }
 
@@ -114,11 +115,11 @@ impl CallingContextTree {
             interner,
             nodes: vec![CctNode {
                 frame: Frame::Root,
+                path: PathId::ROOT,
                 parent: None,
                 children: Vec::new(),
                 metrics: MetricStore::new(),
             }],
-            child_index: FxHashMap::default(),
             paths: PathIndex::default(),
         }
     }
@@ -148,35 +149,32 @@ impl CallingContextTree {
     }
 
     /// Finds the child of `parent` matching `frame`'s collapse key, or
-    /// creates it.
+    /// creates it with `frame`: the table names the pair, the tree looks
+    /// the name up.
     pub fn insert_child(&mut self, parent: NodeId, frame: &Frame) -> NodeId {
-        let key = (parent, frame.key());
-        if let Some(&child) = self.child_index.get(&key) {
-            return child;
-        }
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(CctNode {
-            frame: frame.clone(),
-            parent: Some(parent),
-            children: Vec::new(),
-            metrics: MetricStore::new(),
+        let path = self
+            .interner
+            .paths()
+            .child(self.nodes[parent.index()].path, frame);
+        let node = self.paths.get(path).unwrap_or_else(|| {
+            let node = append(&mut self.nodes, parent.0, path, frame.clone());
+            self.paths.set(path, node);
+            node
         });
-        self.nodes[parent.index()].children.push(id);
-        self.child_index.insert(key, id);
-        id
+        NodeId(node)
     }
 
     /// The node of `path`, from the table of this tree's interner: one
     /// vector read for a path placed before; on first sight, whatever of
-    /// it the tree lacks is inserted, ancestors first.
+    /// it the tree lacks is appended, ancestors first, with the table's
+    /// frames — the table made each of them unique already.
     pub fn path_node(&mut self, path: PathId) -> NodeId {
+        let nodes = &mut self.nodes;
         let node = self.paths.get(path).unwrap_or_else(|| {
-            let (interner, mut paths) = (self.interner(), std::mem::take(&mut self.paths));
-            let node = paths.place(interner.paths(), path, |parent, _, frame| {
-                self.insert_child(NodeId(parent), frame).0
-            });
-            self.paths = paths;
-            node
+            self.paths
+                .place(self.interner.paths(), path, |parent, path, frame| {
+                    append(nodes, parent, path, frame.clone())
+                })
         });
         NodeId(node)
     }
@@ -265,7 +263,7 @@ impl CallingContextTree {
     }
 
     /// The frames from the root (exclusive) down to `node`, root-side first.
-    pub fn frames_to_root(&self, node: NodeId) -> CallPath {
+    pub fn frames_to_root(&self, node: NodeId) -> Vec<Frame> {
         self.path_to_root(node)
             .into_iter()
             .skip(1) // omit the synthetic root frame
@@ -352,9 +350,9 @@ impl CallingContextTree {
         diff_nodes(self, self.root(), other, other.root())
     }
 
-    /// Approximate resident bytes of the tree: nodes, child index, metric
-    /// stores and interned strings. Drives the Figure 6c/6d memory
-    /// comparison.
+    /// Approximate resident bytes of the tree: nodes, path index, metric
+    /// stores, interned strings and the path table. Drives the Figure
+    /// 6c/6d memory comparison.
     pub fn approx_bytes(&self) -> usize {
         self.approx_tree_bytes() + self.interner.approx_bytes()
     }
@@ -372,9 +370,7 @@ impl CallingContextTree {
                     + n.metrics.approx_bytes()
             })
             .sum();
-        let index_bytes = self.child_index.capacity()
-            * (std::mem::size_of::<(NodeId, FrameKey)>() + std::mem::size_of::<NodeId>() + 16);
-        node_bytes + index_bytes + self.paths.0.capacity() * std::mem::size_of::<u32>()
+        node_bytes + self.paths.0.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Renders the tree as an indented listing with one metric column,
@@ -435,6 +431,20 @@ impl CallingContextTree {
         }
         Ok(tree)
     }
+}
+
+/// Appends a node for `path` below `parent`; returns its index.
+fn append(nodes: &mut Vec<CctNode>, parent: u32, path: PathId, frame: Frame) -> u32 {
+    let id = nodes.len() as u32;
+    nodes.push(CctNode {
+        frame,
+        path,
+        parent: Some(NodeId(parent)),
+        children: Vec::new(),
+        metrics: MetricStore::new(),
+    });
+    nodes[parent as usize].children.push(NodeId(id));
+    id
 }
 
 impl Default for CallingContextTree {
@@ -630,8 +640,7 @@ mod tests {
         let mut t = CallingContextTree::new();
         let path = sample_path(&t, "aten::matmul", "sgemm");
         let leaf = t.insert_path(&path);
-        let back = t.frames_to_root(leaf);
-        assert_eq!(back.frames(), &path[..]);
+        assert_eq!(t.frames_to_root(leaf), path);
         assert_eq!(t.depth(leaf), path.len());
     }
 

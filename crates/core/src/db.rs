@@ -45,7 +45,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt::{self, Write as _};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 use crate::cct::{CallingContextTree, NodeId};
@@ -264,30 +264,6 @@ impl ProfileDb {
             cct,
             timeline,
         })
-    }
-
-    /// Reads only the header of a stored profile: magic plus the meta
-    /// lines, stopping at the string table — nothing past its first line
-    /// is read beyond the reader's buffer. Used by store listings to
-    /// scan run metadata without paying for full deserialization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Parse`] for malformed input and
-    /// [`CoreError::Io`] for read failures.
-    pub fn load_meta<R: Read>(r: R) -> Result<ProfileMeta, CoreError> {
-        let mut r = BufReader::new(r);
-        let mut header = Vec::new();
-        loop {
-            let line_at = header.len();
-            let read = r.read_until(b'\n', &mut header)?;
-            // Stop at end of input or after the first line past the
-            // magic that is not a meta line.
-            if read == 0 || (line_at > 0 && !header[line_at..].starts_with(b"meta\t")) {
-                break;
-            }
-        }
-        Ok(parse_header(&mut Lines::new(&header))?.0)
     }
 }
 
@@ -1012,22 +988,6 @@ mod tests {
         assert!(ProfileDb::load(&buf[..]).unwrap().timeline().is_none());
     }
 
-    #[test]
-    fn load_meta_reads_header_only() {
-        let mut db = sample_db();
-        db.set_timeline(Some(sample_timeline()));
-        let mut buf = Vec::new();
-        db.save(&mut buf).unwrap();
-        let meta = ProfileDb::load_meta(&buf[..]).unwrap();
-        assert_eq!(&meta, db.meta());
-        // Header-only reads also work on inputs truncated after the meta
-        // lines, which is the point: listings never parse the body.
-        let mut header = buf[..find(&buf, b"\nstrings\t") + 1].to_vec();
-        header.extend_from_slice(b"strings\t0\n");
-        let meta = ProfileDb::load_meta(&header[..]).unwrap();
-        assert_eq!(&meta, db.meta());
-    }
-
     /// Where `needle` first occurs in `haystack`.
     fn find(haystack: &[u8], needle: &[u8]) -> usize {
         haystack
@@ -1239,7 +1199,6 @@ mod tests {
     fn load_rejects_bad_magic() {
         let err = ProfileDb::load(&b"not a profile\n"[..]).unwrap_err();
         assert!(err.to_string().contains("magic"));
-        assert!(ProfileDb::load_meta(&b"not a profile\n"[..]).is_err());
         // Other versions, older and newer, are refused by name.
         let db = sample_db();
         let mut buf = Vec::new();
@@ -1247,15 +1206,11 @@ mod tests {
         for version in ["v1", "v2", "v3", "v4", "v5", "v9"] {
             let mut other = format!("deepcontext-profile {version}").into_bytes();
             other.extend_from_slice(&buf[MAGIC.len()..]);
-            for err in [
-                ProfileDb::load(&other[..]).unwrap_err(),
-                ProfileDb::load_meta(&other[..]).unwrap_err(),
-            ] {
-                assert!(
-                    err.to_string().contains(&format!("version {version}")),
-                    "{err}"
-                );
-            }
+            let err = ProfileDb::load(&other[..]).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("version {version}")),
+                "{err}"
+            );
         }
     }
 
@@ -1287,6 +1242,41 @@ mod tests {
             let bad = text.replace(&count_at, &format!("-\tR\t1\t{kind}\t{count}\t"));
             let msg = parse_error(bad.as_bytes());
             assert!(msg.contains("sample count"), "{count}: {msg}");
+        }
+    }
+
+    /// `sample_db`'s container with its node lines passed through `edit`
+    /// (root first, one line a node, fields tab-separated, parent first).
+    fn with_nodes(edit: impl FnOnce(&mut Vec<String>)) -> Vec<u8> {
+        let mut buf = Vec::new();
+        sample_db().save(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        let at = lines.iter().position(|l| l.starts_with("nodes\t")).unwrap() + 1;
+        let count: usize = lines[at - 1]["nodes\t".len()..].parse().unwrap();
+        let mut nodes = lines[at..at + count].to_vec();
+        edit(&mut nodes);
+        lines.splice(at..at + count, nodes);
+        (lines.join("\n") + "\n").into_bytes()
+    }
+
+    #[test]
+    fn a_node_repeating_a_siblings_collapse_key_is_refused() {
+        assert!(ProfileDb::load(&with_nodes(|_| {})[..]).is_ok());
+        // Node 4, the backward operator below the Python frame, becomes
+        // a second copy of node 2, the forward one.
+        let msg = parse_error(&with_nodes(|nodes| nodes[4] = nodes[2].clone()));
+        assert!(msg.contains("duplicate collapse key"), "{msg}");
+    }
+
+    #[test]
+    fn a_node_whose_parent_is_not_below_it_is_refused() {
+        for parent in [3, 4] {
+            let msg = parse_error(&with_nodes(|nodes| {
+                let rest = nodes[3].split_once('\t').unwrap().1.to_owned();
+                nodes[3] = format!("{parent}\t{rest}");
+            }));
+            assert!(msg.contains("parent id out of order"), "{parent}: {msg}");
         }
     }
 

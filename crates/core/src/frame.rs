@@ -1,9 +1,11 @@
-//! Unified multi-layer frames and call paths.
+//! Unified multi-layer frames.
 //!
 //! DeepContext's key innovation (paper §4.1, "Call Path Integration") is a
 //! single call path whose frames span every layer of the deep learning
-//! stack. [`Frame`] models one entry of such a path; [`CallPath`] is the
-//! root-to-leaf sequence handed to the calling context tree.
+//! stack. [`Frame`] models one entry of such a path; a path itself is a
+//! [`PathHandle`](crate::PathHandle) into the session's path table, or a
+//! root-first `&[Frame]` handed to
+//! [`CallingContextTree::insert_path`](crate::CallingContextTree::insert_path).
 
 use std::fmt;
 
@@ -32,20 +34,6 @@ pub enum FrameKind {
     GpuKernel,
     /// A sampled instruction PC within a kernel (fine-grained metrics).
     Instruction,
-}
-
-impl FrameKind {
-    /// All kinds, ordered from coarse to fine.
-    pub const ALL: [FrameKind; 8] = [
-        FrameKind::Root,
-        FrameKind::Thread,
-        FrameKind::Python,
-        FrameKind::Operator,
-        FrameKind::Native,
-        FrameKind::GpuApi,
-        FrameKind::GpuKernel,
-        FrameKind::Instruction,
-    ];
 }
 
 impl fmt::Display for FrameKind {
@@ -188,7 +176,7 @@ impl Frame {
     // The typed constructors intern through the caller's thread-local
     // cache (`Interner::intern_cached`): producers (DLMonitor's event
     // builders, the sim-GPU runtime) rebuild frames for the same hot
-    // names every training step, so the striped locks are skipped on
+    // names every training step, so the table's lock is skipped on
     // everything but the first sighting per thread.
 
     /// Creates a Python frame.
@@ -435,111 +423,6 @@ pub enum FrameKey {
     },
 }
 
-/// A root-to-leaf sequence of frames.
-///
-/// The first element is closest to the root (outermost caller); the last is
-/// the innermost frame (e.g. a GPU kernel). On the write path a context
-/// travels as a [`PathHandle`](crate::PathHandle); this is what one
-/// renders to ([`PathHandle::to_call_path`](crate::PathHandle::to_call_path))
-/// and what
-/// [`CallingContextTree::insert_path`](crate::CallingContextTree::insert_path)
-/// consumes.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CallPath {
-    frames: Vec<Frame>,
-}
-
-impl CallPath {
-    /// Creates an empty path.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a path from root-to-leaf frames.
-    pub fn from_frames(frames: Vec<Frame>) -> Self {
-        CallPath { frames }
-    }
-
-    /// Appends a frame at the leaf end.
-    pub fn push(&mut self, frame: Frame) {
-        self.frames.push(frame);
-    }
-
-    /// Removes and returns the leaf frame.
-    pub fn pop(&mut self) -> Option<Frame> {
-        self.frames.pop()
-    }
-
-    /// The frames, root first.
-    pub fn frames(&self) -> &[Frame] {
-        &self.frames
-    }
-
-    /// The innermost frame, if any.
-    pub fn leaf(&self) -> Option<&Frame> {
-        self.frames.last()
-    }
-
-    /// Number of frames.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Whether the path has no frames.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Renders the path as a multi-line, indented string (root at top) —
-    /// the textual analogue of the paper's Figure 3.
-    pub fn render(&self, interner: &Interner) -> String {
-        let mut out = String::new();
-        for (depth, frame) in self.frames.iter().enumerate() {
-            for _ in 0..depth {
-                out.push_str("  ");
-            }
-            let _ = frame.write_label(&mut out, interner);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Iterates frames root-first.
-    pub fn iter(&self) -> std::slice::Iter<'_, Frame> {
-        self.frames.iter()
-    }
-}
-
-impl From<Vec<Frame>> for CallPath {
-    fn from(frames: Vec<Frame>) -> Self {
-        CallPath::from_frames(frames)
-    }
-}
-
-impl FromIterator<Frame> for CallPath {
-    fn from_iter<I: IntoIterator<Item = Frame>>(iter: I) -> Self {
-        CallPath::from_frames(iter.into_iter().collect())
-    }
-}
-
-impl IntoIterator for CallPath {
-    type Item = Frame;
-    type IntoIter = std::vec::IntoIter<Frame>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.frames.into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a CallPath {
-    type Item = &'a Frame;
-    type IntoIter = std::slice::Iter<'a, Frame>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.frames.iter()
-    }
-}
-
 /// Serialization helpers shared by the profile database.
 impl Frame {
     /// Appends the frame's tab-separated record to `out`.
@@ -738,22 +621,6 @@ mod tests {
         let native = Frame::native("libcudart.so", 0x77, "cudaLaunchKernel", &i);
         let api = Frame::gpu_api("cudaLaunchKernel", "libcudart.so", 0x77, &i);
         assert_ne!(native.key(), api.key());
-    }
-
-    #[test]
-    fn call_path_push_pop_and_render() {
-        let i = interner();
-        let mut path = CallPath::new();
-        assert!(path.is_empty());
-        path.push(Frame::python("train.py", 1, "main", &i));
-        path.push(Frame::operator("aten::relu", &i));
-        assert_eq!(path.len(), 2);
-        assert_eq!(path.leaf().unwrap().kind(), FrameKind::Operator);
-        let rendered = path.render(&i);
-        assert!(rendered.contains("train.py:1"));
-        assert!(rendered.contains("aten::relu"));
-        assert_eq!(path.pop().unwrap().kind(), FrameKind::Operator);
-        assert_eq!(path.len(), 1);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Fx-style hashing: one multiply-rotate round per word instead of
 //! SipHash.
 //!
-//! The profiler's hottest maps — the CCT `child_index` probed per frame
-//! of every inserted call path, the path table and its per-thread memos,
-//! the interner stripes hit per intern — all key on
-//! small, attacker-free data (interned symbols, node ids, correlation
-//! counters). SipHash's per-lookup setup cost is pure overhead there.
+//! The profiler's hottest maps — the path table probed per frame of
+//! every new context, its per-thread memos, the interner's table and its
+//! thread-local caches — all key on small, attacker-free data (interned
+//! symbols, path ids, correlation counters). SipHash's per-lookup setup cost is pure overhead there.
 //! [`FxHasher`] is the Firefox/rustc "fx" function — fold each 8-byte
 //! word into the state with one rotate, one xor and one multiply by a
 //! mixing constant — plus a high-to-low xor-shift after the multiply:

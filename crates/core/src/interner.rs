@@ -5,14 +5,13 @@
 //! memory-overhead result depends on contexts, not strings, dominating
 //! profile size) and makes frame comparison an integer compare.
 //!
-//! The intern map is **lock-striped**: `intern` hashes the string to one
-//! of [`STRIPES`] independent `RwLock`ed maps, so concurrent producers
-//! interning *different* strings — the common case once ingestion is
-//! sharded — no longer serialize on one global lock. The hot path (interning an already-known string) is
-//! one striped read lock. Symbol ids stay dense and stable: a shared
-//! append-only symbol table assigns ids in insertion order, and a string
-//! is only ever inserted once (the stripe's write lock makes the
-//! check-then-append atomic per string).
+//! The map and the symbol table sit behind **one** `RwLock`: a known
+//! string costs one read lock, a new one a write lock that makes the
+//! check-then-append atomic, so a string is only ever inserted once and
+//! symbol ids stay dense and stable, in insertion order. Every hot caller
+//! goes through [`Interner::intern_cached`] first, whose thread-local
+//! cache takes no lock at all; the shared lock serves the first sighting
+//! of a name on a thread.
 //!
 //! The interner also owns the session's [`PathTable`]: calling contexts
 //! are built from its symbols, and it is the one object every producer
@@ -28,10 +27,6 @@ use parking_lot::RwLock;
 
 use crate::fx::FxHashMap;
 use crate::path::PathTable;
-
-/// Intern-map stripes. A power of two so the stripe pick is a mask; 16
-/// matches the default ingestion shard count.
-const STRIPES: usize = 16;
 
 /// Identity source for [`Interner::intern_cached`]'s thread-local
 /// caches: every interner instance ever constructed gets a distinct id,
@@ -79,7 +74,7 @@ impl fmt::Display for Sym {
     }
 }
 
-/// A thread-safe, lock-striped string interner.
+/// A thread-safe string interner.
 ///
 /// Shared (via [`Arc`]) between every component of a profiling session so
 /// that frames produced by the framework shim, the GPU runtime and the CPU
@@ -99,16 +94,12 @@ impl fmt::Display for Sym {
 pub struct Interner {
     /// Identity for thread-local caches (unique per instance, ever).
     id: u64,
-    /// string → symbol, striped by string hash (fx-hashed: interned
-    /// strings are not attacker-controlled, and this map sits on the
-    /// profiler's hottest path).
-    stripes: Vec<RwLock<FxHashMap<Arc<str>, Sym>>>,
-    /// symbol → string, append-only, ids dense in insertion order.
-    strings: RwLock<Vec<Arc<str>>>,
-    /// Distinct strings interned. Mirrors `strings.len()` so
+    /// Both directions of the symbol table.
+    table: RwLock<Table>,
+    /// Distinct strings interned. Mirrors the table's length so
     /// introspection ([`len`](Self::len), [`approx_bytes`](Self::approx_bytes),
-    /// stats paths) never takes the `strings` lock and never contends
-    /// with interning.
+    /// stats paths) never takes the lock and never contends with
+    /// interning.
     count: AtomicUsize,
     /// Total interned string payload bytes.
     bytes: AtomicUsize,
@@ -118,14 +109,19 @@ pub struct Interner {
     paths: PathTable,
 }
 
+/// The symbol table: string → symbol (fx-hashed: interned strings are
+/// not attacker-controlled) and symbol → string, append-only.
+#[derive(Default)]
+struct Table {
+    syms: FxHashMap<Arc<str>, Sym>,
+    strings: Vec<Arc<str>>,
+}
+
 impl Default for Interner {
     fn default() -> Self {
         Interner {
             id: NEXT_INTERNER_ID.fetch_add(1, Ordering::Relaxed),
-            stripes: (0..STRIPES)
-                .map(|_| RwLock::new(FxHashMap::default()))
-                .collect(),
-            strings: RwLock::new(Vec::new()),
+            table: RwLock::default(),
             count: AtomicUsize::new(0),
             bytes: AtomicUsize::new(0),
             paths: PathTable::default(),
@@ -139,49 +135,31 @@ impl Interner {
         Arc::new(Self::default())
     }
 
-    fn stripe_of(&self, s: &str) -> &RwLock<FxHashMap<Arc<str>, Sym>> {
-        // FNV-1a over the bytes: the stripe pick only needs a few
-        // well-mixed bits, and the stripe's own map re-hashes the full
-        // string anyway — a second SipHash pass here would double the
-        // string-hashing cost of the profiler's hottest path.
-        let h = s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        &self.stripes[(h as usize) & (STRIPES - 1)]
-    }
-
-    /// Interns `s`, returning its symbol. Idempotent.
+    /// Interns `s`, returning its symbol. Idempotent: the write lock
+    /// makes check-then-append atomic, so a string is inserted once.
     pub fn intern(&self, s: &str) -> Sym {
-        let stripe = self.stripe_of(s);
-        if let Some(&sym) = stripe.read().get(s) {
+        if let Some(&sym) = self.table.read().syms.get(s) {
             return sym;
         }
-        // The stripe write lock makes check-then-append atomic for every
-        // string hashing here; strings on other stripes proceed in
-        // parallel and only rendezvous on the symbol-table append.
-        let mut map = stripe.write();
-        if let Some(&sym) = map.get(s) {
+        let mut table = self.table.write();
+        if let Some(&sym) = table.syms.get(s) {
             return sym;
         }
         let arc: Arc<str> = Arc::from(s);
-        let sym = {
-            let mut strings = self.strings.write();
-            let sym = Sym(strings.len() as u32);
-            strings.push(Arc::clone(&arc));
-            // Published while the append lock is held, so `count` never
-            // runs ahead of a resolvable id.
-            self.count.fetch_add(1, Ordering::Release);
-            sym
-        };
+        let sym = Sym(table.strings.len() as u32);
+        table.strings.push(Arc::clone(&arc));
+        table.syms.insert(arc, sym);
+        // Published while the lock is held, so `count` never runs ahead
+        // of a resolvable id.
+        self.count.fetch_add(1, Ordering::Release);
         self.bytes.fetch_add(s.len(), Ordering::Relaxed);
-        map.insert(arc, sym);
         sym
     }
 
     /// [`intern`](Self::intern) through this thread's local `str → Sym`
     /// cache: repeated hot names (the common case — a training step
     /// re-launches the same few dozen kernels every iteration) skip the
-    /// striped locks entirely and cost one fx-hash lookup with no
+    /// table's lock entirely and cost one fx-hash lookup with no
     /// allocation. The shared interner stays the source of truth: a
     /// local miss interns through it and caches the canonical symbol, so
     /// cached answers always agree with [`intern`](Self::intern) on every thread.
@@ -220,7 +198,7 @@ impl Interner {
     /// Panics if `sym` was produced by a different interner and is out of
     /// range for this one.
     pub fn resolve(&self, sym: Sym) -> Arc<str> {
-        Arc::clone(&self.strings.read()[sym.0 as usize])
+        Arc::clone(&self.table.read().strings[sym.0 as usize])
     }
 
     /// Number of distinct strings interned. Lock-free: reads the atomic
@@ -253,7 +231,7 @@ impl Interner {
     /// All interned strings in symbol order (used by the profile database
     /// writer).
     pub fn snapshot(&self) -> Vec<Arc<str>> {
-        self.strings.read().clone()
+        self.table.read().strings.clone()
     }
 }
 
@@ -331,10 +309,10 @@ mod tests {
 
     #[test]
     fn contended_stripes_stay_consistent() {
-        // Contention smoke test for the lock striping: 8 threads hammer a
-        // mix of (a) the same hot strings — repeated read-path hits on
-        // shared stripes — and (b) thread-private strings that race fresh
-        // inserts on the shared symbol table. Every thread must observe
+        // Contention smoke test for the one table lock: 8 threads hammer a
+        // mix of (a) the same hot strings — repeated read-path hits — and
+        // (b) thread-private strings that race fresh inserts on the
+        // symbol table. Every thread must observe
         // identical ids for shared strings, ids must stay dense, and every
         // resolve must round-trip.
         let i = Interner::new();
@@ -455,7 +433,7 @@ mod tests {
     fn len_is_visible_without_the_strings_lock() {
         let i = Interner::new();
         assert!(i.is_empty());
-        // Hold the strings read path hostage? Not possible from safe
+        // Hold the table's read path hostage? Not possible from safe
         // code; instead assert the atomic mirror tracks interning
         // exactly, including the resolve-visible boundary.
         for n in 0..100 {

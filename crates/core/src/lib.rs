@@ -3,9 +3,12 @@
 //! This crate implements the representation layer of the paper
 //! *"DeepContext: A Context-aware, Cross-platform, and Cross-framework Tool
 //! for Performance Profiling and Analysis of Deep Learning Workloads"*
-//! (ASPLOS 2025): unified multi-layer [`Frame`]s and [`CallPath`]s spanning
-//! Python, framework-operator, native C/C++, GPU API and GPU kernel levels,
-//! the [`CallingContextTree`] with the paper's frame-collapse rules, online
+//! (ASPLOS 2025): unified multi-layer [`Frame`]s spanning Python,
+//! framework-operator, native C/C++, GPU API and GPU kernel levels, the
+//! [`PathTable`] — every calling context of a session, by [`PathId`], and
+//! the one place that decides whether two frames are the same context —
+//! the [`CallingContextTree`] built on it with the paper's frame-collapse
+//! rules, online
 //! metric aggregation ([`MetricStat`]: count / sum / min / max, exact in any
 //! merge order for integer and power-of-two-multiple samples) with
 //! root-ward propagation, a virtual clock, a persistent profile
@@ -51,7 +54,7 @@ pub use cct::{CallingContextTree, CctNode, NodeId};
 pub use clock::{TimeNs, VirtualClock};
 pub use db::{ProfileDb, ProfileMeta};
 pub use error::CoreError;
-pub use frame::{CallPath, Frame, FrameKey, FrameKind, OpPhase, ThreadRole};
+pub use frame::{Frame, FrameKey, FrameKind, OpPhase, ThreadRole};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use interner::{Interner, Sym};
 pub use metrics::{MetricKind, MetricStat, MetricStore, StallReason};
@@ -64,7 +67,7 @@ pub use window::IdWindow;
 /// Convenient re-exports for downstream crates.
 pub mod prelude {
     pub use crate::{
-        CallPath, CallingContextTree, CctShard, Frame, FrameKind, Interner, MetricKind, MetricStat,
+        CallingContextTree, CctShard, Frame, FrameKind, Interner, LivePath, MetricKind, MetricStat,
         NodeId, OpPhase, PathHandle, PathId, ProfileDb, StallReason, Sym, TimeNs, VirtualClock,
     };
 }

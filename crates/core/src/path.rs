@@ -15,8 +15,12 @@
 //! through a dense vector, and a fold places rows in the master tree by
 //! `PathId` ([`CallingContextTree::path_node`](crate::CallingContextTree::path_node)). A PC sample's
 //! instruction frame and the `<unattributed>` catch-all are entries too.
-//! A [`CallPath`] is only materialised to *show* a context
-//! ([`PathHandle::to_call_path`]).
+//! The read side asks the same table: every tree node records its
+//! `PathId`, and [`CallingContextTree::insert_child`](crate::CallingContextTree::insert_child)
+//! finds a node by the id the table gives (parent's path, frame). So the
+//! table is the one place that decides whether two frames are the same
+//! context. Frames are only materialised to *show* a context
+//! ([`LivePath::frames`], [`LivePath::render`]).
 //!
 //! Frames collapse by [`FrameKey`], so an entry keeps the **first** frame
 //! seen under its key: display-only fields (`function`, `seq_id`,
@@ -29,7 +33,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::{RwLock, RwLockReadGuard};
 
-use crate::frame::{CallPath, Frame, FrameKey};
+use crate::frame::{Frame, FrameKey};
 use crate::fx::FxHashMap;
 use crate::interner::Interner;
 
@@ -83,12 +87,6 @@ impl PathHandle {
     pub fn is_empty(self) -> bool {
         self.depth == 0
     }
-
-    /// The path's frames, root first, as first seen (cold: one table
-    /// read lock and one vector).
-    pub fn to_call_path(self, interner: &Interner) -> CallPath {
-        LivePath::new(self, None).to_call_path(interner)
-    }
 }
 
 /// A context as one launch or sample saw it: the [`PathHandle`] plus the
@@ -135,8 +133,8 @@ impl LivePath {
     /// and backward operator frames share it (an enclosing operator taped
     /// under an id of its own would show the inner one's; the engines
     /// here dispatch flat) — every other field is the table's, as first
-    /// seen.
-    pub fn to_call_path(self, interner: &Interner) -> CallPath {
+    /// seen. With no sequence id, every frame is the table's.
+    pub fn frames(self, interner: &Interner) -> Vec<Frame> {
         let entries = interner.paths().entries();
         let mut frames: Vec<Frame> = entries
             .leaf_to_root(self.path.id)
@@ -157,12 +155,22 @@ impl LivePath {
             })
             .collect();
         frames.reverse();
-        CallPath::from_frames(frames)
+        frames
     }
 
-    /// [`CallPath::render`] of [`to_call_path`](Self::to_call_path).
+    /// [`frames`](Self::frames) as a multi-line string, one label a line,
+    /// each indented two spaces deeper than its caller (root at top) —
+    /// the textual analogue of the paper's Figure 3.
     pub fn render(self, interner: &Interner) -> String {
-        self.to_call_path(interner).render(interner)
+        let mut out = String::new();
+        for (depth, frame) in self.frames(interner).iter().enumerate() {
+            for _ in 0..depth {
+                out.push_str("  ");
+            }
+            let _ = frame.write_label(&mut out, interner);
+            out.push('\n');
+        }
+        out
     }
 }
 
@@ -310,6 +318,21 @@ impl PathIndex {
             .filter(|&at| at != UNPLACED)
     }
 
+    /// Records `at` as `path`'s index.
+    pub(crate) fn set(&mut self, path: PathId, at: u32) {
+        self.grow(path);
+        self.0[path.index()] = at;
+    }
+
+    /// Makes room for `path`'s slot. Parents precede children in the
+    /// table: every ancestor's slot is in range too.
+    fn grow(&mut self, path: PathId) {
+        if path.index() >= self.0.len() {
+            self.0.resize(path.index() + 1, UNPLACED);
+            self.0[0] = 0;
+        }
+    }
+
     /// `path`'s index, placing first whatever of it is missing: walking
     /// `table`'s parent links up to the nearest placed ancestor, then
     /// down again, `add(parent's index, path, frame)` appends each
@@ -321,12 +344,7 @@ impl PathIndex {
         path: PathId,
         mut add: impl FnMut(u32, PathId, &Frame) -> u32,
     ) -> u32 {
-        if path.index() >= self.0.len() {
-            // Parents precede children in the table: every ancestor's
-            // slot is in range too.
-            self.0.resize(path.index() + 1, UNPLACED);
-            self.0[0] = 0;
-        }
+        self.grow(path);
         let entries = table.entries();
         let missing: Vec<PathId> = entries
             .leaf_to_root(path)
@@ -404,9 +422,10 @@ mod tests {
         let gelu = i.paths().intern(&path(&i, "aten::gelu"));
         assert_ne!(relu.id(), gelu.id());
         assert_eq!(i.paths().len(), 5, "the Python frame is shared");
-        assert_eq!(relu.to_call_path(&i).frames(), &path(&i, "aten::relu")[..]);
+        let frames = |handle| LivePath::new(handle, None).frames(&i);
+        assert_eq!(frames(relu), path(&i, "aten::relu"));
         assert!(PathHandle::ROOT.is_empty());
-        assert!(PathHandle::ROOT.to_call_path(&i).is_empty());
+        assert!(frames(PathHandle::ROOT).is_empty());
     }
 
     #[test]
@@ -417,13 +436,13 @@ mod tests {
         let a = i.paths().extend(PathHandle::ROOT, &first);
         let b = i.paths().extend(PathHandle::ROOT, &later);
         assert_eq!(a, b, "sequence ids are not part of the collapse key");
-        assert_eq!(a.to_call_path(&i).frames(), &[first]);
+        assert_eq!(LivePath::new(a, None).frames(&i), [first]);
         // A sighting shows its own id; frames without one are untouched.
-        let shown = LivePath::new(b, Some(9)).to_call_path(&i);
-        assert_eq!(shown.frames(), std::slice::from_ref(&later));
+        let shown = LivePath::new(b, Some(9)).frames(&i);
+        assert_eq!(shown, std::slice::from_ref(&later));
         let plain = i.paths().extend(b, &Frame::operator("aten::relu", &i));
-        let shown = LivePath::new(plain, Some(9)).to_call_path(&i);
-        assert_eq!(shown.frames(), &[later, Frame::operator("aten::relu", &i)]);
+        let shown = LivePath::new(plain, Some(9)).frames(&i);
+        assert_eq!(shown, [later, Frame::operator("aten::relu", &i)]);
     }
 
     #[test]

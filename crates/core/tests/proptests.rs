@@ -559,7 +559,7 @@ proptest! {
         for (handle, p) in handles {
             let node = target.path_node(handle.id());
             let keys = |frames: &[Frame]| frames.iter().map(|f| format!("{:?}", f.key())).collect::<Vec<_>>();
-            prop_assert_eq!(keys(target.frames_to_root(node).frames()), keys(p));
+            prop_assert_eq!(keys(&target.frames_to_root(node)), keys(p));
             if let Some(up) = interner.paths().entries().leaf_to_root(handle.id()).nth(1) {
                 prop_assert_eq!(target.node(node).parent(), Some(target.path_node(up)));
             }

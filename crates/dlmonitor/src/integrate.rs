@@ -137,7 +137,7 @@ pub fn integrate_call_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepcontext_core::{FrameKind, OpPhase};
+    use deepcontext_core::{FrameKind, LivePath, OpPhase};
 
     const LIBPYTHON: &str = "libpython3.11.so";
 
@@ -185,7 +185,7 @@ mod tests {
                 .iter()
                 .any(|f| f.pc == pc && f.library.as_ref() == LIBPYTHON)
         };
-        integrate_call_path(
+        let path = integrate_call_path(
             interner.paths().intern(python),
             &shadow(python, operators, interner),
             native,
@@ -193,10 +193,8 @@ mod tests {
             is_python,
             &mut PathMemo::default(),
             interner,
-        )
-        .to_call_path(interner)
-        .frames()
-        .to_vec()
+        );
+        LivePath::new(path, None).frames(interner)
     }
 
     fn integrate(
@@ -374,7 +372,7 @@ mod tests {
             &interner,
         );
         assert_eq!(
-            labels(path.to_call_path(&interner).frames(), &interner),
+            labels(&LivePath::new(path, None).frames(&interner), &interner),
             vec!["train.py:9", "aten::relu"]
         );
     }

@@ -17,7 +17,7 @@
 //! Both return a [`LivePath`] — the handle plus the autograd sequence id
 //! the launch ran under, the one display field a context does not fix —
 //! and frames are only materialised to show it
-//! ([`LivePath::to_call_path`]).
+//! ([`LivePath::frames`]).
 //!
 //! What a launch touches on the way there is borrowed, not copied:
 //!
@@ -1131,7 +1131,7 @@ fn vendor_index(vendor: Vendor) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepcontext_core::{CallPath, FrameKind, ThreadRole, TimeNs};
+    use deepcontext_core::{FrameKind, ThreadRole, TimeNs};
     use dl_framework::{EagerEngine, FrameworkCore, Op, OpKind, TensorMeta};
     use sim_gpu::{DeviceId, DeviceSpec, GpuRuntime};
 
@@ -1163,7 +1163,7 @@ mod tests {
         }
     }
 
-    fn launch_paths(rig: &Rig) -> Arc<Mutex<Vec<CallPath>>> {
+    fn launch_paths(rig: &Rig) -> Arc<Mutex<Vec<Vec<Frame>>>> {
         let paths = Arc::new(Mutex::new(Vec::new()));
         let p = Arc::clone(&paths);
         let monitor = Arc::clone(&rig.monitor);
@@ -1171,7 +1171,7 @@ mod tests {
             if let DlEvent::Gpu(gpu_event) = event {
                 if gpu_event.data.api == ApiKind::LaunchKernel {
                     let path = monitor.callpath_for_gpu(gpu_event);
-                    p.lock().push(path.to_call_path(&monitor.interner));
+                    p.lock().push(path.frames(&monitor.interner));
                 }
             }
         });
@@ -1194,7 +1194,7 @@ mod tests {
 
         let paths = paths.lock();
         assert_eq!(paths.len(), 1);
-        let kinds: Vec<FrameKind> = paths[0].frames().iter().map(|f| f.kind()).collect();
+        let kinds: Vec<FrameKind> = paths[0].iter().map(|f| f.kind()).collect();
         // Python, Python, Operator, Native(dispatcher), Native(impl), GpuApi, GpuKernel.
         assert_eq!(
             kinds,
@@ -1209,11 +1209,7 @@ mod tests {
             ]
         );
         let interner = rig.monitor.interner();
-        let labels: Vec<String> = paths[0]
-            .frames()
-            .iter()
-            .map(|f| f.short_label(&interner))
-            .collect();
+        let labels: Vec<String> = paths[0].iter().map(|f| f.short_label(&interner)).collect();
         assert_eq!(labels[0], "train.py:12");
         assert_eq!(labels[1], "model.py:34");
         assert_eq!(labels[2], "aten::relu");
@@ -1239,7 +1235,7 @@ mod tests {
             .op(Op::new(OpKind::Relu), &[TensorMeta::new([64])])
             .unwrap();
         let paths = paths.lock();
-        let kinds: Vec<FrameKind> = paths[0].frames().iter().map(|f| f.kind()).collect();
+        let kinds: Vec<FrameKind> = paths[0].iter().map(|f| f.kind()).collect();
         assert!(!kinds.contains(&FrameKind::Python));
         assert!(!kinds.contains(&FrameKind::Operator));
         assert!(kinds.contains(&FrameKind::Native));
@@ -1272,8 +1268,8 @@ mod tests {
         let interner = rig.monitor.interner();
         // Each iteration's paths show its own sequence id, on the forward
         // operator recovered through the association as well.
-        let ids = |path: &CallPath| -> Vec<Option<u64>> {
-            let ops = path.frames().iter().filter_map(|f| match f {
+        let ids = |path: &[Frame]| -> Vec<Option<u64>> {
+            let ops = path.iter().filter_map(|f| match f {
                 Frame::Operator { seq_id, .. } => Some(*seq_id),
                 _ => None,
             });
@@ -1283,11 +1279,7 @@ mod tests {
         assert_eq!(ids(&paths[2]), [Some(1), Some(1)]);
         assert_eq!(ids(&paths[3]), [Some(2)]);
         assert_eq!(ids(&paths[5]), [Some(2), Some(2)]);
-        let bwd_labels: Vec<String> = paths[2]
-            .frames()
-            .iter()
-            .map(|f| f.short_label(&interner))
-            .collect();
+        let bwd_labels: Vec<String> = paths[2].iter().map(|f| f.short_label(&interner)).collect();
         // The backward path begins with the *forward* Python context.
         assert_eq!(bwd_labels[0], "train.py:12");
         assert_eq!(bwd_labels[1], "aten::index");
@@ -1326,14 +1318,14 @@ mod tests {
         let bwd = rig
             .monitor
             .callpath_get(&backward)
-            .to_call_path(&rig.monitor.interner);
+            .frames(&rig.monitor.interner);
         core.callbacks().fire_op(&event(Site::Exit));
 
         assert_eq!(paths.lock().len(), 1, "the forward launch");
         assert_eq!(rig.monitor.stats().assoc_hits, 0);
-        assert!(bwd.frames().iter().any(|f| f.kind() == FrameKind::Operator));
+        assert!(bwd.iter().any(|f| f.kind() == FrameKind::Operator));
         assert!(
-            bwd.frames().iter().all(|f| f.kind() != FrameKind::Python),
+            bwd.iter().all(|f| f.kind() != FrameKind::Python),
             "orphaned backward path must lack Python frames"
         );
     }
@@ -1459,7 +1451,7 @@ mod tests {
         assert_eq!(rig.env.unwinder().steps_taken(), before);
 
         let paths = paths.lock();
-        let kinds: Vec<FrameKind> = paths[0].frames().iter().map(|f| f.kind()).collect();
+        let kinds: Vec<FrameKind> = paths[0].iter().map(|f| f.kind()).collect();
         assert_eq!(
             kinds,
             vec![
@@ -1525,8 +1517,7 @@ mod tests {
                 if gpu_event.data.api == ApiKind::LaunchKernel {
                     let path = monitor.callpath_for_gpu(gpu_event);
                     let labels = path
-                        .to_call_path(&monitor.interner)
-                        .frames()
+                        .frames(&monitor.interner)
                         .iter()
                         .map(|f| f.short_label(&monitor.interner))
                         .collect();
@@ -1622,7 +1613,7 @@ mod tests {
                     core.callbacks().fire_op(&event);
                     let frames = |rig: &Rig| {
                         let path = rig.monitor.callpath_get(&thread);
-                        path.to_call_path(&rig.monitor.interner).frames().len()
+                        path.frames(&rig.monitor.interner).len()
                     };
                     assert_eq!(frames(rig), 1, "the operator");
                     assert_eq!(rig.monitor.shadow_depth(thread.tid()), 1);

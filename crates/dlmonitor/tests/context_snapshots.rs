@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use deepcontext_core::{CallPath, FrameKind, Interner, OpPhase, ThreadRole, TimeNs};
+use deepcontext_core::{Frame, FrameKind, Interner, OpPhase, ThreadRole, TimeNs};
 use dl_framework::{
     CallbackRegistry, EagerEngine, FrameworkCore, Op, OpEvent, OpKind, Site, TensorMeta,
 };
@@ -52,14 +52,14 @@ fn rig() -> Rig {
 }
 
 /// Collects the call path of every kernel launch.
-fn launch_paths(rig: &Rig) -> Arc<Mutex<Vec<CallPath>>> {
+fn launch_paths(rig: &Rig) -> Arc<Mutex<Vec<Vec<Frame>>>> {
     let paths = Arc::new(Mutex::new(Vec::new()));
     let (p, monitor) = (Arc::clone(&paths), Arc::clone(&rig.monitor));
     rig.monitor.callback_register(Domain::Gpu, move |event| {
         let DlEvent::Gpu(gpu) = event else { return };
         if gpu.data.api == ApiKind::LaunchKernel {
             let path = monitor.callpath_for_gpu(gpu);
-            p.lock().push(path.to_call_path(&monitor.interner()));
+            p.lock().push(path.frames(&monitor.interner()));
         }
     });
     paths
@@ -71,11 +71,8 @@ fn relu(rig: &Rig) {
         .unwrap();
 }
 
-fn labels(path: &CallPath, interner: &Interner) -> Vec<String> {
-    path.frames()
-        .iter()
-        .map(|f| f.short_label(interner))
-        .collect()
+fn labels(path: &[Frame], interner: &Interner) -> Vec<String> {
+    path.iter().map(|f| f.short_label(interner)).collect()
 }
 
 fn op_event(
@@ -121,7 +118,7 @@ fn enabling_the_cache_mid_operator_keeps_the_python_context() {
 
     let paths = paths.lock();
     assert_eq!(paths[0], paths[1]);
-    assert_eq!(paths[0].frames()[0].kind(), FrameKind::Python);
+    assert_eq!(paths[0][0].kind(), FrameKind::Python);
 }
 
 #[test]
@@ -212,7 +209,7 @@ fn concurrent_forward_and_backward_threads_keep_their_own_shadow_stacks() {
             registry.fire_op(&op_event(name, phase, seq, Site::Enter, thread));
             barrier.wait();
             let depth = rig.monitor.shadow_depth(thread.tid());
-            let path = rig.monitor.callpath_get(thread).to_call_path(&interner);
+            let path = rig.monitor.callpath_get(thread).frames(&interner);
             paths.push((depth, labels(&path, &interner)));
             barrier.wait();
             registry.fire_op(&op_event(name, phase, seq, Site::Exit, thread));
@@ -369,9 +366,9 @@ fn a_nested_backward_pass_retires_the_outer_tape() {
     let backward_op = |seq: u64| {
         let event = |site| op_event("aten::relu", OpPhase::Backward, seq, site, &backward);
         registry.fire_op(&event(Site::Enter));
-        let path = rig.monitor.callpath_get(&backward).to_call_path(&interner);
+        let path = rig.monitor.callpath_get(&backward).frames(&interner);
         registry.fire_op(&event(Site::Exit));
-        (seq, path.frames()[0].short_label(&interner))
+        (seq, path[0].short_label(&interner))
     };
 
     (1..=4).for_each(forward);
@@ -419,12 +416,7 @@ fn a_libpython_loaded_after_a_path_was_built_cuts_the_next_one_over() {
             NativeFrameGuard::enter(main.native(), NativeFrameInfo::new(lib, pc, symbol))
         })
         .collect();
-        let path = || {
-            labels(
-                &monitor.callpath_get(&main).to_call_path(&interner),
-                &interner,
-            )
-        };
+        let path = || labels(&monitor.callpath_get(&main).frames(&interner), &interner);
         let expect = |native: &[&str]| -> Vec<String> {
             let frames = ["train.py:3"]
                 .into_iter()
@@ -478,7 +470,7 @@ fn native_tails_sharing_an_operator_a_leaf_and_a_length_keep_their_own_contexts(
     let (v8, v7) = (under(("cudnn::v8", 0x10)), under(("cudnn::v7", 0x20)));
     assert_ne!(v8, v7);
     assert_eq!(
-        labels(&v7.to_call_path(&interner), &interner),
+        labels(&v7.frames(&interner), &interner),
         vec!["aten::conv2d", "cudnn::v7", "cudaLaunchKernel"]
     );
     let contexts = interner.paths().len();
@@ -498,12 +490,7 @@ fn a_remembered_native_tail_is_not_reused_when_operators_interleave_with_it() {
     let interner = monitor.interner();
     let op = |name: &str, site| op_event(name, OpPhase::Forward, 1, site, &main);
     let tail = [("x", 0x10), ("y", 0x20), ("z", 0x30)];
-    let path = || {
-        labels(
-            &monitor.callpath_get(&main).to_call_path(&interner),
-            &interner,
-        )
-    };
+    let path = || labels(&monitor.callpath_get(&main).frames(&interner), &interner);
 
     let deep = enter_native(&main, &[("a", 0x1), ("b", 0x2), ("c", 0x3)]);
     registry.fire_op(&op("aten::linear", Site::Enter));
@@ -554,8 +541,8 @@ fn kernels_sharing_an_entry_pc_across_modules_keep_their_own_frames() {
         };
         rig.monitor
             .callpath_for_gpu(&event)
-            .to_call_path(&interner)
-            .leaf()
+            .frames(&interner)
+            .last()
             .expect("API and kernel frames")
             .label(&interner)
     };

@@ -3,7 +3,7 @@
 //! the unified path preserves ordering, loses no operators, and respects
 //! the libpython cutover.
 
-use deepcontext_core::{CallPath, Frame, FrameKind, Interner, OpPhase, PathMemo};
+use deepcontext_core::{Frame, FrameKind, Interner, LivePath, OpPhase, PathMemo};
 use dlmonitor::{integrate_call_path, ShadowOp};
 use proptest::prelude::*;
 use sim_runtime::NativeFrameInfo;
@@ -20,7 +20,7 @@ struct Scenario {
 }
 
 impl Scenario {
-    fn integrate(&self, interner: &Interner) -> CallPath {
+    fn integrate(&self, interner: &Interner) -> Vec<Frame> {
         let python: Vec<Frame> = (0..self.n_python)
             .map(|i| Frame::python("model.py", i as u32, "fn", interner))
             .collect();
@@ -58,7 +58,7 @@ impl Scenario {
             );
             operators.push(op);
         }
-        integrate_call_path(
+        let path = integrate_call_path(
             python,
             &operators,
             &native,
@@ -66,8 +66,8 @@ impl Scenario {
             |pc| pc == INTERP_PC,
             &mut memo,
             interner,
-        )
-        .to_call_path(interner)
+        );
+        LivePath::new(path, None).frames(interner)
     }
 }
 
@@ -95,7 +95,7 @@ proptest! {
     fn integration_preserves_counts_and_order(scenario in arb_scenario()) {
         let interner = Interner::new();
         let path = scenario.integrate(&interner);
-        let kinds: Vec<FrameKind> = path.frames().iter().map(|f| f.kind()).collect();
+        let kinds: Vec<FrameKind> = path.iter().map(|f| f.kind()).collect();
 
         // Counts: every python frame, every operator, and every native
         // frame below the cutover appears exactly once.
@@ -114,7 +114,6 @@ proptest! {
 
         // Operators retain shadow-stack order.
         let op_labels: Vec<String> = path
-            .frames()
             .iter()
             .filter(|f| f.kind() == FrameKind::Operator)
             .map(|f| f.short_label(&interner))
@@ -135,7 +134,6 @@ proptest! {
         let path = scenario.integrate(&interner);
         // The libpython frame must be replaced by the Python source path.
         prop_assert!(path
-            .frames()
             .iter()
             .all(|f| !f.label(&interner).contains("_PyEval_EvalFrameDefault")));
     }

@@ -3,13 +3,16 @@
 use std::collections::HashMap;
 
 use deepcontext_analyzer::{AnalysisReport, Severity};
-use deepcontext_core::{CallingContextTree, FrameKind, MetricKind, NodeId};
+use deepcontext_core::{CallingContextTree, FrameKind, Interner, MetricKind, NodeId};
 
 /// One box of a flame graph.
 #[derive(Debug, Clone)]
 pub struct FlameNode {
     /// Display label.
     pub label: String,
+    /// The tree node a top-down box was built from (`None` in a
+    /// bottom-up graph, whose boxes merge many nodes).
+    pub(crate) node: Option<NodeId>,
     /// Frame kind (drives colour coding).
     pub kind: FrameKind,
     /// Inclusive metric value.
@@ -26,6 +29,7 @@ impl FlameNode {
     fn new(label: String, kind: FrameKind, value: f64) -> Self {
         FlameNode {
             label,
+            node: None,
             kind,
             value,
             children: Vec::new(),
@@ -82,49 +86,39 @@ impl FlameNode {
 pub struct FlameGraph {
     root: FlameNode,
     metric: MetricKind,
-    /// Tree-node provenance for top-down graphs (used by `annotate`).
-    provenance: HashMap<String, Vec<NodeId>>,
 }
 
 impl FlameGraph {
     /// Builds the top-down view: a direct representation of the calling
-    /// context tree, pruned to nodes carrying the metric.
+    /// context tree, pruned to nodes carrying the metric. Each box keeps
+    /// the node it was built from.
     pub fn top_down(cct: &CallingContextTree, metric: MetricKind) -> FlameGraph {
-        let mut provenance: HashMap<String, Vec<NodeId>> = HashMap::new();
-        let root = Self::build_top_down(cct, cct.root(), metric, &mut provenance, String::new());
+        let root = Self::build_top_down(cct, &cct.interner(), cct.root(), metric);
         FlameGraph {
             root: root.unwrap_or_else(|| FlameNode::new("<root>".into(), FrameKind::Root, 0.0)),
             metric,
-            provenance,
         }
     }
 
     fn build_top_down(
         cct: &CallingContextTree,
+        interner: &Interner,
         id: NodeId,
         metric: MetricKind,
-        provenance: &mut HashMap<String, Vec<NodeId>>,
-        path: String,
     ) -> Option<FlameNode> {
         let node = cct.node(id);
         let value = node.metrics().sum(metric);
         if value <= 0.0 {
             return None;
         }
-        let interner = cct.interner();
-        let label = node.frame().short_label(&interner);
-        let key = if path.is_empty() {
-            label.clone()
-        } else {
-            format!("{path};{label}")
-        };
-        provenance.entry(key.clone()).or_default().push(id);
+        let label = node.frame().short_label(interner);
         let mut fnode = FlameNode::new(label, node.frame().kind(), value);
-        for &child in node.children() {
-            if let Some(c) = Self::build_top_down(cct, child, metric, provenance, key.clone()) {
-                fnode.children.push(c);
-            }
-        }
+        fnode.node = Some(id);
+        fnode.children = node
+            .children()
+            .iter()
+            .filter_map(|&child| Self::build_top_down(cct, interner, child, metric))
+            .collect();
         Some(fnode)
     }
 
@@ -150,7 +144,6 @@ impl FlameGraph {
             // Reversed path: leaf frame first.
             let mut labels: Vec<(String, FrameKind)> = cct
                 .frames_to_root(id)
-                .frames()
                 .iter()
                 .map(|f| (f.short_label(&interner), f.kind()))
                 .collect();
@@ -171,11 +164,7 @@ impl FlameGraph {
         }
         // Sort top level by value (biggest consumers first), as the GUI does.
         root.children.sort_by(|a, b| b.value.total_cmp(&a.value));
-        FlameGraph {
-            root,
-            metric,
-            provenance: HashMap::new(),
-        }
+        FlameGraph { root, metric }
     }
 
     /// The root box.
@@ -205,8 +194,8 @@ impl FlameGraph {
         mark(&mut self.root, threshold * total);
     }
 
-    /// Attaches analyzer issues to the boxes they point at (top-down
-    /// graphs only — provenance is recorded during construction).
+    /// Attaches analyzer issues to the boxes built from the nodes they
+    /// point at (top-down graphs only: a bottom-up box names no node).
     pub fn annotate(&mut self, report: &AnalysisReport) {
         let mut by_node: HashMap<NodeId, Vec<(Severity, String)>> = HashMap::new();
         for issue in report.issues() {
@@ -215,31 +204,15 @@ impl FlameGraph {
                 .or_default()
                 .push((issue.severity, format!("{}: {}", issue.rule, issue.message)));
         }
-        fn walk(
-            node: &mut FlameNode,
-            path: String,
-            provenance: &HashMap<String, Vec<NodeId>>,
-            by_node: &HashMap<NodeId, Vec<(Severity, String)>>,
-        ) {
-            let key = if path.is_empty() {
-                node.label.clone()
-            } else {
-                format!("{path};{}", node.label)
-            };
-            if let Some(ids) = provenance.get(&key) {
-                for id in ids {
-                    if let Some(issues) = by_node.get(id) {
-                        node.issues.extend(issues.iter().cloned());
-                    }
-                }
+        fn walk(node: &mut FlameNode, by_node: &HashMap<NodeId, Vec<(Severity, String)>>) {
+            if let Some(issues) = node.node.and_then(|id| by_node.get(&id)) {
+                node.issues.extend(issues.iter().cloned());
             }
             for c in &mut node.children {
-                walk(c, key.clone(), provenance, by_node);
+                walk(c, by_node);
             }
         }
-        let provenance = std::mem::take(&mut self.provenance);
-        walk(&mut self.root, String::new(), &provenance, &by_node);
-        self.provenance = provenance;
+        walk(&mut self.root, &by_node);
     }
 
     /// Total boxes.
@@ -360,5 +333,39 @@ mod tests {
         let gemm = &fg.root().children[0].children[0].children[0];
         assert_eq!(gemm.label, "implicit_gemm");
         assert!(!gemm.issues.is_empty());
+    }
+
+    #[test]
+    fn an_issue_marks_only_its_own_box_among_same_named_siblings() {
+        use deepcontext_analyzer::{Analyzer, HotspotRule};
+        use deepcontext_core::{ProfileDb, ProfileMeta};
+        // One operator launches `sgemm` from two modules: two contexts,
+        // two sibling boxes with one label.
+        let mut cct = CallingContextTree::new();
+        let i = cct.interner();
+        let op = cct.insert_path(&[Frame::operator("aten::matmul", &i)]);
+        let torch = cct.insert_child(op, &Frame::gpu_kernel("sgemm", "libtorch.so", 0x10, &i));
+        let cublas = cct.insert_child(op, &Frame::gpu_kernel("sgemm", "libcublas.so", 0x10, &i));
+        cct.attribute(torch, MetricKind::GpuTime, 90.0);
+        cct.attribute(cublas, MetricKind::GpuTime, 10.0);
+        let db = ProfileDb::new(ProfileMeta::default(), cct);
+        let mut analyzer = Analyzer::new();
+        analyzer.add_rule(HotspotRule { threshold: 0.5 });
+        let report = analyzer.analyze(&db);
+        assert_eq!(
+            report.issues().iter().map(|i| i.node).collect::<Vec<_>>(),
+            [torch]
+        );
+
+        let mut fg = FlameGraph::top_down(db.cct(), MetricKind::GpuTime);
+        fg.annotate(&report);
+        let kernels = &fg.root().children[0].children;
+        assert_eq!(kernels.len(), 2);
+        for kernel in kernels {
+            assert_eq!(kernel.label, "sgemm");
+            // The 90-unit box is `torch`'s, the 10-unit one `cublas`'s.
+            let flagged = kernel.value == 90.0;
+            assert_eq!(!kernel.issues.is_empty(), flagged, "{}", kernel.value);
+        }
     }
 }

@@ -173,7 +173,16 @@ mod tests {
     #[test]
     fn kind_colors_are_distinct() {
         let mut seen = std::collections::HashSet::new();
-        for kind in FrameKind::ALL {
+        for kind in [
+            FrameKind::Root,
+            FrameKind::Thread,
+            FrameKind::Python,
+            FrameKind::Operator,
+            FrameKind::Native,
+            FrameKind::GpuApi,
+            FrameKind::GpuKernel,
+            FrameKind::Instruction,
+        ] {
             assert!(seen.insert(kind_color(kind)), "duplicate color for {kind}");
         }
     }

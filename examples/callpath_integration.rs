@@ -22,7 +22,7 @@ fn collect_launch_path(
     sources: CallPathSources,
     bed: &TestBed,
     core: &Arc<FrameworkCore>,
-) -> CallPath {
+) -> LivePath {
     monitor.set_sources(sources);
     let paths = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&paths);
@@ -50,7 +50,7 @@ fn collect_launch_path(
     }
     monitor.callback_unregister(reg);
     let first = paths.lock()[0];
-    first.to_call_path(&monitor.interner())
+    first
 }
 
 fn main() {
@@ -78,8 +78,8 @@ fn main() {
     let unified = collect_launch_path(&monitor, CallPathSources::all(), &bed, &core);
     print!("{}", unified.render(&interner));
 
-    println!("\nlayers in (a): {:?}", layer_set(&native_only));
-    println!("layers in (b): {:?}", layer_set(&unified));
+    println!("\nlayers in (a): {:?}", layer_set(native_only, &interner));
+    println!("layers in (b): {:?}", layer_set(unified, &interner));
 
     custom_driver(&bed);
 }
@@ -117,8 +117,8 @@ fn custom_driver(bed: &TestBed) {
     );
 }
 
-fn layer_set(path: &CallPath) -> Vec<FrameKind> {
-    let mut kinds: Vec<FrameKind> = path.frames().iter().map(|f| f.kind()).collect();
+fn layer_set(path: LivePath, interner: &Interner) -> Vec<FrameKind> {
+    let mut kinds: Vec<FrameKind> = path.frames(interner).iter().map(|f| f.kind()).collect();
     kinds.dedup();
     kinds
 }

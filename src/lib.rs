@@ -69,7 +69,7 @@ pub use sim_runtime as runtime;
 pub mod prelude {
     pub use deepcontext_analyzer::{Analyzer, Issue, ProfileDiff, ProfileStore, Rule, Severity};
     pub use deepcontext_core::{
-        CallPath, CallingContextTree, Frame, FrameKind, Interner, MetricKind, NodeId, OpPhase,
+        CallingContextTree, Frame, FrameKind, Interner, LivePath, MetricKind, NodeId, OpPhase,
         PathHandle, ProfileDb, ProfileMeta, StallReason, TimeNs, VirtualClock,
     };
     pub use deepcontext_flamegraph::FlameGraph;

@@ -77,15 +77,11 @@ fn backward_kernels_are_attributed_to_forward_python_context() {
         .find(|n| cct.node(*n).frame().short_label(&interner) == "indexing_backward_kernel")
         .expect("backward kernel present");
     let path = cct.frames_to_root(bwd_kernel);
-    let kinds: Vec<FrameKind> = path.frames().iter().map(|f| f.kind()).collect();
+    let kinds: Vec<FrameKind> = path.iter().map(|f| f.kind()).collect();
     // Association: the path must START with Python frames even though the
     // kernel launched from the Python-less backward thread.
     assert_eq!(kinds[0], FrameKind::Python);
-    let labels: Vec<String> = path
-        .frames()
-        .iter()
-        .map(|f| f.short_label(&interner))
-        .collect();
+    let labels: Vec<String> = path.iter().map(|f| f.short_label(&interner)).collect();
     assert!(labels.contains(&"dlrm.py:24".to_owned()), "{labels:?}");
     assert!(labels.contains(&"aten::index".to_owned()));
     assert!(labels.contains(&"aten::index~bwd".to_owned()));

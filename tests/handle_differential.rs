@@ -18,7 +18,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use deepcontext::core::{
-    CallingContextTree, Frame, Interner, MetricKind, NodeId, PathHandle, StallReason, TimeNs,
+    CallingContextTree, Frame, Interner, LivePath, MetricKind, NodeId, PathHandle, StallReason,
+    TimeNs,
 };
 use deepcontext::gpu::{
     Activity, ActivityKind, ApiKind, CorrelationId, DeviceId, PcSample, StreamId,
@@ -296,7 +297,7 @@ fn check(steps: &[Step], shards: usize) {
     let handle_of = |frames: &[Frame]| -> PathHandle {
         let handle = interner.paths().intern(frames);
         assert_eq!(handle.len(), frames.len());
-        assert_eq!(handle.to_call_path(&interner).frames(), frames);
+        assert_eq!(LivePath::new(handle, None).frames(&interner), frames);
         handle
     };
 

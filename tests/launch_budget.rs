@@ -148,7 +148,7 @@ const SHAPES: [Shape; 3] = [
         native: false,
         launches: 2150,
         locks: &[
-            ("core/interner.rs::intern", 0, 3),
+            ("core/interner.rs::intern", 0, 2),
             ("core/interner.rs::resolve", 0, 1),
             ("core/path.rs::child", 0, 2),
             ("core/path.rs::entries", 0, 5),

@@ -229,5 +229,4 @@ fn chrome_traces_and_container_match_the_parent_commit_byte_for_byte() {
     let mut again = Vec::new();
     loaded.save(&mut again).expect("save");
     assert!(again == container, "load → save changed the container");
-    assert_eq!(ProfileDb::load_meta(&container[..]).unwrap(), *db.meta());
 }

@@ -108,11 +108,7 @@ fn multi_stream_produces_one_track_per_device_stream_with_overlap() {
                 assert!(node.index() < cct.node_count(), "context id out of range");
                 assert_eq!(cct.node(node).frame().kind(), FrameKind::GpuKernel);
                 let path = cct.frames_to_root(node);
-                let labels: Vec<String> = path
-                    .frames()
-                    .iter()
-                    .map(|f| f.short_label(&interner))
-                    .collect();
+                let labels: Vec<String> = path.iter().map(|f| f.short_label(&interner)).collect();
                 let scope = format!(
                     "multi_stream.py:{}",
                     MultiStream::scope_line(
@@ -763,7 +759,6 @@ fn chrome_trace_is_valid_json_with_consistent_tracks() {
                     .expect("every interval resolved its context");
                 let labels: Vec<String> = cct
                     .frames_to_root(node)
-                    .frames()
                     .iter()
                     .map(|frame| frame.label(&interner))
                     .collect();
