@@ -374,13 +374,12 @@ impl Rule for StallRule {
                 if samples / kernel_samples < self.stall_threshold {
                     continue;
                 }
-                for reason in StallReason::ALL {
-                    if reason == StallReason::None {
+                for (kind, stat) in node.metrics().iter() {
+                    let MetricKind::Stall(reason) = kind else {
                         continue;
-                    }
-                    let stalls = node.metrics().sum(MetricKind::Stall(reason));
-                    if stalls > 0.0 {
-                        *entry.by_reason.entry(reason).or_insert(0.0) += stalls;
+                    };
+                    if reason != StallReason::None && stat.sum > 0.0 {
+                        *entry.by_reason.entry(reason).or_insert(0.0) += stat.sum;
                     }
                 }
             }

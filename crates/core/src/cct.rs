@@ -236,12 +236,12 @@ impl CallingContextTree {
     }
 
     /// The aggregate of `kind` at `node`.
-    pub fn metric(&self, node: NodeId, kind: MetricKind) -> Option<&MetricStat> {
+    pub fn metric(&self, node: NodeId, kind: MetricKind) -> Option<MetricStat> {
         self.nodes[node.index()].metrics.get(kind)
     }
 
     /// The aggregate of `kind` at the root (i.e. the whole-program total).
-    pub fn root_metric(&self, kind: MetricKind) -> Option<&MetricStat> {
+    pub fn root_metric(&self, kind: MetricKind) -> Option<MetricStat> {
         self.metric(self.root(), kind)
     }
 
@@ -556,7 +556,7 @@ mod tests {
         }
         batched.merge_stat(leaf, MetricKind::GpuTime, &stat);
         for id in batched.path_to_root(leaf) {
-            assert_eq!(batched.metric(id, MetricKind::GpuTime), Some(&stat));
+            assert_eq!(batched.metric(id, MetricKind::GpuTime), Some(stat));
         }
         assert_eq!(batched.semantic_diff(&eager), None);
     }

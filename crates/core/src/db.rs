@@ -244,8 +244,9 @@ impl ProfileDb {
 
         let node_count = count_of(lines.next()?, "nodes\t", "node")?;
         let mut raw = Vec::with_capacity(lines.at_most(node_count));
+        let mut scratch = (Vec::new(), Vec::new());
         for _ in 0..node_count {
-            raw.push(parse_node_line(lines.next()?)?);
+            raw.push(parse_node_line(lines.next()?, &mut scratch)?);
         }
 
         let mut line = lines.next()?;
@@ -813,23 +814,25 @@ fn check_stored_order(tl: &StoredTimeline) -> Result<(), CoreError> {
 
 type RawNode = (Option<NodeId>, Frame, MetricStore);
 
-fn parse_node_line(line: &str) -> Result<RawNode, CoreError> {
+/// Scratch a load reuses across node lines: the metric records of one,
+/// and their encoding.
+type NodeScratch = (Vec<(MetricKind, MetricStat)>, Vec<u64>);
+
+/// Parses a node line through `scratch`: its store is allocated once, at
+/// its exact size.
+fn parse_node_line(line: &str, scratch: &mut NodeScratch) -> Result<RawNode, CoreError> {
+    let (records, words) = scratch;
     let mut fields = Fields::new(line, "node");
     let parent = fields.index_or_dash("parent")?.map(NodeId);
     let frame = Frame::from_record(&mut fields)?;
     let metric_count: usize = fields.number("metric count")?;
-    // One allocation a store; a record is at least ten bytes.
-    let mut metrics = MetricStore::default();
-    metrics
-        .entries
-        .reserve_exact(metric_count.min(line.len() / 10));
+    records.clear();
     for _ in 0..metric_count {
         let kind = MetricKind::from_record(fields.text("metric kind")?)?;
         let count = fields.number("sample count")?;
-        let stat = MetricStat::from_record_fields(count, &mut fields)?;
-        metrics.merge_stat(kind, &stat);
+        records.push((kind, MetricStat::from_record_fields(count, &mut fields)?));
     }
-    Ok((parent, frame, metrics))
+    Ok((parent, frame, MetricStore::from_entries(records, words)))
 }
 
 /// Displays text with backslash, tab, newline and carriage return

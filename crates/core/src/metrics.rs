@@ -7,7 +7,14 @@
 //! sum, min and max (the average is their quotient; the standard deviation
 //! is not kept); [`MetricStore`] maps metric kinds to stats at one tree
 //! node.
+//!
+//! Most entries of a store count *occurrences* — launches, instruction
+//! samples, stalls — whose stat is `n` samples of `1.0`. Such an entry is
+//! one 8-byte word; any other stat is five, as large as a `(MetricKind,
+//! MetricStat)` pair. The form follows the value on every write, not the
+//! kind, so a store returns bit for bit what was merged into it.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use crate::interner::Sym;
@@ -55,7 +62,7 @@ impl StallReason {
         StallReason::Other,
     ];
 
-    pub(crate) fn code(self) -> u8 {
+    pub(crate) const fn code(self) -> u8 {
         match self {
             StallReason::MemoryDependency => 0,
             StallReason::MathDependency => 1,
@@ -105,7 +112,7 @@ impl fmt::Display for StallReason {
 /// samples) come from instruction sampling.
 ///
 /// The `Ord` order is arbitrary but stable — [`MetricStore`] keeps its
-/// entries sorted by it so lookups can binary-search.
+/// entries sorted by it, and iterates and saves them in it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MetricKind {
     /// GPU kernel execution time, nanoseconds.
@@ -140,6 +147,7 @@ impl MetricKind {
     /// The column an occurrence-counting kind has in a shard's table of
     /// unsettled integer counts, ascending in `MetricKind` order; `None`
     /// for every measured kind.
+    #[inline]
     pub(crate) fn unit_column(self) -> Option<usize> {
         match self {
             MetricKind::KernelLaunches => Some(0),
@@ -150,6 +158,7 @@ impl MetricKind {
     }
 
     /// The inverse of [`unit_column`](Self::unit_column).
+    #[inline]
     pub(crate) fn from_unit_column(column: usize) -> Option<Self> {
         match column {
             0 => Some(MetricKind::KernelLaunches),
@@ -159,6 +168,29 @@ impl MetricKind {
                 .get(column - 2)
                 .copied()
                 .map(MetricKind::Stall),
+        }
+    }
+
+    /// A number ordered as the kinds are: the base code (ascending in
+    /// that order too), or a tag above every base code with the stall
+    /// code or symbol below it. A full store entry's header holds it.
+    #[inline(always)]
+    const fn key(self) -> u64 {
+        match self {
+            MetricKind::Stall(reason) => (STALL_KEY << 32) | reason.code() as u64,
+            MetricKind::Custom(sym) => (CUSTOM_KEY << 32) | sym.0 as u64,
+            plain => (plain.base_code() as u64) << 32,
+        }
+    }
+
+    /// The inverse of [`key`](Self::key).
+    #[inline]
+    fn from_key(key: u64) -> Self {
+        let payload = key as u32;
+        match key >> 32 {
+            STALL_KEY => MetricKind::Stall(StallReason::ALL[payload as usize]),
+            CUSTOM_KEY => MetricKind::Custom(Sym(payload)),
+            code => MetricKind::from_base_code(code as u8).expect("a kind's key"),
         }
     }
 
@@ -206,7 +238,9 @@ impl MetricKind {
         }
     }
 
-    fn base_code(self) -> u8 {
+    /// The code of a `B` record; ascending in `Ord` order, which
+    /// [`key`](Self::key) relies on.
+    const fn base_code(self) -> u8 {
         match self {
             MetricKind::GpuTime => 0,
             MetricKind::KernelLaunches => 1,
@@ -219,7 +253,7 @@ impl MetricKind {
             MetricKind::HwCacheMisses => 13,
             MetricKind::HwBranchMisses => 14,
             MetricKind::InstructionSamples => 15,
-            MetricKind::Stall(_) | MetricKind::Custom(_) => unreachable!("encoded separately"),
+            MetricKind::Stall(_) | MetricKind::Custom(_) => panic!("encoded separately"),
         }
     }
 
@@ -302,6 +336,7 @@ impl MetricStat {
 
     /// The aggregate of `n` samples of the value `1.0`, field for field
     /// what `n` [`add`](Self::add)s leave.
+    #[inline]
     pub(crate) fn units(n: u64) -> Self {
         if n == 0 {
             return MetricStat::new();
@@ -370,18 +405,103 @@ impl MetricStat {
     }
 }
 
+/// The [`key`](MetricKind::key) tags of the kinds with a payload.
+const STALL_KEY: u64 = 16;
+const CUSTOM_KEY: u64 = 17;
+
+/// The form bit of an entry's first word: set in a unit entry.
+const UNIT: u64 = 1;
+/// A unit entry's count sits above its form bit and unit column.
+const COUNT_SHIFT: u32 = 8;
+/// A unit entry holds counts below 2^56.
+const UNIT_LIMIT: u64 = 1 << (u64::BITS - COUNT_SHIFT);
+/// Unit sums up to 2^53 are exact, so adding counts adds the sums.
+const EXACT_UNITS: u64 = 1 << f64::MANTISSA_DIGITS;
+/// Words in a full entry: the header, then count, sum, min and max.
+const FULL: usize = 5;
+
+/// Each unit column's kind [`key`](MetricKind::key), padded to the four
+/// bits a column is read from.
+const UNIT_KEYS: [u64; 16] = {
+    assert!(UNIT_COLUMNS <= 16);
+    let mut keys = [0; 16];
+    keys[0] = MetricKind::KernelLaunches.key();
+    keys[1] = MetricKind::InstructionSamples.key();
+    let mut reason = 0;
+    while reason < StallReason::ALL.len() {
+        keys[2 + reason] = MetricKind::Stall(StallReason::ALL[reason]).key();
+        reason += 1;
+    }
+    keys
+};
+
+/// The kind key and the width in words of the entry `head` starts.
+#[inline(always)]
+fn head_key(head: u64) -> (u64, usize) {
+    if head & UNIT != 0 {
+        (UNIT_KEYS[(head >> 1) as usize & 0xf], 1)
+    } else {
+        (head >> 1, FULL)
+    }
+}
+
+/// The stat of the entry at the start of `words`.
+#[inline(always)]
+fn decode_stat(words: &[u64]) -> MetricStat {
+    match *words {
+        [head, ..] if head & UNIT != 0 => MetricStat::units(head >> COUNT_SHIFT),
+        [_, count, sum, min, max, ..] => MetricStat {
+            count,
+            sum: f64::from_bits(sum),
+            min: f64::from_bits(min),
+            max: f64::from_bits(max),
+        },
+        _ => unreachable!("a full entry is {FULL} words"),
+    }
+}
+
+/// `kind`'s entry holding `stat`, and its width: one word when the stat
+/// is bit for bit [`MetricStat::units`] of a count the word holds, five
+/// otherwise.
+#[inline]
+fn encode(kind: MetricKind, stat: &MetricStat) -> ([u64; FULL], usize) {
+    let bits = [stat.sum, stat.min, stat.max].map(f64::to_bits);
+    if let Some(column) = kind.unit_column() {
+        let units = MetricStat::units(stat.count);
+        if stat.count < UNIT_LIMIT && bits == [units.sum, units.min, units.max].map(f64::to_bits) {
+            let word = (stat.count << COUNT_SHIFT) | ((column as u64) << 1) | UNIT;
+            return ([word, 0, 0, 0, 0], 1);
+        }
+    }
+    let [sum, min, max] = bits;
+    ([kind.key() << 1, stat.count, sum, min, max], FULL)
+}
+
 /// Per-node map from metric kind to aggregate.
 ///
-/// Stored as a small vector kept **sorted by kind**: nodes typically carry
-/// only a handful of metric kinds, so a `HashMap` per node would waste
-/// memory, and the sorted layout lets every lookup binary-search instead
-/// of scanning — attribution touches this map once per event, so at the
-/// ~10-kind scale the store stays allocation-free on lookups and pays at
-/// most one small `memmove` when a node sees a brand-new kind.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A vector of 8-byte words holding the entries **sorted by kind**, each
+/// in one of two forms:
+///
+/// * a *unit* entry, one word: an occurrence kind's (one with a unit
+///   column: launches, instruction samples, a stall reason) whose stat
+///   is bit for bit `n` samples of `1.0` with `n < 2^56` — the count,
+///   above the kind's unit column and a form bit;
+/// * a *full* entry, five words, 40 bytes like a `(MetricKind,
+///   MetricStat)` pair: a header holding the kind, then count, sum, min
+///   and max as bits.
+///
+/// Every write picks the form from the value it leaves, so an occurrence
+/// kind given another value, or counted past 2^56, turns full and
+/// nothing is lost. Nodes carry a handful of kinds, so a lookup scans the
+/// entries' first words; a `HashMap` per node would waste memory. A write
+/// re-encodes the entry it changes and pays one small `memmove` when the
+/// entry's width changes (a new kind, a unit entry turning full); adding
+/// occurrences to a unit entry is one add to its word. Two stores are
+/// equal when they hold the same kinds with bit-identical stats.
+#[derive(Clone, Default, PartialEq)]
 pub struct MetricStore {
-    /// Sorted by kind.
-    pub(crate) entries: Vec<(MetricKind, MetricStat)>,
+    /// The entries, in kind order.
+    words: Vec<u64>,
 }
 
 impl MetricStore {
@@ -390,66 +510,199 @@ impl MetricStore {
         Self::default()
     }
 
-    /// Index of `kind` (`Ok`) or its sorted insertion point (`Err`).
-    #[inline]
-    fn position(&self, kind: MetricKind) -> Result<usize, usize> {
-        self.entries.binary_search_by(|(k, _)| k.cmp(&kind))
+    /// A store of `entries`, encoded through `scratch` and allocated
+    /// once, at its exact size, when they are in kind order and each
+    /// kind once, as a saved node's are; merged one by one otherwise.
+    pub(crate) fn from_entries(
+        entries: &[(MetricKind, MetricStat)],
+        scratch: &mut Vec<u64>,
+    ) -> Self {
+        if !entries.is_sorted_by(|a, b| a.0 < b.0) {
+            return entries.iter().copied().collect();
+        }
+        scratch.clear();
+        for (kind, stat) in entries {
+            let (entry, width) = encode(*kind, stat);
+            scratch.extend_from_slice(&entry[..width]);
+        }
+        MetricStore {
+            words: scratch.to_vec(),
+        }
     }
 
-    /// Merges a whole aggregate of `kind`. A kind new to the store grows
-    /// it by exactly one entry: a node meets a new kind a few times a
-    /// session, never once a launch, and a store rounded up to four
-    /// entries would hold more unused capacity than data.
-    pub fn merge_stat(&mut self, kind: MetricKind, other: &MetricStat) {
-        match self.position(kind) {
-            Ok(i) => self.entries[i].1.merge(other),
-            Err(i) => {
-                self.entries.reserve_exact(1);
-                self.entries.insert(i, (kind, *other));
+    /// Each entry's first word's index, kind key and width, in order.
+    #[inline]
+    fn entries(&self) -> impl Iterator<Item = (usize, u64, usize)> + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let (key, width) = head_key(*self.words.get(at)?);
+            at += width;
+            Some((at - width, key, width))
+        })
+    }
+
+    /// The entry with kind key `key`, its index and width (`Ok`), or
+    /// where it would go (`Err`); the search starts at the entry at
+    /// `from`, which is not past it.
+    #[inline(always)]
+    fn position(&self, from: usize, key: u64) -> Result<(usize, usize), usize> {
+        let mut at = from;
+        while let Some(&head) = self.words.get(at) {
+            let (k, width) = head_key(head);
+            match k.cmp(&key) {
+                Ordering::Less => at += width,
+                Ordering::Equal => return Ok((at, width)),
+                Ordering::Greater => break,
             }
         }
+        Err(at)
     }
 
-    /// Merges all aggregates from `other`.
-    pub fn merge(&mut self, other: &MetricStore) {
-        for (kind, stat) in &other.entries {
-            self.merge_stat(*kind, stat);
+    /// Merges `stat` into the entry `position` found (or places it where
+    /// `position` said) and returns the index past it.
+    #[inline(always)]
+    fn merge_found(
+        &mut self,
+        found: Result<(usize, usize), usize>,
+        kind: MetricKind,
+        stat: &MetricStat,
+    ) -> usize {
+        let (at, old) = match found {
+            Ok(entry) => entry,
+            Err(at) => {
+                let (entry, width) = encode(kind, stat);
+                return self.replace(at, 0, &entry[..width]);
+            }
+        };
+        let mut merged = decode_stat(&self.words[at..]);
+        merged.merge(stat);
+        if old == FULL && kind.unit_column().is_none() {
+            // A measured kind's entry is full whatever it holds: its
+            // header stays.
+            let fields = [merged.sum, merged.min, merged.max].map(f64::to_bits);
+            self.words[at + 1..at + FULL].copy_from_slice(&[
+                merged.count,
+                fields[0],
+                fields[1],
+                fields[2],
+            ]);
+            return at + FULL;
         }
+        let (entry, width) = encode(kind, &merged);
+        if width != old {
+            return self.replace(at, old, &entry[..width]);
+        }
+        self.words[at..at + width].copy_from_slice(&entry[..width]);
+        at + width
+    }
+
+    /// Replaces the `old` words at `at` with `entry` and returns the index
+    /// past it. A store grows by exactly what the entry adds: a node
+    /// meets a new kind a few times a session, never once a launch, and
+    /// room rounded up would hold more unused capacity than data.
+    #[cold]
+    fn replace(&mut self, at: usize, old: usize, entry: &[u64]) -> usize {
+        self.words.reserve_exact(entry.len().saturating_sub(old));
+        self.words.splice(at..at + old, entry.iter().copied());
+        at + entry.len()
+    }
+
+    /// [`add_units`](Self::add_units) from the entry at `from`; returns
+    /// the index past the entry.
+    #[inline]
+    fn add_units_from(&mut self, from: usize, kind: MetricKind, n: u64) -> usize {
+        let found = self.position(from, kind.key());
+        if let Ok((at, 1)) = found {
+            let head = &mut self.words[at];
+            let count = (*head >> COUNT_SHIFT).checked_add(n);
+            if count.is_some_and(|count| count <= EXACT_UNITS) {
+                *head += n << COUNT_SHIFT;
+                return at + 1;
+            }
+        }
+        self.merge_found(found, kind, &MetricStat::units(n))
+    }
+
+    /// Merges a whole aggregate of `kind`.
+    pub fn merge_stat(&mut self, kind: MetricKind, other: &MetricStat) {
+        let found = self.position(0, kind.key());
+        self.merge_found(found, kind, other);
+    }
+
+    /// Merges `n` samples of the value `1.0` of `kind`, as
+    /// `merge_stat(kind, &MetricStat::units(n))` does: one add to the
+    /// word while the entry is in unit form and its count stays where
+    /// unit sums are exact.
+    pub(crate) fn add_units(&mut self, kind: MetricKind, n: u64) {
+        self.add_units_from(0, kind, n);
+    }
+
+    /// Merges all aggregates from `other`: one walk, as both are sorted.
+    pub fn merge(&mut self, other: &MetricStore) {
+        let mut from = 0;
+        for (at, key, width) in other.entries() {
+            let kind = MetricKind::from_key(key);
+            from = if width == 1 {
+                self.add_units_from(from, kind, other.words[at] >> COUNT_SHIFT)
+            } else {
+                let found = self.position(from, key);
+                self.merge_found(found, kind, &decode_stat(&other.words[at..]))
+            };
+        }
+    }
+
+    /// Empties the store and keeps its room.
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
     }
 
     /// The aggregate for `kind`, if any samples were recorded.
-    pub fn get(&self, kind: MetricKind) -> Option<&MetricStat> {
-        self.position(kind).ok().map(|i| &self.entries[i].1)
+    #[inline]
+    pub fn get(&self, kind: MetricKind) -> Option<MetricStat> {
+        let (at, _) = self.position(0, kind.key()).ok()?;
+        Some(decode_stat(&self.words[at..]))
     }
 
     /// Sum for `kind`, or 0 if absent (the most common query).
+    #[inline]
     pub fn sum(&self, kind: MetricKind) -> f64 {
         self.get(kind).map(|s| s.sum).unwrap_or(0.0)
     }
 
     /// Sample count for `kind`, or 0 if absent.
+    #[inline]
     pub fn count(&self, kind: MetricKind) -> u64 {
         self.get(kind).map(|s| s.count).unwrap_or(0)
     }
 
     /// Iterates (kind, stat) pairs in kind-sorted order.
-    pub fn iter(&self) -> impl Iterator<Item = (MetricKind, &MetricStat)> {
-        self.entries.iter().map(|(k, s)| (*k, s))
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = (MetricKind, MetricStat)> + '_ {
+        self.entries()
+            .map(|(at, key, _)| (MetricKind::from_key(key), decode_stat(&self.words[at..])))
     }
 
     /// Number of distinct metric kinds recorded.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries().count()
     }
 
     /// Whether no metrics are recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.words.is_empty()
     }
 
-    /// Approximate heap bytes (for memory-overhead accounting).
+    /// Approximate heap bytes (for memory-overhead accounting): 8 a
+    /// unit entry, 40 a full one, and any room left.
     pub fn approx_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(MetricKind, MetricStat)>()
+        self.words.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
+impl fmt::Debug for MetricStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -533,22 +786,76 @@ mod tests {
 
     #[test]
     fn a_store_holds_exactly_its_kinds() {
+        // A unit entry is 8 bytes, a full one 40, and nothing is rounded
+        // up.
         let mut store = MetricStore::new();
         assert_eq!(store.approx_bytes(), 0);
         let kinds = [
-            MetricKind::GpuTime,
-            MetricKind::KernelLaunches,
-            MetricKind::CpuTime,
-            MetricKind::Stall(StallReason::ConstantMemory),
-            MetricKind::MemcpyBytes,
+            (MetricKind::GpuTime, 2.0, 40),
+            (MetricKind::KernelLaunches, 1.0, 8),
+            (MetricKind::CpuTime, 2.0, 40),
+            (MetricKind::Stall(StallReason::ConstantMemory), 1.0, 8),
+            (MetricKind::MemcpyBytes, 2.0, 40),
         ];
-        for (k, kind) in kinds.into_iter().enumerate() {
+        let mut bytes = 0;
+        for (kind, second, size) in kinds {
             store.add(kind, 1.0);
-            store.add(kind, 2.0);
+            store.add(kind, second);
+            bytes += size;
+            assert_eq!(store.approx_bytes(), bytes, "{kind}");
+        }
+        assert_eq!(store.len(), kinds.len());
+        // An occurrence kind given another value turns full, and holds it.
+        store.add(MetricKind::KernelLaunches, 2.5);
+        assert_eq!(store.approx_bytes(), bytes + 32);
+        let launches = store.get(MetricKind::KernelLaunches).unwrap();
+        assert_eq!((launches.count, launches.sum), (3, 4.5));
+        assert_eq!((launches.min, launches.max), (1.0, 2.5));
+    }
+
+    #[test]
+    fn add_units_is_merging_units_past_the_exact_range_and_the_word() {
+        let kind = MetricKind::Stall(StallReason::Other);
+        for (first, then) in [
+            (3, 4),
+            (0, 0),
+            (EXACT_UNITS - 1, 1),
+            (EXACT_UNITS - 1, 2),
+            (EXACT_UNITS + 1, 2),
+            (UNIT_LIMIT - 2, 1),
+            (UNIT_LIMIT - 2, 2),
+            (UNIT_LIMIT / 2, UNIT_LIMIT / 2),
+        ] {
+            let mut store = MetricStore::new();
+            store.add_units(kind, first);
+            store.add_units(kind, then);
+            let mut merged = MetricStat::units(first);
+            merged.merge(&MetricStat::units(then));
+            let got = store.get(kind).unwrap();
             assert_eq!(
-                store.approx_bytes(),
-                (k + 1) * std::mem::size_of::<(MetricKind, MetricStat)>()
+                [got.sum, got.min, got.max].map(f64::to_bits),
+                [merged.sum, merged.min, merged.max].map(f64::to_bits),
+                "{first} + {then}"
             );
+            assert_eq!(got.count, merged.count);
+            let unit = merged.count < UNIT_LIMIT && merged == MetricStat::units(merged.count);
+            assert_eq!(store.approx_bytes(), if unit { 8 } else { 40 });
+        }
+    }
+
+    #[test]
+    fn kind_keys_are_ordered_as_the_kinds_and_invert() {
+        let i = crate::Interner::new();
+        let mut kinds: Vec<MetricKind> = (0..=u8::MAX)
+            .filter_map(MetricKind::from_base_code)
+            .chain(StallReason::ALL.map(MetricKind::Stall))
+            .chain(["a", "b"].map(|s| MetricKind::Custom(i.intern(s))))
+            .collect();
+        kinds.push(MetricKind::Custom(Sym(u32::MAX)));
+        assert!(kinds.windows(2).all(|w| w[0] < w[1]), "listed in order");
+        assert!(kinds.windows(2).all(|w| w[0].key() < w[1].key()));
+        for kind in kinds {
+            assert_eq!(MetricKind::from_key(kind.key()), kind);
         }
     }
 

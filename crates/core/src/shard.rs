@@ -7,7 +7,8 @@
 //! its siblings. It holds **metric rows, not a tree**: the session's
 //! [path table](crate::PathTable), shared through one [`Interner`], is
 //! the tree's skeleton, so a row is its parent's row, its [`PathId`] and
-//! its [`MetricStore`]. Shards fold by moving rows by `PathId`
+//! its [`MetricStore`]: a word per occurrence kind it counted, five per
+//! measured kind. Shards fold by moving rows by `PathId`
 //! ([`CctShard::drain_into`]).
 //!
 //! **Contexts enter a shard by handle.** [`CctShard::node_for`] turns an
@@ -41,10 +42,11 @@
 //! `settle` is one sweep over rows **descending**. A row is always
 //! appended after its parent's, so by the time a row is visited
 //! everything below it has arrived: its counters merge into its own
-//! store as that many samples of `1.0` and are added, as integers, to
-//! the parent's slot; its aggregates merge into its own store and then
-//! into the parent's list (a parent holding nothing adopts the child's
-//! list whole, which is most of the single-child Python/operator spine).
+//! store as that many samples of `1.0` — one add to the entry's word —
+//! and are added, as integers, to the parent's slot; its aggregates
+//! merge into its own store and then into the parent's list (a parent
+//! holding nothing adopts the child's list whole, which is most of the
+//! single-child Python/operator spine).
 //! Every ancestor is thus merged once per kind per settle, not once per
 //! descendant, and in a **stated order**: *a row's own aggregate first,
 //! then its children's by descending row*. An aggregate is count, sum,
@@ -237,7 +239,8 @@ impl Bound {
 const UNSTAMPED: (u64, u64) = (u64::MAX, 0);
 
 /// One context a shard has met, and what arrived at it since the last
-/// fold: 16 bytes beside its store.
+/// fold: 16 bytes beside its store's vector header, and the store's
+/// words on the heap (8 bytes an occurrence count, 40 any other kind).
 #[derive(Debug, Clone)]
 struct Row {
     /// The parent's row, [`NONE`] for the root's; always a lower index.
@@ -417,7 +420,7 @@ impl CctShard {
             let metrics = &mut self.rows[at].metrics;
             for (column, n) in counts.into_iter().enumerate().filter(|(_, n)| *n != 0) {
                 let kind = MetricKind::from_unit_column(column).expect("a kind per column");
-                metrics.merge_stat(kind, &MetricStat::units(n));
+                metrics.add_units(kind, n);
                 if let Some(up) = up {
                     pending.slots[up].counts[column] += n;
                 }
@@ -471,7 +474,7 @@ impl CctShard {
             if !row.metrics.is_empty() {
                 tree.merge_at(node, &row.metrics);
                 // Keeps the room: the next settle reallocates nothing.
-                row.metrics.entries.clear();
+                row.metrics.clear();
             }
         }
     }
@@ -703,7 +706,7 @@ mod tests {
         let tree = shard.to_tree();
         for id in tree.path_to_root(leaf) {
             let got = tree.metric(id, stall).unwrap();
-            assert_eq!(*got, MetricStat::units(2 * big + 4), "{id}: no epsilon");
+            assert_eq!(got, MetricStat::units(2 * big + 4), "{id}: no epsilon");
             let cpu = tree.metric(id, MetricKind::CpuTime).unwrap();
             assert_eq!((cpu.count, cpu.sum, cpu.min, cpu.max), (4, 8.0, 1.0, 5.0));
         }
@@ -757,7 +760,7 @@ mod tests {
         let mut py = stat(samples[2].2);
         py.merge(&gelu);
         py.merge(&stat(samples[0].2));
-        let at = |n: u32| *tree.metric(NodeId(n), MetricKind::GpuTime).unwrap();
+        let at = |n: u32| tree.metric(NodeId(n), MetricKind::GpuTime).unwrap();
         assert_eq!(at(4), gelu);
         assert_eq!(at(2), stat(samples[0].2));
         assert_eq!(at(1), py);
@@ -1039,11 +1042,10 @@ mod tests {
         assert!(shard.approx_bytes() > with_context, "settle scratch");
         assert!(!shard.is_empty());
         // A row is 40 bytes, its store's header included, and a settled
-        // store holds exactly its kinds.
+        // store holds exactly its kinds: a launch count is one word.
         assert_eq!(std::mem::size_of::<Row>(), 40);
         shard.settle();
-        let entry = std::mem::size_of::<(MetricKind, MetricStat)>();
-        assert_eq!(shard.approx_bytes(), with_context + 4 * entry);
+        assert_eq!(shard.approx_bytes(), with_context + 4 * 8);
     }
 
     #[test]

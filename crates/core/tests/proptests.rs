@@ -209,6 +209,111 @@ impl TwoQueuePrune {
     }
 }
 
+/// One write to a `MetricStore` (`store_matches_a_vector_of_pairs`).
+#[derive(Debug, Clone)]
+enum StoreOp {
+    MergeStat(MetricKind, MetricStat),
+    /// `n` samples of `1.0`, merged from a store holding them: a unit
+    /// entry there merges through `add_units`.
+    AddUnits(MetricKind, u64),
+    Merge(Vec<(MetricKind, MetricStat)>),
+}
+
+/// What `n` adds of `1.0` leave.
+fn units(n: u64) -> MetricStat {
+    if n == 0 {
+        return MetricStat::new();
+    }
+    MetricStat {
+        count: n,
+        sum: n as f64,
+        min: 1.0,
+        max: 1.0,
+    }
+}
+
+/// Counts at the ends of a unit entry's exact range (2^53) and of its
+/// word (2^56) as often as small ones.
+fn arb_unit_count() -> BoxedStrategy<u64> {
+    prop_oneof![
+        0u64..4,
+        (1u64 << 53) - 2..(1u64 << 53) + 2,
+        (1u64 << 55) - 1..(1u64 << 55) + 1,
+        (1u64 << 56) - 2..(1u64 << 56) + 2,
+    ]
+    .boxed()
+}
+
+/// Kinds with and without a unit column, `Custom` ones among them, and
+/// stats in and out of unit form: a `2.5` sample, NaN, `-0.0` and
+/// infinite fields, and made-up stats that happen to equal `units(n)`.
+fn arb_store_ops() -> impl Strategy<Value = Vec<StoreOp>> {
+    let interner = Interner::new();
+    let kinds = vec![
+        MetricKind::GpuTime,
+        MetricKind::KernelLaunches,
+        MetricKind::CpuTime,
+        MetricKind::InstructionSamples,
+        MetricKind::Stall(StallReason::MemoryDependency),
+        MetricKind::Stall(StallReason::Other),
+        MetricKind::Custom(interner.intern("a")),
+        MetricKind::Custom(interner.intern("b")),
+    ];
+    let kind = move || prop::sample::select(kinds.clone());
+    let value = || {
+        prop::sample::select(vec![
+            0.0,
+            -0.0,
+            1.0,
+            2.5,
+            3.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ])
+    };
+    let stat = move || {
+        prop_oneof![
+            arb_unit_count().prop_map(units),
+            (0u64..4, value(), value(), value()).prop_map(|(count, sum, min, max)| MetricStat {
+                count,
+                sum,
+                min,
+                max
+            }),
+        ]
+    };
+    let pair = {
+        let kind = kind.clone();
+        move || (kind(), stat())
+    };
+    let op = prop_oneof![
+        pair().prop_map(|(kind, stat)| StoreOp::MergeStat(kind, stat)),
+        (kind(), arb_unit_count()).prop_map(|(kind, n)| StoreOp::AddUnits(kind, n)),
+        prop::collection::vec(pair(), 0..4).prop_map(StoreOp::Merge),
+    ];
+    prop::collection::vec(op, 1..24)
+}
+
+/// The store as it was: `(kind, stat)` pairs sorted by kind.
+#[derive(Default)]
+struct StoreModel(Vec<(MetricKind, MetricStat)>);
+
+impl StoreModel {
+    fn merge_stat(&mut self, kind: MetricKind, stat: &MetricStat) {
+        match self.0.binary_search_by_key(&kind, |(k, _)| *k) {
+            Ok(i) => self.0[i].1.merge(stat),
+            Err(i) => self.0.insert(i, (kind, *stat)),
+        }
+    }
+}
+
+/// A stat's fields as bits: NaN equals NaN, `-0.0` differs from `0.0`.
+fn stat_bits(stat: MetricStat) -> (u64, u64, u64, u64) {
+    let [sum, min, max] = [stat.sum, stat.min, stat.max].map(f64::to_bits);
+    (stat.count, sum, min, max)
+}
+
 /// A `u64` at either end of its range as often as anywhere between.
 fn arb_u64() -> BoxedStrategy<u64> {
     prop_oneof![Just(0u64), Just(u64::MAX), 0u64..1_000, 0u64..u64::MAX].boxed()
@@ -461,7 +566,44 @@ proptest! {
             at = cut;
             folded.merge(&std::mem::take(&mut live));
         }
-        prop_assert_eq!(folded.get(MetricKind::GpuTime).copied().unwrap_or_default(), whole);
+        prop_assert_eq!(folded.get(MetricKind::GpuTime).unwrap_or_default(), whole);
+    }
+
+    #[test]
+    fn store_matches_a_vector_of_pairs(ops in arb_store_ops()) {
+        // The word store against the vector of pairs it replaced, bit
+        // for bit after every write: whichever form each entry is in,
+        // it returns what was merged into it.
+        let (mut store, mut model) = (MetricStore::new(), StoreModel::default());
+        let every_kind: Vec<MetricKind> = model_kinds(&ops);
+        for op in ops {
+            match op {
+                StoreOp::MergeStat(kind, stat) => {
+                    store.merge_stat(kind, &stat);
+                    model.merge_stat(kind, &stat);
+                }
+                StoreOp::AddUnits(kind, n) => {
+                    store.merge(&MetricStore::from_iter([(kind, units(n))]));
+                    model.merge_stat(kind, &units(n));
+                }
+                StoreOp::Merge(pairs) => {
+                    let mut other = StoreModel::default();
+                    pairs.iter().for_each(|(kind, stat)| other.merge_stat(*kind, stat));
+                    store.merge(&pairs.into_iter().collect());
+                    other.0.iter().for_each(|(kind, stat)| model.merge_stat(*kind, stat));
+                }
+            }
+            let got: Vec<_> = store.iter().map(|(k, s)| (k, stat_bits(s))).collect();
+            let want: Vec<_> = model.0.iter().map(|(k, s)| (*k, stat_bits(*s))).collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(store.len(), model.0.len());
+            for kind in &every_kind {
+                let want = model.0.iter().find(|(k, _)| k == kind).map(|(_, s)| *s);
+                prop_assert_eq!(store.get(*kind).map(stat_bits), want.map(stat_bits));
+                let sum = want.map_or(0.0, |s| s.sum);
+                prop_assert_eq!(store.sum(*kind).to_bits(), sum.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -826,4 +968,18 @@ fn fold(interner: &Arc<Interner>, shards: &mut [CctShard], order: &[usize]) -> C
         shards[idx].clone().drain_into(&mut tree);
     }
     tree
+}
+
+/// Every kind `ops` writes.
+fn model_kinds(ops: &[StoreOp]) -> Vec<MetricKind> {
+    let mut kinds: Vec<MetricKind> = ops
+        .iter()
+        .flat_map(|op| match op {
+            StoreOp::MergeStat(kind, _) | StoreOp::AddUnits(kind, _) => vec![*kind],
+            StoreOp::Merge(pairs) => pairs.iter().map(|(kind, _)| *kind).collect(),
+        })
+        .collect();
+    kinds.sort_unstable();
+    kinds.dedup();
+    kinds
 }

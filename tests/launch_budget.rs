@@ -139,7 +139,7 @@ const SHAPES: [Shape; 3] = [
             ("sim-runtime/python.rs::with_frames", 0, 970),
         ],
         allocations: (124832, 124880),
-        peak_bytes: 248436,
+        peak_bytes: 228980,
     },
     Shape {
         name: "jit_train",
@@ -173,7 +173,7 @@ const SHAPES: [Shape; 3] = [
             ("sim-runtime/python.rs::with_frames", 0, 12),
         ],
         allocations: (5069, 5255),
-        peak_bytes: 57828,
+        peak_bytes: 55140,
     },
     Shape {
         name: "unet_native",
@@ -213,7 +213,7 @@ const SHAPES: [Shape; 3] = [
             ("sim-runtime/thread.rs::spawn", 16, 16),
         ],
         allocations: (53502, 54610),
-        peak_bytes: 184104,
+        peak_bytes: 168808,
     },
 ];
 
