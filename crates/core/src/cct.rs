@@ -14,10 +14,11 @@
 //! tree a profiling session folds. A session's tree is built from the
 //! [path table](crate::PathTable) — every context enters it by `PathId`
 //! ([`path_node`](CallingContextTree::path_node)) — and receives metrics
-//! that are inclusive already: each [`CctShard`](crate::CctShard) holds
-//! samples at the attributed row, carries them root-ward itself at its
-//! next [`settle`](crate::CctShard::settle), and its rows are merged
-//! node by node through [`merge_at`](CallingContextTree::merge_at). The
+//! that are inclusive already: each [`CctShard`](crate::CctShard) row
+//! holds the samples that arrived at it, the shard's
+//! [`drain_into`](crate::CctShard::drain_into) carries them root-ward in
+//! one sweep over its rows, and merges each row node by node through
+//! [`merge_at`](CallingContextTree::merge_at). The
 //! root-ward walk of [`attribute`](CallingContextTree::attribute) and
 //! [`merge_stat`](CallingContextTree::merge_stat) is for trees driven
 //! directly: test oracles and loaded profiles.

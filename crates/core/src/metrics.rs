@@ -144,9 +144,9 @@ pub enum MetricKind {
 }
 
 impl MetricKind {
-    /// The column an occurrence-counting kind has in a shard's table of
-    /// unsettled integer counts, ascending in `MetricKind` order; `None`
-    /// for every measured kind.
+    /// The column an occurrence-counting kind has in a shard row's
+    /// unsettled integer counters, and in a store's one-word unit entry,
+    /// ascending in `MetricKind` order; `None` for every measured kind.
     #[inline]
     pub(crate) fn unit_column(self) -> Option<usize> {
         match self {
@@ -624,6 +624,7 @@ impl MetricStore {
     }
 
     /// Merges a whole aggregate of `kind`.
+    #[inline]
     pub fn merge_stat(&mut self, kind: MetricKind, other: &MetricStat) {
         let found = self.position(0, kind.key());
         self.merge_found(found, kind, other);

@@ -22,62 +22,41 @@
 //! the root.
 //!
 //! **Samples enter a shard through [`CctShard::count`] and
-//! [`CctShard::attribute`] and nowhere else**, and wait at the attributed
-//! row until [`CctShard::settle`] carries them root-ward. The scratch
-//! they wait in is a per-row index (4 bytes a row) into one slot per
-//! *touched* row, and a slot has two parts, for the two kinds of data a
-//! shard receives:
+//! [`CctShard::attribute`] and nowhere else**, and a row holds only the
+//! samples that arrived at it:
 //!
-//! * *Occurrences* — launches, instruction samples, one kind per stall
-//!   reason; every sample is the value `1.0` — are `count`ed into the
-//!   slot's `UNIT_COLUMNS` integer counters: an index read and one add,
-//!   no hashing, no [`MetricStat`]. The counters are `u64`: a launch- or
-//!   sample-only shard settles at flush boundaries only, so a column can
-//!   outlive any number of batches, and `u32` would need a branch in
-//!   `count` that settles the shard under its caller.
 //! * *Measurements* — times, bytes, custom kinds, anything without a
-//!   column — are `attribute`d into one aggregate per touched `(row,
-//!   kind)`, chained off the slot (a row holds three or four at most).
+//!   unit column — are merged into the row's store as they arrive.
+//! * *Occurrences* — launches, instruction samples, one kind per stall
+//!   reason; every sample is the value `1.0` — are `count`ed into integer
+//!   counters, one per unit column, in an entry the row reaches through
+//!   its own slot index: one add, no scan of the store. Only touched rows
+//!   have an entry. The counters are `u64`: a launch- or sample-only
+//!   shard settles at flush boundaries only, so a column can outlive any
+//!   number of batches, and `u32` would need a branch in `count` that
+//!   settles the shard under its caller.
 //!
-//! `settle` is one sweep over rows **descending**. A row is always
-//! appended after its parent's, so by the time a row is visited
-//! everything below it has arrived: its counters merge into its own
-//! store as that many samples of `1.0` — one add to the entry's word —
-//! and are added, as integers, to the parent's slot; its aggregates
-//! merge into its own store and then into the parent's list (a parent
-//! holding nothing adopts the child's list whole, which is most of the
-//! single-child Python/operator spine).
-//! Every ancestor is thus merged once per kind per settle, not once per
-//! descendant, and in a **stated order**: *a row's own aggregate first,
-//! then its children's by descending row*. An aggregate is count, sum,
-//! min and max, and only `sum` can depend on order: the stated order
-//! fixes its low bits for samples that are neither integers nor
-//! multiples of a power of two, and the runtime produces none. Every sum
-//! it does produce — occurrences, ns, bytes — is exact below 2^53
-//! units, so the settled rows are bit-identical whatever order their
-//! samples arrived or were folded in.
-//!
-//! **What this is built for, and what it costs elsewhere.** Slots, lists
-//! and merges scale with the rows touched since the last settle and
-//! their ancestors; the index alone scales with the shard: every settle
-//! that has work allocates, fills and sweeps 4 bytes per row (room for a
-//! slot per row is reserved with it, but written only where touched).
-//! That is the right trade where a batch touches most of a small shard —
-//! every benchmark workload: 21–608 rows a shard, at least 99.5 % of
-//! them reached by every settle — and the wrong one for a shard of ~10^5
-//! rows of which a batch touches a handful, where the map this replaced
-//! cost O(touched × depth) and a scratch microbench (102 558 nodes, 8–64
-//! touched contexts per 4 096 records) reads about twice its time per
-//! batch. No benchmark workload is on that side; the readings are in
-//! the CHANGES.md entry that introduced the index.
-//!
-//! The rows therefore hold inclusive metrics *at settle points*, not
-//! always: whoever owns the shard settles it before its rows are folded,
+//! [`CctShard::settle`] adds each touched row's counters to that row's
+//! store — one add to the entry's word — and releases the entries: it
+//! costs the rows counted since the last settle, whatever the shard's
+//! size. Whoever owns the shard settles it before its rows are folded,
 //! read or measured (`ShardedSink` does so under the shard lock at every
-//! batch boundary and before every fold). `settle` releases the scratch,
-//! and [`CctShard::approx_bytes`] counts it while it is held. A fold
-//! empties each row it moves, keeping its room: a row holds what arrived
-//! since.
+//! batch boundary and before every fold), and
+//! [`CctShard::approx_bytes`] counts the entries while they are held.
+//!
+//! **A fold makes the rows inclusive.** [`CctShard::drain_into`] first
+//! sweeps the rows **descending**, merging each into its parent's. A row
+//! is always appended after its parent, so it is complete when it is
+//! merged, and every row comes out in a **stated order**: *its own
+//! samples first, then its children's rows by descending row*. An
+//! aggregate is count, sum, min and max, and only `sum` can depend on
+//! order: the stated order fixes its low bits for samples that are
+//! neither integers nor multiples of a power of two, and the runtime
+//! produces none. Every sum it does produce — occurrences, ns, bytes —
+//! is exact below 2^53 units, so the folded tree is bit-identical
+//! whatever order the samples arrived or were folded in. Each row then
+//! moves into the tree and is emptied, keeping its room: a row holds
+//! what arrived since.
 //!
 //! **A shard owns the correlations launched into it.** Every launch and
 //! every record of one GPU stream go to the same shard, so the shard's
@@ -110,88 +89,12 @@ use crate::metrics::{MetricKind, MetricStat, MetricStore, UNIT_COLUMNS};
 use crate::path::{PathId, PathIndex};
 use crate::window::IdWindow;
 
-/// "No entry": a row without a slot, the end of a list, the root's
-/// parent.
+/// "No entry": a row without counters or without a kernel name, the
+/// root's parent.
 const NONE: u32 = u32::MAX;
 
-/// One measured aggregate waiting at a row.
-#[derive(Debug, Clone, Copy)]
-struct Held {
-    kind: MetricKind,
-    stat: MetricStat,
-    /// The row's next entry in [`Pending::held`], or [`NONE`].
-    next: u32,
-}
-
-/// What one touched row holds.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    /// Its occurrence counters, one per unit column.
-    counts: [u64; UNIT_COLUMNS],
-    /// Its first entry in [`Pending::held`], or [`NONE`].
-    held: u32,
-}
-
-/// Inclusive samples not yet carried root-ward (see the
-/// [module docs](self)): scratch that lives between two settles, not
-/// profile state. `slot_of` is sized to the rows, and `slots` reserved
-/// for them, on first touch, so neither grows with what arrives.
-#[derive(Debug, Clone, Default)]
-struct Pending {
-    /// Per row, its entry in `slots`, or [`NONE`].
-    slot_of: Vec<u32>,
-    /// One entry per touched row.
-    slots: Vec<Slot>,
-    /// One entry per touched `(row, measured kind)`.
-    held: Vec<Held>,
-}
-
-/// The entry for `kind` in the list that starts at `first`, or [`NONE`].
-fn find(held: &[Held], first: u32, kind: MetricKind) -> u32 {
-    let mut at = first;
-    while at != NONE && held[at as usize].kind != kind {
-        at = held[at as usize].next;
-    }
-    at
-}
-
-impl Pending {
-    /// `node`'s slot, handed out empty on first touch, in a shard of
-    /// `nodes` rows.
-    #[inline]
-    fn slot(&mut self, node: NodeId, nodes: usize) -> &mut Slot {
-        if node.index() >= self.slot_of.len() {
-            self.slot_of.resize(nodes, NONE);
-            self.slots.reserve(nodes - self.slots.len());
-        }
-        let mut at = self.slot_of[node.index()];
-        if at == NONE {
-            at = self.slots.len() as u32;
-            self.slot_of[node.index()] = at;
-            self.slots.push(Slot {
-                counts: [0; UNIT_COLUMNS],
-                held: NONE,
-            });
-        }
-        &mut self.slots[at as usize]
-    }
-
-    /// `node`'s aggregate for `kind`, created empty if it holds none.
-    fn stat(&mut self, node: NodeId, kind: MetricKind, nodes: usize) -> &mut MetricStat {
-        let first = self.slot(node, nodes).held;
-        let mut at = find(&self.held, first, kind);
-        if at == NONE {
-            at = self.held.len() as u32;
-            self.held.push(Held {
-                kind,
-                stat: MetricStat::new(),
-                next: first,
-            });
-            self.slot(node, nodes).held = at;
-        }
-        &mut self.held[at as usize].stat
-    }
-}
+/// A touched row and its occurrence counters, one per unit column.
+type Counts = (u32, [u64; UNIT_COLUMNS]);
 
 /// A correlation's slot in a shard's window, one word: `(path + 1) << 2
 /// | attributed << 1 | parity` — the context its launch was made from,
@@ -238,16 +141,21 @@ impl Bound {
 /// No id stamped: an empty `(lo, hi)` range.
 const UNSTAMPED: (u64, u64) = (u64::MAX, 0);
 
-/// One context a shard has met, and what arrived at it since the last
-/// fold: 16 bytes beside its store's vector header, and the store's
-/// words on the heap (8 bytes an occurrence count, 40 any other kind).
+/// One context a shard has met, and the samples that arrived at it since
+/// the last fold: 16 bytes beside its store's vector header, and the
+/// store's words on the heap (8 bytes an occurrence count, 40 any other
+/// kind).
 #[derive(Debug, Clone)]
 struct Row {
     /// The parent's row, [`NONE`] for the root's; always a lower index.
     parent: u32,
     path: PathId,
-    /// A kernel row's name: the timeline tap takes no table lock.
-    name: Option<Sym>,
+    /// A kernel row's name's symbol, [`NONE`] for any other row: the
+    /// timeline tap takes no table lock.
+    name: u32,
+    /// The row's entry in [`CctShard::counts`], [`NONE`] while it holds
+    /// none.
+    slot: u32,
     metrics: MetricStore,
 }
 
@@ -256,7 +164,8 @@ impl Row {
         Row {
             parent,
             path,
-            name: frame.gpu_kernel_name(),
+            name: frame.gpu_kernel_name().map_or(NONE, |name| name.0),
+            slot: NONE,
             metrics: MetricStore::new(),
         }
     }
@@ -284,8 +193,9 @@ pub struct CctShard {
     /// Per parity, the lowest and highest id stamped with it.
     stamped: [(u64, u64); 2],
     generation: u64,
-    /// Samples waiting for the next [`settle`](Self::settle).
-    pending: Pending,
+    /// Occurrences waiting for the next [`settle`](Self::settle), one
+    /// entry per touched row.
+    counts: Vec<Counts>,
 }
 
 /// Bytes per `instructions` slot: key, value and the map's control byte.
@@ -304,7 +214,7 @@ impl CctShard {
             parity: false,
             stamped: [UNSTAMPED; 2],
             generation: 0,
-            pending: Pending::default(),
+            counts: Vec::new(),
         }
     }
 
@@ -361,102 +271,61 @@ impl CctShard {
 
     /// The kernel name of `node`, when its frame is a device kernel's.
     pub fn kernel_name(&self, node: NodeId) -> Option<Sym> {
-        self.rows[node.index()].name
+        let name = self.rows[node.index()].name;
+        (name != NONE).then_some(Sym(name))
     }
 
-    /// Records `n` occurrences — `n` inclusive samples of the value `1.0`
-    /// — of `kind` at `node`: one integer add for a kind that counts
-    /// occurrences, the `n × 1.0` aggregate through
-    /// [`attribute`](Self::attribute)'s list for any other. The row's
-    /// ancestors receive them at the next [`settle`](Self::settle).
+    /// Records `n` occurrences — `n` samples of the value `1.0` — of
+    /// `kind` at `node`: one integer add for a kind that counts
+    /// occurrences, which reaches the row's store at the next
+    /// [`settle`](Self::settle); the `n × 1.0` aggregate merged into the
+    /// store for any other.
     #[inline]
     pub fn count(&mut self, node: NodeId, kind: MetricKind, n: u64) {
         self.generation += 1;
-        let nodes = self.rows.len();
-        match kind.unit_column() {
-            Some(column) => self.pending.slot(node, nodes).counts[column] += n,
-            None => self
-                .pending
-                .stat(node, kind, nodes)
-                .merge(&MetricStat::units(n)),
+        let row = &mut self.rows[node.index()];
+        let Some(column) = kind.unit_column() else {
+            return row.metrics.merge_stat(kind, &MetricStat::units(n));
+        };
+        if row.slot == NONE {
+            row.slot = self.counts.len() as u32;
+            self.counts.push((node.0, [0; UNIT_COLUMNS]));
         }
+        self.counts[row.slot as usize].1[column] += n;
     }
 
-    /// Records one inclusive sample of `kind` at `node`. The sample is
-    /// aggregated at the row only; its ancestors receive it at the next
-    /// [`settle`](Self::settle). Any kind may come this way — a `(node,
-    /// kind)` both counted and attributed settles to the sum of the two.
+    /// Records one sample of `kind` at `node`, merged into the row's
+    /// store; its ancestors receive it at the next fold. Any kind may
+    /// come this way — a `(node, kind)` both counted and attributed holds
+    /// the sum of the two.
     pub fn attribute(&mut self, node: NodeId, kind: MetricKind, value: f64) {
         self.generation += 1;
-        let nodes = self.rows.len();
-        self.pending.stat(node, kind, nodes).add(value);
+        let mut sample = MetricStat::new();
+        sample.add(value);
+        self.rows[node.index()].metrics.merge_stat(kind, &sample);
     }
 
-    /// Carries every unsettled sample root-ward — one descending sweep,
-    /// each row merged once per kind, in the order the `shard` module
-    /// docs state — and releases the scratch the samples were held in.
-    /// Afterwards the rows hold exactly what sample-by-sample
-    /// propagation would have added to them. Does not bump the dirty
-    /// generation: [`count`](Self::count) and
-    /// [`attribute`](Self::attribute) already did.
+    /// Adds every touched row's counters to that row's store and
+    /// releases them: one visit per row counted since the last settle,
+    /// none to a parent. Does not bump the dirty generation:
+    /// [`count`](Self::count) already did.
     pub fn settle(&mut self) {
-        let mut pending = std::mem::take(&mut self.pending);
-        let nodes = pending.slot_of.len();
-        for at in (0..nodes).rev() {
-            if pending.slot_of[at] == NONE {
-                continue;
-            }
-            let Slot { counts, held: list } = pending.slots[pending.slot_of[at] as usize];
-            let parent = self.rows[at].parent;
-            assert!(
-                parent == NONE || (parent as usize) < at,
-                "a row is appended after its parent"
-            );
-            // The parent's slot; its row is lower, so `slot_of` covers it.
-            let up = (parent != NONE).then(|| {
-                pending.slot(NodeId(parent), nodes);
-                pending.slot_of[parent as usize] as usize
-            });
-            let metrics = &mut self.rows[at].metrics;
+        for (row, counts) in std::mem::take(&mut self.counts) {
+            let row = &mut self.rows[row as usize];
+            row.slot = NONE;
             for (column, n) in counts.into_iter().enumerate().filter(|(_, n)| *n != 0) {
                 let kind = MetricKind::from_unit_column(column).expect("a kind per column");
-                metrics.add_units(kind, n);
-                if let Some(up) = up {
-                    pending.slots[up].counts[column] += n;
-                }
-            }
-            // A parent holding nothing adopts the list whole; otherwise
-            // each entry joins the parent's own of its kind, own first.
-            let mut joins = None;
-            if let (Some(up), true) = (up, list != NONE) {
-                if pending.slots[up].held == NONE {
-                    pending.slots[up].held = list;
-                } else {
-                    joins = Some(up);
-                }
-            }
-            let mut entry = list;
-            while entry != NONE {
-                let Held { kind, stat, next } = pending.held[entry as usize];
-                metrics.merge_stat(kind, &stat);
-                if let Some(up) = joins {
-                    let own = find(&pending.held, pending.slots[up].held, kind);
-                    if own == NONE {
-                        pending.held[entry as usize].next = pending.slots[up].held;
-                        pending.slots[up].held = entry;
-                    } else {
-                        pending.held[own as usize].stat.merge(&stat);
-                    }
-                }
-                entry = next;
+                row.metrics.add_units(kind, n);
             }
         }
     }
 
-    /// Moves every row into `tree` by its path
+    /// Makes the rows inclusive — one descending sweep, each row merged
+    /// into its parent's in the order the `shard` module docs state —
+    /// then moves every row into `tree` by its path
     /// ([`CallingContextTree::path_node`]): what the row holds is merged
     /// at the path's node and emptied from the row; a row holding nothing
-    /// still places its path. Unsettled samples stay where they wait.
+    /// still places its path. Unsettled counters stay where they wait.
     /// Does not bump the dirty generation. Draining a clone is a copying
     /// fold.
     ///
@@ -469,11 +338,18 @@ impl CctShard {
             Arc::ptr_eq(&self.interner, &tree.interner()),
             "a shard drains only into a tree that shares its interner"
         );
+        for at in (1..self.rows.len()).rev() {
+            let (lower, upper) = self.rows.split_at_mut(at);
+            let row = &upper[0];
+            if !row.metrics.is_empty() {
+                lower[row.parent as usize].metrics.merge(&row.metrics);
+            }
+        }
         for row in &mut self.rows {
             let node = tree.path_node(row.path);
             if !row.metrics.is_empty() {
                 tree.merge_at(node, &row.metrics);
-                // Keeps the room: the next settle reallocates nothing.
+                // Keeps the room: the next fold reallocates nothing.
                 row.metrics.clear();
             }
         }
@@ -486,10 +362,10 @@ impl CctShard {
         tree
     }
 
-    /// The root row's sum of `kind`: what arrived since the last drain,
-    /// as of the last settle.
+    /// The rows' sum of `kind`: what arrived since the last drain, as of
+    /// the last settle.
     pub fn total(&self, kind: MetricKind) -> f64 {
-        self.rows[0].metrics.sum(kind)
+        self.rows.iter().map(|row| row.metrics.sum(kind)).sum()
     }
 
     /// The hoisted catch-all context for records whose correlation was
@@ -567,26 +443,19 @@ impl CctShard {
     }
 
     /// Approximate resident bytes of the rows and their stores, the path
-    /// vector, the instruction memo and whatever settle scratch is
+    /// vector, the instruction memo and whatever unsettled counters are
     /// currently held (the interner and its path table excluded). The
     /// correlation window is sized apart, through
     /// [`correlations`](Self::correlations): peak accounting charges it
     /// by its span, holes included ([`IdWindow::held_bytes`]), resident
     /// accounting by capacity.
     pub fn approx_bytes(&self) -> usize {
-        let Pending {
-            slot_of,
-            slots,
-            held,
-        } = &self.pending;
         let stores: usize = self.rows.iter().map(|row| row.metrics.approx_bytes()).sum();
         self.rows.capacity() * std::mem::size_of::<Row>()
             + stores
             + self.by_path.0.capacity() * std::mem::size_of::<u32>()
             + self.instructions.capacity() * MEMO_SLOT_BYTES
-            + slot_of.capacity() * std::mem::size_of::<u32>()
-            + slots.capacity() * std::mem::size_of::<Slot>()
-            + held.capacity() * std::mem::size_of::<Held>()
+            + self.counts.capacity() * std::mem::size_of::<Counts>()
     }
 
     /// Whether the shard met no context.
@@ -629,7 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn attribute_lands_at_the_node_until_settle_walks_it_up() {
+    fn a_sample_stays_at_its_row_until_the_fold() {
         let i = interner();
         let mut shard = CctShard::new(Arc::clone(&i));
         let leaf = shard.node_for(handle(&i, "aten::gelu").id());
@@ -639,12 +508,22 @@ mod tests {
             shard.attribute(leaf, MetricKind::GpuTime, v);
             eager.attribute(eager_leaf, MetricKind::GpuTime, v);
         }
+        shard.count(leaf, MetricKind::KernelLaunches, 2);
+        (0..2).for_each(|_| eager.attribute(eager_leaf, MetricKind::KernelLaunches, 1.0));
+        assert_eq!(shard.total(MetricKind::GpuTime), 17.0);
         assert_eq!(
-            shard.total(MetricKind::GpuTime),
+            shard.total(MetricKind::KernelLaunches),
             0.0,
-            "nothing walks root-ward before settle"
+            "a count reaches its row at settle"
         );
         shard.settle();
+        // Settle reads no parent: every ancestor's store is still empty.
+        assert!(shard.rows[..leaf.index()]
+            .iter()
+            .all(|row| row.metrics.is_empty()));
+        assert_eq!(shard.total(MetricKind::GpuTime), 17.0);
+        assert_eq!(shard.total(MetricKind::KernelLaunches), 2.0);
+        // The fold makes the rows inclusive.
         let tree = shard.to_tree();
         for id in tree.path_to_root(leaf) {
             let stat = tree.metric(id, MetricKind::GpuTime).unwrap();
@@ -656,33 +535,44 @@ mod tests {
         assert_eq!(tree.semantic_diff(&eager), None);
         // Settling twice adds nothing.
         shard.settle();
-        assert_eq!(shard.total(MetricKind::GpuTime), 17.0);
+        assert_eq!(shard.total(MetricKind::KernelLaunches), 2.0);
     }
 
     #[test]
     fn settle_releases_its_scratch() {
         let i = interner();
-        let mut shard = CctShard::new(Arc::clone(&i));
-        let gelu = handle(&i, "aten::gelu").id();
-        let leaf = shard.node_for(gelu);
-        shard.count(leaf, MetricKind::KernelLaunches, 1);
-        shard.attribute(leaf, MetricKind::GpuTime, 250.0);
-        shard.settle();
-        let settled = shard.approx_bytes();
-        // More samples of kinds every row on the path already carries
-        // grow nothing but the scratch they wait in: the per-row index
-        // and the slots reserved for it, then the aggregates, each
-        // counted.
-        assert_eq!(shard.node_for(gelu), leaf);
-        shard.count(leaf, MetricKind::KernelLaunches, 1);
-        let counted = shard.approx_bytes();
-        let slot = std::mem::size_of::<Slot>();
-        assert_eq!(counted, settled + 4 * 4 + 4 * slot, "sized to the rows");
-        shard.attribute(leaf, MetricKind::GpuTime, 250.0);
-        let held = std::mem::size_of::<Held>();
-        assert_eq!(shard.approx_bytes(), counted + 4 * held);
-        shard.settle();
-        assert_eq!(shard.approx_bytes(), settled);
+        // The scratch a count grows, in a shard of `others` contexts
+        // besides the counted one.
+        let growth = |others: usize| {
+            let mut shard = CctShard::new(Arc::clone(&i));
+            for n in 0..others {
+                shard.node_for(handle(&i, &format!("aten::op{n}")).id());
+            }
+            let gelu = handle(&i, "aten::gelu").id();
+            let leaf = shard.node_for(gelu);
+            shard.count(leaf, MetricKind::KernelLaunches, 1);
+            shard.attribute(leaf, MetricKind::GpuTime, 250.0);
+            shard.settle();
+            let settled = shard.approx_bytes();
+            // More samples of kinds the row already carries grow nothing
+            // but the counters' one entry, counted.
+            shard.count(leaf, MetricKind::KernelLaunches, 1);
+            shard.attribute(leaf, MetricKind::GpuTime, 250.0);
+            shard.count(leaf, MetricKind::KernelLaunches, 1);
+            assert_eq!(shard.counts.len(), 1, "one entry for the one row counted");
+            let counted = shard.approx_bytes();
+            assert_eq!(
+                counted,
+                settled + shard.counts.capacity() * std::mem::size_of::<Counts>()
+            );
+            shard.settle();
+            assert_eq!(shard.approx_bytes(), settled);
+            (shard.rows.len(), counted - settled)
+        };
+        let (few, small) = growth(0);
+        let (many, large) = growth(300);
+        assert!(many > 100 * few);
+        assert_eq!(small, large, "the scratch scales with the rows counted");
     }
 
     #[test]
@@ -699,7 +589,7 @@ mod tests {
         shard.count(leaf, stall, 3);
         // Attributed as well as counted: it settles to the sum of both.
         shard.attribute(leaf, stall, 1.0);
-        // A kind without a column waits as the `n × 1.0` aggregate.
+        // A kind without a column merges as the `n × 1.0` aggregate.
         shard.count(leaf, MetricKind::CpuTime, 3);
         shard.attribute(leaf, MetricKind::CpuTime, 5.0);
         shard.settle();
@@ -752,9 +642,9 @@ mod tests {
             }
         }
         // And it is the stated order. Rows: py 1, relu 2, k_relu 3, gelu
-        // 4, k_gelu 5. gelu is its own aggregate, then its kernel's; py is
+        // 4, k_gelu 5. gelu is its own samples, then its kernel's; py is
         // its own (the relu-path cut), then gelu's (4), then relu's (2),
-        // which holds nothing of its own and adopted its kernel's.
+        // which holds nothing of its own: only its kernel's.
         let mut gelu = stat(samples[3].2);
         gelu.merge(&stat(samples[1].2));
         let mut py = stat(samples[2].2);
@@ -764,7 +654,7 @@ mod tests {
         assert_eq!(at(4), gelu);
         assert_eq!(at(2), stat(samples[0].2));
         assert_eq!(at(1), py);
-        assert_eq!(at(0), py, "the root adopts py's list");
+        assert_eq!(at(0), py, "the root holds py's alone");
     }
 
     #[test]
@@ -1009,10 +899,10 @@ mod tests {
         shard.end_batch();
         assert_eq!(shard.node_for(relu), node);
         assert_eq!(shard.generation(), after_insert);
-        // Attribution dirties the shard at once — a snapshot cache must
-        // not skip a shard whose only change is an unsettled sample —
-        // and settling it is not a second change.
-        shard.attribute(node, MetricKind::GpuTime, 1.0);
+        // A count dirties the shard at once — a snapshot cache must not
+        // skip a shard whose only change is an unsettled count — and
+        // settling it is not a second change.
+        shard.count(node, MetricKind::KernelLaunches, 1);
         assert!(shard.generation() > after_insert);
         let g = shard.generation();
         shard.settle();
@@ -1039,13 +929,14 @@ mod tests {
         assert_eq!(shard.approx_bytes(), with_context);
         assert_eq!(shard.correlations().held_bytes(), 64 * 4);
         shard.count(node, MetricKind::KernelLaunches, 1);
-        assert!(shard.approx_bytes() > with_context, "settle scratch");
+        assert!(shard.approx_bytes() > with_context, "unsettled counters");
         assert!(!shard.is_empty());
         // A row is 40 bytes, its store's header included, and a settled
-        // store holds exactly its kinds: a launch count is one word.
+        // store holds exactly its kinds: a launch count is one word, on
+        // the counted row alone.
         assert_eq!(std::mem::size_of::<Row>(), 40);
         shard.settle();
-        assert_eq!(shard.approx_bytes(), with_context + 4 * 8);
+        assert_eq!(shard.approx_bytes(), with_context + 8);
     }
 
     #[test]

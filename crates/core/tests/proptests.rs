@@ -84,9 +84,12 @@ enum ShardOp {
         node: usize,
         frame: Frame,
     },
-    /// Settles, then compares master + rows with the oracle and drains
-    /// the rows into the master.
+    /// Settles, then compares the master plus a drained clone of the
+    /// rows with the oracle.
     Settle,
+    /// Drains the rows into the master: rows carry several settles' own
+    /// samples into one fold.
+    Fold,
 }
 
 fn arb_shard_ops() -> impl Strategy<Value = (Arc<Interner>, Vec<ShardOp>)> {
@@ -128,6 +131,7 @@ fn arb_shard_ops() -> impl Strategy<Value = (Arc<Interner>, Vec<ShardOp>)> {
         (0usize..64, arb_frame(Arc::clone(&interner)))
             .prop_map(|(node, frame)| ShardOp::InsertChild { node, frame }),
         Just(ShardOp::Settle),
+        Just(ShardOp::Fold),
     ];
     prop::collection::vec(op, 1..80).prop_map(move |ops| (Arc::clone(&interner), ops))
 }
@@ -752,7 +756,8 @@ proptest! {
         // perform the same insertions in the same order, so row and node
         // ids must agree at every step (which is what holds the shard's
         // `PathId → row` vector to account), and at every settle the
-        // master the rows drain into, plus the rows, must be the oracle.
+        // master the rows drain into, plus the rows, must be the oracle —
+        // whether the rows were last folded one settle ago or several.
         let mut shard = CctShard::new(Arc::clone(&interner));
         let mut oracle = CallingContextTree::with_interner(Arc::clone(&interner));
         let mut master = CallingContextTree::with_interner(Arc::clone(&interner));
@@ -791,7 +796,7 @@ proptest! {
                     (0..n).for_each(|_| oracle.attribute(node, kind, 1.0));
                 }
                 ShardOp::InsertChild { node, frame } => {
-                    // Mid-batch: the scratch must grow to reach the row.
+                    // Mid-batch: a row appended between two settles.
                     let (node, handle) = nodes[node % nodes.len()];
                     let child = interner.paths().extend(handle, &frame);
                     let got = shard.node_for(child.id());
@@ -803,8 +808,8 @@ proptest! {
                     let mut copy = master.clone();
                     shard.clone().drain_into(&mut copy);
                     prop_assert_eq!(copy.semantic_diff(&oracle), None);
-                    shard.drain_into(&mut master);
                 }
+                ShardOp::Fold => shard.drain_into(&mut master),
             }
         }
         shard.settle();

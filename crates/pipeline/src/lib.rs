@@ -28,7 +28,7 @@
 //!      │  route (stream for launches and records / thread for samples)
 //!      ▼  apply inline under the home shard's lock
 //!  shards: CctShard rows + timeline ring (bounded), one lock each
-//!      └──settle, drain rows by PathId──▶ cached master CCT (Arc-shared)
+//!      └──settle, sweep rows root-ward, drain by PathId──▶ cached master CCT (Arc-shared)
 //! ```
 //!
 //! When `ProfilerConfig::timeline` is on, attributing a kernel/memcpy

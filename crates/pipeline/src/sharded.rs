@@ -125,26 +125,25 @@ impl Default for SinkOptions {
 ///   covers the row append as well as the bind;
 /// * snapshots fold the shards into one master tree and **cache** it: a
 ///   refresh drains only shards whose dirty generation
-///   ([`CctShard::generation`]) moved, each settled row merged at its
-///   path's node through the master's `PathId → NodeId` vector
-///   ([`CctShard::drain_into`]) — no frame is matched.
+///   ([`CctShard::generation`]) moved: the shard's rows made inclusive
+///   and each merged at its path's node through the master's `PathId →
+///   NodeId` vector ([`CctShard::drain_into`]) — no frame is matched.
 ///   [`snapshot_uncached`](Self::snapshot_uncached), the master plus
 ///   every shard's undrained rows, is the test oracle. A timeline read
 ///   rides the same refresh: each shard is drained and has its ring
 ///   shared under one acquisition of its lock, so every interval's path
 ///   is in the vector it is mapped through.
 ///
-/// Inclusive samples are **attributed at the node and settled at the
-/// boundary**: every ingestion path hands its samples to
-/// [`CctShard::count`] (a launch, a PC sample and its stall: one integer
-/// add each) or [`CctShard::attribute`] (a measurement), and the shard is
-/// [settled](CctShard::settle) — one bottom-up sweep, in the order
-/// `core/src/shard.rs` states — under the shard lock wherever its tree is
-/// about to be observed or its bytes measured: the end of every activity
-/// batch, every flush boundary, every fold (cached, uncached, timeline)
-/// and [`approx_bytes`](Self::approx_bytes). Nothing outside a shard
-/// lock ever sees a row that is not fully inclusive, so the folds and
-/// the cache are unaware of the deferral.
+/// Samples are **held at their row and made inclusive by the fold**:
+/// every ingestion path hands its samples to [`CctShard::count`] (a
+/// launch, a PC sample and its stall: one integer add each) or
+/// [`CctShard::attribute`] (a measurement, merged into the row), and the
+/// shard is [settled](CctShard::settle) — its counted rows' counters
+/// added to those rows — under the shard lock wherever its rows are about
+/// to be folded, read or measured: the end of every activity batch,
+/// every flush boundary, every fold (cached, uncached, timeline) and
+/// [`approx_bytes`](Self::approx_bytes). The fold carries each row's
+/// samples root-ward, so every tree a read sees is inclusive.
 pub struct ShardedSink {
     interner: Arc<Interner>,
     shards: Vec<Mutex<Shard>>,
@@ -236,9 +235,9 @@ impl ShardedSink {
     }
 
     /// Closes a boundary on shard `idx` (held locked by the caller):
-    /// everything attributed since the last one — records, and the
-    /// launches and CPU samples before them — reaches its ancestors,
-    /// and only then is the shard sized for peak accounting.
+    /// everything counted since the last one — launches, PC samples and
+    /// their stalls — reaches its row's store, and only then is the
+    /// shard sized for peak accounting.
     fn close_boundary(&self, idx: usize, shard: &mut CctShard) {
         shard.settle();
         self.gauges[idx]
@@ -385,7 +384,7 @@ impl ShardedSink {
         shard.end_batch();
         shard.trim();
         // Launch- and sample-only shards see no activity batch: the
-        // flush boundary is where their samples walk root-ward.
+        // flush boundary is where their counts reach their rows.
         self.close_boundary(idx, shard);
     }
 
@@ -615,8 +614,8 @@ impl ShardedSink {
 
     /// Current ingestion counters (`cpu_samples` reads 0: the profiler
     /// counts those). `launches` is the master root's plus every settled
-    /// shard's undrained root's, under the cache lock: no refresh moves a
-    /// launch between the two.
+    /// shard's undrained rows' ([`CctShard::total`]), under the cache
+    /// lock: no refresh moves a launch between the two.
     pub fn counters(&self) -> SinkCounters {
         let cache = self.cache.lock();
         let drained = cache

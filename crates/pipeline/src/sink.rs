@@ -5,8 +5,9 @@ use sim_gpu::{Activity, ActivityKind};
 
 /// Attributes one activity record's metrics at its resolved context
 /// `node` of `shard` — the activity-kind → metric mapping. Every sample
-/// waits at the row for the shard's next settle, which carries it
-/// root-ward (measurements as aggregates, PC samples as integer counts).
+/// stays at its row until the shard's next fold carries it root-ward:
+/// a measurement merged into the row's store, a PC sample counted as
+/// integers the next settle adds there.
 /// Returns the number of instruction samples attributed (0 for
 /// non-sampling records).
 pub(crate) fn attribute_activity_metrics(
@@ -73,7 +74,7 @@ pub(crate) fn attribute_activity_metrics(
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SinkCounters {
     /// Kernel launches ingested: the cached master root's `KernelLaunches`
-    /// total plus each shard's undrained root's, settled by the read.
+    /// total plus each shard's undrained rows', settled by the read.
     pub launches: u64,
     /// CPU samples observed by the profiler's samplers (zero when read
     /// straight from a sink).

@@ -2,9 +2,9 @@
 //! a counting global allocator (the `crates/dlmonitor/tests/alloc_budget.rs`
 //! pattern): a launch on a context the current epoch has already seen
 //! allocates nothing, producing its handle included; an activity batch
-//! allocates a number of times that does not depend on its size (settle
-//! scratch included: released at every batch boundary, regrown by the
-//! next); warm iterations grow no table, and a new context is counted.
+//! allocates a number of times that does not depend on its size; a fold
+//! of warm rows into a warm master allocates nothing; warm iterations
+//! grow no table, and a new context is counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -168,7 +168,7 @@ impl Rig {
 fn a_launch_on_a_context_seen_this_epoch_allocates_nothing() {
     let mut rig = Rig::with_shards(16);
     rig.warm(256);
-    // The batch boundary released the settle scratch; one launch per
+    // The batch boundary released the launch counters; one launch per
     // context brings this epoch's back.
     let first = rig.launches(CONTEXTS);
     rig.deliver(first);
@@ -185,13 +185,12 @@ fn a_launch_on_a_context_seen_this_epoch_allocates_nothing() {
 
 #[test]
 fn an_activity_batch_allocates_the_same_few_times_whatever_its_size() {
-    /// The batch's list of record shards, and the settle scratch the
-    /// records' `GpuTime` needs — the aggregates themselves, one per
-    /// context: a first allocation of four and one doubling to eight.
-    /// (The batch's launches already brought the per-node index and the
-    /// slots back, sized to the tree; the shard retires its correlations
-    /// in place.) None of it depends on how many records arrive.
-    const PER_BATCH: u64 = 3;
+    /// The batch's list of record shards. A record's `GpuTime` merges
+    /// into its row's store, which holds the kind since the warm-up; the
+    /// batch's launches already brought the counters back, and the
+    /// shard retires its correlations in place. None of it depends on
+    /// how many records arrive.
+    const PER_BATCH: u64 = 1;
     let per_batch = |batch: u64| {
         let mut rig = Rig::with_shards(16);
         rig.warm(batch);
@@ -201,6 +200,27 @@ fn an_activity_batch_allocates_the_same_few_times_whatever_its_size() {
     };
     assert_eq!(per_batch(4096), PER_BATCH);
     assert_eq!(per_batch(512), PER_BATCH);
+}
+
+#[test]
+fn a_warm_fold_allocates_nothing() {
+    let mut rig = Rig::with_shards(16);
+    rig.warm(256);
+    // The first fold grows each row's store to the kinds its subtree
+    // carries, and the master's nodes to theirs.
+    rig.sink.with_snapshot(|_| ());
+    let records = rig.launch_and_complete(256);
+    rig.sink.activity_batch(records);
+    // The sweep merges into the rows' kept room, the master in place.
+    let sink = Arc::clone(&rig.sink);
+    assert_eq!(allocations(move || sink.with_snapshot(|_| ())), 0);
+    rig.sink.with_snapshot(|cct| {
+        assert_eq!(
+            cct.total(MetricKind::KernelLaunches),
+            (3 * 256) as f64,
+            "the warm fold carried the batch"
+        );
+    });
 }
 
 #[test]

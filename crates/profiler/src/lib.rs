@@ -620,8 +620,9 @@ mod tests {
 
     #[test]
     fn reads_between_a_launch_and_its_activity_batch_see_the_launch() {
-        // A launch's `KernelLaunches` sample waits at its node until the
-        // shard is settled, normally by the activity batch that follows.
+        // A launch's `KernelLaunches` count waits in its shard's counters
+        // until the shard is settled, normally by the activity batch that
+        // follows.
         // Every read surface must settle first, in every layout, and
         // `stats()` counts what the tree holds.
         let launches = |cct: &CallingContextTree| cct.total(MetricKind::KernelLaunches);

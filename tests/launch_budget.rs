@@ -138,8 +138,8 @@ const SHAPES: [Shape; 3] = [
             ("sim-runtime/python.rs::push", 830, 830),
             ("sim-runtime/python.rs::with_frames", 0, 970),
         ],
-        allocations: (124832, 124880),
-        peak_bytes: 228980,
+        allocations: (124832, 124914),
+        peak_bytes: 205716,
     },
     Shape {
         name: "jit_train",
@@ -172,8 +172,8 @@ const SHAPES: [Shape; 3] = [
             ("sim-runtime/python.rs::walk", 133, 133),
             ("sim-runtime/python.rs::with_frames", 0, 12),
         ],
-        allocations: (5069, 5255),
-        peak_bytes: 55140,
+        allocations: (5069, 5149),
+        peak_bytes: 52604,
     },
     Shape {
         name: "unet_native",
@@ -212,8 +212,8 @@ const SHAPES: [Shape; 3] = [
             ("sim-runtime/python.rs::with_frames", 0, 296),
             ("sim-runtime/thread.rs::spawn", 16, 16),
         ],
-        allocations: (53502, 54610),
-        peak_bytes: 168808,
+        allocations: (53502, 53943),
+        peak_bytes: 142824,
     },
 ];
 
